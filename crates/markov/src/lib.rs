@@ -10,7 +10,6 @@
 //!   LU, Gauss–Seidel; [`steady_state::solve`] handles transient states.
 //! * [`transient`] — uniformization for finite-horizon distributions.
 //! * [`hitting`] — mean first-passage times (expected recovery times).
-//! * [`dtmc`] — discrete-time chains and embedded jump chains.
 //! * [`birth_death`] — closed-form product solutions used for
 //!   cross-validation (including Erlang-B).
 //! * [`linalg`] — the dense LU kernel underpinning the direct solver.
@@ -43,7 +42,6 @@
 
 pub mod birth_death;
 pub mod ctmc;
-pub mod dtmc;
 pub mod error;
 pub mod hitting;
 pub mod linalg;
@@ -51,6 +49,5 @@ pub mod steady_state;
 pub mod transient;
 
 pub use ctmc::{Ctmc, CtmcBuilder};
-pub use dtmc::Dtmc;
 pub use error::MarkovError;
 pub use steady_state::{solve, SteadyState};

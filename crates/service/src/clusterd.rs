@@ -39,6 +39,9 @@
 //! graceful `LEAVE` is a **crash**: the coordinator aborts its pending
 //! prepares and rebalances the partition onto the survivors.
 
+use crate::engine::{
+    build_qos, render_admitted, render_outcome, render_violations, snapshot_payload, wire_err,
+};
 use crate::error::ProtocolError;
 use crate::protocol::{self, Request, Response};
 use drqos_cluster::coordinator::{ApplyOutcome, Coordinator, MemberOp};
@@ -52,7 +55,6 @@ use drqos_core::env::RebalancePolicy;
 use drqos_core::error::ClusterError;
 use drqos_core::framing::{self, Fill, FrameReader};
 use drqos_core::network::{EstablishRequest, Network};
-use drqos_core::qos::{Bandwidth, ElasticQos};
 use drqos_topology::{LinkId, NodeId};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -531,19 +533,9 @@ impl MemberState {
     fn establish(&mut self, src: usize, dst: usize, bmin: u64, bmax: u64, delta: u64) -> Response {
         // QoS validation is local, exactly like the engine: a malformed
         // range never reaches the coordinator.
-        let qos = match ElasticQos::new(
-            Bandwidth::kbps(bmin),
-            Bandwidth::kbps(bmax),
-            Bandwidth::kbps(delta),
-            1.0,
-        ) {
+        let qos = match build_qos(bmin, bmax, delta) {
             Ok(qos) => qos,
-            Err(e) => {
-                return Response::Err {
-                    code: e.wire_code(),
-                    message: e.to_string(),
-                }
-            }
+            Err(resp) => return resp,
         };
         let req = EstablishRequest {
             src: NodeId(src),
@@ -581,29 +573,11 @@ impl MemberState {
             other => return Err(bad_reply(&other)),
         };
         match self.sync_to(op_seq.saturating_add(1))? {
-            Some(ApplyOutcome::Establish(Ok(id))) => Ok(self.render_admitted(id)),
-            Some(ApplyOutcome::Establish(Err(e))) => Ok(Response::Err {
-                code: e.wire_code(),
-                message: e.to_string(),
-            }),
+            Some(ApplyOutcome::Establish(Ok(id))) => Ok(render_admitted(self.replica.net(), id)),
+            Some(ApplyOutcome::Establish(Err(e))) => Ok(wire_err(e.wire_code(), e)),
             _ => Ok(
                 ProtocolError::internal("replayed outcome does not match the committed op").into(),
             ),
-        }
-    }
-
-    /// Renders the `OK` reply for an admitted connection id, byte-equal
-    /// to the monolithic engine's rendering.
-    fn render_admitted(&self, id: ConnectionId) -> Response {
-        match self.replica.net().connection(id) {
-            Some(c) => Response::Ok(format!(
-                "id={} bw={} hops={} backups={}",
-                id.0,
-                c.bandwidth().as_kbps(),
-                c.primary().hop_count(),
-                c.backup_count()
-            )),
-            None => ProtocolError::internal("established connection not readable back").into(),
         }
     }
 
@@ -652,14 +626,7 @@ impl MemberState {
             let _ = link.roundtrip(&ClusterMsg::Leave);
         }
         self.link = None;
-        let violations = self.replica.net().check_invariants();
-        match violations.first() {
-            None => Response::Ok("violations=0".to_string()),
-            Some(first) => Response::Err {
-                code: first.wire_code(),
-                message: format!("shutdown with {} invariant violations", violations.len()),
-            },
-        }
+        render_violations(&self.replica.net().check_invariants())
     }
 
     fn dispatch(&mut self, req: &Request) -> Response {
@@ -701,89 +668,6 @@ impl MemberState {
         }
         (resp, stop)
     }
-}
-
-/// Renders a replayed non-establish outcome byte-equal to the engine.
-fn render_outcome(outcome: Option<ApplyOutcome>) -> Response {
-    match outcome {
-        Some(ApplyOutcome::Release(Ok(Some(kbps)))) => Response::Ok(format!("freed={kbps}")),
-        Some(ApplyOutcome::Release(Ok(None))) => {
-            ProtocolError::internal("released connection had no readable bandwidth").into()
-        }
-        Some(ApplyOutcome::Release(Err(e))) => Response::Err {
-            code: e.wire_code(),
-            message: e.to_string(),
-        },
-        Some(ApplyOutcome::FailLink(Ok(report))) => Response::Ok(format!(
-            "activated={} dropped={} lost_backup={} retreated={}",
-            report.activated.len(),
-            report.dropped.len(),
-            report.lost_backup.len(),
-            report.retreated.len()
-        )),
-        Some(ApplyOutcome::FailLink(Err(e))) => Response::Err {
-            code: e.wire_code(),
-            message: e.to_string(),
-        },
-        Some(ApplyOutcome::RepairLink(Ok(regained))) => {
-            Response::Ok(format!("regained={}", regained.len()))
-        }
-        Some(ApplyOutcome::RepairLink(Err(e))) => Response::Err {
-            code: e.wire_code(),
-            message: e.to_string(),
-        },
-        Some(ApplyOutcome::FailNode(Ok(reports))) => {
-            let activated: usize = reports.iter().map(|r| r.activated.len()).sum();
-            let dropped: usize = reports.iter().map(|r| r.dropped.len()).sum();
-            Response::Ok(format!(
-                "links={} activated={} dropped={}",
-                reports.len(),
-                activated,
-                dropped
-            ))
-        }
-        Some(ApplyOutcome::FailNode(Err(e))) => Response::Err {
-            code: e.wire_code(),
-            message: e.to_string(),
-        },
-        Some(ApplyOutcome::FailSrlg(Ok(reports))) => {
-            let activated: usize = reports.iter().map(|r| r.activated.len()).sum();
-            let dropped: usize = reports.iter().map(|r| r.dropped.len()).sum();
-            Response::Ok(format!(
-                "links={} activated={} dropped={}",
-                reports.len(),
-                activated,
-                dropped
-            ))
-        }
-        Some(ApplyOutcome::FailSrlg(Err(e))) => Response::Err {
-            code: e.wire_code(),
-            message: e.to_string(),
-        },
-        Some(ApplyOutcome::RepairSrlg(Ok(regained))) => {
-            Response::Ok(format!("regained={}", regained.len()))
-        }
-        Some(ApplyOutcome::RepairSrlg(Err(e))) => Response::Err {
-            code: e.wire_code(),
-            message: e.to_string(),
-        },
-        _ => ProtocolError::internal("replayed outcome does not match the committed op").into(),
-    }
-}
-
-/// The deterministic `SNAPSHOT` payload over a replica network,
-/// byte-equal to [`crate::engine::Engine`]'s.
-fn snapshot_payload(net: &Network) -> String {
-    format!(
-        "conns={} bw={} dropped={} epoch={} up={} nodes={} links={}",
-        net.len(),
-        net.total_primary_bandwidth().as_kbps(),
-        net.dropped_total(),
-        net.topology_epoch(),
-        net.up_links().count(),
-        net.graph().node_count(),
-        net.graph().link_count()
-    )
 }
 
 /// End-of-run summary returned by [`ClusterMember::run`].

@@ -10,10 +10,15 @@
 use crate::error::ProtocolError;
 use crate::metrics::{Metrics, OpKind, OpTimer};
 use crate::protocol::{self, Request, Response};
-use drqos_core::network::{EstablishRequest, Network};
+use drqos_cluster::coordinator::{apply_committed, ApplyOutcome, MemberOp};
+use drqos_core::channel::ConnectionId;
+use drqos_core::error::NetworkError;
+use drqos_core::invariant::InvariantViolation;
+use drqos_core::network::{EstablishRequest, FailureReport, Network};
 use drqos_core::qos::{Bandwidth, ElasticQos};
 use drqos_core::shard::ShardedNetwork;
 use drqos_topology::{LinkId, NodeId};
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -232,11 +237,8 @@ impl Engine {
         let mut by_request: Vec<Option<Response>> = reqs.iter().map(|_| None).collect();
         for (k, &i) in order.iter().enumerate() {
             let resp = match results.get(k) {
-                Some(Ok(id)) => self.render_admitted(*id),
-                Some(Err(e)) => Response::Err {
-                    code: e.wire_code(),
-                    message: e.to_string(),
-                },
+                Some(Ok(id)) => render_admitted(self.net.inner(), *id),
+                Some(Err(e)) => wire_err(e.wire_code(), e),
                 None => ProtocolError::internal("batch admission result missing").into(),
             };
             if let Some(s) = by_request.get_mut(i) {
@@ -257,116 +259,41 @@ impl Engine {
     /// The caller (event loop or [`Engine::handle_line`]) sends this as
     /// the `SHUTDOWN` response after the queue is drained.
     pub fn finish_shutdown(&mut self) -> Response {
-        let violations = self.net.inner_mut().check_invariants();
-        match violations.first() {
-            None => Response::Ok("violations=0".to_string()),
-            // Surface the first violation's stable code and the full count;
-            // the daemon also exits non-zero in this case.
-            Some(first) => Response::Err {
-                code: first.wire_code(),
-                message: format!("shutdown with {} invariant violations", violations.len()),
-            },
-        }
+        render_violations(&self.net.inner().check_invariants())
     }
 
+    /// Serves one parsed request. Every state-changing verb except
+    /// `ESTABLISH` takes the federation's path — [`MemberOp`] through
+    /// [`apply_committed`] to an [`ApplyOutcome`] — so the engine and the
+    /// member daemon ([`crate::clusterd`]) answer from the same transition
+    /// function and the same renderer.
     fn dispatch(&mut self, req: &Request) -> Response {
-        match *req {
+        let op = match *req {
             Request::Establish {
                 src,
                 dst,
                 bmin,
                 bmax,
                 delta,
-            } => self.establish(src, dst, bmin, bmax, delta),
-            Request::Release { id } => {
-                let cid = drqos_core::channel::ConnectionId(id);
-                // `release` retreats the channel to its QoS minimum before
-                // removing it, so read the bandwidth actually held first.
-                let held = self
-                    .net
-                    .inner()
-                    .connection(cid)
-                    .map(|c| c.bandwidth().as_kbps());
-                match (self.net.inner_mut().release(cid), held) {
-                    (Ok(_), Some(kbps)) => Response::Ok(format!("freed={kbps}")),
-                    // A successful release of a connection that was not
-                    // readable beforehand would mean the engine's view of
-                    // the network is inconsistent; report, don't panic.
-                    (Ok(_), None) => {
-                        ProtocolError::internal("released connection had no readable bandwidth")
-                            .into()
-                    }
-                    (Err(e), _) => Response::Err {
-                        code: e.wire_code(),
-                        message: e.to_string(),
-                    },
-                }
-            }
-            Request::FailLink { link } => match self.net.inner_mut().fail_link(LinkId(link)) {
-                Ok(report) => Response::Ok(format!(
-                    "activated={} dropped={} lost_backup={} retreated={}",
-                    report.activated.len(),
-                    report.dropped.len(),
-                    report.lost_backup.len(),
-                    report.retreated.len()
-                )),
-                Err(e) => Response::Err {
-                    code: e.wire_code(),
-                    message: e.to_string(),
-                },
-            },
-            Request::RepairLink { link } => match self.net.inner_mut().repair_link(LinkId(link)) {
-                Ok(regained) => Response::Ok(format!("regained={}", regained.len())),
-                Err(e) => Response::Err {
-                    code: e.wire_code(),
-                    message: e.to_string(),
-                },
-            },
-            Request::FailNode { node } => match self.net.inner_mut().fail_node(NodeId(node)) {
-                Ok(reports) => {
-                    let activated: usize = reports.iter().map(|r| r.activated.len()).sum();
-                    let dropped: usize = reports.iter().map(|r| r.dropped.len()).sum();
-                    Response::Ok(format!(
-                        "links={} activated={} dropped={}",
-                        reports.len(),
-                        activated,
-                        dropped
-                    ))
-                }
-                Err(e) => Response::Err {
-                    code: e.wire_code(),
-                    message: e.to_string(),
-                },
-            },
-            Request::FailSrlg { group } => match self.net.inner_mut().fail_srlg(group) {
-                Ok(reports) => {
-                    let activated: usize = reports.iter().map(|r| r.activated.len()).sum();
-                    let dropped: usize = reports.iter().map(|r| r.dropped.len()).sum();
-                    Response::Ok(format!(
-                        "links={} activated={} dropped={}",
-                        reports.len(),
-                        activated,
-                        dropped
-                    ))
-                }
-                Err(e) => Response::Err {
-                    code: e.wire_code(),
-                    message: e.to_string(),
-                },
-            },
-            Request::RepairSrlg { group } => match self.net.inner_mut().repair_srlg(group) {
-                Ok(regained) => Response::Ok(format!("regained={}", regained.len())),
-                Err(e) => Response::Err {
-                    code: e.wire_code(),
-                    message: e.to_string(),
-                },
-            },
-            Request::Snapshot => Response::Ok(self.snapshot_payload()),
-            Request::Stats => Response::Ok(self.stats_payload()),
+            } => return self.establish(src, dst, bmin, bmax, delta),
+            Request::Snapshot => return Response::Ok(snapshot_payload(self.net.inner())),
+            Request::Stats => return Response::Ok(self.stats_payload()),
             // handle_server_line routes SHUTDOWN before dispatch; answering
             // it here anyway (instead of unreachable!) keeps dispatch total.
-            Request::Shutdown => self.finish_shutdown(),
-        }
+            Request::Shutdown => return self.finish_shutdown(),
+            Request::Release { id } => MemberOp::Release {
+                id: ConnectionId(id),
+            },
+            Request::FailLink { link } => MemberOp::FailLink { link: LinkId(link) },
+            Request::RepairLink { link } => MemberOp::RepairLink { link: LinkId(link) },
+            Request::FailNode { node } => MemberOp::FailNode { node: NodeId(node) },
+            Request::FailSrlg { group } => MemberOp::FailSrlg { group },
+            Request::RepairSrlg { group } => MemberOp::RepairSrlg { group },
+        };
+        render_outcome(Some(apply_committed(
+            self.net.inner_mut(),
+            &op.to_committed(),
+        )))
     }
 
     fn establish(&mut self, src: usize, dst: usize, bmin: u64, bmax: u64, delta: u64) -> Response {
@@ -383,44 +310,9 @@ impl Engine {
     /// Admits one request sequentially and renders its reply.
     fn admit(&mut self, req: EstablishRequest) -> Response {
         match self.net.inner_mut().establish(req.src, req.dst, req.qos) {
-            Ok(id) => self.render_admitted(id),
-            Err(e) => Response::Err {
-                code: e.wire_code(),
-                message: e.to_string(),
-            },
+            Ok(id) => render_admitted(self.net.inner(), id),
+            Err(e) => wire_err(e.wire_code(), e),
         }
-    }
-
-    /// Renders the `OK` reply for an admitted connection id.
-    fn render_admitted(&self, id: drqos_core::channel::ConnectionId) -> Response {
-        match self.net.inner().connection(id) {
-            Some(c) => Response::Ok(format!(
-                "id={} bw={} hops={} backups={}",
-                id.0,
-                c.bandwidth().as_kbps(),
-                c.primary().hop_count(),
-                c.backup_count()
-            )),
-            // An admitted connection must be readable back; if not the
-            // engine state is inconsistent — report, don't panic.
-            None => ProtocolError::internal("established connection not readable back").into(),
-        }
-    }
-
-    /// The deterministic `SNAPSHOT` payload: counts and integer totals
-    /// only — no floats, no wall-clock — so concurrent sessions that end
-    /// in the same network state produce the same line.
-    fn snapshot_payload(&self) -> String {
-        format!(
-            "conns={} bw={} dropped={} epoch={} up={} nodes={} links={}",
-            self.net.inner().len(),
-            self.net.inner().total_primary_bandwidth().as_kbps(),
-            self.net.inner().dropped_total(),
-            self.net.inner().topology_epoch(),
-            self.net.inner().up_links().count(),
-            self.net.inner().graph().node_count(),
-            self.net.inner().graph().link_count()
-        )
     }
 
     /// The `STATS` payload: the one intentionally non-deterministic reply
@@ -452,17 +344,118 @@ impl Engine {
 
 /// Validates an elastic QoS range from wire integers, mapping failures
 /// onto their wire-coded error response.
-fn build_qos(bmin: u64, bmax: u64, delta: u64) -> Result<ElasticQos, Response> {
+pub(crate) fn build_qos(bmin: u64, bmax: u64, delta: u64) -> Result<ElasticQos, Response> {
     ElasticQos::new(
         Bandwidth::kbps(bmin),
         Bandwidth::kbps(bmax),
         Bandwidth::kbps(delta),
         1.0,
     )
-    .map_err(|e| Response::Err {
-        code: e.wire_code(),
+    .map_err(|e| wire_err(e.wire_code(), e))
+}
+
+/// An `ERR` reply carrying a domain error's stable wire code.
+pub(crate) fn wire_err(code: u16, e: impl Display) -> Response {
+    Response::Err {
+        code,
         message: e.to_string(),
-    })
+    }
+}
+
+/// Renders the `OK` reply for an admitted connection id, read back from
+/// `net` (the engine's network, or a member daemon's replica).
+pub(crate) fn render_admitted(net: &Network, id: ConnectionId) -> Response {
+    match net.connection(id) {
+        Some(c) => Response::Ok(format!(
+            "id={} bw={} hops={} backups={}",
+            id.0,
+            c.bandwidth().as_kbps(),
+            c.primary().hop_count(),
+            c.backup_count()
+        )),
+        // An admitted connection must be readable back; if not the
+        // engine state is inconsistent — report, don't panic.
+        None => ProtocolError::internal("established connection not readable back").into(),
+    }
+}
+
+/// Renders the outcome of a non-establish operation — applied directly by
+/// the engine, or replayed from the oplog by a member daemon (`None`: the
+/// replay never reached the operation's sequence number).
+pub(crate) fn render_outcome(outcome: Option<ApplyOutcome>) -> Response {
+    fn reply<T>(result: Result<T, NetworkError>, ok: impl FnOnce(T) -> String) -> Response {
+        match result {
+            Ok(value) => Response::Ok(ok(value)),
+            Err(e) => wire_err(e.wire_code(), e),
+        }
+    }
+    fn link_totals(reports: Vec<FailureReport>) -> String {
+        let activated: usize = reports.iter().map(|r| r.activated.len()).sum();
+        let dropped: usize = reports.iter().map(|r| r.dropped.len()).sum();
+        format!(
+            "links={} activated={} dropped={}",
+            reports.len(),
+            activated,
+            dropped
+        )
+    }
+    match outcome {
+        // `release` retreats the channel to its QoS minimum before
+        // removing it, so the outcome carries the bandwidth held before.
+        Some(ApplyOutcome::Release(Ok(Some(kbps)))) => Response::Ok(format!("freed={kbps}")),
+        // A successful release of a connection that was not readable
+        // beforehand would mean the network is inconsistent; report,
+        // don't panic.
+        Some(ApplyOutcome::Release(Ok(None))) => {
+            ProtocolError::internal("released connection had no readable bandwidth").into()
+        }
+        Some(ApplyOutcome::Release(Err(e))) => wire_err(e.wire_code(), e),
+        Some(ApplyOutcome::FailLink(r)) => reply(r, |report| {
+            format!(
+                "activated={} dropped={} lost_backup={} retreated={}",
+                report.activated.len(),
+                report.dropped.len(),
+                report.lost_backup.len(),
+                report.retreated.len()
+            )
+        }),
+        Some(ApplyOutcome::RepairLink(r) | ApplyOutcome::RepairSrlg(r)) => {
+            reply(r, |regained| format!("regained={}", regained.len()))
+        }
+        Some(ApplyOutcome::FailNode(r) | ApplyOutcome::FailSrlg(r)) => reply(r, link_totals),
+        Some(ApplyOutcome::Establish(_) | ApplyOutcome::Rebalance(_)) | None => {
+            ProtocolError::internal("replayed outcome does not match the committed op").into()
+        }
+    }
+}
+
+/// The deterministic `SNAPSHOT` payload: counts and integer totals
+/// only — no floats, no wall-clock — so concurrent sessions that end
+/// in the same network state produce the same line.
+pub(crate) fn snapshot_payload(net: &Network) -> String {
+    format!(
+        "conns={} bw={} dropped={} epoch={} up={} nodes={} links={}",
+        net.len(),
+        net.total_primary_bandwidth().as_kbps(),
+        net.dropped_total(),
+        net.topology_epoch(),
+        net.up_links().count(),
+        net.graph().node_count(),
+        net.graph().link_count()
+    )
+}
+
+/// The `SHUTDOWN` reply for a final invariant check: the first
+/// violation's stable code and the full count (the daemon also exits
+/// non-zero in that case).
+pub(crate) fn render_violations(violations: &[InvariantViolation]) -> Response {
+    match violations.first() {
+        None => Response::Ok("violations=0".to_string()),
+        Some(first) => Response::Err {
+            code: first.wire_code(),
+            message: format!("shutdown with {} invariant violations", violations.len()),
+        },
+    }
 }
 
 fn op_kind(req: &Request) -> OpKind {

@@ -11,41 +11,27 @@
 //!   violation;
 //! * `--diff N` additionally runs N simulation-vs-Markov differential
 //!   cases within `--tolerance` (default 0.45 relative);
-//! * `--diff-cache N` replays N fuzzed sequences against route-cache-on
-//!   and route-cache-off networks in lockstep and fails (with a shrunk
-//!   reproducer) on any divergence in admission decisions, failure
-//!   reports, drop counters, or snapshots;
-//! * `--diff-batch N` replays N fuzzed sequences with consecutive
-//!   establishes grouped through `Network::establish_batch` against a
-//!   sequential oracle, and fails (with a shrunk reproducer) on any
-//!   divergence in admission results, drop counters, or snapshots;
-//! * `--diff-shard N` replays N fuzzed sequences with consecutive
-//!   establishes admitted as `ShardedNetwork::establish_wave` waves —
-//!   parallel per-shard planning plus the two-phase cross-shard commit —
-//!   against a monolithic oracle, **at shard counts 2 and 4 each**, and
-//!   fails (with a shrunk reproducer) on any divergence in admission
-//!   results, drop counters, snapshots, or leaked two-phase reservations;
-//! * `--diff-cluster N` replays N fuzzed sequences against an in-process
-//!   multi-daemon cluster (`ClusterSim`) — member-replica planning, the
-//!   coordinator's two-phase ledger, deterministic daemon churn between
-//!   waves — and a monolithic oracle, **at member counts 2 and 3 each**,
-//!   and fails (with a shrunk reproducer) on any divergence in admission
-//!   results, drop counters, snapshots of the authoritative network or
-//!   any live replica, or leaked prepares;
+//! * `--diff-<subject> N` replays N fuzzed sequences against one row of
+//!   the lockstep subject table (`drqos_testkit::lockstep::subjects`) and
+//!   its sequential oracle, at every parameter in the row's grid, and
+//!   fails (with a shrunk reproducer) on any divergence in operation
+//!   results, leaked two-phase reservations, drop counters, epochs, or
+//!   snapshots of any network view:
+//!   `cache` (route cache on vs. off), `batch` (`establish_batch` runs
+//!   vs. sequential admission), `shard` (`ShardedNetwork` waves, **shard
+//!   counts 2 and 4**), `cluster` (an in-process `ClusterSim` federation
+//!   with daemon churn between waves, **member counts 2 and 3**);
 //! * `--self-test` is the mutation check: it injects the `LoseRelease`
-//!   accounting fault, the `LoseSrlgRepair` shared-risk-group repair
-//!   fault, the `ReverseBatch` batch-ordering fault, the sharded
-//!   engine's `LoseReservationRelease` two-phase leak, and the cluster
-//!   coordinator's `LosePrepare` leak, and *fails* unless the detectors
-//!   catch all five and shrink the witnesses (≤ 10 ops for each
-//!   accounting fault, ≤ 4 for the ordering one, ≤ 3 for each leak).
+//!   and `LoseSrlgRepair` accounting faults into the invariant fuzzer and
+//!   every subject's registered mutant (`StarvedCapacity`,
+//!   `ReverseBatch`, `LoseReservationRelease`, `LosePrepare`) into the
+//!   lockstep loop, and *fails* unless the detectors catch every one and
+//!   shrink the witness within its bound (≤ 10 ops for each accounting
+//!   fault; the table row's `shrink_bound` for each mutant).
 
-use drqos_testkit::batch_diff::{batch_mutation_witness, run_batch_diff, BatchDiffConfig};
-use drqos_testkit::cache_diff::{run_cache_diff, CacheDiffConfig};
-use drqos_testkit::cluster_diff::{cluster_mutation_witness, run_cluster_diff, ClusterDiffConfig};
 use drqos_testkit::diff::check_diff;
 use drqos_testkit::fuzz::{run_fuzz, FuzzConfig, InjectedFault};
-use drqos_testkit::shard_diff::{run_shard_diff, shard_mutation_witness, ShardDiffConfig};
+use drqos_testkit::lockstep::{self, Config};
 use std::process::ExitCode;
 
 struct Args {
@@ -53,42 +39,40 @@ struct Args {
     ops: usize,
     seed: u64,
     diff: usize,
-    diff_cache: usize,
-    diff_batch: usize,
-    diff_shard: usize,
-    diff_cluster: usize,
+    /// Sequence budget per lockstep subject, in table order.
+    lockstep: Vec<usize>,
     tolerance: f64,
     self_test: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
+    let subjects = lockstep::subjects();
     let mut args = Args {
         seqs: 200,
         ops: 60,
         seed: 2001,
         diff: 0,
-        diff_cache: 0,
-        diff_batch: 0,
-        diff_shard: 0,
-        diff_cluster: 0,
+        lockstep: vec![0; subjects.len()],
         tolerance: 0.45,
         self_test: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
+        let mut value = || it.next().ok_or_else(|| format!("{flag} expects a value"));
         match flag.as_str() {
-            "--seqs" => args.seqs = parse(&value("--seqs")?)?,
-            "--ops" => args.ops = parse(&value("--ops")?)?,
-            "--seed" => args.seed = parse(&value("--seed")?)?,
-            "--diff" => args.diff = parse(&value("--diff")?)?,
-            "--diff-cache" => args.diff_cache = parse(&value("--diff-cache")?)?,
-            "--diff-batch" => args.diff_batch = parse(&value("--diff-batch")?)?,
-            "--diff-shard" => args.diff_shard = parse(&value("--diff-shard")?)?,
-            "--diff-cluster" => args.diff_cluster = parse(&value("--diff-cluster")?)?,
-            "--tolerance" => args.tolerance = parse(&value("--tolerance")?)?,
+            "--seqs" => args.seqs = parse(&value()?)?,
+            "--ops" => args.ops = parse(&value()?)?,
+            "--seed" => args.seed = parse(&value()?)?,
+            "--diff" => args.diff = parse(&value()?)?,
+            "--tolerance" => args.tolerance = parse(&value()?)?,
             "--self-test" => args.self_test = true,
-            other => return Err(format!("unknown flag {other}")),
+            other => {
+                let row = other
+                    .strip_prefix("--diff-")
+                    .and_then(|name| subjects.iter().position(|row| row.name == name))
+                    .ok_or_else(|| format!("unknown flag {other}"))?;
+                args.lockstep[row] = parse(&value()?)?;
+            }
         }
     }
     Ok(args)
@@ -112,24 +96,26 @@ fn main() -> ExitCode {
         return mutation_check(args.seed);
     }
 
-    let outcome = run_fuzz(&FuzzConfig {
-        sequences: args.seqs,
-        ops_per_sequence: args.ops,
-        seed: args.seed,
-        fault: InjectedFault::None,
-    });
-    if let Some(failure) = outcome.failure {
-        eprintln!(
-            "FAIL: invariant violation after {} clean sequence(s)\n",
-            outcome.sequences_run
+    if args.seqs > 0 {
+        let outcome = run_fuzz(&FuzzConfig {
+            sequences: args.seqs,
+            ops_per_sequence: args.ops,
+            seed: args.seed,
+            fault: InjectedFault::None,
+        });
+        if let Some(failure) = outcome.failure {
+            eprintln!(
+                "FAIL: invariant violation after {} clean sequence(s)\n",
+                outcome.sequences_run
+            );
+            eprintln!("{}", failure.reproducer());
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "ok: {} sequences x {} ops (seed {}) with zero invariant violations",
+            args.seqs, args.ops, args.seed
         );
-        eprintln!("{}", failure.reproducer());
-        return ExitCode::FAILURE;
     }
-    println!(
-        "ok: {} sequences x {} ops (seed {}) with zero invariant violations",
-        args.seqs, args.ops, args.seed
-    );
 
     if args.diff > 0 {
         let failures = check_diff(args.seed, args.diff, args.tolerance);
@@ -147,218 +133,91 @@ fn main() -> ExitCode {
         );
     }
 
-    if args.diff_cache > 0 {
-        let outcome = run_cache_diff(&CacheDiffConfig {
-            sequences: args.diff_cache,
+    for (row, &sequences) in lockstep::subjects().iter().zip(&args.lockstep) {
+        if sequences == 0 {
+            continue;
+        }
+        let config = Config {
+            sequences,
             ops_per_sequence: args.ops,
             seed: args.seed,
-        });
-        if let Some(failure) = outcome.failure {
-            eprintln!(
-                "FAIL: route cache diverged from the uncached oracle after {} clean sequence(s)\n",
-                outcome.sequences_run
-            );
-            eprintln!("{}", failure.reproducer());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "ok: {} cache-differential sequence(s) x {} ops (seed {}) byte-identical throughout",
-            args.diff_cache, args.ops, args.seed
-        );
-    }
-
-    if args.diff_batch > 0 {
-        let outcome = run_batch_diff(&BatchDiffConfig {
-            sequences: args.diff_batch,
-            ops_per_sequence: args.ops,
-            seed: args.seed,
-        });
-        if let Some(failure) = outcome.failure {
-            eprintln!(
-                "FAIL: batched admission diverged from the sequential oracle after {} clean sequence(s)\n",
-                outcome.sequences_run
-            );
-            eprintln!("{}", failure.reproducer());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "ok: {} batch-differential sequence(s) x {} ops (seed {}) byte-identical throughout",
-            args.diff_batch, args.ops, args.seed
-        );
-    }
-
-    if args.diff_shard > 0 {
-        for shards in [2usize, 4] {
-            let outcome = run_shard_diff(
-                &ShardDiffConfig {
-                    sequences: args.diff_shard,
-                    ops_per_sequence: args.ops,
-                    seed: args.seed,
-                },
-                shards,
-            );
+        };
+        for &param in row.grid {
+            let outcome = row.run(&config, param);
             if let Some(failure) = outcome.failure {
                 eprintln!(
-                    "FAIL: sharded admission ({shards} shard(s)) diverged from the monolithic \
-                     oracle after {} clean sequence(s)\n",
+                    "FAIL: {} differential{} diverged from its sequential oracle after {} clean \
+                     sequence(s)\n",
+                    row.name,
+                    row.at(param),
                     outcome.sequences_run
                 );
                 eprintln!("{}", failure.reproducer());
                 return ExitCode::FAILURE;
             }
             println!(
-                "ok: {} shard-differential sequence(s) x {} ops (seed {}) at {} shard(s) \
-                 byte-identical throughout",
-                args.diff_shard, args.ops, args.seed, shards
-            );
-        }
-    }
-
-    if args.diff_cluster > 0 {
-        for members in [2usize, 3] {
-            let outcome = run_cluster_diff(
-                &ClusterDiffConfig {
-                    sequences: args.diff_cluster,
-                    ops_per_sequence: args.ops,
-                    seed: args.seed,
-                },
-                members,
-            );
-            if let Some(failure) = outcome.failure {
-                eprintln!(
-                    "FAIL: clustered admission ({members} member(s)) diverged from the \
-                     monolithic oracle after {} clean sequence(s)\n",
-                    outcome.sequences_run
-                );
-                eprintln!("{}", failure.reproducer());
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "ok: {} cluster-differential sequence(s) x {} ops (seed {}) at {} member(s) \
-                 byte-identical throughout",
-                args.diff_cluster, args.ops, args.seed, members
+                "ok: {} {}-differential sequence(s) x {} ops (seed {}){} byte-identical throughout",
+                sequences,
+                row.name,
+                args.ops,
+                args.seed,
+                row.at(param)
             );
         }
     }
     ExitCode::SUCCESS
 }
 
-/// The mutation check: the injected fault MUST be caught and MUST shrink
-/// to a small reproducer, or the detector itself is broken.
+/// The mutation check: every injected fault MUST be caught and MUST
+/// shrink to a small reproducer, or the detector itself is broken.
 fn mutation_check(seed: u64) -> ExitCode {
-    let outcome = run_fuzz(&FuzzConfig {
-        sequences: 50,
-        ops_per_sequence: 30,
-        seed,
-        fault: InjectedFault::LoseRelease,
-    });
-    match outcome.failure {
-        Some(failure) if failure.shrunk.len() <= 10 => {
-            println!(
-                "ok: injected LoseRelease fault caught and shrunk to {} op(s):\n",
-                failure.shrunk.len()
-            );
-            println!("{}", failure.reproducer());
-        }
-        Some(failure) => {
-            eprintln!(
-                "FAIL: fault caught but reproducer has {} ops (> 10) — shrinker regressed",
-                failure.shrunk.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!("FAIL: injected accounting fault was NOT detected — oracle regressed");
-            return ExitCode::FAILURE;
-        }
+    let mut clean = true;
+    // Invariant-fuzzer faults: (fault, sequences, ops per sequence).
+    for (fault, sequences, ops_per_sequence) in [
+        (InjectedFault::LoseRelease, 50, 30),
+        (InjectedFault::LoseSrlgRepair, 200, 60),
+    ] {
+        let witness = run_fuzz(&FuzzConfig {
+            sequences,
+            ops_per_sequence,
+            seed,
+            fault,
+        })
+        .failure
+        .map(|f| (f.shrunk.len(), f.reproducer()));
+        clean &= report(&format!("{fault:?} accounting fault"), 10, witness);
     }
-
-    let outcome = run_fuzz(&FuzzConfig {
-        sequences: 200,
-        ops_per_sequence: 60,
-        seed,
-        fault: InjectedFault::LoseSrlgRepair,
-    });
-    match outcome.failure {
-        Some(failure) if failure.shrunk.len() <= 10 => {
-            println!(
-                "ok: injected LoseSrlgRepair fault caught and shrunk to {} op(s)",
-                failure.shrunk.len()
-            );
-        }
-        Some(failure) => {
-            eprintln!(
-                "FAIL: SRLG repair fault caught but reproducer has {} ops (> 10) — shrinker regressed",
-                failure.shrunk.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!("FAIL: injected SRLG repair fault was NOT detected — oracle regressed");
-            return ExitCode::FAILURE;
-        }
+    for row in lockstep::subjects() {
+        let witness = row
+            .mutation_witness(seed, 20)
+            .map(|f| (f.shrunk.len(), f.reproducer()));
+        let what = format!("{} fault ({} differential)", row.mutant, row.name);
+        clean &= report(&what, row.shrink_bound, witness);
     }
-
-    match batch_mutation_witness(seed, 20) {
-        Some(shrunk) if shrunk.len() <= 4 => {
-            println!(
-                "ok: injected ReverseBatch ordering fault caught and shrunk to {} op(s)",
-                shrunk.len()
-            );
-        }
-        Some(shrunk) => {
-            eprintln!(
-                "FAIL: ordering fault caught but reproducer has {} ops (> 4) — shrinker regressed",
-                shrunk.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!("FAIL: injected batch-ordering fault was NOT detected — detector regressed");
-            return ExitCode::FAILURE;
-        }
+    if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
+}
 
-    match shard_mutation_witness(seed, 20, 4) {
-        Some(shrunk) if shrunk.len() <= 3 => {
-            println!(
-                "ok: injected LoseReservationRelease shard fault caught and shrunk to {} op(s)",
-                shrunk.len()
-            );
+/// Prints one mutation-check verdict; `true` when the fault was caught
+/// and its witness (length, reproducer) is within `bound`.
+fn report(what: &str, bound: usize, witness: Option<(usize, String)>) -> bool {
+    match witness {
+        Some((len, reproducer)) if len <= bound => {
+            println!("ok: injected {what} caught and shrunk to {len} op(s):\n\n{reproducer}");
+            true
         }
-        Some(shrunk) => {
+        Some((len, _)) => {
             eprintln!(
-                "FAIL: reservation leak caught but reproducer has {} ops (> 3) — shrinker regressed",
-                shrunk.len()
+                "FAIL: {what} caught but reproducer has {len} ops (> {bound}) — shrinker regressed"
             );
-            return ExitCode::FAILURE;
+            false
         }
         None => {
-            eprintln!(
-                "FAIL: injected two-phase reservation leak was NOT detected — detector regressed"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-
-    match cluster_mutation_witness(seed, 20, 3) {
-        Some(shrunk) if shrunk.len() <= 3 => {
-            println!(
-                "ok: injected LosePrepare cluster fault caught and shrunk to {} op(s)",
-                shrunk.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Some(shrunk) => {
-            eprintln!(
-                "FAIL: prepare leak caught but reproducer has {} ops (> 3) — shrinker regressed",
-                shrunk.len()
-            );
-            ExitCode::FAILURE
-        }
-        None => {
-            eprintln!("FAIL: injected cluster prepare leak was NOT detected — detector regressed");
-            ExitCode::FAILURE
+            eprintln!("FAIL: injected {what} was NOT detected — detector regressed");
+            false
         }
     }
 }

@@ -19,14 +19,15 @@
 //! mutation check proving the detector actually detects (and the shrinker
 //! actually shrinks; see `testkit_chaos.rs`).
 
+use crate::lockstep::{resolve_op, Resolved};
 use crate::oracle::{Oracle, Violation};
 use crate::reference::ReferenceModel;
-use drqos_core::channel::ConnectionId;
+use drqos_cluster::MemberOp;
 use drqos_core::network::{Network, NetworkConfig};
 use drqos_core::qos::{Bandwidth, ElasticQos};
 use drqos_sim::rng::{Rng, SplitMix64};
 use drqos_topology::graph::Graph;
-use drqos_topology::{waxman, LinkId, NodeId};
+use drqos_topology::{waxman, LinkId};
 
 /// One fuzzer operation. Operands are raw and position-independent: they
 /// are resolved against the network's current candidate lists when the
@@ -152,16 +153,7 @@ impl Scenario {
     /// five scenario fields stay a complete reproducer); registration is
     /// inert until a [`Op::FailSrlg`] fires.
     pub fn network(&self) -> Network {
-        let mut net = Network::new(
-            self.graph(),
-            NetworkConfig {
-                capacity: Bandwidth::kbps(self.capacity_kbps),
-                backup_count: self.backup_count,
-                ..NetworkConfig::default()
-            },
-        );
-        drqos_core::register_seeded_srlgs(&mut net, SRLG_GROUPS, SRLG_GROUP_SIZE, self.graph_seed);
-        net
+        self.network_from(NetworkConfig::default())
     }
 
     /// Builds the scenario's network with the route cache explicitly
@@ -169,13 +161,19 @@ impl Scenario {
     /// (differential runs must control both sides themselves). Registers
     /// the same seeded shared-risk groups as [`Scenario::network`].
     pub fn network_with_cache(&self, route_cache: bool) -> Network {
+        self.network_from(NetworkConfig {
+            route_cache,
+            ..NetworkConfig::default()
+        })
+    }
+
+    fn network_from(&self, base: NetworkConfig) -> Network {
         let mut net = Network::new(
             self.graph(),
             NetworkConfig {
                 capacity: Bandwidth::kbps(self.capacity_kbps),
                 backup_count: self.backup_count,
-                route_cache,
-                ..NetworkConfig::default()
+                ..base
             },
         );
         drqos_core::register_seeded_srlgs(&mut net, SRLG_GROUPS, SRLG_GROUP_SIZE, self.graph_seed);
@@ -217,120 +215,69 @@ impl Harness {
         &self.net
     }
 
-    /// Applies one operation, then cross-checks network vs reference and
-    /// runs every oracle. Returns all violations (empty = healthy).
+    /// Applies one operation — operands resolved by the shared
+    /// [`resolve_op`] — then cross-checks network vs reference and runs
+    /// every oracle. Returns all violations (empty = healthy).
     pub fn apply(&mut self, op: Op) -> Vec<Violation> {
-        match op {
-            Op::Establish { src, dst } => {
-                let n = self.net.graph().node_count() as u64;
-                let s = (src % n) as usize;
-                let mut d = (dst % (n - 1)) as usize;
-                if d >= s {
-                    d += 1;
-                }
-                if let Ok(id) = self.net.establish(NodeId(s), NodeId(d), self.qos) {
+        match resolve_op(&self.net, self.qos, op) {
+            None => {}
+            Some(Resolved::Establish(req)) => {
+                if let Ok(id) = self.net.establish(req.src, req.dst, req.qos) {
                     self.reference.on_establish(&self.net, id);
                 }
             }
-            Op::Release { pick } => {
-                let live: Vec<ConnectionId> = self.net.connections().map(|c| c.id()).collect();
-                if let Some(&id) = resolve(&live, pick) {
-                    self.net.release(id).expect("picked from the live list");
-                    if self.fault != InjectedFault::LoseRelease {
-                        self.reference.on_release(id);
-                    }
+            Some(Resolved::Member(MemberOp::Release { id })) => {
+                self.net.release(id).expect("picked from the live list");
+                if self.fault != InjectedFault::LoseRelease {
+                    self.reference.on_release(id);
                 }
             }
-            Op::FailLink { pick } => {
-                let up: Vec<LinkId> = self.net.up_links().collect();
-                if let Some(&link) = resolve(&up, pick) {
-                    let report = self.net.fail_link(link).expect("picked from the up list");
-                    self.reference.on_fail_link(&self.net, &report);
-                }
+            Some(Resolved::Member(MemberOp::FailLink { link })) => {
+                let report = self.net.fail_link(link).expect("picked from the up list");
+                self.reference.on_fail_link(&self.net, &report);
             }
-            Op::FailNode { pick } => {
-                let candidates: Vec<NodeId> = self
+            Some(Resolved::Member(MemberOp::FailNode { node })) => {
+                let reports = self
                     .net
-                    .graph()
-                    .nodes()
-                    .filter(|&n| {
-                        self.net
-                            .graph()
-                            .neighbors(n)
-                            .iter()
-                            .any(|&(_, l)| self.net.link_usage(l).is_up())
-                    })
-                    .collect();
-                if let Some(&node) = resolve(&candidates, pick) {
-                    let reports = self
-                        .net
-                        .fail_node(node)
-                        .expect("candidate has an up adjacent link");
-                    for report in &reports {
-                        self.reference.on_fail_link(&self.net, report);
-                    }
+                    .fail_node(node)
+                    .expect("candidate has an up adjacent link");
+                for report in &reports {
+                    self.reference.on_fail_link(&self.net, report);
                 }
             }
-            Op::RepairLink { pick } => {
+            Some(Resolved::Member(MemberOp::RepairLink { link })) => {
+                self.net
+                    .repair_link(link)
+                    .expect("picked from the down list");
+                self.reference.on_repair_link(link);
+            }
+            Some(Resolved::Member(MemberOp::FailSrlg { group })) => {
+                let reports = self
+                    .net
+                    .fail_srlg(group)
+                    .expect("candidate group has an up member");
+                for report in &reports {
+                    self.reference.on_fail_link(&self.net, report);
+                }
+            }
+            Some(Resolved::Member(MemberOp::RepairSrlg { group })) => {
+                // Capture the members being repaired before the call:
+                // repair_srlg returns connections, but the reference is
+                // told per link.
                 let down: Vec<LinkId> = self
                     .net
-                    .graph()
-                    .links()
-                    .map(|l| l.id())
+                    .srlg_links(group)
+                    .expect("candidate group exists")
+                    .iter()
+                    .copied()
                     .filter(|&l| !self.net.link_usage(l).is_up())
                     .collect();
-                if let Some(&link) = resolve(&down, pick) {
-                    self.net
-                        .repair_link(link)
-                        .expect("picked from the down list");
-                    self.reference.on_repair_link(link);
-                }
-            }
-            Op::FailSrlg { pick } => {
-                let candidates: Vec<usize> = (0..self.net.srlg_count())
-                    .filter(|&g| {
-                        self.net
-                            .srlg_links(g)
-                            .is_some_and(|ls| ls.iter().any(|&l| self.net.link_usage(l).is_up()))
-                    })
-                    .collect();
-                if let Some(&group) = resolve(&candidates, pick) {
-                    let reports = self
-                        .net
-                        .fail_srlg(group)
-                        .expect("candidate group has an up member");
-                    for report in &reports {
-                        self.reference.on_fail_link(&self.net, report);
-                    }
-                }
-            }
-            Op::RepairSrlg { pick } => {
-                let candidates: Vec<usize> = (0..self.net.srlg_count())
-                    .filter(|&g| {
-                        self.net
-                            .srlg_links(g)
-                            .is_some_and(|ls| ls.iter().any(|&l| !self.net.link_usage(l).is_up()))
-                    })
-                    .collect();
-                if let Some(&group) = resolve(&candidates, pick) {
-                    // Capture the members being repaired before the call:
-                    // repair_srlg returns connections, but the reference is
-                    // told per link.
-                    let down: Vec<LinkId> = self
-                        .net
-                        .srlg_links(group)
-                        .expect("candidate group exists")
-                        .iter()
-                        .copied()
-                        .filter(|&l| !self.net.link_usage(l).is_up())
-                        .collect();
-                    self.net
-                        .repair_srlg(group)
-                        .expect("candidate group has a down member");
-                    if self.fault != InjectedFault::LoseSrlgRepair {
-                        for link in down {
-                            self.reference.on_repair_link(link);
-                        }
+                self.net
+                    .repair_srlg(group)
+                    .expect("candidate group has a down member");
+                if self.fault != InjectedFault::LoseSrlgRepair {
+                    for link in down {
+                        self.reference.on_repair_link(link);
                     }
                 }
             }
@@ -346,15 +293,6 @@ impl Harness {
             .collect();
         violations.extend(self.oracle.run(&self.net));
         violations
-    }
-}
-
-/// Resolves a raw operand against a candidate list (None when empty).
-fn resolve<T>(candidates: &[T], pick: u64) -> Option<&T> {
-    if candidates.is_empty() {
-        None
-    } else {
-        Some(&candidates[(pick % candidates.len() as u64) as usize])
     }
 }
 
@@ -397,6 +335,32 @@ pub fn generate_ops(rng: &mut Rng, len: usize) -> Vec<Op> {
             }
         })
         .collect()
+}
+
+/// The operation stream of one case: every runner (the invariant fuzzer
+/// and each lockstep differential) replays exactly this stream for a case
+/// seed, so a sequence number addresses the same workload everywhere.
+pub fn case_ops(case_seed: u64, len: usize) -> Vec<Op> {
+    generate_ops(&mut Rng::seed_from_u64(case_seed ^ 0x4655_5A5A), len) // ASCII "FUZZ"
+}
+
+/// Renders the `let scenario = ...; let ops = vec![...];` prelude shared
+/// by every copy-pasteable reproducer.
+pub(crate) fn render_case(scenario: &Scenario, ops: &[Op]) -> String {
+    let mut out = format!(
+        "let scenario = Scenario {{ nodes: {}, capacity_kbps: {}, backup_count: {}, \
+         increment_kbps: {}, graph_seed: {:#x} }};\nlet ops = vec![\n",
+        scenario.nodes,
+        scenario.capacity_kbps,
+        scenario.backup_count,
+        scenario.increment_kbps,
+        scenario.graph_seed
+    );
+    for op in ops {
+        out.push_str(&format!("    Op::{op:?},\n"));
+    }
+    out.push_str("];\n");
+    out
 }
 
 /// The first failing step of a sequence, with everything the oracles and
@@ -444,8 +408,8 @@ pub fn shrink(scenario: &Scenario, ops: &[Op], fault: InjectedFault) -> Vec<Op> 
 /// The generic delta-debugging engine behind [`shrink`]: `fails_at`
 /// replays a candidate sequence and returns the failing step (`None` =
 /// passes). Any failure predicate over operand-encoded sequences shrinks
-/// this way — the invariant fuzzer and the cache-differential runner
-/// share it.
+/// this way — the invariant fuzzer and the lockstep driver
+/// ([`crate::lockstep`]) share it.
 pub fn shrink_by(ops: &[Op], fails_at: impl Fn(&[Op]) -> Option<usize>) -> Vec<Op> {
     let Some(step) = fails_at(ops) else {
         return ops.to_vec(); // not failing: nothing to shrink
@@ -522,20 +486,7 @@ impl FuzzFailure {
             self.case_seed,
             self.shrunk.len()
         ));
-        out.push_str(&format!(
-            "let scenario = Scenario {{ nodes: {}, capacity_kbps: {}, backup_count: {}, \
-             increment_kbps: {}, graph_seed: {:#x} }};\n",
-            self.scenario.nodes,
-            self.scenario.capacity_kbps,
-            self.scenario.backup_count,
-            self.scenario.increment_kbps,
-            self.scenario.graph_seed
-        ));
-        out.push_str("let ops = vec![\n");
-        for op in &self.shrunk {
-            out.push_str(&format!("    Op::{op:?},\n"));
-        }
-        out.push_str("];\n");
+        out.push_str(&render_case(&self.scenario, &self.shrunk));
         out.push_str(&format!(
             "let failure = run_sequence(&scenario, &ops, InjectedFault::{:?})\n    \
              .expect(\"reproduces the violation\");\n",
@@ -570,8 +521,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzOutcome {
     for case in 0..config.sequences {
         let seed = case_seed(config.seed, case as u64);
         let scenario = Scenario::from_seed(seed);
-        let mut rng = Rng::seed_from_u64(seed ^ 0x4655_5A5A); // ASCII "FUZZ"
-        let ops = generate_ops(&mut rng, config.ops_per_sequence);
+        let ops = case_ops(seed, config.ops_per_sequence);
         if run_sequence(&scenario, &ops, config.fault).is_some() {
             let shrunk = shrink(&scenario, &ops, config.fault);
             let violations = run_sequence(&scenario, &shrunk, config.fault)

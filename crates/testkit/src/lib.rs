@@ -1,6 +1,6 @@
 //! # drqos-testkit
 //!
-//! Deterministic chaos harness for the DR-connection stack. Three layers:
+//! Deterministic chaos harness for the DR-connection stack. Four layers:
 //!
 //! * [`fuzz`] — a seeded **operation-sequence fuzzer** that drives
 //!   [`drqos_core::network::Network`] through random interleavings of
@@ -20,34 +20,22 @@
 //!   comparison of line protocols; the handler is injected as a closure,
 //!   so the testkit stays agnostic of `drqos-service`.
 //!
-//! A fourth, cross-crate layer lives in [`diff`]: fuzzer-generated churn
+//! A fifth, cross-crate layer lives in [`diff`]: fuzzer-generated churn
 //! workloads whose simulated steady-state average bandwidth is compared
 //! against the `drqos-analysis` Markov prediction within a stated
 //! tolerance band.
 //!
-//! A fifth layer, [`cache_diff`], is differential: every fuzzed
-//! operation sequence is replayed against route-cache-on and
-//! route-cache-off networks in lockstep, demanding byte-identical
-//! admission decisions, failure reports, drop counters, and snapshots
-//! after every operation — with delta-debugging shrinking of any
-//! divergence (`fuzz --diff-cache N` in CI).
-//!
-//! A sixth layer, [`batch_diff`], proves [`drqos_core::network::Network::establish_batch`]
-//! exactly equivalent to sequential establishment: fuzzed sequences are
-//! replayed with consecutive establish runs batched on one side and
-//! applied one at a time on an oracle, compared on results and full
-//! snapshots after every step, shrunk on divergence
-//! (`fuzz --diff-batch N` in CI). An injectable batch-ordering fault
-//! keeps the detector itself honest (`fuzz --self-test`).
-//!
-//! A seventh layer, [`cluster_diff`], federates the differential idea
-//! across daemons: fuzzed sequences replay against an in-process
-//! N-member [`drqos_cluster::ClusterSim`] — member-replica planning, the
-//! coordinator's two-phase ledger, deterministic membership churn
-//! between waves — and a monolithic oracle, comparing per-op results,
-//! reservation ledgers, and full snapshots of the authoritative network
-//! *and every live replica* (`fuzz --diff-cluster N` in CI). The
-//! lost-prepare coordinator fault keeps this detector honest too.
+//! The sixth layer, [`lockstep`], is differential: every fast path that
+//! claims exact equivalence to the sequential network — the route cache,
+//! [`drqos_core::network::Network::establish_batch`], sharded waves, the
+//! [`drqos_cluster::ClusterSim`] federation with membership churn — is a
+//! [`lockstep::Subject`] replayed against a sequential oracle by the one
+//! [`lockstep::Lockstep`] loop, compared after every step on results,
+//! leaked reservations, drop counters, epochs and full snapshots of
+//! every network view, and shrunk on divergence
+//! (`fuzz --diff-cache | --diff-batch | --diff-shard | --diff-cluster N`
+//! in CI). Each subject registers a mutant the loop must catch
+//! (`fuzz --self-test`), which keeps the detector itself honest.
 //!
 //! Everything is deterministic given the seeds; there are no external
 //! dependencies and no wall-clock or thread-count influence on any
@@ -56,38 +44,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch_diff;
-pub mod cache_diff;
-pub mod cluster_diff;
 pub mod diff;
 pub mod fuzz;
 pub mod golden;
+pub mod lockstep;
 pub mod oracle;
 pub mod reference;
 pub mod session;
-pub mod shard_diff;
 
-pub use batch_diff::{
-    batch_mutation_witness, run_batch_diff, run_batch_diff_sequence, BatchDiffConfig,
-    BatchDiffDivergence, BatchDiffFailure, BatchDiffOutcome, BatchFault,
-};
-pub use cache_diff::{
-    run_cache_diff, run_cache_diff_sequence, CacheDiffConfig, CacheDiffDivergence,
-    CacheDiffFailure, CacheDiffOutcome,
-};
-pub use cluster_diff::{
-    cluster_mutation_witness, run_cluster_diff, run_cluster_diff_sequence, ClusterDiffConfig,
-    ClusterDiffDivergence, ClusterDiffFailure, ClusterDiffOutcome,
-};
 pub use diff::{run_diff, DiffCase, DiffResult};
 pub use fuzz::{
     generate_ops, run_fuzz, run_sequence, shrink, shrink_by, FuzzConfig, FuzzFailure, FuzzOutcome,
     Harness, InjectedFault, Op, Scenario, SequenceFailure,
 };
 pub use golden::{verify_golden, TraceRecorder};
+pub use lockstep::{resolve_op, Case, Divergence, Lockstep, Subject, SubjectRow};
 pub use oracle::{InvariantCheck, Oracle, Violation};
 pub use reference::ReferenceModel;
-pub use shard_diff::{
-    run_shard_diff, run_shard_diff_sequence, shard_mutation_witness, ShardDiffConfig,
-    ShardDiffOutcome,
-};
