@@ -41,10 +41,10 @@ use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
 use drqos_core::error::{AdmissionError, ClusterError, NetworkError};
 use drqos_core::invariant::InvariantViolation;
-use drqos_core::network::{EstablishPlan, EstablishRequest, FailureReport, Network};
+use drqos_core::network::{EstablishPlan, EstablishRequest, FailureReport, Network, PendingFill};
 use drqos_core::qos::ElasticQos;
 use drqos_topology::{LinkId, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One committed operation in the coordinator's oplog. Replaying the log
 /// serially from the genesis network reconstructs the authoritative
@@ -396,7 +396,7 @@ impl Coordinator {
         ticket: u64,
         planned: Option<Result<EstablishPlan, AdmissionError>>,
         req: &EstablishRequest,
-        pending_fill: &mut Option<BTreeSet<ConnectionId>>,
+        pending_fill: &mut PendingFill,
     ) -> Result<Result<ConnectionId, AdmissionError>, ClusterError> {
         let pending = self
             .pending
@@ -442,7 +442,7 @@ impl Coordinator {
     pub fn establish_unprepared(
         &mut self,
         req: &EstablishRequest,
-        pending_fill: &mut Option<BTreeSet<ConnectionId>>,
+        pending_fill: &mut PendingFill,
     ) -> Result<ConnectionId, AdmissionError> {
         let result = self.replan(req, pending_fill);
         self.oplog.push(CommittedOp::Establish {
@@ -456,7 +456,7 @@ impl Coordinator {
     fn replan(
         &mut self,
         req: &EstablishRequest,
-        pending_fill: &mut Option<BTreeSet<ConnectionId>>,
+        pending_fill: &mut PendingFill,
     ) -> Result<ConnectionId, AdmissionError> {
         let plan = self.net.plan_establish(req.src, req.dst, req.qos)?;
         Ok(self.net.batch_commit(plan, pending_fill))
@@ -464,7 +464,7 @@ impl Coordinator {
 
     /// Flushes the deferred elastic fill at the end of a wave (the same
     /// protocol as [`Network::batch_flush`]).
-    pub fn flush(&mut self, pending_fill: Option<BTreeSet<ConnectionId>>) {
+    pub fn flush(&mut self, pending_fill: PendingFill) {
         self.net.batch_flush(pending_fill);
     }
 

@@ -24,9 +24,8 @@ use crate::member::Member;
 use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
 use drqos_core::error::{AdmissionError, ClusterError};
-use drqos_core::network::{EstablishPlan, EstablishRequest, Network};
+use drqos_core::network::{EstablishPlan, EstablishRequest, Network, PendingFill};
 use drqos_topology::{LinkId, NodeId};
-use std::collections::BTreeSet;
 
 /// Injected cluster faults for the mutation self-tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -159,7 +158,7 @@ impl ClusterSim {
             }
         }
         // Phase 1+2: reserve, validate, commit — in request order.
-        let mut fill: Option<BTreeSet<ConnectionId>> = None;
+        let mut fill: PendingFill = None;
         let mut results = Vec::with_capacity(requests.len());
         for (i, req) in requests.iter().enumerate() {
             let (plan_opt, footprint) = match planned.get_mut(i).and_then(Option::take) {

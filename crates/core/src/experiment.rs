@@ -396,24 +396,19 @@ pub(crate) fn observe_arrival(
     net: &Network,
     plan: &crate::network::EstablishPlan,
 ) -> (usize, LevelSnapshot, LevelSnapshot) {
-    let mut new_links: BTreeSet<LinkId> = plan.primary().links().iter().copied().collect();
-    for b in plan.backups() {
-        new_links.extend(b.links().iter().copied());
-    }
-    let direct_ids = net.primaries_sharing(new_links.iter().copied());
+    let backup_links = plan.backups().iter().flat_map(|b| b.links());
+    let new_links = plan.primary().links().iter().chain(backup_links).copied();
+    let direct_ids = net.primaries_sharing(new_links);
     // Indirectly chained: share a link with a directly-chained channel but
     // not with the new connection itself.
-    let direct_links: BTreeSet<LinkId> = direct_ids
+    let direct_links: Vec<LinkId> = direct_ids
         .iter()
         .filter_map(|id| net.connection(*id))
         .flat_map(|c| c.primary().links().iter().copied())
         .collect();
-    let indirect_ids: BTreeSet<ConnectionId> = net
-        .primaries_sharing(direct_links.iter().copied())
-        .difference(&direct_ids)
-        .copied()
-        .collect();
-    let levels = |ids: &BTreeSet<ConnectionId>| {
+    let mut indirect_ids = net.primaries_sharing(direct_links);
+    indirect_ids.retain(|id| direct_ids.binary_search(id).is_err());
+    let levels = |ids: &[ConnectionId]| {
         ids.iter()
             .filter_map(|&id| net.connection(id).map(|c| (id, c.level())))
             .collect::<Vec<_>>()

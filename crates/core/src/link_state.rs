@@ -25,7 +25,7 @@
 use crate::channel::ConnectionId;
 use crate::qos::Bandwidth;
 use drqos_topology::LinkId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Bandwidth bookkeeping for one link.
@@ -33,10 +33,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub struct LinkUsage {
     capacity: Bandwidth,
     up: bool,
-    primaries: BTreeSet<ConnectionId>,
+    /// Sorted and duplicate-free (as is `backups`): the network manager
+    /// gathers chain sets by copying these slices wholesale.
+    primaries: Vec<ConnectionId>,
     primary_min_sum: Bandwidth,
     extra_sum: Bandwidth,
-    backups: BTreeSet<ConnectionId>,
+    backups: Vec<ConnectionId>,
     /// For each potential failed link `f`, the total minimum bandwidth of
     /// backups on this link whose primary crosses `f`.
     conflict: BTreeMap<LinkId, Bandwidth>,
@@ -98,10 +100,10 @@ impl LinkUsage {
         Self {
             capacity,
             up: true,
-            primaries: BTreeSet::new(),
+            primaries: Vec::new(),
             primary_min_sum: Bandwidth::ZERO,
             extra_sum: Bandwidth::ZERO,
-            backups: BTreeSet::new(),
+            backups: Vec::new(),
             conflict: BTreeMap::new(),
             reservation: Bandwidth::ZERO,
             digest_memo: AtomicU64::new(0),
@@ -124,14 +126,14 @@ impl LinkUsage {
         self.digest_dirty.store(true, Ordering::Relaxed);
     }
 
-    /// Primary channels crossing this link.
-    pub fn primaries(&self) -> impl Iterator<Item = ConnectionId> + '_ {
-        self.primaries.iter().copied()
+    /// Primary channels crossing this link, in id order.
+    pub fn primaries(&self) -> &[ConnectionId] {
+        &self.primaries
     }
 
-    /// Backup channels registered on this link.
-    pub fn backups(&self) -> impl Iterator<Item = ConnectionId> + '_ {
-        self.backups.iter().copied()
+    /// Backup channels registered on this link, in id order.
+    pub fn backups(&self) -> &[ConnectionId] {
+        &self.backups
     }
 
     /// Number of primary channels on the link.
@@ -208,14 +210,14 @@ impl LinkUsage {
     // ----- mutations (crate-internal; driven by the network manager) -----
 
     pub(crate) fn add_primary(&mut self, id: ConnectionId, min: Bandwidth) {
-        let inserted = self.primaries.insert(id);
+        let inserted = sorted_insert(&mut self.primaries, id);
         assert!(inserted, "{id} already a primary on this link");
         self.primary_min_sum += min;
         self.digest_dirty.store(true, Ordering::Relaxed);
     }
 
     pub(crate) fn remove_primary(&mut self, id: ConnectionId, min: Bandwidth) {
-        let removed = self.primaries.remove(&id);
+        let removed = sorted_remove(&mut self.primaries, id);
         assert!(removed, "{id} was not a primary on this link");
         self.primary_min_sum -= min;
         self.digest_dirty.store(true, Ordering::Relaxed);
@@ -235,7 +237,7 @@ impl LinkUsage {
         min: Bandwidth,
         primary_links: &[LinkId],
     ) {
-        let inserted = self.backups.insert(id);
+        let inserted = sorted_insert(&mut self.backups, id);
         assert!(inserted, "{id} already a backup on this link");
         for &f in primary_links {
             let entry = self.conflict.entry(f).or_insert(Bandwidth::ZERO);
@@ -253,24 +255,30 @@ impl LinkUsage {
         min: Bandwidth,
         primary_links: &[LinkId],
     ) {
-        let removed = self.backups.remove(&id);
+        let removed = sorted_remove(&mut self.backups, id);
         assert!(removed, "{id} was not a backup on this link");
+        // The reservation is the map's maximum: it can only have moved if
+        // an entry that held the maximum shrank.
+        let mut held_max = false;
         for &f in primary_links {
             let entry = self
                 .conflict
                 .get_mut(&f)
                 .expect("conflict entry exists for registered backup");
+            held_max |= *entry == self.reservation;
             *entry -= min;
             if *entry == Bandwidth::ZERO {
                 self.conflict.remove(&f);
             }
         }
-        self.reservation = self
-            .conflict
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(Bandwidth::ZERO);
+        if held_max {
+            self.reservation = self
+                .conflict
+                .values()
+                .copied()
+                .max()
+                .unwrap_or(Bandwidth::ZERO);
+        }
         self.digest_dirty.store(true, Ordering::Relaxed);
     }
 
@@ -335,6 +343,35 @@ impl LinkUsage {
     }
 }
 
+/// Inserts `id` into the sorted, duplicate-free `set`; `false` if it was
+/// already there. Connection ids are handed out in increasing order, so a
+/// newcomer almost always belongs at the end; only a failover re-keying
+/// an old connection onto new links inserts in the middle.
+fn sorted_insert(set: &mut Vec<ConnectionId>, id: ConnectionId) -> bool {
+    if set.last().is_none_or(|&last| last < id) {
+        set.push(id);
+        return true;
+    }
+    match set.binary_search(&id) {
+        Ok(_) => false,
+        Err(at) => {
+            set.insert(at, id);
+            true
+        }
+    }
+}
+
+/// Removes `id` from the sorted `set`; `false` if it was absent.
+fn sorted_remove(set: &mut Vec<ConnectionId>, id: ConnectionId) -> bool {
+    match set.binary_search(&id) {
+        Ok(at) => {
+            set.remove(at);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
 /// The split-mix-64 finalizer: full-avalanche mixing for the plan digest.
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -377,7 +414,7 @@ mod tests {
         l.add_primary(cid(1), k(100));
         l.add_primary(cid(2), k(100));
         assert_eq!(l.primary_min_sum(), k(200));
-        assert_eq!(l.primaries().collect::<Vec<_>>(), vec![cid(1), cid(2)]);
+        assert_eq!(l.primaries(), [cid(1), cid(2)]);
         l.remove_primary(cid(1), k(100));
         assert_eq!(l.primary_min_sum(), k(100));
         l.debug_validate();
@@ -396,6 +433,61 @@ mod tests {
     fn removing_absent_primary_panics() {
         let mut l = LinkUsage::new(k(1_000));
         l.remove_primary(cid(1), k(100));
+    }
+
+    #[test]
+    fn membership_stays_sorted_whatever_the_insert_order() {
+        let mut l = LinkUsage::new(k(10_000));
+        // Fresh ids arrive ascending: each lands at the end.
+        for v in [2, 5, 9] {
+            l.add_primary(cid(v), k(100));
+            l.add_backup(cid(v + 100), k(100), &[lid(1)]);
+        }
+        assert_eq!(l.primaries(), [cid(2), cid(5), cid(9)]);
+        // A failover re-keys an *old* connection onto this link: it must
+        // be placed in the middle, or at the very front.
+        l.add_primary(cid(7), k(100));
+        l.add_primary(cid(0), k(100));
+        l.add_backup(cid(104), k(100), &[lid(1)]);
+        assert_eq!(l.primaries(), [cid(0), cid(2), cid(5), cid(7), cid(9)]);
+        assert_eq!(l.backups(), [cid(102), cid(104), cid(105), cid(109)]);
+        l.remove_primary(cid(5), k(100));
+        l.remove_primary(cid(0), k(100));
+        l.remove_backup(cid(109), k(100), &[lid(1)]);
+        assert_eq!(l.primaries(), [cid(2), cid(7), cid(9)]);
+        assert_eq!(l.backups(), [cid(102), cid(104), cid(105)]);
+        assert_eq!(l.primary_count(), 3);
+        l.debug_validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "already a backup")]
+    fn duplicate_backup_panics_even_when_not_the_last() {
+        let mut l = LinkUsage::new(k(1_000));
+        l.add_backup(cid(1), k(100), &[lid(1)]);
+        l.add_backup(cid(2), k(100), &[lid(2)]);
+        l.add_backup(cid(1), k(100), &[lid(3)]);
+    }
+
+    #[test]
+    fn backup_removal_recomputes_the_reservation_only_from_the_maximum() {
+        let mut l = LinkUsage::new(k(10_000));
+        l.add_backup(cid(1), k(300), &[lid(10)]);
+        l.add_backup(cid(2), k(100), &[lid(20), lid(21)]);
+        l.add_backup(cid(3), k(100), &[lid(20)]);
+        assert_eq!(l.backup_reservation(), k(300));
+        // Entry 20 (200) is below the maximum: the reservation stands.
+        l.remove_backup(cid(3), k(100), &[lid(20)]);
+        assert_eq!(l.backup_reservation(), k(300));
+        l.debug_validate();
+        // Entry 10 held the maximum: the next-largest entry takes over.
+        l.remove_backup(cid(1), k(300), &[lid(10)]);
+        assert_eq!(l.backup_reservation(), k(100));
+        l.debug_validate();
+        // Two entries tie for the maximum; shrinking both moves it.
+        l.remove_backup(cid(2), k(100), &[lid(20), lid(21)]);
+        assert_eq!(l.backup_reservation(), Bandwidth::ZERO);
+        l.debug_validate();
     }
 
     #[test]

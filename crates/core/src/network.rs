@@ -33,7 +33,9 @@ use drqos_topology::graph::{Graph, LinkId, NodeId};
 use drqos_topology::paths::Path;
 use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 
 /// Configuration of a [`Network`].
@@ -161,6 +163,105 @@ fn conflict_set(primary_links: &[LinkId], on_link: LinkId) -> Vec<LinkId> {
         .collect()
 }
 
+/// Sorts and deduplicates: the second half of every chain-set gather.
+fn sort_dedup<T: Ord>(v: &mut Vec<T>) {
+    v.sort_unstable();
+    v.dedup();
+}
+
+/// Whether every element of the sorted set `sub` is in the sorted set
+/// `sup` (one linear merge).
+fn sorted_subset(sub: &[ConnectionId], sup: &[ConnectionId]) -> bool {
+    let mut rest = sup.iter();
+    sub.iter().all(|c| rest.any(|s| s == c))
+}
+
+/// The deferred fill of a batch/wave: the (sorted) fill candidates of its
+/// last commit, not yet redistributed. Threaded by the caller through
+/// [`Network::batch_commit`] and handed to [`Network::batch_flush`].
+pub type PendingFill = Option<Vec<ConnectionId>>;
+
+/// One live fill candidate, loaded once from the connection table.
+#[derive(Debug)]
+struct FillRow {
+    id: ConnectionId,
+    /// The level at load time; only rows that moved are written back.
+    loaded_level: usize,
+    level: usize,
+    max_level: usize,
+    increment: Bandwidth,
+    utility: f64,
+    /// This row's primary links, as a range of [`FillScratch::arena`].
+    links: Range<usize>,
+    /// Every link of the row is slack: granted to `max_level` in one step.
+    bulk: bool,
+}
+
+impl FillRow {
+    /// The bandwidth this row could still be granted.
+    fn remaining(&self) -> Bandwidth {
+        self.increment.times((self.max_level - self.level) as u64)
+    }
+}
+
+/// A fill-heap entry: min-heap on `(score, id)` over [`FillRow`] indices.
+#[derive(Debug, PartialEq)]
+struct Scored {
+    score: f64,
+    id: ConnectionId,
+    row: usize,
+}
+
+impl Eq for Scored {}
+
+impl PartialOrd for Scored {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Scored {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap, so flip.
+        other
+            .score
+            .total_cmp(&self.score)
+            .then_with(|| other.id.cmp(&self.id))
+    }
+}
+
+/// The fill priority of a channel at `level`: lowest score grows first.
+fn fill_score(policy: AdaptationPolicy, level: usize, utility: f64) -> f64 {
+    match policy {
+        // Highest utility first; level is irrelevant (monopolize).
+        AdaptationPolicy::MaxUtility => -utility,
+        // Progressive filling: lowest weighted level first.
+        AdaptationPolicy::Coefficient => (level as f64 + 1.0) / utility,
+    }
+}
+
+/// Whether `link` can grant all of `demand` — the increments every
+/// candidate of one fill could still ask of it — and so can refuse
+/// nobody during that fill.
+fn is_slack(link: &LinkUsage, demand: Bandwidth) -> bool {
+    link.is_up() && link.headroom() >= demand
+}
+
+/// Reusable work tables of [`Network::redistribute`]: a fill allocates
+/// nothing once these have grown to the working-set size. Not part of the
+/// network's state: every fill rebuilds them from scratch.
+#[derive(Debug, Default)]
+struct FillScratch {
+    rows: Vec<FillRow>,
+    /// The primary links of every row, back to back.
+    arena: Vec<LinkId>,
+    /// Per link, the bandwidth the rows could still ask of it; all zero
+    /// between fills.
+    demand: Vec<Bandwidth>,
+    /// The heap's backing store between fills (empty, capacity kept).
+    heap: Vec<Scored>,
+}
+
 /// The DR-connection network manager.
 #[derive(Debug)]
 pub struct Network {
@@ -192,11 +293,13 @@ pub struct Network {
     /// shared across the sharded engine's planning threads; contention is
     /// nil on the monolith path, which is single-threaded.
     cache: Mutex<RouteCache>,
+    /// Reusable redistribution buffers (see [`FillScratch`]).
+    fill: FillScratch,
 }
 
 /// Cloning copies the full accounting state *and* the route cache (so a
 /// cloned oracle replays with identical cache counters); the route-search
-/// scratch is rebuilt fresh, which is semantics-invariant.
+/// and fill scratch are rebuilt fresh, which is semantics-invariant.
 impl Clone for Network {
     fn clone(&self) -> Self {
         Self {
@@ -211,7 +314,25 @@ impl Clone for Network {
             srlgs: self.srlgs.clone(),
             scratch: Mutex::new((0, RouteScratch::new())),
             cache: Mutex::new(self.lock_cache().clone()),
+            fill: FillScratch::default(),
         }
+    }
+}
+
+/// Equality over the accounting state: topology, configuration, ledgers,
+/// connection table and counters. Scratch buffers and the route cache
+/// (memoized plans and hit counters) are not state.
+impl PartialEq for Network {
+    fn eq(&self, other: &Self) -> bool {
+        self.graph == other.graph
+            && self.config == other.config
+            && self.links == other.links
+            && self.connections == other.connections
+            && self.next_id == other.next_id
+            && self.total_bandwidth == other.total_bandwidth
+            && self.dropped_total == other.dropped_total
+            && self.topology_epoch == other.topology_epoch
+            && self.srlgs == other.srlgs
     }
 }
 
@@ -233,6 +354,7 @@ impl Network {
             srlgs: Vec::new(),
             scratch: Mutex::new((0, RouteScratch::new())),
             cache: Mutex::new(RouteCache::new()),
+            fill: FillScratch::default(),
         }
     }
 
@@ -628,19 +750,25 @@ impl Network {
     /// mutations void the feasibility checks).
     pub fn commit_establish(&mut self, plan: EstablishPlan) -> ConnectionId {
         let retreated = self.chained_by(&plan);
-        let (id, candidates) = self.commit_deferring_fill(plan, retreated);
+        let (id, candidates) = self.commit_deferring_fill(plan, &retreated);
         self.redistribute(&candidates);
         id
     }
 
     /// The "directly chained" set of `plan`: every primary sharing a link
     /// with the plan's channels. Membership never depends on extras.
-    fn chained_by(&self, plan: &EstablishPlan) -> BTreeSet<ConnectionId> {
-        let mut new_links: BTreeSet<LinkId> = plan.primary.links().iter().copied().collect();
-        for b in &plan.backups {
-            new_links.extend(b.links().iter().copied());
-        }
-        self.primaries_on_links(new_links.iter().copied())
+    fn chained_by(&self, plan: &EstablishPlan) -> Vec<ConnectionId> {
+        let backup_links = plan.backups.iter().flat_map(|b| b.links());
+        self.primaries_sharing(plan.primary.links().iter().chain(backup_links).copied())
+    }
+
+    /// The primary links of the live connections among `ids`, with
+    /// repeats.
+    fn primary_links_of(&self, ids: &[ConnectionId]) -> Vec<LinkId> {
+        ids.iter()
+            .filter_map(|id| self.connections.get(id))
+            .flat_map(|c| c.primary().links().iter().copied())
+            .collect()
     }
 
     /// Commits `plan` against its (already-computed) retreat set but does
@@ -651,13 +779,13 @@ impl Network {
     fn commit_deferring_fill(
         &mut self,
         plan: EstablishPlan,
-        retreated: BTreeSet<ConnectionId>,
-    ) -> (ConnectionId, BTreeSet<ConnectionId>) {
+        retreated: &[ConnectionId],
+    ) -> (ConnectionId, Vec<ConnectionId>) {
         let id = ConnectionId(self.next_id);
         self.next_id += 1;
         // 1. Retreat every primary that shares a link with the new
         //    connection's channels ("directly chained").
-        for &c in &retreated {
+        for &c in retreated {
             self.retreat(c);
         }
         // 2. Reserve the new connection's resources.
@@ -673,15 +801,13 @@ impl Network {
         let conn = DrConnection::new(id, plan.qos, plan.primary, plan.backups);
         self.total_bandwidth += conn.bandwidth();
         self.connections.insert(id, conn);
-        // 3. Fill candidates: the retreated channels, the newcomer, and
-        //    anyone sharing a link with a retreated channel can grow.
-        let retreat_links: BTreeSet<LinkId> = retreated
-            .iter()
-            .flat_map(|c| self.connections[c].primary().links().iter().copied())
-            .collect();
-        let mut candidates = retreated;
-        candidates.insert(id);
-        candidates.extend(self.primaries_on_links(retreat_links.iter().copied()));
+        // 3. Fill candidates: anyone sharing a link with a retreated
+        //    channel (the retreated channels themselves included) can
+        //    grow, and so can the newcomer, whose id is the largest yet.
+        let mut candidates = self.primaries_sharing(self.primary_links_of(retreated));
+        if candidates.last() != Some(&id) {
+            candidates.push(id);
+        }
         (id, candidates)
     }
 
@@ -714,7 +840,7 @@ impl Network {
     ) -> Vec<Result<ConnectionId, AdmissionError>> {
         let mut results = Vec::with_capacity(requests.len());
         // Fill candidates of the last commit, not yet redistributed.
-        let mut pending: Option<BTreeSet<ConnectionId>> = None;
+        let mut pending: PendingFill = None;
         for req in requests {
             let plan = match self.plan_establish(req.src, req.dst, req.qos) {
                 Ok(plan) => plan,
@@ -739,27 +865,23 @@ impl Network {
     /// committer, and the cluster coordinator's two-phase commit so all
     /// three elide identically (the elision is proven result-equivalent
     /// by `fuzz --diff-batch`).
-    pub fn batch_commit(
-        &mut self,
-        plan: EstablishPlan,
-        pending: &mut Option<BTreeSet<ConnectionId>>,
-    ) -> ConnectionId {
+    pub fn batch_commit(&mut self, plan: EstablishPlan, pending: &mut PendingFill) -> ConnectionId {
         let retreated = self.chained_by(&plan);
         if let Some(fill) = pending.take() {
-            if !fill.iter().all(|c| retreated.contains(c)) {
+            if !sorted_subset(&fill, &retreated) {
                 // Some candidate would keep its granted increments past
                 // this commit: run the fill at its sequential point,
                 // before this commit's retreats.
                 self.redistribute(&fill);
             }
         }
-        let (id, candidates) = self.commit_deferring_fill(plan, retreated);
+        let (id, candidates) = self.commit_deferring_fill(plan, &retreated);
         *pending = Some(candidates);
         id
     }
 
     /// Flushes the final deferred fill of a batch/wave.
-    pub fn batch_flush(&mut self, pending: Option<BTreeSet<ConnectionId>>) {
+    pub fn batch_flush(&mut self, pending: PendingFill) {
         if let Some(fill) = pending {
             self.redistribute(&fill);
         }
@@ -829,12 +951,10 @@ impl Network {
     ///
     /// Returns [`NetworkError::UnknownConnection`] for an unknown id.
     pub fn release(&mut self, id: ConnectionId) -> Result<DrConnection, NetworkError> {
-        if !self.connections.contains_key(&id) {
+        let Some(mut conn) = self.connections.remove(&id) else {
             return Err(NetworkError::UnknownConnection(id.0));
-        }
-        self.retreat(id);
-        // lint:allow(no-panic-daemon): contains_key is checked at fn entry
-        let conn = self.connections.remove(&id).expect("checked above");
+        };
+        Self::retreat_conn(&mut self.links, &mut self.total_bandwidth, &mut conn);
         let min = conn.qos().min();
         for &l in conn.primary().links() {
             self.links[l.index()].remove_primary(id, min);
@@ -851,11 +971,9 @@ impl Network {
         self.total_bandwidth -= conn.bandwidth();
         // Beneficiaries: primaries on any link the departed connection
         // touched (its backup links free reservation too).
-        let mut freed: BTreeSet<LinkId> = conn.primary().links().iter().copied().collect();
-        for b in conn.backups() {
-            freed.extend(b.links().iter().copied());
-        }
-        let candidates = self.primaries_on_links(freed.iter().copied());
+        let backup_links = conn.backups().iter().flat_map(|b| b.links());
+        let freed = conn.primary().links().iter().chain(backup_links).copied();
+        let candidates = self.primaries_sharing(freed);
         self.redistribute(&candidates);
         Ok(conn)
     }
@@ -881,10 +999,12 @@ impl Network {
         self.topology_epoch += 1;
         self.lock_cache().evict_link(link);
 
-        let victims: Vec<ConnectionId> = self.links[link.index()].primaries().collect();
+        let victims = self.links[link.index()].primaries().to_vec();
         let backup_losers: Vec<ConnectionId> = self.links[link.index()]
             .backups()
-            .filter(|c| !victims.contains(c))
+            .iter()
+            .copied()
+            .filter(|c| victims.binary_search(c).is_err())
             .collect();
 
         // Connections with a backup crossing the failed link lose that
@@ -898,86 +1018,61 @@ impl Network {
         let mut activated = Vec::new();
         let mut dropped = Vec::new();
         for id in victims {
+            let Self {
+                connections, links, ..
+            } = self;
+            // lint:allow(no-panic-daemon): id came from this link's victim set
+            let conn = connections.get_mut(&id).expect("victim exists");
             // The first backup whose links are all up is activated.
-            let usable_idx = self.connections[&id]
-                .backups()
-                .iter()
-                .position(|b| b.links().iter().all(|&l| self.links[l.index()].is_up()));
-            self.retreat(id);
-            // Tear down the old primary's reservations.
-            let (min, primary_links) = {
-                let c = &self.connections[&id];
-                (c.qos().min(), c.primary().links().to_vec())
-            };
-            for &l in &primary_links {
-                self.links[l.index()].remove_primary(id, min);
+            let all_up = |b: &Path| b.links().iter().all(|&l| links[l.index()].is_up());
+            let usable_idx = conn.backups().iter().position(all_up);
+            Self::retreat_conn(links, &mut self.total_bandwidth, conn);
+            // Tear down the old primary's reservations, and every
+            // backup's (they were keyed to the old primary).
+            let min = conn.qos().min();
+            for &l in conn.primary().links() {
+                links[l.index()].remove_primary(id, min);
             }
+            Self::unregister_backup_links(links, conn);
             if let Some(idx) = usable_idx {
-                // Unregister every backup's reservations (they were keyed
-                // to the old primary), promote the usable one, and re-key
-                // the survivors against the new primary.
-                self.unregister_backup_links(id);
-                let (new_links, survivors) = {
-                    // lint:allow(no-panic-daemon): id came from this link's victim set
-                    let conn = self.connections.get_mut(&id).expect("victim exists");
-                    conn.activate_backup(idx);
-                    (conn.primary().links().to_vec(), conn.backups().to_vec())
-                };
-                for &l in &new_links {
-                    self.links[l.index()].add_primary(id, min);
+                // Promote the usable backup; survivors with a dead link
+                // are lost, the rest re-register against the new primary.
+                conn.activate_backup(idx);
+                for &l in conn.primary().links() {
+                    links[l.index()].add_primary(id, min);
                 }
-                // Survivors with a dead link are lost; the rest re-register.
-                let mut keep = Vec::new();
-                for b in survivors {
-                    if b.links().iter().all(|&l| self.links[l.index()].is_up()) {
+                for b in conn.clear_backups() {
+                    if b.links().iter().all(|&l| links[l.index()].is_up()) {
                         for &l in b.links() {
-                            self.links[l.index()].add_backup(id, min, &conflict_set(&new_links, l));
+                            let conflicts = conflict_set(conn.primary().links(), l);
+                            links[l.index()].add_backup(id, min, &conflicts);
                         }
-                        keep.push(b);
-                    }
-                }
-                {
-                    // lint:allow(no-panic-daemon): id came from this link's victim set
-                    let conn = self.connections.get_mut(&id).expect("victim exists");
-                    conn.clear_backups();
-                    for b in keep {
                         conn.push_backup(b);
                     }
                 }
                 activated.push(id);
             } else {
                 // No usable backup: the connection is lost.
-                self.unregister_backup_links(id);
-                // lint:allow(no-panic-daemon): id came from this link's victim set
-                let mut conn = self.connections.remove(&id).expect("victim exists");
-                conn.clear_backups();
                 self.total_bandwidth -= conn.bandwidth();
                 self.dropped_total += 1;
+                connections.remove(&id);
                 dropped.push(id);
             }
         }
 
         // Channels sharing links with activated backups retreat.
-        let activated_links: BTreeSet<LinkId> = activated
-            .iter()
-            .flat_map(|c| self.connections[c].primary().links().iter().copied())
-            .collect();
-        let mut retreated = self.primaries_on_links(activated_links.iter().copied());
-        for a in &activated {
-            retreated.remove(a);
-        }
+        let mut retreated = self.primaries_sharing(self.primary_links_of(&activated));
+        retreated.retain(|c| activated.binary_search(c).is_err());
         for &c in &retreated {
             self.retreat(c);
         }
 
-        // Re-distribute whatever is still spare.
-        let mut candidates = retreated.clone();
-        candidates.extend(activated.iter().copied());
-        let retreat_links: BTreeSet<LinkId> = retreated
-            .iter()
-            .flat_map(|c| self.connections[c].primary().links().iter().copied())
-            .collect();
-        candidates.extend(self.primaries_on_links(retreat_links.iter().copied()));
+        // Re-distribute whatever is still spare: to the activated
+        // channels and to anyone sharing a link with a retreated one (the
+        // retreated channels themselves included).
+        let mut candidates = self.primaries_sharing(self.primary_links_of(&retreated));
+        candidates.extend_from_slice(&activated);
+        sort_dedup(&mut candidates);
         self.redistribute(&candidates);
 
         // Re-establish backups for survivors that lost theirs.
@@ -998,7 +1093,7 @@ impl Network {
             activated,
             dropped,
             lost_backup,
-            retreated: retreated.into_iter().collect(),
+            retreated,
         })
     }
 
@@ -1125,12 +1220,13 @@ impl Network {
         if down.is_empty() {
             return Err(NetworkError::SrlgStateUnchanged(group));
         }
-        let mut regained: BTreeSet<ConnectionId> = BTreeSet::new();
+        let mut regained = Vec::new();
         for l in down {
             // lint:allow(no-panic-daemon): down was filtered to down links above
             regained.extend(self.repair_link(l).expect("filtered to down links above"));
         }
-        Ok(regained.into_iter().collect())
+        sort_dedup(&mut regained);
+        Ok(regained)
     }
 
     /// Repairs a link and re-attempts backup establishment for connections
@@ -1226,23 +1322,14 @@ impl Network {
         }
     }
 
-    /// Removes the link registrations of *all* of `id`'s backups, leaving
+    /// Removes the link registrations of *all* of `conn`'s backups, leaving
     /// the backup paths on the connection (used around failover re-keying).
-    fn unregister_backup_links(&mut self, id: ConnectionId) {
-        let (min, primary_links, backup_link_lists) = {
-            let c = &self.connections[&id];
-            (
-                c.qos().min(),
-                c.primary().links().to_vec(),
-                c.backups()
-                    .iter()
-                    .map(|b| b.links().to_vec())
-                    .collect::<Vec<_>>(),
-            )
-        };
-        for links in backup_link_lists {
-            for &l in &links {
-                self.links[l.index()].remove_backup(id, min, &conflict_set(&primary_links, l));
+    fn unregister_backup_links(links: &mut [LinkUsage], conn: &DrConnection) {
+        let min = conn.qos().min();
+        for b in conn.backups() {
+            for &l in b.links() {
+                let conflicts = conflict_set(conn.primary().links(), l);
+                links[l.index()].remove_backup(conn.id(), min, &conflicts);
             }
         }
     }
@@ -1255,38 +1342,36 @@ impl Network {
             .connections
             .get_mut(&id)
             .expect("retreat of unknown id"); // lint:allow(no-panic-daemon): private helper, callers hold the id
+        Self::retreat_conn(&mut self.links, &mut self.total_bandwidth, conn);
+    }
+
+    /// [`Self::retreat`] on borrowed parts, for callers that already hold
+    /// the connection.
+    fn retreat_conn(links: &mut [LinkUsage], total: &mut Bandwidth, conn: &mut DrConnection) {
         let extra = conn.extra();
         if extra == Bandwidth::ZERO {
             return;
         }
         conn.set_level(0);
-        let links = conn.primary().links().to_vec();
-        for l in links {
-            self.links[l.index()].remove_extra(extra);
+        for &l in conn.primary().links() {
+            links[l.index()].remove_extra(extra);
         }
-        self.total_bandwidth -= extra;
-    }
-
-    /// All primaries crossing any of `links`.
-    fn primaries_on_links(
-        &self,
-        links: impl IntoIterator<Item = LinkId>,
-    ) -> BTreeSet<ConnectionId> {
-        let mut out = BTreeSet::new();
-        for l in links {
-            out.extend(self.links[l.index()].primaries());
-        }
-        out
+        *total -= extra;
     }
 
     /// The connections whose *primary* crosses any of `links` — the
     /// "directly chained" set used both for retreat decisions and for the
-    /// `P_f` measurement.
-    pub fn primaries_sharing(
-        &self,
-        links: impl IntoIterator<Item = LinkId>,
-    ) -> BTreeSet<ConnectionId> {
-        self.primaries_on_links(links)
+    /// `P_f` measurement — in id order: gather every link's (sorted)
+    /// membership, then sort and deduplicate once.
+    pub fn primaries_sharing(&self, links: impl IntoIterator<Item = LinkId>) -> Vec<ConnectionId> {
+        let mut links: Vec<LinkId> = links.into_iter().collect();
+        sort_dedup(&mut links);
+        let mut out = Vec::new();
+        for l in links {
+            out.extend_from_slice(self.links[l.index()].primaries());
+        }
+        sort_dedup(&mut out);
+        out
     }
 
     /// The links that are currently operational.
@@ -1298,84 +1383,139 @@ impl Network {
             .map(|(i, _)| LinkId(i))
     }
 
-    /// Whether `id` can absorb one more increment on every link of its
-    /// path.
-    fn can_grow(&self, id: ConnectionId) -> bool {
-        let conn = &self.connections[&id];
-        if conn.level() >= conn.qos().max_level() {
-            return false;
+    /// Water-fills extra increments over the sorted set `candidates`
+    /// according to the adaptation policy.
+    fn redistribute(&mut self, candidates: &[ConnectionId]) {
+        #[cfg(test)]
+        if let Some(fill) = tests::FILL_OVERRIDE.get() {
+            return fill(self, candidates);
         }
-        let inc = conn.qos().increment();
-        conn.primary()
-            .links()
-            .iter()
-            .all(|&l| self.links[l.index()].is_up() && self.links[l.index()].headroom() >= inc)
+        self.redistribute_with(candidates, is_slack);
     }
 
-    /// Grants one increment to `id`.
-    fn grant(&mut self, id: ConnectionId) {
-        // lint:allow(no-panic-daemon): private helper, grant targets come from the live set
-        let conn = self.connections.get_mut(&id).expect("grant of unknown id");
-        let inc = conn.qos().increment();
-        conn.set_level(conn.level() + 1);
-        let links = conn.primary().links().to_vec();
-        for l in links {
-            self.links[l.index()].add_extra(inc);
-        }
-        self.total_bandwidth += inc;
-    }
-
-    /// Water-fills extra increments over `candidates` according to the
-    /// adaptation policy. Headroom only shrinks during the fill, so a
-    /// lazy priority queue suffices.
-    fn redistribute(&mut self, candidates: &BTreeSet<ConnectionId>) {
-        #[derive(PartialEq)]
-        struct Scored {
-            score: f64,
-            id: ConnectionId,
-        }
-        impl Eq for Scored {}
-        impl PartialOrd for Scored {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Scored {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Min-heap on (score, id): BinaryHeap is a max-heap, so flip.
-                other
-                    .score
-                    .total_cmp(&self.score)
-                    .then_with(|| other.id.cmp(&self.id))
-            }
-        }
-        let score = |policy: AdaptationPolicy, conn: &DrConnection| -> f64 {
-            match policy {
-                // Highest utility first; level is irrelevant (monopolize).
-                AdaptationPolicy::MaxUtility => -conn.qos().utility(),
-                // Progressive filling: lowest weighted level first.
-                AdaptationPolicy::Coefficient => (conn.level() as f64 + 1.0) / conn.qos().utility(),
-            }
-        };
+    /// [`Self::redistribute`] with the slack-link predicate as a
+    /// parameter, so a test can show that a weaker one is caught.
+    ///
+    /// Each live candidate that can still grow is loaded once into a flat
+    /// row; rows whose links are all slack are granted up to their
+    /// maximum in one step; the rest go through a lazy min-heap on
+    /// `(score, id)` that grants one increment per pop. Headroom only
+    /// shrinks during a fill, so a refused row is dropped for good.
+    ///
+    /// The shortcut is exact. A slack link has room for everything the
+    /// candidates could still ask of it, so it refuses nobody whatever the
+    /// grant order: a row on slack links only ends at its maximum. And
+    /// such rows touch no tight link, so the heap over the remaining rows
+    /// sees the tight links exactly as the one-increment-at-a-time fill
+    /// over all candidates would, and pops and grants in the same order.
+    fn redistribute_with(
+        &mut self,
+        candidates: &[ConnectionId],
+        slack: impl Fn(&LinkUsage, Bandwidth) -> bool,
+    ) {
         let policy = self.config.policy;
-        let mut heap: BinaryHeap<Scored> = candidates
-            .iter()
-            .filter(|id| self.connections.contains_key(id))
-            .map(|&id| Scored {
-                score: score(policy, &self.connections[&id]),
-                id,
-            })
-            .collect();
-        while let Some(Scored { id, .. }) = heap.pop() {
-            if !self.can_grow(id) {
-                // Headroom never grows during the fill: drop permanently.
+        let Self {
+            links,
+            connections,
+            fill,
+            ..
+        } = self;
+        let FillScratch {
+            rows,
+            arena,
+            demand,
+            heap,
+        } = fill;
+        rows.clear();
+        arena.clear();
+        demand.resize(links.len(), Bandwidth::ZERO);
+
+        // Load the candidates that are still live and below their maximum
+        // (the others can never be granted anything), summing per link
+        // what the loaded rows could still ask of it.
+        for &id in candidates {
+            let Some(conn) = connections.get(&id) else {
+                continue;
+            };
+            let (level, max_level) = (conn.level(), conn.qos().max_level());
+            if level >= max_level {
                 continue;
             }
-            self.grant(id);
-            heap.push(Scored {
-                score: score(policy, &self.connections[&id]),
+            let start = arena.len();
+            arena.extend_from_slice(conn.primary().links());
+            let row = FillRow {
                 id,
-            });
+                loaded_level: level,
+                level,
+                max_level,
+                increment: conn.qos().increment(),
+                utility: conn.qos().utility(),
+                links: start..arena.len(),
+                bulk: false,
+            };
+            for l in &arena[start..] {
+                demand[l.index()] += row.remaining();
+            }
+            rows.push(row);
+        }
+
+        // Classify every row before granting anything: grants eat the
+        // headroom the slack test reads.
+        for row in rows.iter_mut() {
+            row.bulk = arena[row.links.clone()]
+                .iter()
+                .all(|l| slack(&links[l.index()], demand[l.index()]));
+        }
+        let mut queue = std::mem::take(heap);
+        for (i, row) in rows.iter_mut().enumerate() {
+            if row.bulk {
+                for l in &arena[row.links.clone()] {
+                    links[l.index()].add_extra(row.remaining());
+                }
+                row.level = row.max_level;
+            } else {
+                queue.push(Scored {
+                    score: fill_score(policy, row.level, row.utility),
+                    id: row.id,
+                    row: i,
+                });
+            }
+        }
+        for l in arena.iter() {
+            demand[l.index()] = Bandwidth::ZERO;
+        }
+
+        // The tight remainder: one increment per pop, re-scored in place.
+        let mut queue = BinaryHeap::from(queue);
+        while let Some(mut top) = queue.peek_mut() {
+            let row = &mut rows[top.row];
+            let path = &arena[row.links.clone()];
+            let fits = |l: &LinkId| {
+                let u = &links[l.index()];
+                u.is_up() && u.headroom() >= row.increment
+            };
+            if !path.iter().all(fits) {
+                PeekMut::pop(top);
+                continue;
+            }
+            for l in path {
+                links[l.index()].add_extra(row.increment);
+            }
+            row.level += 1;
+            if row.level == row.max_level {
+                PeekMut::pop(top);
+            } else {
+                top.score = fill_score(policy, row.level, row.utility);
+            }
+        }
+        *heap = queue.into_vec();
+
+        // Write the moved levels back, and the total once.
+        for row in rows.iter().filter(|r| r.level != r.loaded_level) {
+            self.total_bandwidth += row.increment.times((row.level - row.loaded_level) as u64);
+            if let Some(conn) = connections.get_mut(&row.id) {
+                conn.set_level(row.level);
+            }
         }
     }
 
@@ -1389,8 +1529,10 @@ impl Network {
         let mut violations = Vec::new();
         let mut min_sums = vec![Bandwidth::ZERO; self.links.len()];
         let mut extra_sums = vec![Bandwidth::ZERO; self.links.len()];
-        let mut primary_sets: Vec<BTreeSet<ConnectionId>> = vec![BTreeSet::new(); self.links.len()];
-        let mut backup_sets: Vec<BTreeSet<ConnectionId>> = vec![BTreeSet::new(); self.links.len()];
+        // Connections are visited in id order, so these come out sorted,
+        // as the per-link membership vectors must be.
+        let mut primary_sets: Vec<Vec<ConnectionId>> = vec![Vec::new(); self.links.len()];
+        let mut backup_sets: Vec<Vec<ConnectionId>> = vec![Vec::new(); self.links.len()];
         let mut total = Bandwidth::ZERO;
         for conn in self.connections.values() {
             total += conn.bandwidth();
@@ -1404,7 +1546,7 @@ impl Network {
             for &l in conn.primary().links() {
                 min_sums[l.index()] += conn.qos().min();
                 extra_sums[l.index()] += conn.extra();
-                primary_sets[l.index()].insert(conn.id());
+                primary_sets[l.index()].push(conn.id());
             }
             for (i, b) in conn.backups().iter().enumerate() {
                 if b == conn.primary() {
@@ -1423,7 +1565,7 @@ impl Network {
                     }
                 }
                 for &l in b.links() {
-                    backup_sets[l.index()].insert(conn.id());
+                    backup_sets[l.index()].push(conn.id());
                 }
             }
         }
@@ -1449,10 +1591,10 @@ impl Network {
                     recomputed: extra_sums[i],
                 });
             }
-            if usage.primaries().collect::<BTreeSet<_>>() != primary_sets[i] {
+            if usage.primaries() != primary_sets[i] {
                 violations.push(InvariantViolation::PrimarySetMismatch { link });
             }
-            if usage.backups().collect::<BTreeSet<_>>() != backup_sets[i] {
+            if usage.backups() != backup_sets[i] {
                 violations.push(InvariantViolation::BackupSetMismatch { link });
             }
             if usage.primary_min_sum() + usage.extra_sum() > usage.capacity() {
@@ -1493,10 +1635,112 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drqos_topology::regular;
+    use drqos_sim::rng::Rng;
+    use drqos_topology::{regular, waxman};
 
     fn qos() -> ElasticQos {
         ElasticQos::paper_video(100) // 100..500 step 100, 5 levels
+    }
+
+    /// A fill every `redistribute` call on this thread runs in place of
+    /// the production one.
+    type Fill = fn(&mut Network, &[ConnectionId]);
+
+    thread_local! {
+        pub(super) static FILL_OVERRIDE: std::cell::Cell<Option<Fill>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// Runs `f` with every fill on this thread replaced by `fill`.
+    fn with_fill<T>(fill: Option<Fill>, f: impl FnOnce() -> T) -> T {
+        let before = FILL_OVERRIDE.replace(fill);
+        let out = f();
+        FILL_OVERRIDE.set(before);
+        out
+    }
+
+    impl Network {
+        /// The fill as it was before the flat one, kept verbatim as the
+        /// reference the production fill is compared against: per granted
+        /// increment two map lookups, a link-list clone and a heap push.
+        fn redistribute_reference(&mut self, candidates: &[ConnectionId]) {
+            #[derive(PartialEq)]
+            struct Scored {
+                score: f64,
+                id: ConnectionId,
+            }
+            impl Eq for Scored {}
+            impl PartialOrd for Scored {
+                fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                    Some(self.cmp(other))
+                }
+            }
+            impl Ord for Scored {
+                fn cmp(&self, other: &Self) -> Ordering {
+                    // Min-heap on (score, id): BinaryHeap is a max-heap, so flip.
+                    other
+                        .score
+                        .total_cmp(&self.score)
+                        .then_with(|| other.id.cmp(&self.id))
+                }
+            }
+            let score = |policy: AdaptationPolicy, conn: &DrConnection| -> f64 {
+                match policy {
+                    // Highest utility first; level is irrelevant (monopolize).
+                    AdaptationPolicy::MaxUtility => -conn.qos().utility(),
+                    // Progressive filling: lowest weighted level first.
+                    AdaptationPolicy::Coefficient => {
+                        (conn.level() as f64 + 1.0) / conn.qos().utility()
+                    }
+                }
+            };
+            let policy = self.config.policy;
+            let mut heap: BinaryHeap<Scored> = candidates
+                .iter()
+                .filter(|id| self.connections.contains_key(id))
+                .map(|&id| Scored {
+                    score: score(policy, &self.connections[&id]),
+                    id,
+                })
+                .collect();
+            while let Some(Scored { id, .. }) = heap.pop() {
+                if !self.can_grow(id) {
+                    // Headroom never grows during the fill: drop permanently.
+                    continue;
+                }
+                self.grant(id);
+                heap.push(Scored {
+                    score: score(policy, &self.connections[&id]),
+                    id,
+                });
+            }
+        }
+
+        /// Whether `id` can absorb one more increment on every link of its
+        /// path.
+        fn can_grow(&self, id: ConnectionId) -> bool {
+            let conn = &self.connections[&id];
+            if conn.level() >= conn.qos().max_level() {
+                return false;
+            }
+            let inc = conn.qos().increment();
+            conn.primary()
+                .links()
+                .iter()
+                .all(|&l| self.links[l.index()].is_up() && self.links[l.index()].headroom() >= inc)
+        }
+
+        /// Grants one increment to `id`.
+        fn grant(&mut self, id: ConnectionId) {
+            let conn = self.connections.get_mut(&id).expect("grant of unknown id");
+            let inc = conn.qos().increment();
+            conn.set_level(conn.level() + 1);
+            let links = conn.primary().links().to_vec();
+            for l in links {
+                self.links[l.index()].add_extra(inc);
+            }
+            self.total_bandwidth += inc;
+        }
     }
 
     /// A 6-ring with tiny capacity for easy saturation tests.
@@ -2272,5 +2516,237 @@ mod tests {
         // Heavily loaded ring: the average sits near the minimum.
         let avg = net.average_bandwidth().unwrap();
         assert!(avg < 300.0, "expected saturation, avg {avg}");
+    }
+    // -------------------------------------- the fill vs its reference --
+
+    /// The slack predicate weakened by one (smallest) increment: the
+    /// mutant the differential below must catch.
+    fn weak_fill(net: &mut Network, candidates: &[ConnectionId]) {
+        net.redistribute_with(candidates, |link, demand| {
+            link.is_up() && link.headroom() + Bandwidth::kbps(50) >= demand
+        });
+    }
+
+    fn random_qos(rng: &mut Rng) -> ElasticQos {
+        let min = [50, 100, 150][rng.range_usize(3)];
+        let step = [50, 100, 200][rng.range_usize(3)];
+        let levels = rng.range_u64(7);
+        let utility = [0.5, 1.0, 1.0, 1.01, 2.0, 3.7][rng.range_usize(6)];
+        ElasticQos::new(
+            Bandwidth::kbps(min),
+            Bandwidth::kbps(min + step * levels),
+            Bandwidth::kbps(step),
+            utility,
+        )
+        .unwrap()
+    }
+
+    fn random_request(rng: &mut Rng, nodes: usize) -> EstablishRequest {
+        EstablishRequest {
+            src: NodeId(rng.range_usize(nodes)),
+            dst: NodeId(rng.range_usize(nodes)),
+            qos: random_qos(rng),
+        }
+    }
+
+    /// One seeded case: a small network under a random op sequence whose
+    /// fills come from commits, batches, releases and link failures.
+    fn random_case(case: u64) -> (Network, Rng) {
+        let mut rng = Rng::seed_from_u64(0xF111 ^ case);
+        let graph = match case % 3 {
+            0 => regular::ring(5 + rng.range_usize(4)).unwrap(),
+            1 => regular::torus(3, 3 + rng.range_usize(2)).unwrap(),
+            _ => waxman::paper_waxman(12 + rng.range_usize(8))
+                .generate(&mut rng)
+                .unwrap(),
+        };
+        // Starved, tight, slack, or (below) a different one per link.
+        let classes = [300, 600, 1_000, 2_500, 10_000];
+        let class = rng.range_usize(classes.len() + 1);
+        let policy = if rng.chance(0.5) {
+            AdaptationPolicy::Coefficient
+        } else {
+            AdaptationPolicy::MaxUtility
+        };
+        let mut net = Network::new(
+            graph,
+            NetworkConfig {
+                capacity: Bandwidth::kbps(*classes.get(class).unwrap_or(&1_000)),
+                policy,
+                require_backup: rng.chance(0.7),
+                route_cache: false,
+                ..NetworkConfig::default()
+            },
+        );
+        if class == classes.len() {
+            for usage in &mut net.links {
+                *usage = LinkUsage::new(Bandwidth::kbps(classes[rng.range_usize(classes.len())]));
+            }
+        }
+        (net, rng)
+    }
+
+    /// Applies one random op to `net`, rendering its result.
+    fn random_op(net: &mut Network, rng: &mut Rng) -> String {
+        let nodes = net.graph().node_count();
+        let links = net.graph().link_count();
+        let live: Vec<ConnectionId> = net.connections().map(|c| c.id()).collect();
+        match rng.range_usize(100) {
+            0..=14 if !live.is_empty() => {
+                format!("{:?}", net.release(live[rng.range_usize(live.len())]))
+            }
+            15..=22 => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
+            23..=26 => format!("{:?}", net.repair_link(LinkId(rng.range_usize(links)))),
+            27..=32 => {
+                let reqs: Vec<_> = (0..3).map(|_| random_request(rng, nodes)).collect();
+                format!("{:?}", net.establish_batch(&reqs))
+            }
+            _ => {
+                let r = random_request(rng, nodes);
+                format!("{:?}", net.establish(r.src, r.dst, r.qos))
+            }
+        }
+    }
+
+    /// Replays `cases` seeded op sequences, running every op on a clone
+    /// with the reference fill and on the network itself with `subject`
+    /// (`None` = the production fill): results, full state and invariants
+    /// must agree after every op. Returns how many rows the subject's
+    /// last fill of each op granted in bulk and sent through the heap.
+    fn fill_differential(cases: u64, subject: Option<Fill>) -> Result<(usize, usize), String> {
+        let (mut bulk, mut heaped) = (0, 0);
+        for case in 0..cases {
+            let (mut net, mut rng) = random_case(case);
+            for step in 0..10 + rng.range_usize(14) {
+                let mut oracle = net.clone();
+                let mut oracle_rng = rng.clone();
+                let want = with_fill(Some(Network::redistribute_reference), || {
+                    random_op(&mut oracle, &mut oracle_rng)
+                });
+                let got = with_fill(subject, || random_op(&mut net, &mut rng));
+                let violations = net.check_invariants();
+                if got != want || net != oracle || !violations.is_empty() {
+                    return Err(format!(
+                        "case {case} step {step}: {got} vs reference {want}; {violations:?}"
+                    ));
+                }
+                bulk += net.fill.rows.iter().filter(|r| r.bulk).count();
+                heaped += net.fill.rows.iter().filter(|r| !r.bulk).count();
+            }
+        }
+        Ok((bulk, heaped))
+    }
+
+    #[test]
+    fn flat_fill_matches_the_reference_fill_on_2000_seeded_cases() {
+        let (bulk, heaped) = fill_differential(2_000, None).unwrap();
+        assert!(
+            bulk > 10_000 && heaped > 10_000,
+            "both sides of the slack choice must run: {bulk} bulk, {heaped} heap rows"
+        );
+    }
+
+    #[test]
+    fn a_slack_test_weakened_by_one_increment_is_caught() {
+        let caught = fill_differential(2_000, Some(weak_fill));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    /// Two 100–500 Kbps channels on the single link of a two-node line:
+    /// the second commit's fill sees both at level 0, asking 800 Kbps of
+    /// the link between them.
+    fn two_on_one_link(capacity_kbps: u64) -> Network {
+        let mut net = Network::new(
+            regular::grid(1, 2).unwrap(),
+            NetworkConfig {
+                capacity: Bandwidth::kbps(capacity_kbps),
+                require_backup: false,
+                ..NetworkConfig::default()
+            },
+        );
+        for _ in 0..2 {
+            net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+        }
+        net.validate();
+        net
+    }
+
+    fn bulk_flags(net: &Network) -> Vec<bool> {
+        net.fill.rows.iter().map(|r| r.bulk).collect()
+    }
+
+    #[test]
+    fn headroom_equal_to_demand_is_granted_in_bulk() {
+        let net = two_on_one_link(200 + 800);
+        assert_eq!(bulk_flags(&net), [true, true]);
+        assert_eq!(net.total_primary_bandwidth(), Bandwidth::kbps(1_000));
+    }
+
+    #[test]
+    fn headroom_one_short_of_demand_goes_through_the_heap() {
+        let net = two_on_one_link(200 + 800 - 1);
+        assert_eq!(bulk_flags(&net), [false, false]);
+        // 799 Kbps spare is seven increments, dealt alternately.
+        let levels: Vec<usize> = net.connections().map(|c| c.level()).collect();
+        assert_eq!(levels, [4, 3]);
+        // Retreating both and refilling one increment at a time lands on
+        // the same state.
+        let mut reference = net.clone();
+        for id in [ConnectionId(0), ConnectionId(1)] {
+            reference.retreat(id);
+        }
+        reference.redistribute_reference(&[ConnectionId(0), ConnectionId(1)]);
+        assert!(reference == net);
+    }
+
+    #[test]
+    fn a_down_link_is_never_slack() {
+        let mut link = LinkUsage::new(Bandwidth::kbps(1_000));
+        assert!(is_slack(&link, Bandwidth::kbps(1_000)));
+        assert!(!is_slack(&link, Bandwidth::kbps(1_001)));
+        link.set_up(false);
+        assert!(!is_slack(&link, Bandwidth::ZERO));
+        // A channel whose primary crosses a down link is offered nothing.
+        let mut net = two_on_one_link(10_000);
+        for id in [ConnectionId(0), ConnectionId(1)] {
+            net.retreat(id);
+        }
+        net.links[0].set_up(false);
+        let mut reference = net.clone();
+        net.redistribute(&[ConnectionId(0), ConnectionId(1)]);
+        reference.redistribute_reference(&[ConnectionId(0), ConnectionId(1)]);
+        assert_eq!(bulk_flags(&net), [false, false]);
+        assert_eq!(net.total_primary_bandwidth(), Bandwidth::kbps(200));
+        assert!(net == reference);
+    }
+
+    #[test]
+    fn candidates_at_their_maximum_or_no_longer_live_are_skipped() {
+        let mut net = two_on_one_link(10_000);
+        let before = net.clone();
+        // Both live channels sit at their maximum; c7 never existed and c1
+        // is released before its id is offered again.
+        net.redistribute(&[ConnectionId(0), ConnectionId(1), ConnectionId(7)]);
+        assert!(net.fill.rows.is_empty());
+        assert!(net == before);
+        net.retreat(ConnectionId(0));
+        net.connections.remove(&ConnectionId(1));
+        net.redistribute(&[ConnectionId(0), ConnectionId(1)]);
+        assert_eq!(net.fill.rows.len(), 1);
+        assert_eq!(net.connection(ConnectionId(0)).unwrap().level(), 4);
+    }
+
+    #[test]
+    fn chain_sets_are_sorted_vectors_and_subset_is_a_merge() {
+        let c = |v: &[u64]| v.iter().map(|&i| ConnectionId(i)).collect::<Vec<_>>();
+        assert!(sorted_subset(&c(&[]), &c(&[])));
+        assert!(sorted_subset(&c(&[]), &c(&[1])));
+        assert!(sorted_subset(&c(&[2, 5]), &c(&[1, 2, 3, 5])));
+        assert!(!sorted_subset(&c(&[2, 4]), &c(&[1, 2, 3, 5])));
+        assert!(!sorted_subset(&c(&[6]), &c(&[1, 2, 3, 5])));
+        assert!(!sorted_subset(&c(&[1]), &c(&[])));
+        // The same link named twice gathers its primaries once.
+        let net = two_on_one_link(10_000);
+        assert_eq!(net.primaries_sharing([LinkId(0), LinkId(0)]), c(&[0, 1]));
     }
 }

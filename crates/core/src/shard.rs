@@ -37,7 +37,7 @@
 //! `fuzz --diff-shard` in `drqos-testkit`.
 
 use crate::error::AdmissionError;
-use crate::network::{EstablishRequest, Network};
+use crate::network::{EstablishRequest, Network, PendingFill};
 use crate::routing::RouteScratch;
 use drqos_topology::{LinkId, Partition};
 use std::collections::BTreeMap;
@@ -302,7 +302,7 @@ impl ShardedNetwork {
     fn replan_serially(
         &mut self,
         req: &EstablishRequest,
-        pending_fill: &mut Option<std::collections::BTreeSet<crate::channel::ConnectionId>>,
+        pending_fill: &mut PendingFill,
     ) -> Result<crate::channel::ConnectionId, AdmissionError> {
         let plan = self.net.plan_establish(req.src, req.dst, req.qos)?;
         Ok(self.net.batch_commit(plan, pending_fill))

@@ -39,13 +39,6 @@ pub enum MarkovError {
         /// Actual size.
         actual: usize,
     },
-    /// A DTMC row did not sum to one.
-    NotStochastic {
-        /// The offending row.
-        row: usize,
-        /// The row sum found.
-        sum: f64,
-    },
 }
 
 impl fmt::Display for MarkovError {
@@ -66,9 +59,6 @@ impl fmt::Display for MarkovError {
             MarkovError::Singular => write!(f, "linear system is singular"),
             MarkovError::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
-            }
-            MarkovError::NotStochastic { row, sum } => {
-                write!(f, "row {row} of transition matrix sums to {sum}, expected 1")
             }
         }
     }
@@ -107,8 +97,5 @@ mod tests {
         }
         .to_string()
         .contains("expected 3"));
-        assert!(MarkovError::NotStochastic { row: 2, sum: 0.5 }
-            .to_string()
-            .contains("row 2"));
     }
 }

@@ -551,8 +551,10 @@ mod tests {
             let late_tx = tx.clone();
             let shutdown_ref = &shutdown;
             let readers_ref = &readers;
+            let (checked_tx, checked_rx) = mpsc::channel();
             let late = scope.spawn(move || {
                 assert!(!shutdown_ref.load(Ordering::Acquire), "race precondition");
+                checked_tx.send(()).unwrap();
                 thread::sleep(Duration::from_millis(200));
                 let (reply_tx, reply_rx) = mpsc::channel();
                 late_tx
@@ -567,7 +569,9 @@ mod tests {
                 readers_ref.fetch_sub(1, Ordering::AcqRel);
                 resp
             });
-            // The shutdown reader, awaiting the final reply.
+            // The shutdown reader, awaiting the final reply. Shutdown may
+            // begin only once the raced reader has made its flag check.
+            checked_rx.recv().unwrap();
             readers.fetch_add(1, Ordering::AcqRel);
             let (shut_tx, shut_rx) = mpsc::channel();
             tx.send(Command {
