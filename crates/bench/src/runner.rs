@@ -83,7 +83,7 @@ pub struct PointObs {
     /// Admission route-cache misses.
     pub cache_misses: u64,
     /// Route-cache entries evicted as stale (digest mismatch or
-    /// fail/repair reverse-index eviction).
+    /// fail/repair eager eviction).
     pub cache_stale: u64,
 }
 

@@ -25,7 +25,6 @@
 use crate::channel::ConnectionId;
 use crate::qos::Bandwidth;
 use drqos_topology::LinkId;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Bandwidth bookkeeping for one link.
@@ -40,13 +39,15 @@ pub struct LinkUsage {
     extra_sum: Bandwidth,
     backups: Vec<ConnectionId>,
     /// For each potential failed link `f`, the total minimum bandwidth of
-    /// backups on this link whose primary crosses `f`.
-    conflict: BTreeMap<LinkId, Bandwidth>,
+    /// backups on this link whose primary crosses `f`. Sorted by `f`, one
+    /// entry per link, none of them zero: planning binary-searches it once
+    /// per primary hop on every link a backup search reaches.
+    conflict: Vec<(LinkId, Bandwidth)>,
     reservation: Bandwidth,
     /// Memoized [`Self::plan_digest`] (valid when `digest_dirty` is
     /// false). The route cache revalidates footprints on every lookup and
     /// hashes them on every insert; without the memo each call walks the
-    /// conflict map, which dominated the miss path on loaded networks.
+    /// conflict ledger, which dominated the miss path on loaded networks.
     ///
     /// Atomics rather than `Cell`s so a frozen `&Network` can be shared
     /// across the sharded engine's planning threads (`LinkUsage` must be
@@ -104,7 +105,7 @@ impl LinkUsage {
             primary_min_sum: Bandwidth::ZERO,
             extra_sum: Bandwidth::ZERO,
             backups: Vec::new(),
-            conflict: BTreeMap::new(),
+            conflict: Vec::new(),
             reservation: Bandwidth::ZERO,
             digest_memo: AtomicU64::new(0),
             digest_dirty: AtomicBool::new(true),
@@ -193,18 +194,33 @@ impl LinkUsage {
     ) -> Bandwidth {
         primary_links
             .iter()
-            .map(|f| self.conflict.get(f).copied().unwrap_or(Bandwidth::ZERO) + min)
-            .chain(std::iter::once(self.reservation))
-            .max()
-            .unwrap_or(self.reservation)
+            .map(|&f| self.conflict_on(f) + min)
+            .fold(self.reservation, Bandwidth::max)
+    }
+
+    /// The ledger entry for a failure of `f` (zero when absent).
+    fn conflict_on(&self, f: LinkId) -> Bandwidth {
+        match self.conflict_slot(f) {
+            Ok(at) => self.conflict[at].1,
+            Err(_) => Bandwidth::ZERO,
+        }
+    }
+
+    /// Where the ledger holds `f` (`Ok`), or where it would go (`Err`).
+    fn conflict_slot(&self, f: LinkId) -> Result<usize, usize> {
+        self.conflict.binary_search_by_key(&f, |&(l, _)| l)
     }
 
     /// Whether a backup with the given `min` and primary links could be
     /// registered without exceeding capacity (extras reclaimable).
     pub fn can_admit_backup(&self, min: Bandwidth, primary_links: &[LinkId]) -> bool {
-        self.up
-            && self.primary_min_sum + self.reservation_if_backup_added(min, primary_links)
-                <= self.capacity
+        self.fits_backup_reservation(self.reservation_if_backup_added(min, primary_links))
+    }
+
+    /// Whether the link is up and could hold `reservation` for its backups
+    /// beside the primary minima (extras reclaimable).
+    pub fn fits_backup_reservation(&self, reservation: Bandwidth) -> bool {
+        self.up && self.primary_min_sum + reservation <= self.capacity
     }
 
     // ----- mutations (crate-internal; driven by the network manager) -----
@@ -240,7 +256,14 @@ impl LinkUsage {
         let inserted = sorted_insert(&mut self.backups, id);
         assert!(inserted, "{id} already a backup on this link");
         for &f in primary_links {
-            let entry = self.conflict.entry(f).or_insert(Bandwidth::ZERO);
+            let at = match self.conflict_slot(f) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.conflict.insert(at, (f, Bandwidth::ZERO));
+                    at
+                }
+            };
+            let entry = &mut self.conflict[at].1;
             *entry += min;
             if *entry > self.reservation {
                 self.reservation = *entry;
@@ -257,34 +280,29 @@ impl LinkUsage {
     ) {
         let removed = sorted_remove(&mut self.backups, id);
         assert!(removed, "{id} was not a backup on this link");
-        // The reservation is the map's maximum: it can only have moved if
-        // an entry that held the maximum shrank.
+        // The reservation is the ledger's maximum: it can only have moved
+        // if an entry that held the maximum shrank.
         let mut held_max = false;
         for &f in primary_links {
-            let entry = self
-                .conflict
-                .get_mut(&f)
+            let at = self
+                .conflict_slot(f)
                 .expect("conflict entry exists for registered backup");
+            let entry = &mut self.conflict[at].1;
             held_max |= *entry == self.reservation;
             *entry -= min;
             if *entry == Bandwidth::ZERO {
-                self.conflict.remove(&f);
+                self.conflict.remove(at);
             }
         }
         if held_max {
-            self.reservation = self
-                .conflict
-                .values()
-                .copied()
-                .max()
-                .unwrap_or(Bandwidth::ZERO);
+            self.reservation = self.recomputed_reservation();
         }
         self.digest_dirty.store(true, Ordering::Relaxed);
     }
 
     /// A digest of every field of this link that route *planning* can
     /// observe: liveness, the primary-minimum sum, the cached reservation,
-    /// and the full backup-conflict map. Extras are deliberately excluded —
+    /// and the full backup-conflict ledger. Extras are deliberately excluded —
     /// they are reclaimable and never consulted by `can_admit_primary` /
     /// `can_admit_backup` / the planning allowances — so grant/retreat
     /// churn does not invalidate cached routes.
@@ -302,7 +320,7 @@ impl LinkUsage {
             let mut h: u64 = if self.up { 0x9E37_79B9_7F4A_7C15 } else { 0 };
             h = mix64(h ^ self.primary_min_sum.as_kbps());
             h = mix64(h ^ self.reservation.as_kbps());
-            for (&f, &bw) in &self.conflict {
+            for &(f, bw) in &self.conflict {
                 h = mix64(h ^ (f.index() as u64).wrapping_mul(0x0100_0000_01B3) ^ bw.as_kbps());
             }
             // Concurrent fills (shared frozen network during a planning
@@ -316,19 +334,19 @@ impl LinkUsage {
         self.digest_memo.load(Ordering::Relaxed)
     }
 
-    /// Recomputes the multiplexed reservation from the conflict map,
+    /// Recomputes the multiplexed reservation from the conflict ledger,
     /// ignoring the cached value. Equal to [`Self::backup_reservation`]
     /// whenever the incremental bookkeeping is consistent; the invariant
     /// checker compares the two.
     pub fn recomputed_reservation(&self) -> Bandwidth {
         self.conflict
-            .values()
-            .copied()
+            .iter()
+            .map(|&(_, bw)| bw)
             .max()
             .unwrap_or(Bandwidth::ZERO)
     }
 
-    /// Test/debug helper: recomputes the reservation from the conflict map
+    /// Test/debug helper: recomputes the reservation from the conflict ledger
     /// and asserts the cache is consistent.
     pub fn debug_validate(&self) {
         assert_eq!(
@@ -383,6 +401,8 @@ fn mix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drqos_sim::rng::Rng;
+    use std::collections::BTreeMap;
 
     fn k(v: u64) -> Bandwidth {
         Bandwidth::kbps(v)
@@ -488,6 +508,135 @@ mod tests {
         l.remove_backup(cid(2), k(100), &[lid(20), lid(21)]);
         assert_eq!(l.backup_reservation(), Bandwidth::ZERO);
         l.debug_validate();
+    }
+
+    /// The conflict ledger as it was before it became a sorted vector —
+    /// an ordered map — with the planning queries and the digest computed
+    /// from it exactly as they were.
+    struct MapLedger {
+        up: bool,
+        capacity: Bandwidth,
+        primary_min_sum: Bandwidth,
+        conflict: BTreeMap<LinkId, Bandwidth>,
+        reservation: Bandwidth,
+    }
+
+    impl MapLedger {
+        fn reservation_if_backup_added(&self, min: Bandwidth, links: &[LinkId]) -> Bandwidth {
+            links
+                .iter()
+                .map(|f| self.conflict.get(f).copied().unwrap_or(Bandwidth::ZERO) + min)
+                .chain(std::iter::once(self.reservation))
+                .max()
+                .unwrap_or(self.reservation)
+        }
+
+        fn can_admit_backup(&self, min: Bandwidth, links: &[LinkId]) -> bool {
+            self.up
+                && self.primary_min_sum + self.reservation_if_backup_added(min, links)
+                    <= self.capacity
+        }
+
+        fn add_backup(&mut self, min: Bandwidth, links: &[LinkId]) {
+            for &f in links {
+                let entry = self.conflict.entry(f).or_insert(Bandwidth::ZERO);
+                *entry += min;
+                if *entry > self.reservation {
+                    self.reservation = *entry;
+                }
+            }
+        }
+
+        fn remove_backup(&mut self, min: Bandwidth, links: &[LinkId]) {
+            let mut held_max = false;
+            for &f in links {
+                let entry = self.conflict.get_mut(&f).unwrap();
+                held_max |= *entry == self.reservation;
+                *entry -= min;
+                if *entry == Bandwidth::ZERO {
+                    self.conflict.remove(&f);
+                }
+            }
+            if held_max {
+                let max = self.conflict.values().copied().max();
+                self.reservation = max.unwrap_or(Bandwidth::ZERO);
+            }
+        }
+
+        fn plan_digest(&self) -> u64 {
+            let mut h: u64 = if self.up { 0x9E37_79B9_7F4A_7C15 } else { 0 };
+            h = mix64(h ^ self.primary_min_sum.as_kbps());
+            h = mix64(h ^ self.reservation.as_kbps());
+            for (&f, &bw) in &self.conflict {
+                h = mix64(h ^ (f.index() as u64).wrapping_mul(0x0100_0000_01B3) ^ bw.as_kbps());
+            }
+            h
+        }
+    }
+
+    #[test]
+    fn vector_ledger_matches_the_map_ledger_on_seeded_sequences() {
+        // This link is l0. Primaries cross 2..=5 of sixteen links (l0
+        // among them at times: a maximally-disjoint backup crossing its
+        // own primary, whose conflict set then skips l0), so ledger
+        // entries collide, fall to zero and hold the maximum by turns.
+        let on_link = lid(0);
+        let mut rng = Rng::seed_from_u64(0x15_1ED6E4);
+        let (mut removals_of_the_max, mut entries_dropped, mut skipped_on_link) = (0, 0, 0);
+        for _ in 0..200 {
+            let mut link = LinkUsage::new(k(2_000));
+            let mut map = MapLedger {
+                up: true,
+                capacity: k(2_000),
+                primary_min_sum: Bandwidth::ZERO,
+                conflict: BTreeMap::new(),
+                reservation: Bandwidth::ZERO,
+            };
+            let mut live: Vec<(ConnectionId, Bandwidth, Vec<LinkId>)> = Vec::new();
+            for step in 0..60u64 {
+                let min = k(50 * (1 + rng.range_u64(4)));
+                let mut primary: Vec<LinkId> = (0..16).map(lid).collect();
+                rng.shuffle(&mut primary);
+                primary.truncate(2 + rng.range_usize(4));
+                let conflicts: Vec<LinkId> =
+                    primary.iter().copied().filter(|&f| f != on_link).collect();
+                skipped_on_link += usize::from(conflicts.len() < primary.len());
+                // The queries first, against the state both sides share.
+                assert_eq!(
+                    link.reservation_if_backup_added(min, &conflicts),
+                    map.reservation_if_backup_added(min, &conflicts)
+                );
+                assert_eq!(
+                    link.can_admit_backup(min, &conflicts),
+                    map.can_admit_backup(min, &conflicts)
+                );
+                if live.is_empty() || rng.chance(0.55) {
+                    link.add_backup(cid(step), min, &conflicts);
+                    map.add_backup(min, &conflicts);
+                    live.push((cid(step), min, conflicts));
+                } else {
+                    let (id, min, conflicts) = live.swap_remove(rng.range_usize(live.len()));
+                    let held = conflicts.iter().any(|f| map.conflict[f] == map.reservation);
+                    removals_of_the_max += usize::from(held);
+                    let before = map.conflict.len();
+                    link.remove_backup(id, min, &conflicts);
+                    map.remove_backup(min, &conflicts);
+                    entries_dropped += before - map.conflict.len();
+                }
+                assert_eq!(link.backup_reservation(), map.reservation);
+                assert_eq!(link.plan_digest(), map.plan_digest());
+                assert!(link
+                    .conflict
+                    .iter()
+                    .copied()
+                    .eq(map.conflict.iter().map(|(&f, &bw)| (f, bw))));
+                link.debug_validate();
+            }
+        }
+        // Each of those branches was taken, many times over.
+        assert!(removals_of_the_max > 100, "{removals_of_the_max}");
+        assert!(entries_dropped > 100, "{entries_dropped}");
+        assert!(skipped_on_link > 100, "{skipped_on_link}");
     }
 
     #[test]
@@ -618,7 +767,7 @@ mod tests {
 
     #[test]
     fn plan_digest_distinguishes_conflict_layouts() {
-        // Same reservation, different conflict maps: planning can tell
+        // Same reservation, different conflict ledgers: planning can tell
         // them apart (reservation_if_backup_added reads per-link entries),
         // so the digest must too.
         let mut a = LinkUsage::new(k(1_000));

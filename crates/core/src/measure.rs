@@ -38,7 +38,7 @@ pub struct RouteCacheStats {
     pub misses: u64,
     /// Entries evicted because a probed link's planning state changed
     /// (lazy digest mismatch) or a topology event touched a footprint
-    /// link (eager reverse-index eviction).
+    /// link (eager eviction by footprint scan).
     pub stale_evictions: u64,
 }
 

@@ -31,10 +31,11 @@ use crate::route_cache::RouteCache;
 use crate::routing::{self, BackupDisjointness, RouteScratch, RouterKind};
 use drqos_topology::graph::{Graph, LinkId, NodeId};
 use drqos_topology::paths::Path;
-use std::cell::RefCell;
+use std::borrow::Cow;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 
@@ -155,12 +156,16 @@ pub struct FailureReport {
 /// down with it, so it never contributes to that link's reservation.
 /// (Only relevant for maximally-disjoint backups; a fully disjoint backup
 /// never crosses its own primary.)
-fn conflict_set(primary_links: &[LinkId], on_link: LinkId) -> Vec<LinkId> {
-    primary_links
-        .iter()
-        .copied()
-        .filter(|&f| f != on_link)
-        .collect()
+///
+/// Borrows `primary_links` whole in that common case and allocates only
+/// when `on_link` really lies on the primary.
+fn conflict_set(primary_links: &[LinkId], on_link: LinkId) -> Cow<'_, [LinkId]> {
+    if primary_links.contains(&on_link) {
+        let rest = primary_links.iter().copied().filter(|&f| f != on_link);
+        Cow::Owned(rest.collect())
+    } else {
+        Cow::Borrowed(primary_links)
+    }
 }
 
 /// Sorts and deduplicates: the second half of every chain-set gather.
@@ -272,8 +277,7 @@ pub struct Network {
     next_id: u64,
     total_bandwidth: Bandwidth,
     dropped_total: u64,
-    /// Bumped on every link-liveness change (fail/repair); cached route
-    /// search state from an older epoch is invalid and must be dropped.
+    /// Bumped on every link-liveness change (fail/repair).
     topology_epoch: u64,
     /// Registered shared-risk link groups, indexed by group id. A group's
     /// member links fail and recover *together* (one conduit cut, one
@@ -282,9 +286,8 @@ pub struct Network {
     srlgs: Vec<Vec<LinkId>>,
     /// Reusable route-search buffers (see [`RouteScratch`]): admission
     /// planning allocates nothing per attempt. Interior mutability because
-    /// planning takes `&self`. `scratch_epoch` records which topology
-    /// epoch the buffers were last validated against.
-    scratch: Mutex<(u64, RouteScratch)>,
+    /// planning takes `&self`.
+    scratch: Mutex<RouteScratch>,
     /// Memo of successful route plans, consulted by
     /// [`Network::plan_establish`] when [`NetworkConfig::route_cache`] is
     /// set. Interior mutability because planning takes `&self` but a
@@ -312,7 +315,7 @@ impl Clone for Network {
             dropped_total: self.dropped_total,
             topology_epoch: self.topology_epoch,
             srlgs: self.srlgs.clone(),
-            scratch: Mutex::new((0, RouteScratch::new())),
+            scratch: Mutex::new(RouteScratch::new()),
             cache: Mutex::new(self.lock_cache().clone()),
             fill: FillScratch::default(),
         }
@@ -352,7 +355,7 @@ impl Network {
             dropped_total: 0,
             topology_epoch: 0,
             srlgs: Vec::new(),
-            scratch: Mutex::new((0, RouteScratch::new())),
+            scratch: Mutex::new(RouteScratch::new()),
             cache: Mutex::new(RouteCache::new()),
             fill: FillScratch::default(),
         }
@@ -378,22 +381,17 @@ impl Network {
 
     /// The current topology epoch: incremented by every
     /// [`Network::fail_link`], [`Network::repair_link`], and
-    /// [`Network::fail_node`] call. Anything caching route-search state
+    /// [`Network::fail_node`] call. Anything caching *routes* planned
     /// against this network must revalidate when the epoch moves.
     pub fn topology_epoch(&self) -> u64 {
         self.topology_epoch
     }
 
-    /// Runs `f` with the network's route-search scratch, invalidating it
-    /// first if the topology epoch moved since its last use.
+    /// Runs `f` with the network's route-search scratch. Its tables are
+    /// generation-stamped and failures only flip link liveness (the node
+    /// and link sets never change), so it needs no invalidation.
     fn with_scratch<T>(&self, f: impl FnOnce(&mut RouteScratch) -> T) -> T {
-        let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        let (seen_epoch, scratch) = &mut *guard;
-        if *seen_epoch != self.topology_epoch {
-            scratch.invalidate();
-            *seen_epoch = self.topology_epoch;
-        }
-        f(scratch)
+        f(&mut self.scratch.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// The underlying topology.
@@ -542,7 +540,7 @@ impl Network {
     /// admitted traffic can change *which* error a request gets).
     ///
     /// The caller supplies the [`RouteScratch`] (one per planning thread);
-    /// it must be fresh or last used against this same topology epoch.
+    /// any scratch will do, whatever it was last used for.
     pub fn plan_establish_traced(
         &self,
         scratch: &mut RouteScratch,
@@ -690,28 +688,37 @@ impl Network {
         existing: &[Path],
         fp: Option<&RefCell<Vec<LinkId>>>,
     ) -> Option<Path> {
-        let primary_links = primary.links().to_vec();
-        let taken: BTreeSet<LinkId> = existing
-            .iter()
-            .flat_map(|b| b.links().iter().copied())
-            .collect();
         let touch = |l: LinkId| {
             if let Some(f) = fp {
                 f.borrow_mut().push(l);
             }
         };
+        let would_reserve = |l: LinkId| {
+            self.links[l.index()]
+                .reservation_if_backup_added(min, &conflict_set(primary.links(), l))
+        };
+        // A search asks a link's allowance right after its filter passed,
+        // and both need the same would-be reservation: the filter leaves
+        // its answer here.
+        let reserved: Cell<Option<(LinkId, Bandwidth)>> = Cell::new(None);
         let backup_filter = |l: LinkId| {
             touch(l);
-            !taken.contains(&l)
-                && self.links[l.index()].can_admit_backup(min, &conflict_set(&primary_links, l))
+            if existing.iter().any(|b| b.crosses(l)) {
+                return false;
+            }
+            let reservation = would_reserve(l);
+            reserved.set(Some((l, reservation)));
+            self.links[l.index()].fits_backup_reservation(reservation)
         };
         let backup_allowance = |l: LinkId| {
             touch(l);
+            let reservation = match reserved.get() {
+                Some((of, reservation)) if of == l => reservation,
+                _ => would_reserve(l),
+            };
             let u = &self.links[l.index()];
-            u.capacity().saturating_sub(
-                u.primary_min_sum()
-                    + u.reservation_if_backup_added(min, &conflict_set(&primary_links, l)),
-            )
+            u.capacity()
+                .saturating_sub(u.primary_min_sum() + reservation)
         };
         routing::route_backup_with(
             scratch,
@@ -1811,7 +1818,7 @@ mod tests {
         assert_eq!(net.topology_epoch(), 1);
         net.repair_link(l).unwrap();
         assert_eq!(net.topology_epoch(), 2);
-        // Admission planning still works against the refreshed scratch.
+        // Admission planning still works: the scratch needs no refresh.
         net.establish(NodeId(0), NodeId(1), qos()).unwrap();
         net.validate();
         // fail_node bumps once per adjacent up link (ring: degree 2).
@@ -2452,7 +2459,7 @@ mod tests {
         let plan = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
         assert_eq!(net.route_cache_len(), 1);
         net.fail_link(plan.primary().links()[0]).unwrap();
-        assert_eq!(net.route_cache_len(), 0, "eager reverse-index eviction");
+        assert_eq!(net.route_cache_len(), 0, "eager eviction");
         assert!(net.route_cache_stats().stale_evictions >= 1);
         // Planning after the failure finds a fresh (different) primary.
         let replanned = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();

@@ -21,20 +21,27 @@
 //!   the search would reproduce the cached primary/backup pair verbatim:
 //!   a *hit*. Any mismatch ⇒ the entry is evicted (a *stale eviction*)
 //!   and the caller falls back to the real search.
-//! * **Reverse index** — `fail_link` / `repair_link` (and `fail_node`,
+//! * **Eviction by scan** — `fail_link` / `repair_link` (and `fail_node`,
 //!   which delegates) eagerly evict only the entries whose footprint
-//!   touches the changed link, via a link → keys index — never a global
-//!   flush. Capacity-crossing establishes/releases are caught lazily by
-//!   the digest check.
+//!   touches the changed link — never a global flush — by scanning the at
+//!   most [`MAX_ENTRIES`] entries and binary-searching each sorted
+//!   footprint. There is deliberately no link → keys index: a footprint
+//!   covers most of the graph, so keeping one costs hundreds of ordered-set
+//!   operations per memoized plan, and the paper's regime is arrivals far
+//!   more frequent than failures (λ ≫ γ) — microseconds per *fault* buy
+//!   back tens of microseconds per *arrival*. Capacity-crossing
+//!   establishes/releases are caught lazily by the digest check.
 //! * **Doorkeeper admission** — recording a footprint and hashing it into
 //!   an entry is not free, and a workload whose every plan is immediately
 //!   committed invalidates each entry before it can ever hit. So a key is
 //!   only memoized once [`RouteCache::promote`] has seen it miss twice:
 //!   one-shot endpoint pairs pay a single set probe, nothing more, while
 //!   genuinely recurring pairs are cached from their second miss on.
-//! * **Bounded size** — at most [`MAX_ENTRIES`] plans are retained
-//!   (approximate-FIFO eviction), keeping the reverse index small on
-//!   long-running networks whose stale entries are never looked up again.
+//! * **Bounded size** — at most [`MAX_ENTRIES`] keys are retained, in a
+//!   FIFO queue that holds each key once, at the position of its first
+//!   insertion: an evicted key keeps its (empty) slot until the queue
+//!   cycles it out, so a hot key that is evicted and re-memoized forever
+//!   neither jumps the queue nor grows it.
 //!
 //! Correctness does not rest on this module being clever: the testkit's
 //! `fuzz --diff-cache` mode replays every fuzzed operation sequence
@@ -50,9 +57,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// QoS component route planning can observe).
 pub type RouteCacheKey = (NodeId, NodeId, u64);
 
-/// Maximum number of retained plans; beyond it the oldest entry is
-/// evicted (approximate FIFO — re-inserted keys keep their original queue
-/// position until it cycles out).
+/// Maximum number of retained keys; beyond it the oldest is dropped
+/// (approximate FIFO — re-inserted keys keep their original queue position
+/// until it cycles out).
 pub const MAX_ENTRIES: usize = 1024;
 
 /// Cap on the doorkeeper's seen-once key set; when full it is simply
@@ -68,20 +75,28 @@ struct Entry {
     primary: Path,
     backups: Vec<Path>,
     /// Every link the planning search probed, with the digest of its
-    /// planning-visible state at plan time.
+    /// planning-visible state at plan time. Sorted by link.
     footprint: Vec<(LinkId, u64)>,
+}
+
+impl Entry {
+    fn touches(&self, link: LinkId) -> bool {
+        self.footprint
+            .binary_search_by_key(&link, |&(l, _)| l)
+            .is_ok()
+    }
 }
 
 /// The per-network route memo. See the module docs for the design.
 #[derive(Debug, Clone, Default)]
 pub struct RouteCache {
-    entries: BTreeMap<RouteCacheKey, Entry>,
-    /// Reverse index: link → keys whose footprint contains it.
-    by_link: BTreeMap<LinkId, BTreeSet<RouteCacheKey>>,
+    /// One slot per queued key: `Some` while a plan is memoized, `None`
+    /// once it was evicted as stale and until it is re-memoized or the
+    /// queue cycles the key out.
+    slots: BTreeMap<RouteCacheKey, Option<Entry>>,
     /// Doorkeeper: keys that have missed at least once (see module docs).
     candidates: BTreeSet<RouteCacheKey>,
-    /// Insertion order for capacity eviction. May contain keys already
-    /// removed elsewhere; they are skipped when popped.
+    /// The keys of `slots`, each once, in order of first insertion.
     order: VecDeque<RouteCacheKey>,
     stats: RouteCacheStats,
 }
@@ -94,12 +109,12 @@ impl RouteCache {
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.values().flatten().count()
     }
 
     /// Whether the cache holds no plans.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.values().all(Option::is_none)
     }
 
     /// Hit/miss/stale-eviction counters since creation.
@@ -117,24 +132,18 @@ impl RouteCache {
         key: RouteCacheKey,
         digest_of: impl Fn(LinkId) -> u64,
     ) -> Option<(Path, Vec<Path>)> {
-        match self.entries.get(&key) {
-            Some(entry) => {
+        if let Some(slot) = self.slots.get_mut(&key) {
+            if let Some(entry) = slot {
                 if entry.footprint.iter().all(|&(l, d)| digest_of(l) == d) {
                     self.stats.hits += 1;
-                    let entry = &self.entries[&key];
-                    Some((entry.primary.clone(), entry.backups.clone()))
-                } else {
-                    self.remove(key);
-                    self.stats.stale_evictions += 1;
-                    self.stats.misses += 1;
-                    None
+                    return Some((entry.primary.clone(), entry.backups.clone()));
                 }
-            }
-            None => {
-                self.stats.misses += 1;
-                None
+                *slot = None;
+                self.stats.stale_evictions += 1;
             }
         }
+        self.stats.misses += 1;
+        None
     }
 
     /// Records a miss for `key` with the doorkeeper and reports whether
@@ -148,79 +157,64 @@ impl RouteCache {
         !self.candidates.insert(key)
     }
 
-    /// Inserts (or replaces) the plan for `key`, evicting the oldest
-    /// entries beyond [`MAX_ENTRIES`].
+    /// Inserts (or replaces) the plan for `key`, dropping the oldest keys
+    /// beyond [`MAX_ENTRIES`]. The footprint may arrive in any order.
     pub fn insert(
         &mut self,
         key: RouteCacheKey,
         epoch: u64,
         primary: Path,
         backups: Vec<Path>,
-        footprint: Vec<(LinkId, u64)>,
+        mut footprint: Vec<(LinkId, u64)>,
     ) {
-        self.remove(key); // drop a superseded entry's reverse-index refs
-        while self.entries.len() >= MAX_ENTRIES {
+        // `evict_link` binary-searches footprints. The network hands them
+        // over sorted, which the sort recognizes in one linear pass.
+        footprint.sort_unstable_by_key(|&(l, _)| l);
+        let entry = Some(Entry {
+            epoch,
+            primary,
+            backups,
+            footprint,
+        });
+        if let Some(slot) = self.slots.get_mut(&key) {
+            *slot = entry; // already queued, at its first position
+            return;
+        }
+        while self.order.len() >= MAX_ENTRIES {
             let Some(oldest) = self.order.pop_front() else {
                 break;
             };
-            if self.entries.contains_key(&oldest) {
-                self.remove(oldest);
-            }
-        }
-        for &(l, _) in &footprint {
-            self.by_link.entry(l).or_default().insert(key);
+            self.slots.remove(&oldest);
         }
         self.order.push_back(key);
-        self.entries.insert(
-            key,
-            Entry {
-                epoch,
-                primary,
-                backups,
-                footprint,
-            },
-        );
+        self.slots.insert(key, entry);
     }
 
     /// Eagerly evicts every entry whose footprint touches `link` (called
     /// on fail/repair). Returns how many entries were dropped; each
     /// counts as a stale eviction.
     pub fn evict_link(&mut self, link: LinkId) -> usize {
-        let Some(keys) = self.by_link.get(&link) else {
-            return 0;
-        };
-        let keys: Vec<RouteCacheKey> = keys.iter().copied().collect();
-        for &key in &keys {
-            self.remove(key);
+        let mut evicted = 0;
+        for slot in self.slots.values_mut() {
+            if slot.as_ref().is_some_and(|e| e.touches(link)) {
+                *slot = None;
+                evicted += 1;
+            }
         }
-        self.stats.stale_evictions += keys.len() as u64;
-        keys.len()
+        self.stats.stale_evictions += evicted as u64;
+        evicted
     }
 
     /// The insertion epoch of the entry for `key`, if cached.
     pub fn entry_epoch(&self, key: RouteCacheKey) -> Option<u64> {
-        self.entries.get(&key).map(|e| e.epoch)
-    }
-
-    /// Removes one entry and its reverse-index references.
-    fn remove(&mut self, key: RouteCacheKey) {
-        let Some(entry) = self.entries.remove(&key) else {
-            return;
-        };
-        for (l, _) in entry.footprint {
-            if let Some(keys) = self.by_link.get_mut(&l) {
-                keys.remove(&key);
-                if keys.is_empty() {
-                    self.by_link.remove(&l);
-                }
-            }
-        }
+        self.slots.get(&key)?.as_ref().map(|e| e.epoch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drqos_sim::rng::Rng;
     use drqos_topology::graph::Graph;
 
     fn key(s: usize, d: usize) -> RouteCacheKey {
@@ -272,7 +266,7 @@ mod tests {
         assert!(cache.is_empty());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.stale_evictions), (0, 1, 1));
-        // The reverse index forgot the entry too.
+        // A later fault on the footprint finds nothing left to evict.
         assert_eq!(cache.evict_link(LinkId(0)), 0);
     }
 
@@ -320,7 +314,7 @@ mod tests {
         );
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.entry_epoch(key(0, 2)), Some(1));
-        // The old footprint link no longer maps to the key.
+        // The superseded footprint no longer names the key.
         assert_eq!(cache.evict_link(LinkId(0)), 0);
         assert_eq!(cache.evict_link(LinkId(2)), 1);
         assert!(cache.is_empty());
@@ -348,9 +342,83 @@ mod tests {
         assert!(cache
             .entry_epoch(key(MAX_ENTRIES, MAX_ENTRIES + 1))
             .is_some());
-        // The evicted entry's reverse-index refs are gone with it: failing
-        // the shared link drops exactly the retained entries.
+        // Failing the shared link drops exactly the retained entries.
         assert_eq!(cache.evict_link(LinkId(0)), MAX_ENTRIES);
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn evict_link_agrees_with_a_brute_force_footprint_scan() {
+        let g = line4();
+        let p = path(&g, &[0, 1]);
+        let mut rng = Rng::seed_from_u64(0x15_CAC4E);
+        let mut cache = RouteCache::new();
+        // What the cache should hold: key index → footprint links.
+        let mut model: BTreeMap<usize, Vec<LinkId>> = BTreeMap::new();
+        for round in 0..40 {
+            for _ in 0..30 {
+                let k = rng.range_usize(200);
+                let mut links: Vec<LinkId> = (0..24).map(LinkId).collect();
+                rng.shuffle(&mut links);
+                links.truncate(1 + rng.range_usize(12));
+                // Handed over unsorted: eviction must still find them.
+                let footprint = links.iter().map(|&l| (l, 1)).collect();
+                cache.insert(key(k, k + 1), round, p.clone(), vec![], footprint);
+                model.insert(k, links);
+            }
+            let failed = LinkId(rng.range_usize(24));
+            let before = cache.stats().stale_evictions;
+            let named: Vec<usize> = model
+                .iter()
+                .filter(|(_, links)| links.contains(&failed))
+                .map(|(&k, _)| k)
+                .collect();
+            assert!(!named.is_empty() && named.len() < model.len());
+            assert_eq!(cache.evict_link(failed), named.len());
+            assert_eq!(cache.stats().stale_evictions - before, named.len() as u64);
+            for k in named {
+                model.remove(&k);
+            }
+            assert_eq!(cache.len(), model.len());
+            for &k in model.keys() {
+                assert!(cache.entry_epoch(key(k, k + 1)).is_some(), "lost {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_hot_key_set_does_not_grow_the_queue() {
+        // Eight keys, each found stale and re-memoized ten thousand times.
+        let g = line4();
+        let p = path(&g, &[0, 1]);
+        let mut cache = RouteCache::new();
+        for cycle in 0..10_000 {
+            for k in 0..8 {
+                if cycle > 0 {
+                    assert!(cache.lookup(key(k, k + 1), |_| cycle).is_none());
+                }
+                let footprint = vec![(LinkId(0), cycle)];
+                cache.insert(key(k, k + 1), 0, p.clone(), vec![], footprint);
+            }
+        }
+        assert_eq!(cache.len(), 8);
+        assert_eq!(cache.order.len(), 8);
+        assert_eq!(cache.stats().stale_evictions, 8 * 9_999);
+    }
+
+    #[test]
+    fn evicted_keys_count_towards_the_bound_until_cycled_out() {
+        // Keys that are memoized once and evicted for good must not pile
+        // up in the queue either.
+        let g = line4();
+        let p = path(&g, &[0, 1]);
+        let mut cache = RouteCache::new();
+        for k in 0..3 * MAX_ENTRIES {
+            cache.insert(key(k, k + 1), 0, p.clone(), vec![], vec![(LinkId(0), 1)]);
+            assert!(cache.lookup(key(k, k + 1), |_| 2).is_none());
+            assert!(cache.order.len() <= MAX_ENTRIES);
+            assert_eq!(cache.order.len(), cache.slots.len());
+        }
         assert!(cache.is_empty());
     }
 

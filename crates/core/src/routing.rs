@@ -21,7 +21,6 @@
 use crate::qos::Bandwidth;
 use drqos_topology::graph::{Graph, LinkId, NodeId};
 use drqos_topology::paths::{bfs_path_with, BfsScratch, LinkFilter, Path};
-use std::collections::HashSet;
 
 /// The route-selection strategy of a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,13 +66,14 @@ pub enum BackupDisjointness {
 
 /// Reusable buffers for [`flood_path_with`].
 ///
-/// A flood search needs four per-node tables plus two frontier vectors;
-/// allocating them on every admission attempt dominated the cost of short
-/// searches. The tables are generation-stamped (`stamp[v] == gen` marks
-/// the entry as belonging to the current search), so beginning a search is
-/// O(1). [`FloodScratch::invalidate`] drops everything; callers caching a
-/// scratch across topology changes must call it when the link set changes
-/// (the `Network` topology epoch automates this).
+/// A flood search needs four per-node tables, a per-link probe memo and
+/// two frontier vectors; allocating them on every admission attempt
+/// dominated the cost of short searches. The tables are
+/// generation-stamped (`stamp[v] == gen` marks the entry as belonging to
+/// the current search), so beginning a search is O(1) and nothing a
+/// previous search wrote can be read by the next — a scratch may be kept
+/// across any number of searches, over any graphs, with no invalidation.
+/// [`FloodScratch::invalidate`] merely releases the buffers' contents.
 #[derive(Debug, Clone, Default)]
 pub struct FloodScratch {
     gen: u64,
@@ -81,6 +81,12 @@ pub struct FloodScratch {
     hops: Vec<usize>,
     bottleneck: Vec<Bandwidth>,
     parent: Vec<NodeId>,
+    /// Probe memo: `link_stamp[l] == gen` marks `link_allowance[l]` as
+    /// this search's answer for link `l` — `None` if the filter refused
+    /// it, else its allowance. A link is reached from both endpoints (and
+    /// again by every same-layer improvement), but asked about once.
+    link_stamp: Vec<u64>,
+    link_allowance: Vec<Option<Bandwidth>>,
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
 }
@@ -91,29 +97,38 @@ impl FloodScratch {
         Self::default()
     }
 
-    /// Drops all cached search state (call after any topology change).
+    /// Drops all cached search state. Never required for correctness (see
+    /// the type docs); the buffers re-grow on the next search.
     pub fn invalidate(&mut self) {
         self.gen = 0;
         self.stamp.clear();
         self.hops.clear();
         self.bottleneck.clear();
         self.parent.clear();
+        self.link_stamp.clear();
+        self.link_allowance.clear();
         self.frontier.clear();
         self.next.clear();
     }
 
-    /// Prepares the buffers for a fresh search over `n` nodes.
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.hops.resize(n, usize::MAX);
-            self.bottleneck.resize(n, Bandwidth::ZERO);
-            self.parent.resize(n, NodeId(usize::MAX));
+    /// Prepares the buffers for a fresh search over `nodes` nodes and
+    /// `links` links.
+    fn begin(&mut self, nodes: usize, links: usize) {
+        if self.stamp.len() < nodes {
+            self.stamp.resize(nodes, 0);
+            self.hops.resize(nodes, usize::MAX);
+            self.bottleneck.resize(nodes, Bandwidth::ZERO);
+            self.parent.resize(nodes, NodeId(usize::MAX));
+        }
+        if self.link_stamp.len() < links {
+            self.link_stamp.resize(links, 0);
+            self.link_allowance.resize(links, None);
         }
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Generation wrapped: stale stamps could alias. Reset them all.
             self.stamp.iter_mut().for_each(|s| *s = 0);
+            self.link_stamp.iter_mut().for_each(|s| *s = 0);
             self.gen = 1;
         }
         self.frontier.clear();
@@ -129,6 +144,23 @@ impl FloodScratch {
         self.hops[v.0] = level;
         self.bottleneck[v.0] = cand;
         self.parent[v.0] = from;
+    }
+
+    /// This search's answer for link `l`: `None` if `filter` refuses it,
+    /// else its `allowance`. Each closure runs at most once per link per
+    /// search; the first time a link is reached decides.
+    fn probe(
+        &mut self,
+        l: LinkId,
+        filter: &LinkFilter,
+        allowance: &dyn Fn(LinkId) -> Bandwidth,
+    ) -> Option<Bandwidth> {
+        let i = l.index();
+        if self.link_stamp[i] != self.gen {
+            self.link_stamp[i] = self.gen;
+            self.link_allowance[i] = filter(l).then(|| allowance(l));
+        }
+        self.link_allowance[i]
     }
 }
 
@@ -183,7 +215,7 @@ pub fn flood_path_with(
     if src == dst {
         return Path::from_nodes(graph, vec![src]).ok();
     }
-    scratch.begin(graph.node_count());
+    scratch.begin(graph.node_count(), graph.link_count());
     scratch.discover(src, 0, Bandwidth::kbps(u64::MAX), src);
     let mut frontier = std::mem::take(&mut scratch.frontier);
     let mut next = std::mem::take(&mut scratch.next);
@@ -195,10 +227,10 @@ pub fn flood_path_with(
         next.clear();
         for &u in &frontier {
             for &(v, l) in graph.neighbors(u) {
-                if !filter(l) {
+                let Some(allowed) = scratch.probe(l, filter, allowance) else {
                     continue;
-                }
-                let cand = scratch.bottleneck[u.0].min(allowance(l));
+                };
+                let cand = scratch.bottleneck[u.0].min(allowed);
                 if !scratch.discovered(v) {
                     scratch.discover(v, level + 1, cand, u);
                     next.push(v);
@@ -237,8 +269,8 @@ pub fn flood_path_with(
 
 /// Reusable route-search state for one network: flood and BFS buffers
 /// behind a single handle, so the admission path allocates nothing per
-/// attempt. `Network` owns one and invalidates it through its topology
-/// epoch whenever the link set changes.
+/// attempt. Both are generation-stamped, so the handle outlives link
+/// failures and repairs (which only flip liveness the filters read).
 #[derive(Debug, Clone, Default)]
 pub struct RouteScratch {
     /// Buffers for [`flood_path_with`].
@@ -253,7 +285,7 @@ impl RouteScratch {
         Self::default()
     }
 
-    /// Drops all cached search state (call after any topology change).
+    /// Drops all cached search state (never required for correctness).
     pub fn invalidate(&mut self) {
         self.flood.invalidate();
         self.bfs.invalidate();
@@ -344,8 +376,9 @@ pub fn route_backup_with(
     filter: &LinkFilter,
     allowance: &dyn Fn(LinkId) -> Bandwidth,
 ) -> Option<Path> {
-    let primary_links: HashSet<LinkId> = primary.links().iter().copied().collect();
-    let disjoint_filter = |l: LinkId| !primary_links.contains(&l) && filter(l);
+    // A path is at most a diameter plus slack long: `crosses` scans its
+    // link slice, which beats hashing it.
+    let disjoint_filter = |l: LinkId| !primary.crosses(l) && filter(l);
     let (src, dst) = (primary.source(), primary.destination());
     let strict = match kind {
         RouterKind::BoundedFlooding { hop_slack } => {
@@ -371,7 +404,7 @@ pub fn route_backup_with(
     // a lexicographic weight. Any feasible link may be used.
     const SHARE_PENALTY: f64 = 65_536.0; // far above any hop count
     let weight = |l: LinkId| {
-        if primary_links.contains(&l) {
+        if primary.crosses(l) {
             1.0 + SHARE_PENALTY
         } else {
             1.0
@@ -379,7 +412,7 @@ pub fn route_backup_with(
     };
     let candidate = drqos_topology::paths::dijkstra_path(graph, src, dst, &weight, filter)?;
     // A backup that *is* the primary protects nothing.
-    if candidate.links().iter().all(|l| primary_links.contains(l)) {
+    if candidate.links().iter().all(|&l| primary.crosses(l)) {
         return None;
     }
     Some(candidate)
@@ -387,11 +420,10 @@ pub fn route_backup_with(
 
 /// Number of links `backup` shares with `primary`.
 pub fn shared_links(primary: &Path, backup: &Path) -> usize {
-    let primary_links: HashSet<LinkId> = primary.links().iter().copied().collect();
     backup
         .links()
         .iter()
-        .filter(|l| primary_links.contains(l))
+        .filter(|&&l| primary.crosses(l))
         .count()
 }
 
@@ -412,8 +444,11 @@ pub fn route_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drqos_sim::rng::Rng;
     use drqos_topology::paths::pass_all;
     use drqos_topology::regular;
+    use drqos_topology::waxman::paper_waxman;
+    use std::cell::RefCell;
 
     fn no_allowance_bias(_: LinkId) -> Bandwidth {
         Bandwidth::kbps(1_000)
@@ -684,6 +719,262 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.hop_count(), 2, "torus corner-to-corner is 2 hops");
+    }
+
+    /// The flood loop as it was before the probe memo, kept verbatim as
+    /// the reference: `filter` and `allowance` run every time a link is
+    /// reached.
+    fn flood_path_reference(
+        scratch: &mut FloodScratch,
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        hop_bound: usize,
+        filter: &LinkFilter,
+        allowance: &dyn Fn(LinkId) -> Bandwidth,
+    ) -> Option<Path> {
+        assert!(graph.contains_node(src) && graph.contains_node(dst));
+        if src == dst {
+            return Path::from_nodes(graph, vec![src]).ok();
+        }
+        scratch.begin(graph.node_count(), graph.link_count());
+        scratch.discover(src, 0, Bandwidth::kbps(u64::MAX), src);
+        let mut frontier = std::mem::take(&mut scratch.frontier);
+        let mut next = std::mem::take(&mut scratch.next);
+        frontier.push(src);
+        for level in 0..hop_bound {
+            if frontier.is_empty() {
+                break;
+            }
+            next.clear();
+            for &u in &frontier {
+                for &(v, l) in graph.neighbors(u) {
+                    if !filter(l) {
+                        continue;
+                    }
+                    let cand = scratch.bottleneck[u.0].min(allowance(l));
+                    if !scratch.discovered(v) {
+                        scratch.discover(v, level + 1, cand, u);
+                        next.push(v);
+                    } else if scratch.hops[v.0] == level + 1 && cand > scratch.bottleneck[v.0] {
+                        scratch.bottleneck[v.0] = cand;
+                        scratch.parent[v.0] = u;
+                    }
+                }
+            }
+            if scratch.discovered(dst) {
+                break;
+            }
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        let found = scratch.discovered(dst);
+        let path = if found {
+            let mut nodes = vec![dst];
+            let mut cur = dst;
+            while cur != src {
+                cur = scratch.parent[cur.0];
+                nodes.push(cur);
+            }
+            nodes.reverse();
+            Path::from_nodes(graph, nodes).ok()
+        } else {
+            None
+        };
+        scratch.frontier = frontier;
+        scratch.next = next;
+        path
+    }
+
+    type Flood = fn(
+        &mut FloodScratch,
+        &Graph,
+        NodeId,
+        NodeId,
+        usize,
+        &LinkFilter,
+        &dyn Fn(LinkId) -> Bandwidth,
+    ) -> Option<Path>;
+
+    /// What one search did: its answer and every link it offered to each
+    /// closure, in call order.
+    struct Searched {
+        path: Option<Path>,
+        filtered: Vec<LinkId>,
+        allowed: Vec<LinkId>,
+    }
+
+    impl Searched {
+        /// The footprint a recording caller would keep.
+        fn probed(&self) -> Vec<LinkId> {
+            let mut all: Vec<LinkId> = self.filtered.iter().chain(&self.allowed).copied().collect();
+            all.sort_unstable();
+            all.dedup();
+            all
+        }
+    }
+
+    /// One seeded search: endpoints, hop bound, and per-link answers.
+    struct FloodCase {
+        src: NodeId,
+        dst: NodeId,
+        hop_bound: usize,
+        refused: Vec<bool>,
+        allowance: Vec<Bandwidth>,
+    }
+
+    impl FloodCase {
+        fn draw(rng: &mut Rng, graph: &Graph) -> Self {
+            let n = graph.node_count();
+            let src = NodeId(rng.range_usize(n));
+            let dst = if rng.chance(0.05) {
+                src
+            } else {
+                NodeId(rng.range_usize(n))
+            };
+            let hop_bound = match rng.range_usize(4) {
+                0 => n, // unbounded
+                1 => 1 + rng.range_usize(2),
+                _ => 1 + rng.range_usize(8),
+            };
+            let refuse = [0.0, 0.1, 0.3, 0.6][rng.range_usize(4)];
+            // Three allowance values over dozens of links: ties everywhere.
+            Self {
+                src,
+                dst,
+                hop_bound,
+                refused: graph.links().map(|_| rng.chance(refuse)).collect(),
+                allowance: graph
+                    .links()
+                    .map(|_| Bandwidth::kbps(100 * (1 + rng.range_u64(3))))
+                    .collect(),
+            }
+        }
+
+        fn run(&self, flood: Flood, scratch: &mut FloodScratch, graph: &Graph) -> Searched {
+            let filtered = RefCell::new(Vec::new());
+            let allowed = RefCell::new(Vec::new());
+            let path = flood(
+                scratch,
+                graph,
+                self.src,
+                self.dst,
+                self.hop_bound,
+                &|l| {
+                    filtered.borrow_mut().push(l);
+                    !self.refused[l.index()]
+                },
+                &|l| {
+                    allowed.borrow_mut().push(l);
+                    self.allowance[l.index()]
+                },
+            );
+            Searched {
+                path,
+                filtered: filtered.into_inner(),
+                allowed: allowed.into_inner(),
+            }
+        }
+    }
+
+    /// Ring (with an unreachable extra node), torus and Waxman.
+    fn flood_graphs() -> Vec<Graph> {
+        let mut ring = regular::ring(12).unwrap();
+        ring.add_node();
+        let waxman = paper_waxman(40)
+            .generate(&mut Rng::seed_from_u64(15))
+            .unwrap();
+        vec![ring, regular::torus(4, 5).unwrap(), waxman]
+    }
+
+    /// Runs `cases` seeded searches through the memoized flood and the
+    /// reference, one scratch each for the whole run (across graphs of
+    /// different sizes and a generation wrap), and reports the first case
+    /// on which the answers or the probed-link sets differ. With
+    /// `stale_memo` the memoized side is sabotaged: its memo entries are
+    /// carried into the next search instead of being forgotten.
+    fn flood_differential(cases: usize, stale_memo: bool) -> Result<(), String> {
+        let graphs = flood_graphs();
+        let mut rng = Rng::seed_from_u64(0x15_F100D);
+        let mut memo_scratch = FloodScratch::new();
+        let mut ref_scratch = FloodScratch::new();
+        for i in 0..cases {
+            let graph = &graphs[(i / 4) % graphs.len()];
+            let case = FloodCase::draw(&mut rng, graph);
+            if stale_memo {
+                let gen = memo_scratch.gen;
+                for stamp in &mut memo_scratch.link_stamp {
+                    if *stamp == gen {
+                        *stamp = gen + 1;
+                    }
+                }
+            } else if i == 1 {
+                // Case 0 stamped its answers with generation 1; this case
+                // wraps back to generation 1 and must not see them.
+                memo_scratch.gen = u64::MAX;
+            }
+            let got = case.run(flood_path_with, &mut memo_scratch, graph);
+            let want = case.run(flood_path_reference, &mut ref_scratch, graph);
+            if got.path != want.path {
+                return Err(format!(
+                    "case {i}: path {:?}, reference {:?}",
+                    got.path, want.path
+                ));
+            }
+            if got.probed() != want.probed() {
+                return Err(format!("case {i}: probed-link sets differ"));
+            }
+            // One probe per link: the memoized side's call logs are
+            // duplicate-free, and only passed links are asked an allowance.
+            if got.filtered.len() != got.probed().len() {
+                return Err(format!("case {i}: a link was filtered twice"));
+            }
+            let passed: Vec<LinkId> = got
+                .filtered
+                .iter()
+                .copied()
+                .filter(|l| !case.refused[l.index()])
+                .collect();
+            if got.allowed != passed {
+                return Err(format!("case {i}: allowance calls {:?}", got.allowed));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn memoized_flood_matches_the_reference_on_2400_seeded_cases() {
+        flood_differential(2400, false).unwrap();
+    }
+
+    #[test]
+    fn a_memo_that_outlives_its_search_is_caught() {
+        let caught = flood_differential(2400, true);
+        assert!(caught.is_err(), "stale memo answers went unnoticed");
+    }
+
+    #[test]
+    fn no_link_is_probed_twice_in_one_search() {
+        // Corner to corner on a torus with everything passable: every
+        // link is reached from both ends.
+        let g = regular::torus(4, 4).unwrap();
+        let case = FloodCase {
+            src: NodeId(0),
+            dst: NodeId(10),
+            hop_bound: 16,
+            refused: vec![false; g.link_count()],
+            allowance: vec![Bandwidth::kbps(100); g.link_count()],
+        };
+        let count = |calls: &[LinkId], l: LinkId| calls.iter().filter(|&&c| c == l).count();
+        let memo = case.run(flood_path_with, &mut FloodScratch::new(), &g);
+        let reference = case.run(flood_path_reference, &mut FloodScratch::new(), &g);
+        assert_eq!(memo.path, reference.path);
+        for link in g.links() {
+            assert!(count(&memo.filtered, link.id()) <= 1, "{}", link.id());
+            assert!(count(&memo.allowed, link.id()) <= 1, "{}", link.id());
+        }
+        // The reference shows there was something to save.
+        assert!(g.links().any(|l| count(&reference.filtered, l.id()) > 1));
+        assert!(reference.allowed.len() > memo.allowed.len());
     }
 
     #[test]

@@ -35,8 +35,7 @@ impl Path {
                 "path must contain at least one node".into(),
             ));
         }
-        let distinct: HashSet<NodeId> = nodes.iter().copied().collect();
-        if distinct.len() != nodes.len() {
+        if has_repeat(&nodes) {
             return Err(TopologyError::InvalidParameter(
                 "path must not repeat nodes".into(),
             ));
@@ -83,17 +82,26 @@ impl Path {
 
     /// Whether this path and `other` share at least one link.
     pub fn shares_link_with(&self, other: &Path) -> bool {
-        if self.links.len() > other.links.len() {
-            return other.shares_link_with(self);
-        }
-        let mine: HashSet<LinkId> = self.links.iter().copied().collect();
-        other.links.iter().any(|l| mine.contains(l))
+        other.links.iter().any(|&l| self.crosses(l))
     }
 
     /// Whether this path and `other` have no link in common.
     pub fn is_link_disjoint(&self, other: &Path) -> bool {
         !self.shares_link_with(other)
     }
+}
+
+/// Whether `nodes` names a node twice. Routes are at most a diameter plus
+/// slack long, where comparing every pair beats hashing; a long sequence
+/// is checked on a sorted copy instead.
+fn has_repeat(nodes: &[NodeId]) -> bool {
+    const SCAN_LIMIT: usize = 32;
+    if nodes.len() <= SCAN_LIMIT {
+        return (1..nodes.len()).any(|i| nodes[..i].contains(&nodes[i]));
+    }
+    let mut sorted = nodes.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).any(|w| w[0] == w[1])
 }
 
 /// A per-link admission filter used by the searches: return `false` to make
@@ -106,10 +114,10 @@ pub type LinkFilter<'a> = dyn Fn(LinkId) -> bool + 'a;
 /// allocating them per call dominates the cost of short searches on the
 /// admission path. A scratch is generation-stamped: `stamp[v] == gen`
 /// marks `prev[v]` as belonging to the current search, so starting a new
-/// search is O(1) — just bump the generation. [`BfsScratch::invalidate`]
-/// drops everything; callers that cache a scratch across topology changes
-/// (see `Network`'s topology epoch in `drqos-core`) call it whenever the
-/// graph's link set changes.
+/// search is O(1) — just bump the generation — and no search can read what
+/// an earlier one wrote: a scratch may be kept across any number of
+/// searches with no invalidation. [`BfsScratch::invalidate`] merely
+/// releases the buffers' contents.
 #[derive(Debug, Clone, Default)]
 pub struct BfsScratch {
     gen: u64,
@@ -124,7 +132,8 @@ impl BfsScratch {
         Self::default()
     }
 
-    /// Drops all cached search state (call after any topology change).
+    /// Drops all cached search state. Never required for correctness (see
+    /// the type docs); the buffers re-grow on the next search.
     pub fn invalidate(&mut self) {
         self.gen = 0;
         self.stamp.clear();
