@@ -16,7 +16,6 @@ pub mod csv;
 pub mod experiments;
 pub mod microbench;
 pub mod runner;
-pub mod trajectory;
 
 pub use experiments::{
     ablation, dependability, fig2, fig3, fig4, scenario_scaling, scenario_sweep, table1,

@@ -6,18 +6,20 @@
 //! runs locally" means — the planning work happens on the member owning
 //! the source node), and send the coordinator a **PREPARE** carrying the
 //! admission footprint: every link the member's planner probed, with its
-//! plan digest at planning time. The coordinator then runs the same
-//! two-phase reserve/commit as [`drqos_core::shard::ShardedNetwork`]:
+//! plan digest at planning time. The two phases are:
 //!
-//! 1. **Reserve** — insert a pending reservation into the ledger of every
-//!    partition the footprint touches, in ascending compact-shard order
-//!    (the canonical total order; see [`Partition::touched_shards`]).
-//! 2. **Validate** — recheck every footprint digest against the
-//!    authoritative network. All unchanged ⇒ the member's plan is exactly
-//!    what serial planning would produce now, and **COMMIT** applies it.
-//!    Any digest moved ⇒ the reservation aborts into a serial replan at
-//!    the request's sequential point — the monolith's own path (counted
-//!    in [`Coordinator::stale_replans`]).
+//! 1. **PREPARE = validate + ticket.** The coordinator answers whether
+//!    every footprint digest is current *now* ([`Prepared::fresh`], the
+//!    verdict on the wire) and opens a ticket holding the member id and
+//!    the footprint. Tickets are the coordinator's only two-phase state;
+//!    a crash, a leave or a member-side timeout aborts them.
+//! 2. **COMMIT = admit + oplog.** The ticket closes and the request goes
+//!    through [`Network::admit`] — the same admission step as a sharded
+//!    wave — with the member's plan and the ticket's footprint as the
+//!    hint, so the footprint is validated *at commit time*: a verdict
+//!    that was fresh at prepare and went stale since is re-planned at the
+//!    request's sequential point like any other stale hint (counted in
+//!    [`Coordinator::stale_replans`]).
 //!
 //! Every committed operation — admissions, releases, failures, repairs,
 //! and membership rebalances — is appended to an **oplog**. Replicas pull
@@ -31,17 +33,17 @@
 //! partition is recomputed over the survivors
 //! ([`crate::rebalance::Assignment`]) while the replicated network state
 //! is untouched, the same way the paper's connections survive link
-//! failures without re-admission. A CRASH additionally aborts the
-//! member's in-flight prepares, releasing their reservations.
-//!
-//! [`Partition::touched_shards`]: drqos_topology::Partition::touched_shards
+//! failures without re-admission. A departure additionally aborts the
+//! member's open tickets.
 
 use crate::rebalance::Assignment;
 use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
 use drqos_core::error::{AdmissionError, ClusterError, NetworkError};
 use drqos_core::invariant::InvariantViolation;
-use drqos_core::network::{EstablishPlan, EstablishRequest, FailureReport, Network, PendingFill};
+use drqos_core::network::{
+    EstablishPlan, EstablishRequest, FailureReport, Network, PendingFill, PrePlanned,
+};
 use drqos_core::qos::ElasticQos;
 use drqos_topology::{LinkId, NodeId};
 use std::collections::BTreeMap;
@@ -201,22 +203,22 @@ pub fn apply_committed(net: &mut Network, op: &CommittedOp) -> ApplyOutcome {
     }
 }
 
-/// A successful reservation: the ticket to commit or abort, and whether
-/// every footprint digest was still current at reserve time.
+/// An open ticket, and whether every footprint digest was current when
+/// it was opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Prepared {
     /// The two-phase ticket.
     pub ticket: u64,
-    /// `true` when the member's plan is provably identical to a serial
-    /// plan at this point (all probed digests unchanged).
+    /// The prepare-time verdict: `true` when all probed digests were
+    /// unchanged. Advisory — the commit validates again.
     pub fresh: bool,
 }
 
-/// An in-flight prepare, between reserve and commit/abort.
-#[derive(Debug)]
+/// An in-flight prepare, between PREPARE and COMMIT/ABORT.
+#[derive(Debug, Clone)]
 struct PendingPrepare {
     member: u64,
-    fresh: bool,
+    footprint: Vec<(LinkId, u64)>,
 }
 
 /// The commit authority of a federation (see the module docs).
@@ -225,8 +227,6 @@ pub struct Coordinator {
     net: Network,
     assignment: Assignment,
     alive: Vec<bool>,
-    /// Per-compact-shard reservation ledgers (ticket → owned links).
-    ledgers: Vec<BTreeMap<u64, Vec<LinkId>>>,
     pending: BTreeMap<u64, PendingPrepare>,
     next_ticket: u64,
     oplog: Vec<CommittedOp>,
@@ -245,14 +245,10 @@ impl Coordinator {
         let alive = vec![true; members.max(1)];
         let assignment = Assignment::compute(net.graph(), &alive, seed, policy)
             .expect("at least one member is alive by construction"); // lint:allow(panic-reachability): members.max(1) guarantees at least one alive member
-        let ledgers = (0..assignment.partition().shards())
-            .map(|_| BTreeMap::new())
-            .collect();
         Self {
             net,
             assignment,
             alive,
-            ledgers,
             pending: BTreeMap::new(),
             next_ticket: 0,
             oplog: Vec::new(),
@@ -313,23 +309,22 @@ impl Coordinator {
         self.aborted_prepares
     }
 
-    /// Reservations currently pending across all partition ledgers. Zero
-    /// between waves on a correct cluster; a leak here is how the
-    /// differential harness catches
+    /// Tickets currently open. Zero between waves on a correct cluster; a
+    /// leak here is how the differential harness catches
     /// [`ClusterFault::LosePrepare`](crate::sim::ClusterFault).
     pub fn pending_prepares(&self) -> usize {
-        self.ledgers.iter().map(|l| l.len()).sum()
+        self.pending.len()
     }
 
     /// Arms (or clears) the lost-prepare fault for the mutation
-    /// self-test: the next commit "forgets" to release one reservation.
+    /// self-test: the next commit "forgets" to close its ticket.
     pub fn set_lose_prepare(&mut self, lose: bool) {
         self.lose_prepare = lose;
         self.fault_fired = false;
     }
 
-    /// Phase 1 of the two-phase commit: reserve the touched partition
-    /// ledgers (ascending) and validate the footprint digests.
+    /// Phase 1: answer the prepare-time verdict and open a ticket holding
+    /// the footprint for the commit to validate.
     ///
     /// # Errors
     ///
@@ -344,48 +339,18 @@ impl Coordinator {
         }
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        let partition = self.assignment.partition();
-        let touched = partition.touched_shards(footprint.iter().map(|&(l, _)| l));
-        for &s in &touched {
-            let owned: Vec<LinkId> = footprint
-                .iter()
-                .map(|&(l, _)| l)
-                .filter(|&l| partition.shard_of_link(l) == s)
-                .collect();
-            if let Some(ledger) = self.ledgers.get_mut(s) {
-                ledger.insert(ticket, owned);
-            }
-        }
-        let fresh = footprint
-            .iter()
-            .all(|&(l, d)| self.net.link_usage(l).plan_digest() == d);
+        let fresh = self.net.footprint_is_current(footprint);
+        let footprint = footprint.to_vec();
         self.pending
-            .insert(ticket, PendingPrepare { member, fresh });
+            .insert(ticket, PendingPrepare { member, footprint });
         Ok(Prepared { ticket, fresh })
     }
 
-    /// Releases a ticket's reservations from every ledger. The injected
-    /// lost-prepare fault skips the first owned ledger entry once.
-    fn release_reservations(&mut self, ticket: u64) {
-        let lose = self.lose_prepare && !self.fault_fired;
-        let mut skipped = false;
-        for ledger in &mut self.ledgers {
-            if lose && !skipped && ledger.contains_key(&ticket) {
-                skipped = true;
-                continue;
-            }
-            ledger.remove(&ticket);
-        }
-        if skipped {
-            self.fault_fired = true;
-        }
-    }
-
-    /// Phase 2: commit a prepared establish. With a fresh footprint the
-    /// member's `planned` result is committed as-is (it is provably the
-    /// serial plan); a stale footprint — or a commit without a shipped
-    /// plan, the TCP daemons' mode — re-plans serially at this sequential
-    /// point. Either way the operation is appended to the oplog.
+    /// Phase 2: close the ticket and admit the request, with the member's
+    /// `planned` result (when one was shipped) and the ticket's footprint
+    /// as the hint. A commit without a shipped plan — the TCP daemons'
+    /// mode — plans at this sequential point. Either way the operation is
+    /// appended to the oplog.
     ///
     /// # Errors
     ///
@@ -398,31 +363,24 @@ impl Coordinator {
         req: &EstablishRequest,
         pending_fill: &mut PendingFill,
     ) -> Result<Result<ConnectionId, AdmissionError>, ClusterError> {
-        let pending = self
-            .pending
-            .remove(&ticket)
-            .ok_or(ClusterError::StalePrepare(ticket))?;
-        self.release_reservations(ticket);
-        let result = if pending.fresh {
-            match planned {
-                Some(Ok(plan)) => Ok(self.net.batch_commit(plan, pending_fill)),
-                Some(Err(e)) => Err(e),
-                None => self.replan(req, pending_fill),
-            }
+        let prepared = if self.lose_prepare && !self.fault_fired {
+            self.fault_fired = true;
+            self.pending.get(&ticket).cloned()
         } else {
+            self.pending.remove(&ticket)
+        }
+        .ok_or(ClusterError::StalePrepare(ticket))?;
+        if planned.is_none() && !self.net.footprint_is_current(&prepared.footprint) {
+            // Nothing was shipped to validate, but the member's plan would
+            // have been re-planned: the contention counter says so.
             self.stale_replans += 1;
-            self.replan(req, pending_fill)
-        };
-        self.oplog.push(CommittedOp::Establish {
-            src: req.src,
-            dst: req.dst,
-            qos: req.qos,
-        });
-        Ok(result)
+        }
+        let hint = planned.map(|plan| (plan, prepared.footprint));
+        Ok(self.admit(req, hint, pending_fill))
     }
 
-    /// Aborts a pending prepare (member-side timeout), releasing its
-    /// reservations without committing anything.
+    /// Aborts a pending prepare (member-side timeout) without committing
+    /// anything.
     ///
     /// # Errors
     ///
@@ -431,35 +389,36 @@ impl Coordinator {
         self.pending
             .remove(&ticket)
             .ok_or(ClusterError::StalePrepare(ticket))?;
-        self.release_reservations(ticket);
         self.aborted_prepares += 1;
         Ok(())
     }
 
-    /// Admits a request without a member prepare: the coordinator's own
-    /// serial path, used to re-establish requests orphaned by a member
-    /// crash mid-wave. Appends the oplog record like any commit.
+    /// Admits a request without a member prepare: used to re-establish
+    /// requests orphaned by a member crash mid-wave. Appends the oplog
+    /// record like any commit.
     pub fn establish_unprepared(
         &mut self,
         req: &EstablishRequest,
         pending_fill: &mut PendingFill,
     ) -> Result<ConnectionId, AdmissionError> {
-        let result = self.replan(req, pending_fill);
+        self.admit(req, None, pending_fill)
+    }
+
+    /// COMMIT = [`Network::admit`] + oplog.
+    fn admit(
+        &mut self,
+        req: &EstablishRequest,
+        hint: Option<PrePlanned>,
+        pending_fill: &mut PendingFill,
+    ) -> Result<ConnectionId, AdmissionError> {
+        let (result, stale) = self.net.admit(req, hint, pending_fill);
+        self.stale_replans += u64::from(stale);
         self.oplog.push(CommittedOp::Establish {
             src: req.src,
             dst: req.dst,
             qos: req.qos,
         });
         result
-    }
-
-    fn replan(
-        &mut self,
-        req: &EstablishRequest,
-        pending_fill: &mut PendingFill,
-    ) -> Result<ConnectionId, AdmissionError> {
-        let plan = self.net.plan_establish(req.src, req.dst, req.qos)?;
-        Ok(self.net.batch_commit(plan, pending_fill))
     }
 
     /// Flushes the deferred elastic fill at the end of a wave (the same
@@ -533,10 +492,9 @@ impl Coordinator {
         self.depart(member)
     }
 
-    /// Abrupt departure: like [`Coordinator::leave`], but first aborts
-    /// every prepare the member had in flight (their reservations are
-    /// released; the requests are the member's to retry — or its
-    /// clients').
+    /// Abrupt departure: like [`Coordinator::leave`], but the member's
+    /// open tickets abort even when the departure itself is refused (the
+    /// requests are the member's to retry — or its clients').
     ///
     /// # Errors
     ///
@@ -545,16 +503,14 @@ impl Coordinator {
         if !self.is_alive(member) {
             return Err(ClusterError::UnknownMember(member));
         }
-        let orphaned: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.member == member)
-            .map(|(&t, _)| t)
-            .collect();
-        for ticket in orphaned {
-            let _ = self.abort_prepare(ticket);
-        }
+        self.abort_prepares_of(member);
         self.depart(member)
+    }
+
+    fn abort_prepares_of(&mut self, member: u64) {
+        let open = self.pending.len();
+        self.pending.retain(|_, p| p.member != member);
+        self.aborted_prepares += (open - self.pending.len()) as u64;
     }
 
     fn depart(&mut self, member: u64) -> Result<(), ClusterError> {
@@ -564,17 +520,8 @@ impl Coordinator {
         if self.alive_count() == 1 {
             return Err(ClusterError::LastMember(member));
         }
-        // A graceful leave must not strand reservations; treat any still
-        // pending as crashed (abort them) so the ledgers stay consistent.
-        let strays: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.member == member)
-            .map(|(&t, _)| t)
-            .collect();
-        for ticket in strays {
-            let _ = self.abort_prepare(ticket);
-        }
+        // A graceful leave must not strand tickets either.
+        self.abort_prepares_of(member);
         if let Some(slot) = self.alive.get_mut(member as usize) {
             *slot = false;
         }
@@ -582,35 +529,12 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Recomputes the survivor assignment and re-buckets the ledgers into
-    /// the new compact shard space (preserving any pending — or leaked —
-    /// reservations). Appends the membership epoch to the oplog.
+    /// Recomputes the survivor assignment and appends the membership
+    /// epoch to the oplog.
     fn rebalance(&mut self) {
         self.assignment =
             Assignment::compute(self.net.graph(), &self.alive, self.seed, self.policy)
                 .expect("membership guards keep at least one member alive");
-        let mut all: BTreeMap<u64, Vec<LinkId>> = BTreeMap::new();
-        for ledger in &mut self.ledgers {
-            for (ticket, mut links) in std::mem::take(ledger) {
-                all.entry(ticket).or_default().append(&mut links);
-            }
-        }
-        let partition = self.assignment.partition();
-        let mut ledgers: Vec<BTreeMap<u64, Vec<LinkId>>> =
-            (0..partition.shards()).map(|_| BTreeMap::new()).collect();
-        for (ticket, links) in all {
-            for &s in &partition.touched_shards(links.iter().copied()) {
-                let owned: Vec<LinkId> = links
-                    .iter()
-                    .copied()
-                    .filter(|&l| partition.shard_of_link(l) == s)
-                    .collect();
-                if let Some(ledger) = ledgers.get_mut(s) {
-                    ledger.insert(ticket, owned);
-                }
-            }
-        }
-        self.ledgers = ledgers;
         self.oplog.push(CommittedOp::Rebalance {
             alive: self.alive.clone(),
         });
@@ -675,7 +599,7 @@ mod tests {
             .collect();
         let p = c.prepare(0, &footprint).unwrap();
         assert!(p.fresh, "untouched digests must validate");
-        assert!(c.pending_prepares() > 0, "reservation must be held");
+        assert_eq!(c.pending_prepares(), 1, "the ticket must be open");
         let mut fill = None;
         let got = c.commit_prepared(p.ticket, None, &req, &mut fill).unwrap();
         c.flush(fill);
@@ -696,7 +620,7 @@ mod tests {
         let p = c.prepare(1, &footprint).unwrap();
         assert_eq!(c.pending_prepares(), 1);
         c.crash(1).unwrap();
-        assert_eq!(c.pending_prepares(), 0, "crash must release reservations");
+        assert_eq!(c.pending_prepares(), 0, "crash must abort open tickets");
         assert_eq!(c.aborted_prepares(), 1);
         assert_eq!(
             c.commit_prepared(p.ticket, None, &request(0, 3), &mut None),
@@ -741,9 +665,52 @@ mod tests {
             .unwrap()
             .unwrap();
         c.flush(fill);
-        assert!(
-            c.pending_prepares() > 0,
-            "LosePrepare must leak a ledger entry"
+        assert_eq!(c.pending_prepares(), 1, "LosePrepare must leak a ticket");
+    }
+
+    /// The public API lets two prepares interleave before either commits
+    /// (the in-process sim and the daemons never do). Both verdicts are
+    /// fresh; by B's commit A has moved the links B's plan probed. The
+    /// commit must validate *then*, not trust the prepare-time verdict.
+    #[test]
+    fn a_verdict_that_went_stale_before_commit_is_replanned() {
+        use drqos_core::qos::Bandwidth;
+        use drqos_core::snapshot::NetworkSnapshot;
+        // 100 Kbps links: A's primary fills one side of the ring and its
+        // backup reservation the other, leaving nothing for B.
+        let config = NetworkConfig {
+            capacity: Bandwidth::kbps(100),
+            ..NetworkConfig::default()
+        };
+        let net = Network::new(ring(6).unwrap(), config);
+        let mut serial = net.clone();
+        let mut c = Coordinator::new(net, 2, 2001, RebalancePolicy::Bfs);
+        let mut scratch = drqos_core::routing::RouteScratch::new();
+        let (req_a, req_b) = (request(0, 3), request(3, 0));
+        let mut plan = |c: &Coordinator, r: &EstablishRequest| {
+            c.net()
+                .plan_establish_traced(&mut scratch, r.src, r.dst, r.qos)
+        };
+        let (plan_a, fp_a) = plan(&c, &req_a);
+        let (plan_b, fp_b) = plan(&c, &req_b);
+        let a = c.prepare(0, &fp_a).unwrap();
+        let b = c.prepare(1, &fp_b).unwrap();
+        assert!(a.fresh && b.fresh, "both verdicts are fresh at prepare");
+        let mut fill = None;
+        let got = [
+            c.commit_prepared(a.ticket, Some(plan_a), &req_a, &mut fill),
+            c.commit_prepared(b.ticket, Some(plan_b), &req_b, &mut fill),
+        ]
+        .map(Result::unwrap);
+        c.flush(fill);
+        let want = [req_a, req_b].map(|r| serial.establish(r.src, r.dst, r.qos));
+        assert_eq!(got, want);
+        assert_ne!(got[0].is_ok(), got[1].is_ok(), "A admitted, B rejected");
+        assert_eq!(
+            NetworkSnapshot::capture(c.net()),
+            NetworkSnapshot::capture(&serial)
         );
+        assert_eq!(c.stale_replans(), 1);
+        assert!(c.check_invariants().is_empty());
     }
 }

@@ -3,7 +3,7 @@
 //! Every member holds a *full* copy of the network, kept current by
 //! replaying the coordinator's oplog ([`Member::apply`]). Planning for an
 //! admission whose source node the member owns runs here, against the
-//! replica, with no coordinator round-trip; only the reserve/commit
+//! replica, with no coordinator round-trip; only the PREPARE/COMMIT
 //! handshake crosses the wire. Because replay is the exact serial
 //! operation sequence the authoritative network executed, a synced
 //! replica is byte-identical to the authority — `fuzz --diff-cluster`
@@ -12,10 +12,8 @@
 //! replay outcome* of the committed record.
 
 use crate::coordinator::{apply_committed, ApplyOutcome, CommittedOp};
-use drqos_core::error::AdmissionError;
-use drqos_core::network::{EstablishPlan, EstablishRequest, Network};
+use drqos_core::network::{EstablishRequest, Network, PrePlanned};
 use drqos_core::routing::RouteScratch;
-use drqos_topology::LinkId;
 
 /// One member's replica state: the network copy, a reusable routing
 /// scratch for local planning, and the oplog sequence already applied.
@@ -57,10 +55,7 @@ impl Member {
 
     /// Plans an admission locally against the replica, returning the plan
     /// (or rejection) plus the footprint digests to ship in the PREPARE.
-    pub fn plan(
-        &mut self,
-        req: &EstablishRequest,
-    ) -> (Result<EstablishPlan, AdmissionError>, Vec<(LinkId, u64)>) {
+    pub fn plan(&mut self, req: &EstablishRequest) -> PrePlanned {
         self.net
             .plan_establish_traced(&mut self.scratch, req.src, req.dst, req.qos)
     }

@@ -5,17 +5,16 @@
 //! replicas through direct calls instead of the TCP protocol, which makes
 //! it the deterministic test double for the daemons: the differential
 //! harness (`fuzz --diff-cluster`) replays fuzzed operation sequences
-//! against it and a monolithic oracle, and the `cluster_establish_3`
-//! trajectory bench measures its admission throughput. Fault injection
-//! ([`ClusterFault`]) covers the two cluster-specific failure modes the
-//! mutation self-tests must catch: a lost prepare (a reservation never
-//! released) and a member crash in the middle of a wave (its planned
-//! requests are orphaned and must be re-established serially by the
-//! coordinator).
+//! against it and a monolithic oracle. Fault injection ([`ClusterFault`])
+//! covers the two cluster-specific failure modes the mutation self-tests
+//! must catch: a lost prepare (a ticket never closed) and a member crash
+//! in the middle of a wave (its planned requests are orphaned and must be
+//! re-established by the coordinator).
 //!
-//! The wave pipeline mirrors [`drqos_core::shard::ShardedNetwork::establish_wave`]
-//! exactly — plan on frozen replicas, commit in request order through the
-//! two-phase ledger, flush the deferred elastic fill once at wave end —
+//! The wave pipeline is [`drqos_core::shard::ShardedNetwork::establish_wave`]
+//! with a socket-shaped seam in it — pre-plan on frozen replicas, then one
+//! `Network::admit` per request in request order behind the coordinator's
+//! PREPARE/COMMIT, the deferred elastic fill flushed once at wave end —
 //! so a cluster wave is byte-identical to a monolithic serial run, churn
 //! or no churn.
 
@@ -24,8 +23,8 @@ use crate::member::Member;
 use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
 use drqos_core::error::{AdmissionError, ClusterError};
-use drqos_core::network::{EstablishPlan, EstablishRequest, Network, PendingFill};
-use drqos_topology::{LinkId, NodeId};
+use drqos_core::network::{EstablishRequest, Network, PendingFill, PrePlanned};
+use drqos_topology::NodeId;
 
 /// Injected cluster faults for the mutation self-tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,8 +32,8 @@ pub enum ClusterFault {
     /// Correct behaviour.
     #[default]
     None,
-    /// The coordinator forgets to release one ledger reservation at the
-    /// first commit (caught as a pending-prepare leak between waves).
+    /// The coordinator forgets to close the first committed ticket
+    /// (caught as a pending-prepare leak between waves).
     LosePrepare,
     /// The given member crashes in the middle of the first wave, after
     /// planning but before any commit: its planned requests are orphaned
@@ -105,8 +104,8 @@ impl ClusterSim {
         self.members.iter().flatten().map(Member::id).collect()
     }
 
-    /// Reservations still pending after the last wave (must be zero on a
-    /// correct cluster).
+    /// Tickets still open after the last wave (must be zero on a correct
+    /// cluster).
     pub fn pending_prepares(&self) -> usize {
         self.coord.pending_prepares()
     }
@@ -118,20 +117,19 @@ impl ClusterSim {
 
     /// Admits a wave of requests: each is planned on its home member's
     /// replica (local, cross-partition footprints included), then
-    /// committed through the coordinator's two-phase ledger in request
+    /// committed through the coordinator's PREPARE/COMMIT in request
     /// order with one deferred elastic fill flushed at wave end. Replicas
     /// sync before the wave returns.
     pub fn establish_wave(
         &mut self,
         requests: &[EstablishRequest],
     ) -> Vec<Result<ConnectionId, AdmissionError>> {
-        type PlannedLocal = (Result<EstablishPlan, AdmissionError>, Vec<(LinkId, u64)>);
         let homes: Vec<u64> = requests
             .iter()
             .map(|r| self.coord.member_of_node(r.src))
             .collect();
         // Phase 0: plan on the (frozen, synced) home replicas.
-        let mut planned: Vec<Option<PlannedLocal>> = Vec::with_capacity(requests.len());
+        let mut planned: Vec<Option<PrePlanned>> = Vec::with_capacity(requests.len());
         for (req, &home) in requests.iter().zip(&homes) {
             let slot = self
                 .members
@@ -157,7 +155,7 @@ impl ClusterSim {
                 }
             }
         }
-        // Phase 1+2: reserve, validate, commit — in request order.
+        // Phase 1+2: prepare, commit — in request order.
         let mut fill: PendingFill = None;
         let mut results = Vec::with_capacity(requests.len());
         for (i, req) in requests.iter().enumerate() {
@@ -400,7 +398,7 @@ mod tests {
         assert_eq!(cluster.pending_prepares(), 0);
     }
 
-    /// The lost-prepare fault must be observable as a reservation leak —
+    /// The lost-prepare fault must be observable as a ticket leak —
     /// the signal the mutation self-test relies on.
     #[test]
     fn a_lost_prepare_leaks_a_pending_reservation() {
@@ -411,7 +409,7 @@ mod tests {
         cluster.establish_wave(&reqs);
         assert!(
             cluster.pending_prepares() > 0,
-            "LosePrepare must leak a reservation"
+            "LosePrepare must leak a ticket"
         );
     }
 

@@ -187,8 +187,8 @@ pub fn registry() -> &'static [EnvVar] {
             consumed_by: "`drqosd` admission engine",
             default: "`1` (monolith)",
             doc: "partitions the topology into N shards; batched \
-                  admissions plan in parallel per shard with a two-phase \
-                  cross-shard commit (results are byte-identical to `1`)",
+                  admissions pre-plan in parallel per shard and are \
+                  validated at commit (results are byte-identical to `1`)",
         },
         EnvVar {
             name: CLUSTER_MEMBERS,

@@ -50,11 +50,12 @@ pub struct ExperimentConfig {
     pub failure_burst: usize,
     /// Network manager configuration.
     pub network: NetworkConfig,
-    /// Admission shards for the warm-up phase: `1` runs the monolithic
-    /// per-request path; `> 1` batches warm-up arrivals into waves
-    /// through [`crate::ShardedNetwork`]. Results are byte-identical
-    /// either way (the shard-differential fuzzer's guarantee) except for
-    /// the route-cache counters, which waves mostly bypass.
+    /// Admission shards for the warm-up waves
+    /// ([`crate::ShardedNetwork`]): `1` plans every request at its
+    /// sequential point, `> 1` pre-plans per shard. Results are
+    /// byte-identical either way (the shard-differential fuzzer's
+    /// guarantee) except for the route-cache counters, which pre-planned
+    /// requests bypass.
     pub shards: usize,
     /// RNG seed (experiments are deterministic given the seed).
     pub seed: u64,
@@ -121,7 +122,7 @@ enum Event {
     Repair(LinkId),
 }
 
-/// Warm-up wave width when `shards > 1` — the daemon's batch size.
+/// Warm-up wave width — the daemon's batch size.
 const WARMUP_WAVE: usize = 16;
 
 /// Whether churn experiments validate the full invariant set after every
@@ -318,55 +319,40 @@ pub(crate) fn release_measured(
     estimator.record_termination(&direct_t).is_ok()
 }
 
-/// Warm-up: attempt the target number of connections.
+/// Warm-up: attempt the target number of connections, a wave of
+/// [`WARMUP_WAVE`] requests at a time.
 ///
-/// The request stream is drawn identically on both paths (the workload
-/// only consumes the RNG; admission does not), and a wave replays
-/// byte-identically to serial establishes in the same order — the
-/// shard-differential fuzzer's guarantee — so `shards` changes how the
-/// warm-up is computed, never what it computes. Shared with the scenario
-/// engine (`crate::scenario`), which swaps only the churn processes.
+/// The workload only consumes the RNG and admission never does, so
+/// drawing a wave ahead of admitting it changes nothing; and a wave
+/// replays byte-identically to serial establishes in the same order at
+/// any shard count — the shard-differential fuzzer's guarantee — so
+/// `shards` changes how the warm-up is computed, never what it computes.
+/// Shared with the scenario engine (`crate::scenario`), which swaps only
+/// the churn processes.
 pub(crate) fn warm_up(
-    mut net: Network,
+    net: Network,
     config: &ExperimentConfig,
     workload: &Workload,
     rng: &mut Rng,
     report: &mut ExperimentReport,
 ) -> Network {
     let n_nodes = net.graph().node_count();
-    if config.shards > 1 {
-        let requests: Vec<crate::network::EstablishRequest> = (0..config.target_connections)
-            .map(|_| {
-                let req = workload.request(rng, n_nodes);
-                crate::network::EstablishRequest {
-                    src: req.src,
-                    dst: req.dst,
-                    qos: req.qos,
-                }
-            })
+    let mut sharded = crate::ShardedNetwork::new(net, config.shards);
+    let mut left = config.target_connections;
+    while left > 0 {
+        let wave: Vec<_> = (0..left.min(WARMUP_WAVE))
+            .map(|_| workload.request(rng, n_nodes))
             .collect();
-        let mut sharded = crate::ShardedNetwork::new(net, config.shards);
-        for chunk in requests.chunks(WARMUP_WAVE) {
-            for result in sharded.establish_wave(chunk) {
-                report.attempted += 1;
-                match result {
-                    Ok(_) => report.accepted += 1,
-                    Err(e) => classify_rejection(report, &e),
-                }
-            }
-        }
-        net = sharded.into_inner();
-    } else {
-        for _ in 0..config.target_connections {
-            let req = workload.request(rng, n_nodes);
+        left -= wave.len();
+        for result in sharded.establish_wave(&wave) {
             report.attempted += 1;
-            match net.establish(req.src, req.dst, req.qos) {
+            match result {
                 Ok(_) => report.accepted += 1,
                 Err(e) => classify_rejection(report, &e),
             }
         }
     }
-    net
+    sharded.into_inner()
 }
 
 pub(crate) fn classify_rejection(report: &mut ExperimentReport, e: &crate::error::AdmissionError) {

@@ -99,4 +99,4 @@ pub use scenario::{
 };
 pub use shard::{ShardFault, ShardedNetwork};
 pub use snapshot::NetworkSnapshot;
-pub use workload::{PairSampler, Request, Workload};
+pub use workload::{PairSampler, Workload};

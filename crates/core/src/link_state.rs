@@ -767,7 +767,7 @@ mod tests {
 
     #[test]
     fn plan_digest_distinguishes_conflict_layouts() {
-        // Same reservation, different conflict ledgers: planning can tell
+        // Same reservation, a different conflict ledger each: planning can tell
         // them apart (reservation_if_backup_added reads per-link entries),
         // so the digest must too.
         let mut a = LinkUsage::new(k(1_000));

@@ -93,7 +93,7 @@ impl Default for NetworkConfig {
     }
 }
 
-/// One request in an [`Network::establish_batch`] group.
+/// One establish request, as [`Network::admit`] takes it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstablishRequest {
     /// Source endpoint.
@@ -181,10 +181,15 @@ fn sorted_subset(sub: &[ConnectionId], sup: &[ConnectionId]) -> bool {
     sub.iter().all(|c| rest.any(|s| s == c))
 }
 
-/// The deferred fill of a batch/wave: the (sorted) fill candidates of its
-/// last commit, not yet redistributed. Threaded by the caller through
-/// [`Network::batch_commit`] and handed to [`Network::batch_flush`].
+/// The deferred fill of an [`Network::admit`] loop: the (sorted) fill
+/// candidates of its last commit, not yet redistributed. Owned by the
+/// caller across the loop and handed to [`Network::batch_flush`] after it.
 pub type PendingFill = Option<Vec<ConnectionId>>;
+
+/// What [`Network::plan_establish_traced`] returns and [`Network::admit`]
+/// takes as a hint: a plan or rejection, with the footprint it rests on
+/// (every link the search probed, with its plan digest at planning time).
+pub type PrePlanned = (Result<EstablishPlan, AdmissionError>, Vec<(LinkId, u64)>);
 
 /// One live fill candidate, loaded once from the connection table.
 #[derive(Debug)]
@@ -322,7 +327,7 @@ impl Clone for Network {
     }
 }
 
-/// Equality over the accounting state: topology, configuration, ledgers,
+/// Equality over the accounting state: topology, configuration, link usage,
 /// connection table and counters. Scratch buffers and the route cache
 /// (memoized plans and hit counters) are not state.
 impl PartialEq for Network {
@@ -531,12 +536,13 @@ impl Network {
     /// network, recording the full admission **footprint**: every link the
     /// search probed, with its [`LinkUsage::plan_digest`] at planning time.
     ///
-    /// This is the sharded engine's planning entry point. Unlike
+    /// This is the pre-planner behind [`Network::admit`]'s hints (wave
+    /// phase 1, a cluster member's replica). Unlike
     /// [`Network::plan_establish`] it never consults or fills the route
     /// cache (so concurrent planners share `&self` without perturbing the
-    /// monolith's cache counters) and it records the footprint even when
-    /// the plan **fails** — a rejection is only as valid as the link state
-    /// it observed, and the committer must revalidate that too (more
+    /// sequential point's cache counters) and it records the footprint
+    /// even when the plan **fails** — a rejection is only as valid as the
+    /// link state it observed, and `admit` must revalidate that too (more
     /// admitted traffic can change *which* error a request gets).
     ///
     /// The caller supplies the [`RouteScratch`] (one per planning thread);
@@ -547,7 +553,7 @@ impl Network {
         src: NodeId,
         dst: NodeId,
         qos: ElasticQos,
-    ) -> (Result<EstablishPlan, AdmissionError>, Vec<(LinkId, u64)>) {
+    ) -> PrePlanned {
         if let Err(e) = self.check_endpoints(src, dst) {
             return (Err(e), Vec::new());
         }
@@ -756,9 +762,9 @@ impl Network {
     /// from (plan → observe → commit is the supported sequence; interleaved
     /// mutations void the feasibility checks).
     pub fn commit_establish(&mut self, plan: EstablishPlan) -> ConnectionId {
-        let retreated = self.chained_by(&plan);
-        let (id, candidates) = self.commit_deferring_fill(plan, &retreated);
-        self.redistribute(&candidates);
+        let mut pending = None;
+        let id = self.batch_commit(plan, &mut pending);
+        self.batch_flush(pending);
         id
     }
 
@@ -778,21 +784,105 @@ impl Network {
             .collect()
     }
 
-    /// Commits `plan` against its (already-computed) retreat set but does
-    /// *not* run the redistribution fill: the returned candidate set must
-    /// eventually be passed to `redistribute` by the caller. Splitting the
-    /// fill off lets [`Network::establish_batch`] skip fills the next
-    /// commit would fully undo.
-    fn commit_deferring_fill(
+    /// Whether every link of `footprint` still has the plan digest it was
+    /// probed at — the one staleness test behind [`Network::admit`] and
+    /// the cluster coordinator's prepare-time verdict. A link this network
+    /// does not have is never current.
+    pub fn footprint_is_current(&self, footprint: &[(LinkId, u64)]) -> bool {
+        footprint.iter().all(|&(l, d)| {
+            self.links
+                .get(l.index())
+                .is_some_and(|u| u.plan_digest() == d)
+        })
+    }
+
+    /// The admission step: plan → validate → commit → settle, for one
+    /// request at its sequential point. Every establish in the workspace
+    /// — [`Network::establish`], [`Network::establish_batch`], a sharded
+    /// wave, a cluster commit — is a loop of this.
+    ///
+    /// **Plan and validate.** A `hint` is a [`PrePlanned`] result some
+    /// planner produced earlier, against a frozen view of this network.
+    /// The route search is a deterministic function of the digests of the
+    /// links it probes, so if every digest in the hint's footprint still
+    /// equals [`LinkUsage::plan_digest`] *now*, planning here would make
+    /// the same decisions and the hint's plan — or its rejection, which
+    /// is only as valid as the link state it observed — is used as is.
+    /// A stale hint, or none, plans at this point through the cached
+    /// planner. The flag beside the result says a hint was given and had
+    /// gone stale (contention telemetry; no caller branches on it).
+    ///
+    /// **Commit and settle.** Results are *identical* to calling
+    /// [`Network::establish`] once per request in the same order — same
+    /// admission outcomes, same connection ids, same final network state —
+    /// while redistribution fills the very next commit would fully undo
+    /// are elided. That rests on a deliberate property of the admission
+    /// layer: planning, retreat sets, and fill candidate sets never read
+    /// extras (see `link_state` — `can_admit_primary`/`can_admit_backup`,
+    /// the allowances, and `plan_digest` all exclude them as reclaimable).
+    /// A pending fill over candidates `K` is therefore invisible to every
+    /// later *plan*; and when the next successful commit retreats all of
+    /// `K` (`K ⊆ R`), the fill's grants would be unwound before anything
+    /// could observe them, so the fill is skipped outright. Otherwise the
+    /// pending fill runs exactly where sequential execution would have run
+    /// it — before that commit's retreats. A rejection leaves `pending`
+    /// alone. The caller owns `pending` across its loop and hands it to
+    /// [`Network::batch_flush`] at the end; `fuzz --diff-batch`,
+    /// `--diff-shard` and `--diff-cluster` replay each loop in lockstep
+    /// with one-at-a-time establishment and compare full snapshots.
+    pub fn admit(
         &mut self,
-        plan: EstablishPlan,
-        retreated: &[ConnectionId],
-    ) -> (ConnectionId, Vec<ConnectionId>) {
+        req: &EstablishRequest,
+        hint: Option<PrePlanned>,
+        pending: &mut PendingFill,
+    ) -> (Result<ConnectionId, AdmissionError>, bool) {
+        let (plan, stale) = match hint {
+            Some((plan, footprint)) if self.footprint_is_current(&footprint) => (plan, false),
+            rest => (
+                self.plan_establish(req.src, req.dst, req.qos),
+                rest.is_some(),
+            ),
+        };
+        (plan.map(|plan| self.batch_commit(plan, pending)), stale)
+    }
+
+    /// Establishes a group of requests in the order given: a loop of
+    /// [`Network::admit`] with one deferred fill, flushed at the end.
+    /// Callers that are free to reorder — concurrent `drqosd` clients
+    /// carry no cross-client ordering contract — can use
+    /// [`Network::contention_order`] to group requests over contended
+    /// links so the fill elision fires more often.
+    pub fn establish_batch(
+        &mut self,
+        requests: &[EstablishRequest],
+    ) -> Vec<Result<ConnectionId, AdmissionError>> {
+        let mut pending: PendingFill = None;
+        let results = requests
+            .iter()
+            .map(|req| self.admit(req, None, &mut pending).0)
+            .collect();
+        self.batch_flush(pending);
+        results
+    }
+
+    /// The commit half of [`Network::admit`]: flushes the previous
+    /// commit's deferred fill unless this commit's retreats subsume it,
+    /// then commits `plan` deferring its own fill into `pending`.
+    fn batch_commit(&mut self, plan: EstablishPlan, pending: &mut PendingFill) -> ConnectionId {
+        let retreated = self.chained_by(&plan);
+        if let Some(fill) = pending.take() {
+            if !sorted_subset(&fill, &retreated) {
+                // Some candidate would keep its granted increments past
+                // this commit: run the fill at its sequential point,
+                // before this commit's retreats.
+                self.redistribute(&fill);
+            }
+        }
         let id = ConnectionId(self.next_id);
         self.next_id += 1;
         // 1. Retreat every primary that shares a link with the new
         //    connection's channels ("directly chained").
-        for &c in retreated {
+        for &c in &retreated {
             self.retreat(c);
         }
         // 2. Reserve the new connection's resources.
@@ -811,83 +901,15 @@ impl Network {
         // 3. Fill candidates: anyone sharing a link with a retreated
         //    channel (the retreated channels themselves included) can
         //    grow, and so can the newcomer, whose id is the largest yet.
-        let mut candidates = self.primaries_sharing(self.primary_links_of(retreated));
+        let mut candidates = self.primaries_sharing(self.primary_links_of(&retreated));
         if candidates.last() != Some(&id) {
             candidates.push(id);
         }
-        (id, candidates)
-    }
-
-    /// Establishes a group of requests with *identical results* to calling
-    /// [`Network::establish`] once per request in the given order — same
-    /// admission outcomes, same connection ids, same final network state —
-    /// while eliding redistribution fills that the very next commit would
-    /// fully undo, and sharing one route-search scratch across the group.
-    ///
-    /// Correctness rests on a deliberate property of the admission layer:
-    /// planning, retreat sets, and fill candidate sets never read extras
-    /// (see `link_state` — `can_admit_primary`/`can_admit_backup`, the
-    /// allowances, and `plan_digest` all exclude them as reclaimable). A
-    /// pending fill over candidates `K` is therefore invisible to every
-    /// later *plan*; and when the next successful commit retreats all of
-    /// `K` (`K ⊆ R`), the fill's grants would be unwound before anything
-    /// could observe them, so the fill is skipped outright. Otherwise the
-    /// pending fill runs exactly where sequential execution would have run
-    /// it — before that commit's retreats. `fuzz --diff-batch` replays
-    /// batched and sequential networks in lockstep and compares full
-    /// snapshots to enforce the equivalence empirically.
-    ///
-    /// Requests are processed in the order given. Callers that are free to
-    /// reorder — concurrent `drqosd` clients carry no cross-client
-    /// ordering contract — can use [`Network::contention_order`] to group
-    /// requests over contended links so the skip rule fires more often.
-    pub fn establish_batch(
-        &mut self,
-        requests: &[EstablishRequest],
-    ) -> Vec<Result<ConnectionId, AdmissionError>> {
-        let mut results = Vec::with_capacity(requests.len());
-        // Fill candidates of the last commit, not yet redistributed.
-        let mut pending: PendingFill = None;
-        for req in requests {
-            let plan = match self.plan_establish(req.src, req.dst, req.qos) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    // Planning never reads extras, so the deferred fill
-                    // cannot have changed this outcome.
-                    results.push(Err(e));
-                    continue;
-                }
-            };
-            results.push(Ok(self.batch_commit(plan, &mut pending)));
-        }
-        self.batch_flush(pending);
-        results
-    }
-
-    /// One commit step of a batch/wave: flushes the previous commit's
-    /// deferred fill unless this commit's retreats subsume it, then
-    /// commits `plan` deferring its own fill into `pending`.
-    ///
-    /// Shared by [`Network::establish_batch`], the sharded engine's wave
-    /// committer, and the cluster coordinator's two-phase commit so all
-    /// three elide identically (the elision is proven result-equivalent
-    /// by `fuzz --diff-batch`).
-    pub fn batch_commit(&mut self, plan: EstablishPlan, pending: &mut PendingFill) -> ConnectionId {
-        let retreated = self.chained_by(&plan);
-        if let Some(fill) = pending.take() {
-            if !sorted_subset(&fill, &retreated) {
-                // Some candidate would keep its granted increments past
-                // this commit: run the fill at its sequential point,
-                // before this commit's retreats.
-                self.redistribute(&fill);
-            }
-        }
-        let (id, candidates) = self.commit_deferring_fill(plan, &retreated);
         *pending = Some(candidates);
         id
     }
 
-    /// Flushes the final deferred fill of a batch/wave.
+    /// Settles the last deferred fill of an [`Network::admit`] loop.
     pub fn batch_flush(&mut self, pending: PendingFill) {
         if let Some(fill) = pending {
             self.redistribute(&fill);
@@ -934,7 +956,8 @@ impl Network {
         order
     }
 
-    /// Convenience: plan + commit in one call.
+    /// One request, admitted and settled: [`Network::admit`] plus the
+    /// flush.
     ///
     /// # Errors
     ///
@@ -945,8 +968,10 @@ impl Network {
         dst: NodeId,
         qos: ElasticQos,
     ) -> Result<ConnectionId, AdmissionError> {
-        let plan = self.plan_establish(src, dst, qos)?;
-        Ok(self.commit_establish(plan))
+        let mut pending = None;
+        let (result, _) = self.admit(&EstablishRequest { src, dst, qos }, None, &mut pending);
+        self.batch_flush(pending);
+        result
     }
 
     // ------------------------------------------------------ termination --
@@ -2292,22 +2317,10 @@ mod tests {
     /// (The exhaustive version of this is `fuzz --diff-batch`.)
     #[test]
     fn establish_batch_matches_sequential_exactly() {
-        let reqs: Vec<EstablishRequest> = (0..10)
-            .map(|i| EstablishRequest {
-                src: NodeId(i % 6),
-                dst: NodeId((i + 3) % 6),
-                qos: qos(),
-            })
-            .collect();
-        let g = regular::ring(6).unwrap();
-        let config = NetworkConfig {
-            // Tight enough that later requests get rejected and earlier
-            // ones fight over increments — both fill paths exercised.
-            capacity: Bandwidth::kbps(800),
-            ..NetworkConfig::default()
-        };
-        let mut batched = Network::new(g.clone(), config.clone());
-        let mut sequential = Network::new(g, config);
+        // Tight enough that later requests get rejected and earlier ones
+        // fight over increments — both fill paths exercised.
+        let (mut batched, reqs) = tight_ring();
+        let mut sequential = batched.clone();
         let batch_results = batched.establish_batch(&reqs);
         let seq_results: Vec<_> = reqs
             .iter()
@@ -2323,6 +2336,112 @@ mod tests {
         assert!(
             batch_results.iter().any(|r| r.is_ok()) && batch_results.iter().any(|r| r.is_err()),
             "the scenario should mix admissions and rejections"
+        );
+    }
+
+    /// A ring so tight that a run of antipodal requests mixes admissions
+    /// and rejections and fights over increments.
+    fn tight_ring() -> (Network, Vec<EstablishRequest>) {
+        let config = NetworkConfig {
+            capacity: Bandwidth::kbps(800),
+            ..NetworkConfig::default()
+        };
+        let reqs = (0..10)
+            .map(|i| EstablishRequest {
+                src: NodeId(i % 6),
+                dst: NodeId((i + 3) % 6),
+                qos: qos(),
+            })
+            .collect();
+        (Network::new(regular::ring(6).unwrap(), config), reqs)
+    }
+
+    /// The one step, every way in: a hint planned at the request's own
+    /// sequential point (fresh), no hint, and a hint planned before the
+    /// loop and staled by the commits ahead of it all give the results
+    /// and the snapshot of serial `establish`.
+    #[test]
+    fn admit_matches_serial_establish_with_a_fresh_a_stale_or_no_hint() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Hint {
+            Fresh,
+            Absent,
+            PlannedBeforeTheLoop,
+        }
+        for mode in [Hint::Fresh, Hint::Absent, Hint::PlannedBeforeTheLoop] {
+            let (mut serial, reqs) = tight_ring();
+            let mut subject = serial.clone();
+            let mut scratch = RouteScratch::new();
+            let mut traced = |net: &Network, r: &EstablishRequest| {
+                net.plan_establish_traced(&mut scratch, r.src, r.dst, r.qos)
+            };
+            let early: Vec<PrePlanned> = reqs.iter().map(|r| traced(&subject, r)).collect();
+            let mut pending = None;
+            let (mut stale_hints, mut rejections) = (0, 0);
+            for (r, early) in reqs.iter().zip(early) {
+                let hint = match mode {
+                    Hint::Fresh => Some(traced(&subject, r)),
+                    Hint::Absent => None,
+                    Hint::PlannedBeforeTheLoop => Some(early),
+                };
+                let (got, stale) = subject.admit(r, hint, &mut pending);
+                assert_eq!(got, serial.establish(r.src, r.dst, r.qos), "{mode:?}");
+                stale_hints += usize::from(stale);
+                rejections += usize::from(got.is_err());
+            }
+            subject.batch_flush(pending);
+            subject.validate();
+            assert_eq!(
+                crate::snapshot::NetworkSnapshot::capture(&subject),
+                crate::snapshot::NetworkSnapshot::capture(&serial),
+                "{mode:?}"
+            );
+            assert!((1..reqs.len()).contains(&rejections), "{mode:?}");
+            // Only the first early plan survives to its turn untouched.
+            let want_stale = if mode == Hint::PlannedBeforeTheLoop {
+                reqs.len() - 1
+            } else {
+                0
+            };
+            assert_eq!(stale_hints, want_stale, "{mode:?}");
+        }
+    }
+
+    /// A rejection is only as valid as the link state it observed: once
+    /// capacity comes back the hinted `Err` must be planned again, not
+    /// returned.
+    #[test]
+    fn a_stale_rejection_hint_is_replanned_not_returned() {
+        let (mut net, reqs) = tight_ring();
+        let results = net.establish_batch(&reqs);
+        let (rejected, _) = reqs
+            .iter()
+            .zip(&results)
+            .find(|(_, r)| r.is_err())
+            .expect("the tight ring rejects someone");
+        let mut scratch = RouteScratch::new();
+        let hint =
+            net.plan_establish_traced(&mut scratch, rejected.src, rejected.dst, rejected.qos);
+        assert!(hint.0.is_err());
+        // While the rejection is fresh it is the answer, search skipped.
+        let mut pending = None;
+        let (got, stale) = net.admit(rejected, Some(hint.clone()), &mut pending);
+        assert_eq!(got.err(), hint.0.clone().err());
+        assert!(!stale && pending.is_none());
+        for id in results.iter().flatten() {
+            net.release(*id).unwrap();
+        }
+        let mut serial = net.clone();
+        let (got, stale) = net.admit(rejected, Some(hint), &mut pending);
+        net.batch_flush(pending);
+        assert!(stale && got.is_ok());
+        assert_eq!(
+            got,
+            serial.establish(rejected.src, rejected.dst, rejected.qos)
+        );
+        assert_eq!(
+            crate::snapshot::NetworkSnapshot::capture(&net),
+            crate::snapshot::NetworkSnapshot::capture(&serial)
         );
     }
 

@@ -3,45 +3,34 @@
 //! The paper's dependable-channel manager is a single sequential admission
 //! authority; [`crate::network::Network`] reproduces that limit. A
 //! [`ShardedNetwork`] splits the admission *planning* problem by region —
-//! each shard of a [`Partition`] is the single-writer owner of its links —
-//! while keeping results **byte-identical** to the monolith:
+//! a request's home shard is the [`Partition`] region owning its source
+//! node — while keeping results **byte-identical** to the monolith:
 //!
-//! 1. **Parallel plan.** A wave of requests is grouped by home shard
-//!    (the shard owning the source node). One planning thread per
-//!    non-empty shard routes its requests against the frozen network via
+//! 1. **Pre-plan in parallel.** When a wave's requests have at least two
+//!    distinct home shards, each active shard routes its requests against
+//!    the frozen network via
 //!    [`crate::network::Network::plan_establish_traced`], which records
 //!    the admission *footprint*: every link the search probed, with its
-//!    plan digest at planning time.
-//! 2. **Two-phase reserve/commit.** A single committer walks the wave in
-//!    original request order. For each request it acquires the ledgers of
-//!    exactly the shards the footprint touches — **in ascending shard
-//!    order** ([`Partition::touched_shards`]), so the lock order is a
-//!    total order and deadlock is impossible by construction — inserts a
-//!    pending reservation per touched shard, and revalidates every
-//!    footprint digest. If every probed link is unchanged, the plan (or
-//!    planned rejection) is exactly what serial planning would produce
-//!    now, and it commits. If any digest moved, the reservation is
-//!    aborted (released) and the request is re-planned serially at its
-//!    sequential point — the monolith's own path.
+//!    plan digest at planning time. With fewer than two active home shards
+//!    there is nothing to run side by side, so nothing is pre-planned.
+//! 2. **Admit in order.** A single committer walks the wave in original
+//!    request order through [`crate::network::Network::admit`] — the one
+//!    admission step — handing it the pre-planned result as a hint. A
+//!    hint whose footprint digests are all unchanged is exactly what
+//!    planning at that point would produce, rejections included; any
+//!    other request is planned there and then, the monolith's own path
+//!    (counted in [`ShardedNetwork::stale_replans`]).
 //!
-//! The equivalence argument is the route cache's (proven by
-//! `fuzz --diff-cache`): the route search is a deterministic function of
-//! the digests of the links it probes, so "all probed digests unchanged"
-//! implies "the serial search would make the same decisions". It covers
-//! *rejections* too — footprints are recorded even for failed plans,
-//! because intervening commits can change which error a request gets.
-//! Commits go through [`crate::network::Network::batch_commit`], the same
-//! deferred-fill machinery as `establish_batch` (proven by
-//! `fuzz --diff-batch`). The remaining gap — a sharded wave versus the
-//! monolith replaying the same ops one at a time — is closed by
+//! A wave at one shard is therefore `establish_batch`, and a wave of one
+//! request is `establish`. The remaining gap — a multi-shard wave versus
+//! the monolith replaying the same ops one at a time — is closed by
 //! `fuzz --diff-shard` in `drqos-testkit`.
 
+use crate::channel::ConnectionId;
 use crate::error::AdmissionError;
-use crate::network::{EstablishRequest, Network, PendingFill};
+use crate::network::{EstablishRequest, Network, PrePlanned};
 use crate::routing::RouteScratch;
-use drqos_topology::{LinkId, Partition};
-use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
+use drqos_topology::Partition;
 
 /// Seed for the default [`Partition::seeded_bfs`] partition, fixed so a
 /// daemon restarted on the same topology shards it identically.
@@ -55,18 +44,10 @@ pub enum ShardFault {
     /// Behave correctly.
     #[default]
     None,
-    /// Skip releasing one two-phase reservation after its commit, leaking
-    /// a pending-ledger entry (caught by the harness's
-    /// [`ShardedNetwork::pending_reservations`] check).
-    LoseReservationRelease,
-}
-
-/// Per-shard reservation ledger: the links of in-flight two-phase tickets
-/// that this shard owns. Emptied again as each ticket commits or aborts;
-/// non-empty between waves means a committer leaked a reservation.
-#[derive(Debug, Default)]
-struct ShardLedger {
-    pending: BTreeMap<u64, Vec<LinkId>>,
+    /// The wave committer uses every hint without comparing digests, so a
+    /// plan made before an earlier commit of the same wave is committed
+    /// against state it never saw.
+    TrustStaleFootprint,
 }
 
 /// A [`Network`] fronted by partition-sharded admission planning.
@@ -79,17 +60,8 @@ struct ShardLedger {
 pub struct ShardedNetwork {
     net: Network,
     partition: Partition,
-    ledgers: Vec<Mutex<ShardLedger>>,
-    next_ticket: u64,
     stale_replans: u64,
     fault: ShardFault,
-    fault_fired: bool,
-}
-
-fn lock_ledger(m: &Mutex<ShardLedger>) -> MutexGuard<'_, ShardLedger> {
-    // Ledger operations cannot panic, so a poisoned lock is unreachable;
-    // the daemon zone forbids `unwrap`, so shrug poison off regardless.
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl ShardedNetwork {
@@ -103,17 +75,11 @@ impl ShardedNetwork {
     /// Shards `net` by an explicit partition (the transit-stub natural
     /// cut, or a fuzzer-chosen one).
     pub fn with_partition(net: Network, partition: Partition) -> Self {
-        let ledgers = (0..partition.shards())
-            .map(|_| Mutex::new(ShardLedger::default()))
-            .collect();
         Self {
             net,
             partition,
-            ledgers,
-            next_ticket: 0,
             stale_replans: 0,
             fault: ShardFault::None,
-            fault_fired: false,
         }
     }
 
@@ -145,167 +111,85 @@ impl ShardedNetwork {
     /// Arms (or clears) fault injection for the mutation self-test.
     pub fn set_fault(&mut self, fault: ShardFault) {
         self.fault = fault;
-        self.fault_fired = false;
     }
 
-    /// Two-phase reservations currently pending across all shard ledgers.
-    /// Zero between waves on a correct engine; a leak here is how the
-    /// differential harness catches [`ShardFault::LoseReservationRelease`].
-    pub fn pending_reservations(&self) -> usize {
-        self.ledgers
-            .iter()
-            .map(|l| lock_ledger(l).pending.len())
-            .sum()
-    }
-
-    /// Wave commits that found a stale footprint and re-planned serially.
-    /// Purely observational (contention telemetry for benches and tests).
+    /// Pre-planned requests whose footprint had gone stale by their turn
+    /// and were planned again there. Purely observational (contention
+    /// telemetry for benches and tests).
     pub fn stale_replans(&self) -> u64 {
         self.stale_replans
     }
 
-    /// Admits a wave of establish requests: parallel per-shard planning
-    /// against the frozen network, then a deterministic two-phase
-    /// reserve/commit in original request order. Returns one result per
-    /// request, in request order, byte-identical to what
+    /// Admits a wave of establish requests: parallel per-shard
+    /// pre-planning against the frozen network, then one
+    /// [`Network::admit`] per request in original order. Returns one
+    /// result per request, in request order, byte-identical to what
     /// [`Network::establish`] would return replaying the wave serially.
     pub fn establish_wave(
         &mut self,
         requests: &[EstablishRequest],
-    ) -> Vec<Result<crate::channel::ConnectionId, AdmissionError>> {
-        type Planned = (
-            Result<crate::network::EstablishPlan, AdmissionError>,
-            Vec<(LinkId, u64)>,
-        );
-        // Phase 1: group by home shard and plan in parallel. Each worker
-        // owns a fresh route scratch; the network is frozen (`&Network`),
-        // so planning threads share it without coordination. Workers
-        // deposit results into index-addressed slots, so the commit phase
-        // below is independent of thread scheduling.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.partition.shards()];
-        for (i, req) in requests.iter().enumerate() {
-            groups[self.partition.shard_of_node(req.src)].push(i);
-        }
-        let net = &self.net;
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let active = groups.iter().filter(|g| !g.is_empty()).count();
-        let mut planned: Vec<Option<Planned>> = if workers <= 1 || active <= 1 {
-            // No parallelism to exploit (single core, or one home shard):
-            // plan inline, skipping per-wave thread spawns. Same plans in
-            // the same slots — planning is a pure function of the frozen
-            // network — so the commit phase cannot tell the difference.
-            let mut scratch = RouteScratch::new();
-            let mut slots: Vec<Option<Planned>> = requests.iter().map(|_| None).collect();
-            for group in groups.iter().filter(|g| !g.is_empty()) {
-                for &i in group {
-                    let r = &requests[i];
-                    slots[i] = Some(net.plan_establish_traced(&mut scratch, r.src, r.dst, r.qos));
-                }
-            }
-            slots
-        } else {
-            let planned: Mutex<Vec<Option<Planned>>> =
-                Mutex::new(requests.iter().map(|_| None).collect());
-            std::thread::scope(|scope| {
-                for group in groups.iter().filter(|g| !g.is_empty()) {
-                    scope.spawn(|| {
-                        let mut scratch = RouteScratch::new();
-                        let local: Vec<(usize, Planned)> = group
-                            .iter()
-                            .map(|&i| {
-                                let r = &requests[i];
-                                (
-                                    i,
-                                    net.plan_establish_traced(&mut scratch, r.src, r.dst, r.qos),
-                                )
-                            })
-                            .collect();
-                        let mut slots = planned.lock().unwrap_or_else(|e| e.into_inner());
-                        for (i, p) in local {
-                            slots[i] = Some(p);
-                        }
-                    });
-                }
-            });
-            planned.into_inner().unwrap_or_else(|e| e.into_inner())
-        };
-
-        // Phase 2: single committer, original request order.
+    ) -> Vec<Result<ConnectionId, AdmissionError>> {
+        let mut hints = self.pre_plan(requests).into_iter();
+        let mut pending = None;
         let mut results = Vec::with_capacity(requests.len());
-        let mut pending_fill = None;
-        for (i, req) in requests.iter().enumerate() {
-            let Some((plan_res, footprint)) = planned[i].take() else {
-                // Unreachable (every index has exactly one home shard),
-                // but degrade to the serial path rather than panic.
-                results.push(self.replan_serially(req, &mut pending_fill));
-                continue;
-            };
-            // Reserve: lock exactly the touched shards, ascending — the
-            // canonical total order, so no two committers (present or
-            // future concurrent ones) can deadlock.
-            let ticket = self.next_ticket;
-            self.next_ticket += 1;
-            let touched = self
-                .partition
-                .touched_shards(footprint.iter().map(|&(l, _)| l));
-            let mut guards: Vec<(usize, MutexGuard<'_, ShardLedger>)> = Vec::new();
-            for &s in &touched {
-                let mut guard = lock_ledger(&self.ledgers[s]);
-                let owned: Vec<LinkId> = footprint
-                    .iter()
-                    .map(|&(l, _)| l)
-                    .filter(|&l| self.partition.shard_of_link(l) == s)
-                    .collect();
-                guard.pending.insert(ticket, owned);
-                guards.push((s, guard));
+        for req in requests {
+            let mut hint = hints.next().flatten();
+            if self.fault == ShardFault::TrustStaleFootprint {
+                // An empty footprint is vacuously current.
+                hint = hint.map(|(plan, _)| (plan, Vec::new()));
             }
-            // Validate: every link the planner probed must be unchanged,
-            // for rejections as much as for admissions.
-            let valid = footprint
-                .iter()
-                .all(|&(l, d)| self.net.link_usage(l).plan_digest() == d);
-            // Release reservations (commit and abort both release; the
-            // injected fault "forgets" one release to prove the harness
-            // notices).
-            let lose_one = self.fault == ShardFault::LoseReservationRelease
-                && !self.fault_fired
-                && !guards.is_empty();
-            if lose_one {
-                self.fault_fired = true;
-            }
-            for (n, (_, guard)) in guards.iter_mut().enumerate() {
-                if lose_one && n == 0 {
-                    continue;
-                }
-                guard.pending.remove(&ticket);
-            }
-            drop(guards);
-            let result = if valid {
-                match plan_res {
-                    Ok(plan) => Ok(self.net.batch_commit(plan, &mut pending_fill)),
-                    Err(e) => Err(e),
-                }
-            } else {
-                // Abort: the wave plan observed state that has since
-                // moved; replay this request at its sequential point.
-                self.stale_replans += 1;
-                self.replan_serially(req, &mut pending_fill)
-            };
+            let (result, stale) = self.net.admit(req, hint, &mut pending);
+            self.stale_replans += u64::from(stale);
             results.push(result);
         }
-        self.net.batch_flush(pending_fill);
+        self.net.batch_flush(pending);
         results
     }
 
-    /// The monolith's own plan-and-commit, at the request's sequential
-    /// point in the wave (deferred-fill protocol preserved).
-    fn replan_serially(
-        &mut self,
-        req: &EstablishRequest,
-        pending_fill: &mut PendingFill,
-    ) -> Result<crate::channel::ConnectionId, AdmissionError> {
-        let plan = self.net.plan_establish(req.src, req.dst, req.qos)?;
-        Ok(self.net.batch_commit(plan, pending_fill))
+    /// Phase 1: one hint slot per request — or none at all unless the
+    /// wave has at least two active home shards. Each planner owns a
+    /// fresh route scratch and shares the frozen `&Network`; hints land in
+    /// index-addressed slots, so the admit loop is independent of thread
+    /// scheduling (and a planner that died merely leaves its slots empty).
+    fn pre_plan(&self, requests: &[EstablishRequest]) -> Vec<Option<PrePlanned>> {
+        let home = |r: &EstablishRequest| self.partition.shard_of_node(r.src);
+        let first = requests.first().map(home);
+        if requests.iter().all(|r| Some(home(r)) == first) {
+            return Vec::new();
+        }
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.partition.shards()];
+        for (i, req) in requests.iter().enumerate() {
+            groups[home(req)].push(i);
+        }
+        groups.retain(|g| !g.is_empty());
+        let net = &self.net;
+        let plan_group = |group: &Vec<usize>| -> Vec<(usize, PrePlanned)> {
+            let mut scratch = RouteScratch::new();
+            let plan = |&i: &usize| {
+                let r = &requests[i];
+                let planned = net.plan_establish_traced(&mut scratch, r.src, r.dst, r.qos);
+                (i, planned)
+            };
+            group.iter().map(plan).collect()
+        };
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let planned: Vec<Vec<(usize, PrePlanned)>> = if workers <= 1 {
+            // One core: same plans in the same slots, minus the spawns.
+            groups.iter().map(plan_group).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let planners: Vec<_> = groups
+                    .iter()
+                    .map(|group| scope.spawn(|| plan_group(group)))
+                    .collect();
+                planners.into_iter().filter_map(|p| p.join().ok()).collect()
+            })
+        };
+        let mut hints: Vec<Option<PrePlanned>> = requests.iter().map(|_| None).collect();
+        for (i, hint) in planned.into_iter().flatten() {
+            hints[i] = Some(hint);
+        }
+        hints
     }
 }
 
@@ -345,6 +229,20 @@ mod tests {
             .collect()
     }
 
+    fn contended_ring() -> Network {
+        Network::new(ring(6).unwrap(), NetworkConfig::default())
+    }
+
+    fn antipodal_wave() -> Vec<EstablishRequest> {
+        (0..12)
+            .map(|i| EstablishRequest {
+                src: NodeId(i % 6),
+                dst: NodeId((i + 3) % 6),
+                qos: ElasticQos::paper_video(25),
+            })
+            .collect()
+    }
+
     fn assert_matches_serial(net: Network, wave: &[EstablishRequest], shards: usize) -> u64 {
         let mut serial = net.clone();
         let mut sharded = ShardedNetwork::new(net, shards);
@@ -359,7 +257,6 @@ mod tests {
             NetworkSnapshot::capture(&serial),
             "post-wave state diverged"
         );
-        assert_eq!(sharded.pending_reservations(), 0, "leaked reservations");
         sharded.stale_replans()
     }
 
@@ -375,18 +272,34 @@ mod tests {
     #[test]
     fn a_contended_wave_replans_stale_footprints_and_still_matches() {
         // Antipodal requests on a small ring all fight for the same links,
-        // so wave plans go stale and the two-phase validation must abort
-        // into serial replans — and the result must still match.
-        let net = Network::new(ring(6).unwrap(), NetworkConfig::default());
-        let wave: Vec<EstablishRequest> = (0..12)
-            .map(|i| EstablishRequest {
-                src: NodeId(i % 6),
-                dst: NodeId((i + 3) % 6),
-                qos: ElasticQos::paper_video(25),
-            })
-            .collect();
-        let stale = assert_matches_serial(net, &wave, 3);
+        // so wave plans go stale and `admit` must plan them again at their
+        // sequential point — and the result must still match.
+        let stale = assert_matches_serial(contended_ring(), &antipodal_wave(), 3);
         assert!(stale > 0, "contended ring wave should hit the stale path");
+    }
+
+    #[test]
+    fn the_injected_fault_commits_a_plan_that_went_stale() {
+        // Links so tight that the tail of the wave is rejected at its
+        // sequential point — but not on the empty network it was
+        // pre-planned against.
+        let tight = || {
+            let config = NetworkConfig {
+                capacity: crate::qos::Bandwidth::kbps(800),
+                ..NetworkConfig::default()
+            };
+            Network::new(ring(6).unwrap(), config)
+        };
+        let mut serial = tight();
+        let mut sharded = ShardedNetwork::new(tight(), 3);
+        sharded.set_fault(ShardFault::TrustStaleFootprint);
+        let got = sharded.establish_wave(&antipodal_wave());
+        assert_eq!(sharded.stale_replans(), 0, "the mutant never re-plans");
+        assert_ne!(
+            got,
+            serial.establish_batch(&antipodal_wave()),
+            "TrustStaleFootprint must over-admit"
+        );
     }
 
     #[test]
@@ -418,29 +331,26 @@ mod tests {
                 "round {round}"
             );
         }
-        assert_eq!(sharded.pending_reservations(), 0);
-    }
-
-    #[test]
-    fn the_injected_fault_leaks_a_reservation() {
-        let net = waxman_net(2);
-        let n = net.graph().node_count();
-        let mut sharded = ShardedNetwork::new(net, 4);
-        sharded.set_fault(ShardFault::LoseReservationRelease);
-        sharded.establish_wave(&random_wave(5, n, 8));
-        assert!(
-            sharded.pending_reservations() > 0,
-            "LoseReservationRelease must leak a pending-ledger entry"
-        );
     }
 
     #[test]
     fn one_shard_degenerates_to_the_monolith() {
+        // One shard ⇒ one home shard ⇒ no pre-planning: the wave is
+        // `establish_batch`, down to the route-cache counters.
         let net = waxman_net(4);
-        let n = net.graph().node_count();
-        let stale = assert_matches_serial(net, &random_wave(11, n, 16), 1);
-        // Single shard ⇒ single planning thread, but the two-phase commit
-        // machinery still runs (and still must be invisible).
-        let _ = stale;
+        let wave = random_wave(11, net.graph().node_count(), 16);
+        let mut batched = net.clone();
+        let mut sharded = ShardedNetwork::new(net, 1);
+        assert_eq!(
+            sharded.establish_wave(&wave),
+            batched.establish_batch(&wave)
+        );
+        assert_eq!(sharded.stale_replans(), 0);
+        assert_eq!(
+            sharded.inner().route_cache_stats(),
+            batched.route_cache_stats()
+        );
+        let net = waxman_net(4);
+        assert_matches_serial(net, &wave, 1);
     }
 }

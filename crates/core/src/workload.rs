@@ -1,6 +1,7 @@
 //! Workload generation: who requests DR-connections, between which nodes,
 //! and with what QoS.
 
+use crate::network::EstablishRequest;
 use crate::qos::ElasticQos;
 use drqos_sim::rng::Rng;
 use drqos_topology::NodeId;
@@ -64,17 +65,6 @@ impl PairSampler {
     }
 }
 
-/// A DR-connection request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Request {
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Requested QoS.
-    pub qos: ElasticQos,
-}
-
 /// A stream of DR-connection requests with a fixed QoS template.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
@@ -107,9 +97,9 @@ impl Workload {
     /// # Panics
     ///
     /// Panics if `n_nodes < 2` (see [`PairSampler::sample`]).
-    pub fn request(&self, rng: &mut Rng, n_nodes: usize) -> Request {
+    pub fn request(&self, rng: &mut Rng, n_nodes: usize) -> EstablishRequest {
         let (src, dst) = self.sampler.sample(rng, n_nodes);
-        Request {
+        EstablishRequest {
             src,
             dst,
             qos: self.qos,

@@ -1,4 +1,4 @@
-//! The three interprocedural rules, built on [`crate::callgraph`]:
+//! The two interprocedural rules, built on [`crate::callgraph`]:
 //!
 //! * [`panic_reachability`] — from the daemon-zone entry points
 //!   ([`crate::rules::NO_PANIC_FILES`]), walk the call graph and report
@@ -7,35 +7,25 @@
 //!   inside zone files stay `no-panic-daemon`'s job (same line, same
 //!   contract) — and a site its pragma allows is allowed on every path,
 //!   which is how the old file-scoped allowlist becomes path-level.
-//! * [`lock_order`] — every function acquiring more than one lock from a
-//!   `Vec<Mutex<..>>` lock family (the shard ledgers, any future member
-//!   table) must do so in provably ascending index order: ascending
-//!   ranges, iteration over a binding proven sorted (`.sort()` /
-//!   `.sort_unstable()` before the loop, or produced by a function whose
-//!   body sorts, like `Partition::touched_shards`), or strictly
-//!   increasing literal indices. Anything unprovable is a diagnostic.
 //! * [`determinism_taint`] — taint sources (`Instant::now`, `SystemTime`,
 //!   `available_parallelism`, unseeded `HashMap`/`HashSet` state) reached
 //!   from the byte-pinned emitter files ([`crate::rules::DETERMINISTIC_FILES`]
 //!   ∪ [`crate::rules::FLOAT_FILES`]) are reported with the flow chain —
 //!   the function-level refinement of the file-scoped `raw-clock` rule.
 //!
-//! Plus [`non_vacuity`]: all three rules are reachability rules over a
+//! Plus [`non_vacuity`]: both rules are reachability rules over a
 //! best-effort graph, so an empty graph would make them vacuously green.
 //! The resolved-edge floor turns that failure mode into a finding.
 
 use crate::callgraph::{CallGraph, FnId};
-use crate::lexer::{Lexed, Token, TokenKind};
-use crate::parser::{Callee, FnDef, PanicKind, ParsedFile};
+use crate::parser::{Callee, PanicKind, ParsedFile};
 use crate::rules::{FilePragmas, Finding, DETERMINISTIC_FILES, FLOAT_FILES, NO_PANIC_FILES};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One workspace file with everything the interprocedural pass needs.
 pub struct WsFile {
     /// Repo-relative path, forward slashes.
     pub path: String,
-    /// The lexed file (token access for lock-order's body re-scan).
-    pub lexed: Lexed,
     /// Item-level parse.
     pub parsed: ParsedFile,
     /// Pragma table, shared with the intra-file rules' usage tracking.
@@ -182,385 +172,7 @@ pub fn determinism_taint(graph: &CallGraph, files: &[WsFile], out: &mut Vec<Find
     }
 }
 
-/// One lock acquisition found by the body re-scan.
-struct Acquisition {
-    line: u32,
-    /// Tokens of the index expression inside `[..]`.
-    idx: Vec<String>,
-    /// Innermost enclosing `for` loop, if any (index into the loop list).
-    in_loop: Option<usize>,
-}
-
-/// One `for` loop in a function body.
-struct ForLoop {
-    /// The loop pattern's binding (`s` in `for &s in &touched`).
-    pat_var: Option<String>,
-    /// Tokens of the iterated expression.
-    iter: Vec<String>,
-    /// Token range of the loop body (open brace .. matching close).
-    body: (usize, usize),
-}
-
-fn find_for_loops(toks: &[Token], range: (usize, usize)) -> Vec<ForLoop> {
-    let mut loops = Vec::new();
-    let (start, end) = range;
-    let mut i = start;
-    while i < end {
-        if !(toks[i].kind == TokenKind::Ident && toks[i].text == "for") {
-            i += 1;
-            continue;
-        }
-        // `for<'a>` HRTB is not a loop.
-        if toks.get(i + 1).is_some_and(|t| t.text == "<") {
-            i += 1;
-            continue;
-        }
-        // Pattern runs to `in`.
-        let mut j = i + 1;
-        let mut pat_var = None;
-        while j < end && toks[j].text != "in" {
-            if toks[j].kind == TokenKind::Ident {
-                pat_var = Some(toks[j].text.clone());
-            }
-            j += 1;
-        }
-        if j >= end {
-            break;
-        }
-        // Iterated expression runs to the body `{` at bracket depth 0.
-        let mut depth = 0i32;
-        let mut k = j + 1;
-        let mut iter = Vec::new();
-        while k < end {
-            match toks[k].text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth <= 0 => break,
-                _ => {}
-            }
-            iter.push(toks[k].text.clone());
-            k += 1;
-        }
-        if k >= end {
-            break;
-        }
-        let body_end = crate::parser::body_end_from(toks, k);
-        loops.push(ForLoop {
-            pat_var,
-            iter,
-            body: (k, body_end),
-        });
-        i = k + 1; // descend into the body so nested loops are found too
-    }
-    loops
-}
-
-/// Does `name` refer (by workspace-unique name) to a function whose body
-/// sorts — i.e. may be trusted to produce ascending indices?
-fn is_sorted_producer(name: &str, sorted_fns: &BTreeMap<String, bool>) -> bool {
-    sorted_fns.get(name).copied().unwrap_or(false)
-}
-
-/// Can the loop's iterated expression be proven ascending?
-fn loop_provably_ascending(
-    lp: &ForLoop,
-    body_toks: &[String],
-    sorted_fns: &BTreeMap<String, bool>,
-) -> bool {
-    // Reversal defeats any sortedness proof.
-    if lp.iter.iter().any(|t| t == "rev") {
-        return false;
-    }
-    // `a..b` / `a..=b` ranges ascend.
-    if lp.iter.windows(2).any(|w| w[0] == "." && w[1] == ".") {
-        return true;
-    }
-    // Iterating a sorted producer's result directly: `for s in x.touched_shards(..)`.
-    if lp.iter.iter().any(|t| is_sorted_producer(t, sorted_fns)) {
-        return true;
-    }
-    // Iterating a BTree collection ascends by key.
-    if lp.iter.iter().any(|t| t == "BTreeSet" || t == "BTreeMap") {
-        return true;
-    }
-    // Otherwise find the base binding and look for a sortedness witness
-    // in its `let` initializer (or a later `.sort*()` call on it).
-    let base = lp
-        .iter
-        .iter()
-        .find(|t| {
-            t.chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-        })
-        .cloned();
-    let Some(base) = base else { return false };
-    let mut i = 0usize;
-    while i + 2 < body_toks.len() {
-        // `let <base> = <init> ;`
-        if body_toks[i] == "let" {
-            let mut j = i + 1;
-            while j < body_toks.len() && body_toks[j] != "=" && body_toks[j] != ";" {
-                j += 1;
-            }
-            let binds_base = body_toks[i + 1..j].contains(&base);
-            if binds_base && j < body_toks.len() && body_toks[j] == "=" {
-                let mut k = j + 1;
-                let mut init = Vec::new();
-                let mut depth = 0i32;
-                while k < body_toks.len() {
-                    match body_toks[k].as_str() {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => depth -= 1,
-                        ";" if depth <= 0 => break,
-                        _ => {}
-                    }
-                    init.push(body_toks[k].clone());
-                    k += 1;
-                }
-                let ok = init.iter().any(|t| {
-                    t == "BTreeSet" || t == "BTreeMap" || is_sorted_producer(t, sorted_fns)
-                }) || init.windows(2).any(|w| w[0] == "." && w[1] == ".");
-                if ok {
-                    return true;
-                }
-            }
-        }
-        // `<base>.sort()` / `<base>.sort_unstable()` anywhere in the body.
-        if body_toks[i] == base
-            && body_toks[i + 1] == "."
-            && (body_toks[i + 2] == "sort" || body_toks[i + 2] == "sort_unstable")
-        {
-            return true;
-        }
-        i += 1;
-    }
-    false
-}
-
-/// Rule 9, `lock-order`.
-pub fn lock_order(files: &[WsFile], out: &mut Vec<Finding>) {
-    // Lock families declared anywhere in the workspace.
-    let families: BTreeSet<String> = files
-        .iter()
-        .flat_map(|f| f.parsed.lock_families.iter().map(|l| l.field.clone()))
-        .collect();
-    if families.is_empty() {
-        return;
-    }
-
-    // Wrapper functions: any fn whose body contains a `.lock(` call can
-    // acquire on behalf of its caller (e.g. `lock_ledger`).
-    let mut wrappers: BTreeSet<String> = BTreeSet::new();
-    // Sorted producers: fn name → every fn of that name sorts in its body.
-    let mut sorted_fns: BTreeMap<String, bool> = BTreeMap::new();
-    for f in files {
-        for def in &f.parsed.fns {
-            let toks = &f.lexed.tokens;
-            let (s, e) = def.body;
-            let mut locks = false;
-            let mut sorts = false;
-            let mut i = s;
-            while i + 1 < e.min(toks.len()) {
-                if toks[i].text == "." {
-                    match toks[i + 1].text.as_str() {
-                        "lock" => locks = true,
-                        "sort" | "sort_unstable" => sorts = true,
-                        _ => {}
-                    }
-                }
-                i += 1;
-            }
-            if locks {
-                wrappers.insert(def.name.clone());
-            }
-            sorted_fns
-                .entry(def.name.clone())
-                .and_modify(|v| *v &= sorts)
-                .or_insert(sorts);
-        }
-    }
-
-    for f in files {
-        for def in &f.parsed.fns {
-            if def.is_test {
-                continue;
-            }
-            check_fn_lock_order(f, def, &families, &wrappers, &sorted_fns, out);
-        }
-    }
-
-    fn check_fn_lock_order(
-        f: &WsFile,
-        def: &FnDef,
-        families: &BTreeSet<String>,
-        wrappers: &BTreeSet<String>,
-        sorted_fns: &BTreeMap<String, bool>,
-        out: &mut Vec<Finding>,
-    ) {
-        const RULE: &str = "lock-order";
-        let toks = &f.lexed.tokens;
-        let (start, end) = (def.body.0, def.body.1.min(f.lexed.tokens.len()));
-        let loops = find_for_loops(toks, (start, end));
-        let body_strs: Vec<String> = toks[start..end].iter().map(|t| t.text.clone()).collect();
-
-        // Per family: collect acquisitions.
-        for family in families {
-            let mut acqs: Vec<Acquisition> = Vec::new();
-            let mut i = start;
-            while i < end {
-                if !(toks[i].kind == TokenKind::Ident && toks[i].text == *family) {
-                    i += 1;
-                    continue;
-                }
-                if toks.get(i + 1).map(|t| t.text.as_str()) != Some("[") {
-                    i += 1;
-                    continue;
-                }
-                // Index tokens to the matching `]`.
-                let mut depth = 0i32;
-                let mut j = i + 1;
-                let mut idx = Vec::new();
-                while j < end {
-                    match toks[j].text.as_str() {
-                        "[" => {
-                            depth += 1;
-                            if depth == 1 {
-                                j += 1;
-                                continue;
-                            }
-                        }
-                        "]" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    idx.push(toks[j].text.clone());
-                    j += 1;
-                }
-                // Acquisition? Either `family[i].lock(` or the indexing
-                // appears in the arguments of a wrapper call.
-                let direct = toks.get(j + 1).is_some_and(|t| t.text == ".")
-                    && toks.get(j + 2).is_some_and(|t| t.text == "lock");
-                let mut via_wrapper = false;
-                let lo = start.max(i.saturating_sub(8));
-                for k in (lo..i).rev() {
-                    match toks[k].text.as_str() {
-                        ";" | "{" | "}" => break,
-                        _ => {}
-                    }
-                    if toks[k].kind == TokenKind::Ident
-                        && wrappers.contains(&toks[k].text)
-                        && toks.get(k + 1).is_some_and(|t| t.text == "(")
-                    {
-                        via_wrapper = true;
-                        break;
-                    }
-                }
-                if direct || via_wrapper {
-                    let in_loop = loops
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, lp)| lp.body.0 < i && i < lp.body.1)
-                        .map(|(li, _)| li)
-                        .next_back(); // innermost = last matching (nested found later)
-                    acqs.push(Acquisition {
-                        line: toks[i].line,
-                        idx,
-                        in_loop,
-                    });
-                }
-                i = j + 1;
-            }
-
-            if acqs.is_empty() {
-                continue;
-            }
-            let looped: Vec<&Acquisition> = acqs.iter().filter(|a| a.in_loop.is_some()).collect();
-            if acqs.len() == 1 && looped.is_empty() {
-                continue; // a single straight-line acquisition cannot deadlock
-            }
-
-            // Loop acquisitions: index must be exactly the loop binding of
-            // a provably ascending loop.
-            let mut bad: Option<(u32, String)> = None;
-            for a in &looped {
-                let lp = &loops[a.in_loop.unwrap()];
-                let idx_is_pat =
-                    a.idx.len() == 1 && lp.pat_var.as_deref() == Some(a.idx[0].as_str());
-                if !idx_is_pat {
-                    bad = Some((
-                        a.line,
-                        format!(
-                            "loop acquisition index `{}` is not the loop binding",
-                            a.idx.join(" ")
-                        ),
-                    ));
-                    break;
-                }
-                if !loop_provably_ascending(lp, &body_strs, sorted_fns) {
-                    bad = Some((
-                        a.line,
-                        "loop over indices not provably ascending (sort them, use a range, \
-                         or iterate a sorted producer like Partition::touched_shards)"
-                            .to_string(),
-                    ));
-                    break;
-                }
-            }
-            // Straight-line multiple acquisitions: literal indices must
-            // strictly ascend; anything symbolic is unprovable.
-            if bad.is_none() && looped.is_empty() && acqs.len() > 1 {
-                let literals: Option<Vec<u64>> = acqs
-                    .iter()
-                    .map(|a| {
-                        (a.idx.len() == 1)
-                            .then(|| a.idx[0].parse::<u64>().ok())
-                            .flatten()
-                    })
-                    .collect();
-                let proven = literals
-                    .as_ref()
-                    .is_some_and(|ls| ls.windows(2).all(|w| w[0] < w[1]));
-                if !proven {
-                    bad = Some((
-                        acqs[1].line,
-                        "multiple acquisitions with indices not provably ascending".to_string(),
-                    ));
-                }
-            }
-            // Mixed loop + straight-line acquisition of one family in one
-            // fn: no idiom we can prove.
-            if bad.is_none() && !looped.is_empty() && looped.len() != acqs.len() {
-                bad = Some((
-                    acqs[0].line,
-                    "mixes loop and straight-line acquisitions of the same lock family".to_string(),
-                ));
-            }
-
-            if let Some((line, why)) = bad {
-                if f.pragmas.allowed(RULE, line) {
-                    continue;
-                }
-                out.push(Finding {
-                    file: f.path.clone(),
-                    line,
-                    rule: RULE,
-                    message: format!(
-                        "function {} acquires multiple `{family}` locks; {why} — lock order \
-                         must be provably ascending to preserve deadlock freedom",
-                        def.qualified_name(),
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Rule 11, `call-graph`: the non-vacuity gate. The reachability rules
+/// Rule 10, `call-graph`: the non-vacuity gate. The reachability rules
 /// are only as strong as the resolver feeding them; a resolved-edge
 /// count below the floor is itself a finding so a parser/resolver
 /// regression cannot silently turn the rules green.
@@ -580,7 +192,7 @@ pub fn non_vacuity(graph: &CallGraph, floor: usize, out: &mut Vec<Finding>) {
     }
 }
 
-/// Rule 10, `stale-pragma`: a `lint:allow` declaration that suppressed
+/// Rule 9, `stale-pragma`: a `lint:allow` declaration that suppressed
 /// nothing this run is dead weight — either the violation it covered is
 /// gone (delete it) or it never matched (it is masking nothing and would
 /// silently swallow a future, different finding).
@@ -620,7 +232,6 @@ mod tests {
                 let pragmas = FilePragmas::collect(&lexed);
                 WsFile {
                     path: p.to_string(),
-                    lexed,
                     parsed,
                     pragmas,
                     test_lines: BTreeSet::new(),
@@ -690,76 +301,6 @@ mod tests {
         let mut out = Vec::new();
         panic_reachability(&graph, &files, &mut out);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn ascending_loop_over_sorted_producer_is_provable() {
-        let (files, _) = ws(&[(
-            "crates/core/src/shard.rs",
-            r#"
-            struct S { ledgers: Vec<Mutex<L>> }
-            fn lock_ledger(m: &Mutex<L>) -> G { m.lock().unwrap_or_else(|e| e.into_inner()) }
-            impl S {
-                fn wave(&self) {
-                    let touched = self.partition.touched_shards(links.iter());
-                    for &s in &touched {
-                        let g = lock_ledger(&self.ledgers[s]);
-                    }
-                }
-            }
-            "#,
-        ), (
-            "crates/topology/src/partition.rs",
-            "impl Partition { pub fn touched_shards(&self) -> Vec<usize> { let mut shards: Vec<usize> = v; shards.sort_unstable(); shards.dedup(); shards } }",
-        )]);
-        let mut out = Vec::new();
-        lock_order(&files, &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn descending_literal_pair_is_a_finding() {
-        let (files, _) = ws(&[(
-            "crates/core/src/shard.rs",
-            r#"
-            struct S { ledgers: Vec<Mutex<L>> }
-            impl S {
-                fn bad(&self) {
-                    let a = self.ledgers[2].lock();
-                    let b = self.ledgers[1].lock();
-                }
-            }
-            "#,
-        )]);
-        let mut out = Vec::new();
-        lock_order(&files, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].rule, "lock-order");
-    }
-
-    #[test]
-    fn unsorted_loop_acquisition_is_a_finding() {
-        let (files, _) = ws(&[(
-            "crates/core/src/shard.rs",
-            r#"
-            struct S { ledgers: Vec<Mutex<L>> }
-            impl S {
-                fn bad(&self, picks: Vec<usize>) {
-                    for s in picks {
-                        let g = self.ledgers[s].lock();
-                    }
-                }
-            }
-            "#,
-        )]);
-        let mut out = Vec::new();
-        lock_order(&files, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(
-            out[0].message.contains("not provably ascending"),
-            "{}",
-            out[0].message
-        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! and wire codes.
 //!
 //! The token-level rules and their zones live in [`rules`]; the
-//! interprocedural rules (`panic-reachability`, `lock-order`,
-//! `determinism-taint`) live in [`interproc`] on top of the item-level
+//! interprocedural rules (`panic-reachability`, `determinism-taint`)
+//! live in [`interproc`] on top of the item-level
 //! [`parser`] and the workspace [`callgraph`]. Pragma syntax is
 //! `// lint:allow(<rule>)[: justification]` on the offending line or
 //! alone on the line above; a pragma that suppresses nothing is itself a
@@ -202,7 +202,6 @@ fn analyze_sources(sources: &[(String, String)], findings: &mut Vec<Finding>) ->
         let pragmas = view.into_pragmas();
         files.push(WsFile {
             path: rel.clone(),
-            lexed,
             parsed,
             pragmas,
             test_lines,
@@ -221,7 +220,6 @@ pub fn lint_sources(sources: &[(String, String)], edge_floor: usize) -> Vec<Find
     let files = analyze_sources(sources, &mut findings);
     let graph = CallGraph::build(files.iter().map(|f| (f.path.as_str(), &f.parsed)));
     interproc::panic_reachability(&graph, &files, &mut findings);
-    interproc::lock_order(&files, &mut findings);
     interproc::determinism_taint(&graph, &files, &mut findings);
     interproc::non_vacuity(&graph, edge_floor, &mut findings);
     interproc::stale_pragmas(&files, &mut findings);

@@ -103,9 +103,6 @@ pub struct FnDef {
     pub calls: Vec<CallSite>,
     /// Direct panic sites in the body, in source order.
     pub panics: Vec<PanicSite>,
-    /// Half-open token index range of the body (into the file's token
-    /// stream), for rules that re-scan the raw tokens (lock-order).
-    pub body: (usize, usize),
 }
 
 impl FnDef {
@@ -118,26 +115,11 @@ impl FnDef {
     }
 }
 
-/// A struct field whose type is `Vec<Mutex<..>>` — a *lock family* for
-/// the lock-order rule (`ledgers` in `ShardedNetwork`, and any future
-/// per-member lock table).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockFamily {
-    /// Field name (`ledgers`).
-    pub field: String,
-    /// Struct the field belongs to, when known.
-    pub owner: Option<String>,
-    /// 1-based line of the field.
-    pub line: u32,
-}
-
 /// Everything the interprocedural rules need from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     /// Functions in source order.
     pub fns: Vec<FnDef>,
-    /// `Vec<Mutex<..>>` fields declared in this file.
-    pub lock_families: Vec<LockFamily>,
 }
 
 /// Keywords that can directly precede `(` without being a call.
@@ -177,11 +159,6 @@ fn find_body_open(toks: &[Token], kw: usize) -> Option<usize> {
 }
 
 /// Finds the token index one past the `}` matching the `{` at `open`.
-/// Public so body re-scans in [`crate::interproc`] can reuse it.
-pub fn body_end_from(toks: &[Token], open: usize) -> usize {
-    find_body_end(toks, open)
-}
-
 fn find_body_end(toks: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     let mut j = open;
@@ -398,8 +375,6 @@ pub fn parse_file(lexed: &Lexed) -> ParsedFile {
 
     // Impl context: a stack of (self_type, body_end_token).
     let mut impl_stack: Vec<(Option<String>, usize)> = Vec::new();
-    // Struct context for lock-family fields: (struct_name, body_end).
-    let mut struct_ctx: Option<(String, usize)> = None;
 
     let mut i = 0usize;
     while i < toks.len() {
@@ -408,11 +383,6 @@ pub fn parse_file(lexed: &Lexed) -> ParsedFile {
                 impl_stack.pop();
             } else {
                 break;
-            }
-        }
-        if let Some((_, end)) = &struct_ctx {
-            if i >= *end {
-                struct_ctx = None;
             }
         }
         let t = &toks[i];
@@ -428,15 +398,6 @@ pub fn parse_file(lexed: &Lexed) -> ParsedFile {
                     impl_stack.push((self_ty, end));
                     i = open + 1;
                     continue;
-                }
-            }
-            "struct" => {
-                if let (Some(name), Some(open)) = (toks.get(i + 1), find_body_open(toks, i)) {
-                    if name.kind == TokenKind::Ident {
-                        struct_ctx = Some((name.text.clone(), find_body_end(toks, open)));
-                        i = open + 1;
-                        continue;
-                    }
                 }
             }
             "fn" => {
@@ -464,26 +425,11 @@ pub fn parse_file(lexed: &Lexed) -> ParsedFile {
                     is_test: in_test.get(i).copied().unwrap_or(false),
                     calls,
                     panics,
-                    body: (open + 1, end.saturating_sub(1)),
                 });
                 i = end;
                 continue;
             }
-            _ => {
-                // Lock-family field: `name : Vec < Mutex <` inside a
-                // struct body (also matched at top level for robustness).
-                if toks.get(i + 1).is_some_and(|n| n.text == ":")
-                    && toks.get(i + 2).is_some_and(|n| n.text == "Vec")
-                    && toks.get(i + 3).is_some_and(|n| n.text == "<")
-                    && toks.get(i + 4).is_some_and(|n| n.text == "Mutex")
-                {
-                    out.lock_families.push(LockFamily {
-                        field: t.text.clone(),
-                        owner: struct_ctx.as_ref().map(|(n, _)| n.clone()),
-                        line: t.line,
-                    });
-                }
-            }
+            _ => {}
         }
         i += 1;
     }
@@ -663,16 +609,6 @@ mod tests {
             parse("trait T { fn required(&self) -> u64; fn with_default(&self) { a_call(); } }");
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "with_default");
-    }
-
-    #[test]
-    fn lock_family_fields_are_detected() {
-        let p = parse(
-            "struct ShardedNetwork { net: Network, ledgers: Vec<Mutex<ShardLedger>>, n: u64 }",
-        );
-        assert_eq!(p.lock_families.len(), 1);
-        assert_eq!(p.lock_families[0].field, "ledgers");
-        assert_eq!(p.lock_families[0].owner.as_deref(), Some("ShardedNetwork"));
     }
 
     #[test]

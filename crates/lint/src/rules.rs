@@ -44,7 +44,6 @@ pub const RULES: &[&str] = &[
     "float-format",
     "wire-doc-sync",
     "panic-reachability",
-    "lock-order",
     "determinism-taint",
     "stale-pragma",
     "call-graph",

@@ -303,7 +303,6 @@ fn every_shipped_rule_has_a_stable_id() {
             "float-format",
             "wire-doc-sync",
             "panic-reachability",
-            "lock-order",
             "determinism-taint",
             "stale-pragma",
             "call-graph",
@@ -451,60 +450,6 @@ fn determinism_taint_clean_when_no_emitter_reaches_the_clock() {
             "pub fn stamp() -> u64 { let t = Instant::now(); 0 }",
         ),
     ]);
-    assert!(f.is_empty(), "{f:?}");
-}
-
-// ----------------------------------------------------------- lock-order --
-
-#[test]
-fn lock_order_fires_on_descending_literal_acquisitions() {
-    let f = lint_ws(&[(
-        "crates/core/src/shard.rs",
-        "struct S { ledgers: Vec<Mutex<L>> }\n\
-         impl S {\n\
-         fn bad(&self) {\n\
-         let a = self.ledgers[2].lock();\n\
-         let b = self.ledgers[1].lock();\n\
-         }\n\
-         }",
-    )]);
-    assert_eq!(rules_fired(&f), vec!["lock-order"], "{f:?}");
-    assert!(
-        f[0].message.contains("not provably ascending"),
-        "{}",
-        f[0].message
-    );
-}
-
-#[test]
-fn lock_order_suppressed_at_the_acquisition() {
-    let f = lint_ws(&[(
-        "crates/core/src/shard.rs",
-        "struct S { ledgers: Vec<Mutex<L>> }\n\
-         impl S {\n\
-         fn odd(&self) {\n\
-         let a = self.ledgers[2].lock();\n\
-         // lint:allow(lock-order): second lock is a disjoint singleton shard\n\
-         let b = self.ledgers[1].lock();\n\
-         }\n\
-         }",
-    )]);
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn lock_order_clean_on_range_loops() {
-    let f = lint_ws(&[(
-        "crates/core/src/shard.rs",
-        "struct S { ledgers: Vec<Mutex<L>> }\n\
-         impl S {\n\
-         fn wave(&self) {\n\
-         for s in 0..self.ledgers.len() {\n\
-         let g = self.ledgers[s].lock();\n\
-         }\n\
-         }\n\
-         }",
-    )]);
     assert!(f.is_empty(), "{f:?}");
 }
 

@@ -1,5 +1,5 @@
 //! TCP daemons for the cluster federation: the coordinator process that
-//! owns the authoritative [`Network`] and two-phase ledger, and member
+//! owns the authoritative [`Network`] and the open two-phase tickets, and member
 //! processes that serve the ordinary client text protocol backed by a
 //! full replica plus the inter-daemon protocol of [`drqos_cluster::proto`].
 //!
@@ -18,9 +18,9 @@
 //! 2. plan locally to trace the admission **footprint** digests,
 //! 3. `PREPARE` the footprint → `VERDICT {ticket, fresh}`,
 //! 4. `COMMIT {ticket, req}` → `DONE {op_seq}` — the TCP mode ships no
-//!    plan, so the coordinator re-plans serially under the reservation
-//!    (`fresh` short-circuits nothing here; it is the ledger that makes
-//!    the revalidation sound),
+//!    plan, so the coordinator plans at the commit's sequential point
+//!    (`fresh` short-circuits nothing here; the ticket's footprint is
+//!    checked again at commit for the `stale_replans` counter),
 //! 5. `SYNC` past `op_seq` and render the reply from the replica's *own*
 //!    replay outcome at `op_seq`.
 //!
@@ -295,8 +295,8 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
                 // that skipped its local validation; treat as stale.
                 return err_of(ClusterError::StalePrepare(ticket));
             };
-            // The TCP daemons ship no plan: a commit without one re-plans
-            // serially under the footprint reservation.
+            // The TCP daemons ship no plan: a commit without one plans at
+            // its sequential point.
             let mut fill = None;
             match s.coord.commit_prepared(ticket, None, &req, &mut fill) {
                 Ok(_result) => {

@@ -94,43 +94,23 @@ impl Engine {
         Arc::clone(&self.busy)
     }
 
-    /// Handles one line for an interactive (non-server) caller: `SHUTDOWN`
-    /// completes immediately. This is the entry point golden-session
-    /// replays use.
+    /// Handles one line for an interactive (non-server) caller — a batch
+    /// of one — except that `SHUTDOWN` completes immediately. This is the
+    /// entry point golden-session replays use.
     pub fn handle_line(&mut self, line: &str) -> Response {
-        match self.handle_server_line(line) {
-            Handled::Reply(r) => r,
-            Handled::ShutdownRequested => self.finish_shutdown(),
+        match self.handle_lines(std::iter::once(line)).pop() {
+            Some(Handled::Reply(r)) => r,
+            Some(Handled::ShutdownRequested) => self.finish_shutdown(),
+            None => ProtocolError::internal("batch reply slot unfilled").into(),
         }
     }
 
-    /// Handles one line for the server event loop: `SHUTDOWN` is deferred
-    /// so the loop can drain queued commands first. Metrics are recorded
-    /// for every line, including malformed ones.
-    pub fn handle_server_line(&mut self, line: &str) -> Handled {
-        let t0 = OpTimer::start();
-        match protocol::parse(line) {
-            Ok(Request::Shutdown) => {
-                self.metrics.record(OpKind::Shutdown, t0.elapsed(), false);
-                Handled::ShutdownRequested
-            }
-            Ok(req) => {
-                let resp = self.dispatch(&req);
-                self.metrics
-                    .record(op_kind(&req), t0.elapsed(), resp.is_err());
-                Handled::Reply(resp)
-            }
-            Err(e) => {
-                self.metrics.record(OpKind::Invalid, t0.elapsed(), true);
-                Handled::Reply(e.into())
-            }
-        }
-    }
-
-    /// Handles one drained queue batch for the server event loop,
-    /// admitting runs of consecutive `ESTABLISH` commands through
-    /// [`Network::establish_batch`] (one shared scratch/flood pass per
-    /// run instead of one per request).
+    /// Handles one drained queue batch for the server event loop.
+    /// `SHUTDOWN` is deferred so the loop can drain queued commands
+    /// first; metrics are recorded for every line, including malformed
+    /// ones. Runs of consecutive `ESTABLISH` commands are admitted as one
+    /// wave ([`ShardedNetwork::establish_wave`]: one deferred-fill pass
+    /// per run, pre-planned per shard when `DRQOS_SHARDS` > 1).
     ///
     /// Replies land in input order, one per line. Each run is sorted by
     /// [`Network::contention_order`] before admission and the results are
@@ -141,9 +121,15 @@ impl Engine {
     /// *after the whole run commits*, exactly as if the requests had been
     /// admitted back-to-back with no reader between them.
     pub fn handle_server_batch(&mut self, lines: &[String]) -> Vec<Handled> {
-        let mut out: Vec<Option<Handled>> = lines.iter().map(|_| None).collect();
+        self.handle_lines(lines.iter().map(String::as_str))
+    }
+
+    /// The one parse → dispatch → record body: one reply per line.
+    fn handle_lines<'a>(&mut self, lines: impl Iterator<Item = &'a str>) -> Vec<Handled> {
+        let mut out: Vec<Option<Handled>> = Vec::new();
         let mut run: Vec<PendingEstablish> = Vec::new();
-        for (slot, line) in lines.iter().enumerate() {
+        for (slot, line) in lines.enumerate() {
+            out.push(None);
             let t0 = OpTimer::start();
             let parsed = protocol::parse(line);
             if let Ok(Request::Establish {
@@ -176,22 +162,13 @@ impl Engine {
             // Any other command is an ordering barrier: flush the run
             // first so state mutations keep their queue order.
             self.flush_establish_run(&mut run, &mut out);
-            let handled = match parsed {
-                Ok(Request::Shutdown) => {
-                    self.metrics.record(OpKind::Shutdown, t0.elapsed(), false);
-                    Handled::ShutdownRequested
-                }
-                Ok(req) => {
-                    let resp = self.dispatch(&req);
-                    self.metrics
-                        .record(op_kind(&req), t0.elapsed(), resp.is_err());
-                    Handled::Reply(resp)
-                }
-                Err(e) => {
-                    self.metrics.record(OpKind::Invalid, t0.elapsed(), true);
-                    Handled::Reply(e.into())
-                }
+            let (kind, handled) = match parsed {
+                Ok(Request::Shutdown) => (OpKind::Shutdown, Handled::ShutdownRequested),
+                Ok(req) => (op_kind(&req), Handled::Reply(self.dispatch(&req))),
+                Err(e) => (OpKind::Invalid, Handled::Reply(e.into())),
             };
+            let failed = matches!(&handled, Handled::Reply(r) if r.is_err());
+            self.metrics.record(kind, t0.elapsed(), failed);
             set_slot(&mut out, slot, handled);
         }
         self.flush_establish_run(&mut run, &mut out);
@@ -204,55 +181,35 @@ impl Engine {
             .collect()
     }
 
-    /// Admits one buffered establish run: a single request goes through
-    /// the ordinary path, a group goes through the batched planner.
+    /// Admits one buffered establish run as a wave — a run of one is a
+    /// wave of one, one shard is the sequential loop — and renders each
+    /// reply from the settled network.
     fn flush_establish_run(
         &mut self,
         run: &mut Vec<PendingEstablish>,
         out: &mut [Option<Handled>],
     ) {
-        if run.len() <= 1 {
-            if let Some(p) = run.pop() {
-                let resp = self.admit(p.req);
-                self.metrics
-                    .record(OpKind::Establish, p.t0.elapsed(), resp.is_err());
-                set_slot(out, p.slot, Handled::Reply(resp));
-            }
+        if run.is_empty() {
             return;
         }
         let reqs: Vec<EstablishRequest> = run.iter().map(|p| p.req).collect();
         let order = self.net.inner().contention_order(&reqs);
         let sorted: Vec<EstablishRequest> =
             order.iter().filter_map(|&i| reqs.get(i).copied()).collect();
-        // A run under a sharded engine is a *wave*: per-shard parallel
-        // planning plus the two-phase cross-shard commit. Results are
-        // byte-identical to the monolithic batch (`fuzz --diff-shard`).
-        let results = if self.net.shards() > 1 {
-            self.net.establish_wave(&sorted)
-        } else {
-            self.net.inner_mut().establish_batch(&sorted)
-        };
-        // Un-permute: the result at batch position k answers request
+        let results = self.net.establish_wave(&sorted);
+        // Un-permute: the result at wave position k answers request
         // `order[k]`.
-        let mut by_request: Vec<Option<Response>> = reqs.iter().map(|_| None).collect();
-        for (k, &i) in order.iter().enumerate() {
-            let resp = match results.get(k) {
-                Some(Ok(id)) => render_admitted(self.net.inner(), *id),
-                Some(Err(e)) => wire_err(e.wire_code(), e),
-                None => ProtocolError::internal("batch admission result missing").into(),
+        for (&i, result) in order.iter().zip(results) {
+            let Some(p) = run.get(i) else { continue };
+            let resp = match result {
+                Ok(id) => render_admitted(self.net.inner(), id),
+                Err(e) => wire_err(e.wire_code(), e),
             };
-            if let Some(s) = by_request.get_mut(i) {
-                *s = Some(resp);
-            }
-        }
-        for (p, resp) in run.drain(..).zip(by_request) {
-            let resp = resp.unwrap_or_else(|| {
-                ProtocolError::internal("batch admission result missing").into()
-            });
             self.metrics
                 .record(OpKind::Establish, p.t0.elapsed(), resp.is_err());
             set_slot(out, p.slot, Handled::Reply(resp));
         }
+        run.clear();
     }
 
     /// Runs the final invariant check and reports the violation count.
@@ -262,25 +219,22 @@ impl Engine {
         render_violations(&self.net.inner().check_invariants())
     }
 
-    /// Serves one parsed request. Every state-changing verb except
-    /// `ESTABLISH` takes the federation's path — [`MemberOp`] through
+    /// Serves one parsed non-`ESTABLISH` request. Every other
+    /// state-changing verb takes the federation's path — [`MemberOp`] through
     /// [`apply_committed`] to an [`ApplyOutcome`] — so the engine and the
     /// member daemon ([`crate::clusterd`]) answer from the same transition
     /// function and the same renderer.
     fn dispatch(&mut self, req: &Request) -> Response {
         let op = match *req {
-            Request::Establish {
-                src,
-                dst,
-                bmin,
-                bmax,
-                delta,
-            } => return self.establish(src, dst, bmin, bmax, delta),
+            // handle_lines buffers ESTABLISH into a run and SHUTDOWN is the
+            // caller's to finish; answering both here anyway (instead of
+            // unreachable!) keeps dispatch total.
+            Request::Establish { .. } => {
+                return ProtocolError::internal("ESTABLISH bypassed its run").into()
+            }
+            Request::Shutdown => return self.finish_shutdown(),
             Request::Snapshot => return Response::Ok(snapshot_payload(self.net.inner())),
             Request::Stats => return Response::Ok(self.stats_payload()),
-            // handle_server_line routes SHUTDOWN before dispatch; answering
-            // it here anyway (instead of unreachable!) keeps dispatch total.
-            Request::Shutdown => return self.finish_shutdown(),
             Request::Release { id } => MemberOp::Release {
                 id: ConnectionId(id),
             },
@@ -294,25 +248,6 @@ impl Engine {
             self.net.inner_mut(),
             &op.to_committed(),
         )))
-    }
-
-    fn establish(&mut self, src: usize, dst: usize, bmin: u64, bmax: u64, delta: u64) -> Response {
-        match build_qos(bmin, bmax, delta) {
-            Ok(qos) => self.admit(EstablishRequest {
-                src: NodeId(src),
-                dst: NodeId(dst),
-                qos,
-            }),
-            Err(resp) => resp,
-        }
-    }
-
-    /// Admits one request sequentially and renders its reply.
-    fn admit(&mut self, req: EstablishRequest) -> Response {
-        match self.net.inner_mut().establish(req.src, req.dst, req.qos) {
-            Ok(id) => render_admitted(self.net.inner(), id),
-            Err(e) => wire_err(e.wire_code(), e),
-        }
     }
 
     /// The `STATS` payload: the one intentionally non-deterministic reply
@@ -607,6 +542,35 @@ mod tests {
     }
 
     #[test]
+    fn a_one_line_batch_is_handle_line() {
+        // Admissions, a rejection, a QoS-range error, a barrier op and a
+        // malformed line: each as a batch of one and through handle_line.
+        let lines = [
+            "ESTABLISH 0 3 100 500 100",
+            "ESTABLISH 3 0 100 500 100",
+            "ESTABLISH 2 2 100 500 100",
+            "ESTABLISH 0 2 0 500 100",
+            "RELEASE 0",
+            "BOGUS",
+            "SNAPSHOT",
+        ];
+        let (mut by_line, mut by_batch) = (engine(), engine());
+        for line in lines {
+            let want = by_line.handle_line(line);
+            let got = by_batch.handle_server_batch(&[line.to_string()]);
+            let [Handled::Reply(got)] = got.as_slice() else {
+                panic!("one line, one reply: {got:?}");
+            };
+            assert_eq!(got, &want, "{line}");
+        }
+        let (a, b) = (by_line.metrics(), by_batch.metrics());
+        assert_eq!(a.total_ops(), b.total_ops());
+        assert_eq!(a.total_errors(), b.total_errors());
+        assert_eq!((a.admitted, a.rejected), (b.admitted, b.rejected));
+        assert_eq!((a.admitted, a.rejected, a.total_errors()), (2, 2, 3));
+    }
+
+    #[test]
     fn server_batch_defers_shutdown_and_serves_the_rest() {
         let lines: Vec<String> = ["ESTABLISH 0 3 100 500 100", "SHUTDOWN", "SNAPSHOT"]
             .iter()
@@ -663,9 +627,8 @@ mod tests {
 
     #[test]
     fn sharded_batches_reply_byte_identically_to_the_monolith() {
-        // The same drained batch through a 4-shard engine and the
-        // monolith: every reply line must match, and the run (length > 1)
-        // must actually exercise the wave path.
+        // The same drained batch through a 4-shard engine (pre-planned
+        // waves) and the monolith: every reply line must match.
         let lines: Vec<String> = [
             "ESTABLISH 0 3 100 500 100",
             "ESTABLISH 1 4 100 500 100",

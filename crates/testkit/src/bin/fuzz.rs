@@ -15,7 +15,7 @@
 //!   the lockstep subject table (`drqos_testkit::lockstep::subjects`) and
 //!   its sequential oracle, at every parameter in the row's grid, and
 //!   fails (with a shrunk reproducer) on any divergence in operation
-//!   results, leaked two-phase reservations, drop counters, epochs, or
+//!   results, leaked two-phase tickets, drop counters, epochs, or
 //!   snapshots of any network view:
 //!   `cache` (route cache on vs. off), `batch` (`establish_batch` runs
 //!   vs. sequential admission), `shard` (`ShardedNetwork` waves, **shard
@@ -24,7 +24,7 @@
 //! * `--self-test` is the mutation check: it injects the `LoseRelease`
 //!   and `LoseSrlgRepair` accounting faults into the invariant fuzzer and
 //!   every subject's registered mutant (`StarvedCapacity`,
-//!   `ReverseBatch`, `LoseReservationRelease`, `LosePrepare`) into the
+//!   `ReverseBatch`, `TrustStaleFootprint`, `LosePrepare`) into the
 //!   lockstep loop, and *fails* unless the detectors catch every one and
 //!   shrink the witness within its bound (≤ 10 ops for each accounting
 //!   fault; the table row's `shrink_bound` for each mutant).

@@ -31,7 +31,7 @@
 //! [`drqos_cluster::ClusterSim`] federation with membership churn — is a
 //! [`lockstep::Subject`] replayed against a sequential oracle by the one
 //! [`lockstep::Lockstep`] loop, compared after every step on results,
-//! leaked reservations, drop counters, epochs and full snapshots of
+//! leaked tickets, drop counters, epochs and full snapshots of
 //! every network view, and shrunk on divergence
 //! (`fuzz --diff-cache | --diff-batch | --diff-shard | --diff-cluster N`
 //! in CI). Each subject registers a mutant the loop must catch

@@ -14,8 +14,8 @@
 //!
 //! * every operation's own result (admission `Ok`/`Err` with ids, or the
 //!   full [`ApplyOutcome`]),
-//! * the subject's leak counter ([`Subject::leaked`]: two-phase
-//!   reservations still pending),
+//! * the subject's leak counter ([`Subject::leaked`]: two-phase tickets
+//!   still open),
 //! * and, for **every** network view the subject exposes
 //!   ([`Subject::views`] — one network, or the cluster's authority plus
 //!   each live replica): the cumulative drop counter, the topology epoch
@@ -183,7 +183,7 @@ pub trait Subject: Sized {
     /// Every network that must equal the oracle, labelled for reports.
     fn views(&self) -> Vec<(String, &Network)>;
 
-    /// Two-phase reservations still pending between runs (must be zero).
+    /// Two-phase tickets still open between runs (must be zero).
     fn leaked(&self) -> usize {
         0
     }
@@ -334,7 +334,7 @@ impl<S: Subject> Lockstep<S> {
         let leaked = self.subject.leaked();
         if leaked != 0 {
             return Some(format!(
-                "reservation leak: {leaked} two-phase reservation(s) still pending between runs"
+                "ticket leak: {leaked} two-phase ticket(s) still open between runs"
             ));
         }
         let want = NetworkSnapshot::capture(&self.oracle);
@@ -701,8 +701,8 @@ impl Subject for BatchSubject {
 }
 
 /// Sharded admission ([`ShardedNetwork::establish_wave`]: parallel
-/// per-shard planning plus the two-phase cross-shard commit) against the
-/// monolith. Non-establish ops go straight to the inner network —
+/// per-shard pre-planning, validated at each request's sequential point
+/// by [`Network::admit`]) against the monolith. Non-establish ops go straight to the inner network —
 /// sharding only fronts admission.
 pub struct ShardSubject(ShardedNetwork);
 
@@ -710,16 +710,17 @@ impl Subject for ShardSubject {
     const NAME: &'static str = "shard";
     const UNIT: &'static str = "shard(s)";
     const GRID: &'static [usize] = &[2, 4];
-    /// [`ShardFault::LoseReservationRelease`]: the engine forgets to
-    /// release one two-phase reservation; one wave is enough to leak.
-    const MUTANT: &'static str = "LoseReservationRelease";
+    /// [`ShardFault::TrustStaleFootprint`]: the wave committer uses every
+    /// pre-planned result without comparing digests; two establishes
+    /// contending for one link are enough to over-admit.
+    const MUTANT: &'static str = "TrustStaleFootprint";
     const MUTANT_PARAM: usize = 4;
     const SHRINK_BOUND: usize = 3;
 
     fn build(scenario: &Scenario, case: Case) -> Self {
         let mut sharded = ShardedNetwork::new(scenario.network(), case.param);
         if case.mutant {
-            sharded.set_fault(ShardFault::LoseReservationRelease);
+            sharded.set_fault(ShardFault::TrustStaleFootprint);
         }
         ShardSubject(sharded)
     }
@@ -738,10 +739,6 @@ impl Subject for ShardSubject {
     fn views(&self) -> Vec<(String, &Network)> {
         vec![("sharded".to_string(), self.0.inner())]
     }
-
-    fn leaked(&self) -> usize {
-        self.0.pending_reservations()
-    }
 }
 
 /// Seed-stream tweak for the churn schedule, so membership churn is
@@ -754,7 +751,7 @@ const CHURN_STREAM: u64 = 0xC1C1_C1C1;
 const EXTRA_MEMBERS: usize = 2;
 
 /// The multi-daemon federation ([`ClusterSim`]: member-replica planning,
-/// the coordinator's two-phase ledger, oplog replay) against the
+/// the coordinator's PREPARE/COMMIT tickets, oplog replay) against the
 /// monolith, with a deterministic churn stream crashing, retiring and
 /// rejoining members between runs. The authority *and every live
 /// replica* must equal the oracle.
@@ -768,8 +765,8 @@ impl Subject for ClusterSubject {
     const NAME: &'static str = "cluster";
     const UNIT: &'static str = "member(s)";
     const GRID: &'static [usize] = &[2, 3];
-    /// [`ClusterFault::LosePrepare`]: the coordinator forgets to release
-    /// one ledger reservation at the first commit.
+    /// [`ClusterFault::LosePrepare`]: the coordinator forgets to close
+    /// the first committed ticket.
     const MUTANT: &'static str = "LosePrepare";
     const MUTANT_PARAM: usize = 3;
     const SHRINK_BOUND: usize = 3;
@@ -964,8 +961,8 @@ mod tests {
 
     #[test]
     fn dense_contended_waves_replay_identically() {
-        // Maximum cross-shard contention, so the two-phase stale-abort
-        // path gets exercised hard.
+        // Maximum cross-shard contention, so the stale-hint re-plan path
+        // gets exercised hard.
         let (scenario, ops) = dense_establishes();
         for shards in [2usize, 3, 4] {
             assert!(
@@ -1051,29 +1048,34 @@ mod tests {
     }
 
     #[test]
-    fn lost_reservation_release_is_caught_and_shrinks_small() {
-        // A sharded engine that forgets one two-phase release must be
-        // caught via the leak counter, and the witness must shrink to a
-        // handful of ops (one wave is enough to leak).
-        let shrunk = subject("shard")
-            .unwrap()
+    fn trusted_stale_footprint_is_caught_and_shrinks_small() {
+        // A wave committer that skips the digest comparison commits a
+        // plan made before an earlier commit of the same wave. The
+        // witness is a wave of establishes from different home shards
+        // contending for a link: at least two, at most the bound.
+        let row = subject("shard").unwrap();
+        let shrunk = row
             .mutation_witness(2001, 20)
-            .expect("lost-release fault must be detected within the budget")
+            .expect("trusted stale footprints must be detected within the budget")
             .shrunk;
         assert!(
-            (1..=3).contains(&shrunk.len()),
-            "leak witness should be tiny: {shrunk:?}"
+            (2..=row.shrink_bound).contains(&shrunk.len()),
+            "stale-plan witness should be tiny: {shrunk:?}"
         );
         assert!(
-            shrunk.iter().any(|op| matches!(op, Op::Establish { .. })),
-            "witness needs an establish to open a reservation: {shrunk:?}"
+            shrunk
+                .iter()
+                .filter(|op| matches!(op, Op::Establish { .. }))
+                .count()
+                >= 2,
+            "a hint only goes stale behind another establish: {shrunk:?}"
         );
     }
 
     #[test]
     fn lost_prepare_is_caught_and_shrinks_small() {
-        // A coordinator that forgets to release one reservation must be
-        // caught via the leak counter, with a tiny shrunk witness.
+        // A coordinator that forgets to close one ticket must be caught
+        // via the leak counter, with a tiny shrunk witness.
         let shrunk = subject("cluster")
             .unwrap()
             .mutation_witness(2001, 20)
@@ -1085,7 +1087,7 @@ mod tests {
         );
         assert!(
             shrunk.iter().any(|op| matches!(op, Op::Establish { .. })),
-            "witness needs an establish to open a reservation: {shrunk:?}"
+            "witness needs an establish to open a ticket: {shrunk:?}"
         );
     }
 

@@ -2,11 +2,8 @@
 //!
 //! A [`Partition`] assigns every node and every link of a graph to exactly
 //! one shard. The sharded network engine (`drqos-core`) uses it to decide
-//! which shard owns which links, which shard a request "belongs" to, and —
-//! critically — the **lock order** for cross-shard two-phase commits:
-//! [`Partition::touched_shards`] returns shard indices sorted ascending,
-//! and every committer acquires shard locks in exactly that order, so the
-//! lock order is a total order and deadlock is impossible by construction.
+//! which shard a request "belongs" to (the owner of its source node), and
+//! the cluster federation to decide which member owns which links.
 //!
 //! Two constructions are provided:
 //!
@@ -168,18 +165,6 @@ impl Partition {
         }
         sizes
     }
-
-    /// The set of shards a set of links touches, **sorted ascending and
-    /// deduplicated** — this is the canonical cross-shard lock order. Every
-    /// two-phase committer acquires shard locks in exactly this order;
-    /// because the order is a total order over shard indices, no two
-    /// committers can ever wait on each other in a cycle.
-    pub fn touched_shards(&self, links: impl IntoIterator<Item = LinkId>) -> Vec<usize> {
-        let mut shards: Vec<usize> = links.into_iter().map(|l| self.shard_of_link(l)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
-    }
 }
 
 #[cfg(test)]
@@ -232,51 +217,6 @@ mod tests {
             // Different seeds are allowed to agree on tiny graphs, but on a
             // 40-node Waxman at least one node should move.
             assert_ne!(a, c, "seed {seed}: partition ignored its seed");
-        }
-    }
-
-    /// Satellite property: the cross-shard lock order is a total order —
-    /// `touched_shards` is sorted, duplicate-free, and agrees for any two
-    /// link sets on their common shards, so no two committers can acquire
-    /// a pair of shard locks in opposite orders.
-    #[test]
-    fn cross_shard_lock_order_is_a_total_order() {
-        for seed in 0..10u64 {
-            let g = waxman_graph(seed);
-            let p = Partition::seeded_bfs(&g, 4, seed);
-            let all: Vec<LinkId> = g.links().map(|l| l.id()).collect();
-            let mut rng = Rng::seed_from_u64(seed ^ 0xAB);
-            for _ in 0..50 {
-                let take_a = 1 + rng.range_usize(all.len());
-                let take_b = 1 + rng.range_usize(all.len());
-                let set_a: Vec<LinkId> = (0..take_a)
-                    .map(|_| all[rng.range_usize(all.len())])
-                    .collect();
-                let set_b: Vec<LinkId> = (0..take_b)
-                    .map(|_| all[rng.range_usize(all.len())])
-                    .collect();
-                let order_a = p.touched_shards(set_a.iter().copied());
-                let order_b = p.touched_shards(set_b.iter().copied());
-                for order in [&order_a, &order_b] {
-                    assert!(
-                        order.windows(2).all(|w| w[0] < w[1]),
-                        "not sorted: {order:?}"
-                    );
-                }
-                // Total order: the shared shards appear in the same relative
-                // order in both acquisition sequences.
-                let common: Vec<usize> = order_a
-                    .iter()
-                    .copied()
-                    .filter(|s| order_b.contains(s))
-                    .collect();
-                let common_b: Vec<usize> = order_b
-                    .iter()
-                    .copied()
-                    .filter(|s| order_a.contains(s))
-                    .collect();
-                assert_eq!(common, common_b, "lock orders disagree");
-            }
         }
     }
 
