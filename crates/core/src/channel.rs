@@ -180,12 +180,13 @@ impl DrConnection {
     /// Panics if `index` is out of range or the chosen backup equals the
     /// current primary.
     pub(crate) fn activate_backup(&mut self, index: usize) {
-        let new_primary = self.backups.remove(index);
-        self.primary = new_primary;
+        self.primary = self.backups.remove(index);
         // A surviving backup identical to the new primary is useless; drop
         // it (possible only under maximal disjointness).
-        let primary = self.primary.clone();
-        self.backups.retain(|b| b != &primary);
+        let Self {
+            primary, backups, ..
+        } = self;
+        backups.retain(|b| b != primary);
         self.level = 0;
         self.failovers += 1;
     }

@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod channel;
+mod conn_table;
 pub mod env;
 pub mod error;
 pub mod experiment;

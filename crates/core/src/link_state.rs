@@ -23,6 +23,7 @@
 //! multiplexing, surfaced via [`LinkUsage::is_overbooked`].)
 
 use crate::channel::ConnectionId;
+use crate::conn_table::Slot;
 use crate::qos::Bandwidth;
 use drqos_topology::LinkId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,9 +33,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub struct LinkUsage {
     capacity: Bandwidth,
     up: bool,
-    /// Sorted and duplicate-free (as is `backups`): the network manager
-    /// gathers chain sets by copying these slices wholesale.
+    /// Sorted and duplicate-free (as is `backups`).
     primaries: Vec<ConnectionId>,
+    /// The connection-table slot of each entry of `primaries`, in the same
+    /// order: the network manager gathers chain sets as `(slot, id)` pairs
+    /// from the two columns. An index, not accounting state — equality,
+    /// the plan digest and snapshots never see it.
+    primary_slots: Vec<Slot>,
     primary_min_sum: Bandwidth,
     extra_sum: Bandwidth,
     backups: Vec<ConnectionId>,
@@ -68,6 +73,7 @@ impl Clone for LinkUsage {
             capacity: self.capacity,
             up: self.up,
             primaries: self.primaries.clone(),
+            primary_slots: self.primary_slots.clone(),
             primary_min_sum: self.primary_min_sum,
             extra_sum: self.extra_sum,
             backups: self.backups.clone(),
@@ -102,6 +108,7 @@ impl LinkUsage {
             capacity,
             up: true,
             primaries: Vec::new(),
+            primary_slots: Vec::new(),
             primary_min_sum: Bandwidth::ZERO,
             extra_sum: Bandwidth::ZERO,
             backups: Vec::new(),
@@ -130,6 +137,17 @@ impl LinkUsage {
     /// Primary channels crossing this link, in id order.
     pub fn primaries(&self) -> &[ConnectionId] {
         &self.primaries
+    }
+
+    /// The connection-table slots of [`Self::primaries`], entry for entry.
+    pub(crate) fn primary_slots(&self) -> &[Slot] {
+        &self.primary_slots
+    }
+
+    /// [`Self::primaries`] as `(slot, id)` pairs.
+    pub(crate) fn primary_pairs(&self) -> impl Iterator<Item = (Slot, ConnectionId)> + '_ {
+        let slots = self.primary_slots.iter().copied();
+        slots.zip(self.primaries.iter().copied())
     }
 
     /// Backup channels registered on this link, in id order.
@@ -225,16 +243,22 @@ impl LinkUsage {
 
     // ----- mutations (crate-internal; driven by the network manager) -----
 
-    pub(crate) fn add_primary(&mut self, id: ConnectionId, min: Bandwidth) {
-        let inserted = sorted_insert(&mut self.primaries, id);
-        assert!(inserted, "{id} already a primary on this link");
+    pub(crate) fn add_primary(&mut self, id: ConnectionId, slot: Slot, min: Bandwidth) {
+        let at = position(&self.primaries, id);
+        let vacant = self.primaries.get(at) != Some(&id);
+        assert!(vacant, "{id} already a primary on this link");
+        self.primaries.insert(at, id);
+        self.primary_slots.insert(at, slot);
         self.primary_min_sum += min;
         self.digest_dirty.store(true, Ordering::Relaxed);
     }
 
     pub(crate) fn remove_primary(&mut self, id: ConnectionId, min: Bandwidth) {
-        let removed = sorted_remove(&mut self.primaries, id);
-        assert!(removed, "{id} was not a primary on this link");
+        let at = position(&self.primaries, id);
+        let present = self.primaries.get(at) == Some(&id);
+        assert!(present, "{id} was not a primary on this link");
+        self.primaries.remove(at);
+        self.primary_slots.remove(at);
         self.primary_min_sum -= min;
         self.digest_dirty.store(true, Ordering::Relaxed);
     }
@@ -253,8 +277,10 @@ impl LinkUsage {
         min: Bandwidth,
         primary_links: &[LinkId],
     ) {
-        let inserted = sorted_insert(&mut self.backups, id);
-        assert!(inserted, "{id} already a backup on this link");
+        let at = position(&self.backups, id);
+        let vacant = self.backups.get(at) != Some(&id);
+        assert!(vacant, "{id} already a backup on this link");
+        self.backups.insert(at, id);
         for &f in primary_links {
             let at = match self.conflict_slot(f) {
                 Ok(at) => at,
@@ -278,8 +304,10 @@ impl LinkUsage {
         min: Bandwidth,
         primary_links: &[LinkId],
     ) {
-        let removed = sorted_remove(&mut self.backups, id);
-        assert!(removed, "{id} was not a backup on this link");
+        let at = position(&self.backups, id);
+        let present = self.backups.get(at) == Some(&id);
+        assert!(present, "{id} was not a backup on this link");
+        self.backups.remove(at);
         // The reservation is the ledger's maximum: it can only have moved
         // if an entry that held the maximum shrank.
         let mut held_max = false;
@@ -361,33 +389,15 @@ impl LinkUsage {
     }
 }
 
-/// Inserts `id` into the sorted, duplicate-free `set`; `false` if it was
-/// already there. Connection ids are handed out in increasing order, so a
-/// newcomer almost always belongs at the end; only a failover re-keying
-/// an old connection onto new links inserts in the middle.
-fn sorted_insert(set: &mut Vec<ConnectionId>, id: ConnectionId) -> bool {
+/// Where `id` is — or, if absent, belongs — in the sorted, duplicate-free
+/// `set`. Connection ids are handed out in increasing order, so a newcomer
+/// almost always belongs at the end; only a failover re-keying an old
+/// connection onto new links inserts in the middle.
+fn position(set: &[ConnectionId], id: ConnectionId) -> usize {
     if set.last().is_none_or(|&last| last < id) {
-        set.push(id);
-        return true;
+        return set.len();
     }
-    match set.binary_search(&id) {
-        Ok(_) => false,
-        Err(at) => {
-            set.insert(at, id);
-            true
-        }
-    }
-}
-
-/// Removes `id` from the sorted `set`; `false` if it was absent.
-fn sorted_remove(set: &mut Vec<ConnectionId>, id: ConnectionId) -> bool {
-    match set.binary_search(&id) {
-        Ok(at) => {
-            set.remove(at);
-            true
-        }
-        Err(_) => false,
-    }
+    set.partition_point(|&member| member < id)
 }
 
 /// The split-mix-64 finalizer: full-avalanche mixing for the plan digest.
@@ -431,8 +441,8 @@ mod tests {
     #[test]
     fn primary_accounting() {
         let mut l = LinkUsage::new(k(1_000));
-        l.add_primary(cid(1), k(100));
-        l.add_primary(cid(2), k(100));
+        l.add_primary(cid(1), 91, k(100));
+        l.add_primary(cid(2), 92, k(100));
         assert_eq!(l.primary_min_sum(), k(200));
         assert_eq!(l.primaries(), [cid(1), cid(2)]);
         l.remove_primary(cid(1), k(100));
@@ -444,8 +454,8 @@ mod tests {
     #[should_panic(expected = "already a primary")]
     fn duplicate_primary_panics() {
         let mut l = LinkUsage::new(k(1_000));
-        l.add_primary(cid(1), k(100));
-        l.add_primary(cid(1), k(100));
+        l.add_primary(cid(1), 91, k(100));
+        l.add_primary(cid(1), 91, k(100));
     }
 
     #[test]
@@ -460,24 +470,40 @@ mod tests {
         let mut l = LinkUsage::new(k(10_000));
         // Fresh ids arrive ascending: each lands at the end.
         for v in [2, 5, 9] {
-            l.add_primary(cid(v), k(100));
+            l.add_primary(cid(v), 90 + v as Slot, k(100));
             l.add_backup(cid(v + 100), k(100), &[lid(1)]);
         }
         assert_eq!(l.primaries(), [cid(2), cid(5), cid(9)]);
         // A failover re-keys an *old* connection onto this link: it must
         // be placed in the middle, or at the very front.
-        l.add_primary(cid(7), k(100));
-        l.add_primary(cid(0), k(100));
+        l.add_primary(cid(7), 97, k(100));
+        l.add_primary(cid(0), 90, k(100));
         l.add_backup(cid(104), k(100), &[lid(1)]);
         assert_eq!(l.primaries(), [cid(0), cid(2), cid(5), cid(7), cid(9)]);
+        // Each slot travels with its id.
+        assert_eq!(l.primary_slots(), [90, 92, 95, 97, 99]);
         assert_eq!(l.backups(), [cid(102), cid(104), cid(105), cid(109)]);
         l.remove_primary(cid(5), k(100));
         l.remove_primary(cid(0), k(100));
         l.remove_backup(cid(109), k(100), &[lid(1)]);
         assert_eq!(l.primaries(), [cid(2), cid(7), cid(9)]);
+        assert_eq!(l.primary_slots(), [92, 97, 99]);
         assert_eq!(l.backups(), [cid(102), cid(104), cid(105)]);
         assert_eq!(l.primary_count(), 3);
         l.debug_validate();
+    }
+
+    #[test]
+    fn the_slot_column_is_an_index_not_state() {
+        // The same connections reached through different slot histories.
+        let (mut a, mut b) = (LinkUsage::new(k(1_000)), LinkUsage::new(k(1_000)));
+        for v in [3, 4] {
+            a.add_primary(cid(v), v as Slot, k(100));
+            b.add_primary(cid(v), 7 - v as Slot, k(100));
+        }
+        assert_ne!(a.primary_slots(), b.primary_slots());
+        assert_eq!(a, b);
+        assert_eq!(a.plan_digest(), b.plan_digest());
     }
 
     #[test]
@@ -642,7 +668,7 @@ mod tests {
     #[test]
     fn extras_add_and_remove() {
         let mut l = LinkUsage::new(k(1_000));
-        l.add_primary(cid(1), k(100));
+        l.add_primary(cid(1), 91, k(100));
         l.add_extra(k(50));
         l.add_extra(k(50));
         assert_eq!(l.extra_sum(), k(100));
@@ -655,7 +681,7 @@ mod tests {
     #[test]
     fn admission_counts_extras_as_reclaimable() {
         let mut l = LinkUsage::new(k(300));
-        l.add_primary(cid(1), k(100));
+        l.add_primary(cid(1), 91, k(100));
         l.add_extra(k(200)); // link fully used, but extras can retreat
         assert!(l.can_admit_primary(k(200)));
         assert!(!l.can_admit_primary(k(201)));
@@ -720,7 +746,7 @@ mod tests {
     #[test]
     fn can_admit_backup_respects_capacity() {
         let mut l = LinkUsage::new(k(300));
-        l.add_primary(cid(1), k(100));
+        l.add_primary(cid(1), 91, k(100));
         l.add_backup(cid(2), k(100), &[lid(10)]);
         // A conflicting backup of 100 would need reservation 200 → total 300: fits.
         assert!(l.can_admit_backup(k(100), &[lid(10)]));
@@ -748,7 +774,7 @@ mod tests {
         assert_eq!(l.plan_digest(), fresh);
         l.remove_extra(k(300));
         // Primaries, backups, and liveness all change it.
-        l.add_primary(cid(1), k(100));
+        l.add_primary(cid(1), 91, k(100));
         let with_primary = l.plan_digest();
         assert_ne!(with_primary, fresh);
         l.add_backup(cid(2), k(100), &[lid(10)]);
@@ -781,7 +807,7 @@ mod tests {
     #[test]
     fn plan_digest_memo_is_invisible() {
         let mut a = LinkUsage::new(k(1_000));
-        a.add_primary(cid(1), k(100));
+        a.add_primary(cid(1), 91, k(100));
         let b = a.clone();
         // Computing the digest fills `a`'s memo but must not make `a`
         // observably different from `b` (snapshot / oracle comparisons
@@ -799,7 +825,7 @@ mod tests {
     #[test]
     fn overbooked_detection() {
         let mut l = LinkUsage::new(k(150));
-        l.add_primary(cid(1), k(100));
+        l.add_primary(cid(1), 91, k(100));
         assert!(!l.is_overbooked());
         l.add_backup(cid(2), k(100), &[lid(10)]);
         // Hard committed 200 > capacity 150 — the manager never creates

@@ -22,6 +22,7 @@
 //! network state between the two.
 
 use crate::channel::{ConnectionId, DrConnection};
+use crate::conn_table::{ChainMarks, ChainPair, ConnTable, Slot};
 use crate::error::{AdmissionError, NetworkError};
 use crate::invariant::InvariantViolation;
 use crate::link_state::LinkUsage;
@@ -35,7 +36,7 @@ use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 
@@ -168,23 +169,17 @@ fn conflict_set(primary_links: &[LinkId], on_link: LinkId) -> Cow<'_, [LinkId]> 
     }
 }
 
-/// Sorts and deduplicates: the second half of every chain-set gather.
+/// Sorts and deduplicates.
 fn sort_dedup<T: Ord>(v: &mut Vec<T>) {
     v.sort_unstable();
     v.dedup();
 }
 
-/// Whether every element of the sorted set `sub` is in the sorted set
-/// `sup` (one linear merge).
-fn sorted_subset(sub: &[ConnectionId], sup: &[ConnectionId]) -> bool {
-    let mut rest = sup.iter();
-    sub.iter().all(|c| rest.any(|s| s == c))
-}
-
-/// The deferred fill of an [`Network::admit`] loop: the (sorted) fill
-/// candidates of its last commit, not yet redistributed. Owned by the
-/// caller across the loop and handed to [`Network::batch_flush`] after it.
-pub type PendingFill = Option<Vec<ConnectionId>>;
+/// The deferred fill of an [`Network::admit`] loop: the fill candidates of
+/// its last commit, as `(slot, id)` pairs in no particular order, not yet
+/// redistributed. Owned by the caller across the loop and handed to
+/// [`Network::batch_flush`] after it.
+pub type PendingFill = Option<Vec<(Slot, ConnectionId)>>;
 
 /// What [`Network::plan_establish_traced`] returns and [`Network::admit`]
 /// takes as a hint: a plan or rejection, with the footprint it rests on
@@ -194,6 +189,7 @@ pub type PrePlanned = (Result<EstablishPlan, AdmissionError>, Vec<(LinkId, u64)>
 /// One live fill candidate, loaded once from the connection table.
 #[derive(Debug)]
 struct FillRow {
+    slot: Slot,
     id: ConnectionId,
     /// The level at load time; only rows that moved are written back.
     loaded_level: usize,
@@ -278,7 +274,7 @@ pub struct Network {
     graph: Graph,
     config: NetworkConfig,
     links: Vec<LinkUsage>,
-    connections: BTreeMap<ConnectionId, DrConnection>,
+    connections: ConnTable,
     next_id: u64,
     total_bandwidth: Bandwidth,
     dropped_total: u64,
@@ -303,11 +299,17 @@ pub struct Network {
     cache: Mutex<RouteCache>,
     /// Reusable redistribution buffers (see [`FillScratch`]).
     fill: FillScratch,
+    /// Reusable chain-set buffers, scratch like `fill`: the marks of
+    /// [`Network::gather`], the retreat set of the commit in progress and
+    /// the last settled fill's candidates (both kept for their capacity).
+    marks: ChainMarks,
+    retreat_set: Vec<ChainPair>,
+    spare_set: Vec<ChainPair>,
 }
 
 /// Cloning copies the full accounting state *and* the route cache (so a
-/// cloned oracle replays with identical cache counters); the route-search
-/// and fill scratch are rebuilt fresh, which is semantics-invariant.
+/// cloned oracle replays with identical cache counters); the route-search,
+/// fill and chain scratch are rebuilt fresh, which is semantics-invariant.
 impl Clone for Network {
     fn clone(&self) -> Self {
         Self {
@@ -323,6 +325,9 @@ impl Clone for Network {
             scratch: Mutex::new(RouteScratch::new()),
             cache: Mutex::new(self.lock_cache().clone()),
             fill: FillScratch::default(),
+            marks: ChainMarks::default(),
+            retreat_set: Vec::new(),
+            spare_set: Vec::new(),
         }
     }
 }
@@ -354,7 +359,7 @@ impl Network {
             graph,
             config,
             links,
-            connections: BTreeMap::new(),
+            connections: ConnTable::default(),
             next_id: 0,
             total_bandwidth: Bandwidth::ZERO,
             dropped_total: 0,
@@ -363,6 +368,9 @@ impl Network {
             scratch: Mutex::new(RouteScratch::new()),
             cache: Mutex::new(RouteCache::new()),
             fill: FillScratch::default(),
+            marks: ChainMarks::default(),
+            retreat_set: Vec::new(),
+            spare_set: Vec::new(),
         }
     }
 
@@ -420,12 +428,12 @@ impl Network {
 
     /// Active connections, in id order.
     pub fn connections(&self) -> impl Iterator<Item = &DrConnection> {
-        self.connections.values()
+        self.connections.iter().map(|(_, c)| c)
     }
 
     /// The connection with the given id, if active.
     pub fn connection(&self, id: ConnectionId) -> Option<&DrConnection> {
-        self.connections.get(&id)
+        self.connections.get(id)
     }
 
     /// Number of active connections.
@@ -462,11 +470,7 @@ impl Network {
         if self.connections.is_empty() {
             None
         } else {
-            let total: usize = self
-                .connections
-                .values()
-                .map(|c| c.primary().hop_count())
-                .sum();
+            let total: usize = self.connections().map(|c| c.primary().hop_count()).sum();
             Some(total as f64 / self.connections.len() as f64)
         }
     }
@@ -768,20 +772,24 @@ impl Network {
         id
     }
 
-    /// The "directly chained" set of `plan`: every primary sharing a link
-    /// with the plan's channels. Membership never depends on extras.
-    fn chained_by(&self, plan: &EstablishPlan) -> Vec<ConnectionId> {
-        let backup_links = plan.backups.iter().flat_map(|b| b.links());
-        self.primaries_sharing(plan.primary.links().iter().chain(backup_links).copied())
-    }
-
-    /// The primary links of the live connections among `ids`, with
-    /// repeats.
-    fn primary_links_of(&self, ids: &[ConnectionId]) -> Vec<LinkId> {
-        ids.iter()
-            .filter_map(|id| self.connections.get(id))
-            .flat_map(|c| c.primary().links().iter().copied())
-            .collect()
+    /// The chain-set gather: starts a new set in `marks` and appends to
+    /// `out`, as `(slot, id)` pairs in the order met, every primary that
+    /// crosses any of `over` and is not in the set yet. Each link is walked
+    /// once however often `over` names it. Membership never depends on
+    /// extras. Sorted by id, the set is [`Network::primaries_sharing`].
+    fn gather(
+        links: &[LinkUsage],
+        marks: &mut ChainMarks,
+        over: impl IntoIterator<Item = LinkId>,
+        out: &mut Vec<ChainPair>,
+    ) {
+        marks.begin(links.len());
+        for l in over {
+            if marks.walk(l.index()) {
+                let members = links[l.index()].primary_pairs();
+                out.extend(members.filter(|&pair| marks.add(pair)));
+            }
+        }
     }
 
     /// Whether every link of `footprint` still has the plan digest it was
@@ -869,27 +877,31 @@ impl Network {
     /// commit's deferred fill unless this commit's retreats subsume it,
     /// then commits `plan` deferring its own fill into `pending`.
     fn batch_commit(&mut self, plan: EstablishPlan, pending: &mut PendingFill) -> ConnectionId {
-        let retreated = self.chained_by(&plan);
+        // The "directly chained" set: every primary sharing a link with
+        // the plan's channels.
+        let mut retreated = std::mem::take(&mut self.retreat_set);
+        retreated.clear();
+        let backup_links = plan.backups.iter().flat_map(|b| b.links());
+        let plan_links = plan.primary.links().iter().chain(backup_links).copied();
+        Self::gather(&self.links, &mut self.marks, plan_links, &mut retreated);
         if let Some(fill) = pending.take() {
-            if !sorted_subset(&fill, &retreated) {
+            if fill.iter().all(|&pair| self.marks.contains(pair)) {
+                self.spare_set = fill;
+            } else {
                 // Some candidate would keep its granted increments past
                 // this commit: run the fill at its sequential point,
                 // before this commit's retreats.
-                self.redistribute(&fill);
+                self.batch_flush(Some(fill));
             }
         }
         let id = ConnectionId(self.next_id);
         self.next_id += 1;
-        // 1. Retreat every primary that shares a link with the new
-        //    connection's channels ("directly chained").
-        for &c in &retreated {
-            self.retreat(c);
+        // 1. Retreat every directly chained primary.
+        for &pair in &retreated {
+            self.retreat(pair);
         }
         // 2. Reserve the new connection's resources.
         let min = plan.qos.min();
-        for &l in plan.primary.links() {
-            self.links[l.index()].add_primary(id, min);
-        }
         for b in &plan.backups {
             for &l in b.links() {
                 self.links[l.index()].add_backup(id, min, &conflict_set(plan.primary.links(), l));
@@ -897,14 +909,21 @@ impl Network {
         }
         let conn = DrConnection::new(id, plan.qos, plan.primary, plan.backups);
         self.total_bandwidth += conn.bandwidth();
-        self.connections.insert(id, conn);
+        let slot = self.connections.insert(conn);
+        for l in self.connections.primary_links(&[(slot, id)]) {
+            self.links[l.index()].add_primary(id, slot, min);
+        }
         // 3. Fill candidates: anyone sharing a link with a retreated
         //    channel (the retreated channels themselves included) can
-        //    grow, and so can the newcomer, whose id is the largest yet.
-        let mut candidates = self.primaries_sharing(self.primary_links_of(&retreated));
-        if candidates.last() != Some(&id) {
-            candidates.push(id);
+        //    grow, and so can the newcomer.
+        let mut candidates = std::mem::take(&mut self.spare_set);
+        candidates.clear();
+        let links = self.connections.primary_links(&retreated);
+        Self::gather(&self.links, &mut self.marks, links, &mut candidates);
+        if self.marks.add((slot, id)) {
+            candidates.push((slot, id));
         }
+        self.retreat_set = retreated;
         *pending = Some(candidates);
         id
     }
@@ -913,6 +932,7 @@ impl Network {
     pub fn batch_flush(&mut self, pending: PendingFill) {
         if let Some(fill) = pending {
             self.redistribute(&fill);
+            self.spare_set = fill;
         }
     }
 
@@ -983,7 +1003,7 @@ impl Network {
     ///
     /// Returns [`NetworkError::UnknownConnection`] for an unknown id.
     pub fn release(&mut self, id: ConnectionId) -> Result<DrConnection, NetworkError> {
-        let Some(mut conn) = self.connections.remove(&id) else {
+        let Some(mut conn) = self.connections.remove(id) else {
             return Err(NetworkError::UnknownConnection(id.0));
         };
         Self::retreat_conn(&mut self.links, &mut self.total_bandwidth, &mut conn);
@@ -1005,8 +1025,10 @@ impl Network {
         // touched (its backup links free reservation too).
         let backup_links = conn.backups().iter().flat_map(|b| b.links());
         let freed = conn.primary().links().iter().chain(backup_links).copied();
-        let candidates = self.primaries_sharing(freed);
-        self.redistribute(&candidates);
+        let mut candidates = std::mem::take(&mut self.spare_set);
+        candidates.clear();
+        Self::gather(&self.links, &mut self.marks, freed, &mut candidates);
+        self.batch_flush(Some(candidates));
         Ok(conn)
     }
 
@@ -1031,30 +1053,25 @@ impl Network {
         self.topology_epoch += 1;
         self.lock_cache().evict_link(link);
 
-        let victims = self.links[link.index()].primaries().to_vec();
-        let backup_losers: Vec<ConnectionId> = self.links[link.index()]
-            .backups()
-            .iter()
-            .copied()
-            .filter(|c| victims.binary_search(c).is_err())
-            .collect();
+        let failed = &self.links[link.index()];
+        let victims: Vec<ChainPair> = failed.primary_pairs().collect();
+        let spared = |c: &ConnectionId| failed.primaries().binary_search(c).is_err();
+        let lost_backup: Vec<_> = failed.backups().iter().copied().filter(spared).collect();
 
         // Connections with a backup crossing the failed link lose that
         // backup (other backups survive).
-        let mut lost_backup = Vec::new();
-        for id in backup_losers {
+        for &id in &lost_backup {
             self.remove_crossing_backups(id, link);
-            lost_backup.push(id);
         }
 
-        let mut activated = Vec::new();
+        let mut activated: Vec<ChainPair> = Vec::new();
         let mut dropped = Vec::new();
-        for id in victims {
+        for (slot, id) in victims {
             let Self {
                 connections, links, ..
             } = self;
-            // lint:allow(no-panic-daemon): id came from this link's victim set
-            let conn = connections.get_mut(&id).expect("victim exists");
+            // lint:allow(no-panic-daemon): the pair came from this link's victim set
+            let conn = connections.at_mut(slot, id).expect("victim exists");
             // The first backup whose links are all up is activated.
             let all_up = |b: &Path| b.links().iter().all(|&l| links[l.index()].is_up());
             let usable_idx = conn.backups().iter().position(all_up);
@@ -1071,7 +1088,7 @@ impl Network {
                 // are lost, the rest re-register against the new primary.
                 conn.activate_backup(idx);
                 for &l in conn.primary().links() {
-                    links[l.index()].add_primary(id, min);
+                    links[l.index()].add_primary(id, slot, min);
                 }
                 for b in conn.clear_backups() {
                     if b.links().iter().all(|&l| links[l.index()].is_up()) {
@@ -1082,44 +1099,44 @@ impl Network {
                         conn.push_backup(b);
                     }
                 }
-                activated.push(id);
+                activated.push((slot, id));
             } else {
                 // No usable backup: the connection is lost.
                 self.total_bandwidth -= conn.bandwidth();
                 self.dropped_total += 1;
-                connections.remove(&id);
+                connections.remove(id);
                 dropped.push(id);
             }
         }
 
         // Channels sharing links with activated backups retreat.
-        let mut retreated = self.primaries_sharing(self.primary_links_of(&activated));
-        retreated.retain(|c| activated.binary_search(c).is_err());
-        for &c in &retreated {
-            self.retreat(c);
+        let (mut retreated, mut candidates) = (Vec::new(), Vec::new());
+        let links = self.connections.primary_links(&activated);
+        Self::gather(&self.links, &mut self.marks, links, &mut retreated);
+        retreated.retain(|&(_, c)| activated.binary_search_by_key(&c, |&(_, a)| a).is_err());
+        for &pair in &retreated {
+            self.retreat(pair);
         }
 
-        // Re-distribute whatever is still spare: to the activated
-        // channels and to anyone sharing a link with a retreated one (the
-        // retreated channels themselves included).
-        let mut candidates = self.primaries_sharing(self.primary_links_of(&retreated));
-        candidates.extend_from_slice(&activated);
-        sort_dedup(&mut candidates);
+        // Re-distribute whatever is still spare: to anyone sharing a link
+        // with a retreated channel (the retreated channels themselves
+        // included) and to the activated channels.
+        let links = self.connections.primary_links(&retreated);
+        Self::gather(&self.links, &mut self.marks, links, &mut candidates);
+        candidates.extend(activated.iter().filter(|&&pair| self.marks.add(pair)));
         self.redistribute(&candidates);
 
         // Re-establish backups for survivors that lost theirs.
+        let activated: Vec<ConnectionId> = activated.into_iter().map(|(_, c)| c).collect();
         if self.config.reestablish_backups {
-            let needy: Vec<ConnectionId> = activated
-                .iter()
-                .chain(lost_backup.iter())
-                .copied()
-                .filter(|id| self.connections.contains_key(id))
-                .collect();
-            for id in needy {
+            for &id in activated.iter().chain(&lost_backup) {
                 self.top_up_backups(id);
             }
         }
 
+        // The gather's order is the slots', not the ids'.
+        let mut retreated: Vec<ConnectionId> = retreated.into_iter().map(|(_, c)| c).collect();
+        retreated.sort_unstable();
         Ok(FailureReport {
             link,
             activated,
@@ -1282,8 +1299,7 @@ impl Network {
         if self.config.reestablish_backups {
             let target = self.config.backup_count;
             let needy: Vec<ConnectionId> = self
-                .connections
-                .values()
+                .connections()
                 .filter(|c| c.backup_count() < target)
                 .map(|c| c.id())
                 .collect();
@@ -1300,31 +1316,25 @@ impl Network {
     /// whether any backup was added.
     fn top_up_backups(&mut self, id: ConnectionId) -> bool {
         let target = self.config.backup_count;
-        let (primary, min) = {
-            let c = &self.connections[&id];
-            if c.backup_count() >= target {
-                return false;
-            }
-            (c.primary().clone(), c.qos().min())
-        };
         let mut added = false;
         loop {
-            let existing = self.connections[&id].backups().to_vec();
-            if existing.len() >= target {
-                break;
-            }
-            let Some(backup) = self
-                .with_scratch(|scratch| self.plan_backup(scratch, &primary, min, &existing, None))
-            else {
-                break;
-            };
+            // Plan under `&self`, then register through the split borrow.
+            let wanting = |c: &&DrConnection| c.backup_count() < target;
+            let planned = self.connections.get(id).filter(wanting).and_then(|c| {
+                let min = c.qos().min();
+                self.with_scratch(|s| self.plan_backup(s, c.primary(), min, c.backups(), None))
+            });
+            let Some(backup) = planned else { break };
+            let Self {
+                connections, links, ..
+            } = self;
+            // lint:allow(no-panic-daemon): private helper, callers hold the id
+            let conn = connections.get_mut(id).expect("caller checked existence");
+            let min = conn.qos().min();
             for &l in backup.links() {
-                self.links[l.index()].add_backup(id, min, &conflict_set(primary.links(), l));
+                links[l.index()].add_backup(id, min, &conflict_set(conn.primary().links(), l));
             }
-            self.connections
-                .get_mut(&id)
-                .expect("caller checked existence") // lint:allow(no-panic-daemon): private helper, callers hold the id
-                .push_backup(backup);
+            conn.push_backup(backup);
             added = true;
         }
         added
@@ -1333,23 +1343,16 @@ impl Network {
     /// Removes from `id` every backup that crosses `link`, unregistering
     /// their reservations.
     fn remove_crossing_backups(&mut self, id: ConnectionId, link: LinkId) {
-        let (min, primary_links) = {
-            let c = &self.connections[&id];
-            (c.qos().min(), c.primary().links().to_vec())
-        };
-        loop {
-            let crossing = self.connections[&id]
-                .backups()
-                .iter()
-                .position(|b| b.crosses(link));
-            let Some(idx) = crossing else { break };
-            let removed = self
-                .connections
-                .get_mut(&id)
-                .expect("caller checked existence") // lint:allow(no-panic-daemon): private helper, callers hold the id
-                .remove_backup(idx);
+        let Self {
+            connections, links, ..
+        } = self;
+        // lint:allow(no-panic-daemon): private helper, callers hold the id
+        let conn = connections.get_mut(id).expect("caller checked existence");
+        let min = conn.qos().min();
+        while let Some(idx) = conn.backups().iter().position(|b| b.crosses(link)) {
+            let removed = conn.remove_backup(idx);
             for &l in removed.links() {
-                self.links[l.index()].remove_backup(id, min, &conflict_set(&primary_links, l));
+                links[l.index()].remove_backup(id, min, &conflict_set(conn.primary().links(), l));
             }
         }
     }
@@ -1368,11 +1371,12 @@ impl Network {
 
     // ----------------------------------------------- elastic adaptation --
 
-    /// Drops `id` to its minimum level, returning extras to its links.
-    fn retreat(&mut self, id: ConnectionId) {
+    /// Drops the connection of a live `(slot, id)` pair to its minimum
+    /// level, returning extras to its links.
+    fn retreat(&mut self, (slot, id): ChainPair) {
         let conn = self
             .connections
-            .get_mut(&id)
+            .at_mut(slot, id)
             .expect("retreat of unknown id"); // lint:allow(no-panic-daemon): private helper, callers hold the id
         Self::retreat_conn(&mut self.links, &mut self.total_bandwidth, conn);
     }
@@ -1392,9 +1396,10 @@ impl Network {
     }
 
     /// The connections whose *primary* crosses any of `links` — the
-    /// "directly chained" set used both for retreat decisions and for the
-    /// `P_f` measurement — in id order: gather every link's (sorted)
-    /// membership, then sort and deduplicate once.
+    /// "directly chained" set of the `P_f` measurement — in id order:
+    /// gather every link's (sorted) membership, then sort and deduplicate
+    /// once. The commit path gathers the same set by stamp, unsorted
+    /// ([`Network::gather`]); this is the reference it is held to.
     pub fn primaries_sharing(&self, links: impl IntoIterator<Item = LinkId>) -> Vec<ConnectionId> {
         let mut links: Vec<LinkId> = links.into_iter().collect();
         sort_dedup(&mut links);
@@ -1415,9 +1420,9 @@ impl Network {
             .map(|(i, _)| LinkId(i))
     }
 
-    /// Water-fills extra increments over the sorted set `candidates`
-    /// according to the adaptation policy.
-    fn redistribute(&mut self, candidates: &[ConnectionId]) {
+    /// Water-fills extra increments over the set `candidates`, in whatever
+    /// order it lists them, according to the adaptation policy.
+    fn redistribute(&mut self, candidates: &[ChainPair]) {
         #[cfg(test)]
         if let Some(fill) = tests::FILL_OVERRIDE.get() {
             return fill(self, candidates);
@@ -1440,9 +1445,14 @@ impl Network {
     /// such rows touch no tight link, so the heap over the remaining rows
     /// sees the tight links exactly as the one-increment-at-a-time fill
     /// over all candidates would, and pops and grants in the same order.
+    ///
+    /// Nor does the order of `candidates` matter: every row is classified
+    /// before any is granted, the demand sums are integer additions, bulk
+    /// grants never touch a tight link, and the heap's `(score, id)` order
+    /// is total.
     fn redistribute_with(
         &mut self,
-        candidates: &[ConnectionId],
+        candidates: &[ChainPair],
         slack: impl Fn(&LinkUsage, Bandwidth) -> bool,
     ) {
         let policy = self.config.policy;
@@ -1462,11 +1472,12 @@ impl Network {
         arena.clear();
         demand.resize(links.len(), Bandwidth::ZERO);
 
-        // Load the candidates that are still live and below their maximum
+        // Load the candidates that are still live — a pair whose slot has
+        // since been vacated or handed on is not — and below their maximum
         // (the others can never be granted anything), summing per link
         // what the loaded rows could still ask of it.
-        for &id in candidates {
-            let Some(conn) = connections.get(&id) else {
+        for &(slot, id) in candidates {
+            let Some(conn) = connections.at(slot, id) else {
                 continue;
             };
             let (level, max_level) = (conn.level(), conn.qos().max_level());
@@ -1476,6 +1487,7 @@ impl Network {
             let start = arena.len();
             arena.extend_from_slice(conn.primary().links());
             let row = FillRow {
+                slot,
                 id,
                 loaded_level: level,
                 level,
@@ -1545,7 +1557,7 @@ impl Network {
         // Write the moved levels back, and the total once.
         for row in rows.iter().filter(|r| r.level != r.loaded_level) {
             self.total_bandwidth += row.increment.times((row.level - row.loaded_level) as u64);
-            if let Some(conn) = connections.get_mut(&row.id) {
+            if let Some(conn) = connections.at_mut(row.slot, row.id) {
                 conn.set_level(row.level);
             }
         }
@@ -1562,11 +1574,12 @@ impl Network {
         let mut min_sums = vec![Bandwidth::ZERO; self.links.len()];
         let mut extra_sums = vec![Bandwidth::ZERO; self.links.len()];
         // Connections are visited in id order, so these come out sorted,
-        // as the per-link membership vectors must be.
-        let mut primary_sets: Vec<Vec<ConnectionId>> = vec![Vec::new(); self.links.len()];
+        // as the per-link membership vectors must be; each primary entry
+        // must carry the slot its connection lives in.
+        let mut primary_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
         let mut backup_sets: Vec<Vec<ConnectionId>> = vec![Vec::new(); self.links.len()];
         let mut total = Bandwidth::ZERO;
-        for conn in self.connections.values() {
+        for (slot, conn) in self.connections.iter() {
             total += conn.bandwidth();
             if conn.level() > conn.qos().max_level() {
                 violations.push(InvariantViolation::LevelAboveMax {
@@ -1578,7 +1591,7 @@ impl Network {
             for &l in conn.primary().links() {
                 min_sums[l.index()] += conn.qos().min();
                 extra_sums[l.index()] += conn.extra();
-                primary_sets[l.index()].push(conn.id());
+                primary_sets[l.index()].push((slot, conn.id()));
             }
             for (i, b) in conn.backups().iter().enumerate() {
                 if b == conn.primary() {
@@ -1623,7 +1636,8 @@ impl Network {
                     recomputed: extra_sums[i],
                 });
             }
-            if usage.primaries() != primary_sets[i] {
+            let columns = usage.primary_slots().len() == usage.primaries().len();
+            if !columns || !usage.primary_pairs().eq(primary_sets[i].iter().copied()) {
                 violations.push(InvariantViolation::PrimarySetMismatch { link });
             }
             if usage.backups() != backup_sets[i] {
@@ -1676,7 +1690,7 @@ mod tests {
 
     /// A fill every `redistribute` call on this thread runs in place of
     /// the production one.
-    type Fill = fn(&mut Network, &[ConnectionId]);
+    type Fill = fn(&mut Network, &[ChainPair]);
 
     thread_local! {
         pub(super) static FILL_OVERRIDE: std::cell::Cell<Option<Fill>> =
@@ -1692,10 +1706,11 @@ mod tests {
     }
 
     impl Network {
-        /// The fill as it was before the flat one, kept verbatim as the
-        /// reference the production fill is compared against: per granted
-        /// increment two map lookups, a link-list clone and a heap push.
-        fn redistribute_reference(&mut self, candidates: &[ConnectionId]) {
+        /// The fill as it was before the flat one, kept verbatim (but for
+        /// reading the ids out of the candidate pairs) as the reference
+        /// the production fill is compared against: per granted increment
+        /// two lookups by id, a link-list clone and a heap push.
+        fn redistribute_reference(&mut self, candidates: &[ChainPair]) {
             #[derive(PartialEq)]
             struct Scored {
                 score: f64,
@@ -1729,10 +1744,10 @@ mod tests {
             let policy = self.config.policy;
             let mut heap: BinaryHeap<Scored> = candidates
                 .iter()
-                .filter(|id| self.connections.contains_key(id))
-                .map(|&id| Scored {
-                    score: score(policy, &self.connections[&id]),
-                    id,
+                .filter_map(|&(_, id)| self.connection(id))
+                .map(|conn| Scored {
+                    score: score(policy, conn),
+                    id: conn.id(),
                 })
                 .collect();
             while let Some(Scored { id, .. }) = heap.pop() {
@@ -1742,7 +1757,7 @@ mod tests {
                 }
                 self.grant(id);
                 heap.push(Scored {
-                    score: score(policy, &self.connections[&id]),
+                    score: score(policy, self.connection(id).unwrap()),
                     id,
                 });
             }
@@ -1751,7 +1766,7 @@ mod tests {
         /// Whether `id` can absorb one more increment on every link of its
         /// path.
         fn can_grow(&self, id: ConnectionId) -> bool {
-            let conn = &self.connections[&id];
+            let conn = self.connection(id).unwrap();
             if conn.level() >= conn.qos().max_level() {
                 return false;
             }
@@ -1764,7 +1779,7 @@ mod tests {
 
         /// Grants one increment to `id`.
         fn grant(&mut self, id: ConnectionId) {
-            let conn = self.connections.get_mut(&id).expect("grant of unknown id");
+            let conn = self.connections.get_mut(id).expect("grant of unknown id");
             let inc = conn.qos().increment();
             conn.set_level(conn.level() + 1);
             let links = conn.primary().links().to_vec();
@@ -2647,7 +2662,7 @@ mod tests {
 
     /// The slack predicate weakened by one (smallest) increment: the
     /// mutant the differential below must catch.
-    fn weak_fill(net: &mut Network, candidates: &[ConnectionId]) {
+    fn weak_fill(net: &mut Network, candidates: &[ChainPair]) {
         net.redistribute_with(candidates, |link, demand| {
             link.is_up() && link.headroom() + Bandwidth::kbps(50) >= demand
         });
@@ -2808,6 +2823,21 @@ mod tests {
         assert_eq!(net.total_primary_bandwidth(), Bandwidth::kbps(1_000));
     }
 
+    /// The live `(slot, id)` pairs, in id order.
+    fn live_pairs(net: &Network) -> Vec<ChainPair> {
+        let pairs = net.connections.iter();
+        pairs.map(|(slot, c)| (slot, c.id())).collect()
+    }
+
+    /// Drops every live channel to its minimum, so a fill has work to do.
+    fn retreat_all(net: &mut Network) -> Vec<ChainPair> {
+        let live = live_pairs(net);
+        for &pair in &live {
+            net.retreat(pair);
+        }
+        live
+    }
+
     #[test]
     fn headroom_one_short_of_demand_goes_through_the_heap() {
         let net = two_on_one_link(200 + 800 - 1);
@@ -2818,10 +2848,8 @@ mod tests {
         // Retreating both and refilling one increment at a time lands on
         // the same state.
         let mut reference = net.clone();
-        for id in [ConnectionId(0), ConnectionId(1)] {
-            reference.retreat(id);
-        }
-        reference.redistribute_reference(&[ConnectionId(0), ConnectionId(1)]);
+        let both = retreat_all(&mut reference);
+        reference.redistribute_reference(&both);
         assert!(reference == net);
     }
 
@@ -2834,13 +2862,11 @@ mod tests {
         assert!(!is_slack(&link, Bandwidth::ZERO));
         // A channel whose primary crosses a down link is offered nothing.
         let mut net = two_on_one_link(10_000);
-        for id in [ConnectionId(0), ConnectionId(1)] {
-            net.retreat(id);
-        }
+        let both = retreat_all(&mut net);
         net.links[0].set_up(false);
         let mut reference = net.clone();
-        net.redistribute(&[ConnectionId(0), ConnectionId(1)]);
-        reference.redistribute_reference(&[ConnectionId(0), ConnectionId(1)]);
+        net.redistribute(&both);
+        reference.redistribute_reference(&both);
         assert_eq!(bulk_flags(&net), [false, false]);
         assert_eq!(net.total_primary_bandwidth(), Bandwidth::kbps(200));
         assert!(net == reference);
@@ -2850,29 +2876,286 @@ mod tests {
     fn candidates_at_their_maximum_or_no_longer_live_are_skipped() {
         let mut net = two_on_one_link(10_000);
         let before = net.clone();
+        let both = live_pairs(&net);
         // Both live channels sit at their maximum; c7 never existed and c1
-        // is released before its id is offered again.
-        net.redistribute(&[ConnectionId(0), ConnectionId(1), ConnectionId(7)]);
+        // is released before its pair is offered again.
+        net.redistribute(&[both[0], both[1], (7, ConnectionId(7))]);
         assert!(net.fill.rows.is_empty());
         assert!(net == before);
-        net.retreat(ConnectionId(0));
-        net.connections.remove(&ConnectionId(1));
-        net.redistribute(&[ConnectionId(0), ConnectionId(1)]);
+        net.retreat(both[0]);
+        net.connections.remove(ConnectionId(1));
+        net.redistribute(&both);
         assert_eq!(net.fill.rows.len(), 1);
         assert_eq!(net.connection(ConnectionId(0)).unwrap().level(), 4);
     }
 
+    // ------------------------------ unsorted, slot-addressed chain sets --
+
+    /// `n` 100–500 Kbps channels over the single link of a two-node line,
+    /// 99 Kbps short of room for everyone's maximum.
+    fn crowded_link(n: u64) -> Network {
+        let mut net = two_on_one_link(n * 500 - 99);
+        for _ in 2..n {
+            net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+        }
+        net
+    }
+
     #[test]
-    fn chain_sets_are_sorted_vectors_and_subset_is_a_merge() {
-        let c = |v: &[u64]| v.iter().map(|&i| ConnectionId(i)).collect::<Vec<_>>();
-        assert!(sorted_subset(&c(&[]), &c(&[])));
-        assert!(sorted_subset(&c(&[]), &c(&[1])));
-        assert!(sorted_subset(&c(&[2, 5]), &c(&[1, 2, 3, 5])));
-        assert!(!sorted_subset(&c(&[2, 4]), &c(&[1, 2, 3, 5])));
-        assert!(!sorted_subset(&c(&[6]), &c(&[1, 2, 3, 5])));
-        assert!(!sorted_subset(&c(&[1]), &c(&[])));
+    fn the_fill_ignores_the_order_of_its_candidates() {
+        let mut rng = Rng::seed_from_u64(0x17_0DE4);
+        let mut tight_fills = 0;
+        for case in 0..200 {
+            let (mut net, mut case_rng) = random_case(case);
+            for _ in 0..16 {
+                random_op(&mut net, &mut case_rng);
+            }
+            let sorted = retreat_all(&mut net);
+            let mut shuffled = sorted.clone();
+            rng.shuffle(&mut shuffled);
+            let mut want = net.clone();
+            want.redistribute(&sorted);
+            net.redistribute(&shuffled);
+            assert!(net == want, "case {case}: {shuffled:?}");
+            net.validate();
+            tight_fills += usize::from(bulk_flags(&net).contains(&false));
+        }
+        assert!(tight_fills > 50, "order can only matter in the heap");
+    }
+
+    #[test]
+    fn a_stale_pair_is_no_candidate_and_neither_is_its_slot_s_new_occupant() {
+        let mut net = crowded_link(3);
+        let [c0, c1, c2] = live_pairs(&net)[..] else {
+            panic!("three channels");
+        };
+        // c1's slot goes to the newcomer c3; c2's slot stays vacant.
+        net.release(c1.1).unwrap();
+        let c3 = net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+        assert_eq!(live_pairs(&net), [c0, c2, (c1.0, c3)]);
+        net.release(c2.1).unwrap();
+        retreat_all(&mut net);
+        let filled = |candidates: &[ChainPair]| {
+            let mut net = net.clone();
+            net.redistribute(candidates);
+            net.validate();
+            net
+        };
+        // A pair of a released connection changes nothing, wherever it
+        // sits and whether its slot is vacant or taken…
+        let live = filled(&[c0, (c1.0, c3)]);
+        assert!(live.total_primary_bandwidth() > net.total_primary_bandwidth());
+        assert!(filled(&[c2, c0, (c1.0, c3), c1]) == live);
+        // …and does not stand for the slot's new occupant: offered c0 and
+        // the stale c1, the fill grows c0 alone.
+        let alone = filled(&[c0]);
+        assert_eq!(alone.connection(c3).unwrap().level(), 0);
+        assert!(filled(&[c1, c0]) == alone);
+        assert!(alone != live);
+    }
+
+    thread_local! {
+        static FILLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The production fill, counted.
+    fn counted_fill(net: &mut Network, candidates: &[ChainPair]) {
+        FILLS.set(FILLS.get() + 1);
+        net.redistribute_with(candidates, is_slack);
+    }
+
+    /// Admits `reqs` in one loop and returns how many deferred fills ran
+    /// before the flush, and how many commits there were.
+    fn fills_in_one_loop(net: &mut Network, reqs: &[EstablishRequest]) -> (usize, usize) {
+        FILLS.set(0);
+        let mut pending = None;
+        let admitted = with_fill(Some(counted_fill), || {
+            let admit = |r| net.admit(r, None, &mut pending).0.is_ok();
+            reqs.iter().map(admit).filter(|&ok| ok).count()
+        });
+        let fills = FILLS.get();
+        net.batch_flush(pending);
+        net.validate();
+        (fills, admitted)
+    }
+
+    #[test]
+    fn a_fill_is_elided_exactly_when_the_next_commit_retreats_all_of_it() {
+        // Every plan on the tight ring covers the whole ring, so every
+        // commit retreats everyone: no deferred fill ever runs.
+        let (mut net, reqs) = tight_ring();
+        let (fills, commits) = fills_in_one_loop(&mut net, &reqs);
+        assert!(commits > 2, "{commits}");
+        assert_eq!(fills, 0);
+        // On a line without backups a commit chains only the channels on
+        // its own links: the fill deferred at one end must run before a
+        // commit at the other end, and is elided before one on top of it.
+        let mut g = Graph::new();
+        let n: Vec<NodeId> = (0..4).map(|_| g.add_node()).collect();
+        for w in n.windows(2) {
+            g.add_link(w[0], w[1]).unwrap();
+        }
+        let config = NetworkConfig {
+            require_backup: false,
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::new(g, config);
+        let req = |src, dst| EstablishRequest {
+            src,
+            dst,
+            qos: qos(),
+        };
+        let far = [req(n[0], n[1]), req(n[2], n[3]), req(n[0], n[1])];
+        assert_eq!(fills_in_one_loop(&mut net.clone(), &far), (2, 3));
+        let near = [req(n[0], n[1]), req(n[0], n[1]), req(n[0], n[1])];
+        assert_eq!(fills_in_one_loop(&mut net, &near), (0, 3));
+    }
+
+    /// The stamp gather over `over`, every pair resolved to its live
+    /// connection and the ids sorted.
+    fn gathered(net: &mut Network, over: &[LinkId]) -> Vec<ConnectionId> {
+        let mut pairs = Vec::new();
+        let over = over.iter().copied();
+        Network::gather(&net.links, &mut net.marks, over, &mut pairs);
+        let live = |&(slot, id)| {
+            net.connections
+                .at(slot, id)
+                .expect("a gathered pair is live")
+        };
+        let mut ids: Vec<ConnectionId> = pairs.iter().map(|pair| live(pair).id()).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Replays `cases` seeded op sequences and, after every op, gathers
+    /// by stamp over random link lists — some links named twice — holding
+    /// the result, sorted by id, to `primaries_sharing` over the same
+    /// list. Every case wraps the generation counter once mid-run. With
+    /// `replay_generation` the gather is sabotaged: it runs in the
+    /// generation of the gather before it instead of a new one. Returns
+    /// how many repeated links and how many repeated members the marks
+    /// had to skip.
+    fn gather_differential(cases: u64, replay_generation: bool) -> Result<(usize, usize), String> {
+        let (mut links_skipped, mut members_skipped) = (0, 0);
+        for case in 0..cases {
+            let (mut net, mut rng) = random_case(case);
+            let link_count = net.graph().link_count();
+            for step in 0..10 + rng.range_usize(14) {
+                random_op(&mut net, &mut rng);
+                if step == 6 {
+                    // The gathers so far stamped generations 1, 2, …; the
+                    // next one wraps back to 1 and must not see them.
+                    *net.marks.generation_mut() = u64::MAX;
+                }
+                for _ in 0..3 {
+                    let mut over: Vec<LinkId> = (0..1 + rng.range_usize(5))
+                        .map(|_| LinkId(rng.range_usize(link_count)))
+                        .collect();
+                    if rng.chance(0.5) {
+                        over.push(over[0]);
+                    }
+                    if replay_generation {
+                        let gen = net.marks.generation_mut();
+                        *gen = gen.wrapping_sub(1);
+                    }
+                    let got = gathered(&mut net, &over);
+                    let want = net.primaries_sharing(over.iter().copied());
+                    if got != want {
+                        return Err(format!(
+                            "case {case} step {step} over {over:?}: {got:?}, reference {want:?}"
+                        ));
+                    }
+                    let mut distinct = over.clone();
+                    sort_dedup(&mut distinct);
+                    links_skipped += over.len() - distinct.len();
+                    let members = distinct
+                        .iter()
+                        .map(|l| net.links[l.index()].primary_count());
+                    members_skipped += members.sum::<usize>() - want.len();
+                }
+            }
+        }
+        Ok((links_skipped, members_skipped))
+    }
+
+    #[test]
+    fn stamp_gather_matches_the_sorted_gather_on_600_seeded_cases() {
+        let (links_skipped, members_skipped) = gather_differential(600, false).unwrap();
+        assert!(
+            links_skipped > 10_000 && members_skipped > 10_000,
+            "both marks must fire: {links_skipped} links, {members_skipped} members"
+        );
         // The same link named twice gathers its primaries once.
-        let net = two_on_one_link(10_000);
-        assert_eq!(net.primaries_sharing([LinkId(0), LinkId(0)]), c(&[0, 1]));
+        let mut net = two_on_one_link(10_000);
+        let both = [ConnectionId(0), ConnectionId(1)];
+        assert_eq!(gathered(&mut net, &[LinkId(0), LinkId(0)]), both);
+        assert_eq!(net.primaries_sharing([LinkId(0), LinkId(0)]), both);
+    }
+
+    #[test]
+    fn a_gather_that_does_not_start_a_new_generation_is_caught() {
+        let caught = gather_differential(600, true);
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    #[test]
+    fn a_corrupted_slot_column_is_a_primary_set_mismatch() {
+        let mut net = two_on_one_link(10_000);
+        let [_, (slot, c1)] = live_pairs(&net)[..] else {
+            panic!("two channels");
+        };
+        // c1's entry on the link now points at a slot that is not c1's.
+        let min = qos().min();
+        net.links[0].remove_primary(c1, min);
+        net.links[0].add_primary(c1, slot + 1, min);
+        let mismatch = InvariantViolation::PrimarySetMismatch { link: LinkId(0) };
+        assert_eq!(net.check_invariants(), [mismatch]);
+    }
+
+    #[test]
+    fn slot_history_is_not_state() {
+        // The same connections, released in two orders: the free lists
+        // differ, so the newcomers land in each other's slots.
+        let mut a = crowded_link(4);
+        let mut b = a.clone();
+        for (net, order) in [(&mut a, [1, 2]), (&mut b, [2, 1])] {
+            for id in order {
+                net.release(ConnectionId(id)).unwrap();
+            }
+            for _ in 0..2 {
+                net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+            }
+            net.validate();
+        }
+        assert_ne!(live_pairs(&a), live_pairs(&b));
+        assert!(a == b);
+        assert_eq!(
+            crate::snapshot::NetworkSnapshot::capture(&a),
+            crate::snapshot::NetworkSnapshot::capture(&b)
+        );
+        // Nor does it show later: the same op leaves them equal again.
+        assert_eq!(a.fail_link(LinkId(0)), b.fail_link(LinkId(0)));
+        assert!(a == b);
+    }
+
+    #[test]
+    fn a_clone_gathers_the_same_sets_as_its_source() {
+        let mut net = cached_net(10_000, false);
+        for i in [0, 1, 2, 3, 4, 5, 1, 2] {
+            net.establish(NodeId(i), NodeId(15 - i), qos()).unwrap();
+            if i == 5 {
+                net.release(ConnectionId(1)).unwrap();
+                net.release(ConnectionId(4)).unwrap();
+            }
+        }
+        let mut copy = net.clone();
+        for l in 0..net.graph().link_count() {
+            let over = [LinkId(l), LinkId((l + 1) % net.graph().link_count())];
+            let (mut from_net, mut from_copy) = (Vec::new(), Vec::new());
+            for (n, out) in [(&mut net, &mut from_net), (&mut copy, &mut from_copy)] {
+                Network::gather(&n.links, &mut n.marks, over, out);
+            }
+            assert_eq!(from_net, from_copy);
+        }
     }
 }

@@ -51,9 +51,10 @@ pub const RULES: &[&str] = &[
 
 /// Files where panics are forbidden (the daemon zone). The `bool` is
 /// whether the slice-index check also applies: it does for the service
-/// files (their only indexing would be into request data), but not for
-/// `network.rs`, whose dense `links[id.index()]` arena indexing is the
-/// idiom and is bounds-established at construction.
+/// files (their only indexing would be into request data) and for the
+/// connection slab (a slot may outlive its connection, so it is looked up
+/// with `get`), but not for `network.rs`, whose dense `links[id.index()]`
+/// arena indexing is the idiom and is bounds-established at construction.
 pub const NO_PANIC_FILES: &[(&str, bool)] = &[
     ("crates/service/src/server.rs", true),
     ("crates/service/src/engine.rs", true),
@@ -63,6 +64,7 @@ pub const NO_PANIC_FILES: &[(&str, bool)] = &[
     ("crates/service/src/clusterd.rs", true),
     ("crates/service/src/bin/drqos-clusterd.rs", true),
     ("crates/core/src/network.rs", false),
+    ("crates/core/src/conn_table.rs", true),
     ("crates/core/src/shard.rs", false),
     ("crates/core/src/scenario.rs", false),
     ("crates/core/src/srlg.rs", false),
