@@ -44,7 +44,6 @@ use drqos_core::invariant::InvariantViolation;
 use drqos_core::network::{
     EstablishPlan, EstablishRequest, FailureReport, Network, PendingFill, PrePlanned,
 };
-use drqos_core::qos::ElasticQos;
 use drqos_topology::{LinkId, NodeId};
 use std::collections::BTreeMap;
 
@@ -56,44 +55,9 @@ use std::collections::BTreeMap;
 pub enum CommittedOp {
     /// An admission (committed result may still be a rejection — replay
     /// reproduces it deterministically).
-    Establish {
-        /// Source endpoint.
-        src: NodeId,
-        /// Destination endpoint.
-        dst: NodeId,
-        /// Requested elastic QoS.
-        qos: ElasticQos,
-    },
-    /// A connection release.
-    Release {
-        /// The connection id.
-        id: ConnectionId,
-    },
-    /// A link failure injection.
-    FailLink {
-        /// The failed link.
-        link: LinkId,
-    },
-    /// A link repair.
-    RepairLink {
-        /// The repaired link.
-        link: LinkId,
-    },
-    /// A node failure (all adjacent up links fail).
-    FailNode {
-        /// The failed node.
-        node: NodeId,
-    },
-    /// A shared-risk group failure (all up member links fail).
-    FailSrlg {
-        /// The shared-risk group index.
-        group: usize,
-    },
-    /// A shared-risk group repair (all down member links heal).
-    RepairSrlg {
-        /// The shared-risk group index.
-        group: usize,
-    },
+    Establish(EstablishRequest),
+    /// A forwarded operation.
+    Op(MemberOp),
     /// A membership change; `alive` is the post-change roster.
     Rebalance {
         /// Liveness by member id after the change.
@@ -103,7 +67,9 @@ pub enum CommittedOp {
 
 /// A non-establish operation forwarded by a member (establishes go
 /// through the two-phase [`Coordinator::prepare`] /
-/// [`Coordinator::commit_prepared`] path instead).
+/// [`Coordinator::commit_prepared`] path instead): one variant per
+/// [`Route::Forward`](drqos_core::wire::Route) row of
+/// [`VERBS`](drqos_core::wire::VERBS).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberOp {
     /// Release a connection.
@@ -139,15 +105,60 @@ pub enum MemberOp {
 }
 
 impl MemberOp {
-    /// The oplog record this operation commits as.
-    pub fn to_committed(self) -> CommittedOp {
+    /// The operation's verb (its row of [`drqos_core::wire::VERBS`], by
+    /// name) and its one operand. With [`MemberOp::from_parts`] this is
+    /// the only per-variant code between an operation and any wire.
+    pub fn parts(self) -> (&'static str, u64) {
         match self {
-            MemberOp::Release { id } => CommittedOp::Release { id },
-            MemberOp::FailLink { link } => CommittedOp::FailLink { link },
-            MemberOp::RepairLink { link } => CommittedOp::RepairLink { link },
-            MemberOp::FailNode { node } => CommittedOp::FailNode { node },
-            MemberOp::FailSrlg { group } => CommittedOp::FailSrlg { group },
-            MemberOp::RepairSrlg { group } => CommittedOp::RepairSrlg { group },
+            MemberOp::Release { id } => ("RELEASE", id.0),
+            MemberOp::FailLink { link } => ("FAIL-LINK", link.index() as u64),
+            MemberOp::RepairLink { link } => ("REPAIR-LINK", link.index() as u64),
+            MemberOp::FailNode { node } => ("FAIL-NODE", node.index() as u64),
+            MemberOp::FailSrlg { group } => ("FAIL-SRLG", group as u64),
+            MemberOp::RepairSrlg { group } => ("REPAIR-SRLG", group as u64),
+        }
+    }
+
+    /// The inverse of [`MemberOp::parts`]: `None` for a verb that is not
+    /// forwarded, or an index operand that does not fit `usize`.
+    pub fn from_parts(verb: &str, operand: u64) -> Option<Self> {
+        let index = usize::try_from(operand).ok();
+        Some(match verb {
+            "RELEASE" => MemberOp::Release {
+                id: ConnectionId(operand),
+            },
+            "FAIL-LINK" => MemberOp::FailLink {
+                link: LinkId(index?),
+            },
+            "REPAIR-LINK" => MemberOp::RepairLink {
+                link: LinkId(index?),
+            },
+            "FAIL-NODE" => MemberOp::FailNode {
+                node: NodeId(index?),
+            },
+            "FAIL-SRLG" => MemberOp::FailSrlg { group: index? },
+            "REPAIR-SRLG" => MemberOp::RepairSrlg { group: index? },
+            _ => return None,
+        })
+    }
+
+    /// Applies the operation to a network, exactly as the monolithic
+    /// manager would: the transition the service engine, the coordinator
+    /// and every replica share.
+    pub fn apply(self, net: &mut Network) -> ApplyOutcome {
+        match self {
+            MemberOp::Release { id } => {
+                // `release` retreats the channel to its minimum before
+                // removing it, so read the bandwidth actually held first
+                // (the service engine renders this as `freed=`).
+                let held = net.connection(id).map(|c| c.bandwidth().as_kbps());
+                ApplyOutcome::Release(net.release(id).map(|_| held))
+            }
+            MemberOp::FailLink { link } => ApplyOutcome::FailLink(net.fail_link(link)),
+            MemberOp::RepairLink { link } => ApplyOutcome::RepairLink(net.repair_link(link)),
+            MemberOp::FailNode { node } => ApplyOutcome::FailNode(net.fail_node(node)),
+            MemberOp::FailSrlg { group } => ApplyOutcome::FailSrlg(net.fail_srlg(group)),
+            MemberOp::RepairSrlg { group } => ApplyOutcome::RepairSrlg(net.repair_srlg(group)),
         }
     }
 }
@@ -178,28 +189,16 @@ pub enum ApplyOutcome {
     Rebalance(Vec<bool>),
 }
 
-/// Applies one committed operation to a network, exactly as the
-/// monolithic manager would. This is the single replay function shared by
-/// the coordinator's serial path and every replica, so the two cannot
-/// drift.
+/// Applies one committed operation to a network. This is the single
+/// replay function shared by the coordinator's serial path and every
+/// replica, so the two cannot drift.
 pub fn apply_committed(net: &mut Network, op: &CommittedOp) -> ApplyOutcome {
-    match *op {
-        CommittedOp::Establish { src, dst, qos } => {
-            ApplyOutcome::Establish(net.establish(src, dst, qos))
+    match op {
+        CommittedOp::Establish(req) => {
+            ApplyOutcome::Establish(net.establish(req.src, req.dst, req.qos))
         }
-        CommittedOp::Release { id } => {
-            // `release` retreats the channel to its minimum before removing
-            // it, so read the bandwidth actually held first (the service
-            // engine renders this as `freed=`).
-            let held = net.connection(id).map(|c| c.bandwidth().as_kbps());
-            ApplyOutcome::Release(net.release(id).map(|_| held))
-        }
-        CommittedOp::FailLink { link } => ApplyOutcome::FailLink(net.fail_link(link)),
-        CommittedOp::RepairLink { link } => ApplyOutcome::RepairLink(net.repair_link(link)),
-        CommittedOp::FailNode { node } => ApplyOutcome::FailNode(net.fail_node(node)),
-        CommittedOp::FailSrlg { group } => ApplyOutcome::FailSrlg(net.fail_srlg(group)),
-        CommittedOp::RepairSrlg { group } => ApplyOutcome::RepairSrlg(net.repair_srlg(group)),
-        CommittedOp::Rebalance { ref alive } => ApplyOutcome::Rebalance(alive.clone()),
+        CommittedOp::Op(op) => op.apply(net),
+        CommittedOp::Rebalance { alive } => ApplyOutcome::Rebalance(alive.clone()),
     }
 }
 
@@ -287,11 +286,6 @@ impl Coordinator {
     /// Count of live members.
     pub fn alive_count(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// The current survivor assignment.
-    pub fn assignment(&self) -> &Assignment {
-        &self.assignment
     }
 
     /// The live member owning `node`.
@@ -413,11 +407,7 @@ impl Coordinator {
     ) -> Result<ConnectionId, AdmissionError> {
         let (result, stale) = self.net.admit(req, hint, pending_fill);
         self.stale_replans += u64::from(stale);
-        self.oplog.push(CommittedOp::Establish {
-            src: req.src,
-            dst: req.dst,
-            qos: req.qos,
-        });
+        self.oplog.push(CommittedOp::Establish(*req));
         result
     }
 
@@ -437,10 +427,8 @@ impl Coordinator {
         if !self.is_alive(member) {
             return Err(ClusterError::UnknownMember(member));
         }
-        let committed = op.to_committed();
-        let outcome = apply_committed(&mut self.net, &committed);
-        self.oplog.push(committed);
-        Ok(outcome)
+        self.oplog.push(CommittedOp::Op(op));
+        Ok(op.apply(&mut self.net))
     }
 
     /// Oplog records from sequence `from` (exclusive of nothing — `from`

@@ -77,6 +77,7 @@ impl Member {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::MemberOp;
     use drqos_core::network::NetworkConfig;
     use drqos_core::qos::ElasticQos;
     use drqos_core::NetworkSnapshot;
@@ -91,23 +92,22 @@ mod tests {
     fn replay_tracks_the_authority_byte_for_byte() {
         let mut authority = genesis();
         let mut member = Member::new(0, genesis());
+        let establish = |src, dst| {
+            CommittedOp::Establish(EstablishRequest {
+                src: NodeId(src),
+                dst: NodeId(dst),
+                qos: ElasticQos::paper_video(100),
+            })
+        };
         let ops = vec![
-            CommittedOp::Establish {
-                src: NodeId(0),
-                dst: NodeId(3),
-                qos: ElasticQos::paper_video(100),
-            },
-            CommittedOp::Establish {
-                src: NodeId(1),
-                dst: NodeId(4),
-                qos: ElasticQos::paper_video(100),
-            },
-            CommittedOp::FailLink {
+            establish(0, 3),
+            establish(1, 4),
+            CommittedOp::Op(MemberOp::FailLink {
                 link: authority.graph().links().next().unwrap().id(),
-            },
-            CommittedOp::Release {
+            }),
+            CommittedOp::Op(MemberOp::Release {
                 id: drqos_core::ConnectionId(0),
-            },
+            }),
         ];
         let direct: Vec<ApplyOutcome> = ops
             .iter()

@@ -9,6 +9,13 @@
 //! are little-endian `u64`; QoS travels as raw `(bmin, bmax, delta)`
 //! Kbps and is revalidated on decode, exactly like the client protocol.
 //!
+//! An `OP` message and an oplog record both carry a client verb: one tag
+//! byte — the verb's client opcode, looked up in
+//! [`drqos_core::wire::VERBS`] — then the row's operands. The tags are
+//! private to a federation of one build; SERVICE.md's verb table lists
+//! them beside the opcodes, with the one tag that is no verb (0, a
+//! `Rebalance` record).
+//!
 //! The conversation (documented in SERVICE.md):
 //!
 //! ```text
@@ -32,46 +39,36 @@
 //! member's EOF as CRASH, aborts its in-flight prepares and rebalances.
 
 use crate::coordinator::{CommittedOp, MemberOp};
-use drqos_core::channel::ConnectionId;
 use drqos_core::framing::{get_u64, put_u64};
 use drqos_core::network::EstablishRequest;
 use drqos_core::qos::{Bandwidth, ElasticQos};
-use drqos_topology::{LinkId, NodeId};
+use drqos_core::wire::{verb_coded, verb_named, Operand, Route, Verb, MAX_OPERANDS};
+use drqos_topology::NodeId;
 use std::fmt;
 
-/// Member → coordinator opcodes (`0x10` family).
-pub const C_JOIN: u8 = 0x10;
-/// See [`C_JOIN`].
-pub const C_PREPARE: u8 = 0x11;
-/// See [`C_JOIN`].
-pub const C_COMMIT: u8 = 0x12;
-/// See [`C_JOIN`].
-pub const C_ABORT: u8 = 0x13;
-/// See [`C_JOIN`].
-pub const C_OP: u8 = 0x14;
-/// See [`C_JOIN`].
-pub const C_SYNC: u8 = 0x15;
-/// See [`C_JOIN`].
-pub const C_LEAVE: u8 = 0x16;
-/// See [`C_JOIN`].
-pub const C_STATUS: u8 = 0x17;
-/// See [`C_JOIN`].
-pub const C_STOP: u8 = 0x18;
+// Member → coordinator opcodes (the `0x10` family).
+const C_JOIN: u8 = 0x10;
+const C_PREPARE: u8 = 0x11;
+const C_COMMIT: u8 = 0x12;
+const C_ABORT: u8 = 0x13;
+const C_OP: u8 = 0x14;
+const C_SYNC: u8 = 0x15;
+const C_LEAVE: u8 = 0x16;
+const C_STATUS: u8 = 0x17;
+const C_STOP: u8 = 0x18;
 
-/// Coordinator → member opcodes (`0x20` family).
-pub const C_WELCOME: u8 = 0x20;
-/// See [`C_WELCOME`].
-pub const C_VERDICT: u8 = 0x21;
-/// See [`C_WELCOME`].
-pub const C_DONE: u8 = 0x22;
-/// See [`C_WELCOME`].
-pub const C_RECORDS: u8 = 0x23;
-/// See [`C_WELCOME`].
-pub const C_STATE: u8 = 0x24;
-/// See [`C_WELCOME`].
-pub const C_ERR: u8 = 0x25;
-/// See [`C_WELCOME`].
-pub const C_OK: u8 = 0x26;
+// Coordinator → member opcodes (the `0x20` family).
+const C_WELCOME: u8 = 0x20;
+const C_VERDICT: u8 = 0x21;
+const C_DONE: u8 = 0x22;
+const C_RECORDS: u8 = 0x23;
+const C_STATE: u8 = 0x24;
+const C_ERR: u8 = 0x25;
+const C_OK: u8 = 0x26;
+
+/// The oplog record tag of a membership epoch — the one record that is no
+/// client verb, so it takes the one number no client opcode uses.
+const RECORD_REBALANCE: u8 = 0;
 
 /// Most records a single `RECORDS` reply carries; a member behind by
 /// more keeps `SYNC`ing until `applied == seq`. Keeps every frame well
@@ -124,6 +121,21 @@ pub struct WireRequest {
 }
 
 impl WireRequest {
+    /// The five integers in wire order — the `ESTABLISH` row's operands.
+    fn operands(self) -> [u64; MAX_OPERANDS] {
+        [self.src, self.dst, self.bmin, self.bmax, self.delta]
+    }
+
+    fn from_operands([src, dst, bmin, bmax, delta]: [u64; MAX_OPERANDS]) -> Self {
+        Self {
+            src,
+            dst,
+            bmin,
+            bmax,
+            delta,
+        }
+    }
+
     /// Captures an in-memory request for the wire.
     pub fn from_request(req: &EstablishRequest) -> Self {
         Self {
@@ -250,44 +262,35 @@ pub enum CoordMsg {
 
 // ------------------------------------------------------------ encoding --
 
+/// Appends one verb call: the row's tag, then as many of `operands` as the
+/// row declares.
+fn put_call(body: &mut Vec<u8>, verb: &str, operands: &[u64]) {
+    let Some(verb) = verb_named(verb) else {
+        // No such row in this build: a tag no row has, which the peer
+        // rejects.
+        return body.push(u8::MAX);
+    };
+    body.push(verb.opcode);
+    for &v in operands.iter().take(verb.operands.len()) {
+        put_u64(body, v);
+    }
+}
+
 fn put_record(body: &mut Vec<u8>, record: &CommittedOp) {
-    match *record {
-        CommittedOp::Establish { src, dst, qos } => {
-            body.push(1);
-            put_u64(body, src.index() as u64);
-            put_u64(body, dst.index() as u64);
-            put_u64(body, qos.min().as_kbps());
-            put_u64(body, qos.max().as_kbps());
-            put_u64(body, qos.increment().as_kbps());
+    match record {
+        CommittedOp::Establish(req) => put_call(
+            body,
+            "ESTABLISH",
+            &WireRequest::from_request(req).operands(),
+        ),
+        CommittedOp::Op(op) => {
+            let (verb, operand) = op.parts();
+            put_call(body, verb, &[operand]);
         }
-        CommittedOp::Release { id } => {
-            body.push(2);
-            put_u64(body, id.0);
-        }
-        CommittedOp::FailLink { link } => {
-            body.push(3);
-            put_u64(body, link.index() as u64);
-        }
-        CommittedOp::RepairLink { link } => {
-            body.push(4);
-            put_u64(body, link.index() as u64);
-        }
-        CommittedOp::FailNode { node } => {
-            body.push(5);
-            put_u64(body, node.index() as u64);
-        }
-        CommittedOp::Rebalance { ref alive } => {
-            body.push(6);
+        CommittedOp::Rebalance { alive } => {
+            body.push(RECORD_REBALANCE);
             put_u64(body, alive.len() as u64);
             body.extend(alive.iter().map(|&a| u8::from(a)));
-        }
-        CommittedOp::FailSrlg { group } => {
-            body.push(7);
-            put_u64(body, group as u64);
-        }
-        CommittedOp::RepairSrlg { group } => {
-            body.push(8);
-            put_u64(body, group as u64);
         }
     }
 }
@@ -333,58 +336,53 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Reads the operands of the verb call whose tag was `tag` (the
+    /// inverse of [`put_call`]); an index operand must fit `usize`.
+    fn call(&mut self, tag: u8) -> Result<(&'static Verb, [u64; MAX_OPERANDS]), ProtoError> {
+        let verb = verb_coded(tag).ok_or(ProtoError::UnknownTag(tag))?;
+        let mut operands = [0; MAX_OPERANDS];
+        for (slot, kind) in operands.iter_mut().zip(verb.operands) {
+            *slot = match kind {
+                Operand::Index(_) => self.len()? as u64,
+                Operand::Int(_) => self.u64()?,
+            };
+        }
+        Ok((verb, operands))
+    }
+
     fn record(&mut self) -> Result<CommittedOp, ProtoError> {
-        match self.byte()? {
-            1 => {
-                let src = self.len()?;
-                let dst = self.len()?;
-                let (bmin, bmax, delta) = (self.u64()?, self.u64()?, self.u64()?);
-                let qos = ElasticQos::new(
-                    Bandwidth::kbps(bmin),
-                    Bandwidth::kbps(bmax),
-                    Bandwidth::kbps(delta),
-                    1.0,
-                )
-                .map_err(|_| ProtoError::BadPayload)?;
-                Ok(CommittedOp::Establish {
-                    src: NodeId(src),
-                    dst: NodeId(dst),
-                    qos,
+        let tag = self.byte()?;
+        if tag == RECORD_REBALANCE {
+            let n = self.len()?;
+            if n > MAX_ROSTER {
+                return Err(ProtoError::BadPayload);
+            }
+            let alive = self
+                .bytes(n)?
+                .iter()
+                .map(|&b| match b {
+                    0 => Ok(false),
+                    1 => Ok(true),
+                    _ => Err(ProtoError::BadPayload),
                 })
+                .collect::<Result<Vec<bool>, ProtoError>>()?;
+            return Ok(CommittedOp::Rebalance { alive });
+        }
+        let call = self.call(tag)?;
+        match call.0.route {
+            Route::Admit => {
+                let req = WireRequest::from_operands(call.1).to_request()?;
+                Ok(CommittedOp::Establish(req))
             }
-            2 => Ok(CommittedOp::Release {
-                id: ConnectionId(self.u64()?),
-            }),
-            3 => Ok(CommittedOp::FailLink {
-                link: LinkId(self.len()?),
-            }),
-            4 => Ok(CommittedOp::RepairLink {
-                link: LinkId(self.len()?),
-            }),
-            5 => Ok(CommittedOp::FailNode {
-                node: NodeId(self.len()?),
-            }),
-            6 => {
-                let n = self.len()?;
-                if n > MAX_ROSTER {
-                    return Err(ProtoError::BadPayload);
-                }
-                let alive = self
-                    .bytes(n)?
-                    .iter()
-                    .map(|&b| match b {
-                        0 => Ok(false),
-                        1 => Ok(true),
-                        _ => Err(ProtoError::BadPayload),
-                    })
-                    .collect::<Result<Vec<bool>, ProtoError>>()?;
-                Ok(CommittedOp::Rebalance { alive })
-            }
-            7 => Ok(CommittedOp::FailSrlg { group: self.len()? }),
-            8 => Ok(CommittedOp::RepairSrlg { group: self.len()? }),
-            t => Err(ProtoError::UnknownTag(t)),
+            _ => forwarded(call).map(CommittedOp::Op),
         }
     }
+}
+
+/// The forwarded operation a decoded call stands for; only a
+/// [`Route::Forward`] row has one.
+fn forwarded((verb, [operand, ..]): (&Verb, [u64; MAX_OPERANDS])) -> Result<MemberOp, ProtoError> {
+    MemberOp::from_parts(verb.name, operand).ok_or(ProtoError::UnknownTag(verb.opcode))
 }
 
 /// Sanity cap on a wire roster (untrusted length field).
@@ -406,7 +404,7 @@ pub fn encode_cluster_msg(msg: &ClusterMsg) -> Vec<u8> {
         ClusterMsg::Commit { ticket, req } => {
             body.push(C_COMMIT);
             put_u64(&mut body, *ticket);
-            for v in [req.src, req.dst, req.bmin, req.bmax, req.delta] {
+            for v in req.operands() {
                 put_u64(&mut body, v);
             }
         }
@@ -416,32 +414,8 @@ pub fn encode_cluster_msg(msg: &ClusterMsg) -> Vec<u8> {
         }
         ClusterMsg::Op { op } => {
             body.push(C_OP);
-            match *op {
-                MemberOp::Release { id } => {
-                    body.push(1);
-                    put_u64(&mut body, id.0);
-                }
-                MemberOp::FailLink { link } => {
-                    body.push(2);
-                    put_u64(&mut body, link.index() as u64);
-                }
-                MemberOp::RepairLink { link } => {
-                    body.push(3);
-                    put_u64(&mut body, link.index() as u64);
-                }
-                MemberOp::FailNode { node } => {
-                    body.push(4);
-                    put_u64(&mut body, node.index() as u64);
-                }
-                MemberOp::FailSrlg { group } => {
-                    body.push(5);
-                    put_u64(&mut body, group as u64);
-                }
-                MemberOp::RepairSrlg { group } => {
-                    body.push(6);
-                    put_u64(&mut body, group as u64);
-                }
-            }
+            let (verb, operand) = op.parts();
+            put_call(&mut body, verb, &[operand]);
         }
         ClusterMsg::Sync { applied } => {
             body.push(C_SYNC);
@@ -476,34 +450,14 @@ pub fn decode_cluster_msg(body: &[u8]) -> Result<ClusterMsg, ProtoError> {
         }
         C_COMMIT => ClusterMsg::Commit {
             ticket: c.u64()?,
-            req: WireRequest {
-                src: c.u64()?,
-                dst: c.u64()?,
-                bmin: c.u64()?,
-                bmax: c.u64()?,
-                delta: c.u64()?,
-            },
+            req: WireRequest::from_operands([c.u64()?, c.u64()?, c.u64()?, c.u64()?, c.u64()?]),
         },
         C_ABORT => ClusterMsg::Abort { ticket: c.u64()? },
         C_OP => {
-            let op = match c.byte()? {
-                1 => MemberOp::Release {
-                    id: ConnectionId(c.u64()?),
-                },
-                2 => MemberOp::FailLink {
-                    link: LinkId(c.len()?),
-                },
-                3 => MemberOp::RepairLink {
-                    link: LinkId(c.len()?),
-                },
-                4 => MemberOp::FailNode {
-                    node: NodeId(c.len()?),
-                },
-                5 => MemberOp::FailSrlg { group: c.len()? },
-                6 => MemberOp::RepairSrlg { group: c.len()? },
-                t => return Err(ProtoError::UnknownTag(t)),
-            };
-            ClusterMsg::Op { op }
+            let tag = c.byte()?;
+            ClusterMsg::Op {
+                op: forwarded(c.call(tag)?)?,
+            }
         }
         C_SYNC => ClusterMsg::Sync { applied: c.u64()? },
         C_LEAVE => ClusterMsg::Leave,
@@ -612,29 +566,33 @@ pub fn decode_coord_msg(body: &[u8]) -> Result<CoordMsg, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drqos_core::wire::VERBS;
+
+    /// One operation per [`Route::Forward`] row of the table, so a new row
+    /// is covered without editing this module.
+    fn forwarded_ops() -> Vec<MemberOp> {
+        let rows = VERBS.iter().filter(|v| v.route == Route::Forward);
+        rows.zip(3..)
+            .map(|(v, operand)| MemberOp::from_parts(v.name, operand).expect(v.name))
+            .collect()
+    }
 
     fn sample_records() -> Vec<CommittedOp> {
-        vec![
-            CommittedOp::Establish {
-                src: NodeId(0),
-                dst: NodeId(5),
-                qos: ElasticQos::paper_video(100),
-            },
-            CommittedOp::Release {
-                id: ConnectionId(3),
-            },
-            CommittedOp::FailLink { link: LinkId(7) },
-            CommittedOp::RepairLink { link: LinkId(7) },
-            CommittedOp::FailNode { node: NodeId(2) },
-            CommittedOp::Rebalance {
-                alive: vec![true, false, true],
-            },
-        ]
+        let establish = CommittedOp::Establish(EstablishRequest {
+            src: NodeId(0),
+            dst: NodeId(5),
+            qos: ElasticQos::paper_video(100),
+        });
+        let rebalance = CommittedOp::Rebalance {
+            alive: vec![true, false, true],
+        };
+        let ops = forwarded_ops().into_iter().map(CommittedOp::Op);
+        [establish, rebalance].into_iter().chain(ops).collect()
     }
 
     #[test]
     fn every_member_message_round_trips() {
-        let msgs = vec![
+        let mut msgs = vec![
             ClusterMsg::Join,
             ClusterMsg::Prepare {
                 footprint: vec![(0, 42), (9, u64::MAX)],
@@ -650,22 +608,54 @@ mod tests {
                 },
             },
             ClusterMsg::Abort { ticket: 17 },
-            ClusterMsg::Op {
-                op: MemberOp::FailLink { link: LinkId(3) },
-            },
-            ClusterMsg::Op {
-                op: MemberOp::Release {
-                    id: ConnectionId(12),
-                },
-            },
             ClusterMsg::Sync { applied: 99 },
             ClusterMsg::Leave,
             ClusterMsg::Status,
             ClusterMsg::Stop,
         ];
+        msgs.extend(forwarded_ops().into_iter().map(|op| ClusterMsg::Op { op }));
         for msg in msgs {
             let body = encode_cluster_msg(&msg);
             assert_eq!(decode_cluster_msg(&body), Ok(msg.clone()), "{msg:?}");
+        }
+    }
+
+    /// Tag ↔ row is a bijection on the rows that have a record: every
+    /// forwarded row and the admission row encode under their own client
+    /// opcode, distinct operands survive the trip (so no two rows share a
+    /// decoder), and every other tag — a local verb's opcode, an unused
+    /// number — is refused in both positions.
+    #[test]
+    fn op_and_record_tags_are_the_client_opcodes() {
+        assert_eq!(verb_coded(RECORD_REBALANCE), None, "reserved for no verb");
+        let ops = forwarded_ops();
+        assert!(ops.len() >= 6, "one operation per forwarded row");
+        for (i, &op) in ops.iter().enumerate() {
+            let verb = verb_named(op.parts().0).expect("every operation has a row");
+            assert_eq!(verb.route, Route::Forward);
+            assert_eq!(MemberOp::from_parts(verb.name, op.parts().1), Some(op));
+            assert_eq!(ops.iter().position(|&o| o == op), Some(i), "{op:?}");
+            let as_op = encode_cluster_msg(&ClusterMsg::Op { op });
+            assert_eq!(as_op.get(..2), Some(&[C_OP, verb.opcode][..]), "{op:?}");
+            let mut as_record = Vec::new();
+            put_record(&mut as_record, &CommittedOp::Op(op));
+            assert_eq!(as_record.first(), Some(&verb.opcode), "{op:?}");
+            assert_eq!(as_record.get(1..), as_op.get(2..), "{op:?}");
+        }
+        let mut record = Vec::new();
+        put_record(&mut record, &sample_records()[0]);
+        let admit = VERBS.iter().find(|v| v.route == Route::Admit).unwrap();
+        assert_eq!((record[0], record.len()), (admit.opcode, 1 + 5 * 8));
+        for tag in 0..=u8::MAX {
+            let forwarded = verb_coded(tag).is_some_and(|v| v.route == Route::Forward);
+            let mut body = vec![C_OP, tag];
+            body.extend([0; 5 * 8]);
+            let decoded = decode_cluster_msg(body.get(..2 + 8).unwrap());
+            assert_eq!(decoded.is_ok(), forwarded, "OP tag {tag}: {decoded:?}");
+            if !forwarded {
+                let wide = decode_cluster_msg(&body);
+                assert!(wide.is_err(), "OP tag {tag} with five operands: {wide:?}");
+            }
         }
     }
 
@@ -737,6 +727,15 @@ mod tests {
         put_u64(&mut body, 0);
         put_u64(&mut body, (RECORDS_PER_SYNC as u64) + 1);
         assert_eq!(decode_coord_msg(&body), Err(ProtoError::BadPayload));
+        // A record tagged with a local verb's opcode, or with a number no
+        // row has, is no record.
+        for tag in [verb_named("SNAPSHOT").unwrap().opcode, 200] {
+            let mut body = vec![C_RECORDS];
+            put_u64(&mut body, 0);
+            put_u64(&mut body, 1);
+            body.push(tag);
+            assert_eq!(decode_coord_msg(&body), Err(ProtoError::UnknownTag(tag)));
+        }
     }
 
     #[test]

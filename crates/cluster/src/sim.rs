@@ -192,15 +192,7 @@ impl ClusterSim {
     ///
     /// Propagates coordinator errors (none on a live cluster).
     pub fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
-        let carrier = match op {
-            MemberOp::FailLink { link } | MemberOp::RepairLink { link } => {
-                self.coord.assignment().member_of_link(link)
-            }
-            MemberOp::FailNode { node } => self.coord.member_of_node(node),
-            MemberOp::Release { .. } | MemberOp::FailSrlg { .. } | MemberOp::RepairSrlg { .. } => {
-                self.alive_members().first().copied().unwrap_or(0)
-            }
-        };
+        let carrier = self.members.iter().flatten().next().map_or(0, Member::id);
         let outcome = self.coord.forward(carrier, op)?;
         self.sync();
         Ok(outcome)
@@ -391,7 +383,7 @@ mod tests {
             .records_since(0)
             .unwrap()
             .iter()
-            .filter(|r| matches!(r, crate::coordinator::CommittedOp::Establish { .. }))
+            .filter(|r| matches!(r, crate::coordinator::CommittedOp::Establish(_)))
             .count();
         assert_eq!(establishes, reqs.len());
         assert_eq!(cluster.alive_members(), vec![0, 1]);

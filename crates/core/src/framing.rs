@@ -15,12 +15,28 @@
 //! body *means* is the caller's business: `drqos_service::frame` layers
 //! the client request/response opcodes on top, `drqos_cluster::proto`
 //! layers the coordinator/member messages.
+//!
+//! The same accumulator also cuts the text framing's newline-terminated
+//! lines ([`FrameReader::next_line`]) under the same byte cap, so a served
+//! connection has one bounded buffer whichever framing it speaks.
 
 use std::io::{self, Read};
 
-/// Hard cap on a frame body; a larger announced length is unrecoverable
-/// (the stream cannot be resynchronized) and closes the connection.
+/// Hard cap on a frame body or a text line; a larger announced length —
+/// or that many bytes without a newline — is unrecoverable (the stream
+/// cannot be resynchronized) and closes the connection.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024;
+
+/// The one cap check: `len` bytes of one `unit` ("frame" or "line").
+fn within_cap(unit: &str, len: usize) -> io::Result<usize> {
+    if len <= MAX_FRAME_BYTES {
+        return Ok(len);
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{unit} length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
+    ))
+}
 
 /// Prepends the little-endian length field to a frame body, yielding a
 /// complete frame ready to write.
@@ -43,12 +59,6 @@ pub fn get_u64(body: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(bytes))
 }
 
-/// Reads the `u64` at byte offset `at` as a `usize` index (`None` if the
-/// body is too short or the value does not fit).
-pub fn get_index(body: &[u8], at: usize) -> Option<usize> {
-    usize::try_from(get_u64(body, at)?).ok()
-}
-
 /// What one [`FrameReader::fill`] call observed on the stream.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Fill {
@@ -60,10 +70,10 @@ pub enum Fill {
     Idle,
 }
 
-/// Incremental frame accumulator for a non-blocking (timeout-polled)
-/// stream: bytes are buffered across short reads, and complete frames
-/// pop out as they close — a frame split across any number of packets
-/// reassembles exactly.
+/// Incremental accumulator for a non-blocking (timeout-polled) stream:
+/// bytes are buffered across short reads, and complete request units —
+/// frames or lines — pop out as they close, so a unit split across any
+/// number of packets reassembles exactly.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -73,12 +83,6 @@ impl FrameReader {
     /// An empty accumulator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether the accumulator is holding any buffered bytes (a partial
-    /// frame awaiting its remainder).
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Pops the next complete frame body, if one is fully buffered.
@@ -91,19 +95,35 @@ impl FrameReader {
         let Some(len_bytes) = self.buf.get(..4).and_then(|b| <[u8; 4]>::try_from(b).ok()) else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
-            ));
-        }
+        let len = within_cap("frame", u32::from_le_bytes(len_bytes) as usize)?;
         if self.buf.len() < 4 + len {
             return Ok(None);
         }
         let mut frame: Vec<u8> = self.buf.drain(..4 + len).collect();
         frame.drain(..4);
         Ok(Some(frame))
+    }
+
+    /// Pops the next complete line, if its newline is buffered, without
+    /// the terminator (`\n`, or `\r\n`).
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when the line — terminated or not yet — is longer
+    /// than [`MAX_FRAME_BYTES`]: a peer that never sends a newline must
+    /// not grow the buffer without limit.
+    pub fn next_line(&mut self) -> io::Result<Option<Vec<u8>>> {
+        let newline = self.buf.iter().position(|&b| b == b'\n');
+        within_cap("line", newline.unwrap_or(self.buf.len()))?;
+        let Some(end) = newline else {
+            return Ok(None);
+        };
+        let mut line: Vec<u8> = self.buf.drain(..=end).collect();
+        line.pop();
+        while line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        Ok(Some(line))
     }
 
     /// Reads once from `r` into the buffer.
@@ -145,14 +165,7 @@ impl FrameReader {
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut body = vec![0u8; len];
+    let mut body = vec![0u8; within_cap("frame", u32::from_le_bytes(len_bytes) as usize)?];
     r.read_exact(&mut body)?;
     Ok(body)
 }
@@ -169,7 +182,6 @@ mod tests {
         assert_eq!(get_u64(&body, 0), Some(7));
         assert_eq!(get_u64(&body, 8), Some(u64::MAX));
         assert_eq!(get_u64(&body, 9), None, "short read must not panic");
-        assert_eq!(get_index(&body, 0), Some(7));
     }
 
     #[test]
@@ -197,7 +209,38 @@ mod tests {
             }
         }
         assert_eq!(frames, vec![vec![9u8; 5], vec![], vec![1, 2]]);
-        assert!(reader.is_empty());
+        assert!(reader.buf.is_empty());
+    }
+
+    #[test]
+    fn lines_reassemble_byte_by_byte_and_are_capped_like_frames() {
+        let mut reader = FrameReader::new();
+        let mut lines = Vec::new();
+        for b in b"RELEASE 7\r\n\nSNAP".iter().chain(b"SHOT\npartial") {
+            let mut one = &[*b][..];
+            assert_eq!(reader.fill(&mut one).unwrap(), Fill::Data);
+            while let Some(line) = reader.next_line().unwrap() {
+                lines.push(line);
+            }
+        }
+        assert_eq!(lines, [&b"RELEASE 7"[..], b"", b"SNAPSHOT"]);
+        assert_eq!(
+            reader.buf, b"partial",
+            "the unterminated tail stays buffered"
+        );
+        // Exactly the cap is a line; one byte more is not, with or
+        // without its newline.
+        let mut at_cap = vec![b'x'; MAX_FRAME_BYTES];
+        let mut reader = FrameReader::new();
+        reader.buf.clone_from(&at_cap);
+        assert_eq!(reader.next_line().unwrap(), None);
+        reader.buf.push(b'\n');
+        assert_eq!(reader.next_line().unwrap(), Some(at_cap.clone()));
+        at_cap.push(b'x');
+        reader.buf.clone_from(&at_cap);
+        assert!(reader.next_line().is_err(), "unterminated and over the cap");
+        reader.buf.push(b'\n');
+        assert!(reader.next_line().is_err(), "terminated and over the cap");
     }
 
     #[test]

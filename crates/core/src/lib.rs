@@ -89,9 +89,7 @@ pub use experiment::{checked_mode, run_churn, ExperimentConfig, ExperimentReport
 pub use interval::{DropController, IntervalQos};
 pub use invariant::InvariantViolation;
 pub use measure::{MeasuredParams, ParameterEstimator, RouteCacheStats};
-pub use network::{
-    route_cache_env_default, EstablishPlan, EstablishRequest, FailureReport, Network, NetworkConfig,
-};
+pub use network::{EstablishPlan, EstablishRequest, FailureReport, Network, NetworkConfig};
 pub use qos::{AdaptationPolicy, Bandwidth, ElasticQos};
 pub use route_cache::RouteCache;
 pub use routing::{BackupDisjointness, RouterKind};

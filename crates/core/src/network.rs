@@ -71,12 +71,6 @@ pub struct NetworkConfig {
     pub route_cache: bool,
 }
 
-/// The default for [`NetworkConfig::route_cache`]: the value of the
-/// `DRQOS_ROUTE_CACHE` environment variable, with unset meaning enabled.
-pub fn route_cache_env_default() -> bool {
-    crate::env::route_cache()
-}
-
 impl Default for NetworkConfig {
     /// The paper's evaluation setup: 10 Mbps links, coefficient (fair)
     /// adaptation, bounded flooding, mandatory backups.
@@ -89,7 +83,7 @@ impl Default for NetworkConfig {
             reestablish_backups: true,
             disjointness: BackupDisjointness::default(),
             backup_count: 1,
-            route_cache: route_cache_env_default(),
+            route_cache: crate::env::route_cache(),
         }
     }
 }

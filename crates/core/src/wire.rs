@@ -1,4 +1,15 @@
-//! Stable numeric error codes for the wire protocol.
+//! The wire's two registries: the verb table and the stable error codes.
+//!
+//! ## Verbs
+//!
+//! [`VERBS`] is the one list of client verbs. The text grammar, the binary
+//! client framing, the inter-daemon `OP` message and oplog records, the
+//! metrics labels and both daemons' dispatch are all loops over its rows
+//! (`drqos_service::{protocol, frame, metrics, engine, clusterd}`,
+//! `drqos_cluster::proto`); SERVICE.md holds the documented copy, and a
+//! test below fails when a row has no line there.
+//!
+//! ## Error codes
 //!
 //! The `drqos-service` daemon reports failures as `ERR <code> <message>`
 //! lines. The codes are assigned *here*, next to the error enums, through
@@ -22,6 +33,106 @@
 
 use crate::error::{AdmissionError, ClusterError, NetworkError, QosError};
 use crate::invariant::InvariantViolation;
+
+/// One operand of a [`Verb`], by its name in the grammar. Every operand
+/// is a non-negative integer: decimal in the text framing, a
+/// little-endian `u64` in the binary ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
+    /// A node, link or group index: must also fit `usize`.
+    Index(&'static str),
+    /// A plain `u64` (a connection id, a bandwidth in Kbps).
+    Int(&'static str),
+}
+
+/// Where a member daemon of a federation serves a verb (the monolithic
+/// daemon is its own commit authority and serves all three itself).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// Two-phase through the coordinator (`PREPARE` / `COMMIT`): the one
+    /// verb whose replies split into admitted and rejected.
+    Admit,
+    /// Forwarded as one `OP` message and committed serially.
+    Forward,
+    /// Answered by the daemon that received it; never in the oplog.
+    Local,
+}
+
+/// One client verb: a row of [`VERBS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verb {
+    /// The uppercase verb of the text grammar.
+    pub name: &'static str,
+    /// The opcode of the binary client framing — and, private to a
+    /// federation of one build, the tag of the verb's oplog record
+    /// (`Admit` and `Forward` rows) and of its `OP` message (`Forward`
+    /// rows).
+    pub opcode: u8,
+    /// The operands, in wire order. A `Forward` row has exactly one.
+    pub operands: &'static [Operand],
+    /// Who serves the verb in a federation.
+    pub route: Route,
+}
+
+impl Verb {
+    const fn row(
+        name: &'static str,
+        opcode: u8,
+        operands: &'static [Operand],
+        route: Route,
+    ) -> Self {
+        Self {
+            name,
+            opcode,
+            operands,
+            route,
+        }
+    }
+
+    /// The verb's label in metrics reports (`FAIL-LINK` → `fail_link`).
+    pub fn label(&self) -> String {
+        self.name.to_ascii_lowercase().replace('-', "_")
+    }
+}
+
+/// Most operands any row carries (the size of a decoded operand array).
+pub const MAX_OPERANDS: usize = 5;
+
+/// Every client verb, in metrics-report order (which is not opcode order:
+/// the shared-risk verbs were numbered after the local ones). Opcodes are
+/// append-only, like the error codes below.
+pub const VERBS: &[Verb] = {
+    use Operand::{Index, Int};
+    const ESTABLISH: &[Operand] = &[
+        Index("src"),
+        Index("dst"),
+        Int("bmin"),
+        Int("bmax"),
+        Int("delta"),
+    ];
+    &[
+        Verb::row("ESTABLISH", 1, ESTABLISH, Route::Admit),
+        Verb::row("RELEASE", 2, &[Int("id")], Route::Forward),
+        Verb::row("FAIL-LINK", 3, &[Index("link")], Route::Forward),
+        Verb::row("REPAIR-LINK", 4, &[Index("link")], Route::Forward),
+        Verb::row("FAIL-NODE", 5, &[Index("node")], Route::Forward),
+        Verb::row("FAIL-SRLG", 9, &[Index("group")], Route::Forward),
+        Verb::row("REPAIR-SRLG", 10, &[Index("group")], Route::Forward),
+        Verb::row("SNAPSHOT", 6, &[], Route::Local),
+        Verb::row("STATS", 7, &[], Route::Local),
+        Verb::row("SHUTDOWN", 8, &[], Route::Local),
+    ]
+};
+
+/// The row of a verb name, if there is one.
+pub fn verb_named(name: &str) -> Option<&'static Verb> {
+    VERBS.iter().find(|v| v.name == name)
+}
+
+/// The row of an opcode (or record / `OP` tag), if there is one.
+pub fn verb_coded(opcode: u8) -> Option<&'static Verb> {
+    VERBS.iter().find(|v| v.opcode == opcode)
+}
 
 impl QosError {
     /// The stable wire code of this error (100–199).
@@ -300,6 +411,67 @@ mod tests {
         }
         for c in cluster_samples() {
             assert!((500..600).contains(&c.wire_code()));
+        }
+    }
+
+    #[test]
+    fn verb_rows_are_unambiguous_and_fill_opcodes_one_to_ten() {
+        for v in VERBS {
+            assert_eq!(verb_named(v.name), Some(v), "{} is not unique", v.name);
+            assert_eq!(verb_coded(v.opcode), Some(v), "opcode of {}", v.name);
+            assert!(v.operands.len() <= MAX_OPERANDS, "{}", v.name);
+            if v.route == Route::Forward {
+                assert_eq!(v.operands.len(), 1, "{}: one operand per `OP`", v.name);
+            }
+        }
+        let mut opcodes: Vec<u8> = VERBS.iter().map(|v| v.opcode).collect();
+        opcodes.sort_unstable();
+        assert_eq!(opcodes, (1..=10).collect::<Vec<u8>>());
+        assert!(VERBS.iter().any(|v| v.operands.len() == MAX_OPERANDS));
+        let admits = VERBS.iter().filter(|v| v.route == Route::Admit).count();
+        assert_eq!(admits, 1, "one admission verb");
+        assert_eq!(verb_named("FAIL-LINK").unwrap().label(), "fail_link");
+        assert_eq!(verb_named("fail-link"), None, "verbs are case-sensitive");
+    }
+
+    /// SERVICE.md's verb table is the one documented copy; every row of
+    /// [`VERBS`] must have its line there, cell for cell.
+    #[test]
+    fn every_verb_row_is_documented_in_service_md() {
+        let doc = include_str!("../../../SERVICE.md");
+        for v in VERBS {
+            let operands: Vec<&str> = v
+                .operands
+                .iter()
+                .map(|&(Operand::Index(name) | Operand::Int(name))| name)
+                .collect();
+            let dash = || "—".to_string();
+            let tag = |routes: &[Route]| {
+                if routes.contains(&v.route) {
+                    v.opcode.to_string()
+                } else {
+                    dash()
+                }
+            };
+            let line = format!(
+                "| `{}` | {} | {} | {} | `{}` | {} | {} |",
+                v.name,
+                v.opcode,
+                if operands.is_empty() {
+                    dash()
+                } else {
+                    operands.join(", ")
+                },
+                match v.route {
+                    Route::Admit => "two-phase",
+                    Route::Forward => "forwarded",
+                    Route::Local => "local",
+                },
+                v.label(),
+                tag(&[Route::Admit, Route::Forward]),
+                tag(&[Route::Forward]),
+            );
+            assert!(doc.contains(&line), "SERVICE.md is missing the row\n{line}");
         }
     }
 

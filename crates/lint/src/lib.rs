@@ -247,6 +247,8 @@ pub fn build_workspace_graph(root: &Path) -> std::io::Result<CallGraph> {
 pub fn run_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let sources = load_sources(root)?;
     let mut findings = lint_sources(&sources, callgraph::MIN_RESOLVED_EDGES);
+    let paths: Vec<&str> = sources.iter().map(|(rel, _)| rel.as_str()).collect();
+    rules::zone_map(&rules::zone_tables(), &paths, &mut findings);
     match std::fs::read_to_string(root.join("README.md")) {
         Ok(readme) => findings.extend(check_env_docs(&readme)),
         Err(e) => findings.push(Finding {

@@ -47,6 +47,7 @@ pub const RULES: &[&str] = &[
     "determinism-taint",
     "stale-pragma",
     "call-graph",
+    "zone-map",
 ];
 
 /// Files where panics are forbidden (the daemon zone). The `bool` is
@@ -57,17 +58,19 @@ pub const RULES: &[&str] = &[
 /// arena indexing is the idiom and is bounds-established at construction.
 pub const NO_PANIC_FILES: &[(&str, bool)] = &[
     ("crates/service/src/server.rs", true),
+    ("crates/service/src/conn.rs", true),
     ("crates/service/src/engine.rs", true),
     ("crates/service/src/protocol.rs", true),
     ("crates/service/src/frame.rs", true),
     ("crates/service/src/bin/drqosd.rs", true),
     ("crates/service/src/clusterd.rs", true),
     ("crates/service/src/bin/drqos-clusterd.rs", true),
+    ("crates/cluster/src/proto.rs", true),
     ("crates/core/src/network.rs", false),
     ("crates/core/src/conn_table.rs", true),
     ("crates/core/src/shard.rs", false),
     ("crates/core/src/scenario.rs", false),
-    ("crates/core/src/srlg.rs", false),
+    ("crates/sim/src/srlg.rs", false),
 ];
 
 /// Files whose output is pinned byte-exact by CI (golden traces, sweep
@@ -122,6 +125,45 @@ pub const CLOCK_EXEMPT_FILES: &[&str] = &[
 /// itself is where the names live, and the linter (this crate) must name
 /// the prefix it scans for plus fixture strings in its tests.
 pub const ENV_EXEMPT_PREFIXES: &[&str] = &["crates/core/src/env.rs", "crates/lint"];
+
+/// Every zone table by name, each row reduced to its path. A row is a
+/// file or (the `*_PREFIXES` tables) a path prefix.
+pub fn zone_tables() -> Vec<(&'static str, Vec<&'static str>)> {
+    let no_panic = NO_PANIC_FILES.iter().map(|(p, _)| *p).collect();
+    vec![
+        ("NO_PANIC_FILES", no_panic),
+        ("DETERMINISTIC_FILES", DETERMINISTIC_FILES.to_vec()),
+        ("FLOAT_FILES", FLOAT_FILES.to_vec()),
+        ("CLOCK_DENY_PREFIXES", CLOCK_DENY_PREFIXES.to_vec()),
+        ("CLOCK_EXEMPT_FILES", CLOCK_EXEMPT_FILES.to_vec()),
+        ("ENV_EXEMPT_PREFIXES", ENV_EXEMPT_PREFIXES.to_vec()),
+        (
+            "INDEX_EXEMPT_PREFIXES",
+            crate::interproc::INDEX_EXEMPT_PREFIXES.to_vec(),
+        ),
+    ]
+}
+
+/// Rule 11, `zone-map`: a zone-table row that matches none of the
+/// workspace's `files` puts nothing in its zone — a rename or a typo has
+/// silently dropped a file out of it, and every rule keyed on the row is
+/// vacuous there.
+pub fn zone_map(tables: &[(&str, Vec<&str>)], files: &[&str], out: &mut Vec<Finding>) {
+    for (table, rows) in tables {
+        for row in rows {
+            if !files.iter().any(|f| f.starts_with(row)) {
+                out.push(Finding {
+                    file: "crates/lint/src/rules.rs".to_string(),
+                    line: 1,
+                    rule: "zone-map",
+                    message: format!(
+                        "{table} row `{row}` matches no workspace file: the zone it names is empty"
+                    ),
+                });
+            }
+        }
+    }
+}
 
 /// The `lint:allow` pragmas of one file, with usage tracking.
 ///

@@ -306,6 +306,7 @@ fn every_shipped_rule_has_a_stable_id() {
             "determinism-taint",
             "stale-pragma",
             "call-graph",
+            "zone-map",
         ]
     );
 }
@@ -493,6 +494,41 @@ fn non_vacuity_floor_fires_when_the_resolver_goes_dark() {
     )];
     let f = drqos_lint::lint_sources(&sources, 1_000_000);
     assert_eq!(rules_fired(&f), vec!["call-graph"], "{f:?}");
+}
+
+// ------------------------------------------------------------- zone-map --
+
+#[test]
+fn zone_map_fires_on_a_row_that_matches_no_file() {
+    // The row PR 9 planted: the SRLG churn driver lives in the sim crate,
+    // so a row naming it under core put nothing in the daemon zone.
+    let files = ["crates/sim/src/srlg.rs", "crates/core/src/network.rs"];
+    let planted = [(
+        "NO_PANIC_FILES",
+        vec!["crates/core/src/srlg.rs", "crates/core/src/network.rs"],
+    )];
+    let mut f = Vec::new();
+    rules::zone_map(&planted, &files, &mut f);
+    assert_eq!(rules_fired(&f), vec!["zone-map"], "{f:?}");
+    assert_eq!(f.len(), 1, "only the dangling row: {f:?}");
+    assert!(f[0].message.contains("NO_PANIC_FILES") && f[0].message.contains("core/src/srlg.rs"));
+}
+
+#[test]
+fn zone_map_clean_when_every_row_and_prefix_matches() {
+    let files = ["crates/sim/src/srlg.rs", "crates/core/src/network.rs"];
+    let tables = [
+        ("NO_PANIC_FILES", vec!["crates/sim/src/srlg.rs"]),
+        ("CLOCK_DENY_PREFIXES", vec!["crates/core/src", "crates/sim"]),
+    ];
+    let mut f = Vec::new();
+    rules::zone_map(&tables, &files, &mut f);
+    assert!(f.is_empty(), "{f:?}");
+    // Every shipped table is non-empty, so the workspace run (see
+    // tests/lint_clean.rs) checks real rows.
+    assert!(rules::zone_tables()
+        .iter()
+        .all(|(_, rows)| !rows.is_empty()));
 }
 
 // ------------------------------------------------- deterministic output --

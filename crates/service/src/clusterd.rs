@@ -7,8 +7,8 @@
 //! monolithic daemon wraps one [`crate::engine::Engine`] in sockets and
 //! timeouts, `drqos-clusterd` wraps one [`Coordinator`] plus N
 //! [`Member`] replicas. All admission logic stays in the clock-free
-//! `drqos-cluster` crate; this module adds only framing, polling
-//! accept loops, and per-connection threads.
+//! `drqos-cluster` crate; this module adds only per-connection threads
+//! over the shared connection reader and accept loop (`crate::conn`).
 //!
 //! ## Commit protocol (member side)
 //!
@@ -39,33 +39,30 @@
 //! graceful `LEAVE` is a **crash**: the coordinator aborts its pending
 //! prepares and rebalances the partition onto the survivors.
 
+use crate::conn::{accept_until, Conn, POLL_INTERVAL};
 use crate::engine::{
-    build_qos, render_admitted, render_outcome, render_violations, snapshot_payload, wire_err,
+    establish_request, forwarded_op, render_admitted, render_outcome, render_violations,
+    snapshot_payload, wire_err,
 };
 use crate::error::ProtocolError;
 use crate::protocol::{self, Request, Response};
-use drqos_cluster::coordinator::{ApplyOutcome, Coordinator, MemberOp};
+use drqos_cluster::coordinator::{ApplyOutcome, Coordinator};
 use drqos_cluster::member::Member;
 use drqos_cluster::proto::{
     decode_cluster_msg, decode_coord_msg, encode_cluster_msg, encode_coord_msg, ClusterMsg,
     CoordMsg, WireRequest, RECORDS_PER_SYNC,
 };
-use drqos_core::channel::ConnectionId;
-use drqos_core::env::RebalancePolicy;
+use drqos_core::env::{RebalancePolicy, WireMode};
 use drqos_core::error::ClusterError;
-use drqos_core::framing::{self, Fill, FrameReader};
+use drqos_core::framing;
 use drqos_core::network::{EstablishRequest, Network};
-use drqos_topology::{LinkId, NodeId};
-use std::io::{self, BufRead, BufReader, Write};
+use drqos_topology::LinkId;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
-
-/// How often blocked reads and accept loops recheck their stop flags —
-/// the same cadence as the monolithic server.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Poison-shrugging lock: a panicked handler thread must not wedge the
 /// daemon, and the guarded state is always left consistent between
@@ -176,19 +173,10 @@ impl ClusterCoordinator {
     /// Propagates listener errors.
     pub fn run(self) -> io::Result<CoordinatorReport> {
         self.listener.set_nonblocking(true)?;
-        while !self.stop.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    let stop = Arc::clone(&self.stop);
-                    thread::spawn(move || {
-                        let _ = serve_cluster_peer(stream, &shared, &stop);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-                Err(_) => thread::sleep(POLL_INTERVAL),
-            }
-        }
+        accept_until(&self.listener, &self.stop, || {
+            let (shared, stop) = (Arc::clone(&self.shared), Arc::clone(&self.stop));
+            move |stream| serve_cluster_peer(stream, &shared, &stop)
+        });
         // One poll interval for in-flight handlers to finish their reply.
         thread::sleep(POLL_INTERVAL);
         let shared = lock_shrug(&self.shared);
@@ -251,6 +239,27 @@ fn status_line(s: &CoordShared) -> String {
     )
 }
 
+impl CoordShared {
+    /// Frees a departed member's roster slot for the next joiner.
+    fn unclaim(&mut self, member: u64) {
+        if let Some(slot) = usize::try_from(member)
+            .ok()
+            .and_then(|m| self.claimed.get_mut(m))
+        {
+            *slot = false;
+        }
+    }
+
+    /// The reply to a committed operation: it is the oplog's last record.
+    fn done(&self) -> CoordMsg {
+        let seq = self.coord.seq();
+        CoordMsg::Done {
+            op_seq: seq.saturating_sub(1),
+            seq,
+        }
+    }
+}
+
 fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: ClusterMsg) -> CoordMsg {
     match msg {
         ClusterMsg::Join => {
@@ -301,11 +310,7 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
             match s.coord.commit_prepared(ticket, None, &req, &mut fill) {
                 Ok(_result) => {
                     s.coord.flush(fill);
-                    let seq = s.coord.seq();
-                    CoordMsg::Done {
-                        op_seq: seq.saturating_sub(1),
-                        seq,
-                    }
+                    s.done()
                 }
                 Err(e) => err_of(e),
             }
@@ -319,13 +324,7 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
                 return err_of(ClusterError::UnknownMember(u64::MAX));
             };
             match s.coord.forward(m, op) {
-                Ok(_outcome) => {
-                    let seq = s.coord.seq();
-                    CoordMsg::Done {
-                        op_seq: seq.saturating_sub(1),
-                        seq,
-                    }
-                }
+                Ok(_outcome) => s.done(),
                 Err(e) => err_of(e),
             }
         }
@@ -345,10 +344,7 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
             };
             match s.coord.leave(m) {
                 Ok(()) => {
-                    if let Some(slot) = s.claimed.get_mut(usize::try_from(m).unwrap_or(usize::MAX))
-                    {
-                        *slot = false;
-                    }
+                    s.unclaim(m);
                     CoordMsg::Ok
                 }
                 Err(e) => err_of(e),
@@ -361,68 +357,50 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
     }
 }
 
-/// Serves one inter-daemon connection. EOF (or any framing/protocol
-/// error) from a connection that joined and did not `LEAVE` is a member
-/// **crash**: pending prepares abort and the partition rebalances.
+/// Serves one inter-daemon connection. A connection that joined and ends
+/// without a `LEAVE` — EOF, or any framing, protocol or write error — is a
+/// member **crash**: pending prepares abort and the partition rebalances.
 fn serve_cluster_peer(
     stream: TcpStream,
     shared: &Mutex<CoordShared>,
     stop: &AtomicBool,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = stream;
-    let mut framer = FrameReader::new();
     let mut member: Option<u64> = None;
-    loop {
-        let body = match framer.next_frame() {
-            Ok(Some(body)) => body,
-            Ok(None) => match framer.fill(&mut reader) {
-                Ok(Fill::Data) => continue,
-                Ok(Fill::Eof) => break,
-                Ok(Fill::Idle) => {
-                    if stop.load(Ordering::Acquire) {
-                        // Coordinator is going away; the peer's EOF is not
-                        // a crash any more.
-                        member = None;
-                        break;
-                    }
-                    continue;
-                }
-                Err(_) => break,
-            },
-            Err(_) => break,
-        };
+    let served = serve_peer_messages(stream, shared, stop, &mut member);
+    // Once the coordinator is going away, a peer's silence is no crash.
+    if let Some(m) = member.filter(|_| !stop.load(Ordering::Acquire)) {
+        let mut s = lock_shrug(shared);
+        // LastMember: the roster cannot empty — the id stays alive on the
+        // books but its slot is free for the next joiner.
+        let _ = s.coord.crash(m);
+        s.unclaim(m);
+    }
+    served
+}
+
+/// The peer's request/reply loop; `member` is the id the connection holds
+/// whenever it returns.
+fn serve_peer_messages(
+    stream: TcpStream,
+    shared: &Mutex<CoordShared>,
+    stop: &AtomicBool,
+    member: &mut Option<u64>,
+) -> io::Result<()> {
+    let mut conn = Conn::open(stream, WireMode::Binary)?;
+    while let Some(body) = conn.next_unit(stop)? {
         let Ok(msg) = decode_cluster_msg(&body) else {
             break;
         };
         let leaving = matches!(msg, ClusterMsg::Leave);
         let stopping = matches!(msg, ClusterMsg::Stop);
-        let reply = {
-            let mut s = lock_shrug(shared);
-            handle_cluster_msg(&mut s, &mut member, msg)
-        };
-        let clean = !matches!(reply, CoordMsg::Err { .. });
-        writer.write_all(&framing::finish(encode_coord_msg(&reply)))?;
-        writer.flush()?;
-        if leaving && clean {
-            member = None;
-            break;
-        }
+        let reply = handle_cluster_msg(&mut lock_shrug(shared), member, msg);
+        conn.send_frame(encode_coord_msg(&reply))?;
         if stopping {
-            member = None;
             stop.store(true, Ordering::Release);
-            break;
         }
-    }
-    if let Some(m) = member {
-        let mut s = lock_shrug(shared);
-        // LastMember: the roster cannot empty — the id stays alive on the
-        // books but its slot is free for the next joiner.
-        let _ = s.coord.crash(m);
-        if let Some(slot) = s.claimed.get_mut(usize::try_from(m).unwrap_or(usize::MAX)) {
-            *slot = false;
+        if stopping || (leaving && !matches!(reply, CoordMsg::Err { .. })) {
+            *member = None;
+            break;
         }
     }
     Ok(())
@@ -473,6 +451,17 @@ struct MemberState {
 }
 
 impl MemberState {
+    /// One `SYNC` round trip: pulls the next records and replays them,
+    /// returning the coordinator's sequence number and the outcomes.
+    fn pull(&mut self) -> io::Result<(u64, Vec<ApplyOutcome>)> {
+        let applied = self.replica.applied();
+        let link = self.link.as_mut().ok_or_else(link_down)?;
+        match link.roundtrip(&ClusterMsg::Sync { applied })? {
+            CoordMsg::Records { seq, records } => Ok((seq, self.replica.apply(&records))),
+            other => Err(bad_reply(&other)),
+        }
+    }
+
     /// Pulls records until the replica has applied `target`, capturing
     /// the replayed outcome at sequence `target - 1` (this member's own
     /// operation, whose rendering answers the waiting client).
@@ -480,19 +469,14 @@ impl MemberState {
         let mut wanted = None;
         while self.replica.applied() < target {
             let applied = self.replica.applied();
-            let link = self.link.as_mut().ok_or_else(link_down)?;
-            let reply = link.roundtrip(&ClusterMsg::Sync { applied })?;
-            let CoordMsg::Records { records, .. } = reply else {
-                return Err(bad_reply(&reply));
-            };
-            if records.is_empty() {
+            let (_, mut outcomes) = self.pull()?;
+            if outcomes.is_empty() {
                 break;
             }
-            let outcomes = self.replica.apply(&records);
             let offset = usize::try_from(target.saturating_sub(1).saturating_sub(applied))
                 .unwrap_or(usize::MAX);
-            if let Some(o) = outcomes.get(offset) {
-                wanted = Some(o.clone());
+            if offset < outcomes.len() {
+                wanted = Some(outcomes.swap_remove(offset));
             }
         }
         Ok(wanted)
@@ -500,50 +484,20 @@ impl MemberState {
 
     /// Replays until the replica is level with the coordinator.
     fn catch_up(&mut self) -> io::Result<()> {
-        loop {
-            let applied = self.replica.applied();
-            let link = self.link.as_mut().ok_or_else(link_down)?;
-            let reply = link.roundtrip(&ClusterMsg::Sync { applied })?;
-            let CoordMsg::Records { seq, records } = reply else {
-                return Err(bad_reply(&reply));
-            };
-            self.replica.apply(&records);
-            if self.replica.applied() >= seq {
-                return Ok(());
-            }
-        }
+        while self.pull()?.0 > self.replica.applied() {}
+        Ok(())
     }
 
-    /// A failed coordinator exchange poisons the link: the framed stream
-    /// cannot be resynchronized, so every later forwarding command
-    /// answers 504 until the daemon is restarted.
-    fn settle(&mut self, attempt: io::Result<Response>) -> Response {
-        match attempt {
-            Ok(resp) => resp,
-            Err(_) => {
-                self.link = None;
-                Response::Err {
-                    code: 504,
-                    message: ClusterError::PrepareTimeout(0).to_string(),
-                }
-            }
+    /// Sends a message that commits one operation and replays the oplog
+    /// up to it: the outcome this replica replayed for it, or — inner
+    /// `Err` — the coordinator's refusal as the client's reply.
+    fn commit(&mut self, msg: &ClusterMsg) -> io::Result<Result<Option<ApplyOutcome>, Response>> {
+        let link = self.link.as_mut().ok_or_else(link_down)?;
+        match link.roundtrip(msg)? {
+            CoordMsg::Done { op_seq, .. } => Ok(Ok(self.sync_to(op_seq.saturating_add(1))?)),
+            CoordMsg::Err { code } => Ok(Err(cluster_err(code))),
+            other => Err(bad_reply(&other)),
         }
-    }
-
-    fn establish(&mut self, src: usize, dst: usize, bmin: u64, bmax: u64, delta: u64) -> Response {
-        // QoS validation is local, exactly like the engine: a malformed
-        // range never reaches the coordinator.
-        let qos = match build_qos(bmin, bmax, delta) {
-            Ok(qos) => qos,
-            Err(resp) => return resp,
-        };
-        let req = EstablishRequest {
-            src: NodeId(src),
-            dst: NodeId(dst),
-            qos,
-        };
-        let attempt = self.two_phase_establish(&req);
-        self.settle(attempt)
     }
 
     fn two_phase_establish(&mut self, req: &EstablishRequest) -> io::Result<Response> {
@@ -563,44 +517,15 @@ impl MemberState {
             CoordMsg::Err { code } => return Ok(cluster_err(code)),
             other => return Err(bad_reply(&other)),
         };
-        let done = link.roundtrip(&ClusterMsg::Commit {
-            ticket,
-            req: WireRequest::from_request(req),
-        })?;
-        let op_seq = match done {
-            CoordMsg::Done { op_seq, .. } => op_seq,
-            CoordMsg::Err { code } => return Ok(cluster_err(code)),
-            other => return Err(bad_reply(&other)),
-        };
-        match self.sync_to(op_seq.saturating_add(1))? {
-            Some(ApplyOutcome::Establish(Ok(id))) => Ok(render_admitted(self.replica.net(), id)),
-            Some(ApplyOutcome::Establish(Err(e))) => Ok(wire_err(e.wire_code(), e)),
-            _ => Ok(
-                ProtocolError::internal("replayed outcome does not match the committed op").into(),
-            ),
-        }
-    }
-
-    fn forward(&mut self, op: MemberOp) -> Response {
-        let attempt = (|| -> io::Result<Response> {
-            let link = self.link.as_mut().ok_or_else(link_down)?;
-            let op_seq = match link.roundtrip(&ClusterMsg::Op { op })? {
-                CoordMsg::Done { op_seq, .. } => op_seq,
-                CoordMsg::Err { code } => return Ok(cluster_err(code)),
-                other => return Err(bad_reply(&other)),
-            };
-            let outcome = self.sync_to(op_seq.saturating_add(1))?;
-            Ok(render_outcome(outcome))
-        })();
-        self.settle(attempt)
-    }
-
-    fn snapshot(&mut self) -> Response {
-        let attempt = (|| -> io::Result<Response> {
-            self.catch_up()?;
-            Ok(Response::Ok(snapshot_payload(self.replica.net())))
-        })();
-        self.settle(attempt)
+        let req = WireRequest::from_request(req);
+        Ok(match self.commit(&ClusterMsg::Commit { ticket, req })? {
+            Ok(Some(ApplyOutcome::Establish(Ok(id)))) => render_admitted(self.replica.net(), id),
+            Ok(Some(ApplyOutcome::Establish(Err(e)))) => wire_err(e.wire_code(), e),
+            Ok(_) => {
+                ProtocolError::internal("replayed outcome does not match the committed op").into()
+            }
+            Err(refused) => refused,
+        })
     }
 
     /// Member-local counters; deliberately simpler than the engine's
@@ -629,39 +554,50 @@ impl MemberState {
         render_violations(&self.replica.net().check_invariants())
     }
 
-    fn dispatch(&mut self, req: &Request) -> Response {
-        match *req {
-            Request::Establish {
-                src,
-                dst,
-                bmin,
-                bmax,
-                delta,
-            } => self.establish(src, dst, bmin, bmax, delta),
-            Request::Release { id } => self.forward(MemberOp::Release {
-                id: ConnectionId(id),
-            }),
-            Request::FailLink { link } => self.forward(MemberOp::FailLink { link: LinkId(link) }),
-            Request::RepairLink { link } => {
-                self.forward(MemberOp::RepairLink { link: LinkId(link) })
+    fn dispatch(&mut self, req: &Request) -> io::Result<Response> {
+        // QoS validation is local, exactly like the engine: a malformed
+        // range never reaches the coordinator.
+        if let Some(validated) = establish_request(req) {
+            return match validated {
+                Ok(req) => self.two_phase_establish(&req),
+                Err(resp) => Ok(resp),
+            };
+        }
+        Ok(match req {
+            Request::Snapshot => {
+                self.catch_up()?;
+                Response::Ok(snapshot_payload(self.replica.net()))
             }
-            Request::FailNode { node } => self.forward(MemberOp::FailNode { node: NodeId(node) }),
-            Request::FailSrlg { group } => self.forward(MemberOp::FailSrlg { group }),
-            Request::RepairSrlg { group } => self.forward(MemberOp::RepairSrlg { group }),
-            Request::Snapshot => self.snapshot(),
             Request::Stats => self.stats(),
             Request::Shutdown => self.shutdown(),
-        }
+            // Every other verb is a forwarded row of the table.
+            _ => match forwarded_op(req) {
+                Some(op) => match self.commit(&ClusterMsg::Op { op })? {
+                    Ok(outcome) => render_outcome(outcome),
+                    Err(refused) => refused,
+                },
+                None => ProtocolError::internal("verb is neither local nor forwarded").into(),
+            },
+        })
     }
 
     /// Parses and serves one client line; the flag is true when the line
-    /// was a `SHUTDOWN` and the daemon should stop accepting.
+    /// was a `SHUTDOWN` and the daemon should stop accepting. A failed
+    /// coordinator exchange poisons the link: the framed stream cannot be
+    /// resynchronized, so this and every later forwarding command answer
+    /// 504 until the daemon is restarted.
     fn handle_line(&mut self, line: &str) -> (Response, bool) {
         self.ops = self.ops.saturating_add(1);
-        let (resp, stop) = match protocol::parse(line) {
-            Ok(Request::Shutdown) => (self.shutdown(), true),
-            Ok(req) => (self.dispatch(&req), false),
-            Err(e) => (e.into(), false),
+        let parsed = protocol::parse(line);
+        let stop = matches!(parsed, Ok(Request::Shutdown));
+        let resp = match parsed.map(|req| self.dispatch(&req)) {
+            Ok(Ok(resp)) => resp,
+            Ok(Err(_)) => {
+                self.link = None;
+                let timeout = ClusterError::PrepareTimeout(0);
+                wire_err(timeout.wire_code(), timeout)
+            }
+            Err(e) => e.into(),
         };
         if resp.is_err() {
             self.errors = self.errors.saturating_add(1);
@@ -748,19 +684,10 @@ impl ClusterMember {
     pub fn run(self) -> io::Result<MemberReport> {
         self.listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        while !shutdown.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
-                    let flag = Arc::clone(&shutdown);
-                    thread::spawn(move || {
-                        let _ = serve_member_client(stream, &state, &flag);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-                Err(_) => thread::sleep(POLL_INTERVAL),
-            }
-        }
+        accept_until(&self.listener, &shutdown, || {
+            let (state, flag) = (Arc::clone(&self.state), Arc::clone(&shutdown));
+            move |stream| serve_member_client(stream, &state, &flag)
+        });
         thread::sleep(POLL_INTERVAL);
         let state = lock_shrug(&self.state);
         Ok(MemberReport {
@@ -771,54 +698,23 @@ impl ClusterMember {
     }
 }
 
-/// Serves one client connection with the text line protocol, polling the
-/// shutdown flag between reads exactly like [`crate::server`].
+/// Serves one client connection — text only, whatever `DRQOS_WIRE` says —
+/// one locked [`MemberState::handle_line`] per request.
 fn serve_member_client(
     stream: TcpStream,
     state: &Mutex<MemberState>,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.load(Ordering::Acquire) && line.is_empty() {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']).to_string();
-        line.clear();
-        if shutdown.load(Ordering::Acquire) {
-            let resp: Response = ProtocolError::shutting_down().into();
-            writeln!(writer, "{resp}")?;
-            writer.flush()?;
-            return Ok(());
-        }
-        let (resp, stop) = {
-            let mut s = lock_shrug(state);
-            s.handle_line(&trimmed)
-        };
-        writeln!(writer, "{resp}")?;
-        writer.flush()?;
+    let mut conn = Conn::open(stream, WireMode::Text)?;
+    while let Some(line) = conn.next_request(shutdown)? {
+        let (resp, stop) = lock_shrug(state).handle_line(&line);
+        conn.reply(&resp)?;
         if stop {
             shutdown.store(true, Ordering::Release);
-            return Ok(());
+            break;
         }
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -857,11 +753,15 @@ mod tests {
     use crate::engine::Engine;
     use drqos_core::network::NetworkConfig;
     use drqos_topology::regular::ring;
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader};
     use std::thread::JoinHandle;
 
+    /// A ring of six with two disjoint two-link shared-risk groups —
+    /// registered identically on every daemon, like the topology itself.
     fn genesis() -> Network {
-        Network::new(ring(6).unwrap(), NetworkConfig::default())
+        let mut net = Network::new(ring(6).unwrap(), NetworkConfig::default());
+        assert_eq!(drqos_core::register_seeded_srlgs(&mut net, 2, 2, 2001), 2);
+        net
     }
 
     /// Drives one text session against `addr`, one reply per line.
@@ -924,7 +824,16 @@ mod tests {
             (b, "SNAPSHOT"),
             (a, "FAIL-LINK 0"),
             (b, "SNAPSHOT"),
-            (a, "REPAIR-LINK 0"),
+            (b, "REPAIR-LINK 0"),
+            // A registered group through either member, then states it is
+            // already in (306) and a group nobody registered (305).
+            (a, "FAIL-SRLG 0"),
+            (b, "FAIL-SRLG 0"),
+            (b, "SNAPSHOT"),
+            (b, "REPAIR-SRLG 0"),
+            (a, "REPAIR-SRLG 0"),
+            (a, "FAIL-SRLG 99"),
+            (b, "REPAIR-SRLG 99"),
             (b, "RELEASE 0"),
             (a, "RELEASE 99"),
             (b, "FAIL-NODE 2"),
@@ -947,14 +856,61 @@ mod tests {
         request_stop(&booted.coordinator.to_string()).unwrap();
         let report = booted.coord_handle.join().unwrap().unwrap();
         assert_eq!(report.violations, 0);
-        // Every scripted op except SNAPSHOT lands in the oplog (establishes
-        // including rejections, releases including the unknown id, fails,
-        // repairs).
-        assert_eq!(report.seq, 9);
+        // Every scripted op except SNAPSHOT and the malformed QoS range
+        // lands in the oplog (establishes including rejections, releases
+        // including the unknown id, fails and repairs including the
+        // refused ones), then the first member's LEAVE rebalances.
+        assert_eq!(report.seq, 15);
         for h in booted.member_handles {
             let r = h.join().unwrap().unwrap();
             assert_eq!(r.violations, 0);
         }
+    }
+
+    /// The member's client port reads through the same connection reader
+    /// as `drqosd`: a line is capped, and a half-received one is dropped
+    /// at the first idle poll after `SHUTDOWN`.
+    #[test]
+    fn the_member_port_caps_a_line_and_drops_a_half_line_at_shutdown() {
+        use std::io::Read;
+        let booted = boot(1);
+        let Some(&addr) = booted.members.first() else {
+            panic!("expected one member");
+        };
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        hostile
+            .write_all(&vec![b'x'; framing::MAX_FRAME_BYTES + 1])
+            .unwrap();
+        let mut reply = String::new();
+        hostile.read_to_string(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("ERR 4 "),
+            "answered, then closed: {reply:?}"
+        );
+        assert_eq!(reply.matches('\n').count(), 1, "{reply:?}");
+
+        // One whole request first, so the connection has its reader; when
+        // the half line lands relative to the flag then does not matter.
+        let mut parked = TcpStream::connect(addr).unwrap();
+        parked.write_all(b"STATS\nES").unwrap();
+        let mut stats = Vec::new();
+        while stats.last() != Some(&b'\n') {
+            let mut byte = [0u8];
+            parked.read_exact(&mut byte).unwrap();
+            stats.extend(byte);
+        }
+        assert!(stats.starts_with(b"OK ops="), "{stats:?}");
+        assert_eq!(session(addr, &["SHUTDOWN"]), ["OK violations=0"]);
+        parked
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let dropped = parked.read(&mut [0u8; 8]);
+        assert!(matches!(dropped, Ok(0)), "parked client: {dropped:?}");
+        for h in booted.member_handles {
+            assert_eq!(h.join().unwrap().unwrap().violations, 0);
+        }
+        request_stop(&booted.coordinator.to_string()).unwrap();
+        assert_eq!(booted.coord_handle.join().unwrap().unwrap().violations, 0);
     }
 
     #[test]

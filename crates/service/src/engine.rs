@@ -8,24 +8,25 @@
 //! golden-traceable.
 
 use crate::error::ProtocolError;
-use crate::metrics::{Metrics, OpKind, OpTimer};
+use crate::metrics::{Metrics, OpTimer, INVALID};
 use crate::protocol::{self, Request, Response};
-use drqos_cluster::coordinator::{apply_committed, ApplyOutcome, MemberOp};
+use drqos_cluster::coordinator::{ApplyOutcome, MemberOp};
 use drqos_core::channel::ConnectionId;
 use drqos_core::error::NetworkError;
 use drqos_core::invariant::InvariantViolation;
 use drqos_core::network::{EstablishRequest, FailureReport, Network};
 use drqos_core::qos::{Bandwidth, ElasticQos};
 use drqos_core::shard::ShardedNetwork;
-use drqos_topology::{LinkId, NodeId};
+use drqos_topology::NodeId;
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One `ESTABLISH` waiting in a batch run: its reply slot, its metrics
-/// timer (started at parse time), and the validated request.
+/// row and timer (started at parse time), and the validated request.
 struct PendingEstablish {
     slot: usize,
+    row: usize,
     t0: OpTimer,
     req: EstablishRequest,
 }
@@ -132,28 +133,14 @@ impl Engine {
             out.push(None);
             let t0 = OpTimer::start();
             let parsed = protocol::parse(line);
-            if let Ok(Request::Establish {
-                src,
-                dst,
-                bmin,
-                bmax,
-                delta,
-            }) = parsed
-            {
-                match build_qos(bmin, bmax, delta) {
-                    Ok(qos) => run.push(PendingEstablish {
-                        slot,
-                        t0,
-                        req: EstablishRequest {
-                            src: NodeId(src),
-                            dst: NodeId(dst),
-                            qos,
-                        },
-                    }),
+            let row = parsed.as_ref().map_or(INVALID, Request::row);
+            if let Some(validated) = parsed.as_ref().ok().and_then(establish_request) {
+                match validated {
+                    Ok(req) => run.push(PendingEstablish { slot, row, t0, req }),
                     // A QoS-range error never touches the network, so it
                     // cannot split the run.
                     Err(resp) => {
-                        self.metrics.record(OpKind::Establish, t0.elapsed(), true);
+                        self.metrics.record(row, t0.elapsed(), true);
                         set_slot(&mut out, slot, Handled::Reply(resp));
                     }
                 }
@@ -162,13 +149,13 @@ impl Engine {
             // Any other command is an ordering barrier: flush the run
             // first so state mutations keep their queue order.
             self.flush_establish_run(&mut run, &mut out);
-            let (kind, handled) = match parsed {
-                Ok(Request::Shutdown) => (OpKind::Shutdown, Handled::ShutdownRequested),
-                Ok(req) => (op_kind(&req), Handled::Reply(self.dispatch(&req))),
-                Err(e) => (OpKind::Invalid, Handled::Reply(e.into())),
+            let handled = match parsed {
+                Ok(Request::Shutdown) => Handled::ShutdownRequested,
+                Ok(req) => Handled::Reply(self.dispatch(&req)),
+                Err(e) => Handled::Reply(e.into()),
             };
             let failed = matches!(&handled, Handled::Reply(r) if r.is_err());
-            self.metrics.record(kind, t0.elapsed(), failed);
+            self.metrics.record(row, t0.elapsed(), failed);
             set_slot(&mut out, slot, handled);
         }
         self.flush_establish_run(&mut run, &mut out);
@@ -205,8 +192,7 @@ impl Engine {
                 Ok(id) => render_admitted(self.net.inner(), id),
                 Err(e) => wire_err(e.wire_code(), e),
             };
-            self.metrics
-                .record(OpKind::Establish, p.t0.elapsed(), resp.is_err());
+            self.metrics.record(p.row, p.t0.elapsed(), resp.is_err());
             set_slot(out, p.slot, Handled::Reply(resp));
         }
         run.clear();
@@ -219,35 +205,24 @@ impl Engine {
         render_violations(&self.net.inner().check_invariants())
     }
 
-    /// Serves one parsed non-`ESTABLISH` request. Every other
-    /// state-changing verb takes the federation's path — [`MemberOp`] through
-    /// [`apply_committed`] to an [`ApplyOutcome`] — so the engine and the
-    /// member daemon ([`crate::clusterd`]) answer from the same transition
-    /// function and the same renderer.
+    /// Serves one parsed non-`ESTABLISH` request. The three local verbs
+    /// are answered here; every other state-changing verb takes the
+    /// federation's path — a [`MemberOp`] applied to an [`ApplyOutcome`] —
+    /// so the engine and the member daemon ([`crate::clusterd`]) answer
+    /// from the same transition function and the same renderer.
     fn dispatch(&mut self, req: &Request) -> Response {
-        let op = match *req {
-            // handle_lines buffers ESTABLISH into a run and SHUTDOWN is the
-            // caller's to finish; answering both here anyway (instead of
-            // unreachable!) keeps dispatch total.
-            Request::Establish { .. } => {
-                return ProtocolError::internal("ESTABLISH bypassed its run").into()
-            }
-            Request::Shutdown => return self.finish_shutdown(),
-            Request::Snapshot => return Response::Ok(snapshot_payload(self.net.inner())),
-            Request::Stats => return Response::Ok(self.stats_payload()),
-            Request::Release { id } => MemberOp::Release {
-                id: ConnectionId(id),
+        match req {
+            Request::Snapshot => Response::Ok(snapshot_payload(self.net.inner())),
+            Request::Stats => Response::Ok(self.stats_payload()),
+            Request::Shutdown => self.finish_shutdown(),
+            _ => match forwarded_op(req) {
+                Some(op) => render_outcome(Some(op.apply(self.net.inner_mut()))),
+                // handle_lines buffers ESTABLISH into a run; answering it
+                // here anyway (instead of unreachable!) keeps dispatch
+                // total.
+                None => ProtocolError::internal("ESTABLISH bypassed its run").into(),
             },
-            Request::FailLink { link } => MemberOp::FailLink { link: LinkId(link) },
-            Request::RepairLink { link } => MemberOp::RepairLink { link: LinkId(link) },
-            Request::FailNode { node } => MemberOp::FailNode { node: NodeId(node) },
-            Request::FailSrlg { group } => MemberOp::FailSrlg { group },
-            Request::RepairSrlg { group } => MemberOp::RepairSrlg { group },
-        };
-        render_outcome(Some(apply_committed(
-            self.net.inner_mut(),
-            &op.to_committed(),
-        )))
+        }
     }
 
     /// The `STATS` payload: the one intentionally non-deterministic reply
@@ -277,16 +252,37 @@ impl Engine {
     }
 }
 
-/// Validates an elastic QoS range from wire integers, mapping failures
-/// onto their wire-coded error response.
-pub(crate) fn build_qos(bmin: u64, bmax: u64, delta: u64) -> Result<ElasticQos, Response> {
-    ElasticQos::new(
-        Bandwidth::kbps(bmin),
-        Bandwidth::kbps(bmax),
-        Bandwidth::kbps(delta),
-        1.0,
-    )
-    .map_err(|e| wire_err(e.wire_code(), e))
+/// The operation a request forwards to the commit authority — itself, in
+/// the monolithic daemon: `None` for `ESTABLISH` and the local verbs. The
+/// one `Request → MemberOp` conversion, for both daemons' dispatch.
+pub(crate) fn forwarded_op(req: &Request) -> Option<MemberOp> {
+    let (verb, [operand, ..]) = req.parts();
+    MemberOp::from_parts(verb, operand)
+}
+
+/// The admission an `ESTABLISH` asks for (`None` for any other verb), its
+/// elastic QoS range validated: a refused range is already the wire-coded
+/// reply, and never reaches a network or a coordinator.
+pub(crate) fn establish_request(req: &Request) -> Option<Result<EstablishRequest, Response>> {
+    let Request::Establish {
+        src,
+        dst,
+        bmin,
+        bmax,
+        delta,
+    } = *req
+    else {
+        return None;
+    };
+    let [bmin, bmax, delta] = [bmin, bmax, delta].map(Bandwidth::kbps);
+    Some(match ElasticQos::new(bmin, bmax, delta, 1.0) {
+        Ok(qos) => Ok(EstablishRequest {
+            src: NodeId(src),
+            dst: NodeId(dst),
+            qos,
+        }),
+        Err(e) => Err(wire_err(e.wire_code(), e)),
+    })
 }
 
 /// An `ERR` reply carrying a domain error's stable wire code.
@@ -390,21 +386,6 @@ pub(crate) fn render_violations(violations: &[InvariantViolation]) -> Response {
             code: first.wire_code(),
             message: format!("shutdown with {} invariant violations", violations.len()),
         },
-    }
-}
-
-fn op_kind(req: &Request) -> OpKind {
-    match req {
-        Request::Establish { .. } => OpKind::Establish,
-        Request::Release { .. } => OpKind::Release,
-        Request::FailLink { .. } => OpKind::FailLink,
-        Request::RepairLink { .. } => OpKind::RepairLink,
-        Request::FailNode { .. } => OpKind::FailNode,
-        Request::FailSrlg { .. } => OpKind::FailSrlg,
-        Request::RepairSrlg { .. } => OpKind::RepairSrlg,
-        Request::Snapshot => OpKind::Snapshot,
-        Request::Stats => OpKind::Stats,
-        Request::Shutdown => OpKind::Shutdown,
     }
 }
 

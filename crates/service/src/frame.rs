@@ -11,21 +11,10 @@
 //! [u32 LE len] [u8 opcode] [u64 LE arg]*
 //! ```
 //!
-//! `len` counts the bytes after the length field. Opcodes mirror the
-//! verbs 1:1:
-//!
-//! | opcode | verb          | args                          |
-//! |-------:|---------------|-------------------------------|
-//! | 1      | `ESTABLISH`   | src, dst, bmin, bmax, delta   |
-//! | 2      | `RELEASE`     | id                            |
-//! | 3      | `FAIL-LINK`   | link                          |
-//! | 4      | `REPAIR-LINK` | link                          |
-//! | 5      | `FAIL-NODE`   | node                          |
-//! | 6      | `SNAPSHOT`    | —                             |
-//! | 7      | `STATS`       | —                             |
-//! | 8      | `SHUTDOWN`    | —                             |
-//! | 9      | `FAIL-SRLG`   | group                         |
-//! | 10     | `REPAIR-SRLG` | group                         |
+//! `len` counts the bytes after the length field. The opcode and the
+//! argument list of each verb are its row of [`drqos_core::wire::VERBS`]
+//! (SERVICE.md has the documented table); both codecs below are loops
+//! over the row.
 //!
 //! ## Response frame
 //!
@@ -42,40 +31,20 @@
 //!
 //! The daemon decodes request frames to [`Request`] and re-renders them
 //! as canonical text lines, so both wire modes share one event-loop and
-//! engine path; only the per-connection reader differs.
+//! engine path; only the framing a connection speaks differs.
 //!
-//! The transport primitives (length prefix, [`FrameReader`], the byte
-//! cap) live in [`drqos_core::framing`] and are re-exported here; the
-//! inter-daemon cluster protocol (`drqos_cluster::proto`) shares them,
-//! so both wire formats frame identically.
+//! The transport primitives (length prefix, accumulator, the byte cap)
+//! live in [`drqos_core::framing`]; the inter-daemon cluster protocol
+//! (`drqos_cluster::proto`) shares them, so both wire formats frame
+//! identically. Clients read reply frames with [`read_frame`].
 
 use crate::error::ProtocolError;
 use crate::protocol::{Request, Response};
-use drqos_core::framing::{finish, get_index, get_u64, put_u64};
+use drqos_core::framing::{finish, get_u64, put_u64};
+use drqos_core::wire::{verb_coded, verb_named, Operand, MAX_OPERANDS};
 use std::io;
 
-pub use drqos_core::framing::{read_frame, Fill, FrameReader, MAX_FRAME_BYTES};
-
-/// `ESTABLISH` opcode.
-pub const OP_ESTABLISH: u8 = 1;
-/// `RELEASE` opcode.
-pub const OP_RELEASE: u8 = 2;
-/// `FAIL-LINK` opcode.
-pub const OP_FAIL_LINK: u8 = 3;
-/// `REPAIR-LINK` opcode.
-pub const OP_REPAIR_LINK: u8 = 4;
-/// `FAIL-NODE` opcode.
-pub const OP_FAIL_NODE: u8 = 5;
-/// `SNAPSHOT` opcode.
-pub const OP_SNAPSHOT: u8 = 6;
-/// `STATS` opcode.
-pub const OP_STATS: u8 = 7;
-/// `SHUTDOWN` opcode.
-pub const OP_SHUTDOWN: u8 = 8;
-/// `FAIL-SRLG` opcode.
-pub const OP_FAIL_SRLG: u8 = 9;
-/// `REPAIR-SRLG` opcode.
-pub const OP_REPAIR_SRLG: u8 = 10;
+pub use drqos_core::framing::read_frame;
 
 /// `OK` response status byte.
 pub const STATUS_OK: u8 = 0;
@@ -84,68 +53,15 @@ pub const STATUS_ERR: u8 = 1;
 /// `BUSY` response status byte.
 pub const STATUS_BUSY: u8 = 2;
 
-/// Verb and argument count for an opcode (`None` = unknown opcode).
-fn opcode_info(op: u8) -> Option<(&'static str, usize)> {
-    match op {
-        OP_ESTABLISH => Some(("ESTABLISH", 5)),
-        OP_RELEASE => Some(("RELEASE", 1)),
-        OP_FAIL_LINK => Some(("FAIL-LINK", 1)),
-        OP_REPAIR_LINK => Some(("REPAIR-LINK", 1)),
-        OP_FAIL_NODE => Some(("FAIL-NODE", 1)),
-        OP_SNAPSHOT => Some(("SNAPSHOT", 0)),
-        OP_STATS => Some(("STATS", 0)),
-        OP_SHUTDOWN => Some(("SHUTDOWN", 0)),
-        OP_FAIL_SRLG => Some(("FAIL-SRLG", 1)),
-        OP_REPAIR_SRLG => Some(("REPAIR-SRLG", 1)),
-        _ => None,
-    }
-}
-
 /// Encodes a request as a complete frame (length field included).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut body = Vec::with_capacity(1 + 5 * 8);
-    match *req {
-        Request::Establish {
-            src,
-            dst,
-            bmin,
-            bmax,
-            delta,
-        } => {
-            body.push(OP_ESTABLISH);
-            put_u64(&mut body, src as u64);
-            put_u64(&mut body, dst as u64);
-            put_u64(&mut body, bmin);
-            put_u64(&mut body, bmax);
-            put_u64(&mut body, delta);
+    let (name, operands) = req.parts();
+    let mut body = Vec::with_capacity(1 + MAX_OPERANDS * 8);
+    if let Some(verb) = verb_named(name) {
+        body.push(verb.opcode);
+        for &operand in operands.iter().take(verb.operands.len()) {
+            put_u64(&mut body, operand);
         }
-        Request::Release { id } => {
-            body.push(OP_RELEASE);
-            put_u64(&mut body, id);
-        }
-        Request::FailLink { link } => {
-            body.push(OP_FAIL_LINK);
-            put_u64(&mut body, link as u64);
-        }
-        Request::RepairLink { link } => {
-            body.push(OP_REPAIR_LINK);
-            put_u64(&mut body, link as u64);
-        }
-        Request::FailNode { node } => {
-            body.push(OP_FAIL_NODE);
-            put_u64(&mut body, node as u64);
-        }
-        Request::FailSrlg { group } => {
-            body.push(OP_FAIL_SRLG);
-            put_u64(&mut body, group as u64);
-        }
-        Request::RepairSrlg { group } => {
-            body.push(OP_REPAIR_SRLG);
-            put_u64(&mut body, group as u64);
-        }
-        Request::Snapshot => body.push(OP_SNAPSHOT),
-        Request::Stats => body.push(OP_STATS),
-        Request::Shutdown => body.push(OP_SHUTDOWN),
     }
     finish(body)
 }
@@ -162,7 +78,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtocolError> {
     let Some(&op) = body.first() else {
         return Err(ProtocolError::empty());
     };
-    let Some((verb, argc)) = opcode_info(op) else {
+    let Some(verb) = verb_coded(op) else {
         return Err(ProtocolError::unknown_command(&format!("opcode {op}")));
     };
     let arg_bytes = body.len() - 1;
@@ -171,36 +87,24 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtocolError> {
             "{arg_bytes}-byte argument block"
         )));
     }
-    if arg_bytes / 8 != argc {
-        return Err(ProtocolError::arg_count(verb, argc, arg_bytes / 8));
+    if arg_bytes / 8 != verb.operands.len() {
+        return Err(ProtocolError::arg_count(
+            verb.name,
+            verb.operands.len(),
+            arg_bytes / 8,
+        ));
     }
-    let index = |at: usize| {
-        get_index(body, at).ok_or_else(|| ProtocolError::bad_int("argument beyond usize"))
-    };
-    let int = |at: usize| {
+    let mut operands = [0; MAX_OPERANDS];
+    for ((slot, kind), i) in operands.iter_mut().zip(verb.operands).zip(0..) {
         // Length is pre-checked above, so this read cannot fall short; a
         // zero on the impossible branch still decodes without panicking.
-        get_u64(body, at).unwrap_or(0)
-    };
-    match op {
-        OP_ESTABLISH => Ok(Request::Establish {
-            src: index(1)?,
-            dst: index(9)?,
-            bmin: int(17),
-            bmax: int(25),
-            delta: int(33),
-        }),
-        OP_RELEASE => Ok(Request::Release { id: int(1) }),
-        OP_FAIL_LINK => Ok(Request::FailLink { link: index(1)? }),
-        OP_REPAIR_LINK => Ok(Request::RepairLink { link: index(1)? }),
-        OP_FAIL_NODE => Ok(Request::FailNode { node: index(1)? }),
-        OP_FAIL_SRLG => Ok(Request::FailSrlg { group: index(1)? }),
-        OP_REPAIR_SRLG => Ok(Request::RepairSrlg { group: index(1)? }),
-        OP_SNAPSHOT => Ok(Request::Snapshot),
-        OP_STATS => Ok(Request::Stats),
-        // opcode_info returned Some, so only SHUTDOWN remains.
-        _ => Ok(Request::Shutdown),
+        *slot = get_u64(body, 1 + 8 * i).unwrap_or(0);
+        if matches!(kind, Operand::Index(_)) && usize::try_from(*slot).is_err() {
+            return Err(ProtocolError::bad_int("argument beyond usize"));
+        }
     }
+    Request::from_parts(verb.name, operands)
+        .ok_or_else(|| ProtocolError::internal("verb row without a request variant"))
 }
 
 /// Encodes a response as a complete frame (length field included).
@@ -256,25 +160,11 @@ mod tests {
     use super::*;
     use crate::error::{CODE_ARG_COUNT, CODE_BAD_INT, CODE_EMPTY, CODE_UNKNOWN_COMMAND};
 
-    fn all_requests() -> Vec<Request> {
-        vec![
-            Request::Establish {
-                src: 0,
-                dst: 3,
-                bmin: 100,
-                bmax: 500,
-                delta: 100,
-            },
-            Request::Release { id: 7 },
-            Request::FailLink { link: 2 },
-            Request::RepairLink { link: 2 },
-            Request::FailNode { node: 4 },
-            Request::FailSrlg { group: 1 },
-            Request::RepairSrlg { group: 1 },
-            Request::Snapshot,
-            Request::Stats,
-            Request::Shutdown,
-        ]
+    use crate::protocol::tests::all_requests;
+    use drqos_core::framing::{Fill, FrameReader, MAX_FRAME_BYTES};
+
+    fn opcode(verb: &str) -> u8 {
+        verb_named(verb).expect(verb).opcode
     }
 
     #[test]
@@ -285,6 +175,10 @@ mod tests {
             let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
             assert_eq!(len, body.len(), "{req:?}: length field mismatch");
             assert_eq!(decode_request(body).unwrap(), req);
+            // The frame is the row: its opcode, then one `u64` per operand.
+            let verb = verb_coded(body[0]).unwrap();
+            assert_eq!(verb.name, req.parts().0);
+            assert_eq!(body.len(), 1 + 8 * verb.operands.len());
         }
     }
 
@@ -322,16 +216,18 @@ mod tests {
         );
         // RELEASE with no argument block: wrong arg count.
         assert_eq!(
-            decode_request(&[OP_RELEASE]).unwrap_err().code,
+            decode_request(&[opcode("RELEASE")]).unwrap_err().code,
             CODE_ARG_COUNT
         );
         // SNAPSHOT with a stray argument: wrong arg count.
-        let mut body = vec![OP_SNAPSHOT];
+        let mut body = vec![opcode("SNAPSHOT")];
         body.extend_from_slice(&7u64.to_le_bytes());
         assert_eq!(decode_request(&body).unwrap_err().code, CODE_ARG_COUNT);
         // Torn u64: code 4, same family as a non-integer text argument.
         assert_eq!(
-            decode_request(&[OP_RELEASE, 1, 2, 3]).unwrap_err().code,
+            decode_request(&[opcode("RELEASE"), 1, 2, 3])
+                .unwrap_err()
+                .code,
             CODE_BAD_INT
         );
     }

@@ -19,6 +19,9 @@
 //!   as the text mode.
 //! * [`engine`] — maps requests onto the `Network` API; owns metrics.
 //! * [`metrics`] — log₂-bucketed latency histograms and per-op counters.
+//! * `conn` — the one polled reader and reply writer behind every
+//!   served connection (both framings, all three listeners), and the
+//!   accept loop they share.
 //! * [`server`] — TCP accept/reader/event-loop plumbing and graceful,
 //!   invariant-checked shutdown.
 //! * [`loadgen`] — the closed-loop multi-client load generator used by
@@ -32,6 +35,7 @@
 //! session.
 
 pub mod clusterd;
+mod conn;
 pub mod engine;
 pub mod error;
 pub mod frame;

@@ -1,5 +1,8 @@
 //! Request metrics: per-operation latency histograms, admit/reject
-//! counters, and throughput.
+//! counters, and throughput. An operation is a row of
+//! [`drqos_core::wire::VERBS`]: its slot is the row's index, its report
+//! label the row's name in lowercase, and the admit/reject split belongs
+//! to the row routed [`Route::Admit`].
 //!
 //! The histogram is a fixed array of power-of-two nanosecond buckets, so
 //! recording is allocation-free and O(1); percentiles are read as bucket
@@ -7,6 +10,7 @@
 //! the true value, by construction). Everything is hand-rolled — the
 //! offline build has no external crates.
 
+use drqos_core::wire::{Route, Verb, VERBS};
 use std::time::{Duration, Instant};
 
 /// Number of power-of-two buckets: covers 1 ns to ~584 years.
@@ -111,99 +115,26 @@ impl Histogram {
     }
 }
 
-/// The operations the metrics layer distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// `ESTABLISH`.
-    Establish,
-    /// `RELEASE`.
-    Release,
-    /// `FAIL-LINK`.
-    FailLink,
-    /// `REPAIR-LINK`.
-    RepairLink,
-    /// `FAIL-NODE`.
-    FailNode,
-    /// `FAIL-SRLG`.
-    FailSrlg,
-    /// `REPAIR-SRLG`.
-    RepairSrlg,
-    /// `SNAPSHOT`.
-    Snapshot,
-    /// `STATS`.
-    Stats,
-    /// `SHUTDOWN`.
-    Shutdown,
-    /// A line that failed to parse.
-    Invalid,
-}
-
-impl OpKind {
-    /// All kinds, in report order.
-    pub const ALL: [OpKind; 11] = [
-        OpKind::Establish,
-        OpKind::Release,
-        OpKind::FailLink,
-        OpKind::RepairLink,
-        OpKind::FailNode,
-        OpKind::FailSrlg,
-        OpKind::RepairSrlg,
-        OpKind::Snapshot,
-        OpKind::Stats,
-        OpKind::Shutdown,
-        OpKind::Invalid,
-    ];
-
-    /// Stable lowercase label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpKind::Establish => "establish",
-            OpKind::Release => "release",
-            OpKind::FailLink => "fail_link",
-            OpKind::RepairLink => "repair_link",
-            OpKind::FailNode => "fail_node",
-            OpKind::FailSrlg => "fail_srlg",
-            OpKind::RepairSrlg => "repair_srlg",
-            OpKind::Snapshot => "snapshot",
-            OpKind::Stats => "stats",
-            OpKind::Shutdown => "shutdown",
-            OpKind::Invalid => "invalid",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            OpKind::Establish => 0,
-            OpKind::Release => 1,
-            OpKind::FailLink => 2,
-            OpKind::RepairLink => 3,
-            OpKind::FailNode => 4,
-            OpKind::FailSrlg => 5,
-            OpKind::RepairSrlg => 6,
-            OpKind::Snapshot => 7,
-            OpKind::Stats => 8,
-            OpKind::Shutdown => 9,
-            OpKind::Invalid => 10,
-        }
-    }
-}
+/// The slot of a line that failed to parse: one past the rows of
+/// [`VERBS`], which have a slot each.
+pub const INVALID: usize = VERBS.len();
 
 /// Per-operation counters and latency distribution.
 #[derive(Debug, Clone, Default)]
-pub struct OpStats {
+struct OpStats {
     /// Requests handled.
-    pub count: u64,
+    count: u64,
     /// Requests answered with `ERR`.
-    pub errors: u64,
+    errors: u64,
     /// Handling-latency histogram.
-    pub latency: Histogram,
+    latency: Histogram,
 }
 
 /// The daemon's request-metrics layer.
 #[derive(Debug, Clone)]
 pub struct Metrics {
     started: Instant,
-    ops: [OpStats; 11],
+    ops: [OpStats; INVALID + 1],
     /// `ESTABLISH` requests admitted.
     pub admitted: u64,
     /// `ESTABLISH` requests rejected (QoS or admission errors).
@@ -221,32 +152,28 @@ impl Metrics {
     pub fn new() -> Self {
         Self {
             started: Instant::now(), // lint:allow(determinism-taint): uptime feeds STATS throughput only, masked in goldens
-            ops: Default::default(),
+            ops: std::array::from_fn(|_| OpStats::default()),
             admitted: 0,
             rejected: 0,
         }
     }
 
-    /// Records one handled request.
-    pub fn record(&mut self, op: OpKind, latency: Duration, errored: bool) {
-        let stats = &mut self.ops[op.index()];
+    /// Records one handled request in slot `row`: the request's row
+    /// index in [`VERBS`], or [`INVALID`] (as is anything past the end).
+    pub fn record(&mut self, row: usize, latency: Duration, errored: bool) {
+        let Some(stats) = self.ops.get_mut(row.min(INVALID)) else {
+            return;
+        };
         stats.count += 1;
-        if errored {
-            stats.errors += 1;
-        }
+        stats.errors += u64::from(errored);
         stats.latency.record(latency);
-        if op == OpKind::Establish {
+        if VERBS.get(row).is_some_and(|v| v.route == Route::Admit) {
             if errored {
                 self.rejected += 1;
             } else {
                 self.admitted += 1;
             }
         }
-    }
-
-    /// The stats for one operation kind.
-    pub fn op(&self, op: OpKind) -> &OpStats {
-        &self.ops[op.index()]
     }
 
     /// Total requests handled across all operations.
@@ -288,17 +215,17 @@ impl Metrics {
     pub fn to_json(&self, name: &str) -> String {
         let merged = self.merged_latency();
         let mut per_op = Vec::new();
-        for kind in OpKind::ALL {
-            let s = self.op(kind);
+        for (row, s) in self.ops.iter().enumerate() {
             if s.count == 0 {
                 continue;
             }
+            let label = VERBS.get(row).map_or("invalid".to_string(), Verb::label);
             per_op.push(format!(
                 concat!(
                     "{{\"op\":\"{}\",\"count\":{},\"errors\":{},",
                     "\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}"
                 ),
-                kind.label(),
+                label,
                 s.count,
                 s.errors,
                 s.latency.quantile_us(0.50),
@@ -414,25 +341,64 @@ mod tests {
         assert_eq!(a.count(), 3);
     }
 
+    fn row(name: &str) -> usize {
+        VERBS.iter().position(|v| v.name == name).unwrap()
+    }
+
     #[test]
     fn metrics_track_admission_split() {
         let mut m = Metrics::new();
-        m.record(OpKind::Establish, Duration::from_micros(3), false);
-        m.record(OpKind::Establish, Duration::from_micros(3), true);
-        m.record(OpKind::Release, Duration::from_micros(1), false);
-        m.record(OpKind::Invalid, Duration::from_nanos(200), true);
+        m.record(row("ESTABLISH"), Duration::from_micros(3), false);
+        m.record(row("ESTABLISH"), Duration::from_micros(3), true);
+        m.record(row("RELEASE"), Duration::from_micros(1), false);
+        m.record(INVALID, Duration::from_nanos(200), true);
+        m.record(usize::MAX, Duration::from_nanos(200), true);
         assert_eq!(m.admitted, 1);
         assert_eq!(m.rejected, 1);
-        assert_eq!(m.total_ops(), 4);
-        assert_eq!(m.total_errors(), 2);
-        assert_eq!(m.op(OpKind::Establish).count, 2);
-        assert_eq!(m.op(OpKind::Release).errors, 0);
+        assert_eq!(m.total_ops(), 5);
+        assert_eq!(m.total_errors(), 3);
+        assert_eq!(m.ops[row("ESTABLISH")].count, 2);
+        assert_eq!(m.ops[row("RELEASE")].errors, 0);
+        assert_eq!(m.ops[INVALID].count, 2, "one past the end is the last slot");
+        assert_eq!(m.ops.len(), INVALID + 1);
+    }
+
+    /// The dump's labels and their order are the table's: what
+    /// `service_runtime.json` printed when the list was an enum.
+    #[test]
+    fn report_labels_are_the_rows_in_table_order() {
+        let mut m = Metrics::new();
+        for slot in 0..=INVALID {
+            m.record(slot, Duration::from_micros(1), false);
+        }
+        let json = m.to_json("drqosd");
+        let labels: Vec<&str> = json
+            .split("{\"op\":\"")
+            .skip(1)
+            .filter_map(|rest| rest.split('"').next())
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "establish",
+                "release",
+                "fail_link",
+                "repair_link",
+                "fail_node",
+                "fail_srlg",
+                "repair_srlg",
+                "snapshot",
+                "stats",
+                "shutdown",
+                "invalid"
+            ]
+        );
     }
 
     #[test]
     fn json_is_well_formed_enough() {
         let mut m = Metrics::new();
-        m.record(OpKind::Establish, Duration::from_micros(5), false);
+        m.record(row("ESTABLISH"), Duration::from_micros(5), false);
         let json = m.to_json("drqosd");
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"name\":\"drqosd\""));

@@ -5,11 +5,16 @@
 //! responses are `OK <key>=<value>...`, `ERR <code> <message>`, or the
 //! bare backpressure line `BUSY`. Every response except `STATS` is a pure
 //! function of the command sequence, so whole sessions can be replayed
-//! byte-exact against golden transcripts (see `SERVICE.md` for the full
-//! grammar).
+//! byte-exact against golden transcripts. The verbs, their operands and
+//! their opcodes are the rows of [`drqos_core::wire::VERBS`] (SERVICE.md
+//! has the documented table and the full grammar): [`parse`] and
+//! [`Request::render`] are loops over a row, and [`Request::parts`] /
+//! [`Request::from_parts`] are the only code that knows which variant a
+//! row builds.
 
 use crate::error::{ProtocolError, CODE_INTERNAL};
-use std::fmt;
+use drqos_core::wire::{verb_named, Operand, MAX_OPERANDS, VERBS};
+use std::fmt::{self, Write as _};
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,10 +74,9 @@ pub enum Request {
 }
 
 impl Request {
-    /// Renders the canonical text line for this request (the inverse of
-    /// [`parse`]): the binary framing layer decodes frames to `Request`
-    /// and re-renders them so both wire modes share one engine path.
-    pub fn render(&self) -> String {
+    /// The request's verb (its row of [`VERBS`], by name) and operands,
+    /// as many as the row declares.
+    pub(crate) fn parts(&self) -> (&'static str, [u64; MAX_OPERANDS]) {
         match *self {
             Request::Establish {
                 src,
@@ -80,33 +84,66 @@ impl Request {
                 bmin,
                 bmax,
                 delta,
-            } => format!("ESTABLISH {src} {dst} {bmin} {bmax} {delta}"),
-            Request::Release { id } => format!("RELEASE {id}"),
-            Request::FailLink { link } => format!("FAIL-LINK {link}"),
-            Request::RepairLink { link } => format!("REPAIR-LINK {link}"),
-            Request::FailNode { node } => format!("FAIL-NODE {node}"),
-            Request::FailSrlg { group } => format!("FAIL-SRLG {group}"),
-            Request::RepairSrlg { group } => format!("REPAIR-SRLG {group}"),
-            Request::Snapshot => "SNAPSHOT".to_string(),
-            Request::Stats => "STATS".to_string(),
-            Request::Shutdown => "SHUTDOWN".to_string(),
+            } => ("ESTABLISH", [src as u64, dst as u64, bmin, bmax, delta]),
+            Request::Release { id } => ("RELEASE", [id, 0, 0, 0, 0]),
+            Request::FailLink { link } => ("FAIL-LINK", [link as u64, 0, 0, 0, 0]),
+            Request::RepairLink { link } => ("REPAIR-LINK", [link as u64, 0, 0, 0, 0]),
+            Request::FailNode { node } => ("FAIL-NODE", [node as u64, 0, 0, 0, 0]),
+            Request::FailSrlg { group } => ("FAIL-SRLG", [group as u64, 0, 0, 0, 0]),
+            Request::RepairSrlg { group } => ("REPAIR-SRLG", [group as u64, 0, 0, 0, 0]),
+            Request::Snapshot => ("SNAPSHOT", [0; MAX_OPERANDS]),
+            Request::Stats => ("STATS", [0; MAX_OPERANDS]),
+            Request::Shutdown => ("SHUTDOWN", [0; MAX_OPERANDS]),
         }
     }
 
-    /// The verb this request was parsed from (for metrics labels).
-    pub fn verb(&self) -> &'static str {
-        match self {
-            Request::Establish { .. } => "ESTABLISH",
-            Request::Release { .. } => "RELEASE",
-            Request::FailLink { .. } => "FAIL-LINK",
-            Request::RepairLink { .. } => "REPAIR-LINK",
-            Request::FailNode { .. } => "FAIL-NODE",
-            Request::FailSrlg { .. } => "FAIL-SRLG",
-            Request::RepairSrlg { .. } => "REPAIR-SRLG",
-            Request::Snapshot => "SNAPSHOT",
-            Request::Stats => "STATS",
-            Request::Shutdown => "SHUTDOWN",
+    /// The inverse of [`Request::parts`]: `None` for a name no variant
+    /// has, or an index operand that does not fit `usize` (both framings
+    /// check the latter against the row first, to name the offender).
+    pub(crate) fn from_parts(verb: &str, [a, b, c, d, e]: [u64; MAX_OPERANDS]) -> Option<Self> {
+        let index = usize::try_from(a).ok();
+        Some(match verb {
+            "ESTABLISH" => Request::Establish {
+                src: index?,
+                dst: usize::try_from(b).ok()?,
+                bmin: c,
+                bmax: d,
+                delta: e,
+            },
+            "RELEASE" => Request::Release { id: a },
+            "FAIL-LINK" => Request::FailLink { link: index? },
+            "REPAIR-LINK" => Request::RepairLink { link: index? },
+            "FAIL-NODE" => Request::FailNode { node: index? },
+            "FAIL-SRLG" => Request::FailSrlg { group: index? },
+            "REPAIR-SRLG" => Request::RepairSrlg { group: index? },
+            "SNAPSHOT" => Request::Snapshot,
+            "STATS" => Request::Stats,
+            "SHUTDOWN" => Request::Shutdown,
+            _ => return None,
+        })
+    }
+
+    /// The request's row index in [`VERBS`] — its metrics slot.
+    pub(crate) fn row(&self) -> usize {
+        let name = self.parts().0;
+        VERBS
+            .iter()
+            .position(|v| v.name == name)
+            .unwrap_or(VERBS.len())
+    }
+
+    /// Renders the canonical text line for this request (the inverse of
+    /// [`parse`]): the binary framing layer decodes frames to `Request`
+    /// and re-renders them so both wire modes share one engine path.
+    pub fn render(&self) -> String {
+        let (name, operands) = self.parts();
+        let arity = verb_named(name).map_or(0, |v| v.operands.len());
+        let mut line = name.to_string();
+        for operand in operands.iter().take(arity) {
+            // Writing into a `String` cannot fail.
+            let _ = write!(line, " {operand}");
         }
+        line
     }
 }
 
@@ -154,23 +191,6 @@ impl From<ProtocolError> for Response {
     }
 }
 
-fn parse_u64(arg: &str) -> Result<u64, ProtocolError> {
-    arg.parse::<u64>().map_err(|_| ProtocolError::bad_int(arg))
-}
-
-fn parse_usize(arg: &str) -> Result<usize, ProtocolError> {
-    arg.parse::<usize>()
-        .map_err(|_| ProtocolError::bad_int(arg))
-}
-
-fn expect_args(verb: &str, args: &[&str], n: usize) -> Result<(), ProtocolError> {
-    if args.len() == n {
-        Ok(())
-    } else {
-        Err(ProtocolError::arg_count(verb, n, args.len()))
-    }
-}
-
 /// Parses one request line.
 ///
 /// # Errors
@@ -179,71 +199,26 @@ fn expect_args(verb: &str, args: &[&str], n: usize) -> Result<(), ProtocolError>
 /// verb, wrong argument count, or non-integer argument.
 pub fn parse(line: &str) -> Result<Request, ProtocolError> {
     let mut tokens = line.split_ascii_whitespace();
-    let Some(verb) = tokens.next() else {
+    let Some(name) = tokens.next() else {
         return Err(ProtocolError::empty());
     };
-    let args: Vec<&str> = tokens.collect();
-    // Slice patterns instead of `args[i]` indexing keep this parser
-    // mechanically panic-free (the `no-panic-daemon` lint checks it).
-    match verb {
-        "ESTABLISH" => match args.as_slice() {
-            [src, dst, bmin, bmax, delta] => Ok(Request::Establish {
-                src: parse_usize(src)?,
-                dst: parse_usize(dst)?,
-                bmin: parse_u64(bmin)?,
-                bmax: parse_u64(bmax)?,
-                delta: parse_u64(delta)?,
-            }),
-            _ => Err(ProtocolError::arg_count(verb, 5, args.len())),
-        },
-        "RELEASE" => match args.as_slice() {
-            [id] => Ok(Request::Release { id: parse_u64(id)? }),
-            _ => Err(ProtocolError::arg_count(verb, 1, args.len())),
-        },
-        "FAIL-LINK" => match args.as_slice() {
-            [link] => Ok(Request::FailLink {
-                link: parse_usize(link)?,
-            }),
-            _ => Err(ProtocolError::arg_count(verb, 1, args.len())),
-        },
-        "REPAIR-LINK" => match args.as_slice() {
-            [link] => Ok(Request::RepairLink {
-                link: parse_usize(link)?,
-            }),
-            _ => Err(ProtocolError::arg_count(verb, 1, args.len())),
-        },
-        "FAIL-NODE" => match args.as_slice() {
-            [node] => Ok(Request::FailNode {
-                node: parse_usize(node)?,
-            }),
-            _ => Err(ProtocolError::arg_count(verb, 1, args.len())),
-        },
-        "FAIL-SRLG" => match args.as_slice() {
-            [group] => Ok(Request::FailSrlg {
-                group: parse_usize(group)?,
-            }),
-            _ => Err(ProtocolError::arg_count(verb, 1, args.len())),
-        },
-        "REPAIR-SRLG" => match args.as_slice() {
-            [group] => Ok(Request::RepairSrlg {
-                group: parse_usize(group)?,
-            }),
-            _ => Err(ProtocolError::arg_count(verb, 1, args.len())),
-        },
-        "SNAPSHOT" => {
-            expect_args(verb, &args, 0)?;
-            Ok(Request::Snapshot)
-        }
-        "STATS" => {
-            expect_args(verb, &args, 0)?;
-            Ok(Request::Stats)
-        }
-        "SHUTDOWN" => {
-            expect_args(verb, &args, 0)?;
-            Ok(Request::Shutdown)
-        }
-        other => Err(ProtocolError::unknown_command(other)),
+    let Some(verb) = verb_named(name) else {
+        return Err(ProtocolError::unknown_command(name));
+    };
+    let got = tokens.clone().count();
+    if got != verb.operands.len() {
+        return Err(ProtocolError::arg_count(name, verb.operands.len(), got));
     }
+    let mut operands = [0; MAX_OPERANDS];
+    for ((slot, kind), arg) in operands.iter_mut().zip(verb.operands).zip(tokens) {
+        let parsed = match kind {
+            Operand::Index(_) => arg.parse::<usize>().map(|v| v as u64),
+            Operand::Int(_) => arg.parse::<u64>(),
+        };
+        *slot = parsed.map_err(|_| ProtocolError::bad_int(arg))?;
+    }
+    Request::from_parts(verb.name, operands)
+        .ok_or_else(|| ProtocolError::internal("verb row without a request variant"))
 }
 
 /// Parses a rendered response line back into a [`Response`] (the inverse
@@ -292,9 +267,39 @@ pub fn payload_field(payload: &str, key: &str) -> Option<u64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::error::{CODE_ARG_COUNT, CODE_BAD_INT, CODE_EMPTY, CODE_UNKNOWN_COMMAND};
+
+    /// One request per row of the table, each operand distinct, so a new
+    /// row is covered — here and in `frame::tests` — without an edit.
+    pub(crate) fn all_requests() -> Vec<Request> {
+        VERBS
+            .iter()
+            .map(|v| Request::from_parts(v.name, [2, 3, 100, 500, 50]).expect(v.name))
+            .collect()
+    }
+
+    #[test]
+    fn every_row_parses_renders_and_names_itself() {
+        let requests = all_requests();
+        assert_eq!(requests.len(), VERBS.len());
+        for ((row, verb), req) in VERBS.iter().enumerate().zip(&requests) {
+            assert_eq!(req.row(), row, "{req:?}");
+            assert_eq!(req.parts().0, verb.name);
+            let line = req.render();
+            assert_eq!(line.split(' ').count(), 1 + verb.operands.len(), "{line}");
+            assert_eq!(&parse(&line).unwrap(), req, "{line}");
+            // One operand too few, one too many: code 3 either way.
+            let short = line.rsplit_once(' ').map_or("", |(head, _)| head);
+            for bad in [short.to_string(), format!("{line} 1")] {
+                if bad.is_empty() {
+                    continue;
+                }
+                assert_eq!(parse(&bad).unwrap_err().code, CODE_ARG_COUNT, "{bad}");
+            }
+        }
+    }
 
     #[test]
     fn parses_every_verb() {

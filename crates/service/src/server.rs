@@ -11,32 +11,28 @@
 //!
 //! * Exactly one thread (the event loop) ever touches the [`Engine`] and
 //!   its [`drqos_core::network::Network`] — no locks on the hot path.
-//! * Reader threads parse nothing; they frame lines and `try_send` them
-//!   into a *bounded* queue. A full queue answers `BUSY` immediately
-//!   instead of buffering without bound (backpressure).
+//! * Reader threads parse nothing; they take one request at a time off
+//!   their connection (`crate::conn`: its canonical text line, in either
+//!   framing) and `try_send` it into a *bounded* queue. A full queue
+//!   answers `BUSY` immediately instead of buffering without bound
+//!   (backpressure).
 //! * The event loop drains up to `DRQOS_BATCH` commands per tick, so a
 //!   burst pays the channel-wakeup cost once, not per command.
 //! * `SHUTDOWN` is graceful: the loop stops accepting, drains every
 //!   queued command, runs `check_invariants()`, and only then replies.
 
+use crate::conn::{accept_until, Conn, POLL_INTERVAL};
 use crate::engine::{Engine, Handled};
 use crate::error::ProtocolError;
-use crate::frame::{self, Fill, FrameReader};
-use crate::protocol::{self, Response};
-use drqos_core::env::WireMode;
+use crate::protocol::Response;
+use drqos_core::env::{self, WireMode};
 use drqos_core::network::Network;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
-
-pub use drqos_core::env::{DEFAULT_BATCH, DEFAULT_QUEUE_DEPTH};
-
-/// How often blocked I/O re-checks the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Backstop for the shutdown drain: after this many *consecutive* empty
 /// poll intervals the loop stops waiting for reader threads (a reader
@@ -54,22 +50,11 @@ impl Drop for ReaderGuard {
     }
 }
 
-/// `DRQOS_BATCH` (minimum 1; default [`DEFAULT_BATCH`]), read through the
-/// [`drqos_core::env`] registry.
-pub fn batch_from_env() -> usize {
-    drqos_core::env::batch()
-}
-
-/// `DRQOS_QUEUE_DEPTH` (minimum 1; default [`DEFAULT_QUEUE_DEPTH`]), read
-/// through the [`drqos_core::env`] registry.
-pub fn queue_depth_from_env() -> usize {
-    drqos_core::env::queue_depth()
-}
-
-/// One queued command: the raw line and where to send the response.
+/// One queued command: the canonical text line and where to send the
+/// response.
 struct Command {
     line: String,
-    reply: mpsc::Sender<String>,
+    reply: mpsc::Sender<Response>,
 }
 
 /// What a finished server run reports.
@@ -105,9 +90,9 @@ impl Server {
         Ok(Self {
             listener: TcpListener::bind(addr)?,
             engine: Engine::new(net),
-            batch: batch_from_env(),
-            queue_depth: queue_depth_from_env(),
-            wire: drqos_core::env::wire(),
+            batch: env::batch(),
+            queue_depth: env::queue_depth(),
+            wire: env::wire(),
         })
     }
 
@@ -157,14 +142,9 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let readers = Arc::new(AtomicUsize::new(0));
         let busy = self.engine.busy_counter();
-        let wire = self.wire;
+        let (listener, wire) = (&self.listener, self.wire);
         let report = thread::scope(|scope| {
-            let accept_shutdown = Arc::clone(&shutdown);
-            let accept_readers = Arc::clone(&readers);
-            let listener = &self.listener;
-            scope.spawn(move || {
-                accept_loop(listener, tx, accept_shutdown, accept_readers, busy, wire)
-            });
+            scope.spawn(|| accept_loop(listener, tx, &shutdown, &readers, &busy, wire));
             event_loop(&mut self.engine, rx, self.batch, &shutdown, &readers)
         });
         Ok(report)
@@ -178,111 +158,64 @@ impl Server {
 fn accept_loop(
     listener: &TcpListener,
     tx: SyncSender<Command>,
-    shutdown: Arc<AtomicBool>,
-    readers: Arc<AtomicUsize>,
-    busy: Arc<AtomicU64>,
+    shutdown: &Arc<AtomicBool>,
+    readers: &Arc<AtomicUsize>,
+    busy: &Arc<AtomicU64>,
     wire: WireMode,
 ) {
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let tx = tx.clone();
-                let shutdown = Arc::clone(&shutdown);
-                let busy = Arc::clone(&busy);
-                // Count the reader *before* it can send anything, so the
-                // event loop's shutdown drain never undercounts.
-                readers.fetch_add(1, Ordering::AcqRel);
-                let guard = ReaderGuard(Arc::clone(&readers));
-                thread::spawn(move || {
-                    let _guard = guard;
-                    let _ = match wire {
-                        WireMode::Text => reader_loop(stream, &tx, &shutdown, &busy),
-                        WireMode::Binary => binary_reader_loop(stream, &tx, &shutdown, &busy),
-                    };
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => thread::sleep(POLL_INTERVAL),
+    accept_until(listener, shutdown, || {
+        let (tx, shutdown, busy) = (tx.clone(), Arc::clone(shutdown), Arc::clone(busy));
+        // Count the reader *before* it can send anything, so the event
+        // loop's shutdown drain never undercounts.
+        readers.fetch_add(1, Ordering::AcqRel);
+        let guard = ReaderGuard(Arc::clone(readers));
+        move |stream| {
+            let _guard = guard;
+            reader_loop(stream, wire, &tx, &shutdown, &busy)
         }
-    }
+    });
     // Dropping `tx` here lets the event loop observe disconnection once
     // every reader is gone too.
 }
 
-/// Frames lines from one client and shuttles them through the queue.
+/// Shuttles one client's requests through the queue, in either framing:
+/// the [`Conn`] hands over canonical text lines (and answers what never
+/// becomes one — see [`Conn::next_request`]), so the event loop and the
+/// engine are wire-agnostic and the reply comes back as a [`Response`]
+/// for the connection to write its own way.
 fn reader_loop(
     stream: TcpStream,
+    wire: WireMode,
     tx: &SyncSender<Command>,
     shutdown: &AtomicBool,
     busy: &AtomicU64,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // A timeout can fire mid-line (the peer's write may be
-                // split across packets); keep whatever `read_line` already
-                // appended and resume reading the same line.
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']).to_string();
-        line.clear();
-        if shutdown.load(Ordering::Acquire) {
-            // Answer the late line, then close: staying in the loop would
-            // let a chatty client stall the shutdown drain (which waits
-            // for reader threads) indefinitely.
-            let resp: Response = ProtocolError::shutting_down().into();
-            writeln!(writer, "{resp}")?;
-            writer.flush()?;
-            return Ok(());
-        }
+    let mut conn = Conn::open(stream, wire)?;
+    let (reply_tx, reply_rx) = mpsc::channel::<Response>();
+    while let Some(line) = conn.next_request(shutdown)? {
         let cmd = Command {
-            line: trimmed,
+            line,
             reply: reply_tx.clone(),
         };
-        match tx.try_send(cmd) {
-            Ok(()) => {
-                // Closed-loop per connection: wait for this command's
-                // response before reading the next line, so responses can
-                // never interleave out of order.
-                match reply_rx.recv() {
-                    Ok(resp) => writeln!(writer, "{resp}")?,
-                    Err(_) => {
-                        // Event loop gone mid-request (hard stop).
-                        let resp: Response = ProtocolError::shutting_down().into();
-                        writeln!(writer, "{resp}")?;
-                        return Ok(());
-                    }
-                }
-            }
+        let resp = match tx.try_send(cmd) {
+            // Closed-loop per connection: wait for this command's response
+            // before reading the next request, so responses can never
+            // interleave out of order. A dead reply channel means the
+            // event loop went away mid-request (hard stop).
+            Ok(()) => reply_rx.recv().ok(),
             Err(TrySendError::Full(_)) => {
                 busy.fetch_add(1, Ordering::Relaxed);
-                writeln!(writer, "{}", Response::Busy)?;
+                Some(Response::Busy)
             }
-            Err(TrySendError::Disconnected(_)) => {
-                let resp: Response = ProtocolError::shutting_down().into();
-                writeln!(writer, "{resp}")?;
-                return Ok(());
-            }
-        }
-        writer.flush()?;
+            Err(TrySendError::Disconnected(_)) => None,
+        };
+        let Some(resp) = resp else {
+            conn.reply(&ProtocolError::shutting_down().into())?;
+            return Ok(());
+        };
+        conn.reply(&resp)?;
     }
+    Ok(())
 }
 
 /// Serves one drained batch of commands through the engine's batch entry
@@ -292,7 +225,7 @@ fn reader_loop(
 fn serve_batch(
     engine: &mut Engine,
     batch: &mut Vec<Command>,
-    shutdown_replies: &mut Vec<mpsc::Sender<String>>,
+    shutdown_replies: &mut Vec<mpsc::Sender<Response>>,
 ) {
     let mut lines = Vec::with_capacity(batch.len());
     let mut replies = Vec::with_capacity(batch.len());
@@ -305,105 +238,11 @@ fn serve_batch(
             Handled::Reply(resp) => {
                 // A send error means the reader died; the state change
                 // already happened, so just move on.
-                let _ = reply.send(resp.to_string());
+                let _ = reply.send(resp);
             }
             Handled::ShutdownRequested => shutdown_replies.push(reply),
         }
     }
-}
-
-/// Frames binary requests from one client (`DRQOS_WIRE=binary`) and
-/// shuttles them through the same queue as text lines: each decoded frame
-/// is re-rendered as its canonical text command, so the event loop and
-/// engine are wire-agnostic. Replies come back as rendered text and are
-/// re-encoded as response frames. Frame-level decode errors are answered
-/// directly with their text-protocol code (1–4) without occupying a
-/// queue slot; an oversized frame is unrecoverable and closes the
-/// connection after an error frame.
-fn binary_reader_loop(
-    stream: TcpStream,
-    tx: &SyncSender<Command>,
-    shutdown: &AtomicBool,
-    busy: &AtomicU64,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = stream;
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
-    let mut framer = FrameReader::new();
-    let send_resp = |writer: &mut TcpStream, resp: &Response| -> io::Result<()> {
-        writer.write_all(&frame::encode_response(resp))?;
-        writer.flush()
-    };
-    loop {
-        let body = match framer.next_frame() {
-            Ok(Some(body)) => body,
-            Ok(None) => {
-                match framer.fill(&mut reader)? {
-                    Fill::Data => {}
-                    Fill::Eof => return Ok(()), // client hung up
-                    Fill::Idle => {
-                        if shutdown.load(Ordering::Acquire) && !framer_has_partial(&framer) {
-                            return Ok(());
-                        }
-                    }
-                }
-                continue;
-            }
-            Err(e) => {
-                // Oversized announcement: the stream cannot be resynced.
-                let resp: Response = ProtocolError::bad_int(&e.to_string()).into();
-                let _ = send_resp(&mut writer, &resp);
-                return Err(e);
-            }
-        };
-        if shutdown.load(Ordering::Acquire) {
-            // Answer the late frame, then close (same rationale as the
-            // text reader: a chatty client must not stall the drain).
-            let resp: Response = ProtocolError::shutting_down().into();
-            send_resp(&mut writer, &resp)?;
-            return Ok(());
-        }
-        let req = match frame::decode_request(&body) {
-            Ok(req) => req,
-            Err(pe) => {
-                send_resp(&mut writer, &pe.into())?;
-                continue;
-            }
-        };
-        let cmd = Command {
-            line: req.render(),
-            reply: reply_tx.clone(),
-        };
-        match tx.try_send(cmd) {
-            Ok(()) => match reply_rx.recv() {
-                Ok(resp) => send_resp(&mut writer, &protocol::parse_response(&resp))?,
-                Err(_) => {
-                    // Event loop gone mid-request (hard stop).
-                    let resp: Response = ProtocolError::shutting_down().into();
-                    send_resp(&mut writer, &resp)?;
-                    return Ok(());
-                }
-            },
-            Err(TrySendError::Full(_)) => {
-                busy.fetch_add(1, Ordering::Relaxed);
-                send_resp(&mut writer, &Response::Busy)?;
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                let resp: Response = ProtocolError::shutting_down().into();
-                send_resp(&mut writer, &resp)?;
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Whether the accumulator holds a partial frame (keep polling for its
-/// remainder even across the shutdown flag, mirroring the text reader's
-/// mid-line tolerance).
-fn framer_has_partial(framer: &FrameReader) -> bool {
-    !framer.is_empty()
 }
 
 /// The single-writer event loop: drains the queue in batches and applies
@@ -416,7 +255,7 @@ fn event_loop(
     readers: &AtomicUsize,
 ) -> ServiceReport {
     let mut batch: Vec<Command> = Vec::with_capacity(batch_size);
-    let mut shutdown_replies: Vec<mpsc::Sender<String>> = Vec::new();
+    let mut shutdown_replies: Vec<mpsc::Sender<Response>> = Vec::new();
     'serve: loop {
         match rx.recv() {
             Ok(cmd) => batch.push(cmd),
@@ -468,7 +307,7 @@ fn event_loop(
         _ => engine.network().check_invariants().len(),
     };
     for reply in shutdown_replies {
-        let _ = reply.send(final_resp.to_string());
+        let _ = reply.send(final_resp.clone());
     }
     ServiceReport {
         violations,
@@ -480,8 +319,11 @@ fn event_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{frame, protocol};
     use drqos_core::network::NetworkConfig;
     use drqos_topology::regular;
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Duration;
 
     fn client_session(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
         let stream = TcpStream::connect(addr).expect("connect");
@@ -581,9 +423,9 @@ mod tests {
             .unwrap();
             drop(tx);
             let report = event_loop(&mut engine, rx, 8, &shutdown, &readers);
-            assert_eq!(shut_rx.recv().unwrap(), "OK violations=0");
+            assert_eq!(shut_rx.recv().unwrap().to_string(), "OK violations=0");
             readers.fetch_sub(1, Ordering::AcqRel);
-            let resp = late.join().unwrap();
+            let resp = late.join().unwrap().to_string();
             assert!(resp.starts_with("OK id="), "raced ESTABLISH served: {resp}");
             report
         });
@@ -691,8 +533,8 @@ mod tests {
     #[test]
     fn env_knobs_have_sane_defaults() {
         // (Reads the real environment; CI never sets these for unit tests.)
-        assert!(batch_from_env() >= 1);
-        assert!(queue_depth_from_env() >= 1);
+        assert!(env::batch() >= 1);
+        assert!(env::queue_depth() >= 1);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! `impl Subject` plus one row.
 
 use crate::fuzz::{case_ops, case_seed, render_case, shrink_by, Op, Scenario};
-use drqos_cluster::{apply_committed, ApplyOutcome, ClusterFault, ClusterSim, MemberOp};
+use drqos_cluster::{ApplyOutcome, ClusterFault, ClusterSim, MemberOp};
 use drqos_core::channel::ConnectionId;
 use drqos_core::error::{AdmissionError, ClusterError};
 use drqos_core::network::{EstablishRequest, Network};
@@ -317,7 +317,7 @@ impl<S: Subject> Lockstep<S> {
 
     /// Applies one barrier op to both sides and compares the outcomes.
     fn apply_both(&mut self, op: MemberOp) -> Option<String> {
-        let want = apply_committed(&mut self.oracle, &op.to_committed());
+        let want = op.apply(&mut self.oracle);
         match self.subject.apply(op) {
             Ok(got) if got == want => None,
             Ok(got) => Some(format!(
@@ -649,7 +649,7 @@ impl Subject for CacheSubject {
     }
 
     fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
-        Ok(apply_committed(&mut self.0, &op.to_committed()))
+        Ok(op.apply(&mut self.0))
     }
 
     fn views(&self) -> Vec<(String, &Network)> {
@@ -692,7 +692,7 @@ impl Subject for BatchSubject {
     }
 
     fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
-        Ok(apply_committed(&mut self.net, &op.to_committed()))
+        Ok(op.apply(&mut self.net))
     }
 
     fn views(&self) -> Vec<(String, &Network)> {
@@ -733,7 +733,7 @@ impl Subject for ShardSubject {
     }
 
     fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
-        Ok(apply_committed(self.0.inner_mut(), &op.to_committed()))
+        Ok(op.apply(self.0.inner_mut()))
     }
 
     fn views(&self) -> Vec<(String, &Network)> {
@@ -1126,7 +1126,7 @@ mod tests {
                     return Ok(ApplyOutcome::Release(Ok(held)));
                 }
             }
-            Ok(apply_committed(&mut self.net, &op.to_committed()))
+            Ok(op.apply(&mut self.net))
         }
 
         fn views(&self) -> Vec<(String, &Network)> {

@@ -5,12 +5,16 @@
 //! gone from the source, this test proves the daemon survives the inputs
 //! those sites used to be reachable from.
 
+use drqos_core::env::WireMode;
+use drqos_core::framing::MAX_FRAME_BYTES;
 use drqos_core::network::{Network, NetworkConfig};
-use drqos_service::server::Server;
+use drqos_service::server::{Server, ServiceReport};
+use drqos_service::{frame, protocol};
 use drqos_topology::regular;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::thread;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 /// One TCP client: send `line`, read one reply.
 struct Client {
@@ -109,4 +113,215 @@ fn malformed_burst_cannot_kill_the_daemon() {
     assert_eq!(good.roundtrip("SHUTDOWN"), "OK violations=0");
     let report = server_handle.join().unwrap().unwrap();
     assert_eq!(report.violations, 0);
+}
+
+// ---------------------------------------------------------------------
+// The connection reader's contract, once per framing: the byte cap, the
+// shutdown rule for a half-received request, and reassembly.
+// ---------------------------------------------------------------------
+
+const WIRES: [WireMode; 2] = [WireMode::Text, WireMode::Binary];
+
+fn boot(wire: WireMode) -> (SocketAddr, JoinHandle<io::Result<ServiceReport>>) {
+    let net = Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
+    let server = Server::bind("127.0.0.1:0", net)
+        .expect("bind ephemeral")
+        .with_wire(wire);
+    let addr = server.local_addr().unwrap();
+    (addr, thread::spawn(move || server.run()))
+}
+
+/// A raw client in one framing: it sends bytes as told — whole, or one
+/// byte per write — and decodes replies to their text form.
+struct RawClient {
+    stream: TcpStream,
+    wire: WireMode,
+}
+
+impl RawClient {
+    fn connect(addr: SocketAddr, wire: WireMode) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        Self { stream, wire }
+    }
+
+    /// The request unit for a parseable command line.
+    fn unit(&self, line: &str) -> Vec<u8> {
+        match self.wire {
+            WireMode::Text => format!("{line}\n").into_bytes(),
+            WireMode::Binary => frame::encode_request(&protocol::parse(line).expect(line)),
+        }
+    }
+
+    fn send(&mut self, bytes: &[u8], drip: bool) {
+        if drip {
+            for b in bytes {
+                self.stream.write_all(&[*b]).unwrap();
+            }
+        } else {
+            self.stream.write_all(bytes).unwrap();
+        }
+    }
+
+    /// One reply as text, or `None` once the daemon has closed.
+    fn recv(&mut self) -> Option<String> {
+        match self.wire {
+            WireMode::Text => {
+                let mut line = Vec::new();
+                let mut byte = [0u8];
+                while self.stream.read(&mut byte).expect("reply, not a timeout") == 1 {
+                    if byte[0] == b'\n' {
+                        return Some(String::from_utf8(line).unwrap());
+                    }
+                    line.push(byte[0]);
+                }
+                None
+            }
+            WireMode::Binary => {
+                let body = frame::read_frame(&mut self.stream).ok()?;
+                Some(frame::decode_response(&body).unwrap().to_string())
+            }
+        }
+    }
+
+    fn roundtrip(&mut self, line: &str) -> String {
+        let unit = self.unit(line);
+        self.send(&unit, false);
+        self.recv().expect("a reply")
+    }
+}
+
+/// `MAX_FRAME_BYTES + 1` bytes and no terminator in sight — a line with
+/// no newline, a frame announcing a body that long — is answered once
+/// (code 4) and closed, not buffered; other clients never notice.
+#[test]
+fn a_request_over_the_byte_cap_is_answered_and_closed() {
+    for wire in WIRES {
+        let (addr, server) = boot(wire);
+        let mut good = RawClient::connect(addr, wire);
+        assert!(good
+            .roundtrip("ESTABLISH 0 3 100 500 100")
+            .starts_with("OK id=0"));
+
+        let mut hostile = RawClient::connect(addr, wire);
+        let flood = match wire {
+            WireMode::Text => vec![b'x'; MAX_FRAME_BYTES + 1],
+            WireMode::Binary => ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes().to_vec(),
+        };
+        hostile.send(&flood, false);
+        let reply = hostile.recv().expect("one error reply before the close");
+        assert!(reply.starts_with("ERR 4 "), "{wire:?}: {reply}");
+        assert!(reply.contains("exceeds the 65536-byte cap"), "{reply}");
+        assert_eq!(hostile.recv(), None, "{wire:?}: then the daemon hangs up");
+
+        // Exactly at the cap is still a request like any other: an
+        // unknown verb of 65 536 bytes, a frame body of as many.
+        let mut edge = RawClient::connect(addr, wire);
+        let at_cap = match wire {
+            WireMode::Text => {
+                let mut line = vec![b'x'; MAX_FRAME_BYTES];
+                line.push(b'\n');
+                line
+            }
+            WireMode::Binary => {
+                let mut frame = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+                frame.resize(4 + MAX_FRAME_BYTES, 99);
+                frame
+            }
+        };
+        edge.send(&at_cap, false);
+        let reply = edge.recv().expect("a reply at the cap");
+        assert!(reply.starts_with("ERR 2 "), "{wire:?}: {reply}");
+        assert!(edge.roundtrip("SNAPSHOT").starts_with("OK conns=1"));
+
+        assert!(good.roundtrip("SNAPSHOT").starts_with("OK conns=1"));
+        assert_eq!(good.roundtrip("SHUTDOWN"), "OK violations=0");
+        assert_eq!(server.join().unwrap().unwrap().violations, 0);
+    }
+}
+
+/// A client parked on the first two bytes of a request must not hold the
+/// shutdown drain: once the flag is up it is dropped at its next idle
+/// poll, in either framing.
+#[test]
+fn a_half_received_request_does_not_hold_the_shutdown_drain() {
+    for wire in WIRES {
+        let (addr, server) = boot(wire);
+        let mut parked = RawClient::connect(addr, wire);
+        // One whole request first, so the connection has its reader; when
+        // the two bytes land relative to the flag then does not matter.
+        assert!(parked.roundtrip("SNAPSHOT").starts_with("OK conns=0"));
+        let unit = parked.unit("ESTABLISH 0 3 100 500 100");
+        parked.send(&unit[..2], false);
+
+        let mut closer = RawClient::connect(addr, wire);
+        let asked = Instant::now();
+        assert_eq!(closer.roundtrip("SHUTDOWN"), "OK violations=0");
+        let report = server.join().unwrap().unwrap();
+        let took = asked.elapsed();
+        assert_eq!(report.violations, 0);
+        assert_eq!(report.ops, 2, "{wire:?}: the half request never ran");
+        assert!(
+            took < Duration::from_millis(900),
+            "{wire:?}: the drain waited {took:?} on a parked half request"
+        );
+        assert_eq!(
+            parked.recv(),
+            None,
+            "{wire:?}: the parked client is dropped"
+        );
+    }
+}
+
+/// Outside shutdown a request reassembles however it is cut up: the
+/// malformed burst delivered one byte per write draws the replies the
+/// whole-unit delivery draws. (The binary burst is the parseable lines as
+/// frames plus one hand-built frame per frame-level error family.)
+#[test]
+fn byte_at_a_time_delivery_draws_the_same_replies() {
+    for wire in WIRES {
+        let (addr, server) = boot(wire);
+        let mut client = RawClient::connect(addr, wire);
+        let burst: Vec<Vec<u8>> = match wire {
+            WireMode::Text => MALFORMED_BURST
+                .iter()
+                .map(|(line, _)| format!("{line}\n").into_bytes())
+                .collect(),
+            WireMode::Binary => {
+                let parseable = MALFORMED_BURST
+                    .iter()
+                    .filter_map(|(line, _)| protocol::parse(line).ok())
+                    .map(|req| frame::encode_request(&req));
+                let release = frame::encode_request(&protocol::parse("RELEASE 1").unwrap())[4];
+                let torn: [&[u8]; 4] = [&[], &[99], &[release], &[release, 1, 2, 3]];
+                let raw = torn.iter().map(|body| {
+                    let mut f = (body.len() as u32).to_le_bytes().to_vec();
+                    f.extend_from_slice(body);
+                    f
+                });
+                parseable.chain(raw).collect()
+            }
+        };
+        assert!(burst.len() >= 12, "{wire:?}: {} units", burst.len());
+        let mut replies = [Vec::new(), Vec::new()];
+        for (drip, got) in [false, true].into_iter().zip(&mut replies) {
+            for unit in &burst {
+                client.send(unit, drip);
+                got.push(client.recv().expect("every unit is answered"));
+            }
+        }
+        let [whole, dripped] = replies;
+        assert_eq!(whole, dripped, "{wire:?}");
+        assert!(whole.iter().all(|r| r.starts_with("ERR ")), "{whole:?}");
+        if wire == WireMode::Text {
+            for (reply, (line, prefix)) in whole.iter().zip(MALFORMED_BURST) {
+                assert!(reply.starts_with(prefix), "{line:?}: {reply}");
+            }
+        }
+        assert_eq!(client.roundtrip("SHUTDOWN"), "OK violations=0");
+        assert_eq!(server.join().unwrap().unwrap().violations, 0);
+    }
 }

@@ -141,6 +141,11 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
+/// A verb's opcode, looked up in the verb table.
+fn opcode(verb: &str) -> u8 {
+    drqos_core::wire::verb_named(verb).expect(verb).opcode
+}
+
 /// A complete frame (length prefix included) around a hand-built body —
 /// used to pin malformed-frame handling in the golden transcript.
 fn raw_frame(body: &[u8]) -> Vec<u8> {
@@ -184,11 +189,11 @@ fn binary_frames_match_blessed_transcript() {
         ("unknown opcode 99", raw_frame(&[99])),
         (
             "RELEASE missing its argument",
-            raw_frame(&[frame::OP_RELEASE]),
+            raw_frame(&[opcode("RELEASE")]),
         ),
         (
             "RELEASE with a torn u64",
-            raw_frame(&[frame::OP_RELEASE, 1, 2, 3]),
+            raw_frame(&[opcode("RELEASE"), 1, 2, 3]),
         ),
         ("SHUTDOWN", req("SHUTDOWN")),
     ];
@@ -252,11 +257,11 @@ fn binary_srlg_frames_match_blessed_transcript() {
         ("REPAIR-SRLG 99", req("REPAIR-SRLG 99")),
         (
             "FAIL-SRLG missing its argument",
-            raw_frame(&[frame::OP_FAIL_SRLG]),
+            raw_frame(&[opcode("FAIL-SRLG")]),
         ),
         (
             "REPAIR-SRLG with a torn u64",
-            raw_frame(&[frame::OP_REPAIR_SRLG, 1, 2, 3]),
+            raw_frame(&[opcode("REPAIR-SRLG"), 1, 2, 3]),
         ),
         ("SNAPSHOT", req("SNAPSHOT")),
         ("RELEASE 1", req("RELEASE 1")),
