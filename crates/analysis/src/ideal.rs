@@ -20,7 +20,7 @@ use drqos_core::qos::{Bandwidth, ElasticQos};
 /// # Panics
 ///
 /// Panics if `avg_hops` is negative or not finite.
-pub fn ideal_average_bandwidth(
+pub(crate) fn ideal_average_bandwidth(
     link_bandwidth: Bandwidth,
     edges: usize,
     channels: usize,
@@ -40,7 +40,7 @@ pub fn ideal_average_bandwidth(
 /// The ideal line clamped to the elastic QoS range `[B_min, B_max]`, as
 /// plotted in the paper's Figure 2 (a channel can never reserve more than
 /// `B_max` nor less than it needs to exist).
-pub fn ideal_clamped(
+pub(crate) fn ideal_clamped(
     link_bandwidth: Bandwidth,
     edges: usize,
     channels: usize,

@@ -294,7 +294,7 @@ impl ElasticQosModel {
     /// * [`ModelError::InvalidRate`] if `t` is negative or non-finite.
     /// * [`ModelError::Solve`] if the distribution restricted to active
     ///   states is empty or the solver fails.
-    pub fn transient_levels(&self, initial: &[f64], t: f64) -> Result<Vec<f64>, ModelError> {
+    pub(crate) fn transient_levels(&self, initial: &[f64], t: f64) -> Result<Vec<f64>, ModelError> {
         let n = self.qos.num_levels();
         if initial.len() != n {
             return Err(ModelError::StateMismatch {

@@ -8,7 +8,7 @@
 
 use crate::ideal;
 use crate::model::{ElasticQosModel, EventRates};
-use drqos_core::experiment::{run_churn, ExperimentConfig, ExperimentReport};
+use drqos_core::experiment::{ExperimentConfig, ExperimentReport};
 use drqos_core::network::Network;
 use drqos_core::scenario::{run_scenario_churn, Scenario};
 use drqos_topology::graph::Graph;
@@ -38,22 +38,21 @@ impl ExperimentAnalysis {
     }
 }
 
-/// Runs one experiment point on `graph`.
+/// Runs one experiment point on `graph` in the paper's calibrated regime:
+/// [`analyze_scenario`] under [`Scenario::baseline`].
+pub fn analyze(graph: Graph, config: &ExperimentConfig) -> ExperimentAnalysis {
+    analyze_scenario(graph, config, &Scenario::baseline())
+}
+
+/// Runs one experiment point under `scenario`: simulate
+/// ([`run_scenario_churn`]) → measure → model → compare. The Markov model
+/// always assumes the paper's calibrated regime, so under an adversarial
+/// [`Scenario`] the analytic column quantifies how far that scenario
+/// pushes reality away from the model's world — the divergence the
+/// scenario sweep reports per scenario.
 ///
 /// The graph is consumed (the network takes ownership); topology statistics
 /// needed for the ideal reference are computed before the run.
-pub fn analyze(graph: Graph, config: &ExperimentConfig) -> ExperimentAnalysis {
-    let edges = graph.link_count();
-    let (report, network) = run_churn(graph, config);
-    assemble(report, network, edges, config)
-}
-
-/// Runs one experiment point under an adversarial [`Scenario`]: same
-/// measure → model → compare pipeline as [`analyze`], but the simulation
-/// leg is [`run_scenario_churn`]. The Markov model still assumes the
-/// paper's calibrated regime, so the analytic column quantifies how far
-/// each scenario pushes reality away from the model's world — the
-/// divergence the scenario sweep reports per scenario.
 pub fn analyze_scenario(
     graph: Graph,
     config: &ExperimentConfig,
@@ -61,17 +60,6 @@ pub fn analyze_scenario(
 ) -> ExperimentAnalysis {
     let edges = graph.link_count();
     let (report, network) = run_scenario_churn(graph, config, scenario);
-    assemble(report, network, edges, config)
-}
-
-/// The shared measure → model → compare tail of [`analyze`] and
-/// [`analyze_scenario`].
-fn assemble(
-    report: ExperimentReport,
-    network: Network,
-    edges: usize,
-    config: &ExperimentConfig,
-) -> ExperimentAnalysis {
     let rates = EventRates {
         lambda: config.lambda,
         mu: config.lambda,

@@ -31,7 +31,7 @@ pub fn cell(v: f64) -> String {
 /// Returns any I/O error from directory creation or writing, and
 /// `InvalidInput` when a row's width differs from the header's (a malformed
 /// table must not be half-written to disk).
-pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
+pub(crate) fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
     for (i, row) in rows.iter().enumerate() {
         if row.len() != header.len() {
             return Err(io::Error::new(
@@ -57,7 +57,7 @@ pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> io::Resu
 
 /// Writes rows and prints where they went (best-effort: export failures
 /// warn on stderr rather than aborting an experiment that already ran).
-pub fn export(name: &str, header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn export(name: &str, header: &[&str], rows: &[Vec<String>]) {
     let path = default_dir().join(format!("{name}.csv"));
     match write_csv(&path, header, rows) {
         Ok(()) => println!("\n(series written to {})", path.display()),

@@ -36,14 +36,14 @@ pub fn paper_graph(nodes: usize, seed: u64) -> Graph {
 
 /// The paper's Figure 3 network: the same Waxman model grown at constant
 /// density.
-pub fn paper_graph_scaled(nodes: usize, seed: u64) -> Graph {
+pub(crate) fn paper_graph_scaled(nodes: usize, seed: u64) -> Graph {
     waxman::paper_waxman_scaled(nodes)
         .generate(&mut Rng::seed_from_u64(seed))
         .expect("calibrated parameters are valid")
 }
 
 /// The paper's "Tier" network: a ~100-node transit-stub graph.
-pub fn tier_graph(seed: u64) -> Graph {
+pub(crate) fn tier_graph(seed: u64) -> Graph {
     TransitStubConfig::paper_default()
         .generate(&mut Rng::seed_from_u64(seed))
         .expect("paper defaults are valid")
@@ -302,17 +302,6 @@ pub struct DependabilityRow {
     pub active_end: usize,
 }
 
-impl DependabilityRow {
-    /// Dropped fraction of accepted connections.
-    pub fn drop_ratio(&self) -> f64 {
-        if self.accepted == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.accepted as f64
-        }
-    }
-}
-
 /// Runs a failure storm (γ comparable to λ, slow repair) against networks
 /// configured with different per-connection backup counts — the
 /// dependability payoff the passive backup scheme exists for, extended to
@@ -379,7 +368,7 @@ pub struct ScenarioSweepRow {
 }
 
 /// Relative model-vs-sim divergence; `NaN` when either side degenerated.
-pub fn model_divergence(sim: f64, analytic: f64) -> f64 {
+pub(crate) fn model_divergence(sim: f64, analytic: f64) -> f64 {
     if sim > 0.0 && analytic.is_finite() {
         (analytic - sim).abs() / sim
     } else {

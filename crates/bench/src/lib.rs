@@ -1,9 +1,10 @@
 //! # drqos-bench
 //!
 //! Experiment harnesses that regenerate every table and figure of the
-//! paper's evaluation (Section 4), shared between the runnable binaries
-//! (`fig2`, `table1`, `fig3`, `fig4`, `ablation`) and the Criterion
-//! benches (which run scaled-down versions).
+//! paper's evaluation (Section 4), behind the runnable binaries (`fig2`,
+//! `table1`, `fig3`, `fig4`, `ablation`, `scenario_sweep`). Timing lives
+//! elsewhere: the repo's one yardstick is the `benchmark/` package
+//! (`bench` end to end, `layers` per layer; PERF.md).
 //!
 //! Each harness returns plain data rows; the binaries render them with
 //! [`drqos_analysis::report::TextTable`]. EXPERIMENTS.md records the
@@ -14,7 +15,6 @@
 
 pub mod csv;
 pub mod experiments;
-pub mod microbench;
 pub mod runner;
 
 pub use experiments::{

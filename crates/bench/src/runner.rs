@@ -52,7 +52,7 @@ pub fn derive_seed(base: u64, salt: u64) -> u64 {
 
 /// The sweep worker count: `DRQOS_THREADS` if set (minimum 1), otherwise
 /// the machine's available parallelism.
-pub fn thread_count() -> usize {
+pub(crate) fn thread_count() -> usize {
     drqos_core::env::threads().unwrap_or_else(|| {
         std::thread::available_parallelism() // lint:allow(determinism-taint): worker count only shapes scheduling; emitted rows are index-ordered
             .map(std::num::NonZeroUsize::get)
@@ -117,7 +117,7 @@ pub struct PointRecord<R> {
 
 impl<R> PointRecord<R> {
     /// Simulated events per wall-clock second for this point.
-    pub fn events_per_sec(&self) -> f64 {
+    pub(crate) fn events_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs > 0.0 {
             self.obs.events as f64 / secs
@@ -130,7 +130,7 @@ impl<R> PointRecord<R> {
 /// CSV header for the observability columns appended after the series
 /// columns. (Wall-clock columns vary run to run; the *series* columns stay
 /// byte-identical across worker counts.)
-pub const OBS_HEADER: [&str; 5] = [
+pub(crate) const OBS_HEADER: [&str; 5] = [
     "wall_ms",
     "events_per_sec",
     "obs_accepted",
@@ -139,7 +139,7 @@ pub const OBS_HEADER: [&str; 5] = [
 ];
 
 /// The observability cells matching [`OBS_HEADER`] for one record.
-pub fn obs_cells<R>(record: &PointRecord<R>) -> Vec<String> {
+pub(crate) fn obs_cells<R>(record: &PointRecord<R>) -> Vec<String> {
     vec![
         format!("{:.3}", record.wall.as_secs_f64() * 1e3),
         format!("{:.0}", record.events_per_sec()),
@@ -181,7 +181,7 @@ impl<R> Sweep<R> {
 
     /// Aggregates this sweep into a named runtime summary for
     /// `runtime.json`.
-    pub fn runtime_summary(&self, name: &str) -> RuntimeSummary {
+    pub(crate) fn runtime_summary(&self, name: &str) -> RuntimeSummary {
         let mut obs = PointObs::default();
         for r in &self.records {
             obs.events += r.obs.events;
@@ -372,7 +372,7 @@ impl RuntimeSummary {
 /// # Errors
 ///
 /// Returns any I/O error from directory creation, writing, or re-reading.
-pub fn record_runtime(summary: &RuntimeSummary) -> io::Result<PathBuf> {
+pub(crate) fn record_runtime(summary: &RuntimeSummary) -> io::Result<PathBuf> {
     let name: String = summary
         .name
         .chars()
@@ -471,15 +471,9 @@ pub fn record_runtime_entry(stem: &str, json: &str) -> io::Result<PathBuf> {
     record_runtime_entry_in(&crate::csv::default_dir(), stem, json)
 }
 
-/// [`record_runtime_entry`] with an explicit experiments directory.
-///
-/// The default resolves `target/experiments` relative to the current
-/// working directory, which is right for the sweep binaries (run from the
-/// workspace root) but wrong for `cargo bench`/`cargo test`, whose
-/// processes start in the *package* root — a bench that wants its entry
-/// in the canonical workspace aggregate should anchor explicitly, e.g.
-/// via `CARGO_MANIFEST_DIR`.
-pub fn record_runtime_entry_in(experiments: &Path, stem: &str, json: &str) -> io::Result<PathBuf> {
+/// [`record_runtime_entry`] with an explicit experiments directory (the
+/// tests write under a scratch one).
+fn record_runtime_entry_in(experiments: &Path, stem: &str, json: &str) -> io::Result<PathBuf> {
     let dir = experiments.join("runtime");
     fs::create_dir_all(&dir)?;
     let stem: String = stem

@@ -192,7 +192,7 @@ pub enum ApplyOutcome {
 /// Applies one committed operation to a network. This is the single
 /// replay function shared by the coordinator's serial path and every
 /// replica, so the two cannot drift.
-pub fn apply_committed(net: &mut Network, op: &CommittedOp) -> ApplyOutcome {
+pub(crate) fn apply_committed(net: &mut Network, op: &CommittedOp) -> ApplyOutcome {
     match op {
         CommittedOp::Establish(req) => {
             ApplyOutcome::Establish(net.establish(req.src, req.dst, req.qos))
@@ -276,7 +276,7 @@ impl Coordinator {
     }
 
     /// Whether `member` is a live roster entry.
-    pub fn is_alive(&self, member: u64) -> bool {
+    pub(crate) fn is_alive(&self, member: u64) -> bool {
         usize::try_from(member)
             .ok()
             .and_then(|m| self.alive.get(m).copied())
@@ -289,7 +289,7 @@ impl Coordinator {
     }
 
     /// The live member owning `node`.
-    pub fn member_of_node(&self, node: NodeId) -> u64 {
+    pub(crate) fn member_of_node(&self, node: NodeId) -> u64 {
         self.assignment.member_of_node(node)
     }
 
@@ -312,7 +312,7 @@ impl Coordinator {
 
     /// Arms (or clears) the lost-prepare fault for the mutation
     /// self-test: the next commit "forgets" to close its ticket.
-    pub fn set_lose_prepare(&mut self, lose: bool) {
+    pub(crate) fn set_lose_prepare(&mut self, lose: bool) {
         self.lose_prepare = lose;
         self.fault_fired = false;
     }
@@ -390,7 +390,7 @@ impl Coordinator {
     /// Admits a request without a member prepare: used to re-establish
     /// requests orphaned by a member crash mid-wave. Appends the oplog
     /// record like any commit.
-    pub fn establish_unprepared(
+    pub(crate) fn establish_unprepared(
         &mut self,
         req: &EstablishRequest,
         pending_fill: &mut PendingFill,

@@ -41,9 +41,7 @@ pub mod proto;
 pub mod rebalance;
 pub mod sim;
 
-pub use coordinator::{
-    apply_committed, ApplyOutcome, CommittedOp, Coordinator, MemberOp, Prepared,
-};
+pub use coordinator::{ApplyOutcome, CommittedOp, Coordinator, MemberOp, Prepared};
 pub use member::Member;
 pub use proto::{ClusterMsg, CoordMsg, ProtoError, WireRequest};
 pub use rebalance::Assignment;

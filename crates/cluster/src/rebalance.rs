@@ -16,7 +16,7 @@
 //! and every compact shard maps to a live member id.
 
 use drqos_core::env::RebalancePolicy;
-use drqos_topology::{Graph, LinkId, NodeId, Partition};
+use drqos_topology::{Graph, NodeId, Partition};
 
 /// The live-member ownership map: a compact [`Partition`] over the
 /// survivors plus the member id owning each compact shard.
@@ -30,7 +30,7 @@ impl Assignment {
     /// Computes the assignment for the given live set. Returns `None`
     /// when no member is alive (the coordinator's last-member guard makes
     /// that unreachable in practice).
-    pub fn compute(
+    pub(crate) fn compute(
         graph: &Graph,
         alive: &[bool],
         seed: u64,
@@ -68,18 +68,13 @@ impl Assignment {
     }
 
     /// The member id owning `node`.
-    pub fn member_of_node(&self, node: NodeId) -> u64 {
+    pub(crate) fn member_of_node(&self, node: NodeId) -> u64 {
         self.member_of_shard(self.partition.shard_of_node(node))
-    }
-
-    /// The member id owning `link`.
-    pub fn member_of_link(&self, link: LinkId) -> u64 {
-        self.member_of_shard(self.partition.shard_of_link(link))
     }
 
     /// The member id owning compact shard `shard` (shard 0's owner for an
     /// out-of-range index, mirroring [`Partition::shard_of_node`]).
-    pub fn member_of_shard(&self, shard: usize) -> u64 {
+    pub(crate) fn member_of_shard(&self, shard: usize) -> u64 {
         self.shard_member
             .get(shard)
             .or_else(|| self.shard_member.first())
@@ -116,7 +111,7 @@ mod tests {
                 alive[(seed % 4) as usize] = false; // the departed member
                 let a = Assignment::compute(&g, &alive, seed ^ 0x0BAD, policy).unwrap();
                 for l in g.links() {
-                    let owner = a.member_of_link(l.id());
+                    let owner = a.member_of_shard(a.partition().shard_of_link(l.id()));
                     assert!(
                         alive[owner as usize],
                         "seed {seed} {policy:?}: link {:?} owned by dead member m{owner}",

@@ -24,7 +24,6 @@ use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
 use drqos_core::error::{AdmissionError, ClusterError};
 use drqos_core::network::{EstablishRequest, Network, PendingFill, PrePlanned};
-use drqos_topology::NodeId;
 
 /// Injected cluster faults for the mutation self-tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,7 +59,12 @@ impl ClusterSim {
     }
 
     /// Like [`ClusterSim::new`] with an explicit rebalance policy.
-    pub fn with_policy(net: Network, members: usize, seed: u64, policy: RebalancePolicy) -> Self {
+    pub(crate) fn with_policy(
+        net: Network,
+        members: usize,
+        seed: u64,
+        policy: RebalancePolicy,
+    ) -> Self {
         let members = members.max(1);
         let genesis = net.clone();
         let coord = Coordinator::new(net, members, seed, policy);
@@ -108,11 +112,6 @@ impl ClusterSim {
     /// cluster).
     pub fn pending_prepares(&self) -> usize {
         self.coord.pending_prepares()
-    }
-
-    /// The live member owning `node` under the current assignment.
-    pub fn member_of_node(&self, node: NodeId) -> u64 {
-        self.coord.member_of_node(node)
     }
 
     /// Admits a wave of requests: each is planned on its home member's
@@ -266,6 +265,7 @@ mod tests {
     use drqos_core::snapshot::NetworkSnapshot;
     use drqos_sim::rng::Rng;
     use drqos_topology::regular::ring;
+    use drqos_topology::NodeId;
 
     fn fresh_net() -> Network {
         Network::new(ring(8).unwrap(), NetworkConfig::default())

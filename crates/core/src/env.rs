@@ -27,19 +27,19 @@
 /// `DRQOS_THREADS` — sweep worker count (see [`threads`]).
 pub const THREADS: &str = "DRQOS_THREADS";
 /// `DRQOS_CHECKED` — per-event invariant checking (see [`checked`]).
-pub const CHECKED: &str = "DRQOS_CHECKED";
+pub(crate) const CHECKED: &str = "DRQOS_CHECKED";
 /// `DRQOS_ROUTE_CACHE` — admission route-cache toggle (see
 /// [`route_cache`]).
-pub const ROUTE_CACHE: &str = "DRQOS_ROUTE_CACHE";
+pub(crate) const ROUTE_CACHE: &str = "DRQOS_ROUTE_CACHE";
 /// `DRQOS_BLESS` — golden-trace re-bless switch (see [`bless`]).
-pub const BLESS: &str = "DRQOS_BLESS";
+pub(crate) const BLESS: &str = "DRQOS_BLESS";
 /// `DRQOS_BATCH` — daemon event-loop batch size (see [`batch`]).
 pub const BATCH: &str = "DRQOS_BATCH";
 /// `DRQOS_QUEUE_DEPTH` — daemon command-queue capacity (see
 /// [`queue_depth`]).
 pub const QUEUE_DEPTH: &str = "DRQOS_QUEUE_DEPTH";
 /// `DRQOS_WIRE` — daemon wire framing, text or binary (see [`wire`]).
-pub const WIRE: &str = "DRQOS_WIRE";
+pub(crate) const WIRE: &str = "DRQOS_WIRE";
 /// `DRQOS_BUSY_RETRIES` — loadgen `BUSY` retry cap (see
 /// [`busy_retries`]).
 pub const BUSY_RETRIES: &str = "DRQOS_BUSY_RETRIES";
@@ -50,41 +50,41 @@ pub const SHARDS: &str = "DRQOS_SHARDS";
 pub const CLUSTER_MEMBERS: &str = "DRQOS_CLUSTER_MEMBERS";
 /// `DRQOS_CLUSTER_COORD_PORT` — coordinator listen port (see
 /// [`cluster_coord_port`]).
-pub const CLUSTER_COORD_PORT: &str = "DRQOS_CLUSTER_COORD_PORT";
+pub(crate) const CLUSTER_COORD_PORT: &str = "DRQOS_CLUSTER_COORD_PORT";
 /// `DRQOS_CLUSTER_PREPARE_TIMEOUT_MS` — two-phase prepare timeout (see
 /// [`cluster_prepare_timeout_ms`]).
-pub const CLUSTER_PREPARE_TIMEOUT_MS: &str = "DRQOS_CLUSTER_PREPARE_TIMEOUT_MS";
+pub(crate) const CLUSTER_PREPARE_TIMEOUT_MS: &str = "DRQOS_CLUSTER_PREPARE_TIMEOUT_MS";
 /// `DRQOS_CLUSTER_REBALANCE` — churn rebalance policy (see
 /// [`cluster_rebalance`]).
-pub const CLUSTER_REBALANCE: &str = "DRQOS_CLUSTER_REBALANCE";
+pub(crate) const CLUSTER_REBALANCE: &str = "DRQOS_CLUSTER_REBALANCE";
 /// `DRQOS_SCENARIO` — adversarial workload scenario (see [`scenario`]).
-pub const SCENARIO: &str = "DRQOS_SCENARIO";
+pub(crate) const SCENARIO: &str = "DRQOS_SCENARIO";
 /// `DRQOS_SRLG_COUNT` — seeded shared-risk groups to derive (see
 /// [`srlg_count`]).
-pub const SRLG_COUNT: &str = "DRQOS_SRLG_COUNT";
+pub(crate) const SRLG_COUNT: &str = "DRQOS_SRLG_COUNT";
 /// `DRQOS_SRLG_SIZE` — links per derived shared-risk group (see
 /// [`srlg_size`]).
-pub const SRLG_SIZE: &str = "DRQOS_SRLG_SIZE";
+pub(crate) const SRLG_SIZE: &str = "DRQOS_SRLG_SIZE";
 
 /// Default for `DRQOS_BATCH`: commands drained per event-loop tick.
-pub const DEFAULT_BATCH: usize = 64;
+pub(crate) const DEFAULT_BATCH: usize = 64;
 /// Default for `DRQOS_QUEUE_DEPTH`: bounded command-queue capacity.
-pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
+pub(crate) const DEFAULT_QUEUE_DEPTH: usize = 1024;
 /// Default for `DRQOS_BUSY_RETRIES`: bounded `BUSY` retry attempts.
-pub const DEFAULT_BUSY_RETRIES: usize = 64;
+pub(crate) const DEFAULT_BUSY_RETRIES: usize = 64;
 /// Default for `DRQOS_SHARDS`: one shard, i.e. the monolithic engine.
-pub const DEFAULT_SHARDS: usize = 1;
+pub(crate) const DEFAULT_SHARDS: usize = 1;
 /// Default for `DRQOS_CLUSTER_MEMBERS`: a three-daemon federation.
-pub const DEFAULT_CLUSTER_MEMBERS: usize = 3;
+pub(crate) const DEFAULT_CLUSTER_MEMBERS: usize = 3;
 /// Default for `DRQOS_CLUSTER_COORD_PORT`: the coordinator listen port.
-pub const DEFAULT_CLUSTER_COORD_PORT: u16 = 7900;
+pub(crate) const DEFAULT_CLUSTER_COORD_PORT: u16 = 7900;
 /// Default for `DRQOS_CLUSTER_PREPARE_TIMEOUT_MS`: how long a member
 /// waits for a two-phase verdict before aborting.
-pub const DEFAULT_CLUSTER_PREPARE_TIMEOUT_MS: u64 = 2000;
+pub(crate) const DEFAULT_CLUSTER_PREPARE_TIMEOUT_MS: u64 = 2000;
 /// Default for `DRQOS_SRLG_COUNT`: no shared-risk groups registered.
-pub const DEFAULT_SRLG_COUNT: usize = 0;
+pub(crate) const DEFAULT_SRLG_COUNT: usize = 0;
 /// Default for `DRQOS_SRLG_SIZE`: three links per derived group.
-pub const DEFAULT_SRLG_SIZE: usize = 3;
+pub(crate) const DEFAULT_SRLG_SIZE: usize = 3;
 
 /// Partition rebalance policy selected by `DRQOS_CLUSTER_REBALANCE`:
 /// how surviving members divide the topology after membership churn.
@@ -222,7 +222,7 @@ pub fn registry() -> &'static [EnvVar] {
         },
         EnvVar {
             name: SCENARIO,
-            consumed_by: "loadgen / `scenario_sweep`",
+            consumed_by: "loadgen",
             default: "`baseline`",
             doc: "adversarial workload scenario: `baseline`, \
                   `flash-crowd`, `diurnal`, `pareto`, or `srlg` \
@@ -230,14 +230,14 @@ pub fn registry() -> &'static [EnvVar] {
         },
         EnvVar {
             name: SRLG_COUNT,
-            consumed_by: "`drqosd` / scenario engine",
+            consumed_by: "`drqosd`",
             default: "`0` (none)",
             doc: "shared-risk link groups to derive from the seed and \
                   register at startup; `FAIL-SRLG g` fires group g",
         },
         EnvVar {
             name: SRLG_SIZE,
-            consumed_by: "`drqosd` / scenario engine",
+            consumed_by: "`drqosd`",
             default: "`3`",
             doc: "links per derived shared-risk group (minimum 1)",
         },

@@ -12,15 +12,23 @@
 //! 3. measures, per event, the chaining probabilities and level transitions
 //!    feeding the Markov model, plus the time-weighted average bandwidth
 //!    that serves as the simulation ground truth.
+//!
+//! There is one churn loop, [`run_scenario_churn`]; a
+//! [`Scenario`] chooses the processes that feed it
+//! (arrival-rate curve, holding-time law, correlated failures) and
+//! [`run_churn`] is that loop in the paper's own world,
+//! [`Scenario::baseline`].
 
 use crate::channel::ConnectionId;
 use crate::measure::{LevelTransition, MeasuredParams, ParameterEstimator, RouteCacheStats};
 use crate::network::{Network, NetworkConfig};
 use crate::qos::ElasticQos;
+use crate::scenario::{register_seeded_srlgs, Scenario, ScenarioKind, SRLG_STREAM};
 use crate::workload::Workload;
-use drqos_sim::dist::{Distribution, Exponential};
+use drqos_sim::dist::{Distribution, Exponential, Pareto};
 use drqos_sim::engine::Simulator;
 use drqos_sim::rng::Rng;
+use drqos_sim::srlg::{SrlgChurn, SrlgEvent};
 use drqos_sim::stats::TimeWeighted;
 use drqos_sim::time::SimTime;
 use drqos_topology::graph::{Graph, LinkId};
@@ -81,7 +89,7 @@ impl ExperimentConfig {
 }
 
 /// Outcome of a churn experiment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExperimentReport {
     /// Requests attempted (warm-up + churn arrivals).
     pub attempted: u64,
@@ -114,12 +122,22 @@ pub struct ExperimentReport {
     pub cache: RouteCacheStats,
 }
 
+/// The churn loop's events. A scenario decides which of them are ever
+/// scheduled; the arms that handle them are the same for every kind.
 #[derive(Debug)]
 enum Event {
-    Arrival,
+    /// A candidate of the arrival process, before thinning.
+    Candidate,
+    /// Memoryless global termination (non-Pareto scenarios).
     Termination,
+    /// Per-connection heavy-tailed holding expiry (Pareto scenario).
+    Expire(ConnectionId),
+    /// Independent link failure (the γ process).
     Failure,
+    /// Scheduled repair of an independently-failed link.
     Repair(LinkId),
+    /// The next event of the SRLG churn driver is due.
+    Srlg,
 }
 
 /// Warm-up wave width — the daemon's batch size.
@@ -134,55 +152,99 @@ pub fn checked_mode() -> bool {
     crate::env::checked().unwrap_or(cfg!(debug_assertions))
 }
 
-/// Runs a churn experiment on `graph`.
+/// Runs the paper's churn experiment on `graph`: [`run_scenario_churn`]
+/// under [`Scenario::baseline`].
 ///
 /// Deterministic for a given `(graph, config)`; the graph is moved in, and
 /// the final network state is returned alongside the report for further
 /// inspection.
 pub fn run_churn(graph: Graph, config: &ExperimentConfig) -> (ExperimentReport, Network) {
+    run_scenario_churn(graph, config, &Scenario::baseline())
+}
+
+/// Runs the churn experiment under `scenario` — the one churn loop. Every
+/// kind shares the warm-up, the event arms and the measurement tail; a
+/// scenario varies only which processes feed the loop:
+///
+/// * arrivals are drawn by thinning against [`Scenario::peak_rate`], so
+///   flash-crowd and diurnal modulation are exact (not stepwise), and the
+///   flat kinds keep every candidate;
+/// * the Pareto scenario schedules one expiry per accepted connection
+///   (mean holding time `target_connections/λ`, preserving the target
+///   population) instead of the memoryless global termination process;
+/// * the SRLG scenario fires [`Network::fail_srlg`] /
+///   [`Network::repair_srlg`] events from the seeded churn driver on top
+///   of the independent γ failures every kind has.
+pub fn run_scenario_churn(
+    graph: Graph,
+    config: &ExperimentConfig,
+    scenario: &Scenario,
+) -> (ExperimentReport, Network) {
     let checked = checked_mode();
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut net = Network::new(graph, config.network.clone());
     let workload = Workload::new(config.qos);
     let n_nodes = net.graph().node_count();
-    let mut report = ExperimentReport {
-        attempted: 0,
-        accepted: 0,
-        rejected_primary: 0,
-        rejected_backup: 0,
-        active_end: 0,
-        avg_bandwidth_sim: 0.0,
-        avg_bandwidth_end: 0.0,
-        avg_path_hops: 0.0,
-        failures: 0,
-        dropped: 0,
-        params: None,
-        cache: RouteCacheStats::default(),
-    };
+    let mut report = ExperimentReport::default();
 
     net = warm_up(net, config, &workload, &mut rng, &mut report);
 
     // ---- Churn. ----
-    // A degenerate configuration (non-positive rates) runs no churn at
-    // all rather than panicking: this path is reachable from the daemon.
+    // A degenerate configuration (non-positive rates or shapes) runs no
+    // churn at all rather than panicking: this path is reachable from the
+    // daemon.
     let mut estimator = ParameterEstimator::new(config.qos.num_levels());
     // Estimator updates are contracts ("levels in range by construction");
     // a violated contract abandons parameter estimation for the run
     // (`params: None`) instead of panicking the caller.
     let mut estimation_ok = true;
-    let Ok(arrival_dist) = Exponential::new(config.lambda) else {
+    let mut sim: Simulator<Event> = Simulator::new();
+
+    // Non-homogeneous arrivals by thinning: candidates at the peak rate,
+    // each kept with probability rate(t)/peak. `Rng::chance` consumes a
+    // draw even at probability one, and every committed series was
+    // produced with that draw taken by every kind except the baseline —
+    // so Pareto and SRLG, whose rate is flat, still take theirs (dropping
+    // it would shift every later sample and move their series), and the
+    // baseline, whose `peak == λ` makes the candidates *be* the arrivals,
+    // takes none.
+    let thinned = scenario.kind != ScenarioKind::Baseline;
+    let peak = scenario.peak_rate(config.lambda);
+    let Ok(candidate_dist) = Exponential::new(peak) else {
         return (report, net);
     };
-    let termination_dist = arrival_dist; // steady state: λ = μ
-    let mut sim: Simulator<Event> = Simulator::new();
     sim.schedule(
-        SimTime::ZERO + arrival_dist.sample(&mut rng),
-        Event::Arrival,
+        SimTime::ZERO + candidate_dist.sample(&mut rng),
+        Event::Candidate,
     );
-    sim.schedule(
-        SimTime::ZERO + termination_dist.sample(&mut rng),
-        Event::Termination,
-    );
+
+    // Departures: heavy-tailed per-connection expiry for the Pareto
+    // scenario, the memoryless process (steady state: μ = λ) otherwise.
+    let pareto_holding = if scenario.kind == ScenarioKind::ParetoHolding {
+        let mean = config.target_connections.max(1) as f64 / config.lambda;
+        let Ok(holding) = Pareto::from_mean(mean, scenario.pareto_shape) else {
+            return (report, net);
+        };
+        Some(holding)
+    } else {
+        None
+    };
+    let Ok(termination_dist) = Exponential::new(config.lambda) else {
+        return (report, net);
+    };
+    if let Some(holding) = &pareto_holding {
+        let live: Vec<ConnectionId> = net.connections().map(|c| c.id()).collect();
+        for id in live {
+            sim.schedule(SimTime::ZERO + holding.sample(&mut rng), Event::Expire(id));
+        }
+    } else {
+        sim.schedule(
+            SimTime::ZERO + termination_dist.sample(&mut rng),
+            Event::Termination,
+        );
+    }
+
+    // Independent failures (γ).
     let failure_dist = (config.gamma > 0.0)
         .then(|| Exponential::new(config.gamma))
         .and_then(Result::ok);
@@ -192,6 +254,31 @@ pub fn run_churn(graph: Graph, config: &ExperimentConfig) -> (ExperimentReport, 
     let Ok(repair_dist) = Exponential::from_mean(config.mean_repair.max(f64::MIN_POSITIVE)) else {
         return (report, net);
     };
+
+    // Correlated failures: seeded groups + the drqos-sim churn driver,
+    // which runs on its own RNG stream.
+    let mut srlg_churn = if scenario.kind == ScenarioKind::SrlgChurn {
+        let registered = register_seeded_srlgs(
+            &mut net,
+            scenario.srlg_count,
+            scenario.srlg_size,
+            config.seed,
+        );
+        let Ok(churn) = SrlgChurn::new(
+            registered.max(1),
+            scenario.srlg_mean_up / config.lambda,
+            scenario.srlg_mean_down / config.lambda,
+            config.seed ^ SRLG_STREAM,
+        ) else {
+            return (report, net);
+        };
+        Some(churn)
+    } else {
+        None
+    };
+    if let Some(t) = srlg_churn.as_ref().and_then(SrlgChurn::peek_time) {
+        sim.schedule(SimTime::ZERO + t, Event::Srlg);
+    }
 
     // Average bandwidth per channel over the churn window, weighted by
     // channel-time: ∫ total_bandwidth dt / ∫ channel_count dt. (Weighting
@@ -204,24 +291,33 @@ pub fn run_churn(graph: Graph, config: &ExperimentConfig) -> (ExperimentReport, 
     while churn_done < config.churn_events {
         let Some((now, event)) = sim.pop() else { break };
         match event {
-            Event::Arrival => {
-                let req = workload.request(&mut rng, n_nodes);
-                report.attempted += 1;
-                match net.plan_establish(req.src, req.dst, req.qos) {
-                    Ok(plan) => {
-                        let (existing, direct, indirect) = observe_arrival(&net, &plan);
-                        net.commit_establish(plan);
-                        let direct_t = transitions_after(&net, &direct);
-                        let indirect_t = transitions_after(&net, &indirect);
-                        estimation_ok &= estimator
-                            .record_arrival(existing, &direct_t, &indirect_t)
-                            .is_ok();
-                        report.accepted += 1;
+            Event::Candidate => {
+                let keep = !thinned || {
+                    let rate = scenario.rate_at(config.seed, config.lambda, now.as_secs());
+                    rng.chance(rate / peak)
+                };
+                if keep {
+                    let req = workload.request(&mut rng, n_nodes);
+                    report.attempted += 1;
+                    match net.plan_establish(req.src, req.dst, req.qos) {
+                        Ok(plan) => {
+                            let (existing, direct, indirect) = observe_arrival(&net, &plan);
+                            let id = net.commit_establish(plan);
+                            let direct_t = transitions_after(&net, &direct);
+                            let indirect_t = transitions_after(&net, &indirect);
+                            estimation_ok &= estimator
+                                .record_arrival(existing, &direct_t, &indirect_t)
+                                .is_ok();
+                            report.accepted += 1;
+                            if let Some(holding) = &pareto_holding {
+                                sim.schedule_in(holding.sample(&mut rng), Event::Expire(id));
+                            }
+                        }
+                        Err(e) => classify_rejection(&mut report, &e),
                     }
-                    Err(e) => classify_rejection(&mut report, &e),
+                    churn_done += 1;
                 }
-                sim.schedule_in(arrival_dist.sample(&mut rng), Event::Arrival);
-                churn_done += 1;
+                sim.schedule_in(candidate_dist.sample(&mut rng), Event::Candidate);
             }
             Event::Termination => {
                 let ids: Vec<ConnectionId> = net.connections().map(|c| c.id()).collect();
@@ -231,27 +327,25 @@ pub fn run_churn(graph: Graph, config: &ExperimentConfig) -> (ExperimentReport, 
                 sim.schedule_in(termination_dist.sample(&mut rng), Event::Termination);
                 churn_done += 1;
             }
+            Event::Expire(id) => {
+                // The connection may have been dropped by a failure since
+                // its expiry was scheduled; an expired ghost is a no-op
+                // and does not count as a churn event.
+                if net.connection(id).is_some() {
+                    estimation_ok &= release_measured(&mut net, &mut estimator, id);
+                    churn_done += 1;
+                }
+            }
             Event::Failure => {
                 for _ in 0..config.failure_burst.max(1) {
                     let up: Vec<LinkId> = net.up_links().collect();
                     let Some(&link) = rng.choose(&up) else { break };
-                    // Measure the failure's effect over the *whole*
-                    // population: a failure both forces retreats (channels
-                    // sharing links with activated backups) and lets their
-                    // neighbours grow in the same re-distribution.
-                    // Conditioning only on the retreat set would record the
-                    // losers and miss the gainers, biasing the model's
-                    // failure term downward (see
-                    // `ParameterEstimator::record_failure`).
-                    let all_before: Vec<(ConnectionId, usize)> =
-                        net.connections().map(|c| (c.id(), c.level())).collect();
-                    let existing = all_before.len();
-                    if net.fail_link(link).is_err() {
+                    let fail = |net: &mut Network| net.fail_link(link).is_ok().then_some(1);
+                    let Some((downed, ok)) = fail_measured(&mut net, &mut estimator, fail) else {
                         break; // raced another failure source; stop the burst
-                    }
-                    let affected_t = transitions_after(&net, &all_before);
-                    estimation_ok &= estimator.record_failure(existing, &affected_t).is_ok();
-                    report.failures += 1;
+                    };
+                    estimation_ok &= ok;
+                    report.failures += downed;
                     sim.schedule_in(repair_dist.sample(&mut rng), Event::Repair(link));
                 }
                 if let Some(fd) = &failure_dist {
@@ -262,6 +356,33 @@ pub fn run_churn(graph: Graph, config: &ExperimentConfig) -> (ExperimentReport, 
             Event::Repair(link) => {
                 // Ignore the error if something else repaired it already.
                 let _ = net.repair_link(link);
+            }
+            Event::Srlg => {
+                if let Some(churn) = &mut srlg_churn {
+                    match churn.next_event() {
+                        Some((_, SrlgEvent::Fail(group))) => {
+                            // Already-down members (overlap with other
+                            // failure sources) make this a no-op.
+                            let fail = |net: &mut Network| {
+                                net.fail_srlg(group).ok().map(|r| r.len() as u64)
+                            };
+                            if let Some((downed, ok)) =
+                                fail_measured(&mut net, &mut estimator, fail)
+                            {
+                                estimation_ok &= ok;
+                                report.failures += downed;
+                                churn_done += 1;
+                            }
+                        }
+                        Some((_, SrlgEvent::Repair(group))) => {
+                            let _ = net.repair_srlg(group);
+                        }
+                        None => {}
+                    }
+                    if let Some(t) = churn.peek_time() {
+                        sim.schedule(SimTime::ZERO + t, Event::Srlg);
+                    }
+                }
             }
         }
         if checked {
@@ -290,12 +411,35 @@ pub fn run_churn(graph: Graph, config: &ExperimentConfig) -> (ExperimentReport, 
     (report, net)
 }
 
+/// Takes links down through `fail` while recording the failure's level
+/// transitions; `fail` returns how many links went down, or `None` when it
+/// refused and changed nothing (then nothing is recorded either). Returns
+/// that count and whether the estimator accepted the record.
+///
+/// The effect is measured over the *whole* population: a failure both
+/// forces retreats (channels sharing links with activated backups) and
+/// lets their neighbours grow in the same re-distribution. Conditioning
+/// only on the retreat set would record the losers and miss the gainers,
+/// biasing the model's failure term downward (see
+/// `ParameterEstimator::record_failure`).
+fn fail_measured(
+    net: &mut Network,
+    estimator: &mut ParameterEstimator,
+    fail: impl FnOnce(&mut Network) -> Option<u64>,
+) -> Option<(u64, bool)> {
+    let all_before: LevelSnapshot = net.connections().map(|c| (c.id(), c.level())).collect();
+    let downed = fail(net)?;
+    let affected_t = transitions_after(net, &all_before);
+    let recorded = estimator.record_failure(all_before.len(), &affected_t);
+    Some((downed, recorded.is_ok()))
+}
+
 /// Releases `victim` while recording the termination's level transitions.
 /// Tolerant of a stale id (a no-op) and of estimator contract violations:
 /// the returned flag is `false` when an estimator update failed, which
 /// abandons parameter estimation for the run instead of panicking — this
 /// path is reachable from the daemon zone.
-pub(crate) fn release_measured(
+fn release_measured(
     net: &mut Network,
     estimator: &mut ParameterEstimator,
     victim: ConnectionId,
@@ -327,9 +471,7 @@ pub(crate) fn release_measured(
 /// replays byte-identically to serial establishes in the same order at
 /// any shard count — the shard-differential fuzzer's guarantee — so
 /// `shards` changes how the warm-up is computed, never what it computes.
-/// Shared with the scenario engine (`crate::scenario`), which swaps only
-/// the churn processes.
-pub(crate) fn warm_up(
+fn warm_up(
     net: Network,
     config: &ExperimentConfig,
     workload: &Workload,
@@ -355,7 +497,7 @@ pub(crate) fn warm_up(
     sharded.into_inner()
 }
 
-pub(crate) fn classify_rejection(report: &mut ExperimentReport, e: &crate::error::AdmissionError) {
+fn classify_rejection(report: &mut ExperimentReport, e: &crate::error::AdmissionError) {
     match e {
         crate::error::AdmissionError::NoBackupRoute => report.rejected_backup += 1,
         _ => report.rejected_primary += 1,
@@ -363,7 +505,7 @@ pub(crate) fn classify_rejection(report: &mut ExperimentReport, e: &crate::error
 }
 
 /// Levels of all primaries crossing `links`, as `(id, level)` pairs.
-pub(crate) fn snapshot_levels(
+fn snapshot_levels(
     net: &Network,
     links: impl IntoIterator<Item = LinkId>,
 ) -> Vec<(ConnectionId, usize)> {
@@ -378,7 +520,7 @@ type LevelSnapshot = Vec<(ConnectionId, usize)>;
 
 /// Classifies the network before committing an arrival plan: returns
 /// (existing channel count, direct `(id, level)` set, indirect set).
-pub(crate) fn observe_arrival(
+fn observe_arrival(
     net: &Network,
     plan: &crate::network::EstablishPlan,
 ) -> (usize, LevelSnapshot, LevelSnapshot) {
@@ -404,10 +546,7 @@ pub(crate) fn observe_arrival(
 
 /// Re-reads the levels of previously snapshotted channels, skipping any that
 /// no longer exist (dropped by a failure).
-pub(crate) fn transitions_after(
-    net: &Network,
-    before: &[(ConnectionId, usize)],
-) -> Vec<LevelTransition> {
+fn transitions_after(net: &Network, before: &[(ConnectionId, usize)]) -> Vec<LevelTransition> {
     before
         .iter()
         .filter_map(|&(id, old)| net.connection(id).map(|c| (old, c.level())))

@@ -166,7 +166,7 @@ impl fmt::Display for InvariantViolation {
 }
 
 /// Formats a violation list as a panic/report message, one per line.
-pub fn format_violations(violations: &[InvariantViolation]) -> String {
+pub(crate) fn format_violations(violations: &[InvariantViolation]) -> String {
     violations
         .iter()
         .map(|v| v.to_string())

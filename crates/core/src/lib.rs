@@ -27,8 +27,6 @@
 //!   (toggled by `DRQOS_ROUTE_CACHE`).
 //! * [`network`] — [`network::Network`], the manager: admission, retreat &
 //!   re-distribution, failure handling.
-//! * [`interval`] — the run-time k-out-of-M interval QoS model
-//!   (Section 2.2's second elastic model).
 //! * [`invariant`] — structured violations returned by
 //!   [`network::Network::check_invariants`].
 //! * [`snapshot`] — frozen per-link/per-connection views for reporting.
@@ -69,7 +67,6 @@ pub mod env;
 pub mod error;
 pub mod experiment;
 pub mod framing;
-pub mod interval;
 pub mod invariant;
 pub mod link_state;
 pub mod measure;
@@ -86,16 +83,13 @@ pub mod workload;
 pub use channel::{ConnectionId, DrConnection};
 pub use error::{AdmissionError, ClusterError, NetworkError, QosError};
 pub use experiment::{checked_mode, run_churn, ExperimentConfig, ExperimentReport};
-pub use interval::{DropController, IntervalQos};
 pub use invariant::InvariantViolation;
 pub use measure::{MeasuredParams, ParameterEstimator, RouteCacheStats};
 pub use network::{EstablishPlan, EstablishRequest, FailureReport, Network, NetworkConfig};
 pub use qos::{AdaptationPolicy, Bandwidth, ElasticQos};
 pub use route_cache::RouteCache;
 pub use routing::{BackupDisjointness, RouterKind};
-pub use scenario::{
-    register_seeded_srlgs, run_scenario_churn, seeded_srlgs, Scenario, ScenarioKind,
-};
+pub use scenario::{register_seeded_srlgs, run_scenario_churn, Scenario, ScenarioKind};
 pub use shard::{ShardFault, ShardedNetwork};
 pub use snapshot::NetworkSnapshot;
 pub use workload::{PairSampler, Workload};

@@ -20,7 +20,7 @@
 //! failure-free operation. (After a failover consumes reservation, the
 //! reservation for the *remaining* backups may transiently overbook the
 //! link until connections re-route — the known soft spot of backup
-//! multiplexing, surfaced via [`LinkUsage::is_overbooked`].)
+//! multiplexing.)
 
 use crate::channel::ConnectionId;
 use crate::conn_table::Slot;
@@ -135,7 +135,7 @@ impl LinkUsage {
     }
 
     /// Primary channels crossing this link, in id order.
-    pub fn primaries(&self) -> &[ConnectionId] {
+    pub(crate) fn primaries(&self) -> &[ConnectionId] {
         &self.primaries
     }
 
@@ -156,7 +156,7 @@ impl LinkUsage {
     }
 
     /// Number of primary channels on the link.
-    pub fn primary_count(&self) -> usize {
+    pub(crate) fn primary_count(&self) -> usize {
         self.primaries.len()
     }
 
@@ -187,14 +187,8 @@ impl LinkUsage {
     }
 
     /// Bandwidth available for a further elastic increment.
-    pub fn headroom(&self) -> Bandwidth {
+    pub(crate) fn headroom(&self) -> Bandwidth {
         self.capacity.saturating_sub(self.committed())
-    }
-
-    /// Whether hard commitments exceed capacity (transient multi-failure
-    /// overbooking; see the module docs).
-    pub fn is_overbooked(&self) -> bool {
-        self.hard_committed() > self.capacity
     }
 
     /// Whether a new primary needing `min` could be admitted, counting
@@ -237,7 +231,7 @@ impl LinkUsage {
 
     /// Whether the link is up and could hold `reservation` for its backups
     /// beside the primary minima (extras reclaimable).
-    pub fn fits_backup_reservation(&self, reservation: Bandwidth) -> bool {
+    pub(crate) fn fits_backup_reservation(&self, reservation: Bandwidth) -> bool {
         self.up && self.primary_min_sum + reservation <= self.capacity
     }
 
@@ -366,7 +360,7 @@ impl LinkUsage {
     /// ignoring the cached value. Equal to [`Self::backup_reservation`]
     /// whenever the incremental bookkeeping is consistent; the invariant
     /// checker compares the two.
-    pub fn recomputed_reservation(&self) -> Bandwidth {
+    pub(crate) fn recomputed_reservation(&self) -> Bandwidth {
         self.conflict
             .iter()
             .map(|&(_, bw)| bw)
@@ -374,9 +368,10 @@ impl LinkUsage {
             .unwrap_or(Bandwidth::ZERO)
     }
 
-    /// Test/debug helper: recomputes the reservation from the conflict ledger
+    /// Test helper: recomputes the reservation from the conflict ledger
     /// and asserts the cache is consistent.
-    pub fn debug_validate(&self) {
+    #[cfg(test)]
+    fn debug_validate(&self) {
         assert_eq!(
             self.recomputed_reservation(),
             self.reservation,
@@ -434,7 +429,6 @@ mod tests {
         assert_eq!(l.committed(), Bandwidth::ZERO);
         assert_eq!(l.headroom(), k(10_000));
         assert_eq!(l.primary_count(), 0);
-        assert!(!l.is_overbooked());
         l.debug_validate();
     }
 
@@ -820,16 +814,5 @@ mod tests {
         a.add_backup(cid(2), k(50), &[lid(10)]);
         assert_ne!(a.plan_digest(), d1);
         assert_eq!(b.plan_digest(), d1);
-    }
-
-    #[test]
-    fn overbooked_detection() {
-        let mut l = LinkUsage::new(k(150));
-        l.add_primary(cid(1), 91, k(100));
-        assert!(!l.is_overbooked());
-        l.add_backup(cid(2), k(100), &[lid(10)]);
-        // Hard committed 200 > capacity 150 — the manager never creates
-        // this in failure-free operation, but activation bursts can.
-        assert!(l.is_overbooked());
     }
 }

@@ -48,15 +48,6 @@ impl RouteCacheStats {
         self.hits + self.misses
     }
 
-    /// Fraction of lookups served from the cache (0 with no lookups).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups() as f64
-        }
-    }
-
     /// Folds another run's counters into this one (sweep aggregation).
     pub fn absorb(&mut self, other: &RouteCacheStats) {
         self.hits += other.hits;
@@ -136,7 +127,7 @@ impl ParameterEstimator {
     /// # Errors
     ///
     /// Returns [`EstimateError::LevelOutOfRange`] on a bad level index.
-    pub fn record_occupancy(
+    pub(crate) fn record_occupancy(
         &mut self,
         levels: impl IntoIterator<Item = usize>,
     ) -> Result<(), EstimateError> {
@@ -152,11 +143,6 @@ impl ParameterEstimator {
     /// Number of bandwidth levels.
     pub fn n_states(&self) -> usize {
         self.n_states
-    }
-
-    /// Arrival events recorded so far.
-    pub fn arrival_events(&self) -> u64 {
-        self.arrival_events
     }
 
     fn check(&self, transitions: &[LevelTransition]) -> Result<(), EstimateError> {
@@ -178,7 +164,7 @@ impl ParameterEstimator {
     /// # Errors
     ///
     /// Returns [`EstimateError::LevelOutOfRange`] on a bad level index.
-    pub fn record_arrival(
+    pub(crate) fn record_arrival(
         &mut self,
         existing: usize,
         direct: &[LevelTransition],
@@ -206,7 +192,10 @@ impl ParameterEstimator {
     /// # Errors
     ///
     /// Returns [`EstimateError::LevelOutOfRange`] on a bad level index.
-    pub fn record_termination(&mut self, direct: &[LevelTransition]) -> Result<(), EstimateError> {
+    pub(crate) fn record_termination(
+        &mut self,
+        direct: &[LevelTransition],
+    ) -> Result<(), EstimateError> {
         self.check(direct)?;
         self.termination_events += 1;
         for &(i, j) in direct {
@@ -238,7 +227,7 @@ impl ParameterEstimator {
     /// # Errors
     ///
     /// Returns [`EstimateError::LevelOutOfRange`] on a bad level index.
-    pub fn record_failure(
+    pub(crate) fn record_failure(
         &mut self,
         existing: usize,
         affected: &[LevelTransition],
@@ -263,7 +252,7 @@ impl ParameterEstimator {
     /// # Errors
     ///
     /// Returns [`EstimateError::NoArrivals`] if no arrivals were recorded.
-    pub fn finalize(&self) -> Result<MeasuredParams, EstimateError> {
+    pub(crate) fn finalize(&self) -> Result<MeasuredParams, EstimateError> {
         if self.arrival_events == 0 {
             return Err(EstimateError::NoArrivals);
         }
@@ -396,7 +385,6 @@ mod tests {
     fn fresh_estimator_has_no_data() {
         let e = ParameterEstimator::new(5);
         assert_eq!(e.n_states(), 5);
-        assert_eq!(e.arrival_events(), 0);
         assert_eq!(e.finalize(), Err(EstimateError::NoArrivals));
     }
 

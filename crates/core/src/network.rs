@@ -381,11 +381,6 @@ impl Network {
         self.lock_cache().stats()
     }
 
-    /// Number of plans currently memoized by the route cache.
-    pub fn route_cache_len(&self) -> usize {
-        self.lock_cache().len()
-    }
-
     /// The current topology epoch: incremented by every
     /// [`Network::fail_link`], [`Network::repair_link`], and
     /// [`Network::fail_node`] call. Anything caching *routes* planned
@@ -460,7 +455,7 @@ impl Network {
     }
 
     /// Mean primary-path hop count, or `None` with no connections.
-    pub fn average_path_hops(&self) -> Option<f64> {
+    pub(crate) fn average_path_hops(&self) -> Option<f64> {
         if self.connections.is_empty() {
             None
         } else {
@@ -515,13 +510,8 @@ impl Network {
             self.with_scratch(|scratch| self.plan_routes(scratch, src, dst, min, fp))?;
         if record {
             let digests = self.footprint_digests(footprint.into_inner());
-            self.lock_cache().insert(
-                key,
-                self.topology_epoch,
-                primary.clone(),
-                backups.clone(),
-                digests,
-            );
+            self.lock_cache()
+                .insert(key, primary.clone(), backups.clone(), digests);
         }
         Ok(EstablishPlan {
             qos,
@@ -2544,14 +2534,14 @@ mod tests {
         // Miss #1 only marks the key with the doorkeeper; miss #2 records
         // the footprint and memoizes; #3 onwards replay from the cache.
         let first = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
-        assert_eq!(net.route_cache_len(), 0, "doorkeeper defers the entry");
+        assert_eq!(net.lock_cache().len(), 0, "doorkeeper defers the entry");
         let second = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
         let third = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
         assert_eq!(first, second, "identical state: identical plans");
         assert_eq!(second, third, "cached plan must replay the search");
         let stats = net.route_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
-        assert_eq!(net.route_cache_len(), 1);
+        assert_eq!(net.lock_cache().len(), 1);
     }
 
     #[test]
@@ -2560,7 +2550,7 @@ mod tests {
         net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
         net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
         assert_eq!(net.route_cache_stats(), RouteCacheStats::default());
-        assert_eq!(net.route_cache_len(), 0);
+        assert_eq!(net.lock_cache().len(), 0);
     }
 
     #[test]
@@ -2585,9 +2575,9 @@ mod tests {
         let mut net = cached_net(10_000, true);
         net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
         let plan = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
-        assert_eq!(net.route_cache_len(), 1);
+        assert_eq!(net.lock_cache().len(), 1);
         net.fail_link(plan.primary().links()[0]).unwrap();
-        assert_eq!(net.route_cache_len(), 0, "eager eviction");
+        assert_eq!(net.lock_cache().len(), 0, "eager eviction");
         assert!(net.route_cache_stats().stale_evictions >= 1);
         // Planning after the failure finds a fresh (different) primary.
         let replanned = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();

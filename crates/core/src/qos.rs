@@ -287,11 +287,6 @@ impl ElasticQos {
         }
         Some((offset / self.increment.as_kbps()) as usize)
     }
-
-    /// Whether this QoS is rigid (no elasticity).
-    pub fn is_rigid(&self) -> bool {
-        self.min == self.max
-    }
 }
 
 /// How extra resources are divided among elastic channels (Section 2.2).
@@ -395,7 +390,7 @@ mod tests {
     #[test]
     fn rigid_has_one_level() {
         let q = ElasticQos::rigid(Bandwidth::kbps(100)).unwrap();
-        assert!(q.is_rigid());
+        assert_eq!(q.min(), q.max());
         assert_eq!(q.num_levels(), 1);
         assert_eq!(q.level_bandwidth(0), Bandwidth::kbps(100));
         assert!(ElasticQos::rigid(Bandwidth::ZERO).is_err());
@@ -425,7 +420,6 @@ mod tests {
         // matter what increment is supplied — including zero.
         for inc in [0u64, 1, 50] {
             let q = ElasticQos::new(k(300), k(300), k(inc), 1.0).unwrap();
-            assert!(q.is_rigid(), "inc {inc}");
             assert_eq!(q.num_levels(), 1, "inc {inc}");
             assert_eq!(q.max_level(), 0, "inc {inc}");
             assert_eq!(q.level_bandwidth(0), k(300), "inc {inc}");

@@ -7,10 +7,10 @@
 //!
 //! Simulating per-message flood traffic would add nothing to the paper's
 //! evaluation (which measures bandwidth, not signalling), so
-//! [`flood_path`] emulates the *outcome* of bounded flooding: a
+//! `flood_path_with` emulates the *outcome* of bounded flooding: a
 //! fewest-hops search that maximizes the bottleneck bandwidth allowance
 //! among equal-hop routes, truncated at the flooding bound. Two
-//! alternatives are provided for comparison benches:
+//! alternatives are provided for comparison:
 //!
 //! * [`RouterKind::Shortest`] — plain BFS, no allowance tie-break (a
 //!   cheaper, less informed baseline);
@@ -167,6 +167,8 @@ impl FloodScratch {
 /// Fewest-hops path from `src` to `dst` using only links accepted by
 /// `filter`, maximizing the minimum `allowance` along the path among
 /// equal-hop candidates, and discarding paths longer than `hop_bound`.
+/// The search reuses the caller-owned `scratch` buffers, so the hot
+/// admission path allocates nothing.
 ///
 /// This reproduces what bounded flooding converges to: the first request
 /// copy to arrive took a fewest-hops route, and among simultaneous arrivals
@@ -177,32 +179,7 @@ impl FloodScratch {
 /// # Panics
 ///
 /// Panics if `src` or `dst` is not a node of `graph`.
-pub fn flood_path(
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    hop_bound: usize,
-    filter: &LinkFilter,
-    allowance: &dyn Fn(LinkId) -> Bandwidth,
-) -> Option<Path> {
-    flood_path_with(
-        &mut FloodScratch::new(),
-        graph,
-        src,
-        dst,
-        hop_bound,
-        filter,
-        allowance,
-    )
-}
-
-/// [`flood_path`] reusing caller-owned buffers — the allocation-free
-/// variant for hot admission paths. Identical results to [`flood_path`].
-///
-/// # Panics
-///
-/// Panics if `src` or `dst` is not a node of `graph`.
-pub fn flood_path_with(
+pub(crate) fn flood_path_with(
     scratch: &mut FloodScratch,
     graph: &Graph,
     src: NodeId,
@@ -292,30 +269,11 @@ impl RouteScratch {
     }
 }
 
-/// Routes a primary channel according to `kind`.
+/// Routes a primary channel according to `kind`, reusing the caller-owned
+/// search buffers.
 ///
 /// `filter` encodes per-link admission feasibility and `allowance` the
 /// spare bandwidth used for flooding tie-breaks.
-pub fn route_primary(
-    kind: RouterKind,
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    filter: &LinkFilter,
-    allowance: &dyn Fn(LinkId) -> Bandwidth,
-) -> Option<Path> {
-    route_primary_with(
-        &mut RouteScratch::new(),
-        kind,
-        graph,
-        src,
-        dst,
-        filter,
-        allowance,
-    )
-}
-
-/// [`route_primary`] reusing caller-owned search buffers.
 pub fn route_primary_with(
     scratch: &mut RouteScratch,
     kind: RouterKind,
@@ -342,31 +300,11 @@ pub fn route_primary_with(
 }
 
 /// Routes a backup channel, link-disjoint from `primary`, according to
-/// `kind`.
+/// `kind`, reusing the caller-owned search buffers.
 ///
 /// `filter` must already encode backup-specific feasibility (multiplexed
 /// reservation headroom); this function additionally excludes the primary's
 /// links and, for bounded flooding, enforces the flooding bound.
-pub fn route_backup(
-    kind: RouterKind,
-    graph: &Graph,
-    primary: &Path,
-    disjointness: BackupDisjointness,
-    filter: &LinkFilter,
-    allowance: &dyn Fn(LinkId) -> Bandwidth,
-) -> Option<Path> {
-    route_backup_with(
-        &mut RouteScratch::new(),
-        kind,
-        graph,
-        primary,
-        disjointness,
-        filter,
-        allowance,
-    )
-}
-
-/// [`route_backup`] reusing caller-owned search buffers.
 pub fn route_backup_with(
     scratch: &mut RouteScratch,
     kind: RouterKind,
@@ -418,20 +356,11 @@ pub fn route_backup_with(
     Some(candidate)
 }
 
-/// Number of links `backup` shares with `primary`.
-pub fn shared_links(primary: &Path, backup: &Path) -> usize {
-    backup
-        .links()
-        .iter()
-        .filter(|&&l| primary.crosses(l))
-        .count()
-}
-
 /// For [`RouterKind::SuurballePair`]: the jointly optimal link-disjoint
 /// pair under the *primary* feasibility filter. The caller must still
 /// verify the second path against backup feasibility and fall back to
-/// [`route_backup`] if it does not fit.
-pub fn route_pair(
+/// [`route_backup_with`] if it does not fit.
+pub(crate) fn route_pair(
     graph: &Graph,
     src: NodeId,
     dst: NodeId,
@@ -466,7 +395,16 @@ mod tests {
     #[test]
     fn flood_finds_fewest_hops() {
         let g = diamond();
-        let p = flood_path(&g, NodeId(0), NodeId(3), 10, &pass_all, &no_allowance_bias).unwrap();
+        let p = flood_path_with(
+            &mut FloodScratch::new(),
+            &g,
+            NodeId(0),
+            NodeId(3),
+            10,
+            &pass_all,
+            &no_allowance_bias,
+        )
+        .unwrap();
         assert_eq!(p.hop_count(), 2);
     }
 
@@ -485,22 +423,50 @@ mod tests {
                 Bandwidth::kbps(100)
             }
         };
-        let p = flood_path(&g, NodeId(0), NodeId(3), 10, &pass_all, &allowance).unwrap();
+        let p = flood_path_with(
+            &mut FloodScratch::new(),
+            &g,
+            NodeId(0),
+            NodeId(3),
+            10,
+            &pass_all,
+            &allowance,
+        )
+        .unwrap();
         assert_eq!(p.nodes()[1], NodeId(2), "should avoid the thin link");
     }
 
     #[test]
     fn flood_respects_hop_bound() {
         let g = regular::grid(1, 5).unwrap(); // line 0-1-2-3-4
-        assert!(flood_path(&g, NodeId(0), NodeId(4), 3, &pass_all, &no_allowance_bias).is_none());
-        assert!(flood_path(&g, NodeId(0), NodeId(4), 4, &pass_all, &no_allowance_bias).is_some());
+        assert!(flood_path_with(
+            &mut FloodScratch::new(),
+            &g,
+            NodeId(0),
+            NodeId(4),
+            3,
+            &pass_all,
+            &no_allowance_bias
+        )
+        .is_none());
+        assert!(flood_path_with(
+            &mut FloodScratch::new(),
+            &g,
+            NodeId(0),
+            NodeId(4),
+            4,
+            &pass_all,
+            &no_allowance_bias
+        )
+        .is_some());
     }
 
     #[test]
     fn flood_respects_filter() {
         let g = diamond();
         let l04 = g.link_between(NodeId(0), NodeId(4)).unwrap();
-        let p = flood_path(
+        let p = flood_path_with(
+            &mut FloodScratch::new(),
             &g,
             NodeId(0),
             NodeId(3),
@@ -515,7 +481,16 @@ mod tests {
     #[test]
     fn flood_src_equals_dst() {
         let g = diamond();
-        let p = flood_path(&g, NodeId(1), NodeId(1), 10, &pass_all, &no_allowance_bias).unwrap();
+        let p = flood_path_with(
+            &mut FloodScratch::new(),
+            &g,
+            NodeId(1),
+            NodeId(1),
+            10,
+            &pass_all,
+            &no_allowance_bias,
+        )
+        .unwrap();
         assert_eq!(p.hop_count(), 0);
     }
 
@@ -527,7 +502,8 @@ mod tests {
             RouterKind::Shortest,
             RouterKind::SuurballePair,
         ] {
-            let p = route_primary(
+            let p = route_primary_with(
+                &mut RouteScratch::new(),
                 kind,
                 &g,
                 NodeId(0),
@@ -536,7 +512,8 @@ mod tests {
                 &no_allowance_bias,
             )
             .unwrap();
-            let b = route_backup(
+            let b = route_backup_with(
+                &mut RouteScratch::new(),
                 kind,
                 &g,
                 &p,
@@ -556,7 +533,8 @@ mod tests {
         let g = diamond();
         let kind0 = RouterKind::BoundedFlooding { hop_slack: 0 };
         let kind1 = RouterKind::BoundedFlooding { hop_slack: 1 };
-        let p = route_primary(
+        let p = route_primary_with(
+            &mut RouteScratch::new(),
             kind0,
             &g,
             NodeId(0),
@@ -566,7 +544,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.hop_count(), 2);
-        assert!(route_backup(
+        assert!(route_backup_with(
+            &mut RouteScratch::new(),
             kind0,
             &g,
             &p,
@@ -575,7 +554,8 @@ mod tests {
             &no_allowance_bias
         )
         .is_none());
-        assert!(route_backup(
+        assert!(route_backup_with(
+            &mut RouteScratch::new(),
             kind1,
             &g,
             &p,
@@ -596,7 +576,8 @@ mod tests {
             g.add_link(NodeId(a), NodeId(b)).unwrap();
         }
         let kind = RouterKind::default();
-        let p = route_primary(
+        let p = route_primary_with(
+            &mut RouteScratch::new(),
             kind,
             &g,
             NodeId(0),
@@ -605,7 +586,8 @@ mod tests {
             &no_allowance_bias,
         )
         .unwrap();
-        assert!(route_backup(
+        assert!(route_backup_with(
+            &mut RouteScratch::new(),
             kind,
             &g,
             &p,
@@ -614,7 +596,8 @@ mod tests {
             &no_allowance_bias
         )
         .is_none());
-        let b = route_backup(
+        let b = route_backup_with(
+            &mut RouteScratch::new(),
             kind,
             &g,
             &p,
@@ -623,7 +606,8 @@ mod tests {
             &no_allowance_bias,
         )
         .unwrap();
-        assert_eq!(shared_links(&p, &b), 1, "only the leaf link is shared");
+        let shared = b.links().iter().filter(|&&l| p.crosses(l)).count();
+        assert_eq!(shared, 1, "only the leaf link is shared");
         assert_ne!(p, b);
     }
 
@@ -632,7 +616,8 @@ mod tests {
         // On a line the only path is the primary itself.
         let g = regular::grid(1, 3).unwrap();
         let kind = RouterKind::default();
-        let p = route_primary(
+        let p = route_primary_with(
+            &mut RouteScratch::new(),
             kind,
             &g,
             NodeId(0),
@@ -641,7 +626,8 @@ mod tests {
             &no_allowance_bias,
         )
         .unwrap();
-        assert!(route_backup(
+        assert!(route_backup_with(
+            &mut RouteScratch::new(),
             kind,
             &g,
             &p,
@@ -650,16 +636,6 @@ mod tests {
             &no_allowance_bias
         )
         .is_none());
-    }
-
-    #[test]
-    fn shared_links_counts() {
-        let g = diamond();
-        let a = Path::from_nodes(&g, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]).unwrap();
-        let b = Path::from_nodes(&g, vec![NodeId(0), NodeId(4), NodeId(3)]).unwrap();
-        let c = Path::from_nodes(&g, vec![NodeId(0), NodeId(1), NodeId(2)]).unwrap();
-        assert_eq!(shared_links(&a, &b), 0);
-        assert_eq!(shared_links(&a, &c), 2);
     }
 
     #[test]
@@ -696,7 +672,8 @@ mod tests {
                 &pass_all,
                 &no_allowance_bias,
             );
-            let fresh = flood_path(
+            let fresh = flood_path_with(
+                &mut FloodScratch::new(),
                 &g,
                 NodeId(s),
                 NodeId(d),
@@ -1001,7 +978,8 @@ mod tests {
             &pass_all,
             &no_allowance_bias,
         );
-        let b_fresh = route_backup(
+        let b_fresh = route_backup_with(
+            &mut RouteScratch::new(),
             kind,
             &g,
             &p,

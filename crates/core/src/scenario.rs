@@ -20,27 +20,20 @@
 //!   groups: [`crate::network::Network::fail_srlg`] events driven by the
 //!   seeded [`drqos_sim::srlg::SrlgChurn`] stream.
 //!
-//! [`run_scenario_churn`] re-runs the paper's churn experiment under a
-//! scenario; the baseline scenario delegates to [`run_churn`] unchanged,
-//! so every committed baseline byte stays identical.
+//! This module holds what *is* a scenario — the kinds, the rate curve,
+//! the burst windows and the shared-risk-group derivation. The loop that
+//! runs one is [`run_scenario_churn`] in [`crate::experiment`]: the same
+//! loop the paper's own experiment runs under [`Scenario::baseline`].
 
-use crate::channel::ConnectionId;
-use crate::experiment::{run_churn, ExperimentConfig, ExperimentReport};
-use crate::measure::{ParameterEstimator, RouteCacheStats};
+pub use crate::experiment::run_scenario_churn;
 use crate::network::Network;
-use crate::workload::Workload;
-use drqos_sim::dist::{Distribution, Exponential, Pareto};
-use drqos_sim::engine::Simulator;
 use drqos_sim::rng::Rng;
-use drqos_sim::srlg::{SrlgChurn, SrlgEvent};
-use drqos_sim::stats::TimeWeighted;
-use drqos_sim::time::SimTime;
 use drqos_topology::graph::{Graph, LinkId};
 use std::fmt;
 
 /// RNG stream tag for deriving shared-risk groups from an experiment seed
 /// (ASCII "SRLG"), mirroring the testkit's stream-separation idiom.
-pub const SRLG_STREAM: u64 = 0x5352_4C47;
+pub(crate) const SRLG_STREAM: u64 = 0x5352_4C47;
 
 /// Which adversarial world to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +98,7 @@ impl fmt::Display for ScenarioKind {
 /// average exactly 1.0, so the rate integral over any whole number of
 /// periods equals the flat-Poisson integral — the scenario reshapes
 /// *when* load arrives, not *how much*.
-pub const DIURNAL_FACTORS: [f64; 4] = [0.4, 0.8, 1.6, 1.2];
+pub(crate) const DIURNAL_FACTORS: [f64; 4] = [0.4, 0.8, 1.6, 1.2];
 
 /// A fully-parameterized adversarial scenario. All time-like parameters
 /// are expressed in units of the mean inter-arrival time `1/λ`, so one
@@ -161,7 +154,7 @@ impl Scenario {
     }
 
     /// The modulation period in virtual seconds at arrival rate `lambda`.
-    pub fn period_time(&self, lambda: f64) -> f64 {
+    pub(crate) fn period_time(&self, lambda: f64) -> f64 {
         self.period_events / lambda
     }
 
@@ -169,7 +162,7 @@ impl Scenario {
     /// `(start, end)` times: the offset within the period is a pure hash
     /// of `(seed, index)`, so burst epochs are deterministic per seed and
     /// need no RNG state.
-    pub fn burst_window(&self, seed: u64, lambda: f64, index: u64) -> (f64, f64) {
+    pub(crate) fn burst_window(&self, seed: u64, lambda: f64, index: u64) -> (f64, f64) {
         let period = self.period_time(lambda);
         let len = self.burst_fraction.clamp(0.0, 1.0) * period;
         let offset = hash_fraction(seed, index) * (period - len);
@@ -226,7 +219,12 @@ fn hash_fraction(seed: u64, index: u64) -> f64 {
 /// a seeded shuffle of the link ids, chunked. Deterministic per
 /// `(graph, count, size, seed)`, so every diff-harness side and every
 /// daemon replica derives identical groups.
-pub fn seeded_srlgs(graph: &Graph, count: usize, size: usize, seed: u64) -> Vec<Vec<LinkId>> {
+pub(crate) fn seeded_srlgs(
+    graph: &Graph,
+    count: usize,
+    size: usize,
+    seed: u64,
+) -> Vec<Vec<LinkId>> {
     let mut ids: Vec<LinkId> = (0..graph.link_count()).map(LinkId).collect();
     let mut rng = Rng::seed_from_u64(seed ^ SRLG_STREAM);
     rng.shuffle(&mut ids);
@@ -251,282 +249,12 @@ pub fn register_seeded_srlgs(net: &mut Network, count: usize, size: usize, seed:
     registered
 }
 
-#[derive(Debug)]
-enum Ev {
-    /// A thinned candidate of the non-homogeneous arrival process.
-    Candidate,
-    /// Memoryless global termination (non-Pareto scenarios).
-    Termination,
-    /// Per-connection heavy-tailed holding expiry (Pareto scenario).
-    Expire(ConnectionId),
-    /// Independent link failure (the baseline γ process).
-    Failure,
-    /// Scheduled repair of an independently-failed link.
-    Repair(LinkId),
-    /// The next event of the SRLG churn driver is due.
-    Srlg,
-}
-
-/// Runs the churn experiment under `scenario`. [`ScenarioKind::Baseline`]
-/// delegates to [`run_churn`] verbatim — byte-identical results, by
-/// construction. The other kinds share the baseline's warm-up and
-/// measurement machinery and replace the event processes:
-///
-/// * arrivals are drawn by thinning against [`Scenario::peak_rate`], so
-///   flash-crowd and diurnal modulation are exact (not stepwise);
-/// * the Pareto scenario schedules one expiry per accepted connection
-///   (mean holding time `target_connections/λ`, preserving the target
-///   population) instead of the memoryless global termination process;
-/// * the SRLG scenario fires [`Network::fail_srlg`] /
-///   [`Network::repair_srlg`] events from the seeded churn driver on top
-///   of the baseline processes.
-pub fn run_scenario_churn(
-    graph: Graph,
-    config: &ExperimentConfig,
-    scenario: &Scenario,
-) -> (ExperimentReport, Network) {
-    if scenario.kind == ScenarioKind::Baseline {
-        return run_churn(graph, config);
-    }
-    let checked = crate::experiment::checked_mode();
-    let mut rng = Rng::seed_from_u64(config.seed);
-    let mut net = Network::new(graph, config.network.clone());
-    let workload = Workload::new(config.qos);
-    let n_nodes = net.graph().node_count();
-    let mut report = ExperimentReport {
-        attempted: 0,
-        accepted: 0,
-        rejected_primary: 0,
-        rejected_backup: 0,
-        active_end: 0,
-        avg_bandwidth_sim: 0.0,
-        avg_bandwidth_end: 0.0,
-        avg_path_hops: 0.0,
-        failures: 0,
-        dropped: 0,
-        params: None,
-        cache: RouteCacheStats::default(),
-    };
-    net = crate::experiment::warm_up(net, config, &workload, &mut rng, &mut report);
-
-    // A degenerate configuration (non-positive rates or shapes) runs no
-    // churn at all rather than panicking: this path is reachable from the
-    // daemon. Estimator contract violations abandon parameter estimation
-    // for the run (`params: None`) the same way.
-    let mut estimator = ParameterEstimator::new(config.qos.num_levels());
-    let mut estimation_ok = true;
-    let mut sim: Simulator<Ev> = Simulator::new();
-
-    // Non-homogeneous arrivals by thinning: candidates at the peak rate,
-    // each accepted with probability rate(t)/peak.
-    let peak = scenario.peak_rate(config.lambda);
-    let Ok(candidate_dist) = Exponential::new(peak) else {
-        return (report, net);
-    };
-    sim.schedule(
-        SimTime::ZERO + candidate_dist.sample(&mut rng),
-        Ev::Candidate,
-    );
-
-    // Departures: heavy-tailed per-connection expiry for the Pareto
-    // scenario, the baseline's memoryless process otherwise.
-    let pareto_holding = if scenario.kind == ScenarioKind::ParetoHolding {
-        let mean = config.target_connections.max(1) as f64 / config.lambda;
-        let Ok(holding) = Pareto::from_mean(mean, scenario.pareto_shape) else {
-            return (report, net);
-        };
-        Some(holding)
-    } else {
-        None
-    };
-    let Ok(termination_dist) = Exponential::new(config.lambda) else {
-        return (report, net);
-    };
-    if let Some(holding) = &pareto_holding {
-        let live: Vec<ConnectionId> = net.connections().map(|c| c.id()).collect();
-        for id in live {
-            sim.schedule(SimTime::ZERO + holding.sample(&mut rng), Ev::Expire(id));
-        }
-    } else {
-        sim.schedule(
-            SimTime::ZERO + termination_dist.sample(&mut rng),
-            Ev::Termination,
-        );
-    }
-
-    // Independent failures (γ), as in the baseline.
-    let failure_dist = (config.gamma > 0.0)
-        .then(|| Exponential::new(config.gamma))
-        .and_then(Result::ok);
-    if let Some(fd) = &failure_dist {
-        sim.schedule(SimTime::ZERO + fd.sample(&mut rng), Ev::Failure);
-    }
-    let Ok(repair_dist) = Exponential::from_mean(config.mean_repair.max(f64::MIN_POSITIVE)) else {
-        return (report, net);
-    };
-
-    // Correlated failures: seeded groups + the drqos-sim churn driver.
-    let mut srlg_churn = if scenario.kind == ScenarioKind::SrlgChurn {
-        let registered = register_seeded_srlgs(
-            &mut net,
-            scenario.srlg_count,
-            scenario.srlg_size,
-            config.seed,
-        );
-        let Ok(churn) = SrlgChurn::new(
-            registered.max(1),
-            scenario.srlg_mean_up / config.lambda,
-            scenario.srlg_mean_down / config.lambda,
-            config.seed ^ SRLG_STREAM,
-        ) else {
-            return (report, net);
-        };
-        Some(churn)
-    } else {
-        None
-    };
-    if let Some(churn) = &srlg_churn {
-        if let Some(t) = churn.peek_time() {
-            sim.schedule(SimTime::ZERO + t, Ev::Srlg);
-        }
-    }
-
-    let mut total_bw_tracker =
-        TimeWeighted::new(SimTime::ZERO, net.total_primary_bandwidth().as_kbps_f64());
-    let mut count_tracker = TimeWeighted::new(SimTime::ZERO, net.len() as f64);
-    let mut churn_done = 0usize;
-    while churn_done < config.churn_events {
-        let Some((now, event)) = sim.pop() else { break };
-        match event {
-            Ev::Candidate => {
-                let keep =
-                    rng.chance(scenario.rate_at(config.seed, config.lambda, now.as_secs()) / peak);
-                if keep {
-                    let req = workload.request(&mut rng, n_nodes);
-                    report.attempted += 1;
-                    match net.plan_establish(req.src, req.dst, req.qos) {
-                        Ok(plan) => {
-                            let (existing, direct, indirect) =
-                                crate::experiment::observe_arrival(&net, &plan);
-                            let id = net.commit_establish(plan);
-                            let direct_t = crate::experiment::transitions_after(&net, &direct);
-                            let indirect_t = crate::experiment::transitions_after(&net, &indirect);
-                            estimation_ok &= estimator
-                                .record_arrival(existing, &direct_t, &indirect_t)
-                                .is_ok();
-                            report.accepted += 1;
-                            if let Some(holding) = &pareto_holding {
-                                sim.schedule_in(holding.sample(&mut rng), Ev::Expire(id));
-                            }
-                        }
-                        Err(e) => crate::experiment::classify_rejection(&mut report, &e),
-                    }
-                    churn_done += 1;
-                }
-                sim.schedule_in(candidate_dist.sample(&mut rng), Ev::Candidate);
-            }
-            Ev::Termination => {
-                let ids: Vec<ConnectionId> = net.connections().map(|c| c.id()).collect();
-                if let Some(&victim) = rng.choose(&ids) {
-                    estimation_ok &=
-                        crate::experiment::release_measured(&mut net, &mut estimator, victim);
-                }
-                sim.schedule_in(termination_dist.sample(&mut rng), Ev::Termination);
-                churn_done += 1;
-            }
-            Ev::Expire(id) => {
-                // The connection may have been dropped by a failure since
-                // its expiry was scheduled; an expired ghost is a no-op
-                // and does not count as a churn event.
-                if net.connection(id).is_some() {
-                    estimation_ok &=
-                        crate::experiment::release_measured(&mut net, &mut estimator, id);
-                    churn_done += 1;
-                }
-            }
-            Ev::Failure => {
-                for _ in 0..config.failure_burst.max(1) {
-                    let up: Vec<LinkId> = net.up_links().collect();
-                    let Some(&link) = rng.choose(&up) else { break };
-                    let all_before: Vec<(ConnectionId, usize)> =
-                        net.connections().map(|c| (c.id(), c.level())).collect();
-                    let existing = all_before.len();
-                    if net.fail_link(link).is_err() {
-                        break; // raced another failure source; stop the burst
-                    }
-                    let affected_t = crate::experiment::transitions_after(&net, &all_before);
-                    estimation_ok &= estimator.record_failure(existing, &affected_t).is_ok();
-                    report.failures += 1;
-                    sim.schedule_in(repair_dist.sample(&mut rng), Ev::Repair(link));
-                }
-                if let Some(fd) = &failure_dist {
-                    sim.schedule_in(fd.sample(&mut rng), Ev::Failure);
-                }
-                churn_done += 1;
-            }
-            Ev::Repair(link) => {
-                let _ = net.repair_link(link);
-            }
-            Ev::Srlg => {
-                if let Some(churn) = &mut srlg_churn {
-                    if let Some((_, ev)) = churn.next_event() {
-                        match ev {
-                            SrlgEvent::Fail(group) => {
-                                let all_before: Vec<(ConnectionId, usize)> =
-                                    net.connections().map(|c| (c.id(), c.level())).collect();
-                                let existing = all_before.len();
-                                // Already-down members (overlap with other
-                                // failure sources) make this a no-op.
-                                if let Ok(reports) = net.fail_srlg(group) {
-                                    let affected_t =
-                                        crate::experiment::transitions_after(&net, &all_before);
-                                    estimation_ok &=
-                                        estimator.record_failure(existing, &affected_t).is_ok();
-                                    report.failures += reports.len() as u64;
-                                    churn_done += 1;
-                                }
-                            }
-                            SrlgEvent::Repair(group) => {
-                                let _ = net.repair_srlg(group);
-                            }
-                        }
-                    }
-                    if let Some(t) = churn.peek_time() {
-                        sim.schedule(SimTime::ZERO + t, Ev::Srlg);
-                    }
-                }
-            }
-        }
-        if checked {
-            net.validate();
-        }
-        total_bw_tracker.update(now, net.total_primary_bandwidth().as_kbps_f64());
-        count_tracker.update(now, net.len() as f64);
-        estimation_ok &= estimator
-            .record_occupancy(net.connections().map(|c| c.level()))
-            .is_ok();
-    }
-
-    let end = sim.now();
-    let channel_time = count_tracker.integral_until(end);
-    report.avg_bandwidth_sim = if channel_time > 0.0 {
-        total_bw_tracker.integral_until(end) / channel_time
-    } else {
-        0.0
-    };
-    report.avg_bandwidth_end = net.average_bandwidth().unwrap_or(0.0);
-    report.avg_path_hops = net.average_path_hops().unwrap_or(0.0);
-    report.active_end = net.len();
-    report.dropped = net.dropped_total();
-    report.params = estimation_ok.then(|| estimator.finalize().ok()).flatten();
-    report.cache = net.route_cache_stats();
-    (report, net)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentConfig;
     use crate::qos::ElasticQos;
+    use drqos_sim::dist::{Distribution, Pareto};
     use drqos_topology::waxman;
     use std::collections::BTreeSet;
 
@@ -555,14 +283,6 @@ mod tests {
         );
         assert_eq!(ScenarioKind::parse(" srlg "), Some(ScenarioKind::SrlgChurn));
         assert_eq!(ScenarioKind::parse("nope"), None);
-    }
-
-    #[test]
-    fn baseline_delegates_byte_identically_to_run_churn() {
-        let cfg = quick_config(40);
-        let direct = run_churn(small_graph(2), &cfg).0;
-        let via_scenario = run_scenario_churn(small_graph(2), &cfg, &Scenario::baseline()).0;
-        assert_eq!(direct, via_scenario);
     }
 
     #[test]

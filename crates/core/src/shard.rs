@@ -34,7 +34,7 @@ use drqos_topology::Partition;
 
 /// Seed for the default [`Partition::seeded_bfs`] partition, fixed so a
 /// daemon restarted on the same topology shards it identically.
-pub const DEFAULT_PARTITION_SEED: u64 = 0x5EED_2001;
+pub(crate) const DEFAULT_PARTITION_SEED: u64 = 0x5EED_2001;
 
 /// Fault injection for the differential harness's mutation self-test: a
 /// deliberately broken sharded engine the `fuzz --diff-shard` harness must
@@ -74,7 +74,7 @@ impl ShardedNetwork {
 
     /// Shards `net` by an explicit partition (the transit-stub natural
     /// cut, or a fuzzer-chosen one).
-    pub fn with_partition(net: Network, partition: Partition) -> Self {
+    pub(crate) fn with_partition(net: Network, partition: Partition) -> Self {
         Self {
             net,
             partition,

@@ -31,7 +31,7 @@ pub struct LinkRow {
 
 impl LinkRow {
     /// Fraction of capacity committed (minima + extras + reservation).
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         let committed = self.primary_min + self.extras + self.backup_reservation;
         committed.as_kbps_f64() / self.capacity.as_kbps_f64().max(1.0)
     }
@@ -112,19 +112,6 @@ impl NetworkSnapshot {
         }
     }
 
-    /// Histogram of connection levels, indexed by level (length =
-    /// 1 + max observed max_level; empty with no connections).
-    pub fn level_histogram(&self) -> Vec<usize> {
-        let Some(max) = self.connections.iter().map(|c| c.max_level).max() else {
-            return Vec::new();
-        };
-        let mut hist = vec![0usize; max + 1];
-        for c in &self.connections {
-            hist[c.level] += 1;
-        }
-        hist
-    }
-
     /// Fraction of connections that currently hold a backup channel.
     pub fn backup_coverage(&self) -> f64 {
         if self.connections.is_empty() {
@@ -132,19 +119,6 @@ impl NetworkSnapshot {
         }
         self.connections.iter().filter(|c| c.has_backup).count() as f64
             / self.connections.len() as f64
-    }
-
-    /// The most-loaded links, sorted by utilization descending (ties by
-    /// link id), truncated to `n`.
-    pub fn hottest_links(&self, n: usize) -> Vec<&LinkRow> {
-        let mut rows: Vec<&LinkRow> = self.links.iter().collect();
-        rows.sort_by(|a, b| {
-            b.utilization()
-                .total_cmp(&a.utilization())
-                .then_with(|| a.link.cmp(&b.link))
-        });
-        rows.truncate(n);
-        rows
     }
 }
 
@@ -200,18 +174,11 @@ mod tests {
     }
 
     #[test]
-    fn level_histogram_counts_all_connections() {
-        let (snap, _) = snapshot_of_loaded_ring();
-        let hist = snap.level_histogram();
-        assert_eq!(hist.iter().sum::<usize>(), snap.connections.len());
-    }
-
-    #[test]
     fn empty_network_edge_cases() {
         let g = regular::ring(4).unwrap();
         let net = Network::new(g, NetworkConfig::default());
         let snap = NetworkSnapshot::capture(&net);
-        assert!(snap.level_histogram().is_empty());
+        assert!(snap.connections.is_empty());
         assert_eq!(snap.backup_coverage(), 1.0);
         assert_eq!(snap.mean_utilization(), 0.0);
     }
@@ -220,17 +187,5 @@ mod tests {
     fn backup_coverage_full_on_ring() {
         let (snap, _) = snapshot_of_loaded_ring();
         assert_eq!(snap.backup_coverage(), 1.0);
-    }
-
-    #[test]
-    fn hottest_links_sorted_and_truncated() {
-        let (snap, _) = snapshot_of_loaded_ring();
-        let hot = snap.hottest_links(3);
-        assert_eq!(hot.len(), 3);
-        for w in hot.windows(2) {
-            assert!(w[0].utilization() >= w[1].utilization());
-        }
-        // Asking for more than exists returns everything.
-        assert_eq!(snap.hottest_links(100).len(), snap.links.len());
     }
 }

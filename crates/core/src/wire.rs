@@ -210,7 +210,7 @@ impl ClusterError {
 /// Every assigned wire code with a short stable description, in code
 /// order. Protocol-level codes (1–99) belong to the service crate and are
 /// not listed here.
-pub const WIRE_CODES: &[(u16, &str)] = &[
+pub(crate) const WIRE_CODES: &[(u16, &str)] = &[
     (100, "qos: zero minimum"),
     (101, "qos: maximum below minimum"),
     (102, "qos: zero increment"),

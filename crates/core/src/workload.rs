@@ -65,26 +65,17 @@ impl PairSampler {
     }
 }
 
-/// A stream of DR-connection requests with a fixed QoS template.
+/// A stream of DR-connection requests with a fixed QoS template between
+/// uniformly drawn node pairs (the paper's workload).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     qos: ElasticQos,
-    sampler: PairSampler,
 }
 
 impl Workload {
     /// A uniform workload with the given QoS template.
     pub fn new(qos: ElasticQos) -> Self {
-        Self {
-            qos,
-            sampler: PairSampler::Uniform,
-        }
-    }
-
-    /// Replaces the pair sampler.
-    pub fn with_sampler(mut self, sampler: PairSampler) -> Self {
-        self.sampler = sampler;
-        self
+        Self { qos }
     }
 
     /// The QoS template.
@@ -98,7 +89,7 @@ impl Workload {
     ///
     /// Panics if `n_nodes < 2` (see [`PairSampler::sample`]).
     pub fn request(&self, rng: &mut Rng, n_nodes: usize) -> EstablishRequest {
-        let (src, dst) = self.sampler.sample(rng, n_nodes);
+        let (src, dst) = PairSampler::Uniform.sample(rng, n_nodes);
         EstablishRequest {
             src,
             dst,
@@ -192,15 +183,5 @@ mod tests {
         assert_eq!(req.qos, qos);
         assert_ne!(req.src, req.dst);
         assert_eq!(w.qos(), &qos);
-    }
-
-    #[test]
-    fn workload_sampler_is_replaceable() {
-        let w = Workload::new(ElasticQos::paper_video(50)).with_sampler(PairSampler::HotSpot {
-            hubs: vec![NodeId(2)],
-            hub_prob: 1.0,
-        });
-        let req = w.request(&mut rng(), 6);
-        assert!(req.src == NodeId(2) || req.dst == NodeId(2));
     }
 }

@@ -167,7 +167,7 @@ pub struct CallGraph {
 /// (`crates/core/src/network.rs` → `drqos_core`). `None` for files
 /// outside `crates/` (integration tests, examples) — those are parsed
 /// but never resolution targets.
-pub fn crate_of_path(path: &str) -> Option<String> {
+pub(crate) fn crate_of_path(path: &str) -> Option<String> {
     let rest = path.strip_prefix("crates/")?;
     let dir = rest.split('/').next()?;
     Some(format!("drqos_{dir}"))
@@ -286,7 +286,7 @@ impl CallGraph {
     }
 
     /// Ids of non-test functions defined in `file`.
-    pub fn fns_in_file<'a>(&'a self, file: &'a str) -> impl Iterator<Item = FnId> + 'a {
+    pub(crate) fn fns_in_file<'a>(&'a self, file: &'a str) -> impl Iterator<Item = FnId> + 'a {
         self.fns
             .iter()
             .enumerate()
@@ -304,7 +304,7 @@ impl CallGraph {
     /// function, the id it was first reached from (parent map), visiting
     /// in deterministic (sorted-frontier) order so reported chains are
     /// stable across runs.
-    pub fn bfs_parents(&self, entries: &[FnId]) -> BTreeMap<FnId, Option<FnId>> {
+    pub(crate) fn bfs_parents(&self, entries: &[FnId]) -> BTreeMap<FnId, Option<FnId>> {
         let mut parent: BTreeMap<FnId, Option<FnId>> = BTreeMap::new();
         let mut frontier: Vec<FnId> = {
             let set: BTreeSet<FnId> = entries.iter().copied().collect();
@@ -330,7 +330,11 @@ impl CallGraph {
 
     /// Reconstructs the entry→`target` chain from a [`CallGraph::bfs_parents`]
     /// map, as function labels.
-    pub fn chain_to(&self, parents: &BTreeMap<FnId, Option<FnId>>, target: FnId) -> Vec<String> {
+    pub(crate) fn chain_to(
+        &self,
+        parents: &BTreeMap<FnId, Option<FnId>>,
+        target: FnId,
+    ) -> Vec<String> {
         let mut rev = vec![target];
         let mut cur = target;
         while let Some(Some(p)) = parents.get(&cur) {

@@ -32,6 +32,8 @@ pub struct WsFile {
     pub pragmas: FilePragmas,
     /// Lines covered by `#[cfg(test)]` items (stale-pragma exclusion).
     pub test_lines: BTreeSet<u32>,
+    /// What the file contributes to `dead-surface`.
+    pub surface: crate::surface::Surface,
 }
 
 /// Path prefixes where *reachable* slice indexing is not reported: dense
@@ -39,7 +41,7 @@ pub struct WsFile {
 /// the model crates (the same judgment as `network.rs`/`shard.rs`'s
 /// per-file `false` in [`NO_PANIC_FILES`]). `unwrap`/`expect`/`panic!`
 /// are still reported everywhere.
-pub const INDEX_EXEMPT_PREFIXES: &[&str] = &[
+pub(crate) const INDEX_EXEMPT_PREFIXES: &[&str] = &[
     "crates/topology/src",
     "crates/markov/src",
     "crates/sim/src",
@@ -63,7 +65,7 @@ fn site_allowed(files: &[WsFile], path: &str, line: u32) -> bool {
 }
 
 /// Rule 7, `panic-reachability`.
-pub fn panic_reachability(graph: &CallGraph, files: &[WsFile], out: &mut Vec<Finding>) {
+pub(crate) fn panic_reachability(graph: &CallGraph, files: &[WsFile], out: &mut Vec<Finding>) {
     const RULE: &str = "panic-reachability";
     let zone: BTreeSet<&str> = NO_PANIC_FILES.iter().map(|(p, _)| *p).collect();
     let mut entries: Vec<FnId> = Vec::new();
@@ -131,7 +133,7 @@ fn taint_source(callee: &Callee) -> Option<&'static str> {
 }
 
 /// Rule 8, `determinism-taint`.
-pub fn determinism_taint(graph: &CallGraph, files: &[WsFile], out: &mut Vec<Finding>) {
+pub(crate) fn determinism_taint(graph: &CallGraph, files: &[WsFile], out: &mut Vec<Finding>) {
     const RULE: &str = "determinism-taint";
     let emitters: BTreeSet<&str> = DETERMINISTIC_FILES
         .iter()
@@ -176,7 +178,7 @@ pub fn determinism_taint(graph: &CallGraph, files: &[WsFile], out: &mut Vec<Find
 /// are only as strong as the resolver feeding them; a resolved-edge
 /// count below the floor is itself a finding so a parser/resolver
 /// regression cannot silently turn the rules green.
-pub fn non_vacuity(graph: &CallGraph, floor: usize, out: &mut Vec<Finding>) {
+pub(crate) fn non_vacuity(graph: &CallGraph, floor: usize, out: &mut Vec<Finding>) {
     if graph.resolved_edges() < floor {
         out.push(Finding {
             file: "crates/lint/src/callgraph.rs".to_string(),
@@ -196,7 +198,7 @@ pub fn non_vacuity(graph: &CallGraph, floor: usize, out: &mut Vec<Finding>) {
 /// nothing this run is dead weight — either the violation it covered is
 /// gone (delete it) or it never matched (it is masking nothing and would
 /// silently swallow a future, different finding).
-pub fn stale_pragmas(files: &[WsFile], out: &mut Vec<Finding>) {
+pub(crate) fn stale_pragmas(files: &[WsFile], out: &mut Vec<Finding>) {
     const RULE: &str = "stale-pragma";
     for f in files {
         for (line, rule) in f.pragmas.stale(&f.test_lines) {
@@ -235,6 +237,7 @@ mod tests {
                     parsed,
                     pragmas,
                     test_lines: BTreeSet::new(),
+                    surface: Default::default(),
                 }
             })
             .collect();

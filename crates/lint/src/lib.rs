@@ -9,7 +9,9 @@
 //! The token-level rules and their zones live in [`rules`]; the
 //! interprocedural rules (`panic-reachability`, `determinism-taint`)
 //! live in [`interproc`] on top of the item-level
-//! [`parser`] and the workspace [`callgraph`]. Pragma syntax is
+//! [`parser`] and the workspace [`callgraph`]; `dead-surface` (a `pub`
+//! item no file outside its crate names) lives in [`surface`] and needs
+//! neither. Pragma syntax is
 //! `// lint:allow(<rule>)[: justification]` on the offending line or
 //! alone on the line above; a pragma that suppresses nothing is itself a
 //! `stale-pragma` finding. TESTING.md documents the full rule table.
@@ -31,6 +33,7 @@ pub mod interproc;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
+pub mod surface;
 
 pub use rules::Finding;
 
@@ -44,7 +47,7 @@ const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "golden"];
 
 /// Recursively collects the workspace's `.rs` files, repo-relative with
 /// forward slashes, sorted for deterministic output.
-pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub(crate) fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -199,19 +202,22 @@ fn analyze_sources(sources: &[(String, String)], findings: &mut Vec<Finding>) ->
         rules::raw_clock(&view, findings);
         rules::float_format(&view, findings);
         let test_lines = view.test_lines();
+        let surface = surface::scan(&view, &lexed);
         let pragmas = view.into_pragmas();
         files.push(WsFile {
             path: rel.clone(),
             parsed,
             pragmas,
             test_lines,
+            surface,
         });
     }
     files
 }
 
 /// Full pipeline over in-memory sources: token rules, call-graph
-/// construction, the interprocedural rules, and stale-pragma detection.
+/// construction, the interprocedural rules, `dead-surface`, and
+/// stale-pragma detection.
 /// `edge_floor` is the non-vacuity gate ([`callgraph::MIN_RESOLVED_EDGES`]
 /// for the real workspace, `0` for fixture-sized inputs). Findings come
 /// back sorted by (file, line, rule).
@@ -222,6 +228,7 @@ pub fn lint_sources(sources: &[(String, String)], edge_floor: usize) -> Vec<Find
     interproc::panic_reachability(&graph, &files, &mut findings);
     interproc::determinism_taint(&graph, &files, &mut findings);
     interproc::non_vacuity(&graph, edge_floor, &mut findings);
+    surface::dead_surface(&files, &mut findings);
     interproc::stale_pragmas(&files, &mut findings);
     findings.sort();
     findings.dedup();

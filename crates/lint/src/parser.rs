@@ -107,7 +107,7 @@ pub struct FnDef {
 
 impl FnDef {
     /// `Type::name` for methods, bare `name` for free functions.
-    pub fn qualified_name(&self) -> String {
+    pub(crate) fn qualified_name(&self) -> String {
         match &self.self_type {
             Some(t) => format!("{t}::{}", self.name),
             None => self.name.clone(),
@@ -368,7 +368,7 @@ fn scan_body(
 }
 
 /// Parses one lexed file into its functions and lock families.
-pub fn parse_file(lexed: &Lexed) -> ParsedFile {
+pub(crate) fn parse_file(lexed: &Lexed) -> ParsedFile {
     let toks = &lexed.tokens;
     let in_test = mark_test_tokens(toks);
     let mut out = ParsedFile::default();

@@ -48,6 +48,7 @@ pub const RULES: &[&str] = &[
     "stale-pragma",
     "call-graph",
     "zone-map",
+    "dead-surface",
 ];
 
 /// Files where panics are forbidden (the daemon zone). The `bool` is
@@ -56,7 +57,7 @@ pub const RULES: &[&str] = &[
 /// connection slab (a slot may outlive its connection, so it is looked up
 /// with `get`), but not for `network.rs`, whose dense `links[id.index()]`
 /// arena indexing is the idiom and is bounds-established at construction.
-pub const NO_PANIC_FILES: &[(&str, bool)] = &[
+pub(crate) const NO_PANIC_FILES: &[(&str, bool)] = &[
     ("crates/service/src/server.rs", true),
     ("crates/service/src/conn.rs", true),
     ("crates/service/src/engine.rs", true),
@@ -76,7 +77,7 @@ pub const NO_PANIC_FILES: &[(&str, bool)] = &[
 /// Files whose output is pinned byte-exact by CI (golden traces, sweep
 /// CSVs, wire payloads): no `HashMap`/`HashSet` — iteration order would
 /// leak straight into the bytes.
-pub const DETERMINISTIC_FILES: &[&str] = &[
+pub(crate) const DETERMINISTIC_FILES: &[&str] = &[
     "crates/core/src/snapshot.rs",
     "crates/core/src/wire.rs",
     "crates/testkit/src/golden.rs",
@@ -92,7 +93,7 @@ pub const DETERMINISTIC_FILES: &[&str] = &[
 /// explicit precision (`{:.3}`): default float `Display` is
 /// shortest-round-trip, so a representation change upstream would change
 /// committed CSV/golden bytes.
-pub const FLOAT_FILES: &[&str] = &[
+pub(crate) const FLOAT_FILES: &[&str] = &[
     "crates/bench/src/csv.rs",
     "crates/bench/src/runner.rs",
     "crates/testkit/src/golden.rs",
@@ -101,7 +102,7 @@ pub const FLOAT_FILES: &[&str] = &[
 
 /// Crate source trees that must not read wall clocks (the sim zone plus
 /// the daemon's deterministic command handling).
-pub const CLOCK_DENY_PREFIXES: &[&str] = &[
+pub(crate) const CLOCK_DENY_PREFIXES: &[&str] = &[
     "crates/topology/src",
     "crates/markov/src",
     "crates/sim/src",
@@ -115,7 +116,7 @@ pub const CLOCK_DENY_PREFIXES: &[&str] = &[
 /// Measurement-edge modules exempt from `raw-clock`: parameter estimation
 /// wall-timing, the daemon's latency metrics, and the client-side load
 /// generator (it measures the daemon from outside).
-pub const CLOCK_EXEMPT_FILES: &[&str] = &[
+pub(crate) const CLOCK_EXEMPT_FILES: &[&str] = &[
     "crates/core/src/measure.rs",
     "crates/service/src/metrics.rs",
     "crates/service/src/loadgen.rs",
@@ -124,7 +125,7 @@ pub const CLOCK_EXEMPT_FILES: &[&str] = &[
 /// Path prefixes exempt from `env-registry`'s string scan: the registry
 /// itself is where the names live, and the linter (this crate) must name
 /// the prefix it scans for plus fixture strings in its tests.
-pub const ENV_EXEMPT_PREFIXES: &[&str] = &["crates/core/src/env.rs", "crates/lint"];
+pub(crate) const ENV_EXEMPT_PREFIXES: &[&str] = &["crates/core/src/env.rs", "crates/lint"];
 
 /// Every zone table by name, each row reduced to its path. A row is a
 /// file or (the `*_PREFIXES` tables) a path prefix.
@@ -287,7 +288,7 @@ impl<'a> FileView<'a> {
     }
 
     /// Lines carrying tokens inside `#[cfg(test)]` items.
-    pub fn test_lines(&self) -> BTreeSet<u32> {
+    pub(crate) fn test_lines(&self) -> BTreeSet<u32> {
         self.tokens
             .iter()
             .enumerate()
@@ -303,7 +304,7 @@ impl<'a> FileView<'a> {
 
     /// Surrenders the pragma table (with its usage state) so the
     /// workspace pass can keep consulting it after the view is gone.
-    pub fn into_pragmas(self) -> FilePragmas {
+    pub(crate) fn into_pragmas(self) -> FilePragmas {
         self.pragmas
     }
 
@@ -322,7 +323,7 @@ impl<'a> FileView<'a> {
 
 /// Marks every token belonging to a `#[cfg(test)]`-gated item (attribute
 /// through closing brace, or through `;` for braceless items like `use`).
-pub fn mark_test_tokens(tokens: &[Token]) -> Vec<bool> {
+pub(crate) fn mark_test_tokens(tokens: &[Token]) -> Vec<bool> {
     let mut in_test = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {
@@ -399,7 +400,7 @@ pub fn mark_test_tokens(tokens: &[Token]) -> Vec<bool> {
 /// Idents that legitimately precede `[` without it being an index
 /// expression (`impl [T]`, `dyn [..]` are contrived, but `mut`, `in`,
 /// `return`, `else`, `match` arms binding arrays are real).
-pub const NON_INDEX_KEYWORDS: &[&str] = &[
+pub(crate) const NON_INDEX_KEYWORDS: &[&str] = &[
     "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "fn",
     "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
     "return", "static", "struct", "trait", "type", "unsafe", "use", "where", "while", "async",
@@ -409,7 +410,7 @@ pub const NON_INDEX_KEYWORDS: &[&str] = &[
 /// Rule 1, `no-panic-daemon`: no `.unwrap()` / `.expect()` /
 /// `panic!`-family macros (and, where configured, no slice indexing) in
 /// the daemon zone.
-pub fn no_panic_daemon(view: &FileView<'_>, out: &mut Vec<Finding>) {
+pub(crate) fn no_panic_daemon(view: &FileView<'_>, out: &mut Vec<Finding>) {
     const RULE: &str = "no-panic-daemon";
     let Some(&(_, check_index)) = NO_PANIC_FILES.iter().find(|(p, _)| *p == view.path) else {
         return;
@@ -472,7 +473,7 @@ pub fn no_panic_daemon(view: &FileView<'_>, out: &mut Vec<Finding>) {
 
 /// Rule 2, `nondeterministic-iteration`: no `HashMap`/`HashSet` in files
 /// whose output bytes CI pins — iteration order would leak into them.
-pub fn nondeterministic_iteration(view: &FileView<'_>, out: &mut Vec<Finding>) {
+pub(crate) fn nondeterministic_iteration(view: &FileView<'_>, out: &mut Vec<Finding>) {
     const RULE: &str = "nondeterministic-iteration";
     if !DETERMINISTIC_FILES.contains(&view.path) {
         return;
@@ -498,7 +499,7 @@ pub fn nondeterministic_iteration(view: &FileView<'_>, out: &mut Vec<Finding>) {
 /// Rule 3, `env-registry` (token half): any `"DRQOS_..."` string literal
 /// outside `crates/core/src/env.rs` means an env read (or name) bypassing
 /// the registry. The docs half lives in [`crate::check_env_docs`].
-pub fn env_registry(view: &FileView<'_>, out: &mut Vec<Finding>) {
+pub(crate) fn env_registry(view: &FileView<'_>, out: &mut Vec<Finding>) {
     const RULE: &str = "env-registry";
     if ENV_EXEMPT_PREFIXES.iter().any(|p| view.path.starts_with(p)) {
         return;
@@ -523,7 +524,7 @@ pub fn env_registry(view: &FileView<'_>, out: &mut Vec<Finding>) {
 
 /// Rule 4, `raw-clock`: no `Instant::now` / `SystemTime` in the sim zone
 /// outside the exempt measurement modules.
-pub fn raw_clock(view: &FileView<'_>, out: &mut Vec<Finding>) {
+pub(crate) fn raw_clock(view: &FileView<'_>, out: &mut Vec<Finding>) {
     const RULE: &str = "raw-clock";
     let denied = CLOCK_DENY_PREFIXES.iter().any(|p| view.path.starts_with(p))
         && !CLOCK_EXEMPT_FILES.contains(&view.path);
@@ -566,7 +567,7 @@ pub fn raw_clock(view: &FileView<'_>, out: &mut Vec<Finding>) {
 /// Rule 5, `float-format`: in emitter files, every float reaching a
 /// formatting macro must use an explicit precision (`{:.3}`); default
 /// float `Display` is not a stable byte contract.
-pub fn float_format(view: &FileView<'_>, out: &mut Vec<Finding>) {
+pub(crate) fn float_format(view: &FileView<'_>, out: &mut Vec<Finding>) {
     const RULE: &str = "float-format";
     if !FLOAT_FILES.contains(&view.path) {
         return;
@@ -739,7 +740,7 @@ pub fn float_format(view: &FileView<'_>, out: &mut Vec<Finding>) {
 
 /// Parses `WIRE_CODES`-style `(code, "description")` pairs out of the
 /// lexed `wire.rs`, for [`crate::check_wire_docs`].
-pub fn wire_code_table(lexed: &Lexed) -> Vec<(u16, String)> {
+pub(crate) fn wire_code_table(lexed: &Lexed) -> Vec<(u16, String)> {
     let toks = &lexed.tokens;
     let Some(start) = toks.iter().position(|t| t.text == "WIRE_CODES") else {
         return Vec::new();

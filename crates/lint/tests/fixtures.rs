@@ -1,6 +1,6 @@
-//! Per-rule fixture tests: for each of the six rules, one snippet that
-//! fires, one that is `lint:allow`-suppressed, and one that is clean —
-//! plus the `--json` schema snapshot. Fixtures are inline raw strings,
+//! Per-rule fixture tests: for each rule, one snippet that fires, one that
+//! is `lint:allow`-suppressed, and one that is clean — plus the `--json`
+//! schema snapshot. Fixtures are inline raw strings,
 //! which doubles as a lexer test: the violation text inside these
 //! literals must never leak findings into a lint of *this* file.
 
@@ -161,7 +161,7 @@ fn raw_clock_clean() {
     assert!(lint_as("crates/core/src/measure.rs", src).is_empty());
     assert!(lint_as("crates/service/src/metrics.rs", src).is_empty());
     // ...and bench code is outside the sim zone entirely.
-    assert!(lint_as("crates/bench/src/microbench.rs", src).is_empty());
+    assert!(lint_as("crates/bench/src/runner.rs", src).is_empty());
     // `Instant` without `::now` (type position, Duration math) is fine.
     let ty = "fn g(t: Instant) -> Duration { t.elapsed() }";
     assert!(lint_as("crates/core/src/experiment.rs", ty).is_empty());
@@ -307,6 +307,7 @@ fn every_shipped_rule_has_a_stable_id() {
             "stale-pragma",
             "call-graph",
             "zone-map",
+            "dead-surface",
         ]
     );
 }
@@ -400,7 +401,7 @@ fn panic_reachability_clean_when_unreachable() {
         ),
         (
             "crates/topology/src/paths.rs",
-            "pub fn island() { x.unwrap(); }",
+            "pub(crate) fn island() { x.unwrap(); }",
         ),
     ]);
     assert!(f.is_empty(), "{f:?}");
@@ -413,11 +414,11 @@ fn determinism_taint_fires_with_the_flow_chain() {
     let f = lint_ws(&[
         (
             "crates/core/src/snapshot.rs",
-            "pub fn render() { stamp(); }",
+            "pub(crate) fn render() { stamp(); }",
         ),
         (
             "crates/core/src/measure.rs",
-            "pub fn stamp() -> u64 { let t = Instant::now(); 0 }",
+            "pub(crate) fn stamp() -> u64 { let t = Instant::now(); 0 }",
         ),
     ]);
     assert_eq!(rules_fired(&f), vec!["determinism-taint"], "{f:?}");
@@ -432,10 +433,10 @@ fn determinism_taint_fires_with_the_flow_chain() {
 #[test]
 fn determinism_taint_suppressed_at_the_source() {
     let f = lint_ws(&[
-        ("crates/core/src/snapshot.rs", "pub fn render() { stamp(); }"),
+        ("crates/core/src/snapshot.rs", "pub(crate) fn render() { stamp(); }"),
         (
             "crates/core/src/measure.rs",
-            "pub fn stamp() -> u64 { let t = Instant::now(); 0 } // lint:allow(determinism-taint): wall column masked",
+            "pub(crate) fn stamp() -> u64 { let t = Instant::now(); 0 } // lint:allow(determinism-taint): wall column masked",
         ),
     ]);
     assert!(f.is_empty(), "{f:?}");
@@ -445,10 +446,13 @@ fn determinism_taint_suppressed_at_the_source() {
 fn determinism_taint_clean_when_no_emitter_reaches_the_clock() {
     // Same clock read, but only a non-emitter caller.
     let f = lint_ws(&[
-        ("crates/core/src/routing.rs", "pub fn route() { stamp(); }"),
+        (
+            "crates/core/src/routing.rs",
+            "pub(crate) fn route() { stamp(); }",
+        ),
         (
             "crates/core/src/measure.rs",
-            "pub fn stamp() -> u64 { let t = Instant::now(); 0 }",
+            "pub(crate) fn stamp() -> u64 { let t = Instant::now(); 0 }",
         ),
     ]);
     assert!(f.is_empty(), "{f:?}");
@@ -529,6 +533,100 @@ fn zone_map_clean_when_every_row_and_prefix_matches() {
     assert!(rules::zone_tables()
         .iter()
         .all(|(_, rows)| !rows.is_empty()));
+}
+
+// --------------------------------------------------------- dead-surface --
+
+/// A lib file of `crates/core` with one candidate of each kind.
+const SURFACE_LIB: &str =
+    "pub fn orphan() {}\npub const LIMIT: usize = 4;\npub static TABLE: [u8; 1] = [0];\n";
+
+#[test]
+fn dead_surface_fires_on_pub_items_no_other_crate_names() {
+    let f = lint_ws(&[
+        ("crates/core/src/a.rs", SURFACE_LIB),
+        // Same lib target: an inside caller does not make the item public.
+        ("crates/core/src/b.rs", "fn user() { crate::a::orphan(); }"),
+        ("crates/service/src/engine.rs", "fn other() {}"),
+    ]);
+    assert_eq!(rules_fired(&f), vec!["dead-surface"], "{f:?}");
+    let lines: Vec<u32> = f.iter().map(|x| x.line).collect();
+    assert_eq!(lines, vec![1, 2, 3], "fn, const and static: {f:?}");
+    assert!(f[0].message.contains("`orphan`") && f[0].message.contains("pub(crate)"));
+}
+
+#[test]
+fn dead_surface_clean_when_anything_outside_the_lib_target_names_it() {
+    let caller = "fn main() { orphan(); let _ = (LIMIT, TABLE); }";
+    for outside in [
+        "crates/service/src/engine.rs", // another crate
+        "benchmark/src/layers.rs",      // the benchmark package
+        "crates/core/src/bin/tool.rs",  // the crate's own binary
+        "crates/core/tests/it.rs",      // the crate's own integration tests
+        "tests/tests/end_to_end.rs",    // the workspace test package
+        "examples/video_streaming.rs",  // the examples package
+    ] {
+        let f = lint_ws(&[("crates/core/src/a.rs", SURFACE_LIB), (outside, caller)]);
+        assert!(f.is_empty(), "{outside}: {f:?}");
+    }
+    // A doctest is compiled as a crate of its own: Rust-fenced doc code is
+    // an outside caller, a `text` fence is prose.
+    let doctest = "/// ```\n/// crate_name::orphan();\n/// ```\npub fn orphan() {}\n";
+    assert!(lint_ws(&[("crates/core/src/a.rs", doctest)]).is_empty());
+    let prose = "/// ```text\n/// orphan()\n/// ```\npub fn orphan() {}\n";
+    assert_eq!(lint_ws(&[("crates/core/src/a.rs", prose)]).len(), 1);
+}
+
+#[test]
+fn dead_surface_is_not_saved_by_tests_comments_or_strings() {
+    let lib = "pub fn orphan() {}\n\
+               #[cfg(test)]\nmod tests { #[test] fn t() { super::orphan(); } }\n";
+    let f = lint_ws(&[
+        ("crates/core/src/a.rs", lib),
+        (
+            "crates/service/src/engine.rs",
+            "// orphan() is mentioned in a comment\nfn f() { let _ = \"orphan\"; }",
+        ),
+    ]);
+    assert_eq!(rules_fired(&f), vec!["dead-surface"], "{f:?}");
+    assert_eq!(f.len(), 1);
+}
+
+#[test]
+fn dead_surface_never_reports_types_trait_impls_or_test_items() {
+    let lib = "pub struct Unused { pub field: u8 }\n\
+               pub enum Kind { A }\n\
+               pub trait Shape { fn area(&self) -> f64; }\n\
+               impl Shape for Unused { fn area(&self) -> f64 { 0.0 } }\n\
+               pub(crate) fn narrowed() {}\n\
+               #[cfg(test)]\npub fn test_only_helper() {}\n\
+               #[cfg(test)]\nmod tests { pub fn fixture() {} }\n";
+    assert!(lint_ws(&[("crates/core/src/a.rs", lib)]).is_empty());
+    // Binaries, integration tests and the benchmark are not lib targets:
+    // their `pub` items are nobody's surface.
+    for path in [
+        "crates/core/src/bin/tool.rs",
+        "crates/core/tests/it.rs",
+        "benchmark/src/ops.rs",
+    ] {
+        assert!(
+            lint_ws(&[(path, "pub fn orphan() {}")]).is_empty(),
+            "{path}"
+        );
+    }
+}
+
+#[test]
+fn dead_surface_pragma_suppresses_and_an_unused_one_is_stale() {
+    let allowed =
+        "// lint:allow(dead-surface): kept for the next PR's caller\npub fn orphan() {}\n";
+    assert!(lint_ws(&[("crates/core/src/a.rs", allowed)]).is_empty());
+    let f = lint_ws(&[
+        ("crates/core/src/a.rs", allowed),
+        ("crates/service/src/engine.rs", "fn f() { orphan(); }"),
+    ]);
+    assert_eq!(rules_fired(&f), vec!["stale-pragma"], "{f:?}");
+    assert!(f[0].message.contains("dead-surface"), "{}", f[0].message);
 }
 
 // ------------------------------------------------- deterministic output --

@@ -75,57 +75,6 @@ pub fn birth_death_stationary(birth: &[f64], death: &[f64]) -> Result<Vec<f64>, 
     Ok(pi)
 }
 
-/// The Erlang-B style M/M/c/c loss chain: arrivals `λ`, per-server service
-/// rate `μ`, capacity `c` (states = number of busy servers).
-///
-/// # Errors
-///
-/// Returns [`MarkovError::InvalidRate`] if `lambda`/`mu` are not positive
-/// and finite, or [`MarkovError::Empty`] if `c == 0`.
-pub fn mmcc_chain(lambda: f64, mu: f64, c: usize) -> Result<Ctmc, MarkovError> {
-    if c == 0 {
-        return Err(MarkovError::Empty);
-    }
-    if !lambda.is_finite() || lambda <= 0.0 {
-        return Err(MarkovError::InvalidRate {
-            from: 0,
-            to: 0,
-            value: lambda,
-        });
-    }
-    if !mu.is_finite() || mu <= 0.0 {
-        return Err(MarkovError::InvalidRate {
-            from: 0,
-            to: 0,
-            value: mu,
-        });
-    }
-    let birth = vec![lambda; c];
-    let death: Vec<f64> = (1..=c).map(|k| k as f64 * mu).collect();
-    birth_death_ctmc(&birth, &death)
-}
-
-/// The Erlang-B blocking probability `B(c, a)` with offered load
-/// `a = λ/μ`, computed by the standard stable recurrence.
-///
-/// # Errors
-///
-/// Returns [`MarkovError::InvalidRate`] if `a` is not positive and finite.
-pub fn erlang_b(c: usize, a: f64) -> Result<f64, MarkovError> {
-    if !a.is_finite() || a <= 0.0 {
-        return Err(MarkovError::InvalidRate {
-            from: 0,
-            to: 0,
-            value: a,
-        });
-    }
-    let mut b = 1.0;
-    for k in 1..=c {
-        b = a * b / (k as f64 + a * b);
-    }
-    Ok(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,35 +125,18 @@ mod tests {
 
     #[test]
     fn mmcc_blocking_matches_erlang_b() {
+        // The M/M/c/c loss chain (states = busy servers) against the
+        // Erlang-B recurrence B(k, a) = a·B(k−1, a) / (k + a·B(k−1, a)).
         let (lambda, mu, c) = (3.0, 1.0, 5);
-        let chain = mmcc_chain(lambda, mu, c).unwrap();
+        let death: Vec<f64> = (1..=c).map(|k| k as f64 * mu).collect();
+        let chain = birth_death_ctmc(&vec![lambda; c], &death).unwrap();
         let ss = steady_state::gth(&chain).unwrap();
         let blocking = ss.prob(c);
-        let eb = erlang_b(c, lambda / mu).unwrap();
+        let a = lambda / mu;
+        let eb = (1..=c).fold(1.0, |b, k| a * b / (k as f64 + a * b));
         assert!(
             (blocking - eb).abs() < 1e-12,
             "chain {blocking} vs erlang-b {eb}"
         );
-    }
-
-    #[test]
-    fn mmcc_rejects_bad_params() {
-        assert!(mmcc_chain(0.0, 1.0, 2).is_err());
-        assert!(mmcc_chain(1.0, -1.0, 2).is_err());
-        assert!(mmcc_chain(1.0, 1.0, 0).is_err());
-        assert!(erlang_b(3, 0.0).is_err());
-        assert!(erlang_b(3, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn erlang_b_known_value() {
-        // B(2, 1) = (1/2) / (1 + 1 + 1/2) = 0.2.
-        let b = erlang_b(2, 1.0).unwrap();
-        assert!((b - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn erlang_b_zero_servers_blocks_everything() {
-        assert_eq!(erlang_b(0, 2.0).unwrap(), 1.0);
     }
 }

@@ -108,7 +108,7 @@ impl Ctmc {
     }
 
     /// Total outgoing rate of `state` (the exponential holding-time rate).
-    pub fn total_rate(&self, state: usize) -> f64 {
+    pub(crate) fn total_rate(&self, state: usize) -> f64 {
         assert!(state < self.n, "state index out of range");
         (0..self.n).map(|j| self.rates[state * self.n + j]).sum()
     }
@@ -130,7 +130,7 @@ impl Ctmc {
     /// A uniformization constant `Λ ≥ max_i Σ_j q(i,j)`, strictly larger so
     /// the uniformized DTMC has self-loops in every state (hence is
     /// aperiodic and power iteration converges).
-    pub fn uniformization_rate(&self) -> f64 {
+    pub(crate) fn uniformization_rate(&self) -> f64 {
         let max = (0..self.n).map(|i| self.total_rate(i)).fold(0.0, f64::max);
         if max == 0.0 {
             1.0
@@ -141,7 +141,7 @@ impl Ctmc {
 
     /// The uniformized transition-probability matrix
     /// `P = I + Q / Λ` for `Λ =` [`Ctmc::uniformization_rate`].
-    pub fn uniformized(&self) -> Matrix {
+    pub(crate) fn uniformized(&self) -> Matrix {
         let lambda = self.uniformization_rate();
         let mut p = Matrix::identity(self.n);
         for i in 0..self.n {
@@ -201,7 +201,7 @@ impl Ctmc {
     /// Returns [`MarkovError::NotIrreducible`] if there are two or more
     /// closed recurrent classes (the stationary distribution would not be
     /// unique).
-    pub fn recurrent_class(&self) -> Result<Vec<usize>, MarkovError> {
+    pub(crate) fn recurrent_class(&self) -> Result<Vec<usize>, MarkovError> {
         // A state's SCC is closed iff no member has a positive rate to a
         // non-member. With n ≤ a few dozen, the O(n²·n) approach below is
         // plenty: compute pairwise reachability, group into SCCs, test
@@ -252,7 +252,7 @@ impl Ctmc {
     /// Returns [`MarkovError::InvalidState`] if `states` is empty, contains
     /// an out-of-range or duplicate index, or has a positive rate leaving
     /// the set.
-    pub fn restrict(&self, states: &[usize]) -> Result<Ctmc, MarkovError> {
+    pub(crate) fn restrict(&self, states: &[usize]) -> Result<Ctmc, MarkovError> {
         if states.is_empty() {
             return Err(MarkovError::Empty);
         }

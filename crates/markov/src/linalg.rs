@@ -46,7 +46,7 @@ impl Matrix {
     }
 
     /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -54,12 +54,13 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from rows.
+    /// Creates a matrix from rows (how the tests write their systems down).
     ///
     /// # Panics
     ///
     /// Panics if `rows` is empty or ragged.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    #[cfg(test)]
+    fn from_rows(rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty(), "matrix must have at least one row");
         let cols = rows[0].len();
         assert!(cols > 0, "matrix must have at least one column");
@@ -84,23 +85,6 @@ impl Matrix {
         self.cols
     }
 
-    /// Matrix–vector product `A·x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::DimensionMismatch`] if `x.len() != cols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, MarkovError> {
-        if x.len() != self.cols {
-            return Err(MarkovError::DimensionMismatch {
-                expected: self.cols,
-                actual: x.len(),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self[(i, j)] * x[j]).sum::<f64>())
-            .collect())
-    }
-
     /// Row-vector–matrix product `xᵀ·A` (how stationary equations are
     /// usually written).
     ///
@@ -117,17 +101,6 @@ impl Matrix {
         Ok((0..self.cols)
             .map(|j| (0..self.rows).map(|i| x[i] * self[(i, j)]).sum::<f64>())
             .collect())
-    }
-
-    /// The transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
     }
 
     /// Solves `A·x = b` by LU decomposition with partial pivoting.
@@ -191,13 +164,6 @@ impl Matrix {
         }
         Ok(x)
     }
-
-    /// The infinity norm (maximum absolute row sum).
-    pub fn inf_norm(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self[(i, j)].abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -255,7 +221,7 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 /// # Errors
 ///
 /// Returns [`MarkovError::Singular`] if the sum is zero or non-finite.
-pub fn normalize_l1(v: &mut [f64]) -> Result<(), MarkovError> {
+pub(crate) fn normalize_l1(v: &mut [f64]) -> Result<(), MarkovError> {
     let sum: f64 = v.iter().sum();
     if !sum.is_finite() || sum.abs() < f64::MIN_POSITIVE {
         return Err(MarkovError::Singular);
@@ -301,12 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_works() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-    }
-
-    #[test]
     fn vec_mul_works() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(m.vec_mul(&[1.0, 1.0]).unwrap(), vec![4.0, 6.0]);
@@ -316,22 +276,12 @@ mod tests {
     fn mul_dimension_mismatch() {
         let m = Matrix::zeros(2, 3);
         assert!(matches!(
-            m.mul_vec(&[1.0]),
+            m.vec_mul(&[1.0]),
             Err(MarkovError::DimensionMismatch {
-                expected: 3,
+                expected: 2,
                 actual: 1
             })
         ));
-        assert!(m.vec_mul(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t[(2, 1)], 6.0);
-        assert_eq!(t.transpose(), m);
     }
 
     #[test]
@@ -395,14 +345,10 @@ mod tests {
         ]);
         let b = [1.0, -2.0, 3.0, -4.0];
         let x = a.solve(&b).unwrap();
-        let ax = a.mul_vec(&x).unwrap();
+        let ax: Vec<f64> = (0..4)
+            .map(|i| (0..4).map(|j| a[(i, j)] * x[j]).sum())
+            .collect();
         assert!(max_abs_diff(&ax, &b) < 1e-10);
-    }
-
-    #[test]
-    fn inf_norm_max_row_sum() {
-        let m = Matrix::from_rows(&[vec![1.0, -2.0], vec![3.0, 0.5]]);
-        assert_eq!(m.inf_norm(), 3.5);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!    replay outcome at `op_seq`.
 //!
 //! Step 5 is why no result ever rides the wire: replay is deterministic
-//! ([`drqos_cluster::coordinator::apply_committed`] is the single shared
+//! (`drqos_cluster::coordinator::apply_committed` is the single shared
 //! transition function), so the outcome the member replays is the
 //! outcome the coordinator committed. `fuzz --diff-cluster` proves the
 //! equivalence against the monolithic engine.

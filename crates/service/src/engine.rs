@@ -91,7 +91,7 @@ impl Engine {
     }
 
     /// The shared counter reader threads bump when they answer `BUSY`.
-    pub fn busy_counter(&self) -> Arc<AtomicU64> {
+    pub(crate) fn busy_counter(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.busy)
     }
 

@@ -8,19 +8,19 @@
 use std::fmt;
 
 /// Empty command line.
-pub const CODE_EMPTY: u16 = 1;
+pub(crate) const CODE_EMPTY: u16 = 1;
 /// Unrecognized command verb.
-pub const CODE_UNKNOWN_COMMAND: u16 = 2;
+pub(crate) const CODE_UNKNOWN_COMMAND: u16 = 2;
 /// Wrong number of arguments for the verb.
-pub const CODE_ARG_COUNT: u16 = 3;
+pub(crate) const CODE_ARG_COUNT: u16 = 3;
 /// An argument failed to parse as a non-negative integer.
-pub const CODE_BAD_INT: u16 = 4;
+pub(crate) const CODE_BAD_INT: u16 = 4;
 /// The server is shutting down and no longer accepts commands.
-pub const CODE_SHUTTING_DOWN: u16 = 11;
+pub(crate) const CODE_SHUTTING_DOWN: u16 = 11;
 /// An internal engine inconsistency (e.g. a just-established connection
 /// that cannot be read back). The daemon reports it instead of panicking
 /// so one bad command can never take down other sessions.
-pub const CODE_INTERNAL: u16 = 12;
+pub(crate) const CODE_INTERNAL: u16 = 12;
 
 /// A malformed or unserviceable command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,7 +42,7 @@ impl ProtocolError {
     }
 
     /// An unknown verb.
-    pub fn unknown_command(verb: &str) -> Self {
+    pub(crate) fn unknown_command(verb: &str) -> Self {
         Self {
             code: CODE_UNKNOWN_COMMAND,
             message: format!("unknown command {verb}"),
@@ -50,7 +50,7 @@ impl ProtocolError {
     }
 
     /// Wrong argument count for `verb` (wanted `expected`, got `got`).
-    pub fn arg_count(verb: &str, expected: usize, got: usize) -> Self {
+    pub(crate) fn arg_count(verb: &str, expected: usize, got: usize) -> Self {
         Self {
             code: CODE_ARG_COUNT,
             message: format!("{verb} takes {expected} arg(s), got {got}"),
@@ -58,7 +58,7 @@ impl ProtocolError {
     }
 
     /// A non-integer argument.
-    pub fn bad_int(arg: &str) -> Self {
+    pub(crate) fn bad_int(arg: &str) -> Self {
         Self {
             code: CODE_BAD_INT,
             message: format!("not a non-negative integer: {arg}"),
@@ -66,7 +66,7 @@ impl ProtocolError {
     }
 
     /// The server is draining for shutdown.
-    pub fn shutting_down() -> Self {
+    pub(crate) fn shutting_down() -> Self {
         Self {
             code: CODE_SHUTTING_DOWN,
             message: "server shutting down".to_string(),
@@ -76,7 +76,7 @@ impl ProtocolError {
     /// An internal engine inconsistency the event loop reports rather
     /// than panics on. `detail` must be deterministic (no wall-clock, no
     /// addresses) so sessions stay golden-traceable even when this fires.
-    pub fn internal(detail: &str) -> Self {
+    pub(crate) fn internal(detail: &str) -> Self {
         Self {
             code: CODE_INTERNAL,
             message: format!("internal error: {detail}"),

@@ -47,11 +47,11 @@ use std::io;
 pub use drqos_core::framing::read_frame;
 
 /// `OK` response status byte.
-pub const STATUS_OK: u8 = 0;
+pub(crate) const STATUS_OK: u8 = 0;
 /// `ERR` response status byte.
-pub const STATUS_ERR: u8 = 1;
+pub(crate) const STATUS_ERR: u8 = 1;
 /// `BUSY` response status byte.
-pub const STATUS_BUSY: u8 = 2;
+pub(crate) const STATUS_BUSY: u8 = 2;
 
 /// Encodes a request as a complete frame (length field included).
 pub fn encode_request(req: &Request) -> Vec<u8> {

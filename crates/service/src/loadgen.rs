@@ -178,7 +178,7 @@ pub struct LoadgenReport {
 
 impl LoadgenReport {
     /// Achieved operations per second across all clients.
-    pub fn ops_per_sec(&self) -> f64 {
+    pub(crate) fn ops_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs > 0.0 {
             self.ops as f64 / secs

@@ -75,7 +75,7 @@ impl Histogram {
 
     /// The `q`-quantile (`0.0 ..= 1.0`) as a bucket upper bound in
     /// nanoseconds, or 0 with no samples.
-    pub fn quantile_nanos(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_nanos(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -117,7 +117,7 @@ impl Histogram {
 
 /// The slot of a line that failed to parse: one past the rows of
 /// [`VERBS`], which have a slot each.
-pub const INVALID: usize = VERBS.len();
+pub(crate) const INVALID: usize = VERBS.len();
 
 /// Per-operation counters and latency distribution.
 #[derive(Debug, Clone, Default)]
@@ -177,17 +177,17 @@ impl Metrics {
     }
 
     /// Total requests handled across all operations.
-    pub fn total_ops(&self) -> u64 {
+    pub(crate) fn total_ops(&self) -> u64 {
         self.ops.iter().map(|s| s.count).sum()
     }
 
     /// Total `ERR` responses across all operations.
-    pub fn total_errors(&self) -> u64 {
+    pub(crate) fn total_errors(&self) -> u64 {
         self.ops.iter().map(|s| s.errors).sum()
     }
 
     /// Latency histogram merged over every operation.
-    pub fn merged_latency(&self) -> Histogram {
+    pub(crate) fn merged_latency(&self) -> Histogram {
         let mut h = Histogram::new();
         for s in &self.ops {
             h.merge(&s.latency);
@@ -196,12 +196,12 @@ impl Metrics {
     }
 
     /// Seconds since the metrics layer was created.
-    pub fn elapsed_s(&self) -> f64 {
+    pub(crate) fn elapsed_s(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 
     /// Requests handled per wall-clock second since creation.
-    pub fn ops_per_sec(&self) -> f64 {
+    pub(crate) fn ops_per_sec(&self) -> f64 {
         let secs = self.elapsed_s();
         if secs > 0.0 {
             self.total_ops() as f64 / secs

@@ -105,11 +105,6 @@ impl<E> Simulator<E> {
         self.queue.len()
     }
 
-    /// Whether no events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -235,12 +230,11 @@ mod tests {
         sim.schedule(SimTime::new(1.0), ());
         sim.schedule(SimTime::new(2.0), ());
         assert_eq!(sim.pending(), 2);
-        assert!(!sim.is_idle());
         sim.pop();
         assert_eq!(sim.processed(), 1);
         assert_eq!(sim.pending(), 1);
         sim.clear();
-        assert!(sim.is_idle());
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`time`] — validated virtual time ([`time::SimTime`]).
 //! * [`engine`] — the event queue ([`engine::Simulator`]).
 //! * [`srlg`] — seeded correlated-failure (shared-risk link group) churn.
-//! * [`stats`] — Welford, time-weighted averages, histograms, counters.
+//! * [`stats`] — Welford, time-weighted averages, counters.
 //!
 //! # Example: an M/M/∞ arrival process
 //!
@@ -62,5 +62,5 @@ pub mod time;
 pub use dist::{Distribution, Exponential};
 pub use engine::Simulator;
 pub use rng::Rng;
-pub use stats::{Counter, Histogram, TimeWeighted, Welford};
+pub use stats::{Counter, TimeWeighted, Welford};
 pub use time::SimTime;

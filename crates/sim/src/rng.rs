@@ -74,20 +74,6 @@ impl Rng {
         }
     }
 
-    /// Creates a generator directly from 256 bits of state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is all zeros, which is the one invalid xoshiro
-    /// state (the generator would emit zeros forever).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(
-            s.iter().any(|&w| w != 0),
-            "xoshiro256++ state must be non-zero"
-        );
-        Self { s }
-    }
-
     /// Returns a copy of the internal state, for checkpointing.
     pub fn clone_state(&self) -> [u64; 4] {
         self.s
@@ -107,11 +93,6 @@ impl Rng {
         result
     }
 
-    /// Returns the next 32-bit output (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly distributed `f64` in `[0, 1)` with 53 bits of
     /// precision.
     pub fn next_f64(&mut self) -> f64 {
@@ -122,7 +103,7 @@ impl Rng {
     /// Returns a uniformly distributed `f64` in the open interval `(0, 1]`.
     ///
     /// Useful for `ln()`-based transforms that cannot accept zero.
-    pub fn next_f64_open(&mut self) -> f64 {
+    pub(crate) fn next_f64_open(&mut self) -> f64 {
         1.0 - self.next_f64()
     }
 
@@ -188,14 +169,6 @@ impl Rng {
             let j = self.range_usize(i + 1);
             slice.swap(i, j);
         }
-    }
-
-    /// Derives an independent generator from this one.
-    ///
-    /// Forking advances this generator's stream, so a fork followed by the
-    /// parent's continued use never replays outputs.
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from_u64(self.next_u64() ^ 0xA5A5_A5A5_DEAD_BEEF)
     }
 }
 
@@ -332,20 +305,5 @@ mod tests {
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         // With overwhelming probability the shuffle moved something.
         assert_ne!(v, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = Rng::seed_from_u64(13);
-        let mut child = parent.fork();
-        let p: Vec<u64> = (0..50).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..50).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn all_zero_state_rejected() {
-        Rng::from_state([0; 4]);
     }
 }

@@ -1,11 +1,10 @@
 //! Online statistics for simulation output analysis.
 //!
 //! * [`Welford`] — numerically stable running mean/variance of i.i.d.
-//!   samples, with a normal-approximation confidence interval.
+//!   samples.
 //! * [`TimeWeighted`] — the time-weighted average of a piecewise-constant
 //!   signal (e.g. "bandwidth currently reserved"), the estimator the paper's
 //!   simulation uses for average bandwidth.
-//! * [`Histogram`] — fixed-width binning for distribution shape checks.
 //! * [`Counter`] — a labelled tally of discrete outcomes.
 
 use crate::time::SimTime;
@@ -62,28 +61,6 @@ impl Welford {
         } else {
             self.m2 / (self.count - 1) as f64
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
-    /// Half-width of the ~95% confidence interval for the mean.
-    ///
-    /// Uses the normal approximation (`1.96 · SE`), which is adequate for the
-    /// sample sizes the experiments produce (thousands of events).
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_error()
     }
 
     /// Merges another accumulator into this one (parallel Welford).
@@ -180,92 +157,6 @@ impl TimeWeighted {
     pub fn current(&self) -> f64 {
         self.last_value
     }
-
-    /// Resets the integration window to begin at `now` with the current value.
-    pub fn reset(&mut self, now: SimTime) {
-        self.start = now;
-        self.last_time = now;
-        self.integral = 0.0;
-    }
-}
-
-/// A fixed-width histogram over `[lo, hi)` with out-of-range tails.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram requires lo < hi");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// All bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The fraction of in-range observations in bin `i`.
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.bins[i] as f64 / self.count as f64
-        }
-    }
 }
 
 /// A small labelled tally of discrete outcomes (accepted / rejected / ...).
@@ -278,11 +169,6 @@ impl Counter {
     /// Creates an empty counter.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Increments `label` by one.
-    pub fn bump(&mut self, label: &str) {
-        self.add(label, 1);
     }
 
     /// Increments `label` by `n`.
@@ -323,7 +209,6 @@ mod tests {
         assert_eq!(w.count(), 0);
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.std_error(), 0.0);
     }
 
     #[test]
@@ -345,25 +230,21 @@ mod tests {
     }
 
     /// Pins the count < 2 behaviour: a naive `m2 / (count - 1)` underflows
-    /// the unsigned count (or yields NaN) for 0 or 1 samples. All three
-    /// spread statistics must be exactly 0.0 — finite, not NaN — so CSV
-    /// exports and assertions downstream never see poisoned values.
+    /// the unsigned count (or yields NaN) for 0 or 1 samples. The variance
+    /// must be exactly 0.0 — finite, not NaN — so assertions downstream
+    /// never see poisoned values.
     #[test]
     fn welford_spread_is_zero_below_two_samples() {
         let mut w = Welford::new();
         for expected_count in [0u64, 1] {
             assert_eq!(w.count(), expected_count);
             assert_eq!(w.variance(), 0.0, "count {expected_count}");
-            assert_eq!(w.std_dev(), 0.0, "count {expected_count}");
-            assert_eq!(w.ci95_half_width(), 0.0, "count {expected_count}");
-            assert!(w.variance().is_finite() && w.ci95_half_width().is_finite());
             w.push(42.0);
         }
         // Past the guard, spread becomes meaningful: samples are now
         // {42, 42, 44}, whose unbiased variance is 8/3 / 2 = 4/3.
         w.push(44.0);
         assert!((w.variance() - 4.0 / 3.0).abs() < 1e-12);
-        assert!(w.ci95_half_width() > 0.0);
     }
 
     #[test]
@@ -401,19 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn ci_shrinks_with_samples() {
-        let mut w = Welford::new();
-        for i in 0..100 {
-            w.push((i % 10) as f64);
-        }
-        let wide = w.ci95_half_width();
-        for i in 0..10_000 {
-            w.push((i % 10) as f64);
-        }
-        assert!(w.ci95_half_width() < wide);
-    }
-
-    #[test]
     fn time_weighted_constant_signal() {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 5.0);
         tw.update(SimTime::new(10.0), 5.0);
@@ -435,14 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_reset_starts_fresh() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 100.0);
-        tw.update(SimTime::new(5.0), 1.0);
-        tw.reset(SimTime::new(5.0));
-        assert_eq!(tw.mean_until(SimTime::new(10.0)), 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "time order")]
     fn time_weighted_rejects_backwards_update() {
         let mut tw = TimeWeighted::new(SimTime::new(5.0), 0.0);
@@ -450,39 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_correctly() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 9.9, -1.0, 10.0] {
-            h.push(x);
-        }
-        assert_eq!(h.bin(0), 2); // 0.5, 1.5
-        assert_eq!(h.bin(1), 1); // 2.5
-        assert_eq!(h.bin(4), 1); // 9.9
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn histogram_fraction() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.push(0.25);
-        h.push(0.75);
-        h.push(0.80);
-        assert!((h.fraction(1) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
     fn counter_tallies() {
         let mut c = Counter::new();
-        c.bump("accepted");
-        c.bump("accepted");
+        c.add("accepted", 1);
+        c.add("accepted", 1);
         c.add("rejected", 3);
         assert_eq!(c.get("accepted"), 2);
         assert_eq!(c.get("rejected"), 3);

@@ -46,11 +46,6 @@ impl SimTime {
     pub fn as_secs(self) -> f64 {
         self.0
     }
-
-    /// `self - earlier`, or zero if `earlier` is later than `self`.
-    pub fn saturating_since(self, earlier: SimTime) -> f64 {
-        (self.0 - earlier.0).max(0.0)
-    }
 }
 
 impl Default for SimTime {
@@ -126,12 +121,6 @@ mod tests {
     fn sub_gives_elapsed() {
         assert_eq!(SimTime::new(5.0) - SimTime::new(2.0), 3.0);
         assert_eq!(SimTime::new(2.0) - SimTime::new(5.0), -3.0);
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        assert_eq!(SimTime::new(2.0).saturating_since(SimTime::new(5.0)), 0.0);
-        assert_eq!(SimTime::new(5.0).saturating_since(SimTime::new(2.0)), 3.0);
     }
 
     #[test]

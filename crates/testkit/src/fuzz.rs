@@ -160,7 +160,7 @@ impl Scenario {
     /// forced on or off, ignoring the `DRQOS_ROUTE_CACHE` environment
     /// (differential runs must control both sides themselves). Registers
     /// the same seeded shared-risk groups as [`Scenario::network`].
-    pub fn network_with_cache(&self, route_cache: bool) -> Network {
+    pub(crate) fn network_with_cache(&self, route_cache: bool) -> Network {
         self.network_from(NetworkConfig {
             route_cache,
             ..NetworkConfig::default()
@@ -299,7 +299,7 @@ impl Harness {
 /// Generates `len` operations with the standard weights (40% establish,
 /// 25% release, 13% fail-link, 5% fail-node, 3% fail-srlg, 3%
 /// repair-srlg, 11% repair-link).
-pub fn generate_ops(rng: &mut Rng, len: usize) -> Vec<Op> {
+pub(crate) fn generate_ops(rng: &mut Rng, len: usize) -> Vec<Op> {
     (0..len)
         .map(|_| {
             let roll = rng.range_usize(100);
@@ -340,7 +340,7 @@ pub fn generate_ops(rng: &mut Rng, len: usize) -> Vec<Op> {
 /// The operation stream of one case: every runner (the invariant fuzzer
 /// and each lockstep differential) replays exactly this stream for a case
 /// seed, so a sequence number addresses the same workload everywhere.
-pub fn case_ops(case_seed: u64, len: usize) -> Vec<Op> {
+pub(crate) fn case_ops(case_seed: u64, len: usize) -> Vec<Op> {
     generate_ops(&mut Rng::seed_from_u64(case_seed ^ 0x4655_5A5A), len) // ASCII "FUZZ"
 }
 
@@ -399,7 +399,7 @@ pub fn run_sequence(
 /// removes ever-smaller chunks while the sequence still fails. The result
 /// still fails and no single further chunk removal of size 1 succeeds
 /// (1-minimality).
-pub fn shrink(scenario: &Scenario, ops: &[Op], fault: InjectedFault) -> Vec<Op> {
+pub(crate) fn shrink(scenario: &Scenario, ops: &[Op], fault: InjectedFault) -> Vec<Op> {
     shrink_by(ops, |candidate| {
         run_sequence(scenario, candidate, fault).map(|f| f.step)
     })
@@ -410,7 +410,7 @@ pub fn shrink(scenario: &Scenario, ops: &[Op], fault: InjectedFault) -> Vec<Op> 
 /// passes). Any failure predicate over operand-encoded sequences shrinks
 /// this way — the invariant fuzzer and the lockstep driver
 /// ([`crate::lockstep`]) share it.
-pub fn shrink_by(ops: &[Op], fails_at: impl Fn(&[Op]) -> Option<usize>) -> Vec<Op> {
+pub(crate) fn shrink_by(ops: &[Op], fails_at: impl Fn(&[Op]) -> Option<usize>) -> Vec<Op> {
     let Some(step) = fails_at(ops) else {
         return ops.to_vec(); // not failing: nothing to shrink
     };

@@ -213,7 +213,7 @@ pub mod scenarios {
 
     /// `ring_failover`: a 6-ring where a primary-link failure activates
     /// the backup, the link is repaired, and everything is torn down.
-    pub fn ring_failover() -> (&'static str, String) {
+    pub(crate) fn ring_failover() -> (&'static str, String) {
         let net = Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
         let mut rec = TraceRecorder::new("ring_failover", net, ElasticQos::paper_video(100));
         let a = rec.establish(0, 3).expect("empty ring admits");
@@ -230,7 +230,7 @@ pub mod scenarios {
 
     /// `contention_retreat`: a capacity-starved ring where arrivals force
     /// retreats and a departure lets survivors grow back.
-    pub fn contention_retreat() -> (&'static str, String) {
+    pub(crate) fn contention_retreat() -> (&'static str, String) {
         let net = Network::new(
             regular::ring(6).unwrap(),
             NetworkConfig {
@@ -251,7 +251,7 @@ pub mod scenarios {
 
     /// `node_outage`: a torus node failure downs four links at once,
     /// then two of them are repaired.
-    pub fn node_outage() -> (&'static str, String) {
+    pub(crate) fn node_outage() -> (&'static str, String) {
         let net = Network::new(regular::torus(4, 4).unwrap(), NetworkConfig::default());
         let mut rec = TraceRecorder::new("node_outage", net, ElasticQos::paper_video(50));
         rec.establish(0, 10).expect("empty torus admits");

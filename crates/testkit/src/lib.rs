@@ -54,10 +54,10 @@ pub mod session;
 
 pub use diff::{run_diff, DiffCase, DiffResult};
 pub use fuzz::{
-    generate_ops, run_fuzz, run_sequence, shrink, shrink_by, FuzzConfig, FuzzFailure, FuzzOutcome,
-    Harness, InjectedFault, Op, Scenario, SequenceFailure,
+    run_fuzz, run_sequence, FuzzConfig, FuzzFailure, FuzzOutcome, Harness, InjectedFault, Op,
+    Scenario, SequenceFailure,
 };
 pub use golden::{verify_golden, TraceRecorder};
-pub use lockstep::{resolve_op, Case, Divergence, Lockstep, Subject, SubjectRow};
+pub use lockstep::{Case, Divergence, Lockstep, Subject, SubjectRow};
 pub use oracle::{InvariantCheck, Oracle, Violation};
 pub use reference::ReferenceModel;

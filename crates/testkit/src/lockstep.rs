@@ -75,7 +75,7 @@ fn pick_from<T>(candidates: impl Iterator<Item = T>, pick: u64) -> Option<T> {
 /// from is empty — the operation is then a legal no-op. This is the only
 /// operand resolution in the testkit, so every runner replays a sequence
 /// onto the same targets.
-pub fn resolve_op(net: &Network, qos: ElasticQos, op: Op) -> Option<Resolved> {
+pub(crate) fn resolve_op(net: &Network, qos: ElasticQos, op: Op) -> Option<Resolved> {
     let up = |l: LinkId| net.link_usage(l).is_up();
     // Shared-risk groups with at least one member in the given state.
     let groups_with = |want_up: bool| {
@@ -463,7 +463,7 @@ impl SubjectRow {
     /// `subject_scenario` and a fresh oracle built from `oracle_scenario`.
     /// The two are the same scenario in every real run; tests pass a
     /// mismatched pair to prove the comparison detects.
-    pub fn run_pair(
+    pub(crate) fn run_pair(
         &self,
         subject_scenario: &Scenario,
         oracle_scenario: &Scenario,

@@ -50,7 +50,7 @@ impl Oracle {
     }
 
     /// The full standard property set.
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         let mut oracle = Self::new();
         oracle.push(Box::new(CoreAccounting));
         oracle.push(Box::new(CapacityBound));

@@ -65,7 +65,7 @@ impl ReferenceModel {
     }
 
     /// Live connection ids, in id order.
-    pub fn live_ids(&self) -> Vec<ConnectionId> {
+    pub(crate) fn live_ids(&self) -> Vec<ConnectionId> {
         self.conns.keys().copied().collect()
     }
 
@@ -79,19 +79,9 @@ impl ReferenceModel {
             .collect()
     }
 
-    /// Links currently believed down, in id order.
-    pub fn down_links(&self) -> Vec<LinkId> {
-        self.link_up
-            .iter()
-            .enumerate()
-            .filter(|&(_, &up)| !up)
-            .map(|(i, _)| LinkId(i))
-            .collect()
-    }
-
     /// Records a successful establishment, learning the committed primary
     /// route from the network.
-    pub fn on_establish(&mut self, net: &Network, id: ConnectionId) {
+    pub(crate) fn on_establish(&mut self, net: &Network, id: ConnectionId) {
         let c = net.connection(id).expect("establish returned this id");
         let prev = self.conns.insert(
             id,
@@ -106,7 +96,7 @@ impl ReferenceModel {
     }
 
     /// Records a release.
-    pub fn on_release(&mut self, id: ConnectionId) {
+    pub(crate) fn on_release(&mut self, id: ConnectionId) {
         let removed = self.conns.remove(&id);
         assert!(removed.is_some(), "{id} released but never tracked");
     }
@@ -114,7 +104,7 @@ impl ReferenceModel {
     /// Records a link failure: the link goes down (one epoch bump),
     /// dropped connections leave the books, and activated connections
     /// switch to the backup route the network reports.
-    pub fn on_fail_link(&mut self, net: &Network, report: &FailureReport) {
+    pub(crate) fn on_fail_link(&mut self, net: &Network, report: &FailureReport) {
         let idx = report.link.index();
         assert!(self.link_up[idx], "{} failed while down", report.link);
         self.link_up[idx] = false;
@@ -141,7 +131,7 @@ impl ReferenceModel {
 
     /// Records a repair: one epoch bump, link back up. (Backup
     /// re-establishment does not touch any quantity the reference tracks.)
-    pub fn on_repair_link(&mut self, link: LinkId) {
+    pub(crate) fn on_repair_link(&mut self, link: LinkId) {
         let idx = link.index();
         assert!(!self.link_up[idx], "{link} repaired while up");
         self.link_up[idx] = true;

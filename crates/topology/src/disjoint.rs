@@ -26,13 +26,6 @@ pub struct DisjointPair {
     pub second: Path,
 }
 
-impl DisjointPair {
-    /// Total hop count of both paths.
-    pub fn total_hops(&self) -> usize {
-        self.first.hop_count() + self.second.hop_count()
-    }
-}
-
 /// Directed arc: (from, to, link).
 type Arc = (NodeId, NodeId, LinkId);
 
@@ -248,7 +241,7 @@ mod tests {
         let g = regular::ring(6).unwrap();
         let pair = suurballe(&g, NodeId(0), NodeId(3), &pass_all).unwrap();
         assert!(pair.first.is_link_disjoint(&pair.second));
-        assert_eq!(pair.total_hops(), 6); // 3 + 3 around the ring
+        assert_eq!(pair.first.hop_count() + pair.second.hop_count(), 6); // 3 + 3 around the ring
     }
 
     #[test]
@@ -344,7 +337,7 @@ mod tests {
         let pair = suurballe(&g, NodeId(s), NodeId(t), &pass_all).unwrap();
         assert!(pair.first.is_link_disjoint(&pair.second));
         // Optimal pair: the two 4-hop corridors, total 8.
-        assert_eq!(pair.total_hops(), 8);
+        assert_eq!(pair.first.hop_count() + pair.second.hop_count(), 8);
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl Graph {
     }
 
     /// Adds a node at coordinates `(x, y)`; returns its id.
-    pub fn add_node_at(&mut self, x: f64, y: f64) -> NodeId {
+    pub(crate) fn add_node_at(&mut self, x: f64, y: f64) -> NodeId {
         let id = self.add_node();
         self.positions[id.0] = Some((x, y));
         id
@@ -160,7 +160,7 @@ impl Graph {
     /// Euclidean distance between two positioned nodes.
     ///
     /// Returns `None` if either node lacks a position.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> Option<f64> {
+    pub(crate) fn distance(&self, a: NodeId, b: NodeId) -> Option<f64> {
         let (ax, ay) = self.position(a)?;
         let (bx, by) = self.position(b)?;
         Some(((ax - bx).powi(2) + (ay - by).powi(2)).sqrt())

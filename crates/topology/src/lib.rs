@@ -11,7 +11,7 @@
 //!   statistics (100 nodes / 354 edges / average degree 3.48).
 //! * [`transit_stub`] — hierarchical transit-stub networks (the paper's
 //!   "Tier" model).
-//! * [`regular`] — rings, grids, tori, hypercubes, stars for tests and
+//! * [`regular`] — rings, grids, tori, complete graphs for tests and
 //!   examples.
 //! * [`paths`] — validated [`paths::Path`], BFS / Dijkstra / Yen searches
 //!   with per-link feasibility filters.

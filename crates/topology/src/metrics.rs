@@ -10,7 +10,7 @@ use crate::graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
 /// Average node degree, `2·E / N`. Zero for an empty graph.
-pub fn average_degree(graph: &Graph) -> f64 {
+pub(crate) fn average_degree(graph: &Graph) -> f64 {
     if graph.node_count() == 0 {
         0.0
     } else {
@@ -45,7 +45,7 @@ pub fn is_connected(graph: &Graph) -> bool {
 }
 
 /// The connected components, each a sorted list of nodes.
-pub fn components(graph: &Graph) -> Vec<Vec<NodeId>> {
+pub(crate) fn components(graph: &Graph) -> Vec<Vec<NodeId>> {
     let mut seen = vec![false; graph.node_count()];
     let mut out = Vec::new();
     for start in graph.nodes() {

@@ -5,13 +5,8 @@
 //! which shard a request "belongs" to (the owner of its source node), and
 //! the cluster federation to decide which member owns which links.
 //!
-//! Two constructions are provided:
-//!
-//! * [`Partition::seeded_bfs`] — a deterministic round-robin multi-source
-//!   BFS that works on any graph (the fuzzer's Waxman scenarios use it);
-//! * [`crate::transit_stub::TransitStub::natural_partition`] — the
-//!   transit-stub hierarchy's natural cut: each transit router and the stub
-//!   domains hanging off it form a region.
+//! [`Partition::seeded_bfs`] builds one for any graph: a deterministic
+//! round-robin multi-source BFS (the fuzzer's Waxman scenarios use it).
 //!
 //! Link ownership is derived from node ownership: a link belongs to the
 //! shard of its lower-indexed endpoint. This is a deterministic total
@@ -156,15 +151,6 @@ impl Partition {
     pub fn shard_of_link(&self, link: LinkId) -> usize {
         self.link_shard.get(link.index()).copied().unwrap_or(0)
     }
-
-    /// Nodes per shard, for balance inspection.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.shards];
-        for &s in &self.node_shard {
-            sizes[s] += 1;
-        }
-        sizes
-    }
 }
 
 #[cfg(test)]
@@ -224,8 +210,10 @@ mod tests {
     fn seeded_bfs_balances_connected_graphs() {
         let g = waxman_graph(3);
         let p = Partition::seeded_bfs(&g, 4, 1);
-        let sizes = p.shard_sizes();
-        assert_eq!(sizes.iter().sum::<usize>(), g.node_count());
+        let mut sizes = vec![0usize; p.shards()];
+        for n in g.nodes() {
+            sizes[p.shard_of_node(n)] += 1;
+        }
         assert!(
             sizes.iter().all(|&s| s > 0),
             "every shard should claim nodes on a connected graph: {sizes:?}"

@@ -81,7 +81,7 @@ impl Path {
     }
 
     /// Whether this path and `other` share at least one link.
-    pub fn shares_link_with(&self, other: &Path) -> bool {
+    pub(crate) fn shares_link_with(&self, other: &Path) -> bool {
         other.links.iter().any(|&l| self.crosses(l))
     }
 

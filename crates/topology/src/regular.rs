@@ -26,24 +26,6 @@ pub fn ring(n: usize) -> Result<Graph, TopologyError> {
     Ok(g)
 }
 
-/// A star: node 0 is the hub, nodes `1..n` are leaves.
-///
-/// # Errors
-///
-/// Returns [`TopologyError::InvalidParameter`] if `n < 2`.
-pub fn star(n: usize) -> Result<Graph, TopologyError> {
-    if n < 2 {
-        return Err(TopologyError::InvalidParameter(format!(
-            "star requires at least 2 nodes, got {n}"
-        )));
-    }
-    let mut g = Graph::with_nodes(n);
-    for i in 1..n {
-        g.add_link(NodeId(0), NodeId(i))?;
-    }
-    Ok(g)
-}
-
 /// An `rows × cols` grid (mesh). Node `(r, c)` has index `r * cols + c`.
 ///
 /// # Errors
@@ -93,30 +75,6 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph, TopologyError> {
     Ok(g)
 }
 
-/// A hypercube of dimension `dim` (so `2^dim` nodes).
-///
-/// # Errors
-///
-/// Returns [`TopologyError::InvalidParameter`] if `dim == 0` or `dim > 20`.
-pub fn hypercube(dim: u32) -> Result<Graph, TopologyError> {
-    if dim == 0 || dim > 20 {
-        return Err(TopologyError::InvalidParameter(format!(
-            "hypercube dimension must be in 1..=20, got {dim}"
-        )));
-    }
-    let n = 1usize << dim;
-    let mut g = Graph::with_nodes(n);
-    for i in 0..n {
-        for b in 0..dim {
-            let j = i ^ (1 << b);
-            if j > i {
-                g.add_link(NodeId(i), NodeId(j))?;
-            }
-        }
-    }
-    Ok(g)
-}
-
 /// The complete graph on `n ≥ 2` nodes.
 ///
 /// # Errors
@@ -157,14 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn star_counts() {
-        let g = star(6).unwrap();
-        assert_eq!(g.link_count(), 5);
-        assert_eq!(g.degree(NodeId(0)), 5);
-        assert!(g.nodes().skip(1).all(|n| g.degree(n) == 1));
-    }
-
-    #[test]
     fn grid_counts() {
         let g = grid(3, 4).unwrap();
         assert_eq!(g.node_count(), 12);
@@ -191,21 +141,6 @@ mod tests {
     fn torus_rejects_small() {
         assert!(torus(2, 3).is_err());
         assert!(torus(3, 2).is_err());
-    }
-
-    #[test]
-    fn hypercube_structure() {
-        let g = hypercube(3).unwrap();
-        assert_eq!(g.node_count(), 8);
-        assert_eq!(g.link_count(), 12);
-        assert!(g.nodes().all(|n| g.degree(n) == 3));
-        assert_eq!(metrics::diameter(&g), Some(3));
-    }
-
-    #[test]
-    fn hypercube_rejects_extremes() {
-        assert!(hypercube(0).is_err());
-        assert!(hypercube(21).is_err());
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use crate::error::TopologyError;
 use crate::graph::{Graph, NodeId};
 use crate::metrics;
-use crate::partition::Partition;
 use drqos_sim::rng::Rng;
 
 /// Configuration for the transit-stub generator.
@@ -47,12 +46,6 @@ impl TransitStubConfig {
             transit_extra_edge_prob: 0.6,
             stub_extra_edge_prob: 0.25,
         }
-    }
-
-    /// Total node count this configuration produces.
-    pub fn total_nodes(&self) -> usize {
-        let transit = self.transit_domains * self.transit_nodes_per_domain;
-        transit + transit * self.stubs_per_transit_node * self.stub_nodes_per_domain
     }
 
     fn validate(&self) -> Result<(), TopologyError> {
@@ -113,7 +106,6 @@ impl TransitStubConfig {
 
         // Stub domains hanging off each transit node.
         let mut stub_nodes: Vec<NodeId> = Vec::new();
-        let mut stub_domains: Vec<StubDomain> = Vec::new();
         for (t_idx, &t) in transit_nodes.iter().enumerate() {
             for s in 0..self.stubs_per_transit_node {
                 let members = random_connected_subgraph(
@@ -127,10 +119,6 @@ impl TransitStubConfig {
                 g.add_link(t, gateway)
                     .expect("stub gateway link cannot duplicate");
                 stub_nodes.extend(&members);
-                stub_domains.push(StubDomain {
-                    transit_index: t_idx,
-                    members,
-                });
             }
         }
         debug_assert!(metrics::is_connected(&g));
@@ -138,18 +126,8 @@ impl TransitStubConfig {
             graph: g,
             transit_nodes,
             stub_nodes,
-            stub_domains,
         })
     }
-}
-
-/// One stub domain and the transit router it hangs off.
-#[derive(Debug, Clone)]
-pub struct StubDomain {
-    /// Index into [`TransitStub::transit_nodes`] of the attachment router.
-    pub transit_index: usize,
-    /// The stub domain's routers.
-    pub members: Vec<NodeId>,
 }
 
 /// A generated transit-stub topology with its node classification.
@@ -161,40 +139,6 @@ pub struct TransitStub {
     pub transit_nodes: Vec<NodeId>,
     /// Stub (edge) routers.
     pub stub_nodes: Vec<NodeId>,
-    /// Stub domains, each tagged with its transit attachment router — the
-    /// hierarchy the natural partition cuts along.
-    pub stub_domains: Vec<StubDomain>,
-}
-
-impl TransitStub {
-    /// Whether `n` is a transit router.
-    pub fn is_transit(&self, n: NodeId) -> bool {
-        self.transit_nodes.contains(&n)
-    }
-
-    /// The hierarchy's natural cut into `shards` regions: transit router
-    /// `t` and every stub domain hanging off it form region `t % shards`.
-    /// Intra-stub traffic stays inside one shard; only paths crossing the
-    /// transit core touch several. Deterministic — no RNG involved.
-    ///
-    /// `shards` is clamped to at least 1; asking for more shards than
-    /// transit routers leaves the excess shards empty of nodes, so it is
-    /// clamped to the transit-router count too.
-    pub fn natural_partition(&self, shards: usize) -> Partition {
-        let shards = shards.clamp(1, self.transit_nodes.len().max(1));
-        let mut node_shard = vec![0usize; self.graph.node_count()];
-        for (t_idx, &t) in self.transit_nodes.iter().enumerate() {
-            node_shard[t.index()] = t_idx % shards;
-        }
-        for domain in &self.stub_domains {
-            let s = domain.transit_index % shards;
-            for &n in &domain.members {
-                node_shard[n.index()] = s;
-            }
-        }
-        Partition::from_node_assignment(&self.graph, shards, node_shard)
-            .expect("assignment is total and in range by construction")
-    }
 }
 
 /// Adds `n` new nodes (placed near `origin` for display), wires a random
@@ -244,7 +188,6 @@ mod tests {
     #[test]
     fn paper_default_has_100_nodes() {
         let cfg = TransitStubConfig::paper_default();
-        assert_eq!(cfg.total_nodes(), 100);
         let ts = cfg.generate(&mut rng()).unwrap();
         assert_eq!(ts.graph.node_count(), 100);
         assert_eq!(ts.transit_nodes.len(), 4);
@@ -257,11 +200,8 @@ mod tests {
         let ts = TransitStubConfig::paper_default()
             .generate(&mut rng())
             .unwrap();
-        for &t in &ts.transit_nodes {
-            assert!(ts.is_transit(t));
-        }
-        for &s in &ts.stub_nodes {
-            assert!(!ts.is_transit(s));
+        for s in &ts.stub_nodes {
+            assert!(!ts.transit_nodes.contains(s));
         }
     }
 
@@ -276,7 +216,8 @@ mod tests {
             stub_extra_edge_prob: 0.5,
         };
         let ts = cfg.generate(&mut rng()).unwrap();
-        assert_eq!(ts.graph.node_count(), cfg.total_nodes());
+        // 3 × 2 transit routers, each with one 3-router stub domain.
+        assert_eq!(ts.graph.node_count(), 6 + 6 * 3);
         assert!(metrics::is_connected(&ts.graph));
     }
 
@@ -327,33 +268,5 @@ mod tests {
         let a = cfg.generate(&mut Rng::seed_from_u64(9)).unwrap();
         let b = cfg.generate(&mut Rng::seed_from_u64(9)).unwrap();
         assert_eq!(a.graph.link_count(), b.graph.link_count());
-    }
-
-    #[test]
-    fn natural_partition_follows_the_hierarchy() {
-        let ts = TransitStubConfig::paper_default()
-            .generate(&mut rng())
-            .unwrap();
-        let p = ts.natural_partition(4);
-        assert_eq!(p.shards(), 4);
-        // Each stub router shares its shard with its attachment transit
-        // router: intra-stub traffic never crosses shards.
-        for domain in &ts.stub_domains {
-            let t = ts.transit_nodes[domain.transit_index];
-            for &n in &domain.members {
-                assert_eq!(
-                    p.shard_of_node(n),
-                    p.shard_of_node(t),
-                    "stub router split from its transit region"
-                );
-            }
-        }
-        // The cut is balanced: 1 transit router + 24 stub routers each.
-        assert_eq!(p.shard_sizes(), vec![25, 25, 25, 25]);
-        // Deterministic (no RNG involved).
-        assert_eq!(ts.natural_partition(4), ts.natural_partition(4));
-        // Clamped to the transit-router count.
-        assert_eq!(ts.natural_partition(64).shards(), 4);
-        assert_eq!(ts.natural_partition(0).shards(), 1);
     }
 }

@@ -17,11 +17,11 @@
 //! and reports the resulting graph as 100 nodes / 354 edges / average degree
 //! 3.48. Under the standard formula above, `β = 0` yields *no* edges, so the
 //! paper's GT-ITM build evidently used a different parameter convention.
-//! Rather than guess the convention, [`calibrate_beta`] searches for the
-//! `β` that reproduces the paper's *reported graph statistics* (354 edges at
-//! `α = 0.33`, which lands near `β ≈ 0.24`). The benches use the calibrated
-//! value so that the substrate matches the paper's actual evaluation
-//! network, which is what matters for the results.
+//! Rather than guess the convention, the test-only `calibrate_beta` searches
+//! for the `β` that reproduces the paper's *reported graph statistics* (354
+//! edges at `α = 0.33`, which lands near `β ≈ 0.24`). [`paper_waxman`] fixes
+//! a value calibrated that way so that the substrate matches the paper's
+//! actual evaluation network, which is what matters for the results.
 
 use crate::error::TopologyError;
 use crate::graph::Graph;
@@ -133,7 +133,7 @@ impl WaxmanConfig {
 ///
 /// A cheap stand-in for GT-ITM's "regenerate until connected" loop that
 /// perturbs the degree distribution by at most (#components − 1) links.
-pub fn bridge_components(g: &mut Graph) {
+pub(crate) fn bridge_components(g: &mut Graph) {
     loop {
         let comps = metrics::components(g);
         if comps.len() <= 1 {
@@ -162,13 +162,15 @@ pub fn bridge_components(g: &mut Graph) {
 /// sample graphs per probe).
 ///
 /// Used to match the paper's reported topology statistics (see the module
-/// docs). Returns the calibrated β.
+/// docs): this is where [`paper_waxman`]'s constants came from, kept as
+/// the reference its tests re-derive them against. Returns the calibrated β.
 ///
 /// # Errors
 ///
 /// Returns [`TopologyError::InvalidParameter`] for nonsensical inputs
 /// (fewer than 2 nodes, zero target, zero trials, or `alpha` out of range).
-pub fn calibrate_beta(
+#[cfg(test)]
+fn calibrate_beta(
     nodes: usize,
     alpha: f64,
     target_edges: usize,

@@ -9,8 +9,10 @@
 //!
 //! then commit the rewritten `tests/golden/*.txt`.
 
-use drqos_bench::runner::{sweep, PointObs};
-use drqos_core::experiment::run_churn;
+use drqos_bench::runner::{sweep, PointObs, Sweep};
+use drqos_core::experiment::{run_churn, ExperimentConfig, ExperimentReport};
+use drqos_core::network::Network;
+use drqos_core::scenario::{run_scenario_churn, Scenario, ScenarioKind};
 use drqos_testkit::golden::{scenarios, verify_golden};
 use drqos_tests::{quick_experiment, small_paper_graph};
 use std::path::{Path, PathBuf};
@@ -28,34 +30,91 @@ fn canonical_scenarios_match_blessed_traces() {
     }
 }
 
+/// One trace row and its sweep observation from a finished run: `label`
+/// followed by the integer counters both series pin — no floats, no
+/// wall-clock — so the text is byte-stable across machines and worker
+/// counts.
+fn row(
+    label: &str,
+    config: &ExperimentConfig,
+    report: &ExperimentReport,
+    net: &Network,
+) -> (String, PointObs) {
+    net.validate();
+    let mut obs = PointObs::default();
+    obs.absorb(config, report);
+    let row = format!(
+        "{label} accepted={} rejected={} dropped={} failures={} epoch={}",
+        report.accepted,
+        report.rejected_primary + report.rejected_backup,
+        report.dropped,
+        report.failures,
+        net.topology_epoch(),
+    );
+    (row, obs)
+}
+
+/// A series' rows under its title line.
+fn trace(title: &str, rows: &Sweep<String>) -> String {
+    let mut out = format!("# drqos golden trace: {title}\n");
+    for row in rows.rows() {
+        out.push_str(row);
+        out.push('\n');
+    }
+    out
+}
+
 /// The deterministic series columns of a small sweep, as trace lines.
-/// Only integer counters — no floats, no wall-clock — so the text is
-/// byte-stable across machines and worker counts.
 fn sweep_series() -> String {
     let points: Vec<(usize, usize)> = vec![(30, 40), (30, 80), (40, 60), (50, 100)];
     let result = sweep(2001, &points, |&(nodes, target), seed| {
         let graph = small_paper_graph(nodes, seed);
         let config = quick_experiment(target, 150, seed);
         let (report, net) = run_churn(graph, &config);
-        net.validate();
-        let mut obs = PointObs::default();
-        obs.absorb(&config, &report);
-        let row = format!(
-            "nodes={nodes} target={target} accepted={} rejected={} dropped={} failures={} epoch={}",
-            report.accepted,
-            report.rejected_primary + report.rejected_backup,
-            report.dropped,
-            report.failures,
-            net.topology_epoch(),
-        );
-        (row, obs)
+        row(
+            &format!("nodes={nodes} target={target}"),
+            &config,
+            &report,
+            &net,
+        )
     });
-    let mut out = String::from("# drqos golden trace: sweep_series (4 points, seed 2001)\n");
-    for row in result.rows() {
-        out.push_str(row);
-        out.push('\n');
+    trace("sweep_series (4 points, seed 2001)", &result)
+}
+
+/// Every arm of the churn loop, pinned: each [`ScenarioKind`] at γ = 0 and
+/// at γ = λ with two-link failure bursts. Blessed on the parent of the PR
+/// that merged `run_churn` and `run_scenario_churn` into one loop, and
+/// carried over unchanged (TESTING.md, "Golden traces").
+fn churn_series() -> String {
+    let points: Vec<(ScenarioKind, bool)> = ScenarioKind::ALL
+        .into_iter()
+        .flat_map(|kind| [(kind, false), (kind, true)])
+        .collect();
+    let result = sweep(2001, &points, |&(kind, failing), seed| {
+        let mut config = quick_experiment(60, 400, seed);
+        if failing {
+            config.gamma = config.lambda;
+            config.failure_burst = 2;
+        }
+        let graph = small_paper_graph(30, seed);
+        let (report, net) = run_scenario_churn(graph, &config, &Scenario::new(kind));
+        let gamma = if failing { "lambda" } else { "0" };
+        let (row, obs) = row(
+            &format!("kind={kind} gamma={gamma}"),
+            &config,
+            &report,
+            &net,
+        );
+        (format!("{row} active_end={}", report.active_end), obs)
+    });
+    trace("churn_series (10 points, seed 2001)", &result)
+}
+
+#[test]
+fn churn_series_matches_golden() {
+    if let Err(e) = verify_golden(&golden_dir(), "churn_series", &churn_series()) {
+        panic!("{e}");
     }
-    out
 }
 
 #[test]
