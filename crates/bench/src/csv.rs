@@ -10,7 +10,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// The default export directory (`target/experiments`).
-pub fn default_dir() -> PathBuf {
+pub(crate) fn default_dir() -> PathBuf {
     PathBuf::from("target").join("experiments")
 }
 

@@ -14,12 +14,12 @@
 //!   seed is never reused verbatim.
 //! * Each point records wall time and simulation counters
 //!   ([`PointObs`]), which the binaries append as extra CSV columns and
-//!   aggregate into `target/experiments/runtime.json`.
+//!   sum into `target/experiments/runtime/<name>-<threads>t.json`.
 
 use drqos_core::experiment::{ExperimentConfig, ExperimentReport};
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -179,8 +179,7 @@ impl<R> Sweep<R> {
         self.records.iter().map(|r| r.obs.events).sum()
     }
 
-    /// Aggregates this sweep into a named runtime summary for
-    /// `runtime.json`.
+    /// Aggregates this sweep into a named runtime summary.
     pub(crate) fn runtime_summary(&self, name: &str) -> RuntimeSummary {
         let mut obs = PointObs::default();
         for r in &self.records {
@@ -266,8 +265,8 @@ where
 
 /// Exports a finished sweep: writes `target/experiments/<name>.csv` with
 /// the series columns followed by the [`OBS_HEADER`] observability
-/// columns, and records the sweep's aggregate timing into
-/// `target/experiments/runtime.json`.
+/// columns, and records the sweep's aggregate timing under
+/// `target/experiments/runtime/`.
 ///
 /// The series columns depend only on the seed and the points, so they are
 /// byte-identical whether the sweep ran on one worker or many; the
@@ -313,10 +312,10 @@ pub fn export_sweep<R>(
     }
 }
 
-// --------------------------------------------------------- runtime.json --
+// -------------------------------------------------------- runtime files --
 
-/// Aggregated timing for one sweep, as recorded in
-/// `target/experiments/runtime.json`.
+/// Aggregated timing for one sweep, as recorded under
+/// `target/experiments/runtime/`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeSummary {
     /// Experiment name (`fig2`, `table1`, ...).
@@ -363,153 +362,25 @@ impl RuntimeSummary {
     }
 }
 
-/// Records a sweep's summary under `target/experiments/runtime/` and
-/// rebuilds the aggregate `target/experiments/runtime.json` from every
-/// summary recorded so far (one entry per experiment × thread count, so a
-/// `DRQOS_THREADS=1` run and a parallel run sit side by side for speedup
-/// comparison).
+/// Writes a sweep's summary to
+/// `target/experiments/runtime/<name>-<threads>t.json` — one file per
+/// experiment × thread count, so a `DRQOS_THREADS=1` run and a parallel
+/// run sit side by side for speedup comparison.
 ///
 /// # Errors
 ///
-/// Returns any I/O error from directory creation, writing, or re-reading.
+/// Returns any I/O error from directory creation or writing.
 pub(crate) fn record_runtime(summary: &RuntimeSummary) -> io::Result<PathBuf> {
     let name: String = summary
         .name
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
-    record_runtime_entry(&format!("{name}-{}t", summary.threads), &summary.to_json())
-}
-
-/// A held `runtime/.lock` file; dropping it releases the lock.
-struct RuntimeLock {
-    path: PathBuf,
-}
-
-impl Drop for RuntimeLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// How long an existing `.lock` may sit untouched before it is presumed
-/// abandoned (a crashed writer) and broken.
-const LOCK_STALE_AFTER: Duration = Duration::from_secs(10);
-
-/// Upper bound on waiting for the lock; no healthy writer holds it for
-/// more than a few milliseconds.
-const LOCK_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Acquires the runtime directory's lock file via `O_EXCL` creation,
-/// retrying until [`LOCK_TIMEOUT`] and breaking locks older than
-/// [`LOCK_STALE_AFTER`].
-fn lock_runtime_dir(dir: &std::path::Path) -> io::Result<RuntimeLock> {
-    let path = dir.join(".lock");
-    let start = Instant::now(); // lint:allow(determinism-taint): lock staleness timing never reaches emitted bytes
-    loop {
-        match fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(_) => return Ok(RuntimeLock { path }),
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                let stale = fs::metadata(&path)
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.elapsed().ok())
-                    .is_some_and(|age| age > LOCK_STALE_AFTER);
-                if stale {
-                    let _ = fs::remove_file(&path);
-                    continue;
-                }
-                if start.elapsed() > LOCK_TIMEOUT {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("timed out waiting for {}", path.display()),
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Writes `content` to `path` atomically: a process-unique temp file in
-/// the same directory, then a rename (readers never observe a torn file).
-fn write_atomic(path: &std::path::Path, content: &str) -> io::Result<()> {
-    let file_name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let tmp = path.with_file_name(format!(".{file_name}.{}.tmp", std::process::id()));
-    fs::write(&tmp, content)?;
-    fs::rename(&tmp, path)
-}
-
-/// Records one pre-rendered JSON object as
-/// `target/experiments/runtime/<stem>.json` and rebuilds the aggregate
-/// `runtime.json`. This is the shared sink for every runtime producer —
-/// the sweep runner above and out-of-crate tools like `drqos-loadgen` —
-/// so all entries land in one aggregate regardless of who wrote them.
-///
-/// Concurrent writers (the sweep runner and a service binary finishing at
-/// the same time, or parallel tests) are serialized through a lock file:
-/// the whole write-entry-then-rebuild sequence runs under `runtime/.lock`,
-/// so the last writer's aggregate always reflects every recorded entry
-/// and `runtime.json` is never a lost update or a torn interleaving.
-///
-/// `stem` is sanitized to `[A-Za-z0-9_-]`; `json` must be one complete
-/// JSON object (it is embedded verbatim, never parsed).
-///
-/// # Errors
-///
-/// Returns any I/O error from directory creation, locking, writing, or
-/// re-reading.
-pub fn record_runtime_entry(stem: &str, json: &str) -> io::Result<PathBuf> {
-    record_runtime_entry_in(&crate::csv::default_dir(), stem, json)
-}
-
-/// [`record_runtime_entry`] with an explicit experiments directory (the
-/// tests write under a scratch one).
-fn record_runtime_entry_in(experiments: &Path, stem: &str, json: &str) -> io::Result<PathBuf> {
-    let dir = experiments.join("runtime");
+    let dir = crate::csv::default_dir().join("runtime");
     fs::create_dir_all(&dir)?;
-    let stem: String = stem
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    let lock = lock_runtime_dir(&dir)?;
-    write_atomic(&dir.join(format!("{stem}.json")), json)?;
-    // Rebuild the aggregate from the per-entry files (each holds one
-    // complete JSON object, embedded verbatim — no JSON parsing needed).
-    let mut entries: Vec<(String, String)> = Vec::new();
-    for entry in fs::read_dir(&dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "json") {
-            entries.push((
-                entry.file_name().to_string_lossy().into_owned(),
-                fs::read_to_string(&path)?,
-            ));
-        }
-    }
-    entries.sort();
-    let body: Vec<String> = entries.into_iter().map(|(_, json)| json).collect();
-    let aggregate = experiments.join("runtime.json");
-    write_atomic(
-        &aggregate,
-        &format!("{{\"experiments\":[\n{}\n]}}\n", body.join(",\n")),
-    )?;
-    drop(lock);
-    Ok(aggregate)
+    let path = dir.join(format!("{name}-{}t.json", summary.threads));
+    fs::write(&path, format!("{}\n", summary.to_json()))?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -635,51 +506,10 @@ mod tests {
         assert!(json.contains("\"cache_hits\":9"));
         assert!(json.contains("\"cache_misses\":6"));
         assert!(json.contains("\"cache_stale\":3"));
-        let path = record_runtime(&summary).expect("runtime.json written");
-        let content = fs::read_to_string(&path).expect("aggregate readable");
-        assert!(content.contains("\"experiments\":["));
-        assert!(content.contains("\"name\":\"selftest\""));
-    }
-
-    #[test]
-    fn concurrent_runtime_entries_are_not_lost() {
-        // The read-modify-write race this guards against: two writers
-        // finish together, each writes its entry and rebuilds the
-        // aggregate, and the slower rebuild (which never saw the faster
-        // writer's entry) overwrites the aggregate, losing it. With the
-        // lock file the whole sequence is serial, so the aggregate must
-        // contain every entry no matter the interleaving.
-        // A process-unique scratch dir keeps the test out of the real
-        // `target/experiments` aggregate.
-        let base = std::env::temp_dir().join(format!("drqos-locktest-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&base);
-        let names: Vec<String> = (0..2).map(|i| format!("locktest-writer-{i}")).collect();
-        std::thread::scope(|scope| {
-            for name in &names {
-                let base = &base;
-                scope.spawn(move || {
-                    for round in 0..20 {
-                        record_runtime_entry_in(
-                            base,
-                            name,
-                            &format!("{{\"name\":\"{name}\",\"round\":{round}}}"),
-                        )
-                        .expect("record under contention");
-                    }
-                });
-            }
-        });
-        let aggregate = fs::read_to_string(base.join("runtime.json")).unwrap();
-        for name in &names {
-            assert!(
-                aggregate.contains(&format!("\"name\":\"{name}\"")),
-                "aggregate lost {name}"
-            );
-        }
-        // The aggregate is one well-formed object, not a torn interleaving.
-        assert!(aggregate.starts_with("{\"experiments\":[\n"));
-        assert!(aggregate.ends_with("\n]}\n"));
-        let _ = fs::remove_dir_all(&base);
+        let path = record_runtime(&summary).expect("runtime file written");
+        assert!(path.ends_with(format!("runtime/selftest-{}t.json", result.threads)));
+        let content = fs::read_to_string(&path).expect("runtime file readable");
+        assert_eq!(content, format!("{json}\n"));
     }
 
     #[test]

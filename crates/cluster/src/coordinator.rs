@@ -2,17 +2,17 @@
 //!
 //! A federation keeps exactly one authoritative [`Network`]; the
 //! coordinator owns it. Members hold full replicas, plan admissions
-//! locally against their replica (that is what "intra-partition ESTABLISH
-//! runs locally" means — the planning work happens on the member owning
-//! the source node), and send the coordinator a **PREPARE** carrying the
-//! admission footprint: every link the member's planner probed, with its
-//! plan digest at planning time. The two phases are:
+//! locally against their replica — whichever member the client happens to
+//! be connected to; replicas are byte-identical, so it does not matter
+//! which — and send the coordinator a **PREPARE** carrying the admission
+//! footprint: every link the member's planner probed, with its plan
+//! digest at planning time. The two phases are:
 //!
 //! 1. **PREPARE = validate + ticket.** The coordinator answers whether
 //!    every footprint digest is current *now* ([`Prepared::fresh`], the
 //!    verdict on the wire) and opens a ticket holding the member id and
 //!    the footprint. Tickets are the coordinator's only two-phase state;
-//!    a crash, a leave or a member-side timeout aborts them.
+//!    the opening member's crash or leave aborts them.
 //! 2. **COMMIT = admit + oplog.** The ticket closes and the request goes
 //!    through [`Network::admit`] — the same admission step as a sharded
 //!    wave — with the member's plan and the ticket's footprint as the
@@ -21,22 +21,18 @@
 //!    request's sequential point like any other stale hint (counted in
 //!    [`Coordinator::stale_replans`]).
 //!
-//! Every committed operation — admissions, releases, failures, repairs,
-//! and membership rebalances — is appended to an **oplog**. Replicas pull
+//! Every committed operation — admissions, releases, failures and
+//! repairs — is appended to an **oplog**. Replicas pull
 //! records they have not yet applied ([`Coordinator::records_since`]) and
 //! replay them serially; because replay order equals commit order and
 //! every operation is deterministic, each replica is byte-identical to
 //! the authoritative network at the same sequence number (proven by
 //! `fuzz --diff-cluster`).
 //!
-//! Membership churn (JOIN/LEAVE/CRASH) is ownership-only: the topology
-//! partition is recomputed over the survivors
-//! ([`crate::rebalance::Assignment`]) while the replicated network state
-//! is untouched, the same way the paper's connections survive link
-//! failures without re-admission. A departure additionally aborts the
-//! member's open tickets.
+//! Membership churn (JOIN/LEAVE/CRASH) changes the roster and nothing
+//! else: the replicated network state is untouched and the oplog gains no
+//! record. A departure aborts the member's open tickets.
 
-use crate::rebalance::Assignment;
 use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
 use drqos_core::error::{AdmissionError, ClusterError, NetworkError};
@@ -49,8 +45,7 @@ use std::collections::BTreeMap;
 
 /// One committed operation in the coordinator's oplog. Replaying the log
 /// serially from the genesis network reconstructs the authoritative
-/// state exactly; [`Rebalance`](CommittedOp::Rebalance) records carry
-/// membership epochs and leave the network untouched.
+/// state exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CommittedOp {
     /// An admission (committed result may still be a rejection — replay
@@ -58,11 +53,6 @@ pub enum CommittedOp {
     Establish(EstablishRequest),
     /// A forwarded operation.
     Op(MemberOp),
-    /// A membership change; `alive` is the post-change roster.
-    Rebalance {
-        /// Liveness by member id after the change.
-        alive: Vec<bool>,
-    },
 }
 
 /// A non-establish operation forwarded by a member (establishes go
@@ -185,8 +175,6 @@ pub enum ApplyOutcome {
     FailSrlg(Result<Vec<FailureReport>, NetworkError>),
     /// Group repair result: the connections that regained a backup.
     RepairSrlg(Result<Vec<ConnectionId>, NetworkError>),
-    /// A membership epoch; carries the post-change roster.
-    Rebalance(Vec<bool>),
 }
 
 /// Applies one committed operation to a network. This is the single
@@ -198,7 +186,6 @@ pub(crate) fn apply_committed(net: &mut Network, op: &CommittedOp) -> ApplyOutco
             ApplyOutcome::Establish(net.establish(req.src, req.dst, req.qos))
         }
         CommittedOp::Op(op) => op.apply(net),
-        CommittedOp::Rebalance { alive } => ApplyOutcome::Rebalance(alive.clone()),
     }
 }
 
@@ -213,7 +200,8 @@ pub struct Prepared {
     pub fresh: bool,
 }
 
-/// An in-flight prepare, between PREPARE and COMMIT/ABORT.
+/// An in-flight prepare, between PREPARE and COMMIT (or its member's
+/// departure).
 #[derive(Debug, Clone)]
 struct PendingPrepare {
     member: u64,
@@ -224,37 +212,29 @@ struct PendingPrepare {
 #[derive(Debug)]
 pub struct Coordinator {
     net: Network,
-    assignment: Assignment,
     alive: Vec<bool>,
     pending: BTreeMap<u64, PendingPrepare>,
     next_ticket: u64,
     oplog: Vec<CommittedOp>,
     stale_replans: u64,
     aborted_prepares: u64,
-    seed: u64,
-    policy: RebalancePolicy,
     lose_prepare: bool,
     fault_fired: bool,
 }
 
 impl Coordinator {
     /// Creates a coordinator over `net` with `members` live members
-    /// (ids `0..members`), partitioned deterministically from `seed`.
-    pub fn new(net: Network, members: usize, seed: u64, policy: RebalancePolicy) -> Self {
-        let alive = vec![true; members.max(1)];
-        let assignment = Assignment::compute(net.graph(), &alive, seed, policy)
-            .expect("at least one member is alive by construction"); // lint:allow(panic-reachability): members.max(1) guarantees at least one alive member
+    /// (ids `0..members`). `_seed` and `_policy` are ignored; they stay in
+    /// the parameter list only because `benchmark/` calls this signature.
+    pub fn new(net: Network, members: usize, _seed: u64, _policy: RebalancePolicy) -> Self {
         Self {
             net,
-            assignment,
-            alive,
+            alive: vec![true; members.max(1)],
             pending: BTreeMap::new(),
             next_ticket: 0,
             oplog: Vec::new(),
             stale_replans: 0,
             aborted_prepares: 0,
-            seed,
-            policy,
             lose_prepare: false,
             fault_fired: false,
         }
@@ -288,17 +268,12 @@ impl Coordinator {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// The live member owning `node`.
-    pub(crate) fn member_of_node(&self, node: NodeId) -> u64 {
-        self.assignment.member_of_node(node)
-    }
-
     /// Commits that found a stale footprint and re-planned serially.
     pub fn stale_replans(&self) -> u64 {
         self.stale_replans
     }
 
-    /// Prepares aborted without committing (timeouts and member crashes).
+    /// Prepares aborted without committing (their member left or crashed).
     pub fn aborted_prepares(&self) -> u64 {
         self.aborted_prepares
     }
@@ -308,6 +283,14 @@ impl Coordinator {
     /// [`ClusterFault::LosePrepare`](crate::sim::ClusterFault).
     pub fn pending_prepares(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The member that opened `ticket`, while it is open. A commit is the
+    /// opener's to send: the daemon refuses any other link's
+    /// ([`ClusterError::StalePrepare`]) before it reaches
+    /// [`Coordinator::commit_prepared`], which takes no member.
+    pub fn ticket_member(&self, ticket: u64) -> Option<u64> {
+        self.pending.get(&ticket).map(|p| p.member)
     }
 
     /// Arms (or clears) the lost-prepare fault for the mutation
@@ -373,20 +356,6 @@ impl Coordinator {
         Ok(self.admit(req, hint, pending_fill))
     }
 
-    /// Aborts a pending prepare (member-side timeout) without committing
-    /// anything.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::StalePrepare`] when the ticket is not pending.
-    pub fn abort_prepare(&mut self, ticket: u64) -> Result<(), ClusterError> {
-        self.pending
-            .remove(&ticket)
-            .ok_or(ClusterError::StalePrepare(ticket))?;
-        self.aborted_prepares += 1;
-        Ok(())
-    }
-
     /// Admits a request without a member prepare: used to re-establish
     /// requests orphaned by a member crash mid-wave. Appends the oplog
     /// record like any commit.
@@ -443,7 +412,7 @@ impl Coordinator {
         self.oplog.get(at..).ok_or(ClusterError::SequenceGap(from))
     }
 
-    /// Adds (or revives) member id `member` and rebalances.
+    /// Adds (or revives) member id `member`.
     ///
     /// # Errors
     ///
@@ -457,7 +426,6 @@ impl Coordinator {
             self.alive.resize(idx + 1, false);
         }
         self.alive[idx] = true;
-        self.rebalance();
         Ok(())
     }
 
@@ -469,8 +437,8 @@ impl Coordinator {
             .unwrap_or(self.alive.len()) as u64
     }
 
-    /// Graceful departure: the member's partition links rebalance to the
-    /// survivors.
+    /// Graceful departure: the member's open tickets abort and its roster
+    /// slot goes dead.
     ///
     /// # Errors
     ///
@@ -491,11 +459,11 @@ impl Coordinator {
         if !self.is_alive(member) {
             return Err(ClusterError::UnknownMember(member));
         }
-        self.abort_prepares_of(member);
+        self.abort_tickets_of(member);
         self.depart(member)
     }
 
-    fn abort_prepares_of(&mut self, member: u64) {
+    fn abort_tickets_of(&mut self, member: u64) {
         let open = self.pending.len();
         self.pending.retain(|_, p| p.member != member);
         self.aborted_prepares += (open - self.pending.len()) as u64;
@@ -509,23 +477,11 @@ impl Coordinator {
             return Err(ClusterError::LastMember(member));
         }
         // A graceful leave must not strand tickets either.
-        self.abort_prepares_of(member);
+        self.abort_tickets_of(member);
         if let Some(slot) = self.alive.get_mut(member as usize) {
             *slot = false;
         }
-        self.rebalance();
         Ok(())
-    }
-
-    /// Recomputes the survivor assignment and appends the membership
-    /// epoch to the oplog.
-    fn rebalance(&mut self) {
-        self.assignment =
-            Assignment::compute(self.net.graph(), &self.alive, self.seed, self.policy)
-                .expect("membership guards keep at least one member alive");
-        self.oplog.push(CommittedOp::Rebalance {
-            alive: self.alive.clone(),
-        });
     }
 
     /// Runs the full invariant oracle over the authoritative network.
@@ -566,14 +522,10 @@ mod tests {
         assert_eq!(c.crash(0), Err(ClusterError::LastMember(0)));
         c.join(1).unwrap();
         assert_eq!(c.alive_count(), 2);
-        // Every membership change appended an epoch record.
-        let epochs = c
-            .records_since(0)
-            .unwrap()
-            .iter()
-            .filter(|r| matches!(r, CommittedOp::Rebalance { .. }))
-            .count();
-        assert_eq!(epochs, 3);
+        assert_eq!(c.alive(), [true, true, false]);
+        // The roster is not replicated state: no transition, accepted or
+        // refused, moved the oplog.
+        assert_eq!(c.seq(), 0);
     }
 
     #[test]
@@ -605,16 +557,34 @@ mod tests {
     fn a_crash_aborts_the_members_prepares() {
         let mut c = coordinator(3);
         let footprint = vec![(LinkId(0), c.net().link_usage(LinkId(0)).plan_digest())];
-        let p = c.prepare(1, &footprint).unwrap();
-        assert_eq!(c.pending_prepares(), 1);
-        c.crash(1).unwrap();
-        assert_eq!(c.pending_prepares(), 0, "crash must abort open tickets");
-        assert_eq!(c.aborted_prepares(), 1);
+        let [p0, p1, p2] = [0, 1, 2].map(|m| c.prepare(m, &footprint).unwrap().ticket);
         assert_eq!(
-            c.commit_prepared(p.ticket, None, &request(0, 3), &mut None),
-            Err(ClusterError::StalePrepare(p.ticket)),
-            "a commit after the crash is stale"
+            [p0, p1, p2].map(|t| c.ticket_member(t)),
+            [0, 1, 2].map(Some)
         );
+        c.crash(1).unwrap();
+        assert_eq!(c.pending_prepares(), 2, "crash aborts m1's ticket only");
+        assert_eq!(c.ticket_member(p1), None);
+        c.leave(2).unwrap();
+        assert_eq!(c.pending_prepares(), 1, "leave aborts m2's ticket only");
+        assert_eq!(c.aborted_prepares(), 2);
+        for gone in [p1, p2] {
+            assert_eq!(
+                c.commit_prepared(gone, None, &request(0, 3), &mut None),
+                Err(ClusterError::StalePrepare(gone)),
+                "a commit after the departure is stale"
+            );
+        }
+        assert_eq!(
+            c.seq(),
+            0,
+            "neither departures nor stale commits are records"
+        );
+        // The survivor's ticket is still good — and a refused departure of
+        // the last member aborts its tickets all the same.
+        assert_eq!(c.crash(0), Err(ClusterError::LastMember(0)));
+        assert_eq!((c.pending_prepares(), c.aborted_prepares()), (0, 3));
+        assert_eq!(c.ticket_member(p0), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A cluster member's replica of the federated network.
 //!
 //! Every member holds a *full* copy of the network, kept current by
-//! replaying the coordinator's oplog ([`Member::apply`]). Planning for an
-//! admission whose source node the member owns runs here, against the
+//! replaying the coordinator's oplog ([`Member::apply`]). Planning for
+//! an admission a client brought to this member runs here, against the
 //! replica, with no coordinator round-trip; only the PREPARE/COMMIT
 //! handshake crosses the wire. Because replay is the exact serial
 //! operation sequence the authoritative network executed, a synced

@@ -13,8 +13,7 @@
 //! byte — the verb's client opcode, looked up in
 //! [`drqos_core::wire::VERBS`] — then the row's operands. The tags are
 //! private to a federation of one build; SERVICE.md's verb table lists
-//! them beside the opcodes, with the one tag that is no verb (0, a
-//! `Rebalance` record).
+//! them beside the opcodes.
 //!
 //! The conversation (documented in SERVICE.md):
 //!
@@ -33,10 +32,9 @@
 //! A member renders its client's response by replaying the record at
 //! `op_seq` on its own replica — no result travels on the wire, which is
 //! only sound because replay is deterministic (`fuzz --diff-cluster`).
-//! A member that stops waiting for a verdict sends `ABORT {ticket}`
-//! (timeout, wire error code 504); the coordinator releases the
-//! reservation. Crashes need no message: the coordinator treats a
-//! member's EOF as CRASH, aborts its in-flight prepares and rebalances.
+//! Crashes need no message: the coordinator treats a member's EOF as
+//! CRASH and aborts its in-flight prepares. Opcode `0x13` is unassigned
+//! and refused like any other unknown opcode.
 
 use crate::coordinator::{CommittedOp, MemberOp};
 use drqos_core::framing::{get_u64, put_u64};
@@ -50,7 +48,6 @@ use std::fmt;
 const C_JOIN: u8 = 0x10;
 const C_PREPARE: u8 = 0x11;
 const C_COMMIT: u8 = 0x12;
-const C_ABORT: u8 = 0x13;
 const C_OP: u8 = 0x14;
 const C_SYNC: u8 = 0x15;
 const C_LEAVE: u8 = 0x16;
@@ -65,10 +62,6 @@ const C_RECORDS: u8 = 0x23;
 const C_STATE: u8 = 0x24;
 const C_ERR: u8 = 0x25;
 const C_OK: u8 = 0x26;
-
-/// The oplog record tag of a membership epoch — the one record that is no
-/// client verb, so it takes the one number no client opcode uses.
-const RECORD_REBALANCE: u8 = 0;
 
 /// Most records a single `RECORDS` reply carries; a member behind by
 /// more keeps `SYNC`ing until `applied == seq`. Keeps every frame well
@@ -190,11 +183,6 @@ pub enum ClusterMsg {
         /// The admission request.
         req: WireRequest,
     },
-    /// Abandon a prepared ticket (member-side timeout).
-    Abort {
-        /// The ticket to release.
-        ticket: u64,
-    },
     /// Forward a non-establish operation.
     Op {
         /// The operation.
@@ -256,7 +244,7 @@ pub enum CoordMsg {
         /// The wire code.
         code: u16,
     },
-    /// Bare acknowledgement (LEAVE, ABORT, STOP).
+    /// Bare acknowledgement (LEAVE, STOP).
     Ok,
 }
 
@@ -286,11 +274,6 @@ fn put_record(body: &mut Vec<u8>, record: &CommittedOp) {
         CommittedOp::Op(op) => {
             let (verb, operand) = op.parts();
             put_call(body, verb, &[operand]);
-        }
-        CommittedOp::Rebalance { alive } => {
-            body.push(RECORD_REBALANCE);
-            put_u64(body, alive.len() as u64);
-            body.extend(alive.iter().map(|&a| u8::from(a)));
         }
     }
 }
@@ -352,22 +335,6 @@ impl<'a> Cursor<'a> {
 
     fn record(&mut self) -> Result<CommittedOp, ProtoError> {
         let tag = self.byte()?;
-        if tag == RECORD_REBALANCE {
-            let n = self.len()?;
-            if n > MAX_ROSTER {
-                return Err(ProtoError::BadPayload);
-            }
-            let alive = self
-                .bytes(n)?
-                .iter()
-                .map(|&b| match b {
-                    0 => Ok(false),
-                    1 => Ok(true),
-                    _ => Err(ProtoError::BadPayload),
-                })
-                .collect::<Result<Vec<bool>, ProtoError>>()?;
-            return Ok(CommittedOp::Rebalance { alive });
-        }
         let call = self.call(tag)?;
         match call.0.route {
             Route::Admit => {
@@ -385,8 +352,8 @@ fn forwarded((verb, [operand, ..]): (&Verb, [u64; MAX_OPERANDS])) -> Result<Memb
     MemberOp::from_parts(verb.name, operand).ok_or(ProtoError::UnknownTag(verb.opcode))
 }
 
-/// Sanity cap on a wire roster (untrusted length field).
-const MAX_ROSTER: usize = 4096;
+/// Sanity cap on a `PREPARE` footprint (untrusted length field).
+const MAX_FOOTPRINT: usize = 4096;
 
 /// Encodes a member → coordinator message into a frame body.
 pub fn encode_cluster_msg(msg: &ClusterMsg) -> Vec<u8> {
@@ -407,10 +374,6 @@ pub fn encode_cluster_msg(msg: &ClusterMsg) -> Vec<u8> {
             for v in req.operands() {
                 put_u64(&mut body, v);
             }
-        }
-        ClusterMsg::Abort { ticket } => {
-            body.push(C_ABORT);
-            put_u64(&mut body, *ticket);
         }
         ClusterMsg::Op { op } => {
             body.push(C_OP);
@@ -439,7 +402,7 @@ pub fn decode_cluster_msg(body: &[u8]) -> Result<ClusterMsg, ProtoError> {
         C_JOIN => ClusterMsg::Join,
         C_PREPARE => {
             let n = c.len()?;
-            if n > MAX_ROSTER {
+            if n > MAX_FOOTPRINT {
                 return Err(ProtoError::BadPayload);
             }
             let mut footprint = Vec::with_capacity(n);
@@ -452,7 +415,6 @@ pub fn decode_cluster_msg(body: &[u8]) -> Result<ClusterMsg, ProtoError> {
             ticket: c.u64()?,
             req: WireRequest::from_operands([c.u64()?, c.u64()?, c.u64()?, c.u64()?, c.u64()?]),
         },
-        C_ABORT => ClusterMsg::Abort { ticket: c.u64()? },
         C_OP => {
             let tag = c.byte()?;
             ClusterMsg::Op {
@@ -583,11 +545,8 @@ mod tests {
             dst: NodeId(5),
             qos: ElasticQos::paper_video(100),
         });
-        let rebalance = CommittedOp::Rebalance {
-            alive: vec![true, false, true],
-        };
         let ops = forwarded_ops().into_iter().map(CommittedOp::Op);
-        [establish, rebalance].into_iter().chain(ops).collect()
+        std::iter::once(establish).chain(ops).collect()
     }
 
     #[test]
@@ -607,7 +566,6 @@ mod tests {
                     delta: 100,
                 },
             },
-            ClusterMsg::Abort { ticket: 17 },
             ClusterMsg::Sync { applied: 99 },
             ClusterMsg::Leave,
             ClusterMsg::Status,
@@ -627,7 +585,6 @@ mod tests {
     /// number — is refused in both positions.
     #[test]
     fn op_and_record_tags_are_the_client_opcodes() {
-        assert_eq!(verb_coded(RECORD_REBALANCE), None, "reserved for no verb");
         let ops = forwarded_ops();
         assert!(ops.len() >= 6, "one operation per forwarded row");
         for (i, &op) in ops.iter().enumerate() {
@@ -727,13 +684,25 @@ mod tests {
         put_u64(&mut body, 0);
         put_u64(&mut body, (RECORDS_PER_SYNC as u64) + 1);
         assert_eq!(decode_coord_msg(&body), Err(ProtoError::BadPayload));
+        // The unassigned member opcode, bare or with a ticket-sized operand.
+        for body in [&[0x13][..], &[0x13, 17, 0, 0, 0, 0, 0, 0, 0]] {
+            assert_eq!(
+                decode_cluster_msg(body),
+                Err(ProtoError::UnknownOpcode(0x13))
+            );
+        }
         // A record tagged with a local verb's opcode, or with a number no
-        // row has, is no record.
-        for tag in [verb_named("SNAPSHOT").unwrap().opcode, 200] {
+        // row has (0 among them, roster bytes behind it or not), is no
+        // record.
+        assert_eq!(verb_coded(0), None);
+        for tag in [verb_named("SNAPSHOT").unwrap().opcode, 200, 0] {
             let mut body = vec![C_RECORDS];
             put_u64(&mut body, 0);
             put_u64(&mut body, 1);
             body.push(tag);
+            assert_eq!(decode_coord_msg(&body), Err(ProtoError::UnknownTag(tag)));
+            put_u64(&mut body, 3);
+            body.extend([1, 0, 1]);
             assert_eq!(decode_coord_msg(&body), Err(ProtoError::UnknownTag(tag)));
         }
     }

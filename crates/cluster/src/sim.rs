@@ -52,22 +52,11 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Builds a cluster of `members` live members over `net`, partitioned
-    /// with the default BFS policy from `seed`.
-    pub fn new(net: Network, members: usize, seed: u64) -> Self {
-        Self::with_policy(net, members, seed, RebalancePolicy::Bfs)
-    }
-
-    /// Like [`ClusterSim::new`] with an explicit rebalance policy.
-    pub(crate) fn with_policy(
-        net: Network,
-        members: usize,
-        seed: u64,
-        policy: RebalancePolicy,
-    ) -> Self {
+    /// Builds a cluster of `members` live members over `net`.
+    pub fn new(net: Network, members: usize) -> Self {
         let members = members.max(1);
         let genesis = net.clone();
-        let coord = Coordinator::new(net, members, seed, policy);
+        let coord = Coordinator::new(net, members, 0, RebalancePolicy::Bfs);
         let roster = (0..members)
             .map(|m| Some(Member::new(m as u64, genesis.clone())))
             .collect();
@@ -93,7 +82,7 @@ impl ClusterSim {
         self.coord.net()
     }
 
-    /// The coordinator (counters, assignment, invariants).
+    /// The coordinator (counters, roster, invariants).
     pub fn coordinator(&self) -> &Coordinator {
         &self.coord
     }
@@ -114,32 +103,37 @@ impl ClusterSim {
         self.coord.pending_prepares()
     }
 
-    /// Admits a wave of requests: each is planned on its home member's
-    /// replica (local, cross-partition footprints included), then
-    /// committed through the coordinator's PREPARE/COMMIT in request
-    /// order with one deferred elastic fill flushed at wave end. Replicas
-    /// sync before the wave returns.
+    /// The live member carrying each of `n` requests: request index modulo
+    /// live members, which is what the daemons' clients do. Synced replicas
+    /// are byte-identical, so the choice cannot change a result.
+    fn carriers(&self, n: usize) -> Vec<u64> {
+        let live = self.alive_members();
+        live.iter().copied().cycle().take(n).collect()
+    }
+
+    /// Admits a wave of requests: each is planned on its carrier's replica
+    /// ([`ClusterSim::carriers`]), then committed through the
+    /// coordinator's PREPARE/COMMIT in request order with one deferred
+    /// elastic fill flushed at wave end. Replicas sync before the wave
+    /// returns.
     pub fn establish_wave(
         &mut self,
         requests: &[EstablishRequest],
     ) -> Vec<Result<ConnectionId, AdmissionError>> {
-        let homes: Vec<u64> = requests
-            .iter()
-            .map(|r| self.coord.member_of_node(r.src))
-            .collect();
-        // Phase 0: plan on the (frozen, synced) home replicas.
+        let mut carriers = self.carriers(requests.len());
+        // Phase 0: plan on the (frozen, synced) carrier replicas.
         let mut planned: Vec<Option<PrePlanned>> = Vec::with_capacity(requests.len());
-        for (req, &home) in requests.iter().zip(&homes) {
+        for (req, &carrier) in requests.iter().zip(&carriers) {
             let slot = self
                 .members
-                .get_mut(home as usize)
+                .get_mut(carrier as usize)
                 .and_then(Option::as_mut)
                 .map(|m| m.plan(req));
             planned.push(slot);
         }
         // Fault: a member dies after planning, before any commit. Its
-        // plans are orphaned; the coordinator re-establishes the requests
-        // serially on the survivors' behalf.
+        // plans are orphaned; a survivor carries each request to the
+        // coordinator unplanned.
         if let ClusterFault::CrashDuringWave(victim) = self.fault {
             if !self.crash_fired && self.coord.is_alive(victim) && self.coord.alive_count() > 1 {
                 self.crash_fired = true;
@@ -147,9 +141,13 @@ impl ClusterSim {
                 if let Some(slot) = self.members.get_mut(victim as usize) {
                     *slot = None;
                 }
-                for (slot, &home) in planned.iter_mut().zip(&homes) {
-                    if home == victim {
+                let survivors = self.carriers(requests.len());
+                for ((slot, carrier), survivor) in
+                    planned.iter_mut().zip(&mut carriers).zip(survivors)
+                {
+                    if *carrier == victim {
                         *slot = None;
+                        *carrier = survivor;
                     }
                 }
             }
@@ -157,19 +155,12 @@ impl ClusterSim {
         // Phase 1+2: prepare, commit — in request order.
         let mut fill: PendingFill = None;
         let mut results = Vec::with_capacity(requests.len());
-        for (i, req) in requests.iter().enumerate() {
-            let (plan_opt, footprint) = match planned.get_mut(i).and_then(Option::take) {
+        for ((req, slot), &carrier) in requests.iter().zip(planned).zip(&carriers) {
+            let (plan_opt, footprint) = match slot {
                 Some((plan_res, fp)) => (Some(plan_res), fp),
                 None => (None, Vec::new()),
             };
-            // Rebalance may have moved the home; any live member may
-            // carry an unplanned request to the coordinator.
-            let home = homes
-                .get(i)
-                .copied()
-                .filter(|&h| self.coord.is_alive(h))
-                .unwrap_or_else(|| self.coord.member_of_node(req.src));
-            let committed = self.coord.prepare(home, &footprint).and_then(|p| {
+            let committed = self.coord.prepare(carrier, &footprint).and_then(|p| {
                 self.coord
                     .commit_prepared(p.ticket, plan_opt, req, &mut fill)
             });
@@ -216,8 +207,7 @@ impl ClusterSim {
         Ok(())
     }
 
-    /// LEAVE: graceful departure; the member's partition rebalances to
-    /// the survivors.
+    /// LEAVE: graceful departure.
     ///
     /// # Errors
     ///
@@ -231,8 +221,7 @@ impl ClusterSim {
         Ok(())
     }
 
-    /// CRASH: abrupt departure; in-flight prepares abort, then the
-    /// partition rebalances.
+    /// CRASH: abrupt departure; the member's in-flight prepares abort.
     ///
     /// # Errors
     ///
@@ -298,7 +287,7 @@ mod tests {
     fn cluster_waves_match_the_serial_oracle() {
         for members in [1usize, 2, 3, 5] {
             let mut oracle = fresh_net();
-            let mut cluster = ClusterSim::new(fresh_net(), members, 2001);
+            let mut cluster = ClusterSim::new(fresh_net(), members);
             let mut rng = Rng::seed_from_u64(42 + members as u64);
             for _ in 0..4 {
                 let reqs = wave(12, &mut rng);
@@ -328,7 +317,7 @@ mod tests {
     #[test]
     fn churn_preserves_oracle_equivalence() {
         let mut oracle = fresh_net();
-        let mut cluster = ClusterSim::new(fresh_net(), 3, 2001);
+        let mut cluster = ClusterSim::new(fresh_net(), 3);
         let mut rng = Rng::seed_from_u64(7);
         let reqs = wave(10, &mut rng);
         assert_eq!(cluster.establish_wave(&reqs), oracle.establish_batch(&reqs));
@@ -361,7 +350,7 @@ mod tests {
     #[test]
     fn no_double_commit_across_a_mid_wave_crash() {
         let mut oracle = fresh_net();
-        let mut cluster = ClusterSim::new(fresh_net(), 3, 2001);
+        let mut cluster = ClusterSim::new(fresh_net(), 3);
         cluster.set_fault(ClusterFault::CrashDuringWave(2));
         let mut rng = Rng::seed_from_u64(99);
         let reqs = wave(16, &mut rng);
@@ -394,7 +383,7 @@ mod tests {
     /// the signal the mutation self-test relies on.
     #[test]
     fn a_lost_prepare_leaks_a_pending_reservation() {
-        let mut cluster = ClusterSim::new(fresh_net(), 2, 2001);
+        let mut cluster = ClusterSim::new(fresh_net(), 2);
         cluster.set_fault(ClusterFault::LosePrepare);
         let mut rng = Rng::seed_from_u64(5);
         let reqs = wave(6, &mut rng);
@@ -410,7 +399,7 @@ mod tests {
     #[test]
     fn forwarded_ops_replicate() {
         let mut oracle = fresh_net();
-        let mut cluster = ClusterSim::new(fresh_net(), 3, 2001);
+        let mut cluster = ClusterSim::new(fresh_net(), 3);
         let mut rng = Rng::seed_from_u64(11);
         let reqs = wave(8, &mut rng);
         cluster.establish_wave(&reqs);

@@ -22,15 +22,6 @@ impl fmt::Display for ConnectionId {
     }
 }
 
-/// The role of a channel within its DR-connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChannelRole {
-    /// Carries traffic; holds the elastic reservation.
-    Primary,
-    /// Inactive spare; reserves (multiplexed) minimum bandwidth only.
-    Backup,
-}
-
 /// A dependable real-time connection: elastic QoS, a primary path, zero
 /// or more backup paths, and the current elastic level.
 ///

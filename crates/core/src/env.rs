@@ -17,9 +17,6 @@
 //! * [`route_cache`] — `DRQOS_ROUTE_CACHE`, admission route-memo toggle.
 //! * [`bless`] — `DRQOS_BLESS`, golden-trace re-bless switch.
 //! * [`batch`] / [`queue_depth`] — `drqosd` event-loop knobs.
-//! * [`cluster_members`] / [`cluster_coord_port`] /
-//!   [`cluster_prepare_timeout_ms`] / [`cluster_rebalance`] — the
-//!   `drqos-clusterd` federation knobs.
 //! * [`scenario`] — `DRQOS_SCENARIO`, adversarial workload selection.
 //! * [`srlg_count`] / [`srlg_size`] — `DRQOS_SRLG_*`, seeded
 //!   shared-risk-group derivation.
@@ -40,23 +37,8 @@ pub const BATCH: &str = "DRQOS_BATCH";
 pub const QUEUE_DEPTH: &str = "DRQOS_QUEUE_DEPTH";
 /// `DRQOS_WIRE` — daemon wire framing, text or binary (see [`wire`]).
 pub(crate) const WIRE: &str = "DRQOS_WIRE";
-/// `DRQOS_BUSY_RETRIES` — loadgen `BUSY` retry cap (see
-/// [`busy_retries`]).
-pub const BUSY_RETRIES: &str = "DRQOS_BUSY_RETRIES";
 /// `DRQOS_SHARDS` — admission-engine shard count (see [`shards`]).
 pub const SHARDS: &str = "DRQOS_SHARDS";
-/// `DRQOS_CLUSTER_MEMBERS` — federation member count (see
-/// [`cluster_members`]).
-pub const CLUSTER_MEMBERS: &str = "DRQOS_CLUSTER_MEMBERS";
-/// `DRQOS_CLUSTER_COORD_PORT` — coordinator listen port (see
-/// [`cluster_coord_port`]).
-pub(crate) const CLUSTER_COORD_PORT: &str = "DRQOS_CLUSTER_COORD_PORT";
-/// `DRQOS_CLUSTER_PREPARE_TIMEOUT_MS` — two-phase prepare timeout (see
-/// [`cluster_prepare_timeout_ms`]).
-pub(crate) const CLUSTER_PREPARE_TIMEOUT_MS: &str = "DRQOS_CLUSTER_PREPARE_TIMEOUT_MS";
-/// `DRQOS_CLUSTER_REBALANCE` — churn rebalance policy (see
-/// [`cluster_rebalance`]).
-pub(crate) const CLUSTER_REBALANCE: &str = "DRQOS_CLUSTER_REBALANCE";
 /// `DRQOS_SCENARIO` — adversarial workload scenario (see [`scenario`]).
 pub(crate) const SCENARIO: &str = "DRQOS_SCENARIO";
 /// `DRQOS_SRLG_COUNT` — seeded shared-risk groups to derive (see
@@ -70,33 +52,21 @@ pub(crate) const SRLG_SIZE: &str = "DRQOS_SRLG_SIZE";
 pub(crate) const DEFAULT_BATCH: usize = 64;
 /// Default for `DRQOS_QUEUE_DEPTH`: bounded command-queue capacity.
 pub(crate) const DEFAULT_QUEUE_DEPTH: usize = 1024;
-/// Default for `DRQOS_BUSY_RETRIES`: bounded `BUSY` retry attempts.
-pub(crate) const DEFAULT_BUSY_RETRIES: usize = 64;
 /// Default for `DRQOS_SHARDS`: one shard, i.e. the monolithic engine.
 pub(crate) const DEFAULT_SHARDS: usize = 1;
-/// Default for `DRQOS_CLUSTER_MEMBERS`: a three-daemon federation.
-pub(crate) const DEFAULT_CLUSTER_MEMBERS: usize = 3;
-/// Default for `DRQOS_CLUSTER_COORD_PORT`: the coordinator listen port.
-pub(crate) const DEFAULT_CLUSTER_COORD_PORT: u16 = 7900;
-/// Default for `DRQOS_CLUSTER_PREPARE_TIMEOUT_MS`: how long a member
-/// waits for a two-phase verdict before aborting.
-pub(crate) const DEFAULT_CLUSTER_PREPARE_TIMEOUT_MS: u64 = 2000;
 /// Default for `DRQOS_SRLG_COUNT`: no shared-risk groups registered.
 pub(crate) const DEFAULT_SRLG_COUNT: usize = 0;
 /// Default for `DRQOS_SRLG_SIZE`: three links per derived group.
 pub(crate) const DEFAULT_SRLG_SIZE: usize = 3;
 
-/// Partition rebalance policy selected by `DRQOS_CLUSTER_REBALANCE`:
-/// how surviving members divide the topology after membership churn.
+/// An argument `Coordinator::new` and `ClusterCoordinator::bind` take and
+/// ignore: there is no member partition to rebalance. It exists because
+/// `benchmark/` passes one to both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RebalancePolicy {
-    /// Seeded round-robin multi-source BFS over the survivors (the
-    /// default; the same construction `DRQOS_SHARDS` uses).
+    /// The only value.
     #[default]
     Bfs,
-    /// Node index modulo the survivor count (ignores locality; useful as
-    /// a worst-case baseline).
-    RoundRobin,
 }
 
 /// Wire framing selected by `DRQOS_WIRE`.
@@ -175,50 +145,12 @@ pub fn registry() -> &'static [EnvVar] {
                   framing (see SERVICE.md); any other value means text",
         },
         EnvVar {
-            name: BUSY_RETRIES,
-            consumed_by: "loadgen",
-            default: "`64`",
-            doc: "bounded `BUSY` retries per command before the load \
-                  generator gives up (exponential backoff with seeded \
-                  jitter between attempts)",
-        },
-        EnvVar {
             name: SHARDS,
             consumed_by: "`drqosd` admission engine",
             default: "`1` (monolith)",
             doc: "partitions the topology into N shards; batched \
                   admissions pre-plan in parallel per shard and are \
                   validated at commit (results are byte-identical to `1`)",
-        },
-        EnvVar {
-            name: CLUSTER_MEMBERS,
-            consumed_by: "`drqos-clusterd` coordinator",
-            default: "`3`",
-            doc: "member daemons the coordinator expects before serving \
-                  (each owns one topology partition)",
-        },
-        EnvVar {
-            name: CLUSTER_COORD_PORT,
-            consumed_by: "`drqos-clusterd`",
-            default: "`7900`",
-            doc: "TCP port the cluster coordinator listens on for the \
-                  inter-daemon protocol",
-        },
-        EnvVar {
-            name: CLUSTER_PREPARE_TIMEOUT_MS,
-            consumed_by: "`drqos-clusterd` members",
-            default: "`2000`",
-            doc: "milliseconds a member waits for the coordinator's \
-                  two-phase verdict before aborting the request with \
-                  wire code 504",
-        },
-        EnvVar {
-            name: CLUSTER_REBALANCE,
-            consumed_by: "`drqos-clusterd` / `drqos-cluster`",
-            default: "`bfs`",
-            doc: "partition rebalance policy after membership churn: \
-                  `bfs` (seeded BFS over survivors) or `roundrobin` \
-                  (node index modulo survivor count)",
         },
         EnvVar {
             name: SCENARIO,
@@ -343,69 +275,9 @@ pub fn wire() -> WireMode {
     read(WIRE).map_or(WireMode::Text, |v| parse_wire(&v))
 }
 
-/// `DRQOS_BUSY_RETRIES` (minimum 1; default [`DEFAULT_BUSY_RETRIES`]).
-pub fn busy_retries() -> usize {
-    read(BUSY_RETRIES).map_or(DEFAULT_BUSY_RETRIES, |v| {
-        parse_positive(&v, DEFAULT_BUSY_RETRIES)
-    })
-}
-
 /// `DRQOS_SHARDS` (minimum 1; default [`DEFAULT_SHARDS`] = monolith).
 pub fn shards() -> usize {
     read(SHARDS).map_or(DEFAULT_SHARDS, |v| parse_positive(&v, DEFAULT_SHARDS))
-}
-
-/// `DRQOS_CLUSTER_MEMBERS` (minimum 1; default
-/// [`DEFAULT_CLUSTER_MEMBERS`]).
-pub fn cluster_members() -> usize {
-    read(CLUSTER_MEMBERS).map_or(DEFAULT_CLUSTER_MEMBERS, |v| {
-        parse_positive(&v, DEFAULT_CLUSTER_MEMBERS)
-    })
-}
-
-fn parse_port(v: &str, default: u16) -> u16 {
-    v.trim()
-        .parse::<u16>()
-        .ok()
-        .filter(|&p| p > 0)
-        .unwrap_or(default)
-}
-
-/// `DRQOS_CLUSTER_COORD_PORT` (default [`DEFAULT_CLUSTER_COORD_PORT`]).
-pub fn cluster_coord_port() -> u16 {
-    read(CLUSTER_COORD_PORT).map_or(DEFAULT_CLUSTER_COORD_PORT, |v| {
-        parse_port(&v, DEFAULT_CLUSTER_COORD_PORT)
-    })
-}
-
-fn parse_positive_u64(v: &str, default: u64) -> u64 {
-    v.trim()
-        .parse::<u64>()
-        .ok()
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// `DRQOS_CLUSTER_PREPARE_TIMEOUT_MS` (minimum 1; default
-/// [`DEFAULT_CLUSTER_PREPARE_TIMEOUT_MS`]).
-pub fn cluster_prepare_timeout_ms() -> u64 {
-    read(CLUSTER_PREPARE_TIMEOUT_MS).map_or(DEFAULT_CLUSTER_PREPARE_TIMEOUT_MS, |v| {
-        parse_positive_u64(&v, DEFAULT_CLUSTER_PREPARE_TIMEOUT_MS)
-    })
-}
-
-fn parse_rebalance(v: &str) -> RebalancePolicy {
-    if v.trim().eq_ignore_ascii_case("roundrobin") {
-        RebalancePolicy::RoundRobin
-    } else {
-        RebalancePolicy::Bfs
-    }
-}
-
-/// `DRQOS_CLUSTER_REBALANCE`: [`RebalancePolicy::RoundRobin`] for
-/// `roundrobin` (case-insensitive), [`RebalancePolicy::Bfs`] otherwise.
-pub fn cluster_rebalance() -> RebalancePolicy {
-    read(CLUSTER_REBALANCE).map_or(RebalancePolicy::Bfs, |v| parse_rebalance(&v))
 }
 
 fn parse_scenario(v: &str) -> crate::scenario::ScenarioKind {
@@ -517,21 +389,6 @@ mod tests {
         assert_eq!(parse_wire(" BINARY "), WireMode::Binary);
         for v in ["text", "", "0", "frames"] {
             assert_eq!(parse_wire(v), WireMode::Text);
-        }
-    }
-
-    #[test]
-    fn cluster_parsing_matches_the_other_knobs() {
-        assert_eq!(parse_port("7901", 7900), 7901);
-        assert_eq!(parse_port("0", 7900), 7900);
-        assert_eq!(parse_port("garbage", 7900), 7900);
-        assert_eq!(parse_positive_u64("250", 2000), 250);
-        assert_eq!(parse_positive_u64("0", 2000), 2000);
-        assert_eq!(parse_positive_u64("x", 2000), 2000);
-        assert_eq!(parse_rebalance("roundrobin"), RebalancePolicy::RoundRobin);
-        assert_eq!(parse_rebalance(" RoundRobin "), RebalancePolicy::RoundRobin);
-        for v in ["bfs", "", "anything"] {
-            assert_eq!(parse_rebalance(v), RebalancePolicy::Bfs);
         }
     }
 

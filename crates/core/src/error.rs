@@ -139,12 +139,12 @@ pub enum ClusterError {
     /// A `LEAVE`/`CRASH` would remove the last live member; a cluster
     /// always keeps at least one admission authority.
     LastMember(u64),
-    /// A `COMMIT` named a prepare ticket that is no longer pending (it
-    /// was aborted, typically because its member crashed mid-two-phase).
+    /// A `COMMIT` named a prepare ticket that is not the sender's to
+    /// commit: no longer pending (it was aborted, typically because its
+    /// member crashed mid-two-phase), or opened by another member.
     StalePrepare(u64),
-    /// The coordinator's verdict did not arrive within the prepare
-    /// timeout (`DRQOS_CLUSTER_PREPARE_TIMEOUT_MS`); the member aborts
-    /// the request.
+    /// A coordinator exchange failed or did not finish within the
+    /// member's two-second link timeout; the member gives the link up.
     PrepareTimeout(u64),
     /// A replica asked for oplog records past the coordinator's current
     /// sequence number.

@@ -92,4 +92,4 @@ pub use routing::{BackupDisjointness, RouterKind};
 pub use scenario::{register_seeded_srlgs, run_scenario_churn, Scenario, ScenarioKind};
 pub use shard::{ShardFault, ShardedNetwork};
 pub use snapshot::NetworkSnapshot;
-pub use workload::{PairSampler, Workload};
+pub use workload::Workload;

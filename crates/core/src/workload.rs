@@ -6,65 +6,6 @@ use crate::qos::ElasticQos;
 use drqos_sim::rng::Rng;
 use drqos_topology::NodeId;
 
-/// How source/destination pairs are drawn.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PairSampler {
-    /// Uniformly random distinct node pair (the paper's workload).
-    Uniform,
-    /// With probability `hub_prob`, one endpoint is drawn from `hubs`
-    /// (server-concentration workloads; an extension for the examples).
-    HotSpot {
-        /// The popular nodes.
-        hubs: Vec<NodeId>,
-        /// Probability that a request touches a hub.
-        hub_prob: f64,
-    },
-}
-
-impl PairSampler {
-    /// Draws a distinct `(src, dst)` pair from a graph with `n_nodes`
-    /// nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_nodes < 2`, or for [`PairSampler::HotSpot`] if `hubs`
-    /// is empty or `hub_prob` is outside `[0, 1]`.
-    pub fn sample(&self, rng: &mut Rng, n_nodes: usize) -> (NodeId, NodeId) {
-        assert!(n_nodes >= 2, "need at least two nodes to form a pair");
-        match self {
-            PairSampler::Uniform => {
-                let src = rng.range_usize(n_nodes);
-                let mut dst = rng.range_usize(n_nodes - 1);
-                if dst >= src {
-                    dst += 1;
-                }
-                (NodeId(src), NodeId(dst))
-            }
-            PairSampler::HotSpot { hubs, hub_prob } => {
-                assert!(!hubs.is_empty(), "hot-spot sampler needs hubs");
-                assert!(
-                    (0.0..=1.0).contains(hub_prob),
-                    "hub_prob must be a probability"
-                );
-                if rng.chance(*hub_prob) {
-                    let hub = hubs[rng.range_usize(hubs.len())];
-                    let mut other = NodeId(rng.range_usize(n_nodes));
-                    while other == hub {
-                        other = NodeId(rng.range_usize(n_nodes));
-                    }
-                    if rng.chance(0.5) {
-                        (hub, other)
-                    } else {
-                        (other, hub)
-                    }
-                } else {
-                    PairSampler::Uniform.sample(rng, n_nodes)
-                }
-            }
-        }
-    }
-}
-
 /// A stream of DR-connection requests with a fixed QoS template between
 /// uniformly drawn node pairs (the paper's workload).
 #[derive(Debug, Clone, PartialEq)]
@@ -83,16 +24,21 @@ impl Workload {
         &self.qos
     }
 
-    /// Draws the next request.
+    /// Draws the next request: a uniformly random distinct node pair.
     ///
     /// # Panics
     ///
-    /// Panics if `n_nodes < 2` (see [`PairSampler::sample`]).
+    /// Panics if `n_nodes < 2`.
     pub fn request(&self, rng: &mut Rng, n_nodes: usize) -> EstablishRequest {
-        let (src, dst) = PairSampler::Uniform.sample(rng, n_nodes);
+        assert!(n_nodes >= 2, "need at least two nodes to form a pair");
+        let src = rng.range_usize(n_nodes);
+        let mut dst = rng.range_usize(n_nodes - 1);
+        if dst >= src {
+            dst += 1;
+        }
         EstablishRequest {
-            src,
-            dst,
+            src: NodeId(src),
+            dst: NodeId(dst),
             qos: self.qos,
         }
     }
@@ -106,13 +52,17 @@ mod tests {
         Rng::seed_from_u64(31)
     }
 
+    fn workload() -> Workload {
+        Workload::new(ElasticQos::paper_video(50))
+    }
+
     #[test]
     fn uniform_pairs_are_distinct_and_in_range() {
         let mut r = rng();
         for _ in 0..10_000 {
-            let (s, d) = PairSampler::Uniform.sample(&mut r, 7);
-            assert_ne!(s, d);
-            assert!(s.index() < 7 && d.index() < 7);
+            let req = workload().request(&mut r, 7);
+            assert_ne!(req.src, req.dst);
+            assert!(req.src.index() < 7 && req.dst.index() < 7);
         }
     }
 
@@ -121,9 +71,9 @@ mod tests {
         let mut r = rng();
         let mut seen = [false; 5];
         for _ in 0..1000 {
-            let (s, d) = PairSampler::Uniform.sample(&mut r, 5);
-            seen[s.index()] = true;
-            seen[d.index()] = true;
+            let req = workload().request(&mut r, 5);
+            seen[req.src.index()] = true;
+            seen[req.dst.index()] = true;
         }
         assert!(seen.iter().all(|&x| x));
     }
@@ -131,48 +81,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two nodes")]
     fn pair_needs_two_nodes() {
-        PairSampler::Uniform.sample(&mut rng(), 1);
-    }
-
-    #[test]
-    fn hotspot_touches_hubs_often() {
-        let sampler = PairSampler::HotSpot {
-            hubs: vec![NodeId(0)],
-            hub_prob: 1.0,
-        };
-        let mut r = rng();
-        for _ in 0..500 {
-            let (s, d) = sampler.sample(&mut r, 10);
-            assert!(s == NodeId(0) || d == NodeId(0));
-            assert_ne!(s, d);
-        }
-    }
-
-    #[test]
-    fn hotspot_zero_prob_is_uniform() {
-        let sampler = PairSampler::HotSpot {
-            hubs: vec![NodeId(0)],
-            hub_prob: 0.0,
-        };
-        let mut r = rng();
-        let hits = (0..2000)
-            .filter(|_| {
-                let (s, d) = sampler.sample(&mut r, 10);
-                s == NodeId(0) || d == NodeId(0)
-            })
-            .count();
-        // Uniform touch probability of node 0 is ~ 2/10.
-        assert!((hits as f64 / 2000.0 - 0.2).abs() < 0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs hubs")]
-    fn hotspot_requires_hubs() {
-        PairSampler::HotSpot {
-            hubs: vec![],
-            hub_prob: 0.5,
-        }
-        .sample(&mut rng(), 5);
+        workload().request(&mut rng(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! One binary, four roles:
 //!
 //! ```text
-//! drqos-clusterd coordinator [--port N] [--members M] [--seed S]
+//! drqos-clusterd coordinator [--port N] [--members M]
 //!                            [--topology ring|torus] [--nodes N]
 //!                            [--rows R] [--cols C] [--capacity KBPS]
 //! drqos-clusterd member      [--port N] [--coordinator HOST:PORT]
@@ -16,14 +16,14 @@
 //! A member and its coordinator MUST be booted with identical topology
 //! flags: replicas replay the oplog from the shared genesis network,
 //! they never transfer state. Defaults mirror `drqosd` (6x6 torus at
-//! 10 Mbps per link); `--port` defaults to `DRQOS_CLUSTER_COORD_PORT`
-//! for the coordinator and 7851 for a member, `--members` to
-//! `DRQOS_CLUSTER_MEMBERS`, and the rebalance policy comes from
-//! `DRQOS_CLUSTER_REBALANCE`.
+//! 10 Mbps per link); `--port` defaults to 7900 for the coordinator and
+//! 7851 for a member, `--coordinator` to `127.0.0.1:7900`, `--members`
+//! to 3.
 //!
 //! Exit codes: 2 bad arguments, 1 runtime failure or shutdown with
 //! invariant violations, 0 clean.
 
+use drqos_core::env::RebalancePolicy;
 use drqos_core::network::{Network, NetworkConfig};
 use drqos_core::qos::Bandwidth;
 use drqos_service::clusterd::{fetch_status, request_stop, ClusterCoordinator, ClusterMember};
@@ -36,7 +36,6 @@ struct Args {
     port: Option<u16>,
     coordinator: Option<String>,
     members: usize,
-    seed: u64,
     topology: String,
     nodes: usize,
     rows: usize,
@@ -50,8 +49,7 @@ impl Default for Args {
             role: String::new(),
             port: None,
             coordinator: None,
-            members: drqos_core::env::cluster_members(),
-            seed: drqos_cluster::DEFAULT_CLUSTER_SEED,
+            members: 3,
             topology: "torus".to_string(),
             nodes: 12,
             rows: 6,
@@ -62,7 +60,7 @@ impl Default for Args {
 }
 
 const USAGE: &str = "usage: drqos-clusterd <coordinator|member|status|stop> \
-                     [--port N] [--coordinator HOST:PORT] [--members M] [--seed S] \
+                     [--port N] [--coordinator HOST:PORT] [--members M] \
                      [--topology ring|torus] [--nodes N] [--rows R] [--cols C] \
                      [--capacity KBPS]";
 
@@ -101,11 +99,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.members = value(flag)?
                     .parse()
                     .map_err(|_| format!("bad --members\n{USAGE}"))?;
-            }
-            "--seed" => {
-                args.seed = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --seed\n{USAGE}"))?;
             }
             "--topology" => args.topology = value(flag)?,
             "--nodes" => {
@@ -148,10 +141,13 @@ fn build_network(args: &Args) -> Result<Network, String> {
     Ok(Network::new(graph, config))
 }
 
+/// The coordinator's default listen port.
+const COORD_PORT: u16 = 7900;
+
 fn coordinator_addr(args: &Args) -> String {
     args.coordinator
         .clone()
-        .unwrap_or_else(|| format!("127.0.0.1:{}", drqos_core::env::cluster_coord_port()))
+        .unwrap_or_else(|| format!("127.0.0.1:{COORD_PORT}"))
 }
 
 fn run_coordinator(args: &Args) -> ExitCode {
@@ -162,12 +158,8 @@ fn run_coordinator(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let port = args
-        .port
-        .unwrap_or_else(drqos_core::env::cluster_coord_port);
-    let addr = format!("127.0.0.1:{port}");
-    let policy = drqos_core::env::cluster_rebalance();
-    let coord = match ClusterCoordinator::bind(&addr, net, args.members, args.seed, policy) {
+    let addr = format!("127.0.0.1:{}", args.port.unwrap_or(COORD_PORT));
+    let coord = match ClusterCoordinator::bind(&addr, net, args.members, 0, RebalancePolicy::Bfs) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("drqos-clusterd: bind {addr}: {e}");
@@ -175,8 +167,8 @@ fn run_coordinator(args: &Args) -> ExitCode {
         }
     };
     eprintln!(
-        "drqos-clusterd: coordinating {} members on {addr} ({} {:?})",
-        args.members, args.topology, policy
+        "drqos-clusterd: coordinating {} members on {addr} ({})",
+        args.members, args.topology
     );
     let report = match coord.run() {
         Ok(r) => r,

@@ -21,6 +21,7 @@ use drqos_core::qos::Bandwidth;
 use drqos_service::server::Server;
 use drqos_topology::regular;
 use std::fs;
+use std::path::Path;
 use std::process::ExitCode;
 
 #[derive(Debug)]
@@ -170,11 +171,11 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let out = drqos_bench::csv::default_dir().join("service_runtime.json");
+    let out = Path::new("target/experiments/service_runtime.json");
     if let Some(parent) = out.parent() {
         let _ = fs::create_dir_all(parent);
     }
-    match fs::write(&out, format!("{}\n", report.metrics_json)) {
+    match fs::write(out, format!("{}\n", report.metrics_json)) {
         Ok(()) => eprintln!("drqosd: metrics written to {}", out.display()),
         Err(e) => eprintln!("drqosd: could not write {}: {e}", out.display()),
     }

@@ -1,8 +1,8 @@
 //! `drqos-loadgen` — closed-loop load generator for `drqosd`.
 //!
 //! Spawns N worker connections replaying seeded workload slices, prints
-//! ops/sec and tail latency, and records the run under the
-//! `target/experiments/runtime/` convention shared with `drqos-bench`.
+//! ops/sec and tail latency, and records the run as
+//! `target/experiments/runtime/loadgen-<clients>c.json`.
 //! Exits 0 only if the run saw zero protocol errors (and, with
 //! `--shutdown`, the server exited invariant-clean).
 //!
@@ -18,6 +18,8 @@
 //! turns that ratio into an exit-code gate for CI churn runs.
 
 use drqos_service::loadgen::{self, LoadgenConfig};
+use std::fs;
+use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: drqos-loadgen [--addr HOST:PORT] [--endpoints A,B,...] \
@@ -122,13 +124,12 @@ fn main() -> ExitCode {
         }
     };
     println!("{}", report.summary());
-    let stem = format!("loadgen-{}c", config.clients);
-    match drqos_bench::runner::record_runtime_entry(
-        &stem,
-        &report.to_json(config.clients, config.seed),
-    ) {
-        Ok(path) => eprintln!("drqos-loadgen: recorded to {}", path.display()),
-        Err(e) => eprintln!("drqos-loadgen: could not record runtime entry: {e}"),
+    let dir = Path::new("target/experiments/runtime");
+    let out = dir.join(format!("loadgen-{}c.json", config.clients));
+    let json = report.to_json(config.clients, config.seed);
+    match fs::create_dir_all(dir).and_then(|()| fs::write(&out, format!("{json}\n"))) {
+        Ok(()) => eprintln!("drqos-loadgen: recorded to {}", out.display()),
+        Err(e) => eprintln!("drqos-loadgen: could not write {}: {e}", out.display()),
     }
     if let Some(clean) = report.clean_shutdown {
         eprintln!(

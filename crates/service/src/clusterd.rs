@@ -37,7 +37,7 @@
 //! serving `SNAPSHOT`-free local commands and its own `SHUTDOWN`. A
 //! member *connection* that reaches EOF at the coordinator without a
 //! graceful `LEAVE` is a **crash**: the coordinator aborts its pending
-//! prepares and rebalances the partition onto the survivors.
+//! prepares and marks its roster slot dead.
 
 use crate::conn::{accept_until, Conn, POLL_INTERVAL};
 use crate::engine::{
@@ -103,7 +103,7 @@ fn err_of(e: ClusterError) -> CoordMsg {
 
 /// Shared coordinator state: the authority plus which roster ids are
 /// currently claimed by a *connected* daemon (alive-but-unclaimed ids are
-/// genesis or vacated slots a joiner can take without a rebalance).
+/// genesis or vacated slots a joiner takes before the roster grows).
 struct CoordShared {
     coord: Coordinator,
     claimed: Vec<bool>,
@@ -118,7 +118,7 @@ pub struct CoordinatorReport {
     pub seq: u64,
     /// Commits that were re-planned because their footprint went stale.
     pub stale_replans: u64,
-    /// Prepares aborted by member crashes or explicit `ABORT`.
+    /// Prepares aborted by their member's crash or leave.
     pub aborted_prepares: u64,
 }
 
@@ -132,7 +132,9 @@ pub struct ClusterCoordinator {
 
 impl ClusterCoordinator {
     /// Binds the coordinator on `addr` with a genesis roster of
-    /// `members` ids (none yet claimed by a connection).
+    /// `members` ids (none yet claimed by a connection). `seed` and
+    /// `policy` are ignored (see [`Coordinator::new`]); `benchmark/` calls
+    /// this signature.
     ///
     /// # Errors
     ///
@@ -190,8 +192,8 @@ impl ClusterCoordinator {
 }
 
 /// Claims a member id for a joining connection: an alive-but-unclaimed
-/// roster slot if one exists (genesis boot, or a vacated slot — costs no
-/// rebalance), otherwise a fresh `JOIN` that repartitions.
+/// roster slot if one exists (genesis boot, or a vacated slot), otherwise
+/// a fresh `JOIN` of the lowest dead or new id.
 fn claim_member(s: &mut CoordShared) -> Result<u64, ClusterError> {
     let unclaimed = s
         .coord
@@ -296,8 +298,13 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
             }
         }
         ClusterMsg::Commit { ticket, req } => {
-            if member.is_none() {
+            let Some(m) = *member else {
                 return err_of(ClusterError::UnknownMember(u64::MAX));
+            };
+            // A ticket is its opener's to commit; anyone else's COMMIT
+            // leaves it open.
+            if s.coord.ticket_member(ticket) != Some(m) {
+                return err_of(ClusterError::StalePrepare(ticket));
             }
             let Ok(req) = req.to_request() else {
                 // An unbuildable QoS can only reach COMMIT through a peer
@@ -315,10 +322,6 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
                 Err(e) => err_of(e),
             }
         }
-        ClusterMsg::Abort { ticket } => match s.coord.abort_prepare(ticket) {
-            Ok(()) => CoordMsg::Ok,
-            Err(e) => err_of(e),
-        },
         ClusterMsg::Op { op } => {
             let Some(m) = *member else {
                 return err_of(ClusterError::UnknownMember(u64::MAX));
@@ -359,7 +362,7 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
 
 /// Serves one inter-daemon connection. A connection that joined and ends
 /// without a `LEAVE` — EOF, or any framing, protocol or write error — is a
-/// member **crash**: pending prepares abort and the partition rebalances.
+/// member **crash**: its pending prepares abort and its slot goes dead.
 fn serve_cluster_peer(
     stream: TcpStream,
     shared: &Mutex<CoordShared>,
@@ -410,18 +413,18 @@ fn serve_peer_messages(
 // Member daemon
 // ---------------------------------------------------------------------------
 
-/// One framed request/reply stream to the coordinator, with the prepare
-/// timeout applied to both directions.
+/// One framed request/reply stream to the coordinator, with
+/// [`LINK_TIMEOUT`] applied to both directions.
 struct CoordLink {
     stream: TcpStream,
 }
 
 impl CoordLink {
-    fn connect(addr: &str, timeout: Duration) -> io::Result<Self> {
+    fn connect(addr: &str) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
+        stream.set_read_timeout(Some(LINK_TIMEOUT))?;
+        stream.set_write_timeout(Some(LINK_TIMEOUT))?;
         Ok(Self { stream })
     }
 
@@ -437,9 +440,9 @@ impl CoordLink {
     }
 }
 
-fn prepare_timeout() -> Duration {
-    Duration::from_millis(drqos_core::env::cluster_prepare_timeout_ms().max(1))
-}
+/// How long a member (or a control client) waits on one coordinator read
+/// or write before giving the link up (wire code 504).
+const LINK_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Member daemon state behind one lock: the coordinator link (None once
 /// it has failed), the full replica, and the client-visible counters.
@@ -637,7 +640,7 @@ impl ClusterMember {
     ///
     /// Socket errors, a refused join, or a protocol violation.
     pub fn bind(addr: &str, genesis: Network, coordinator: &str) -> io::Result<Self> {
-        let mut link = CoordLink::connect(coordinator, prepare_timeout())?;
+        let mut link = CoordLink::connect(coordinator)?;
         let (member_id, _seq) = match link.roundtrip(&ClusterMsg::Join)? {
             CoordMsg::Welcome { member, seq } => (member, seq),
             CoordMsg::Err { code } => {
@@ -727,7 +730,7 @@ fn serve_member_client(
 ///
 /// Socket errors or a protocol violation.
 pub fn fetch_status(coordinator: &str) -> io::Result<String> {
-    let mut link = CoordLink::connect(coordinator, prepare_timeout())?;
+    let mut link = CoordLink::connect(coordinator)?;
     match link.roundtrip(&ClusterMsg::Status)? {
         CoordMsg::State { text } => Ok(text),
         other => Err(bad_reply(&other)),
@@ -740,7 +743,7 @@ pub fn fetch_status(coordinator: &str) -> io::Result<String> {
 ///
 /// Socket errors or a protocol violation.
 pub fn request_stop(coordinator: &str) -> io::Result<()> {
-    let mut link = CoordLink::connect(coordinator, prepare_timeout())?;
+    let mut link = CoordLink::connect(coordinator)?;
     match link.roundtrip(&ClusterMsg::Stop)? {
         CoordMsg::Ok => Ok(()),
         other => Err(bad_reply(&other)),
@@ -782,23 +785,28 @@ mod tests {
     }
 
     struct Booted {
-        coordinator: SocketAddr,
+        coordinator: String,
         members: Vec<SocketAddr>,
         coord_handle: JoinHandle<io::Result<CoordinatorReport>>,
         member_handles: Vec<JoinHandle<io::Result<MemberReport>>>,
     }
 
-    fn boot(members: usize) -> Booted {
+    /// A bare coordinator with a genesis roster of `members`, and its
+    /// address.
+    fn coordinator(members: usize) -> (String, JoinHandle<io::Result<CoordinatorReport>>) {
         let coord =
             ClusterCoordinator::bind("127.0.0.1:0", genesis(), members, 7, RebalancePolicy::Bfs)
                 .unwrap();
-        let coordinator = coord.local_addr().unwrap();
-        let coord_handle = thread::spawn(move || coord.run());
+        let addr = coord.local_addr().unwrap().to_string();
+        (addr, thread::spawn(move || coord.run()))
+    }
+
+    fn boot(members: usize) -> Booted {
+        let (coordinator, coord_handle) = coordinator(members);
         let mut addrs = Vec::new();
         let mut member_handles = Vec::new();
         for _ in 0..members {
-            let m =
-                ClusterMember::bind("127.0.0.1:0", genesis(), &coordinator.to_string()).unwrap();
+            let m = ClusterMember::bind("127.0.0.1:0", genesis(), &coordinator).unwrap();
             addrs.push(m.local_addr().unwrap());
             member_handles.push(thread::spawn(move || m.run()));
         }
@@ -853,14 +861,14 @@ mod tests {
             let replies = session(addr, &["SHUTDOWN"]);
             assert_eq!(replies, vec!["OK violations=0".to_string()]);
         }
-        request_stop(&booted.coordinator.to_string()).unwrap();
+        request_stop(&booted.coordinator).unwrap();
         let report = booted.coord_handle.join().unwrap().unwrap();
         assert_eq!(report.violations, 0);
         // Every scripted op except SNAPSHOT and the malformed QoS range
         // lands in the oplog (establishes including rejections, releases
         // including the unknown id, fails and repairs including the
-        // refused ones), then the first member's LEAVE rebalances.
-        assert_eq!(report.seq, 15);
+        // refused ones); the first member's LEAVE is no record.
+        assert_eq!(report.seq, 14);
         for h in booted.member_handles {
             let r = h.join().unwrap().unwrap();
             assert_eq!(r.violations, 0);
@@ -909,88 +917,154 @@ mod tests {
         for h in booted.member_handles {
             assert_eq!(h.join().unwrap().unwrap().violations, 0);
         }
-        request_stop(&booted.coordinator.to_string()).unwrap();
+        request_stop(&booted.coordinator).unwrap();
         assert_eq!(booted.coord_handle.join().unwrap().unwrap().violations, 0);
     }
 
-    #[test]
-    fn a_dropped_peer_is_a_crash_and_its_slot_is_reclaimable() {
-        let coord =
-            ClusterCoordinator::bind("127.0.0.1:0", genesis(), 2, 7, RebalancePolicy::Bfs).unwrap();
-        let coordinator = coord.local_addr().unwrap().to_string();
-        let coord_handle = thread::spawn(move || coord.run());
+    /// A raw inter-daemon link that joined as member `want`.
+    fn joined(coordinator: &str, want: u64) -> CoordLink {
+        let mut link = CoordLink::connect(coordinator).unwrap();
+        match link.roundtrip(&ClusterMsg::Join).unwrap() {
+            CoordMsg::Welcome { member, .. } if member == want => link,
+            other => panic!("joiner should claim id {want}, got {other:?}"),
+        }
+    }
 
-        let timeout = Duration::from_millis(2000);
-        let mut link0 = CoordLink::connect(&coordinator, timeout).unwrap();
-        let CoordMsg::Welcome { member: 0, .. } = link0.roundtrip(&ClusterMsg::Join).unwrap()
-        else {
-            panic!("first joiner should claim id 0");
-        };
-        let link1 = {
-            let mut l = CoordLink::connect(&coordinator, timeout).unwrap();
-            let CoordMsg::Welcome { member: 1, .. } = l.roundtrip(&ClusterMsg::Join).unwrap()
-            else {
-                panic!("second joiner should claim id 1");
-            };
-            l
-        };
-
-        // EOF without LEAVE = crash: the coordinator rebalances onto the
-        // survivor and frees the slot.
-        drop(link1);
+    /// Polls `STATUS` until the line contains `want`.
+    fn status_with(coordinator: &str, want: &str) -> String {
         let mut status = String::new();
         for _ in 0..100 {
-            status = fetch_status(&coordinator).unwrap();
-            if status.contains("alive=1") {
+            status = fetch_status(coordinator).unwrap();
+            if status.contains(want) {
                 break;
             }
             thread::sleep(Duration::from_millis(20));
         }
-        assert!(status.contains("alive=1"), "status was {status}");
+        assert!(status.contains(want), "status was {status}");
+        status
+    }
+
+    const REQ: WireRequest = WireRequest {
+        src: 0,
+        dst: 3,
+        bmin: 64,
+        bmax: 256,
+        delta: 64,
+    };
+
+    /// PREPARE with an empty footprint: fresh on any network.
+    fn prepare(link: &mut CoordLink) -> u64 {
+        match link.roundtrip(&ClusterMsg::Prepare { footprint: vec![] }) {
+            Ok(CoordMsg::Verdict {
+                ticket,
+                fresh: true,
+            }) => ticket,
+            other => panic!("prepare should be fresh, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_dropped_peer_is_a_crash_and_its_slot_is_reclaimable() {
+        let (coordinator, coord_handle) = coordinator(2);
+        let mut link0 = joined(&coordinator, 0);
+        let link1 = joined(&coordinator, 1);
+
+        // EOF without LEAVE = crash: the slot goes dead and is freed.
+        drop(link1);
+        let status = status_with(&coordinator, "alive=1");
         assert!(status.contains("roster=10"), "status was {status}");
 
-        // The survivor still commits two-phase establishes.
-        let CoordMsg::Verdict {
-            ticket,
-            fresh: true,
-        } = link0
-            .roundtrip(&ClusterMsg::Prepare { footprint: vec![] })
-            .unwrap()
-        else {
-            panic!("prepare should be fresh on an untouched network");
-        };
-        // op_seq 1, not 0: the crash already committed a Rebalance record.
-        let CoordMsg::Done { op_seq: 1, .. } = link0
-            .roundtrip(&ClusterMsg::Commit {
-                ticket,
-                req: WireRequest {
-                    src: 0,
-                    dst: 3,
-                    bmin: 64,
-                    bmax: 256,
-                    delta: 64,
-                },
-            })
-            .unwrap()
-        else {
-            panic!("commit should land at sequence 1");
-        };
+        // The survivor still commits two-phase establishes — at sequence
+        // 0: the crash was no record.
+        let ticket = prepare(&mut link0);
+        let commit = link0.roundtrip(&ClusterMsg::Commit { ticket, req: REQ });
+        assert_eq!(commit.unwrap(), CoordMsg::Done { op_seq: 0, seq: 1 });
 
         // A new joiner reclaims the crashed id without growing the roster.
-        let mut link2 = CoordLink::connect(&coordinator, timeout).unwrap();
-        let CoordMsg::Welcome { member: 1, .. } = link2.roundtrip(&ClusterMsg::Join).unwrap()
-        else {
-            panic!("rejoiner should reclaim id 1");
-        };
+        let _link2 = joined(&coordinator, 1);
         let status = fetch_status(&coordinator).unwrap();
         assert!(status.contains("alive=2"), "status was {status}");
 
         request_stop(&coordinator).unwrap();
         let report = coord_handle.join().unwrap().unwrap();
         assert_eq!(report.violations, 0);
-        // Crash rebalance + establish + rejoin rebalance.
-        assert_eq!(report.seq, 3);
+        // The establish, and nothing for the crash or the rejoin.
+        assert_eq!(report.seq, 1);
         assert_eq!(report.aborted_prepares, 0);
+    }
+
+    #[test]
+    fn a_ticket_is_its_openers_to_commit() {
+        let (coordinator, coord_handle) = coordinator(2);
+        let mut a = joined(&coordinator, 0);
+        let mut b = joined(&coordinator, 1);
+        let ticket = prepare(&mut a);
+        let stale = ClusterError::StalePrepare(ticket).wire_code();
+        let commit = ClusterMsg::Commit { ticket, req: REQ };
+        assert_eq!(
+            b.roundtrip(&commit).unwrap(),
+            CoordMsg::Err { code: stale },
+            "B must not close A's ticket"
+        );
+        let status = fetch_status(&coordinator).unwrap();
+        assert!(status.contains(" seq=0 pending=1 "), "status was {status}");
+        assert_eq!(
+            a.roundtrip(&commit).unwrap(),
+            CoordMsg::Done { op_seq: 0, seq: 1 }
+        );
+        assert_eq!(
+            a.roundtrip(&commit).unwrap(),
+            CoordMsg::Err { code: stale },
+            "a second commit is stale for its opener too"
+        );
+        request_stop(&coordinator).unwrap();
+        let report = coord_handle.join().unwrap().unwrap();
+        assert_eq!((report.violations, report.seq), (0, 1));
+        assert_eq!(report.aborted_prepares, 0);
+    }
+
+    /// The two byte patterns the protocol no longer has — `ABORT {ticket}`
+    /// (opcode 0x13) and a `RECORDS` reply carrying a tag-0 roster record —
+    /// are refused like any other garbage: the link closes, a joined
+    /// sender is crashed, and the other members keep being served.
+    #[test]
+    fn retired_byte_patterns_close_the_link_and_crash_the_sender() {
+        let (coordinator, coord_handle) = coordinator(3);
+        let mut survivor = joined(&coordinator, 0);
+        let open = prepare(&mut survivor);
+        let mut abort = vec![0x13];
+        framing::put_u64(&mut abort, open);
+        // RECORDS {seq 0, one record: tag 0, a roster of two}.
+        let mut records = vec![0x23];
+        framing::put_u64(&mut records, 0);
+        framing::put_u64(&mut records, 1);
+        records.push(0);
+        framing::put_u64(&mut records, 2);
+        records.extend([1, 1]);
+        for (id, body, roster) in [(1, abort, "roster=101"), (2, records, "roster=100")] {
+            let mut sender = joined(&coordinator, id);
+            let own = prepare(&mut sender);
+            sender.stream.write_all(&framing::finish(body)).unwrap();
+            let closed = framing::read_frame(&mut sender.stream);
+            assert!(closed.is_err(), "m{id} got a reply: {closed:?}");
+            let status = status_with(&coordinator, roster);
+            // The sender's own ticket aborted with it; the survivor's —
+            // the one the ABORT named — is still open.
+            assert!(status.contains(" pending=1 "), "status was {status}");
+            assert!(
+                status.contains(&format!("aborted_prepares={id} ")),
+                "status was {status}, m{id} held ticket {own}"
+            );
+        }
+        let commit = survivor.roundtrip(&ClusterMsg::Commit {
+            ticket: open,
+            req: REQ,
+        });
+        assert_eq!(commit.unwrap(), CoordMsg::Done { op_seq: 0, seq: 1 });
+        request_stop(&coordinator).unwrap();
+        let report = coord_handle.join().unwrap().unwrap();
+        assert_eq!((report.violations, report.seq), (0, 1));
+        assert_eq!(report.aborted_prepares, 2);
     }
 
     #[test]
@@ -1000,7 +1074,7 @@ mod tests {
             panic!("expected one member");
         };
         // Stop the coordinator out from under the member.
-        request_stop(&booted.coordinator.to_string()).unwrap();
+        request_stop(&booted.coordinator).unwrap();
         booted.coord_handle.join().unwrap().unwrap();
 
         let replies = session(addr, &["ESTABLISH 0 3 64 256 64", "STATS", "SHUTDOWN"]);

@@ -354,7 +354,7 @@ pub(crate) fn render_outcome(outcome: Option<ApplyOutcome>) -> Response {
             reply(r, |regained| format!("regained={}", regained.len()))
         }
         Some(ApplyOutcome::FailNode(r) | ApplyOutcome::FailSrlg(r)) => reply(r, link_totals),
-        Some(ApplyOutcome::Establish(_) | ApplyOutcome::Rebalance(_)) | None => {
+        Some(ApplyOutcome::Establish(_)) | None => {
             ProtocolError::internal("replayed outcome does not match the committed op").into()
         }
     }

@@ -252,9 +252,12 @@ struct WorkerStats {
     latency: Histogram,
 }
 
+/// `BUSY` retries per command before a worker gives up.
+const BUSY_RETRIES: usize = 64;
+
 /// Bounded `BUSY` retry policy: exponential backoff with seeded jitter.
 ///
-/// The cap comes from `DRQOS_BUSY_RETRIES` (default 64); the delay before
+/// The cap is [`BUSY_RETRIES`]; the delay before
 /// retry `attempt` is `200 µs · 2^attempt` capped at ~51 ms, scaled by a
 /// seeded jitter factor in `[0.5, 1.5)` so lock-stepped workers do not
 /// hammer the queue in phase.
@@ -266,7 +269,7 @@ struct Backoff {
 impl Backoff {
     fn new(seed: u64) -> Self {
         Self {
-            max_retries: drqos_core::env::busy_retries(),
+            max_retries: BUSY_RETRIES,
             rng: Rng::seed_from_u64(seed ^ 0xB05F_B05F),
         }
     }
@@ -329,7 +332,7 @@ impl Client {
     }
 
     /// Round-trips with bounded `BUSY` retry; counts retries into `stats`
-    /// and errors out once the `DRQOS_BUSY_RETRIES` cap is exhausted (a
+    /// and errors out once the [`BUSY_RETRIES`] cap is exhausted (a
     /// queue that never drains is a server bug, not a reason to spin).
     fn roundtrip_retrying(&mut self, command: &str, stats: &mut WorkerStats) -> io::Result<String> {
         let mut attempt = 0usize;

@@ -105,137 +105,6 @@ impl Distribution<f64> for Exponential {
     }
 }
 
-/// The continuous uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution over `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidParameter`] unless `lo < hi` and both are finite.
-    pub fn new(lo: f64, hi: f64) -> Result<Self, InvalidParameter> {
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return Err(InvalidParameter::new(format!(
-                "uniform bounds must be finite with lo < hi, got [{lo}, {hi})"
-            )));
-        }
-        Ok(Self { lo, hi })
-    }
-
-    /// Lower bound (inclusive).
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper bound (exclusive).
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-}
-
-impl Distribution<f64> for Uniform {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        rng.range_f64(self.lo, self.hi)
-    }
-}
-
-/// A Bernoulli trial with success probability `p`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidParameter`] unless `0 ≤ p ≤ 1`.
-    pub fn new(p: f64) -> Result<Self, InvalidParameter> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(InvalidParameter::new(format!(
-                "Bernoulli p must be in [0,1], got {p}"
-            )));
-        }
-        Ok(Self { p })
-    }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-}
-
-impl Distribution<bool> for Bernoulli {
-    fn sample(&self, rng: &mut Rng) -> bool {
-        rng.chance(self.p)
-    }
-}
-
-/// A discrete distribution over `0..weights.len()` with the given
-/// (unnormalized, non-negative) weights.
-///
-/// Used e.g. to draw connection QoS classes in mixed workloads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedIndex {
-    cumulative: Vec<f64>,
-    total: f64,
-}
-
-impl WeightedIndex {
-    /// Creates a weighted discrete distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidParameter`] if `weights` is empty, any weight is
-    /// negative or non-finite, or all weights are zero.
-    pub fn new(weights: &[f64]) -> Result<Self, InvalidParameter> {
-        if weights.is_empty() {
-            return Err(InvalidParameter::new("weights must be non-empty"));
-        }
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut total = 0.0;
-        for &w in weights {
-            if !w.is_finite() || w < 0.0 {
-                return Err(InvalidParameter::new(format!(
-                    "weights must be finite and non-negative, got {w}"
-                )));
-            }
-            total += w;
-            cumulative.push(total);
-        }
-        if total <= 0.0 {
-            return Err(InvalidParameter::new("total weight must be positive"));
-        }
-        Ok(Self { cumulative, total })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether there are no categories (never true for a constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-}
-
-impl Distribution<usize> for WeightedIndex {
-    fn sample(&self, rng: &mut Rng) -> usize {
-        let x = rng.next_f64() * self.total;
-        // partition_point returns the first index with cumulative > x.
-        self.cumulative
-            .partition_point(|&c| c <= x)
-            .min(self.cumulative.len() - 1)
-    }
-}
-
 /// The Pareto (type I) distribution with scale `x_m` and shape `α`.
 ///
 /// Heavy-tailed holding times for the adversarial scenarios: the paper's
@@ -319,17 +188,6 @@ impl Distribution<f64> for Pareto {
     }
 }
 
-/// A degenerate (constant) distribution; useful as a deterministic stand-in
-/// in tests and ablation runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant(pub f64);
-
-impl Distribution<f64> for Constant {
-    fn sample(&self, _rng: &mut Rng) -> f64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,70 +227,6 @@ mod tests {
         let d = Exponential::new(5.0).unwrap();
         let mut r = rng();
         assert!(d.sample_n(&mut r, 10_000).iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn uniform_rejects_inverted_bounds() {
-        assert!(Uniform::new(1.0, 1.0).is_err());
-        assert!(Uniform::new(2.0, 1.0).is_err());
-        assert!(Uniform::new(f64::NAN, 1.0).is_err());
-    }
-
-    #[test]
-    fn uniform_samples_in_bounds() {
-        let d = Uniform::new(10.0, 20.0).unwrap();
-        let mut r = rng();
-        for _ in 0..5000 {
-            let x = d.sample(&mut r);
-            assert!((10.0..20.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn bernoulli_rejects_out_of_range() {
-        assert!(Bernoulli::new(-0.1).is_err());
-        assert!(Bernoulli::new(1.1).is_err());
-    }
-
-    #[test]
-    fn bernoulli_frequency_matches_p() {
-        let d = Bernoulli::new(0.3).unwrap();
-        let mut r = rng();
-        let n = 100_000;
-        let hits = (0..n).filter(|_| d.sample(&mut r)).count();
-        let freq = hits as f64 / n as f64;
-        assert!((freq - 0.3).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn weighted_index_rejects_bad_weights() {
-        assert!(WeightedIndex::new(&[]).is_err());
-        assert!(WeightedIndex::new(&[0.0, 0.0]).is_err());
-        assert!(WeightedIndex::new(&[1.0, -1.0]).is_err());
-        assert!(WeightedIndex::new(&[f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn weighted_index_proportions() {
-        let d = WeightedIndex::new(&[1.0, 3.0]).unwrap();
-        let mut r = rng();
-        let n = 100_000;
-        let ones = (0..n).filter(|_| d.sample(&mut r) == 1).count();
-        let freq = ones as f64 / n as f64;
-        assert!((freq - 0.75).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn weighted_index_zero_weight_never_drawn() {
-        let d = WeightedIndex::new(&[0.0, 1.0, 0.0]).unwrap();
-        let mut r = rng();
-        assert!((0..10_000).all(|_| d.sample(&mut r) == 1));
-    }
-
-    #[test]
-    fn constant_returns_value() {
-        let mut r = rng();
-        assert_eq!(Constant(3.25).sample(&mut r), 3.25);
     }
 
     #[test]

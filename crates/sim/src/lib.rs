@@ -6,11 +6,11 @@
 //!
 //! * [`rng`] — reproducible pseudo-random numbers (xoshiro256++), no global
 //!   state, explicit seeding.
-//! * [`dist`] — exponential / uniform / Bernoulli / weighted variates.
+//! * [`dist`] — exponential and Pareto variates.
 //! * [`time`] — validated virtual time ([`time::SimTime`]).
 //! * [`engine`] — the event queue ([`engine::Simulator`]).
 //! * [`srlg`] — seeded correlated-failure (shared-risk link group) churn.
-//! * [`stats`] — Welford, time-weighted averages, counters.
+//! * [`stats`] — time-weighted averages.
 //!
 //! # Example: an M/M/∞ arrival process
 //!
@@ -62,5 +62,5 @@ pub mod time;
 pub use dist::{Distribution, Exponential};
 pub use engine::Simulator;
 pub use rng::Rng;
-pub use stats::{Counter, TimeWeighted, Welford};
+pub use stats::TimeWeighted;
 pub use time::SimTime;

@@ -22,12 +22,12 @@
 use crate::lockstep::{resolve_op, Resolved};
 use crate::oracle::{Oracle, Violation};
 use crate::reference::ReferenceModel;
-use drqos_cluster::MemberOp;
+use drqos_cluster::ApplyOutcome;
 use drqos_core::network::{Network, NetworkConfig};
 use drqos_core::qos::{Bandwidth, ElasticQos};
 use drqos_sim::rng::{Rng, SplitMix64};
 use drqos_topology::graph::Graph;
-use drqos_topology::{waxman, LinkId};
+use drqos_topology::waxman;
 
 /// One fuzzer operation. Operands are raw and position-independent: they
 /// are resolved against the network's current candidate lists when the
@@ -216,81 +216,38 @@ impl Harness {
     }
 
     /// Applies one operation — operands resolved by the shared
-    /// [`resolve_op`] — then cross-checks network vs reference and runs
-    /// every oracle. Returns all violations (empty = healthy).
+    /// [`resolve_op`], the transition taken by the shared
+    /// [`MemberOp::apply`] — tells the reference what came of it, then
+    /// cross-checks network vs reference and runs every oracle. Returns all
+    /// violations (empty = healthy).
     pub fn apply(&mut self, op: Op) -> Vec<Violation> {
-        match resolve_op(&self.net, self.qos, op) {
-            None => {}
-            Some(Resolved::Establish(req)) => {
-                if let Ok(id) = self.net.establish(req.src, req.dst, req.qos) {
-                    self.reference.on_establish(&self.net, id);
+        let mut violations = Vec::new();
+        if let Some(resolved) = resolve_op(&self.net, self.qos, op) {
+            let outcome = match resolved {
+                Resolved::Establish(req) => {
+                    ApplyOutcome::Establish(self.net.establish(req.src, req.dst, req.qos))
                 }
-            }
-            Some(Resolved::Member(MemberOp::Release { id })) => {
-                self.net.release(id).expect("picked from the live list");
-                if self.fault != InjectedFault::LoseRelease {
-                    self.reference.on_release(id);
-                }
-            }
-            Some(Resolved::Member(MemberOp::FailLink { link })) => {
-                let report = self.net.fail_link(link).expect("picked from the up list");
-                self.reference.on_fail_link(&self.net, &report);
-            }
-            Some(Resolved::Member(MemberOp::FailNode { node })) => {
-                let reports = self
-                    .net
-                    .fail_node(node)
-                    .expect("candidate has an up adjacent link");
-                for report in &reports {
-                    self.reference.on_fail_link(&self.net, report);
-                }
-            }
-            Some(Resolved::Member(MemberOp::RepairLink { link })) => {
-                self.net
-                    .repair_link(link)
-                    .expect("picked from the down list");
-                self.reference.on_repair_link(link);
-            }
-            Some(Resolved::Member(MemberOp::FailSrlg { group })) => {
-                let reports = self
-                    .net
-                    .fail_srlg(group)
-                    .expect("candidate group has an up member");
-                for report in &reports {
-                    self.reference.on_fail_link(&self.net, report);
-                }
-            }
-            Some(Resolved::Member(MemberOp::RepairSrlg { group })) => {
-                // Capture the members being repaired before the call:
-                // repair_srlg returns connections, but the reference is
-                // told per link.
-                let down: Vec<LinkId> = self
-                    .net
-                    .srlg_links(group)
-                    .expect("candidate group exists")
-                    .iter()
-                    .copied()
-                    .filter(|&l| !self.net.link_usage(l).is_up())
-                    .collect();
-                self.net
-                    .repair_srlg(group)
-                    .expect("candidate group has a down member");
-                if self.fault != InjectedFault::LoseSrlgRepair {
-                    for link in down {
-                        self.reference.on_repair_link(link);
-                    }
+                Resolved::Member(op) => op.apply(&mut self.net),
+            };
+            let lost = matches!(
+                (self.fault, &outcome),
+                (InjectedFault::LoseRelease, ApplyOutcome::Release(_))
+                    | (InjectedFault::LoseSrlgRepair, ApplyOutcome::RepairSrlg(_))
+            );
+            if !lost {
+                if let Err(message) = self.reference.observe(&self.net, resolved, &outcome) {
+                    violations.push(Violation {
+                        check: "legal-operand",
+                        message,
+                    });
                 }
             }
         }
-        let mut violations: Vec<Violation> = self
-            .reference
-            .compare(&self.net)
-            .into_iter()
-            .map(|message| Violation {
-                check: "reference-model",
-                message,
-            })
-            .collect();
+        let diffs = self.reference.compare(&self.net);
+        violations.extend(diffs.into_iter().map(|message| Violation {
+            check: "reference-model",
+            message,
+        }));
         violations.extend(self.oracle.run(&self.net));
         violations
     }

@@ -131,7 +131,7 @@ pub struct Case {
     /// The subject's parameter — shard or member count; ignored by
     /// subjects whose [`Subject::UNIT`] is empty.
     pub param: usize,
-    /// The case seed: partition and churn streams derive from it.
+    /// The case seed: the churn stream derives from it.
     pub seed: u64,
     /// Build the subject's mutant instead of the faithful subject.
     pub mutant: bool,
@@ -772,7 +772,7 @@ impl Subject for ClusterSubject {
     const SHRINK_BOUND: usize = 3;
 
     fn build(scenario: &Scenario, case: Case) -> Self {
-        let mut sim = ClusterSim::new(scenario.network(), case.param, case.seed);
+        let mut sim = ClusterSim::new(scenario.network(), case.param);
         if case.mutant {
             sim.set_fault(ClusterFault::LosePrepare);
         }
@@ -809,7 +809,7 @@ impl Subject for ClusterSubject {
     }
 
     /// One deterministic churn step: maybe crash, retire, or (re)join a
-    /// member. Ownership-only, so the state comparison afterwards proves
+    /// member. Roster-only, so the state comparison afterwards proves
     /// churn never disturbs the network.
     fn between_runs(&mut self) {
         if !self.churn.chance(0.3) {
@@ -866,7 +866,7 @@ mod tests {
 
     /// All-establish streams force full `RUN_CAP` groups on a starved
     /// network — the worst case for deferred-fill bookkeeping and
-    /// cross-partition contention.
+    /// cross-shard contention.
     fn dense_establishes() -> (Scenario, Vec<Op>) {
         let scenario = Scenario {
             nodes: 8,
@@ -977,8 +977,8 @@ mod tests {
 
     #[test]
     fn dense_contended_waves_with_churn_replay_identically() {
-        // Churn reassigns ownership between full waves: maximum pressure
-        // on stale-footprint replans and orphan re-establishes.
+        // Churn reshuffles which member carries which request between
+        // full waves: maximum pressure on stale-footprint replans.
         let (scenario, ops) = dense_establishes();
         for members in [2usize, 3, 5] {
             assert!(

@@ -10,7 +10,9 @@
 //! so any bookkeeping drift in the incremental accounting shows up as a
 //! divergence between the two.
 
-use drqos_core::channel::ConnectionId;
+use crate::lockstep::Resolved;
+use drqos_cluster::{ApplyOutcome, MemberOp};
+use drqos_core::channel::{ConnectionId, DrConnection};
 use drqos_core::network::{FailureReport, Network};
 use drqos_core::qos::Bandwidth;
 use drqos_topology::LinkId;
@@ -23,6 +25,19 @@ struct RefConnection {
     max: Bandwidth,
     increment: Bandwidth,
     primary: Vec<LinkId>,
+}
+
+impl RefConnection {
+    /// What the reference learns from the network about a connection: its
+    /// QoS range and the primary route it was committed on.
+    fn of(c: &DrConnection) -> Self {
+        RefConnection {
+            min: c.qos().min(),
+            max: c.qos().max(),
+            increment: c.qos().increment(),
+            primary: c.primary().links().to_vec(),
+        }
+    }
 }
 
 /// Independent mirror of the network's observable state.
@@ -47,17 +62,7 @@ impl ReferenceModel {
             link_up: links.iter().map(|&l| net.link_usage(l).is_up()).collect(),
             conns: net
                 .connections()
-                .map(|c| {
-                    (
-                        c.id(),
-                        RefConnection {
-                            min: c.qos().min(),
-                            max: c.qos().max(),
-                            increment: c.qos().increment(),
-                            primary: c.primary().links().to_vec(),
-                        },
-                    )
-                })
+                .map(|c| (c.id(), RefConnection::of(c)))
                 .collect(),
             dropped: net.dropped_total(),
             epoch: net.topology_epoch(),
@@ -79,32 +84,59 @@ impl ReferenceModel {
             .collect()
     }
 
-    /// Records a successful establishment, learning the committed primary
-    /// route from the network.
-    pub(crate) fn on_establish(&mut self, net: &Network, id: ConnectionId) {
-        let c = net.connection(id).expect("establish returned this id");
-        let prev = self.conns.insert(
-            id,
-            RefConnection {
-                min: c.qos().min(),
-                max: c.qos().max(),
-                increment: c.qos().increment(),
-                primary: c.primary().links().to_vec(),
-            },
-        );
-        assert!(prev.is_none(), "{id} established twice");
+    /// Mirrors one applied operation from what the shared transition
+    /// ([`MemberOp::apply`], or `establish`) answered.
+    ///
+    /// # Errors
+    ///
+    /// `op`'s operand was picked from a legal candidate list, so any
+    /// outcome but its own `Ok` (or an admission rejection) is a fault of
+    /// the network's, described in the message.
+    pub(crate) fn observe(
+        &mut self,
+        net: &Network,
+        op: Resolved,
+        outcome: &ApplyOutcome,
+    ) -> Result<(), String> {
+        match (op, outcome) {
+            // The committed primary route is learned from the network.
+            (_, ApplyOutcome::Establish(Ok(id))) => {
+                let c = net.connection(*id).expect("establish returned this id");
+                let prev = self.conns.insert(*id, RefConnection::of(c));
+                assert!(prev.is_none(), "{id} established twice");
+            }
+            (_, ApplyOutcome::Establish(Err(_))) => {}
+            (Resolved::Member(MemberOp::Release { id }), ApplyOutcome::Release(Ok(_))) => {
+                let removed = self.conns.remove(&id);
+                assert!(removed.is_some(), "{id} released but never tracked");
+            }
+            (_, ApplyOutcome::FailLink(Ok(report))) => self.fail_link(net, report),
+            (_, ApplyOutcome::FailNode(Ok(reports)) | ApplyOutcome::FailSrlg(Ok(reports))) => {
+                for report in reports {
+                    self.fail_link(net, report);
+                }
+            }
+            (Resolved::Member(MemberOp::RepairLink { link }), ApplyOutcome::RepairLink(Ok(_))) => {
+                self.repair_link(link);
+            }
+            // The outcome lists connections, the books are kept per link:
+            // every member of the group this model holds down came back.
+            (Resolved::Member(MemberOp::RepairSrlg { group }), ApplyOutcome::RepairSrlg(Ok(_))) => {
+                for &link in net.srlg_links(group).unwrap_or_default() {
+                    if !self.link_up[link.index()] {
+                        self.repair_link(link);
+                    }
+                }
+            }
+            (op, outcome) => return Err(format!("{op:?} answered {outcome:?}")),
+        }
+        Ok(())
     }
 
-    /// Records a release.
-    pub(crate) fn on_release(&mut self, id: ConnectionId) {
-        let removed = self.conns.remove(&id);
-        assert!(removed.is_some(), "{id} released but never tracked");
-    }
-
-    /// Records a link failure: the link goes down (one epoch bump),
-    /// dropped connections leave the books, and activated connections
-    /// switch to the backup route the network reports.
-    pub(crate) fn on_fail_link(&mut self, net: &Network, report: &FailureReport) {
+    /// A link failure: the link goes down (one epoch bump), dropped
+    /// connections leave the books, and activated connections switch to
+    /// the backup route the network reports.
+    fn fail_link(&mut self, net: &Network, report: &FailureReport) {
         let idx = report.link.index();
         assert!(self.link_up[idx], "{} failed while down", report.link);
         self.link_up[idx] = false;
@@ -129,9 +161,9 @@ impl ReferenceModel {
         }
     }
 
-    /// Records a repair: one epoch bump, link back up. (Backup
-    /// re-establishment does not touch any quantity the reference tracks.)
-    pub(crate) fn on_repair_link(&mut self, link: LinkId) {
+    /// A repair: one epoch bump, link back up. (Backup re-establishment
+    /// does not touch any quantity the reference tracks.)
+    fn repair_link(&mut self, link: LinkId) {
         let idx = link.index();
         assert!(!self.link_up[idx], "{link} repaired while up");
         self.link_up[idx] = true;
@@ -240,12 +272,36 @@ impl ReferenceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drqos_core::network::{Network, NetworkConfig};
+    use drqos_core::network::{EstablishRequest, Network, NetworkConfig};
     use drqos_core::qos::ElasticQos;
     use drqos_topology::{regular, NodeId};
 
     fn net() -> Network {
         Network::new(regular::ring(6).unwrap(), NetworkConfig::default())
+    }
+
+    /// Applies `op` the way the harness does and shows the model.
+    fn step(net: &mut Network, model: &mut ReferenceModel, op: MemberOp) {
+        let outcome = op.apply(net);
+        model
+            .observe(net, Resolved::Member(op), &outcome)
+            .expect("a legal operand");
+    }
+
+    fn establish(net: &mut Network, model: &mut ReferenceModel) -> ConnectionId {
+        let req = EstablishRequest {
+            src: NodeId(0),
+            dst: NodeId(3),
+            qos: ElasticQos::paper_video(100),
+        };
+        let outcome = ApplyOutcome::Establish(net.establish(req.src, req.dst, req.qos));
+        model
+            .observe(net, Resolved::Establish(req), &outcome)
+            .unwrap();
+        let ApplyOutcome::Establish(Ok(id)) = outcome else {
+            panic!("an empty ring admits: {outcome:?}");
+        };
+        id
     }
 
     #[test]
@@ -254,22 +310,24 @@ mod tests {
         let mut model = ReferenceModel::new(&net);
         assert!(model.compare(&net).is_empty());
 
-        let q = ElasticQos::paper_video(100);
-        let a = net.establish(NodeId(0), NodeId(3), q).unwrap();
-        model.on_establish(&net, a);
+        let a = establish(&mut net, &mut model);
         assert!(model.compare(&net).is_empty());
 
         let link = net.connection(a).unwrap().primary().links()[0];
-        let report = net.fail_link(link).unwrap();
-        model.on_fail_link(&net, &report);
+        step(&mut net, &mut model, MemberOp::FailLink { link });
         assert!(model.compare(&net).is_empty());
 
-        net.repair_link(link).unwrap();
-        model.on_repair_link(link);
+        step(&mut net, &mut model, MemberOp::RepairLink { link });
         assert!(model.compare(&net).is_empty());
 
-        net.release(a).unwrap();
-        model.on_release(a);
+        step(&mut net, &mut model, MemberOp::Release { id: a });
+        assert!(model.compare(&net).is_empty());
+
+        // The same link again: an illegal operand is named, not mirrored.
+        let op = MemberOp::RepairLink { link };
+        let outcome = op.apply(&mut net);
+        let refused = model.observe(&net, Resolved::Member(op), &outcome);
+        assert!(refused.unwrap_err().contains("RepairLink"));
         assert!(model.compare(&net).is_empty());
     }
 
@@ -277,9 +335,7 @@ mod tests {
     fn detects_a_lost_release() {
         let mut net = net();
         let mut model = ReferenceModel::new(&net);
-        let q = ElasticQos::paper_video(100);
-        let a = net.establish(NodeId(0), NodeId(3), q).unwrap();
-        model.on_establish(&net, a);
+        let a = establish(&mut net, &mut model);
         // The network releases but the reference is not told — exactly the
         // desynchronization the fuzzer's injected fault produces.
         net.release(a).unwrap();

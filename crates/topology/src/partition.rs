@@ -1,78 +1,24 @@
 //! Graph partitions for sharded admission.
 //!
-//! A [`Partition`] assigns every node and every link of a graph to exactly
-//! one shard. The sharded network engine (`drqos-core`) uses it to decide
-//! which shard a request "belongs" to (the owner of its source node), and
-//! the cluster federation to decide which member owns which links.
+//! A [`Partition`] assigns every node of a graph to exactly one shard.
+//! The sharded network engine (`drqos-core`) uses it to decide which shard
+//! a request "belongs" to (the owner of its source node).
 //!
 //! [`Partition::seeded_bfs`] builds one for any graph: a deterministic
 //! round-robin multi-source BFS (the fuzzer's Waxman scenarios use it).
-//!
-//! Link ownership is derived from node ownership: a link belongs to the
-//! shard of its lower-indexed endpoint. This is a deterministic total
-//! function of the node assignment, so two partitions built from the same
-//! assignment agree on every link.
 
-use crate::error::TopologyError;
-use crate::graph::{Graph, LinkId, NodeId};
+use crate::graph::{Graph, NodeId};
 use drqos_sim::rng::Rng;
 use std::collections::VecDeque;
 
-/// A total assignment of a graph's nodes and links to shards.
+/// A total assignment of a graph's nodes to shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     shards: usize,
     node_shard: Vec<usize>,
-    link_shard: Vec<usize>,
 }
 
 impl Partition {
-    /// Builds a partition from an explicit node assignment. Link ownership
-    /// is derived: each link goes to the shard of its lower-indexed
-    /// endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::InvalidParameter`] if `shards` is zero, the
-    /// assignment length does not match the graph's node count, or any
-    /// entry names a shard `>= shards`.
-    pub fn from_node_assignment(
-        graph: &Graph,
-        shards: usize,
-        node_shard: Vec<usize>,
-    ) -> Result<Self, TopologyError> {
-        if shards == 0 {
-            return Err(TopologyError::InvalidParameter(
-                "partition needs at least one shard".into(),
-            ));
-        }
-        if node_shard.len() != graph.node_count() {
-            return Err(TopologyError::InvalidParameter(format!(
-                "node assignment covers {} nodes but the graph has {}",
-                node_shard.len(),
-                graph.node_count()
-            )));
-        }
-        if let Some(&bad) = node_shard.iter().find(|&&s| s >= shards) {
-            return Err(TopologyError::InvalidParameter(format!(
-                "node assigned to shard {bad} but only {shards} shard(s) exist"
-            )));
-        }
-        let link_shard = graph
-            .links()
-            .map(|l| {
-                let (a, b) = l.endpoints();
-                let owner = if a.index() <= b.index() { a } else { b };
-                node_shard[owner.index()]
-            })
-            .collect();
-        Ok(Partition {
-            shards,
-            node_shard,
-            link_shard,
-        })
-    }
-
     /// A deterministic balanced partition of any graph: `shards` seed nodes
     /// are drawn from a seeded RNG, then grown breadth-first in round-robin
     /// order (shard 0 claims one frontier node, then shard 1, ...) until
@@ -132,8 +78,7 @@ impl Partition {
                 *s = i % shards;
             }
         }
-        Self::from_node_assignment(graph, shards, node_shard)
-            .expect("constructed assignment is total and in range") // lint:allow(panic-reachability): node_shard was just filled to be total and in range
+        Partition { shards, node_shard }
     }
 
     /// Number of shards.
@@ -146,11 +91,6 @@ impl Partition {
     pub fn shard_of_node(&self, node: NodeId) -> usize {
         self.node_shard.get(node.index()).copied().unwrap_or(0)
     }
-
-    /// The shard owning `link` (`0` for out-of-range ids).
-    pub fn shard_of_link(&self, link: LinkId) -> usize {
-        self.link_shard.get(link.index()).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -162,31 +102,6 @@ mod tests {
         waxman::paper_waxman(40)
             .generate(&mut Rng::seed_from_u64(seed))
             .unwrap()
-    }
-
-    /// Satellite property: every link is owned by exactly one shard, for
-    /// many seeds and shard counts. (Ownership is a total function, so
-    /// "exactly one" means: defined for every link and always in range.)
-    #[test]
-    fn every_link_owned_by_exactly_one_shard() {
-        for seed in 0..20u64 {
-            let g = waxman_graph(seed);
-            for shards in [1usize, 2, 3, 4, 7] {
-                let p = Partition::seeded_bfs(&g, shards, seed ^ 0xD5);
-                for l in g.links() {
-                    let s = p.shard_of_link(l.id());
-                    assert!(s < shards, "link {:?} -> shard {s} of {shards}", l.id());
-                    // The owner must be the shard of one of the endpoints —
-                    // a link cannot belong to a shard touching neither end.
-                    let (a, b) = l.endpoints();
-                    assert!(
-                        s == p.shard_of_node(a) || s == p.shard_of_node(b),
-                        "link {:?} owned by a shard touching neither endpoint",
-                        l.id()
-                    );
-                }
-            }
-        }
     }
 
     /// Satellite property: the partition is a pure function of
@@ -227,16 +142,6 @@ mod tests {
         assert!(p.shards() <= g.node_count());
         let p1 = Partition::seeded_bfs(&g, 1, 1);
         assert_eq!(p1.shards(), 1);
-        assert!(g.links().all(|l| p1.shard_of_link(l.id()) == 0));
-    }
-
-    #[test]
-    fn from_node_assignment_rejects_bad_inputs() {
-        let g = waxman_graph(6);
-        assert!(Partition::from_node_assignment(&g, 0, vec![0; g.node_count()]).is_err());
-        assert!(Partition::from_node_assignment(&g, 2, vec![0; g.node_count() - 1]).is_err());
-        let mut bad = vec![0usize; g.node_count()];
-        bad[3] = 2;
-        assert!(Partition::from_node_assignment(&g, 2, bad).is_err());
+        assert!(g.nodes().all(|n| p1.shard_of_node(n) == 0));
     }
 }
