@@ -226,12 +226,21 @@ impl LinkUsage {
     /// Whether a backup with the given `min` and primary links could be
     /// registered without exceeding capacity (extras reclaimable).
     pub fn can_admit_backup(&self, min: Bandwidth, primary_links: &[LinkId]) -> bool {
-        self.fits_backup_reservation(self.reservation_if_backup_added(min, primary_links))
+        self.fits_any_backup(min)
+            || self.fits_backup_reservation(self.reservation_if_backup_added(min, primary_links))
+    }
+
+    /// Whether a backup of `min` fits whatever its primary's links are.
+    /// The reservation is the ledger's maximum, so no backup can raise it
+    /// by more than its own `min`: when that worst case fits, the ledger
+    /// need not be walked. `false` only says the walk must decide.
+    fn fits_any_backup(&self, min: Bandwidth) -> bool {
+        self.fits_backup_reservation(self.reservation + min)
     }
 
     /// Whether the link is up and could hold `reservation` for its backups
     /// beside the primary minima (extras reclaimable).
-    pub(crate) fn fits_backup_reservation(&self, reservation: Bandwidth) -> bool {
+    fn fits_backup_reservation(&self, reservation: Bandwidth) -> bool {
         self.up && self.primary_min_sum + reservation <= self.capacity
     }
 
@@ -594,21 +603,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn vector_ledger_matches_the_map_ledger_on_seeded_sequences() {
-        // This link is l0. Primaries cross 2..=5 of sixteen links (l0
-        // among them at times: a maximally-disjoint backup crossing its
-        // own primary, whose conflict set then skips l0), so ledger
-        // entries collide, fall to zero and hold the maximum by turns.
+    /// The O(1) accept weakened by one `min`: the reservation as it
+    /// stands, not as the newcomer could raise it. The mutant the ledger
+    /// differential must catch.
+    fn weak_accept(link: &LinkUsage, min: Bandwidth, conflicts: &[LinkId]) -> bool {
+        link.fits_backup_reservation(link.reservation)
+            || link.fits_backup_reservation(link.reservation_if_backup_added(min, conflicts))
+    }
+
+    /// Seeded add/remove sequences on one link (l0) and on the map ledger,
+    /// every planning query asked of both before every step, `admit`
+    /// standing in for [`LinkUsage::can_admit_backup`]. Primaries cross
+    /// 2..=5 of sixteen links (l0 among them at times: a
+    /// maximally-disjoint backup crossing its own primary, whose conflict
+    /// set then skips l0), so ledger entries collide, fall to zero and
+    /// hold the maximum by turns; capacities run from starved to roomy, so
+    /// a backup is admitted without the walk, admitted by the walk, and
+    /// refused. Returns how often each of those happened.
+    fn ledger_differential(
+        admit: fn(&LinkUsage, Bandwidth, &[LinkId]) -> bool,
+    ) -> Result<[usize; 3], String> {
         let on_link = lid(0);
         let mut rng = Rng::seed_from_u64(0x15_1ED6E4);
         let (mut removals_of_the_max, mut entries_dropped, mut skipped_on_link) = (0, 0, 0);
-        for _ in 0..200 {
-            let mut link = LinkUsage::new(k(2_000));
+        let mut verdicts = [0; 3];
+        for case in 0..200 {
+            let capacity = k([500, 800, 2_000][case % 3]);
+            let carried = k(50 * rng.range_u64(5));
+            let mut link = LinkUsage::new(capacity);
+            link.add_primary(cid(u64::MAX), 0, carried);
             let mut map = MapLedger {
                 up: true,
-                capacity: k(2_000),
-                primary_min_sum: Bandwidth::ZERO,
+                capacity,
+                primary_min_sum: carried,
                 conflict: BTreeMap::new(),
                 reservation: Bandwidth::ZERO,
             };
@@ -626,10 +653,17 @@ mod tests {
                     link.reservation_if_backup_added(min, &conflicts),
                     map.reservation_if_backup_added(min, &conflicts)
                 );
-                assert_eq!(
-                    link.can_admit_backup(min, &conflicts),
-                    map.can_admit_backup(min, &conflicts)
-                );
+                let admitted = map.can_admit_backup(min, &conflicts);
+                if admit(&link, min, &conflicts) != admitted {
+                    return Err(format!(
+                        "case {case} step {step}: the walk says {admitted} for {min} on {link:?}"
+                    ));
+                }
+                verdicts[match (admitted, link.fits_any_backup(min)) {
+                    (true, true) => 0,
+                    (true, false) => 1,
+                    (false, _) => 2,
+                }] += 1;
                 if live.is_empty() || rng.chance(0.55) {
                     link.add_backup(cid(step), min, &conflicts);
                     map.add_backup(min, &conflicts);
@@ -657,6 +691,19 @@ mod tests {
         assert!(removals_of_the_max > 100, "{removals_of_the_max}");
         assert!(entries_dropped > 100, "{entries_dropped}");
         assert!(skipped_on_link > 100, "{skipped_on_link}");
+        Ok(verdicts)
+    }
+
+    #[test]
+    fn vector_ledger_matches_the_map_ledger_on_seeded_sequences() {
+        let verdicts = ledger_differential(LinkUsage::can_admit_backup).unwrap();
+        assert!(verdicts.iter().all(|&n| n > 300), "{verdicts:?}");
+    }
+
+    #[test]
+    fn an_accept_weakened_by_one_min_is_caught() {
+        let caught = ledger_differential(weak_accept);
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]

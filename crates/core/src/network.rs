@@ -33,7 +33,7 @@ use crate::routing::{self, BackupDisjointness, RouteScratch, RouterKind};
 use drqos_topology::graph::{Graph, LinkId, NodeId};
 use drqos_topology::paths::Path;
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
@@ -579,6 +579,10 @@ impl Network {
     fn footprint_digests(&self, mut probed: Vec<LinkId>) -> Vec<(LinkId, u64)> {
         probed.sort_unstable();
         probed.dedup();
+        #[cfg(test)]
+        if tests::FORGET_A_PROBED_LINK.get() && !probed.is_empty() {
+            probed.remove(probed.len() / 2);
+        }
         probed
             .into_iter()
             .map(|l| (l, self.links[l.index()].plan_digest()))
@@ -687,30 +691,16 @@ impl Network {
                 f.borrow_mut().push(l);
             }
         };
-        let would_reserve = |l: LinkId| {
-            self.links[l.index()]
-                .reservation_if_backup_added(min, &conflict_set(primary.links(), l))
-        };
-        // A search asks a link's allowance right after its filter passed,
-        // and both need the same would-be reservation: the filter leaves
-        // its answer here.
-        let reserved: Cell<Option<(LinkId, Bandwidth)>> = Cell::new(None);
+        let conflicts = |l: LinkId| conflict_set(primary.links(), l);
         let backup_filter = |l: LinkId| {
             touch(l);
-            if existing.iter().any(|b| b.crosses(l)) {
-                return false;
-            }
-            let reservation = would_reserve(l);
-            reserved.set(Some((l, reservation)));
-            self.links[l.index()].fits_backup_reservation(reservation)
+            !existing.iter().any(|b| b.crosses(l))
+                && self.links[l.index()].can_admit_backup(min, &conflicts(l))
         };
         let backup_allowance = |l: LinkId| {
             touch(l);
-            let reservation = match reserved.get() {
-                Some((of, reservation)) if of == l => reservation,
-                _ => would_reserve(l),
-            };
             let u = &self.links[l.index()];
+            let reservation = u.reservation_if_backup_added(min, &conflicts(l));
             u.capacity()
                 .saturating_sub(u.primary_min_sum() + reservation)
         };
@@ -2617,6 +2607,160 @@ mod tests {
         assert!(on.route_cache_stats().lookups() > 0);
         on.validate();
         off.validate();
+    }
+
+    // ------------------------------ the route cache vs planning afresh --
+
+    thread_local! {
+        /// While set, a recorded footprint leaves out one of the links
+        /// the search probed: the mutant the cache differential and the
+        /// footprint property below must catch.
+        pub(super) static FORGET_A_PROBED_LINK: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
+
+    /// Runs `f` with the footprint recorder sabotaged.
+    fn forgetting_a_probed_link<T>(f: impl FnOnce() -> T) -> T {
+        FORGET_A_PROBED_LINK.set(true);
+        let out = f();
+        FORGET_A_PROBED_LINK.set(false);
+        out
+    }
+
+    /// Replays `cases` seeded op sequences on a network with the route
+    /// cache and on its twin without: [`random_op`]s mixed with short
+    /// calls and plan-only requests over three hot requests per case, so
+    /// that keys recur. Results, every field of the state and snapshots
+    /// must agree after every op. (The twin is the whole contract here:
+    /// sequences this long fail links faster than they repair them, and a
+    /// second failover onto a starved link can push its minima past its
+    /// capacity with or without a cache — ROADMAP item 2.) Returns the
+    /// cache's hits, its stale evictions at lookup and its evictions by
+    /// link event.
+    fn cache_differential(cases: u64) -> Result<(u64, u64, u64), String> {
+        let (mut hits, mut stale, mut by_link) = (0, 0, 0);
+        for case in 0..cases {
+            let (mut off, mut rng) = random_case(case);
+            let mut on = off.clone();
+            on.config.route_cache = true;
+            let nodes = off.graph().node_count();
+            let hot: Vec<_> = (0..3).map(|_| random_request(&mut rng, nodes)).collect();
+            for step in 0..30 + rng.range_usize(20) {
+                let before = on.route_cache_stats();
+                let mut off_rng = rng.clone();
+                let apply = |net: &mut Network, rng: &mut Rng| match rng.range_usize(100) {
+                    0..=24 => {
+                        let r = hot[rng.range_usize(hot.len())];
+                        let set_up = net.establish(r.src, r.dst, r.qos);
+                        let torn_down = set_up.clone().map(|id| net.release(id));
+                        format!("{set_up:?} {torn_down:?}")
+                    }
+                    25..=39 => {
+                        let r = hot[rng.range_usize(hot.len())];
+                        format!("{:?}", net.plan_establish(r.src, r.dst, r.qos))
+                    }
+                    _ => random_op(net, rng),
+                };
+                let want = apply(&mut off, &mut off_rng);
+                let got = apply(&mut on, &mut rng);
+                let same_state = on.links == off.links
+                    && on.connections == off.connections
+                    && (on.next_id, on.total_bandwidth, on.dropped_total)
+                        == (off.next_id, off.total_bandwidth, off.dropped_total)
+                    && on.topology_epoch == off.topology_epoch
+                    && crate::snapshot::NetworkSnapshot::capture(&on)
+                        == crate::snapshot::NetworkSnapshot::capture(&off);
+                if got != want || !same_state {
+                    return Err(format!("case {case} step {step}: {got} vs uncached {want}"));
+                }
+                let after = on.route_cache_stats();
+                hits += after.hits - before.hits;
+                let evicted = after.stale_evictions - before.stale_evictions;
+                if after.lookups() == before.lookups() {
+                    by_link += evicted;
+                } else {
+                    stale += evicted;
+                }
+            }
+            assert_eq!(off.route_cache_stats(), RouteCacheStats::default());
+        }
+        Ok((hits, stale, by_link))
+    }
+
+    /// Hits, stale evictions and link evictions must all have occurred.
+    fn assert_cache_coverage((hits, stale, by_link): (u64, u64, u64), cases: u64) {
+        assert!(
+            hits > cases && stale > cases && by_link > cases / 10,
+            "{hits} hits, {stale} stale at lookup, {by_link} evicted by link event"
+        );
+    }
+
+    #[test]
+    fn cached_planning_matches_uncached_on_600_seeded_cases() {
+        assert_cache_coverage(cache_differential(600).unwrap(), 600);
+    }
+
+    #[test]
+    #[ignore = "ten times the cases; CI runs it in release"]
+    fn cached_planning_matches_uncached_on_6000_seeded_cases() {
+        assert_cache_coverage(cache_differential(6_000).unwrap(), 6_000);
+    }
+
+    #[test]
+    fn a_footprint_that_forgets_a_probed_link_is_caught() {
+        let caught = forgetting_a_probed_link(|| cache_differential(600));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    /// The property the cache rests on, asked directly: a plan — or a
+    /// rejection — depends on no link outside its footprint. On `cases`
+    /// seeded networks, each link a traced plan did not probe is failed
+    /// (or repaired), or loaded to the brim, on a copy, and the copy must
+    /// plan the same. Returns how many links were perturbed.
+    fn footprint_property(cases: u64) -> Result<usize, String> {
+        let mut perturbed = 0;
+        let mut scratch = RouteScratch::new();
+        for case in 0..cases {
+            let (mut net, mut rng) = random_case(case);
+            for _ in 0..12 {
+                random_op(&mut net, &mut rng);
+            }
+            let nodes = net.graph().node_count();
+            for _ in 0..3 {
+                let r = random_request(&mut rng, nodes);
+                let planned = net.plan_establish_traced(&mut scratch, r.src, r.dst, r.qos);
+                for l in 0..net.links.len() {
+                    if planned.1.iter().any(|&(probed, _)| probed.index() == l) {
+                        continue;
+                    }
+                    let mut poked = net.clone();
+                    let usage = &mut poked.links[l];
+                    if rng.chance(0.5) {
+                        usage.set_up(!usage.is_up());
+                    } else {
+                        let spare = usage.capacity().saturating_sub(usage.hard_committed());
+                        usage.add_primary(ConnectionId(u64::MAX), 0, spare);
+                    }
+                    perturbed += 1;
+                    let again = poked.plan_establish_traced(&mut scratch, r.src, r.dst, r.qos);
+                    if again != planned {
+                        return Err(format!(
+                            "case {case}: {r:?} planned {planned:?}, but {again:?} \
+                             once unprobed link {l} changed"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(perturbed)
+    }
+
+    #[test]
+    fn a_link_outside_the_footprint_cannot_change_the_plan() {
+        let perturbed = footprint_property(300).unwrap();
+        assert!(perturbed > 5_000, "{perturbed}");
+        let caught = forgetting_a_probed_link(|| footprint_property(300));
+        assert!(caught.is_err(), "the property has no teeth: {caught:?}");
     }
 
     #[test]

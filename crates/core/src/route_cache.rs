@@ -16,7 +16,13 @@
 //! * **Footprint** — while a miss runs the real search, the network
 //!   records every link the search probed together with that link's
 //!   [`crate::link_state::LinkUsage::plan_digest`]. Links the search
-//!   never looked at cannot have influenced it.
+//!   never looked at cannot have influenced it — and it looks at few: only
+//!   links between nodes that can still reach the destination within the
+//!   hops left, and of those only the ones whose answer could still matter
+//!   (see [`crate::routing::FloodScratch`]). A recorder that misses a
+//!   probed link is therefore no longer masked by sheer coverage; the
+//!   network's tests hold the footprint to "perturb any link outside it
+//!   and the plan stands".
 //! * **Validation** — a lookup replays the footprint digests. All equal ⇒
 //!   the search would reproduce the cached primary/backup pair verbatim:
 //!   a *hit*. Any mismatch ⇒ the entry is evicted (a *stale eviction*)
@@ -25,12 +31,17 @@
 //!   which delegates) eagerly evict only the entries whose footprint
 //!   touches the changed link — never a global flush — by scanning the at
 //!   most [`MAX_ENTRIES`] entries and binary-searching each sorted
-//!   footprint. There is deliberately no link → keys index: a footprint
-//!   covers most of the graph, so keeping one costs hundreds of ordered-set
-//!   operations per memoized plan, and the paper's regime is arrivals far
-//!   more frequent than failures (λ ≫ γ) — microseconds per *fault* buy
-//!   back tens of microseconds per *arrival*. Capacity-crossing
-//!   establishes/releases are caught lazily by the digest check.
+//!   footprint. There is deliberately no link → keys index. A footprint is
+//!   small now that the search is goal-directed (≈ 24 of the paper graph's
+//!   354 links, where the flood in every direction recorded 243), so an
+//!   index would cost ≈ 24 ordered-set operations per memoized plan
+//!   rather than hundreds — but that is still about a microsecond on an
+//!   *arrival* that plans in ten, the shorter footprints made the scan
+//!   cheaper too (five binary-search steps per entry, not eight), and
+//!   the paper's regime is arrivals far more frequent than failures
+//!   (λ ≫ γ): the scan is paid per *fault*, beside ≈ 0.3 ms of
+//!   re-routing. Capacity-crossing establishes/releases are caught
+//!   lazily by the digest check.
 //! * **Doorkeeper admission** — recording a footprint and hashing it into
 //!   an entry is not free, and a workload whose every plan is immediately
 //!   committed invalidates each entry before it can ever hit. So a key is

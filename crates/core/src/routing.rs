@@ -9,8 +9,11 @@
 //! evaluation (which measures bandwidth, not signalling), so
 //! `flood_path_with` emulates the *outcome* of bounded flooding: a
 //! fewest-hops search that maximizes the bottleneck bandwidth allowance
-//! among equal-hop routes, truncated at the flooding bound. Two
-//! alternatives are provided for comparison:
+//! among equal-hop routes, truncated at the flooding bound. Like the
+//! paper's request copies, the search stays inside a region around the
+//! source–destination pair: it enters only nodes from which the
+//! destination can still be reached within the hops that are left (see
+//! [`FloodScratch`]). Two alternatives are provided for comparison:
 //!
 //! * [`RouterKind::Shortest`] — plain BFS, no allowance tie-break (a
 //!   cheaper, less informed baseline);
@@ -21,6 +24,8 @@
 use crate::qos::Bandwidth;
 use drqos_topology::graph::{Graph, LinkId, NodeId};
 use drqos_topology::paths::{bfs_path_with, BfsScratch, LinkFilter, Path};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The route-selection strategy of a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,16 +69,21 @@ pub enum BackupDisjointness {
     MaximallyDisjoint,
 }
 
-/// Reusable buffers for [`flood_path_with`].
+/// Reusable buffers for [`flood_path_with`] and the maximally-disjoint
+/// fallback of [`route_backup_with`].
 ///
-/// A flood search needs four per-node tables, a per-link probe memo and
-/// two frontier vectors; allocating them on every admission attempt
-/// dominated the cost of short searches. The tables are
-/// generation-stamped (`stamp[v] == gen` marks the entry as belonging to
-/// the current search), so beginning a search is O(1) and nothing a
+/// A search keeps per-node tables, a per-link probe memo, a per-node
+/// distance row and two frontier vectors; allocating them on every
+/// admission attempt dominated the cost of short searches. Everything is
+/// generation-stamped, so beginning a search is O(1) and nothing a
 /// previous search wrote can be read by the next — a scratch may be kept
 /// across any number of searches, over any graphs, with no invalidation.
 /// [`FloodScratch::invalidate`] merely releases the buffers' contents.
+///
+/// Two counters do the stamping. `search` advances once per search and
+/// marks the probe memo and the distance row, which hold for the whole
+/// search; `gen` advances once per *round* of it and marks the per-node
+/// tables, which every round fills afresh.
 #[derive(Debug, Clone, Default)]
 pub struct FloodScratch {
     gen: u64,
@@ -81,14 +91,43 @@ pub struct FloodScratch {
     hops: Vec<usize>,
     bottleneck: Vec<Bandwidth>,
     parent: Vec<NodeId>,
-    /// Probe memo: `link_stamp[l] == gen` marks `link_allowance[l]` as
+    /// The fallback's count of links shared with the primary, beside
+    /// `hops`: together a node's `(shared, hops)` label.
+    shared: Vec<usize>,
+    search: u64,
+    /// Probe memo: `link_stamp[l] == search` marks `link_allowance[l]` as
     /// this search's answer for link `l` — `None` if the filter refused
     /// it, else its allowance. A link is reached from both endpoints (and
-    /// again by every same-layer improvement), but asked about once.
+    /// again by every same-layer improvement and every round), but asked
+    /// about once.
     link_stamp: Vec<u64>,
     link_allowance: Vec<Option<Bandwidth>>,
+    /// Distance row: `toward_stamp[v] == search` marks `toward[v]` as
+    /// `h(v)`, the hop distance from `v` to this search's destination
+    /// over the static adjacency. Unmarked nodes are further away than
+    /// the hop bound, or cut off from the destination altogether.
+    toward_stamp: Vec<u64>,
+    toward: Vec<usize>,
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
+    /// The fallback's queue, ordered by `(shared, hops, node)`.
+    heap: BinaryHeap<Reverse<(usize, usize, NodeId)>>,
+    /// What the last search cost, in rounds and in nodes whose adjacency a
+    /// round walked: the worst-case guard's count.
+    #[cfg(test)]
+    tally: (usize, usize),
+}
+
+/// Advances a generation counter, zeroing `stamps` when it wraps so that
+/// an old stamp cannot alias the new generation.
+fn advance(counter: &mut u64, stamps: &mut [&mut Vec<u64>]) {
+    *counter = counter.wrapping_add(1);
+    if *counter == 0 {
+        for table in stamps {
+            table.iter_mut().for_each(|s| *s = 0);
+        }
+        *counter = 1;
+    }
 }
 
 impl FloodScratch {
@@ -100,39 +139,41 @@ impl FloodScratch {
     /// Drops all cached search state. Never required for correctness (see
     /// the type docs); the buffers re-grow on the next search.
     pub fn invalidate(&mut self) {
-        self.gen = 0;
-        self.stamp.clear();
-        self.hops.clear();
-        self.bottleneck.clear();
-        self.parent.clear();
-        self.link_stamp.clear();
-        self.link_allowance.clear();
-        self.frontier.clear();
-        self.next.clear();
+        *self = Self::default();
     }
 
-    /// Prepares the buffers for a fresh search over `nodes` nodes and
-    /// `links` links.
-    fn begin(&mut self, nodes: usize, links: usize) {
+    /// Starts a search over `graph`: sizes the buffers and forgets the
+    /// previous search's probe memo and distance row.
+    fn begin(&mut self, graph: &Graph) {
+        let (nodes, links) = (graph.node_count(), graph.link_count());
         if self.stamp.len() < nodes {
             self.stamp.resize(nodes, 0);
             self.hops.resize(nodes, usize::MAX);
             self.bottleneck.resize(nodes, Bandwidth::ZERO);
             self.parent.resize(nodes, NodeId(usize::MAX));
+            self.shared.resize(nodes, 0);
+            self.toward_stamp.resize(nodes, 0);
+            self.toward.resize(nodes, usize::MAX);
         }
         if self.link_stamp.len() < links {
             self.link_stamp.resize(links, 0);
             self.link_allowance.resize(links, None);
         }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Generation wrapped: stale stamps could alias. Reset them all.
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.link_stamp.iter_mut().for_each(|s| *s = 0);
-            self.gen = 1;
+        let stamps = &mut [&mut self.link_stamp, &mut self.toward_stamp];
+        advance(&mut self.search, stamps);
+        #[cfg(test)]
+        {
+            self.tally = (0, 0);
         }
-        self.frontier.clear();
-        self.next.clear();
+    }
+
+    /// Starts a round: forgets every node the previous one reached.
+    fn begin_round(&mut self) {
+        advance(&mut self.gen, &mut [&mut self.stamp]);
+        #[cfg(test)]
+        {
+            self.tally.0 += 1;
+        }
     }
 
     fn discovered(&self, v: NodeId) -> bool {
@@ -148,7 +189,8 @@ impl FloodScratch {
 
     /// This search's answer for link `l`: `None` if `filter` refuses it,
     /// else its `allowance`. Each closure runs at most once per link per
-    /// search; the first time a link is reached decides.
+    /// search, whatever the round; the first time a link is reached
+    /// decides.
     fn probe(
         &mut self,
         l: LinkId,
@@ -156,11 +198,230 @@ impl FloodScratch {
         allowance: &dyn Fn(LinkId) -> Bandwidth,
     ) -> Option<Bandwidth> {
         let i = l.index();
-        if self.link_stamp[i] != self.gen {
-            self.link_stamp[i] = self.gen;
+        if self.link_stamp[i] != self.search {
+            self.link_stamp[i] = self.search;
             self.link_allowance[i] = filter(l).then(|| allowance(l));
         }
         self.link_allowance[i]
+    }
+
+    /// `h(v)`: how many hops `v` is from this search's destination at
+    /// best, `usize::MAX` when the row does not reach it.
+    fn toward(&self, v: NodeId) -> usize {
+        if self.toward_stamp[v.0] == self.search {
+            self.toward[v.0]
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// Fills the distance row: one breadth-first pass from `dst` over the
+    /// static adjacency, `reach` hops deep. Link state plays no part —
+    /// failures and refusals only ever remove links — so `h(v)` is a
+    /// lower bound on the hops any search still needs from `v`.
+    fn measure(&mut self, graph: &Graph, dst: NodeId, reach: usize) {
+        let mut queue = std::mem::take(&mut self.next);
+        queue.clear();
+        queue.push(dst);
+        self.toward_stamp[dst.0] = self.search;
+        self.toward[dst.0] = 0;
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let beyond = self.toward[u.0] + 1;
+            if beyond > reach {
+                break;
+            }
+            for &(v, _) in graph.neighbors(u) {
+                if self.toward_stamp[v.0] != self.search {
+                    self.toward_stamp[v.0] = self.search;
+                    self.toward[v.0] = beyond;
+                    queue.push(v);
+                }
+            }
+        }
+        self.next = queue;
+    }
+
+    /// One round of the flood: level by level from `src`, entering a node
+    /// at level `k` only if the destination is still within `target` hops
+    /// of the source through it (`k + h(v) ≤ target`). Returns whether
+    /// some node was held back by that rule — if none was, a longer
+    /// target would reach nothing more.
+    ///
+    /// A link is left unasked when its answer cannot matter: its far end
+    /// is held back, or was reached at an earlier level, or already has a
+    /// bottleneck the near end cannot improve on.
+    fn round(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        target: usize,
+        filter: &LinkFilter,
+        allowance: &dyn Fn(LinkId) -> Bandwidth,
+    ) -> bool {
+        self.begin_round();
+        self.discover(src, 0, Bandwidth::kbps(u64::MAX), src);
+        let mut frontier = std::mem::take(&mut self.frontier);
+        let mut next = std::mem::take(&mut self.next);
+        frontier.clear();
+        frontier.push(src);
+        let mut held_back = false;
+        for level in 0..target {
+            if frontier.is_empty() {
+                break;
+            }
+            next.clear();
+            let left = target - (level + 1);
+            for &u in &frontier {
+                #[cfg(test)]
+                {
+                    self.tally.1 += 1;
+                }
+                for &(v, l) in graph.neighbors(u) {
+                    let reached = self.discovered(v);
+                    if reached {
+                        if self.hops[v.0] != level + 1
+                            || self.bottleneck[u.0] <= self.bottleneck[v.0]
+                        {
+                            continue;
+                        }
+                    } else if self.toward(v) > left {
+                        held_back = true;
+                        continue;
+                    }
+                    let Some(allowed) = self.probe(l, filter, allowance) else {
+                        continue;
+                    };
+                    let cand = self.bottleneck[u.0].min(allowed);
+                    if !reached {
+                        self.discover(v, level + 1, cand, u);
+                        next.push(v);
+                    } else if cand > self.bottleneck[v.0] {
+                        // Same-layer improvement: a simultaneous request
+                        // copy with a better allowance.
+                        self.bottleneck[v.0] = cand;
+                        self.parent[v.0] = u;
+                    }
+                }
+            }
+            if self.discovered(dst) {
+                // The layer is complete (done above): reconstruct.
+                break;
+            }
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        // Hand the frontier buffers back for the next round.
+        self.frontier = frontier;
+        self.next = next;
+        held_back
+    }
+
+    /// The rounds of one search, over the row [`Self::measure`] left.
+    ///
+    /// The target length deepens from `h(src)`: first the statically
+    /// shortest routes, then those one hop longer, then everything the
+    /// hop bound allows — at most three rounds, fewer when a round found
+    /// the destination or held nothing back. The probe memo lives across
+    /// them, so a later round re-walks nodes but asks no link again.
+    fn deepen(
+        &mut self,
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        hop_bound: usize,
+        filter: &LinkFilter,
+        allowance: &dyn Fn(LinkId) -> Bandwidth,
+    ) -> Option<Path> {
+        let nearest = self.toward(src);
+        if nearest > hop_bound {
+            return None;
+        }
+        let mut target = nearest;
+        loop {
+            let held_back = self.round(graph, src, dst, target, filter, allowance);
+            if self.discovered(dst) {
+                return self.trace(graph, src, dst);
+            }
+            if !held_back || target == hop_bound {
+                return None;
+            }
+            target = if target == nearest {
+                nearest + 1
+            } else {
+                hop_bound
+            };
+        }
+    }
+
+    /// A node's `(shared, hops)` label in the fallback.
+    fn label(&self, v: NodeId) -> (usize, usize) {
+        (self.shared[v.0], self.hops[v.0])
+    }
+
+    /// The maximally-disjoint fallback: among the paths between
+    /// `primary`'s endpoints over links `filter` passes, one sharing the
+    /// fewest links with `primary` and, among those, of the fewest hops —
+    /// Dijkstra on the label `(shared, hops)`, ties popped by node id.
+    ///
+    /// It continues the search the strict flood began: every link off
+    /// the primary that the flood asked about keeps its answer (there the
+    /// flood's filter was `filter`), so only the primary's own links and
+    /// the links the bounded flood never reached are asked now. Only the
+    /// verdict is asked for: no flood reads this search's memo again.
+    fn least_shared_path(
+        &mut self,
+        graph: &Graph,
+        primary: &Path,
+        filter: &LinkFilter,
+    ) -> Option<Path> {
+        let (src, dst) = (primary.source(), primary.destination());
+        // The flood refused these for being the primary's, unasked.
+        for &l in primary.links() {
+            self.link_stamp[l.index()] = 0;
+        }
+        self.begin_round();
+        self.discover(src, 0, Bandwidth::ZERO, src);
+        self.shared[src.0] = 0;
+        self.heap.clear();
+        self.heap.push(Reverse((0, 0, src)));
+        while let Some(Reverse((shared, hops, u))) = self.heap.pop() {
+            if (shared, hops) > self.label(u) {
+                continue;
+            }
+            if u == dst {
+                return self.trace(graph, src, dst);
+            }
+            for &(v, l) in graph.neighbors(u) {
+                // A label the link cannot improve on, whatever it answers.
+                if self.discovered(v) && self.label(v) <= (shared, hops + 1) {
+                    continue;
+                }
+                if self.probe(l, filter, &|_| Bandwidth::ZERO).is_none() {
+                    continue;
+                }
+                let via = (shared + usize::from(primary.crosses(l)), hops + 1);
+                if !self.discovered(v) || via < self.label(v) {
+                    self.discover(v, via.1, Bandwidth::ZERO, u);
+                    self.shared[v.0] = via.0;
+                    self.heap.push(Reverse((via.0, via.1, v)));
+                }
+            }
+        }
+        None
+    }
+
+    /// The path the parent table holds from `src` to a discovered `dst`.
+    fn trace(&self, graph: &Graph, src: NodeId, dst: NodeId) -> Option<Path> {
+        let mut nodes = vec![dst];
+        let mut cur = dst;
+        while cur != src {
+            cur = self.parent[cur.0];
+            nodes.push(cur);
+        }
+        nodes.reverse();
+        Path::from_nodes(graph, nodes).ok()
     }
 }
 
@@ -168,11 +429,21 @@ impl FloodScratch {
 /// `filter`, maximizing the minimum `allowance` along the path among
 /// equal-hop candidates, and discarding paths longer than `hop_bound`.
 /// The search reuses the caller-owned `scratch` buffers, so the hot
-/// admission path allocates nothing.
+/// admission path allocates nothing but the path it returns.
 ///
 /// This reproduces what bounded flooding converges to: the first request
 /// copy to arrive took a fewest-hops route, and among simultaneous arrivals
 /// the destination keeps the copy with the best bandwidth allowance.
+///
+/// The flood is goal-directed and exact. A node `v` entered at level `k`
+/// can only lie on a route of `k + h(v)` hops or more, so a round with
+/// target length `T` leaves out every node with `k + h(v) > T`. The nodes
+/// it does enter are closed under predecessors — a neighbour `u` one
+/// level before `v` has `h(u) ≤ h(v) + 1` — so each of them sees every
+/// parent the unrestricted flood would offer it, in the same order, and
+/// ends with the same level, bottleneck and parent; the destination, once
+/// the target is long enough, is found at the same level by the same
+/// tie-breaks. Only the set of links asked about shrinks.
 ///
 /// Returns `None` if `dst` is unreachable within the bound.
 ///
@@ -189,59 +460,12 @@ pub(crate) fn flood_path_with(
     allowance: &dyn Fn(LinkId) -> Bandwidth,
 ) -> Option<Path> {
     assert!(graph.contains_node(src) && graph.contains_node(dst));
+    scratch.begin(graph);
     if src == dst {
         return Path::from_nodes(graph, vec![src]).ok();
     }
-    scratch.begin(graph.node_count(), graph.link_count());
-    scratch.discover(src, 0, Bandwidth::kbps(u64::MAX), src);
-    let mut frontier = std::mem::take(&mut scratch.frontier);
-    let mut next = std::mem::take(&mut scratch.next);
-    frontier.push(src);
-    for level in 0..hop_bound {
-        if frontier.is_empty() {
-            break;
-        }
-        next.clear();
-        for &u in &frontier {
-            for &(v, l) in graph.neighbors(u) {
-                let Some(allowed) = scratch.probe(l, filter, allowance) else {
-                    continue;
-                };
-                let cand = scratch.bottleneck[u.0].min(allowed);
-                if !scratch.discovered(v) {
-                    scratch.discover(v, level + 1, cand, u);
-                    next.push(v);
-                } else if scratch.hops[v.0] == level + 1 && cand > scratch.bottleneck[v.0] {
-                    // Same-layer improvement: a simultaneous request copy
-                    // with a better allowance.
-                    scratch.bottleneck[v.0] = cand;
-                    scratch.parent[v.0] = u;
-                }
-            }
-        }
-        if scratch.discovered(dst) {
-            // Finish updating this layer (done above), then reconstruct.
-            break;
-        }
-        std::mem::swap(&mut frontier, &mut next);
-    }
-    let found = scratch.discovered(dst);
-    let path = if found {
-        let mut nodes = vec![dst];
-        let mut cur = dst;
-        while cur != src {
-            cur = scratch.parent[cur.0];
-            nodes.push(cur);
-        }
-        nodes.reverse();
-        Path::from_nodes(graph, nodes).ok()
-    } else {
-        None
-    };
-    // Hand the frontier buffers back for the next search.
-    scratch.frontier = frontier;
-    scratch.next = next;
-    path
+    scratch.measure(graph, dst, hop_bound);
+    scratch.deepen(graph, src, dst, hop_bound, filter, allowance)
 }
 
 /// Reusable route-search state for one network: flood and BFS buffers
@@ -332,23 +556,15 @@ pub fn route_backup_with(
             )
         }
         RouterKind::Shortest | RouterKind::SuurballePair => {
+            // No probe memo for the fallback to start from.
+            scratch.flood.begin(graph);
             bfs_path_with(&mut scratch.bfs, graph, src, dst, &disjoint_filter)
         }
     };
     if strict.is_some() || disjointness == BackupDisjointness::Strict {
         return strict;
     }
-    // Maximally-disjoint fallback: minimize (shared links, then hops) with
-    // a lexicographic weight. Any feasible link may be used.
-    const SHARE_PENALTY: f64 = 65_536.0; // far above any hop count
-    let weight = |l: LinkId| {
-        if primary.crosses(l) {
-            1.0 + SHARE_PENALTY
-        } else {
-            1.0
-        }
-    };
-    let candidate = drqos_topology::paths::dijkstra_path(graph, src, dst, &weight, filter)?;
+    let candidate = scratch.flood.least_shared_path(graph, primary, filter)?;
     // A backup that *is* the primary protects nothing.
     if candidate.links().iter().all(|&l| primary.crosses(l)) {
         return None;
@@ -374,7 +590,7 @@ pub(crate) fn route_pair(
 mod tests {
     use super::*;
     use drqos_sim::rng::Rng;
-    use drqos_topology::paths::pass_all;
+    use drqos_topology::paths::{dijkstra_path, pass_all};
     use drqos_topology::regular;
     use drqos_topology::waxman::paper_waxman;
     use std::cell::RefCell;
@@ -698,9 +914,10 @@ mod tests {
         assert_eq!(p.hop_count(), 2, "torus corner-to-corner is 2 hops");
     }
 
-    /// The flood loop as it was before the probe memo, kept verbatim as
-    /// the reference: `filter` and `allowance` run every time a link is
-    /// reached.
+    /// The flood as it was before it became goal-directed, and before the
+    /// probe memo: level by level in every direction, `filter` and
+    /// `allowance` run every time a link is reached. Kept as the one
+    /// reference; tallies the nodes it expands like the production rounds.
     fn flood_path_reference(
         scratch: &mut FloodScratch,
         graph: &Graph,
@@ -711,13 +928,15 @@ mod tests {
         allowance: &dyn Fn(LinkId) -> Bandwidth,
     ) -> Option<Path> {
         assert!(graph.contains_node(src) && graph.contains_node(dst));
+        scratch.begin(graph);
         if src == dst {
             return Path::from_nodes(graph, vec![src]).ok();
         }
-        scratch.begin(graph.node_count(), graph.link_count());
+        scratch.begin_round();
         scratch.discover(src, 0, Bandwidth::kbps(u64::MAX), src);
         let mut frontier = std::mem::take(&mut scratch.frontier);
         let mut next = std::mem::take(&mut scratch.next);
+        frontier.clear();
         frontier.push(src);
         for level in 0..hop_bound {
             if frontier.is_empty() {
@@ -725,6 +944,7 @@ mod tests {
             }
             next.clear();
             for &u in &frontier {
+                scratch.tally.1 += 1;
                 for &(v, l) in graph.neighbors(u) {
                     if !filter(l) {
                         continue;
@@ -744,33 +964,44 @@ mod tests {
             }
             std::mem::swap(&mut frontier, &mut next);
         }
-        let found = scratch.discovered(dst);
-        let path = if found {
-            let mut nodes = vec![dst];
-            let mut cur = dst;
-            while cur != src {
-                cur = scratch.parent[cur.0];
-                nodes.push(cur);
-            }
-            nodes.reverse();
-            Path::from_nodes(graph, nodes).ok()
-        } else {
-            None
-        };
         scratch.frontier = frontier;
         scratch.next = next;
-        path
+        if scratch.discovered(dst) {
+            scratch.trace(graph, src, dst)
+        } else {
+            None
+        }
     }
 
-    type Flood = fn(
-        &mut FloodScratch,
-        &Graph,
-        NodeId,
-        NodeId,
-        usize,
-        &LinkFilter,
-        &dyn Fn(LinkId) -> Bandwidth,
-    ) -> Option<Path>;
+    type FloodFn<'a> = dyn Fn(
+            &mut FloodScratch,
+            &Graph,
+            NodeId,
+            NodeId,
+            usize,
+            &LinkFilter,
+            &dyn Fn(LinkId) -> Bandwidth,
+        ) -> Option<Path>
+        + 'a;
+    type Flood<'a> = &'a FloodFn<'a>;
+
+    /// [`flood_path_with`] with the distance row left to `row`, which is
+    /// handed the scratch in place of the `measure` call: the seam the row
+    /// mutants go in by.
+    fn flood_over_row<'a>(
+        row: &'a dyn Fn(&mut FloodScratch, &Graph, NodeId, usize),
+    ) -> Box<FloodFn<'a>> {
+        Box::new(
+            move |scratch, graph, src, dst, hop_bound, filter, allowance| {
+                scratch.begin(graph);
+                if src == dst {
+                    return Path::from_nodes(graph, vec![src]).ok();
+                }
+                row(scratch, graph, dst, hop_bound);
+                scratch.deepen(graph, src, dst, hop_bound, filter, allowance)
+            },
+        )
+    }
 
     /// What one search did: its answer and every link it offered to each
     /// closure, in call order.
@@ -827,6 +1058,17 @@ mod tests {
             }
         }
 
+        /// A case in which every link passes with the same allowance.
+        fn open(graph: &Graph, src: usize, dst: usize, hop_bound: usize) -> Self {
+            Self {
+                src: NodeId(src),
+                dst: NodeId(dst),
+                hop_bound,
+                refused: vec![false; graph.link_count()],
+                allowance: vec![Bandwidth::kbps(100); graph.link_count()],
+            }
+        }
+
         fn run(&self, flood: Flood, scratch: &mut FloodScratch, graph: &Graph) -> Searched {
             let filtered = RefCell::new(Vec::new());
             let allowed = RefCell::new(Vec::new());
@@ -863,46 +1105,102 @@ mod tests {
         vec![ring, regular::torus(4, 5).unwrap(), waxman]
     }
 
-    /// Runs `cases` seeded searches through the memoized flood and the
-    /// reference, one scratch each for the whole run (across graphs of
-    /// different sizes and a generation wrap), and reports the first case
-    /// on which the answers or the probed-link sets differ. With
-    /// `stale_memo` the memoized side is sabotaged: its memo entries are
-    /// carried into the next search instead of being forgotten.
-    fn flood_differential(cases: usize, stale_memo: bool) -> Result<(), String> {
+    /// A way to break the goal-directed flood that its differential must
+    /// notice.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Sabotage {
+        /// Memo entries are carried into the next search instead of being
+        /// forgotten.
+        StaleMemo,
+        /// Every distance but the destination's own reads one hop too
+        /// long: the row is no longer a lower bound.
+        RowOverEstimates,
+        /// The row is the one the previous search's destination left.
+        RowLeftOver,
+    }
+
+    /// What a differential run saw, beyond agreement.
+    #[derive(Debug, Default)]
+    struct FloodCounts {
+        /// Searches by the number of rounds they took (0: `src == dst`,
+        /// or the row already said no).
+        by_rounds: [usize; 4],
+        unrouted: usize,
+        probed: usize,
+        reference_probed: usize,
+    }
+
+    /// Runs `cases` seeded searches through the goal-directed flood and
+    /// the reference, one scratch each for the whole run (across graphs of
+    /// different sizes and a wrap of both generation counters, the round
+    /// counter once more between two rounds of one search), and reports
+    /// the first case that breaks what the flood promises: the reference's
+    /// answer; no link asked about that the reference did not ask about;
+    /// no link offered to either closure twice, in whatever round; at most
+    /// three rounds, none of which expands a node the reference did not.
+    fn flood_differential(cases: usize, sabotage: Option<Sabotage>) -> Result<FloodCounts, String> {
         let graphs = flood_graphs();
         let mut rng = Rng::seed_from_u64(0x15_F100D);
-        let mut memo_scratch = FloodScratch::new();
+        let mut subject_scratch = FloodScratch::new();
         let mut ref_scratch = FloodScratch::new();
+        let mut counts = FloodCounts::default();
+        let last_dst = std::cell::Cell::new(NodeId(0));
+        let over_estimate = |s: &mut FloodScratch, g: &Graph, dst: NodeId, reach: usize| {
+            s.measure(g, dst, reach);
+            for v in g.nodes() {
+                if v != dst && s.toward(v) != usize::MAX {
+                    s.toward[v.0] += 1;
+                }
+            }
+        };
+        let left_over = |s: &mut FloodScratch, g: &Graph, _: NodeId, reach: usize| {
+            s.measure(g, NodeId(last_dst.get().0 % g.node_count()), reach);
+        };
+        let (over_estimating, left_behind) =
+            (flood_over_row(&over_estimate), flood_over_row(&left_over));
+        let subject: Flood = match sabotage {
+            Some(Sabotage::RowOverEstimates) => &*over_estimating,
+            Some(Sabotage::RowLeftOver) => &*left_behind,
+            Some(Sabotage::StaleMemo) | None => &flood_path_with,
+        };
         for i in 0..cases {
             let graph = &graphs[(i / 4) % graphs.len()];
             let case = FloodCase::draw(&mut rng, graph);
-            if stale_memo {
-                let gen = memo_scratch.gen;
-                for stamp in &mut memo_scratch.link_stamp {
-                    if *stamp == gen {
-                        *stamp = gen + 1;
+            if sabotage == Some(Sabotage::StaleMemo) {
+                let search = subject_scratch.search;
+                for stamp in &mut subject_scratch.link_stamp {
+                    if *stamp == search {
+                        *stamp = search + 1;
                     }
                 }
             } else if i == 1 {
-                // Case 0 stamped its answers with generation 1; this case
-                // wraps back to generation 1 and must not see them.
-                memo_scratch.gen = u64::MAX;
+                // Case 0 stamped with generation 1 of each counter; this
+                // case wraps both back to 1 and must see none of it.
+                subject_scratch.search = u64::MAX;
+                subject_scratch.gen = u64::MAX;
+            } else if i == 9 {
+                // The wrap falls after the first round of this search.
+                subject_scratch.gen = u64::MAX - 1;
             }
-            let got = case.run(flood_path_with, &mut memo_scratch, graph);
-            let want = case.run(flood_path_reference, &mut ref_scratch, graph);
+            let got = case.run(subject, &mut subject_scratch, graph);
+            let want = case.run(&flood_path_reference, &mut ref_scratch, graph);
+            last_dst.set(case.dst);
             if got.path != want.path {
                 return Err(format!(
                     "case {i}: path {:?}, reference {:?}",
                     got.path, want.path
                 ));
             }
-            if got.probed() != want.probed() {
-                return Err(format!("case {i}: probed-link sets differ"));
+            let (probed, reference_probed) = (got.probed(), want.probed());
+            if probed
+                .iter()
+                .any(|l| reference_probed.binary_search(l).is_err())
+            {
+                return Err(format!("case {i}: probed a link the reference did not"));
             }
-            // One probe per link: the memoized side's call logs are
+            // One probe per link across all rounds: the call logs are
             // duplicate-free, and only passed links are asked an allowance.
-            if got.filtered.len() != got.probed().len() {
+            if got.filtered.len() != probed.len() {
                 return Err(format!("case {i}: a link was filtered twice"));
             }
             let passed: Vec<LinkId> = got
@@ -914,19 +1212,61 @@ mod tests {
             if got.allowed != passed {
                 return Err(format!("case {i}: allowance calls {:?}", got.allowed));
             }
+            let ((rounds, visits), (_, reference_visits)) =
+                (subject_scratch.tally, ref_scratch.tally);
+            if rounds > 3 || visits > 3 * reference_visits {
+                return Err(format!(
+                    "case {i}: {rounds} rounds, {visits} node visits to the \
+                     reference's {reference_visits}"
+                ));
+            }
+            counts.by_rounds[rounds] += 1;
+            counts.unrouted += usize::from(got.path.is_none());
+            counts.probed += probed.len();
+            counts.reference_probed += reference_probed.len();
         }
-        Ok(())
+        Ok(counts)
+    }
+
+    /// Every way a search can end was taken, and the pruning pruned.
+    fn assert_flood_coverage(counts: &FloodCounts, cases: usize) {
+        let floor = cases / 40;
+        assert!(
+            counts.by_rounds.iter().all(|&n| n > floor) && counts.unrouted > floor,
+            "{counts:?}"
+        );
+        assert!(counts.probed * 2 < counts.reference_probed, "{counts:?}");
     }
 
     #[test]
     fn memoized_flood_matches_the_reference_on_2400_seeded_cases() {
-        flood_differential(2400, false).unwrap();
+        let counts = flood_differential(2400, None).unwrap();
+        assert_flood_coverage(&counts, 2400);
+    }
+
+    #[test]
+    #[ignore = "ten times the cases; CI runs it in release"]
+    fn memoized_flood_matches_the_reference_on_24000_seeded_cases() {
+        let counts = flood_differential(24_000, None).unwrap();
+        assert_flood_coverage(&counts, 24_000);
     }
 
     #[test]
     fn a_memo_that_outlives_its_search_is_caught() {
-        let caught = flood_differential(2400, true);
+        let caught = flood_differential(2400, Some(Sabotage::StaleMemo));
         assert!(caught.is_err(), "stale memo answers went unnoticed");
+    }
+
+    #[test]
+    fn a_distance_row_that_over_estimates_by_one_hop_is_caught() {
+        let caught = flood_differential(2400, Some(Sabotage::RowOverEstimates));
+        assert!(caught.is_err(), "an inadmissible bound went unnoticed");
+    }
+
+    #[test]
+    fn a_distance_row_left_over_from_the_previous_destination_is_caught() {
+        let caught = flood_differential(2400, Some(Sabotage::RowLeftOver));
+        assert!(caught.is_err(), "a stale distance row went unnoticed");
     }
 
     #[test]
@@ -934,24 +1274,279 @@ mod tests {
         // Corner to corner on a torus with everything passable: every
         // link is reached from both ends.
         let g = regular::torus(4, 4).unwrap();
-        let case = FloodCase {
-            src: NodeId(0),
-            dst: NodeId(10),
-            hop_bound: 16,
-            refused: vec![false; g.link_count()],
-            allowance: vec![Bandwidth::kbps(100); g.link_count()],
-        };
+        let case = FloodCase::open(&g, 0, 10, 16);
         let count = |calls: &[LinkId], l: LinkId| calls.iter().filter(|&&c| c == l).count();
-        let memo = case.run(flood_path_with, &mut FloodScratch::new(), &g);
-        let reference = case.run(flood_path_reference, &mut FloodScratch::new(), &g);
-        assert_eq!(memo.path, reference.path);
+        let flood = case.run(&flood_path_with, &mut FloodScratch::new(), &g);
+        let reference = case.run(&flood_path_reference, &mut FloodScratch::new(), &g);
+        assert_eq!(flood.path, reference.path);
         for link in g.links() {
-            assert!(count(&memo.filtered, link.id()) <= 1, "{}", link.id());
-            assert!(count(&memo.allowed, link.id()) <= 1, "{}", link.id());
+            assert!(count(&flood.filtered, link.id()) <= 1, "{}", link.id());
+            assert!(count(&flood.allowed, link.id()) <= 1, "{}", link.id());
         }
         // The reference shows there was something to save.
         assert!(g.links().any(|l| count(&reference.filtered, l.id()) > 1));
-        assert!(reference.allowed.len() > memo.allowed.len());
+        assert!(reference.allowed.len() > flood.allowed.len());
+    }
+
+    #[test]
+    fn a_bound_shorter_than_the_static_distance_probes_nothing() {
+        // 0 and 6 are six hops apart on the ring whatever its links say.
+        let g = regular::ring(12).unwrap();
+        let mut scratch = FloodScratch::new();
+        let short = FloodCase::open(&g, 0, 6, 5).run(&flood_path_with, &mut scratch, &g);
+        assert_eq!(short.path, None);
+        assert!(short.probed().is_empty());
+        assert_eq!(scratch.tally, (0, 0));
+        let exact = FloodCase::open(&g, 0, 6, 6).run(&flood_path_with, &mut scratch, &g);
+        assert_eq!(exact.path.unwrap().hop_count(), 6);
+        assert_eq!(scratch.tally.0, 1, "found among the shortest routes");
+    }
+
+    #[test]
+    fn a_statically_unreachable_destination_probes_nothing() {
+        let mut g = regular::ring(12).unwrap();
+        let island = g.add_node();
+        let case = FloodCase::open(&g, 0, island.0, g.node_count());
+        let mut scratch = FloodScratch::new();
+        let searched = case.run(&flood_path_with, &mut scratch, &g);
+        assert_eq!(searched.path, None);
+        assert!(searched.probed().is_empty());
+        assert_eq!(scratch.tally, (0, 0));
+    }
+
+    #[test]
+    fn a_degree_1_source_ends_the_backup_search_after_one_round() {
+        // The lollipop again: the leaf's only link is the primary's, so
+        // the strict search is refused at its first step with nobody held
+        // back — nothing a longer target could add.
+        let mut g = Graph::with_nodes(5);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)] {
+            g.add_link(NodeId(a), NodeId(b)).unwrap();
+        }
+        let mut scratch = RouteScratch::new();
+        let kind = RouterKind::default();
+        let p = route_primary_with(
+            &mut scratch,
+            kind,
+            &g,
+            NodeId(0),
+            NodeId(3),
+            &pass_all,
+            &no_allowance_bias,
+        )
+        .unwrap();
+        let strict = route_backup_with(
+            &mut scratch,
+            kind,
+            &g,
+            &p,
+            BackupDisjointness::Strict,
+            &pass_all,
+            &no_allowance_bias,
+        );
+        assert_eq!(strict, None);
+        assert_eq!(scratch.flood.tally, (1, 1));
+    }
+
+    #[test]
+    fn with_every_link_refusing_the_rounds_stay_within_three_times_the_reference() {
+        // The deepening schedule's worst case, by count: nothing is ever
+        // found, so every round the schedule allows is run.
+        for g in flood_graphs() {
+            let n = g.node_count();
+            for (src, dst) in [(0, 5), (3, 1), (7, 0)] {
+                let mut case = FloodCase::open(&g, src, dst, n);
+                case.refused = vec![true; g.link_count()];
+                let (mut scratch, mut ref_scratch) = (FloodScratch::new(), FloodScratch::new());
+                let flood = case.run(&flood_path_with, &mut scratch, &g);
+                let reference = case.run(&flood_path_reference, &mut ref_scratch, &g);
+                assert_eq!((&flood.path, &reference.path), (&None, &None));
+                let ((rounds, visits), (_, reference_visits)) = (scratch.tally, ref_scratch.tally);
+                assert!(rounds <= 3, "{rounds} rounds");
+                assert!(
+                    visits <= 3 * reference_visits,
+                    "{visits} vs {reference_visits}"
+                );
+                // However many rounds, each link of the source is asked once.
+                assert_eq!(flood.filtered.len(), g.degree(NodeId(src)));
+                assert!(flood.allowed.is_empty());
+            }
+        }
+    }
+
+    // ------------------------------- the fallback vs the Dijkstra it was --
+
+    type BackupRouter<'a> = &'a dyn Fn(
+        &mut RouteScratch,
+        RouterKind,
+        &Graph,
+        &Path,
+        &LinkFilter,
+        &dyn Fn(LinkId) -> Bandwidth,
+    ) -> Option<Path>;
+
+    /// A backup that *is* the primary protects nothing.
+    fn unless_identical(candidate: Path, primary: &Path) -> Option<Path> {
+        let identical = candidate.links().iter().all(|&l| primary.crosses(l));
+        (!identical).then_some(candidate)
+    }
+
+    /// Maximally-disjoint [`route_backup_with`] as it was, kept as the
+    /// reference: the reference flood (or BFS) for the strict search, then
+    /// the topology crate's allocating Dijkstra under a floating-point
+    /// weight, `filter` asked afresh from both ends of every link.
+    fn route_backup_reference(
+        scratch: &mut RouteScratch,
+        kind: RouterKind,
+        graph: &Graph,
+        primary: &Path,
+        filter: &LinkFilter,
+        allowance: &dyn Fn(LinkId) -> Bandwidth,
+    ) -> Option<Path> {
+        let disjoint_filter = |l: LinkId| !primary.crosses(l) && filter(l);
+        let (src, dst) = (primary.source(), primary.destination());
+        let strict = match kind {
+            RouterKind::BoundedFlooding { hop_slack } => flood_path_reference(
+                &mut scratch.flood,
+                graph,
+                src,
+                dst,
+                primary.hop_count() + hop_slack,
+                &disjoint_filter,
+                allowance,
+            ),
+            _ => bfs_path_with(&mut scratch.bfs, graph, src, dst, &disjoint_filter),
+        };
+        if strict.is_some() {
+            return strict;
+        }
+        const SHARE_PENALTY: f64 = 65_536.0; // far above any hop count
+        let weight = |l: LinkId| {
+            if primary.crosses(l) {
+                1.0 + SHARE_PENALTY
+            } else {
+                1.0
+            }
+        };
+        let candidate = dijkstra_path(graph, src, dst, &weight, filter)?;
+        unless_identical(candidate, primary)
+    }
+
+    fn route_backup_maximally(
+        scratch: &mut RouteScratch,
+        kind: RouterKind,
+        graph: &Graph,
+        primary: &Path,
+        filter: &LinkFilter,
+        allowance: &dyn Fn(LinkId) -> Bandwidth,
+    ) -> Option<Path> {
+        let maximally = BackupDisjointness::MaximallyDisjoint;
+        route_backup_with(scratch, kind, graph, primary, maximally, filter, allowance)
+    }
+
+    /// The mutant: a fallback that continues whatever search the scratch
+    /// ran last — here the primary's, which asked another question of the
+    /// same links — instead of the strict backup search.
+    fn route_backup_unseeded(
+        scratch: &mut RouteScratch,
+        kind: RouterKind,
+        graph: &Graph,
+        primary: &Path,
+        filter: &LinkFilter,
+        allowance: &dyn Fn(LinkId) -> Bandwidth,
+    ) -> Option<Path> {
+        let (aside, strict) = (&mut RouteScratch::new(), BackupDisjointness::Strict);
+        route_backup_with(aside, kind, graph, primary, strict, filter, allowance).or_else(|| {
+            let candidate = scratch.flood.least_shared_path(graph, primary, filter)?;
+            unless_identical(candidate, primary)
+        })
+    }
+
+    /// Runs `cases` seeded primary-then-backup searches — the backup under
+    /// its own refusals, flooding with slack 0–2 or fewest-hops — through
+    /// `subject` and the reference, one scratch each for the whole run.
+    /// Both must return the same backup, and after a flood the subject may
+    /// offer no link to `filter` twice across strict search and fallback.
+    /// Returns how many fallbacks found a backup, and how many found none.
+    fn fallback_differential(
+        cases: usize,
+        subject: BackupRouter,
+    ) -> Result<(usize, usize), String> {
+        let graphs = flood_graphs();
+        let mut rng = Rng::seed_from_u64(0x21_FA11);
+        let (mut scratch, mut ref_scratch) = (RouteScratch::new(), RouteScratch::new());
+        let (mut shared, mut none) = (0, 0);
+        for i in 0..cases {
+            let graph = &graphs[(i / 4) % graphs.len()];
+            let case = FloodCase::draw(&mut rng, graph);
+            let backup_refused: Vec<bool> = {
+                let refuse = [0.0, 0.2, 0.5][rng.range_usize(3)];
+                graph.links().map(|_| rng.chance(refuse)).collect()
+            };
+            let kind = match rng.range_usize(4) {
+                0 => RouterKind::Shortest,
+                hop_slack => RouterKind::BoundedFlooding {
+                    hop_slack: hop_slack - 1,
+                },
+            };
+            let allowance = |l: LinkId| case.allowance[l.index()];
+            let primary_filter = |l: LinkId| !case.refused[l.index()];
+            let found = route_primary_with(
+                &mut scratch,
+                kind,
+                graph,
+                case.src,
+                case.dst,
+                &primary_filter,
+                &allowance,
+            );
+            let Some(primary) = found.filter(|p| p.hop_count() > 0) else {
+                continue;
+            };
+            let asked = RefCell::new(Vec::new());
+            let counted = |l: LinkId| {
+                asked.borrow_mut().push(l);
+                !backup_refused[l.index()]
+            };
+            let got = subject(&mut scratch, kind, graph, &primary, &counted, &allowance);
+            let mut asked = asked.into_inner();
+            let want = route_backup_reference(
+                &mut ref_scratch,
+                kind,
+                graph,
+                &primary,
+                &|l| !backup_refused[l.index()],
+                &allowance,
+            );
+            if got != want {
+                return Err(format!("case {i}: backup {got:?}, reference {want:?}"));
+            }
+            let calls = asked.len();
+            asked.sort_unstable();
+            asked.dedup();
+            // (The fewest-hops router's BFS keeps no memo to continue.)
+            if asked.len() != calls && kind != RouterKind::Shortest {
+                return Err(format!("case {i}: a link was offered to the filter twice"));
+            }
+            match got {
+                Some(b) if !b.is_link_disjoint(&primary) => shared += 1,
+                None => none += 1,
+                Some(_) => {}
+            }
+        }
+        Ok((shared, none))
+    }
+
+    #[test]
+    fn the_fallback_matches_the_allocating_dijkstra_on_2400_seeded_cases() {
+        let (shared, none) = fallback_differential(2400, &route_backup_maximally).unwrap();
+        assert!(shared > 100 && none > 100, "{shared} shared, {none} none");
+    }
+
+    #[test]
+    fn a_fallback_seeded_by_another_search_s_memo_is_caught() {
+        let caught = fallback_differential(2400, &route_backup_unseeded);
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]
