@@ -162,14 +162,14 @@ pub fn registry() -> &'static [EnvVar] {
         },
         EnvVar {
             name: SRLG_COUNT,
-            consumed_by: "`drqosd`",
+            consumed_by: "`drqosd`, `drqos-clusterd`",
             default: "`0` (none)",
             doc: "shared-risk link groups to derive from the seed and \
                   register at startup; `FAIL-SRLG g` fires group g",
         },
         EnvVar {
             name: SRLG_SIZE,
-            consumed_by: "`drqosd`",
+            consumed_by: "`drqosd`, `drqos-clusterd`",
             default: "`3`",
             doc: "links per derived shared-risk group (minimum 1)",
         },

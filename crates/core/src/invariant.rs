@@ -97,6 +97,13 @@ pub enum InvariantViolation {
         /// The reservation recomputed from the conflict map.
         recomputed: Bandwidth,
     },
+    /// A link's backup-conflict ledger disagrees with the one recomputed
+    /// from the connection table: for every backup on the link and every
+    /// *other* link of its primary, that connection's minimum.
+    ConflictLedgerMismatch {
+        /// The link.
+        link: LinkId,
+    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -161,6 +168,9 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "backup reservation on {link} out of sync: cached {cached}, recomputed {recomputed}"
             ),
+            InvariantViolation::ConflictLedgerMismatch { link } => {
+                write!(f, "backup conflict ledger on {link} out of sync")
+            }
         }
     }
 }

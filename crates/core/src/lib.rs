@@ -21,12 +21,15 @@
 //! * [`channel`] — [`channel::DrConnection`] (primary + backup + level).
 //! * [`link_state`] — per-link accounting with multiplexed backup
 //!   reservations.
-//! * [`routing`] — bounded-flooding emulation, shortest-path baseline,
-//!   Suurballe pair router.
+//! * [`routing`] — the bounded-flooding emulation (the one route search)
+//!   and its maximally-disjoint backup fallback.
 //! * [`route_cache`] — the epoch/digest-validated admission route memo
 //!   (toggled by `DRQOS_ROUTE_CACHE`).
-//! * [`network`] — [`network::Network`], the manager: admission, retreat &
-//!   re-distribution, failure handling.
+//! * [`network`] — [`network::Network`], the manager, one file per stage
+//!   of the paper's Section 3.1: `network.rs` (commit, termination,
+//!   retreat, invariants) and its private children `network/plan.rs`
+//!   (route search and the multiplexing check), `network/fill.rs`
+//!   (re-distribution) and `network/fault.rs` (failure and repair).
 //! * [`invariant`] — structured violations returned by
 //!   [`network::Network::check_invariants`].
 //! * [`snapshot`] — frozen per-link/per-connection views for reporting.

@@ -365,6 +365,12 @@ impl LinkUsage {
         self.digest_memo.load(Ordering::Relaxed)
     }
 
+    /// The conflict ledger: per failed link, in link order, the minima of
+    /// the backups on this link which that failure activates.
+    pub(crate) fn conflict_ledger(&self) -> &[(LinkId, Bandwidth)] {
+        &self.conflict
+    }
+
     /// Recomputes the multiplexed reservation from the conflict ledger,
     /// ignoring the cached value. Equal to [`Self::backup_reservation`]
     /// whenever the incremental bookkeeping is consistent; the invariant

@@ -20,6 +20,28 @@
 //! Planning (route search) is separated from commitment so that callers —
 //! in particular the transition-probability estimator — can observe the
 //! network state between the two.
+//!
+//! One file per stage. This one holds the manager itself, its accessors,
+//! the commit stage ([`Network::admit`] and the loops of it), termination,
+//! retreat and the invariant check; three private child modules add the
+//! other stages as further `impl Network` blocks — `plan` (route search),
+//! `fill` (re-distribution) and `fault` (failure and repair). They are
+//! children, not siblings, so that every field of [`Network`] stays
+//! private to this module tree.
+//!
+//! What one stage decides for all the others is decided here, once. Which
+//! primary failures activate a backup on a link is `conflict_set`: the
+//! `reserve_backup` / `unreserve_backup` pair applies it to the
+//! multiplexing ledgers for every stage, the planner's one closure asks it
+//! of them, and [`Network::check_invariants`] recomputes those ledgers
+//! without it. Who may grow after an event is `fill_candidates`.
+
+mod fault;
+mod fill;
+mod plan;
+
+pub use fault::FailureReport;
+pub use plan::{EstablishPlan, PrePlanned};
 
 use crate::channel::{ConnectionId, DrConnection};
 use crate::conn_table::{ChainMarks, ChainPair, ConnTable, Slot};
@@ -29,15 +51,11 @@ use crate::link_state::LinkUsage;
 use crate::measure::RouteCacheStats;
 use crate::qos::{AdaptationPolicy, Bandwidth, ElasticQos};
 use crate::route_cache::RouteCache;
-use crate::routing::{self, BackupDisjointness, RouteScratch, RouterKind};
+use crate::routing::{BackupDisjointness, RouteScratch, RouterKind};
 use drqos_topology::graph::{Graph, LinkId, NodeId};
 use drqos_topology::paths::Path;
+use fill::FillScratch;
 use std::borrow::Cow;
-use std::cell::RefCell;
-use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
-use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 
 /// Configuration of a [`Network`].
@@ -99,51 +117,12 @@ pub struct EstablishRequest {
     pub qos: ElasticQos,
 }
 
-/// A routed-but-not-committed DR-connection (the confirmation message of
-/// the flooding protocol, as it were).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EstablishPlan {
-    qos: ElasticQos,
-    primary: Path,
-    backups: Vec<Path>,
-}
-
-impl EstablishPlan {
-    /// The QoS the plan was routed for.
-    pub fn qos(&self) -> &ElasticQos {
-        &self.qos
-    }
-
-    /// The primary route.
-    pub fn primary(&self) -> &Path {
-        &self.primary
-    }
-
-    /// The first backup route, if one was found.
-    pub fn backup(&self) -> Option<&Path> {
-        self.backups.first()
-    }
-
-    /// All backup routes found (up to the configured backup count).
-    pub fn backups(&self) -> &[Path] {
-        &self.backups
-    }
-}
-
-/// What happened when a link failed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailureReport {
-    /// The failed link.
-    pub link: LinkId,
-    /// Connections whose backup was activated (now running on it).
-    pub activated: Vec<ConnectionId>,
-    /// Connections dropped (no usable backup).
-    pub dropped: Vec<ConnectionId>,
-    /// Connections that lost their backup channel (primary unaffected).
-    pub lost_backup: Vec<ConnectionId>,
-    /// Connections forced to retreat because they share links with
-    /// activated backups (excludes the activated connections themselves).
-    pub retreated: Vec<ConnectionId>,
+#[cfg(test)]
+thread_local! {
+    /// While set, [`conflict_set`] leaves a backup's own link among the
+    /// failures that activate it there: a mutant the ledger oracle of
+    /// [`Network::check_invariants`] must catch.
+    static KEEP_THE_OWN_LINK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// The primary links that can trigger this backup's activation while it is
@@ -155,6 +134,10 @@ pub struct FailureReport {
 /// Borrows `primary_links` whole in that common case and allocates only
 /// when `on_link` really lies on the primary.
 fn conflict_set(primary_links: &[LinkId], on_link: LinkId) -> Cow<'_, [LinkId]> {
+    #[cfg(test)]
+    if KEEP_THE_OWN_LINK.get() {
+        return Cow::Borrowed(primary_links);
+    }
     if primary_links.contains(&on_link) {
         let rest = primary_links.iter().copied().filter(|&f| f != on_link);
         Cow::Owned(rest.collect())
@@ -174,93 +157,6 @@ fn sort_dedup<T: Ord>(v: &mut Vec<T>) {
 /// redistributed. Owned by the caller across the loop and handed to
 /// [`Network::batch_flush`] after it.
 pub type PendingFill = Option<Vec<(Slot, ConnectionId)>>;
-
-/// What [`Network::plan_establish_traced`] returns and [`Network::admit`]
-/// takes as a hint: a plan or rejection, with the footprint it rests on
-/// (every link the search probed, with its plan digest at planning time).
-pub type PrePlanned = (Result<EstablishPlan, AdmissionError>, Vec<(LinkId, u64)>);
-
-/// One live fill candidate, loaded once from the connection table.
-#[derive(Debug)]
-struct FillRow {
-    slot: Slot,
-    id: ConnectionId,
-    /// The level at load time; only rows that moved are written back.
-    loaded_level: usize,
-    level: usize,
-    max_level: usize,
-    increment: Bandwidth,
-    utility: f64,
-    /// This row's primary links, as a range of [`FillScratch::arena`].
-    links: Range<usize>,
-    /// Every link of the row is slack: granted to `max_level` in one step.
-    bulk: bool,
-}
-
-impl FillRow {
-    /// The bandwidth this row could still be granted.
-    fn remaining(&self) -> Bandwidth {
-        self.increment.times((self.max_level - self.level) as u64)
-    }
-}
-
-/// A fill-heap entry: min-heap on `(score, id)` over [`FillRow`] indices.
-#[derive(Debug, PartialEq)]
-struct Scored {
-    score: f64,
-    id: ConnectionId,
-    row: usize,
-}
-
-impl Eq for Scored {}
-
-impl PartialOrd for Scored {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scored {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap, so flip.
-        other
-            .score
-            .total_cmp(&self.score)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-/// The fill priority of a channel at `level`: lowest score grows first.
-fn fill_score(policy: AdaptationPolicy, level: usize, utility: f64) -> f64 {
-    match policy {
-        // Highest utility first; level is irrelevant (monopolize).
-        AdaptationPolicy::MaxUtility => -utility,
-        // Progressive filling: lowest weighted level first.
-        AdaptationPolicy::Coefficient => (level as f64 + 1.0) / utility,
-    }
-}
-
-/// Whether `link` can grant all of `demand` — the increments every
-/// candidate of one fill could still ask of it — and so can refuse
-/// nobody during that fill.
-fn is_slack(link: &LinkUsage, demand: Bandwidth) -> bool {
-    link.is_up() && link.headroom() >= demand
-}
-
-/// Reusable work tables of [`Network::redistribute`]: a fill allocates
-/// nothing once these have grown to the working-set size. Not part of the
-/// network's state: every fill rebuilds them from scratch.
-#[derive(Debug, Default)]
-struct FillScratch {
-    rows: Vec<FillRow>,
-    /// The primary links of every row, back to back.
-    arena: Vec<LinkId>,
-    /// Per link, the bandwidth the rows could still ask of it; all zero
-    /// between fills.
-    demand: Vec<Bandwidth>,
-    /// The heap's backing store between fills (empty, capacity kept).
-    heap: Vec<Scored>,
-}
 
 /// The DR-connection network manager.
 #[derive(Debug)]
@@ -464,275 +360,6 @@ impl Network {
         }
     }
 
-    // ------------------------------------------------------- admission --
-
-    /// Routes (but does not commit) a new DR-connection.
-    ///
-    /// # Errors
-    ///
-    /// * [`AdmissionError::UnknownNode`] / [`AdmissionError::SameEndpoints`]
-    ///   for invalid endpoints.
-    /// * [`AdmissionError::NoPrimaryRoute`] if no route can carry the
-    ///   minimum QoS.
-    /// * [`AdmissionError::NoBackupRoute`] if backups are required and no
-    ///   feasible link-disjoint backup exists.
-    pub fn plan_establish(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        qos: ElasticQos,
-    ) -> Result<EstablishPlan, AdmissionError> {
-        self.check_endpoints(src, dst)?;
-        let min = qos.min();
-        let key = (src, dst, min.as_kbps());
-        let mut record = false;
-        if self.config.route_cache {
-            let mut cache = self.lock_cache();
-            let hit = cache.lookup(key, |l| self.links[l.index()].plan_digest());
-            if let Some((primary, backups)) = hit {
-                return Ok(EstablishPlan {
-                    qos,
-                    primary,
-                    backups,
-                });
-            }
-            // Doorkeeper: memoize only keys that miss twice. One-shot
-            // pairs (most of a sweep's arrivals) skip footprint recording
-            // and entry maintenance entirely.
-            record = cache.promote(key);
-        }
-        // While the real search runs, record every link it probes: a
-        // successful plan is memoized together with the probed links'
-        // digests, which is exactly the state the search depended on.
-        let footprint: RefCell<Vec<LinkId>> = RefCell::new(Vec::new());
-        let fp = record.then_some(&footprint);
-        let (primary, backups) =
-            self.with_scratch(|scratch| self.plan_routes(scratch, src, dst, min, fp))?;
-        if record {
-            let digests = self.footprint_digests(footprint.into_inner());
-            self.lock_cache()
-                .insert(key, primary.clone(), backups.clone(), digests);
-        }
-        Ok(EstablishPlan {
-            qos,
-            primary,
-            backups,
-        })
-    }
-
-    /// Routes (but does not commit) a new DR-connection against a frozen
-    /// network, recording the full admission **footprint**: every link the
-    /// search probed, with its [`LinkUsage::plan_digest`] at planning time.
-    ///
-    /// This is the pre-planner behind [`Network::admit`]'s hints (wave
-    /// phase 1, a cluster member's replica). Unlike
-    /// [`Network::plan_establish`] it never consults or fills the route
-    /// cache (so concurrent planners share `&self` without perturbing the
-    /// sequential point's cache counters) and it records the footprint
-    /// even when the plan **fails** — a rejection is only as valid as the
-    /// link state it observed, and `admit` must revalidate that too (more
-    /// admitted traffic can change *which* error a request gets).
-    ///
-    /// The caller supplies the [`RouteScratch`] (one per planning thread);
-    /// any scratch will do, whatever it was last used for.
-    pub fn plan_establish_traced(
-        &self,
-        scratch: &mut RouteScratch,
-        src: NodeId,
-        dst: NodeId,
-        qos: ElasticQos,
-    ) -> PrePlanned {
-        if let Err(e) = self.check_endpoints(src, dst) {
-            return (Err(e), Vec::new());
-        }
-        let footprint: RefCell<Vec<LinkId>> = RefCell::new(Vec::new());
-        let result = self.plan_routes(scratch, src, dst, qos.min(), Some(&footprint));
-        let digests = self.footprint_digests(footprint.into_inner());
-        (
-            result.map(|(primary, backups)| EstablishPlan {
-                qos,
-                primary,
-                backups,
-            }),
-            digests,
-        )
-    }
-
-    /// Endpoint validation shared by every planning entry point.
-    fn check_endpoints(&self, src: NodeId, dst: NodeId) -> Result<(), AdmissionError> {
-        if !self.graph.contains_node(src) {
-            return Err(AdmissionError::UnknownNode(src));
-        }
-        if !self.graph.contains_node(dst) {
-            return Err(AdmissionError::UnknownNode(dst));
-        }
-        if src == dst {
-            return Err(AdmissionError::SameEndpoints(src));
-        }
-        Ok(())
-    }
-
-    /// Sorts, dedups, and digests a raw probe log. A plain Vec with
-    /// deferred dedup: the search probes links far more often than there
-    /// are distinct links, and a push is much cheaper than an ordered-set
-    /// insert on this hot path.
-    fn footprint_digests(&self, mut probed: Vec<LinkId>) -> Vec<(LinkId, u64)> {
-        probed.sort_unstable();
-        probed.dedup();
-        #[cfg(test)]
-        if tests::FORGET_A_PROBED_LINK.get() && !probed.is_empty() {
-            probed.remove(probed.len() / 2);
-        }
-        probed
-            .into_iter()
-            .map(|l| (l, self.links[l.index()].plan_digest()))
-            .collect()
-    }
-
-    /// The route search shared by [`Network::plan_establish`] and
-    /// [`Network::plan_establish_traced`]: primary (with optional seeded
-    /// disjoint pair) plus backups, probing links through `fp` when the
-    /// caller records a footprint.
-    fn plan_routes(
-        &self,
-        scratch: &mut RouteScratch,
-        src: NodeId,
-        dst: NodeId,
-        min: Bandwidth,
-        fp: Option<&RefCell<Vec<LinkId>>>,
-    ) -> Result<(Path, Vec<Path>), AdmissionError> {
-        let touch = |l: LinkId| {
-            if let Some(f) = fp {
-                f.borrow_mut().push(l);
-            }
-        };
-        let primary_filter = |l: LinkId| {
-            touch(l);
-            self.links[l.index()].can_admit_primary(min)
-        };
-        let primary_allowance = |l: LinkId| {
-            touch(l);
-            let u = &self.links[l.index()];
-            u.capacity().saturating_sub(u.hard_committed())
-        };
-        let mut seeded_backup: Option<Path> = None;
-        let primary = match self.config.router {
-            RouterKind::SuurballePair => {
-                // Try the jointly optimal pair first.
-                if let Some((first, second)) =
-                    routing::route_pair(&self.graph, src, dst, &primary_filter)
-                {
-                    if self.backup_fits(&second, min, &first, fp) {
-                        seeded_backup = Some(second);
-                    }
-                    Some(first)
-                } else {
-                    // No disjoint pair: fall back to a single shortest path
-                    // (the backup search below will fail if one is required).
-                    routing::route_primary_with(
-                        scratch,
-                        self.config.router,
-                        &self.graph,
-                        src,
-                        dst,
-                        &primary_filter,
-                        &primary_allowance,
-                    )
-                }
-            }
-            _ => routing::route_primary_with(
-                scratch,
-                self.config.router,
-                &self.graph,
-                src,
-                dst,
-                &primary_filter,
-                &primary_allowance,
-            ),
-        };
-        let Some(primary) = primary else {
-            return Err(AdmissionError::NoPrimaryRoute);
-        };
-        let want = if self.config.require_backup {
-            self.config.backup_count.max(1)
-        } else {
-            self.config.backup_count
-        };
-        let mut backups: Vec<Path> = Vec::new();
-        if let Some(b) = seeded_backup {
-            backups.push(b);
-        }
-        while backups.len() < want {
-            let Some(b) = self.plan_backup(scratch, &primary, min, &backups, fp) else {
-                break;
-            };
-            backups.push(b);
-        }
-        if backups.is_empty() && self.config.require_backup {
-            return Err(AdmissionError::NoBackupRoute);
-        }
-        Ok((primary, backups))
-    }
-
-    /// Routes one more backup for the given primary path, link-disjoint
-    /// from the already-chosen `existing` backups, or `None`. Probed links
-    /// are recorded into `fp` when the caller is building a cache
-    /// footprint (`None` on the non-cached maintenance paths).
-    fn plan_backup(
-        &self,
-        scratch: &mut RouteScratch,
-        primary: &Path,
-        min: Bandwidth,
-        existing: &[Path],
-        fp: Option<&RefCell<Vec<LinkId>>>,
-    ) -> Option<Path> {
-        let touch = |l: LinkId| {
-            if let Some(f) = fp {
-                f.borrow_mut().push(l);
-            }
-        };
-        let conflicts = |l: LinkId| conflict_set(primary.links(), l);
-        let backup_filter = |l: LinkId| {
-            touch(l);
-            !existing.iter().any(|b| b.crosses(l))
-                && self.links[l.index()].can_admit_backup(min, &conflicts(l))
-        };
-        let backup_allowance = |l: LinkId| {
-            touch(l);
-            let u = &self.links[l.index()];
-            let reservation = u.reservation_if_backup_added(min, &conflicts(l));
-            u.capacity()
-                .saturating_sub(u.primary_min_sum() + reservation)
-        };
-        routing::route_backup_with(
-            scratch,
-            self.config.router,
-            &self.graph,
-            primary,
-            self.config.disjointness,
-            &backup_filter,
-            &backup_allowance,
-        )
-    }
-
-    /// Whether `backup` fits (reservation-wise) on every link for a
-    /// connection with the given `min` and `primary`. Probed links are
-    /// recorded into `fp` when building a cache footprint.
-    fn backup_fits(
-        &self,
-        backup: &Path,
-        min: Bandwidth,
-        primary: &Path,
-        fp: Option<&RefCell<Vec<LinkId>>>,
-    ) -> bool {
-        backup.links().iter().all(|&l| {
-            if let Some(f) = fp {
-                f.borrow_mut().push(l);
-            }
-            self.links[l.index()].can_admit_backup(min, &conflict_set(primary.links(), l))
-        })
-    }
-
     /// Commits a plan: reserves resources, retreats directly-chained
     /// channels, and re-distributes extras. Returns the new connection id.
     ///
@@ -764,6 +391,22 @@ impl Network {
                 out.extend(members.filter(|&pair| marks.add(pair)));
             }
         }
+    }
+
+    /// Who may grow after an event, appended to `out`: everyone sharing a
+    /// link with a channel that `retreated` for it — those channels
+    /// themselves included — plus the `newcomers` it put on their routes
+    /// (an admitted connection, the connections a failure moved onto
+    /// their backups).
+    fn fill_candidates(
+        &mut self,
+        retreated: &[ChainPair],
+        newcomers: &[ChainPair],
+        out: &mut Vec<ChainPair>,
+    ) {
+        let links = self.connections.primary_links(retreated);
+        Self::gather(&self.links, &mut self.marks, links, out);
+        out.extend(newcomers.iter().filter(|&&pair| self.marks.add(pair)));
     }
 
     /// Whether every link of `footprint` still has the plan digest it was
@@ -877,9 +520,7 @@ impl Network {
         // 2. Reserve the new connection's resources.
         let min = plan.qos.min();
         for b in &plan.backups {
-            for &l in b.links() {
-                self.links[l.index()].add_backup(id, min, &conflict_set(plan.primary.links(), l));
-            }
+            Self::reserve_backup(&mut self.links, id, min, &plan.primary, b);
         }
         let conn = DrConnection::new(id, plan.qos, plan.primary, plan.backups);
         self.total_bandwidth += conn.bandwidth();
@@ -887,16 +528,10 @@ impl Network {
         for l in self.connections.primary_links(&[(slot, id)]) {
             self.links[l.index()].add_primary(id, slot, min);
         }
-        // 3. Fill candidates: anyone sharing a link with a retreated
-        //    channel (the retreated channels themselves included) can
-        //    grow, and so can the newcomer.
+        // 3. Who may grow, the newcomer included.
         let mut candidates = std::mem::take(&mut self.spare_set);
         candidates.clear();
-        let links = self.connections.primary_links(&retreated);
-        Self::gather(&self.links, &mut self.marks, links, &mut candidates);
-        if self.marks.add((slot, id)) {
-            candidates.push((slot, id));
-        }
+        self.fill_candidates(&retreated, &[(slot, id)], &mut candidates);
         self.retreat_set = retreated;
         *pending = Some(candidates);
         id
@@ -986,13 +621,7 @@ impl Network {
             self.links[l.index()].remove_primary(id, min);
         }
         for b in conn.backups() {
-            for &l in b.links() {
-                self.links[l.index()].remove_backup(
-                    id,
-                    min,
-                    &conflict_set(conn.primary().links(), l),
-                );
-            }
+            Self::unreserve_backup(&mut self.links, id, min, conn.primary(), b);
         }
         self.total_bandwidth -= conn.bandwidth();
         // Beneficiaries: primaries on any link the departed connection
@@ -1006,340 +635,34 @@ impl Network {
         Ok(conn)
     }
 
-    // ---------------------------------------------------------- failure --
+    // ----------------------------------------------- backup multiplexing --
 
-    /// Fails a link: activates backups of the primaries crossing it,
-    /// retreats channels sharing links with activated backups, and
-    /// re-distributes. Connections without a usable backup are dropped.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetworkError::UnknownLink`] for an out-of-range link.
-    /// * [`NetworkError::LinkStateUnchanged`] if the link is already down.
-    pub fn fail_link(&mut self, link: LinkId) -> Result<FailureReport, NetworkError> {
-        if !self.graph.contains_link(link) {
-            return Err(NetworkError::UnknownLink(link));
-        }
-        if !self.links[link.index()].is_up() {
-            return Err(NetworkError::LinkStateUnchanged(link));
-        }
-        self.links[link.index()].set_up(false);
-        self.topology_epoch += 1;
-        self.lock_cache().evict_link(link);
-
-        let failed = &self.links[link.index()];
-        let victims: Vec<ChainPair> = failed.primary_pairs().collect();
-        let spared = |c: &ConnectionId| failed.primaries().binary_search(c).is_err();
-        let lost_backup: Vec<_> = failed.backups().iter().copied().filter(spared).collect();
-
-        // Connections with a backup crossing the failed link lose that
-        // backup (other backups survive).
-        for &id in &lost_backup {
-            self.remove_crossing_backups(id, link);
-        }
-
-        let mut activated: Vec<ChainPair> = Vec::new();
-        let mut dropped = Vec::new();
-        for (slot, id) in victims {
-            let Self {
-                connections, links, ..
-            } = self;
-            // lint:allow(no-panic-daemon): the pair came from this link's victim set
-            let conn = connections.at_mut(slot, id).expect("victim exists");
-            // The first backup whose links are all up is activated.
-            let all_up = |b: &Path| b.links().iter().all(|&l| links[l.index()].is_up());
-            let usable_idx = conn.backups().iter().position(all_up);
-            Self::retreat_conn(links, &mut self.total_bandwidth, conn);
-            // Tear down the old primary's reservations, and every
-            // backup's (they were keyed to the old primary).
-            let min = conn.qos().min();
-            for &l in conn.primary().links() {
-                links[l.index()].remove_primary(id, min);
-            }
-            Self::unregister_backup_links(links, conn);
-            if let Some(idx) = usable_idx {
-                // Promote the usable backup; survivors with a dead link
-                // are lost, the rest re-register against the new primary.
-                conn.activate_backup(idx);
-                for &l in conn.primary().links() {
-                    links[l.index()].add_primary(id, slot, min);
-                }
-                for b in conn.clear_backups() {
-                    if b.links().iter().all(|&l| links[l.index()].is_up()) {
-                        for &l in b.links() {
-                            let conflicts = conflict_set(conn.primary().links(), l);
-                            links[l.index()].add_backup(id, min, &conflicts);
-                        }
-                        conn.push_backup(b);
-                    }
-                }
-                activated.push((slot, id));
-            } else {
-                // No usable backup: the connection is lost.
-                self.total_bandwidth -= conn.bandwidth();
-                self.dropped_total += 1;
-                connections.remove(id);
-                dropped.push(id);
-            }
-        }
-
-        // Channels sharing links with activated backups retreat.
-        let (mut retreated, mut candidates) = (Vec::new(), Vec::new());
-        let links = self.connections.primary_links(&activated);
-        Self::gather(&self.links, &mut self.marks, links, &mut retreated);
-        retreated.retain(|&(_, c)| activated.binary_search_by_key(&c, |&(_, a)| a).is_err());
-        for &pair in &retreated {
-            self.retreat(pair);
-        }
-
-        // Re-distribute whatever is still spare: to anyone sharing a link
-        // with a retreated channel (the retreated channels themselves
-        // included) and to the activated channels.
-        let links = self.connections.primary_links(&retreated);
-        Self::gather(&self.links, &mut self.marks, links, &mut candidates);
-        candidates.extend(activated.iter().filter(|&&pair| self.marks.add(pair)));
-        self.redistribute(&candidates);
-
-        // Re-establish backups for survivors that lost theirs.
-        let activated: Vec<ConnectionId> = activated.into_iter().map(|(_, c)| c).collect();
-        if self.config.reestablish_backups {
-            for &id in activated.iter().chain(&lost_backup) {
-                self.top_up_backups(id);
-            }
-        }
-
-        // The gather's order is the slots', not the ids'.
-        let mut retreated: Vec<ConnectionId> = retreated.into_iter().map(|(_, c)| c).collect();
-        retreated.sort_unstable();
-        Ok(FailureReport {
-            link,
-            activated,
-            dropped,
-            lost_backup,
-            retreated,
-        })
-    }
-
-    /// Fails a node: every adjacent link goes down (a router crash or
-    /// power outage — the paper's "persistent faults like power outage").
-    /// Equivalent to failing each adjacent up link in id order; returns the
-    /// per-link reports.
-    ///
-    /// Note that connections *terminating* at the failed node are dropped
-    /// (their backups also terminate there), which is the physically
-    /// correct outcome.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetworkError::UnknownNode`] if `node` is not a node of the graph.
-    /// * [`NetworkError::NodeAlreadyDown`] if every adjacent link is
-    ///   already down (failing the node again would change nothing).
-    pub fn fail_node(&mut self, node: NodeId) -> Result<Vec<FailureReport>, NetworkError> {
-        if !self.graph.contains_node(node) {
-            return Err(NetworkError::UnknownNode(node));
-        }
-        let adjacent: Vec<LinkId> = self
-            .graph
-            .neighbors(node)
-            .iter()
-            .map(|&(_, l)| l)
-            .filter(|&l| self.links[l.index()].is_up())
-            .collect();
-        if adjacent.is_empty() {
-            return Err(NetworkError::NodeAlreadyDown(node));
-        }
-        let mut reports = Vec::with_capacity(adjacent.len());
-        for l in adjacent {
-            // lint:allow(no-panic-daemon): adjacent was filtered to up links above
-            reports.push(self.fail_link(l).expect("filtered to up links above"));
-        }
-        Ok(reports)
-    }
-
-    // ------------------------------------------- shared-risk link groups --
-
-    /// Registers a shared-risk link group (links that fail together: fibres
-    /// in one conduit, a transit domain behind one provider) and returns
-    /// its group id. Members are stored sorted and deduplicated, so the
-    /// same link set always registers identically regardless of input
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetworkError::UnknownLink`] if any member is out of range.
-    pub fn register_srlg(&mut self, links: Vec<LinkId>) -> Result<usize, NetworkError> {
-        for &l in &links {
-            if !self.graph.contains_link(l) {
-                return Err(NetworkError::UnknownLink(l));
-            }
-        }
-        let mut members = links;
-        members.sort_unstable();
-        members.dedup();
-        let id = self.srlgs.len();
-        self.srlgs.push(members);
-        Ok(id)
-    }
-
-    /// Number of registered shared-risk groups.
-    pub fn srlg_count(&self) -> usize {
-        self.srlgs.len()
-    }
-
-    /// Member links of a registered group, or `None` for an unknown id.
-    pub fn srlg_links(&self, group: usize) -> Option<&[LinkId]> {
-        self.srlgs.get(group).map(|m| m.as_slice())
-    }
-
-    /// Fails every currently-up member of a shared-risk group atomically
-    /// (one correlated event), in link-id order; returns the per-link
-    /// reports. Members that are already down — e.g. taken out by an
-    /// earlier `fail_node` or an overlapping group — are skipped, so a
-    /// connection can never be double-counted in `dropped_total` by
-    /// overlapping failure sources.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetworkError::UnknownSrlg`] for an unregistered group id.
-    /// * [`NetworkError::SrlgStateUnchanged`] if every member is already
-    ///   down (firing the group again would change nothing).
-    pub fn fail_srlg(&mut self, group: usize) -> Result<Vec<FailureReport>, NetworkError> {
-        let Some(members) = self.srlgs.get(group) else {
-            return Err(NetworkError::UnknownSrlg(group));
-        };
-        let up: Vec<LinkId> = members
-            .iter()
-            .copied()
-            .filter(|&l| self.links[l.index()].is_up())
-            .collect();
-        if up.is_empty() {
-            return Err(NetworkError::SrlgStateUnchanged(group));
-        }
-        let mut reports = Vec::with_capacity(up.len());
-        for l in up {
-            // lint:allow(no-panic-daemon): up was filtered to up links above
-            reports.push(self.fail_link(l).expect("filtered to up links above"));
-        }
-        Ok(reports)
-    }
-
-    /// Repairs every currently-down member of a shared-risk group, in
-    /// link-id order; returns the deduplicated ids that regained a backup.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetworkError::UnknownSrlg`] for an unregistered group id.
-    /// * [`NetworkError::SrlgStateUnchanged`] if every member is already
-    ///   up.
-    pub fn repair_srlg(&mut self, group: usize) -> Result<Vec<ConnectionId>, NetworkError> {
-        let Some(members) = self.srlgs.get(group) else {
-            return Err(NetworkError::UnknownSrlg(group));
-        };
-        let down: Vec<LinkId> = members
-            .iter()
-            .copied()
-            .filter(|&l| !self.links[l.index()].is_up())
-            .collect();
-        if down.is_empty() {
-            return Err(NetworkError::SrlgStateUnchanged(group));
-        }
-        let mut regained = Vec::new();
-        for l in down {
-            // lint:allow(no-panic-daemon): down was filtered to down links above
-            regained.extend(self.repair_link(l).expect("filtered to down links above"));
-        }
-        sort_dedup(&mut regained);
-        Ok(regained)
-    }
-
-    /// Repairs a link and re-attempts backup establishment for connections
-    /// missing one. Returns the ids that regained a backup.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetworkError::UnknownLink`] for an out-of-range link.
-    /// * [`NetworkError::LinkStateUnchanged`] if the link is already up.
-    pub fn repair_link(&mut self, link: LinkId) -> Result<Vec<ConnectionId>, NetworkError> {
-        if !self.graph.contains_link(link) {
-            return Err(NetworkError::UnknownLink(link));
-        }
-        if self.links[link.index()].is_up() {
-            return Err(NetworkError::LinkStateUnchanged(link));
-        }
-        self.links[link.index()].set_up(true);
-        self.topology_epoch += 1;
-        self.lock_cache().evict_link(link);
-        let mut regained = Vec::new();
-        if self.config.reestablish_backups {
-            let target = self.config.backup_count;
-            let needy: Vec<ConnectionId> = self
-                .connections()
-                .filter(|c| c.backup_count() < target)
-                .map(|c| c.id())
-                .collect();
-            for id in needy {
-                if self.top_up_backups(id) {
-                    regained.push(id);
-                }
-            }
-        }
-        Ok(regained)
-    }
-
-    /// Attempts to bring `id` up to the configured backup count; returns
-    /// whether any backup was added.
-    fn top_up_backups(&mut self, id: ConnectionId) -> bool {
-        let target = self.config.backup_count;
-        let mut added = false;
-        loop {
-            // Plan under `&self`, then register through the split borrow.
-            let wanting = |c: &&DrConnection| c.backup_count() < target;
-            let planned = self.connections.get(id).filter(wanting).and_then(|c| {
-                let min = c.qos().min();
-                self.with_scratch(|s| self.plan_backup(s, c.primary(), min, c.backups(), None))
-            });
-            let Some(backup) = planned else { break };
-            let Self {
-                connections, links, ..
-            } = self;
-            // lint:allow(no-panic-daemon): private helper, callers hold the id
-            let conn = connections.get_mut(id).expect("caller checked existence");
-            let min = conn.qos().min();
-            for &l in backup.links() {
-                links[l.index()].add_backup(id, min, &conflict_set(conn.primary().links(), l));
-            }
-            conn.push_backup(backup);
-            added = true;
-        }
-        added
-    }
-
-    /// Removes from `id` every backup that crosses `link`, unregistering
-    /// their reservations.
-    fn remove_crossing_backups(&mut self, id: ConnectionId, link: LinkId) {
-        let Self {
-            connections, links, ..
-        } = self;
-        // lint:allow(no-panic-daemon): private helper, callers hold the id
-        let conn = connections.get_mut(id).expect("caller checked existence");
-        let min = conn.qos().min();
-        while let Some(idx) = conn.backups().iter().position(|b| b.crosses(link)) {
-            let removed = conn.remove_backup(idx);
-            for &l in removed.links() {
-                links[l.index()].remove_backup(id, min, &conflict_set(conn.primary().links(), l));
-            }
+    /// Registers `backup` of connection `id` on every link it crosses,
+    /// each against the failures of `primary` that activate it there.
+    /// With [`Network::unreserve_backup`], the one place the multiplexing
+    /// ledgers are written.
+    fn reserve_backup(
+        links: &mut [LinkUsage],
+        id: ConnectionId,
+        min: Bandwidth,
+        primary: &Path,
+        backup: &Path,
+    ) {
+        for &l in backup.links() {
+            links[l.index()].add_backup(id, min, &conflict_set(primary.links(), l));
         }
     }
 
-    /// Removes the link registrations of *all* of `conn`'s backups, leaving
-    /// the backup paths on the connection (used around failover re-keying).
-    fn unregister_backup_links(links: &mut [LinkUsage], conn: &DrConnection) {
-        let min = conn.qos().min();
-        for b in conn.backups() {
-            for &l in b.links() {
-                let conflicts = conflict_set(conn.primary().links(), l);
-                links[l.index()].remove_backup(conn.id(), min, &conflicts);
-            }
+    /// Undoes [`Network::reserve_backup`] with the same arguments.
+    fn unreserve_backup(
+        links: &mut [LinkUsage],
+        id: ConnectionId,
+        min: Bandwidth,
+        primary: &Path,
+        backup: &Path,
+    ) {
+        for &l in backup.links() {
+            links[l.index()].remove_backup(id, min, &conflict_set(primary.links(), l));
         }
     }
 
@@ -1394,155 +717,14 @@ impl Network {
             .map(|(i, _)| LinkId(i))
     }
 
-    /// Water-fills extra increments over the set `candidates`, in whatever
-    /// order it lists them, according to the adaptation policy.
-    fn redistribute(&mut self, candidates: &[ChainPair]) {
-        #[cfg(test)]
-        if let Some(fill) = tests::FILL_OVERRIDE.get() {
-            return fill(self, candidates);
-        }
-        self.redistribute_with(candidates, is_slack);
-    }
-
-    /// [`Self::redistribute`] with the slack-link predicate as a
-    /// parameter, so a test can show that a weaker one is caught.
-    ///
-    /// Each live candidate that can still grow is loaded once into a flat
-    /// row; rows whose links are all slack are granted up to their
-    /// maximum in one step; the rest go through a lazy min-heap on
-    /// `(score, id)` that grants one increment per pop. Headroom only
-    /// shrinks during a fill, so a refused row is dropped for good.
-    ///
-    /// The shortcut is exact. A slack link has room for everything the
-    /// candidates could still ask of it, so it refuses nobody whatever the
-    /// grant order: a row on slack links only ends at its maximum. And
-    /// such rows touch no tight link, so the heap over the remaining rows
-    /// sees the tight links exactly as the one-increment-at-a-time fill
-    /// over all candidates would, and pops and grants in the same order.
-    ///
-    /// Nor does the order of `candidates` matter: every row is classified
-    /// before any is granted, the demand sums are integer additions, bulk
-    /// grants never touch a tight link, and the heap's `(score, id)` order
-    /// is total.
-    fn redistribute_with(
-        &mut self,
-        candidates: &[ChainPair],
-        slack: impl Fn(&LinkUsage, Bandwidth) -> bool,
-    ) {
-        let policy = self.config.policy;
-        let Self {
-            links,
-            connections,
-            fill,
-            ..
-        } = self;
-        let FillScratch {
-            rows,
-            arena,
-            demand,
-            heap,
-        } = fill;
-        rows.clear();
-        arena.clear();
-        demand.resize(links.len(), Bandwidth::ZERO);
-
-        // Load the candidates that are still live — a pair whose slot has
-        // since been vacated or handed on is not — and below their maximum
-        // (the others can never be granted anything), summing per link
-        // what the loaded rows could still ask of it.
-        for &(slot, id) in candidates {
-            let Some(conn) = connections.at(slot, id) else {
-                continue;
-            };
-            let (level, max_level) = (conn.level(), conn.qos().max_level());
-            if level >= max_level {
-                continue;
-            }
-            let start = arena.len();
-            arena.extend_from_slice(conn.primary().links());
-            let row = FillRow {
-                slot,
-                id,
-                loaded_level: level,
-                level,
-                max_level,
-                increment: conn.qos().increment(),
-                utility: conn.qos().utility(),
-                links: start..arena.len(),
-                bulk: false,
-            };
-            for l in &arena[start..] {
-                demand[l.index()] += row.remaining();
-            }
-            rows.push(row);
-        }
-
-        // Classify every row before granting anything: grants eat the
-        // headroom the slack test reads.
-        for row in rows.iter_mut() {
-            row.bulk = arena[row.links.clone()]
-                .iter()
-                .all(|l| slack(&links[l.index()], demand[l.index()]));
-        }
-        let mut queue = std::mem::take(heap);
-        for (i, row) in rows.iter_mut().enumerate() {
-            if row.bulk {
-                for l in &arena[row.links.clone()] {
-                    links[l.index()].add_extra(row.remaining());
-                }
-                row.level = row.max_level;
-            } else {
-                queue.push(Scored {
-                    score: fill_score(policy, row.level, row.utility),
-                    id: row.id,
-                    row: i,
-                });
-            }
-        }
-        for l in arena.iter() {
-            demand[l.index()] = Bandwidth::ZERO;
-        }
-
-        // The tight remainder: one increment per pop, re-scored in place.
-        let mut queue = BinaryHeap::from(queue);
-        while let Some(mut top) = queue.peek_mut() {
-            let row = &mut rows[top.row];
-            let path = &arena[row.links.clone()];
-            let fits = |l: &LinkId| {
-                let u = &links[l.index()];
-                u.is_up() && u.headroom() >= row.increment
-            };
-            if !path.iter().all(fits) {
-                PeekMut::pop(top);
-                continue;
-            }
-            for l in path {
-                links[l.index()].add_extra(row.increment);
-            }
-            row.level += 1;
-            if row.level == row.max_level {
-                PeekMut::pop(top);
-            } else {
-                top.score = fill_score(policy, row.level, row.utility);
-            }
-        }
-        *heap = queue.into_vec();
-
-        // Write the moved levels back, and the total once.
-        for row in rows.iter().filter(|r| r.level != r.loaded_level) {
-            self.total_bandwidth += row.increment.times((row.level - row.loaded_level) as u64);
-            if let Some(conn) = connections.at_mut(row.slot, row.id) {
-                conn.set_level(row.level);
-            }
-        }
-    }
-
     // ------------------------------------------------------- validation --
 
     /// Recomputes all per-link accounting from the connection table and
     /// compares it against the incremental bookkeeping, returning every
-    /// discrepancy instead of stopping at the first. O(C·hops + L); the
-    /// testkit's oracles run this after every operation.
+    /// discrepancy instead of stopping at the first. O(C·hops² + L) — the
+    /// square is the multiplexing ledger, one contribution per backup link
+    /// and primary link of a connection; the testkit's oracles run this
+    /// after every operation.
     pub fn check_invariants(&self) -> Vec<InvariantViolation> {
         let mut violations = Vec::new();
         let mut min_sums = vec![Bandwidth::ZERO; self.links.len()];
@@ -1551,7 +733,7 @@ impl Network {
         // as the per-link membership vectors must be; each primary entry
         // must carry the slot its connection lives in.
         let mut primary_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
-        let mut backup_sets: Vec<Vec<ConnectionId>> = vec![Vec::new(); self.links.len()];
+        let mut backup_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
         let mut total = Bandwidth::ZERO;
         for (slot, conn) in self.connections.iter() {
             total += conn.bandwidth();
@@ -1584,7 +766,7 @@ impl Network {
                     }
                 }
                 for &l in b.links() {
-                    backup_sets[l.index()].push(conn.id());
+                    backup_sets[l.index()].push((slot, conn.id()));
                 }
             }
         }
@@ -1594,6 +776,10 @@ impl Network {
                 recomputed: total,
             });
         }
+        // Per failed link, what its failure activates on the link at hand:
+        // the multiplexing ledger that link must hold, from the connection
+        // table alone and not through `conflict_set`. All zero between links.
+        let mut activated = vec![Bandwidth::ZERO; self.links.len()];
         for (i, usage) in self.links.iter().enumerate() {
             let link = LinkId(i);
             if usage.primary_min_sum() != min_sums[i] {
@@ -1614,7 +800,8 @@ impl Network {
             if !columns || !usage.primary_pairs().eq(primary_sets[i].iter().copied()) {
                 violations.push(InvariantViolation::PrimarySetMismatch { link });
             }
-            if usage.backups() != backup_sets[i] {
+            let backups = backup_sets[i].iter().map(|&(_, id)| id);
+            if !backups.eq(usage.backups().iter().copied()) {
                 violations.push(InvariantViolation::BackupSetMismatch { link });
             }
             if usage.primary_min_sum() + usage.extra_sum() > usage.capacity() {
@@ -1630,6 +817,28 @@ impl Network {
                     cached: usage.backup_reservation(),
                     recomputed: usage.recomputed_reservation(),
                 });
+            }
+            // A backup on this link is activated by the failure of any
+            // link of its primary but this one, which takes it down too.
+            let activating = || {
+                let backed_up = backup_sets[i].iter();
+                let conns = backed_up.filter_map(|&(slot, id)| self.connections.at(slot, id));
+                conns.flat_map(|c| {
+                    let failed = c.primary().links().iter().filter(|&&f| f != link);
+                    failed.map(|f| (f.index(), c.qos().min()))
+                })
+            };
+            let mut entries = 0;
+            for (f, min) in activating() {
+                entries += usize::from(activated[f] == Bandwidth::ZERO);
+                activated[f] += min;
+            }
+            let held = usage.conflict_ledger();
+            if held.len() != entries || held.iter().any(|&(f, sum)| activated[f.index()] != sum) {
+                violations.push(InvariantViolation::ConflictLedgerMismatch { link });
+            }
+            for (f, _) in activating() {
+                activated[f] = Bandwidth::ZERO;
             }
         }
         violations
@@ -1652,120 +861,22 @@ impl Network {
     }
 }
 
+/// Builders and seeded generators shared by the tests of this module and
+/// of the stage files.
 #[cfg(test)]
-mod tests {
+mod support {
     use super::*;
     use drqos_sim::rng::Rng;
     use drqos_topology::{regular, waxman};
+    use std::cell::Cell;
+    use std::thread::LocalKey;
 
-    fn qos() -> ElasticQos {
+    pub(super) fn qos() -> ElasticQos {
         ElasticQos::paper_video(100) // 100..500 step 100, 5 levels
     }
 
-    /// A fill every `redistribute` call on this thread runs in place of
-    /// the production one.
-    type Fill = fn(&mut Network, &[ChainPair]);
-
-    thread_local! {
-        pub(super) static FILL_OVERRIDE: std::cell::Cell<Option<Fill>> =
-            const { std::cell::Cell::new(None) };
-    }
-
-    /// Runs `f` with every fill on this thread replaced by `fill`.
-    fn with_fill<T>(fill: Option<Fill>, f: impl FnOnce() -> T) -> T {
-        let before = FILL_OVERRIDE.replace(fill);
-        let out = f();
-        FILL_OVERRIDE.set(before);
-        out
-    }
-
-    impl Network {
-        /// The fill as it was before the flat one, kept verbatim (but for
-        /// reading the ids out of the candidate pairs) as the reference
-        /// the production fill is compared against: per granted increment
-        /// two lookups by id, a link-list clone and a heap push.
-        fn redistribute_reference(&mut self, candidates: &[ChainPair]) {
-            #[derive(PartialEq)]
-            struct Scored {
-                score: f64,
-                id: ConnectionId,
-            }
-            impl Eq for Scored {}
-            impl PartialOrd for Scored {
-                fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                    Some(self.cmp(other))
-                }
-            }
-            impl Ord for Scored {
-                fn cmp(&self, other: &Self) -> Ordering {
-                    // Min-heap on (score, id): BinaryHeap is a max-heap, so flip.
-                    other
-                        .score
-                        .total_cmp(&self.score)
-                        .then_with(|| other.id.cmp(&self.id))
-                }
-            }
-            let score = |policy: AdaptationPolicy, conn: &DrConnection| -> f64 {
-                match policy {
-                    // Highest utility first; level is irrelevant (monopolize).
-                    AdaptationPolicy::MaxUtility => -conn.qos().utility(),
-                    // Progressive filling: lowest weighted level first.
-                    AdaptationPolicy::Coefficient => {
-                        (conn.level() as f64 + 1.0) / conn.qos().utility()
-                    }
-                }
-            };
-            let policy = self.config.policy;
-            let mut heap: BinaryHeap<Scored> = candidates
-                .iter()
-                .filter_map(|&(_, id)| self.connection(id))
-                .map(|conn| Scored {
-                    score: score(policy, conn),
-                    id: conn.id(),
-                })
-                .collect();
-            while let Some(Scored { id, .. }) = heap.pop() {
-                if !self.can_grow(id) {
-                    // Headroom never grows during the fill: drop permanently.
-                    continue;
-                }
-                self.grant(id);
-                heap.push(Scored {
-                    score: score(policy, self.connection(id).unwrap()),
-                    id,
-                });
-            }
-        }
-
-        /// Whether `id` can absorb one more increment on every link of its
-        /// path.
-        fn can_grow(&self, id: ConnectionId) -> bool {
-            let conn = self.connection(id).unwrap();
-            if conn.level() >= conn.qos().max_level() {
-                return false;
-            }
-            let inc = conn.qos().increment();
-            conn.primary()
-                .links()
-                .iter()
-                .all(|&l| self.links[l.index()].is_up() && self.links[l.index()].headroom() >= inc)
-        }
-
-        /// Grants one increment to `id`.
-        fn grant(&mut self, id: ConnectionId) {
-            let conn = self.connections.get_mut(id).expect("grant of unknown id");
-            let inc = conn.qos().increment();
-            conn.set_level(conn.level() + 1);
-            let links = conn.primary().links().to_vec();
-            for l in links {
-                self.links[l.index()].add_extra(inc);
-            }
-            self.total_bandwidth += inc;
-        }
-    }
-
     /// A 6-ring with tiny capacity for easy saturation tests.
-    fn small_net(capacity_kbps: u64) -> Network {
+    pub(super) fn small_net(capacity_kbps: u64) -> Network {
         let g = regular::ring(6).unwrap();
         Network::new(
             g,
@@ -1775,6 +886,175 @@ mod tests {
             },
         )
     }
+
+    pub(super) fn random_qos(rng: &mut Rng) -> ElasticQos {
+        let min = [50, 100, 150][rng.range_usize(3)];
+        let step = [50, 100, 200][rng.range_usize(3)];
+        let levels = rng.range_u64(7);
+        let utility = [0.5, 1.0, 1.0, 1.01, 2.0, 3.7][rng.range_usize(6)];
+        ElasticQos::new(
+            Bandwidth::kbps(min),
+            Bandwidth::kbps(min + step * levels),
+            Bandwidth::kbps(step),
+            utility,
+        )
+        .unwrap()
+    }
+
+    pub(super) fn random_request(rng: &mut Rng, nodes: usize) -> EstablishRequest {
+        EstablishRequest {
+            src: NodeId(rng.range_usize(nodes)),
+            dst: NodeId(rng.range_usize(nodes)),
+            qos: random_qos(rng),
+        }
+    }
+
+    /// One seeded case: a small network under a random op sequence whose
+    /// fills come from commits, batches, releases and link failures.
+    pub(super) fn random_case(case: u64) -> (Network, Rng) {
+        let mut rng = Rng::seed_from_u64(0xF111 ^ case);
+        let graph = match case % 3 {
+            0 => regular::ring(5 + rng.range_usize(4)).unwrap(),
+            1 => regular::torus(3, 3 + rng.range_usize(2)).unwrap(),
+            _ => waxman::paper_waxman(12 + rng.range_usize(8))
+                .generate(&mut rng)
+                .unwrap(),
+        };
+        // Starved, tight, slack, or (below) a different one per link.
+        let classes = [300, 600, 1_000, 2_500, 10_000];
+        let class = rng.range_usize(classes.len() + 1);
+        let policy = if rng.chance(0.5) {
+            AdaptationPolicy::Coefficient
+        } else {
+            AdaptationPolicy::MaxUtility
+        };
+        let mut net = Network::new(
+            graph,
+            NetworkConfig {
+                capacity: Bandwidth::kbps(*classes.get(class).unwrap_or(&1_000)),
+                policy,
+                require_backup: rng.chance(0.7),
+                route_cache: false,
+                ..NetworkConfig::default()
+            },
+        );
+        if class == classes.len() {
+            for usage in &mut net.links {
+                *usage = LinkUsage::new(Bandwidth::kbps(classes[rng.range_usize(classes.len())]));
+            }
+        }
+        (net, rng)
+    }
+
+    /// Applies one random op to `net`, rendering its result.
+    pub(super) fn random_op(net: &mut Network, rng: &mut Rng) -> String {
+        let nodes = net.graph().node_count();
+        let links = net.graph().link_count();
+        let live: Vec<ConnectionId> = net.connections().map(|c| c.id()).collect();
+        match rng.range_usize(100) {
+            0..=14 if !live.is_empty() => {
+                format!("{:?}", net.release(live[rng.range_usize(live.len())]))
+            }
+            15..=22 => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
+            23..=26 => format!("{:?}", net.repair_link(LinkId(rng.range_usize(links)))),
+            27..=32 => {
+                let reqs: Vec<_> = (0..3).map(|_| random_request(rng, nodes)).collect();
+                format!("{:?}", net.establish_batch(&reqs))
+            }
+            _ => {
+                let r = random_request(rng, nodes);
+                format!("{:?}", net.establish(r.src, r.dst, r.qos))
+            }
+        }
+    }
+
+    /// The live `(slot, id)` pairs, in id order.
+    pub(super) fn live_pairs(net: &Network) -> Vec<ChainPair> {
+        let pairs = net.connections.iter();
+        pairs.map(|(slot, c)| (slot, c.id())).collect()
+    }
+
+    /// Runs `f` with the mutant behind `seam` switched on for this thread.
+    pub(super) fn with_mutant<T>(seam: &'static LocalKey<Cell<bool>>, f: impl FnOnce() -> T) -> T {
+        seam.set(true);
+        let out = f();
+        seam.set(false);
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fill::is_slack;
+    use super::fill::testing::{with_fill, Fill};
+    use super::support::*;
+    use super::*;
+    use drqos_sim::rng::Rng;
+    use drqos_topology::regular;
+
+    // ----------------------------------------------------------- fixtures --
+
+    /// A ring so tight that a run of antipodal requests mixes admissions
+    /// and rejections and fights over increments.
+    fn tight_ring() -> (Network, Vec<EstablishRequest>) {
+        let config = NetworkConfig {
+            capacity: Bandwidth::kbps(800),
+            ..NetworkConfig::default()
+        };
+        let reqs = (0..10)
+            .map(|i| EstablishRequest {
+                src: NodeId(i % 6),
+                dst: NodeId((i + 3) % 6),
+                qos: qos(),
+            })
+            .collect();
+        (Network::new(regular::ring(6).unwrap(), config), reqs)
+    }
+
+    /// A network with the route cache explicitly forced on or off
+    /// (ignoring the `DRQOS_ROUTE_CACHE` environment, which other test
+    /// threads must not be able to perturb).
+    fn cached_net(capacity_kbps: u64, route_cache: bool) -> Network {
+        Network::new(
+            regular::torus(4, 4).unwrap(),
+            NetworkConfig {
+                capacity: Bandwidth::kbps(capacity_kbps),
+                route_cache,
+                ..NetworkConfig::default()
+            },
+        )
+    }
+
+    /// Two 100–500 Kbps channels on the single link of a two-node line:
+    /// the second commit's fill sees both at level 0, asking 800 Kbps of
+    /// the link between them.
+    fn two_on_one_link(capacity_kbps: u64) -> Network {
+        let mut net = Network::new(
+            regular::grid(1, 2).unwrap(),
+            NetworkConfig {
+                capacity: Bandwidth::kbps(capacity_kbps),
+                require_backup: false,
+                ..NetworkConfig::default()
+            },
+        );
+        for _ in 0..2 {
+            net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+        }
+        net.validate();
+        net
+    }
+
+    /// `n` 100–500 Kbps channels over the single link of a two-node line,
+    /// 99 Kbps short of room for everyone's maximum.
+    fn crowded_link(n: u64) -> Network {
+        let mut net = two_on_one_link(n * 500 - 99);
+        for _ in 2..n {
+            net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+        }
+        net
+    }
+
+    // ------------------------------------- commit, termination, accessors --
 
     #[test]
     fn establish_reserves_and_grows_to_max() {
@@ -1821,412 +1101,12 @@ mod tests {
     }
 
     #[test]
-    fn topology_epoch_tracks_liveness_changes() {
-        let mut net = small_net(10_000);
-        assert_eq!(net.topology_epoch(), 0);
-        let l = net.graph().links().next().unwrap().id();
-        net.fail_link(l).unwrap();
-        assert_eq!(net.topology_epoch(), 1);
-        // No-op mutations (already-down link) leave the epoch alone.
-        assert!(net.fail_link(l).is_err());
-        assert_eq!(net.topology_epoch(), 1);
-        net.repair_link(l).unwrap();
-        assert_eq!(net.topology_epoch(), 2);
-        // Admission planning still works: the scratch needs no refresh.
-        net.establish(NodeId(0), NodeId(1), qos()).unwrap();
-        net.validate();
-        // fail_node bumps once per adjacent up link (ring: degree 2).
-        net.fail_node(NodeId(3)).unwrap();
-        assert_eq!(net.topology_epoch(), 4);
-    }
-
-    #[test]
-    fn srlg_registration_validates_sorts_and_dedups() {
-        let mut net = small_net(10_000);
-        assert!(matches!(
-            net.register_srlg(vec![LinkId(99)]),
-            Err(NetworkError::UnknownLink(LinkId(99)))
-        ));
-        let g = net
-            .register_srlg(vec![LinkId(2), LinkId(0), LinkId(2)])
-            .unwrap();
-        assert_eq!(g, 0);
-        assert_eq!(net.srlg_count(), 1);
-        assert_eq!(net.srlg_links(g), Some(&[LinkId(0), LinkId(2)][..]));
-        assert_eq!(net.srlg_links(1), None);
-    }
-
-    #[test]
-    fn srlg_fires_all_members_atomically_and_round_trips() {
-        let mut net = small_net(10_000);
-        let g = net.register_srlg(vec![LinkId(0), LinkId(3)]).unwrap();
-        let reports = net.fail_srlg(g).unwrap();
-        assert_eq!(reports.len(), 2, "both members fail in one event");
-        assert_eq!(net.topology_epoch(), 2);
-        assert!(net.up_links().all(|l| l != LinkId(0) && l != LinkId(3)));
-        // Firing again changes nothing.
-        assert!(matches!(
-            net.fail_srlg(g),
-            Err(NetworkError::SrlgStateUnchanged(0))
-        ));
-        net.repair_srlg(g).unwrap();
-        assert_eq!(net.up_links().count(), 6);
-        assert!(matches!(
-            net.repair_srlg(g),
-            Err(NetworkError::SrlgStateUnchanged(0))
-        ));
-        assert!(matches!(
-            net.fail_srlg(7),
-            Err(NetworkError::UnknownSrlg(7))
-        ));
-        net.validate();
-    }
-
-    #[test]
-    fn srlg_skips_members_already_down() {
-        let mut net = small_net(10_000);
-        let g = net.register_srlg(vec![LinkId(1), LinkId(4)]).unwrap();
-        net.fail_link(LinkId(1)).unwrap();
-        // Only the still-up member fails; no error, no double event.
-        let reports = net.fail_srlg(g).unwrap();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports.first().unwrap().link, LinkId(4));
-        net.validate();
-    }
-
-    #[test]
-    fn overlapping_node_and_srlg_failures_conserve_drop_count() {
-        // Regression: a fail_node that takes a connection down followed by
-        // an SRLG covering the same links must not count the victim twice.
-        let mut net = small_net(10_000);
-        let a = net.establish(NodeId(0), NodeId(2), qos()).unwrap();
-        let g: usize = {
-            // The SRLG covers every link node 1 touches, overlapping the
-            // primary *and* whatever backups exist.
-            let members: Vec<LinkId> = net
-                .graph()
-                .neighbors(NodeId(1))
-                .iter()
-                .map(|&(_, l)| l)
-                .collect();
-            net.register_srlg(members).unwrap()
-        };
-        net.fail_node(NodeId(1)).unwrap();
-        let dropped_after_node = net.dropped_total();
-        // The SRLG now has nothing left to do: every member is down.
-        assert!(matches!(
-            net.fail_srlg(g),
-            Err(NetworkError::SrlgStateUnchanged(_))
-        ));
-        assert_eq!(net.dropped_total(), dropped_after_node);
-        // Conservation: dropped + live == established.
-        assert_eq!(net.dropped_total() + net.len() as u64, 1);
-        let _ = a;
-        net.validate();
-    }
-
-    #[test]
     fn release_unknown_fails() {
         let mut net = small_net(1_000);
         assert!(matches!(
             net.release(ConnectionId(9)),
             Err(NetworkError::UnknownConnection(9))
         ));
-    }
-
-    #[test]
-    fn rejects_when_no_min_bandwidth() {
-        // Capacity 150: one connection's min (100) + the second's min
-        // (100) cannot share any link, and every 0→3 route on the ring
-        // shares links with the first connection's channels.
-        let mut net = small_net(150);
-        net.establish(NodeId(0), NodeId(3), qos()).unwrap();
-        let err = net.establish(NodeId(0), NodeId(3), qos()).unwrap_err();
-        assert!(matches!(
-            err,
-            AdmissionError::NoPrimaryRoute | AdmissionError::NoBackupRoute
-        ));
-        net.validate();
-    }
-
-    #[test]
-    fn admits_until_minimum_capacity_exhausted() {
-        // Capacity 250 fits exactly two 0→3 connections (two 100 Kbps
-        // minima per link, 200 Kbps multiplexing-conflict reservation on
-        // the backup route), but not three.
-        let mut net = small_net(250);
-        net.establish(NodeId(0), NodeId(3), qos()).unwrap();
-        net.establish(NodeId(0), NodeId(3), qos()).unwrap();
-        assert!(net.establish(NodeId(0), NodeId(3), qos()).is_err());
-        net.validate();
-    }
-
-    #[test]
-    fn rejects_same_endpoints_and_unknown_nodes() {
-        let mut net = small_net(1_000);
-        assert_eq!(
-            net.establish(NodeId(1), NodeId(1), qos()),
-            Err(AdmissionError::SameEndpoints(NodeId(1)))
-        );
-        assert_eq!(
-            net.establish(NodeId(0), NodeId(17), qos()),
-            Err(AdmissionError::UnknownNode(NodeId(17)))
-        );
-    }
-
-    #[test]
-    fn backup_requirement_configurable() {
-        // A line has no disjoint pair.
-        let g = regular::grid(1, 3).unwrap();
-        let mut strict = Network::new(g.clone(), NetworkConfig::default());
-        assert_eq!(
-            strict.establish(NodeId(0), NodeId(2), qos()),
-            Err(AdmissionError::NoBackupRoute)
-        );
-        let mut lax = Network::new(
-            g,
-            NetworkConfig {
-                require_backup: false,
-                ..NetworkConfig::default()
-            },
-        );
-        let id = lax.establish(NodeId(0), NodeId(2), qos()).unwrap();
-        assert!(!lax.connection(id).unwrap().has_backup());
-        lax.validate();
-    }
-
-    #[test]
-    fn failover_activates_backup() {
-        let mut net = small_net(10_000);
-        let id = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
-        let primary_first_link = net.connection(id).unwrap().primary().links()[0];
-        let backup_path = net.connection(id).unwrap().backup().unwrap().clone();
-        let report = net.fail_link(primary_first_link).unwrap();
-        assert_eq!(report.activated, vec![id]);
-        assert!(report.dropped.is_empty());
-        let c = net.connection(id).unwrap();
-        assert_eq!(c.primary(), &backup_path);
-        assert_eq!(c.failovers(), 1);
-        net.validate();
-    }
-
-    #[test]
-    fn failover_without_backup_drops() {
-        let g = regular::grid(1, 3).unwrap();
-        let mut net = Network::new(
-            g,
-            NetworkConfig {
-                require_backup: false,
-                ..NetworkConfig::default()
-            },
-        );
-        let id = net.establish(NodeId(0), NodeId(2), qos()).unwrap();
-        let l = net.connection(id).unwrap().primary().links()[0];
-        let report = net.fail_link(l).unwrap();
-        assert_eq!(report.dropped, vec![id]);
-        assert!(net.connection(id).is_none());
-        assert_eq!(net.dropped_total(), 1);
-        assert_eq!(net.len(), 0);
-        net.validate();
-    }
-
-    #[test]
-    fn backup_loss_is_reestablished_where_possible() {
-        let mut net = small_net(10_000);
-        let id = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
-        let backup_link = net.connection(id).unwrap().backup().unwrap().links()[0];
-        let report = net.fail_link(backup_link).unwrap();
-        assert_eq!(report.lost_backup, vec![id]);
-        assert!(report.activated.is_empty());
-        // On a 6-ring with one link down there is no second disjoint route,
-        // so the backup stays lost until repair.
-        assert!(!net.connection(id).unwrap().has_backup());
-        let regained = net.repair_link(backup_link).unwrap();
-        assert_eq!(regained, vec![id]);
-        assert!(net.connection(id).unwrap().has_backup());
-        net.validate();
-    }
-
-    #[test]
-    fn double_fail_and_double_repair_error() {
-        let mut net = small_net(10_000);
-        net.fail_link(LinkId(0)).unwrap();
-        assert!(matches!(
-            net.fail_link(LinkId(0)),
-            Err(NetworkError::LinkStateUnchanged(_))
-        ));
-        net.repair_link(LinkId(0)).unwrap();
-        assert!(matches!(
-            net.repair_link(LinkId(0)),
-            Err(NetworkError::LinkStateUnchanged(_))
-        ));
-        assert!(matches!(
-            net.fail_link(LinkId(99)),
-            Err(NetworkError::UnknownLink(_))
-        ));
-    }
-
-    #[test]
-    fn failure_forces_sharing_channels_to_retreat() {
-        // Torus: rich enough for several disjoint pairs.
-        let g = regular::torus(4, 4).unwrap();
-        let mut net = Network::new(
-            g,
-            NetworkConfig {
-                capacity: Bandwidth::kbps(1_500),
-                ..NetworkConfig::default()
-            },
-        );
-        let ids: Vec<ConnectionId> = (0..6)
-            .filter_map(|i| net.establish(NodeId(i), NodeId(15 - i), qos()).ok())
-            .collect();
-        assert!(ids.len() >= 3);
-        net.validate();
-        // Fail the first primary link of the first connection.
-        let l = net.connection(ids[0]).unwrap().primary().links()[0];
-        let report = net.fail_link(l).unwrap();
-        net.validate();
-        // Every surviving activated connection runs at some level; all
-        // invariants hold (validate above) and the report is consistent.
-        for id in &report.activated {
-            assert!(net.connection(*id).is_some());
-        }
-        for id in &report.dropped {
-            assert!(net.connection(*id).is_none());
-        }
-    }
-
-    #[test]
-    fn multi_backup_establishes_mutually_disjoint_spares() {
-        let g = regular::complete(6).unwrap();
-        let mut net = Network::new(
-            g,
-            NetworkConfig {
-                backup_count: 3,
-                ..NetworkConfig::default()
-            },
-        );
-        let id = net.establish(NodeId(0), NodeId(5), qos()).unwrap();
-        let c = net.connection(id).unwrap();
-        assert_eq!(c.backup_count(), 3);
-        let paths: Vec<_> = std::iter::once(c.primary().clone())
-            .chain(c.backups().iter().cloned())
-            .collect();
-        for i in 0..paths.len() {
-            for j in i + 1..paths.len() {
-                assert!(paths[i].is_link_disjoint(&paths[j]), "{i} vs {j}");
-            }
-        }
-        net.validate();
-    }
-
-    #[test]
-    fn multi_backup_survives_two_failures() {
-        let g = regular::complete(6).unwrap();
-        let mut net = Network::new(
-            g,
-            NetworkConfig {
-                backup_count: 2,
-                reestablish_backups: false, // force reliance on the spares
-                ..NetworkConfig::default()
-            },
-        );
-        let id = net.establish(NodeId(0), NodeId(5), qos()).unwrap();
-        for round in 1..=2 {
-            let l = net.connection(id).unwrap().primary().links()[0];
-            let report = net.fail_link(l).unwrap();
-            assert_eq!(report.activated, vec![id], "round {round}");
-            net.validate();
-        }
-        let c = net.connection(id).unwrap();
-        assert_eq!(c.failovers(), 2);
-        assert!(!c.has_backup(), "both spares consumed");
-        // A third failure drops it.
-        let l = net.connection(id).unwrap().primary().links()[0];
-        let report = net.fail_link(l).unwrap();
-        assert_eq!(report.dropped, vec![id]);
-        net.validate();
-    }
-
-    #[test]
-    fn multi_backup_partial_when_topology_limits() {
-        // A 6-ring has exactly two disjoint routes between any pair: the
-        // second and third backups cannot exist.
-        let mut net = Network::new(
-            regular::ring(6).unwrap(),
-            NetworkConfig {
-                backup_count: 3,
-                ..NetworkConfig::default()
-            },
-        );
-        let id = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
-        assert_eq!(net.connection(id).unwrap().backup_count(), 1);
-        net.validate();
-    }
-
-    #[test]
-    fn repair_tops_up_to_configured_count() {
-        let g = regular::complete(6).unwrap();
-        let mut net = Network::new(
-            g,
-            NetworkConfig {
-                backup_count: 2,
-                ..NetworkConfig::default()
-            },
-        );
-        let id = net.establish(NodeId(0), NodeId(5), qos()).unwrap();
-        let backup_link = net.connection(id).unwrap().backups()[0].links()[0];
-        net.fail_link(backup_link).unwrap();
-        net.validate();
-        // Re-establishment may already have topped it up (other routes
-        // exist in a complete graph); after repair the count must be back
-        // at the target either way.
-        net.repair_link(backup_link).unwrap();
-        assert_eq!(net.connection(id).unwrap().backup_count(), 2);
-        net.validate();
-    }
-
-    #[test]
-    fn node_failure_downs_all_adjacent_links() {
-        let g = regular::torus(4, 4).unwrap();
-        let mut net = Network::new(g, NetworkConfig::default());
-        let a = net.establish(NodeId(0), NodeId(10), qos()).unwrap();
-        let reports = net.fail_node(NodeId(5)).unwrap();
-        assert_eq!(reports.len(), 4, "a torus node has degree 4");
-        for &(_, l) in net.graph().neighbors(NodeId(5)) {
-            assert!(!net.link_usage(l).is_up());
-        }
-        // Connection 0→10 may have failed over but must not be corrupted.
-        if let Some(c) = net.connection(a) {
-            assert!(c.bandwidth() >= Bandwidth::kbps(100));
-        }
-        net.validate();
-    }
-
-    #[test]
-    fn node_failure_errors_once_all_links_down() {
-        let g = regular::ring(5).unwrap();
-        let mut net = Network::new(g, NetworkConfig::default());
-        let first = net.fail_node(NodeId(0)).unwrap();
-        assert_eq!(first.len(), 2);
-        // Second failure of the same node: nothing left to fail.
-        assert!(matches!(
-            net.fail_node(NodeId(0)),
-            Err(NetworkError::NodeAlreadyDown(NodeId(0)))
-        ));
-        net.validate();
-    }
-
-    #[test]
-    fn node_failure_checks_bounds() {
-        let g = regular::ring(5).unwrap();
-        let mut net = Network::new(g, NetworkConfig::default());
-        assert!(matches!(
-            net.fail_node(NodeId(99)),
-            Err(NetworkError::UnknownNode(NodeId(99)))
-        ));
-        // The error path must not bump the epoch.
-        assert_eq!(net.topology_epoch(), 0);
     }
 
     #[test]
@@ -2240,65 +1120,27 @@ mod tests {
     }
 
     #[test]
-    fn max_utility_policy_monopolizes() {
+    fn many_connections_saturate_down_to_minimum() {
         let g = regular::ring(6).unwrap();
         let mut net = Network::new(
             g,
             NetworkConfig {
-                // 650 = two minima (200) + one full climb (400) + change:
-                // only one channel can reach its maximum.
-                capacity: Bandwidth::kbps(650),
-                policy: AdaptationPolicy::MaxUtility,
+                capacity: Bandwidth::kbps(2_000),
                 ..NetworkConfig::default()
             },
         );
-        // Two overlapping connections; the second has (slightly) higher
-        // utility and should take every spare increment.
-        let lo = qos().with_utility(1.0).unwrap();
-        let hi = qos().with_utility(1.01).unwrap();
-        let a = net.establish(NodeId(0), NodeId(3), lo).unwrap();
-        let b = net.establish(NodeId(0), NodeId(3), hi).unwrap();
+        let mut accepted = 0;
+        for i in 0..24 {
+            let (s, d) = (NodeId(i % 6), NodeId((i + 3) % 6));
+            if net.establish(s, d, qos()).is_ok() {
+                accepted += 1;
+            }
+        }
+        assert!(accepted >= 4, "accepted only {accepted}");
         net.validate();
-        let bw_a = net.connection(a).unwrap().bandwidth();
-        let bw_b = net.connection(b).unwrap().bandwidth();
-        assert!(
-            bw_b > bw_a,
-            "higher-utility channel should win: {bw_a} vs {bw_b}"
-        );
-        assert_eq!(bw_a, Bandwidth::kbps(100), "loser stays at minimum");
-    }
-
-    #[test]
-    fn coefficient_policy_shares_fairly() {
-        let g = regular::ring(6).unwrap();
-        let mut net = Network::new(
-            g,
-            NetworkConfig {
-                capacity: Bandwidth::kbps(1_000),
-                policy: AdaptationPolicy::Coefficient,
-                ..NetworkConfig::default()
-            },
-        );
-        let a = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
-        let b = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
-        net.validate();
-        let bw_a = net.connection(a).unwrap().bandwidth();
-        let bw_b = net.connection(b).unwrap().bandwidth();
-        let diff = bw_a.as_kbps().abs_diff(bw_b.as_kbps());
-        assert!(diff <= 100, "fair split expected: {bw_a} vs {bw_b}");
-    }
-
-    #[test]
-    fn rigid_qos_never_grows() {
-        let g = regular::ring(6).unwrap();
-        let mut net = Network::new(g, NetworkConfig::default());
-        let q = ElasticQos::rigid(Bandwidth::kbps(100)).unwrap();
-        let id = net.establish(NodeId(0), NodeId(3), q).unwrap();
-        assert_eq!(
-            net.connection(id).unwrap().bandwidth(),
-            Bandwidth::kbps(100)
-        );
-        net.validate();
+        // Heavily loaded ring: the average sits near the minimum.
+        let avg = net.average_bandwidth().unwrap();
+        assert!(avg < 300.0, "expected saturation, avg {avg}");
     }
 
     /// A contended batch must land on exactly the sequential results and
@@ -2326,23 +1168,6 @@ mod tests {
             batch_results.iter().any(|r| r.is_ok()) && batch_results.iter().any(|r| r.is_err()),
             "the scenario should mix admissions and rejections"
         );
-    }
-
-    /// A ring so tight that a run of antipodal requests mixes admissions
-    /// and rejections and fights over increments.
-    fn tight_ring() -> (Network, Vec<EstablishRequest>) {
-        let config = NetworkConfig {
-            capacity: Bandwidth::kbps(800),
-            ..NetworkConfig::default()
-        };
-        let reqs = (0..10)
-            .map(|i| EstablishRequest {
-                src: NodeId(i % 6),
-                dst: NodeId((i + 3) % 6),
-                qos: qos(),
-            })
-            .collect();
-        (Network::new(regular::ring(6).unwrap(), config), reqs)
     }
 
     /// The one step, every way in: a hint planned at the request's own
@@ -2478,6 +1303,126 @@ mod tests {
         assert!(net.contention_order(&[]).is_empty());
     }
 
+    thread_local! {
+        static FILLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The production fill, counted.
+    fn counted_fill(net: &mut Network, candidates: &[ChainPair]) {
+        FILLS.set(FILLS.get() + 1);
+        net.redistribute_with(candidates, is_slack);
+    }
+
+    /// Admits `reqs` in one loop and returns how many deferred fills ran
+    /// before the flush, and how many commits there were.
+    fn fills_in_one_loop(net: &mut Network, reqs: &[EstablishRequest]) -> (usize, usize) {
+        FILLS.set(0);
+        let mut pending = None;
+        let admitted = with_fill(Some(counted_fill), || {
+            let admit = |r| net.admit(r, None, &mut pending).0.is_ok();
+            reqs.iter().map(admit).filter(|&ok| ok).count()
+        });
+        let fills = FILLS.get();
+        net.batch_flush(pending);
+        net.validate();
+        (fills, admitted)
+    }
+
+    #[test]
+    fn a_fill_is_elided_exactly_when_the_next_commit_retreats_all_of_it() {
+        // Every plan on the tight ring covers the whole ring, so every
+        // commit retreats everyone: no deferred fill ever runs.
+        let (mut net, reqs) = tight_ring();
+        let (fills, commits) = fills_in_one_loop(&mut net, &reqs);
+        assert!(commits > 2, "{commits}");
+        assert_eq!(fills, 0);
+        // On a line without backups a commit chains only the channels on
+        // its own links: the fill deferred at one end must run before a
+        // commit at the other end, and is elided before one on top of it.
+        let mut g = Graph::new();
+        let n: Vec<NodeId> = (0..4).map(|_| g.add_node()).collect();
+        for w in n.windows(2) {
+            g.add_link(w[0], w[1]).unwrap();
+        }
+        let config = NetworkConfig {
+            require_backup: false,
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::new(g, config);
+        let req = |src, dst| EstablishRequest {
+            src,
+            dst,
+            qos: qos(),
+        };
+        let far = [req(n[0], n[1]), req(n[2], n[3]), req(n[0], n[1])];
+        assert_eq!(fills_in_one_loop(&mut net.clone(), &far), (2, 3));
+        let near = [req(n[0], n[1]), req(n[0], n[1]), req(n[0], n[1])];
+        assert_eq!(fills_in_one_loop(&mut net, &near), (0, 3));
+    }
+
+    // ----------------------------------------- the plan stage (`plan.rs`) --
+
+    #[test]
+    fn rejects_when_no_min_bandwidth() {
+        // Capacity 150: one connection's min (100) + the second's min
+        // (100) cannot share any link, and every 0→3 route on the ring
+        // shares links with the first connection's channels.
+        let mut net = small_net(150);
+        net.establish(NodeId(0), NodeId(3), qos()).unwrap();
+        let err = net.establish(NodeId(0), NodeId(3), qos()).unwrap_err();
+        assert!(matches!(
+            err,
+            AdmissionError::NoPrimaryRoute | AdmissionError::NoBackupRoute
+        ));
+        net.validate();
+    }
+
+    #[test]
+    fn admits_until_minimum_capacity_exhausted() {
+        // Capacity 250 fits exactly two 0→3 connections (two 100 Kbps
+        // minima per link, 200 Kbps multiplexing-conflict reservation on
+        // the backup route), but not three.
+        let mut net = small_net(250);
+        net.establish(NodeId(0), NodeId(3), qos()).unwrap();
+        net.establish(NodeId(0), NodeId(3), qos()).unwrap();
+        assert!(net.establish(NodeId(0), NodeId(3), qos()).is_err());
+        net.validate();
+    }
+
+    #[test]
+    fn rejects_same_endpoints_and_unknown_nodes() {
+        let mut net = small_net(1_000);
+        assert_eq!(
+            net.establish(NodeId(1), NodeId(1), qos()),
+            Err(AdmissionError::SameEndpoints(NodeId(1)))
+        );
+        assert_eq!(
+            net.establish(NodeId(0), NodeId(17), qos()),
+            Err(AdmissionError::UnknownNode(NodeId(17)))
+        );
+    }
+
+    #[test]
+    fn backup_requirement_configurable() {
+        // A line has no disjoint pair.
+        let g = regular::grid(1, 3).unwrap();
+        let mut strict = Network::new(g.clone(), NetworkConfig::default());
+        assert_eq!(
+            strict.establish(NodeId(0), NodeId(2), qos()),
+            Err(AdmissionError::NoBackupRoute)
+        );
+        let mut lax = Network::new(
+            g,
+            NetworkConfig {
+                require_backup: false,
+                ..NetworkConfig::default()
+            },
+        );
+        let id = lax.establish(NodeId(0), NodeId(2), qos()).unwrap();
+        assert!(!lax.connection(id).unwrap().has_backup());
+        lax.validate();
+    }
+
     #[test]
     fn plan_does_not_mutate() {
         let net = small_net(10_000);
@@ -2489,33 +1434,43 @@ mod tests {
     }
 
     #[test]
-    fn suurballe_router_establishes_disjoint_pair() {
-        let g = regular::torus(4, 4).unwrap();
+    fn multi_backup_establishes_mutually_disjoint_spares() {
+        let g = regular::complete(6).unwrap();
         let mut net = Network::new(
             g,
             NetworkConfig {
-                router: RouterKind::SuurballePair,
+                backup_count: 3,
                 ..NetworkConfig::default()
             },
         );
-        let id = net.establish(NodeId(0), NodeId(10), qos()).unwrap();
+        let id = net.establish(NodeId(0), NodeId(5), qos()).unwrap();
         let c = net.connection(id).unwrap();
-        assert!(c.primary().is_link_disjoint(c.backup().unwrap()));
+        assert_eq!(c.backup_count(), 3);
+        let paths: Vec<_> = std::iter::once(c.primary().clone())
+            .chain(c.backups().iter().cloned())
+            .collect();
+        for i in 0..paths.len() {
+            for j in i + 1..paths.len() {
+                assert!(paths[i].is_link_disjoint(&paths[j]), "{i} vs {j}");
+            }
+        }
         net.validate();
     }
 
-    /// A network with the route cache explicitly forced on or off
-    /// (ignoring the `DRQOS_ROUTE_CACHE` environment, which other test
-    /// threads must not be able to perturb).
-    fn cached_net(capacity_kbps: u64, route_cache: bool) -> Network {
-        Network::new(
-            regular::torus(4, 4).unwrap(),
+    #[test]
+    fn multi_backup_partial_when_topology_limits() {
+        // A 6-ring has exactly two disjoint routes between any pair: the
+        // second and third backups cannot exist.
+        let mut net = Network::new(
+            regular::ring(6).unwrap(),
             NetworkConfig {
-                capacity: Bandwidth::kbps(capacity_kbps),
-                route_cache,
+                backup_count: 3,
                 ..NetworkConfig::default()
             },
-        )
+        );
+        let id = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
+        assert_eq!(net.connection(id).unwrap().backup_count(), 1);
+        net.validate();
     }
 
     #[test]
@@ -2609,22 +1564,9 @@ mod tests {
         off.validate();
     }
 
-    // ------------------------------ the route cache vs planning afresh --
-
-    thread_local! {
-        /// While set, a recorded footprint leaves out one of the links
-        /// the search probed: the mutant the cache differential and the
-        /// footprint property below must catch.
-        pub(super) static FORGET_A_PROBED_LINK: std::cell::Cell<bool> =
-            const { std::cell::Cell::new(false) };
-    }
-
     /// Runs `f` with the footprint recorder sabotaged.
     fn forgetting_a_probed_link<T>(f: impl FnOnce() -> T) -> T {
-        FORGET_A_PROBED_LINK.set(true);
-        let out = f();
-        FORGET_A_PROBED_LINK.set(false);
-        out
+        with_mutant(&plan::FORGET_A_PROBED_LINK, f)
     }
 
     /// Replays `cases` seeded op sequences on a network with the route
@@ -2763,30 +1705,69 @@ mod tests {
         assert!(caught.is_err(), "the property has no teeth: {caught:?}");
     }
 
+    // ----------------------------------------- the fill stage (`fill.rs`) --
+
     #[test]
-    fn many_connections_saturate_down_to_minimum() {
+    fn max_utility_policy_monopolizes() {
         let g = regular::ring(6).unwrap();
         let mut net = Network::new(
             g,
             NetworkConfig {
-                capacity: Bandwidth::kbps(2_000),
+                // 650 = two minima (200) + one full climb (400) + change:
+                // only one channel can reach its maximum.
+                capacity: Bandwidth::kbps(650),
+                policy: AdaptationPolicy::MaxUtility,
                 ..NetworkConfig::default()
             },
         );
-        let mut accepted = 0;
-        for i in 0..24 {
-            let (s, d) = (NodeId(i % 6), NodeId((i + 3) % 6));
-            if net.establish(s, d, qos()).is_ok() {
-                accepted += 1;
-            }
-        }
-        assert!(accepted >= 4, "accepted only {accepted}");
+        // Two overlapping connections; the second has (slightly) higher
+        // utility and should take every spare increment.
+        let lo = qos().with_utility(1.0).unwrap();
+        let hi = qos().with_utility(1.01).unwrap();
+        let a = net.establish(NodeId(0), NodeId(3), lo).unwrap();
+        let b = net.establish(NodeId(0), NodeId(3), hi).unwrap();
         net.validate();
-        // Heavily loaded ring: the average sits near the minimum.
-        let avg = net.average_bandwidth().unwrap();
-        assert!(avg < 300.0, "expected saturation, avg {avg}");
+        let bw_a = net.connection(a).unwrap().bandwidth();
+        let bw_b = net.connection(b).unwrap().bandwidth();
+        assert!(
+            bw_b > bw_a,
+            "higher-utility channel should win: {bw_a} vs {bw_b}"
+        );
+        assert_eq!(bw_a, Bandwidth::kbps(100), "loser stays at minimum");
     }
-    // -------------------------------------- the fill vs its reference --
+
+    #[test]
+    fn coefficient_policy_shares_fairly() {
+        let g = regular::ring(6).unwrap();
+        let mut net = Network::new(
+            g,
+            NetworkConfig {
+                capacity: Bandwidth::kbps(1_000),
+                policy: AdaptationPolicy::Coefficient,
+                ..NetworkConfig::default()
+            },
+        );
+        let a = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
+        let b = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
+        net.validate();
+        let bw_a = net.connection(a).unwrap().bandwidth();
+        let bw_b = net.connection(b).unwrap().bandwidth();
+        let diff = bw_a.as_kbps().abs_diff(bw_b.as_kbps());
+        assert!(diff <= 100, "fair split expected: {bw_a} vs {bw_b}");
+    }
+
+    #[test]
+    fn rigid_qos_never_grows() {
+        let g = regular::ring(6).unwrap();
+        let mut net = Network::new(g, NetworkConfig::default());
+        let q = ElasticQos::rigid(Bandwidth::kbps(100)).unwrap();
+        let id = net.establish(NodeId(0), NodeId(3), q).unwrap();
+        assert_eq!(
+            net.connection(id).unwrap().bandwidth(),
+            Bandwidth::kbps(100)
+        );
+        net.validate();
+    }
 
     /// The slack predicate weakened by one (smallest) increment: the
     /// mutant the differential below must catch.
@@ -2794,87 +1775,6 @@ mod tests {
         net.redistribute_with(candidates, |link, demand| {
             link.is_up() && link.headroom() + Bandwidth::kbps(50) >= demand
         });
-    }
-
-    fn random_qos(rng: &mut Rng) -> ElasticQos {
-        let min = [50, 100, 150][rng.range_usize(3)];
-        let step = [50, 100, 200][rng.range_usize(3)];
-        let levels = rng.range_u64(7);
-        let utility = [0.5, 1.0, 1.0, 1.01, 2.0, 3.7][rng.range_usize(6)];
-        ElasticQos::new(
-            Bandwidth::kbps(min),
-            Bandwidth::kbps(min + step * levels),
-            Bandwidth::kbps(step),
-            utility,
-        )
-        .unwrap()
-    }
-
-    fn random_request(rng: &mut Rng, nodes: usize) -> EstablishRequest {
-        EstablishRequest {
-            src: NodeId(rng.range_usize(nodes)),
-            dst: NodeId(rng.range_usize(nodes)),
-            qos: random_qos(rng),
-        }
-    }
-
-    /// One seeded case: a small network under a random op sequence whose
-    /// fills come from commits, batches, releases and link failures.
-    fn random_case(case: u64) -> (Network, Rng) {
-        let mut rng = Rng::seed_from_u64(0xF111 ^ case);
-        let graph = match case % 3 {
-            0 => regular::ring(5 + rng.range_usize(4)).unwrap(),
-            1 => regular::torus(3, 3 + rng.range_usize(2)).unwrap(),
-            _ => waxman::paper_waxman(12 + rng.range_usize(8))
-                .generate(&mut rng)
-                .unwrap(),
-        };
-        // Starved, tight, slack, or (below) a different one per link.
-        let classes = [300, 600, 1_000, 2_500, 10_000];
-        let class = rng.range_usize(classes.len() + 1);
-        let policy = if rng.chance(0.5) {
-            AdaptationPolicy::Coefficient
-        } else {
-            AdaptationPolicy::MaxUtility
-        };
-        let mut net = Network::new(
-            graph,
-            NetworkConfig {
-                capacity: Bandwidth::kbps(*classes.get(class).unwrap_or(&1_000)),
-                policy,
-                require_backup: rng.chance(0.7),
-                route_cache: false,
-                ..NetworkConfig::default()
-            },
-        );
-        if class == classes.len() {
-            for usage in &mut net.links {
-                *usage = LinkUsage::new(Bandwidth::kbps(classes[rng.range_usize(classes.len())]));
-            }
-        }
-        (net, rng)
-    }
-
-    /// Applies one random op to `net`, rendering its result.
-    fn random_op(net: &mut Network, rng: &mut Rng) -> String {
-        let nodes = net.graph().node_count();
-        let links = net.graph().link_count();
-        let live: Vec<ConnectionId> = net.connections().map(|c| c.id()).collect();
-        match rng.range_usize(100) {
-            0..=14 if !live.is_empty() => {
-                format!("{:?}", net.release(live[rng.range_usize(live.len())]))
-            }
-            15..=22 => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
-            23..=26 => format!("{:?}", net.repair_link(LinkId(rng.range_usize(links)))),
-            27..=32 => {
-                let reqs: Vec<_> = (0..3).map(|_| random_request(rng, nodes)).collect();
-                format!("{:?}", net.establish_batch(&reqs))
-            }
-            _ => {
-                let r = random_request(rng, nodes);
-                format!("{:?}", net.establish(r.src, r.dst, r.qos))
-            }
-        }
     }
 
     /// Replays `cases` seeded op sequences, running every op on a clone
@@ -2921,25 +1821,6 @@ mod tests {
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
-    /// Two 100–500 Kbps channels on the single link of a two-node line:
-    /// the second commit's fill sees both at level 0, asking 800 Kbps of
-    /// the link between them.
-    fn two_on_one_link(capacity_kbps: u64) -> Network {
-        let mut net = Network::new(
-            regular::grid(1, 2).unwrap(),
-            NetworkConfig {
-                capacity: Bandwidth::kbps(capacity_kbps),
-                require_backup: false,
-                ..NetworkConfig::default()
-            },
-        );
-        for _ in 0..2 {
-            net.establish(NodeId(0), NodeId(1), qos()).unwrap();
-        }
-        net.validate();
-        net
-    }
-
     fn bulk_flags(net: &Network) -> Vec<bool> {
         net.fill.rows.iter().map(|r| r.bulk).collect()
     }
@@ -2949,12 +1830,6 @@ mod tests {
         let net = two_on_one_link(200 + 800);
         assert_eq!(bulk_flags(&net), [true, true]);
         assert_eq!(net.total_primary_bandwidth(), Bandwidth::kbps(1_000));
-    }
-
-    /// The live `(slot, id)` pairs, in id order.
-    fn live_pairs(net: &Network) -> Vec<ChainPair> {
-        let pairs = net.connections.iter();
-        pairs.map(|(slot, c)| (slot, c.id())).collect()
     }
 
     /// Drops every live channel to its minimum, so a fill has work to do.
@@ -3017,18 +1892,6 @@ mod tests {
         assert_eq!(net.connection(ConnectionId(0)).unwrap().level(), 4);
     }
 
-    // ------------------------------ unsorted, slot-addressed chain sets --
-
-    /// `n` 100–500 Kbps channels over the single link of a two-node line,
-    /// 99 Kbps short of room for everyone's maximum.
-    fn crowded_link(n: u64) -> Network {
-        let mut net = two_on_one_link(n * 500 - 99);
-        for _ in 2..n {
-            net.establish(NodeId(0), NodeId(1), qos()).unwrap();
-        }
-        net
-    }
-
     #[test]
     fn the_fill_ignores_the_order_of_its_candidates() {
         let mut rng = Rng::seed_from_u64(0x17_0DE4);
@@ -3082,62 +1945,308 @@ mod tests {
         assert!(alone != live);
     }
 
-    thread_local! {
-        static FILLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
+    // --------------------------------------- the fault stage (`fault.rs`) --
 
-    /// The production fill, counted.
-    fn counted_fill(net: &mut Network, candidates: &[ChainPair]) {
-        FILLS.set(FILLS.get() + 1);
-        net.redistribute_with(candidates, is_slack);
-    }
-
-    /// Admits `reqs` in one loop and returns how many deferred fills ran
-    /// before the flush, and how many commits there were.
-    fn fills_in_one_loop(net: &mut Network, reqs: &[EstablishRequest]) -> (usize, usize) {
-        FILLS.set(0);
-        let mut pending = None;
-        let admitted = with_fill(Some(counted_fill), || {
-            let admit = |r| net.admit(r, None, &mut pending).0.is_ok();
-            reqs.iter().map(admit).filter(|&ok| ok).count()
-        });
-        let fills = FILLS.get();
-        net.batch_flush(pending);
+    #[test]
+    fn topology_epoch_tracks_liveness_changes() {
+        let mut net = small_net(10_000);
+        assert_eq!(net.topology_epoch(), 0);
+        let l = net.graph().links().next().unwrap().id();
+        net.fail_link(l).unwrap();
+        assert_eq!(net.topology_epoch(), 1);
+        // No-op mutations (already-down link) leave the epoch alone.
+        assert!(net.fail_link(l).is_err());
+        assert_eq!(net.topology_epoch(), 1);
+        net.repair_link(l).unwrap();
+        assert_eq!(net.topology_epoch(), 2);
+        // Admission planning still works: the scratch needs no refresh.
+        net.establish(NodeId(0), NodeId(1), qos()).unwrap();
         net.validate();
-        (fills, admitted)
+        // fail_node bumps once per adjacent up link (ring: degree 2).
+        net.fail_node(NodeId(3)).unwrap();
+        assert_eq!(net.topology_epoch(), 4);
     }
 
     #[test]
-    fn a_fill_is_elided_exactly_when_the_next_commit_retreats_all_of_it() {
-        // Every plan on the tight ring covers the whole ring, so every
-        // commit retreats everyone: no deferred fill ever runs.
-        let (mut net, reqs) = tight_ring();
-        let (fills, commits) = fills_in_one_loop(&mut net, &reqs);
-        assert!(commits > 2, "{commits}");
-        assert_eq!(fills, 0);
-        // On a line without backups a commit chains only the channels on
-        // its own links: the fill deferred at one end must run before a
-        // commit at the other end, and is elided before one on top of it.
-        let mut g = Graph::new();
-        let n: Vec<NodeId> = (0..4).map(|_| g.add_node()).collect();
-        for w in n.windows(2) {
-            g.add_link(w[0], w[1]).unwrap();
-        }
-        let config = NetworkConfig {
-            require_backup: false,
-            ..NetworkConfig::default()
-        };
-        let mut net = Network::new(g, config);
-        let req = |src, dst| EstablishRequest {
-            src,
-            dst,
-            qos: qos(),
-        };
-        let far = [req(n[0], n[1]), req(n[2], n[3]), req(n[0], n[1])];
-        assert_eq!(fills_in_one_loop(&mut net.clone(), &far), (2, 3));
-        let near = [req(n[0], n[1]), req(n[0], n[1]), req(n[0], n[1])];
-        assert_eq!(fills_in_one_loop(&mut net, &near), (0, 3));
+    fn srlg_registration_validates_sorts_and_dedups() {
+        let mut net = small_net(10_000);
+        assert!(matches!(
+            net.register_srlg(vec![LinkId(99)]),
+            Err(NetworkError::UnknownLink(LinkId(99)))
+        ));
+        let g = net
+            .register_srlg(vec![LinkId(2), LinkId(0), LinkId(2)])
+            .unwrap();
+        assert_eq!(g, 0);
+        assert_eq!(net.srlg_count(), 1);
+        assert_eq!(net.srlg_links(g), Some(&[LinkId(0), LinkId(2)][..]));
+        assert_eq!(net.srlg_links(1), None);
     }
+
+    #[test]
+    fn srlg_fires_all_members_atomically_and_round_trips() {
+        let mut net = small_net(10_000);
+        let g = net.register_srlg(vec![LinkId(0), LinkId(3)]).unwrap();
+        let reports = net.fail_srlg(g).unwrap();
+        assert_eq!(reports.len(), 2, "both members fail in one event");
+        assert_eq!(net.topology_epoch(), 2);
+        assert!(net.up_links().all(|l| l != LinkId(0) && l != LinkId(3)));
+        // Firing again changes nothing.
+        assert!(matches!(
+            net.fail_srlg(g),
+            Err(NetworkError::SrlgStateUnchanged(0))
+        ));
+        net.repair_srlg(g).unwrap();
+        assert_eq!(net.up_links().count(), 6);
+        assert!(matches!(
+            net.repair_srlg(g),
+            Err(NetworkError::SrlgStateUnchanged(0))
+        ));
+        assert!(matches!(
+            net.fail_srlg(7),
+            Err(NetworkError::UnknownSrlg(7))
+        ));
+        net.validate();
+    }
+
+    #[test]
+    fn srlg_skips_members_already_down() {
+        let mut net = small_net(10_000);
+        let g = net.register_srlg(vec![LinkId(1), LinkId(4)]).unwrap();
+        net.fail_link(LinkId(1)).unwrap();
+        // Only the still-up member fails; no error, no double event.
+        let reports = net.fail_srlg(g).unwrap();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports.first().unwrap().link, LinkId(4));
+        net.validate();
+    }
+
+    #[test]
+    fn overlapping_node_and_srlg_failures_conserve_drop_count() {
+        // Regression: a fail_node that takes a connection down followed by
+        // an SRLG covering the same links must not count the victim twice.
+        let mut net = small_net(10_000);
+        let a = net.establish(NodeId(0), NodeId(2), qos()).unwrap();
+        let g: usize = {
+            // The SRLG covers every link node 1 touches, overlapping the
+            // primary *and* whatever backups exist.
+            let members: Vec<LinkId> = net
+                .graph()
+                .neighbors(NodeId(1))
+                .iter()
+                .map(|&(_, l)| l)
+                .collect();
+            net.register_srlg(members).unwrap()
+        };
+        net.fail_node(NodeId(1)).unwrap();
+        let dropped_after_node = net.dropped_total();
+        // The SRLG now has nothing left to do: every member is down.
+        assert!(matches!(
+            net.fail_srlg(g),
+            Err(NetworkError::SrlgStateUnchanged(_))
+        ));
+        assert_eq!(net.dropped_total(), dropped_after_node);
+        // Conservation: dropped + live == established.
+        assert_eq!(net.dropped_total() + net.len() as u64, 1);
+        let _ = a;
+        net.validate();
+    }
+
+    #[test]
+    fn failover_activates_backup() {
+        let mut net = small_net(10_000);
+        let id = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
+        let primary_first_link = net.connection(id).unwrap().primary().links()[0];
+        let backup_path = net.connection(id).unwrap().backup().unwrap().clone();
+        let report = net.fail_link(primary_first_link).unwrap();
+        assert_eq!(report.activated, vec![id]);
+        assert!(report.dropped.is_empty());
+        let c = net.connection(id).unwrap();
+        assert_eq!(c.primary(), &backup_path);
+        assert_eq!(c.failovers(), 1);
+        net.validate();
+    }
+
+    #[test]
+    fn failover_without_backup_drops() {
+        let g = regular::grid(1, 3).unwrap();
+        let mut net = Network::new(
+            g,
+            NetworkConfig {
+                require_backup: false,
+                ..NetworkConfig::default()
+            },
+        );
+        let id = net.establish(NodeId(0), NodeId(2), qos()).unwrap();
+        let l = net.connection(id).unwrap().primary().links()[0];
+        let report = net.fail_link(l).unwrap();
+        assert_eq!(report.dropped, vec![id]);
+        assert!(net.connection(id).is_none());
+        assert_eq!(net.dropped_total(), 1);
+        assert_eq!(net.len(), 0);
+        net.validate();
+    }
+
+    #[test]
+    fn backup_loss_is_reestablished_where_possible() {
+        let mut net = small_net(10_000);
+        let id = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
+        let backup_link = net.connection(id).unwrap().backup().unwrap().links()[0];
+        let report = net.fail_link(backup_link).unwrap();
+        assert_eq!(report.lost_backup, vec![id]);
+        assert!(report.activated.is_empty());
+        // On a 6-ring with one link down there is no second disjoint route,
+        // so the backup stays lost until repair.
+        assert!(!net.connection(id).unwrap().has_backup());
+        let regained = net.repair_link(backup_link).unwrap();
+        assert_eq!(regained, vec![id]);
+        assert!(net.connection(id).unwrap().has_backup());
+        net.validate();
+    }
+
+    #[test]
+    fn double_fail_and_double_repair_error() {
+        let mut net = small_net(10_000);
+        net.fail_link(LinkId(0)).unwrap();
+        assert!(matches!(
+            net.fail_link(LinkId(0)),
+            Err(NetworkError::LinkStateUnchanged(_))
+        ));
+        net.repair_link(LinkId(0)).unwrap();
+        assert!(matches!(
+            net.repair_link(LinkId(0)),
+            Err(NetworkError::LinkStateUnchanged(_))
+        ));
+        assert!(matches!(
+            net.fail_link(LinkId(99)),
+            Err(NetworkError::UnknownLink(_))
+        ));
+    }
+
+    #[test]
+    fn failure_forces_sharing_channels_to_retreat() {
+        // Torus: rich enough for several disjoint pairs.
+        let g = regular::torus(4, 4).unwrap();
+        let mut net = Network::new(
+            g,
+            NetworkConfig {
+                capacity: Bandwidth::kbps(1_500),
+                ..NetworkConfig::default()
+            },
+        );
+        let ids: Vec<ConnectionId> = (0..6)
+            .filter_map(|i| net.establish(NodeId(i), NodeId(15 - i), qos()).ok())
+            .collect();
+        assert!(ids.len() >= 3);
+        net.validate();
+        // Fail the first primary link of the first connection.
+        let l = net.connection(ids[0]).unwrap().primary().links()[0];
+        let report = net.fail_link(l).unwrap();
+        net.validate();
+        // Every surviving activated connection runs at some level; all
+        // invariants hold (validate above) and the report is consistent.
+        for id in &report.activated {
+            assert!(net.connection(*id).is_some());
+        }
+        for id in &report.dropped {
+            assert!(net.connection(*id).is_none());
+        }
+    }
+
+    #[test]
+    fn multi_backup_survives_two_failures() {
+        let g = regular::complete(6).unwrap();
+        let mut net = Network::new(
+            g,
+            NetworkConfig {
+                backup_count: 2,
+                reestablish_backups: false, // force reliance on the spares
+                ..NetworkConfig::default()
+            },
+        );
+        let id = net.establish(NodeId(0), NodeId(5), qos()).unwrap();
+        for round in 1..=2 {
+            let l = net.connection(id).unwrap().primary().links()[0];
+            let report = net.fail_link(l).unwrap();
+            assert_eq!(report.activated, vec![id], "round {round}");
+            net.validate();
+        }
+        let c = net.connection(id).unwrap();
+        assert_eq!(c.failovers(), 2);
+        assert!(!c.has_backup(), "both spares consumed");
+        // A third failure drops it.
+        let l = net.connection(id).unwrap().primary().links()[0];
+        let report = net.fail_link(l).unwrap();
+        assert_eq!(report.dropped, vec![id]);
+        net.validate();
+    }
+
+    #[test]
+    fn repair_tops_up_to_configured_count() {
+        let g = regular::complete(6).unwrap();
+        let mut net = Network::new(
+            g,
+            NetworkConfig {
+                backup_count: 2,
+                ..NetworkConfig::default()
+            },
+        );
+        let id = net.establish(NodeId(0), NodeId(5), qos()).unwrap();
+        let backup_link = net.connection(id).unwrap().backups()[0].links()[0];
+        net.fail_link(backup_link).unwrap();
+        net.validate();
+        // Re-establishment may already have topped it up (other routes
+        // exist in a complete graph); after repair the count must be back
+        // at the target either way.
+        net.repair_link(backup_link).unwrap();
+        assert_eq!(net.connection(id).unwrap().backup_count(), 2);
+        net.validate();
+    }
+
+    #[test]
+    fn node_failure_downs_all_adjacent_links() {
+        let g = regular::torus(4, 4).unwrap();
+        let mut net = Network::new(g, NetworkConfig::default());
+        let a = net.establish(NodeId(0), NodeId(10), qos()).unwrap();
+        let reports = net.fail_node(NodeId(5)).unwrap();
+        assert_eq!(reports.len(), 4, "a torus node has degree 4");
+        for &(_, l) in net.graph().neighbors(NodeId(5)) {
+            assert!(!net.link_usage(l).is_up());
+        }
+        // Connection 0→10 may have failed over but must not be corrupted.
+        if let Some(c) = net.connection(a) {
+            assert!(c.bandwidth() >= Bandwidth::kbps(100));
+        }
+        net.validate();
+    }
+
+    #[test]
+    fn node_failure_errors_once_all_links_down() {
+        let g = regular::ring(5).unwrap();
+        let mut net = Network::new(g, NetworkConfig::default());
+        let first = net.fail_node(NodeId(0)).unwrap();
+        assert_eq!(first.len(), 2);
+        // Second failure of the same node: nothing left to fail.
+        assert!(matches!(
+            net.fail_node(NodeId(0)),
+            Err(NetworkError::NodeAlreadyDown(NodeId(0)))
+        ));
+        net.validate();
+    }
+
+    #[test]
+    fn node_failure_checks_bounds() {
+        let g = regular::ring(5).unwrap();
+        let mut net = Network::new(g, NetworkConfig::default());
+        assert!(matches!(
+            net.fail_node(NodeId(99)),
+            Err(NetworkError::UnknownNode(NodeId(99)))
+        ));
+        // The error path must not bump the epoch.
+        assert_eq!(net.topology_epoch(), 0);
+    }
+
+    // -------------------------------- unsorted, slot-addressed chain sets --
 
     /// The stamp gather over `over`, every pair resolved to its live
     /// connection and the ids sorted.
@@ -3285,5 +2394,76 @@ mod tests {
             }
             assert_eq!(from_net, from_copy);
         }
+    }
+
+    // -------------------------------------------- the multiplexing ledger --
+
+    /// The lollipop of `routing::tests::maximal_fallback_minimizes_overlap`
+    /// — leaf 0 — 1, then the cycle 1-2-3-4-1 — with one connection 0→3:
+    /// every route from 0 crosses the leaf link, its backup's included.
+    fn lollipop_with_a_backup_on_its_own_primary() -> Network {
+        let mut g = Graph::with_nodes(5);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)] {
+            g.add_link(NodeId(a), NodeId(b)).unwrap();
+        }
+        let mut net = Network::new(g, NetworkConfig::default());
+        let id = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
+        let conn = net.connection(id).unwrap();
+        let leaf = LinkId(0);
+        assert!(conn.primary().crosses(leaf) && conn.backup().unwrap().crosses(leaf));
+        net
+    }
+
+    #[test]
+    fn a_conflict_set_that_keeps_the_backup_s_own_link_is_caught() {
+        assert_eq!(
+            lollipop_with_a_backup_on_its_own_primary().check_invariants(),
+            []
+        );
+        // Planner, registration and release all go wrong the same way, so
+        // the ledger agrees with its own maximum and with every twin a
+        // differential could hold it to; only the connection table differs.
+        let mutant = with_mutant(
+            &KEEP_THE_OWN_LINK,
+            lollipop_with_a_backup_on_its_own_primary,
+        );
+        let on_the_leaf = InvariantViolation::ConflictLedgerMismatch { link: LinkId(0) };
+        assert_eq!(mutant.check_invariants(), [on_the_leaf]);
+    }
+
+    #[test]
+    fn reserve_then_unreserve_leaves_every_touched_link_as_it_was() {
+        let mut net = cached_net(1_500, false);
+        for i in 0..6 {
+            net.establish(NodeId(i), NodeId(15 - i), qos()).unwrap();
+        }
+        // A backup that shares its first link with its primary, so the
+        // conflict set differs from link to link.
+        let path = |nodes: &[usize]| {
+            Path::from_nodes(net.graph(), nodes.iter().map(|&n| NodeId(n)).collect()).unwrap()
+        };
+        let (primary, backup) = (path(&[0, 1, 2, 3]), path(&[0, 1, 5, 6, 7, 3]));
+        let (id, min) = (ConnectionId(99), Bandwidth::kbps(150));
+        let before = net.links.clone();
+        let digests: Vec<u64> = before.iter().map(|u| u.plan_digest()).collect();
+        Network::reserve_backup(&mut net.links, id, min, &primary, &backup);
+        for l in backup.links() {
+            assert!(net.links[l.index()] != before[l.index()], "{l}");
+            assert_ne!(
+                net.links[l.index()].plan_digest(),
+                digests[l.index()],
+                "{l}"
+            );
+        }
+        // The shared link is keyed to the primary's other two links only.
+        let shared = backup.links()[0];
+        let keyed_to = |u: &LinkUsage| u.conflict_ledger().iter().map(|e| e.1).sum::<Bandwidth>();
+        let grown = keyed_to(&net.links[shared.index()]) - keyed_to(&before[shared.index()]);
+        assert_eq!(grown, min.times(2));
+        Network::unreserve_backup(&mut net.links, id, min, &primary, &backup);
+        assert!(net.links == before);
+        let after: Vec<u64> = net.links.iter().map(|u| u.plan_digest()).collect();
+        assert_eq!(after, digests);
+        net.validate();
     }
 }

@@ -1,0 +1,350 @@
+//! The fill stage: re-distribution of spare bandwidth among the elastic
+//! primaries an arrival, a termination or a failure left able to grow
+//! (Section 3.1's "retreat and re-distribution", the second half).
+
+use super::Network;
+use crate::channel::ConnectionId;
+use crate::conn_table::{ChainPair, Slot};
+use crate::link_state::LinkUsage;
+use crate::qos::{AdaptationPolicy, Bandwidth};
+use drqos_topology::graph::LinkId;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
+use std::ops::Range;
+
+/// One live fill candidate, loaded once from the connection table.
+#[derive(Debug)]
+pub(super) struct FillRow {
+    slot: Slot,
+    id: ConnectionId,
+    /// The level at load time; only rows that moved are written back.
+    loaded_level: usize,
+    level: usize,
+    max_level: usize,
+    increment: Bandwidth,
+    utility: f64,
+    /// This row's primary links, as a range of [`FillScratch::arena`].
+    links: Range<usize>,
+    /// Every link of the row is slack: granted to `max_level` in one step.
+    pub(super) bulk: bool,
+}
+
+impl FillRow {
+    /// The bandwidth this row could still be granted.
+    fn remaining(&self) -> Bandwidth {
+        self.increment.times((self.max_level - self.level) as u64)
+    }
+}
+
+/// A fill-heap entry: min-heap on `(score, id)` over [`FillRow`] indices.
+#[derive(Debug, PartialEq)]
+struct Scored {
+    score: f64,
+    id: ConnectionId,
+    row: usize,
+}
+
+impl Eq for Scored {}
+
+impl PartialOrd for Scored {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Scored {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap, so flip.
+        other
+            .score
+            .total_cmp(&self.score)
+            .then_with(|| other.id.cmp(&self.id))
+    }
+}
+
+/// The fill priority of a channel at `level`: lowest score grows first.
+fn fill_score(policy: AdaptationPolicy, level: usize, utility: f64) -> f64 {
+    match policy {
+        // Highest utility first; level is irrelevant (monopolize).
+        AdaptationPolicy::MaxUtility => -utility,
+        // Progressive filling: lowest weighted level first.
+        AdaptationPolicy::Coefficient => (level as f64 + 1.0) / utility,
+    }
+}
+
+/// Whether `link` can grant all of `demand` — the increments every
+/// candidate of one fill could still ask of it — and so can refuse
+/// nobody during that fill.
+pub(super) fn is_slack(link: &LinkUsage, demand: Bandwidth) -> bool {
+    link.is_up() && link.headroom() >= demand
+}
+
+/// Reusable work tables of [`Network::redistribute`]: a fill allocates
+/// nothing once these have grown to the working-set size. Not part of the
+/// network's state: every fill rebuilds them from scratch.
+#[derive(Debug, Default)]
+pub(super) struct FillScratch {
+    pub(super) rows: Vec<FillRow>,
+    /// The primary links of every row, back to back.
+    arena: Vec<LinkId>,
+    /// Per link, the bandwidth the rows could still ask of it; all zero
+    /// between fills.
+    demand: Vec<Bandwidth>,
+    /// The heap's backing store between fills (empty, capacity kept).
+    heap: Vec<Scored>,
+}
+
+impl Network {
+    /// Water-fills extra increments over the set `candidates`, in whatever
+    /// order it lists them, according to the adaptation policy.
+    pub(super) fn redistribute(&mut self, candidates: &[ChainPair]) {
+        #[cfg(test)]
+        if let Some(fill) = testing::FILL_OVERRIDE.get() {
+            return fill(self, candidates);
+        }
+        self.redistribute_with(candidates, is_slack);
+    }
+
+    /// [`Self::redistribute`] with the slack-link predicate as a
+    /// parameter, so a test can show that a weaker one is caught.
+    ///
+    /// Each live candidate that can still grow is loaded once into a flat
+    /// row; rows whose links are all slack are granted up to their
+    /// maximum in one step; the rest go through a lazy min-heap on
+    /// `(score, id)` that grants one increment per pop. Headroom only
+    /// shrinks during a fill, so a refused row is dropped for good.
+    ///
+    /// The shortcut is exact. A slack link has room for everything the
+    /// candidates could still ask of it, so it refuses nobody whatever the
+    /// grant order: a row on slack links only ends at its maximum. And
+    /// such rows touch no tight link, so the heap over the remaining rows
+    /// sees the tight links exactly as the one-increment-at-a-time fill
+    /// over all candidates would, and pops and grants in the same order.
+    ///
+    /// Nor does the order of `candidates` matter: every row is classified
+    /// before any is granted, the demand sums are integer additions, bulk
+    /// grants never touch a tight link, and the heap's `(score, id)` order
+    /// is total.
+    pub(super) fn redistribute_with(
+        &mut self,
+        candidates: &[ChainPair],
+        slack: impl Fn(&LinkUsage, Bandwidth) -> bool,
+    ) {
+        let policy = self.config.policy;
+        let Self {
+            links,
+            connections,
+            fill,
+            ..
+        } = self;
+        let FillScratch {
+            rows,
+            arena,
+            demand,
+            heap,
+        } = fill;
+        rows.clear();
+        arena.clear();
+        demand.resize(links.len(), Bandwidth::ZERO);
+
+        // Load the candidates that are still live — a pair whose slot has
+        // since been vacated or handed on is not — and below their maximum
+        // (the others can never be granted anything), summing per link
+        // what the loaded rows could still ask of it.
+        for &(slot, id) in candidates {
+            let Some(conn) = connections.at(slot, id) else {
+                continue;
+            };
+            let (level, max_level) = (conn.level(), conn.qos().max_level());
+            if level >= max_level {
+                continue;
+            }
+            let start = arena.len();
+            arena.extend_from_slice(conn.primary().links());
+            let row = FillRow {
+                slot,
+                id,
+                loaded_level: level,
+                level,
+                max_level,
+                increment: conn.qos().increment(),
+                utility: conn.qos().utility(),
+                links: start..arena.len(),
+                bulk: false,
+            };
+            for l in &arena[start..] {
+                demand[l.index()] += row.remaining();
+            }
+            rows.push(row);
+        }
+
+        // Classify every row before granting anything: grants eat the
+        // headroom the slack test reads.
+        for row in rows.iter_mut() {
+            row.bulk = arena[row.links.clone()]
+                .iter()
+                .all(|l| slack(&links[l.index()], demand[l.index()]));
+        }
+        let mut queue = std::mem::take(heap);
+        for (i, row) in rows.iter_mut().enumerate() {
+            if row.bulk {
+                for l in &arena[row.links.clone()] {
+                    links[l.index()].add_extra(row.remaining());
+                }
+                row.level = row.max_level;
+            } else {
+                queue.push(Scored {
+                    score: fill_score(policy, row.level, row.utility),
+                    id: row.id,
+                    row: i,
+                });
+            }
+        }
+        for l in arena.iter() {
+            demand[l.index()] = Bandwidth::ZERO;
+        }
+
+        // The tight remainder: one increment per pop, re-scored in place.
+        let mut queue = BinaryHeap::from(queue);
+        while let Some(mut top) = queue.peek_mut() {
+            let row = &mut rows[top.row];
+            let path = &arena[row.links.clone()];
+            let fits = |l: &LinkId| {
+                let u = &links[l.index()];
+                u.is_up() && u.headroom() >= row.increment
+            };
+            if !path.iter().all(fits) {
+                PeekMut::pop(top);
+                continue;
+            }
+            for l in path {
+                links[l.index()].add_extra(row.increment);
+            }
+            row.level += 1;
+            if row.level == row.max_level {
+                PeekMut::pop(top);
+            } else {
+                top.score = fill_score(policy, row.level, row.utility);
+            }
+        }
+        *heap = queue.into_vec();
+
+        // Write the moved levels back, and the total once.
+        for row in rows.iter().filter(|r| r.level != r.loaded_level) {
+            self.total_bandwidth += row.increment.times((row.level - row.loaded_level) as u64);
+            if let Some(conn) = connections.at_mut(row.slot, row.id) {
+                conn.set_level(row.level);
+            }
+        }
+    }
+}
+
+/// The fill's test seam and the reference the production fill is held to.
+#[cfg(test)]
+pub(super) mod testing {
+    use super::*;
+    use crate::channel::DrConnection;
+
+    /// A fill every `redistribute` call on this thread runs in place of
+    /// the production one.
+    pub(in crate::network) type Fill = fn(&mut Network, &[ChainPair]);
+
+    thread_local! {
+        pub(super) static FILL_OVERRIDE: std::cell::Cell<Option<Fill>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// Runs `f` with every fill on this thread replaced by `fill`.
+    pub(in crate::network) fn with_fill<T>(fill: Option<Fill>, f: impl FnOnce() -> T) -> T {
+        let before = FILL_OVERRIDE.replace(fill);
+        let out = f();
+        FILL_OVERRIDE.set(before);
+        out
+    }
+
+    impl Network {
+        /// The fill as it was before the flat one, kept verbatim (but for
+        /// reading the ids out of the candidate pairs) as the reference
+        /// the production fill is compared against: per granted increment
+        /// two lookups by id, a link-list clone and a heap push.
+        pub(in crate::network) fn redistribute_reference(&mut self, candidates: &[ChainPair]) {
+            #[derive(PartialEq)]
+            struct Scored {
+                score: f64,
+                id: ConnectionId,
+            }
+            impl Eq for Scored {}
+            impl PartialOrd for Scored {
+                fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                    Some(self.cmp(other))
+                }
+            }
+            impl Ord for Scored {
+                fn cmp(&self, other: &Self) -> Ordering {
+                    // Min-heap on (score, id): BinaryHeap is a max-heap, so flip.
+                    other
+                        .score
+                        .total_cmp(&self.score)
+                        .then_with(|| other.id.cmp(&self.id))
+                }
+            }
+            let score = |policy: AdaptationPolicy, conn: &DrConnection| -> f64 {
+                match policy {
+                    // Highest utility first; level is irrelevant (monopolize).
+                    AdaptationPolicy::MaxUtility => -conn.qos().utility(),
+                    // Progressive filling: lowest weighted level first.
+                    AdaptationPolicy::Coefficient => {
+                        (conn.level() as f64 + 1.0) / conn.qos().utility()
+                    }
+                }
+            };
+            let policy = self.config.policy;
+            let mut heap: BinaryHeap<Scored> = candidates
+                .iter()
+                .filter_map(|&(_, id)| self.connection(id))
+                .map(|conn| Scored {
+                    score: score(policy, conn),
+                    id: conn.id(),
+                })
+                .collect();
+            while let Some(Scored { id, .. }) = heap.pop() {
+                if !self.can_grow(id) {
+                    // Headroom never grows during the fill: drop permanently.
+                    continue;
+                }
+                self.grant(id);
+                heap.push(Scored {
+                    score: score(policy, self.connection(id).unwrap()),
+                    id,
+                });
+            }
+        }
+
+        /// Whether `id` can absorb one more increment on every link of its
+        /// path.
+        fn can_grow(&self, id: ConnectionId) -> bool {
+            let conn = self.connection(id).unwrap();
+            if conn.level() >= conn.qos().max_level() {
+                return false;
+            }
+            let inc = conn.qos().increment();
+            conn.primary()
+                .links()
+                .iter()
+                .all(|&l| self.links[l.index()].is_up() && self.links[l.index()].headroom() >= inc)
+        }
+
+        /// Grants one increment to `id`.
+        fn grant(&mut self, id: ConnectionId) {
+            let conn = self.connections.get_mut(id).expect("grant of unknown id");
+            let inc = conn.qos().increment();
+            conn.set_level(conn.level() + 1);
+            let links = conn.primary().links().to_vec();
+            for l in links {
+                self.links[l.index()].add_extra(inc);
+            }
+            self.total_bandwidth += inc;
+        }
+    }
+}

@@ -1,0 +1,279 @@
+//! The plan stage: route search for one request, nothing reserved.
+//!
+//! A plan is the primary the bounded flood confirms and, for each backup
+//! the configuration asks for, a route disjoint from it whose multiplexed
+//! reservation fits on every link (Section 3.1's first two operations).
+//! Planning takes `&self`; [`super::Network::admit`] commits what it
+//! returns at the sequential point.
+
+use super::{conflict_set, Network};
+use crate::error::AdmissionError;
+use crate::qos::{Bandwidth, ElasticQos};
+use crate::routing::{self, RouteScratch};
+use drqos_topology::graph::{LinkId, NodeId};
+use drqos_topology::paths::Path;
+use std::cell::RefCell;
+
+/// A routed-but-not-committed DR-connection (the confirmation message of
+/// the flooding protocol, as it were).
+#[derive(Debug, Clone, PartialEq)]
+pub struct EstablishPlan {
+    pub(super) qos: ElasticQos,
+    pub(super) primary: Path,
+    pub(super) backups: Vec<Path>,
+}
+
+impl EstablishPlan {
+    /// The QoS the plan was routed for.
+    pub fn qos(&self) -> &ElasticQos {
+        &self.qos
+    }
+
+    /// The primary route.
+    pub fn primary(&self) -> &Path {
+        &self.primary
+    }
+
+    /// The first backup route, if one was found.
+    pub fn backup(&self) -> Option<&Path> {
+        self.backups.first()
+    }
+
+    /// All backup routes found (up to the configured backup count).
+    pub fn backups(&self) -> &[Path] {
+        &self.backups
+    }
+}
+
+/// What [`Network::plan_establish_traced`] returns and [`Network::admit`]
+/// takes as a hint: a plan or rejection, with the footprint it rests on
+/// (every link the search probed, with its plan digest at planning time).
+pub type PrePlanned = (Result<EstablishPlan, AdmissionError>, Vec<(LinkId, u64)>);
+
+#[cfg(test)]
+thread_local! {
+    /// While set, a recorded footprint leaves out one of the links the
+    /// search probed: the mutant the cache differential and the footprint
+    /// property must catch.
+    pub(super) static FORGET_A_PROBED_LINK: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
+impl Network {
+    /// Routes (but does not commit) a new DR-connection.
+    ///
+    /// # Errors
+    ///
+    /// * [`AdmissionError::UnknownNode`] / [`AdmissionError::SameEndpoints`]
+    ///   for invalid endpoints.
+    /// * [`AdmissionError::NoPrimaryRoute`] if no route can carry the
+    ///   minimum QoS.
+    /// * [`AdmissionError::NoBackupRoute`] if backups are required and no
+    ///   feasible link-disjoint backup exists.
+    pub fn plan_establish(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        qos: ElasticQos,
+    ) -> Result<EstablishPlan, AdmissionError> {
+        self.check_endpoints(src, dst)?;
+        let min = qos.min();
+        let key = (src, dst, min.as_kbps());
+        let mut record = false;
+        if self.config.route_cache {
+            let mut cache = self.lock_cache();
+            let hit = cache.lookup(key, |l| self.links[l.index()].plan_digest());
+            if let Some((primary, backups)) = hit {
+                return Ok(EstablishPlan {
+                    qos,
+                    primary,
+                    backups,
+                });
+            }
+            // Doorkeeper: memoize only keys that miss twice. One-shot
+            // pairs (most of a sweep's arrivals) skip footprint recording
+            // and entry maintenance entirely.
+            record = cache.promote(key);
+        }
+        // While the real search runs, record every link it probes: a
+        // successful plan is memoized together with the probed links'
+        // digests, which is exactly the state the search depended on.
+        let footprint: RefCell<Vec<LinkId>> = RefCell::new(Vec::new());
+        let fp = record.then_some(&footprint);
+        let (primary, backups) =
+            self.with_scratch(|scratch| self.plan_routes(scratch, src, dst, min, fp))?;
+        if record {
+            let digests = self.footprint_digests(footprint.into_inner());
+            self.lock_cache()
+                .insert(key, primary.clone(), backups.clone(), digests);
+        }
+        Ok(EstablishPlan {
+            qos,
+            primary,
+            backups,
+        })
+    }
+
+    /// Routes (but does not commit) a new DR-connection against a frozen
+    /// network, recording the full admission **footprint**: every link the
+    /// search probed, with its [`LinkUsage::plan_digest`] at planning time.
+    ///
+    /// This is the pre-planner behind [`Network::admit`]'s hints (wave
+    /// phase 1, a cluster member's replica). Unlike
+    /// [`Network::plan_establish`] it never consults or fills the route
+    /// cache (so concurrent planners share `&self` without perturbing the
+    /// sequential point's cache counters) and it records the footprint
+    /// even when the plan **fails** — a rejection is only as valid as the
+    /// link state it observed, and `admit` must revalidate that too (more
+    /// admitted traffic can change *which* error a request gets).
+    ///
+    /// The caller supplies the [`RouteScratch`] (one per planning thread);
+    /// any scratch will do, whatever it was last used for.
+    pub fn plan_establish_traced(
+        &self,
+        scratch: &mut RouteScratch,
+        src: NodeId,
+        dst: NodeId,
+        qos: ElasticQos,
+    ) -> PrePlanned {
+        if let Err(e) = self.check_endpoints(src, dst) {
+            return (Err(e), Vec::new());
+        }
+        let footprint: RefCell<Vec<LinkId>> = RefCell::new(Vec::new());
+        let result = self.plan_routes(scratch, src, dst, qos.min(), Some(&footprint));
+        let digests = self.footprint_digests(footprint.into_inner());
+        (
+            result.map(|(primary, backups)| EstablishPlan {
+                qos,
+                primary,
+                backups,
+            }),
+            digests,
+        )
+    }
+
+    /// Endpoint validation shared by every planning entry point.
+    fn check_endpoints(&self, src: NodeId, dst: NodeId) -> Result<(), AdmissionError> {
+        if !self.graph.contains_node(src) {
+            return Err(AdmissionError::UnknownNode(src));
+        }
+        if !self.graph.contains_node(dst) {
+            return Err(AdmissionError::UnknownNode(dst));
+        }
+        if src == dst {
+            return Err(AdmissionError::SameEndpoints(src));
+        }
+        Ok(())
+    }
+
+    /// Sorts, dedups, and digests a raw probe log. A plain Vec with
+    /// deferred dedup: the search probes links far more often than there
+    /// are distinct links, and a push is much cheaper than an ordered-set
+    /// insert on this hot path.
+    fn footprint_digests(&self, mut probed: Vec<LinkId>) -> Vec<(LinkId, u64)> {
+        probed.sort_unstable();
+        probed.dedup();
+        #[cfg(test)]
+        if FORGET_A_PROBED_LINK.get() && !probed.is_empty() {
+            probed.remove(probed.len() / 2);
+        }
+        probed
+            .into_iter()
+            .map(|l| (l, self.links[l.index()].plan_digest()))
+            .collect()
+    }
+
+    /// The route search shared by [`Network::plan_establish`] and
+    /// [`Network::plan_establish_traced`]: primary plus backups, probing
+    /// links through `fp` when the caller records a footprint.
+    fn plan_routes(
+        &self,
+        scratch: &mut RouteScratch,
+        src: NodeId,
+        dst: NodeId,
+        min: Bandwidth,
+        fp: Option<&RefCell<Vec<LinkId>>>,
+    ) -> Result<(Path, Vec<Path>), AdmissionError> {
+        let touch = |l: LinkId| {
+            if let Some(f) = fp {
+                f.borrow_mut().push(l);
+            }
+        };
+        let primary_filter = |l: LinkId| {
+            touch(l);
+            self.links[l.index()].can_admit_primary(min)
+        };
+        let primary_allowance = |l: LinkId| {
+            touch(l);
+            let u = &self.links[l.index()];
+            u.capacity().saturating_sub(u.hard_committed())
+        };
+        let primary = routing::route_primary_with(
+            scratch,
+            self.config.router,
+            &self.graph,
+            src,
+            dst,
+            &primary_filter,
+            &primary_allowance,
+        )
+        .ok_or(AdmissionError::NoPrimaryRoute)?;
+        let want = if self.config.require_backup {
+            self.config.backup_count.max(1)
+        } else {
+            self.config.backup_count
+        };
+        let mut backups: Vec<Path> = Vec::new();
+        while backups.len() < want {
+            let Some(b) = self.plan_backup(scratch, &primary, min, &backups, fp) else {
+                break;
+            };
+            backups.push(b);
+        }
+        if backups.is_empty() && self.config.require_backup {
+            return Err(AdmissionError::NoBackupRoute);
+        }
+        Ok((primary, backups))
+    }
+
+    /// Routes one more backup for the given primary path, link-disjoint
+    /// from the already-chosen `existing` backups, or `None`. Probed links
+    /// are recorded into `fp` when the caller is building a cache
+    /// footprint (`None` on the non-cached maintenance paths).
+    pub(super) fn plan_backup(
+        &self,
+        scratch: &mut RouteScratch,
+        primary: &Path,
+        min: Bandwidth,
+        existing: &[Path],
+        fp: Option<&RefCell<Vec<LinkId>>>,
+    ) -> Option<Path> {
+        let touch = |l: LinkId| {
+            if let Some(f) = fp {
+                f.borrow_mut().push(l);
+            }
+        };
+        let conflicts = |l: LinkId| conflict_set(primary.links(), l);
+        let backup_filter = |l: LinkId| {
+            touch(l);
+            !existing.iter().any(|b| b.crosses(l))
+                && self.links[l.index()].can_admit_backup(min, &conflicts(l))
+        };
+        let backup_allowance = |l: LinkId| {
+            touch(l);
+            let u = &self.links[l.index()];
+            let reservation = u.reservation_if_backup_added(min, &conflicts(l));
+            u.capacity()
+                .saturating_sub(u.primary_min_sum() + reservation)
+        };
+        routing::route_backup_with(
+            scratch,
+            self.config.router,
+            &self.graph,
+            primary,
+            self.config.disjointness,
+            &backup_filter,
+            &backup_allowance,
+        )
+    }
+}

@@ -13,21 +13,16 @@
 //! paper's request copies, the search stays inside a region around the
 //! source–destination pair: it enters only nodes from which the
 //! destination can still be reached within the hops that are left (see
-//! [`FloodScratch`]). Two alternatives are provided for comparison:
-//!
-//! * [`RouterKind::Shortest`] — plain BFS, no allowance tie-break (a
-//!   cheaper, less informed baseline);
-//! * [`RouterKind::SuurballePair`] — jointly optimal link-disjoint pair via
-//!   Suurballe's algorithm, falling back to two-phase search when the
-//!   backup's multiplexed reservation does not fit on the optimal pair.
+//! [`FloodScratch`]).
 
 use crate::qos::Bandwidth;
 use drqos_topology::graph::{Graph, LinkId, NodeId};
-use drqos_topology::paths::{bfs_path_with, BfsScratch, LinkFilter, Path};
+use drqos_topology::paths::{LinkFilter, Path};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The route-selection strategy of a network.
+/// The route-selection strategy of a network: there is one, and this enum
+/// is how its one parameter travels through [`crate::network::NetworkConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterKind {
     /// Emulated bounded flooding (the paper's scheme). `hop_slack` is how
@@ -38,12 +33,6 @@ pub enum RouterKind {
         /// Extra hops allowed for the backup beyond the primary's length.
         hop_slack: usize,
     },
-    /// Fewest-hops primary, fewest-hops disjoint backup, no bandwidth
-    /// tie-break and no flooding bound.
-    Shortest,
-    /// Minimum-total-hops link-disjoint pair (Suurballe), with two-phase
-    /// fallback when backup reservations do not fit on the optimal pair.
-    SuurballePair,
 }
 
 impl Default for RouterKind {
@@ -468,30 +457,9 @@ pub(crate) fn flood_path_with(
     scratch.deepen(graph, src, dst, hop_bound, filter, allowance)
 }
 
-/// Reusable route-search state for one network: flood and BFS buffers
-/// behind a single handle, so the admission path allocates nothing per
-/// attempt. Both are generation-stamped, so the handle outlives link
-/// failures and repairs (which only flip liveness the filters read).
-#[derive(Debug, Clone, Default)]
-pub struct RouteScratch {
-    /// Buffers for [`flood_path_with`].
-    pub flood: FloodScratch,
-    /// Buffers for [`drqos_topology::paths::bfs_path_with`].
-    pub bfs: BfsScratch,
-}
-
-impl RouteScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops all cached search state (never required for correctness).
-    pub fn invalidate(&mut self) {
-        self.flood.invalidate();
-        self.bfs.invalidate();
-    }
-}
+/// The route-search scratch a planner hands to [`route_primary_with`] and
+/// [`route_backup_with`].
+pub type RouteScratch = FloodScratch;
 
 /// Routes a primary channel according to `kind`, reusing the caller-owned
 /// search buffers.
@@ -507,20 +475,11 @@ pub fn route_primary_with(
     filter: &LinkFilter,
     allowance: &dyn Fn(LinkId) -> Bandwidth,
 ) -> Option<Path> {
-    match kind {
-        RouterKind::BoundedFlooding { .. } => flood_path_with(
-            &mut scratch.flood,
-            graph,
-            src,
-            dst,
-            graph.node_count(),
-            filter,
-            allowance,
-        ),
-        RouterKind::Shortest | RouterKind::SuurballePair => {
-            bfs_path_with(&mut scratch.bfs, graph, src, dst, filter)
-        }
-    }
+    // The primary's flood is bounded by the network alone; `hop_slack`
+    // bounds only the backup's.
+    let RouterKind::BoundedFlooding { .. } = kind;
+    let hop_bound = graph.node_count();
+    flood_path_with(scratch, graph, src, dst, hop_bound, filter, allowance)
 }
 
 /// Routes a backup channel, link-disjoint from `primary`, according to
@@ -528,7 +487,7 @@ pub fn route_primary_with(
 ///
 /// `filter` must already encode backup-specific feasibility (multiplexed
 /// reservation headroom); this function additionally excludes the primary's
-/// links and, for bounded flooding, enforces the flooding bound.
+/// links and enforces the flooding bound.
 pub fn route_backup_with(
     scratch: &mut RouteScratch,
     kind: RouterKind,
@@ -542,48 +501,18 @@ pub fn route_backup_with(
     // link slice, which beats hashing it.
     let disjoint_filter = |l: LinkId| !primary.crosses(l) && filter(l);
     let (src, dst) = (primary.source(), primary.destination());
-    let strict = match kind {
-        RouterKind::BoundedFlooding { hop_slack } => {
-            let bound = primary.hop_count().saturating_add(hop_slack);
-            flood_path_with(
-                &mut scratch.flood,
-                graph,
-                src,
-                dst,
-                bound,
-                &disjoint_filter,
-                allowance,
-            )
-        }
-        RouterKind::Shortest | RouterKind::SuurballePair => {
-            // No probe memo for the fallback to start from.
-            scratch.flood.begin(graph);
-            bfs_path_with(&mut scratch.bfs, graph, src, dst, &disjoint_filter)
-        }
-    };
+    let RouterKind::BoundedFlooding { hop_slack } = kind;
+    let bound = primary.hop_count().saturating_add(hop_slack);
+    let strict = flood_path_with(scratch, graph, src, dst, bound, &disjoint_filter, allowance);
     if strict.is_some() || disjointness == BackupDisjointness::Strict {
         return strict;
     }
-    let candidate = scratch.flood.least_shared_path(graph, primary, filter)?;
+    let candidate = scratch.least_shared_path(graph, primary, filter)?;
     // A backup that *is* the primary protects nothing.
     if candidate.links().iter().all(|&l| primary.crosses(l)) {
         return None;
     }
     Some(candidate)
-}
-
-/// For [`RouterKind::SuurballePair`]: the jointly optimal link-disjoint
-/// pair under the *primary* feasibility filter. The caller must still
-/// verify the second path against backup feasibility and fall back to
-/// [`route_backup_with`] if it does not fit.
-pub(crate) fn route_pair(
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    filter: &LinkFilter,
-) -> Option<(Path, Path)> {
-    drqos_topology::disjoint::suurballe(graph, src, dst, filter)
-        .map(|pair| (pair.first, pair.second))
 }
 
 #[cfg(test)]
@@ -713,33 +642,28 @@ mod tests {
     #[test]
     fn backup_is_disjoint() {
         let g = regular::ring(6).unwrap();
-        for kind in [
-            RouterKind::default(),
-            RouterKind::Shortest,
-            RouterKind::SuurballePair,
-        ] {
-            let p = route_primary_with(
-                &mut RouteScratch::new(),
-                kind,
-                &g,
-                NodeId(0),
-                NodeId(3),
-                &pass_all,
-                &no_allowance_bias,
-            )
-            .unwrap();
-            let b = route_backup_with(
-                &mut RouteScratch::new(),
-                kind,
-                &g,
-                &p,
-                BackupDisjointness::Strict,
-                &pass_all,
-                &no_allowance_bias,
-            )
-            .unwrap();
-            assert!(p.is_link_disjoint(&b), "{kind:?}");
-        }
+        let kind = RouterKind::default();
+        let p = route_primary_with(
+            &mut RouteScratch::new(),
+            kind,
+            &g,
+            NodeId(0),
+            NodeId(3),
+            &pass_all,
+            &no_allowance_bias,
+        )
+        .unwrap();
+        let b = route_backup_with(
+            &mut RouteScratch::new(),
+            kind,
+            &g,
+            &p,
+            BackupDisjointness::Strict,
+            &pass_all,
+            &no_allowance_bias,
+        )
+        .unwrap();
+        assert!(p.is_link_disjoint(&b));
     }
 
     #[test]
@@ -852,20 +776,6 @@ mod tests {
             &no_allowance_bias
         )
         .is_none());
-    }
-
-    #[test]
-    fn route_pair_on_ring() {
-        let g = regular::ring(6).unwrap();
-        let (a, b) = route_pair(&g, NodeId(0), NodeId(3), &pass_all).unwrap();
-        assert!(a.is_link_disjoint(&b));
-        assert_eq!(a.hop_count() + b.hop_count(), 6);
-    }
-
-    #[test]
-    fn route_pair_none_on_line() {
-        let g = regular::grid(1, 3).unwrap();
-        assert!(route_pair(&g, NodeId(0), NodeId(2), &pass_all).is_none());
     }
 
     #[test]
@@ -1345,7 +1255,7 @@ mod tests {
             &no_allowance_bias,
         );
         assert_eq!(strict, None);
-        assert_eq!(scratch.flood.tally, (1, 1));
+        assert_eq!(scratch.tally, (1, 1));
     }
 
     #[test]
@@ -1392,8 +1302,8 @@ mod tests {
     }
 
     /// Maximally-disjoint [`route_backup_with`] as it was, kept as the
-    /// reference: the reference flood (or BFS) for the strict search, then
-    /// the topology crate's allocating Dijkstra under a floating-point
+    /// reference: the reference flood for the strict search, then the
+    /// topology crate's allocating Dijkstra under a floating-point
     /// weight, `filter` asked afresh from both ends of every link.
     fn route_backup_reference(
         scratch: &mut RouteScratch,
@@ -1405,18 +1315,16 @@ mod tests {
     ) -> Option<Path> {
         let disjoint_filter = |l: LinkId| !primary.crosses(l) && filter(l);
         let (src, dst) = (primary.source(), primary.destination());
-        let strict = match kind {
-            RouterKind::BoundedFlooding { hop_slack } => flood_path_reference(
-                &mut scratch.flood,
-                graph,
-                src,
-                dst,
-                primary.hop_count() + hop_slack,
-                &disjoint_filter,
-                allowance,
-            ),
-            _ => bfs_path_with(&mut scratch.bfs, graph, src, dst, &disjoint_filter),
-        };
+        let RouterKind::BoundedFlooding { hop_slack } = kind;
+        let strict = flood_path_reference(
+            scratch,
+            graph,
+            src,
+            dst,
+            primary.hop_count() + hop_slack,
+            &disjoint_filter,
+            allowance,
+        );
         if strict.is_some() {
             return strict;
         }
@@ -1457,16 +1365,16 @@ mod tests {
     ) -> Option<Path> {
         let (aside, strict) = (&mut RouteScratch::new(), BackupDisjointness::Strict);
         route_backup_with(aside, kind, graph, primary, strict, filter, allowance).or_else(|| {
-            let candidate = scratch.flood.least_shared_path(graph, primary, filter)?;
+            let candidate = scratch.least_shared_path(graph, primary, filter)?;
             unless_identical(candidate, primary)
         })
     }
 
     /// Runs `cases` seeded primary-then-backup searches — the backup under
-    /// its own refusals, flooding with slack 0–2 or fewest-hops — through
-    /// `subject` and the reference, one scratch each for the whole run.
-    /// Both must return the same backup, and after a flood the subject may
-    /// offer no link to `filter` twice across strict search and fallback.
+    /// its own refusals, flooding with slack 0–3 — through `subject` and
+    /// the reference, one scratch each for the whole run. Both must return
+    /// the same backup, and the subject may offer no link to `filter`
+    /// twice across strict search and fallback.
     /// Returns how many fallbacks found a backup, and how many found none.
     fn fallback_differential(
         cases: usize,
@@ -1483,11 +1391,8 @@ mod tests {
                 let refuse = [0.0, 0.2, 0.5][rng.range_usize(3)];
                 graph.links().map(|_| rng.chance(refuse)).collect()
             };
-            let kind = match rng.range_usize(4) {
-                0 => RouterKind::Shortest,
-                hop_slack => RouterKind::BoundedFlooding {
-                    hop_slack: hop_slack - 1,
-                },
+            let kind = RouterKind::BoundedFlooding {
+                hop_slack: rng.range_usize(4),
             };
             let allowance = |l: LinkId| case.allowance[l.index()];
             let primary_filter = |l: LinkId| !case.refused[l.index()];
@@ -1524,8 +1429,7 @@ mod tests {
             let calls = asked.len();
             asked.sort_unstable();
             asked.dedup();
-            // (The fewest-hops router's BFS keeps no memo to continue.)
-            if asked.len() != calls && kind != RouterKind::Shortest {
+            if asked.len() != calls {
                 return Err(format!("case {i}: a link was offered to the filter twice"));
             }
             match got {

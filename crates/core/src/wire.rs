@@ -188,7 +188,10 @@ impl InvariantViolation {
             InvariantViolation::PrimarySetMismatch { .. } => 407,
             InvariantViolation::BackupSetMismatch { .. } => 408,
             InvariantViolation::CapacityExceeded { .. } => 409,
-            InvariantViolation::ReservationOutOfSync { .. } => 410,
+            // The ledger and the maximum cached over it are one subject
+            // on the wire.
+            InvariantViolation::ReservationOutOfSync { .. }
+            | InvariantViolation::ConflictLedgerMismatch { .. } => 410,
         }
     }
 }

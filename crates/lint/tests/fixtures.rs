@@ -519,6 +519,41 @@ fn zone_map_fires_on_a_row_that_matches_no_file() {
 }
 
 #[test]
+fn zone_map_fires_on_a_file_row_that_is_only_a_prefix() {
+    // The rules read a `*_FILES` table by equality, so neither row puts
+    // anything in the daemon zone, though workspace files begin with both.
+    let files = [
+        "crates/service/src/conn.rs",
+        "crates/core/src/network/plan.rs",
+    ];
+    let truncated_and_directory = vec!["crates/service/src/conn", "crates/core/src/network/"];
+    let mut f = Vec::new();
+    let as_files = [("NO_PANIC_FILES", truncated_and_directory.clone())];
+    rules::zone_map(&as_files, &files, &mut f);
+    assert_eq!(rules_fired(&f), vec!["zone-map"], "{f:?}");
+    assert_eq!(f.len(), 2, "{f:?}");
+    // The same rows are fine where the rules do ask `starts_with`.
+    let as_prefixes = [("CLOCK_DENY_PREFIXES", truncated_and_directory)];
+    f.clear();
+    rules::zone_map(&as_prefixes, &files, &mut f);
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
+fn the_daemon_zone_covers_every_stage_file_of_the_network_manager() {
+    let src = "impl Network { fn stage(&self) { self.thing().unwrap(); } }";
+    for stage in ["plan", "fill", "fault"] {
+        let f = lint_as(&format!("crates/core/src/network/{stage}.rs"), src);
+        assert_eq!(rules_fired(&f), vec!["no-panic-daemon"], "{stage}: {f:?}");
+    }
+    let f = lint_as("crates/service/src/genesis.rs", src);
+    assert_eq!(rules_fired(&f), vec!["no-panic-daemon"], "{f:?}");
+    // As in `network.rs`, arena indexing is the idiom there.
+    let indexing = "fn f(&self) { let u = &self.links[l.index()]; }";
+    assert!(lint_as("crates/core/src/network/fault.rs", indexing).is_empty());
+}
+
+#[test]
 fn zone_map_clean_when_every_row_and_prefix_matches() {
     let files = ["crates/sim/src/srlg.rs", "crates/core/src/network.rs"];
     let tables = [

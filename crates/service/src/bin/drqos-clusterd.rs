@@ -6,28 +6,30 @@
 //! drqos-clusterd coordinator [--port N] [--members M]
 //!                            [--topology ring|torus] [--nodes N]
 //!                            [--rows R] [--cols C] [--capacity KBPS]
+//!                            [--seed N]
 //! drqos-clusterd member      [--port N] [--coordinator HOST:PORT]
 //!                            [--topology ring|torus] [--nodes N]
 //!                            [--rows R] [--cols C] [--capacity KBPS]
+//!                            [--seed N]
 //! drqos-clusterd status      [--coordinator HOST:PORT]
 //! drqos-clusterd stop        [--coordinator HOST:PORT]
 //! ```
 //!
-//! A member and its coordinator MUST be booted with identical topology
-//! flags: replicas replay the oplog from the shared genesis network,
-//! they never transfer state. Defaults mirror `drqosd` (6x6 torus at
-//! 10 Mbps per link); `--port` defaults to 7900 for the coordinator and
-//! 7851 for a member, `--coordinator` to `127.0.0.1:7900`, `--members`
-//! to 3.
+//! A member and its coordinator MUST be booted with identical genesis
+//! flags — topology, capacity and `--seed` — and under the same
+//! `DRQOS_SRLG_COUNT` / `DRQOS_SRLG_SIZE`: replicas replay the oplog from
+//! the shared genesis network ([`drqos_service::genesis`], the one
+//! `drqosd` boots too), they never transfer state. Defaults mirror
+//! `drqosd` (6x6 torus at 10 Mbps per link, seed 1); `--port` defaults to
+//! 7900 for the coordinator and 7851 for a member, `--coordinator` to
+//! `127.0.0.1:7900`, `--members` to 3.
 //!
 //! Exit codes: 2 bad arguments, 1 runtime failure or shutdown with
 //! invariant violations, 0 clean.
 
 use drqos_core::env::RebalancePolicy;
-use drqos_core::network::{Network, NetworkConfig};
-use drqos_core::qos::Bandwidth;
 use drqos_service::clusterd::{fetch_status, request_stop, ClusterCoordinator, ClusterMember};
-use drqos_topology::regular;
+use drqos_service::genesis::Genesis;
 use std::process::ExitCode;
 
 #[derive(Debug)]
@@ -36,109 +38,50 @@ struct Args {
     port: Option<u16>,
     coordinator: Option<String>,
     members: usize,
-    topology: String,
-    nodes: usize,
-    rows: usize,
-    cols: usize,
-    capacity_kbps: u64,
+    genesis: Genesis,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            role: String::new(),
-            port: None,
-            coordinator: None,
-            members: 3,
-            topology: "torus".to_string(),
-            nodes: 12,
-            rows: 6,
-            cols: 6,
-            capacity_kbps: 10_000,
-        }
-    }
+fn usage() -> String {
+    format!(
+        "usage: drqos-clusterd <coordinator|member|status|stop> [--port N] \
+         [--coordinator HOST:PORT] [--members M] {}",
+        Genesis::USAGE
+    )
 }
-
-const USAGE: &str = "usage: drqos-clusterd <coordinator|member|status|stop> \
-                     [--port N] [--coordinator HOST:PORT] [--members M] \
-                     [--topology ring|torus] [--nodes N] [--rows R] [--cols C] \
-                     [--capacity KBPS]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args::default();
     let mut it = argv.iter();
-    args.role = it
-        .next()
-        .cloned()
-        .ok_or_else(|| format!("missing role\n{USAGE}"))?;
-    if !matches!(
-        args.role.as_str(),
-        "coordinator" | "member" | "status" | "stop"
-    ) {
-        if matches!(args.role.as_str(), "--help" | "-h") {
-            return Err(USAGE.to_string());
-        }
-        return Err(format!("unknown role {}\n{USAGE}", args.role));
+    let role = it.next().cloned().ok_or("missing role")?;
+    match role.as_str() {
+        "coordinator" | "member" | "status" | "stop" => {}
+        "--help" | "-h" => return Err(String::new()),
+        other => return Err(format!("unknown role {other}")),
     }
+    let mut args = Args {
+        role,
+        port: None,
+        coordinator: None,
+        members: 3,
+        genesis: Genesis::default(),
+    };
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
+            let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            Ok(v.clone())
         };
         match flag.as_str() {
-            "--port" => {
-                args.port = Some(
-                    value(flag)?
-                        .parse()
-                        .map_err(|_| format!("bad --port\n{USAGE}"))?,
-                );
-            }
+            "--port" => args.port = Some(value(flag)?.parse().map_err(|_| "bad --port")?),
             "--coordinator" => args.coordinator = Some(value(flag)?),
-            "--members" => {
-                args.members = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --members\n{USAGE}"))?;
+            "--members" => args.members = value(flag)?.parse().map_err(|_| "bad --members")?,
+            "--help" | "-h" => return Err(String::new()),
+            other => {
+                if !args.genesis.take_flag(other, &mut value)? {
+                    return Err(format!("unknown flag {other}"));
+                }
             }
-            "--topology" => args.topology = value(flag)?,
-            "--nodes" => {
-                args.nodes = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --nodes\n{USAGE}"))?;
-            }
-            "--rows" => {
-                args.rows = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --rows\n{USAGE}"))?;
-            }
-            "--cols" => {
-                args.cols = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --cols\n{USAGE}"))?;
-            }
-            "--capacity" => {
-                args.capacity_kbps = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --capacity\n{USAGE}"))?;
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
     Ok(args)
-}
-
-fn build_network(args: &Args) -> Result<Network, String> {
-    let graph = match args.topology.as_str() {
-        "ring" => regular::ring(args.nodes).map_err(|e| e.to_string())?,
-        "torus" => regular::torus(args.rows, args.cols).map_err(|e| e.to_string())?,
-        other => return Err(format!("unknown topology {other} (ring|torus)")),
-    };
-    let config = NetworkConfig {
-        capacity: Bandwidth::kbps(args.capacity_kbps),
-        ..NetworkConfig::default()
-    };
-    Ok(Network::new(graph, config))
 }
 
 /// The coordinator's default listen port.
@@ -151,7 +94,7 @@ fn coordinator_addr(args: &Args) -> String {
 }
 
 fn run_coordinator(args: &Args) -> ExitCode {
-    let net = match build_network(args) {
+    let net = match args.genesis.build("drqos-clusterd") {
         Ok(n) => n,
         Err(msg) => {
             eprintln!("drqos-clusterd: {msg}");
@@ -167,8 +110,9 @@ fn run_coordinator(args: &Args) -> ExitCode {
         }
     };
     eprintln!(
-        "drqos-clusterd: coordinating {} members on {addr} ({})",
-        args.members, args.topology
+        "drqos-clusterd: coordinating {} members on {addr}, {}",
+        args.members,
+        args.genesis.describe()
     );
     let report = match coord.run() {
         Ok(r) => r,
@@ -190,7 +134,7 @@ fn run_coordinator(args: &Args) -> ExitCode {
 }
 
 fn run_member(args: &Args) -> ExitCode {
-    let net = match build_network(args) {
+    let net = match args.genesis.build("drqos-clusterd") {
         Ok(n) => n,
         Err(msg) => {
             eprintln!("drqos-clusterd: {msg}");
@@ -233,7 +177,11 @@ fn main() -> ExitCode {
     let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(msg) => {
-            eprintln!("{msg}");
+            // `--help` has no complaint to print.
+            if !msg.is_empty() {
+                eprintln!("{msg}");
+            }
+            eprintln!("{}", usage());
             return ExitCode::from(2);
         }
     };

@@ -16,10 +16,8 @@
 //! disjoint); `FAIL-SRLG g` / `REPAIR-SRLG g` then fire and heal group
 //! `g` atomically.
 
-use drqos_core::network::{Network, NetworkConfig};
-use drqos_core::qos::Bandwidth;
+use drqos_service::genesis::Genesis;
 use drqos_service::server::Server;
-use drqos_topology::regular;
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
@@ -27,105 +25,35 @@ use std::process::ExitCode;
 #[derive(Debug)]
 struct Args {
     port: u16,
-    topology: String,
-    nodes: usize,
-    rows: usize,
-    cols: usize,
-    capacity_kbps: u64,
-    seed: u64,
+    genesis: Genesis,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            port: 7841,
-            topology: "torus".to_string(),
-            nodes: 12,
-            rows: 6,
-            cols: 6,
-            capacity_kbps: 10_000,
-            seed: 1,
-        }
-    }
+fn usage() -> String {
+    format!("usage: drqosd [--port N] {}", Genesis::USAGE)
 }
-
-const USAGE: &str = "usage: drqosd [--port N] [--topology ring|torus] \
-                     [--nodes N] [--rows R] [--cols C] [--capacity KBPS] \
-                     [--seed N]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args::default();
+    let mut args = Args {
+        port: 7841,
+        genesis: Genesis::default(),
+    };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
+            let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            Ok(v.clone())
         };
         match flag.as_str() {
-            "--port" => {
-                args.port = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --port\n{USAGE}"))?;
+            "--port" => args.port = value(flag)?.parse().map_err(|_| "bad --port")?,
+            "--help" | "-h" => return Err(String::new()),
+            other => {
+                if !args.genesis.take_flag(other, &mut value)? {
+                    return Err(format!("unknown flag {other}"));
+                }
             }
-            "--topology" => args.topology = value(flag)?,
-            "--nodes" => {
-                args.nodes = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --nodes\n{USAGE}"))?;
-            }
-            "--rows" => {
-                args.rows = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --rows\n{USAGE}"))?;
-            }
-            "--cols" => {
-                args.cols = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --cols\n{USAGE}"))?;
-            }
-            "--capacity" => {
-                args.capacity_kbps = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --capacity\n{USAGE}"))?;
-            }
-            "--seed" => {
-                args.seed = value(flag)?
-                    .parse()
-                    .map_err(|_| format!("bad --seed\n{USAGE}"))?;
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
     Ok(args)
-}
-
-fn build_network(args: &Args) -> Result<Network, String> {
-    let graph = match args.topology.as_str() {
-        "ring" => regular::ring(args.nodes).map_err(|e| e.to_string())?,
-        "torus" => regular::torus(args.rows, args.cols).map_err(|e| e.to_string())?,
-        other => return Err(format!("unknown topology {other} (ring|torus)")),
-    };
-    let config = NetworkConfig {
-        capacity: Bandwidth::kbps(args.capacity_kbps),
-        ..NetworkConfig::default()
-    };
-    let mut net = Network::new(graph, config);
-    let srlg_count = drqos_core::env::srlg_count();
-    if srlg_count > 0 {
-        let registered = drqos_core::register_seeded_srlgs(
-            &mut net,
-            srlg_count,
-            drqos_core::env::srlg_size(),
-            args.seed,
-        );
-        eprintln!(
-            "drqosd: registered {registered} shared-risk groups (seed {})",
-            args.seed
-        );
-    }
-    Ok(net)
 }
 
 fn main() -> ExitCode {
@@ -133,11 +61,15 @@ fn main() -> ExitCode {
     let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(msg) => {
-            eprintln!("{msg}");
+            // `--help` has no complaint to print.
+            if !msg.is_empty() {
+                eprintln!("{msg}");
+            }
+            eprintln!("{}", usage());
             return ExitCode::from(2);
         }
     };
-    let net = match build_network(&args) {
+    let net = match args.genesis.build("drqosd") {
         Ok(n) => n,
         Err(msg) => {
             eprintln!("drqosd: {msg}");
@@ -153,12 +85,8 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "drqosd: serving {} ({}) on {addr}, {} wire",
-        args.topology,
-        match args.topology.as_str() {
-            "ring" => format!("{} nodes", args.nodes),
-            _ => format!("{}x{}", args.rows, args.cols),
-        },
+        "drqosd: serving {} on {addr}, {} wire",
+        args.genesis.describe(),
         match server.wire() {
             drqos_core::env::WireMode::Text => "text",
             drqos_core::env::WireMode::Binary => "binary",

@@ -17,6 +17,9 @@
 //! * [`frame`] — the binary wire framing (`DRQOS_WIRE=binary`):
 //!   length-prefixed frames carrying the same verbs, codes, and payloads
 //!   as the text mode.
+//! * [`genesis`] — the flags and environment that fix a daemon's genesis
+//!   network, and the one builder `drqosd` and both `drqos-clusterd`
+//!   roles boot through.
 //! * [`engine`] — maps requests onto the `Network` API; owns metrics.
 //! * [`metrics`] — log₂-bucketed latency histograms and per-op counters.
 //! * `conn` — the one polled reader and reply writer behind every
@@ -39,6 +42,7 @@ mod conn;
 pub mod engine;
 pub mod error;
 pub mod frame;
+pub mod genesis;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;

@@ -15,8 +15,6 @@
 //!   examples.
 //! * [`paths`] — validated [`paths::Path`], BFS / Dijkstra / Yen searches
 //!   with per-link feasibility filters.
-//! * [`disjoint`] — Suurballe's algorithm for minimum link-disjoint path
-//!   pairs (primary + backup routes).
 //! * [`metrics`] — degree / diameter / average-hop statistics.
 //!
 //! # Example
@@ -36,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod disjoint;
 pub mod error;
 pub mod graph;
 pub mod metrics;
@@ -46,7 +43,6 @@ pub mod regular;
 pub mod transit_stub;
 pub mod waxman;
 
-pub use disjoint::{suurballe, DisjointPair};
 pub use error::TopologyError;
 pub use graph::{Graph, Link, LinkId, NodeId};
 pub use metrics::TopologySummary;

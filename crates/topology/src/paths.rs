@@ -108,64 +108,6 @@ fn has_repeat(nodes: &[NodeId]) -> bool {
 /// a link impassable (down, or without enough spare bandwidth).
 pub type LinkFilter<'a> = dyn Fn(LinkId) -> bool + 'a;
 
-/// Reusable breadth-first search buffers.
-///
-/// A BFS over an `n`-node graph needs a predecessor table and a queue;
-/// allocating them per call dominates the cost of short searches on the
-/// admission path. A scratch is generation-stamped: `stamp[v] == gen`
-/// marks `prev[v]` as belonging to the current search, so starting a new
-/// search is O(1) — just bump the generation — and no search can read what
-/// an earlier one wrote: a scratch may be kept across any number of
-/// searches with no invalidation. [`BfsScratch::invalidate`] merely
-/// releases the buffers' contents.
-#[derive(Debug, Clone, Default)]
-pub struct BfsScratch {
-    gen: u64,
-    stamp: Vec<u64>,
-    prev: Vec<NodeId>,
-    queue: VecDeque<NodeId>,
-}
-
-impl BfsScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops all cached search state. Never required for correctness (see
-    /// the type docs); the buffers re-grow on the next search.
-    pub fn invalidate(&mut self) {
-        self.gen = 0;
-        self.stamp.clear();
-        self.prev.clear();
-        self.queue.clear();
-    }
-
-    /// Prepares the buffers for a fresh search over `n` nodes.
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.prev.resize(n, NodeId(usize::MAX));
-        }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Generation wrapped: stale stamps could alias. Reset them all.
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.gen = 1;
-        }
-        self.queue.clear();
-    }
-
-    fn visited(&self, v: NodeId) -> bool {
-        self.stamp[v.0] == self.gen
-    }
-
-    fn visit(&mut self, v: NodeId, from: NodeId) {
-        self.stamp[v.0] = self.gen;
-        self.prev[v.0] = from;
-    }
-}
-
 /// Breadth-first (fewest-hops) shortest path from `src` to `dst`, traversing
 /// only links accepted by `filter`.
 ///
@@ -177,56 +119,33 @@ impl BfsScratch {
 ///
 /// Panics if `src` or `dst` are not nodes of `graph`.
 pub fn bfs_path(graph: &Graph, src: NodeId, dst: NodeId, filter: &LinkFilter) -> Option<Path> {
-    bfs_path_with(&mut BfsScratch::new(), graph, src, dst, filter)
-}
-
-/// [`bfs_path`] reusing caller-owned buffers — the allocation-free variant
-/// for hot admission paths. Identical results to [`bfs_path`].
-///
-/// # Panics
-///
-/// Panics if `src` or `dst` are not nodes of `graph`.
-pub fn bfs_path_with(
-    scratch: &mut BfsScratch,
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    filter: &LinkFilter,
-) -> Option<Path> {
     assert!(graph.contains_node(src) && graph.contains_node(dst));
     if src == dst {
         return Path::from_nodes(graph, vec![src]).ok();
     }
-    scratch.begin(graph.node_count());
-    scratch.queue.push_back(src);
-    scratch.visit(src, src);
-    while let Some(u) = scratch.queue.pop_front() {
+    let mut prev: Vec<Option<NodeId>> = vec![None; graph.node_count()];
+    let mut queue = VecDeque::from([src]);
+    prev[src.0] = Some(src);
+    while let Some(u) = queue.pop_front() {
         for &(v, l) in graph.neighbors(u) {
-            if !filter(l) {
+            if !filter(l) || prev[v.0].is_some() {
                 continue;
             }
-            if !scratch.visited(v) {
-                scratch.visit(v, u);
-                if v == dst {
-                    return Some(reconstruct(graph, &scratch.prev, src, dst));
+            prev[v.0] = Some(u);
+            if v == dst {
+                let mut nodes = vec![dst];
+                let mut cur = dst;
+                while cur != src {
+                    cur = prev[cur.0]?;
+                    nodes.push(cur);
                 }
-                scratch.queue.push_back(v);
+                nodes.reverse();
+                return Path::from_nodes(graph, nodes).ok();
             }
+            queue.push_back(v);
         }
     }
     None
-}
-
-fn reconstruct(graph: &Graph, prev: &[NodeId], src: NodeId, dst: NodeId) -> Path {
-    let mut nodes = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev[cur.0];
-        nodes.push(cur);
-    }
-    nodes.reverse();
-    // lint:allow(panic-reachability): prev chain from a completed BFS forms a valid simple path
-    Path::from_nodes(graph, nodes).expect("BFS reconstruction yields a valid simple path")
 }
 
 #[derive(Debug, PartialEq)]
@@ -548,21 +467,6 @@ mod tests {
                 assert_ne!(ps[i], ps[j]);
             }
         }
-    }
-
-    #[test]
-    fn bfs_scratch_reuse_matches_fresh_searches() {
-        let g = regular::grid(4, 4).unwrap();
-        let mut scratch = BfsScratch::new();
-        for (s, d) in [(0, 15), (3, 12), (5, 5), (0, 1), (15, 0)] {
-            let reused = bfs_path_with(&mut scratch, &g, NodeId(s), NodeId(d), &pass_all);
-            let fresh = bfs_path(&g, NodeId(s), NodeId(d), &pass_all);
-            assert_eq!(reused, fresh, "{s}->{d}");
-        }
-        // Invalidation keeps the scratch usable.
-        scratch.invalidate();
-        let p = bfs_path_with(&mut scratch, &g, NodeId(0), NodeId(15), &pass_all).unwrap();
-        assert_eq!(p.hop_count(), 6);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use drqos_markov::birth_death;
 use drqos_markov::ctmc::CtmcBuilder;
 use drqos_markov::steady_state;
 use drqos_sim::rng::Rng;
-use drqos_topology::disjoint::suurballe;
 use drqos_topology::graph::{Graph, NodeId};
 use drqos_topology::paths::{bfs_path, k_shortest_paths, pass_all};
 use drqos_topology::{metrics, waxman};
@@ -61,25 +60,6 @@ fn bfs_paths_are_shortest_and_valid() {
             assert_eq!(Some(p.hop_count()), dist[dst.index()], "seed {seed}");
             assert_eq!(p.source(), NodeId(0));
             assert_eq!(p.destination(), dst);
-        }
-    }
-}
-
-#[test]
-fn suurballe_pairs_are_disjoint_and_no_shorter_than_bfs() {
-    for seed in case_seeds(3, 24) {
-        let nodes = in_range(seed, 8, 30);
-        let g = seeded_graph(seed, nodes);
-        let dst = NodeId(nodes - 1);
-        if let Some(pair) = suurballe(&g, NodeId(0), dst, &pass_all) {
-            assert!(pair.first.is_link_disjoint(&pair.second), "seed {seed}");
-            assert!(pair.first.hop_count() <= pair.second.hop_count());
-            // The pair's first path can never beat the true shortest path.
-            let shortest = bfs_path(&g, NodeId(0), dst, &pass_all).expect("connected");
-            assert!(
-                pair.first.hop_count() >= shortest.hop_count(),
-                "seed {seed}"
-            );
         }
     }
 }
