@@ -268,7 +268,12 @@ impl Coordinator {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Commits that found a stale footprint and re-planned serially.
+    /// Commits that found a stale footprint and re-planned serially: some
+    /// probed link's digest moved between the member's plan and the
+    /// commit. That is the federation's contention signal — another
+    /// member committed in between — and a member daemon plans on the
+    /// replica it has, not on a caught-up one, so over TCP it also counts
+    /// every establish whose serving member was behind at plan time.
     pub fn stale_replans(&self) -> u64 {
         self.stale_replans
     }

@@ -122,9 +122,9 @@ fn run_coordinator(args: &Args) -> ExitCode {
         }
     };
     eprintln!(
-        "drqos-clusterd: committed {} ops ({} stale replans, {} aborted prepares), \
+        "drqos-clusterd: committed {} ops ({} stale replans, {} aborted prepares, {} syncs), \
          shutdown violations: {}",
-        report.seq, report.stale_replans, report.aborted_prepares, report.violations
+        report.seq, report.stale_replans, report.aborted_prepares, report.syncs, report.violations
     );
     if report.violations == 0 {
         ExitCode::SUCCESS

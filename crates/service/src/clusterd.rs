@@ -14,17 +14,25 @@
 //!
 //! A client `ESTABLISH` on a member daemon becomes:
 //!
-//! 1. catch up the replica (`SYNC` until level with the coordinator),
-//! 2. plan locally to trace the admission **footprint** digests,
-//! 3. `PREPARE` the footprint → `VERDICT {ticket, fresh}`,
-//! 4. `COMMIT {ticket, req}` → `DONE {op_seq}` — the TCP mode ships no
-//!    plan, so the coordinator plans at the commit's sequential point
-//!    (`fresh` short-circuits nothing here; the ticket's footprint is
-//!    checked again at commit for the `stale_replans` counter),
-//! 5. `SYNC` past `op_seq` and render the reply from the replica's *own*
-//!    replay outcome at `op_seq`.
+//! 1. plan locally, on the replica as it stands, to trace the admission
+//!    **footprint** digests (advisory: a replica that is behind only makes
+//!    the commit count a `stale_replans`),
+//! 2. `PREPARE` the footprint → `VERDICT {ticket, fresh}`,
+//! 3. `COMMIT {ticket, req}` → `RECORDS {seq, records}`: every oplog
+//!    record this link has not been sent yet, the commit's own last. The
+//!    TCP mode ships no plan, so the coordinator plans at the commit's
+//!    sequential point (`fresh` short-circuits nothing here; the ticket's
+//!    footprint is checked again at commit for the `stale_replans`
+//!    counter). The member replays the records and renders the reply from
+//!    its *own* outcome of the last one.
 //!
-//! Step 5 is why no result ever rides the wire: replay is deterministic
+//! A forwarded verb is step 3 alone (`OP` → `RECORDS`). The coordinator
+//! keeps, per link, the sequence it has sent that link through (set by
+//! every `SYNC` it answers); a link that never `SYNC`ed, or one more than
+//! [`RECORDS_PER_SYNC`] records behind, gets `DONE {op_seq}` instead and
+//! the member pulls with `SYNC` until it is past `op_seq`.
+//!
+//! Either way no result ever rides the wire: replay is deterministic
 //! (`drqos_cluster::coordinator::apply_committed` is the single shared
 //! transition function), so the outcome the member replays is the
 //! outcome the coordinator committed. `fuzz --diff-cluster` proves the
@@ -107,6 +115,22 @@ fn err_of(e: ClusterError) -> CoordMsg {
 struct CoordShared {
     coord: Coordinator,
     claimed: Vec<bool>,
+    /// `SYNC` frames answered since boot.
+    syncs: u64,
+    /// Mutation seam: a commit's `RECORDS` reply starts one record late.
+    #[cfg(test)]
+    skip_a_record: bool,
+}
+
+/// What the coordinator keeps per inter-daemon connection.
+#[derive(Default)]
+struct Peer {
+    /// The roster id the connection holds once it has joined.
+    member: Option<u64>,
+    /// The oplog sequence this link has been sent through: set by every
+    /// `SYNC` answered, moved on by every `RECORDS` that answers a commit;
+    /// unknown until the link's first `SYNC`.
+    cursor: Option<u64>,
 }
 
 /// End-of-run summary returned by [`ClusterCoordinator::run`].
@@ -116,10 +140,14 @@ pub struct CoordinatorReport {
     pub violations: usize,
     /// Final oplog sequence number.
     pub seq: u64,
-    /// Commits that were re-planned because their footprint went stale.
+    /// Commits whose member planned on state that had moved by commit
+    /// time (see [`Coordinator::stale_replans`]).
     pub stale_replans: u64,
     /// Prepares aborted by their member's crash or leave.
     pub aborted_prepares: u64,
+    /// `SYNC` frames answered: join-time catch-ups, `SNAPSHOT`s and the
+    /// pulls after a `DONE` — a commit answered by `RECORDS` costs none.
+    pub syncs: u64,
 }
 
 /// The coordinator daemon: accepts inter-daemon connections and serves
@@ -153,6 +181,9 @@ impl ClusterCoordinator {
             shared: Arc::new(Mutex::new(CoordShared {
                 coord: Coordinator::new(net, roster, seed, policy),
                 claimed: vec![false; roster],
+                syncs: 0,
+                #[cfg(test)]
+                skip_a_record: false,
             })),
             stop: Arc::new(AtomicBool::new(false)),
         })
@@ -187,6 +218,7 @@ impl ClusterCoordinator {
             seq: shared.coord.seq(),
             stale_replans: shared.coord.stale_replans(),
             aborted_prepares: shared.coord.aborted_prepares(),
+            syncs: shared.syncs,
         })
     }
 }
@@ -222,6 +254,9 @@ fn claim_member(s: &mut CoordShared) -> Result<u64, ClusterError> {
 
 /// The greppable one-line coordinator status served to `STATUS` clients
 /// (`drqos-clusterd status` and the CI smoke job parse it).
+/// `stale_replans` is [`Coordinator::stale_replans`] — commits planned
+/// on state that had moved by commit time — and `syncs` the `SYNC` frames
+/// answered since boot; new fields go on the end.
 fn status_line(s: &CoordShared) -> String {
     let roster: String = s
         .coord
@@ -230,14 +265,15 @@ fn status_line(s: &CoordShared) -> String {
         .map(|&a| if a { '1' } else { '0' })
         .collect();
     format!(
-        "members={} alive={} seq={} pending={} stale_replans={} aborted_prepares={} roster={}",
+        "members={} alive={} seq={} pending={} stale_replans={} aborted_prepares={} roster={} syncs={}",
         s.coord.alive().len(),
         s.coord.alive_count(),
         s.coord.seq(),
         s.coord.pending_prepares(),
         s.coord.stale_replans(),
         s.coord.aborted_prepares(),
-        roster
+        roster,
+        s.syncs
     )
 }
 
@@ -252,27 +288,43 @@ impl CoordShared {
         }
     }
 
-    /// The reply to a committed operation: it is the oplog's last record.
-    fn done(&self) -> CoordMsg {
+    /// The reply to a committed operation — the oplog's last record —
+    /// built under the lock acquisition that committed it: `RECORDS` from
+    /// the link's cursor through that record, or `DONE` when the cursor
+    /// is unknown or more than one frame's worth behind (the member then
+    /// pulls with `SYNC`, which sets the cursor).
+    fn committed(&self, cursor: &mut Option<u64>) -> CoordMsg {
         let seq = self.coord.seq();
-        CoordMsg::Done {
-            op_seq: seq.saturating_sub(1),
-            seq,
+        let from = *cursor;
+        #[cfg(test)]
+        let from = from.map(|c| c.saturating_add(u64::from(self.skip_a_record)));
+        match from.and_then(|from| self.coord.records_since(from).ok()) {
+            Some(records) if records.len() <= RECORDS_PER_SYNC => {
+                *cursor = Some(seq);
+                CoordMsg::Records {
+                    seq,
+                    records: records.to_vec(),
+                }
+            }
+            _ => CoordMsg::Done {
+                op_seq: seq.saturating_sub(1),
+                seq,
+            },
         }
     }
 }
 
-fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: ClusterMsg) -> CoordMsg {
+fn handle_cluster_msg(s: &mut CoordShared, peer: &mut Peer, msg: ClusterMsg) -> CoordMsg {
     match msg {
         ClusterMsg::Join => {
-            if let Some(m) = *member {
+            if let Some(m) = peer.member {
                 // One daemon, one id: a second JOIN on the same link is a
                 // duplicate of whatever this link already holds.
                 return err_of(ClusterError::DuplicateMember(m));
             }
             match claim_member(s) {
                 Ok(id) => {
-                    *member = Some(id);
+                    peer.member = Some(id);
                     CoordMsg::Welcome {
                         member: id,
                         seq: s.coord.seq(),
@@ -282,7 +334,7 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
             }
         }
         ClusterMsg::Prepare { footprint } => {
-            let Some(m) = *member else {
+            let Some(m) = peer.member else {
                 return err_of(ClusterError::UnknownMember(u64::MAX));
             };
             let fp: Vec<(LinkId, u64)> = footprint
@@ -298,7 +350,7 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
             }
         }
         ClusterMsg::Commit { ticket, req } => {
-            let Some(m) = *member else {
+            let Some(m) = peer.member else {
                 return err_of(ClusterError::UnknownMember(u64::MAX));
             };
             // A ticket is its opener's to commit; anyone else's COMMIT
@@ -317,32 +369,36 @@ fn handle_cluster_msg(s: &mut CoordShared, member: &mut Option<u64>, msg: Cluste
             match s.coord.commit_prepared(ticket, None, &req, &mut fill) {
                 Ok(_result) => {
                     s.coord.flush(fill);
-                    s.done()
+                    s.committed(&mut peer.cursor)
                 }
                 Err(e) => err_of(e),
             }
         }
         ClusterMsg::Op { op } => {
-            let Some(m) = *member else {
+            let Some(m) = peer.member else {
                 return err_of(ClusterError::UnknownMember(u64::MAX));
             };
             match s.coord.forward(m, op) {
-                Ok(_outcome) => s.done(),
+                Ok(_outcome) => s.committed(&mut peer.cursor),
                 Err(e) => err_of(e),
             }
         }
-        ClusterMsg::Sync { applied } => match s.coord.records_since(applied) {
-            Ok(records) => {
-                let take = records.len().min(RECORDS_PER_SYNC);
-                CoordMsg::Records {
-                    seq: s.coord.seq(),
-                    records: records.get(..take).unwrap_or_default().to_vec(),
+        ClusterMsg::Sync { applied } => {
+            s.syncs = s.syncs.saturating_add(1);
+            match s.coord.records_since(applied) {
+                Ok(records) => {
+                    let take = records.len().min(RECORDS_PER_SYNC);
+                    peer.cursor = Some(applied.saturating_add(take as u64));
+                    CoordMsg::Records {
+                        seq: s.coord.seq(),
+                        records: records.get(..take).unwrap_or_default().to_vec(),
+                    }
                 }
+                Err(e) => err_of(e),
             }
-            Err(e) => err_of(e),
-        },
+        }
         ClusterMsg::Leave => {
-            let Some(m) = *member else {
+            let Some(m) = peer.member else {
                 return err_of(ClusterError::UnknownMember(u64::MAX));
             };
             match s.coord.leave(m) {
@@ -368,10 +424,10 @@ fn serve_cluster_peer(
     shared: &Mutex<CoordShared>,
     stop: &AtomicBool,
 ) -> io::Result<()> {
-    let mut member: Option<u64> = None;
-    let served = serve_peer_messages(stream, shared, stop, &mut member);
+    let mut peer = Peer::default();
+    let served = serve_peer_messages(stream, shared, stop, &mut peer);
     // Once the coordinator is going away, a peer's silence is no crash.
-    if let Some(m) = member.filter(|_| !stop.load(Ordering::Acquire)) {
+    if let Some(m) = peer.member.filter(|_| !stop.load(Ordering::Acquire)) {
         let mut s = lock_shrug(shared);
         // LastMember: the roster cannot empty — the id stays alive on the
         // books but its slot is free for the next joiner.
@@ -381,13 +437,13 @@ fn serve_cluster_peer(
     served
 }
 
-/// The peer's request/reply loop; `member` is the id the connection holds
-/// whenever it returns.
+/// The peer's request/reply loop; `peer.member` is the id the connection
+/// holds whenever it returns.
 fn serve_peer_messages(
     stream: TcpStream,
     shared: &Mutex<CoordShared>,
     stop: &AtomicBool,
-    member: &mut Option<u64>,
+    peer: &mut Peer,
 ) -> io::Result<()> {
     let mut conn = Conn::open(stream, WireMode::Binary)?;
     while let Some(body) = conn.next_unit(stop)? {
@@ -396,13 +452,13 @@ fn serve_peer_messages(
         };
         let leaving = matches!(msg, ClusterMsg::Leave);
         let stopping = matches!(msg, ClusterMsg::Stop);
-        let reply = handle_cluster_msg(&mut lock_shrug(shared), member, msg);
+        let reply = handle_cluster_msg(&mut lock_shrug(shared), peer, msg);
         conn.send_frame(encode_coord_msg(&reply))?;
         if stopping {
             stop.store(true, Ordering::Release);
         }
         if stopping || (leaving && !matches!(reply, CoordMsg::Err { .. })) {
-            *member = None;
+            peer.member = None;
             break;
         }
     }
@@ -493,10 +549,28 @@ impl MemberState {
 
     /// Sends a message that commits one operation and replays the oplog
     /// up to it: the outcome this replica replayed for it, or — inner
-    /// `Err` — the coordinator's refusal as the client's reply.
+    /// `Err` — the coordinator's refusal as the client's reply. The
+    /// records normally ride on the reply, the committed operation last;
+    /// a `RECORDS` that does not start where the replica stands is a
+    /// failed exchange (nothing is applied, the caller gives the link
+    /// up), because replaying past a gap is a diverged replica that still
+    /// answers clients.
     fn commit(&mut self, msg: &ClusterMsg) -> io::Result<Result<Option<ApplyOutcome>, Response>> {
         let link = self.link.as_mut().ok_or_else(link_down)?;
         match link.roundtrip(msg)? {
+            CoordMsg::Records { seq, records } => {
+                let applied = self.replica.applied();
+                if seq.checked_sub(records.len() as u64) != Some(applied) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{} records ending at {seq} do not continue a replica at {applied}",
+                            records.len()
+                        ),
+                    ));
+                }
+                Ok(Ok(self.replica.apply(&records).pop()))
+            }
             CoordMsg::Done { op_seq, .. } => Ok(Ok(self.sync_to(op_seq.saturating_add(1))?)),
             CoordMsg::Err { code } => Ok(Err(cluster_err(code))),
             other => Err(bad_reply(&other)),
@@ -504,10 +578,12 @@ impl MemberState {
     }
 
     fn two_phase_establish(&mut self, req: &EstablishRequest) -> io::Result<Response> {
-        self.catch_up()?;
-        // Plan locally for the footprint. The plan itself is *not*
-        // shipped (the TCP mode re-plans serially under the reservation),
-        // and even a local rejection goes through prepare/commit so the
+        // Plan locally for the footprint, on the replica as it stands:
+        // the footprint is advisory (the TCP mode ships no plan and the
+        // coordinator plans at the commit's sequential point), so a
+        // replica that is behind costs a `stale_replans` count, not a
+        // round trip — what it missed arrives with the COMMIT's reply.
+        // Even a local rejection goes through prepare/commit so the
         // oplog records every attempt exactly like the monolithic engine.
         let (_planned, footprint) = self.replica.plan(req);
         let wire_fp: Vec<(u64, u64)> = footprint
@@ -754,7 +830,9 @@ pub fn request_stop(coordinator: &str) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use drqos_cluster::coordinator::{CommittedOp, MemberOp};
     use drqos_core::network::NetworkConfig;
+    use drqos_core::NetworkSnapshot;
     use drqos_topology::regular::ring;
     use std::io::{BufRead, BufReader};
     use std::thread::JoinHandle;
@@ -767,21 +845,35 @@ mod tests {
         net
     }
 
+    /// One text connection to a member's client port.
+    struct Client {
+        writer: TcpStream,
+        reader: BufReader<TcpStream>,
+    }
+
+    impl Client {
+        fn connect(addr: SocketAddr) -> Self {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            Self {
+                writer: stream.try_clone().unwrap(),
+                reader: BufReader::new(stream),
+            }
+        }
+
+        fn ask(&mut self, line: &str) -> String {
+            writeln!(self.writer, "{line}").unwrap();
+            self.writer.flush().unwrap();
+            let mut reply = String::new();
+            self.reader.read_line(&mut reply).unwrap();
+            reply.trim_end().to_string()
+        }
+    }
+
     /// Drives one text session against `addr`, one reply per line.
     fn session(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        let mut replies = Vec::new();
-        for l in lines {
-            writeln!(writer, "{l}").unwrap();
-            writer.flush().unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            replies.push(reply.trim_end().to_string());
-        }
-        replies
+        let mut client = Client::connect(addr);
+        lines.iter().map(|l| client.ask(l)).collect()
     }
 
     struct Booted {
@@ -873,6 +965,198 @@ mod tests {
             let r = h.join().unwrap().unwrap();
             assert_eq!(r.violations, 0);
         }
+    }
+
+    /// `key=<n>` out of a status or `STATS` line.
+    fn field(line: &str, key: &str) -> u64 {
+        protocol::payload_field(line, key).unwrap_or_else(|| panic!("no {key}= in {line:?}"))
+    }
+
+    /// The `i`-th line of a mixed session on the ring of six; every one of
+    /// them, admitted or refused, is an oplog record.
+    fn mixed_op(i: u64) -> String {
+        let r = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
+        match i % 5 {
+            0 | 1 => format!("ESTABLISH {} {} 64 256 64", r % 6, (r / 6) % 6),
+            2 => format!("RELEASE {}", r % (i / 2 + 1)),
+            3 => format!("FAIL-LINK {}", r % 6),
+            _ => format!("REPAIR-LINK {}", (r / 6) % 6),
+        }
+    }
+
+    fn shut_down(booted: Booted) -> CoordinatorReport {
+        for &addr in &booted.members {
+            assert_eq!(session(addr, &["SHUTDOWN"]), ["OK violations=0"]);
+        }
+        for h in booted.member_handles {
+            assert_eq!(h.join().unwrap().unwrap().violations, 0);
+        }
+        request_stop(&booted.coordinator).unwrap();
+        let report = booted.coord_handle.join().unwrap().unwrap();
+        assert_eq!(report.violations, 0);
+        report
+    }
+
+    /// Alternating members are each one record behind at every commit:
+    /// the record rides in on the reply, so after the two join-time
+    /// catch-ups the coordinator answers no `SYNC` at all.
+    #[test]
+    fn an_alternating_session_is_served_without_a_sync() {
+        let booted = boot(2);
+        let mut clients: Vec<Client> = booted.members.iter().map(|&a| Client::connect(a)).collect();
+        let mut oracle = Engine::with_shards(genesis(), 1);
+        for i in 0..240u64 {
+            let line = mixed_op(i);
+            let client = &mut clients[(i % 2) as usize];
+            let want = oracle.handle_line(&line).to_string();
+            assert_eq!(client.ask(&line), want, "divergence on op {i}: {line:?}");
+            // The serving member is level with the coordinator the moment
+            // it answers: its own operation was the reply's last record.
+            assert_eq!(field(&client.ask("STATS"), "applied"), i + 1);
+        }
+        let status = fetch_status(&booted.coordinator).unwrap();
+        assert_eq!((field(&status, "seq"), field(&status, "syncs")), (240, 2));
+        // Every establish was planned one record behind, and on a ring of
+        // six that record is rarely elsewhere.
+        assert!(field(&status, "stale_replans") > 0, "status was {status}");
+        drop(clients);
+        let report = shut_down(booted);
+        assert_eq!((report.seq, report.syncs), (240, 2));
+    }
+
+    /// A member more than one frame's worth of records behind gets `DONE`
+    /// and pulls with `SYNC`, as every commit did before records rode on
+    /// the reply.
+    #[test]
+    fn a_member_a_frame_behind_falls_back_to_done_and_sync() {
+        let booted = boot(2);
+        let &[a, b] = &booted.members[..] else {
+            panic!("expected two members");
+        };
+        let mut oracle = Engine::with_shards(genesis(), 1);
+        let mut busy = Client::connect(b);
+        let sat_out = RECORDS_PER_SYNC as u64 + 8;
+        for i in 0..sat_out {
+            let line = mixed_op(i);
+            let want = oracle.handle_line(&line).to_string();
+            assert_eq!(busy.ask(&line), want, "divergence on op {i}: {line:?}");
+        }
+        let mut idle = Client::connect(a);
+        assert_eq!(field(&idle.ask("STATS"), "applied"), 0);
+        for line in ["ESTABLISH 0 3 64 256 64", "RELEASE 0", "RELEASE 7"] {
+            let want = oracle.handle_line(line).to_string();
+            assert_eq!(idle.ask(line), want, "divergence on {line:?}");
+        }
+        assert_eq!(field(&idle.ask("STATS"), "applied"), sat_out + 3);
+        // Two joins, then the establish's DONE took two pulls (a full
+        // frame and the rest); the releases rode on their replies.
+        let status = fetch_status(&booted.coordinator).unwrap();
+        assert_eq!(field(&status, "syncs"), 4, "status was {status}");
+        drop((busy, idle));
+        assert_eq!(shut_down(booted).seq, sat_out + 3);
+    }
+
+    /// The cursor is what a `SYNC` said: before the first one a commit is
+    /// answered `DONE`, after it `RECORDS`.
+    #[test]
+    fn a_link_that_never_synced_is_answered_done() {
+        let (coordinator, coord_handle) = coordinator(1);
+        let mut link = joined(&coordinator, 0);
+        let ticket = prepare(&mut link);
+        let commit = link.roundtrip(&ClusterMsg::Commit { ticket, req: REQ });
+        assert_eq!(commit.unwrap(), CoordMsg::Done { op_seq: 0, seq: 1 });
+        let op = MemberOp::FailLink { link: LinkId(0) };
+        let forwarded = link.roundtrip(&ClusterMsg::Op { op });
+        assert_eq!(forwarded.unwrap(), CoordMsg::Done { op_seq: 1, seq: 2 });
+
+        let pulled = link.roundtrip(&ClusterMsg::Sync { applied: 0 }).unwrap();
+        let CoordMsg::Records { seq: 2, records } = pulled else {
+            panic!("expected both records, got {pulled:?}");
+        };
+        assert_eq!(records.len(), 2);
+        let ticket = prepare(&mut link);
+        let commit = link.roundtrip(&ClusterMsg::Commit { ticket, req: REQ });
+        let establish = CommittedOp::Establish(REQ.to_request().unwrap());
+        assert_eq!(
+            commit.unwrap(),
+            CoordMsg::Records {
+                seq: 3,
+                records: vec![establish]
+            }
+        );
+        let op = MemberOp::RepairLink { link: LinkId(0) };
+        assert_eq!(
+            link.roundtrip(&ClusterMsg::Op { op }).unwrap(),
+            CoordMsg::Records {
+                seq: 4,
+                records: vec![CommittedOp::Op(op)]
+            }
+        );
+        request_stop(&coordinator).unwrap();
+        let report = coord_handle.join().unwrap().unwrap();
+        assert_eq!((report.violations, report.seq, report.syncs), (0, 4, 1));
+    }
+
+    /// Mutant: the coordinator starts a commit's `RECORDS` one record
+    /// late. The member that was a record behind must refuse the reply —
+    /// nothing applied, link given up, 504 — not replay past the gap.
+    #[test]
+    fn a_commit_reply_that_skips_a_record_is_refused_not_replayed() {
+        let coord =
+            ClusterCoordinator::bind("127.0.0.1:0", genesis(), 2, 7, RebalancePolicy::Bfs).unwrap();
+        let addr = coord.local_addr().unwrap().to_string();
+        let shared = Arc::clone(&coord.shared);
+        let coord_handle = thread::spawn(move || coord.run());
+        // Two members without their client ports: the test is the client.
+        let members: Vec<ClusterMember> = (0..2)
+            .map(|_| ClusterMember::bind("127.0.0.1:0", genesis(), &addr).unwrap())
+            .collect();
+        let [a, b] = &members[..] else {
+            panic!("expected two members");
+        };
+        let mut oracle = Engine::with_shards(genesis(), 1);
+        let honest: [(&ClusterMember, &str); 4] = [
+            (a, "ESTABLISH 0 3 64 256 64"),
+            (b, "ESTABLISH 1 4 64 256 64"),
+            (a, "FAIL-LINK 0"),
+            (b, "ESTABLISH 2 5 64 256 64"),
+        ];
+        for (member, line) in honest {
+            let (got, _) = lock_shrug(&member.state).handle_line(line);
+            assert_eq!(got.to_string(), oracle.handle_line(line).to_string());
+        }
+
+        // A is one record (B's last) behind; its next reply skips it.
+        lock_shrug(&shared).skip_a_record = true;
+        let skipped = "RELEASE 0";
+        let (got, _) = lock_shrug(&a.state).handle_line(skipped);
+        assert!(got.to_string().starts_with("ERR 504 "), "got {got}");
+        lock_shrug(&shared).skip_a_record = false;
+        // The coordinator had committed it all the same.
+        oracle.handle_line(skipped);
+
+        // A applied nothing from the refused reply: it still is the
+        // coordinator's log replayed through its last honest exchange.
+        let a = lock_shrug(&a.state);
+        assert!(a.link.is_none());
+        assert_eq!(a.replica.applied(), 3);
+        let mut replayed = Member::new(9, genesis());
+        replayed.apply(&lock_shrug(&shared).coord.records_since(0).unwrap()[..3]);
+        assert_eq!(
+            NetworkSnapshot::capture(a.replica.net()),
+            NetworkSnapshot::capture(replayed.net())
+        );
+        drop(a);
+
+        // B, two records behind now, is served as before.
+        let line = "ESTABLISH 0 3 64 256 64";
+        let (got, _) = lock_shrug(&b.state).handle_line(line);
+        assert_eq!(got.to_string(), oracle.handle_line(line).to_string());
+        assert_eq!(lock_shrug(&b.state).replica.applied(), 6);
+
+        request_stop(&addr).unwrap();
+        let report = coord_handle.join().unwrap().unwrap();
+        assert_eq!((report.violations, report.seq, report.syncs), (0, 6, 2));
     }
 
     /// The member's client port reads through the same connection reader
