@@ -14,8 +14,8 @@
 //!    the footprint. Tickets are the coordinator's only two-phase state;
 //!    the opening member's crash or leave aborts them.
 //! 2. **COMMIT = admit + oplog.** The ticket closes and the request goes
-//!    through [`Network::admit`] — the same admission step as a sharded
-//!    wave — with the member's plan and the ticket's footprint as the
+//!    through [`Network::admit`] — the same admission step as every other
+//!    establish — with the member's plan and the ticket's footprint as the
 //!    hint, so the footprint is validated *at commit time*: a verdict
 //!    that was fresh at prepare and went stale since is re-planned at the
 //!    request's sequential point like any other stale hint (counted in
@@ -37,9 +37,7 @@ use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
 use drqos_core::error::{AdmissionError, ClusterError, NetworkError};
 use drqos_core::invariant::InvariantViolation;
-use drqos_core::network::{
-    EstablishPlan, EstablishRequest, FailureReport, Network, PendingFill, PrePlanned,
-};
+use drqos_core::network::{EstablishPlan, EstablishRequest, FailureReport, Network, PrePlanned};
 use drqos_topology::{LinkId, NodeId};
 use std::collections::BTreeMap;
 
@@ -332,7 +330,10 @@ impl Coordinator {
     /// `planned` result (when one was shipped) and the ticket's footprint
     /// as the hint. A commit without a shipped plan — the TCP daemons'
     /// mode — plans at this sequential point. Either way the operation is
-    /// appended to the oplog.
+    /// appended to the oplog. `_fill` is ignored: every admission settles
+    /// its own fill, so none is ever deferred. It stays only because
+    /// `benchmark/` threads one through this and [`Coordinator::flush`]
+    /// (ROADMAP 3(c)).
     ///
     /// # Errors
     ///
@@ -343,7 +344,7 @@ impl Coordinator {
         ticket: u64,
         planned: Option<Result<EstablishPlan, AdmissionError>>,
         req: &EstablishRequest,
-        pending_fill: &mut PendingFill,
+        _fill: &mut Option<()>,
     ) -> Result<Result<ConnectionId, AdmissionError>, ClusterError> {
         let prepared = if self.lose_prepare && !self.fault_fired {
             self.fault_fired = true;
@@ -358,7 +359,7 @@ impl Coordinator {
             self.stale_replans += 1;
         }
         let hint = planned.map(|plan| (plan, prepared.footprint));
-        Ok(self.admit(req, hint, pending_fill))
+        Ok(self.admit(req, hint))
     }
 
     /// Admits a request without a member prepare: used to re-establish
@@ -367,9 +368,8 @@ impl Coordinator {
     pub(crate) fn establish_unprepared(
         &mut self,
         req: &EstablishRequest,
-        pending_fill: &mut PendingFill,
     ) -> Result<ConnectionId, AdmissionError> {
-        self.admit(req, None, pending_fill)
+        self.admit(req, None)
     }
 
     /// COMMIT = [`Network::admit`] + oplog.
@@ -377,19 +377,16 @@ impl Coordinator {
         &mut self,
         req: &EstablishRequest,
         hint: Option<PrePlanned>,
-        pending_fill: &mut PendingFill,
     ) -> Result<ConnectionId, AdmissionError> {
-        let (result, stale) = self.net.admit(req, hint, pending_fill);
+        let (result, stale) = self.net.admit(req, hint);
         self.stale_replans += u64::from(stale);
         self.oplog.push(CommittedOp::Establish(*req));
         result
     }
 
-    /// Flushes the deferred elastic fill at the end of a wave (the same
-    /// protocol as [`Network::batch_flush`]).
-    pub fn flush(&mut self, pending_fill: PendingFill) {
-        self.net.batch_flush(pending_fill);
-    }
+    /// Does nothing: every commit has already settled (see
+    /// [`Coordinator::commit_prepared`]).
+    pub fn flush(&mut self, _fill: Option<()>) {}
 
     /// Applies a forwarded non-establish operation serially and appends
     /// it to the oplog.
@@ -545,9 +542,7 @@ mod tests {
         let p = c.prepare(0, &footprint).unwrap();
         assert!(p.fresh, "untouched digests must validate");
         assert_eq!(c.pending_prepares(), 1, "the ticket must be open");
-        let mut fill = None;
-        let got = c.commit_prepared(p.ticket, None, &req, &mut fill).unwrap();
-        c.flush(fill);
+        let got = c.commit_prepared(p.ticket, None, &req, &mut None).unwrap();
         assert!(got.is_ok());
         assert_eq!(c.pending_prepares(), 0);
         assert_eq!(c.seq(), 1);
@@ -623,11 +618,9 @@ mod tests {
         c.set_lose_prepare(true);
         let footprint = vec![(LinkId(0), c.net().link_usage(LinkId(0)).plan_digest())];
         let p = c.prepare(0, &footprint).unwrap();
-        let mut fill = None;
-        c.commit_prepared(p.ticket, None, &request(0, 2), &mut fill)
+        c.commit_prepared(p.ticket, None, &request(0, 2), &mut None)
             .unwrap()
             .unwrap();
-        c.flush(fill);
         assert_eq!(c.pending_prepares(), 1, "LosePrepare must leak a ticket");
     }
 
@@ -659,13 +652,11 @@ mod tests {
         let a = c.prepare(0, &fp_a).unwrap();
         let b = c.prepare(1, &fp_b).unwrap();
         assert!(a.fresh && b.fresh, "both verdicts are fresh at prepare");
-        let mut fill = None;
         let got = [
-            c.commit_prepared(a.ticket, Some(plan_a), &req_a, &mut fill),
-            c.commit_prepared(b.ticket, Some(plan_b), &req_b, &mut fill),
+            c.commit_prepared(a.ticket, Some(plan_a), &req_a, &mut None),
+            c.commit_prepared(b.ticket, Some(plan_b), &req_b, &mut None),
         ]
         .map(Result::unwrap);
-        c.flush(fill);
         let want = [req_a, req_b].map(|r| serial.establish(r.src, r.dst, r.qos));
         assert_eq!(got, want);
         assert_ne!(got[0].is_ok(), got[1].is_ok(), "A admitted, B rejected");

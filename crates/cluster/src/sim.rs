@@ -11,19 +11,17 @@
 //! in the middle of a wave (its planned requests are orphaned and must be
 //! re-established by the coordinator).
 //!
-//! The wave pipeline is [`drqos_core::shard::ShardedNetwork::establish_wave`]
-//! with a socket-shaped seam in it — pre-plan on frozen replicas, then one
+//! A wave is planned on the frozen carrier replicas, then committed one
 //! `Network::admit` per request in request order behind the coordinator's
-//! PREPARE/COMMIT, the deferred elastic fill flushed once at wave end —
-//! so a cluster wave is byte-identical to a monolithic serial run, churn
-//! or no churn.
+//! PREPARE/COMMIT, each admission settling its own fill — so a cluster
+//! wave is byte-identical to a monolithic serial run, churn or no churn.
 
 use crate::coordinator::{ApplyOutcome, Coordinator, MemberOp};
 use crate::member::Member;
 use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
 use drqos_core::error::{AdmissionError, ClusterError};
-use drqos_core::network::{EstablishRequest, Network, PendingFill, PrePlanned};
+use drqos_core::network::{EstablishRequest, Network, PrePlanned};
 
 /// Injected cluster faults for the mutation self-tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -113,9 +111,8 @@ impl ClusterSim {
 
     /// Admits a wave of requests: each is planned on its carrier's replica
     /// ([`ClusterSim::carriers`]), then committed through the
-    /// coordinator's PREPARE/COMMIT in request order with one deferred
-    /// elastic fill flushed at wave end. Replicas sync before the wave
-    /// returns.
+    /// coordinator's PREPARE/COMMIT in request order, one admission at a
+    /// time. Replicas sync before the wave returns.
     pub fn establish_wave(
         &mut self,
         requests: &[EstablishRequest],
@@ -153,7 +150,6 @@ impl ClusterSim {
             }
         }
         // Phase 1+2: prepare, commit — in request order.
-        let mut fill: PendingFill = None;
         let mut results = Vec::with_capacity(requests.len());
         for ((req, slot), &carrier) in requests.iter().zip(planned).zip(&carriers) {
             let (plan_opt, footprint) = match slot {
@@ -162,15 +158,14 @@ impl ClusterSim {
             };
             let committed = self.coord.prepare(carrier, &footprint).and_then(|p| {
                 self.coord
-                    .commit_prepared(p.ticket, plan_opt, req, &mut fill)
+                    .commit_prepared(p.ticket, plan_opt, req, &mut None)
             });
             match committed {
                 Ok(result) => results.push(result),
                 // Unreachable on live members; keep the wave total anyway.
-                Err(_) => results.push(self.coord.establish_unprepared(req, &mut fill)),
+                Err(_) => results.push(self.coord.establish_unprepared(req)),
             }
         }
-        self.coord.flush(fill);
         self.sync();
         results
     }

@@ -162,11 +162,6 @@ impl ChainMarks {
             _ => false,
         }
     }
-
-    /// Whether the pair — this id in this slot — is in the set.
-    pub(crate) fn contains(&self, (slot, id): ChainPair) -> bool {
-        self.slots.get(slot as usize) == Some(&(self.gen, id))
-    }
 }
 
 #[cfg(test)]
@@ -181,6 +176,11 @@ mod tests {
         /// place a wrap or replay a generation.
         pub(crate) fn generation_mut(&mut self) -> &mut u64 {
             &mut self.gen
+        }
+
+        /// Whether the pair — this id in this slot — is in the set.
+        fn contains(&self, (slot, id): ChainPair) -> bool {
+            self.slots.get(slot as usize) == Some(&(self.gen, id))
         }
     }
 

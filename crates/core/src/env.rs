@@ -37,8 +37,6 @@ pub const BATCH: &str = "DRQOS_BATCH";
 pub const QUEUE_DEPTH: &str = "DRQOS_QUEUE_DEPTH";
 /// `DRQOS_WIRE` — daemon wire framing, text or binary (see [`wire`]).
 pub(crate) const WIRE: &str = "DRQOS_WIRE";
-/// `DRQOS_SHARDS` — admission-engine shard count (see [`shards`]).
-pub const SHARDS: &str = "DRQOS_SHARDS";
 /// `DRQOS_SCENARIO` — adversarial workload scenario (see [`scenario`]).
 pub(crate) const SCENARIO: &str = "DRQOS_SCENARIO";
 /// `DRQOS_SRLG_COUNT` — seeded shared-risk groups to derive (see
@@ -52,8 +50,6 @@ pub(crate) const SRLG_SIZE: &str = "DRQOS_SRLG_SIZE";
 pub(crate) const DEFAULT_BATCH: usize = 64;
 /// Default for `DRQOS_QUEUE_DEPTH`: bounded command-queue capacity.
 pub(crate) const DEFAULT_QUEUE_DEPTH: usize = 1024;
-/// Default for `DRQOS_SHARDS`: one shard, i.e. the monolithic engine.
-pub(crate) const DEFAULT_SHARDS: usize = 1;
 /// Default for `DRQOS_SRLG_COUNT`: no shared-risk groups registered.
 pub(crate) const DEFAULT_SRLG_COUNT: usize = 0;
 /// Default for `DRQOS_SRLG_SIZE`: three links per derived group.
@@ -143,14 +139,6 @@ pub fn registry() -> &'static [EnvVar] {
             default: "`text`",
             doc: "`binary` switches the daemon to length-prefixed binary \
                   framing (see SERVICE.md); any other value means text",
-        },
-        EnvVar {
-            name: SHARDS,
-            consumed_by: "`drqosd` admission engine",
-            default: "`1` (monolith)",
-            doc: "partitions the topology into N shards; batched \
-                  admissions pre-plan in parallel per shard and are \
-                  validated at commit (results are byte-identical to `1`)",
         },
         EnvVar {
             name: SCENARIO,
@@ -273,11 +261,6 @@ fn parse_wire(v: &str) -> WireMode {
 /// [`WireMode::Text`] otherwise.
 pub fn wire() -> WireMode {
     read(WIRE).map_or(WireMode::Text, |v| parse_wire(&v))
-}
-
-/// `DRQOS_SHARDS` (minimum 1; default [`DEFAULT_SHARDS`] = monolith).
-pub fn shards() -> usize {
-    read(SHARDS).map_or(DEFAULT_SHARDS, |v| parse_positive(&v, DEFAULT_SHARDS))
 }
 
 fn parse_scenario(v: &str) -> crate::scenario::ScenarioKind {

@@ -58,12 +58,8 @@ pub struct ExperimentConfig {
     pub failure_burst: usize,
     /// Network manager configuration.
     pub network: NetworkConfig,
-    /// Admission shards for the warm-up waves
-    /// ([`crate::ShardedNetwork`]): `1` plans every request at its
-    /// sequential point, `> 1` pre-plans per shard. Results are
-    /// byte-identical either way (the shard-differential fuzzer's
-    /// guarantee) except for the route-cache counters, which pre-planned
-    /// requests bypass.
+    /// Ignored: nothing reads it. It stays because `benchmark/` sets it
+    /// (ROADMAP 3(c)).
     pub shards: usize,
     /// RNG seed (experiments are deterministic given the seed).
     pub seed: u64,
@@ -82,7 +78,7 @@ impl ExperimentConfig {
             mean_repair: 1_000.0,
             failure_burst: 1,
             network: NetworkConfig::default(),
-            shards: crate::env::shards(),
+            shards: 1,
             seed: 2001,
         }
     }
@@ -140,9 +136,6 @@ enum Event {
     Srlg,
 }
 
-/// Warm-up wave width — the daemon's batch size.
-const WARMUP_WAVE: usize = 16;
-
 /// Whether churn experiments validate the full invariant set after every
 /// event. The `DRQOS_CHECKED` environment variable overrides (`1`/`true`/
 /// `on`/`yes` to force on, anything else to force off); without it,
@@ -187,7 +180,7 @@ pub fn run_scenario_churn(
     let n_nodes = net.graph().node_count();
     let mut report = ExperimentReport::default();
 
-    net = warm_up(net, config, &workload, &mut rng, &mut report);
+    warm_up(&mut net, config, &workload, &mut rng, &mut report);
 
     // ---- Churn. ----
     // A degenerate configuration (non-positive rates or shapes) runs no
@@ -463,38 +456,24 @@ fn release_measured(
     estimator.record_termination(&direct_t).is_ok()
 }
 
-/// Warm-up: attempt the target number of connections, a wave of
-/// [`WARMUP_WAVE`] requests at a time.
-///
-/// The workload only consumes the RNG and admission never does, so
-/// drawing a wave ahead of admitting it changes nothing; and a wave
-/// replays byte-identically to serial establishes in the same order at
-/// any shard count — the shard-differential fuzzer's guarantee — so
-/// `shards` changes how the warm-up is computed, never what it computes.
+/// Warm-up: attempt the target number of connections, one draw and one
+/// establish at a time (admission never consumes the RNG).
 fn warm_up(
-    net: Network,
+    net: &mut Network,
     config: &ExperimentConfig,
     workload: &Workload,
     rng: &mut Rng,
     report: &mut ExperimentReport,
-) -> Network {
+) {
     let n_nodes = net.graph().node_count();
-    let mut sharded = crate::ShardedNetwork::new(net, config.shards);
-    let mut left = config.target_connections;
-    while left > 0 {
-        let wave: Vec<_> = (0..left.min(WARMUP_WAVE))
-            .map(|_| workload.request(rng, n_nodes))
-            .collect();
-        left -= wave.len();
-        for result in sharded.establish_wave(&wave) {
-            report.attempted += 1;
-            match result {
-                Ok(_) => report.accepted += 1,
-                Err(e) => classify_rejection(report, &e),
-            }
+    for _ in 0..config.target_connections {
+        let req = workload.request(rng, n_nodes);
+        report.attempted += 1;
+        match net.establish(req.src, req.dst, req.qos) {
+            Ok(_) => report.accepted += 1,
+            Err(e) => classify_rejection(report, &e),
         }
     }
-    sharded.into_inner()
 }
 
 fn classify_rejection(report: &mut ExperimentReport, e: &crate::error::AdmissionError) {
@@ -677,28 +656,6 @@ mod tests {
         // Every observable except the counters themselves is identical.
         report_on.cache = report_off.cache;
         assert_eq!(report_on, report_off);
-    }
-
-    #[test]
-    fn sharding_does_not_change_results() {
-        // The sharded warm-up must be invisible in every observable —
-        // the same guarantee the route cache makes, proven here the same
-        // way. Only the cache counters may differ (waves plan outside
-        // the cache), and those are deliberately not observables.
-        let mut mono = quick_config(60);
-        mono.network.route_cache = true;
-        mono.shards = 1;
-        let mut sharded = mono.clone();
-        sharded.shards = 4;
-        let (report_mono, net_mono) = run_churn(small_graph(11), &mono);
-        let (mut report_sharded, net_sharded) = run_churn(small_graph(11), &sharded);
-        assert!(report_mono.accepted > 0);
-        assert_eq!(
-            crate::snapshot::NetworkSnapshot::capture(&net_mono),
-            crate::snapshot::NetworkSnapshot::capture(&net_sharded)
-        );
-        report_sharded.cache = report_mono.cache;
-        assert_eq!(report_mono, report_sharded);
     }
 
     #[test]

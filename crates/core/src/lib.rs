@@ -93,6 +93,5 @@ pub use qos::{AdaptationPolicy, Bandwidth, ElasticQos};
 pub use route_cache::RouteCache;
 pub use routing::{BackupDisjointness, RouterKind};
 pub use scenario::{register_seeded_srlgs, run_scenario_churn, Scenario, ScenarioKind};
-pub use shard::{ShardFault, ShardedNetwork};
 pub use snapshot::NetworkSnapshot;
 pub use workload::Workload;

@@ -26,10 +26,10 @@ use crate::channel::ConnectionId;
 use crate::conn_table::Slot;
 use crate::qos::Bandwidth;
 use drqos_topology::LinkId;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Bandwidth bookkeeping for one link.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LinkUsage {
     capacity: Bandwidth,
     up: bool,
@@ -53,36 +53,8 @@ pub struct LinkUsage {
     /// false). The route cache revalidates footprints on every lookup and
     /// hashes them on every insert; without the memo each call walks the
     /// conflict ledger, which dominated the miss path on loaded networks.
-    ///
-    /// Atomics rather than `Cell`s so a frozen `&Network` can be shared
-    /// across the sharded engine's planning threads (`LinkUsage` must be
-    /// `Sync`). The memo is a pure function of the accounting fields, so
-    /// concurrent fills race only on writing the *same* value; the memo
-    /// store is `Release`-ordered before clearing the dirty flag, and
-    /// readers `Acquire` the flag before trusting the memo.
-    digest_memo: AtomicU64,
-    digest_dirty: AtomicBool,
-}
-
-/// Cloning copies the accounting state and the memo. The memo is cloned
-/// as a snapshot (relaxed reads are fine: the source is behind `&self`,
-/// and a torn memo/dirty pair can at worst mark the clone dirty).
-impl Clone for LinkUsage {
-    fn clone(&self) -> Self {
-        Self {
-            capacity: self.capacity,
-            up: self.up,
-            primaries: self.primaries.clone(),
-            primary_slots: self.primary_slots.clone(),
-            primary_min_sum: self.primary_min_sum,
-            extra_sum: self.extra_sum,
-            backups: self.backups.clone(),
-            conflict: self.conflict.clone(),
-            reservation: self.reservation,
-            digest_dirty: AtomicBool::new(self.digest_dirty.load(Ordering::Acquire)),
-            digest_memo: AtomicU64::new(self.digest_memo.load(Ordering::Relaxed)),
-        }
-    }
+    digest_memo: Cell<u64>,
+    digest_dirty: Cell<bool>,
 }
 
 /// Equality over the *accounting* state only — the digest memo is a
@@ -114,8 +86,8 @@ impl LinkUsage {
             backups: Vec::new(),
             conflict: Vec::new(),
             reservation: Bandwidth::ZERO,
-            digest_memo: AtomicU64::new(0),
-            digest_dirty: AtomicBool::new(true),
+            digest_memo: Cell::new(0),
+            digest_dirty: Cell::new(true),
         }
     }
 
@@ -131,7 +103,7 @@ impl LinkUsage {
 
     pub(crate) fn set_up(&mut self, up: bool) {
         self.up = up;
-        self.digest_dirty.store(true, Ordering::Relaxed);
+        self.digest_dirty.set(true);
     }
 
     /// Primary channels crossing this link, in id order.
@@ -253,7 +225,7 @@ impl LinkUsage {
         self.primaries.insert(at, id);
         self.primary_slots.insert(at, slot);
         self.primary_min_sum += min;
-        self.digest_dirty.store(true, Ordering::Relaxed);
+        self.digest_dirty.set(true);
     }
 
     pub(crate) fn remove_primary(&mut self, id: ConnectionId, min: Bandwidth) {
@@ -263,7 +235,7 @@ impl LinkUsage {
         self.primaries.remove(at);
         self.primary_slots.remove(at);
         self.primary_min_sum -= min;
-        self.digest_dirty.store(true, Ordering::Relaxed);
+        self.digest_dirty.set(true);
     }
 
     pub(crate) fn add_extra(&mut self, amount: Bandwidth) {
@@ -298,7 +270,7 @@ impl LinkUsage {
                 self.reservation = *entry;
             }
         }
-        self.digest_dirty.store(true, Ordering::Relaxed);
+        self.digest_dirty.set(true);
     }
 
     pub(crate) fn remove_backup(
@@ -328,7 +300,7 @@ impl LinkUsage {
         if held_max {
             self.reservation = self.recomputed_reservation();
         }
-        self.digest_dirty.store(true, Ordering::Relaxed);
+        self.digest_dirty.set(true);
     }
 
     /// A digest of every field of this link that route *planning* can
@@ -347,22 +319,18 @@ impl LinkUsage {
     /// mutation, so repeated revalidation of untouched links is O(1)
     /// regardless of how many backups conflict on them.
     pub fn plan_digest(&self) -> u64 {
-        if self.digest_dirty.load(Ordering::Acquire) {
+        if self.digest_dirty.get() {
             let mut h: u64 = if self.up { 0x9E37_79B9_7F4A_7C15 } else { 0 };
             h = mix64(h ^ self.primary_min_sum.as_kbps());
             h = mix64(h ^ self.reservation.as_kbps());
             for &(f, bw) in &self.conflict {
                 h = mix64(h ^ (f.index() as u64).wrapping_mul(0x0100_0000_01B3) ^ bw.as_kbps());
             }
-            // Concurrent fills (shared frozen network during a planning
-            // wave) compute the same pure function; publish the memo
-            // before clearing the flag so an `Acquire` reader of
-            // `dirty == false` always sees a filled memo.
-            self.digest_memo.store(h, Ordering::Relaxed);
-            self.digest_dirty.store(false, Ordering::Release);
+            self.digest_memo.set(h);
+            self.digest_dirty.set(false);
             return h;
         }
-        self.digest_memo.load(Ordering::Relaxed)
+        self.digest_memo.get()
     }
 
     /// The conflict ledger: per failed link, in link order, the minima of

@@ -53,7 +53,7 @@ impl Network {
         }
         self.links[link.index()].set_up(false);
         self.topology_epoch += 1;
-        self.lock_cache().evict_link(link);
+        self.cache.get_mut().evict_link(link);
 
         let failed = &self.links[link.index()];
         let victims: Vec<ChainPair> = failed.primary_pairs().collect();
@@ -288,7 +288,7 @@ impl Network {
         }
         self.links[link.index()].set_up(true);
         self.topology_epoch += 1;
-        self.lock_cache().evict_link(link);
+        self.cache.get_mut().evict_link(link);
         let mut regained = Vec::new();
         if self.config.reestablish_backups {
             let target = self.config.backup_count;

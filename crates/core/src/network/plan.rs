@@ -81,7 +81,7 @@ impl Network {
         let key = (src, dst, min.as_kbps());
         let mut record = false;
         if self.config.route_cache {
-            let mut cache = self.lock_cache();
+            let mut cache = self.cache.borrow_mut();
             let hit = cache.lookup(key, |l| self.links[l.index()].plan_digest());
             if let Some((primary, backups)) = hit {
                 return Ok(EstablishPlan {
@@ -104,7 +104,8 @@ impl Network {
             self.with_scratch(|scratch| self.plan_routes(scratch, src, dst, min, fp))?;
         if record {
             let digests = self.footprint_digests(footprint.into_inner());
-            self.lock_cache()
+            self.cache
+                .borrow_mut()
                 .insert(key, primary.clone(), backups.clone(), digests);
         }
         Ok(EstablishPlan {
@@ -118,17 +119,17 @@ impl Network {
     /// network, recording the full admission **footprint**: every link the
     /// search probed, with its [`LinkUsage::plan_digest`] at planning time.
     ///
-    /// This is the pre-planner behind [`Network::admit`]'s hints (wave
-    /// phase 1, a cluster member's replica). Unlike
-    /// [`Network::plan_establish`] it never consults or fills the route
-    /// cache (so concurrent planners share `&self` without perturbing the
-    /// sequential point's cache counters) and it records the footprint
-    /// even when the plan **fails** — a rejection is only as valid as the
-    /// link state it observed, and `admit` must revalidate that too (more
-    /// admitted traffic can change *which* error a request gets).
+    /// This is the planner behind [`Network::admit`]'s hints (a cluster
+    /// member plans on its replica). Unlike [`Network::plan_establish`] it
+    /// never consults or fills the route cache (a hint leaves the cache
+    /// counters of the network it was planned on alone) and it records
+    /// the footprint even when the plan **fails** — a rejection is only as
+    /// valid as the link state it observed, and `admit` must revalidate
+    /// that too (more admitted traffic can change *which* error a request
+    /// gets).
     ///
-    /// The caller supplies the [`RouteScratch`] (one per planning thread);
-    /// any scratch will do, whatever it was last used for.
+    /// The caller supplies the [`RouteScratch`]; any scratch will do,
+    /// whatever it was last used for.
     pub fn plan_establish_traced(
         &self,
         scratch: &mut RouteScratch,

@@ -365,12 +365,8 @@ fn handle_cluster_msg(s: &mut CoordShared, peer: &mut Peer, msg: ClusterMsg) -> 
             };
             // The TCP daemons ship no plan: a commit without one plans at
             // its sequential point.
-            let mut fill = None;
-            match s.coord.commit_prepared(ticket, None, &req, &mut fill) {
-                Ok(_result) => {
-                    s.coord.flush(fill);
-                    s.committed(&mut peer.cursor)
-                }
+            match s.coord.commit_prepared(ticket, None, &req, &mut None) {
+                Ok(_result) => s.committed(&mut peer.cursor),
                 Err(e) => err_of(e),
             }
         }
@@ -941,7 +937,7 @@ mod tests {
             (a, "ESTABLISH 0 0 64 256 64"),
             (b, "ESTABLISH 0 3 0 0 0"),
         ];
-        let mut oracle = Engine::with_shards(genesis(), 1);
+        let mut oracle = Engine::new(genesis());
         for &(addr, line) in script {
             let got = session(addr, &[line]).remove(0);
             let want = oracle.handle_line(line).to_string();
@@ -1004,7 +1000,7 @@ mod tests {
     fn an_alternating_session_is_served_without_a_sync() {
         let booted = boot(2);
         let mut clients: Vec<Client> = booted.members.iter().map(|&a| Client::connect(a)).collect();
-        let mut oracle = Engine::with_shards(genesis(), 1);
+        let mut oracle = Engine::new(genesis());
         for i in 0..240u64 {
             let line = mixed_op(i);
             let client = &mut clients[(i % 2) as usize];
@@ -1033,7 +1029,7 @@ mod tests {
         let &[a, b] = &booted.members[..] else {
             panic!("expected two members");
         };
-        let mut oracle = Engine::with_shards(genesis(), 1);
+        let mut oracle = Engine::new(genesis());
         let mut busy = Client::connect(b);
         let sat_out = RECORDS_PER_SYNC as u64 + 8;
         for i in 0..sat_out {
@@ -1114,7 +1110,7 @@ mod tests {
         let [a, b] = &members[..] else {
             panic!("expected two members");
         };
-        let mut oracle = Engine::with_shards(genesis(), 1);
+        let mut oracle = Engine::new(genesis());
         let honest: [(&ClusterMember, &str); 4] = [
             (a, "ESTABLISH 0 3 64 256 64"),
             (b, "ESTABLISH 1 4 64 256 64"),

@@ -16,7 +16,6 @@ use drqos_core::error::NetworkError;
 use drqos_core::invariant::InvariantViolation;
 use drqos_core::network::{EstablishRequest, FailureReport, Network};
 use drqos_core::qos::{Bandwidth, ElasticQos};
-use drqos_core::shard::ShardedNetwork;
 use drqos_topology::NodeId;
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +49,7 @@ pub enum Handled {
 
 /// The network engine behind the daemon.
 pub struct Engine {
-    net: ShardedNetwork,
+    net: Network,
     metrics: Metrics,
     /// `BUSY` responses sent by reader threads (they never reach the
     /// engine, so the count crosses threads via an atomic).
@@ -58,31 +57,24 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Wraps a network, sharding it per `DRQOS_SHARDS` (default 1 — the
-    /// monolith; see SERVICE.md).
+    /// Wraps a network.
     pub fn new(net: Network) -> Self {
-        Self::with_shards(net, drqos_core::env::shards())
-    }
-
-    /// Wraps a network with an explicit shard count. In-process tests use
-    /// this instead of mutating `DRQOS_SHARDS` (environment writes race
-    /// parallel tests).
-    pub fn with_shards(net: Network, shards: usize) -> Self {
         Self {
-            net: ShardedNetwork::new(net, shards),
+            net,
             metrics: Metrics::new(),
             busy: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// The network under the engine.
-    pub fn network(&self) -> &Network {
-        self.net.inner()
+    /// [`Engine::new`]; `_shards` is ignored. It stays only because
+    /// `benchmark/` calls this signature (ROADMAP 3(c)).
+    pub fn with_shards(net: Network, _shards: usize) -> Self {
+        Self::new(net)
     }
 
-    /// Shards the admission engine is running with (1 = monolith).
-    pub fn shards(&self) -> usize {
-        self.net.shards()
+    /// The network under the engine.
+    pub fn network(&self) -> &Network {
+        &self.net
     }
 
     /// The request-metrics layer.
@@ -110,8 +102,7 @@ impl Engine {
     /// `SHUTDOWN` is deferred so the loop can drain queued commands
     /// first; metrics are recorded for every line, including malformed
     /// ones. Runs of consecutive `ESTABLISH` commands are admitted as one
-    /// wave ([`ShardedNetwork::establish_wave`]: one deferred-fill pass
-    /// per run, pre-planned per shard when `DRQOS_SHARDS` > 1).
+    /// batch ([`Network::establish_batch`]).
     ///
     /// Replies land in input order, one per line. Each run is sorted by
     /// [`Network::contention_order`] before admission and the results are
@@ -168,9 +159,9 @@ impl Engine {
             .collect()
     }
 
-    /// Admits one buffered establish run as a wave — a run of one is a
-    /// wave of one, one shard is the sequential loop — and renders each
-    /// reply from the settled network.
+    /// Admits one buffered establish run as a batch — a run of one is a
+    /// single establish — and renders each reply from the settled
+    /// network.
     fn flush_establish_run(
         &mut self,
         run: &mut Vec<PendingEstablish>,
@@ -180,16 +171,16 @@ impl Engine {
             return;
         }
         let reqs: Vec<EstablishRequest> = run.iter().map(|p| p.req).collect();
-        let order = self.net.inner().contention_order(&reqs);
+        let order = self.net.contention_order(&reqs);
         let sorted: Vec<EstablishRequest> =
             order.iter().filter_map(|&i| reqs.get(i).copied()).collect();
-        let results = self.net.establish_wave(&sorted);
-        // Un-permute: the result at wave position k answers request
+        let results = self.net.establish_batch(&sorted);
+        // Un-permute: the result at batch position k answers request
         // `order[k]`.
         for (&i, result) in order.iter().zip(results) {
             let Some(p) = run.get(i) else { continue };
             let resp = match result {
-                Ok(id) => render_admitted(self.net.inner(), id),
+                Ok(id) => render_admitted(&self.net, id),
                 Err(e) => wire_err(e.wire_code(), e),
             };
             self.metrics.record(p.row, p.t0.elapsed(), resp.is_err());
@@ -202,7 +193,7 @@ impl Engine {
     /// The caller (event loop or [`Engine::handle_line`]) sends this as
     /// the `SHUTDOWN` response after the queue is drained.
     pub fn finish_shutdown(&mut self) -> Response {
-        render_violations(&self.net.inner().check_invariants())
+        render_violations(&self.net.check_invariants())
     }
 
     /// Serves one parsed non-`ESTABLISH` request. The three local verbs
@@ -212,11 +203,11 @@ impl Engine {
     /// from the same transition function and the same renderer.
     fn dispatch(&mut self, req: &Request) -> Response {
         match req {
-            Request::Snapshot => Response::Ok(snapshot_payload(self.net.inner())),
+            Request::Snapshot => Response::Ok(snapshot_payload(&self.net)),
             Request::Stats => Response::Ok(self.stats_payload()),
             Request::Shutdown => self.finish_shutdown(),
             _ => match forwarded_op(req) {
-                Some(op) => render_outcome(Some(op.apply(self.net.inner_mut()))),
+                Some(op) => render_outcome(Some(op.apply(&mut self.net))),
                 // handle_lines buffers ESTABLISH into a run; answering it
                 // here anyway (instead of unreachable!) keeps dispatch
                 // total.
@@ -231,7 +222,7 @@ impl Engine {
     /// admission lookups, not time).
     fn stats_payload(&self) -> String {
         let merged = self.metrics.merged_latency();
-        let cache = self.net.inner().route_cache_stats();
+        let cache = self.net.route_cache_stats();
         format!(
             "ops={} errors={} admitted={} rejected={} busy={} \
              p50_us={} p95_us={} p99_us={} ops_per_sec={} \
@@ -604,45 +595,6 @@ mod tests {
         }
         assert_eq!(ids.len(), 2);
         assert_ne!(ids[0], ids[1]);
-    }
-
-    #[test]
-    fn sharded_batches_reply_byte_identically_to_the_monolith() {
-        // The same drained batch through a 4-shard engine (pre-planned
-        // waves) and the monolith: every reply line must match.
-        let lines: Vec<String> = [
-            "ESTABLISH 0 3 100 500 100",
-            "ESTABLISH 1 4 100 500 100",
-            "ESTABLISH 2 5 100 500 100",
-            "ESTABLISH 2 2 100 500 100",
-            "SNAPSHOT",
-            "ESTABLISH 4 1 100 500 100",
-            "ESTABLISH 5 2 100 500 100",
-            "RELEASE 0",
-            "SNAPSHOT",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let net = || Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
-        let mut mono = Engine::with_shards(net(), 1);
-        let mut sharded = Engine::with_shards(net(), 4);
-        assert_eq!(sharded.shards(), 4);
-        let render = |h: Handled| match h {
-            Handled::Reply(r) => r.to_string(),
-            Handled::ShutdownRequested => "SHUTDOWN".to_string(),
-        };
-        let want: Vec<String> = mono
-            .handle_server_batch(&lines)
-            .into_iter()
-            .map(render)
-            .collect();
-        let got: Vec<String> = sharded
-            .handle_server_batch(&lines)
-            .into_iter()
-            .map(render)
-            .collect();
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! fuzz [--seqs N] [--ops N] [--seed S] [--diff N] [--diff-cache N]
-//!      [--diff-batch N] [--diff-shard N] [--diff-cluster N]
-//!      [--tolerance F] [--self-test]
+//!      [--diff-cluster N] [--tolerance F] [--self-test]
 //! ```
 //!
 //! * the main run executes `--seqs` seeded operation sequences and exits
@@ -17,15 +16,13 @@
 //!   fails (with a shrunk reproducer) on any divergence in operation
 //!   results, leaked two-phase tickets, drop counters, epochs, or
 //!   snapshots of any network view:
-//!   `cache` (route cache on vs. off), `batch` (`establish_batch` runs
-//!   vs. sequential admission), `shard` (`ShardedNetwork` waves, **shard
-//!   counts 2 and 4**), `cluster` (an in-process `ClusterSim` federation
-//!   with daemon churn between waves, **member counts 2 and 3**);
+//!   `cache` (route cache on vs. off) and `cluster` (an in-process
+//!   `ClusterSim` federation with daemon churn between waves, **member
+//!   counts 2 and 3**);
 //! * `--self-test` is the mutation check: it injects the `LoseRelease`
 //!   and `LoseSrlgRepair` accounting faults into the invariant fuzzer and
-//!   every subject's registered mutant (`StarvedCapacity`,
-//!   `ReverseBatch`, `TrustStaleFootprint`, `LosePrepare`) into the
-//!   lockstep loop, and *fails* unless the detectors catch every one and
+//!   every subject's registered mutant (`StarvedCapacity`, `LosePrepare`)
+//!   into the lockstep loop, and *fails* unless the detectors catch every one and
 //!   shrink the witness within its bound (≤ 10 ops for each accounting
 //!   fault; the table row's `shrink_bound` for each mutant).
 

@@ -1,9 +1,9 @@
 //! The lockstep differential harness — the one loop behind
-//! `fuzz --diff-cache | --diff-batch | --diff-shard | --diff-cluster`.
+//! `fuzz --diff-cache | --diff-cluster`.
 //!
 //! The sequential [`Network`] is the admission authority; every faster
-//! path (route cache, [`Network::establish_batch`], sharded waves, the
-//! cluster federation) claims *exact* equivalence to it. [`Lockstep`]
+//! path (the route cache, the cluster federation) claims *exact*
+//! equivalence to it. [`Lockstep`]
 //! enforces such a claim: a fuzzed operation sequence is replayed against
 //! a [`Subject`] and a sequential oracle side by side. Maximal runs of
 //! consecutive `Establish` ops (capped at [`Subject::RUN_CAP`]) reach the
@@ -46,7 +46,6 @@ use drqos_core::channel::ConnectionId;
 use drqos_core::error::{AdmissionError, ClusterError};
 use drqos_core::network::{EstablishRequest, Network};
 use drqos_core::qos::ElasticQos;
-use drqos_core::shard::{ShardFault, ShardedNetwork};
 use drqos_core::snapshot::NetworkSnapshot;
 use drqos_sim::rng::Rng;
 use drqos_topology::{LinkId, NodeId};
@@ -128,7 +127,7 @@ pub(crate) fn resolve_op(net: &Network, qos: ElasticQos, op: Op) -> Option<Resol
 /// What one case runs at, beyond its scenario and operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Case {
-    /// The subject's parameter — shard or member count; ignored by
+    /// The subject's parameter — the member count; ignored by
     /// subjects whose [`Subject::UNIT`] is empty.
     pub param: usize,
     /// The case seed: the churn stream derives from it.
@@ -142,7 +141,7 @@ pub struct Case {
 pub trait Subject: Sized {
     /// Table name: the `--diff-<NAME>` flag, report lines, reproducers.
     const NAME: &'static str;
-    /// What [`Case::param`] counts (`"shard(s)"`); empty when the subject
+    /// What [`Case::param`] counts (`"member(s)"`); empty when the subject
     /// takes no parameter.
     const UNIT: &'static str = "";
     /// The parameter values `fuzz --diff-<NAME>` runs at.
@@ -444,7 +443,7 @@ impl SubjectRow {
         }
     }
 
-    /// `" at 4 shard(s)"`, or nothing for an unparameterised subject.
+    /// `" at 3 member(s)"`, or nothing for an unparameterised subject.
     pub fn at(&self, param: usize) -> String {
         if self.unit.is_empty() {
             String::new()
@@ -592,11 +591,9 @@ pub struct Outcome {
 
 /// The subject table: every lockstep differential `fuzz` can run, in
 /// `--diff-*` flag order.
-pub fn subjects() -> [SubjectRow; 4] {
+pub fn subjects() -> [SubjectRow; 2] {
     [
         SubjectRow::of::<CacheSubject>(),
-        SubjectRow::of::<BatchSubject>(),
-        SubjectRow::of::<ShardSubject>(),
         SubjectRow::of::<ClusterSubject>(),
     ]
 }
@@ -654,90 +651,6 @@ impl Subject for CacheSubject {
 
     fn views(&self) -> Vec<(String, &Network)> {
         vec![("cache-on".to_string(), &self.0)]
-    }
-}
-
-/// Batched admission ([`Network::establish_batch`]) against sequential
-/// establishment.
-pub struct BatchSubject {
-    net: Network,
-    reverse: bool,
-}
-
-impl Subject for BatchSubject {
-    const NAME: &'static str = "batch";
-    /// The batch-ordering bug a caller writes by sorting requests and
-    /// forgetting to map replies back: each run reaches `establish_batch`
-    /// reversed and the results are *not* un-permuted.
-    const MUTANT: &'static str = "ReverseBatch";
-    const SHRINK_BOUND: usize = 4;
-
-    fn build(scenario: &Scenario, case: Case) -> Self {
-        BatchSubject {
-            net: scenario.network(),
-            reverse: case.mutant,
-        }
-    }
-
-    fn establish_run(
-        &mut self,
-        requests: &[EstablishRequest],
-    ) -> Vec<Result<ConnectionId, AdmissionError>> {
-        if self.reverse {
-            let reversed: Vec<EstablishRequest> = requests.iter().rev().copied().collect();
-            self.net.establish_batch(&reversed)
-        } else {
-            self.net.establish_batch(requests)
-        }
-    }
-
-    fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
-        Ok(op.apply(&mut self.net))
-    }
-
-    fn views(&self) -> Vec<(String, &Network)> {
-        vec![("batched".to_string(), &self.net)]
-    }
-}
-
-/// Sharded admission ([`ShardedNetwork::establish_wave`]: parallel
-/// per-shard pre-planning, validated at each request's sequential point
-/// by [`Network::admit`]) against the monolith. Non-establish ops go straight to the inner network —
-/// sharding only fronts admission.
-pub struct ShardSubject(ShardedNetwork);
-
-impl Subject for ShardSubject {
-    const NAME: &'static str = "shard";
-    const UNIT: &'static str = "shard(s)";
-    const GRID: &'static [usize] = &[2, 4];
-    /// [`ShardFault::TrustStaleFootprint`]: the wave committer uses every
-    /// pre-planned result without comparing digests; two establishes
-    /// contending for one link are enough to over-admit.
-    const MUTANT: &'static str = "TrustStaleFootprint";
-    const MUTANT_PARAM: usize = 4;
-    const SHRINK_BOUND: usize = 3;
-
-    fn build(scenario: &Scenario, case: Case) -> Self {
-        let mut sharded = ShardedNetwork::new(scenario.network(), case.param);
-        if case.mutant {
-            sharded.set_fault(ShardFault::TrustStaleFootprint);
-        }
-        ShardSubject(sharded)
-    }
-
-    fn establish_run(
-        &mut self,
-        requests: &[EstablishRequest],
-    ) -> Vec<Result<ConnectionId, AdmissionError>> {
-        self.0.establish_wave(requests)
-    }
-
-    fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
-        Ok(op.apply(self.0.inner_mut()))
-    }
-
-    fn views(&self) -> Vec<(String, &Network)> {
-        vec![("sharded".to_string(), self.0.inner())]
     }
 }
 
@@ -865,8 +778,7 @@ mod tests {
     }
 
     /// All-establish streams force full `RUN_CAP` groups on a starved
-    /// network — the worst case for deferred-fill bookkeeping and
-    /// cross-shard contention.
+    /// network — the worst case for stale footprints.
     fn dense_establishes() -> (Scenario, Vec<Op>) {
         let scenario = Scenario {
             nodes: 8,
@@ -948,34 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_contended_batches_replay_identically() {
-        let (scenario, ops) = dense_establishes();
-        assert!(
-            subject("batch")
-                .unwrap()
-                .run_sequence(&scenario, &ops, case(0, 7))
-                .is_none(),
-            "dense batches must match sequential establishment"
-        );
-    }
-
-    #[test]
-    fn dense_contended_waves_replay_identically() {
-        // Maximum cross-shard contention, so the stale-hint re-plan path
-        // gets exercised hard.
-        let (scenario, ops) = dense_establishes();
-        for shards in [2usize, 3, 4] {
-            assert!(
-                subject("shard")
-                    .unwrap()
-                    .run_sequence(&scenario, &ops, case(shards, 7))
-                    .is_none(),
-                "dense waves must match the monolith at {shards} shard(s)"
-            );
-        }
-    }
-
-    #[test]
     fn dense_contended_waves_with_churn_replay_identically() {
         // Churn reshuffles which member carries which request between
         // full waves: maximum pressure on stale-footprint replans.
@@ -1019,57 +903,6 @@ mod tests {
         assert_eq!(failure.shrunk.len(), 1, "{:?}", failure.shrunk);
         assert!(failure.shrunk.len() <= row.shrink_bound);
         assert!(matches!(failure.shrunk[0], Op::Establish { .. }));
-    }
-
-    #[test]
-    fn reversed_batch_fault_is_caught_and_shrinks_small() {
-        // The injected batch-ordering bug must be caught and shrunk to a
-        // handful of operations. The witness needs at least two
-        // consecutive establishes (a batch of one cannot misorder);
-        // sometimes a follow-up op is also required because swapped
-        // admissions can yield numerically equal ids.
-        let shrunk = subject("batch")
-            .unwrap()
-            .mutation_witness(2001, 20)
-            .expect("ordering fault must be detected within the budget")
-            .shrunk;
-        assert!(
-            (2..=4).contains(&shrunk.len()),
-            "ordering witness should be tiny: {shrunk:?}"
-        );
-        assert!(
-            shrunk
-                .iter()
-                .filter(|op| matches!(op, Op::Establish { .. }))
-                .count()
-                >= 2,
-            "witness needs a consecutive establish pair: {shrunk:?}"
-        );
-    }
-
-    #[test]
-    fn trusted_stale_footprint_is_caught_and_shrinks_small() {
-        // A wave committer that skips the digest comparison commits a
-        // plan made before an earlier commit of the same wave. The
-        // witness is a wave of establishes from different home shards
-        // contending for a link: at least two, at most the bound.
-        let row = subject("shard").unwrap();
-        let shrunk = row
-            .mutation_witness(2001, 20)
-            .expect("trusted stale footprints must be detected within the budget")
-            .shrunk;
-        assert!(
-            (2..=row.shrink_bound).contains(&shrunk.len()),
-            "stale-plan witness should be tiny: {shrunk:?}"
-        );
-        assert!(
-            shrunk
-                .iter()
-                .filter(|op| matches!(op, Op::Establish { .. }))
-                .count()
-                >= 2,
-            "a hint only goes stale behind another establish: {shrunk:?}"
-        );
     }
 
     #[test]

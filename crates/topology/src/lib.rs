@@ -37,7 +37,6 @@
 pub mod error;
 pub mod graph;
 pub mod metrics;
-pub mod partition;
 pub mod paths;
 pub mod regular;
 pub mod transit_stub;
@@ -46,7 +45,6 @@ pub mod waxman;
 pub use error::TopologyError;
 pub use graph::{Graph, Link, LinkId, NodeId};
 pub use metrics::TopologySummary;
-pub use partition::Partition;
 pub use paths::Path;
 pub use transit_stub::{TransitStub, TransitStubConfig};
 pub use waxman::WaxmanConfig;

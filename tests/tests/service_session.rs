@@ -58,19 +58,23 @@ const GOLDEN_SCRIPT: &[&str] = &[
     "SHUTDOWN",
 ];
 
+/// The golden script one line at a time, as `handle_line` serves it.
+fn line_transcript(engine: &mut Engine) -> String {
+    replay_script("ring6 all verbs", GOLDEN_SCRIPT, |line| {
+        engine.handle_line(line).to_string()
+    })
+}
+
 #[test]
 fn protocol_session_matches_blessed_transcript() {
-    let mut engine = ring_engine();
-    let transcript = replay_script("ring6 all verbs", GOLDEN_SCRIPT, |line| {
-        engine.handle_line(line).to_string()
-    });
+    let transcript = line_transcript(&mut ring_engine());
     if let Err(e) = verify_golden(&golden_dir(), "service_session", &transcript) {
         panic!("{e}");
     }
 }
 
-/// Replays `script` as one drained server batch — the path that
-/// engages wave admission for consecutive `ESTABLISH` lines — and
+/// Replays `script` as one drained server batch — the path that admits
+/// consecutive `ESTABLISH` lines as one contention-ordered batch — and
 /// renders the same transcript shape as [`replay_script`].
 fn batch_transcript(
     name: &str,
@@ -93,24 +97,12 @@ fn batch_transcript(
     out
 }
 
-/// The full golden script through a `DRQOS_SHARDS=4` engine, as the
-/// server's event loop would drain it: the transcript is blessed on its
-/// own golden and must also be byte-identical to the monolith's batch
-/// replay of the same script.
+/// The full golden script as the server's event loop would drain it, in
+/// one batch: byte-identical to the blessed line-at-a-time transcript.
 #[test]
-fn sharded_session_matches_blessed_transcript_and_the_monolith() {
-    let net = || Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
-    let mut sharded = Engine::with_shards(net(), 4);
-    let transcript = batch_transcript("ring6 all verbs, 4 shards", &mut sharded, GOLDEN_SCRIPT);
-    let mut mono = Engine::with_shards(net(), 1);
-    let mono_transcript = batch_transcript("ring6 all verbs, 4 shards", &mut mono, GOLDEN_SCRIPT);
-    assert_eq!(
-        transcript, mono_transcript,
-        "sharded batch replay must be byte-identical to the monolith"
-    );
-    if let Err(e) = verify_golden(&golden_dir(), "service_session_sharded", &transcript) {
-        panic!("{e}");
-    }
+fn drained_session_matches_the_line_at_a_time_transcript() {
+    let transcript = batch_transcript("ring6 all verbs", &mut ring_engine(), GOLDEN_SCRIPT);
+    assert_eq!(transcript, line_transcript(&mut ring_engine()));
 }
 
 /// The SRLG verbs plus both of their error families: 305 (unknown
@@ -140,27 +132,19 @@ const SRLG_SCRIPT: &[&str] = &[
 /// A ring engine with two seeded 2-link shared-risk groups — the same
 /// derivation `drqosd --seed 2001` performs under `DRQOS_SRLG_COUNT=2`
 /// `DRQOS_SRLG_SIZE=2`.
-fn srlg_ring_engine(shards: usize) -> Engine {
+fn srlg_ring_engine() -> Engine {
     let mut net = Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
     let registered = drqos_core::register_seeded_srlgs(&mut net, 2, 2, 2001);
     assert_eq!(registered, 2, "ring of 6 fits two disjoint 2-link groups");
-    Engine::with_shards(net, shards)
+    Engine::new(net)
 }
 
 /// Golden transcript for the correlated-failure verbs, pinned through
-/// the sharded batch path: `DRQOS_SHARDS=4` and `=1` engines must replay
-/// byte-identically, and the shared transcript must exercise both SRLG
-/// error families before being compared against the blessed trace.
+/// the drained-batch path; it must exercise both SRLG error families
+/// before being compared against the blessed trace.
 #[test]
-fn srlg_session_matches_blessed_transcript_at_any_shard_count() {
-    let mut sharded = srlg_ring_engine(4);
-    let transcript = batch_transcript("ring6 srlg verbs, 4 shards", &mut sharded, SRLG_SCRIPT);
-    let mut mono = srlg_ring_engine(1);
-    let mono_transcript = batch_transcript("ring6 srlg verbs, 4 shards", &mut mono, SRLG_SCRIPT);
-    assert_eq!(
-        transcript, mono_transcript,
-        "SRLG batch replay must be byte-identical across shard counts"
-    );
+fn srlg_session_matches_blessed_transcript() {
+    let transcript = batch_transcript("ring6 srlg verbs", &mut srlg_ring_engine(), SRLG_SCRIPT);
     for needle in ["OK links=2", "ERR 305 ", "ERR 306 ", "ERR 3 "] {
         assert!(transcript.contains(needle), "script must exercise {needle}");
     }
