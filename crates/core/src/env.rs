@@ -16,7 +16,7 @@
 //! * [`checked`] — `DRQOS_CHECKED`, invariant re-validation override.
 //! * [`route_cache`] — `DRQOS_ROUTE_CACHE`, admission route-memo toggle.
 //! * [`bless`] — `DRQOS_BLESS`, golden-trace re-bless switch.
-//! * [`batch`] / [`queue_depth`] — `drqosd` event-loop knobs.
+//! * [`queue_depth`] — `DRQOS_QUEUE_DEPTH`, `drqosd`'s `BUSY` threshold.
 //! * [`scenario`] — `DRQOS_SCENARIO`, adversarial workload selection.
 //! * [`srlg_count`] / [`srlg_size`] — `DRQOS_SRLG_*`, seeded
 //!   shared-risk-group derivation.
@@ -30,9 +30,11 @@ pub(crate) const CHECKED: &str = "DRQOS_CHECKED";
 pub(crate) const ROUTE_CACHE: &str = "DRQOS_ROUTE_CACHE";
 /// `DRQOS_BLESS` — golden-trace re-bless switch (see [`bless`]).
 pub(crate) const BLESS: &str = "DRQOS_BLESS";
-/// `DRQOS_BATCH` — daemon event-loop batch size (see [`batch`]).
+/// `DRQOS_BATCH` — read by nothing and not in [`registry`]: `drqosd` has
+/// no batch left to size. The name stays only because `benchmark/` uses
+/// it as an exported knob the benchmark must refuse (ROADMAP 4(c)).
 pub const BATCH: &str = "DRQOS_BATCH";
-/// `DRQOS_QUEUE_DEPTH` — daemon command-queue capacity (see
+/// `DRQOS_QUEUE_DEPTH` — requests `drqosd` lets wait for its engine (see
 /// [`queue_depth`]).
 pub const QUEUE_DEPTH: &str = "DRQOS_QUEUE_DEPTH";
 /// `DRQOS_WIRE` — daemon wire framing, text or binary (see [`wire`]).
@@ -46,9 +48,8 @@ pub(crate) const SRLG_COUNT: &str = "DRQOS_SRLG_COUNT";
 /// [`srlg_size`]).
 pub(crate) const SRLG_SIZE: &str = "DRQOS_SRLG_SIZE";
 
-/// Default for `DRQOS_BATCH`: commands drained per event-loop tick.
-pub(crate) const DEFAULT_BATCH: usize = 64;
-/// Default for `DRQOS_QUEUE_DEPTH`: bounded command-queue capacity.
+/// Default for `DRQOS_QUEUE_DEPTH`: requests waiting for the engine or
+/// holding it.
 pub(crate) const DEFAULT_QUEUE_DEPTH: usize = 1024;
 /// Default for `DRQOS_SRLG_COUNT`: no shared-risk groups registered.
 pub(crate) const DEFAULT_SRLG_COUNT: usize = 0;
@@ -122,16 +123,11 @@ pub fn registry() -> &'static [EnvVar] {
             doc: "`1` rewrites `tests/golden/*.txt` instead of comparing",
         },
         EnvVar {
-            name: BATCH,
-            consumed_by: "`drqosd`",
-            default: "`64`",
-            doc: "commands drained per event-loop wakeup",
-        },
-        EnvVar {
             name: QUEUE_DEPTH,
             consumed_by: "`drqosd`",
             default: "`1024`",
-            doc: "bounded command-queue capacity; a full queue answers `BUSY`",
+            doc: "requests waiting for the engine or holding it; \
+                  one more is answered `BUSY`",
         },
         EnvVar {
             name: WIRE,
@@ -235,11 +231,6 @@ pub fn route_cache() -> bool {
 /// `DRQOS_BLESS`: `true` only for the exact value `1`.
 pub fn bless() -> bool {
     read(BLESS).is_some_and(|v| v == "1")
-}
-
-/// `DRQOS_BATCH` (minimum 1; default [`DEFAULT_BATCH`]).
-pub fn batch() -> usize {
-    read(BATCH).map_or(DEFAULT_BATCH, |v| parse_positive(&v, DEFAULT_BATCH))
 }
 
 /// `DRQOS_QUEUE_DEPTH` (minimum 1; default [`DEFAULT_QUEUE_DEPTH`]).

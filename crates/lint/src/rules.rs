@@ -10,8 +10,9 @@
 //! The codebase splits into zones with different obligations, mirroring
 //! the paper's split between the analyzed model and the measurement edge:
 //!
-//! * **daemon zone** — `drqosd`'s event loop, connection readers, and the
-//!   admission path they drive ([`NO_PANIC_FILES`]): must not panic.
+//! * **daemon zone** — `drqosd`'s connection readers, the locked engine
+//!   call each makes, and the admission path it drives
+//!   ([`NO_PANIC_FILES`]): must not panic.
 //! * **byte-stable zone** — snapshot/series/golden/wire emitters whose
 //!   byte-equality CI proves ([`DETERMINISTIC_FILES`], [`FLOAT_FILES`]):
 //!   no unordered iteration, no unpinned float formatting.
@@ -456,7 +457,7 @@ pub(crate) fn no_panic_daemon(view: &FileView<'_>, out: &mut Vec<Finding>) {
                     RULE,
                     t.line,
                     format!(
-                        "{}! aborts the event loop; return an error response instead",
+                        "{}! kills a reader mid-request; return an error response instead",
                         t.text
                     ),
                 ));

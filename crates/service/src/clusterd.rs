@@ -47,7 +47,7 @@
 //! graceful `LEAVE` is a **crash**: the coordinator aborts its pending
 //! prepares and marks its roster slot dead.
 
-use crate::conn::{accept_until, Conn, POLL_INTERVAL};
+use crate::conn::{accept_until, lock_shrug, Conn, POLL_INTERVAL};
 use crate::engine::{
     establish_request, forwarded_op, render_admitted, render_outcome, render_violations,
     snapshot_payload, wire_err,
@@ -68,16 +68,9 @@ use drqos_topology::LinkId;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-
-/// Poison-shrugging lock: a panicked handler thread must not wedge the
-/// daemon, and the guarded state is always left consistent between
-/// operations (every mutation happens under one lock acquisition).
-fn lock_shrug<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn link_down() -> io::Error {
     io::Error::new(io::ErrorKind::NotConnected, "coordinator link is down")

@@ -23,6 +23,10 @@
 //! * **EOF** ends the connection like a raised flag does: `Ok(None)`.
 //! * **Replies.** A [`Response`] is written the framing's own way — a
 //!   line, or a response frame — in one `write`.
+//!
+//! Every listener serves a request the same way once `Conn` has it: one
+//! call on its shared state under [`lock_shrug`], on the connection's own
+//! thread.
 
 use crate::error::ProtocolError;
 use crate::frame;
@@ -32,12 +36,20 @@ use drqos_core::framing::{self, Fill, FrameReader};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
-/// How often blocked I/O — a served read, an accept, the shutdown drain —
-/// re-checks its stop flag.
+/// How often blocked I/O — a served read, an accept — re-checks its stop
+/// flag.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Poison-shrugging lock: a panicked handler thread must not wedge the
+/// daemon, and the guarded state is always left consistent between
+/// operations (every mutation happens under one lock acquisition).
+pub(crate) fn lock_shrug<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// One accepted connection, speaking one framing.
 pub(crate) struct Conn {

@@ -1,11 +1,11 @@
 //! The admission-control engine: one [`Network`] plus the request-metrics
-//! layer, driven one command — or one drained queue batch — at a time.
+//! layer, driven one command — or one batch of lines — at a time.
 //!
-//! The engine is *single-writer by construction*: it is owned by exactly
-//! one event loop (see [`crate::server`]) and has no interior locking.
-//! Every response except `STATS` is a pure function of the command
-//! sequence applied so far, which is what makes protocol sessions
-//! golden-traceable.
+//! The engine has no interior locking: the daemon keeps it behind one
+//! lock and calls it once per request (see [`crate::server`]), so every
+//! call sees the state the previous one left. Every response except
+//! `STATS` is a pure function of the command sequence applied so far,
+//! which is what makes protocol sessions golden-traceable.
 
 use crate::error::ProtocolError;
 use crate::metrics::{Metrics, OpTimer, INVALID};
@@ -37,13 +37,13 @@ fn set_slot(out: &mut [Option<Handled>], slot: usize, handled: Handled) {
     }
 }
 
-/// What the server loop should do with a handled line.
+/// What the server should do with a handled line.
 #[derive(Debug)]
 pub enum Handled {
     /// Send this response to the client.
     Reply(Response),
-    /// The line was a `SHUTDOWN` request: drain the queue, then call
-    /// [`Engine::finish_shutdown`] and send its response.
+    /// The line was a `SHUTDOWN` request: serve every request already
+    /// read, then call [`Engine::finish_shutdown`] and send its response.
     ShutdownRequested,
 }
 
@@ -87,31 +87,37 @@ impl Engine {
         Arc::clone(&self.busy)
     }
 
-    /// Handles one line for an interactive (non-server) caller — a batch
-    /// of one — except that `SHUTDOWN` completes immediately. This is the
-    /// entry point golden-session replays use.
+    /// Handles one line for an interactive (non-server) caller, except
+    /// that `SHUTDOWN` completes immediately. This is the entry point
+    /// golden-session replays use.
     pub fn handle_line(&mut self, line: &str) -> Response {
-        match self.handle_lines(std::iter::once(line)).pop() {
-            Some(Handled::Reply(r)) => r,
-            Some(Handled::ShutdownRequested) => self.finish_shutdown(),
-            None => ProtocolError::internal("batch reply slot unfilled").into(),
+        match self.handle_one(line) {
+            Handled::Reply(r) => r,
+            Handled::ShutdownRequested => self.finish_shutdown(),
         }
     }
 
-    /// Handles one drained queue batch for the server event loop.
-    /// `SHUTDOWN` is deferred so the loop can drain queued commands
-    /// first; metrics are recorded for every line, including malformed
-    /// ones. Runs of consecutive `ESTABLISH` commands are admitted as one
-    /// batch ([`Network::establish_batch`]).
+    /// Handles one line for the server: [`Engine::handle_server_batch`]
+    /// of one, without building the batch.
+    pub(crate) fn handle_one(&mut self, line: &str) -> Handled {
+        self.handle_lines(std::iter::once(line))
+            .pop()
+            .unwrap_or_else(|| {
+                Handled::Reply(ProtocolError::internal("batch reply slot unfilled").into())
+            })
+    }
+
+    /// Handles a batch of lines. `SHUTDOWN` is deferred so the caller can
+    /// serve what came before it first; metrics are recorded for every
+    /// line, including malformed ones. Runs of consecutive `ESTABLISH`
+    /// commands are admitted as one batch ([`Network::establish_batch`]).
     ///
     /// Replies land in input order, one per line. Each run is sorted by
     /// [`Network::contention_order`] before admission and the results are
-    /// mapped back; this is observable only as admission order, which
-    /// concurrent clients have no contract over (commands in one drained
-    /// batch come from distinct connections — each client is closed-loop).
-    /// The `bw=` field of a batched establish reply reflects the network
-    /// *after the whole run commits*, exactly as if the requests had been
-    /// admitted back-to-back with no reader between them.
+    /// mapped back; this is observable only as admission order. The `bw=`
+    /// field of a batched establish reply reflects the network *after the
+    /// whole run commits*, exactly as if the requests had been admitted
+    /// back-to-back with no reader between them.
     pub fn handle_server_batch(&mut self, lines: &[String]) -> Vec<Handled> {
         self.handle_lines(lines.iter().map(String::as_str))
     }
@@ -190,8 +196,9 @@ impl Engine {
     }
 
     /// Runs the final invariant check and reports the violation count.
-    /// The caller (event loop or [`Engine::handle_line`]) sends this as
-    /// the `SHUTDOWN` response after the queue is drained.
+    /// The caller (the server's drain or [`Engine::handle_line`]) sends
+    /// this as the `SHUTDOWN` response once every earlier request is
+    /// served.
     pub fn finish_shutdown(&mut self) -> Response {
         render_violations(&self.net.check_invariants())
     }

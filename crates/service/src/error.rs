@@ -73,8 +73,8 @@ impl ProtocolError {
         }
     }
 
-    /// An internal engine inconsistency the event loop reports rather
-    /// than panics on. `detail` must be deterministic (no wall-clock, no
+    /// An internal engine inconsistency the daemon reports rather than
+    /// panics on. `detail` must be deterministic (no wall-clock, no
     /// addresses) so sessions stay golden-traceable even when this fires.
     pub(crate) fn internal(detail: &str) -> Self {
         Self {

@@ -30,8 +30,8 @@
 //! argument count → 3, torn argument block → 4. No new code space.
 //!
 //! The daemon decodes request frames to [`Request`] and re-renders them
-//! as canonical text lines, so both wire modes share one event-loop and
-//! engine path; only the framing a connection speaks differs.
+//! as canonical text lines, so both wire modes share one engine path;
+//! only the framing a connection speaks differs.
 //!
 //! The transport primitives (length prefix, accumulator, the byte cap)
 //! live in [`drqos_core::framing`]; the inter-daemon cluster protocol

@@ -2,12 +2,12 @@
 //! over a line-based TCP protocol, plus a closed-loop load generator.
 //!
 //! The daemon (`drqosd`) owns one [`drqos_core::network::Network`] behind
-//! a single-writer event loop: per-connection reader threads parse
-//! nothing — they forward raw lines into a bounded command queue, and one
-//! thread owns all mutable state, so the hot path takes no locks and
-//! every response (except `STATS`) is a deterministic function of the
-//! command sequence. A full queue is surfaced to the client as `BUSY`
-//! backpressure rather than unbounded buffering.
+//! one lock: each connection's reader thread serves its own requests, one
+//! locked engine call apiece, so requests apply one at a time and every
+//! response (except `STATS`) is a deterministic function of the command
+//! sequence. More requests waiting for the engine than
+//! `DRQOS_QUEUE_DEPTH` allows are surfaced to the client as `BUSY`
+//! backpressure rather than unbounded waiting.
 //!
 //! Module map:
 //!
@@ -24,9 +24,9 @@
 //! * [`metrics`] — log₂-bucketed latency histograms and per-op counters.
 //! * `conn` — the one polled reader and reply writer behind every
 //!   served connection (both framings, all three listeners), and the
-//!   accept loop they share.
-//! * [`server`] — TCP accept/reader/event-loop plumbing and graceful,
-//!   invariant-checked shutdown.
+//!   accept loop and poison-shrugging lock they share.
+//! * [`server`] — TCP accept and reader plumbing, the `BUSY` count, and
+//!   graceful, invariant-checked shutdown.
 //! * [`loadgen`] — the closed-loop multi-client load generator used by
 //!   `drqos-loadgen` and the smoke tests.
 //! * [`clusterd`] — the federation daemons (`drqos-clusterd`): a

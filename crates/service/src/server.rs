@@ -1,27 +1,29 @@
-//! The `drqosd` server: std-only TCP, single-writer event loop.
+//! The `drqosd` server: std-only TCP, one locked engine call per request.
 //!
 //! Architecture (one box per thread):
 //!
 //! ```text
-//!  client ──TCP──▶ reader thread ──try_send──▶ bounded queue ─▶ event loop
-//!                      ▲   │  (full → BUSY)     (DRQOS_QUEUE_DEPTH)   │
-//!                      │   └──────────── reply channel ◀──────────────┘
+//!  client ──TCP──▶ reader thread ──count──▶ lock(Engine) ──▶ reply
+//!                      ▲            (DRQOS_QUEUE_DEPTH full → BUSY)
 //!                    accept loop (spawns one reader per connection)
 //! ```
 //!
-//! * Exactly one thread (the event loop) ever touches the [`Engine`] and
-//!   its [`drqos_core::network::Network`] — no locks on the hot path.
-//! * Reader threads parse nothing; they take one request at a time off
-//!   their connection (`crate::conn`: its canonical text line, in either
-//!   framing) and `try_send` it into a *bounded* queue. A full queue
-//!   answers `BUSY` immediately instead of buffering without bound
-//!   (backpressure).
-//! * The event loop drains up to `DRQOS_BATCH` commands per tick, so a
-//!   burst pays the channel-wakeup cost once, not per command.
-//! * `SHUTDOWN` is graceful: the loop stops accepting, drains every
-//!   queued command, runs `check_invariants()`, and only then replies.
+//! * Each reader serves its own connection: it takes one request at a
+//!   time off it (`crate::conn`: its canonical text line, in either
+//!   framing), makes one engine call under the shared `Mutex<Engine>`,
+//!   and writes the reply itself. The member daemon's client port and
+//!   the coordinator's peer port (`crate::clusterd`) serve the same way.
+//! * `DRQOS_QUEUE_DEPTH` caps the requests waiting for the engine or
+//!   holding it. The count is an atomic taken before the lock, so a full
+//!   count answers `BUSY` at once and the request never reaches the
+//!   engine (backpressure).
+//! * `SHUTDOWN` is graceful: its reader raises the flag, waits until every
+//!   request already counted has been served, runs `check_invariants()`
+//!   under the lock, replies, and only then hands the report to
+//!   [`Server::run`]. A request counted after the check is answered
+//!   `ERR 11`; nothing reaches the engine after it.
 
-use crate::conn::{accept_until, Conn, POLL_INTERVAL};
+use crate::conn::{accept_until, lock_shrug, Conn};
 use crate::engine::{Engine, Handled};
 use crate::error::ProtocolError;
 use crate::protocol::Response;
@@ -30,32 +32,8 @@ use drqos_core::network::Network;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
-
-/// Backstop for the shutdown drain: after this many *consecutive* empty
-/// poll intervals the loop stops waiting for reader threads (a reader
-/// always exits within one interval of the flag, so hitting this means a
-/// reader thread is wedged, not slow).
-const SHUTDOWN_DRAIN_POLLS: usize = 250;
-
-/// Decrements the in-flight reader count when a reader thread exits, on
-/// every path (panic included).
-struct ReaderGuard(Arc<AtomicUsize>);
-
-impl Drop for ReaderGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// One queued command: the canonical text line and where to send the
-/// response.
-struct Command {
-    line: String,
-    reply: mpsc::Sender<Response>,
-}
 
 /// What a finished server run reports.
 #[derive(Debug)]
@@ -65,23 +43,166 @@ pub struct ServiceReport {
     pub violations: usize,
     /// Final request-metrics dump (the `service_runtime.json` payload).
     pub metrics_json: String,
-    /// Total requests handled by the event loop.
+    /// Total requests handled by the engine.
     pub ops: u64,
+}
+
+/// The engine and how far shutdown has got, behind the one lock.
+struct State {
+    engine: Engine,
+    /// The `SHUTDOWN` reply, set once the final check has run: from then
+    /// on no request reaches the engine.
+    closed: Option<Response>,
+    /// The `SHUTDOWN` reader has written that reply; [`Server::run`] may
+    /// report.
+    replied: bool,
+    /// Mutation seam: the final check runs before the drain waits.
+    #[cfg(test)]
+    check_before_drain: bool,
+}
+
+/// What every reader thread and [`Server::run`] share.
+struct Shared {
+    state: Mutex<State>,
+    /// Woken when a request leaves the engine under a raised flag, and when
+    /// the `SHUTDOWN` reader has replied.
+    settled: Condvar,
+    /// Requests counted in: waiting for the engine or holding it.
+    pending: AtomicUsize,
+    shutdown: AtomicBool,
+    /// `BUSY` answers (the engine's `STATS` counter; they never reach it).
+    busy: Arc<AtomicU64>,
+}
+
+/// What one request came to.
+enum Served {
+    Reply(Response),
+    /// Counted after the final check: answered `ERR 11`, then closed.
+    Late,
+    /// The `SHUTDOWN` reply, sent after the drain and the final check.
+    Final(Response),
+}
+
+impl Shared {
+    fn new(engine: Engine) -> Self {
+        Self {
+            busy: engine.busy_counter(),
+            state: Mutex::new(State {
+                engine,
+                closed: None,
+                replied: false,
+                #[cfg(test)]
+                check_before_drain: false,
+            }),
+            settled: Condvar::new(),
+            pending: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
+    /// Counts a request in unless `depth` are already counted.
+    fn admit(&self, depth: usize) -> bool {
+        self.pending
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < depth).then_some(n + 1)
+            })
+            .is_ok()
+    }
+
+    /// Serves one request read off a connection: `BUSY` without touching
+    /// the engine when the count is full.
+    fn serve(&self, line: &str, depth: usize) -> Served {
+        if !self.admit(depth) {
+            self.busy.fetch_add(1, Ordering::Relaxed);
+            return Served::Reply(Response::Busy);
+        }
+        self.serve_admitted(line)
+    }
+
+    /// The one locked engine call of a counted request. The count drops
+    /// under the lock, so a drain waiting on it cannot miss the wakeup.
+    fn serve_admitted(&self, line: &str) -> Served {
+        let mut state = lock_shrug(&self.state);
+        let handled = if state.closed.is_some() {
+            None
+        } else {
+            Some(state.engine.handle_one(line))
+        };
+        self.pending.fetch_sub(1, Ordering::AcqRel);
+        if self.shutdown.load(Ordering::Acquire) {
+            self.settled.notify_all();
+        }
+        match handled {
+            None => Served::Late,
+            Some(Handled::Reply(resp)) => Served::Reply(resp),
+            Some(Handled::ShutdownRequested) => Served::Final(self.drain(state)),
+        }
+    }
+
+    /// Raises the flag, lets every request counted so far be served, then
+    /// runs the final check — all before the lock is given up for good.
+    fn drain(&self, state: MutexGuard<'_, State>) -> Response {
+        self.shutdown.store(true, Ordering::Release);
+        #[cfg(test)]
+        let state = {
+            let mut state = state;
+            if state.check_before_drain {
+                close(&mut state);
+            }
+            state
+        };
+        let mut state = self
+            .settled
+            .wait_while(state, |s| {
+                s.closed.is_none() && self.pending.load(Ordering::Acquire) > 0
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        close(&mut state)
+    }
+
+    /// Tells [`Server::run`] the `SHUTDOWN` reply is out.
+    fn hand_off(&self) {
+        lock_shrug(&self.state).replied = true;
+        self.settled.notify_all();
+    }
+
+    /// Waits for [`Shared::hand_off`], then reports.
+    fn report(&self) -> ServiceReport {
+        let state = self
+            .settled
+            .wait_while(lock_shrug(&self.state), |s| !s.replied)
+            .unwrap_or_else(PoisonError::into_inner);
+        let violations = match state.closed {
+            Some(Response::Ok(_)) => 0,
+            _ => state.engine.network().check_invariants().len(),
+        };
+        ServiceReport {
+            violations,
+            metrics_json: state.engine.metrics().to_json("drqosd"),
+            ops: state.engine.metrics().total_ops(),
+        }
+    }
+}
+
+/// The final check, run once: a second `SHUTDOWN` gets the first's reply.
+fn close(state: &mut State) -> Response {
+    let State { engine, closed, .. } = state;
+    closed
+        .get_or_insert_with(|| engine.finish_shutdown())
+        .clone()
 }
 
 /// A bound-but-not-yet-running server.
 pub struct Server {
     listener: TcpListener,
-    engine: Engine,
-    batch: usize,
+    shared: Arc<Shared>,
     queue_depth: usize,
     wire: WireMode,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) over `net`,
-    /// reading `DRQOS_BATCH` / `DRQOS_QUEUE_DEPTH` / `DRQOS_WIRE` from the
-    /// environment.
+    /// reading `DRQOS_QUEUE_DEPTH` / `DRQOS_WIRE` from the environment.
     ///
     /// # Errors
     ///
@@ -89,8 +210,7 @@ impl Server {
     pub fn bind(addr: &str, net: Network) -> io::Result<Self> {
         Ok(Self {
             listener: TcpListener::bind(addr)?,
-            engine: Engine::new(net),
-            batch: env::batch(),
+            shared: Arc::new(Shared::new(Engine::new(net))),
             queue_depth: env::queue_depth(),
             wire: env::wire(),
         })
@@ -105,9 +225,9 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Overrides the batch size (tests; production uses `DRQOS_BATCH`).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
+    /// Returns the server unchanged: there is no batch left to size. It
+    /// stays only because `benchmark/` calls it (ROADMAP 4(c)).
+    pub fn with_batch(self, _batch: usize) -> Self {
         self
     }
 
@@ -129,191 +249,53 @@ impl Server {
         self.wire
     }
 
-    /// Serves until a `SHUTDOWN` command completes, then returns the final
+    /// Serves until a `SHUTDOWN` has been answered, then returns the final
     /// report. Blocks the calling thread (spawn it for in-process use).
     ///
     /// # Errors
     ///
     /// Socket-configuration errors; per-connection I/O errors only
     /// terminate that connection's reader.
-    pub fn run(mut self) -> io::Result<ServiceReport> {
-        self.listener.set_nonblocking(true)?;
-        let (tx, rx) = mpsc::sync_channel::<Command>(self.queue_depth);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let readers = Arc::new(AtomicUsize::new(0));
-        let busy = self.engine.busy_counter();
-        let (listener, wire) = (&self.listener, self.wire);
-        let report = thread::scope(|scope| {
-            scope.spawn(|| accept_loop(listener, tx, &shutdown, &readers, &busy, wire));
-            event_loop(&mut self.engine, rx, self.batch, &shutdown, &readers)
+    pub fn run(self) -> io::Result<ServiceReport> {
+        let Self {
+            listener,
+            shared,
+            queue_depth,
+            wire,
+        } = self;
+        listener.set_nonblocking(true)?;
+        let accepting = Arc::clone(&shared);
+        // Detached, like the readers it spawns: it owns the listener and
+        // stops within one poll interval of the flag, so the report need
+        // not wait for it.
+        thread::spawn(move || {
+            accept_until(&listener, &accepting.shutdown, || {
+                let shared = Arc::clone(&accepting);
+                move |stream| reader_loop(stream, wire, queue_depth, &shared)
+            });
         });
-        Ok(report)
+        Ok(shared.report())
     }
 }
 
-/// Accepts connections until shutdown, spawning one detached reader thread
-/// per connection. Detached is safe: readers own every handle they touch
-/// (stream, queue sender, flag clones) and exit within one poll interval
-/// of the shutdown flag rising.
-fn accept_loop(
-    listener: &TcpListener,
-    tx: SyncSender<Command>,
-    shutdown: &Arc<AtomicBool>,
-    readers: &Arc<AtomicUsize>,
-    busy: &Arc<AtomicU64>,
-    wire: WireMode,
-) {
-    accept_until(listener, shutdown, || {
-        let (tx, shutdown, busy) = (tx.clone(), Arc::clone(shutdown), Arc::clone(busy));
-        // Count the reader *before* it can send anything, so the event
-        // loop's shutdown drain never undercounts.
-        readers.fetch_add(1, Ordering::AcqRel);
-        let guard = ReaderGuard(Arc::clone(readers));
-        move |stream| {
-            let _guard = guard;
-            reader_loop(stream, wire, &tx, &shutdown, &busy)
-        }
-    });
-    // Dropping `tx` here lets the event loop observe disconnection once
-    // every reader is gone too.
-}
-
-/// Shuttles one client's requests through the queue, in either framing:
-/// the [`Conn`] hands over canonical text lines (and answers what never
-/// becomes one — see [`Conn::next_request`]), so the event loop and the
-/// engine are wire-agnostic and the reply comes back as a [`Response`]
-/// for the connection to write its own way.
-fn reader_loop(
-    stream: TcpStream,
-    wire: WireMode,
-    tx: &SyncSender<Command>,
-    shutdown: &AtomicBool,
-    busy: &AtomicU64,
-) -> io::Result<()> {
+/// Serves one client's requests, in either framing: the [`Conn`] hands
+/// over canonical text lines (and answers what never becomes one — see
+/// [`Conn::next_request`]), so the engine is wire-agnostic and the reply
+/// comes back as a [`Response`] for the connection to write its own way.
+fn reader_loop(stream: TcpStream, wire: WireMode, depth: usize, shared: &Shared) -> io::Result<()> {
     let mut conn = Conn::open(stream, wire)?;
-    let (reply_tx, reply_rx) = mpsc::channel::<Response>();
-    while let Some(line) = conn.next_request(shutdown)? {
-        let cmd = Command {
-            line,
-            reply: reply_tx.clone(),
-        };
-        let resp = match tx.try_send(cmd) {
-            // Closed-loop per connection: wait for this command's response
-            // before reading the next request, so responses can never
-            // interleave out of order. A dead reply channel means the
-            // event loop went away mid-request (hard stop).
-            Ok(()) => reply_rx.recv().ok(),
-            Err(TrySendError::Full(_)) => {
-                busy.fetch_add(1, Ordering::Relaxed);
-                Some(Response::Busy)
+    while let Some(line) = conn.next_request(&shared.shutdown)? {
+        match shared.serve(&line, depth) {
+            Served::Reply(resp) => conn.reply(&resp)?,
+            Served::Late => return conn.reply(&ProtocolError::shutting_down().into()),
+            Served::Final(resp) => {
+                let written = conn.reply(&resp);
+                shared.hand_off();
+                return written;
             }
-            Err(TrySendError::Disconnected(_)) => None,
-        };
-        let Some(resp) = resp else {
-            conn.reply(&ProtocolError::shutting_down().into())?;
-            return Ok(());
-        };
-        conn.reply(&resp)?;
+        }
     }
     Ok(())
-}
-
-/// Serves one drained batch of commands through the engine's batch entry
-/// point (runs of consecutive `ESTABLISH`es share one planning pass),
-/// sending every reply back to its reader. `SHUTDOWN` replies are
-/// deferred into `shutdown_replies`.
-fn serve_batch(
-    engine: &mut Engine,
-    batch: &mut Vec<Command>,
-    shutdown_replies: &mut Vec<mpsc::Sender<Response>>,
-) {
-    let mut lines = Vec::with_capacity(batch.len());
-    let mut replies = Vec::with_capacity(batch.len());
-    for cmd in batch.drain(..) {
-        lines.push(cmd.line);
-        replies.push(cmd.reply);
-    }
-    for (handled, reply) in engine.handle_server_batch(&lines).into_iter().zip(replies) {
-        match handled {
-            Handled::Reply(resp) => {
-                // A send error means the reader died; the state change
-                // already happened, so just move on.
-                let _ = reply.send(resp);
-            }
-            Handled::ShutdownRequested => shutdown_replies.push(reply),
-        }
-    }
-}
-
-/// The single-writer event loop: drains the queue in batches and applies
-/// every command to the engine.
-fn event_loop(
-    engine: &mut Engine,
-    rx: Receiver<Command>,
-    batch_size: usize,
-    shutdown: &AtomicBool,
-    readers: &AtomicUsize,
-) -> ServiceReport {
-    let mut batch: Vec<Command> = Vec::with_capacity(batch_size);
-    let mut shutdown_replies: Vec<mpsc::Sender<Response>> = Vec::new();
-    'serve: loop {
-        match rx.recv() {
-            Ok(cmd) => batch.push(cmd),
-            Err(_) => break 'serve, // every sender gone without SHUTDOWN
-        }
-        while batch.len() < batch_size {
-            match rx.try_recv() {
-                Ok(cmd) => batch.push(cmd),
-                Err(_) => break,
-            }
-        }
-        serve_batch(engine, &mut batch, &mut shutdown_replies);
-        if !shutdown_replies.is_empty() {
-            // Graceful drain: stop accepting, then keep serving until
-            // every reader thread has exited. A reader that passed its
-            // shutdown-flag check may still be about to `send`, so a
-            // single try_recv sweep here would race it and strand the
-            // command (and the client waiting on its reply). Readers
-            // blocked on the final SHUTDOWN reply are expected survivors;
-            // everyone else exits within one poll interval of the flag.
-            shutdown.store(true, Ordering::Release);
-            let mut idle_polls = 0usize;
-            while readers.load(Ordering::Acquire) > shutdown_replies.len()
-                && idle_polls < SHUTDOWN_DRAIN_POLLS
-            {
-                match rx.recv_timeout(POLL_INTERVAL) {
-                    Ok(cmd) => {
-                        idle_polls = 0;
-                        batch.push(cmd);
-                        serve_batch(engine, &mut batch, &mut shutdown_replies);
-                    }
-                    Err(RecvTimeoutError::Timeout) => idle_polls += 1,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            // With all racing readers gone, one last sweep empties
-            // anything that landed between the count check and now.
-            while let Ok(cmd) = rx.try_recv() {
-                batch.push(cmd);
-            }
-            serve_batch(engine, &mut batch, &mut shutdown_replies);
-            break 'serve;
-        }
-    }
-    shutdown.store(true, Ordering::Release);
-    let final_resp = engine.finish_shutdown();
-    let violations = match &final_resp {
-        Response::Ok(_) => 0,
-        _ => engine.network().check_invariants().len(),
-    };
-    for reply in shutdown_replies {
-        let _ = reply.send(final_resp.clone());
-    }
-    ServiceReport {
-        violations,
-        metrics_json: engine.metrics().to_json("drqosd"),
-        ops: engine.metrics().total_ops(),
-    }
 }
 
 #[cfg(test)]
@@ -323,7 +305,11 @@ mod tests {
     use drqos_core::network::NetworkConfig;
     use drqos_topology::regular;
     use std::io::{BufRead, BufReader, Write};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
+
+    fn ring() -> Network {
+        Network::new(regular::ring(6).unwrap(), NetworkConfig::default())
+    }
 
     fn client_session(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
         let stream = TcpStream::connect(addr).expect("connect");
@@ -341,11 +327,20 @@ mod tests {
     }
 
     fn test_server() -> (SocketAddr, thread::JoinHandle<io::Result<ServiceReport>>) {
-        let net = Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
-        let server = Server::bind("127.0.0.1:0", net).expect("bind ephemeral");
+        let server = Server::bind("127.0.0.1:0", ring()).expect("bind ephemeral");
         let addr = server.local_addr().unwrap();
         let handle = thread::spawn(move || server.run());
         (addr, handle)
+    }
+
+    /// Spins until `cond` holds; a 10 s deadline turns a hang into a
+    /// failure.
+    fn await_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -372,78 +367,69 @@ mod tests {
         assert!(report.metrics_json.contains("\"admitted\":1"));
     }
 
-    /// The drain-race regression, white-box: a "reader" that passed the
-    /// shutdown-flag check gets preempted while the event loop processes
-    /// `SHUTDOWN`, then sends. Before the in-flight-reader count the loop
-    /// swept the queue exactly once after raising the flag, so this send
-    /// landed in a channel nobody would ever read — the command was lost
-    /// and the client's reply channel just died. Now the drain waits for
-    /// racing readers, so the command must receive a real engine reply.
-    #[test]
-    fn shutdown_drain_serves_a_command_sent_after_the_flag_check() {
-        let net = Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
-        let mut engine = Engine::new(net);
-        let (tx, rx) = mpsc::sync_channel::<Command>(16);
-        let shutdown = AtomicBool::new(false);
-        let readers = AtomicUsize::new(0);
-        let report = thread::scope(|scope| {
-            // The raced reader: flag demonstrably clear at its "check",
-            // send issued long after the event loop has begun shutdown.
-            readers.fetch_add(1, Ordering::AcqRel);
-            let late_tx = tx.clone();
-            let shutdown_ref = &shutdown;
-            let readers_ref = &readers;
-            let (checked_tx, checked_rx) = mpsc::channel();
-            let late = scope.spawn(move || {
-                assert!(!shutdown_ref.load(Ordering::Acquire), "race precondition");
-                checked_tx.send(()).unwrap();
-                thread::sleep(Duration::from_millis(200));
-                let (reply_tx, reply_rx) = mpsc::channel();
-                late_tx
-                    .send(Command {
-                        line: "ESTABLISH 0 3 100 500 100".into(),
-                        reply: reply_tx,
-                    })
-                    .expect("drain must still be receiving");
-                let resp = reply_rx
-                    .recv()
-                    .expect("raced command must get an engine reply, not a dead channel");
-                readers_ref.fetch_sub(1, Ordering::AcqRel);
-                resp
-            });
-            // The shutdown reader, awaiting the final reply. Shutdown may
-            // begin only once the raced reader has made its flag check.
-            checked_rx.recv().unwrap();
-            readers.fetch_add(1, Ordering::AcqRel);
-            let (shut_tx, shut_rx) = mpsc::channel();
-            tx.send(Command {
-                line: "SHUTDOWN".into(),
-                reply: shut_tx,
-            })
-            .unwrap();
-            drop(tx);
-            let report = event_loop(&mut engine, rx, 8, &shutdown, &readers);
-            assert_eq!(shut_rx.recv().unwrap().to_string(), "OK violations=0");
-            readers.fetch_sub(1, Ordering::AcqRel);
-            let resp = late.join().unwrap().to_string();
-            assert!(resp.starts_with("OK id="), "raced ESTABLISH served: {resp}");
-            report
-        });
-        assert_eq!(report.ops, 2, "engine must have seen both commands");
-        assert_eq!(report.violations, 0);
+    /// The drain race, white-box: a reader counts its `ESTABLISH` in while
+    /// the flag is still clear, and reaches the engine lock only after
+    /// `SHUTDOWN` has raised it. Returns the raced reply, the `SHUTDOWN`
+    /// reply and the engine's op count.
+    fn race_the_drain(check_before_drain: bool) -> (String, String, u64) {
+        let shared = Shared::new(Engine::new(ring()));
+        lock_shrug(&shared.state).check_before_drain = check_before_drain;
+        let render = |served: Served| match served {
+            Served::Reply(resp) | Served::Final(resp) => resp.to_string(),
+            Served::Late => "late".to_string(),
+        };
+        thread::scope(|scope| {
+            assert!(shared.admit(1), "the raced request is read and counted");
+            assert!(
+                !shared.shutdown.load(Ordering::Acquire),
+                "race precondition"
+            );
+            let stop = scope.spawn(|| render(shared.serve("SHUTDOWN", 2)));
+            await_until("the flag", || shared.shutdown.load(Ordering::Acquire));
+            let raced = render(shared.serve_admitted("ESTABLISH 0 3 100 500 100"));
+            let stop = stop.join().unwrap();
+            let ops = lock_shrug(&shared.state).engine.metrics().total_ops();
+            (raced, stop, ops)
+        })
     }
 
-    /// The drain-race regression, end to end: four clients hammer
-    /// `ESTABLISH` while a fifth fires `SHUTDOWN` mid-burst. Every client
-    /// must see a well-formed reply for each command until the server
-    /// closes on it — never a hang, never a torn line — and the daemon
-    /// must still exit invariant-clean.
+    /// Before the drain waited for racing readers, the check ran as soon as
+    /// `SHUTDOWN` reached the engine: a request read just before the flag
+    /// then reached the lock after the check, and was never served. Now the
+    /// drain waits for every counted request, so it gets a real engine
+    /// reply, and the check sees the state it left.
+    #[test]
+    fn shutdown_drain_serves_a_command_sent_after_the_flag_check() {
+        let (raced, stop, ops) = race_the_drain(false);
+        assert!(
+            raced.starts_with("OK id="),
+            "raced ESTABLISH served: {raced}"
+        );
+        assert_eq!(stop, "OK violations=0");
+        assert_eq!(ops, 2, "engine must have seen both commands");
+    }
+
+    /// The mutant the test above must catch: the check before the drain
+    /// leaves the raced request to arrive at a closed engine.
+    #[test]
+    fn checking_before_the_drain_strands_the_raced_command() {
+        let (raced, stop, ops) = race_the_drain(true);
+        assert_eq!(
+            raced, "late",
+            "the raced ESTABLISH never reached the engine"
+        );
+        assert_eq!(stop, "OK violations=0");
+        assert_eq!(ops, 1);
+    }
+
+    /// The drain race, end to end: four clients hammer `ESTABLISH` while a
+    /// fifth fires `SHUTDOWN` mid-burst. Every client must see a
+    /// well-formed reply for each command until the server closes on it —
+    /// never a hang, never a torn line — and the daemon must still exit
+    /// invariant-clean.
     #[test]
     fn shutdown_concurrent_with_establish_bursts_never_strands_a_client() {
-        let net = Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
-        let server = Server::bind("127.0.0.1:0", net).unwrap().with_batch(4);
-        let addr = server.local_addr().unwrap();
-        let handle = thread::spawn(move || server.run());
+        let (addr, handle) = test_server();
         thread::scope(|scope| {
             for c in 0..4usize {
                 scope.spawn(move || {
@@ -494,8 +480,7 @@ mod tests {
     /// binary shutdown.
     #[test]
     fn binary_wire_serves_a_session_and_shuts_down_clean() {
-        let net = Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
-        let server = Server::bind("127.0.0.1:0", net)
+        let server = Server::bind("127.0.0.1:0", ring())
             .unwrap()
             .with_wire(WireMode::Binary);
         let addr = server.local_addr().unwrap();
@@ -533,28 +518,39 @@ mod tests {
     #[test]
     fn env_knobs_have_sane_defaults() {
         // (Reads the real environment; CI never sets these for unit tests.)
-        assert!(env::batch() >= 1);
         assert!(env::queue_depth() >= 1);
     }
 
+    /// Depth 1, the engine lock held: one connection's request is counted
+    /// and waits for the engine, so a second connection's is answered
+    /// `BUSY` at once, is counted by `STATS`, and never reaches the engine.
     #[test]
-    fn tiny_queue_yields_busy_under_burst() {
-        // Queue depth 1 and a server that cannot drain while the lone
-        // event-loop... the loop is fast, so force BUSY deterministically:
-        // fill the queue from a connection that never reads replies is not
-        // possible in the closed-loop design — instead assert the knob
-        // plumbs through and a normal burst still completes without BUSY
-        // (the closed loop bounds in-flight commands to one per client).
-        let net = Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
-        let server = Server::bind("127.0.0.1:0", net)
+    fn a_full_depth_answers_busy_without_reaching_the_engine() {
+        let server = Server::bind("127.0.0.1:0", ring())
             .unwrap()
-            .with_queue_depth(1)
-            .with_batch(1);
-        let addr = server.local_addr().unwrap();
+            .with_queue_depth(1);
+        let (addr, shared) = (server.local_addr().unwrap(), Arc::clone(&server.shared));
         let handle = thread::spawn(move || server.run());
-        let replies = client_session(addr, &["SNAPSHOT", "SNAPSHOT", "SHUTDOWN"]);
-        assert!(replies.iter().all(|r| !r.is_empty()));
+        let held = lock_shrug(&shared.state);
+        let waiting = TcpStream::connect(addr).unwrap();
+        let mut writer = waiting.try_clone().unwrap();
+        let mut reader = BufReader::new(waiting);
+        writeln!(writer, "SNAPSHOT").unwrap();
+        await_until("the first request to be counted", || {
+            shared.pending.load(Ordering::Acquire) == 1
+        });
+        assert_eq!(client_session(addr, &["SNAPSHOT"]), ["BUSY"]);
+        drop(held);
+        let mut first = String::new();
+        reader.read_line(&mut first).unwrap();
+        assert!(first.starts_with("OK conns=0"), "{first}");
+        drop((writer, reader));
+        let replies = client_session(addr, &["STATS", "SHUTDOWN"]);
+        let stats = replies[0].strip_prefix("OK ").expect("STATS succeeds");
+        assert_eq!(protocol::payload_field(stats, "busy"), Some(1));
+        assert_eq!(protocol::payload_field(stats, "ops"), Some(1), "{stats}");
+        assert_eq!(replies[1], "OK violations=0");
         let report = handle.join().unwrap().unwrap();
-        assert_eq!(report.violations, 0);
+        assert_eq!(report.ops, 3, "SNAPSHOT, STATS, SHUTDOWN: BUSY never ran");
     }
 }

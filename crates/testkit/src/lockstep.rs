@@ -147,7 +147,8 @@ pub trait Subject: Sized {
     /// The parameter values `fuzz --diff-<NAME>` runs at.
     const GRID: &'static [usize] = &[0];
     /// Largest establish run handed to [`Subject::establish_run`] in one
-    /// call (16 is the daemon's own `DRQOS_BATCH`-bounded grouping).
+    /// call (16 is the `burst16` benchmark's group at the engine's batch
+    /// entry point; `drqosd` itself serves every request alone).
     const RUN_CAP: usize = 16;
     /// The injected fault [`Case::mutant`] arms.
     const MUTANT: &'static str;

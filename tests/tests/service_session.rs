@@ -73,7 +73,7 @@ fn protocol_session_matches_blessed_transcript() {
     }
 }
 
-/// Replays `script` as one drained server batch — the path that admits
+/// Replays `script` as one engine batch — the path that admits
 /// consecutive `ESTABLISH` lines as one contention-ordered batch — and
 /// renders the same transcript shape as [`replay_script`].
 fn batch_transcript(
@@ -97,8 +97,8 @@ fn batch_transcript(
     out
 }
 
-/// The full golden script as the server's event loop would drain it, in
-/// one batch: byte-identical to the blessed line-at-a-time transcript.
+/// The full golden script through the engine's batch entry point, in one
+/// batch: byte-identical to the blessed line-at-a-time transcript.
 #[test]
 fn drained_session_matches_the_line_at_a_time_transcript() {
     let transcript = batch_transcript("ring6 all verbs", &mut ring_engine(), GOLDEN_SCRIPT);
@@ -171,7 +171,7 @@ fn serial_snapshot(streams: &[Vec<String>]) -> String {
 
 /// Four disjoint-stream clients (distinct endpoints, ample capacity, no
 /// cross-client RELEASEs) must leave the network in the same final state
-/// regardless of interleaving: the event loop serializes all writes, and
+/// regardless of interleaving: the engine lock serializes all writes, and
 /// with no contention every connection reaches `bmax` either way.
 #[test]
 fn concurrent_disjoint_clients_match_serial_replay() {

@@ -2,7 +2,8 @@
 //! equivalence proof (the two framings must decode to byte-identical
 //! transcripts for the same session), a golden transcript of the binary
 //! framing itself — every opcode plus each frame-level error family —
-//! and a binary-mode load-generator smoke run.
+//! a socket-level differential of seeded streams against the engine, and
+//! a binary-mode load-generator smoke run.
 //!
 //! Re-bless the binary transcript after an intentional framing change:
 //!
@@ -12,11 +13,13 @@
 
 use drqos_core::env::WireMode;
 use drqos_core::network::{Network, NetworkConfig};
+use drqos_core::qos::Bandwidth;
 use drqos_service::engine::Engine;
 use drqos_service::frame;
 use drqos_service::loadgen::{self, LoadgenConfig};
 use drqos_service::protocol::{self, Response};
 use drqos_service::server::Server;
+use drqos_sim::rng::Rng;
 use drqos_testkit::golden::verify_golden;
 use drqos_testkit::session::replay_script;
 use drqos_topology::regular;
@@ -295,6 +298,103 @@ fn binary_srlg_frames_match_blessed_transcript() {
     }
     if let Err(e) = verify_golden(&golden_dir(), "service_wire_srlg", &transcript) {
         panic!("{e}");
+    }
+}
+
+/// A seeded single-client op stream over a graph of `nodes` nodes and
+/// `links` links: every verb but `STATS` (wall-clock), operands drawn
+/// without looking at replies, so some land on dead ids, down links or
+/// `src == dst`. Ends in `SHUTDOWN`.
+fn seeded_stream(seed: u64, nodes: usize, links: usize, len: usize) -> Vec<String> {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut establishes = 0u64;
+    let mut lines: Vec<String> = (0..len)
+        .map(|_| match rng.range_usize(100) {
+            0..=44 => {
+                establishes += 1;
+                let bmax = [300, 500, 1_000, 2_000][rng.range_usize(4)];
+                let bmin = if rng.chance(0.02) { 0 } else { 100 };
+                let (src, dst) = (rng.range_usize(nodes), rng.range_usize(nodes));
+                format!("ESTABLISH {src} {dst} {bmin} {bmax} 100")
+            }
+            45..=69 => format!("RELEASE {}", rng.range_u64(establishes + 1)),
+            70..=81 => format!("FAIL-LINK {}", rng.range_usize(links)),
+            82..=93 => format!("REPAIR-LINK {}", rng.range_usize(links)),
+            94..=95 => format!("FAIL-NODE {}", rng.range_usize(nodes)),
+            _ => "SNAPSHOT".to_string(),
+        })
+        .collect();
+    lines.push("SHUTDOWN".to_string());
+    lines
+}
+
+/// The socket-level differential: one client's seeded stream through
+/// `drqosd` over TCP, in each framing, must draw `Engine::handle_line`'s
+/// transcript byte for byte. The engine is the reference; the server adds
+/// sockets, framing and a lock, and none of them may show.
+#[test]
+fn seeded_streams_over_tcp_match_the_engine_transcript() {
+    let topologies = [
+        ("ring6", regular::ring(6).unwrap()),
+        ("torus6x6", regular::torus(6, 6).unwrap()),
+    ];
+    let config = NetworkConfig {
+        capacity: Bandwidth::kbps(3_000),
+        ..NetworkConfig::default()
+    };
+    for (seed, (name, graph)) in (2_026u64..).zip(topologies) {
+        let stream = seeded_stream(seed, graph.node_count(), graph.link_count(), 2_000);
+        let script: Vec<&str> = stream.iter().map(String::as_str).collect();
+        let mut engine = Engine::new(Network::new(graph.clone(), config.clone()));
+        let want = replay_script(name, &script, |line| engine.handle_line(line).to_string());
+        for needle in [
+            "OK id=",
+            "OK freed=",
+            "OK activated=",
+            "OK regained=",
+            "OK links=",
+            "ERR 100 ",
+            "ERR 201 ",
+            "ERR 300 ",
+            "ERR 302 ",
+        ] {
+            assert!(
+                want.contains(needle),
+                "{name}: stream must exercise {needle}"
+            );
+        }
+        for wire in [WireMode::Text, WireMode::Binary] {
+            let server = Server::bind("127.0.0.1:0", Network::new(graph.clone(), config.clone()))
+                .expect("bind ephemeral")
+                .with_wire(wire);
+            let addr = server.local_addr().unwrap();
+            let handle = thread::spawn(move || server.run());
+            let tcp = TcpStream::connect(addr).expect("connect");
+            tcp.set_nodelay(true).unwrap();
+            let mut writer = tcp.try_clone().unwrap();
+            let mut reader = BufReader::new(tcp);
+            let got = replay_script(name, &script, |line| match wire {
+                WireMode::Text => {
+                    writeln!(writer, "{line}").unwrap();
+                    let mut resp = String::new();
+                    reader.read_line(&mut resp).unwrap();
+                    resp.trim_end().to_string()
+                }
+                WireMode::Binary => {
+                    let req = protocol::parse(line).expect("stream lines parse");
+                    writer.write_all(&frame::encode_request(&req)).unwrap();
+                    let body = frame::read_frame(&mut reader).expect("response frame");
+                    frame::decode_response(&body).unwrap().to_string()
+                }
+            });
+            assert!(
+                got == want,
+                "{name} {wire:?}: the daemon's transcript drifted"
+            );
+            let report = handle.join().unwrap().unwrap();
+            assert_eq!(report.ops, script.len() as u64, "{name} {wire:?}");
+            assert_eq!(report.violations, 0);
+        }
     }
 }
 
