@@ -154,10 +154,11 @@ pub enum ApplyOutcome {
     FailLink(Result<FailureReport, NetworkError>),
     /// Repair result: the connections that regained a backup.
     RepairLink(Result<Vec<ConnectionId>, NetworkError>),
-    /// Node-failure reports, one per adjacent link failed.
-    FailNode(Result<Vec<FailureReport>, NetworkError>),
-    /// Shared-risk-group failure reports, one per member link failed.
-    FailSrlg(Result<Vec<FailureReport>, NetworkError>),
+    /// Node-failure report: every adjacent up link, failed as one event.
+    FailNode(Result<FailureReport, NetworkError>),
+    /// Shared-risk-group failure report: every up member, failed as one
+    /// event.
+    FailSrlg(Result<FailureReport, NetworkError>),
     /// Group repair result: the connections that regained a backup.
     RepairSrlg(Result<Vec<ConnectionId>, NetworkError>),
 }

@@ -357,7 +357,7 @@ pub fn run_scenario_churn(
                             // Already-down members (overlap with other
                             // failure sources) make this a no-op.
                             let fail = |net: &mut Network| {
-                                net.fail_srlg(group).ok().map(|r| r.len() as u64)
+                                net.fail_srlg(group).ok().map(|r| r.links.len() as u64)
                             };
                             if let Some((downed, ok)) =
                                 fail_measured(&mut net, &mut estimator, fail)

@@ -911,6 +911,7 @@ mod tests {
     use super::*;
     use drqos_sim::rng::Rng;
     use drqos_topology::regular;
+    use std::ops::Range;
 
     // ----------------------------------------------------------- fixtures --
 
@@ -1346,15 +1347,14 @@ mod tests {
     /// cache and on its twin without: [`random_op`]s mixed with short
     /// calls and plan-only requests over three hot requests per case, so
     /// that keys recur. Results, every field of the state and snapshots
-    /// must agree after every op. (The twin is the whole contract here:
-    /// sequences this long fail links faster than they repair them, and a
-    /// second failover onto a starved link can push its minima past its
-    /// capacity with or without a cache — ROADMAP item 2.) Returns the
-    /// cache's hits, its stale evictions at lookup and its evictions by
-    /// link event.
-    fn cache_differential(cases: u64) -> Result<(u64, u64, u64), String> {
+    /// must agree after every op, and the cached side must pass
+    /// [`Network::check_invariants`]: sequences this long fail links
+    /// faster than they repair them, so second failovers onto starved
+    /// links are common. Returns the cache's hits, its stale evictions at
+    /// lookup and its evictions by link event.
+    fn cache_differential(cases: Range<u64>) -> Result<(u64, u64, u64), String> {
         let (mut hits, mut stale, mut by_link) = (0, 0, 0);
-        for case in 0..cases {
+        for case in cases {
             let (mut off, mut rng) = random_case(case);
             let mut on = off.clone();
             on.config.route_cache = true;
@@ -1388,6 +1388,10 @@ mod tests {
                 if got != want || !same_state {
                     return Err(format!("case {case} step {step}: {got} vs uncached {want}"));
                 }
+                let violations = on.check_invariants();
+                if !violations.is_empty() {
+                    return Err(format!("case {case} step {step}: {got}; {violations:?}"));
+                }
                 let after = on.route_cache_stats();
                 hits += after.hits - before.hits;
                 let evicted = after.stale_evictions - before.stale_evictions;
@@ -1412,18 +1416,37 @@ mod tests {
 
     #[test]
     fn cached_planning_matches_uncached_on_600_seeded_cases() {
-        assert_cache_coverage(cache_differential(600).unwrap(), 600);
+        assert_cache_coverage(cache_differential(0..600).unwrap(), 600);
     }
 
     #[test]
     #[ignore = "ten times the cases; CI runs it in release"]
     fn cached_planning_matches_uncached_on_6000_seeded_cases() {
-        assert_cache_coverage(cache_differential(6_000).unwrap(), 6_000);
+        assert_cache_coverage(cache_differential(0..6_000).unwrap(), 6_000);
+    }
+
+    /// Case 1027 of [`cache_differential`]: at step 25 a second failover
+    /// moved a connection onto a 300 Kbps link whose multiplexed
+    /// reservation the first had already spent, leaving 350 Kbps of
+    /// minima on it. Activation now looks for room first; without that
+    /// check the case fails exactly there.
+    #[test]
+    fn a_second_failover_cannot_overbook_a_starved_link() {
+        assert_eq!(cache_differential(1027..1028).map(|_| ()), Ok(()));
+        let unchecked = with_mutant(&fault::SKIP_THE_ACTIVATION_CHECK, || {
+            cache_differential(1027..1028)
+        });
+        let err = unchecked.unwrap_err();
+        let overbooked = "CapacityExceeded { link: LinkId(";
+        assert!(
+            err.starts_with("case 1027 step 25: ") && err.contains(overbooked),
+            "{err}"
+        );
     }
 
     #[test]
     fn a_footprint_that_forgets_a_probed_link_is_caught() {
-        let caught = forgetting_a_probed_link(|| cache_differential(600));
+        let caught = forgetting_a_probed_link(|| cache_differential(0..600));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -1760,8 +1783,8 @@ mod tests {
     fn srlg_fires_all_members_atomically_and_round_trips() {
         let mut net = small_net(10_000);
         let g = net.register_srlg(vec![LinkId(0), LinkId(3)]).unwrap();
-        let reports = net.fail_srlg(g).unwrap();
-        assert_eq!(reports.len(), 2, "both members fail in one event");
+        let report = net.fail_srlg(g).unwrap();
+        assert_eq!(report.links, [LinkId(0), LinkId(3)], "one event");
         assert_eq!(net.topology_epoch(), 2);
         assert!(net.up_links().all(|l| l != LinkId(0) && l != LinkId(3)));
         // Firing again changes nothing.
@@ -1788,9 +1811,7 @@ mod tests {
         let g = net.register_srlg(vec![LinkId(1), LinkId(4)]).unwrap();
         net.fail_link(LinkId(1)).unwrap();
         // Only the still-up member fails; no error, no double event.
-        let reports = net.fail_srlg(g).unwrap();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports.first().unwrap().link, LinkId(4));
+        assert_eq!(net.fail_srlg(g).unwrap().links, [LinkId(4)]);
         net.validate();
     }
 
@@ -1981,8 +2002,8 @@ mod tests {
         let g = regular::torus(4, 4).unwrap();
         let mut net = Network::new(g, NetworkConfig::default());
         let a = net.establish(NodeId(0), NodeId(10), qos()).unwrap();
-        let reports = net.fail_node(NodeId(5)).unwrap();
-        assert_eq!(reports.len(), 4, "a torus node has degree 4");
+        let report = net.fail_node(NodeId(5)).unwrap();
+        assert_eq!(report.links.len(), 4, "a torus node has degree 4");
         for &(_, l) in net.graph().neighbors(NodeId(5)) {
             assert!(!net.link_usage(l).is_up());
         }
@@ -1998,7 +2019,7 @@ mod tests {
         let g = regular::ring(5).unwrap();
         let mut net = Network::new(g, NetworkConfig::default());
         let first = net.fail_node(NodeId(0)).unwrap();
-        assert_eq!(first.len(), 2);
+        assert_eq!(first.links.len(), 2);
         // Second failure of the same node: nothing left to fail.
         assert!(matches!(
             net.fail_node(NodeId(0)),

@@ -318,14 +318,12 @@ pub(crate) fn render_outcome(outcome: Option<ApplyOutcome>) -> Response {
             Err(e) => wire_err(e.wire_code(), e),
         }
     }
-    fn link_totals(reports: Vec<FailureReport>) -> String {
-        let activated: usize = reports.iter().map(|r| r.activated.len()).sum();
-        let dropped: usize = reports.iter().map(|r| r.dropped.len()).sum();
+    fn link_totals(report: FailureReport) -> String {
         format!(
             "links={} activated={} dropped={}",
-            reports.len(),
-            activated,
-            dropped
+            report.links.len(),
+            report.activated.len(),
+            report.dropped.len()
         )
     }
     match outcome {

@@ -97,34 +97,32 @@ impl TraceRecorder {
             .push(format!("release {id} freed={}", conn.bandwidth().as_kbps()));
     }
 
-    fn fail_line(report: &FailureReport) -> String {
-        format!(
-            "fail {} activated={} dropped={} lost_backup={} retreated={}",
-            report.link,
+    /// Records a failure report after `head`, the event that caused it.
+    fn fail_line(&mut self, head: String, report: &FailureReport) {
+        self.lines.push(format!(
+            "{head} activated={} dropped={} lost_backup={} retreated={}",
             fmt_ids(&report.activated),
             fmt_ids(&report.dropped),
             fmt_ids(&report.lost_backup),
             fmt_ids(&report.retreated)
-        )
+        ));
     }
 
     /// Fails a link, recording the full failure report.
     pub fn fail_link(&mut self, link: LinkId) {
         let report = self.net.fail_link(link).expect("trace fails up links");
-        self.lines.push(Self::fail_line(&report));
+        self.fail_line(format!("fail {link}"), &report);
     }
 
-    /// Fails a node, recording one line per downed link.
+    /// Fails a node, recording the links it took down and the report.
     pub fn fail_node(&mut self, node: usize) {
-        let reports = self
+        let report = self
             .net
             .fail_node(NodeId(node))
             .expect("trace fails live nodes");
-        self.lines
-            .push(format!("fail_node n{node} links={}", reports.len()));
-        for report in &reports {
-            self.lines.push(Self::fail_line(report));
-        }
+        let links: Vec<String> = report.links.iter().map(|l| l.to_string()).collect();
+        let head = format!("fail_node n{node} links=[{}]", links.join(","));
+        self.fail_line(head, &report);
     }
 
     /// Repairs a link, recording which connections regained backups.
@@ -293,7 +291,7 @@ mod tests {
             assert_eq!(a, b);
         }
         let (_, t) = scenarios::node_outage();
-        assert!(t.contains("fail_node n5 links=4"));
+        assert!(t.contains("fail_node n5 links=[l3,l8,l10,l11] activated="));
         assert!(t.lines().last().unwrap().starts_with("state "));
     }
 

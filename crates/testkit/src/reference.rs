@@ -110,12 +110,12 @@ impl ReferenceModel {
                 let removed = self.conns.remove(&id);
                 assert!(removed.is_some(), "{id} released but never tracked");
             }
-            (_, ApplyOutcome::FailLink(Ok(report))) => self.fail_link(net, report),
-            (_, ApplyOutcome::FailNode(Ok(reports)) | ApplyOutcome::FailSrlg(Ok(reports))) => {
-                for report in reports {
-                    self.fail_link(net, report);
-                }
-            }
+            (
+                _,
+                ApplyOutcome::FailLink(Ok(report))
+                | ApplyOutcome::FailNode(Ok(report))
+                | ApplyOutcome::FailSrlg(Ok(report)),
+            ) => self.fail(net, report),
             (Resolved::Member(MemberOp::RepairLink { link }), ApplyOutcome::RepairLink(Ok(_))) => {
                 self.repair_link(link);
             }
@@ -133,27 +133,22 @@ impl ReferenceModel {
         Ok(())
     }
 
-    /// A link failure: the link goes down (one epoch bump), dropped
+    /// A failure event: its links go down (one epoch bump each), dropped
     /// connections leave the books, and activated connections switch to
     /// the backup route the network reports.
-    fn fail_link(&mut self, net: &Network, report: &FailureReport) {
-        let idx = report.link.index();
-        assert!(self.link_up[idx], "{} failed while down", report.link);
-        self.link_up[idx] = false;
-        self.epoch += 1;
+    fn fail(&mut self, net: &Network, report: &FailureReport) {
+        for &link in &report.links {
+            assert!(self.link_up[link.index()], "{link} failed while down");
+            self.link_up[link.index()] = false;
+            self.epoch += 1;
+        }
         for id in &report.dropped {
             let removed = self.conns.remove(id);
             assert!(removed.is_some(), "{id} dropped but never tracked");
             self.dropped += 1;
         }
         for id in &report.activated {
-            // A node outage downs several links in one batch; a connection
-            // activated by this link's failure may have been dropped by a
-            // later one, in which case that report's `dropped` list settles
-            // the books and there is no surviving route to learn.
-            let Some(c) = net.connection(*id) else {
-                continue;
-            };
+            let c = net.connection(*id).expect("activated connection is live");
             self.conns
                 .get_mut(id)
                 .expect("activated connection is tracked")
