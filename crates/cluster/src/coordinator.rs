@@ -2,20 +2,21 @@
 //!
 //! A federation keeps exactly one authoritative [`Network`]; the
 //! coordinator owns it. Members hold full replicas and plan nothing: a
-//! member forwards its client's `ESTABLISH` like any other operation, and
-//! [`Coordinator::establish`] admits it through [`Network::admit`] — the
-//! same admission step as every other establish in the workspace — at the
-//! request's sequential point. That is the paper's one decision point
-//! (§3.1): whichever member the client happens to be connected to, the
-//! request is planned, committed and settled here, once.
+//! member forwards every state-changing verb of its clients, `ESTABLISH`
+//! included, as one [`MemberOp`], and [`Coordinator::forward`] applies it
+//! at the operation's sequential point with [`MemberOp::apply`] — the one
+//! transition of the workspace, whose `ESTABLISH` arm is
+//! [`Network::admit`]. That is the paper's one decision point (§3.1):
+//! whichever member the client happens to be connected to, the request
+//! is planned, committed and settled here, once.
 //!
 //! Every committed operation — admissions, releases, failures and
-//! repairs — is appended to an **oplog**. Replicas pull
+//! repairs — is appended to an **oplog** of [`MemberOp`]s. Replicas pull
 //! records they have not yet applied ([`Coordinator::records_since`]) and
-//! replay them serially; because replay order equals commit order and
-//! every operation is deterministic, each replica is byte-identical to
-//! the authoritative network at the same sequence number (proven by
-//! `fuzz --diff-cluster`).
+//! replay them serially through the same [`MemberOp::apply`]; because
+//! replay order equals commit order and every operation is deterministic,
+//! each replica is byte-identical to the authoritative network at the
+//! same sequence number (proven by `fuzz --diff-cluster`).
 //!
 //! Membership churn (JOIN/LEAVE/CRASH) changes the roster and nothing
 //! else: the replicated network state is untouched and the oplog gains no
@@ -23,30 +24,28 @@
 
 use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
-use drqos_core::error::{AdmissionError, ClusterError, NetworkError};
+use drqos_core::error::{AdmissionError, ClusterError, NetworkError, QosError};
 use drqos_core::invariant::InvariantViolation;
 use drqos_core::network::{EstablishPlan, EstablishRequest, FailureReport, Network};
+use drqos_core::qos::{Bandwidth, ElasticQos};
+use drqos_core::wire::MAX_OPERANDS;
 use drqos_topology::{LinkId, NodeId};
 use std::collections::BTreeMap;
 
-/// One committed operation in the coordinator's oplog. Replaying the log
-/// serially from the genesis network reconstructs the authoritative
-/// state exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CommittedOp {
-    /// An admission (committed result may still be a rejection — replay
-    /// reproduces it deterministically).
-    Establish(EstablishRequest),
-    /// A forwarded operation.
-    Op(MemberOp),
-}
-
-/// A non-establish operation forwarded by a member (establishes go
-/// through [`Coordinator::establish`] instead): one variant per
+/// One state-changing operation: one variant per
 /// [`Route::Forward`](drqos_core::wire::Route) row of
-/// [`VERBS`](drqos_core::wire::VERBS).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`VERBS`](drqos_core::wire::VERBS). It is what a member forwards, what
+/// the coordinator commits and what the oplog holds; replaying the log
+/// serially from the genesis network reconstructs the authoritative state
+/// exactly.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemberOp {
+    /// Admit a connection (the committed result may still be a rejection
+    /// — replay reproduces it deterministically).
+    Establish {
+        /// The admission request.
+        req: EstablishRequest,
+    },
     /// Release a connection.
     Release {
         /// The connection id.
@@ -81,26 +80,53 @@ pub enum MemberOp {
 
 impl MemberOp {
     /// The operation's verb (its row of [`drqos_core::wire::VERBS`], by
-    /// name) and its one operand. With [`MemberOp::from_parts`] this is
-    /// the only per-variant code between an operation and any wire.
-    pub fn parts(self) -> (&'static str, u64) {
+    /// name) and its operands, as many as the row declares. With
+    /// [`MemberOp::from_parts`] this is the only per-variant code between
+    /// an operation and any wire.
+    pub fn parts(self) -> (&'static str, [u64; MAX_OPERANDS]) {
+        let one = |operand: u64| [operand, 0, 0, 0, 0];
         match self {
-            MemberOp::Release { id } => ("RELEASE", id.0),
-            MemberOp::FailLink { link } => ("FAIL-LINK", link.index() as u64),
-            MemberOp::RepairLink { link } => ("REPAIR-LINK", link.index() as u64),
-            MemberOp::FailNode { node } => ("FAIL-NODE", node.index() as u64),
-            MemberOp::FailSrlg { group } => ("FAIL-SRLG", group as u64),
-            MemberOp::RepairSrlg { group } => ("REPAIR-SRLG", group as u64),
+            MemberOp::Establish { req } => (
+                "ESTABLISH",
+                [
+                    req.src.index() as u64,
+                    req.dst.index() as u64,
+                    req.qos.min().as_kbps(),
+                    req.qos.max().as_kbps(),
+                    req.qos.increment().as_kbps(),
+                ],
+            ),
+            MemberOp::Release { id } => ("RELEASE", one(id.0)),
+            MemberOp::FailLink { link } => ("FAIL-LINK", one(link.index() as u64)),
+            MemberOp::RepairLink { link } => ("REPAIR-LINK", one(link.index() as u64)),
+            MemberOp::FailNode { node } => ("FAIL-NODE", one(node.index() as u64)),
+            MemberOp::FailSrlg { group } => ("FAIL-SRLG", one(group as u64)),
+            MemberOp::RepairSrlg { group } => ("REPAIR-SRLG", one(group as u64)),
         }
     }
 
-    /// The inverse of [`MemberOp::parts`]: `None` for a verb that is not
-    /// forwarded, or an index operand that does not fit `usize`.
-    pub fn from_parts(verb: &str, operand: u64) -> Option<Self> {
-        let index = usize::try_from(operand).ok();
-        Some(match verb {
+    /// The inverse of [`MemberOp::parts`]: `None` for a verb that changes
+    /// no state, or an index operand that does not fit `usize`; the
+    /// `ESTABLISH` QoS range (unit utility) is checked here, for the
+    /// client protocols and the inter-daemon link alike.
+    pub fn from_parts(
+        verb: &str,
+        [a, b, c, d, e]: [u64; MAX_OPERANDS],
+    ) -> Option<Result<Self, QosError>> {
+        let index = usize::try_from(a).ok();
+        let op = match verb {
+            "ESTABLISH" => {
+                let (src, dst) = (NodeId(index?), NodeId(usize::try_from(b).ok()?));
+                let [bmin, bmax, delta] = [c, d, e].map(Bandwidth::kbps);
+                match ElasticQos::new(bmin, bmax, delta, 1.0) {
+                    Ok(qos) => MemberOp::Establish {
+                        req: EstablishRequest { src, dst, qos },
+                    },
+                    Err(e) => return Some(Err(e)),
+                }
+            }
             "RELEASE" => MemberOp::Release {
-                id: ConnectionId(operand),
+                id: ConnectionId(a),
             },
             "FAIL-LINK" => MemberOp::FailLink {
                 link: LinkId(index?),
@@ -114,14 +140,16 @@ impl MemberOp {
             "FAIL-SRLG" => MemberOp::FailSrlg { group: index? },
             "REPAIR-SRLG" => MemberOp::RepairSrlg { group: index? },
             _ => return None,
-        })
+        };
+        Some(Ok(op))
     }
 
     /// Applies the operation to a network, exactly as the monolithic
-    /// manager would: the transition the service engine, the coordinator
-    /// and every replica share.
+    /// manager would: the one transition the service engine, the
+    /// coordinator and every replica share.
     pub fn apply(self, net: &mut Network) -> ApplyOutcome {
         match self {
+            MemberOp::Establish { req } => ApplyOutcome::Establish(net.admit(&req)),
             MemberOp::Release { id } => {
                 // `release` retreats the channel to its minimum before
                 // removing it, so read the bandwidth actually held first
@@ -163,18 +191,6 @@ pub enum ApplyOutcome {
     RepairSrlg(Result<Vec<ConnectionId>, NetworkError>),
 }
 
-/// Applies one committed operation to a network. This is the single
-/// replay function shared by the coordinator's serial path and every
-/// replica, so the two cannot drift.
-pub(crate) fn apply_committed(net: &mut Network, op: &CommittedOp) -> ApplyOutcome {
-    match op {
-        CommittedOp::Establish(req) => {
-            ApplyOutcome::Establish(net.establish(req.src, req.dst, req.qos))
-        }
-        CommittedOp::Op(op) => op.apply(net),
-    }
-}
-
 /// A ticket [`Coordinator::prepare`] opened, and whether every footprint
 /// digest was current when it did. Only `benchmark/`'s layer replica still
 /// opens one (ROADMAP 4(c)); no daemon sends a `PREPARE`.
@@ -192,7 +208,7 @@ pub struct Prepared {
 pub struct Coordinator {
     net: Network,
     alive: Vec<bool>,
-    oplog: Vec<CommittedOp>,
+    oplog: Vec<MemberOp>,
     /// The footprints of the tickets [`Coordinator::prepare`] opened and
     /// [`Coordinator::commit_prepared`] has not closed yet.
     prepared: BTreeMap<u64, Vec<(LinkId, u64)>>,
@@ -252,36 +268,6 @@ impl Coordinator {
         self.drop_record = drop;
     }
 
-    /// Admits a request a member forwarded: [`Network::admit`] at the
-    /// request's sequential point, then the oplog record — the one
-    /// establish path of the daemons and of
-    /// [`ClusterSim`](crate::sim::ClusterSim).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownMember`] when `member` is not alive.
-    pub fn establish(
-        &mut self,
-        member: u64,
-        req: &EstablishRequest,
-    ) -> Result<Result<ConnectionId, AdmissionError>, ClusterError> {
-        if !self.is_alive(member) {
-            return Err(ClusterError::UnknownMember(member));
-        }
-        Ok(self.admit(req))
-    }
-
-    /// [`Network::admit`] + oplog.
-    fn admit(&mut self, req: &EstablishRequest) -> Result<ConnectionId, AdmissionError> {
-        let result = self.net.admit(req);
-        if self.drop_record && result.is_ok() {
-            self.drop_record = false;
-        } else {
-            self.oplog.push(CommittedOp::Establish(*req));
-        }
-        result
-    }
-
     /// Opens a ticket holding `footprint` and answers whether every digest
     /// in it is current. No daemon calls this; it stays, with
     /// [`Coordinator::commit_prepared`], [`Coordinator::flush`],
@@ -306,11 +292,12 @@ impl Coordinator {
         Ok(Prepared { ticket, fresh })
     }
 
-    /// Closes a [`Coordinator::prepare`] ticket and admits the request like
-    /// [`Coordinator::establish`], counting a footprint that went stale in
-    /// [`Coordinator::stale_replans`]. `_planned` and `_fill` are ignored —
-    /// every admission plans and settles at its sequential point — and
-    /// stay only because `benchmark/` passes them (ROADMAP 4(c)).
+    /// Closes a [`Coordinator::prepare`] ticket and commits the request's
+    /// [`MemberOp::Establish`] like [`Coordinator::forward`], counting a
+    /// footprint that went stale in [`Coordinator::stale_replans`].
+    /// `_planned` and `_fill` are ignored — every admission plans and
+    /// settles at its sequential point — and stay only because
+    /// `benchmark/` passes them (ROADMAP 4(c)).
     ///
     /// # Errors
     ///
@@ -329,7 +316,10 @@ impl Coordinator {
         if !self.net.footprint_is_current(&footprint) {
             self.stale_replans += 1;
         }
-        Ok(self.admit(req))
+        match self.commit(MemberOp::Establish { req: *req }) {
+            ApplyOutcome::Establish(result) => Ok(result),
+            _ => unreachable!("an establish commits to an establish outcome"),
+        }
     }
 
     /// Commits whose prepare-time footprint had gone stale (see
@@ -342,8 +332,9 @@ impl Coordinator {
     /// [`Coordinator::prepare`] for why it stays).
     pub fn flush(&mut self, _fill: Option<()>) {}
 
-    /// Applies a forwarded non-establish operation serially and appends
-    /// it to the oplog.
+    /// Commits an operation a member forwarded: [`MemberOp::apply`] at its
+    /// sequential point, then the oplog record — the one commit path of
+    /// the daemons and of [`ClusterSim`](crate::sim::ClusterSim).
     ///
     /// # Errors
     ///
@@ -352,8 +343,19 @@ impl Coordinator {
         if !self.is_alive(member) {
             return Err(ClusterError::UnknownMember(member));
         }
-        self.oplog.push(CommittedOp::Op(op));
-        Ok(op.apply(&mut self.net))
+        Ok(self.commit(op))
+    }
+
+    /// [`MemberOp::apply`] + oplog, less the record the armed
+    /// dropped-record fault swallows.
+    fn commit(&mut self, op: MemberOp) -> ApplyOutcome {
+        let outcome = op.apply(&mut self.net);
+        if self.drop_record && matches!(outcome, ApplyOutcome::Establish(Ok(_))) {
+            self.drop_record = false;
+        } else {
+            self.oplog.push(op);
+        }
+        outcome
     }
 
     /// Oplog records from sequence `from` (exclusive of nothing — `from`
@@ -363,7 +365,7 @@ impl Coordinator {
     ///
     /// [`ClusterError::SequenceGap`] when `from` is past the current
     /// sequence number.
-    pub fn records_since(&self, from: u64) -> Result<&[CommittedOp], ClusterError> {
+    pub fn records_since(&self, from: u64) -> Result<&[MemberOp], ClusterError> {
         let at = usize::try_from(from).map_err(|_| ClusterError::SequenceGap(from))?;
         self.oplog.get(at..).ok_or(ClusterError::SequenceGap(from))
     }
@@ -440,6 +442,16 @@ mod tests {
         }
     }
 
+    fn establish(src: usize, dst: usize) -> MemberOp {
+        MemberOp::Establish {
+            req: request(src, dst),
+        }
+    }
+
+    fn admitted(outcome: ApplyOutcome) -> bool {
+        matches!(outcome, ApplyOutcome::Establish(Ok(_)))
+    }
+
     #[test]
     fn membership_guards_reject_bad_transitions() {
         let mut c = coordinator(3);
@@ -461,15 +473,14 @@ mod tests {
     #[test]
     fn an_establish_is_admitted_and_appended_like_any_commit() {
         let mut c = coordinator(2);
-        let req = request(0, 3);
+        let op = establish(0, 3);
         let mut serial = c.net().clone();
-        let got = c.establish(1, &req).unwrap();
-        assert_eq!(got, serial.establish(req.src, req.dst, req.qos));
-        assert!(got.is_ok());
-        assert_eq!(c.records_since(0).unwrap(), [CommittedOp::Establish(req)]);
+        let got = c.forward(1, op).unwrap();
+        assert_eq!(got, op.apply(&mut serial));
+        assert!(admitted(got));
+        assert_eq!(c.records_since(0).unwrap(), [op]);
         // A rejection is a record too: replay reproduces it.
-        let same = request(2, 2);
-        assert!(c.establish(0, &same).unwrap().is_err());
+        assert!(!admitted(c.forward(0, establish(2, 2)).unwrap()));
         assert_eq!(c.seq(), 2);
     }
 
@@ -510,7 +521,7 @@ mod tests {
             ClusterError::UnknownMember(0)
         );
         assert_eq!(
-            c.establish(0, &request(0, 3)).unwrap_err(),
+            c.forward(0, establish(0, 3)).unwrap_err(),
             ClusterError::UnknownMember(0)
         );
         assert_eq!(
@@ -535,12 +546,12 @@ mod tests {
     fn the_dropped_record_fault_loses_the_first_admission() {
         let mut c = coordinator(2);
         c.set_drop_record(true);
-        assert!(c.establish(0, &request(2, 2)).unwrap().is_err());
+        assert!(!admitted(c.forward(0, establish(2, 2)).unwrap()));
         assert_eq!(c.seq(), 1, "a rejection does not fire the fault");
-        assert!(c.establish(0, &request(0, 2)).unwrap().is_ok());
+        assert!(admitted(c.forward(0, establish(0, 2)).unwrap()));
         assert_eq!(c.seq(), 1, "the first admission leaves no record");
         assert_eq!(c.net().connections().count(), 1);
-        assert!(c.establish(1, &request(1, 4)).unwrap().is_ok());
+        assert!(admitted(c.forward(1, establish(1, 4)).unwrap()));
         assert_eq!(c.seq(), 2, "the fault fires once");
     }
 }

@@ -8,14 +8,15 @@
 //! The paper's D-connection model assumes one manager admitting every
 //! channel, and the federation keeps exactly that: one **coordinator**
 //! admits every request at one sequential point
-//! ([`drqos_core::network::Network::admit`]) and appends it to an oplog;
-//! every **member** replays the log ([`coordinator::apply_committed`])
-//! and is byte-identical to the authority at equal sequence numbers.
-//! A member forwards its clients' admissions like any other operation,
-//! one exchange each, and plans nothing itself. `fuzz --diff-cluster`
-//! proves a whole fuzzed cluster run equals the monolithic oracle, and
-//! the mutation self-tests prove the harness would catch a lost oplog
-//! record.
+//! ([`MemberOp::apply`], whose admission arm is
+//! [`drqos_core::network::Network::admit`]) and appends it to an oplog of
+//! [`MemberOp`]s; every **member** replays the log through the same
+//! [`MemberOp::apply`] and is byte-identical to the authority at equal
+//! sequence numbers. A member forwards its clients' admissions like any
+//! other operation, one exchange each, and plans nothing itself.
+//! `fuzz --diff-cluster` proves a whole fuzzed cluster run equals the
+//! monolithic oracle, and the mutation self-tests prove the harness would
+//! catch a lost oplog record.
 //!
 //! Modules:
 //!
@@ -37,7 +38,7 @@ pub mod member;
 pub mod proto;
 pub mod sim;
 
-pub use coordinator::{ApplyOutcome, CommittedOp, Coordinator, MemberOp, Prepared};
+pub use coordinator::{ApplyOutcome, Coordinator, MemberOp, Prepared};
 pub use member::Member;
 pub use proto::{ClusterMsg, CoordMsg, ProtoError, WireRequest};
 pub use sim::{ClusterFault, ClusterSim};

@@ -1,16 +1,18 @@
 //! A cluster member's replica of the federated network.
 //!
 //! Every member holds a *full* copy of the network, kept current by
-//! replaying the coordinator's oplog ([`Member::apply`]). A member plans
-//! nothing: its clients' admissions are forwarded and decided at the
-//! coordinator. Because replay is the exact serial operation sequence the
-//! authoritative network executed, a synced replica is byte-identical to
+//! replaying the coordinator's oplog ([`Member::apply`]: one
+//! [`MemberOp::apply`] per record, the transition the coordinator
+//! committed with). A member plans nothing: its clients' admissions are
+//! forwarded and decided at the coordinator. Because replay is the exact
+//! serial operation sequence the authoritative network executed, a synced
+//! replica is byte-identical to
 //! the authority — `fuzz --diff-cluster` compares full
 //! [`drqos_core::network::NetworkSnapshot`]s to prove it — and a member
 //! daemon can therefore answer its clients *from its own replay outcome*
 //! of the committed record.
 
-use crate::coordinator::{apply_committed, ApplyOutcome, CommittedOp};
+use crate::coordinator::{ApplyOutcome, MemberOp};
 use drqos_core::network::{EstablishRequest, Network, PrePlanned};
 use drqos_core::routing::RouteScratch;
 
@@ -64,12 +66,12 @@ impl Member {
     /// Replays committed records in sequence order, returning the outcome
     /// of each (the last one is typically this member's own operation,
     /// whose outcome it renders to the requesting client).
-    pub fn apply(&mut self, records: &[CommittedOp]) -> Vec<ApplyOutcome> {
+    pub fn apply(&mut self, records: &[MemberOp]) -> Vec<ApplyOutcome> {
         records
             .iter()
             .map(|op| {
                 self.applied += 1;
-                apply_committed(&mut self.net, op)
+                op.apply(&mut self.net)
             })
             .collect()
     }
@@ -78,7 +80,6 @@ impl Member {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::MemberOp;
     use drqos_core::network::NetworkConfig;
     use drqos_core::qos::ElasticQos;
     use drqos_core::NetworkSnapshot;
@@ -93,27 +94,24 @@ mod tests {
     fn replay_tracks_the_authority_byte_for_byte() {
         let mut authority = genesis();
         let mut member = Member::new(0, genesis());
-        let establish = |src, dst| {
-            CommittedOp::Establish(EstablishRequest {
+        let establish = |src, dst| MemberOp::Establish {
+            req: EstablishRequest {
                 src: NodeId(src),
                 dst: NodeId(dst),
                 qos: ElasticQos::paper_video(100),
-            })
+            },
         };
         let ops = vec![
             establish(0, 3),
             establish(1, 4),
-            CommittedOp::Op(MemberOp::FailLink {
+            MemberOp::FailLink {
                 link: authority.graph().links().next().unwrap().id(),
-            }),
-            CommittedOp::Op(MemberOp::Release {
+            },
+            MemberOp::Release {
                 id: drqos_core::ConnectionId(0),
-            }),
+            },
         ];
-        let direct: Vec<ApplyOutcome> = ops
-            .iter()
-            .map(|op| apply_committed(&mut authority, op))
-            .collect();
+        let direct: Vec<ApplyOutcome> = ops.iter().map(|op| op.apply(&mut authority)).collect();
         let replayed = member.apply(&ops);
         assert_eq!(direct, replayed, "replay outcomes must match the authority");
         assert_eq!(member.applied(), ops.len() as u64);

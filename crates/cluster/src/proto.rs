@@ -7,14 +7,16 @@
 //! protocol's (`0x10..` member→coordinator, `0x20..` coordinator→member)
 //! so a frame accidentally crossing protocols fails loudly. All integers
 //! are little-endian `u64`; QoS travels as raw `(bmin, bmax, delta)`
-//! Kbps and is revalidated on decode, exactly like the client protocol.
+//! Kbps and is revalidated on decode by [`MemberOp::from_parts`], the
+//! conversion the client protocols use too.
 //!
-//! An `OP` message and an oplog record both carry a client verb: one tag
-//! byte — the verb's client opcode, looked up in
-//! [`drqos_core::wire::VERBS`] — then the row's operands, so an `OP` body
-//! is its record's bytes behind the `OP` opcode. The tags are private to
-//! a federation of one build; SERVICE.md's verb table lists them beside
-//! the opcodes.
+//! An `OP` message and an oplog record both carry one [`MemberOp`]: one
+//! tag byte — the verb's client opcode, looked up in
+//! [`drqos_core::wire::VERBS`] — then the row's operands
+//! ([`MemberOp::parts`]), so an `OP` body is its record's bytes behind the
+//! `OP` opcode, `ESTABLISH` and every other state-changing verb alike.
+//! The tags are private to a federation of one build; SERVICE.md's verb
+//! table lists them beside the opcodes.
 //!
 //! The conversation (documented in SERVICE.md):
 //!
@@ -22,7 +24,7 @@
 //! member                         coordinator
 //!   JOIN                      →
 //!                             ←  WELCOME {member, seq}
-//!   OP {verb, operands}       →                         (ESTABLISH or a forwarded verb)
+//!   OP {verb, operands}       →                         (any state-changing verb)
 //!                             ←  RECORDS {seq, records…}  or  DONE {op_seq, seq}
 //!   SYNC {applied}            →                         (after a DONE, until past op_seq)
 //!                             ←  RECORDS {seq, records…}
@@ -38,12 +40,10 @@
 //! prices them (ROADMAP 4(c)): no daemon sends one, and a coordinator that
 //! receives one closes the link like any other garbage.
 
-use crate::coordinator::{CommittedOp, MemberOp};
+use crate::coordinator::MemberOp;
 use drqos_core::framing::{get_u64, put_u64};
 use drqos_core::network::EstablishRequest;
-use drqos_core::qos::{Bandwidth, ElasticQos};
-use drqos_core::wire::{verb_coded, verb_named, Operand, Route, Verb, MAX_OPERANDS};
-use drqos_topology::NodeId;
+use drqos_core::wire::{verb_coded, verb_named, Operand, Verb, MAX_OPERANDS};
 use std::fmt;
 
 // Member → coordinator opcodes (the `0x10` family).
@@ -121,16 +121,6 @@ impl WireRequest {
         [self.src, self.dst, self.bmin, self.bmax, self.delta]
     }
 
-    fn from_operands([src, dst, bmin, bmax, delta]: [u64; MAX_OPERANDS]) -> Self {
-        Self {
-            src,
-            dst,
-            bmin,
-            bmax,
-            delta,
-        }
-    }
-
     /// Captures an in-memory request for the wire.
     pub fn from_request(req: &EstablishRequest) -> Self {
         Self {
@@ -140,29 +130,6 @@ impl WireRequest {
             bmax: req.qos.max().as_kbps(),
             delta: req.qos.increment().as_kbps(),
         }
-    }
-
-    /// Revalidates into an in-memory request (unit utility, like the
-    /// client protocol).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::BadPayload`] when the QoS triple is invalid.
-    pub(crate) fn to_request(self) -> Result<EstablishRequest, ProtoError> {
-        let qos = ElasticQos::new(
-            Bandwidth::kbps(self.bmin),
-            Bandwidth::kbps(self.bmax),
-            Bandwidth::kbps(self.delta),
-            1.0,
-        )
-        .map_err(|_| ProtoError::BadPayload)?;
-        let src = usize::try_from(self.src).map_err(|_| ProtoError::BadPayload)?;
-        let dst = usize::try_from(self.dst).map_err(|_| ProtoError::BadPayload)?;
-        Ok(EstablishRequest {
-            src: NodeId(src),
-            dst: NodeId(dst),
-            qos,
-        })
     }
 }
 
@@ -185,13 +152,8 @@ pub enum ClusterMsg {
         /// The admission request.
         req: WireRequest,
     },
-    /// Forward an admission: an `OP` whose tag is the `ESTABLISH` row's,
-    /// admitted at the coordinator's sequential point.
-    Establish {
-        /// The admission request, its QoS validated on decode.
-        req: EstablishRequest,
-    },
-    /// Forward a non-establish operation.
+    /// Forward a state-changing operation, committed at the coordinator's
+    /// sequential point.
     Op {
         /// The operation.
         op: MemberOp,
@@ -227,8 +189,8 @@ pub enum CoordMsg {
         /// Whether every footprint digest was still current.
         fresh: bool,
     },
-    /// Reply to [`ClusterMsg::Establish`] / [`ClusterMsg::Op`]: the
-    /// operation committed at `op_seq`; replay it to learn the outcome.
+    /// Reply to [`ClusterMsg::Op`]: the operation committed at `op_seq`;
+    /// replay it to learn the outcome.
     Done {
         /// The committed operation's sequence number.
         op_seq: u64,
@@ -241,7 +203,7 @@ pub enum CoordMsg {
         /// The coordinator's current oplog sequence.
         seq: u64,
         /// The records to replay, in sequence order.
-        records: Vec<CommittedOp>,
+        records: Vec<MemberOp>,
     },
     /// Reply to [`ClusterMsg::Status`].
     State {
@@ -273,18 +235,9 @@ fn put_call(body: &mut Vec<u8>, verb: &str, operands: &[u64]) {
     }
 }
 
-fn put_record(body: &mut Vec<u8>, record: &CommittedOp) {
-    match record {
-        CommittedOp::Establish(req) => put_call(
-            body,
-            "ESTABLISH",
-            &WireRequest::from_request(req).operands(),
-        ),
-        CommittedOp::Op(op) => {
-            let (verb, operand) = op.parts();
-            put_call(body, verb, &[operand]);
-        }
-    }
+fn put_record(body: &mut Vec<u8>, record: MemberOp) {
+    let (verb, operands) = record.parts();
+    put_call(body, verb, &operands);
 }
 
 struct Cursor<'a> {
@@ -342,22 +295,15 @@ impl<'a> Cursor<'a> {
         Ok((verb, operands))
     }
 
-    /// Reads one record — the body of an `OP` too. Only an `Admit` or a
-    /// `Forward` row has one, and an admission's QoS must validate.
-    fn record(&mut self) -> Result<CommittedOp, ProtoError> {
+    /// Reads one record — the body of an `OP` too. Only a `Forward` row
+    /// has one, and an admission's QoS must validate.
+    fn record(&mut self) -> Result<MemberOp, ProtoError> {
         let tag = self.byte()?;
         let (verb, operands) = self.call(tag)?;
-        match verb.route {
-            Route::Admit => {
-                let req = WireRequest::from_operands(operands).to_request()?;
-                Ok(CommittedOp::Establish(req))
-            }
-            Route::Forward | Route::Local => {
-                let [operand, ..] = operands;
-                MemberOp::from_parts(verb.name, operand)
-                    .map(CommittedOp::Op)
-                    .ok_or(ProtoError::UnknownTag(tag))
-            }
+        match MemberOp::from_parts(verb.name, operands) {
+            Some(Ok(op)) => Ok(op),
+            Some(Err(_)) => Err(ProtoError::BadPayload),
+            None => Err(ProtoError::UnknownTag(tag)),
         }
     }
 }
@@ -385,13 +331,9 @@ pub fn encode_cluster_msg(msg: &ClusterMsg) -> Vec<u8> {
                 put_u64(&mut body, v);
             }
         }
-        ClusterMsg::Establish { req } => {
-            body.push(C_OP);
-            put_record(&mut body, &CommittedOp::Establish(*req));
-        }
         ClusterMsg::Op { op } => {
             body.push(C_OP);
-            put_record(&mut body, &CommittedOp::Op(*op));
+            put_record(&mut body, *op);
         }
         ClusterMsg::Sync { applied } => {
             body.push(C_SYNC);
@@ -426,12 +368,15 @@ pub fn decode_cluster_msg(body: &[u8]) -> Result<ClusterMsg, ProtoError> {
         }
         C_COMMIT => ClusterMsg::Commit {
             ticket: c.u64()?,
-            req: WireRequest::from_operands([c.u64()?, c.u64()?, c.u64()?, c.u64()?, c.u64()?]),
+            req: WireRequest {
+                src: c.u64()?,
+                dst: c.u64()?,
+                bmin: c.u64()?,
+                bmax: c.u64()?,
+                delta: c.u64()?,
+            },
         },
-        C_OP => match c.record()? {
-            CommittedOp::Establish(req) => ClusterMsg::Establish { req },
-            CommittedOp::Op(op) => ClusterMsg::Op { op },
-        },
+        C_OP => ClusterMsg::Op { op: c.record()? },
         C_SYNC => ClusterMsg::Sync { applied: c.u64()? },
         C_LEAVE => ClusterMsg::Leave,
         C_STATUS => ClusterMsg::Status,
@@ -465,7 +410,7 @@ pub fn encode_coord_msg(msg: &CoordMsg) -> Vec<u8> {
             body.push(C_RECORDS);
             put_u64(&mut body, *seq);
             put_u64(&mut body, records.len() as u64);
-            for r in records {
+            for &r in records {
                 put_record(&mut body, r);
             }
         }
@@ -539,29 +484,21 @@ pub fn decode_coord_msg(body: &[u8]) -> Result<CoordMsg, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drqos_core::wire::VERBS;
+    use drqos_core::error::QosError;
+    use drqos_core::wire::{Route, VERBS};
+    use drqos_topology::NodeId;
 
     /// One operation per [`Route::Forward`] row of the table, so a new row
-    /// is covered without editing this module.
+    /// is covered without editing this module (an admission's QoS is
+    /// `64..=256` in steps of 64).
     fn forwarded_ops() -> Vec<MemberOp> {
         let rows = VERBS.iter().filter(|v| v.route == Route::Forward);
         rows.zip(3..)
-            .map(|(v, operand)| MemberOp::from_parts(v.name, operand).expect(v.name))
+            .map(|(v, n)| {
+                let op = MemberOp::from_parts(v.name, [n, n + 1, 64, 256, 64]);
+                op.expect(v.name).expect(v.name)
+            })
             .collect()
-    }
-
-    fn sample_request() -> EstablishRequest {
-        EstablishRequest {
-            src: NodeId(0),
-            dst: NodeId(5),
-            qos: ElasticQos::paper_video(100),
-        }
-    }
-
-    fn sample_records() -> Vec<CommittedOp> {
-        let establish = CommittedOp::Establish(sample_request());
-        let ops = forwarded_ops().into_iter().map(CommittedOp::Op);
-        std::iter::once(establish).chain(ops).collect()
     }
 
     #[test]
@@ -581,9 +518,6 @@ mod tests {
                     delta: 100,
                 },
             },
-            ClusterMsg::Establish {
-                req: sample_request(),
-            },
             ClusterMsg::Sync { applied: 99 },
             ClusterMsg::Leave,
             ClusterMsg::Status,
@@ -597,36 +531,29 @@ mod tests {
     }
 
     /// Tag ↔ row is a bijection on the rows that have a record: every
-    /// forwarded row and the admission row encode under their own client
-    /// opcode, as an `OP` and as a record alike (the `OP` body is the
-    /// record's bytes), distinct operands survive the trip (so no two rows
-    /// share a decoder), and every other tag — a local verb's opcode, an
-    /// unused number — is refused whatever operands follow it.
+    /// forwarded row — the admission row among them — encodes under its
+    /// own client opcode, as an `OP` and as a record alike (the `OP` body
+    /// is the record's bytes), distinct operands survive the trip (so no
+    /// two rows share a decoder), and every other tag — a local verb's
+    /// opcode, an unused number — is refused whatever operands follow it.
     #[test]
     fn op_and_record_tags_are_the_client_opcodes() {
         let ops = forwarded_ops();
-        assert!(ops.len() >= 6, "one operation per forwarded row");
+        assert!(ops.len() >= 7, "one operation per forwarded row");
         for (i, &op) in ops.iter().enumerate() {
-            let verb = verb_named(op.parts().0).expect("every operation has a row");
+            let (name, operands) = op.parts();
+            let verb = verb_named(name).expect("every operation has a row");
             assert_eq!(verb.route, Route::Forward);
-            assert_eq!(MemberOp::from_parts(verb.name, op.parts().1), Some(op));
+            assert_eq!(MemberOp::from_parts(verb.name, operands), Some(Ok(op)));
             assert_eq!(ops.iter().position(|&o| o == op), Some(i), "{op:?}");
-        }
-        let admit = VERBS.iter().find(|v| v.route == Route::Admit).unwrap();
-        let establish = ClusterMsg::Establish {
-            req: sample_request(),
-        };
-        let msgs = ops.into_iter().map(|op| ClusterMsg::Op { op });
-        for (msg, record) in std::iter::once(establish).chain(msgs).zip(sample_records()) {
-            let as_op = encode_cluster_msg(&msg);
+            let as_op = encode_cluster_msg(&ClusterMsg::Op { op });
             let mut as_record = Vec::new();
-            put_record(&mut as_record, &record);
-            assert_eq!(as_op.first(), Some(&C_OP), "{msg:?}");
-            assert_eq!(as_op.get(1..), Some(&as_record[..]), "{msg:?}");
+            put_record(&mut as_record, op);
+            assert_eq!(as_op.first(), Some(&C_OP), "{op:?}");
+            assert_eq!(as_op.get(1..), Some(&as_record[..]), "{op:?}");
+            let width = 1 + 8 * verb.operands.len();
+            assert_eq!((as_record[0], as_record.len()), (verb.opcode, width));
         }
-        let mut record = Vec::new();
-        put_record(&mut record, &sample_records()[0]);
-        assert_eq!((record[0], record.len()), (admit.opcode, 1 + 5 * 8));
         // Valid operands for any row: an admission's QoS must validate.
         let operands = [0, 1, 64, 256, 64];
         for tag in 0..=u8::MAX {
@@ -657,7 +584,7 @@ mod tests {
             CoordMsg::Done { op_seq: 7, seq: 9 },
             CoordMsg::Records {
                 seq: 6,
-                records: sample_records(),
+                records: forwarded_ops(),
             },
             CoordMsg::State {
                 text: "members=3 seq=42".to_string(),
@@ -728,19 +655,90 @@ mod tests {
 
     #[test]
     fn wire_requests_rebuild_the_qos() {
-        let req = WireRequest {
-            src: 2,
-            dst: 6,
-            bmin: 100,
-            bmax: 500,
-            delta: 100,
-        }
-        .to_request()
-        .unwrap();
+        let operands = [2, 6, 100, 500, 100];
+        let Some(Ok(MemberOp::Establish { req })) = MemberOp::from_parts("ESTABLISH", operands)
+        else {
+            panic!("a valid triple admits");
+        };
         assert_eq!(req.src, NodeId(2));
         assert_eq!(req.qos.min().as_kbps(), 100);
         assert_eq!(req.qos.max().as_kbps(), 500);
         assert_eq!(req.qos.increment().as_kbps(), 100);
         assert_eq!(WireRequest::from_request(&req).bmin, 100);
+        let zero = MemberOp::from_parts("ESTABLISH", [2, 6, 0, 500, 100]);
+        assert_eq!(zero, Some(Err(QosError::ZeroMinimum)));
+    }
+
+    /// Hex of a pinned body.
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    /// The inter-daemon bytes of every row that travels, pinned: per row
+    /// one `OP` and one single-record `RECORDS` at `seq` 9 — `ESTABLISH`
+    /// with the operands `0, 1, 64, 256, 64`, each forwarded row with the
+    /// operand 7. Each body must decode and encode back to itself, so
+    /// neither codec can drift from what the daemons of an earlier build
+    /// speak; a row added to the table fails here until it is pinned.
+    #[test]
+    fn every_travelling_row_keeps_its_inter_daemon_bytes() {
+        const PINNED: &[(&str, &str, &str)] = &[
+            (
+                "ESTABLISH",
+                "14010000000000000000010000000000000040000000000000000001000000000000\
+                 4000000000000000",
+                "23090000000000000001000000000000000100000000000000000100000000000000\
+                 400000000000000000010000000000004000000000000000",
+            ),
+            (
+                "RELEASE",
+                "14020700000000000000",
+                "2309000000000000000100000000000000020700000000000000",
+            ),
+            (
+                "FAIL-LINK",
+                "14030700000000000000",
+                "2309000000000000000100000000000000030700000000000000",
+            ),
+            (
+                "REPAIR-LINK",
+                "14040700000000000000",
+                "2309000000000000000100000000000000040700000000000000",
+            ),
+            (
+                "FAIL-NODE",
+                "14050700000000000000",
+                "2309000000000000000100000000000000050700000000000000",
+            ),
+            (
+                "FAIL-SRLG",
+                "14090700000000000000",
+                "2309000000000000000100000000000000090700000000000000",
+            ),
+            (
+                "REPAIR-SRLG",
+                "140a0700000000000000",
+                "23090000000000000001000000000000000a0700000000000000",
+            ),
+        ];
+        let travelling = VERBS.iter().filter(|v| v.route != Route::Local);
+        let names: Vec<&str> = travelling.map(|v| v.name).collect();
+        let pinned: Vec<&str> = PINNED.iter().map(|&(name, ..)| name).collect();
+        assert_eq!(names, pinned, "every row that travels is pinned");
+        for &(name, op, records) in PINNED {
+            let op = unhex(op);
+            let msg = decode_cluster_msg(&op).unwrap_or_else(|e| panic!("{name} OP: {e}"));
+            assert_eq!(encode_cluster_msg(&msg), op, "{name} OP");
+            let records = unhex(records);
+            let msg = decode_coord_msg(&records).unwrap_or_else(|e| panic!("{name} RECORDS: {e}"));
+            let one = matches!(&msg, CoordMsg::Records { seq: 9, records } if records.len() == 1);
+            assert!(one, "{name}: {msg:?}");
+            assert_eq!(encode_coord_msg(&msg), records, "{name} RECORDS");
+            // An `OP` body is its record's bytes behind the `OP` opcode.
+            assert_eq!(op.get(1..), records.get(17..), "{name}");
+        }
     }
 }

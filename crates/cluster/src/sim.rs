@@ -8,21 +8,20 @@
 //! against it and a monolithic oracle. Fault injection ([`ClusterFault`])
 //! covers the two cluster-specific failure modes the mutation self-tests
 //! must catch: a lost oplog record (the authority admits a request no
-//! replica ever replays) and a member crash in the middle of a wave (its
-//! requests are orphaned and must be carried by a survivor).
+//! replica ever replays) and a member that crashes while it carries an
+//! operation (a survivor must carry it instead).
 //!
-//! A wave is committed one [`Coordinator::establish`] per request, in
-//! request order, each through the member carrying it — the call a member
-//! daemon's `ESTABLISH` makes — and each admission settles its own fill,
-//! so a cluster wave is byte-identical to a monolithic serial run, churn
-//! or no churn.
+//! Every operation, `ESTABLISH` included, is one [`Coordinator::forward`]
+//! through the member carrying it — the call a member daemon's `OP` makes
+//! — with carriers rotating over the live roster from one operation to
+//! the next, and each admission settles its own fill, so a cluster run is
+//! byte-identical to a monolithic serial run, churn or no churn.
 
 use crate::coordinator::{ApplyOutcome, Coordinator, MemberOp};
 use crate::member::Member;
-use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
-use drqos_core::error::{AdmissionError, ClusterError};
-use drqos_core::network::{EstablishRequest, Network};
+use drqos_core::error::ClusterError;
+use drqos_core::network::Network;
 
 /// Injected cluster faults for the mutation self-tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,10 +33,9 @@ pub enum ClusterFault {
     /// oplog record for it (caught as replicas that differ from the
     /// authority).
     DropRecord,
-    /// The given member crashes in the middle of the first wave, after
-    /// its requests were handed to it but before any commit: a survivor
-    /// carries each orphaned request instead.
-    CrashDuringWave(u64),
+    /// The next operation's carrier crashes after the operation was
+    /// handed to it but before its commit: a survivor carries it instead.
+    CrashCarrier,
 }
 
 /// An in-process federation: one coordinator plus N member replicas
@@ -48,7 +46,8 @@ pub struct ClusterSim {
     members: Vec<Option<Member>>,
     genesis: Network,
     fault: ClusterFault,
-    crash_fired: bool,
+    /// Operations carried so far: the next carrier's turn.
+    carried: usize,
 }
 
 impl ClusterSim {
@@ -65,14 +64,13 @@ impl ClusterSim {
             members: roster,
             genesis,
             fault: ClusterFault::None,
-            crash_fired: false,
+            carried: 0,
         }
     }
 
-    /// Arms a fault for the next wave(s).
+    /// Arms a fault; each fires once.
     pub fn set_fault(&mut self, fault: ClusterFault) {
         self.fault = fault;
-        self.crash_fired = false;
         self.coord
             .set_drop_record(matches!(fault, ClusterFault::DropRecord));
     }
@@ -97,59 +95,32 @@ impl ClusterSim {
         self.members.iter().flatten().map(Member::id).collect()
     }
 
-    /// The live member carrying each of `n` requests: request index modulo
-    /// live members, which is what the daemons' clients do. Synced replicas
-    /// are byte-identical, so the choice cannot change a result.
-    fn carriers(&self, n: usize) -> Vec<u64> {
+    /// The live member whose turn it is to carry an operation: the
+    /// operation count modulo live members, which is what the daemons'
+    /// clients do. Synced replicas are byte-identical, so the choice
+    /// cannot change a result.
+    fn carrier(&self) -> u64 {
         let live = self.alive_members();
-        live.iter().copied().cycle().take(n).collect()
+        live.get(self.carried % live.len().max(1))
+            .copied()
+            .unwrap_or(0)
     }
 
-    /// Admits a wave of requests: each is committed through
-    /// [`Coordinator::establish`] on its carrier
-    /// ([`ClusterSim::carriers`]), in request order, one admission at a
-    /// time. Replicas sync before the wave returns. A carrier the
-    /// coordinator refused would leave its request without a result,
-    /// which the lockstep harness reports as a divergence.
-    pub fn establish_wave(
-        &mut self,
-        requests: &[EstablishRequest],
-    ) -> Vec<Result<ConnectionId, AdmissionError>> {
-        let mut carriers = self.carriers(requests.len());
-        // Fault: a member dies after its requests were handed to it,
-        // before any commit. A survivor carries each orphan instead.
-        if let ClusterFault::CrashDuringWave(victim) = self.fault {
-            if !self.crash_fired && self.coord.is_alive(victim) && self.coord.alive_count() > 1 {
-                self.crash_fired = true;
-                let _ = self.coord.leave(victim);
-                if let Some(slot) = self.members.get_mut(victim as usize) {
-                    *slot = None;
-                }
-                let survivors = self.carriers(requests.len());
-                for (carrier, survivor) in carriers.iter_mut().zip(survivors) {
-                    if *carrier == victim {
-                        *carrier = survivor;
-                    }
-                }
-            }
-        }
-        let results = requests
-            .iter()
-            .zip(carriers)
-            .filter_map(|(req, carrier)| self.coord.establish(carrier, req).ok())
-            .collect();
-        self.sync();
-        results
-    }
-
-    /// Forwards a non-establish operation through the lowest-id live
-    /// member (results are member-independent) and syncs replicas.
+    /// Commits one operation through [`Coordinator::forward`] on its
+    /// carrier ([`ClusterSim::carrier`]) and syncs every replica.
     ///
     /// # Errors
     ///
     /// Propagates coordinator errors (none on a live cluster).
     pub fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
-        let carrier = self.members.iter().flatten().next().map_or(0, Member::id);
+        // Fault: the carrier dies after the operation was handed to it,
+        // before its commit. A survivor carries it instead.
+        if self.fault == ClusterFault::CrashCarrier && self.coord.alive_count() > 1 {
+            self.fault = ClusterFault::None;
+            self.crash(self.carrier())?;
+        }
+        let carrier = self.carrier();
+        self.carried += 1;
         let outcome = self.coord.forward(carrier, op)?;
         self.sync();
         Ok(outcome)
@@ -212,7 +183,7 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drqos_core::network::NetworkConfig;
+    use drqos_core::network::{EstablishRequest, NetworkConfig};
     use drqos_core::qos::ElasticQos;
     use drqos_core::snapshot::NetworkSnapshot;
     use drqos_sim::rng::Rng;
@@ -223,15 +194,8 @@ mod tests {
         Network::new(ring(8).unwrap(), NetworkConfig::default())
     }
 
-    fn request(src: usize, dst: usize) -> EstablishRequest {
-        EstablishRequest {
-            src: NodeId(src),
-            dst: NodeId(dst),
-            qos: ElasticQos::paper_video(100),
-        }
-    }
-
-    fn wave(n: usize, rng: &mut Rng) -> Vec<EstablishRequest> {
+    /// `n` seeded admissions between distinct nodes.
+    fn establishes(n: usize, rng: &mut Rng) -> Vec<MemberOp> {
         (0..n)
             .map(|_| {
                 let s = rng.range_usize(8);
@@ -239,57 +203,39 @@ mod tests {
                 if d >= s {
                     d += 1;
                 }
-                request(s, d)
+                MemberOp::Establish {
+                    req: EstablishRequest {
+                        src: NodeId(s),
+                        dst: NodeId(d),
+                        qos: ElasticQos::paper_video(100),
+                    },
+                }
             })
             .collect()
     }
 
-    /// A cluster wave must be byte-identical to the monolithic serial
-    /// oracle — the core federation claim.
-    #[test]
-    fn cluster_waves_match_the_serial_oracle() {
-        for members in [1usize, 2, 3, 5] {
-            let mut oracle = fresh_net();
-            let mut cluster = ClusterSim::new(fresh_net(), members);
-            let mut rng = Rng::seed_from_u64(42 + members as u64);
-            for _ in 0..4 {
-                let reqs = wave(12, &mut rng);
-                let got = cluster.establish_wave(&reqs);
-                let want = oracle.establish_batch(&reqs);
-                assert_eq!(got, want, "{members}-member wave results diverged");
-                assert_eq!(
-                    NetworkSnapshot::capture(cluster.authoritative()),
-                    NetworkSnapshot::capture(&oracle),
-                    "{members}-member authoritative state diverged"
-                );
-            }
-            for m in cluster.replicas() {
-                assert_eq!(
-                    NetworkSnapshot::capture(m.net()),
-                    NetworkSnapshot::capture(&oracle),
-                    "replica m{} diverged from the oracle",
-                    m.id()
-                );
-            }
+    /// Applies `ops` to the cluster and to the oracle, asserting equal
+    /// outcomes op by op.
+    fn apply_both(cluster: &mut ClusterSim, oracle: &mut Network, ops: &[MemberOp]) {
+        for &op in ops {
+            let got = cluster.apply(op).unwrap();
+            assert_eq!(got, op.apply(oracle), "{op:?}");
         }
     }
 
-    /// Churn between waves must not disturb the replicated state: after
-    /// LEAVE/CRASH/JOIN the survivors still match the oracle exactly.
+    /// Churn between operations must not disturb the replicated state:
+    /// after LEAVE/CRASH/JOIN the survivors still match the oracle exactly.
     #[test]
     fn churn_preserves_oracle_equivalence() {
         let mut oracle = fresh_net();
         let mut cluster = ClusterSim::new(fresh_net(), 3);
         let mut rng = Rng::seed_from_u64(7);
-        let reqs = wave(10, &mut rng);
-        assert_eq!(cluster.establish_wave(&reqs), oracle.establish_batch(&reqs));
+        apply_both(&mut cluster, &mut oracle, &establishes(10, &mut rng));
         cluster.crash(1).unwrap();
-        let reqs = wave(10, &mut rng);
-        assert_eq!(cluster.establish_wave(&reqs), oracle.establish_batch(&reqs));
+        apply_both(&mut cluster, &mut oracle, &establishes(10, &mut rng));
         cluster.join(1).unwrap();
         cluster.leave(0).unwrap();
-        let reqs = wave(10, &mut rng);
-        assert_eq!(cluster.establish_wave(&reqs), oracle.establish_batch(&reqs));
+        apply_both(&mut cluster, &mut oracle, &establishes(10, &mut rng));
         assert_eq!(
             NetworkSnapshot::capture(cluster.authoritative()),
             NetworkSnapshot::capture(&oracle)
@@ -306,37 +252,25 @@ mod tests {
         }
     }
 
-    /// Satellite property: a wave interrupted by a member crash commits
-    /// every request exactly once (no double-commit across the handoff)
-    /// and still matches the serial oracle.
+    /// A carrier that crashes before its operation commits hands the
+    /// operation to a survivor: it is committed exactly once, and the run
+    /// still matches the serial oracle.
     #[test]
-    fn no_double_commit_across_a_mid_wave_crash() {
+    fn no_double_commit_across_a_carrier_crash() {
         let mut oracle = fresh_net();
         let mut cluster = ClusterSim::new(fresh_net(), 3);
-        cluster.set_fault(ClusterFault::CrashDuringWave(2));
         let mut rng = Rng::seed_from_u64(99);
-        let reqs = wave(16, &mut rng);
-        let got = cluster.establish_wave(&reqs);
-        let want = oracle.establish_batch(&reqs);
-        assert_eq!(
-            got.len(),
-            reqs.len(),
-            "every request gets exactly one result"
-        );
-        assert_eq!(got, want, "orphaned requests must re-establish serially");
+        let ops = establishes(16, &mut rng);
+        apply_both(&mut cluster, &mut oracle, &ops[..5]);
+        // The sixth operation is member 2's to carry.
+        cluster.set_fault(ClusterFault::CrashCarrier);
+        apply_both(&mut cluster, &mut oracle, &ops[5..]);
         assert_eq!(
             NetworkSnapshot::capture(cluster.authoritative()),
             NetworkSnapshot::capture(&oracle)
         );
-        // Exactly one establish record per request — committed once each.
-        let establishes = cluster
-            .coordinator()
-            .records_since(0)
-            .unwrap()
-            .iter()
-            .filter(|r| matches!(r, crate::coordinator::CommittedOp::Establish(_)))
-            .count();
-        assert_eq!(establishes, reqs.len());
+        // One record per operation — each committed once.
+        assert_eq!(cluster.coordinator().records_since(0).unwrap(), ops);
         assert_eq!(cluster.alive_members(), vec![0, 1]);
     }
 
@@ -349,11 +283,11 @@ mod tests {
         let mut cluster = ClusterSim::new(fresh_net(), 2);
         cluster.set_fault(ClusterFault::DropRecord);
         let mut rng = Rng::seed_from_u64(5);
-        let reqs = wave(6, &mut rng);
-        assert_eq!(cluster.establish_wave(&reqs), oracle.establish_batch(&reqs));
+        let ops = establishes(6, &mut rng);
+        apply_both(&mut cluster, &mut oracle, &ops);
         let want = NetworkSnapshot::capture(&oracle);
         assert_eq!(NetworkSnapshot::capture(cluster.authoritative()), want);
-        assert_eq!(cluster.coordinator().seq(), reqs.len() as u64 - 1);
+        assert_eq!(cluster.coordinator().seq(), ops.len() as u64 - 1);
         for m in cluster.replicas() {
             assert_ne!(NetworkSnapshot::capture(m.net()), want, "m{}", m.id());
         }
@@ -366,16 +300,15 @@ mod tests {
         let mut oracle = fresh_net();
         let mut cluster = ClusterSim::new(fresh_net(), 3);
         let mut rng = Rng::seed_from_u64(11);
-        let reqs = wave(8, &mut rng);
-        cluster.establish_wave(&reqs);
-        oracle.establish_batch(&reqs);
+        apply_both(&mut cluster, &mut oracle, &establishes(8, &mut rng));
         let link = oracle.graph().links().next().unwrap().id();
-        let got = cluster.apply(MemberOp::FailLink { link }).unwrap();
-        let want = oracle.fail_link(link);
-        assert_eq!(got, ApplyOutcome::FailLink(want));
-        let got = cluster.apply(MemberOp::RepairLink { link }).unwrap();
-        let want = oracle.repair_link(link);
-        assert_eq!(got, ApplyOutcome::RepairLink(want));
+        let id = oracle.connections().next().unwrap().id();
+        let ops = [
+            MemberOp::FailLink { link },
+            MemberOp::RepairLink { link },
+            MemberOp::Release { id },
+        ];
+        apply_both(&mut cluster, &mut oracle, &ops);
         for m in cluster.replicas() {
             assert_eq!(
                 NetworkSnapshot::capture(m.net()),

@@ -146,7 +146,7 @@ pub enum ClusterError {
     /// A coordinator exchange failed or did not finish within the
     /// member's two-second link timeout; the member gives the link up
     /// (wire code 504, "coordinator link down").
-    PrepareTimeout(u64),
+    CoordinatorLinkDown,
     /// A replica asked for oplog records past the coordinator's current
     /// sequence number.
     SequenceGap(u64),
@@ -165,8 +165,8 @@ impl fmt::Display for ClusterError {
             ClusterError::StalePrepare(t) => {
                 write!(f, "prepare ticket {t} is no longer pending")
             }
-            ClusterError::PrepareTimeout(t) => {
-                write!(f, "coordinator link down: exchange {t} failed or timed out")
+            ClusterError::CoordinatorLinkDown => {
+                write!(f, "coordinator link down: an exchange failed or timed out")
             }
             ClusterError::SequenceGap(s) => {
                 write!(f, "requested oplog records past sequence {s}")
@@ -241,7 +241,7 @@ mod tests {
         assert!(ClusterError::StalePrepare(9)
             .to_string()
             .contains("no longer pending"));
-        assert!(ClusterError::PrepareTimeout(4)
+        assert!(ClusterError::CoordinatorLinkDown
             .to_string()
             .contains("timed out"));
         assert!(ClusterError::SequenceGap(7).to_string().contains("oplog"));

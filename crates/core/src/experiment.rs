@@ -59,7 +59,7 @@ pub struct ExperimentConfig {
     /// Network manager configuration.
     pub network: NetworkConfig,
     /// Ignored: nothing reads it. It stays because `benchmark/` sets it
-    /// (ROADMAP 3(c)).
+    /// (ROADMAP 4(c)).
     pub shards: usize,
     /// RNG seed (experiments are deterministic given the seed).
     pub seed: u64,

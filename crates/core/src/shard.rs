@@ -1,5 +1,5 @@
 //! The names `benchmark/src/layers.rs` still calls, frozen there until
-//! ROADMAP 3(c) deletes the calls: [`ShardedNetwork::establish_wave`] is
+//! ROADMAP 4(c) deletes the calls: [`ShardedNetwork::establish_wave`] is
 //! [`Network::establish_batch`], the shard count is ignored and
 //! [`ShardedNetwork::stale_replans`] is always zero.
 

@@ -7,7 +7,10 @@
 //! metrics labels and both daemons' dispatch are all loops over its rows
 //! (`drqos_service::{protocol, frame, metrics, engine, clusterd}`,
 //! `drqos_cluster::proto`); SERVICE.md holds the documented copy, and a
-//! test below fails when a row has no line there.
+//! test below fails when a row has no line there. Every verb that changes
+//! state — `ESTABLISH` as much as a failure — is a [`Route::Forward`] row
+//! and one `drqos_cluster::MemberOp`; a row differs from another only in
+//! its operands and its reply.
 //!
 //! ## Error codes
 //!
@@ -46,14 +49,11 @@ pub enum Operand {
 }
 
 /// Where a member daemon of a federation serves a verb (the monolithic
-/// daemon is its own commit authority and serves all three itself).
+/// daemon is its own commit authority and serves both kinds itself).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// Admitted at the coordinator's sequential point: sent as one `OP`
-    /// message like a forwarded verb, and the one verb whose replies split
-    /// into admitted and rejected.
-    Admit,
-    /// Forwarded as one `OP` message and committed serially.
+    /// Forwarded as one `OP` message and committed at the coordinator's
+    /// sequential point.
     Forward,
     /// Answered by the daemon that received it; never in the oplog.
     Local,
@@ -66,9 +66,9 @@ pub struct Verb {
     pub name: &'static str,
     /// The opcode of the binary client framing — and, private to a
     /// federation of one build, the tag of the verb's oplog record and of
-    /// its `OP` message (`Admit` and `Forward` rows).
+    /// its `OP` message (`Forward` rows).
     pub opcode: u8,
-    /// The operands, in wire order. A `Forward` row has exactly one.
+    /// The operands, in wire order.
     pub operands: &'static [Operand],
     /// Who serves the verb in a federation.
     pub route: Route,
@@ -111,7 +111,7 @@ pub const VERBS: &[Verb] = {
         Int("delta"),
     ];
     &[
-        Verb::row("ESTABLISH", 1, ESTABLISH, Route::Admit),
+        Verb::row("ESTABLISH", 1, ESTABLISH, Route::Forward),
         Verb::row("RELEASE", 2, &[Int("id")], Route::Forward),
         Verb::row("FAIL-LINK", 3, &[Index("link")], Route::Forward),
         Verb::row("REPAIR-LINK", 4, &[Index("link")], Route::Forward),
@@ -204,7 +204,7 @@ impl ClusterError {
             ClusterError::DuplicateMember(_) => 501,
             ClusterError::LastMember(_) => 502,
             ClusterError::StalePrepare(_) => 503,
-            ClusterError::PrepareTimeout(_) => 504,
+            ClusterError::CoordinatorLinkDown => 504,
             ClusterError::SequenceGap(_) => 505,
         }
     }
@@ -354,7 +354,7 @@ mod tests {
                 ClusterError::DuplicateMember(0),
                 ClusterError::LastMember(0),
                 ClusterError::StalePrepare(0),
-                ClusterError::PrepareTimeout(0),
+                ClusterError::CoordinatorLinkDown,
                 ClusterError::SequenceGap(0),
             ]
         }
@@ -423,16 +423,11 @@ mod tests {
             assert_eq!(verb_named(v.name), Some(v), "{} is not unique", v.name);
             assert_eq!(verb_coded(v.opcode), Some(v), "opcode of {}", v.name);
             assert!(v.operands.len() <= MAX_OPERANDS, "{}", v.name);
-            if v.route == Route::Forward {
-                assert_eq!(v.operands.len(), 1, "{}: one operand per `OP`", v.name);
-            }
         }
         let mut opcodes: Vec<u8> = VERBS.iter().map(|v| v.opcode).collect();
         opcodes.sort_unstable();
         assert_eq!(opcodes, (1..=10).collect::<Vec<u8>>());
         assert!(VERBS.iter().any(|v| v.operands.len() == MAX_OPERANDS));
-        let admits = VERBS.iter().filter(|v| v.route == Route::Admit).count();
-        assert_eq!(admits, 1, "one admission verb");
         assert_eq!(verb_named("FAIL-LINK").unwrap().label(), "fail_link");
         assert_eq!(verb_named("fail-link"), None, "verbs are case-sensitive");
     }
@@ -450,7 +445,7 @@ mod tests {
                 .collect();
             let dash = || "—".to_string();
             let tag = match v.route {
-                Route::Admit | Route::Forward => v.opcode.to_string(),
+                Route::Forward => v.opcode.to_string(),
                 Route::Local => dash(),
             };
             let line = format!(
@@ -463,7 +458,6 @@ mod tests {
                     operands.join(", ")
                 },
                 match v.route {
-                    Route::Admit => "admitted",
                     Route::Forward => "forwarded",
                     Route::Local => "local",
                 },

@@ -12,12 +12,13 @@
 //!
 //! ## Commit protocol (member side)
 //!
-//! Every client verb that changes state — `ESTABLISH` and the forwarded
-//! rows alike — is one exchange: `OP` → `RECORDS {seq, records}`, every
-//! oplog record this link has not been sent yet, the operation's own
-//! last. The coordinator admits an `ESTABLISH` at its sequential point
-//! ([`Coordinator::establish`]); the member plans nothing. It replays the
-//! records and renders the reply from its *own* outcome of the last one.
+//! Every client verb that changes state — `ESTABLISH` among them — is one
+//! [`drqos_cluster::coordinator::MemberOp`] and one exchange: `OP` →
+//! `RECORDS {seq, records}`, every oplog record this link has not been
+//! sent yet, the operation's own last. The coordinator commits it at its
+//! sequential point ([`Coordinator::forward`]); the member plans nothing.
+//! It replays the records and renders the reply from its *own* outcome of
+//! the last one.
 //! The coordinator keeps, per link, the sequence it has sent that link
 //! through (set by every `SYNC` it answers); a link that never `SYNC`ed,
 //! or one more than [`RECORDS_PER_SYNC`] records behind, gets
@@ -25,7 +26,7 @@
 //! past `op_seq`.
 //!
 //! Either way no result ever rides the wire: replay is deterministic
-//! (`drqos_cluster::coordinator::apply_committed` is the single shared
+//! (`drqos_cluster::coordinator::MemberOp::apply` is the single shared
 //! transition function), so the outcome the member replays is the
 //! outcome the coordinator committed. `fuzz --diff-cluster` proves the
 //! equivalence against the monolithic engine.
@@ -40,13 +41,10 @@
 //! a **crash**: the coordinator marks its roster slot dead.
 
 use crate::conn::{accept_until, lock_shrug, Conn, POLL_INTERVAL};
-use crate::engine::{
-    establish_request, forwarded_op, render_admitted, render_outcome, render_violations,
-    snapshot_payload, wire_err,
-};
+use crate::engine::{member_op, render_outcome, render_violations, snapshot_payload, wire_err};
 use crate::error::ProtocolError;
 use crate::protocol::{self, Request, Response};
-use drqos_cluster::coordinator::{ApplyOutcome, Coordinator};
+use drqos_cluster::coordinator::{ApplyOutcome, Coordinator, MemberOp};
 use drqos_cluster::member::Member;
 use drqos_cluster::proto::{
     decode_cluster_msg, decode_coord_msg, encode_cluster_msg, encode_coord_msg, ClusterMsg,
@@ -55,7 +53,7 @@ use drqos_cluster::proto::{
 use drqos_core::env::{RebalancePolicy, WireMode};
 use drqos_core::error::ClusterError;
 use drqos_core::framing;
-use drqos_core::network::{EstablishRequest, Network};
+use drqos_core::network::Network;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -287,16 +285,12 @@ impl CoordShared {
 
     /// Commits one operation for the member `peer` holds and answers it
     /// ([`CoordShared::committed`]), or refuses it with a wire code.
-    fn commit(
-        &mut self,
-        peer: &mut Peer,
-        op: impl FnOnce(&mut Coordinator, u64) -> Result<(), ClusterError>,
-    ) -> CoordMsg {
+    fn commit(&mut self, peer: &mut Peer, op: MemberOp) -> CoordMsg {
         let Some(m) = peer.member else {
             return err_of(ClusterError::UnknownMember(u64::MAX));
         };
-        match op(&mut self.coord, m) {
-            Ok(()) => self.committed(&mut peer.cursor),
+        match self.coord.forward(m, op) {
+            Ok(_) => self.committed(&mut peer.cursor),
             Err(e) => err_of(e),
         }
     }
@@ -325,8 +319,7 @@ fn handle_cluster_msg(s: &mut CoordShared, peer: &mut Peer, msg: ClusterMsg) -> 
             }
         }
         ClusterMsg::Prepare { .. } | ClusterMsg::Commit { .. } => return None,
-        ClusterMsg::Establish { req } => s.commit(peer, |c, m| c.establish(m, &req).map(drop)),
-        ClusterMsg::Op { op } => s.commit(peer, |c, m| c.forward(m, op).map(drop)),
+        ClusterMsg::Op { op } => s.commit(peer, op),
         ClusterMsg::Sync { applied } => {
             s.syncs = s.syncs.saturating_add(1);
             match s.coord.records_since(applied) {
@@ -493,17 +486,18 @@ impl MemberState {
         Ok(())
     }
 
-    /// Sends a message that commits one operation and replays the oplog
-    /// up to it: the outcome this replica replayed for it, or — inner
-    /// `Err` — the coordinator's refusal as the client's reply. The
-    /// records normally ride on the reply, the committed operation last;
-    /// a `RECORDS` that does not start where the replica stands is a
-    /// failed exchange (nothing is applied, the caller gives the link
-    /// up), because replaying past a gap is a diverged replica that still
-    /// answers clients.
-    fn commit(&mut self, msg: &ClusterMsg) -> io::Result<Result<Option<ApplyOutcome>, Response>> {
+    /// Sends the `OP` that commits one operation and replays the oplog up
+    /// to it: the outcome this replica replayed for it, or — inner `Err`
+    /// — the coordinator's refusal as the client's reply. Even a
+    /// rejected admission is a record, so the oplog holds every attempt
+    /// exactly like the monolithic engine's. The records normally ride on
+    /// the reply, the committed operation last; a `RECORDS` that does not
+    /// start where the replica stands is a failed exchange (nothing is
+    /// applied, the caller gives the link up), because replaying past a
+    /// gap is a diverged replica that still answers clients.
+    fn commit(&mut self, op: MemberOp) -> io::Result<Result<Option<ApplyOutcome>, Response>> {
         let link = self.link.as_mut().ok_or_else(link_down)?;
-        match link.roundtrip(msg)? {
+        match link.roundtrip(&ClusterMsg::Op { op })? {
             CoordMsg::Records { seq, records } => {
                 let applied = self.replica.applied();
                 if seq.checked_sub(records.len() as u64) != Some(applied) {
@@ -521,21 +515,6 @@ impl MemberState {
             CoordMsg::Err { code } => Ok(Err(cluster_err(code))),
             other => Err(bad_reply(&other)),
         }
-    }
-
-    /// One exchange: the coordinator admits the request at its
-    /// sequential point, and the reply is rendered from this replica's
-    /// replay of the record. Even a rejection is a record, so the oplog
-    /// holds every attempt exactly like the monolithic engine's.
-    fn establish(&mut self, req: EstablishRequest) -> io::Result<Response> {
-        Ok(match self.commit(&ClusterMsg::Establish { req })? {
-            Ok(Some(ApplyOutcome::Establish(Ok(id)))) => render_admitted(self.replica.net(), id),
-            Ok(Some(ApplyOutcome::Establish(Err(e)))) => wire_err(e.wire_code(), e),
-            Ok(_) => {
-                ProtocolError::internal("replayed outcome does not match the committed op").into()
-            }
-            Err(refused) => refused,
-        })
     }
 
     /// Member-local counters; deliberately simpler than the engine's
@@ -565,14 +544,6 @@ impl MemberState {
     }
 
     fn dispatch(&mut self, req: &Request) -> io::Result<Response> {
-        // QoS validation is local, exactly like the engine: a malformed
-        // range never reaches the coordinator.
-        if let Some(validated) = establish_request(req) {
-            return match validated {
-                Ok(req) => self.establish(req),
-                Err(resp) => Ok(resp),
-            };
-        }
         Ok(match req {
             Request::Snapshot => {
                 self.catch_up()?;
@@ -580,12 +551,15 @@ impl MemberState {
             }
             Request::Stats => self.stats(),
             Request::Shutdown => self.shutdown(),
-            // Every other verb is a forwarded row of the table.
-            _ => match forwarded_op(req) {
-                Some(op) => match self.commit(&ClusterMsg::Op { op })? {
-                    Ok(outcome) => render_outcome(outcome),
+            // Every other verb is a forwarded row of the table. QoS
+            // validation is local, exactly like the engine: a malformed
+            // range never reaches the coordinator.
+            _ => match member_op(req) {
+                Some(Ok(op)) => match self.commit(op)? {
+                    Ok(outcome) => render_outcome(self.replica.net(), outcome),
                     Err(refused) => refused,
                 },
+                Some(Err(refused)) => refused,
                 None => ProtocolError::internal("verb is neither local nor forwarded").into(),
             },
         })
@@ -604,8 +578,8 @@ impl MemberState {
             Ok(Ok(resp)) => resp,
             Ok(Err(_)) => {
                 self.link = None;
-                let timeout = ClusterError::PrepareTimeout(0);
-                wire_err(timeout.wire_code(), timeout)
+                let down = ClusterError::CoordinatorLinkDown;
+                wire_err(down.wire_code(), down)
             }
             Err(e) => e.into(),
         };
@@ -761,8 +735,7 @@ pub fn request_stop(coordinator: &str) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use drqos_cluster::coordinator::{CommittedOp, MemberOp};
-    use drqos_core::network::NetworkConfig;
+    use drqos_core::network::{EstablishRequest, NetworkConfig};
     use drqos_core::NetworkSnapshot;
     use drqos_topology::regular::ring;
     use drqos_topology::LinkId;
@@ -991,7 +964,7 @@ mod tests {
     fn a_link_that_never_synced_is_answered_done() {
         let (coordinator, coord_handle) = coordinator(1);
         let mut link = joined(&coordinator, 0);
-        let establish = link.roundtrip(&ClusterMsg::Establish { req: req() });
+        let establish = link.roundtrip(&establish_op());
         assert_eq!(establish.unwrap(), CoordMsg::Done { op_seq: 0, seq: 1 });
         let op = MemberOp::FailLink { link: LinkId(0) };
         let forwarded = link.roundtrip(&ClusterMsg::Op { op });
@@ -1002,12 +975,12 @@ mod tests {
             panic!("expected both records, got {pulled:?}");
         };
         assert_eq!(records.len(), 2);
-        let establish = link.roundtrip(&ClusterMsg::Establish { req: req() });
+        let establish = link.roundtrip(&establish_op());
         assert_eq!(
             establish.unwrap(),
             CoordMsg::Records {
                 seq: 3,
-                records: vec![CommittedOp::Establish(req())]
+                records: vec![MemberOp::Establish { req: req() }]
             }
         );
         let op = MemberOp::RepairLink { link: LinkId(0) };
@@ -1015,7 +988,7 @@ mod tests {
             link.roundtrip(&ClusterMsg::Op { op }).unwrap(),
             CoordMsg::Records {
                 seq: 4,
-                records: vec![CommittedOp::Op(op)]
+                records: vec![op]
             }
         );
         request_stop(&coordinator).unwrap();
@@ -1162,6 +1135,13 @@ mod tests {
         }
     }
 
+    /// The `OP` a member's `ESTABLISH 0 3 100 500 100` sends.
+    fn establish_op() -> ClusterMsg {
+        ClusterMsg::Op {
+            op: MemberOp::Establish { req: req() },
+        }
+    }
+
     #[test]
     fn a_dropped_peer_is_a_crash_and_its_slot_is_reclaimable() {
         let (coordinator, coord_handle) = coordinator(2);
@@ -1175,7 +1155,7 @@ mod tests {
 
         // The survivor still commits establishes — at sequence 0: the
         // crash was no record.
-        let establish = link0.roundtrip(&ClusterMsg::Establish { req: req() });
+        let establish = link0.roundtrip(&establish_op());
         assert_eq!(establish.unwrap(), CoordMsg::Done { op_seq: 0, seq: 1 });
 
         // A new joiner reclaims the crashed id without growing the roster.
@@ -1196,7 +1176,7 @@ mod tests {
     fn an_establish_from_a_link_that_never_joined_is_refused() {
         let (coordinator, coord_handle) = coordinator(2);
         let mut stranger = CoordLink::connect(&coordinator).unwrap();
-        let establish = ClusterMsg::Establish { req: req() };
+        let establish = establish_op();
         let unknown = ClusterError::UnknownMember(u64::MAX).wire_code();
         assert_eq!(unknown, 500);
         assert_eq!(
@@ -1256,7 +1236,7 @@ mod tests {
             let status = status_with(&coordinator, roster);
             assert!(status.contains(" seq=0 "), "status was {status}");
         }
-        let establish = survivor.roundtrip(&ClusterMsg::Establish { req: req() });
+        let establish = survivor.roundtrip(&establish_op());
         assert_eq!(establish.unwrap(), CoordMsg::Done { op_seq: 0, seq: 1 });
         request_stop(&coordinator).unwrap();
         let report = coord_handle.join().unwrap().unwrap();

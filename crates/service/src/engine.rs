@@ -11,12 +11,9 @@ use crate::error::ProtocolError;
 use crate::metrics::{Metrics, OpTimer, INVALID};
 use crate::protocol::{self, Request, Response};
 use drqos_cluster::coordinator::{ApplyOutcome, MemberOp};
-use drqos_core::channel::ConnectionId;
 use drqos_core::error::NetworkError;
 use drqos_core::invariant::InvariantViolation;
 use drqos_core::network::{EstablishRequest, FailureReport, Network};
-use drqos_core::qos::{Bandwidth, ElasticQos};
-use drqos_topology::NodeId;
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,7 +64,7 @@ impl Engine {
     }
 
     /// [`Engine::new`]; `_shards` is ignored. It stays only because
-    /// `benchmark/` calls this signature (ROADMAP 3(c)).
+    /// `benchmark/` calls this signature (ROADMAP 4(c)).
     pub fn with_shards(net: Network, _shards: usize) -> Self {
         Self::new(net)
     }
@@ -109,8 +106,9 @@ impl Engine {
 
     /// Handles a batch of lines. `SHUTDOWN` is deferred so the caller can
     /// serve what came before it first; metrics are recorded for every
-    /// line, including malformed ones. Runs of consecutive `ESTABLISH`
-    /// commands are admitted as one batch ([`Network::establish_batch`]).
+    /// line, including malformed ones. Every state-changing line is one
+    /// [`MemberOp::apply`]; runs of consecutive `ESTABLISH` commands are
+    /// applied back to back before any of them is answered.
     ///
     /// Replies land in input order, one per line. Each run is sorted by
     /// [`Network::contention_order`] before admission and the results are
@@ -131,31 +129,32 @@ impl Engine {
             let t0 = OpTimer::start();
             let parsed = protocol::parse(line);
             let row = parsed.as_ref().map_or(INVALID, Request::row);
-            if let Some(validated) = parsed.as_ref().ok().and_then(establish_request) {
-                match validated {
-                    Ok(req) => run.push(PendingEstablish { slot, row, t0, req }),
-                    // A QoS-range error never touches the network, so it
-                    // cannot split the run.
-                    Err(resp) => {
-                        self.metrics.record(row, t0.elapsed(), true);
-                        set_slot(&mut out, slot, Handled::Reply(resp));
-                    }
-                }
+            let op = parsed.as_ref().ok().and_then(member_op);
+            if let Some(Ok(MemberOp::Establish { req })) = op {
+                run.push(PendingEstablish { slot, row, t0, req });
                 continue;
             }
-            // Any other command is an ordering barrier: flush the run
+            // Any other command but a refused QoS range, which never
+            // touches the network, is an ordering barrier: flush the run
             // first so state mutations keep their queue order.
-            self.flush_establish_run(&mut run, &mut out);
-            let handled = match parsed {
-                Ok(Request::Shutdown) => Handled::ShutdownRequested,
-                Ok(req) => Handled::Reply(self.dispatch(&req)),
-                Err(e) => Handled::Reply(e.into()),
+            if !matches!(op, Some(Err(_))) {
+                self.flush_pending(&mut run, &mut out);
+            }
+            let handled = match (parsed, op) {
+                (_, Some(Ok(op))) => {
+                    let outcome = op.apply(&mut self.net);
+                    Handled::Reply(render_outcome(&self.net, Some(outcome)))
+                }
+                (_, Some(Err(refused))) => Handled::Reply(refused),
+                (Ok(Request::Shutdown), None) => Handled::ShutdownRequested,
+                (Ok(req), None) => Handled::Reply(self.dispatch(&req)),
+                (Err(e), None) => Handled::Reply(e.into()),
             };
             let failed = matches!(&handled, Handled::Reply(r) if r.is_err());
             self.metrics.record(row, t0.elapsed(), failed);
             set_slot(&mut out, slot, handled);
         }
-        self.flush_establish_run(&mut run, &mut out);
+        self.flush_pending(&mut run, &mut out);
         out.into_iter()
             .map(|h| {
                 h.unwrap_or_else(|| {
@@ -165,30 +164,25 @@ impl Engine {
             .collect()
     }
 
-    /// Admits one buffered establish run as a batch — a run of one is a
-    /// single establish — and renders each reply from the settled
-    /// network.
-    fn flush_establish_run(
-        &mut self,
-        run: &mut Vec<PendingEstablish>,
-        out: &mut [Option<Handled>],
-    ) {
+    /// Applies one buffered establish run in contention order — a run of
+    /// one is a single establish — and renders each reply from the
+    /// settled network.
+    fn flush_pending(&mut self, run: &mut Vec<PendingEstablish>, out: &mut [Option<Handled>]) {
         if run.is_empty() {
             return;
         }
         let reqs: Vec<EstablishRequest> = run.iter().map(|p| p.req).collect();
         let order = self.net.contention_order(&reqs);
-        let sorted: Vec<EstablishRequest> =
-            order.iter().filter_map(|&i| reqs.get(i).copied()).collect();
-        let results = self.net.establish_batch(&sorted);
-        // Un-permute: the result at batch position k answers request
+        let outcomes: Vec<ApplyOutcome> = order
+            .iter()
+            .filter_map(|&i| reqs.get(i).copied())
+            .map(|req| MemberOp::Establish { req }.apply(&mut self.net))
+            .collect();
+        // Un-permute: the outcome at batch position k answers request
         // `order[k]`.
-        for (&i, result) in order.iter().zip(results) {
+        for (&i, outcome) in order.iter().zip(outcomes) {
             let Some(p) = run.get(i) else { continue };
-            let resp = match result {
-                Ok(id) => render_admitted(&self.net, id),
-                Err(e) => wire_err(e.wire_code(), e),
-            };
+            let resp = render_outcome(&self.net, Some(outcome));
             self.metrics.record(p.row, p.t0.elapsed(), resp.is_err());
             set_slot(out, p.slot, Handled::Reply(resp));
         }
@@ -203,23 +197,19 @@ impl Engine {
         render_violations(&self.net.check_invariants())
     }
 
-    /// Serves one parsed non-`ESTABLISH` request. The three local verbs
-    /// are answered here; every other state-changing verb takes the
-    /// federation's path — a [`MemberOp`] applied to an [`ApplyOutcome`] —
-    /// so the engine and the member daemon ([`crate::clusterd`]) answer
-    /// from the same transition function and the same renderer.
+    /// Serves one parsed local verb. Every state-changing verb takes the
+    /// federation's path instead — a [`MemberOp`] applied to an
+    /// [`ApplyOutcome`] — so the engine and the member daemon
+    /// ([`crate::clusterd`]) answer from the same transition function and
+    /// the same renderer.
     fn dispatch(&mut self, req: &Request) -> Response {
         match req {
             Request::Snapshot => Response::Ok(snapshot_payload(&self.net)),
             Request::Stats => Response::Ok(self.stats_payload()),
             Request::Shutdown => self.finish_shutdown(),
-            _ => match forwarded_op(req) {
-                Some(op) => render_outcome(Some(op.apply(&mut self.net))),
-                // handle_lines buffers ESTABLISH into a run; answering it
-                // here anyway (instead of unreachable!) keeps dispatch
-                // total.
-                None => ProtocolError::internal("ESTABLISH bypassed its run").into(),
-            },
+            // handle_lines applies every operation; answering one here
+            // anyway (instead of unreachable!) keeps dispatch total.
+            _ => ProtocolError::internal("operation bypassed its commit").into(),
         }
     }
 
@@ -250,37 +240,14 @@ impl Engine {
     }
 }
 
-/// The operation a request forwards to the commit authority — itself, in
-/// the monolithic daemon: `None` for `ESTABLISH` and the local verbs. The
-/// one `Request → MemberOp` conversion, for both daemons' dispatch.
-pub(crate) fn forwarded_op(req: &Request) -> Option<MemberOp> {
-    let (verb, [operand, ..]) = req.parts();
-    MemberOp::from_parts(verb, operand)
-}
-
-/// The admission an `ESTABLISH` asks for (`None` for any other verb), its
-/// elastic QoS range validated: a refused range is already the wire-coded
-/// reply, and never reaches a network or a coordinator.
-pub(crate) fn establish_request(req: &Request) -> Option<Result<EstablishRequest, Response>> {
-    let Request::Establish {
-        src,
-        dst,
-        bmin,
-        bmax,
-        delta,
-    } = *req
-    else {
-        return None;
-    };
-    let [bmin, bmax, delta] = [bmin, bmax, delta].map(Bandwidth::kbps);
-    Some(match ElasticQos::new(bmin, bmax, delta, 1.0) {
-        Ok(qos) => Ok(EstablishRequest {
-            src: NodeId(src),
-            dst: NodeId(dst),
-            qos,
-        }),
-        Err(e) => Err(wire_err(e.wire_code(), e)),
-    })
+/// The operation a request asks the commit authority for — itself, in
+/// the monolithic daemon: `None` for a local verb. A refused QoS range
+/// ([`MemberOp::from_parts`]) is already the wire-coded reply, and never
+/// reaches a network or a coordinator. The one `Request → MemberOp`
+/// conversion, for both daemons' dispatch.
+pub(crate) fn member_op(req: &Request) -> Option<Result<MemberOp, Response>> {
+    let (verb, operands) = req.parts();
+    MemberOp::from_parts(verb, operands).map(|op| op.map_err(|e| wire_err(e.wire_code(), e)))
 }
 
 /// An `ERR` reply carrying a domain error's stable wire code.
@@ -291,27 +258,11 @@ pub(crate) fn wire_err(code: u16, e: impl Display) -> Response {
     }
 }
 
-/// Renders the `OK` reply for an admitted connection id, read back from
-/// `net` (the engine's network, or a member daemon's replica).
-pub(crate) fn render_admitted(net: &Network, id: ConnectionId) -> Response {
-    match net.connection(id) {
-        Some(c) => Response::Ok(format!(
-            "id={} bw={} hops={} backups={}",
-            id.0,
-            c.bandwidth().as_kbps(),
-            c.primary().hop_count(),
-            c.backup_count()
-        )),
-        // An admitted connection must be readable back; if not the
-        // engine state is inconsistent — report, don't panic.
-        None => ProtocolError::internal("established connection not readable back").into(),
-    }
-}
-
-/// Renders the outcome of a non-establish operation — applied directly by
-/// the engine, or replayed from the oplog by a member daemon (`None`: the
-/// replay never reached the operation's sequence number).
-pub(crate) fn render_outcome(outcome: Option<ApplyOutcome>) -> Response {
+/// Renders the outcome of an operation — applied directly by the engine,
+/// or replayed from the oplog by a member daemon (`None`: the replay never
+/// reached the operation's sequence number). An admitted connection is
+/// read back from `net`, the network it was applied to.
+pub(crate) fn render_outcome(net: &Network, outcome: Option<ApplyOutcome>) -> Response {
     fn reply<T>(result: Result<T, NetworkError>, ok: impl FnOnce(T) -> String) -> Response {
         match result {
             Ok(value) => Response::Ok(ok(value)),
@@ -327,6 +278,19 @@ pub(crate) fn render_outcome(outcome: Option<ApplyOutcome>) -> Response {
         )
     }
     match outcome {
+        Some(ApplyOutcome::Establish(Ok(id))) => match net.connection(id) {
+            Some(c) => Response::Ok(format!(
+                "id={} bw={} hops={} backups={}",
+                id.0,
+                c.bandwidth().as_kbps(),
+                c.primary().hop_count(),
+                c.backup_count()
+            )),
+            // An admitted connection must be readable back; if not the
+            // state is inconsistent — report, don't panic.
+            None => ProtocolError::internal("established connection not readable back").into(),
+        },
+        Some(ApplyOutcome::Establish(Err(e))) => wire_err(e.wire_code(), e),
         // `release` retreats the channel to its QoS minimum before
         // removing it, so the outcome carries the bandwidth held before.
         Some(ApplyOutcome::Release(Ok(Some(kbps)))) => Response::Ok(format!("freed={kbps}")),
@@ -350,9 +314,7 @@ pub(crate) fn render_outcome(outcome: Option<ApplyOutcome>) -> Response {
             reply(r, |regained| format!("regained={}", regained.len()))
         }
         Some(ApplyOutcome::FailNode(r) | ApplyOutcome::FailSrlg(r)) => reply(r, link_totals),
-        Some(ApplyOutcome::Establish(_)) | None => {
-            ProtocolError::internal("replayed outcome does not match the committed op").into()
-        }
+        None => ProtocolError::internal("replayed outcome does not match the committed op").into(),
     }
 }
 

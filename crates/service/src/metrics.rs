@@ -2,7 +2,7 @@
 //! counters, and throughput. An operation is a row of
 //! [`drqos_core::wire::VERBS`]: its slot is the row's index, its report
 //! label the row's name in lowercase, and the admit/reject split belongs
-//! to the row routed [`Route::Admit`].
+//! to the `ESTABLISH` row.
 //!
 //! The histogram is a fixed array of power-of-two nanosecond buckets, so
 //! recording is allocation-free and O(1); percentiles are read as bucket
@@ -10,7 +10,7 @@
 //! the true value, by construction). Everything is hand-rolled — the
 //! offline build has no external crates.
 
-use drqos_core::wire::{Route, Verb, VERBS};
+use drqos_core::wire::{Verb, VERBS};
 use std::time::{Duration, Instant};
 
 /// Number of power-of-two buckets: covers 1 ns to ~584 years.
@@ -167,7 +167,7 @@ impl Metrics {
         stats.count += 1;
         stats.errors += u64::from(errored);
         stats.latency.record(latency);
-        if VERBS.get(row).is_some_and(|v| v.route == Route::Admit) {
+        if VERBS.get(row).is_some_and(|v| v.name == "ESTABLISH") {
             if errored {
                 self.rejected += 1;
             } else {

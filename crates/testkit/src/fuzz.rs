@@ -19,7 +19,7 @@
 //! mutation check proving the detector actually detects (and the shrinker
 //! actually shrinks; see `testkit_chaos.rs`).
 
-use crate::lockstep::{resolve_op, Resolved};
+use crate::lockstep::resolve_op;
 use crate::oracle::{Oracle, Violation};
 use crate::reference::ReferenceModel;
 use drqos_cluster::ApplyOutcome;
@@ -223,12 +223,7 @@ impl Harness {
     pub fn apply(&mut self, op: Op) -> Vec<Violation> {
         let mut violations = Vec::new();
         if let Some(resolved) = resolve_op(&self.net, self.qos, op) {
-            let outcome = match resolved {
-                Resolved::Establish(req) => {
-                    ApplyOutcome::Establish(self.net.establish(req.src, req.dst, req.qos))
-                }
-                Resolved::Member(op) => op.apply(&mut self.net),
-            };
+            let outcome = resolved.apply(&mut self.net);
             let lost = matches!(
                 (self.fault, &outcome),
                 (InjectedFault::LoseRelease, ApplyOutcome::Release(_))

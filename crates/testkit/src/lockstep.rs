@@ -5,15 +5,13 @@
 //! path (the route cache, the cluster federation) claims *exact*
 //! equivalence to it. [`Lockstep`]
 //! enforces such a claim: a fuzzed operation sequence is replayed against
-//! a [`Subject`] and a sequential oracle side by side. Maximal runs of
-//! consecutive `Establish` ops (capped at [`Subject::RUN_CAP`]) reach the
-//! subject as one [`Subject::establish_run`] call while the oracle
-//! establishes one at a time; every other operation is a barrier applied
-//! to both sides as a [`MemberOp`]. After each run and each barrier the
-//! two sides are compared on:
+//! a [`Subject`] and a sequential oracle side by side. Every operation is
+//! one [`MemberOp`], applied to the subject ([`Subject::apply`]) and to the
+//! oracle ([`MemberOp::apply`]), and after each one the two sides are
+//! compared on:
 //!
-//! * every operation's own result (admission `Ok`/`Err` with ids, or the
-//!   full [`ApplyOutcome`]),
+//! * the operation's own result (the full [`ApplyOutcome`]: admission
+//!   `Ok`/`Err` with ids, failure reports, ...),
 //! * and, for **every** network view the subject exposes
 //!   ([`Subject::views`] — one network, or the cluster's authority plus
 //!   each live replica): the cumulative drop counter, the topology epoch
@@ -26,36 +24,25 @@
 //! cannot mask a bug: the first divergent operation is detected at the
 //! step where it happens.
 //!
-//! A subject supplies only what differs — how it is built, its run cap,
-//! how it admits a run and applies a barrier op, its views, an optional
-//! between-runs hook (cluster churn) and its
-//! **mutant**: a deliberately broken build ([`Case::mutant`]) that
-//! `fuzz --self-test` requires the loop to catch and shrink within
-//! [`Subject::SHRINK_BOUND`] operations. Everything else — the loop, the
-//! comparison, [`Divergence`] / [`Failure`] / [`Outcome`], the seeded
-//! driver with delta-debugging ([`crate::fuzz::shrink_by`]), the
-//! reproducer — exists once, here. [`subjects`] is the table `fuzz`
+//! A subject supplies only what differs — how it is built, how it applies
+//! an operation, its views, an optional before-each-op hook (cluster
+//! churn) and its **mutant**: a deliberately broken build
+//! ([`Case::mutant`]) that `fuzz --self-test` requires the loop to catch
+//! and shrink within [`Subject::SHRINK_BOUND`] operations. Everything else
+//! — the loop, the comparison, [`Divergence`] / [`Failure`] / [`Outcome`],
+//! the seeded driver with delta-debugging ([`crate::fuzz::shrink_by`]),
+//! the reproducer — exists once, here. [`subjects`] is the table `fuzz`
 //! and the table-driven tests iterate; adding a differential is one
 //! `impl Subject` plus one row.
 
 use crate::fuzz::{case_ops, case_seed, render_case, shrink_by, Op, Scenario};
 use drqos_cluster::{ApplyOutcome, ClusterFault, ClusterSim, MemberOp};
-use drqos_core::channel::ConnectionId;
-use drqos_core::error::{AdmissionError, ClusterError};
+use drqos_core::error::ClusterError;
 use drqos_core::network::{EstablishRequest, Network};
 use drqos_core::qos::ElasticQos;
 use drqos_core::snapshot::NetworkSnapshot;
 use drqos_sim::rng::Rng;
 use drqos_topology::{LinkId, NodeId};
-
-/// A fuzz [`Op`] with its raw operands resolved against a network.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Resolved {
-    /// An admission request.
-    Establish(EstablishRequest),
-    /// Any other state-changing operation.
-    Member(MemberOp),
-}
 
 /// Resolves a raw operand against a candidate list (`None` when empty).
 fn pick_from<T>(candidates: impl Iterator<Item = T>, pick: u64) -> Option<T> {
@@ -72,7 +59,7 @@ fn pick_from<T>(candidates: impl Iterator<Item = T>, pick: u64) -> Option<T> {
 /// from is empty — the operation is then a legal no-op. This is the only
 /// operand resolution in the testkit, so every runner replays a sequence
 /// onto the same targets.
-pub(crate) fn resolve_op(net: &Network, qos: ElasticQos, op: Op) -> Option<Resolved> {
+pub(crate) fn resolve_op(net: &Network, qos: ElasticQos, op: Op) -> Option<MemberOp> {
     let up = |l: LinkId| net.link_usage(l).is_up();
     // Shared-risk groups with at least one member in the given state.
     let groups_with = |want_up: bool| {
@@ -81,7 +68,7 @@ pub(crate) fn resolve_op(net: &Network, qos: ElasticQos, op: Op) -> Option<Resol
                 .is_some_and(|ls| ls.iter().any(|&l| up(l) == want_up))
         })
     };
-    let member = match op {
+    match op {
         Op::Establish { src, dst } => {
             // Destination skewed off the source; the node count never
             // changes, so this resolution is state-independent.
@@ -91,11 +78,10 @@ pub(crate) fn resolve_op(net: &Network, qos: ElasticQos, op: Op) -> Option<Resol
             if d >= s {
                 d += 1;
             }
-            return Some(Resolved::Establish(EstablishRequest {
-                src: NodeId(s),
-                dst: NodeId(d),
-                qos,
-            }));
+            let (src, dst) = (NodeId(s), NodeId(d));
+            Some(MemberOp::Establish {
+                req: EstablishRequest { src, dst, qos },
+            })
         }
         Op::Release { pick } => {
             pick_from(net.connections().map(|c| c.id()), pick).map(|id| MemberOp::Release { id })
@@ -118,8 +104,7 @@ pub(crate) fn resolve_op(net: &Network, qos: ElasticQos, op: Op) -> Option<Resol
         Op::RepairSrlg { pick } => {
             pick_from(groups_with(false), pick).map(|group| MemberOp::RepairSrlg { group })
         }
-    };
-    member.map(Resolved::Member)
+    }
 }
 
 /// What one case runs at, beyond its scenario and operations.
@@ -144,10 +129,6 @@ pub trait Subject: Sized {
     const UNIT: &'static str = "";
     /// The parameter values `fuzz --diff-<NAME>` runs at.
     const GRID: &'static [usize] = &[0];
-    /// Largest establish run handed to [`Subject::establish_run`] in one
-    /// call (16 is the `burst16` benchmark's group at the engine's batch
-    /// entry point; `drqosd` itself serves every request alone).
-    const RUN_CAP: usize = 16;
     /// The injected fault [`Case::mutant`] arms.
     const MUTANT: &'static str;
     /// The parameter the mutation check runs at.
@@ -163,14 +144,7 @@ pub trait Subject: Sized {
         scenario.network()
     }
 
-    /// Admits one run of consecutive establishes; results in request
-    /// order.
-    fn establish_run(
-        &mut self,
-        requests: &[EstablishRequest],
-    ) -> Vec<Result<ConnectionId, AdmissionError>>;
-
-    /// Applies one non-establish operation.
+    /// Applies one operation.
     ///
     /// # Errors
     ///
@@ -181,9 +155,9 @@ pub trait Subject: Sized {
     /// Every network that must equal the oracle, labelled for reports.
     fn views(&self) -> Vec<(String, &Network)>;
 
-    /// Hook run between establish runs and before each barrier op; it
-    /// must not touch network state (the oracle is not told).
-    fn between_runs(&mut self) {}
+    /// Hook run before each operation; it must not touch network state
+    /// (the oracle is not told).
+    fn before_op(&mut self) {}
 }
 
 /// How a subject first disagreed with its oracle.
@@ -210,10 +184,6 @@ pub struct Lockstep<S: Subject> {
     qos: ElasticQos,
 }
 
-/// A pending establish run: each request with the fuzz-stream step it
-/// came from (for divergence attribution).
-type Run = Vec<(usize, Op, EstablishRequest)>;
-
 impl<S: Subject> Lockstep<S> {
     /// Pairs an already-built subject with an oracle (tests use this to
     /// arm extra faults; [`SubjectRow::run_sequence`] is the ordinary
@@ -229,86 +199,19 @@ impl<S: Subject> Lockstep<S> {
     /// Replays `ops` on both sides and returns the first divergence, or
     /// `None` when the sequence is byte-identical throughout.
     pub fn run(&mut self, ops: &[Op]) -> Option<Divergence> {
-        self.try_run(ops).err()
-    }
-
-    fn try_run(&mut self, ops: &[Op]) -> Result<(), Divergence> {
-        let mut run = Run::new();
         for (step, &op) in ops.iter().enumerate() {
-            if !matches!(op, Op::Establish { .. }) {
-                // A barrier: the pending run commits first, and only then
-                // are the barrier's operands resolved.
-                self.flush(&mut run)?;
-                self.subject.between_runs();
-            }
-            let mismatch = match resolve_op(&self.oracle, self.qos, op) {
-                Some(Resolved::Establish(request)) => {
-                    run.push((step, op, request));
-                    if run.len() >= S::RUN_CAP {
-                        self.flush(&mut run)?;
-                        self.subject.between_runs();
-                    }
-                    continue;
-                }
-                Some(Resolved::Member(member_op)) => {
-                    self.apply_both(member_op).or_else(|| self.compare_state())
-                }
-                None => self.compare_state(),
-            };
+            self.subject.before_op();
+            let mismatch = resolve_op(&self.oracle, self.qos, op)
+                .and_then(|member_op| self.apply_both(member_op))
+                .or_else(|| self.compare_state());
             if let Some(detail) = mismatch {
-                return Err(Divergence { step, op, detail });
+                return Some(Divergence { step, op, detail });
             }
         }
-        self.flush(&mut run)
+        None
     }
 
-    /// Commits the pending run — one `establish_run` on the subject, one
-    /// `establish` per request on the oracle — then compares state.
-    fn flush(&mut self, run: &mut Run) -> Result<(), Divergence> {
-        let Some(&(last_step, last_op, _)) = run.last() else {
-            return Ok(());
-        };
-        let requests: Vec<EstablishRequest> = run.iter().map(|&(_, _, r)| r).collect();
-        let results = self.subject.establish_run(&requests);
-        if results.len() != requests.len() {
-            return Err(Divergence {
-                step: last_step,
-                op: last_op,
-                detail: format!(
-                    "{} answered {} result(s) for a run of {}",
-                    S::NAME,
-                    results.len(),
-                    requests.len()
-                ),
-            });
-        }
-        for (&(step, op, r), got) in run.iter().zip(&results) {
-            let want = self.oracle.establish(r.src, r.dst, r.qos);
-            if *got != want {
-                return Err(Divergence {
-                    step,
-                    op,
-                    detail: format!(
-                        "establish({},{}) diverged: {} {got:?}, oracle {want:?}",
-                        r.src.index(),
-                        r.dst.index(),
-                        S::NAME
-                    ),
-                });
-            }
-        }
-        run.clear();
-        match self.compare_state() {
-            None => Ok(()),
-            Some(detail) => Err(Divergence {
-                step: last_step,
-                op: last_op,
-                detail,
-            }),
-        }
-    }
-
-    /// Applies one barrier op to both sides and compares the outcomes.
+    /// Applies one operation to both sides and compares the outcomes.
     fn apply_both(&mut self, op: MemberOp) -> Option<String> {
         let want = op.apply(&mut self.oracle);
         match self.subject.apply(op) {
@@ -591,24 +494,12 @@ pub fn subject(name: &str) -> Option<SubjectRow> {
     subjects().into_iter().find(|row| row.name == name)
 }
 
-/// Sequential establishment of a run on a plain network.
-fn establish_each(
-    net: &mut Network,
-    requests: &[EstablishRequest],
-) -> Vec<Result<ConnectionId, AdmissionError>> {
-    requests
-        .iter()
-        .map(|r| net.establish(r.src, r.dst, r.qos))
-        .collect()
-}
-
 /// The admission route cache ([`drqos_core::route_cache`]): a cache-on
 /// network against a cache-off oracle, one establish at a time.
 pub struct CacheSubject(Network);
 
 impl Subject for CacheSubject {
     const NAME: &'static str = "cache";
-    const RUN_CAP: usize = 1;
     /// The cache-on side is built with 100 Kbps links whatever the
     /// scenario says — the first admission already settles differently.
     const MUTANT: &'static str = "StarvedCapacity";
@@ -624,13 +515,6 @@ impl Subject for CacheSubject {
 
     fn oracle(scenario: &Scenario) -> Network {
         scenario.network_with_cache(false)
-    }
-
-    fn establish_run(
-        &mut self,
-        requests: &[EstablishRequest],
-    ) -> Vec<Result<ConnectionId, AdmissionError>> {
-        establish_each(&mut self.0, requests)
     }
 
     fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
@@ -651,11 +535,11 @@ const CHURN_STREAM: u64 = 0xC1C1_C1C1;
 /// roster (JOIN of a brand-new daemon).
 const EXTRA_MEMBERS: usize = 2;
 
-/// The multi-daemon federation ([`ClusterSim`]: each establish admitted
+/// The multi-daemon federation ([`ClusterSim`]: each operation committed
 /// at the coordinator through the member carrying it, oplog replay onto
 /// every replica) against the monolith, with a deterministic churn stream
-/// crashing, retiring and rejoining members between runs. The authority
-/// *and every live replica* must equal the oracle.
+/// crashing, retiring and rejoining members before operations. The
+/// authority *and every live replica* must equal the oracle.
 pub struct ClusterSubject {
     sim: ClusterSim,
     churn: Rng,
@@ -685,13 +569,6 @@ impl Subject for ClusterSubject {
         }
     }
 
-    fn establish_run(
-        &mut self,
-        requests: &[EstablishRequest],
-    ) -> Vec<Result<ConnectionId, AdmissionError>> {
-        self.sim.establish_wave(requests)
-    }
-
     fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
         self.sim.apply(op)
     }
@@ -709,7 +586,7 @@ impl Subject for ClusterSubject {
     /// One deterministic churn step: maybe crash, retire, or (re)join a
     /// member. Roster-only, so the state comparison afterwards proves
     /// churn never disturbs the network.
-    fn between_runs(&mut self) {
+    fn before_op(&mut self) {
         if !self.churn.chance(0.3) {
             return;
         }
@@ -762,8 +639,8 @@ mod tests {
         (scenario, starved)
     }
 
-    /// All-establish streams force full `RUN_CAP` groups on a starved
-    /// network — the most contended waves a carrier can bring.
+    /// An all-establish stream on a starved network — the most contended
+    /// run of admissions the carriers can bring.
     fn dense_establishes() -> (Scenario, Vec<Op>) {
         let scenario = Scenario {
             nodes: 8,
@@ -847,7 +724,7 @@ mod tests {
     #[test]
     fn dense_contended_waves_with_churn_replay_identically() {
         // Churn reshuffles which member carries which request between
-        // full waves of contended admissions.
+        // contended admissions.
         let (scenario, ops) = dense_establishes();
         for members in [2usize, 3, 5] {
             assert!(
@@ -855,25 +732,25 @@ mod tests {
                     .unwrap()
                     .run_sequence(&scenario, &ops, case(members, 7))
                     .is_none(),
-                "dense churned waves must match the monolith at {members} member(s)"
+                "dense churned admissions must match the monolith at {members} member(s)"
             );
         }
     }
 
     #[test]
-    fn a_mid_wave_crash_still_matches_the_oracle() {
-        // The orphan path: the crashed member's requests are carried by
-        // survivors, which must be invisible in the results and the final
+    fn a_carrier_crash_before_commit_still_matches_the_oracle() {
+        // The orphan path: the crashed carrier's operation is carried by a
+        // survivor, which must be invisible in the results and the final
         // state.
         let scenario = Scenario::from_seed(3);
         let ops = generate_ops(&mut Rng::seed_from_u64(31), 40);
         let mut subject = ClusterSubject::build(&scenario, case(3, 3));
-        subject.sim.set_fault(ClusterFault::CrashDuringWave(1));
+        subject.sim.set_fault(ClusterFault::CrashCarrier);
         let mut lockstep = Lockstep::new(subject, scenario.network(), scenario.qos());
         assert_eq!(
             lockstep.run(&ops),
             None,
-            "a mid-wave member crash must not change any outcome"
+            "a carrier crash before its commit must not change any outcome"
         );
     }
 
@@ -932,13 +809,6 @@ mod tests {
                 net: scenario.network(),
                 releases: 0,
             }
-        }
-
-        fn establish_run(
-            &mut self,
-            requests: &[EstablishRequest],
-        ) -> Vec<Result<ConnectionId, AdmissionError>> {
-            establish_each(&mut self.net, requests)
         }
 
         fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {

@@ -10,7 +10,6 @@
 //! so any bookkeeping drift in the incremental accounting shows up as a
 //! divergence between the two.
 
-use crate::lockstep::Resolved;
 use drqos_cluster::{ApplyOutcome, MemberOp};
 use drqos_core::channel::{ConnectionId, DrConnection};
 use drqos_core::network::{FailureReport, Network};
@@ -85,7 +84,7 @@ impl ReferenceModel {
     }
 
     /// Mirrors one applied operation from what the shared transition
-    /// ([`MemberOp::apply`], or `establish`) answered.
+    /// ([`MemberOp::apply`]) answered.
     ///
     /// # Errors
     ///
@@ -95,7 +94,7 @@ impl ReferenceModel {
     pub(crate) fn observe(
         &mut self,
         net: &Network,
-        op: Resolved,
+        op: MemberOp,
         outcome: &ApplyOutcome,
     ) -> Result<(), String> {
         match (op, outcome) {
@@ -106,7 +105,7 @@ impl ReferenceModel {
                 assert!(prev.is_none(), "{id} established twice");
             }
             (_, ApplyOutcome::Establish(Err(_))) => {}
-            (Resolved::Member(MemberOp::Release { id }), ApplyOutcome::Release(Ok(_))) => {
+            (MemberOp::Release { id }, ApplyOutcome::Release(Ok(_))) => {
                 let removed = self.conns.remove(&id);
                 assert!(removed.is_some(), "{id} released but never tracked");
             }
@@ -116,12 +115,12 @@ impl ReferenceModel {
                 | ApplyOutcome::FailNode(Ok(report))
                 | ApplyOutcome::FailSrlg(Ok(report)),
             ) => self.fail(net, report),
-            (Resolved::Member(MemberOp::RepairLink { link }), ApplyOutcome::RepairLink(Ok(_))) => {
+            (MemberOp::RepairLink { link }, ApplyOutcome::RepairLink(Ok(_))) => {
                 self.repair_link(link);
             }
             // The outcome lists connections, the books are kept per link:
             // every member of the group this model holds down came back.
-            (Resolved::Member(MemberOp::RepairSrlg { group }), ApplyOutcome::RepairSrlg(Ok(_))) => {
+            (MemberOp::RepairSrlg { group }, ApplyOutcome::RepairSrlg(Ok(_))) => {
                 for &link in net.srlg_links(group).unwrap_or_default() {
                     if !self.link_up[link.index()] {
                         self.repair_link(link);
@@ -278,9 +277,7 @@ mod tests {
     /// Applies `op` the way the harness does and shows the model.
     fn step(net: &mut Network, model: &mut ReferenceModel, op: MemberOp) {
         let outcome = op.apply(net);
-        model
-            .observe(net, Resolved::Member(op), &outcome)
-            .expect("a legal operand");
+        model.observe(net, op, &outcome).expect("a legal operand");
     }
 
     fn establish(net: &mut Network, model: &mut ReferenceModel) -> ConnectionId {
@@ -289,10 +286,9 @@ mod tests {
             dst: NodeId(3),
             qos: ElasticQos::paper_video(100),
         };
-        let outcome = ApplyOutcome::Establish(net.establish(req.src, req.dst, req.qos));
-        model
-            .observe(net, Resolved::Establish(req), &outcome)
-            .unwrap();
+        let op = MemberOp::Establish { req };
+        let outcome = op.apply(net);
+        model.observe(net, op, &outcome).unwrap();
         let ApplyOutcome::Establish(Ok(id)) = outcome else {
             panic!("an empty ring admits: {outcome:?}");
         };
@@ -321,7 +317,7 @@ mod tests {
         // The same link again: an illegal operand is named, not mirrored.
         let op = MemberOp::RepairLink { link };
         let outcome = op.apply(&mut net);
-        let refused = model.observe(&net, Resolved::Member(op), &outcome);
+        let refused = model.observe(&net, op, &outcome);
         assert!(refused.unwrap_err().contains("RepairLink"));
         assert!(model.compare(&net).is_empty());
     }
