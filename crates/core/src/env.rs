@@ -16,7 +16,7 @@
 //! * [`checked`] — `DRQOS_CHECKED`, invariant re-validation override.
 //! * [`route_cache`] — `DRQOS_ROUTE_CACHE`, admission route-memo toggle.
 //! * [`bless`] — `DRQOS_BLESS`, golden-trace re-bless switch.
-//! * [`queue_depth`] — `DRQOS_QUEUE_DEPTH`, `drqosd`'s `BUSY` threshold.
+//! * [`queue_depth`] — `DRQOS_QUEUE_DEPTH`, the daemons' `BUSY` threshold.
 //! * [`scenario`] — `DRQOS_SCENARIO`, adversarial workload selection.
 //! * [`srlg_count`] / [`srlg_size`] — `DRQOS_SRLG_*`, seeded
 //!   shared-risk-group derivation.
@@ -34,8 +34,8 @@ pub(crate) const BLESS: &str = "DRQOS_BLESS";
 /// no batch left to size. The name stays only because `benchmark/` uses
 /// it as an exported knob the benchmark must refuse (ROADMAP 4(c)).
 pub const BATCH: &str = "DRQOS_BATCH";
-/// `DRQOS_QUEUE_DEPTH` — requests `drqosd` lets wait for its engine (see
-/// [`queue_depth`]).
+/// `DRQOS_QUEUE_DEPTH` — requests `drqosd` or a member lets wait for its
+/// engine (see [`queue_depth`]).
 pub const QUEUE_DEPTH: &str = "DRQOS_QUEUE_DEPTH";
 /// `DRQOS_WIRE` — daemon wire framing, text or binary (see [`wire`]).
 pub(crate) const WIRE: &str = "DRQOS_WIRE";
@@ -124,14 +124,14 @@ pub fn registry() -> &'static [EnvVar] {
         },
         EnvVar {
             name: QUEUE_DEPTH,
-            consumed_by: "`drqosd`",
+            consumed_by: "`drqosd`, `drqos-clusterd` members",
             default: "`1024`",
             doc: "requests waiting for the engine or holding it; \
                   one more is answered `BUSY`",
         },
         EnvVar {
             name: WIRE,
-            consumed_by: "`drqosd` / loadgen",
+            consumed_by: "`drqosd`, `drqos-clusterd` members / loadgen",
             default: "`text`",
             doc: "`binary` switches the daemon to length-prefixed binary \
                   framing (see SERVICE.md); any other value means text",

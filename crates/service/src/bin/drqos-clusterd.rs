@@ -15,6 +15,10 @@
 //! drqos-clusterd stop        [--coordinator HOST:PORT]
 //! ```
 //!
+//! A member serves its clients exactly as `drqosd` does — either framing
+//! (`DRQOS_WIRE`), `BUSY` past `DRQOS_QUEUE_DEPTH`, the shutdown drain —
+//! but commits every operation at its coordinator.
+//!
 //! A member and its coordinator MUST be booted with identical genesis
 //! flags — topology, capacity and `--seed` — and under the same
 //! `DRQOS_SRLG_COUNT` / `DRQOS_SRLG_SIZE`: replicas replay the oplog from

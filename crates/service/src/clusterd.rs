@@ -1,14 +1,13 @@
 //! TCP daemons for the cluster federation: the coordinator process that
 //! owns the authoritative [`Network`] and its oplog, and member processes
-//! that serve the ordinary client text protocol backed by a full replica
-//! plus the inter-daemon protocol of [`drqos_cluster::proto`].
+//! that serve clients from a full replica, synced over the inter-daemon
+//! protocol of [`drqos_cluster::proto`].
 //!
-//! The split mirrors [`crate::server`] exactly one layer up: where the
-//! monolithic daemon wraps one [`crate::engine::Engine`] in sockets and
-//! timeouts, `drqos-clusterd` wraps one [`Coordinator`] plus N
-//! [`Member`] replicas. All admission logic stays in the clock-free
-//! `drqos-cluster` crate; this module adds only per-connection threads
-//! over the shared connection reader and accept loop (`crate::conn`).
+//! A member's client port *is* `drqosd`'s front — [`Server`] over an
+//! [`Engine`], in either framing, with `BUSY` and the shutdown drain —
+//! and differs only in where an operation commits: the engine's
+//! `Authority` is `MemberState`, whose commit is the exchange below.
+//! All admission logic stays in the clock-free `drqos-cluster` crate.
 //!
 //! ## Commit protocol (member side)
 //!
@@ -34,16 +33,16 @@
 //! ## Churn
 //!
 //! A member daemon that loses its coordinator link answers every
-//! forwarding command with wire code 504 (coordinator link down) but keeps
-//! serving `SNAPSHOT`-free local commands and its own `SHUTDOWN`. A
+//! forwarding command and `SNAPSHOT` with wire code 504 (coordinator link
+//! down) but keeps serving `STATS` and its own `SHUTDOWN`. A
 //! member *connection* that reaches EOF at the coordinator without a
 //! graceful `LEAVE` — or sends a frame the coordinator does not serve — is
 //! a **crash**: the coordinator marks its roster slot dead.
 
 use crate::conn::{accept_until, lock_shrug, Conn, POLL_INTERVAL};
-use crate::engine::{member_op, render_outcome, render_violations, snapshot_payload, wire_err};
-use crate::error::ProtocolError;
-use crate::protocol::{self, Request, Response};
+use crate::engine::{Authority, Engine};
+use crate::protocol::Response;
+use crate::server::Server;
 use drqos_cluster::coordinator::{ApplyOutcome, Coordinator, MemberOp};
 use drqos_cluster::member::Member;
 use drqos_cluster::proto::{
@@ -439,13 +438,11 @@ impl CoordLink {
 /// or write before giving the link up (wire code 504).
 const LINK_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Member daemon state behind one lock: the coordinator link (None once
-/// it has failed), the full replica, and the client-visible counters.
+/// A member's commit [`Authority`]: the coordinator link (None once it
+/// has been given up) and the full replica replies are read from.
 struct MemberState {
     link: Option<CoordLink>,
     replica: Member,
-    ops: u64,
-    errors: u64,
 }
 
 impl MemberState {
@@ -493,22 +490,14 @@ impl MemberState {
     /// exactly like the monolithic engine's. The records normally ride on
     /// the reply, the committed operation last; a `RECORDS` that does not
     /// start where the replica stands is a failed exchange (nothing is
-    /// applied, the caller gives the link up), because replaying past a
-    /// gap is a diverged replica that still answers clients.
-    fn commit(&mut self, op: MemberOp) -> io::Result<Result<Option<ApplyOutcome>, Response>> {
+    /// applied, the link is given up), because replaying past a gap is a
+    /// diverged replica that still answers clients.
+    fn exchange(&mut self, op: MemberOp) -> io::Result<Result<Option<ApplyOutcome>, Response>> {
         let link = self.link.as_mut().ok_or_else(link_down)?;
         match link.roundtrip(&ClusterMsg::Op { op })? {
-            CoordMsg::Records { seq, records } => {
-                let applied = self.replica.applied();
-                if seq.checked_sub(records.len() as u64) != Some(applied) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "{} records ending at {seq} do not continue a replica at {applied}",
-                            records.len()
-                        ),
-                    ));
-                }
+            CoordMsg::Records { seq, records }
+                if seq.checked_sub(records.len() as u64) == Some(self.replica.applied()) =>
+            {
                 Ok(Ok(self.replica.apply(&records).pop()))
             }
             CoordMsg::Done { op_seq, .. } => Ok(Ok(self.sync_to(op_seq.saturating_add(1))?)),
@@ -517,76 +506,46 @@ impl MemberState {
         }
     }
 
-    /// Member-local counters; deliberately simpler than the engine's
-    /// `STATS` (no latency percentiles — the replica does no admission
-    /// work of its own to time).
-    fn stats(&self) -> Response {
-        Response::Ok(format!(
-            "ops={} errors={} member={} applied={} linked={}",
-            self.ops,
-            self.errors,
-            self.replica.id(),
-            self.replica.applied(),
-            u8::from(self.link.is_some())
-        ))
+    /// Gives the link up after a failed exchange: the framed stream
+    /// cannot be resynchronized, so this and every later forwarding
+    /// command answer 504 (coordinator link down) until the daemon is
+    /// restarted.
+    fn give_up(&mut self) -> Response {
+        self.link = None;
+        cluster_err(ClusterError::CoordinatorLinkDown.wire_code())
+    }
+}
+
+impl Authority for MemberState {
+    fn net(&self) -> &Network {
+        self.replica.net()
     }
 
-    /// Graceful departure: `LEAVE` (tolerating a dead coordinator or a
-    /// last-member refusal — the roster cannot empty), then a *local*
-    /// invariant check over the replica, mirroring the engine's
-    /// `SHUTDOWN` contract.
-    fn shutdown(&mut self) -> Response {
+    fn commit(&mut self, op: MemberOp) -> Result<Option<ApplyOutcome>, Response> {
+        self.exchange(op).unwrap_or_else(|_| Err(self.give_up()))
+    }
+
+    fn sync(&mut self) -> Result<(), Response> {
+        self.catch_up().map_err(|_| self.give_up())
+    }
+
+    /// Graceful departure, tolerating a dead coordinator or a last-member
+    /// refusal (the roster cannot empty); the final check that follows is
+    /// local, over the replica.
+    fn leave(&mut self) {
         if let Some(link) = self.link.as_mut() {
             let _ = link.roundtrip(&ClusterMsg::Leave);
         }
         self.link = None;
-        render_violations(&self.replica.net().check_invariants())
     }
 
-    fn dispatch(&mut self, req: &Request) -> io::Result<Response> {
-        Ok(match req {
-            Request::Snapshot => {
-                self.catch_up()?;
-                Response::Ok(snapshot_payload(self.replica.net()))
-            }
-            Request::Stats => self.stats(),
-            Request::Shutdown => self.shutdown(),
-            // Every other verb is a forwarded row of the table. QoS
-            // validation is local, exactly like the engine: a malformed
-            // range never reaches the coordinator.
-            _ => match member_op(req) {
-                Some(Ok(op)) => match self.commit(op)? {
-                    Ok(outcome) => render_outcome(self.replica.net(), outcome),
-                    Err(refused) => refused,
-                },
-                Some(Err(refused)) => refused,
-                None => ProtocolError::internal("verb is neither local nor forwarded").into(),
-            },
-        })
-    }
-
-    /// Parses and serves one client line; the flag is true when the line
-    /// was a `SHUTDOWN` and the daemon should stop accepting. A failed
-    /// coordinator exchange poisons the link: the framed stream cannot be
-    /// resynchronized, so this and every later forwarding command answer
-    /// 504 (coordinator link down) until the daemon is restarted.
-    fn handle_line(&mut self, line: &str) -> (Response, bool) {
-        self.ops = self.ops.saturating_add(1);
-        let parsed = protocol::parse(line);
-        let stop = matches!(parsed, Ok(Request::Shutdown));
-        let resp = match parsed.map(|req| self.dispatch(&req)) {
-            Ok(Ok(resp)) => resp,
-            Ok(Err(_)) => {
-                self.link = None;
-                let down = ClusterError::CoordinatorLinkDown;
-                wire_err(down.wire_code(), down)
-            }
-            Err(e) => e.into(),
-        };
-        if resp.is_err() {
-            self.errors = self.errors.saturating_add(1);
-        }
-        (resp, stop)
+    fn stats_tail(&self) -> String {
+        format!(
+            " member={} applied={} linked={}",
+            self.replica.id(),
+            self.replica.applied(),
+            u8::from(self.link.is_some())
+        )
     }
 }
 
@@ -595,17 +554,19 @@ impl MemberState {
 pub struct MemberReport {
     /// The id the coordinator assigned at join.
     pub member: u64,
-    /// Client lines served.
+    /// Client requests the engine handled.
     pub ops: u64,
     /// Invariant violations on the replica at shutdown.
     pub violations: usize,
 }
 
 /// A member daemon: joins the federation, replicates the oplog, and
-/// serves the ordinary client text protocol on its own port.
+/// serves clients on its own port through `drqosd`'s [`Server`], whose
+/// engine commits at the coordinator.
 pub struct ClusterMember {
-    listener: TcpListener,
-    state: Arc<Mutex<MemberState>>,
+    /// The client front; `DRQOS_QUEUE_DEPTH` and `DRQOS_WIRE` apply as in
+    /// `drqosd`.
+    pub(crate) server: Server,
     member_id: u64,
 }
 
@@ -635,13 +596,10 @@ impl ClusterMember {
         let mut state = MemberState {
             link: Some(link),
             replica: Member::new(member_id, genesis),
-            ops: 0,
-            errors: 0,
         };
         state.catch_up()?;
         Ok(Self {
-            listener: TcpListener::bind(addr)?,
-            state: Arc::new(Mutex::new(state)),
+            server: Server::over(addr, Engine::over(Box::new(state)))?,
             member_id,
         })
     }
@@ -657,48 +615,22 @@ impl ClusterMember {
     ///
     /// Propagates socket errors.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.server.local_addr()
     }
 
-    /// Serves client connections until a `SHUTDOWN` line arrives.
+    /// Serves clients until a `SHUTDOWN` has been answered ([`Server::run`]).
     ///
     /// # Errors
     ///
     /// Propagates listener errors.
     pub fn run(self) -> io::Result<MemberReport> {
-        self.listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        accept_until(&self.listener, &shutdown, || {
-            let (state, flag) = (Arc::clone(&self.state), Arc::clone(&shutdown));
-            move |stream| serve_member_client(stream, &state, &flag)
-        });
-        thread::sleep(POLL_INTERVAL);
-        let state = lock_shrug(&self.state);
+        let report = self.server.run()?;
         Ok(MemberReport {
             member: self.member_id,
-            ops: state.ops,
-            violations: state.replica.net().check_invariants().len(),
+            ops: report.ops,
+            violations: report.violations,
         })
     }
-}
-
-/// Serves one client connection — text only, whatever `DRQOS_WIRE` says —
-/// one locked [`MemberState::handle_line`] per request.
-fn serve_member_client(
-    stream: TcpStream,
-    state: &Mutex<MemberState>,
-    shutdown: &AtomicBool,
-) -> io::Result<()> {
-    let mut conn = Conn::open(stream, WireMode::Text)?;
-    while let Some(line) = conn.next_request(shutdown)? {
-        let (resp, stop) = lock_shrug(state).handle_line(&line);
-        conn.reply(&resp)?;
-        if stop {
-            shutdown.store(true, Ordering::Release);
-            break;
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -734,7 +666,8 @@ pub fn request_stop(coordinator: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::{frame, protocol};
+    use drqos_core::env::WireMode;
     use drqos_core::network::{EstablishRequest, NetworkConfig};
     use drqos_core::NetworkSnapshot;
     use drqos_topology::regular::ring;
@@ -777,8 +710,26 @@ mod tests {
 
     /// Drives one text session against `addr`, one reply per line.
     fn session(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
-        let mut client = Client::connect(addr);
-        lines.iter().map(|l| client.ask(l)).collect()
+        session_in(WireMode::Text, addr, lines)
+    }
+
+    /// [`session`] in either framing; replies come back as text lines.
+    fn session_in(wire: WireMode, addr: SocketAddr, lines: &[&str]) -> Vec<String> {
+        if wire == WireMode::Text {
+            let mut client = Client::connect(addr);
+            return lines.iter().map(|l| client.ask(l)).collect();
+        }
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        lines
+            .iter()
+            .map(|line| {
+                let req = protocol::parse(line).unwrap();
+                stream.write_all(&frame::encode_request(&req)).unwrap();
+                let body = frame::read_frame(&mut stream).unwrap();
+                frame::decode_response(&body).unwrap().to_string()
+            })
+            .collect()
     }
 
     struct Booted {
@@ -799,11 +750,17 @@ mod tests {
     }
 
     fn boot(members: usize) -> Booted {
+        boot_in(WireMode::Text, members)
+    }
+
+    /// [`boot`] with the members' client ports in `wire` framing.
+    fn boot_in(wire: WireMode, members: usize) -> Booted {
         let (coordinator, coord_handle) = coordinator(members);
         let mut addrs = Vec::new();
         let mut member_handles = Vec::new();
         for _ in 0..members {
-            let m = ClusterMember::bind("127.0.0.1:0", genesis(), &coordinator).unwrap();
+            let mut m = ClusterMember::bind("127.0.0.1:0", genesis(), &coordinator).unwrap();
+            m.server = m.server.with_wire(wire);
             addrs.push(m.local_addr().unwrap());
             member_handles.push(thread::spawn(move || m.run()));
         }
@@ -815,9 +772,17 @@ mod tests {
         }
     }
 
+    /// Run with the members' client ports in each framing: a binary
+    /// session decodes to the text one's replies.
     #[test]
     fn a_federated_session_matches_the_monolithic_engine() {
-        let booted = boot(2);
+        for wire in [WireMode::Text, WireMode::Binary] {
+            federated_session_matches_the_monolithic_engine(wire);
+        }
+    }
+
+    fn federated_session_matches_the_monolithic_engine(wire: WireMode) {
+        let booted = boot_in(wire, 2);
         let &[a, b] = &booted.members[..] else {
             panic!("expected two members");
         };
@@ -848,14 +813,14 @@ mod tests {
         ];
         let mut oracle = Engine::new(genesis());
         for &(addr, line) in script {
-            let got = session(addr, &[line]).remove(0);
+            let got = session_in(wire, addr, &[line]).remove(0);
             let want = oracle.handle_line(line).to_string();
-            assert_eq!(got, want, "divergence on {line:?}");
+            assert_eq!(got, want, "divergence on {line:?} ({wire:?})");
         }
         // Both members shut down cleanly; the second is the last live
         // member (LEAVE refused) but its local invariants still hold.
         for &addr in &[a, b] {
-            let replies = session(addr, &["SHUTDOWN"]);
+            let replies = session_in(wire, addr, &["SHUTDOWN"]);
             assert_eq!(replies, vec!["OK violations=0".to_string()]);
         }
         request_stop(&booted.coordinator).unwrap();
@@ -1020,38 +985,43 @@ mod tests {
             (a, "FAIL-LINK 0"),
             (b, "ESTABLISH 2 5 64 256 64"),
         ];
+        let handle_line = |member: &ClusterMember, line: &str| {
+            member
+                .server
+                .with_engine(|e| e.handle_line(line).to_string())
+        };
+        let stats = |member: &ClusterMember, key: &str| field(&handle_line(member, "STATS"), key);
         for (member, line) in honest {
-            let (got, _) = lock_shrug(&member.state).handle_line(line);
-            assert_eq!(got.to_string(), oracle.handle_line(line).to_string());
+            let got = handle_line(member, line);
+            assert_eq!(got, oracle.handle_line(line).to_string());
         }
 
         // A is one record (B's last) behind; its next reply skips it.
         lock_shrug(&shared).skip_a_record = true;
         let skipped = "RELEASE 0";
-        let (got, _) = lock_shrug(&a.state).handle_line(skipped);
-        assert!(got.to_string().starts_with("ERR 504 "), "got {got}");
+        let got = handle_line(a, skipped);
+        assert!(got.starts_with("ERR 504 "), "got {got}");
         lock_shrug(&shared).skip_a_record = false;
         // The coordinator had committed it all the same.
         oracle.handle_line(skipped);
 
         // A applied nothing from the refused reply: it still is the
         // coordinator's log replayed through its last honest exchange.
-        let a = lock_shrug(&a.state);
-        assert!(a.link.is_none());
-        assert_eq!(a.replica.applied(), 3);
+        assert_eq!(stats(a, "linked"), 0);
+        assert_eq!(stats(a, "applied"), 3);
         let mut replayed = Member::new(9, genesis());
         replayed.apply(&lock_shrug(&shared).coord.records_since(0).unwrap()[..3]);
         assert_eq!(
-            NetworkSnapshot::capture(a.replica.net()),
+            a.server
+                .with_engine(|e| NetworkSnapshot::capture(e.network())),
             NetworkSnapshot::capture(replayed.net())
         );
-        drop(a);
 
         // B, two records behind now, is served as before.
         let line = "ESTABLISH 0 3 64 256 64";
-        let (got, _) = lock_shrug(&b.state).handle_line(line);
-        assert_eq!(got.to_string(), oracle.handle_line(line).to_string());
-        assert_eq!(lock_shrug(&b.state).replica.applied(), 6);
+        let got = handle_line(b, line);
+        assert_eq!(got, oracle.handle_line(line).to_string());
+        assert_eq!(stats(b, "applied"), 6);
 
         request_stop(&addr).unwrap();
         let report = coord_handle.join().unwrap().unwrap();

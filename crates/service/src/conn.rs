@@ -1,7 +1,7 @@
 //! One served connection: the polled reader and reply writer behind every
-//! socket the daemons accept — `drqosd`'s clients in either framing, a
-//! member daemon's client port, the coordinator's peer port — and
-//! [`accept_until`], the accept loop their three listeners share.
+//! socket the daemons accept — clients of `drqosd` or of a member, in
+//! either framing, and the coordinator's peer port — and [`accept_until`],
+//! the accept loop their listeners share.
 //!
 //! [`Conn`]'s contract is the same for all of them:
 //!
@@ -26,7 +26,8 @@
 //!
 //! Every listener serves a request the same way once `Conn` has it: one
 //! call on its shared state under [`lock_shrug`], on the connection's own
-//! thread.
+//! thread. Client requests come out of [`Conn::next_request`], whose one
+//! caller is the server's reader loop (`crate::server`).
 
 use crate::error::ProtocolError;
 use crate::frame;

@@ -1,5 +1,6 @@
-//! The admission-control engine: one [`Network`] plus the request-metrics
-//! layer, driven one command — or one batch of lines — at a time.
+//! The admission-control engine: the request-metrics layer over the
+//! `Authority` its operations commit at, driven one command — or one
+//! batch of lines — at a time.
 //!
 //! The engine has no interior locking: the daemon keeps it behind one
 //! lock and calls it once per request (see [`crate::server`]), so every
@@ -12,11 +13,42 @@ use crate::metrics::{Metrics, OpTimer, INVALID};
 use crate::protocol::{self, Request, Response};
 use drqos_cluster::coordinator::{ApplyOutcome, MemberOp};
 use drqos_core::error::NetworkError;
-use drqos_core::invariant::InvariantViolation;
 use drqos_core::network::{EstablishRequest, FailureReport, Network};
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Where an operation commits — the one thing `drqosd` (on its own
+/// [`Network`]) and a federation member (at its coordinator, replayed on
+/// its replica: `crate::clusterd`) decide differently. Nothing else in
+/// the engine asks which daemon it serves.
+pub(crate) trait Authority: Send {
+    /// The network replies are rendered from.
+    fn net(&self) -> &Network;
+    /// Commits one operation: its outcome on [`Authority::net`] (`None`:
+    /// the replay never reached it), or a refusal that is the reply.
+    fn commit(&mut self, op: MemberOp) -> Result<Option<ApplyOutcome>, Response>;
+    /// Levels [`Authority::net`] with every commit, before a `SNAPSHOT`.
+    fn sync(&mut self) -> Result<(), Response> {
+        Ok(())
+    }
+    /// Runs once, before the final invariant check.
+    fn leave(&mut self) {}
+    /// Fields appended to the `STATS` line.
+    fn stats_tail(&self) -> String {
+        String::new()
+    }
+}
+
+/// `drqosd`: the network is its own authority.
+impl Authority for Network {
+    fn net(&self) -> &Network {
+        self
+    }
+    fn commit(&mut self, op: MemberOp) -> Result<Option<ApplyOutcome>, Response> {
+        Ok(Some(op.apply(self)))
+    }
+}
 
 /// One `ESTABLISH` waiting in a batch run: its reply slot, its metrics
 /// row and timer (started at parse time), and the validated request.
@@ -44,9 +76,9 @@ pub enum Handled {
     ShutdownRequested,
 }
 
-/// The network engine behind the daemon.
+/// The network engine behind either daemon.
 pub struct Engine {
-    net: Network,
+    authority: Box<dyn Authority>,
     metrics: Metrics,
     /// `BUSY` responses sent by reader threads (they never reach the
     /// engine, so the count crosses threads via an atomic).
@@ -56,8 +88,13 @@ pub struct Engine {
 impl Engine {
     /// Wraps a network.
     pub fn new(net: Network) -> Self {
+        Self::over(Box::new(net))
+    }
+
+    /// An engine whose operations commit at `authority`.
+    pub(crate) fn over(authority: Box<dyn Authority>) -> Self {
         Self {
-            net,
+            authority,
             metrics: Metrics::new(),
             busy: Arc::new(AtomicU64::new(0)),
         }
@@ -71,7 +108,7 @@ impl Engine {
 
     /// The network under the engine.
     pub fn network(&self) -> &Network {
-        &self.net
+        self.authority.net()
     }
 
     /// The request-metrics layer.
@@ -142,8 +179,8 @@ impl Engine {
             }
             let handled = match (parsed, op) {
                 (_, Some(Ok(op))) => {
-                    let outcome = op.apply(&mut self.net);
-                    Handled::Reply(render_outcome(&self.net, Some(outcome)))
+                    let committed = self.authority.commit(op);
+                    Handled::Reply(self.render(committed))
                 }
                 (_, Some(Err(refused))) => Handled::Reply(refused),
                 (Ok(Request::Shutdown), None) => Handled::ShutdownRequested,
@@ -172,39 +209,76 @@ impl Engine {
             return;
         }
         let reqs: Vec<EstablishRequest> = run.iter().map(|p| p.req).collect();
-        let order = self.net.contention_order(&reqs);
-        let outcomes: Vec<ApplyOutcome> = order
+        let order = self.authority.net().contention_order(&reqs);
+        let committed: Vec<_> = order
             .iter()
             .filter_map(|&i| reqs.get(i).copied())
-            .map(|req| MemberOp::Establish { req }.apply(&mut self.net))
+            .map(|req| self.authority.commit(MemberOp::Establish { req }))
             .collect();
         // Un-permute: the outcome at batch position k answers request
         // `order[k]`.
-        for (&i, outcome) in order.iter().zip(outcomes) {
+        for (&i, committed) in order.iter().zip(committed) {
             let Some(p) = run.get(i) else { continue };
-            let resp = render_outcome(&self.net, Some(outcome));
+            let resp = self.render(committed);
             self.metrics.record(p.row, p.t0.elapsed(), resp.is_err());
             set_slot(out, p.slot, Handled::Reply(resp));
         }
         run.clear();
     }
 
-    /// Runs the final invariant check and reports the violation count.
-    /// The caller (the server's drain or [`Engine::handle_line`]) sends
-    /// this as the `SHUTDOWN` response once every earlier request is
-    /// served.
-    pub fn finish_shutdown(&mut self) -> Response {
-        render_violations(&self.net.check_invariants())
+    /// The reply to a committed operation, read from the settled network.
+    fn render(&self, committed: Result<Option<ApplyOutcome>, Response>) -> Response {
+        committed.map_or_else(
+            |refused| refused,
+            |outcome| render_outcome(self.authority.net(), outcome),
+        )
     }
 
-    /// Serves one parsed local verb. Every state-changing verb takes the
-    /// federation's path instead — a [`MemberOp`] applied to an
-    /// [`ApplyOutcome`] — so the engine and the member daemon
-    /// ([`crate::clusterd`]) answer from the same transition function and
-    /// the same renderer.
+    /// Runs the final invariant check and reports the first violation's
+    /// stable code and the full count (the daemon also exits non-zero
+    /// then). The caller (the server's drain or [`Engine::handle_line`])
+    /// sends this as the `SHUTDOWN` response once every earlier request
+    /// is served.
+    pub fn finish_shutdown(&mut self) -> Response {
+        self.authority.leave();
+        let violations = self.authority.net().check_invariants();
+        match violations.first() {
+            None => Response::Ok("violations=0".to_string()),
+            Some(first) => Response::Err {
+                code: first.wire_code(),
+                message: format!("shutdown with {} invariant violations", violations.len()),
+            },
+        }
+    }
+
+    /// The deterministic `SNAPSHOT` reply, read once the network is level
+    /// with every commit: counts and integer totals only — no floats, no
+    /// wall-clock — so concurrent sessions that end in the same network
+    /// state produce the same line.
+    fn snapshot(&mut self) -> Response {
+        if let Err(refused) = self.authority.sync() {
+            return refused;
+        }
+        let net = self.authority.net();
+        Response::Ok(format!(
+            "conns={} bw={} dropped={} epoch={} up={} nodes={} links={}",
+            net.len(),
+            net.total_primary_bandwidth().as_kbps(),
+            net.dropped_total(),
+            net.topology_epoch(),
+            net.up_links().count(),
+            net.graph().node_count(),
+            net.graph().link_count()
+        ))
+    }
+
+    /// Serves one parsed local verb. Every state-changing verb is a
+    /// [`MemberOp`] committed at the [`Authority`] instead, so both
+    /// daemons answer from the same transition function and the same
+    /// renderer.
     fn dispatch(&mut self, req: &Request) -> Response {
         match req {
-            Request::Snapshot => Response::Ok(snapshot_payload(&self.net)),
+            Request::Snapshot => self.snapshot(),
             Request::Stats => Response::Ok(self.stats_payload()),
             Request::Shutdown => self.finish_shutdown(),
             // handle_lines applies every operation; answering one here
@@ -215,15 +289,15 @@ impl Engine {
 
     /// The `STATS` payload: the one intentionally non-deterministic reply
     /// (latency and throughput are wall-clock measurements; the route
-    /// cache counters at the end are deterministic again — they count
-    /// admission lookups, not time).
+    /// cache counters after them are deterministic again — they count
+    /// admission lookups, not time), then the authority's own fields.
     fn stats_payload(&self) -> String {
         let merged = self.metrics.merged_latency();
-        let cache = self.net.route_cache_stats();
+        let cache = self.authority.net().route_cache_stats();
         format!(
             "ops={} errors={} admitted={} rejected={} busy={} \
              p50_us={} p95_us={} p99_us={} ops_per_sec={} \
-             cache_hits={} cache_misses={} cache_stale={}",
+             cache_hits={} cache_misses={} cache_stale={}{}",
             self.metrics.total_ops(),
             self.metrics.total_errors(),
             self.metrics.admitted,
@@ -235,34 +309,34 @@ impl Engine {
             self.metrics.ops_per_sec() as u64,
             cache.hits,
             cache.misses,
-            cache.stale_evictions
+            cache.stale_evictions,
+            self.authority.stats_tail()
         )
     }
 }
 
-/// The operation a request asks the commit authority for — itself, in
-/// the monolithic daemon: `None` for a local verb. A refused QoS range
-/// ([`MemberOp::from_parts`]) is already the wire-coded reply, and never
-/// reaches a network or a coordinator. The one `Request → MemberOp`
-/// conversion, for both daemons' dispatch.
-pub(crate) fn member_op(req: &Request) -> Option<Result<MemberOp, Response>> {
+/// The operation a request asks the [`Authority`] for: `None` for a
+/// local verb. A refused QoS range ([`MemberOp::from_parts`]) is already
+/// the wire-coded reply, and never reaches a network or a coordinator.
+/// The one `Request → MemberOp` conversion.
+fn member_op(req: &Request) -> Option<Result<MemberOp, Response>> {
     let (verb, operands) = req.parts();
     MemberOp::from_parts(verb, operands).map(|op| op.map_err(|e| wire_err(e.wire_code(), e)))
 }
 
 /// An `ERR` reply carrying a domain error's stable wire code.
-pub(crate) fn wire_err(code: u16, e: impl Display) -> Response {
+fn wire_err(code: u16, e: impl Display) -> Response {
     Response::Err {
         code,
         message: e.to_string(),
     }
 }
 
-/// Renders the outcome of an operation — applied directly by the engine,
+/// Renders the outcome of an operation — applied directly by `drqosd`,
 /// or replayed from the oplog by a member daemon (`None`: the replay never
 /// reached the operation's sequence number). An admitted connection is
 /// read back from `net`, the network it was applied to.
-pub(crate) fn render_outcome(net: &Network, outcome: Option<ApplyOutcome>) -> Response {
+fn render_outcome(net: &Network, outcome: Option<ApplyOutcome>) -> Response {
     fn reply<T>(result: Result<T, NetworkError>, ok: impl FnOnce(T) -> String) -> Response {
         match result {
             Ok(value) => Response::Ok(ok(value)),
@@ -315,35 +389,6 @@ pub(crate) fn render_outcome(net: &Network, outcome: Option<ApplyOutcome>) -> Re
         }
         Some(ApplyOutcome::FailNode(r) | ApplyOutcome::FailSrlg(r)) => reply(r, link_totals),
         None => ProtocolError::internal("replayed outcome does not match the committed op").into(),
-    }
-}
-
-/// The deterministic `SNAPSHOT` payload: counts and integer totals
-/// only — no floats, no wall-clock — so concurrent sessions that end
-/// in the same network state produce the same line.
-pub(crate) fn snapshot_payload(net: &Network) -> String {
-    format!(
-        "conns={} bw={} dropped={} epoch={} up={} nodes={} links={}",
-        net.len(),
-        net.total_primary_bandwidth().as_kbps(),
-        net.dropped_total(),
-        net.topology_epoch(),
-        net.up_links().count(),
-        net.graph().node_count(),
-        net.graph().link_count()
-    )
-}
-
-/// The `SHUTDOWN` reply for a final invariant check: the first
-/// violation's stable code and the full count (the daemon also exits
-/// non-zero in that case).
-pub(crate) fn render_violations(violations: &[InvariantViolation]) -> Response {
-    match violations.first() {
-        None => Response::Ok("violations=0".to_string()),
-        Some(first) => Response::Err {
-            code: first.wire_code(),
-            message: format!("shutdown with {} invariant violations", violations.len()),
-        },
     }
 }
 

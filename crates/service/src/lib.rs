@@ -23,16 +23,18 @@
 //! * [`engine`] — maps requests onto the `Network` API; owns metrics.
 //! * [`metrics`] — log₂-bucketed latency histograms and per-op counters.
 //! * `conn` — the one polled reader and reply writer behind every
-//!   served connection (both framings, all three listeners), and the
+//!   served connection (both framings, every listener), and the
 //!   accept loop and poison-shrugging lock they share.
-//! * [`server`] — TCP accept and reader plumbing, the `BUSY` count, and
+//! * [`server`] — the client front of `drqosd` and of every federation
+//!   member: TCP accept and reader plumbing, the `BUSY` count, and
 //!   graceful, invariant-checked shutdown.
 //! * [`loadgen`] — the closed-loop multi-client load generator used by
 //!   `drqos-loadgen` and the smoke tests.
 //! * [`clusterd`] — the federation daemons (`drqos-clusterd`): a
 //!   coordinator owning the authoritative network and its oplog, and
-//!   members serving the client protocol from full replicas synced
-//!   over the inter-daemon wire of `drqos-cluster`.
+//!   members — a [`server`] whose engine commits at the coordinator —
+//!   serving from full replicas synced over the inter-daemon wire of
+//!   `drqos-cluster`.
 //!
 //! See `SERVICE.md` at the repo root for the wire grammar and an example
 //! session.

@@ -1,4 +1,6 @@
-//! The `drqosd` server: std-only TCP, one locked engine call per request.
+//! The client front of `drqosd` and of a federation member, whose engine
+//! commits at its coordinator (`crate::clusterd`): std-only TCP, one
+//! locked engine call per request.
 //!
 //! Architecture (one box per thread):
 //!
@@ -11,8 +13,8 @@
 //! * Each reader serves its own connection: it takes one request at a
 //!   time off it (`crate::conn`: its canonical text line, in either
 //!   framing), makes one engine call under the shared `Mutex<Engine>`,
-//!   and writes the reply itself. The member daemon's client port and
-//!   the coordinator's peer port (`crate::clusterd`) serve the same way.
+//!   and writes the reply itself. The coordinator's peer port
+//!   (`crate::clusterd`) serves the same way.
 //! * `DRQOS_QUEUE_DEPTH` caps the requests waiting for the engine or
 //!   holding it. The count is an atomic taken before the lock, so a full
 //!   count answers `BUSY` at once and the request never reaches the
@@ -208,9 +210,14 @@ impl Server {
     ///
     /// Any socket-binding error.
     pub fn bind(addr: &str, net: Network) -> io::Result<Self> {
+        Self::over(addr, Engine::new(net))
+    }
+
+    /// [`Server::bind`] over an engine already built (a member's).
+    pub(crate) fn over(addr: &str, engine: Engine) -> io::Result<Self> {
         Ok(Self {
             listener: TcpListener::bind(addr)?,
-            shared: Arc::new(Shared::new(Engine::new(net))),
+            shared: Arc::new(Shared::new(engine)),
             queue_depth: env::queue_depth(),
             wire: env::wire(),
         })
@@ -247,6 +254,12 @@ impl Server {
     /// The wire mode this server will speak.
     pub fn wire(&self) -> WireMode {
         self.wire
+    }
+
+    /// One call on the engine of a server that is not running.
+    #[cfg(test)]
+    pub(crate) fn with_engine<R>(&self, call: impl FnOnce(&mut Engine) -> R) -> R {
+        call(&mut lock_shrug(&self.shared.state).engine)
     }
 
     /// Serves until a `SHUTDOWN` has been answered, then returns the final
@@ -301,7 +314,9 @@ fn reader_loop(stream: TcpStream, wire: WireMode, depth: usize, shared: &Shared)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clusterd::{request_stop, ClusterCoordinator, ClusterMember};
     use crate::{frame, protocol};
+    use drqos_core::env::RebalancePolicy;
     use drqos_core::network::NetworkConfig;
     use drqos_topology::regular;
     use std::io::{BufRead, BufReader, Write};
@@ -331,6 +346,41 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let handle = thread::spawn(move || server.run());
         (addr, handle)
+    }
+
+    /// The daemons whose client front this module is.
+    #[derive(Debug, Clone, Copy)]
+    enum Subject {
+        Drqosd,
+        /// A federation member: the same server over an engine that
+        /// commits at a coordinator.
+        Member,
+    }
+
+    const SUBJECTS: [Subject; 2] = [Subject::Drqosd, Subject::Member];
+
+    /// A bound, not yet running server of `subject` over the ring of six,
+    /// and what stops its coordinator once the server has reported.
+    fn bound(subject: Subject) -> (Server, Box<dyn FnOnce()>) {
+        match subject {
+            Subject::Drqosd => (
+                Server::bind("127.0.0.1:0", ring()).unwrap(),
+                Box::new(|| {}),
+            ),
+            Subject::Member => {
+                let coord =
+                    ClusterCoordinator::bind("127.0.0.1:0", ring(), 1, 0, RebalancePolicy::Bfs)
+                        .unwrap();
+                let at = coord.local_addr().unwrap().to_string();
+                let coordinating = thread::spawn(move || coord.run());
+                let member = ClusterMember::bind("127.0.0.1:0", ring(), &at).unwrap();
+                let stop = move || {
+                    request_stop(&at).unwrap();
+                    assert_eq!(coordinating.join().unwrap().unwrap().violations, 0);
+                };
+                (member.server, Box::new(stop))
+            }
+        }
     }
 
     /// Spins until `cond` holds; a 10 s deadline turns a hang into a
@@ -427,9 +477,19 @@ mod tests {
     /// well-formed reply for each command until the server closes on it —
     /// never a hang, never a torn line — and the daemon must still exit
     /// invariant-clean.
+    /// A member's final check gives its coordinator link up, so a request
+    /// that reached its engine after that check would be answered 504.
     #[test]
     fn shutdown_concurrent_with_establish_bursts_never_strands_a_client() {
-        let (addr, handle) = test_server();
+        for subject in SUBJECTS {
+            shutdown_concurrent_with_establish_bursts(subject);
+        }
+    }
+
+    fn shutdown_concurrent_with_establish_bursts(subject: Subject) {
+        let (server, stop_coordinator) = bound(subject);
+        let addr = server.local_addr().unwrap();
+        let handle = thread::spawn(move || server.run());
         thread::scope(|scope| {
             for c in 0..4usize {
                 scope.spawn(move || {
@@ -450,6 +510,10 @@ mod tests {
                                 assert!(
                                     r.starts_with("OK ") || r.starts_with("ERR ") || r == "BUSY",
                                     "malformed reply mid-shutdown: {r:?}"
+                                );
+                                assert!(
+                                    !r.starts_with("ERR 504 "),
+                                    "{subject:?} served a request after its final check"
                                 );
                                 if r.starts_with("ERR 11 ") {
                                     break; // shutting down; reader closes next
@@ -472,6 +536,7 @@ mod tests {
         });
         let report = handle.join().unwrap().unwrap();
         assert_eq!(report.violations, 0);
+        stop_coordinator();
     }
 
     /// One closed-loop binary session: encode requests, decode response
@@ -526,9 +591,14 @@ mod tests {
     /// `BUSY` at once, is counted by `STATS`, and never reaches the engine.
     #[test]
     fn a_full_depth_answers_busy_without_reaching_the_engine() {
-        let server = Server::bind("127.0.0.1:0", ring())
-            .unwrap()
-            .with_queue_depth(1);
+        for subject in SUBJECTS {
+            full_depth_answers_busy(subject);
+        }
+    }
+
+    fn full_depth_answers_busy(subject: Subject) {
+        let (server, stop_coordinator) = bound(subject);
+        let server = server.with_queue_depth(1);
         let (addr, shared) = (server.local_addr().unwrap(), Arc::clone(&server.shared));
         let handle = thread::spawn(move || server.run());
         let held = lock_shrug(&shared.state);
@@ -552,5 +622,6 @@ mod tests {
         assert_eq!(replies[1], "OK violations=0");
         let report = handle.join().unwrap().unwrap();
         assert_eq!(report.ops, 3, "SNAPSHOT, STATS, SHUTDOWN: BUSY never ran");
+        stop_coordinator();
     }
 }
