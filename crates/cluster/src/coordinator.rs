@@ -261,10 +261,10 @@ impl Coordinator {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Arms (or clears) the dropped-record fault for the mutation
-    /// self-test: the next establish that is admitted appends no oplog
-    /// record, so no replica ever replays it.
-    pub(crate) fn set_drop_record(&mut self, drop: bool) {
+    /// Arms (or clears) the dropped-record fault for the mutation checks
+    /// of `drqos-service`'s in-process coordinator: the next establish
+    /// admitted appends no oplog record, so no replica ever replays it.
+    pub fn set_drop_record(&mut self, drop: bool) {
         self.drop_record = drop;
     }
 
@@ -334,7 +334,7 @@ impl Coordinator {
 
     /// Commits an operation a member forwarded: [`MemberOp::apply`] at its
     /// sequential point, then the oplog record — the one commit path of
-    /// the daemons and of [`ClusterSim`](crate::sim::ClusterSim).
+    /// the coordinator daemon and of its in-process twin.
     ///
     /// # Errors
     ///

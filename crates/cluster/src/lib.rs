@@ -14,21 +14,23 @@
 //! [`MemberOp::apply`] and is byte-identical to the authority at equal
 //! sequence numbers. A member forwards its clients' admissions like any
 //! other operation, one exchange each, and plans nothing itself.
-//! `fuzz --diff-cluster` proves a whole fuzzed cluster run equals the
-//! monolithic oracle, and the mutation self-tests prove the harness would
-//! catch a lost oplog record.
+//! `fuzz --diff-cluster` proves a whole fuzzed cluster run of the member
+//! daemons' code equals the monolithic oracle, and the mutation
+//! self-tests prove the harness would catch a lost or skipped oplog
+//! record.
 //!
 //! Modules:
 //!
 //! - [`coordinator`] — the commit authority and the oplog.
 //! - [`member`] — a replica: oplog replay.
-//! - [`sim`] — the in-process N-member cluster (tests and benches).
 //! - [`proto`] — the inter-daemon wire messages (framing shared with
 //!   the service's binary mode via [`drqos_core::framing`]).
 //!
-//! The TCP daemons themselves (`drqos-clusterd`) live in the service
-//! crate, which layers sockets, timeouts, and the client protocol on
-//! top of these clock-free, deterministic parts.
+//! The daemons themselves (`drqos-clusterd`) live in the service crate,
+//! which layers the coordinator's per-peer handler, the member's commit
+//! exchange, sockets, timeouts and the client protocol on top of these
+//! clock-free, deterministic parts; its in-process coordinator link is
+//! what the differential drives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,9 +38,7 @@
 pub mod coordinator;
 pub mod member;
 pub mod proto;
-pub mod sim;
 
 pub use coordinator::{ApplyOutcome, Coordinator, MemberOp, Prepared};
 pub use member::Member;
 pub use proto::{ClusterMsg, CoordMsg, ProtoError, WireRequest};
-pub use sim::{ClusterFault, ClusterSim};

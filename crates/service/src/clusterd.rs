@@ -6,8 +6,13 @@
 //! A member's client port *is* `drqosd`'s front — [`Server`] over an
 //! [`Engine`], in either framing, with `BUSY` and the shutdown drain —
 //! and differs only in where an operation commits: the engine's
-//! `Authority` is `MemberState`, whose commit is the exchange below.
+//! [`Authority`] is [`MemberState`], whose commit is the exchange below.
 //! All admission logic stays in the clock-free `drqos-cluster` crate.
+//!
+//! A member reaches its coordinator over TCP, or in-process through a
+//! [`LocalCoordinator`], which serves each encoded frame with the per-peer
+//! handler the socket loop runs; `fuzz --diff-cluster` drives members
+//! that way.
 //!
 //! ## Commit protocol (member side)
 //!
@@ -17,7 +22,8 @@
 //! sent yet, the operation's own last. The coordinator commits it at its
 //! sequential point ([`Coordinator::forward`]); the member plans nothing.
 //! It replays the records and renders the reply from its *own* outcome of
-//! the last one.
+//! the last one; a `RECORDS` that does not start where its replica stands
+//! is refused (the contiguity guard).
 //! The coordinator keeps, per link, the sequence it has sent that link
 //! through (set by every `SYNC` it answers); a link that never `SYNC`ed,
 //! or one more than [`RECORDS_PER_SYNC`] records behind, gets
@@ -28,7 +34,7 @@
 //! (`drqos_cluster::coordinator::MemberOp::apply` is the single shared
 //! transition function), so the outcome the member replays is the
 //! outcome the coordinator committed. `fuzz --diff-cluster` proves the
-//! equivalence against the monolithic engine.
+//! equivalence against the monolithic network.
 //!
 //! ## Churn
 //!
@@ -90,6 +96,20 @@ fn err_of(e: ClusterError) -> CoordMsg {
 // Coordinator daemon
 // ---------------------------------------------------------------------------
 
+/// A coordinator fault for the mutation checks; only a
+/// [`LocalCoordinator`] can be armed with one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// The first establish admitted appends no oplog record.
+    DropRecord,
+    /// Every commit's `RECORDS` starts one record late, which the
+    /// member's contiguity guard refuses.
+    SkipRecord,
+    /// [`Fault::SkipRecord`] with the reply's `seq` one short, so the
+    /// guard passes it: members replay past the gap as if they had none.
+    UnguardedSkip,
+}
+
 /// Shared coordinator state: the authority plus which roster ids are
 /// currently claimed by a *connected* daemon (alive-but-unclaimed ids are
 /// genesis or vacated slots a joiner takes before the roster grows).
@@ -98,9 +118,8 @@ struct CoordShared {
     claimed: Vec<bool>,
     /// `SYNC` frames answered since boot.
     syncs: u64,
-    /// Mutation seam: a commit's `RECORDS` reply starts one record late.
-    #[cfg(test)]
-    skip_a_record: bool,
+    /// The armed fault ([`LocalCoordinator::set_fault`]).
+    fault: Option<Fault>,
 }
 
 /// What the coordinator keeps per inter-daemon connection.
@@ -126,19 +145,88 @@ pub struct CoordinatorReport {
     pub syncs: u64,
 }
 
-/// The coordinator daemon: accepts inter-daemon connections and serves
-/// the [`ClusterMsg`] protocol over length-prefixed binary frames.
-pub struct ClusterCoordinator {
-    listener: TcpListener,
+/// A coordinator daemon's state without its listener: in-process members
+/// ([`LocalCoordinator::join`]) reach it through the daemon's per-peer
+/// handler, deterministically (no thread, no clock).
+#[derive(Clone)]
+pub struct LocalCoordinator {
     shared: Arc<Mutex<CoordShared>>,
     stop: Arc<AtomicBool>,
 }
 
+impl LocalCoordinator {
+    /// A coordinator over `genesis` with a roster of `members` ids, none
+    /// claimed yet.
+    pub fn new(genesis: Network, members: usize) -> Self {
+        let roster = members.max(1);
+        Self {
+            shared: Arc::new(Mutex::new(CoordShared {
+                coord: Coordinator::new(genesis, roster, 0, RebalancePolicy::Bfs),
+                claimed: vec![false; roster],
+                syncs: 0,
+                fault: None,
+            })),
+            stop: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    /// Arms `fault` (`None` disarms the skips; [`Fault::DropRecord`]
+    /// fires once whatever follows).
+    pub fn set_fault(&self, fault: Option<Fault>) {
+        let mut s = lock_shrug(&self.shared);
+        if fault == Some(Fault::DropRecord) {
+            s.coord.set_drop_record(true);
+        }
+        s.fault = fault;
+    }
+
+    /// A member daemon's [`Authority`] on an in-process link: it joins
+    /// and catches up exactly as [`ClusterMember::bind`] does.
+    ///
+    /// # Errors
+    ///
+    /// A refused join or a protocol violation.
+    pub fn join(&self, genesis: Network) -> io::Result<MemberState> {
+        let link = CoordLink::Local(PeerLink {
+            coordinator: self.clone(),
+            peer: Peer::default(),
+        });
+        MemberState::join(link, genesis)
+    }
+
+    /// Calls `read` with the authoritative network and the oplog sequence,
+    /// under the lock every peer frame is served under.
+    pub fn authority<R>(&self, read: impl FnOnce(&Network, u64) -> R) -> R {
+        let s = lock_shrug(&self.shared);
+        read(s.coord.net(), s.coord.seq())
+    }
+
+    /// The per-peer handler both link kinds run, one frame at a time: the
+    /// encoded reply and whether the link stays open after it (`OK`
+    /// answers a `STOP` or a `LEAVE` that succeeded, and ends it), or
+    /// `None` when the link closes without a reply (a frame that does not
+    /// decode, or one no daemon sends any more).
+    fn serve_frame(&self, peer: &mut Peer, body: &[u8]) -> Option<(Vec<u8>, bool)> {
+        let msg = decode_cluster_msg(body).ok()?;
+        let stopping = matches!(msg, ClusterMsg::Stop);
+        let reply = handle_cluster_msg(&mut lock_shrug(&self.shared), peer, msg)?;
+        self.stop.fetch_or(stopping, Ordering::Release);
+        Some((encode_coord_msg(&reply), reply != CoordMsg::Ok))
+    }
+}
+
+/// The coordinator daemon: accepts inter-daemon connections and serves
+/// the [`ClusterMsg`] protocol over length-prefixed binary frames.
+pub struct ClusterCoordinator {
+    listener: TcpListener,
+    local: LocalCoordinator,
+}
+
 impl ClusterCoordinator {
     /// Binds the coordinator on `addr` with a genesis roster of
-    /// `members` ids (none yet claimed by a connection). `seed` and
-    /// `policy` are ignored (see [`Coordinator::new`]); `benchmark/` calls
-    /// this signature.
+    /// `members` ids (none yet claimed by a connection). `_seed` and
+    /// `_policy` are ignored (see [`Coordinator::new`]); `benchmark/`
+    /// calls this signature.
     ///
     /// # Errors
     ///
@@ -147,21 +235,12 @@ impl ClusterCoordinator {
         addr: &str,
         net: Network,
         members: usize,
-        seed: u64,
-        policy: RebalancePolicy,
+        _seed: u64,
+        _policy: RebalancePolicy,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let roster = members.max(1);
         Ok(Self {
-            listener,
-            shared: Arc::new(Mutex::new(CoordShared {
-                coord: Coordinator::new(net, roster, seed, policy),
-                claimed: vec![false; roster],
-                syncs: 0,
-                #[cfg(test)]
-                skip_a_record: false,
-            })),
-            stop: Arc::new(AtomicBool::new(false)),
+            listener: TcpListener::bind(addr)?,
+            local: LocalCoordinator::new(net, members),
         })
     }
 
@@ -182,17 +261,17 @@ impl ClusterCoordinator {
     /// Propagates listener errors.
     pub fn run(self) -> io::Result<CoordinatorReport> {
         self.listener.set_nonblocking(true)?;
-        accept_until(&self.listener, &self.stop, || {
-            let (shared, stop) = (Arc::clone(&self.shared), Arc::clone(&self.stop));
-            move |stream| serve_cluster_peer(stream, &shared, &stop)
+        accept_until(&self.listener, &self.local.stop, || {
+            let local = self.local.clone();
+            move |stream| serve_cluster_peer(stream, &local)
         });
         // One poll interval for in-flight handlers to finish their reply.
         thread::sleep(POLL_INTERVAL);
-        let shared = lock_shrug(&self.shared);
+        let s = lock_shrug(&self.local.shared);
         Ok(CoordinatorReport {
-            violations: shared.coord.check_invariants().len(),
-            seq: shared.coord.seq(),
-            syncs: shared.syncs,
+            violations: s.coord.check_invariants().len(),
+            seq: s.coord.seq(),
+            syncs: s.syncs,
         })
     }
 }
@@ -264,14 +343,14 @@ impl CoordShared {
     /// pulls with `SYNC`, which sets the cursor).
     fn committed(&self, cursor: &mut Option<u64>) -> CoordMsg {
         let seq = self.coord.seq();
-        let from = *cursor;
-        #[cfg(test)]
-        let from = from.map(|c| c.saturating_add(u64::from(self.skip_a_record)));
+        let skip = matches!(self.fault, Some(Fault::SkipRecord | Fault::UnguardedSkip));
+        let from = cursor.map(|c| c.saturating_add(u64::from(skip)));
         match from.and_then(|from| self.coord.records_since(from).ok()) {
             Some(records) if records.len() <= RECORDS_PER_SYNC => {
                 *cursor = Some(seq);
+                let short = u64::from(self.fault == Some(Fault::UnguardedSkip));
                 CoordMsg::Records {
-                    seq,
+                    seq: seq.saturating_sub(short),
                     records: records.to_vec(),
                 }
             }
@@ -340,6 +419,7 @@ fn handle_cluster_msg(s: &mut CoordShared, peer: &mut Peer, msg: ClusterMsg) -> 
             match s.coord.leave(m) {
                 Ok(()) => {
                     s.unclaim(m);
+                    peer.member = None;
                     CoordMsg::Ok
                 }
                 Err(e) => err_of(e),
@@ -352,51 +432,21 @@ fn handle_cluster_msg(s: &mut CoordShared, peer: &mut Peer, msg: ClusterMsg) -> 
     })
 }
 
-/// Serves one inter-daemon connection. A connection that joined and ends
-/// without a `LEAVE` — EOF, or any framing, protocol or write error — is a
-/// member **crash**: its slot goes dead.
-fn serve_cluster_peer(
-    stream: TcpStream,
-    shared: &Mutex<CoordShared>,
-    stop: &AtomicBool,
-) -> io::Result<()> {
-    let mut peer = Peer::default();
-    let served = serve_peer_messages(stream, shared, stop, &mut peer);
-    // Once the coordinator is going away, a peer's silence is no crash.
-    if let Some(m) = peer.member.filter(|_| !stop.load(Ordering::Acquire)) {
-        let mut s = lock_shrug(shared);
-        // LastMember: the roster cannot empty — the id stays alive on the
-        // books but its slot is free for the next joiner.
-        let _ = s.coord.leave(m);
-        s.unclaim(m);
-    }
-    served
-}
-
-/// The peer's request/reply loop; `peer.member` is the id the connection
-/// holds whenever it returns.
-fn serve_peer_messages(
-    stream: TcpStream,
-    shared: &Mutex<CoordShared>,
-    stop: &AtomicBool,
-    peer: &mut Peer,
-) -> io::Result<()> {
+/// Serves one inter-daemon connection through the coordinator's end of
+/// it: dropped when the loop ends without a `LEAVE` — EOF, or any
+/// framing, protocol or write error — it is a member **crash**.
+fn serve_cluster_peer(stream: TcpStream, local: &LocalCoordinator) -> io::Result<()> {
+    let mut end = PeerLink {
+        coordinator: local.clone(),
+        peer: Peer::default(),
+    };
     let mut conn = Conn::open(stream, WireMode::Binary)?;
-    while let Some(body) = conn.next_unit(stop)? {
-        let Ok(msg) = decode_cluster_msg(&body) else {
+    while let Some(body) = conn.next_unit(&local.stop)? {
+        let Some((reply, open)) = local.serve_frame(&mut end.peer, &body) else {
             break;
         };
-        let leaving = matches!(msg, ClusterMsg::Leave);
-        let stopping = matches!(msg, ClusterMsg::Stop);
-        let Some(reply) = handle_cluster_msg(&mut lock_shrug(shared), peer, msg) else {
-            break;
-        };
-        conn.send_frame(encode_coord_msg(&reply))?;
-        if stopping {
-            stop.store(true, Ordering::Release);
-        }
-        if stopping || (leaving && !matches!(reply, CoordMsg::Err { .. })) {
-            peer.member = None;
+        conn.send_frame(reply)?;
+        if !open {
             break;
         }
     }
@@ -407,10 +457,35 @@ fn serve_peer_messages(
 // Member daemon
 // ---------------------------------------------------------------------------
 
-/// One framed request/reply stream to the coordinator, with
-/// [`LINK_TIMEOUT`] applied to both directions.
-struct CoordLink {
-    stream: TcpStream,
+/// One framed request/reply stream to the coordinator: a socket with
+/// [`LINK_TIMEOUT`] applied to both directions, or, in-process, the
+/// coordinator's end of the link itself.
+enum CoordLink {
+    Tcp(TcpStream),
+    Local(PeerLink),
+}
+
+/// The coordinator's end of one inter-daemon link: its per-peer state,
+/// each frame served by [`LocalCoordinator::serve_frame`].
+struct PeerLink {
+    coordinator: LocalCoordinator,
+    peer: Peer,
+}
+
+/// Dropping the link's end is the crash epilogue: a member that did not
+/// `LEAVE` crashed, and its slot goes dead — unless the coordinator is
+/// going away, when a peer's silence is no crash.
+impl Drop for PeerLink {
+    fn drop(&mut self) {
+        let stopping = self.coordinator.stop.load(Ordering::Acquire);
+        if let Some(m) = self.peer.member.take().filter(|_| !stopping) {
+            let mut s = lock_shrug(&self.coordinator.shared);
+            // LastMember: the roster cannot empty — the id stays alive on
+            // the books but its slot is free for the next joiner.
+            let _ = s.coord.leave(m);
+            s.unclaim(m);
+        }
+    }
 }
 
 impl CoordLink {
@@ -419,16 +494,25 @@ impl CoordLink {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(LINK_TIMEOUT))?;
         stream.set_write_timeout(Some(LINK_TIMEOUT))?;
-        Ok(Self { stream })
+        Ok(Self::Tcp(stream))
     }
 
     /// One framed request/reply exchange. Any error — including a read
     /// timeout — means the stream can no longer be resynchronized.
     fn roundtrip(&mut self, msg: &ClusterMsg) -> io::Result<CoordMsg> {
-        self.stream
-            .write_all(&framing::finish(encode_cluster_msg(msg)))?;
-        self.stream.flush()?;
-        let body = framing::read_frame(&mut self.stream)?;
+        let body = match self {
+            CoordLink::Tcp(stream) => {
+                stream.write_all(&framing::finish(encode_cluster_msg(msg)))?;
+                stream.flush()?;
+                framing::read_frame(stream)?
+            }
+            CoordLink::Local(link) => {
+                let served = link
+                    .coordinator
+                    .serve_frame(&mut link.peer, &encode_cluster_msg(msg));
+                served.ok_or_else(link_down)?.0
+            }
+        };
         decode_coord_msg(&body)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
@@ -440,12 +524,44 @@ const LINK_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A member's commit [`Authority`]: the coordinator link (None once it
 /// has been given up) and the full replica replies are read from.
-struct MemberState {
+/// Dropping it drops the link: a crash, as the coordinator sees it.
+pub struct MemberState {
     link: Option<CoordLink>,
     replica: Member,
 }
 
 impl MemberState {
+    /// `JOIN`, then a catch-up to the coordinator's sequence: how every
+    /// member starts, whichever link it has.
+    fn join(mut link: CoordLink, genesis: Network) -> io::Result<Self> {
+        let member = match link.roundtrip(&ClusterMsg::Join)? {
+            CoordMsg::Welcome { member, .. } => member,
+            CoordMsg::Err { code } => {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionRefused,
+                    format!("coordinator refused join (wire code {code})"),
+                ))
+            }
+            other => return Err(bad_reply(&other)),
+        };
+        let mut state = MemberState {
+            link: Some(link),
+            replica: Member::new(member, genesis),
+        };
+        state.catch_up()?;
+        Ok(state)
+    }
+
+    /// The id the coordinator assigned at join.
+    pub fn id(&self) -> u64 {
+        self.replica.id()
+    }
+
+    /// Oplog records the replica has replayed.
+    pub fn applied(&self) -> u64 {
+        self.replica.applied()
+    }
+
     /// One `SYNC` round trip: pulls the next records and replays them,
     /// returning the coordinator's sequence number and the outcomes.
     fn pull(&mut self) -> io::Result<(u64, Vec<ApplyOutcome>)> {
@@ -457,10 +573,15 @@ impl MemberState {
         }
     }
 
-    /// Pulls records until the replica has applied `target`, capturing
-    /// the replayed outcome at sequence `target - 1` (this member's own
-    /// operation, whose rendering answers the waiting client).
-    fn sync_to(&mut self, target: u64) -> io::Result<Option<ApplyOutcome>> {
+    /// Pulls records until the replica has applied `target`, returning
+    /// the replayed outcome at sequence `target - 1` (after a `DONE`, this
+    /// member's own operation, whose rendering answers the waiting
+    /// client).
+    ///
+    /// # Errors
+    ///
+    /// The link is down, or the coordinator broke the protocol.
+    pub fn sync_to(&mut self, target: u64) -> io::Result<Option<ApplyOutcome>> {
         let mut wanted = None;
         while self.replica.applied() < target {
             let applied = self.replica.applied();
@@ -582,22 +703,8 @@ impl ClusterMember {
     ///
     /// Socket errors, a refused join, or a protocol violation.
     pub fn bind(addr: &str, genesis: Network, coordinator: &str) -> io::Result<Self> {
-        let mut link = CoordLink::connect(coordinator)?;
-        let (member_id, _seq) = match link.roundtrip(&ClusterMsg::Join)? {
-            CoordMsg::Welcome { member, seq } => (member, seq),
-            CoordMsg::Err { code } => {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    format!("coordinator refused join (wire code {code})"),
-                ))
-            }
-            other => return Err(bad_reply(&other)),
-        };
-        let mut state = MemberState {
-            link: Some(link),
-            replica: Member::new(member_id, genesis),
-        };
-        state.catch_up()?;
+        let state = MemberState::join(CoordLink::connect(coordinator)?, genesis)?;
+        let member_id = state.id();
         Ok(Self {
             server: Server::over(addr, Engine::over(Box::new(state)))?,
             member_id,
@@ -643,8 +750,7 @@ impl ClusterMember {
 ///
 /// Socket errors or a protocol violation.
 pub fn fetch_status(coordinator: &str) -> io::Result<String> {
-    let mut link = CoordLink::connect(coordinator)?;
-    match link.roundtrip(&ClusterMsg::Status)? {
+    match CoordLink::connect(coordinator)?.roundtrip(&ClusterMsg::Status)? {
         CoordMsg::State { text } => Ok(text),
         other => Err(bad_reply(&other)),
     }
@@ -656,8 +762,7 @@ pub fn fetch_status(coordinator: &str) -> io::Result<String> {
 ///
 /// Socket errors or a protocol violation.
 pub fn request_stop(coordinator: &str) -> io::Result<()> {
-    let mut link = CoordLink::connect(coordinator)?;
-    match link.roundtrip(&ClusterMsg::Stop)? {
+    match CoordLink::connect(coordinator)?.roundtrip(&ClusterMsg::Stop)? {
         CoordMsg::Ok => Ok(()),
         other => Err(bad_reply(&other)),
     }
@@ -969,7 +1074,7 @@ mod tests {
         let coord =
             ClusterCoordinator::bind("127.0.0.1:0", genesis(), 2, 7, RebalancePolicy::Bfs).unwrap();
         let addr = coord.local_addr().unwrap().to_string();
-        let shared = Arc::clone(&coord.shared);
+        let local = coord.local.clone();
         let coord_handle = thread::spawn(move || coord.run());
         // Two members without their client ports: the test is the client.
         let members: Vec<ClusterMember> = (0..2)
@@ -997,11 +1102,11 @@ mod tests {
         }
 
         // A is one record (B's last) behind; its next reply skips it.
-        lock_shrug(&shared).skip_a_record = true;
+        local.set_fault(Some(Fault::SkipRecord));
         let skipped = "RELEASE 0";
         let got = handle_line(a, skipped);
         assert!(got.starts_with("ERR 504 "), "got {got}");
-        lock_shrug(&shared).skip_a_record = false;
+        local.set_fault(None);
         // The coordinator had committed it all the same.
         oracle.handle_line(skipped);
 
@@ -1010,7 +1115,7 @@ mod tests {
         assert_eq!(stats(a, "linked"), 0);
         assert_eq!(stats(a, "applied"), 3);
         let mut replayed = Member::new(9, genesis());
-        replayed.apply(&lock_shrug(&shared).coord.records_since(0).unwrap()[..3]);
+        replayed.apply(&lock_shrug(&local.shared).coord.records_since(0).unwrap()[..3]);
         assert_eq!(
             a.server
                 .with_engine(|e| NetworkSnapshot::capture(e.network())),
@@ -1199,9 +1304,11 @@ mod tests {
             (4, commit, "roster=10000"),
         ];
         for (id, body, roster) in retired {
-            let mut sender = joined(&coordinator, id);
-            sender.stream.write_all(&framing::finish(body)).unwrap();
-            let closed = framing::read_frame(&mut sender.stream);
+            let CoordLink::Tcp(mut sender) = joined(&coordinator, id) else {
+                panic!("a socket link");
+            };
+            sender.write_all(&framing::finish(body)).unwrap();
+            let closed = framing::read_frame(&mut sender);
             assert!(closed.is_err(), "m{id} got a reply: {closed:?}");
             let status = status_with(&coordinator, roster);
             assert!(status.contains(" seq=0 "), "status was {status}");
@@ -1235,6 +1342,184 @@ mod tests {
         assert_eq!(bye, "OK violations=0");
         for h in booted.member_handles {
             assert_eq!(h.join().unwrap().unwrap().violations, 0);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The in-process federation: members on `LocalCoordinator` links.
+    // -----------------------------------------------------------------
+
+    fn ring8() -> Network {
+        Network::new(ring(8).unwrap(), NetworkConfig::default())
+    }
+
+    /// `n` seeded admissions between distinct nodes of the ring of eight.
+    fn establishes(n: usize, rng: &mut drqos_sim::rng::Rng) -> Vec<MemberOp> {
+        (0..n)
+            .map(|_| {
+                let s = rng.range_usize(8);
+                let mut d = rng.range_usize(7);
+                if d >= s {
+                    d += 1;
+                }
+                MemberOp::Establish {
+                    req: EstablishRequest {
+                        src: drqos_topology::NodeId(s),
+                        dst: drqos_topology::NodeId(d),
+                        qos: drqos_core::qos::ElasticQos::paper_video(100),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Members of `local`, joined one after another.
+    fn joined_members(local: &LocalCoordinator, n: usize) -> Vec<MemberState> {
+        (0..n).map(|_| local.join(ring8()).unwrap()).collect()
+    }
+
+    /// Commits `ops` through carriers rotating over `members` (`carried`
+    /// counts the turns) and demands each carrier's replayed outcome equal
+    /// the oracle's.
+    fn carry_both(
+        members: &mut [MemberState],
+        carried: &mut usize,
+        oracle: &mut Network,
+        ops: &[MemberOp],
+    ) {
+        for &op in ops {
+            let carrier = &mut members[*carried % members.len()];
+            *carried += 1;
+            assert_eq!(carrier.commit(op), Ok(Some(op.apply(oracle))), "{op:?}");
+        }
+    }
+
+    fn authority_snapshot(local: &LocalCoordinator) -> NetworkSnapshot {
+        local.authority(|net, _| NetworkSnapshot::capture(net))
+    }
+
+    /// Churn between operations must not disturb the replicated state:
+    /// after a crash, a rejoin and a LEAVE the survivors still match the
+    /// oracle exactly.
+    #[test]
+    fn churn_preserves_oracle_equivalence() {
+        let local = LocalCoordinator::new(ring8(), 3);
+        let mut members = joined_members(&local, 3);
+        let (mut oracle, mut carried) = (ring8(), 0);
+        let mut rng = drqos_sim::rng::Rng::seed_from_u64(7);
+        carry_both(
+            &mut members,
+            &mut carried,
+            &mut oracle,
+            &establishes(10, &mut rng),
+        );
+        // A dropped link is a crash; the rejoiner reclaims its id.
+        drop(members.remove(1));
+        carry_both(
+            &mut members,
+            &mut carried,
+            &mut oracle,
+            &establishes(10, &mut rng),
+        );
+        members.insert(1, local.join(ring8()).unwrap());
+        assert_eq!(members[1].id(), 1);
+        members.remove(0).leave();
+        carry_both(
+            &mut members,
+            &mut carried,
+            &mut oracle,
+            &establishes(10, &mut rng),
+        );
+        let want = NetworkSnapshot::capture(&oracle);
+        assert_eq!(authority_snapshot(&local), want);
+        // The rejoined member replayed the whole history from genesis and
+        // must equal the oracle too.
+        for m in &mut members {
+            m.sync().unwrap();
+            let got = NetworkSnapshot::capture(m.net());
+            assert_eq!(got, want, "replica m{} diverged after churn", m.id());
+        }
+    }
+
+    /// A carrier that crashes before its operation is sent hands the
+    /// operation to a survivor: it is committed exactly once, and the run
+    /// still matches the serial oracle.
+    #[test]
+    fn no_double_commit_across_a_carrier_crash() {
+        let local = LocalCoordinator::new(ring8(), 3);
+        let mut members = joined_members(&local, 3);
+        let (mut oracle, mut carried) = (ring8(), 0);
+        let ops = establishes(16, &mut drqos_sim::rng::Rng::seed_from_u64(99));
+        carry_both(&mut members, &mut carried, &mut oracle, &ops[..5]);
+        // The sixth operation is m2's to carry.
+        drop(members.remove(2));
+        carry_both(&mut members, &mut carried, &mut oracle, &ops[5..]);
+        assert_eq!(
+            authority_snapshot(&local),
+            NetworkSnapshot::capture(&oracle)
+        );
+        // One record per operation — each committed once.
+        let s = lock_shrug(&local.shared);
+        assert_eq!(s.coord.records_since(0).unwrap(), ops);
+        assert_eq!(s.coord.alive(), [true, true, false]);
+    }
+
+    /// The dropped-record fault: the authority is still right, the
+    /// carrier's own replay never reaches the lost record, and every
+    /// replica, levelled, differs from the authority.
+    #[test]
+    fn a_dropped_record_leaves_every_replica_behind() {
+        let local = LocalCoordinator::new(ring8(), 2);
+        let mut members = joined_members(&local, 2);
+        local.set_fault(Some(Fault::DropRecord));
+        let mut oracle = ring8();
+        let ops = establishes(6, &mut drqos_sim::rng::Rng::seed_from_u64(5));
+        let carried: Vec<_> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, &op)| {
+                let want = op.apply(&mut oracle);
+                (members[i % 2].commit(op), want)
+            })
+            .collect();
+        assert_eq!(carried[0].0, Ok(None), "the first admission left no record");
+        let want = NetworkSnapshot::capture(&oracle);
+        assert_eq!(authority_snapshot(&local), want);
+        assert_eq!(local.authority(|_, seq| seq), ops.len() as u64 - 1);
+        for m in &mut members {
+            m.sync().unwrap();
+            assert_ne!(NetworkSnapshot::capture(m.net()), want, "m{}", m.id());
+        }
+    }
+
+    /// Forwarded failure/repair/release ops flow through the oplog and
+    /// keep replicas synced.
+    #[test]
+    fn forwarded_ops_replicate() {
+        let local = LocalCoordinator::new(ring8(), 3);
+        let mut members = joined_members(&local, 3);
+        let (mut oracle, mut carried) = (ring8(), 0);
+        let mut rng = drqos_sim::rng::Rng::seed_from_u64(11);
+        carry_both(
+            &mut members,
+            &mut carried,
+            &mut oracle,
+            &establishes(8, &mut rng),
+        );
+        let link = oracle.graph().links().next().unwrap().id();
+        let id = oracle.connections().next().unwrap().id();
+        let ops = [
+            MemberOp::FailLink { link },
+            MemberOp::RepairLink { link },
+            MemberOp::Release { id },
+        ];
+        carry_both(&mut members, &mut carried, &mut oracle, &ops);
+        for m in &mut members {
+            m.sync().unwrap();
+            assert_eq!(
+                NetworkSnapshot::capture(m.net()),
+                NetworkSnapshot::capture(&oracle)
+            );
         }
     }
 }

@@ -20,9 +20,9 @@ use std::sync::Arc;
 
 /// Where an operation commits — the one thing `drqosd` (on its own
 /// [`Network`]) and a federation member (at its coordinator, replayed on
-/// its replica: `crate::clusterd`) decide differently. Nothing else in
-/// the engine asks which daemon it serves.
-pub(crate) trait Authority: Send {
+/// its replica: [`crate::clusterd::MemberState`]) decide differently.
+/// Nothing else in the engine asks which daemon it serves.
+pub trait Authority: Send {
     /// The network replies are rendered from.
     fn net(&self) -> &Network;
     /// Commits one operation: its outcome on [`Authority::net`] (`None`:

@@ -15,13 +15,13 @@
 //!   its sequential oracle, at every parameter in the row's grid, and
 //!   fails (with a shrunk reproducer) on any divergence in operation
 //!   results, drop counters, epochs, or snapshots of any network view:
-//!   `cache` (route cache on vs. off) and `cluster` (an in-process
-//!   `ClusterSim` federation with daemon churn between waves, **member
-//!   counts 2 and 3**);
+//!   `cache` (route cache on vs. off) and `cluster` (member daemons'
+//!   commit authorities on in-process links to one coordinator, with
+//!   churn between operations, **member counts 2 and 3**);
 //! * `--self-test` is the mutation check: it injects the `LoseRelease`
 //!   and `LoseSrlgRepair` accounting faults into the invariant fuzzer and
-//!   every subject's registered mutant (`StarvedCapacity`, `DropRecord`)
-//!   into the lockstep loop, and *fails* unless the detectors catch every one and
+//!   every subject's registered mutants (`StarvedCapacity`, `DropRecord`,
+//!   `UnguardedSkip`) into the lockstep loop, and *fails* unless the detectors catch every one and
 //!   shrink the witness within its bound (≤ 10 ops for each accounting
 //!   fault; the table row's `shrink_bound` for each mutant).
 
@@ -184,11 +184,13 @@ fn mutation_check(seed: u64) -> ExitCode {
         clean &= report(&format!("{fault:?} accounting fault"), 10, witness);
     }
     for row in lockstep::subjects() {
-        let witness = row
-            .mutation_witness(seed, 20)
-            .map(|f| (f.shrunk.len(), f.reproducer()));
-        let what = format!("{} fault ({} differential)", row.mutant, row.name);
-        clean &= report(&what, row.shrink_bound, witness);
+        for &mutant in row.mutants {
+            let witness = row
+                .mutation_witness(mutant, seed)
+                .map(|f| (f.shrunk.len(), f.reproducer()));
+            let what = format!("{mutant} fault ({} differential)", row.name);
+            clean &= report(&what, row.shrink_bound, witness);
+        }
     }
     if clean {
         ExitCode::SUCCESS

@@ -26,14 +26,15 @@
 //! tolerance band.
 //!
 //! The sixth layer, [`lockstep`], is differential: every fast path that
-//! claims exact equivalence to the sequential network — the route cache
-//! and the [`drqos_cluster::ClusterSim`] federation with membership churn — is a
+//! claims exact equivalence to the sequential network — the route cache,
+//! and member daemons on in-process links to a churned federation's
+//! [`drqos_service::clusterd::LocalCoordinator`] — is a
 //! [`lockstep::Subject`] replayed against a sequential oracle by the one
 //! [`lockstep::Lockstep`] loop, compared after every step on results,
 //! drop counters, epochs and full snapshots of every network view, and
 //! shrunk on divergence
 //! (`fuzz --diff-cache | --diff-cluster N`
-//! in CI). Each subject registers a mutant the loop must catch
+//! in CI). Each subject registers mutants the loop must catch
 //! (`fuzz --self-test`), which keeps the detector itself honest.
 //!
 //! Everything is deterministic given the seeds; there are no external

@@ -14,8 +14,8 @@
 //!   `Ok`/`Err` with ids, failure reports, ...),
 //! * and, for **every** network view the subject exposes
 //!   ([`Subject::views`] — one network, or the cluster's authority plus
-//!   each live replica): the cumulative drop counter, the topology epoch
-//!   and a full [`NetworkSnapshot`].
+//!   each live replica level with it): the cumulative drop counter, the
+//!   topology epoch and a full [`NetworkSnapshot`].
 //!
 //! Raw operands are resolved by [`resolve_op`] against the *oracle's*
 //! candidate lists (the same function [`crate::fuzz::Harness::apply`]
@@ -26,7 +26,7 @@
 //!
 //! A subject supplies only what differs — how it is built, how it applies
 //! an operation, its views, an optional before-each-op hook (cluster
-//! churn) and its **mutant**: a deliberately broken build
+//! churn) and its **mutants**: deliberately broken builds
 //! ([`Case::mutant`]) that `fuzz --self-test` requires the loop to catch
 //! and shrink within [`Subject::SHRINK_BOUND`] operations. Everything else
 //! — the loop, the comparison, [`Divergence`] / [`Failure`] / [`Outcome`],
@@ -36,11 +36,12 @@
 //! `impl Subject` plus one row.
 
 use crate::fuzz::{case_ops, case_seed, render_case, shrink_by, Op, Scenario};
-use drqos_cluster::{ApplyOutcome, ClusterFault, ClusterSim, MemberOp};
-use drqos_core::error::ClusterError;
+use drqos_cluster::{ApplyOutcome, MemberOp};
 use drqos_core::network::{EstablishRequest, Network};
 use drqos_core::qos::ElasticQos;
 use drqos_core::snapshot::NetworkSnapshot;
+use drqos_service::clusterd::{Fault, LocalCoordinator, MemberState};
+use drqos_service::engine::Authority;
 use drqos_sim::rng::Rng;
 use drqos_topology::{LinkId, NodeId};
 
@@ -115,8 +116,9 @@ pub struct Case {
     pub param: usize,
     /// The case seed: the churn stream derives from it.
     pub seed: u64,
-    /// Build the subject's mutant instead of the faithful subject.
-    pub mutant: bool,
+    /// The mutant to build (one of [`Subject::MUTANTS`]) instead of the
+    /// faithful subject.
+    pub mutant: Option<&'static str>,
 }
 
 /// One side of a lockstep differential: a faster path that claims exact
@@ -129,14 +131,14 @@ pub trait Subject: Sized {
     const UNIT: &'static str = "";
     /// The parameter values `fuzz --diff-<NAME>` runs at.
     const GRID: &'static [usize] = &[0];
-    /// The injected fault [`Case::mutant`] arms.
-    const MUTANT: &'static str;
-    /// The parameter the mutation check runs at.
+    /// The injected faults [`Case::mutant`] arms, one per mutant.
+    const MUTANTS: &'static [&'static str];
+    /// The parameter the mutation checks run at.
     const MUTANT_PARAM: usize = 0;
     /// Largest acceptable shrunk witness of the mutant.
     const SHRINK_BOUND: usize;
 
-    /// Builds the subject (its mutant when [`Case::mutant`] is set).
+    /// Builds the subject (a mutant when [`Case::mutant`] is set).
     fn build(scenario: &Scenario, case: Case) -> Self;
 
     /// Builds the sequential oracle the subject is held to.
@@ -148,12 +150,13 @@ pub trait Subject: Sized {
     ///
     /// # Errors
     ///
-    /// A subject that forwards the operation may fail to; the loop reports
-    /// that as a divergence.
-    fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError>;
+    /// A subject that forwards the operation may fail to, and says why;
+    /// the loop reports that as a divergence.
+    fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, String>;
 
-    /// Every network that must equal the oracle, labelled for reports.
-    fn views(&self) -> Vec<(String, &Network)>;
+    /// Hands every network that must equal the oracle, labelled for
+    /// reports, to `visit` — under the subject's own lock, if it has one.
+    fn views(&self, visit: &mut dyn FnMut(&str, &Network));
 
     /// Hook run before each operation; it must not touch network state
     /// (the oracle is not told).
@@ -225,30 +228,25 @@ impl<S: Subject> Lockstep<S> {
     }
 
     /// The one state comparison: drop counter, epoch and full snapshot of
-    /// every view against the oracle.
+    /// every view against the oracle; the first mismatch is reported.
     fn compare_state(&self) -> Option<String> {
+        let counters = |n: &Network| (n.dropped_total(), n.topology_epoch());
+        let want_counters = counters(&self.oracle);
         let want = NetworkSnapshot::capture(&self.oracle);
-        for (label, net) in self.subject.views() {
-            if net.dropped_total() != self.oracle.dropped_total() {
-                return Some(format!(
-                    "{label} drop counter diverged: {}, oracle {}",
-                    net.dropped_total(),
-                    self.oracle.dropped_total()
-                ));
-            }
-            if net.topology_epoch() != self.oracle.topology_epoch() {
-                return Some(format!(
-                    "{label} topology epoch diverged: {}, oracle {}",
-                    net.topology_epoch(),
-                    self.oracle.topology_epoch()
-                ));
-            }
-            let got = NetworkSnapshot::capture(net);
-            if got != want {
-                return Some(first_snapshot_mismatch(&label, &got, &want));
-            }
-        }
-        None
+        let mut mismatch = None;
+        self.subject.views(&mut |label, net| {
+            mismatch = mismatch.take().or_else(|| {
+                let got = counters(net);
+                if got != want_counters {
+                    return Some(format!(
+                        "{label} (drop counter, epoch) diverged: {got:?}, oracle {want_counters:?}"
+                    ));
+                }
+                let got = NetworkSnapshot::capture(net);
+                (got != want).then(|| first_snapshot_mismatch(label, &got, &want))
+            });
+        });
+        mismatch
     }
 }
 
@@ -299,8 +297,8 @@ pub struct SubjectRow {
     pub unit: &'static str,
     /// [`Subject::GRID`].
     pub grid: &'static [usize],
-    /// [`Subject::MUTANT`].
-    pub mutant: &'static str,
+    /// [`Subject::MUTANTS`].
+    pub mutants: &'static [&'static str],
     /// [`Subject::MUTANT_PARAM`].
     pub mutant_param: usize,
     /// [`Subject::SHRINK_BOUND`].
@@ -327,7 +325,7 @@ impl SubjectRow {
             name: S::NAME,
             unit: S::UNIT,
             grid: S::GRID,
-            mutant: S::MUTANT,
+            mutants: S::MUTANTS,
             mutant_param: S::MUTANT_PARAM,
             shrink_bound: S::SHRINK_BOUND,
             run_pair: run_pair::<S>,
@@ -366,24 +364,25 @@ impl SubjectRow {
     /// Runs the differential at one parameter value: independent seeded
     /// sequences, stopping at (and shrinking) the first divergence.
     pub fn run(&self, config: &Config, param: usize) -> Outcome {
-        self.drive(config, param, false)
+        self.drive(config, param, None)
     }
 
-    /// The mutation check: arms the subject's mutant and returns the
-    /// first caught-and-shrunk failure within `sequences` 30-op cases, or
-    /// `None` if the loop failed to catch it — in which case the detector
-    /// itself has regressed. Used by `fuzz --self-test`.
-    pub fn mutation_witness(&self, seed: u64, sequences: usize) -> Option<Failure> {
+    /// The mutation check: arms `mutant` (one of the row's
+    /// [`SubjectRow::mutants`]) and returns the first caught-and-shrunk
+    /// failure within 20 cases of 30 ops, or `None` if the loop failed to
+    /// catch it — the detector itself has regressed. Used by
+    /// `fuzz --self-test`.
+    pub fn mutation_witness(&self, mutant: &'static str, seed: u64) -> Option<Failure> {
         let config = Config {
-            sequences,
+            sequences: 20,
             ops_per_sequence: 30,
             seed,
         };
-        self.drive(&config, self.mutant_param, true).failure
+        self.drive(&config, self.mutant_param, Some(mutant)).failure
     }
 
     /// The one seeded driver.
-    fn drive(&self, config: &Config, param: usize, mutant: bool) -> Outcome {
+    fn drive(&self, config: &Config, param: usize, mutant: Option<&'static str>) -> Outcome {
         for index in 0..config.sequences {
             let seed = case_seed(config.seed, index as u64);
             let scenario = Scenario::from_seed(seed);
@@ -427,7 +426,7 @@ impl SubjectRow {
 pub struct Failure {
     /// The subject that diverged.
     pub row: SubjectRow,
-    /// Parameter, case seed and mutant flag the case ran at.
+    /// Parameter, case seed and mutant the case ran at.
     pub case: Case,
     /// The scenario the case ran under.
     pub scenario: Scenario,
@@ -453,7 +452,7 @@ impl Failure {
             "// drqos-testkit {name}-diff reproducer{at} (case seed {seed:#x}, {n} op(s) after \
              shrinking)\n\
              {prelude}\
-             let case = Case {{ param: {param}, seed: {seed:#x}, mutant: {mutant} }};\n\
+             let case = Case {{ param: {param}, seed: {seed:#x}, mutant: {mutant:?} }};\n\
              let divergence = lockstep::subject(\"{name}\")\n    \
              .expect(\"a registered subject\")\n    \
              .run_sequence(&scenario, &ops, case)\n    \
@@ -502,12 +501,12 @@ impl Subject for CacheSubject {
     const NAME: &'static str = "cache";
     /// The cache-on side is built with 100 Kbps links whatever the
     /// scenario says — the first admission already settles differently.
-    const MUTANT: &'static str = "StarvedCapacity";
+    const MUTANTS: &'static [&'static str] = &["StarvedCapacity"];
     const SHRINK_BOUND: usize = 1;
 
     fn build(scenario: &Scenario, case: Case) -> Self {
         let mut scenario = scenario.clone();
-        if case.mutant {
+        if case.mutant.is_some() {
             scenario.capacity_kbps = 100;
         }
         CacheSubject(scenario.network_with_cache(true))
@@ -517,12 +516,12 @@ impl Subject for CacheSubject {
         scenario.network_with_cache(false)
     }
 
-    fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
+    fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, String> {
         Ok(op.apply(&mut self.0))
     }
 
-    fn views(&self) -> Vec<(String, &Network)> {
-        vec![("cache-on".to_string(), &self.0)]
+    fn views(&self, visit: &mut dyn FnMut(&str, &Network)) {
+        visit("cache-on", &self.0);
     }
 }
 
@@ -535,77 +534,137 @@ const CHURN_STREAM: u64 = 0xC1C1_C1C1;
 /// roster (JOIN of a brand-new daemon).
 const EXTRA_MEMBERS: usize = 2;
 
-/// The multi-daemon federation ([`ClusterSim`]: each operation committed
-/// at the coordinator through the member carrying it, oplog replay onto
-/// every replica) against the monolith, with a deterministic churn stream
-/// crashing, retiring and rejoining members before operations. The
-/// authority *and every live replica* must equal the oracle.
+/// The multi-daemon federation, through the member daemons' own code: N
+/// [`MemberState`]s — the [`Authority`] a member daemon's engine holds —
+/// on in-process links to one [`LocalCoordinator`], so every exchange
+/// crosses both `proto` codecs, the coordinator's per-peer handler and
+/// the member's replay. Each operation is one `OP` through the member
+/// whose turn it is to carry it; its outcome is the carrier's replay. A
+/// deterministic churn stream crashes (drops the link), retires (`LEAVE`)
+/// and rejoins members, levels idle replicas, and now and then has the
+/// coordinator skip a record on the next carrier's reply. The authority
+/// and every live replica level with it must equal the oracle.
 pub struct ClusterSubject {
-    sim: ClusterSim,
+    coordinator: LocalCoordinator,
+    genesis: Network,
+    /// Live members, in id order.
+    members: Vec<MemberState>,
     churn: Rng,
     roster_cap: usize,
+    /// Operations carried so far: the next carrier's turn.
+    carried: usize,
+}
+
+impl ClusterSubject {
+    /// Commits `op` through the carrier at `turn` with a reply that skips
+    /// a record: its contiguity guard must refuse it (504, the link given
+    /// up: a crash). The operation is committed all the same, and a
+    /// survivor's pull replays it.
+    fn carry_skipped(&mut self, turn: usize, op: MemberOp) -> Result<ApplyOutcome, String> {
+        let mut carrier = self.members.remove(turn);
+        self.coordinator.set_fault(Some(Fault::SkipRecord));
+        let refused = carrier.commit(op).is_err();
+        self.coordinator.set_fault(None);
+        if !refused {
+            let id = carrier.id();
+            return Err(format!(
+                "m{id} replayed a commit reply that skipped a record"
+            ));
+        }
+        drop(carrier);
+        let (seq, live) = (self.coordinator.authority(|_, seq| seq), self.members.len());
+        let survivor = &mut self.members[turn % live];
+        match survivor.sync_to(seq) {
+            Ok(Some(outcome)) => Ok(outcome),
+            other => Err(format!("m{}'s pull: {other:?}", survivor.id())),
+        }
+    }
 }
 
 impl Subject for ClusterSubject {
     const NAME: &'static str = "cluster";
     const UNIT: &'static str = "member(s)";
     const GRID: &'static [usize] = &[2, 3];
-    /// [`ClusterFault::DropRecord`]: the coordinator admits the first
-    /// establish it can but appends no record, so only the replica views
-    /// can tell.
-    const MUTANT: &'static str = "DropRecord";
+    /// [`Fault::DropRecord`]: the coordinator admits the first establish
+    /// it can but appends no record, so the carrier's replay never reaches
+    /// it. [`Fault::UnguardedSkip`]: every commit reply starts one record
+    /// late and the members replay past the gap.
+    const MUTANTS: &'static [&'static str] = &["DropRecord", "UnguardedSkip"];
     const MUTANT_PARAM: usize = 3;
     const SHRINK_BOUND: usize = 3;
 
     fn build(scenario: &Scenario, case: Case) -> Self {
-        let mut sim = ClusterSim::new(scenario.network(), case.param);
-        if case.mutant {
-            sim.set_fault(ClusterFault::DropRecord);
-        }
+        let genesis = scenario.network();
+        let coordinator = LocalCoordinator::new(genesis.clone(), case.param);
+        coordinator.set_fault(match case.mutant {
+            Some("DropRecord") => Some(Fault::DropRecord),
+            Some("UnguardedSkip") => Some(Fault::UnguardedSkip),
+            _ => None,
+        });
+        let members: Vec<MemberState> = (0..case.param.max(1))
+            .map(|_| coordinator.join(genesis.clone()).expect("a local join"))
+            .collect();
         ClusterSubject {
-            roster_cap: sim.alive_members().len() + EXTRA_MEMBERS,
-            sim,
+            roster_cap: members.len() + EXTRA_MEMBERS,
+            coordinator,
+            genesis,
+            members,
             churn: Rng::seed_from_u64(case.seed ^ CHURN_STREAM),
+            carried: 0,
         }
     }
 
-    fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
-        self.sim.apply(op)
+    fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, String> {
+        let turn = self.carried % self.members.len();
+        self.carried += 1;
+        if self.members.len() > 1 && self.churn.chance(0.05) {
+            return self.carry_skipped(turn, op);
+        }
+        let carrier = &mut self.members[turn];
+        match carrier.commit(op) {
+            Ok(Some(outcome)) => Ok(outcome),
+            Ok(None) => Err(format!("m{}'s replay never reached it", carrier.id())),
+            Err(refused) => Err(format!("m{} answered {refused}", carrier.id())),
+        }
     }
 
-    fn views(&self) -> Vec<(String, &Network)> {
-        let replicas = self
-            .sim
-            .replicas()
-            .map(|m| (format!("replica m{}", m.id()), m.net()));
-        std::iter::once(("authoritative".to_string(), self.sim.authoritative()))
-            .chain(replicas)
-            .collect()
+    fn views(&self, visit: &mut dyn FnMut(&str, &Network)) {
+        let seq = self.coordinator.authority(|net, seq| {
+            visit("authoritative", net);
+            seq
+        });
+        for m in self.members.iter().filter(|m| m.applied() == seq) {
+            visit(&format!("replica m{}", m.id()), m.net());
+        }
     }
 
     /// One deterministic churn step: maybe crash, retire, or (re)join a
-    /// member. Roster-only, so the state comparison afterwards proves
-    /// churn never disturbs the network.
+    /// member, maybe level one replica through `SNAPSHOT`'s path (rarely
+    /// enough that most commit replies carry several records). None of it
+    /// touches the replicated network, so the state comparison afterwards
+    /// proves churn never disturbs it.
     fn before_op(&mut self) {
-        if !self.churn.chance(0.3) {
-            return;
-        }
-        let alive = self.sim.alive_members();
-        match self.churn.range_usize(3) {
-            0 | 1 if alive.len() > 1 => {
-                let victim = alive[self.churn.range_usize(alive.len())];
-                let _ = if self.churn.chance(0.5) {
-                    self.sim.crash(victim)
-                } else {
-                    self.sim.leave(victim)
-                };
-            }
-            _ => {
-                let dead = (0..self.roster_cap as u64).find(|m| !alive.contains(m));
-                if let Some(m) = dead {
-                    let _ = self.sim.join(m);
+        let live = self.members.len();
+        if self.churn.chance(0.3) {
+            match self.churn.range_usize(3) {
+                0 | 1 if live > 1 => {
+                    let mut victim = self.members.remove(self.churn.range_usize(live));
+                    if self.churn.chance(0.5) {
+                        victim.leave();
+                    } // else dropped without a LEAVE: a crash
                 }
+                _ if live < self.roster_cap => {
+                    if let Ok(joiner) = self.coordinator.join(self.genesis.clone()) {
+                        let at = self.members.partition_point(|m| m.id() < joiner.id());
+                        self.members.insert(at, joiner);
+                    }
+                }
+                _ => {}
             }
+        }
+        if self.churn.chance(0.2) {
+            let idle = self.churn.range_usize(self.members.len());
+            let _ = self.members[idle].sync();
         }
     }
 }
@@ -619,7 +678,7 @@ mod tests {
         Case {
             param,
             seed,
-            mutant: false,
+            mutant: None,
         }
     }
 
@@ -739,13 +798,13 @@ mod tests {
 
     #[test]
     fn a_carrier_crash_before_commit_still_matches_the_oracle() {
-        // The orphan path: the crashed carrier's operation is carried by a
-        // survivor, which must be invisible in the results and the final
-        // state.
+        // The orphan path: the first carrier's link drops before it sends
+        // its operation, which a survivor carries instead; that must be
+        // invisible in the results and the final state.
         let scenario = Scenario::from_seed(3);
         let ops = generate_ops(&mut Rng::seed_from_u64(31), 40);
         let mut subject = ClusterSubject::build(&scenario, case(3, 3));
-        subject.sim.set_fault(ClusterFault::CrashCarrier);
+        drop(subject.members.remove(0));
         let mut lockstep = Lockstep::new(subject, scenario.network(), scenario.qos());
         assert_eq!(
             lockstep.run(&ops),
@@ -754,13 +813,34 @@ mod tests {
         );
     }
 
+    /// A commit reply that skips a record, under the faithful build: the
+    /// carrier refuses it and drops out, and a survivor's replay of the
+    /// committed operation is what the loop compares.
+    #[test]
+    fn a_refused_skip_is_carried_over_by_a_survivor() {
+        let scenario = Scenario::from_seed(3);
+        let (mut subject, mut oracle) = (
+            ClusterSubject::build(&scenario, case(3, 3)),
+            scenario.network(),
+        );
+        for (turn, (src, dst)) in [(0, (1, 2)), (1, (2, 3))] {
+            let op = resolve_op(&oracle, scenario.qos(), Op::Establish { src, dst }).unwrap();
+            assert_eq!(subject.carry_skipped(turn, op), Ok(op.apply(&mut oracle)));
+        }
+        // m0 and m2 refused and crashed; m1, the last survivor, is level.
+        let ids: Vec<u64> = subject.members.iter().map(MemberState::id).collect();
+        assert_eq!(ids, [1]);
+        let lockstep = Lockstep::new(subject, oracle, scenario.qos());
+        assert_eq!(lockstep.compare_state(), None);
+    }
+
     #[test]
     fn starved_cache_side_is_caught_and_shrinks_to_one_op() {
         // The minimal witness for "the two sides settle differently" is a
         // single establish.
         let row = subject("cache").unwrap();
         let failure = row
-            .mutation_witness(2001, 20)
+            .mutation_witness("StarvedCapacity", 2001)
             .expect("capacity fault must be detected within the budget");
         assert_eq!(failure.shrunk.len(), 1, "{:?}", failure.shrunk);
         assert!(failure.shrunk.len() <= row.shrink_bound);
@@ -770,10 +850,10 @@ mod tests {
     #[test]
     fn dropped_record_is_caught_and_shrinks_small() {
         // A coordinator that admits a request but logs no record must be
-        // caught through the replica views, with a tiny shrunk witness.
+        // caught, with a tiny shrunk witness.
         let failure = subject("cluster")
             .unwrap()
-            .mutation_witness(2001, 20)
+            .mutation_witness("DropRecord", 2001)
             .expect("dropped-record fault must be detected within the budget");
         let shrunk = &failure.shrunk;
         assert!(
@@ -784,11 +864,32 @@ mod tests {
             shrunk.iter().any(|op| matches!(op, Op::Establish { .. })),
             "witness needs an admission to lose: {shrunk:?}"
         );
+        // The carrier replays what the coordinator sent it, and the lost
+        // record was never sent: its own replay is the first to tell.
         assert!(
-            failure.divergence.detail.starts_with("replica m"),
-            "only a replica can tell: {}",
+            failure
+                .divergence
+                .detail
+                .ends_with("'s replay never reached it"),
+            "the carrier's replay tells: {}",
             failure.divergence
         );
+    }
+
+    #[test]
+    fn an_unguarded_skip_is_caught_and_shrinks_small() {
+        // Commit replies that start one record late, replayed by members
+        // whose contiguity guard is off.
+        let row = subject("cluster").unwrap();
+        let failure = row
+            .mutation_witness("UnguardedSkip", 2001)
+            .expect("an unguarded skip must be detected within the budget");
+        assert!(
+            failure.shrunk.len() <= row.shrink_bound,
+            "witness should be tiny: {:?}",
+            failure.shrunk
+        );
+        assert_eq!(failure.replay(), Some(failure.divergence.clone()));
     }
 
     /// A deliberately wrong subject, independent of every product
@@ -801,7 +902,7 @@ mod tests {
 
     impl Subject for ForgetfulSubject {
         const NAME: &'static str = "forgetful";
-        const MUTANT: &'static str = "none";
+        const MUTANTS: &'static [&'static str] = &[];
         const SHRINK_BOUND: usize = 3;
 
         fn build(scenario: &Scenario, _case: Case) -> Self {
@@ -811,7 +912,7 @@ mod tests {
             }
         }
 
-        fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, ClusterError> {
+        fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, String> {
             if let MemberOp::Release { id } = op {
                 self.releases += 1;
                 if self.releases % 3 == 1 {
@@ -822,8 +923,8 @@ mod tests {
             Ok(op.apply(&mut self.net))
         }
 
-        fn views(&self) -> Vec<(String, &Network)> {
-            vec![("forgetful".to_string(), &self.net)]
+        fn views(&self, visit: &mut dyn FnMut(&str, &Network)) {
+            visit("forgetful", &self.net);
         }
     }
 
@@ -881,7 +982,7 @@ mod tests {
                 );
                 assert!(
                     repro.contains(&format!(
-                        "let case = Case {{ param: {param}, seed: 0x4, mutant: false }};"
+                        "let case = Case {{ param: {param}, seed: 0x4, mutant: None }};"
                     )),
                     "{repro}"
                 );
