@@ -18,11 +18,12 @@
 //!   [`crate::link_state::LinkUsage::plan_digest`]. Links the search
 //!   never looked at cannot have influenced it — and it looks at few: only
 //!   links between nodes that can still reach the destination within the
-//!   hops left, and of those only the ones whose answer could still matter
-//!   (see [`crate::routing::FloodScratch`]). A recorder that misses a
-//!   probed link is therefore no longer masked by sheer coverage; the
-//!   network's tests hold the footprint to "perturb any link outside it
-//!   and the plan stands".
+//!   hops left by the graph's distance row toward it
+//!   ([`drqos_topology::graph::Graph::hops_toward`]), and of those only
+//!   the ones whose answer could still matter (see [`crate::routing`]). A
+//!   recorder that misses a probed link is therefore no longer masked by
+//!   sheer coverage; the network's tests hold the footprint to "perturb
+//!   any link outside it and the plan stands".
 //! * **Validation** — a lookup replays the footprint digests. All equal ⇒
 //!   the search would reproduce the cached primary/backup pair verbatim:
 //!   a *hit*. Any mismatch ⇒ the entry is evicted (a *stale eviction*)

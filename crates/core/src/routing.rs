@@ -12,11 +12,12 @@
 //! among equal-hop routes, truncated at the flooding bound. Like the
 //! paper's request copies, the search stays inside a region around the
 //! source–destination pair: it enters only nodes from which the
-//! destination can still be reached within the hops that are left (see
-//! [`FloodScratch`]).
+//! destination can still be reached within the hops that are left, by
+//! the graph's own hop-distance row toward it
+//! ([`Graph::hops_toward`]).
 
 use crate::qos::Bandwidth;
-use drqos_topology::graph::{Graph, LinkId, NodeId};
+use drqos_topology::graph::{Graph, LinkId, NodeId, UNREACHABLE};
 use drqos_topology::paths::{LinkFilter, Path};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,18 +62,20 @@ pub enum BackupDisjointness {
 /// Reusable buffers for [`flood_path_with`] and the maximally-disjoint
 /// fallback of [`route_backup_with`].
 ///
-/// A search keeps per-node tables, a per-link probe memo, a per-node
-/// distance row and two frontier vectors; allocating them on every
-/// admission attempt dominated the cost of short searches. Everything is
-/// generation-stamped, so beginning a search is O(1) and nothing a
-/// previous search wrote can be read by the next — a scratch may be kept
-/// across any number of searches, over any graphs, with no invalidation.
-/// [`FloodScratch::invalidate`] merely releases the buffers' contents.
+/// A search keeps per-node tables, a per-link probe memo and two frontier
+/// vectors; allocating them on every admission attempt dominated the
+/// cost of short searches. Everything is generation-stamped, so beginning
+/// a search is O(1) and nothing a previous search wrote can be read by
+/// the next — a scratch may be kept across any number of searches, over
+/// any graphs, with no invalidation. [`FloodScratch::invalidate`] merely
+/// releases the buffers' contents. The distance row a search steers by
+/// is the graph's ([`Graph::hops_toward`]), computed once per destination
+/// and shared by every search toward it.
 ///
 /// Two counters do the stamping. `search` advances once per search and
-/// marks the probe memo and the distance row, which hold for the whole
-/// search; `gen` advances once per *round* of it and marks the per-node
-/// tables, which every round fills afresh.
+/// marks the probe memo, which holds for the whole search; `gen` advances
+/// once per *round* of it and marks the per-node tables, which every
+/// round fills afresh.
 #[derive(Debug, Clone, Default)]
 pub struct FloodScratch {
     gen: u64,
@@ -91,12 +94,6 @@ pub struct FloodScratch {
     /// about once.
     link_stamp: Vec<u64>,
     link_allowance: Vec<Option<Bandwidth>>,
-    /// Distance row: `toward_stamp[v] == search` marks `toward[v]` as
-    /// `h(v)`, the hop distance from `v` to this search's destination
-    /// over the static adjacency. Unmarked nodes are further away than
-    /// the hop bound, or cut off from the destination altogether.
-    toward_stamp: Vec<u64>,
-    toward: Vec<usize>,
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
     /// The fallback's queue, ordered by `(shared, hops, node)`.
@@ -105,6 +102,28 @@ pub struct FloodScratch {
     /// round walked: the worst-case guard's count.
     #[cfg(test)]
     tally: (usize, usize),
+}
+
+/// A search's destination and the graph's distance row toward it
+/// ([`Graph::hops_toward`]).
+#[derive(Clone, Copy)]
+struct Goal<'g> {
+    dst: NodeId,
+    row: &'g [u32],
+}
+
+impl Goal<'_> {
+    /// `h(v)`: how many hops `v` is from the destination over the static
+    /// adjacency, `usize::MAX` when it cannot reach it at all. Link state
+    /// plays no part — failures and refusals only ever remove links — so
+    /// `h(v)` is a lower bound on the hops any search still needs from
+    /// `v`.
+    fn toward(self, v: NodeId) -> usize {
+        match self.row[v.0] {
+            UNREACHABLE => usize::MAX,
+            h => h as usize,
+        }
+    }
 }
 
 /// Advances a generation counter, zeroing `stamps` when it wraps so that
@@ -132,7 +151,7 @@ impl FloodScratch {
     }
 
     /// Starts a search over `graph`: sizes the buffers and forgets the
-    /// previous search's probe memo and distance row.
+    /// previous search's probe memo.
     fn begin(&mut self, graph: &Graph) {
         let (nodes, links) = (graph.node_count(), graph.link_count());
         if self.stamp.len() < nodes {
@@ -141,15 +160,12 @@ impl FloodScratch {
             self.bottleneck.resize(nodes, Bandwidth::ZERO);
             self.parent.resize(nodes, NodeId(usize::MAX));
             self.shared.resize(nodes, 0);
-            self.toward_stamp.resize(nodes, 0);
-            self.toward.resize(nodes, usize::MAX);
         }
         if self.link_stamp.len() < links {
             self.link_stamp.resize(links, 0);
             self.link_allowance.resize(links, None);
         }
-        let stamps = &mut [&mut self.link_stamp, &mut self.toward_stamp];
-        advance(&mut self.search, stamps);
+        advance(&mut self.search, &mut [&mut self.link_stamp]);
         #[cfg(test)]
         {
             self.tally = (0, 0);
@@ -194,44 +210,6 @@ impl FloodScratch {
         self.link_allowance[i]
     }
 
-    /// `h(v)`: how many hops `v` is from this search's destination at
-    /// best, `usize::MAX` when the row does not reach it.
-    fn toward(&self, v: NodeId) -> usize {
-        if self.toward_stamp[v.0] == self.search {
-            self.toward[v.0]
-        } else {
-            usize::MAX
-        }
-    }
-
-    /// Fills the distance row: one breadth-first pass from `dst` over the
-    /// static adjacency, `reach` hops deep. Link state plays no part —
-    /// failures and refusals only ever remove links — so `h(v)` is a
-    /// lower bound on the hops any search still needs from `v`.
-    fn measure(&mut self, graph: &Graph, dst: NodeId, reach: usize) {
-        let mut queue = std::mem::take(&mut self.next);
-        queue.clear();
-        queue.push(dst);
-        self.toward_stamp[dst.0] = self.search;
-        self.toward[dst.0] = 0;
-        let mut head = 0;
-        while let Some(&u) = queue.get(head) {
-            head += 1;
-            let beyond = self.toward[u.0] + 1;
-            if beyond > reach {
-                break;
-            }
-            for &(v, _) in graph.neighbors(u) {
-                if self.toward_stamp[v.0] != self.search {
-                    self.toward_stamp[v.0] = self.search;
-                    self.toward[v.0] = beyond;
-                    queue.push(v);
-                }
-            }
-        }
-        self.next = queue;
-    }
-
     /// One round of the flood: level by level from `src`, entering a node
     /// at level `k` only if the destination is still within `target` hops
     /// of the source through it (`k + h(v) ≤ target`). Returns whether
@@ -244,8 +222,8 @@ impl FloodScratch {
     fn round(
         &mut self,
         graph: &Graph,
+        goal: Goal<'_>,
         src: NodeId,
-        dst: NodeId,
         target: usize,
         filter: &LinkFilter,
         allowance: &dyn Fn(LinkId) -> Bandwidth,
@@ -276,7 +254,7 @@ impl FloodScratch {
                         {
                             continue;
                         }
-                    } else if self.toward(v) > left {
+                    } else if goal.toward(v) > left {
                         held_back = true;
                         continue;
                     }
@@ -295,7 +273,7 @@ impl FloodScratch {
                     }
                 }
             }
-            if self.discovered(dst) {
+            if self.discovered(goal.dst) {
                 // The layer is complete (done above): reconstruct.
                 break;
             }
@@ -307,7 +285,7 @@ impl FloodScratch {
         held_back
     }
 
-    /// The rounds of one search, over the row [`Self::measure`] left.
+    /// The rounds of one search, steered by `goal`'s distance row.
     ///
     /// The target length deepens from `h(src)`: first the statically
     /// shortest routes, then those one hop longer, then everything the
@@ -317,21 +295,21 @@ impl FloodScratch {
     fn deepen(
         &mut self,
         graph: &Graph,
+        goal: Goal<'_>,
         src: NodeId,
-        dst: NodeId,
         hop_bound: usize,
         filter: &LinkFilter,
         allowance: &dyn Fn(LinkId) -> Bandwidth,
     ) -> Option<Path> {
-        let nearest = self.toward(src);
+        let nearest = goal.toward(src);
         if nearest > hop_bound {
             return None;
         }
         let mut target = nearest;
         loop {
-            let held_back = self.round(graph, src, dst, target, filter, allowance);
-            if self.discovered(dst) {
-                return self.trace(graph, src, dst);
+            let held_back = self.round(graph, goal, src, target, filter, allowance);
+            if self.discovered(goal.dst) {
+                return self.trace(graph, src, goal.dst);
             }
             if !held_back || target == hop_bound {
                 return None;
@@ -453,8 +431,11 @@ pub(crate) fn flood_path_with(
     if src == dst {
         return Path::from_nodes(graph, vec![src]).ok();
     }
-    scratch.measure(graph, dst, hop_bound);
-    scratch.deepen(graph, src, dst, hop_bound, filter, allowance)
+    let goal = Goal {
+        dst,
+        row: graph.hops_toward(dst),
+    };
+    scratch.deepen(graph, goal, src, hop_bound, filter, allowance)
 }
 
 /// The route-search scratch a planner hands to [`route_primary_with`] and
@@ -824,6 +805,50 @@ mod tests {
         assert_eq!(p.hop_count(), 2, "torus corner-to-corner is 2 hops");
     }
 
+    /// Every route `graph` has within `hop_bound` hops, from each node to
+    /// each.
+    fn all_pairs(scratch: &mut FloodScratch, graph: &Graph, hop_bound: usize) -> Vec<Option<Path>> {
+        let pairs = graph
+            .nodes()
+            .flat_map(|s| graph.nodes().map(move |d| (s, d)));
+        pairs
+            .map(|(s, d)| {
+                flood_path_with(
+                    scratch,
+                    graph,
+                    s,
+                    d,
+                    hop_bound,
+                    &pass_all,
+                    &no_allowance_bias,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_searched_graph_equals_and_answers_like_an_unsearched_one() {
+        let draw = || {
+            paper_waxman(40)
+                .generate(&mut Rng::seed_from_u64(15))
+                .unwrap()
+        };
+        let (searched, fresh) = (draw(), draw());
+        let clone = searched.clone();
+        let mut scratch = FloodScratch::new();
+        let answers = all_pairs(&mut scratch, &searched, 4);
+        assert!(answers.iter().any(Option::is_none) && answers.iter().any(Option::is_some));
+        // Every row of `searched` is filled now, and shared with `clone`;
+        // neither equality nor `Debug` sees them. (Two graphs built apart
+        // hash their link index differently, so only a clone's `Debug`
+        // can be compared.)
+        assert_eq!(searched, fresh);
+        assert_eq!(format!("{searched:?}"), format!("{clone:?}"));
+        for g in [&fresh, &clone, &searched] {
+            assert_eq!(all_pairs(&mut FloodScratch::new(), g, 4), answers);
+        }
+    }
+
     /// The flood as it was before it became goal-directed, and before the
     /// probe memo: level by level in every direction, `filter` and
     /// `allowance` run every time a link is reached. Kept as the one
@@ -895,20 +920,19 @@ mod tests {
         + 'a;
     type Flood<'a> = &'a FloodFn<'a>;
 
-    /// [`flood_path_with`] with the distance row left to `row`, which is
-    /// handed the scratch in place of the `measure` call: the seam the row
-    /// mutants go in by.
-    fn flood_over_row<'a>(
-        row: &'a dyn Fn(&mut FloodScratch, &Graph, NodeId, usize),
-    ) -> Box<FloodFn<'a>> {
+    /// [`flood_path_with`] steered by the row `row` makes of the graph's
+    /// rows in place of [`Graph::hops_toward`]: the seam the row mutants
+    /// go in by.
+    fn flood_over_row<'a>(row: &'a dyn Fn(&Graph, NodeId) -> Vec<u32>) -> Box<FloodFn<'a>> {
         Box::new(
             move |scratch, graph, src, dst, hop_bound, filter, allowance| {
                 scratch.begin(graph);
                 if src == dst {
                     return Path::from_nodes(graph, vec![src]).ok();
                 }
-                row(scratch, graph, dst, hop_bound);
-                scratch.deepen(graph, src, dst, hop_bound, filter, allowance)
+                let row = row(graph, dst);
+                let goal = Goal { dst, row: &row };
+                scratch.deepen(graph, goal, src, hop_bound, filter, allowance)
             },
         )
     }
@@ -1055,16 +1079,18 @@ mod tests {
         let mut ref_scratch = FloodScratch::new();
         let mut counts = FloodCounts::default();
         let last_dst = std::cell::Cell::new(NodeId(0));
-        let over_estimate = |s: &mut FloodScratch, g: &Graph, dst: NodeId, reach: usize| {
-            s.measure(g, dst, reach);
-            for v in g.nodes() {
-                if v != dst && s.toward(v) != usize::MAX {
-                    s.toward[v.0] += 1;
+        let over_estimate = |g: &Graph, dst: NodeId| {
+            let mut row = g.hops_toward(dst).to_vec();
+            for (v, h) in row.iter_mut().enumerate() {
+                if v != dst.0 && *h != UNREACHABLE {
+                    *h += 1;
                 }
             }
+            row
         };
-        let left_over = |s: &mut FloodScratch, g: &Graph, _: NodeId, reach: usize| {
-            s.measure(g, NodeId(last_dst.get().0 % g.node_count()), reach);
+        let left_over = |g: &Graph, _: NodeId| {
+            g.hops_toward(NodeId(last_dst.get().0 % g.node_count()))
+                .to_vec()
         };
         let (over_estimating, left_behind) =
             (flood_over_row(&over_estimate), flood_over_row(&left_over));

@@ -9,6 +9,11 @@
 use crate::error::TopologyError;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+/// The entry of a [`Graph::hops_toward`] row for a node that cannot reach
+/// the row's destination.
+pub const UNREACHABLE: u32 = u32::MAX;
 
 /// Identifier of a node (index into the graph's node table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -113,14 +118,54 @@ impl Link {
 /// assert_eq!(g.degree(a), 1);
 /// # Ok::<(), drqos_topology::error::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct Graph {
     positions: Vec<Option<(f64, f64)>>,
     links: Vec<Link>,
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
     /// Fast lookup of the link between an (ordered) node pair (derived
-    /// state; rebuilt on deserialization).
+    /// state, kept by `add_link`).
     pair_index: HashMap<(NodeId, NodeId), LinkId>,
+    /// Derived state, left out of equality and `Debug`: see
+    /// [`Graph::hops_toward`].
+    hops: HopTable,
+}
+
+/// The hop-distance rows of one topology, one per destination, each
+/// filled on first use. Clones of a graph share it until one of them
+/// changes; a change gives the changed graph a fresh, empty table.
+#[derive(Clone, Default)]
+struct HopTable(Arc<OnceLock<Box<[HopRow]>>>);
+
+/// One destination's row of a [`HopTable`], empty until first asked for.
+type HopRow = OnceLock<Box<[u32]>>;
+
+#[cfg(test)]
+thread_local! {
+    /// While set, `add_link` keeps the hop rows of the graph it grew: the
+    /// mutant the hop-row differential must catch.
+    static KEEP_HOPS_ACROSS_ADD_LINK: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.positions == other.positions
+            && self.links == other.links
+            && self.adjacency == other.adjacency
+            && self.pair_index == other.pair_index
+    }
+}
+
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Graph")
+            .field("positions", &self.positions)
+            .field("links", &self.links)
+            .field("adjacency", &self.adjacency)
+            .field("pair_index", &self.pair_index)
+            .finish()
+    }
 }
 
 impl Graph {
@@ -139,7 +184,17 @@ impl Graph {
     }
 
     /// Adds a node with no position; returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph already has `u32::MAX` nodes: a hop distance
+    /// must fit the `u32` rows of [`Graph::hops_toward`].
     pub fn add_node(&mut self) -> NodeId {
+        assert!(
+            self.node_count() < UNREACHABLE as usize,
+            "a graph holds fewer than u32::MAX nodes"
+        );
+        self.hops = HopTable::default();
         self.positions.push(None);
         self.adjacency.push(Vec::new());
         NodeId(self.positions.len() - 1)
@@ -192,7 +247,51 @@ impl Graph {
         self.adjacency[a.0].push((b, id));
         self.adjacency[b.0].push((a, id));
         self.pair_index.insert((lo, hi), id);
+        #[cfg(test)]
+        if KEEP_HOPS_ACROSS_ADD_LINK.get() {
+            return Ok(id);
+        }
+        self.hops = HopTable::default();
         Ok(id)
+    }
+
+    /// The fewest links between each node and `dst`: `row[v]` is the hop
+    /// distance from `v` to `dst` over the adjacency, [`UNREACHABLE`]
+    /// when no path joins them.
+    ///
+    /// The row is one breadth-first pass from `dst`, run the first time
+    /// any caller asks for it and kept until `add_node` or `add_link`
+    /// changes the graph; clones made before that share it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not a node of this graph.
+    pub fn hops_toward(&self, dst: NodeId) -> &[u32] {
+        let rows = self
+            .hops
+            .0
+            .get_or_init(|| (0..self.node_count()).map(|_| OnceLock::new()).collect());
+        rows[dst.0].get_or_init(|| self.breadth_first_from(dst))
+    }
+
+    /// Hop distances from `dst` to every node, by one breadth-first pass.
+    fn breadth_first_from(&self, dst: NodeId) -> Box<[u32]> {
+        let mut row = vec![UNREACHABLE; self.node_count()].into_boxed_slice();
+        let mut queue = Vec::with_capacity(self.node_count());
+        row[dst.0] = 0;
+        queue.push(dst);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let beyond = row[u.0] + 1;
+            for &(v, _) in self.neighbors(u) {
+                if row[v.0] == UNREACHABLE {
+                    row[v.0] = beyond;
+                    queue.push(v);
+                }
+            }
+        }
+        row
     }
 
     /// Number of nodes.
@@ -389,5 +488,181 @@ mod tests {
     fn display_ids() {
         assert_eq!(NodeId(4).to_string(), "n4");
         assert_eq!(LinkId(9).to_string(), "l9");
+    }
+
+    // ------------------------- the hop rows vs the per-search BFS they were --
+
+    /// The breadth-first pass every route search ran before the rows moved
+    /// onto the graph: hop distances toward `dst`, `reach` hops deep,
+    /// `usize::MAX` beyond that or where `dst` cannot be reached. Kept as
+    /// the one reference for [`Graph::hops_toward`].
+    fn bfs_cut_at(graph: &Graph, dst: NodeId, reach: usize) -> Vec<usize> {
+        let mut toward = vec![usize::MAX; graph.node_count()];
+        let mut queue = vec![dst];
+        toward[dst.0] = 0;
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let beyond = toward[u.0] + 1;
+            if beyond > reach {
+                break;
+            }
+            for &(v, _) in graph.neighbors(u) {
+                if toward[v.0] == usize::MAX {
+                    toward[v.0] = beyond;
+                    queue.push(v);
+                }
+            }
+        }
+        toward
+    }
+
+    /// `row` as the search reads it under a hop bound of `reach`: what lies
+    /// further than that is as good as unreachable.
+    fn cut(row: &[u32], reach: usize) -> Vec<usize> {
+        row.iter()
+            .map(|&h| match h as usize {
+                h if h <= reach && h != UNREACHABLE as usize => h,
+                _ => usize::MAX,
+            })
+            .collect()
+    }
+
+    /// A ring with an island node, a torus, a Waxman graph or a small
+    /// transit-stub network, sized by `rng`.
+    fn draw_graph(rng: &mut drqos_sim::rng::Rng, kind: usize) -> Graph {
+        use crate::{regular, transit_stub::TransitStubConfig, waxman::paper_waxman};
+        match kind {
+            0 => {
+                let mut ring = regular::ring(3 + rng.range_usize(12)).unwrap();
+                ring.add_node();
+                ring
+            }
+            1 => regular::torus(3 + rng.range_usize(3), 3 + rng.range_usize(4)).unwrap(),
+            2 => paper_waxman(10 + rng.range_usize(40))
+                .generate(rng)
+                .unwrap(),
+            _ => {
+                let config = TransitStubConfig {
+                    transit_domains: 1 + rng.range_usize(2),
+                    transit_nodes_per_domain: 1 + rng.range_usize(3),
+                    stubs_per_transit_node: 1 + rng.range_usize(2),
+                    stub_nodes_per_domain: 1 + rng.range_usize(4),
+                    transit_extra_edge_prob: 0.5,
+                    stub_extra_edge_prob: 0.3,
+                };
+                config.generate(rng).unwrap().graph
+            }
+        }
+    }
+
+    /// Every destination's row against the reference cut at every bound
+    /// from 0 to one past the farthest reachable node (beyond which the
+    /// cut no longer changes), destinations asked in a random order.
+    fn check_rows(rng: &mut drqos_sim::rng::Rng, graph: &Graph) -> Result<(), String> {
+        let mut order: Vec<NodeId> = graph.nodes().collect();
+        rng.shuffle(&mut order);
+        for dst in order {
+            let row = graph.hops_toward(dst);
+            let full = bfs_cut_at(graph, dst, usize::MAX);
+            let far = full.iter().filter(|&&h| h != usize::MAX).max().copied();
+            for reach in 0..=far.unwrap_or(0) + 1 {
+                if row.len() != graph.node_count()
+                    || cut(row, reach) != bfs_cut_at(graph, dst, reach)
+                {
+                    return Err(format!("row toward {dst} at bound {reach}: {row:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// What a differential run saw, beyond agreement.
+    #[derive(Debug, Default)]
+    struct HopCounts {
+        /// Rows a growth step changed: a table kept across it would be
+        /// wrong there.
+        changed_by_growth: usize,
+        /// Growth steps taken while a clone still shared the table.
+        grown_while_shared: usize,
+    }
+
+    /// Runs `cases` seeded graphs: fills every row, grows the graph by a
+    /// node and links (some new links joining nodes far apart) while a
+    /// clone made before the growth may still share its table, then checks
+    /// the grown graph's rows and the clone's against the reference.
+    fn hop_row_differential(cases: usize) -> Result<HopCounts, String> {
+        let mut rng = drqos_sim::rng::Rng::seed_from_u64(0x40B5_2026);
+        let mut counts = HopCounts::default();
+        for i in 0..cases {
+            let mut graph = draw_graph(&mut rng, i % 4);
+            let twin = graph.clone();
+            check_rows(&mut rng, &graph).map_err(|e| format!("case {i}: {e}"))?;
+            let before: Vec<Vec<u32>> = graph
+                .nodes()
+                .map(|d| graph.hops_toward(d).to_vec())
+                .collect();
+            let twin = rng.chance(0.5).then_some(twin);
+            if rng.chance(0.3) {
+                graph.add_node();
+            }
+            let n = graph.node_count();
+            for _ in 0..1 + rng.range_usize(3) {
+                let (a, b) = (NodeId(rng.range_usize(n)), NodeId(rng.range_usize(n)));
+                if a != b && graph.link_between(a, b).is_none() {
+                    graph.add_link(a, b).unwrap();
+                }
+            }
+            counts.grown_while_shared += usize::from(twin.is_some());
+            counts.changed_by_growth += before
+                .iter()
+                .enumerate()
+                .filter(|&(d, row)| graph.hops_toward(NodeId(d))[..row.len()] != row[..])
+                .count();
+            check_rows(&mut rng, &graph).map_err(|e| format!("case {i}, grown: {e}"))?;
+            if let Some(twin) = twin {
+                check_rows(&mut rng, &twin).map_err(|e| format!("case {i}, clone: {e}"))?;
+            }
+        }
+        Ok(counts)
+    }
+
+    fn assert_hop_coverage(counts: &HopCounts, cases: usize) {
+        assert!(counts.changed_by_growth > cases, "{counts:?}");
+        assert!(counts.grown_while_shared > cases / 3, "{counts:?}");
+    }
+
+    #[test]
+    fn hop_rows_match_the_per_search_bfs_on_400_seeded_cases() {
+        let counts = hop_row_differential(400).unwrap();
+        assert_hop_coverage(&counts, 400);
+    }
+
+    #[test]
+    #[ignore = "ten times the cases; CI runs it in release"]
+    fn hop_rows_match_the_per_search_bfs_on_4000_seeded_cases() {
+        let counts = hop_row_differential(4000).unwrap();
+        assert_hop_coverage(&counts, 4000);
+    }
+
+    #[test]
+    fn a_hop_table_kept_across_add_link_is_caught() {
+        KEEP_HOPS_ACROSS_ADD_LINK.set(true);
+        let caught = hop_row_differential(400);
+        KEEP_HOPS_ACROSS_ADD_LINK.set(false);
+        assert!(caught.is_err(), "rows of the smaller graph went unnoticed");
+    }
+
+    #[test]
+    fn a_searched_graph_equals_an_unsearched_one() {
+        let (searched, fresh) = (triangle().0, triangle().0);
+        let clone = searched.clone();
+        assert_eq!(searched.hops_toward(NodeId(0)), [0, 1, 1]);
+        assert_eq!(searched, fresh);
+        assert_eq!(clone, fresh);
+        // A clone hashes its link index as the original does, so `Debug`
+        // can be compared; two graphs built apart cannot.
+        assert_eq!(format!("{searched:?}"), format!("{clone:?}"));
+        assert!(!format!("{searched:?}").contains("hops"));
     }
 }
