@@ -32,6 +32,11 @@ pub(crate) struct ConnTable {
     /// Vacant slots; the last one freed is the next one used.
     free: Vec<Slot>,
     index: BTreeMap<ConnectionId, Slot>,
+    /// Per slot, whether its connection is listed as growable on the links
+    /// of its primary (see [`crate::link_state::LinkUsage::growable`]), so
+    /// that telling is one read of a dense column, not a search of a list.
+    /// An index like the slots themselves, never state.
+    listed: Vec<bool>,
 }
 
 /// Equality over the connections, in id order; never over slot history.
@@ -57,6 +62,7 @@ impl ConnTable {
             let fresh = Slot::try_from(self.slots.len());
             assert!(fresh.is_ok(), "connection table is out of slots");
             self.slots.push(None);
+            self.listed.push(false);
             fresh.unwrap_or(Slot::MAX)
         });
         let before = self.index.insert(conn.id(), slot);
@@ -64,7 +70,20 @@ impl ConnTable {
         if let Some(place) = self.slots.get_mut(slot as usize) {
             *place = Some(conn);
         }
+        self.set_listed(slot, false);
         slot
+    }
+
+    /// Whether the connection in `slot` is listed on its links.
+    pub(crate) fn is_listed(&self, slot: Slot) -> bool {
+        self.listed.get(slot as usize).is_some_and(|&listed| listed)
+    }
+
+    /// Records whether the connection in `slot` is listed on its links.
+    pub(crate) fn set_listed(&mut self, slot: Slot, listed: bool) {
+        if let Some(mark) = self.listed.get_mut(slot as usize) {
+            *mark = listed;
+        }
     }
 
     pub(crate) fn remove(&mut self, id: ConnectionId) -> Option<DrConnection> {

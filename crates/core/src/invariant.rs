@@ -72,6 +72,13 @@ pub enum InvariantViolation {
         /// The link.
         link: LinkId,
     },
+    /// A link's list of growable primaries is not exactly its primaries
+    /// below their maximum level: one is missing, extra, listed twice or
+    /// listed with the wrong slot.
+    GrowableSetMismatch {
+        /// The link.
+        link: LinkId,
+    },
     /// The set of backups registered on a link disagrees with the
     /// connection table.
     BackupSetMismatch {
@@ -148,6 +155,9 @@ impl fmt::Display for InvariantViolation {
             ),
             InvariantViolation::PrimarySetMismatch { link } => {
                 write!(f, "primary set on {link} out of sync")
+            }
+            InvariantViolation::GrowableSetMismatch { link } => {
+                write!(f, "growable set on {link} out of sync")
             }
             InvariantViolation::BackupSetMismatch { link } => {
                 write!(f, "backup set on {link} out of sync")

@@ -23,7 +23,7 @@
 //! multiplexing.)
 
 use crate::channel::ConnectionId;
-use crate::conn_table::Slot;
+use crate::conn_table::{ChainPair, Slot};
 use crate::qos::Bandwidth;
 use drqos_topology::LinkId;
 use std::cell::Cell;
@@ -40,6 +40,12 @@ pub struct LinkUsage {
     /// from the two columns. An index, not accounting state — equality,
     /// the plan digest and snapshots never see it.
     primary_slots: Vec<Slot>,
+    /// The `(slot, id)` pairs of the primaries below their maximum level,
+    /// in no order: what a fill can still grow here. An index like
+    /// `primary_slots`, kept by the network manager — at rest a primary is
+    /// listed exactly when its level is below its maximum — and outside
+    /// equality, the plan digest and snapshots.
+    growable: Vec<ChainPair>,
     primary_min_sum: Bandwidth,
     extra_sum: Bandwidth,
     backups: Vec<ConnectionId>,
@@ -81,6 +87,7 @@ impl LinkUsage {
             up: true,
             primaries: Vec::new(),
             primary_slots: Vec::new(),
+            growable: Vec::new(),
             primary_min_sum: Bandwidth::ZERO,
             extra_sum: Bandwidth::ZERO,
             backups: Vec::new(),
@@ -120,6 +127,28 @@ impl LinkUsage {
     pub(crate) fn primary_pairs(&self) -> impl Iterator<Item = (Slot, ConnectionId)> + '_ {
         let slots = self.primary_slots.iter().copied();
         slots.zip(self.primaries.iter().copied())
+    }
+
+    /// The listed primaries: those below their maximum level, in no order.
+    pub(crate) fn growable(&self) -> &[ChainPair] {
+        &self.growable
+    }
+
+    /// [`Self::growable`], by value.
+    pub(crate) fn growable_pairs(&self) -> impl Iterator<Item = ChainPair> + '_ {
+        self.growable.iter().copied()
+    }
+
+    /// Lists a primary of this link that is not listed yet.
+    pub(crate) fn list(&mut self, pair: ChainPair) {
+        self.growable.push(pair);
+    }
+
+    /// Takes `id` off the list, if it is on it.
+    pub(crate) fn unlist(&mut self, id: ConnectionId) {
+        if let Some(at) = self.growable.iter().position(|&(_, listed)| listed == id) {
+            self.growable.swap_remove(at);
+        }
     }
 
     /// Backup channels registered on this link, in id order.
@@ -218,6 +247,8 @@ impl LinkUsage {
 
     // ----- mutations (crate-internal; driven by the network manager) -----
 
+    /// Registers a primary, unlisted: the reconcile pass after its
+    /// event's fill lists it if it ends below its maximum.
     pub(crate) fn add_primary(&mut self, id: ConnectionId, slot: Slot, min: Bandwidth) {
         let at = position(&self.primaries, id);
         let vacant = self.primaries.get(at) != Some(&id);
@@ -228,12 +259,14 @@ impl LinkUsage {
         self.digest_dirty.set(true);
     }
 
+    /// Unregisters a primary, taking it off the list too.
     pub(crate) fn remove_primary(&mut self, id: ConnectionId, min: Bandwidth) {
         let at = position(&self.primaries, id);
         let present = self.primaries.get(at) == Some(&id);
         assert!(present, "{id} was not a primary on this link");
         self.primaries.remove(at);
         self.primary_slots.remove(at);
+        self.unlist(id);
         self.primary_min_sum -= min;
         self.digest_dirty.set(true);
     }

@@ -402,20 +402,34 @@ impl Network {
         over: impl IntoIterator<Item = LinkId>,
         out: &mut Vec<ChainPair>,
     ) {
+        Self::gather_from(links, marks, over, LinkUsage::primary_pairs, out);
+    }
+
+    /// [`Self::gather`] over the pairs `members` names on each link: every
+    /// primary ([`LinkUsage::primary_pairs`]), or only the listed ones
+    /// ([`LinkUsage::growable_pairs`]).
+    fn gather_from<'a, I: Iterator<Item = ChainPair>>(
+        links: &'a [LinkUsage],
+        marks: &mut ChainMarks,
+        over: impl IntoIterator<Item = LinkId>,
+        members: impl Fn(&'a LinkUsage) -> I,
+        out: &mut Vec<ChainPair>,
+    ) {
         marks.begin(links.len());
         for l in over {
             if marks.walk(l.index()) {
-                let members = links[l.index()].primary_pairs();
-                out.extend(members.filter(|&pair| marks.add(pair)));
+                out.extend(members(&links[l.index()]).filter(|&pair| marks.add(pair)));
             }
         }
     }
 
-    /// Who may grow after an event, appended to `out`: everyone sharing a
-    /// link with a channel that `retreated` for it — those channels
-    /// themselves included — plus the `newcomers` it put on their routes
-    /// (an admitted connection, the connections a failure moved onto
-    /// their backups).
+    /// Who may grow after an event, appended to `out`: the listed primaries
+    /// of every link a channel that `retreated` for it crosses, then those
+    /// channels themselves and the `newcomers` it put on their routes (an
+    /// admitted connection, the connections a failure moved onto their
+    /// backups), each once. Retreat leaves the lists alone, so a channel
+    /// that retreated from its maximum is found only by name; everyone else
+    /// on those links sits at their maximum and could be granted nothing.
     fn fill_candidates(
         &mut self,
         retreated: &[ChainPair],
@@ -423,8 +437,16 @@ impl Network {
         out: &mut Vec<ChainPair>,
     ) {
         let links = self.connections.primary_links(retreated);
-        Self::gather(&self.links, &mut self.marks, links, out);
-        out.extend(newcomers.iter().filter(|&&pair| self.marks.add(pair)));
+        let listed = LinkUsage::growable_pairs;
+        Self::gather_from(&self.links, &mut self.marks, links, listed, out);
+        let named = retreated.iter().chain(newcomers);
+        out.extend(named.filter(|&&pair| self.marks.add(pair)));
+        #[cfg(test)]
+        self.log_gather(
+            self.connections.primary_links(retreated),
+            retreated.iter().chain(newcomers).copied(),
+            out,
+        );
     }
 
     /// Whether every link of `footprint` still has the plan digest it was
@@ -544,13 +566,17 @@ impl Network {
             Self::unreserve_backup(&mut self.links, id, min, conn.primary(), b);
         }
         self.total_bandwidth -= conn.bandwidth();
-        // Beneficiaries: primaries on any link the departed connection
-        // touched (its backup links free reservation too).
+        // Beneficiaries: the listed primaries on any link the departed
+        // connection touched (its backup links free reservation too);
+        // nobody retreated for it, so nobody else can grow.
         let backup_links = conn.backups().iter().flat_map(|b| b.links());
         let freed = conn.primary().links().iter().chain(backup_links).copied();
         let mut candidates = std::mem::take(&mut self.spare_set);
         candidates.clear();
-        Self::gather(&self.links, &mut self.marks, freed, &mut candidates);
+        let (listed, marks) = (LinkUsage::growable_pairs, &mut self.marks);
+        Self::gather_from(&self.links, marks, freed.clone(), listed, &mut candidates);
+        #[cfg(test)]
+        self.log_gather(freed, std::iter::empty(), &candidates);
         self.settle(candidates);
         Ok(conn)
     }
@@ -653,6 +679,9 @@ impl Network {
         // as the per-link membership vectors must be; each primary entry
         // must carry the slot its connection lives in.
         let mut primary_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
+        let mut growable_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
+        // Links where a connection's listed mark disagrees with its level.
+        let mut mismarked = vec![false; self.links.len()];
         let mut backup_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
         let mut total = Bandwidth::ZERO;
         for (slot, conn) in self.connections.iter() {
@@ -664,10 +693,17 @@ impl Network {
                     max: conn.qos().max_level(),
                 });
             }
+            let below = conn.level() < conn.qos().max_level();
+            if let Some(first) = conn.primary().links().first() {
+                mismarked[first.index()] |= self.connections.is_listed(slot) != below;
+            }
             for &l in conn.primary().links() {
                 min_sums[l.index()] += conn.qos().min();
                 extra_sums[l.index()] += conn.extra();
                 primary_sets[l.index()].push((slot, conn.id()));
+                if below {
+                    growable_sets[l.index()].push((slot, conn.id()));
+                }
             }
             for (i, b) in conn.backups().iter().enumerate() {
                 if b == conn.primary() {
@@ -700,6 +736,7 @@ impl Network {
         // the multiplexing ledger that link must hold, from the connection
         // table alone and not through `conflict_set`. All zero between links.
         let mut activated = vec![Bandwidth::ZERO; self.links.len()];
+        let mut listed = Vec::new();
         for (i, usage) in self.links.iter().enumerate() {
             let link = LinkId(i);
             if usage.primary_min_sum() != min_sums[i] {
@@ -719,6 +756,14 @@ impl Network {
             let columns = usage.primary_slots().len() == usage.primaries().len();
             if !columns || !usage.primary_pairs().eq(primary_sets[i].iter().copied()) {
                 violations.push(InvariantViolation::PrimarySetMismatch { link });
+            }
+            // The list is unordered: sorted by id, it must be the growable
+            // set, pair for pair — a duplicate or a wrong slot shows too.
+            listed.clear();
+            listed.extend_from_slice(usage.growable());
+            listed.sort_unstable_by_key(|&(_, id)| id);
+            if mismarked[i] || listed != growable_sets[i] {
+                violations.push(InvariantViolation::GrowableSetMismatch { link });
             }
             let backups = backup_sets[i].iter().map(|&(_, id)| id);
             if !backups.eq(usage.backups().iter().copied()) {
@@ -788,7 +833,7 @@ mod support {
     use super::*;
     use drqos_sim::rng::Rng;
     use drqos_topology::{regular, waxman};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::thread::LocalKey;
 
     pub(super) fn qos() -> ElasticQos {
@@ -894,6 +939,71 @@ mod support {
         pairs.map(|(slot, c)| (slot, c.id())).collect()
     }
 
+    thread_local! {
+        /// While set, every fill-candidate gather also runs the
+        /// every-primary gather it replaced over the same links and logs
+        /// what each would have the fill load.
+        pub(super) static GATHER_LOG: RefCell<Option<Vec<LoggedGather>>> =
+            const { RefCell::new(None) };
+    }
+
+    /// One logged fill-candidate gather.
+    #[derive(Debug)]
+    pub(super) struct LoggedGather {
+        /// The rows the listed gather has the fill load, sorted by id.
+        pub(super) listed: Vec<ChainPair>,
+        /// The rows the every-primary gather has it load, sorted by id.
+        pub(super) every: Vec<ChainPair>,
+        /// How many pairs each gathered, loaded or not.
+        pub(super) gathered: (usize, usize),
+    }
+
+    impl Network {
+        /// The every-primary gather the listed one replaced: every primary
+        /// on `over`, then whichever of `named` it did not meet.
+        pub(super) fn gather_every_primary(
+            &self,
+            over: impl Iterator<Item = LinkId>,
+            named: impl Iterator<Item = ChainPair>,
+        ) -> Vec<ChainPair> {
+            let (mut every, mut marks) = (Vec::new(), ChainMarks::default());
+            Self::gather(&self.links, &mut marks, over, &mut every);
+            every.extend(named.filter(|&pair| marks.add(pair)));
+            every
+        }
+
+        /// The rows a fill over `candidates` loads, as things stand: the
+        /// live ones below their maximum, sorted by id.
+        pub(super) fn loaded_rows(&self, candidates: &[ChainPair]) -> Vec<ChainPair> {
+            let below = |&(slot, id): &ChainPair| {
+                let conn = self.connections.at(slot, id);
+                conn.is_some_and(|c| c.level() < c.qos().max_level())
+            };
+            let mut rows: Vec<ChainPair> = candidates.iter().copied().filter(below).collect();
+            rows.sort_unstable_by_key(|&(_, id)| id);
+            rows
+        }
+
+        /// Logs the gather that found `got` over `over` and `named`, with
+        /// the reference's over the same, while [`GATHER_LOG`] is set.
+        pub(super) fn log_gather(
+            &self,
+            over: impl Iterator<Item = LinkId>,
+            named: impl Iterator<Item = ChainPair>,
+            got: &[ChainPair],
+        ) {
+            GATHER_LOG.with_borrow_mut(|log| {
+                let Some(log) = log else { return };
+                let every = self.gather_every_primary(over, named);
+                log.push(LoggedGather {
+                    listed: self.loaded_rows(got),
+                    every: self.loaded_rows(&every),
+                    gathered: (got.len(), every.len()),
+                });
+            });
+        }
+    }
+
     /// Runs `f` with the mutant behind `seam` switched on for this thread.
     pub(super) fn with_mutant<T>(seam: &'static LocalKey<Cell<bool>>, f: impl FnOnce() -> T) -> T {
         seam.set(true);
@@ -906,7 +1016,7 @@ mod support {
 #[cfg(test)]
 mod tests {
     use super::fill::is_slack;
-    use super::fill::testing::{with_fill, Fill};
+    use super::fill::testing::{with_fill, Fill, SKIP_A_LISTING};
     use super::support::*;
     use super::*;
     use drqos_sim::rng::Rng;
@@ -1628,12 +1738,14 @@ mod tests {
         assert_eq!(net.total_primary_bandwidth(), Bandwidth::kbps(1_000));
     }
 
-    /// Drops every live channel to its minimum, so a fill has work to do.
+    /// Drops every live channel to its minimum, so a fill has work to do,
+    /// and lists it: the lists stay exact whichever rows a fill is offered.
     fn retreat_all(net: &mut Network) -> Vec<ChainPair> {
         let live = live_pairs(net);
         for &pair in &live {
             net.retreat(pair);
         }
+        net.reconcile(&live);
         live
     }
 
@@ -2107,6 +2219,114 @@ mod tests {
             }
         }
         Ok((links_skipped, members_skipped))
+    }
+
+    /// Replays `cases` seeded op sequences ([`random_case`],
+    /// [`random_op`]) with every fill-candidate gather logged: after every
+    /// commit, release and fault, each listed gather must have the fill
+    /// load exactly the rows the every-primary gather over the same links
+    /// would. Returns how many rows were loaded and how many pairs the
+    /// lists spared the fill (every-primary pairs minus listed ones).
+    fn listed_gather_differential(cases: u64) -> Result<(usize, usize), String> {
+        GATHER_LOG.set(Some(Vec::new()));
+        let (mut loaded, mut spared) = (0, 0);
+        let mut replay = || {
+            for case in 0..cases {
+                let (mut net, mut rng) = random_case(case);
+                for step in 0..10 + rng.range_usize(14) {
+                    let got = random_op(&mut net, &mut rng);
+                    for gather in GATHER_LOG.replace(Some(Vec::new())).unwrap_or_default() {
+                        if gather.listed != gather.every {
+                            return Err(format!(
+                                "case {case} step {step}: {got}: the lists load {:?}, \
+                                 every primary {:?}",
+                                gather.listed, gather.every
+                            ));
+                        }
+                        loaded += gather.listed.len();
+                        spared += gather.gathered.1 - gather.gathered.0;
+                    }
+                }
+            }
+            Ok(())
+        };
+        let outcome = replay();
+        GATHER_LOG.set(None);
+        outcome.map(|()| (loaded, spared))
+    }
+
+    #[test]
+    fn listed_gather_loads_what_the_full_gather_loads_on_600_seeded_cases() {
+        let (loaded, spared) = listed_gather_differential(600).unwrap();
+        assert!(
+            loaded > 8_000 && spared > 1_000,
+            "{loaded} rows loaded, {spared} pairs spared"
+        );
+    }
+
+    #[test]
+    #[ignore = "ten times the cases; CI runs it in release"]
+    fn listed_gather_loads_what_the_full_gather_loads_on_6000_seeded_cases() {
+        let (loaded, spared) = listed_gather_differential(6_000).unwrap();
+        assert!(
+            loaded > 80_000 && spared > 10_000,
+            "{loaded} rows loaded, {spared} pairs spared"
+        );
+    }
+
+    /// Two channels on a 999 Kbps link: the fill leaves the second one
+    /// increment short of its maximum, so it must be listed.
+    fn one_left_below_its_maximum() -> Network {
+        let mut net = Network::new(
+            regular::grid(1, 2).unwrap(),
+            NetworkConfig {
+                capacity: Bandwidth::kbps(999),
+                require_backup: false,
+                ..NetworkConfig::default()
+            },
+        );
+        for _ in 0..2 {
+            net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+        }
+        net
+    }
+
+    #[test]
+    fn a_reconcile_that_skips_a_listing_is_caught() {
+        let net = one_left_below_its_maximum();
+        let [_, c1] = live_pairs(&net)[..] else {
+            panic!("two channels");
+        };
+        assert_eq!(net.links[0].growable(), [c1]);
+        assert_eq!(net.check_invariants(), []);
+        let unlisted = with_mutant(&SKIP_A_LISTING, one_left_below_its_maximum);
+        let mismatch = InvariantViolation::GrowableSetMismatch { link: LinkId(0) };
+        assert_eq!(unlisted.check_invariants(), [mismatch]);
+        let caught = with_mutant(&SKIP_A_LISTING, || listed_gather_differential(600));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    #[test]
+    fn a_list_missing_doubling_or_misplacing_a_row_is_a_growable_set_mismatch() {
+        let net = one_left_below_its_maximum();
+        let [c0, (slot, c1)] = live_pairs(&net)[..] else {
+            panic!("two channels");
+        };
+        let mismatch = [InvariantViolation::GrowableSetMismatch { link: LinkId(0) }];
+        let edits: [fn(&mut LinkUsage, ChainPair, ChainPair); 4] = [
+            |usage, _, (_, c1)| usage.unlist(c1),
+            |usage, c0, _| usage.list(c0),
+            |usage, _, c1| usage.list(c1),
+            |usage, _, (slot, c1)| {
+                usage.unlist(c1);
+                usage.list((slot + 1, c1));
+            },
+        ];
+        for edit in edits {
+            let mut broken = net.clone();
+            edit(&mut broken.links[0], c0, (slot, c1));
+            assert_eq!(broken.check_invariants(), mismatch);
+        }
     }
 
     #[test]

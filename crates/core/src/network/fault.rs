@@ -131,6 +131,8 @@ impl Network {
             let Self {
                 connections, links, ..
             } = self;
+            // Off the old primary's lists below; any new one starts unlisted.
+            connections.set_listed(slot, false);
             // lint:allow(no-panic-daemon): the pair came from the set's victims
             let conn = connections.at_mut(slot, id).expect("victim exists");
             Self::retreat_conn(links, &mut self.total_bandwidth, conn);
@@ -404,7 +406,10 @@ mod tests {
     use super::super::NetworkConfig;
     use super::*;
     use crate::invariant::InvariantViolation;
+    use crate::qos::ElasticQos;
+    use drqos_sim::rng::Rng;
     use drqos_topology::regular;
+    use drqos_topology::waxman::WaxmanConfig;
 
     /// One connection with two spares on a complete graph, failed over
     /// once: the second spare survives and is registered again.
@@ -498,6 +503,125 @@ mod tests {
             }
         }
         Ok(events)
+    }
+
+    /// A case of the fuzzer's starved, fail-heavy tier (`drqos-testkit`'s
+    /// `fuzz`), rebuilt here because the activation seam is compiled into
+    /// this crate's tests only: a Waxman graph of 8–24 nodes at 300 or 400
+    /// Kbps with one or two backups per connection, the 100–500 Kbps QoS
+    /// template, and 60 ops that fail links and nodes more than four times
+    /// as often as they repair them. Each op is a seed drawn against the
+    /// network as it stands, so any subsequence of a case is a case.
+    fn starved_case(case: u64) -> (Network, ElasticQos, Vec<u64>) {
+        let mut rng = Rng::seed_from_u64(0x057A_27ED ^ case);
+        let nodes = 8 + rng.range_usize(17);
+        let graph = WaxmanConfig::new(nodes, 0.8, 0.4).unwrap();
+        let config = NetworkConfig {
+            capacity: Bandwidth::kbps([300, 400][rng.range_usize(2)]),
+            backup_count: 1 + rng.range_usize(2),
+            route_cache: false,
+            ..NetworkConfig::default()
+        };
+        let net = Network::new(graph.generate(&mut rng).unwrap(), config);
+        let qos = ElasticQos::paper_video([50, 100, 200][rng.range_usize(3)]);
+        (net, qos, (0..60).map(|_| rng.next_u64()).collect())
+    }
+
+    /// Applies the op `seed` draws: 35% establish, 10% release, 35% fail
+    /// a link, 10% fail a node, 10% repair a link.
+    fn starved_op(net: &mut Network, qos: ElasticQos, seed: u64) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let nodes = net.graph().node_count();
+        let links = net.graph().link_count();
+        let live: Vec<ConnectionId> = net.connections().map(|c| c.id()).collect();
+        let up: Vec<LinkId> = net.up_links().collect();
+        let down: Vec<LinkId> = (0..links)
+            .map(LinkId)
+            .filter(|&l| !net.link_usage(l).is_up())
+            .collect();
+        let roll = rng.range_usize(100);
+        let mut pick = |n: usize| rng.range_usize(n.max(1));
+        match roll {
+            0..=34 => {
+                let (src, dst) = (NodeId(pick(nodes)), NodeId(pick(nodes)));
+                let _ = net.establish(src, dst, qos);
+            }
+            35..=44 if !live.is_empty() => drop(net.release(live[pick(live.len())])),
+            45..=79 if !up.is_empty() => drop(net.fail_link(up[pick(up.len())])),
+            80..=89 => drop(net.fail_node(NodeId(pick(nodes)))),
+            90.. if !down.is_empty() => drop(net.repair_link(down[pick(down.len())])),
+            _ => {}
+        }
+    }
+
+    /// The first op of `ops` after which case `case`'s network breaks an
+    /// invariant, with what it broke.
+    fn broken_at(case: u64, ops: &[u64]) -> Option<(usize, Vec<InvariantViolation>)> {
+        let (mut net, qos, _) = starved_case(case);
+        ops.iter().enumerate().find_map(|(step, &op)| {
+            starved_op(&mut net, qos, op);
+            let violations = net.check_invariants();
+            (!violations.is_empty()).then_some((step, violations))
+        })
+    }
+
+    /// Delta debugging: cuts `ops` at the first broken step, then deletes
+    /// ever-smaller runs of ops while the case still breaks.
+    fn shrink(case: u64, ops: &[u64]) -> Vec<u64> {
+        let Some((step, _)) = broken_at(case, ops) else {
+            return ops.to_vec();
+        };
+        let mut current = ops[..=step].to_vec();
+        let mut chunk = (current.len() / 2).max(1);
+        loop {
+            let mut start = 0;
+            while start < current.len() {
+                let end = (start + chunk).min(current.len());
+                let mut candidate = current.clone();
+                candidate.drain(start..end);
+                if !candidate.is_empty() && broken_at(case, &candidate).is_some() {
+                    current = candidate;
+                } else {
+                    start = end;
+                }
+            }
+            if chunk == 1 {
+                return current;
+            }
+            chunk /= 2;
+        }
+    }
+
+    #[test]
+    fn the_starved_tier_finds_and_shrinks_an_overbooking_without_the_activation_check() {
+        const CASES: u64 = 200;
+        for case in 0..CASES {
+            let (_, _, ops) = starved_case(case);
+            assert_eq!(broken_at(case, &ops), None, "case {case}");
+        }
+        let witness = with_mutant(&SKIP_THE_ACTIVATION_CHECK, || {
+            let cases = (0..CASES).map(|case| (case, starved_case(case).2));
+            let mut broken = cases.filter(|(case, ops)| broken_at(*case, ops).is_some());
+            let (case, ops) = broken.next()?;
+            let shrunk = shrink(case, &ops);
+            Some((case, broken_at(case, &shrunk), shrunk))
+        });
+        let (case, broken, shrunk) = witness.expect("the tier reaches the activation check");
+        let (step, violations) = broken.expect("the shrunk case still breaks");
+        assert_eq!(step + 1, shrunk.len(), "case {case}");
+        let overbooked =
+            |v: &InvariantViolation| matches!(v, InvariantViolation::CapacityExceeded { .. });
+        assert!(
+            violations.iter().all(overbooked),
+            "case {case}: {violations:?}"
+        );
+        assert!(
+            shrunk.len() <= 30,
+            "case {case}: {} of 60 ops",
+            shrunk.len()
+        );
+        // With the check, the witness is clean.
+        assert_eq!(broken_at(case, &shrunk), None, "case {case}");
     }
 
     #[test]

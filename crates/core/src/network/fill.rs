@@ -1,6 +1,9 @@
 //! The fill stage: re-distribution of spare bandwidth among the elastic
 //! primaries an arrival, a termination or a failure left able to grow
-//! (Section 3.1's "retreat and re-distribution", the second half).
+//! (Section 3.1's "retreat and re-distribution", the second half), and the
+//! one pass after it that keeps each link's list of growable primaries
+//! ([`LinkUsage::growable`]) exact, so the next event gathers its
+//! candidates from the lists instead of from every primary.
 
 use super::Network;
 use crate::channel::ConnectionId;
@@ -80,9 +83,12 @@ pub(super) fn is_slack(link: &LinkUsage, demand: Bandwidth) -> bool {
     link.is_up() && link.headroom() >= demand
 }
 
-/// Reusable work tables of [`Network::redistribute`]: a fill allocates
-/// nothing once these have grown to the working-set size. Not part of the
-/// network's state: every fill rebuilds them from scratch.
+/// Reusable work tables of [`Network::redistribute_with`]: a fill
+/// allocates nothing once these have grown to the working-set size. Not
+/// part of the network's state: every fill rebuilds them from scratch. The
+/// rows are the candidates the fill loaded, those live and below their
+/// maximum; the reconcile pass does not read them, so it serves the
+/// reference fill alike.
 #[derive(Debug, Default)]
 pub(super) struct FillScratch {
     pub(super) rows: Vec<FillRow>,
@@ -97,13 +103,56 @@ pub(super) struct FillScratch {
 
 impl Network {
     /// Water-fills extra increments over the set `candidates`, in whatever
-    /// order it lists them, according to the adaptation policy.
+    /// order it lists them, according to the adaptation policy, then
+    /// [reconciles](Self::reconcile) the lists. The set must hold every
+    /// live primary whose level the event moved and every one it put on a
+    /// link; anyone else it names is ignored when at their maximum or no
+    /// longer live.
     pub(super) fn redistribute(&mut self, candidates: &[ChainPair]) {
         #[cfg(test)]
         if let Some(fill) = testing::FILL_OVERRIDE.get() {
-            return fill(self, candidates);
+            fill(self, candidates);
+            return self.reconcile(candidates);
         }
         self.redistribute_with(candidates, is_slack);
+        self.reconcile(candidates);
+    }
+
+    /// The one list edit of an event, after its fill, outside it: each live
+    /// candidate whose listing disagrees with whether it ended below its
+    /// maximum is listed on, or taken off, every link of its primary.
+    /// Retreat leaves the lists alone, and a primary is put on a link
+    /// unlisted, so this lists a row that was at its maximum (or new) and
+    /// ended below it, and unlists a listed row the fill granted up to its
+    /// maximum. The common row — retreated from its maximum and granted
+    /// straight back — is neither: the connection table's listed column
+    /// tells, without reading a list, and nothing is edited.
+    pub(super) fn reconcile(&mut self, candidates: &[ChainPair]) {
+        let Self {
+            links, connections, ..
+        } = self;
+        for &(slot, id) in candidates {
+            let Some(conn) = connections.at(slot, id) else {
+                continue;
+            };
+            let below = conn.level() < conn.qos().max_level();
+            if connections.is_listed(slot) == below {
+                continue;
+            }
+            #[cfg(test)]
+            if below && testing::SKIP_A_LISTING.get() {
+                continue;
+            }
+            for l in conn.primary().links() {
+                let usage = &mut links[l.index()];
+                if below {
+                    usage.list((slot, id));
+                } else {
+                    usage.unlist(id);
+                }
+            }
+            connections.set_listed(slot, below);
+        }
     }
 
     /// [`Self::redistribute`] with the slack-link predicate as a
@@ -125,7 +174,9 @@ impl Network {
     /// Nor does the order of `candidates` matter: every row is classified
     /// before any is granted, the demand sums are integer additions, bulk
     /// grants never touch a tight link, and the heap's `(score, id)` order
-    /// is total.
+    /// is total. So candidates gathered from the links' lists of growable
+    /// primaries load exactly the rows that every primary of those links
+    /// would: the ones the lists leave out sit at their maximum.
     pub(super) fn redistribute_with(
         &mut self,
         candidates: &[ChainPair],
@@ -253,6 +304,11 @@ pub(super) mod testing {
     thread_local! {
         pub(super) static FILL_OVERRIDE: std::cell::Cell<Option<Fill>> =
             const { std::cell::Cell::new(None) };
+        /// While set, the reconcile pass leaves unlisted a row that ended
+        /// below its maximum: a mutant the listed-gather differential and
+        /// the oracle of [`Network::check_invariants`] must both catch.
+        pub(in crate::network) static SKIP_A_LISTING: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
     }
 
     /// Runs `f` with every fill on this thread replaced by `fill`.

@@ -185,7 +185,10 @@ impl InvariantViolation {
             InvariantViolation::BackupsNotMutuallyDisjoint { .. } => 404,
             InvariantViolation::MinSumMismatch { .. } => 405,
             InvariantViolation::ExtraSumMismatch { .. } => 406,
-            InvariantViolation::PrimarySetMismatch { .. } => 407,
+            // The primary set and its list of growable primaries are one
+            // subject on the wire.
+            InvariantViolation::PrimarySetMismatch { .. }
+            | InvariantViolation::GrowableSetMismatch { .. } => 407,
             InvariantViolation::BackupSetMismatch { .. } => 408,
             InvariantViolation::CapacityExceeded { .. } => 409,
             // The ledger and the maximum cached over it are one subject

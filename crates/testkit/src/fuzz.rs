@@ -102,7 +102,38 @@ pub enum InjectedFault {
     LoseSrlgRepair,
 }
 
-/// Deterministic parameters of one fuzz case: topology and QoS template.
+/// The weights a case draws its operations with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum OpMix {
+    /// 40% establish, 25% release, 13% fail-link, 5% fail-node, 3%
+    /// fail-srlg, 3% repair-srlg, 11% repair-link.
+    #[default]
+    Standard,
+    /// Failures outpace repairs more than four to one, so faults pile up and a
+    /// second failover can land on reservation the first one spent: 35%
+    /// establish, 10% release, 30% fail-link, 10% fail-node, 5% fail-srlg,
+    /// 2% repair-srlg, 8% repair-link.
+    FailHeavy,
+}
+
+impl OpMix {
+    /// Cumulative percentages of establish, release, fail-link,
+    /// fail-node, fail-srlg and repair-srlg; repair-link takes the rest.
+    fn thresholds(self) -> [usize; 6] {
+        match self {
+            OpMix::Standard => [40, 65, 78, 83, 86, 89],
+            OpMix::FailHeavy => [35, 45, 75, 85, 90, 92],
+        }
+    }
+}
+
+/// Link capacities of the starved tier, in Kbps: room for three or four
+/// minima of the QoS template, so multiplexed backup reservations run
+/// out.
+const STARVED_KBPS: [u64; 2] = [300, 400];
+
+/// Deterministic parameters of one fuzz case: topology, QoS template and
+/// operation mix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// Node count of the random Waxman topology.
@@ -115,23 +146,39 @@ pub struct Scenario {
     pub increment_kbps: u64,
     /// Seed for the topology generator.
     pub graph_seed: u64,
+    /// The weights of the case's operation stream.
+    pub mix: OpMix,
 }
 
 impl Scenario {
     /// Derives scenario parameters from a case seed (split-mix mixed, so
-    /// nearby seeds give unrelated scenarios).
+    /// nearby seeds give unrelated scenarios). One case in four is in the
+    /// starved tier ([`STARVED_KBPS`]), and one in three draws the
+    /// [`OpMix::FailHeavy`] stream, independently; the tier and the mix
+    /// are drawn after the other fields, which they leave as they were.
     pub fn from_seed(seed: u64) -> Self {
         let mut mix = SplitMix64::new(seed);
         let nodes = 8 + (mix.next_u64() % 17) as usize; // 8..=24
-        let capacity_kbps = [800, 1_500, 3_000][(mix.next_u64() % 3) as usize];
+        let mut capacity_kbps = [800, 1_500, 3_000][(mix.next_u64() % 3) as usize];
         let backup_count = 1 + (mix.next_u64() % 2) as usize; // 1..=2
         let increment_kbps = [50, 100, 200][(mix.next_u64() % 3) as usize];
+        let graph_seed = mix.next_u64();
+        let tier = mix.next_u64();
+        if tier.is_multiple_of(4) {
+            capacity_kbps = STARVED_KBPS[(tier / 4 % 2) as usize];
+        }
+        let op_mix = if mix.next_u64().is_multiple_of(3) {
+            OpMix::FailHeavy
+        } else {
+            OpMix::Standard
+        };
         Scenario {
             nodes,
             capacity_kbps,
             backup_count,
             increment_kbps,
-            graph_seed: mix.next_u64(),
+            graph_seed,
+            mix: op_mix,
         }
     }
 
@@ -248,35 +295,41 @@ impl Harness {
     }
 }
 
-/// Generates `len` operations with the standard weights (40% establish,
-/// 25% release, 13% fail-link, 5% fail-node, 3% fail-srlg, 3%
-/// repair-srlg, 11% repair-link).
+/// Generates `len` operations with the standard weights
+/// ([`OpMix::Standard`]).
+#[cfg(test)]
 pub(crate) fn generate_ops(rng: &mut Rng, len: usize) -> Vec<Op> {
+    generate_mix(rng, len, OpMix::Standard)
+}
+
+/// Generates `len` operations with the weights of `mix`.
+pub(crate) fn generate_mix(rng: &mut Rng, len: usize, mix: OpMix) -> Vec<Op> {
+    let [establish, release, fail_link, fail_node, fail_srlg, repair_srlg] = mix.thresholds();
     (0..len)
         .map(|_| {
             let roll = rng.range_usize(100);
-            if roll < 40 {
+            if roll < establish {
                 Op::Establish {
                     src: rng.next_u64(),
                     dst: rng.next_u64(),
                 }
-            } else if roll < 65 {
+            } else if roll < release {
                 Op::Release {
                     pick: rng.next_u64(),
                 }
-            } else if roll < 78 {
+            } else if roll < fail_link {
                 Op::FailLink {
                     pick: rng.next_u64(),
                 }
-            } else if roll < 83 {
+            } else if roll < fail_node {
                 Op::FailNode {
                     pick: rng.next_u64(),
                 }
-            } else if roll < 86 {
+            } else if roll < fail_srlg {
                 Op::FailSrlg {
                     pick: rng.next_u64(),
                 }
-            } else if roll < 89 {
+            } else if roll < repair_srlg {
                 Op::RepairSrlg {
                     pick: rng.next_u64(),
                 }
@@ -292,8 +345,11 @@ pub(crate) fn generate_ops(rng: &mut Rng, len: usize) -> Vec<Op> {
 /// The operation stream of one case: every runner (the invariant fuzzer
 /// and each lockstep differential) replays exactly this stream for a case
 /// seed, so a sequence number addresses the same workload everywhere.
+/// Its weights are the case's [`Scenario::mix`].
 pub(crate) fn case_ops(case_seed: u64, len: usize) -> Vec<Op> {
-    generate_ops(&mut Rng::seed_from_u64(case_seed ^ 0x4655_5A5A), len) // ASCII "FUZZ"
+    let mix = Scenario::from_seed(case_seed).mix;
+    let mut rng = Rng::seed_from_u64(case_seed ^ 0x4655_5A5A); // ASCII "FUZZ"
+    generate_mix(&mut rng, len, mix)
 }
 
 /// Renders the `let scenario = ...; let ops = vec![...];` prelude shared
@@ -301,12 +357,13 @@ pub(crate) fn case_ops(case_seed: u64, len: usize) -> Vec<Op> {
 pub(crate) fn render_case(scenario: &Scenario, ops: &[Op]) -> String {
     let mut out = format!(
         "let scenario = Scenario {{ nodes: {}, capacity_kbps: {}, backup_count: {}, \
-         increment_kbps: {}, graph_seed: {:#x} }};\nlet ops = vec![\n",
+         increment_kbps: {}, graph_seed: {:#x}, mix: OpMix::{:?} }};\nlet ops = vec![\n",
         scenario.nodes,
         scenario.capacity_kbps,
         scenario.backup_count,
         scenario.increment_kbps,
-        scenario.graph_seed
+        scenario.graph_seed,
+        scenario.mix
     );
     for op in ops {
         out.push_str(&format!("    Op::{op:?},\n"));
@@ -557,6 +614,31 @@ mod tests {
         let repro = failure.reproducer();
         assert!(repro.contains("Scenario {"));
         assert!(repro.contains("Op::"));
+    }
+
+    #[test]
+    fn the_starved_tier_and_the_fail_heavy_mix_are_drawn_and_printed() {
+        let scenarios: Vec<Scenario> = (0..64).map(Scenario::from_seed).collect();
+        let starved = |s: &&Scenario| s.capacity_kbps <= 400;
+        let heavy = |s: &&Scenario| s.mix == OpMix::FailHeavy;
+        assert!(scenarios.iter().filter(starved).count() > 8);
+        assert!(scenarios.iter().filter(heavy).count() > 12);
+        let both = scenarios.iter().filter(starved).find(heavy);
+        let both = both.expect("a starved, fail-heavy case");
+        let rendered = render_case(both, &[]);
+        assert!(rendered.contains("mix: OpMix::FailHeavy"), "{rendered}");
+        // Failures outpace repairs in a fail-heavy stream.
+        let ops = generate_mix(&mut Rng::seed_from_u64(9), 1_000, OpMix::FailHeavy);
+        let fails = ops.iter().filter(|op| {
+            matches!(
+                op,
+                Op::FailLink { .. } | Op::FailNode { .. } | Op::FailSrlg { .. }
+            )
+        });
+        let repairs = ops
+            .iter()
+            .filter(|op| matches!(op, Op::RepairLink { .. } | Op::RepairSrlg { .. }));
+        assert!(fails.count() > 3 * repairs.count());
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod session;
 pub use diff::{run_diff, DiffCase, DiffResult};
 pub use fuzz::{
     run_fuzz, run_sequence, FuzzConfig, FuzzFailure, FuzzOutcome, Harness, InjectedFault, Op,
-    Scenario, SequenceFailure,
+    OpMix, Scenario, SequenceFailure,
 };
 pub use golden::{verify_golden, TraceRecorder};
 pub use lockstep::{Case, Divergence, Lockstep, Subject, SubjectRow};

@@ -672,7 +672,7 @@ impl Subject for ClusterSubject {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::{generate_ops, run_sequence, InjectedFault};
+    use crate::fuzz::{generate_mix, generate_ops, run_sequence, InjectedFault, OpMix};
 
     fn case(param: usize, seed: u64) -> Case {
         Case {
@@ -690,6 +690,7 @@ mod tests {
             backup_count: 1,
             increment_kbps: 100,
             graph_seed: 5,
+            mix: OpMix::Standard,
         };
         let starved = Scenario {
             capacity_kbps: 100,
@@ -707,6 +708,7 @@ mod tests {
             backup_count: 1,
             increment_kbps: 100,
             graph_seed: 11,
+            mix: OpMix::Standard,
         };
         let mut rng = Rng::seed_from_u64(23);
         let ops = (0..48)
@@ -749,7 +751,7 @@ mod tests {
         let scenario = Scenario::from_seed(seed);
         let ops = case_ops(seed, 20);
         let mut rng = Rng::seed_from_u64(seed ^ 0x4655_5A5A);
-        assert_eq!(ops, generate_ops(&mut rng, 20));
+        assert_eq!(ops, generate_mix(&mut rng, 20, scenario.mix));
         assert!(run_sequence(&scenario, &ops, InjectedFault::None).is_none());
         for row in subjects() {
             for &param in row.grid {
