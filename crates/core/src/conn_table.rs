@@ -15,6 +15,7 @@
 //! to nothing even after the slot was handed to someone else.
 
 use crate::channel::{ConnectionId, DrConnection};
+use crate::qos::Bandwidth;
 use drqos_topology::LinkId;
 use std::collections::BTreeMap;
 
@@ -32,12 +33,24 @@ pub(crate) struct ConnTable {
     /// Vacant slots; the last one freed is the next one used.
     free: Vec<Slot>,
     index: BTreeMap<ConnectionId, Slot>,
-    /// Per slot, whether its connection is listed as growable on the links
-    /// of its primary (see [`crate::link_state::LinkUsage::growable`]), so
-    /// that telling is one read of a dense column, not a search of a list.
-    /// An index like the slots themselves, never state.
-    listed: Vec<bool>,
+    /// Per slot, the amount its connection is counted at in the growable
+    /// demand of the links of its primary (see
+    /// [`crate::link_state::LinkUsage::growable`]): its remaining
+    /// bandwidth when the reconcile pass last saw it, zero when unlisted.
+    /// So telling whether a row is listed, or by how much its count moved,
+    /// is one read of a dense column, not a search of a list. An index like
+    /// the slots themselves, never state.
+    counted: Vec<Bandwidth>,
+    /// Per slot, where the fill's heap last refused its connection: a link
+    /// of its primary and the increment that link lacked. A hint, never
+    /// state: while that link is down or still lacks the increment, no fill
+    /// can grant the connection anything.
+    blocked: Vec<Option<Blocked>>,
 }
+
+/// A link of a connection's primary that lacked its increment, and that
+/// increment.
+pub(crate) type Blocked = (LinkId, Bandwidth);
 
 /// Equality over the connections, in id order; never over slot history.
 impl PartialEq for ConnTable {
@@ -62,7 +75,8 @@ impl ConnTable {
             let fresh = Slot::try_from(self.slots.len());
             assert!(fresh.is_ok(), "connection table is out of slots");
             self.slots.push(None);
-            self.listed.push(false);
+            self.counted.push(Bandwidth::ZERO);
+            self.blocked.push(None);
             fresh.unwrap_or(Slot::MAX)
         });
         let before = self.index.insert(conn.id(), slot);
@@ -70,26 +84,53 @@ impl ConnTable {
         if let Some(place) = self.slots.get_mut(slot as usize) {
             *place = Some(conn);
         }
-        self.set_listed(slot, false);
+        self.unlist(slot);
         slot
     }
 
-    /// Whether the connection in `slot` is listed on its links.
-    pub(crate) fn is_listed(&self, slot: Slot) -> bool {
-        self.listed.get(slot as usize).is_some_and(|&listed| listed)
+    /// The amount the connection in `slot` is counted at on its links.
+    pub(crate) fn counted(&self, slot: Slot) -> Bandwidth {
+        self.counted
+            .get(slot as usize)
+            .copied()
+            .unwrap_or(Bandwidth::ZERO)
     }
 
-    /// Records whether the connection in `slot` is listed on its links.
-    pub(crate) fn set_listed(&mut self, slot: Slot, listed: bool) {
-        if let Some(mark) = self.listed.get_mut(slot as usize) {
-            *mark = listed;
+    /// Records the amount the connection in `slot` is counted at.
+    pub(crate) fn set_counted(&mut self, slot: Slot, amount: Bandwidth) {
+        if let Some(mark) = self.counted.get_mut(slot as usize) {
+            *mark = amount;
         }
     }
 
-    pub(crate) fn remove(&mut self, id: ConnectionId) -> Option<DrConnection> {
+    /// Marks the connection in `slot` unlisted and forgets where it was
+    /// refused, for a connection new to its links; returns the amount it
+    /// was counted at.
+    pub(crate) fn unlist(&mut self, slot: Slot) -> Bandwidth {
+        self.set_blocked(slot, None);
+        let counted = self.counted(slot);
+        self.set_counted(slot, Bandwidth::ZERO);
+        counted
+    }
+
+    /// Where the fill last refused the connection in `slot`, if anywhere.
+    pub(crate) fn blocked(&self, slot: Slot) -> Option<Blocked> {
+        self.blocked.get(slot as usize).copied().flatten()
+    }
+
+    /// Records where the fill refused the connection in `slot`.
+    pub(crate) fn set_blocked(&mut self, slot: Slot, at: Option<Blocked>) {
+        if let Some(mark) = self.blocked.get_mut(slot as usize) {
+            *mark = at;
+        }
+    }
+
+    /// Takes `id` out of the table, with the amount it was counted at.
+    pub(crate) fn remove(&mut self, id: ConnectionId) -> Option<(DrConnection, Bandwidth)> {
         let slot = self.index.remove(&id)?;
         self.free.push(slot);
-        self.slots.get_mut(slot as usize)?.take()
+        let conn = self.slots.get_mut(slot as usize)?.take()?;
+        Some((conn, self.unlist(slot)))
     }
 
     pub(crate) fn get(&self, id: ConnectionId) -> Option<&DrConnection> {
@@ -240,7 +281,8 @@ mod tests {
                     }
                     4..=6 => {
                         let slot = table.index.get(&some_id).copied();
-                        assert_eq!(table.remove(some_id), map.remove(&some_id));
+                        let removed = table.remove(some_id).map(|(c, _)| c);
+                        assert_eq!(removed, map.remove(&some_id));
                         departed.extend(slot.map(|slot| (slot, some_id)));
                     }
                     7 => {
@@ -280,7 +322,10 @@ mod tests {
         let (mut a, mut b) = (filled(), filled());
         for (table, order) in [(&mut a, [1, 2]), (&mut b, [2, 1])] {
             for id in order {
-                assert_eq!(table.remove(ConnectionId(id)), Some(conn(id)));
+                assert_eq!(
+                    table.remove(ConnectionId(id)),
+                    Some((conn(id), Bandwidth::ZERO))
+                );
             }
             assert_eq!(table.remove(ConnectionId(9)), None);
         }

@@ -73,8 +73,9 @@ pub enum InvariantViolation {
         link: LinkId,
     },
     /// A link's list of growable primaries is not exactly its primaries
-    /// below their maximum level: one is missing, extra, listed twice or
-    /// listed with the wrong slot.
+    /// below their maximum level — one is missing, extra, listed twice or
+    /// listed with the wrong slot — or their demand on it, or a
+    /// connection's count in the table, is not their remaining bandwidth.
     GrowableSetMismatch {
         /// The link.
         link: LinkId,

@@ -46,6 +46,10 @@ pub struct LinkUsage {
     /// listed exactly when its level is below its maximum — and outside
     /// equality, the plan digest and snapshots.
     growable: Vec<ChainPair>,
+    /// What the listed primaries could still be granted here, each counted
+    /// at the amount the connection table holds for it: at rest, the sum
+    /// of their remaining bandwidth. Part of the same index.
+    growable_demand: Bandwidth,
     primary_min_sum: Bandwidth,
     extra_sum: Bandwidth,
     backups: Vec<ConnectionId>,
@@ -88,6 +92,7 @@ impl LinkUsage {
             primaries: Vec::new(),
             primary_slots: Vec::new(),
             growable: Vec::new(),
+            growable_demand: Bandwidth::ZERO,
             primary_min_sum: Bandwidth::ZERO,
             extra_sum: Bandwidth::ZERO,
             backups: Vec::new(),
@@ -134,21 +139,29 @@ impl LinkUsage {
         &self.growable
     }
 
-    /// [`Self::growable`], by value.
-    pub(crate) fn growable_pairs(&self) -> impl Iterator<Item = ChainPair> + '_ {
-        self.growable.iter().copied()
+    /// What the listed primaries could still be granted here.
+    pub(crate) fn growable_demand(&self) -> Bandwidth {
+        self.growable_demand
     }
 
-    /// Lists a primary of this link that is not listed yet.
-    pub(crate) fn list(&mut self, pair: ChainPair) {
+    /// Lists a primary of this link that is not listed yet, counted at
+    /// `amount`.
+    pub(crate) fn list(&mut self, pair: ChainPair, amount: Bandwidth) {
         self.growable.push(pair);
+        self.growable_demand += amount;
     }
 
-    /// Takes `id` off the list, if it is on it.
-    pub(crate) fn unlist(&mut self, id: ConnectionId) {
+    /// Takes `id`, counted at `amount`, off the list, if it is on it.
+    pub(crate) fn unlist(&mut self, id: ConnectionId, amount: Bandwidth) {
         if let Some(at) = self.growable.iter().position(|&(_, listed)| listed == id) {
             self.growable.swap_remove(at);
+            self.growable_demand -= amount;
         }
+    }
+
+    /// Moves a listed primary's count from `from` to `to`.
+    pub(crate) fn recount(&mut self, from: Bandwidth, to: Bandwidth) {
+        self.growable_demand = self.growable_demand - from + to;
     }
 
     /// Backup channels registered on this link, in id order.
@@ -259,14 +272,17 @@ impl LinkUsage {
         self.digest_dirty.set(true);
     }
 
-    /// Unregisters a primary, taking it off the list too.
-    pub(crate) fn remove_primary(&mut self, id: ConnectionId, min: Bandwidth) {
+    /// Unregisters a primary, taking it off the list too when it is
+    /// `counted` there (a primary counted at zero is not listed).
+    pub(crate) fn remove_primary(&mut self, id: ConnectionId, min: Bandwidth, counted: Bandwidth) {
         let at = position(&self.primaries, id);
         let present = self.primaries.get(at) == Some(&id);
         assert!(present, "{id} was not a primary on this link");
         self.primaries.remove(at);
         self.primary_slots.remove(at);
-        self.unlist(id);
+        if counted > Bandwidth::ZERO {
+            self.unlist(id, counted);
+        }
         self.primary_min_sum -= min;
         self.digest_dirty.set(true);
     }
@@ -455,7 +471,7 @@ mod tests {
         l.add_primary(cid(2), 92, k(100));
         assert_eq!(l.primary_min_sum(), k(200));
         assert_eq!(l.primaries(), [cid(1), cid(2)]);
-        l.remove_primary(cid(1), k(100));
+        l.remove_primary(cid(1), k(100), Bandwidth::ZERO);
         assert_eq!(l.primary_min_sum(), k(100));
         l.debug_validate();
     }
@@ -472,7 +488,7 @@ mod tests {
     #[should_panic(expected = "was not a primary")]
     fn removing_absent_primary_panics() {
         let mut l = LinkUsage::new(k(1_000));
-        l.remove_primary(cid(1), k(100));
+        l.remove_primary(cid(1), k(100), Bandwidth::ZERO);
     }
 
     #[test]
@@ -493,8 +509,8 @@ mod tests {
         // Each slot travels with its id.
         assert_eq!(l.primary_slots(), [90, 92, 95, 97, 99]);
         assert_eq!(l.backups(), [cid(102), cid(104), cid(105), cid(109)]);
-        l.remove_primary(cid(5), k(100));
-        l.remove_primary(cid(0), k(100));
+        l.remove_primary(cid(5), k(100), Bandwidth::ZERO);
+        l.remove_primary(cid(0), k(100), Bandwidth::ZERO);
         l.remove_backup(cid(109), k(100), &[lid(1)]);
         assert_eq!(l.primaries(), [cid(2), cid(7), cid(9)]);
         assert_eq!(l.primary_slots(), [92, 97, 99]);
@@ -835,7 +851,7 @@ mod tests {
         // generation-based: establish→release revalidates cached routes).
         l.remove_backup(cid(2), k(100), &[lid(10)]);
         assert_eq!(l.plan_digest(), with_primary);
-        l.remove_primary(cid(1), k(100));
+        l.remove_primary(cid(1), k(100), Bandwidth::ZERO);
         assert_eq!(l.plan_digest(), fresh);
     }
 

@@ -9,7 +9,8 @@
 //! * **Retreat & re-distribution** — on every arrival, all primaries
 //!   sharing a link with the new connection release their extras, which are
 //!   then re-distributed (together with any other spare bandwidth)
-//!   according to the adaptation policy.
+//!   according to the adaptation policy. A primary the re-distribution
+//!   would grant straight back to its maximum is left where it is.
 //! * **Termination** — channels that shared links with the departed
 //!   connection may grow into the freed bandwidth.
 //! * **Failure & recovery** — a link failure activates the backups of all
@@ -34,7 +35,8 @@
 //! `reserve_backup` / `unreserve_backup` pair applies it to the
 //! multiplexing ledgers for every stage, the planner's one closure asks it
 //! of them, and [`Network::check_invariants`] recomputes those ledgers
-//! without it. Who may grow after an event is `fill_candidates`.
+//! without it. Who may grow after an event is `fill_candidates`; who need
+//! not retreat for an arrival is `keep_at_maximum`.
 
 mod fault;
 mod fill;
@@ -351,20 +353,48 @@ impl Network {
     /// from (plan → observe → commit is the supported sequence; interleaved
     /// mutations void the feasibility checks).
     pub fn commit_establish(&mut self, plan: EstablishPlan) -> ConnectionId {
+        #[cfg(test)]
+        if support::REFERENCE.get() {
+            return self.commit_establish_reference(plan);
+        }
         // The "directly chained" set: every primary sharing a link with
         // the plan's channels.
-        let mut retreated = std::mem::take(&mut self.retreat_set);
-        retreated.clear();
+        let mut chained = std::mem::take(&mut self.retreat_set);
+        chained.clear();
         let backup_links = plan.backups.iter().flat_map(|b| b.links());
         let plan_links = plan.primary.links().iter().chain(backup_links).copied();
-        Self::gather(&self.links, &mut self.marks, plan_links, &mut retreated);
-        let id = ConnectionId(self.next_id);
-        self.next_id += 1;
-        // 1. Retreat every directly chained primary.
-        for &pair in &retreated {
+        Self::gather(&self.links, &mut self.marks, plan_links, &mut chained);
+        // 1. Reserve the new connection's resources.
+        let newcomer = self.reserve_newcomer(plan);
+        // 2. Retreat every directly chained primary but those the fill
+        //    would grant straight back, decided before anyone retreats.
+        let retreating = self.keep_at_maximum(&mut chained, newcomer);
+        for &pair in &chained[..retreating] {
             self.retreat(pair);
         }
-        // 2. Reserve the new connection's resources.
+        // 3. Who may grow, the newcomer included — and let them. The kept
+        //    channels' links are walked like the retreated ones'.
+        let mut candidates = std::mem::take(&mut self.spare_set);
+        candidates.clear();
+        self.fill_candidates(
+            &chained,
+            &chained[..retreating],
+            &[newcomer],
+            &mut candidates,
+        );
+        #[cfg(test)]
+        self.log_kept(&chained[retreating..]);
+        self.retreat_set = chained;
+        self.settle(candidates);
+        newcomer.1
+    }
+
+    /// Registers the planned connection — its backups, its primary's
+    /// minimum on every link — under the next id, unlisted, and returns
+    /// its `(slot, id)` pair.
+    fn reserve_newcomer(&mut self, plan: EstablishPlan) -> ChainPair {
+        let id = ConnectionId(self.next_id);
+        self.next_id += 1;
         let min = plan.qos.min();
         for b in &plan.backups {
             Self::reserve_backup(&mut self.links, id, min, &plan.primary, b);
@@ -375,13 +405,7 @@ impl Network {
         for l in self.connections.primary_links(&[(slot, id)]) {
             self.links[l.index()].add_primary(id, slot, min);
         }
-        // 3. Who may grow, the newcomer included — and let them.
-        let mut candidates = std::mem::take(&mut self.spare_set);
-        candidates.clear();
-        self.fill_candidates(&retreated, &[(slot, id)], &mut candidates);
-        self.retreat_set = retreated;
-        self.settle(candidates);
-        id
+        (slot, id)
     }
 
     /// Re-distributes extras over `candidates`, keeping the buffer for the
@@ -389,6 +413,8 @@ impl Network {
     fn settle(&mut self, candidates: Vec<ChainPair>) {
         self.redistribute(&candidates);
         self.spare_set = candidates;
+        #[cfg(test)]
+        self.log_settled();
     }
 
     /// The chain-set gather: starts a new set in `marks` and appends to
@@ -402,48 +428,72 @@ impl Network {
         over: impl IntoIterator<Item = LinkId>,
         out: &mut Vec<ChainPair>,
     ) {
-        Self::gather_from(links, marks, over, LinkUsage::primary_pairs, out);
-    }
-
-    /// [`Self::gather`] over the pairs `members` names on each link: every
-    /// primary ([`LinkUsage::primary_pairs`]), or only the listed ones
-    /// ([`LinkUsage::growable_pairs`]).
-    fn gather_from<'a, I: Iterator<Item = ChainPair>>(
-        links: &'a [LinkUsage],
-        marks: &mut ChainMarks,
-        over: impl IntoIterator<Item = LinkId>,
-        members: impl Fn(&'a LinkUsage) -> I,
-        out: &mut Vec<ChainPair>,
-    ) {
         marks.begin(links.len());
         for l in over {
             if marks.walk(l.index()) {
-                out.extend(members(&links[l.index()]).filter(|&pair| marks.add(pair)));
+                let members = links[l.index()].primary_pairs();
+                out.extend(members.filter(|&pair| marks.add(pair)));
+            }
+        }
+    }
+
+    /// [`Self::gather`] over the listed primaries of each link
+    /// ([`LinkUsage::growable`]), leaving out — and unmarked, so that a
+    /// caller can still name them — those [`fill::still_blocked`] where
+    /// the fill last refused them: such a row can be granted nothing and
+    /// asks for nothing, so the fill would load it for no effect.
+    fn gather_listed(
+        links: &[LinkUsage],
+        connections: &ConnTable,
+        marks: &mut ChainMarks,
+        over: impl IntoIterator<Item = LinkId>,
+        out: &mut Vec<ChainPair>,
+    ) {
+        let blocked = |slot| {
+            #[cfg(test)]
+            if support::REFERENCE.get() {
+                return false;
+            }
+            fill::still_blocked(links, connections.blocked(slot))
+        };
+        marks.begin(links.len());
+        for l in over {
+            if marks.walk(l.index()) {
+                let listed = links[l.index()].growable().iter();
+                out.extend(listed.filter(|&&pair| !blocked(pair.0) && marks.add(pair)));
             }
         }
     }
 
     /// Who may grow after an event, appended to `out`: the listed primaries
-    /// of every link a channel that `retreated` for it crosses, then those
-    /// channels themselves and the `newcomers` it put on their routes (an
-    /// admitted connection, the connections a failure moved onto their
-    /// backups), each once. Retreat leaves the lists alone, so a channel
-    /// that retreated from its maximum is found only by name; everyone else
-    /// on those links sits at their maximum and could be granted nothing.
+    /// of every link a channel of `walked` crosses — the chained set, the
+    /// ones an arrival kept included — but those still blocked, then the
+    /// channels that `retreated` for the event and the `newcomers` it put
+    /// on their routes (an admitted connection, the connections a failure
+    /// moved onto their backups), each once and never left out. Retreat
+    /// leaves the lists alone, so a channel that retreated from its
+    /// maximum is found only by name; everyone else on those links sits at
+    /// their maximum and could be granted nothing.
     fn fill_candidates(
         &mut self,
+        walked: &[ChainPair],
         retreated: &[ChainPair],
         newcomers: &[ChainPair],
         out: &mut Vec<ChainPair>,
     ) {
-        let links = self.connections.primary_links(retreated);
-        let listed = LinkUsage::growable_pairs;
-        Self::gather_from(&self.links, &mut self.marks, links, listed, out);
+        let Self {
+            links,
+            connections,
+            marks,
+            ..
+        } = self;
+        let over = connections.primary_links(walked);
+        Self::gather_listed(links, connections, marks, over, out);
         let named = retreated.iter().chain(newcomers);
-        out.extend(named.filter(|&&pair| self.marks.add(pair)));
+        out.extend(named.filter(|&&pair| marks.add(pair)));
         #[cfg(test)]
         self.log_gather(
-            self.connections.primary_links(retreated),
+            self.connections.primary_links(walked),
             retreated.iter().chain(newcomers).copied(),
             out,
         );
@@ -554,13 +604,13 @@ impl Network {
     ///
     /// Returns [`NetworkError::UnknownConnection`] for an unknown id.
     pub fn release(&mut self, id: ConnectionId) -> Result<DrConnection, NetworkError> {
-        let Some(mut conn) = self.connections.remove(id) else {
+        let Some((mut conn, counted)) = self.connections.remove(id) else {
             return Err(NetworkError::UnknownConnection(id.0));
         };
         Self::retreat_conn(&mut self.links, &mut self.total_bandwidth, &mut conn);
         let min = conn.qos().min();
         for &l in conn.primary().links() {
-            self.links[l.index()].remove_primary(id, min);
+            self.links[l.index()].remove_primary(id, min, counted);
         }
         for b in conn.backups() {
             Self::unreserve_backup(&mut self.links, id, min, conn.primary(), b);
@@ -573,8 +623,9 @@ impl Network {
         let freed = conn.primary().links().iter().chain(backup_links).copied();
         let mut candidates = std::mem::take(&mut self.spare_set);
         candidates.clear();
-        let (listed, marks) = (LinkUsage::growable_pairs, &mut self.marks);
-        Self::gather_from(&self.links, marks, freed.clone(), listed, &mut candidates);
+        let (links, connections) = (&self.links, &self.connections);
+        let marks = &mut self.marks;
+        Self::gather_listed(links, connections, marks, freed.clone(), &mut candidates);
         #[cfg(test)]
         self.log_gather(freed, std::iter::empty(), &candidates);
         self.settle(candidates);
@@ -680,7 +731,8 @@ impl Network {
         // must carry the slot its connection lives in.
         let mut primary_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
         let mut growable_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
-        // Links where a connection's listed mark disagrees with its level.
+        let mut growable_demands = vec![Bandwidth::ZERO; self.links.len()];
+        // Links where a connection's count disagrees with its remaining.
         let mut mismarked = vec![false; self.links.len()];
         let mut backup_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
         let mut total = Bandwidth::ZERO;
@@ -694,8 +746,9 @@ impl Network {
                 });
             }
             let below = conn.level() < conn.qos().max_level();
+            let remaining = fill::remaining(conn);
             if let Some(first) = conn.primary().links().first() {
-                mismarked[first.index()] |= self.connections.is_listed(slot) != below;
+                mismarked[first.index()] |= self.connections.counted(slot) != remaining;
             }
             for &l in conn.primary().links() {
                 min_sums[l.index()] += conn.qos().min();
@@ -703,6 +756,7 @@ impl Network {
                 primary_sets[l.index()].push((slot, conn.id()));
                 if below {
                     growable_sets[l.index()].push((slot, conn.id()));
+                    growable_demands[l.index()] += remaining;
                 }
             }
             for (i, b) in conn.backups().iter().enumerate() {
@@ -758,11 +812,13 @@ impl Network {
                 violations.push(InvariantViolation::PrimarySetMismatch { link });
             }
             // The list is unordered: sorted by id, it must be the growable
-            // set, pair for pair — a duplicate or a wrong slot shows too.
+            // set, pair for pair — a duplicate or a wrong slot shows too —
+            // and its demand their remaining bandwidth.
             listed.clear();
             listed.extend_from_slice(usage.growable());
             listed.sort_unstable_by_key(|&(_, id)| id);
-            if mismarked[i] || listed != growable_sets[i] {
+            let demand = usage.growable_demand() == growable_demands[i];
+            if mismarked[i] || listed != growable_sets[i] || !demand {
                 violations.push(InvariantViolation::GrowableSetMismatch { link });
             }
             let backups = backup_sets[i].iter().map(|&(_, id)| id);
@@ -940,9 +996,12 @@ mod support {
     }
 
     thread_local! {
-        /// While set, every fill-candidate gather also runs the
-        /// every-primary gather it replaced over the same links and logs
-        /// what each would have the fill load.
+        /// While set, every commit on this thread is the reference one
+        /// ([`Network::commit_establish_reference`]) and no listed gather
+        /// leaves a row out.
+        pub(super) static REFERENCE: Cell<bool> = const { Cell::new(false) };
+        /// While set, every fill-candidate gather logs what it left out and
+        /// why, next to the every-primary gather over the same links.
         pub(super) static GATHER_LOG: RefCell<Option<Vec<LoggedGather>>> =
             const { RefCell::new(None) };
     }
@@ -950,25 +1009,52 @@ mod support {
     /// One logged fill-candidate gather.
     #[derive(Debug)]
     pub(super) struct LoggedGather {
-        /// The rows the listed gather has the fill load, sorted by id.
+        /// The rows the gathered pairs, with the listed ones it left out,
+        /// have the fill load, sorted by id.
         pub(super) listed: Vec<ChainPair>,
         /// The rows the every-primary gather has it load, sorted by id.
         pub(super) every: Vec<ChainPair>,
-        /// How many pairs each gathered, loaded or not.
-        pub(super) gathered: (usize, usize),
+        /// Each listed pair the gather left out, with whether a scan of
+        /// its whole primary finds it blocked.
+        pub(super) skipped: Vec<(ChainPair, bool)>,
+        /// Listed pairs the gather kept that such a scan finds blocked: the
+        /// rows the recorded refusal missed.
+        pub(super) missed: usize,
+        /// The chained channels an arrival kept, with their levels when
+        /// the fill started and when it ended.
+        pub(super) kept: Vec<(ChainPair, usize, usize)>,
     }
 
     impl Network {
+        /// The commit as it was before the keep rule, kept as the
+        /// reference: retreat every directly chained primary, reserve the
+        /// newcomer, and fill over the listed primaries of the retreated
+        /// channels' links — none left out — and the named channels.
+        pub(super) fn commit_establish_reference(&mut self, plan: EstablishPlan) -> ConnectionId {
+            let mut retreated = Vec::new();
+            let backup_links = plan.backups.iter().flat_map(|b| b.links());
+            let plan_links = plan.primary.links().iter().chain(backup_links).copied();
+            Self::gather(&self.links, &mut self.marks, plan_links, &mut retreated);
+            for &pair in &retreated {
+                self.retreat(pair);
+            }
+            let newcomer = self.reserve_newcomer(plan);
+            let mut candidates = Vec::new();
+            self.fill_candidates(&retreated, &retreated, &[newcomer], &mut candidates);
+            self.settle(candidates);
+            newcomer.1
+        }
+
         /// The every-primary gather the listed one replaced: every primary
         /// on `over`, then whichever of `named` it did not meet.
         pub(super) fn gather_every_primary(
             &self,
-            over: impl Iterator<Item = LinkId>,
-            named: impl Iterator<Item = ChainPair>,
+            over: Vec<LinkId>,
+            named: &[ChainPair],
         ) -> Vec<ChainPair> {
             let (mut every, mut marks) = (Vec::new(), ChainMarks::default());
             Self::gather(&self.links, &mut marks, over, &mut every);
-            every.extend(named.filter(|&pair| marks.add(pair)));
+            every.extend(named.iter().filter(|&&pair| marks.add(pair)));
             every
         }
 
@@ -984,8 +1070,22 @@ mod support {
             rows
         }
 
+        /// Whether a scan of the whole primary of the live `pair` finds a
+        /// link down or short of its increment.
+        pub(super) fn blocked_on_its_path(&self, (slot, id): ChainPair) -> bool {
+            self.connections.at(slot, id).is_some_and(|c| {
+                let inc = c.qos().increment();
+                let short = |l: &LinkId| {
+                    let u = &self.links[l.index()];
+                    !u.is_up() || u.headroom() < inc
+                };
+                c.primary().links().iter().any(short)
+            })
+        }
+
         /// Logs the gather that found `got` over `over` and `named`, with
-        /// the reference's over the same, while [`GATHER_LOG`] is set.
+        /// the every-primary gather over the same, while [`GATHER_LOG`] is
+        /// set.
         pub(super) fn log_gather(
             &self,
             over: impl Iterator<Item = LinkId>,
@@ -994,12 +1094,61 @@ mod support {
         ) {
             GATHER_LOG.with_borrow_mut(|log| {
                 let Some(log) = log else { return };
-                let every = self.gather_every_primary(over, named);
+                let over: Vec<LinkId> = over.collect();
+                let named: Vec<ChainPair> = named.collect();
+                let mut all_listed: Vec<ChainPair> = over
+                    .iter()
+                    .flat_map(|l| self.links[l.index()].growable().iter().copied())
+                    .collect();
+                sort_dedup(&mut all_listed);
+                let skipped: Vec<(ChainPair, bool)> = all_listed
+                    .iter()
+                    .filter(|pair| !got.contains(pair))
+                    .map(|&pair| (pair, self.blocked_on_its_path(pair)))
+                    .collect();
+                let missed = all_listed
+                    .iter()
+                    .filter(|pair| got.contains(pair) && !named.contains(pair))
+                    .filter(|&&pair| self.blocked_on_its_path(pair))
+                    .count();
+                let mut loaded: Vec<ChainPair> = got.to_vec();
+                loaded.extend(skipped.iter().map(|&(pair, _)| pair));
                 log.push(LoggedGather {
-                    listed: self.loaded_rows(got),
-                    every: self.loaded_rows(&every),
-                    gathered: (got.len(), every.len()),
+                    listed: self.loaded_rows(&loaded),
+                    every: self.loaded_rows(&self.gather_every_primary(over, &named)),
+                    skipped,
+                    missed,
+                    kept: Vec::new(),
                 });
+            });
+        }
+
+        /// Adds the channels an arrival `kept` to the gather it just
+        /// logged, at their levels now.
+        pub(super) fn log_kept(&self, kept: &[ChainPair]) {
+            GATHER_LOG.with_borrow_mut(|log| {
+                if let Some(last) = log.as_mut().and_then(|log| log.last_mut()) {
+                    let level = |&pair: &ChainPair| (pair, self.level_of(pair), 0);
+                    last.kept = kept.iter().map(level).collect();
+                }
+            });
+        }
+
+        /// The level of the live `pair`; `usize::MAX` once it has left.
+        fn level_of(&self, (slot, id): ChainPair) -> usize {
+            let conn = self.connections.at(slot, id);
+            conn.map_or(usize::MAX, |c| c.level())
+        }
+
+        /// Completes the last logged gather with its kept channels' levels
+        /// once the fill has ended.
+        pub(super) fn log_settled(&self) {
+            GATHER_LOG.with_borrow_mut(|log| {
+                if let Some(last) = log.as_mut().and_then(|log| log.last_mut()) {
+                    for (pair, _, after) in &mut last.kept {
+                        *after = self.level_of(*pair);
+                    }
+                }
             });
         }
     }
@@ -1016,7 +1165,9 @@ mod support {
 #[cfg(test)]
 mod tests {
     use super::fill::is_slack;
-    use super::fill::testing::{with_fill, Fill, SKIP_A_LISTING};
+    use super::fill::testing::{
+        with_fill, Fill, BLOCKED_AT_EXACT_ROOM, DROP_THE_NEWCOMER, FORGET_A_RECOUNT, SKIP_A_LISTING,
+    };
     use super::support::*;
     use super::*;
     use drqos_sim::rng::Rng;
@@ -1733,7 +1884,12 @@ mod tests {
 
     #[test]
     fn headroom_equal_to_demand_is_granted_in_bulk() {
-        let net = two_on_one_link(200 + 800);
+        let mut net = two_on_one_link(200 + 800);
+        // The second arrival kept the first channel at its maximum, so its
+        // fill loaded the newcomer alone; a fill over both sees the same.
+        assert_eq!(bulk_flags(&net), [true]);
+        let both = retreat_all(&mut net);
+        net.redistribute(&both);
         assert_eq!(bulk_flags(&net), [true, true]);
         assert_eq!(net.total_primary_bandwidth(), Bandwidth::kbps(1_000));
     }
@@ -2221,57 +2377,97 @@ mod tests {
         Ok((links_skipped, members_skipped))
     }
 
+    /// What [`listed_gather_differential`] counted over its gathers.
+    #[derive(Debug, Default)]
+    struct GatherTally {
+        /// Rows the fills loaded.
+        loaded: usize,
+        /// Chained channels an arrival kept at their maximum.
+        kept: usize,
+        /// Listed rows left out as still blocked.
+        skipped: usize,
+        /// Listed rows let through that a scan of their whole primary
+        /// finds blocked: what the recorded refusals missed.
+        missed: usize,
+    }
+
     /// Replays `cases` seeded op sequences ([`random_case`],
-    /// [`random_op`]) with every fill-candidate gather logged: after every
-    /// commit, release and fault, each listed gather must have the fill
-    /// load exactly the rows the every-primary gather over the same links
-    /// would. Returns how many rows were loaded and how many pairs the
-    /// lists spared the fill (every-primary pairs minus listed ones).
-    fn listed_gather_differential(cases: u64) -> Result<(usize, usize), String> {
-        GATHER_LOG.set(Some(Vec::new()));
-        let (mut loaded, mut spared) = (0, 0);
-        let mut replay = || {
-            for case in 0..cases {
-                let (mut net, mut rng) = random_case(case);
-                for step in 0..10 + rng.range_usize(14) {
-                    let got = random_op(&mut net, &mut rng);
-                    for gather in GATHER_LOG.replace(Some(Vec::new())).unwrap_or_default() {
-                        if gather.listed != gather.every {
-                            return Err(format!(
-                                "case {case} step {step}: {got}: the lists load {:?}, \
-                                 every primary {:?}",
-                                gather.listed, gather.every
-                            ));
-                        }
-                        loaded += gather.listed.len();
-                        spared += gather.gathered.1 - gather.gathered.0;
+    /// [`random_op`]), each op on a clone with the reference commit and
+    /// unfiltered gathers ([`REFERENCE`]) and on the network itself with
+    /// every fill-candidate gather logged. After every commit, release and
+    /// fault: results, full state and invariants must agree with the
+    /// reference; each listed gather, with the rows it left out, must have
+    /// the fill load exactly the rows the every-primary gather over the
+    /// same links would; every row it left out must be blocked under a
+    /// scan of its whole primary; and every channel an arrival kept must
+    /// end at the level it had.
+    fn listed_gather_differential(cases: u64) -> Result<GatherTally, String> {
+        let mut tally = GatherTally::default();
+        for case in 0..cases {
+            let (mut net, mut rng) = random_case(case);
+            for step in 0..10 + rng.range_usize(14) {
+                let (mut oracle, mut oracle_rng) = (net.clone(), rng.clone());
+                let want = with_mutant(&REFERENCE, || random_op(&mut oracle, &mut oracle_rng));
+                GATHER_LOG.set(Some(Vec::new()));
+                let got = random_op(&mut net, &mut rng);
+                let log = GATHER_LOG.take().unwrap_or_default();
+                let violations = net.check_invariants();
+                let at = format!("case {case} step {step}: {got}");
+                if got != want || net != oracle || !violations.is_empty() {
+                    return Err(format!("{at} vs reference {want}; {violations:?}"));
+                }
+                for gather in log {
+                    if gather.listed != gather.every {
+                        let (listed, every) = (&gather.listed, &gather.every);
+                        return Err(format!(
+                            "{at}: the lists load {listed:?}, every primary {every:?}"
+                        ));
                     }
+                    if let Some((pair, _)) = gather.skipped.iter().find(|(_, blocked)| !blocked) {
+                        return Err(format!("{at}: {pair:?} was left out but can grow"));
+                    }
+                    if let Some(moved) = gather.kept.iter().find(|(_, from, to)| from != to) {
+                        return Err(format!("{at}: kept {moved:?} moved"));
+                    }
+                    tally.loaded += gather.listed.len();
+                    tally.kept += gather.kept.len();
+                    tally.skipped += gather.skipped.len();
+                    tally.missed += gather.missed;
                 }
             }
-            Ok(())
-        };
-        let outcome = replay();
-        GATHER_LOG.set(None);
-        outcome.map(|()| (loaded, spared))
+        }
+        Ok(tally)
+    }
+
+    /// Every rule must have fired, many times over.
+    fn assert_gather_coverage(tally: &GatherTally, cases: usize) {
+        assert!(
+            tally.loaded > 15 * cases && tally.kept > 5 * cases && tally.skipped > cases,
+            "{tally:?}"
+        );
     }
 
     #[test]
     fn listed_gather_loads_what_the_full_gather_loads_on_600_seeded_cases() {
-        let (loaded, spared) = listed_gather_differential(600).unwrap();
-        assert!(
-            loaded > 8_000 && spared > 1_000,
-            "{loaded} rows loaded, {spared} pairs spared"
-        );
+        assert_gather_coverage(&listed_gather_differential(600).unwrap(), 600);
     }
 
     #[test]
     #[ignore = "ten times the cases; CI runs it in release"]
     fn listed_gather_loads_what_the_full_gather_loads_on_6000_seeded_cases() {
-        let (loaded, spared) = listed_gather_differential(6_000).unwrap();
-        assert!(
-            loaded > 80_000 && spared > 10_000,
-            "{loaded} rows loaded, {spared} pairs spared"
-        );
+        assert_gather_coverage(&listed_gather_differential(6_000).unwrap(), 6_000);
+    }
+
+    #[test]
+    fn a_blocked_test_that_skips_a_row_with_one_increment_of_room_is_caught() {
+        let caught = with_mutant(&BLOCKED_AT_EXACT_ROOM, || listed_gather_differential(600));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    #[test]
+    fn a_keep_test_without_the_newcomer_s_remaining_is_caught() {
+        let caught = with_mutant(&DROP_THE_NEWCOMER, || listed_gather_differential(600));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     /// Two channels on a 999 Kbps link: the fill leaves the second one
@@ -2314,12 +2510,12 @@ mod tests {
         };
         let mismatch = [InvariantViolation::GrowableSetMismatch { link: LinkId(0) }];
         let edits: [fn(&mut LinkUsage, ChainPair, ChainPair); 4] = [
-            |usage, _, (_, c1)| usage.unlist(c1),
-            |usage, c0, _| usage.list(c0),
-            |usage, _, c1| usage.list(c1),
+            |usage, _, (_, c1)| usage.unlist(c1, Bandwidth::ZERO),
+            |usage, c0, _| usage.list(c0, Bandwidth::ZERO),
+            |usage, _, c1| usage.list(c1, Bandwidth::ZERO),
             |usage, _, (slot, c1)| {
-                usage.unlist(c1);
-                usage.list((slot + 1, c1));
+                usage.unlist(c1, Bandwidth::ZERO);
+                usage.list((slot + 1, c1), Bandwidth::ZERO);
             },
         ];
         for edit in edits {
@@ -2327,6 +2523,33 @@ mod tests {
             edit(&mut broken.links[0], c0, (slot, c1));
             assert_eq!(broken.check_invariants(), mismatch);
         }
+        // A demand or a count that is not the remaining bandwidth is one too.
+        let mut broken = net.clone();
+        broken.links[0].recount(Bandwidth::ZERO, Bandwidth::kbps(1));
+        assert_eq!(broken.check_invariants(), mismatch);
+        let mut broken = net.clone();
+        broken.connections.set_counted(c0.0, Bandwidth::kbps(100));
+        assert_eq!(broken.check_invariants(), mismatch);
+    }
+
+    #[test]
+    fn a_reconcile_that_forgets_a_recount_is_caught() {
+        // A third channel: all three retreat and split the link, so c1
+        // drops from level 3 to 2, below its maximum both times.
+        let three = || {
+            let mut net = one_left_below_its_maximum();
+            net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+            net
+        };
+        let net = three();
+        let levels: Vec<usize> = net.connections().map(|c| c.level()).collect();
+        assert_eq!(levels, [2, 2, 2]);
+        assert_eq!(net.check_invariants(), []);
+        let mismatch = InvariantViolation::GrowableSetMismatch { link: LinkId(0) };
+        assert_eq!(
+            with_mutant(&FORGET_A_RECOUNT, three).check_invariants(),
+            [mismatch]
+        );
     }
 
     #[test]
@@ -2357,7 +2580,7 @@ mod tests {
         };
         // c1's entry on the link now points at a slot that is not c1's.
         let min = qos().min();
-        net.links[0].remove_primary(c1, min);
+        net.links[0].remove_primary(c1, min, Bandwidth::ZERO);
         net.links[0].add_primary(c1, slot + 1, min);
         let mismatch = InvariantViolation::PrimarySetMismatch { link: LinkId(0) };
         assert_eq!(net.check_invariants(), [mismatch]);

@@ -131,8 +131,9 @@ impl Network {
             let Self {
                 connections, links, ..
             } = self;
-            // Off the old primary's lists below; any new one starts unlisted.
-            connections.set_listed(slot, false);
+            // Off the old primary's lists below; any new one starts
+            // unlisted, and where it was refused is not on it.
+            let counted = connections.unlist(slot);
             // lint:allow(no-panic-daemon): the pair came from the set's victims
             let conn = connections.at_mut(slot, id).expect("victim exists");
             Self::retreat_conn(links, &mut self.total_bandwidth, conn);
@@ -140,7 +141,7 @@ impl Network {
             // backup's (they were keyed to the old primary).
             let min = conn.qos().min();
             for &l in conn.primary().links() {
-                links[l.index()].remove_primary(id, min);
+                links[l.index()].remove_primary(id, min, counted);
             }
             Self::unregister_backup_links(links, conn);
             let usable = conn
@@ -190,7 +191,7 @@ impl Network {
 
         // Re-distribute whatever is still spare, the activated channels
         // being the newcomers.
-        self.fill_candidates(&retreated, &activated, &mut candidates);
+        self.fill_candidates(&retreated, &retreated, &activated, &mut candidates);
         self.redistribute(&candidates);
 
         // Re-establish backups for survivors that lost theirs.

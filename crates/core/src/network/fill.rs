@@ -1,13 +1,15 @@
 //! The fill stage: re-distribution of spare bandwidth among the elastic
 //! primaries an arrival, a termination or a failure left able to grow
-//! (Section 3.1's "retreat and re-distribution", the second half), and the
-//! one pass after it that keeps each link's list of growable primaries
-//! ([`LinkUsage::growable`]) exact, so the next event gathers its
-//! candidates from the lists instead of from every primary.
+//! (Section 3.1's "retreat and re-distribution", the second half); the
+//! test that spares an arrival's retreat a primary the fill would grant
+//! straight back; and the one pass after the fill that keeps each link's
+//! list of growable primaries ([`LinkUsage::growable`]) and their demand
+//! exact, so the next event gathers its candidates from the lists instead
+//! of from every primary.
 
 use super::Network;
-use crate::channel::ConnectionId;
-use crate::conn_table::{ChainPair, Slot};
+use crate::channel::{ConnectionId, DrConnection};
+use crate::conn_table::{Blocked, ChainPair, Slot};
 use crate::link_state::LinkUsage;
 use crate::qos::{AdaptationPolicy, Bandwidth};
 use drqos_topology::graph::LinkId;
@@ -83,6 +85,45 @@ pub(super) fn is_slack(link: &LinkUsage, demand: Bandwidth) -> bool {
     link.is_up() && link.headroom() >= demand
 }
 
+/// The bandwidth a fill could still grant `conn`: zero at its maximum.
+pub(super) fn remaining(conn: &DrConnection) -> Bandwidth {
+    let levels = conn.qos().max_level().saturating_sub(conn.level());
+    conn.qos().increment().times(levels as u64)
+}
+
+/// Whether an arrival's fill would find `link` slack for a chained primary
+/// at its maximum, asked before anyone retreats: everything committed,
+/// plus what the listed primaries and `newcomer` could still ask of it,
+/// fits. Retreating a primary adds its extra to the link's headroom and
+/// to its demand alike, so this is the fill's [`is_slack`] after the
+/// retreat — or a stricter test, where the fill leaves out listed rows
+/// that are still blocked.
+fn keeps_its_extra(link: &LinkUsage, newcomer: Bandwidth) -> bool {
+    #[cfg(test)]
+    let newcomer = if testing::DROP_THE_NEWCOMER.get() {
+        Bandwidth::ZERO
+    } else {
+        newcomer
+    };
+    link.is_up() && link.committed() + link.growable_demand() + newcomer <= link.capacity()
+}
+
+/// Whether the heap's refusal recorded in `at` still holds: its link is
+/// down or lacks the increment. Headroom only shrinks during a fill, so a
+/// connection refused there can be granted nothing by a fill starting now.
+pub(super) fn still_blocked(links: &[LinkUsage], at: Option<Blocked>) -> bool {
+    let Some((link, increment)) = at else {
+        return false;
+    };
+    links.get(link.index()).is_some_and(|u| {
+        #[cfg(test)]
+        if testing::BLOCKED_AT_EXACT_ROOM.get() {
+            return !u.is_up() || u.headroom() <= increment;
+        }
+        !u.is_up() || u.headroom() < increment
+    })
+}
+
 /// Reusable work tables of [`Network::redistribute_with`]: a fill
 /// allocates nothing once these have grown to the working-set size. Not
 /// part of the network's state: every fill rebuilds them from scratch. The
@@ -95,13 +136,64 @@ pub(super) struct FillScratch {
     /// The primary links of every row, back to back.
     arena: Vec<LinkId>,
     /// Per link, the bandwidth the rows could still ask of it; all zero
-    /// between fills.
+    /// between fills, and between the keep rule's uses of it.
     demand: Vec<Bandwidth>,
     /// The heap's backing store between fills (empty, capacity kept).
     heap: Vec<Scored>,
 }
 
 impl Network {
+    /// The keep rule of an arrival whose connection `newcomer` is already
+    /// reserved, decided before anyone retreats: moves to the back of
+    /// `chained` every primary at its maximum whose links are all ones
+    /// [`keeps_its_extra`], and returns how many are left in front to
+    /// retreat. The fill would grant a kept primary straight back to where
+    /// it is, and classifies every link alike whether it retreated or not
+    /// (its extra counts on both sides of the slack test), so it is not
+    /// retreated, loaded or granted.
+    pub(super) fn keep_at_maximum(
+        &mut self,
+        chained: &mut [ChainPair],
+        newcomer: ChainPair,
+    ) -> usize {
+        let Self {
+            links,
+            connections,
+            fill,
+            ..
+        } = self;
+        let demand = &mut fill.demand;
+        demand.resize(links.len(), Bandwidth::ZERO);
+        let Some(arrival) = connections.at(newcomer.0, newcomer.1) else {
+            return chained.len();
+        };
+        let (newcomer_links, newcomer_remaining) = (arrival.primary().links(), remaining(arrival));
+        for l in newcomer_links {
+            demand[l.index()] += newcomer_remaining;
+        }
+        let kept = |&(slot, id): &ChainPair| {
+            connections.at(slot, id).is_some_and(|conn| {
+                conn.level() == conn.qos().max_level()
+                    && conn
+                        .primary()
+                        .links()
+                        .iter()
+                        .all(|l| keeps_its_extra(&links[l.index()], demand[l.index()]))
+            })
+        };
+        let mut retreating = 0;
+        for i in 0..chained.len() {
+            if !kept(&chained[i]) {
+                chained.swap(retreating, i);
+                retreating += 1;
+            }
+        }
+        for l in newcomer_links {
+            demand[l.index()] = Bandwidth::ZERO;
+        }
+        retreating
+    }
+
     /// Water-fills extra increments over the set `candidates`, in whatever
     /// order it lists them, according to the adaptation policy, then
     /// [reconciles](Self::reconcile) the lists. The set must hold every
@@ -119,13 +211,14 @@ impl Network {
     }
 
     /// The one list edit of an event, after its fill, outside it: each live
-    /// candidate whose listing disagrees with whether it ended below its
-    /// maximum is listed on, or taken off, every link of its primary.
-    /// Retreat leaves the lists alone, and a primary is put on a link
-    /// unlisted, so this lists a row that was at its maximum (or new) and
-    /// ended below it, and unlists a listed row the fill granted up to its
-    /// maximum. The common row — retreated from its maximum and granted
-    /// straight back — is neither: the connection table's listed column
+    /// candidate whose count in the connection table disagrees with its
+    /// remaining bandwidth is listed on, taken off, or recounted on every
+    /// link of its primary. Retreat leaves the lists alone, and a primary
+    /// is put on a link unlisted, so this lists a row that was at its
+    /// maximum (or new) and ended below it, unlists a listed row the fill
+    /// granted up to its maximum, and recounts a listed row that moved but
+    /// stayed below it. The common row — retreated from its maximum and
+    /// granted straight back — is none of these: the table's count column
     /// tells, without reading a list, and nothing is edited.
     pub(super) fn reconcile(&mut self, candidates: &[ChainPair]) {
         let Self {
@@ -135,23 +228,29 @@ impl Network {
             let Some(conn) = connections.at(slot, id) else {
                 continue;
             };
-            let below = conn.level() < conn.qos().max_level();
-            if connections.is_listed(slot) == below {
+            let (counted, now) = (connections.counted(slot), remaining(conn));
+            if counted == now {
                 continue;
             }
             #[cfg(test)]
-            if below && testing::SKIP_A_LISTING.get() {
+            if counted == Bandwidth::ZERO && testing::SKIP_A_LISTING.get() {
                 continue;
             }
             for l in conn.primary().links() {
                 let usage = &mut links[l.index()];
-                if below {
-                    usage.list((slot, id));
+                if counted == Bandwidth::ZERO {
+                    usage.list((slot, id), now);
+                } else if now == Bandwidth::ZERO {
+                    usage.unlist(id, counted);
                 } else {
-                    usage.unlist(id);
+                    #[cfg(test)]
+                    if testing::FORGET_A_RECOUNT.get() {
+                        continue;
+                    }
+                    usage.recount(counted, now);
                 }
             }
-            connections.set_listed(slot, below);
+            connections.set_counted(slot, now);
         }
     }
 
@@ -162,7 +261,9 @@ impl Network {
     /// row; rows whose links are all slack are granted up to their
     /// maximum in one step; the rest go through a lazy min-heap on
     /// `(score, id)` that grants one increment per pop. Headroom only
-    /// shrinks during a fill, so a refused row is dropped for good.
+    /// shrinks during a fill, so a refused row is dropped for good, and
+    /// the link that refused it is recorded in the connection table for
+    /// the next event's gather ([`still_blocked`]).
     ///
     /// The shortcut is exact. A slack link has room for everything the
     /// candidates could still ask of it, so it refuses nobody whatever the
@@ -176,7 +277,10 @@ impl Network {
     /// grants never touch a tight link, and the heap's `(score, id)` order
     /// is total. So candidates gathered from the links' lists of growable
     /// primaries load exactly the rows that every primary of those links
-    /// would: the ones the lists leave out sit at their maximum.
+    /// would, but for two kinds the fill could grant nothing anyway: the
+    /// rows the lists leave out sit at their maximum, and the listed rows
+    /// the gather leaves out are still blocked where this heap last refused
+    /// them, so the one-increment fill would pop each once and drop it.
     pub(super) fn redistribute_with(
         &mut self,
         candidates: &[ChainPair],
@@ -265,7 +369,8 @@ impl Network {
                 let u = &links[l.index()];
                 u.is_up() && u.headroom() >= row.increment
             };
-            if !path.iter().all(fits) {
+            if let Some(&refused) = path.iter().find(|l| !fits(l)) {
+                connections.set_blocked(row.slot, Some((refused, row.increment)));
                 PeekMut::pop(top);
                 continue;
             }
@@ -308,6 +413,20 @@ pub(super) mod testing {
         /// below its maximum: a mutant the listed-gather differential and
         /// the oracle of [`Network::check_invariants`] must both catch.
         pub(in crate::network) static SKIP_A_LISTING: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+        /// While set, the reconcile pass moves a listed row's count in the
+        /// connection table but not on its links: a mutant the oracle of
+        /// [`Network::check_invariants`] must catch.
+        pub(in crate::network) static FORGET_A_RECOUNT: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+        /// While set, the keep rule leaves the newcomer's remaining out of
+        /// its test: a mutant the listed-gather differential must catch.
+        pub(in crate::network) static DROP_THE_NEWCOMER: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+        /// While set, the gather also skips a row whose recorded link has
+        /// exactly one increment of room: a mutant the listed-gather
+        /// differential must catch.
+        pub(in crate::network) static BLOCKED_AT_EXACT_ROOM: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
     }
 
