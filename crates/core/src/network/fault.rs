@@ -409,6 +409,7 @@ mod tests {
     use crate::invariant::InvariantViolation;
     use crate::qos::ElasticQos;
     use drqos_sim::rng::Rng;
+    use drqos_sim::shrink::shrink_by;
     use drqos_topology::regular;
     use drqos_topology::waxman::WaxmanConfig;
 
@@ -566,33 +567,6 @@ mod tests {
         })
     }
 
-    /// Delta debugging: cuts `ops` at the first broken step, then deletes
-    /// ever-smaller runs of ops while the case still breaks.
-    fn shrink(case: u64, ops: &[u64]) -> Vec<u64> {
-        let Some((step, _)) = broken_at(case, ops) else {
-            return ops.to_vec();
-        };
-        let mut current = ops[..=step].to_vec();
-        let mut chunk = (current.len() / 2).max(1);
-        loop {
-            let mut start = 0;
-            while start < current.len() {
-                let end = (start + chunk).min(current.len());
-                let mut candidate = current.clone();
-                candidate.drain(start..end);
-                if !candidate.is_empty() && broken_at(case, &candidate).is_some() {
-                    current = candidate;
-                } else {
-                    start = end;
-                }
-            }
-            if chunk == 1 {
-                return current;
-            }
-            chunk /= 2;
-        }
-    }
-
     #[test]
     fn the_starved_tier_finds_and_shrinks_an_overbooking_without_the_activation_check() {
         const CASES: u64 = 200;
@@ -604,7 +578,7 @@ mod tests {
             let cases = (0..CASES).map(|case| (case, starved_case(case).2));
             let mut broken = cases.filter(|(case, ops)| broken_at(*case, ops).is_some());
             let (case, ops) = broken.next()?;
-            let shrunk = shrink(case, &ops);
+            let shrunk = shrink_by(&ops, |ops| broken_at(case, ops).map(|(step, _)| step));
             Some((case, broken_at(case, &shrunk), shrunk))
         });
         let (case, broken, shrunk) = witness.expect("the tier reaches the activation check");

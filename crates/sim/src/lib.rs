@@ -10,6 +10,7 @@
 //! * [`time`] — validated virtual time ([`time::SimTime`]).
 //! * [`engine`] — the event queue ([`engine::Simulator`]).
 //! * [`srlg`] — seeded correlated-failure (shared-risk link group) churn.
+//! * [`shrink`] — delta debugging of failing operation sequences.
 //! * [`stats`] — time-weighted averages.
 //!
 //! # Example: an M/M/∞ arrival process
@@ -55,6 +56,7 @@
 pub mod dist;
 pub mod engine;
 pub mod rng;
+pub mod shrink;
 pub mod srlg;
 pub mod stats;
 pub mod time;

@@ -76,11 +76,6 @@ impl TimeWeighted {
             self.integral_until(now) / elapsed
         }
     }
-
-    /// The most recently recorded signal value.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
 }
 
 #[cfg(test)]

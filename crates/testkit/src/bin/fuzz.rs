@@ -5,38 +5,36 @@
 //!      [--diff-cluster N] [--tolerance F] [--self-test]
 //! ```
 //!
-//! * the main run executes `--seqs` seeded operation sequences and exits
-//!   non-zero with a shrunk, copy-pasteable reproducer on any invariant
-//!   violation;
+//! Every seeded run goes through one row of the lockstep subject table
+//! (`drqos_testkit::lockstep::subjects`), which replays N fuzzed
+//! sequences against the row's sequential oracle and fails, with a shrunk
+//! copy-pasteable reproducer, on the first divergence in operation
+//! results, drop counters, epochs or snapshots of any network view:
+//!
+//! * `--seqs N` (default 200) runs the `invariants` row: the network
+//!   checked after every operation against the reference model and every
+//!   invariant oracle;
+//! * `--diff-<row> N` runs a differential row at every parameter in its
+//!   grid: `cache` (route cache on vs. off) and `cluster` (member
+//!   daemons' commit authorities on in-process links to one coordinator,
+//!   with churn between operations, **member counts 2 and 3**);
 //! * `--diff N` additionally runs N simulation-vs-Markov differential
 //!   cases within `--tolerance` (default 0.45 relative);
-//! * `--diff-<subject> N` replays N fuzzed sequences against one row of
-//!   the lockstep subject table (`drqos_testkit::lockstep::subjects`) and
-//!   its sequential oracle, at every parameter in the row's grid, and
-//!   fails (with a shrunk reproducer) on any divergence in operation
-//!   results, drop counters, epochs, or snapshots of any network view:
-//!   `cache` (route cache on vs. off) and `cluster` (member daemons'
-//!   commit authorities on in-process links to one coordinator, with
-//!   churn between operations, **member counts 2 and 3**);
-//! * `--self-test` is the mutation check: it injects the `LoseRelease`
-//!   and `LoseSrlgRepair` accounting faults into the invariant fuzzer and
-//!   every subject's registered mutants (`StarvedCapacity`, `DropRecord`,
-//!   `UnguardedSkip`) into the lockstep loop, and *fails* unless the detectors catch every one and
-//!   shrink the witness within its bound (≤ 10 ops for each accounting
-//!   fault; the table row's `shrink_bound` for each mutant).
+//! * `--self-test` is the mutation check: it arms every mutant of every
+//!   row (`LoseRelease`, `LoseSrlgRepair`, `StarvedCapacity`,
+//!   `DropRecord`, `UnguardedSkip`) and *fails* unless the loop catches
+//!   each one and shrinks its witness within the row's shrink bound.
 
 use drqos_testkit::diff::check_diff;
-use drqos_testkit::fuzz::{run_fuzz, FuzzConfig, InjectedFault};
-use drqos_testkit::lockstep::{self, Config};
+use drqos_testkit::lockstep::{self, Config, Failure, InvariantSubject, Subject, SubjectRow};
 use std::process::ExitCode;
 
 struct Args {
-    seqs: usize,
     ops: usize,
     seed: u64,
     diff: usize,
-    /// Sequence budget per lockstep subject, in table order.
-    lockstep: Vec<usize>,
+    /// Sequence budget per row of the subject table, in table order.
+    sequences: Vec<usize>,
     tolerance: f64,
     self_test: bool,
 }
@@ -44,11 +42,13 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let subjects = lockstep::subjects();
     let mut args = Args {
-        seqs: 200,
         ops: 60,
         seed: 2001,
         diff: 0,
-        lockstep: vec![0; subjects.len()],
+        sequences: subjects
+            .iter()
+            .map(|row| if is_invariants(row) { 200 } else { 0 })
+            .collect(),
         tolerance: 0.45,
         self_test: false,
     };
@@ -56,22 +56,35 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{flag} expects a value"));
         match flag.as_str() {
-            "--seqs" => args.seqs = parse(&value()?)?,
             "--ops" => args.ops = parse(&value()?)?,
             "--seed" => args.seed = parse(&value()?)?,
             "--diff" => args.diff = parse(&value()?)?,
             "--tolerance" => args.tolerance = parse(&value()?)?,
             "--self-test" => args.self_test = true,
             other => {
-                let row = other
-                    .strip_prefix("--diff-")
-                    .and_then(|name| subjects.iter().position(|row| row.name == name))
+                let row = subjects
+                    .iter()
+                    .position(|row| budget_flag(row) == other)
                     .ok_or_else(|| format!("unknown flag {other}"))?;
-                args.lockstep[row] = parse(&value()?)?;
+                args.sequences[row] = parse(&value()?)?;
             }
         }
     }
     Ok(args)
+}
+
+fn is_invariants(row: &SubjectRow) -> bool {
+    row.name == InvariantSubject::NAME
+}
+
+/// The flag that sets a row's sequence budget: `--seqs` for the
+/// invariant row, `--diff-<name>` for a differential.
+fn budget_flag(row: &SubjectRow) -> String {
+    if is_invariants(row) {
+        "--seqs".to_string()
+    } else {
+        format!("--diff-{}", row.name)
+    }
 }
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
@@ -92,25 +105,37 @@ fn main() -> ExitCode {
         return mutation_check(args.seed);
     }
 
-    if args.seqs > 0 {
-        let outcome = run_fuzz(&FuzzConfig {
-            sequences: args.seqs,
+    for (row, &sequences) in lockstep::subjects().iter().zip(&args.sequences) {
+        if sequences == 0 {
+            continue;
+        }
+        let config = Config {
+            sequences,
             ops_per_sequence: args.ops,
             seed: args.seed,
-            fault: InjectedFault::None,
-        });
-        if let Some(failure) = outcome.failure {
-            eprintln!(
-                "FAIL: invariant violation after {} clean sequence(s)\n",
-                outcome.sequences_run
+        };
+        for &param in row.grid {
+            let outcome = row.run(&config, param);
+            if let Some(failure) = outcome.failure {
+                eprintln!(
+                    "FAIL: {} row{} diverged from its sequential oracle after {} clean \
+                     sequence(s)\n",
+                    row.name,
+                    row.at(param),
+                    outcome.sequences_run
+                );
+                eprintln!("{}", failure.reproducer());
+                return ExitCode::FAILURE;
+            }
+            println!(
+                "ok: {} {}-row sequence(s) x {} ops (seed {}){} clean throughout",
+                sequences,
+                row.name,
+                args.ops,
+                args.seed,
+                row.at(param)
             );
-            eprintln!("{}", failure.reproducer());
-            return ExitCode::FAILURE;
         }
-        println!(
-            "ok: {} sequences x {} ops (seed {}) with zero invariant violations",
-            args.seqs, args.ops, args.seed
-        );
     }
 
     if args.diff > 0 {
@@ -129,67 +154,17 @@ fn main() -> ExitCode {
         );
     }
 
-    for (row, &sequences) in lockstep::subjects().iter().zip(&args.lockstep) {
-        if sequences == 0 {
-            continue;
-        }
-        let config = Config {
-            sequences,
-            ops_per_sequence: args.ops,
-            seed: args.seed,
-        };
-        for &param in row.grid {
-            let outcome = row.run(&config, param);
-            if let Some(failure) = outcome.failure {
-                eprintln!(
-                    "FAIL: {} differential{} diverged from its sequential oracle after {} clean \
-                     sequence(s)\n",
-                    row.name,
-                    row.at(param),
-                    outcome.sequences_run
-                );
-                eprintln!("{}", failure.reproducer());
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "ok: {} {}-differential sequence(s) x {} ops (seed {}){} byte-identical throughout",
-                sequences,
-                row.name,
-                args.ops,
-                args.seed,
-                row.at(param)
-            );
-        }
-    }
     ExitCode::SUCCESS
 }
 
-/// The mutation check: every injected fault MUST be caught and MUST
-/// shrink to a small reproducer, or the detector itself is broken.
+/// The mutation check: every mutant of every row MUST be caught and MUST
+/// shrink within the row's bound, or the detector itself is broken.
 fn mutation_check(seed: u64) -> ExitCode {
     let mut clean = true;
-    // Invariant-fuzzer faults: (fault, sequences, ops per sequence).
-    for (fault, sequences, ops_per_sequence) in [
-        (InjectedFault::LoseRelease, 50, 30),
-        (InjectedFault::LoseSrlgRepair, 200, 60),
-    ] {
-        let witness = run_fuzz(&FuzzConfig {
-            sequences,
-            ops_per_sequence,
-            seed,
-            fault,
-        })
-        .failure
-        .map(|f| (f.shrunk.len(), f.reproducer()));
-        clean &= report(&format!("{fault:?} accounting fault"), 10, witness);
-    }
     for row in lockstep::subjects() {
         for &mutant in row.mutants {
-            let witness = row
-                .mutation_witness(mutant, seed)
-                .map(|f| (f.shrunk.len(), f.reproducer()));
-            let what = format!("{mutant} fault ({} differential)", row.name);
-            clean &= report(&what, row.shrink_bound, witness);
+            let what = format!("{mutant} fault ({} row)", row.name);
+            clean &= report(&what, row.shrink_bound, row.mutation_witness(mutant, seed));
         }
     }
     if clean {
@@ -200,16 +175,21 @@ fn mutation_check(seed: u64) -> ExitCode {
 }
 
 /// Prints one mutation-check verdict; `true` when the fault was caught
-/// and its witness (length, reproducer) is within `bound`.
-fn report(what: &str, bound: usize, witness: Option<(usize, String)>) -> bool {
+/// and its shrunk witness is within `bound`.
+fn report(what: &str, bound: usize, witness: Option<Failure>) -> bool {
     match witness {
-        Some((len, reproducer)) if len <= bound => {
-            println!("ok: injected {what} caught and shrunk to {len} op(s):\n\n{reproducer}");
+        Some(failure) if failure.shrunk.len() <= bound => {
+            println!(
+                "ok: injected {what} caught and shrunk to {} op(s):\n\n{}",
+                failure.shrunk.len(),
+                failure.reproducer()
+            );
             true
         }
-        Some((len, _)) => {
+        Some(failure) => {
             eprintln!(
-                "FAIL: {what} caught but reproducer has {len} ops (> {bound}) — shrinker regressed"
+                "FAIL: {what} caught but reproducer has {} ops (> {bound}) — shrinker regressed",
+                failure.shrunk.len()
             );
             false
         }

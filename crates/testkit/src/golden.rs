@@ -1,8 +1,9 @@
 //! Golden-trace recording and byte-exact verification.
 //!
-//! A [`TraceRecorder`] wraps a [`Network`] and logs every operation plus
-//! periodic state snapshots into a hand-rolled line-oriented text format
-//! (no external crates — the build is offline). Canonical scenarios live
+//! A [`TraceRecorder`] wraps a [`Network`], applies every operation as a
+//! [`MemberOp`] and logs its outcome plus periodic state snapshots into a
+//! hand-rolled line-oriented text format (no external crates — the build
+//! is offline). Canonical scenarios live
 //! in [`scenarios`]; their traces are blessed into `tests/golden/` and
 //! compared byte-exact on every run, so behavioural drift introduced by a
 //! refactor fails CI with a first-differing-line diff.
@@ -16,8 +17,9 @@
 //! thread count, no floats), so they are stable across machines, worker
 //! counts, and debug/release builds.
 
+use drqos_cluster::{ApplyOutcome, MemberOp};
 use drqos_core::channel::ConnectionId;
-use drqos_core::network::{FailureReport, Network};
+use drqos_core::network::{EstablishRequest, FailureReport, Network};
 use drqos_core::qos::ElasticQos;
 use drqos_topology::paths::Path;
 use drqos_topology::{LinkId, NodeId};
@@ -37,6 +39,17 @@ fn fmt_path(path: &Path) -> String {
         .map(|n| n.to_string())
         .collect::<Vec<_>>()
         .join("-")
+}
+
+/// A failure report's line, after `head`, the event that caused it.
+fn fail_line(head: String, report: &FailureReport) -> String {
+    format!(
+        "{head} activated={} dropped={} lost_backup={} retreated={}",
+        fmt_ids(&report.activated),
+        fmt_ids(&report.dropped),
+        fmt_ids(&report.lost_backup),
+        fmt_ids(&report.retreated)
+    )
 }
 
 fn fmt_ids(ids: &[ConnectionId]) -> String {
@@ -69,70 +82,77 @@ impl TraceRecorder {
         &self.net
     }
 
-    /// Attempts an establish, recording the outcome.
-    pub fn establish(&mut self, src: usize, dst: usize) -> Option<ConnectionId> {
-        match self.net.establish(NodeId(src), NodeId(dst), self.qos) {
-            Ok(id) => {
-                let c = self.net.connection(id).expect("just established");
-                let line = format!(
-                    "establish {id} n{src}->n{dst} bw={} primary={} backups={}",
+    /// Applies `op` through the shared transition ([`MemberOp::apply`])
+    /// and records its outcome as one line. The scenarios only ever pick
+    /// legal targets, so any other error is a broken trace.
+    fn record(&mut self, op: MemberOp) -> ApplyOutcome {
+        let outcome = op.apply(&mut self.net);
+        let line = match (op, &outcome) {
+            (MemberOp::Establish { req }, ApplyOutcome::Establish(Ok(id))) => {
+                let c = self.net.connection(*id).expect("just established");
+                format!(
+                    "establish {id} {}->{} bw={} primary={} backups={}",
+                    req.src,
+                    req.dst,
                     c.bandwidth().as_kbps(),
                     fmt_path(c.primary()),
                     c.backup_count()
-                );
-                self.lines.push(line);
-                Some(id)
+                )
             }
-            Err(e) => {
-                self.lines.push(format!("reject n{src}->n{dst} ({e})"));
-                None
+            (MemberOp::Establish { req }, ApplyOutcome::Establish(Err(e))) => {
+                format!("reject {}->{} ({e})", req.src, req.dst)
             }
+            (MemberOp::Release { id }, ApplyOutcome::Release(Ok(Some(held)))) => {
+                format!("release {id} freed={held}")
+            }
+            (MemberOp::FailLink { link }, ApplyOutcome::FailLink(Ok(report))) => {
+                fail_line(format!("fail {link}"), report)
+            }
+            (MemberOp::FailNode { node }, ApplyOutcome::FailNode(Ok(report))) => {
+                let links: Vec<String> = report.links.iter().map(|l| l.to_string()).collect();
+                fail_line(
+                    format!("fail_node {node} links=[{}]", links.join(",")),
+                    report,
+                )
+            }
+            (MemberOp::RepairLink { link }, ApplyOutcome::RepairLink(Ok(regained))) => {
+                format!("repair {link} regained={}", fmt_ids(regained))
+            }
+            (op, outcome) => panic!("trace ops pick legal targets: {op:?} gave {outcome:?}"),
+        };
+        self.lines.push(line);
+        outcome
+    }
+
+    /// Attempts an establish, recording the outcome.
+    pub fn establish(&mut self, src: usize, dst: usize) -> Option<ConnectionId> {
+        let (src, dst, qos) = (NodeId(src), NodeId(dst), self.qos);
+        match self.record(MemberOp::Establish {
+            req: EstablishRequest { src, dst, qos },
+        }) {
+            ApplyOutcome::Establish(Ok(id)) => Some(id),
+            _ => None,
         }
     }
 
-    /// Releases a connection, recording the freed bandwidth.
+    /// Releases a connection, recording the bandwidth it held.
     pub fn release(&mut self, id: ConnectionId) {
-        let conn = self.net.release(id).expect("trace releases live ids");
-        self.lines
-            .push(format!("release {id} freed={}", conn.bandwidth().as_kbps()));
-    }
-
-    /// Records a failure report after `head`, the event that caused it.
-    fn fail_line(&mut self, head: String, report: &FailureReport) {
-        self.lines.push(format!(
-            "{head} activated={} dropped={} lost_backup={} retreated={}",
-            fmt_ids(&report.activated),
-            fmt_ids(&report.dropped),
-            fmt_ids(&report.lost_backup),
-            fmt_ids(&report.retreated)
-        ));
+        self.record(MemberOp::Release { id });
     }
 
     /// Fails a link, recording the full failure report.
     pub fn fail_link(&mut self, link: LinkId) {
-        let report = self.net.fail_link(link).expect("trace fails up links");
-        self.fail_line(format!("fail {link}"), &report);
+        self.record(MemberOp::FailLink { link });
     }
 
     /// Fails a node, recording the links it took down and the report.
     pub fn fail_node(&mut self, node: usize) {
-        let report = self
-            .net
-            .fail_node(NodeId(node))
-            .expect("trace fails live nodes");
-        let links: Vec<String> = report.links.iter().map(|l| l.to_string()).collect();
-        let head = format!("fail_node n{node} links=[{}]", links.join(","));
-        self.fail_line(head, &report);
+        self.record(MemberOp::FailNode { node: NodeId(node) });
     }
 
     /// Repairs a link, recording which connections regained backups.
     pub fn repair_link(&mut self, link: LinkId) {
-        let regained = self
-            .net
-            .repair_link(link)
-            .expect("trace repairs down links");
-        self.lines
-            .push(format!("repair {link} regained={}", fmt_ids(&regained)));
+        self.record(MemberOp::RepairLink { link });
     }
 
     /// Records a state snapshot line (counts and totals only — no

@@ -1,16 +1,28 @@
 //! # drqos-testkit
 //!
-//! Deterministic chaos harness for the DR-connection stack. Four layers:
+//! Deterministic chaos harness for the DR-connection stack. Its layers:
 //!
-//! * [`fuzz`] — a seeded **operation-sequence fuzzer** that drives
-//!   [`drqos_core::network::Network`] through random interleavings of
-//!   establish/release/fail/repair operations against the [`reference`]
-//!   model, with automatic shrinking of failing sequences down to the
-//!   shortest reproducer (printed as a copy-pasteable scenario).
-//! * [`oracle`] — pluggable **invariant checks** run after every
-//!   operation: the core accounting recomputation plus Δ-grid membership,
-//!   liveness of committed paths, epoch monotonicity, and drop-counter
-//!   conservation.
+//! * [`lockstep`] — the **one seeded driver**. A table of subjects
+//!   ([`lockstep::subjects`]) is each replayed against a sequential
+//!   oracle network by the one [`lockstep::Lockstep`] loop, compared
+//!   after every step on results, drop counters, epochs and full
+//!   snapshots of every network view, and shrunk on the first failure to
+//!   a copy-pasteable reproducer. The rows: `invariants`, the network
+//!   checked after every operation against the [`reference`] model and
+//!   the [`oracle`] checks (`fuzz --seqs N`); `cache`, the route cache on
+//!   against off (`fuzz --diff-cache N`); and `cluster`, member daemons on
+//!   in-process links to a churned federation's
+//!   [`drqos_service::clusterd::LocalCoordinator`]
+//!   (`fuzz --diff-cluster N`). Each row registers mutants the loop must
+//!   catch (`fuzz --self-test`), which keeps the detector itself honest.
+//! * [`fuzz`] — the **case model** every row shares: a case seed fixes a
+//!   scenario and a stream of establish/release/fail/repair operations
+//!   whose operands resolve against the state they meet, so any
+//!   subsequence is a case and failures shrink.
+//! * [`reference`] — an independent mirror of the network's observable
+//!   contract, and [`oracle`] — pluggable **invariant checks**: the core
+//!   accounting recomputation plus Δ-grid membership, liveness of
+//!   committed paths, epoch monotonicity, and drop-counter conservation.
 //! * [`golden`] — a **golden-trace harness**: canonical scenarios are
 //!   serialized to a hand-rolled text format and compared byte-exact
 //!   against files blessed into `tests/golden/` (update with
@@ -19,23 +31,10 @@
 //!   command/response transcripts (`> cmd` / `< resp`) for golden
 //!   comparison of line protocols; the handler is injected as a closure,
 //!   so the testkit stays agnostic of `drqos-service`.
-//!
-//! A fifth, cross-crate layer lives in [`diff`]: fuzzer-generated churn
-//! workloads whose simulated steady-state average bandwidth is compared
-//! against the `drqos-analysis` Markov prediction within a stated
-//! tolerance band.
-//!
-//! The sixth layer, [`lockstep`], is differential: every fast path that
-//! claims exact equivalence to the sequential network — the route cache,
-//! and member daemons on in-process links to a churned federation's
-//! [`drqos_service::clusterd::LocalCoordinator`] — is a
-//! [`lockstep::Subject`] replayed against a sequential oracle by the one
-//! [`lockstep::Lockstep`] loop, compared after every step on results,
-//! drop counters, epochs and full snapshots of every network view, and
-//! shrunk on divergence
-//! (`fuzz --diff-cache | --diff-cluster N`
-//! in CI). Each subject registers mutants the loop must catch
-//! (`fuzz --self-test`), which keeps the detector itself honest.
+//! * [`diff`] — a cross-crate layer: fuzzer-generated churn workloads
+//!   whose simulated steady-state average bandwidth is compared against
+//!   the `drqos-analysis` Markov prediction within a stated tolerance
+//!   band (`fuzz --diff N`).
 //!
 //! Everything is deterministic given the seeds; there are no external
 //! dependencies and no wall-clock or thread-count influence on any
@@ -53,10 +52,7 @@ pub mod reference;
 pub mod session;
 
 pub use diff::{run_diff, DiffCase, DiffResult};
-pub use fuzz::{
-    run_fuzz, run_sequence, FuzzConfig, FuzzFailure, FuzzOutcome, Harness, InjectedFault, Op,
-    OpMix, Scenario, SequenceFailure,
-};
+pub use fuzz::{Op, OpMix, Scenario};
 pub use golden::{verify_golden, TraceRecorder};
 pub use lockstep::{Case, Divergence, Lockstep, Subject, SubjectRow};
 pub use oracle::{InvariantCheck, Oracle, Violation};

@@ -1,28 +1,30 @@
-//! The lockstep differential harness — the one loop behind
-//! `fuzz --diff-cache | --diff-cluster`.
+//! The lockstep harness — the one seeded driver behind `fuzz --seqs`,
+//! `fuzz --diff-cache | --diff-cluster` and `fuzz --self-test`.
 //!
-//! The sequential [`Network`] is the admission authority; every faster
-//! path (the route cache, the cluster federation) claims *exact*
-//! equivalence to it. [`Lockstep`]
-//! enforces such a claim: a fuzzed operation sequence is replayed against
-//! a [`Subject`] and a sequential oracle side by side. Every operation is
+//! The sequential [`Network`] is the admission authority. Each row of the
+//! subject table holds something to it: the invariant-checked network
+//! ([`InvariantSubject`]: every operation cross-checked against the
+//! [`ReferenceModel`] and the standard [`Oracle`]), and every faster path
+//! that claims *exact* equivalence to it (the route cache, the cluster
+//! federation). [`Lockstep`] replays a fuzzed operation sequence against a
+//! [`Subject`] and a sequential oracle side by side. Every operation is
 //! one [`MemberOp`], applied to the subject ([`Subject::apply`]) and to the
 //! oracle ([`MemberOp::apply`]), and after each one the two sides are
 //! compared on:
 //!
 //! * the operation's own result (the full [`ApplyOutcome`]: admission
-//!   `Ok`/`Err` with ids, failure reports, ...),
+//!   `Ok`/`Err` with ids, failure reports, ...), or the subject's `Err`
+//!   (a forwarding failure, or the invariant row's violations),
 //! * and, for **every** network view the subject exposes
 //!   ([`Subject::views`] — one network, or the cluster's authority plus
 //!   each live replica level with it): the cumulative drop counter, the
 //!   topology epoch and a full [`NetworkSnapshot`].
 //!
 //! Raw operands are resolved by [`resolve_op`] against the *oracle's*
-//! candidate lists (the same function [`crate::fuzz::Harness::apply`]
-//! uses on its single network). Until the first divergence both sides
-//! have identical candidate lists, so the choice of resolution side
-//! cannot mask a bug: the first divergent operation is detected at the
-//! step where it happens.
+//! candidate lists. Until the first divergence both sides have identical
+//! candidate lists, so the choice of resolution side cannot mask a bug:
+//! the first divergent operation is detected at the step where it
+//! happens.
 //!
 //! A subject supplies only what differs — how it is built, how it applies
 //! an operation, its views, an optional before-each-op hook (cluster
@@ -30,12 +32,15 @@
 //! ([`Case::mutant`]) that `fuzz --self-test` requires the loop to catch
 //! and shrink within [`Subject::SHRINK_BOUND`] operations. Everything else
 //! — the loop, the comparison, [`Divergence`] / [`Failure`] / [`Outcome`],
-//! the seeded driver with delta-debugging ([`crate::fuzz::shrink_by`]),
-//! the reproducer — exists once, here. [`subjects`] is the table `fuzz`
-//! and the table-driven tests iterate; adding a differential is one
-//! `impl Subject` plus one row.
+//! the seeded driver with delta-debugging
+//! ([`drqos_sim::shrink::shrink_by`]), the reproducer — exists once, here.
+//! [`subjects`] is the table `fuzz` and the table-driven tests iterate;
+//! adding a row is one `impl Subject` plus one entry there and one line in
+//! TESTING.md's subject table.
 
-use crate::fuzz::{case_ops, case_seed, render_case, shrink_by, Op, Scenario};
+use crate::fuzz::{case_ops, case_seed, render_case, Op, Scenario};
+use crate::oracle::{Oracle, Violation};
+use crate::reference::ReferenceModel;
 use drqos_cluster::{ApplyOutcome, MemberOp};
 use drqos_core::network::{EstablishRequest, Network};
 use drqos_core::qos::ElasticQos;
@@ -43,6 +48,7 @@ use drqos_core::snapshot::NetworkSnapshot;
 use drqos_service::clusterd::{Fault, LocalCoordinator, MemberState};
 use drqos_service::engine::Authority;
 use drqos_sim::rng::Rng;
+use drqos_sim::shrink::shrink_by;
 use drqos_topology::{LinkId, NodeId};
 
 /// Resolves a raw operand against a candidate list (`None` when empty).
@@ -306,8 +312,8 @@ pub struct SubjectRow {
     run_pair: fn(&Scenario, &Scenario, &[Op], Case) -> Option<Divergence>,
 }
 
-/// Budget and seed of a differential run (the same case seeds generate
-/// the same scenarios and operation streams as the invariant fuzzer).
+/// Budget and seed of a run (a case seed generates the same scenario and
+/// operation stream in every row).
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Number of independent operation sequences.
@@ -479,10 +485,11 @@ pub struct Outcome {
     pub failure: Option<Failure>,
 }
 
-/// The subject table: every lockstep differential `fuzz` can run, in
-/// `--diff-*` flag order.
-pub fn subjects() -> [SubjectRow; 2] {
+/// The subject table: every row `fuzz` can run, in the order it runs
+/// them.
+pub fn subjects() -> [SubjectRow; 3] {
     [
+        SubjectRow::of::<InvariantSubject>(),
         SubjectRow::of::<CacheSubject>(),
         SubjectRow::of::<ClusterSubject>(),
     ]
@@ -491,6 +498,90 @@ pub fn subjects() -> [SubjectRow; 2] {
 /// Looks a subject up by [`Subject::NAME`].
 pub fn subject(name: &str) -> Option<SubjectRow> {
     subjects().into_iter().find(|row| row.name == name)
+}
+
+/// The mutation check on one mutant of the row `name`: it is caught
+/// within the row's budget, shrunk within its bound, tagged with the
+/// mutant and replayed from the failure's own fields.
+#[cfg(test)]
+pub(crate) fn caught_and_shrunk(name: &str, mutant: &'static str) -> Failure {
+    let row = subject(name).unwrap_or_else(|| panic!("no row {name}"));
+    let failure = row
+        .mutation_witness(mutant, 2001)
+        .unwrap_or_else(|| panic!("{name}: {mutant} went unnoticed"));
+    assert!(
+        failure.shrunk.len() <= row.shrink_bound,
+        "{name}: {mutant} shrank to {:?}",
+        failure.shrunk
+    );
+    assert_eq!(failure.case.mutant, Some(mutant));
+    assert_eq!(failure.replay(), Some(failure.divergence.clone()));
+    failure
+}
+
+/// The invariant-checked network: after every operation the network is
+/// cross-checked against the [`ReferenceModel`], which is told what came
+/// of it, and every check of [`Oracle::standard`] runs. A violation is the
+/// subject's `Err`, so the loop reports it at the step that caused it.
+pub struct InvariantSubject {
+    net: Network,
+    reference: ReferenceModel,
+    oracle: Oracle,
+    mutant: Option<&'static str>,
+}
+
+impl Subject for InvariantSubject {
+    const NAME: &'static str = "invariants";
+    /// `LoseRelease`: releases reach the network but not the reference,
+    /// whose books keep charging the freed bandwidth — the drift a
+    /// forgotten `remove_primary` would cause. `LoseSrlgRepair`: group
+    /// repairs reach the network but not the reference, whose mirrored
+    /// links stay down — a repair that forgot to fan out over the group.
+    const MUTANTS: &'static [&'static str] = &["LoseRelease", "LoseSrlgRepair"];
+    const SHRINK_BOUND: usize = 10;
+
+    fn build(scenario: &Scenario, case: Case) -> Self {
+        let net = scenario.network();
+        InvariantSubject {
+            reference: ReferenceModel::new(&net),
+            net,
+            oracle: Oracle::standard(),
+            mutant: case.mutant,
+        }
+    }
+
+    fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, String> {
+        let outcome = op.apply(&mut self.net);
+        let lost = matches!(
+            (self.mutant, &outcome),
+            (Some("LoseRelease"), ApplyOutcome::Release(_))
+                | (Some("LoseSrlgRepair"), ApplyOutcome::RepairSrlg(_))
+        );
+        let mut violations = Vec::new();
+        if !lost {
+            if let Err(message) = self.reference.observe(&self.net, op, &outcome) {
+                violations.push(Violation {
+                    check: "legal-operand",
+                    message,
+                });
+            }
+        }
+        let diffs = self.reference.compare(&self.net);
+        violations.extend(diffs.into_iter().map(|message| Violation {
+            check: "reference-model",
+            message,
+        }));
+        violations.extend(self.oracle.run(&self.net));
+        if violations.is_empty() {
+            return Ok(outcome);
+        }
+        let violations: Vec<String> = violations.iter().map(Violation::to_string).collect();
+        Err(violations.join("; "))
+    }
+
+    fn views(&self, visit: &mut dyn FnMut(&str, &Network)) {
+        visit("checked", &self.net);
+    }
 }
 
 /// The admission route cache ([`drqos_core::route_cache`]): a cache-on
@@ -672,7 +763,7 @@ impl Subject for ClusterSubject {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::{generate_mix, generate_ops, run_sequence, InjectedFault, OpMix};
+    use crate::fuzz::{generate_mix, generate_ops, OpMix};
 
     fn case(param: usize, seed: u64) -> Case {
         Case {
@@ -744,15 +835,14 @@ mod tests {
 
     #[test]
     fn diff_streams_match_the_invariant_fuzzer() {
-        // Every differential deliberately replays the exact case seeds
-        // and op streams the invariant fuzzer uses, so a sequence number
-        // from one report addresses the same workload in all of them.
+        // Every row deliberately replays the exact case seeds and op
+        // streams, so a sequence number from one report addresses the
+        // same workload in all of them.
         let seed = case_seed(2001, 3);
         let scenario = Scenario::from_seed(seed);
         let ops = case_ops(seed, 20);
         let mut rng = Rng::seed_from_u64(seed ^ 0x4655_5A5A);
         assert_eq!(ops, generate_mix(&mut rng, 20, scenario.mix));
-        assert!(run_sequence(&scenario, &ops, InjectedFault::None).is_none());
         for row in subjects() {
             for &param in row.grid {
                 assert!(
@@ -836,16 +926,24 @@ mod tests {
         assert_eq!(lockstep.compare_state(), None);
     }
 
+    /// The mutation check `fuzz --self-test` runs: every mutant of every
+    /// row is caught within the row's budget, shrunk within its bound,
+    /// and replayed from the failure's own fields.
+    #[test]
+    fn every_mutant_of_every_row_is_caught_shrunk_and_replayed() {
+        for row in subjects() {
+            for &mutant in row.mutants {
+                caught_and_shrunk(row.name, mutant);
+            }
+        }
+    }
+
     #[test]
     fn starved_cache_side_is_caught_and_shrinks_to_one_op() {
         // The minimal witness for "the two sides settle differently" is a
         // single establish.
-        let row = subject("cache").unwrap();
-        let failure = row
-            .mutation_witness("StarvedCapacity", 2001)
-            .expect("capacity fault must be detected within the budget");
+        let failure = caught_and_shrunk("cache", "StarvedCapacity");
         assert_eq!(failure.shrunk.len(), 1, "{:?}", failure.shrunk);
-        assert!(failure.shrunk.len() <= row.shrink_bound);
         assert!(matches!(failure.shrunk[0], Op::Establish { .. }));
     }
 
@@ -853,10 +951,7 @@ mod tests {
     fn dropped_record_is_caught_and_shrinks_small() {
         // A coordinator that admits a request but logs no record must be
         // caught, with a tiny shrunk witness.
-        let failure = subject("cluster")
-            .unwrap()
-            .mutation_witness("DropRecord", 2001)
-            .expect("dropped-record fault must be detected within the budget");
+        let failure = caught_and_shrunk("cluster", "DropRecord");
         let shrunk = &failure.shrunk;
         assert!(
             (1..=3).contains(&shrunk.len()),
@@ -882,16 +977,38 @@ mod tests {
     fn an_unguarded_skip_is_caught_and_shrinks_small() {
         // Commit replies that start one record late, replayed by members
         // whose contiguity guard is off.
-        let row = subject("cluster").unwrap();
-        let failure = row
-            .mutation_witness("UnguardedSkip", 2001)
-            .expect("an unguarded skip must be detected within the budget");
+        let failure = caught_and_shrunk("cluster", "UnguardedSkip");
         assert!(
-            failure.shrunk.len() <= row.shrink_bound,
+            failure.shrunk.len() <= 3,
             "witness should be tiny: {:?}",
             failure.shrunk
         );
-        assert_eq!(failure.replay(), Some(failure.divergence.clone()));
+    }
+
+    /// TESTING.md's subject table is the documented copy of
+    /// [`subjects`]: every row has its line there, naming each of the
+    /// row's mutants and ending in its shrink bound.
+    #[test]
+    fn every_row_and_mutant_is_documented_in_testing_md() {
+        let doc = include_str!("../../../TESTING.md");
+        for row in subjects() {
+            let head = format!("| `{}` |", row.name);
+            let line = doc
+                .lines()
+                .find(|line| line.starts_with(&head))
+                .unwrap_or_else(|| panic!("TESTING.md has no subject-table line for {head}"));
+            for mutant in row.mutants {
+                assert!(
+                    line.contains(&format!("`{mutant}`")),
+                    "TESTING.md's {head} line does not name the mutant `{mutant}`"
+                );
+            }
+            let bound = format!("| {} |", row.shrink_bound);
+            assert!(
+                line.ends_with(&bound),
+                "TESTING.md's {head} line does not end in its shrink bound {bound}"
+            );
+        }
     }
 
     /// A deliberately wrong subject, independent of every product

@@ -1,23 +1,29 @@
-//! Chaos-harness integration: the seeded operation fuzzer drives the full
-//! network stack against the testkit's reference model and invariant
-//! oracles. CI runs a much larger budget through the `fuzz` binary; this
-//! suite keeps a fast smoke run plus the mutation check (an injected
-//! accounting bug MUST be caught and MUST shrink small) in `cargo test`.
+//! Chaos-harness integration: the lockstep table's `invariants` row drives
+//! the full network stack against the testkit's reference model and
+//! invariant oracles. CI runs a much larger budget through the `fuzz`
+//! binary; this suite keeps a fast smoke run plus the mutation check (an
+//! injected accounting bug MUST be caught and MUST shrink small) in
+//! `cargo test`.
 
-use drqos_testkit::{run_fuzz, run_sequence, FuzzConfig, InjectedFault};
+use drqos_testkit::lockstep::{subject, Config};
+use drqos_testkit::SubjectRow;
+
+fn invariants() -> SubjectRow {
+    subject("invariants").expect("the invariant row is registered")
+}
 
 #[test]
 fn fuzz_smoke_clean_sequences_hold_all_invariants() {
-    let outcome = run_fuzz(&FuzzConfig {
+    let config = Config {
         sequences: 150,
         ops_per_sequence: 60,
         seed: 2001,
-        fault: InjectedFault::None,
-    });
-    assert_eq!(outcome.sequences_run, 150);
+    };
+    let outcome = invariants().run(&config, 0);
     if let Some(failure) = outcome.failure {
         panic!("invariant violation:\n{}", failure.reproducer());
     }
+    assert_eq!(outcome.sequences_run, 150);
 }
 
 #[test]
@@ -25,43 +31,35 @@ fn injected_accounting_bug_is_caught_and_shrunk() {
     // Mutation check: lose a release on the reference side and the
     // live-set / min-sum divergence must be detected, then shrunk to a
     // tiny reproducer (the fault needs only establish + release).
-    let outcome = run_fuzz(&FuzzConfig {
-        sequences: 50,
-        ops_per_sequence: 30,
-        seed: 2001,
-        fault: InjectedFault::LoseRelease,
-    });
-    let failure = outcome.failure.expect("injected fault must be detected");
+    let failure = invariants()
+        .mutation_witness("LoseRelease", 2001)
+        .expect("injected fault must be detected");
     assert!(
         failure.shrunk.len() <= 10,
         "reproducer should be minimal, got {} ops",
         failure.shrunk.len()
     );
-    // The shrunk sequence must still reproduce from scratch.
-    let replay = run_sequence(&failure.scenario, &failure.shrunk, failure.fault)
-        .expect("shrunk sequence still fails");
-    assert!(!replay.violations.is_empty());
+    // The shrunk sequence must still reproduce from scratch, through the
+    // entry point the reproducer prints.
+    let replay = invariants().run_sequence(&failure.scenario, &failure.shrunk, failure.case);
+    assert_eq!(replay, Some(failure.divergence.clone()));
     // And the printed reproducer is self-contained, copy-pasteable code.
     let repro = failure.reproducer();
     assert!(repro.contains("Scenario {"), "{repro}");
+    assert!(repro.contains("mutant: Some(\"LoseRelease\")"), "{repro}");
+    assert!(
+        repro.contains("lockstep::subject(\"invariants\")"),
+        "{repro}"
+    );
     assert!(repro.contains("run_sequence"), "{repro}");
 }
 
 #[test]
 fn fuzz_runs_are_reproducible_from_the_seed() {
-    let config = FuzzConfig {
-        sequences: 20,
-        ops_per_sequence: 40,
-        seed: 77,
-        fault: InjectedFault::LoseRelease,
-    };
-    let a = run_fuzz(&config);
-    let b = run_fuzz(&config);
-    let (fa, fb) = (
-        a.failure.expect("fault detected"),
-        b.failure.expect("fault detected"),
-    );
-    assert_eq!(fa.case_seed, fb.case_seed);
+    let a = invariants().mutation_witness("LoseRelease", 77);
+    let b = invariants().mutation_witness("LoseRelease", 77);
+    let (fa, fb) = (a.expect("fault detected"), b.expect("fault detected"));
+    assert_eq!(fa.case.seed, fb.case.seed);
     assert_eq!(fa.shrunk, fb.shrunk);
     assert_eq!(fa.reproducer(), fb.reproducer());
 }
