@@ -17,8 +17,9 @@
 //!   byte-equality CI proves ([`DETERMINISTIC_FILES`], [`FLOAT_FILES`]):
 //!   no unordered iteration, no unpinned float formatting.
 //! * **sim zone** — everything the deterministic experiments run through
-//!   ([`CLOCK_DENY_PREFIXES`]): no wall-clock reads outside the
-//!   explicitly-exempt measurement modules ([`CLOCK_EXEMPT_FILES`]).
+//!   ([`CLOCK_DENY_PREFIXES`]): no wall-clock reads, and no waits on the
+//!   clock (`thread::sleep`), outside the explicitly-exempt measurement
+//!   modules ([`CLOCK_EXEMPT_FILES`]).
 
 use crate::lexer::{Lexed, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -534,7 +535,10 @@ pub(crate) fn env_registry(view: &FileView<'_>, out: &mut Vec<Finding>) {
 }
 
 /// Rule 4, `raw-clock`: no `Instant::now` / `SystemTime` in the sim zone
-/// outside the exempt measurement modules.
+/// outside the exempt measurement modules, and no `thread::sleep` there
+/// either — a daemon that waits out a clock instead of blocking on the
+/// event (a socket, a `Condvar`, a join) is slow when it is idle and
+/// racy when it is not.
 pub(crate) fn raw_clock(view: &FileView<'_>, out: &mut Vec<Finding>) {
     const RULE: &str = "raw-clock";
     let denied = CLOCK_DENY_PREFIXES.iter().any(|p| view.path.starts_with(p))
@@ -568,6 +572,21 @@ pub(crate) fn raw_clock(view: &FileView<'_>, out: &mut Vec<Finding>) {
                     RULE,
                     t.line,
                     "Instant::now in deterministic code; use metrics::OpTimer or measure.rs"
+                        .to_string(),
+                ),
+            );
+        }
+        if t.text == "thread"
+            && toks.get(i + 1).is_some_and(|a| a.text == ":")
+            && toks.get(i + 2).is_some_and(|b| b.text == ":")
+            && toks.get(i + 3).is_some_and(|c| c.text == "sleep")
+        {
+            out.extend(
+                view.finding(
+                    RULE,
+                    t.line,
+                    "thread::sleep waits on the clock; block on the event itself (a socket, a \
+                 Condvar, a join)"
                         .to_string(),
                 ),
             );

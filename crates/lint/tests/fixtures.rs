@@ -167,6 +167,19 @@ fn raw_clock_clean() {
     assert!(lint_as("crates/core/src/experiment.rs", ty).is_empty());
 }
 
+#[test]
+fn raw_clock_flags_a_sleep_outside_tests_and_exempt_files() {
+    let sleep = "fn f() { std::thread::sleep(POLL_INTERVAL); thread::sleep(d); }";
+    let f = lint_as("crates/service/src/conn.rs", sleep);
+    assert_eq!(rules_fired(&f), vec!["raw-clock"]);
+    assert_eq!(f.len(), 2, "{f:?}");
+    // Tests may wait on the clock...
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { thread::sleep(d); }\n}";
+    assert!(lint_as("crates/service/src/conn.rs", in_test).is_empty());
+    // ...and so may the load generator's retry backoff.
+    assert!(lint_as("crates/service/src/loadgen.rs", sleep).is_empty());
+}
+
 // ----------------------------------------------------------- float-format --
 
 #[test]

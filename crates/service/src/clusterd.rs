@@ -45,7 +45,7 @@
 //! graceful `LEAVE` — or sends a frame the coordinator does not serve — is
 //! a **crash**: the coordinator marks its roster slot dead.
 
-use crate::conn::{accept_until, lock_shrug, Conn, POLL_INTERVAL};
+use crate::conn::{accept_until, lock_shrug, wake, Conn};
 use crate::engine::{Authority, Engine};
 use crate::protocol::Response;
 use crate::server::Server;
@@ -62,8 +62,7 @@ use drqos_core::network::Network;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 fn link_down() -> io::Error {
@@ -253,20 +252,27 @@ impl ClusterCoordinator {
         self.listener.local_addr()
     }
 
-    /// Serves inter-daemon connections until a `STOP` arrives, then
-    /// checks the authority's invariants and reports.
+    /// Serves inter-daemon connections until a `STOP` arrives, waits for
+    /// every peer handler to return, then checks the authority's
+    /// invariants and reports.
     ///
     /// # Errors
     ///
     /// Propagates listener errors.
     pub fn run(self) -> io::Result<CoordinatorReport> {
-        self.listener.set_nonblocking(true)?;
+        let addr = self.listener.local_addr()?;
+        // Each handler holds a sender until it returns, so `recv` fails
+        // once the last one has: the channel counts the live handlers.
+        let (live, gone) = mpsc::channel::<()>();
         accept_until(&self.listener, &self.local.stop, || {
-            let local = self.local.clone();
-            move |stream| serve_cluster_peer(stream, &local)
+            let (local, live) = (self.local.clone(), live.clone());
+            move |stream| {
+                let _live = live;
+                serve_cluster_peer(stream, local, addr)
+            }
         });
-        // One poll interval for in-flight handlers to finish their reply.
-        thread::sleep(POLL_INTERVAL);
+        drop(live);
+        let _ = gone.recv();
         let s = lock_shrug(&self.local.shared);
         Ok(CoordinatorReport {
             violations: s.coord.check_invariants().len(),
@@ -434,18 +440,39 @@ fn handle_cluster_msg(s: &mut CoordShared, peer: &mut Peer, msg: ClusterMsg) -> 
 
 /// Serves one inter-daemon connection through the coordinator's end of
 /// it: dropped when the loop ends without a `LEAVE` — EOF, or any
-/// framing, protocol or write error — it is a member **crash**.
-fn serve_cluster_peer(stream: TcpStream, local: &LocalCoordinator) -> io::Result<()> {
+/// framing, protocol or write error — it is a member **crash**. A peer
+/// that stops reading is given up after [`LINK_TIMEOUT`], so it cannot
+/// hold [`ClusterCoordinator::run`]'s wait for its handlers; nor can a
+/// chatty one, since a frame that completes under a raised flag is late
+/// and closes the link unanswered.
+///
+/// The handler that answers the `STOP` wakes the accept loop on
+/// `listener` once its `OK` is written, not before: the loop's return
+/// lets `run` report and close the port.
+fn serve_cluster_peer(
+    stream: TcpStream,
+    coordinator: LocalCoordinator,
+    listener: SocketAddr,
+) -> io::Result<()> {
     let mut end = PeerLink {
-        coordinator: local.clone(),
+        coordinator,
         peer: Peer::default(),
     };
+    let stop = &end.coordinator.stop;
+    stream.set_write_timeout(Some(LINK_TIMEOUT))?;
     let mut conn = Conn::open(stream, WireMode::Binary)?;
-    while let Some(body) = conn.next_unit(&local.stop)? {
-        let Some((reply, open)) = local.serve_frame(&mut end.peer, &body) else {
+    while let Some(body) = conn.next_unit(stop)? {
+        if stop.load(Ordering::Acquire) {
+            break;
+        }
+        let Some((reply, open)) = end.coordinator.serve_frame(&mut end.peer, &body) else {
             break;
         };
-        conn.send_frame(reply)?;
+        let written = conn.send_frame(reply);
+        if !open && stop.load(Ordering::Acquire) {
+            let _ = wake(listener);
+        }
+        written?;
         if !open {
             break;
         }
@@ -777,8 +804,9 @@ mod tests {
     use drqos_core::NetworkSnapshot;
     use drqos_topology::regular::ring;
     use drqos_topology::LinkId;
-    use std::io::{BufRead, BufReader};
-    use std::thread::JoinHandle;
+    use std::io::{BufRead, BufReader, Read};
+    use std::thread::{self, JoinHandle};
+    use std::time::Instant;
 
     /// A ring of six with two disjoint two-link shared-risk groups —
     /// registered identically on every daemon, like the topology itself.
@@ -1138,7 +1166,6 @@ mod tests {
     /// at the first idle poll after `SHUTDOWN`.
     #[test]
     fn the_member_port_caps_a_line_and_drops_a_half_line_at_shutdown() {
-        use std::io::Read;
         let booted = boot(1);
         let Some(&addr) = booted.members.first() else {
             panic!("expected one member");
@@ -1320,29 +1347,80 @@ mod tests {
         assert_eq!((report.violations, report.seq), (0, 1));
     }
 
+    /// `run` returns only after every peer handler has, so each member's
+    /// link is closed by then: its first forwarding verb answers 504 on
+    /// the first try, and it still shuts down clean.
     #[test]
     fn a_member_with_a_dead_coordinator_answers_504_but_shuts_down() {
-        let booted = boot(1);
-        let Some(&addr) = booted.members.first() else {
-            panic!("expected one member");
-        };
-        // Stop the coordinator out from under the member.
+        let booted = boot(3);
+        // Stop the coordinator out from under the members.
         request_stop(&booted.coordinator).unwrap();
         booted.coord_handle.join().unwrap().unwrap();
 
-        let replies = session(addr, &["ESTABLISH 0 3 64 256 64", "STATS", "SHUTDOWN"]);
-        let [est, stats, bye] = &replies[..] else {
-            panic!("expected three replies, got {replies:?}");
-        };
-        assert!(
-            est.starts_with("ERR 504 "),
-            "expected a link-down error, got {est:?}"
-        );
-        assert!(stats.contains("linked=0"), "stats was {stats:?}");
-        assert_eq!(bye, "OK violations=0");
+        for &addr in &booted.members {
+            let replies = session(addr, &["ESTABLISH 0 3 64 256 64", "STATS", "SHUTDOWN"]);
+            let [est, stats, bye] = &replies[..] else {
+                panic!("expected three replies, got {replies:?}");
+            };
+            assert!(
+                est.starts_with("ERR 504 "),
+                "{addr}: expected a link-down error, got {est:?}"
+            );
+            assert!(stats.contains("linked=0"), "stats was {stats:?}");
+            assert_eq!(bye, "OK violations=0");
+        }
         for h in booted.member_handles {
             assert_eq!(h.join().unwrap().unwrap().violations, 0);
         }
+    }
+
+    /// A joined peer parked on the first two bytes of a frame does not
+    /// hold `run`: its handler drops the half at its next idle poll, and
+    /// the peer reads EOF. `run` returns only after that handler has, so
+    /// by then no handler holds the coordinator's state any more.
+    #[test]
+    fn a_peer_parked_on_half_a_frame_does_not_hold_the_stop() {
+        let coord =
+            ClusterCoordinator::bind("127.0.0.1:0", genesis(), 1, 7, RebalancePolicy::Bfs).unwrap();
+        let coordinator = coord.local_addr().unwrap().to_string();
+        let local = coord.local.clone();
+        let coord_handle = thread::spawn(move || coord.run());
+        let CoordLink::Tcp(mut parked) = joined(&coordinator, 0) else {
+            panic!("a socket link");
+        };
+        let frame = framing::finish(encode_cluster_msg(&establish_op()));
+        parked.write_all(&frame[..2]).unwrap();
+
+        let asked = Instant::now();
+        request_stop(&coordinator).unwrap();
+        let report = coord_handle.join().unwrap().unwrap();
+        let took = asked.elapsed();
+        assert_eq!((report.violations, report.seq), (0, 0));
+        assert!(
+            took < Duration::from_millis(900),
+            "the stop waited {took:?} on a parked half frame"
+        );
+        assert_eq!(
+            Arc::strong_count(&local.shared),
+            1,
+            "a handler outlived run"
+        );
+        let dropped = parked.read(&mut [0u8; 8]);
+        assert!(matches!(dropped, Ok(0)), "parked peer: {dropped:?}");
+    }
+
+    /// A frame that completes after the flag rose is late: the link
+    /// closes unanswered and nothing is committed, whether the handler
+    /// was still polling or had already gone.
+    #[test]
+    fn a_frame_completed_after_stop_is_not_served() {
+        let (coordinator, coord_handle) = coordinator(1);
+        let mut late = joined(&coordinator, 0);
+        request_stop(&coordinator).unwrap();
+        let refused = late.roundtrip(&establish_op());
+        assert!(refused.is_err(), "a late OP was answered: {refused:?}");
+        let report = coord_handle.join().unwrap().unwrap();
+        assert_eq!((report.violations, report.seq), (0, 0));
     }
 
     // -----------------------------------------------------------------

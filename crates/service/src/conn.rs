@@ -1,7 +1,7 @@
 //! One served connection: the polled reader and reply writer behind every
 //! socket the daemons accept — clients of `drqosd` or of a member, in
 //! either framing, and the coordinator's peer port — and [`accept_until`],
-//! the accept loop their listeners share.
+//! the accept loop their listeners share, with [`wake`], which ends it.
 //!
 //! [`Conn`]'s contract is the same for all of them:
 //!
@@ -35,14 +35,13 @@ use crate::protocol::Response;
 use drqos_core::env::WireMode;
 use drqos_core::framing::{self, Fill, FrameReader};
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
-/// How often blocked I/O — a served read, an accept — re-checks its stop
-/// flag.
+/// How often an idle served read re-checks its stop flag.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Poison-shrugging lock: a panicked handler thread must not wedge the
@@ -148,10 +147,16 @@ impl Conn {
     }
 }
 
-/// Until `stop` rises, serves every connection `listener` (non-blocking)
-/// accepts on a detached thread of its own. `server` builds that thread's
-/// body on the accept thread, so what it sets up is in place before the
-/// next accept; what the body returns is the connection's own business.
+/// Until `stop` rises, serves every connection `listener` accepts on a
+/// detached thread of its own. `server` builds that thread's body on the
+/// accept thread, so what it sets up is in place before the next accept;
+/// what the body returns is the connection's own business.
+///
+/// The listener blocks in `accept`, so a connection is served the moment
+/// it arrives, and whoever raises `stop` must then [`wake`] it. The first
+/// connection, or accept error, that finds the flag raised ends the loop:
+/// that connection — the wake, or a client that came too late — is closed
+/// unread.
 pub(crate) fn accept_until<S>(
     listener: &TcpListener,
     stop: &AtomicBool,
@@ -159,15 +164,79 @@ pub(crate) fn accept_until<S>(
 ) where
     S: FnOnce(TcpStream) -> io::Result<()> + Send + 'static,
 {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let serve = server();
                 thread::spawn(move || serve(stream));
             }
-            // Nothing pending (`WouldBlock`) or a transient accept failure:
-            // either way, look again in one interval.
+            // lint:allow(raw-clock): a failing accept (EMFILE) must back off, not spin
             Err(_) => thread::sleep(POLL_INTERVAL),
+        }
+    }
+}
+
+/// Wakes a listener blocked in [`accept_until`] once its flag is up: one
+/// connect to `addr`, closed at once. A listener bound to the unspecified
+/// address is reached through loopback.
+///
+/// # Errors
+///
+/// The connect failed; the accept loop then stays blocked.
+pub(crate) fn wake(mut addr: SocketAddr) -> io::Result<()> {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect(addr).map(drop)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{mpsc, Arc};
+
+    /// A blocking accept loop serves a client that arrives while the flag
+    /// is down, then, with nobody else connecting, ends at the wake that
+    /// follows the flag and serves nothing more. A listener bound to the
+    /// unspecified address is woken through loopback.
+    #[test]
+    fn a_raised_flag_and_one_wake_end_a_blocked_accept() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let listener = TcpListener::bind(bind).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let stop = Arc::new(AtomicBool::new(false));
+            let served = Arc::new(AtomicUsize::new(0));
+            let (done, ended) = mpsc::channel();
+            let (flag, count) = (Arc::clone(&stop), Arc::clone(&served));
+            thread::spawn(move || {
+                accept_until(&listener, &flag, || {
+                    count.fetch_add(1, Ordering::AcqRel);
+                    |_stream| Ok(())
+                });
+                done.send(()).unwrap();
+            });
+            let client = TcpStream::connect((Ipv4Addr::LOCALHOST, addr.port())).unwrap();
+            while served.load(Ordering::Acquire) == 0 {
+                thread::yield_now();
+            }
+            drop(client);
+            stop.store(true, Ordering::Release);
+            wake(addr).unwrap();
+            let waited = ended.recv_timeout(Duration::from_secs(10));
+            assert!(waited.is_ok(), "{bind}: the wake did not end the loop");
+            assert_eq!(
+                served.load(Ordering::Acquire),
+                1,
+                "{bind}: the wake is unserved"
+            );
         }
     }
 }

@@ -24,8 +24,11 @@
 //!   under the lock, replies, and only then hands the report to
 //!   [`Server::run`]. A request counted after the check is answered
 //!   `ERR 11`; nothing reaches the engine after it.
+//! * The accept loop blocks in `accept`, so a client is served as soon as
+//!   it connects. [`Server::run`] wakes it once it has the report and
+//!   joins it, so the port is closed by the time `run` returns.
 
-use crate::conn::{accept_until, lock_shrug, Conn};
+use crate::conn::{accept_until, lock_shrug, wake, Conn};
 use crate::engine::{Engine, Handled};
 use crate::error::ProtocolError;
 use crate::protocol::Response;
@@ -276,18 +279,24 @@ impl Server {
             queue_depth,
             wire,
         } = self;
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         let accepting = Arc::clone(&shared);
-        // Detached, like the readers it spawns: it owns the listener and
-        // stops within one poll interval of the flag, so the report need
-        // not wait for it.
-        thread::spawn(move || {
+        // It owns the listener; the readers it spawns are detached and
+        // leave at their next idle poll under the flag.
+        let accept_thread = thread::spawn(move || {
             accept_until(&listener, &accepting.shutdown, || {
                 let shared = Arc::clone(&accepting);
                 move |stream| reader_loop(stream, wire, queue_depth, &shared)
             });
         });
-        Ok(shared.report())
+        let report = shared.report();
+        // The drain raised the flag before the report could be taken. A
+        // failed wake leaves the accept thread blocked, so it is joined
+        // only after one that connected.
+        if wake(addr).is_ok() {
+            let _ = accept_thread.join();
+        }
+        Ok(report)
     }
 }
 
@@ -578,6 +587,27 @@ mod tests {
         let report = handle.join().unwrap().unwrap();
         assert_eq!(report.violations, 0);
         assert_eq!(report.ops, 4, "decode errors never reach the engine");
+    }
+
+    /// `run` joins its accept loop before it returns, so a client that
+    /// comes after the report is refused, not left in a queue nobody
+    /// reads.
+    #[test]
+    fn a_returned_server_has_closed_its_port() {
+        for subject in SUBJECTS {
+            let (server, stop_coordinator) = bound(subject);
+            let addr = server.local_addr().unwrap();
+            let handle = thread::spawn(move || server.run());
+            assert_eq!(client_session(addr, &["SHUTDOWN"]), ["OK violations=0"]);
+            assert_eq!(handle.join().unwrap().unwrap().violations, 0);
+            let late = TcpStream::connect(addr).map_err(|e| e.kind());
+            assert_eq!(
+                late.err(),
+                Some(io::ErrorKind::ConnectionRefused),
+                "{subject:?}"
+            );
+            stop_coordinator();
+        }
     }
 
     #[test]
