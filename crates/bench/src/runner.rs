@@ -78,13 +78,6 @@ pub struct PointObs {
     pub dropped: u64,
     /// Link failures injected.
     pub failures: u64,
-    /// Admission route-cache hits (zero when `DRQOS_ROUTE_CACHE=0`).
-    pub cache_hits: u64,
-    /// Admission route-cache misses.
-    pub cache_misses: u64,
-    /// Route-cache entries evicted as stale (digest mismatch or
-    /// fail/repair eager eviction).
-    pub cache_stale: u64,
 }
 
 impl PointObs {
@@ -98,9 +91,6 @@ impl PointObs {
         self.rejected += report.rejected_primary + report.rejected_backup;
         self.dropped += report.dropped;
         self.failures += report.failures;
-        self.cache_hits += report.cache.hits;
-        self.cache_misses += report.cache.misses;
-        self.cache_stale += report.cache.stale_evictions;
     }
 }
 
@@ -189,9 +179,6 @@ impl<R> Sweep<R> {
             obs.rejected += r.obs.rejected;
             obs.dropped += r.obs.dropped;
             obs.failures += r.obs.failures;
-            obs.cache_hits += r.obs.cache_hits;
-            obs.cache_misses += r.obs.cache_misses;
-            obs.cache_stale += r.obs.cache_stale;
         }
         RuntimeSummary {
             name: name.to_string(),
@@ -341,8 +328,7 @@ impl RuntimeSummary {
                 "{{\"name\":\"{}\",\"threads\":{},\"points\":{},",
                 "\"wall_s\":{:.6},\"events\":{},\"events_per_sec\":{:.1},",
                 "\"attempted\":{},\"accepted\":{},\"rejected\":{},",
-                "\"dropped\":{},\"failures\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},\"cache_stale\":{}}}"
+                "\"dropped\":{},\"failures\":{}}}"
             ),
             self.name.replace(['"', '\\'], "_"),
             self.threads,
@@ -355,9 +341,6 @@ impl RuntimeSummary {
             self.obs.rejected,
             self.obs.dropped,
             self.obs.failures,
-            self.obs.cache_hits,
-            self.obs.cache_misses,
-            self.obs.cache_stale,
         )
     }
 }
@@ -491,9 +474,7 @@ mod tests {
                     attempted: 5,
                     accepted: 4,
                     rejected: 1,
-                    cache_hits: 3,
-                    cache_misses: 2,
-                    cache_stale: 1,
+                    failures: 2,
                     ..PointObs::default()
                 },
             )
@@ -503,9 +484,8 @@ mod tests {
         assert!(json.contains("\"name\":\"selftest\""));
         assert!(json.contains("\"events\":30"));
         assert!(json.contains("\"accepted\":12"));
-        assert!(json.contains("\"cache_hits\":9"));
-        assert!(json.contains("\"cache_misses\":6"));
-        assert!(json.contains("\"cache_stale\":3"));
+        assert!(json.contains("\"rejected\":3"));
+        assert!(json.ends_with("\"failures\":6}"));
         let path = record_runtime(&summary).expect("runtime file written");
         assert!(path.ends_with(format!("runtime/selftest-{}t.json", result.threads)));
         let content = fs::read_to_string(&path).expect("runtime file readable");

@@ -1,14 +1,18 @@
 //! The cluster coordinator: commit authority and oplog sequencer.
 //!
 //! A federation keeps exactly one authoritative [`Network`]; the
-//! coordinator owns it. Members hold full replicas and plan nothing: a
+//! coordinator owns it. Members hold full replicas and decide nothing: a
 //! member forwards every state-changing verb of its clients, `ESTABLISH`
 //! included, as one [`MemberOp`], and [`Coordinator::forward`] applies it
 //! at the operation's sequential point with [`MemberOp::apply`] — the one
 //! transition of the workspace, whose `ESTABLISH` arm is
 //! [`Network::admit`]. That is the paper's one decision point (§3.1):
 //! whichever member the client happens to be connected to, the request
-//! is planned, committed and settled here, once.
+//! is decided here, once. The record carries the request, not its
+//! routes, so every replica plans it again when it replays the record
+//! ([`crate::member::Member::apply`] → [`MemberOp::apply`] →
+//! [`Network::admit`]) and, replaying the same state, reaches the same
+//! routes.
 //!
 //! Every committed operation — admissions, releases, failures and
 //! repairs — is appended to an **oplog** of [`MemberOp`]s. Replicas pull

@@ -14,7 +14,6 @@
 //!
 //! * [`threads`] — `DRQOS_THREADS`, sweep worker count.
 //! * [`checked`] — `DRQOS_CHECKED`, invariant re-validation override.
-//! * [`route_cache`] — `DRQOS_ROUTE_CACHE`, admission route-memo toggle.
 //! * [`bless`] — `DRQOS_BLESS`, golden-trace re-bless switch.
 //! * [`queue_depth`] — `DRQOS_QUEUE_DEPTH`, the daemons' `BUSY` threshold.
 //! * [`scenario`] — `DRQOS_SCENARIO`, adversarial workload selection.
@@ -25,9 +24,6 @@
 pub const THREADS: &str = "DRQOS_THREADS";
 /// `DRQOS_CHECKED` — per-event invariant checking (see [`checked`]).
 pub(crate) const CHECKED: &str = "DRQOS_CHECKED";
-/// `DRQOS_ROUTE_CACHE` — admission route-cache toggle (see
-/// [`route_cache`]).
-pub(crate) const ROUTE_CACHE: &str = "DRQOS_ROUTE_CACHE";
 /// `DRQOS_BLESS` — golden-trace re-bless switch (see [`bless`]).
 pub(crate) const BLESS: &str = "DRQOS_BLESS";
 /// `DRQOS_BATCH` — read by nothing and not in [`registry`]: `drqosd` has
@@ -110,13 +106,6 @@ pub fn registry() -> &'static [EnvVar] {
             doc: "`1` runs the invariant-oracle set after every churn event",
         },
         EnvVar {
-            name: ROUTE_CACHE,
-            consumed_by: "`drqos-core` admission",
-            default: "`1` (on)",
-            doc: "`0` disables the epoch-validated route cache \
-                  (observable results are identical either way)",
-        },
-        EnvVar {
             name: BLESS,
             consumed_by: "golden-trace tests",
             default: "`0` (off)",
@@ -194,13 +183,6 @@ fn parse_truthy(v: &str) -> bool {
     matches!(v, "1" | "true" | "on" | "yes")
 }
 
-fn parse_not_disabled(v: &str) -> bool {
-    !matches!(
-        v.trim().to_ascii_lowercase().as_str(),
-        "0" | "false" | "off"
-    )
-}
-
 fn parse_positive(v: &str, default: usize) -> usize {
     v.trim()
         .parse::<usize>()
@@ -220,12 +202,6 @@ pub fn threads() -> Option<usize> {
 /// `cfg!(debug_assertions)`).
 pub fn checked() -> Option<bool> {
     read(CHECKED).map(|v| parse_truthy(&v))
-}
-
-/// `DRQOS_ROUTE_CACHE`: enabled unless set to `0`/`false`/`off`
-/// (case-insensitive).
-pub fn route_cache() -> bool {
-    read(ROUTE_CACHE).is_none_or(|v| parse_not_disabled(&v))
 }
 
 /// `DRQOS_BLESS`: `true` only for the exact value `1`.
@@ -336,16 +312,6 @@ mod tests {
         }
         for v in ["0", "TRUE", " 1", "2", ""] {
             assert!(!parse_truthy(v));
-        }
-    }
-
-    #[test]
-    fn route_cache_parsing_matches_legacy_semantics() {
-        for v in ["0", "false", "OFF", " off "] {
-            assert!(!parse_not_disabled(v));
-        }
-        for v in ["1", "true", "", "2", "anything"] {
-            assert!(parse_not_disabled(v));
         }
     }
 

@@ -20,7 +20,7 @@
 //! [`Scenario::baseline`].
 
 use crate::channel::ConnectionId;
-use crate::measure::{LevelTransition, MeasuredParams, ParameterEstimator, RouteCacheStats};
+use crate::measure::{LevelTransition, MeasuredParams, ParameterEstimator};
 use crate::network::{Network, NetworkConfig};
 use crate::qos::ElasticQos;
 use crate::scenario::{register_seeded_srlgs, Scenario, ScenarioKind, SRLG_STREAM};
@@ -111,11 +111,6 @@ pub struct ExperimentReport {
     /// The measured Markov-model parameters (`None` when no churn arrivals
     /// were recorded).
     pub params: Option<MeasuredParams>,
-    /// Admission route-cache counters over the whole run (all zero when
-    /// the cache is disabled). Deliberately *not* written to the CSV
-    /// observable columns: the cache must not change experiment results,
-    /// only how fast they are computed.
-    pub cache: RouteCacheStats,
 }
 
 /// The churn loop's events. A scenario decides which of them are ever
@@ -400,7 +395,6 @@ pub fn run_scenario_churn(
     report.active_end = net.len();
     report.dropped = net.dropped_total();
     report.params = estimation_ok.then(|| estimator.finalize().ok()).flatten();
-    report.cache = net.route_cache_stats();
     (report, net)
 }
 
@@ -639,23 +633,6 @@ mod tests {
             r1.failures
         );
         n3.validate();
-    }
-
-    #[test]
-    fn route_cache_does_not_change_results() {
-        let mut on = quick_config(60);
-        on.gamma = 0.001; // exercise failure-path eviction too
-        on.mean_repair = 300.0;
-        on.network.route_cache = true;
-        let mut off = on.clone();
-        off.network.route_cache = false;
-        let (mut report_on, _) = run_churn(small_graph(10), &on);
-        let (report_off, _) = run_churn(small_graph(10), &off);
-        assert!(report_on.cache.lookups() > 0, "cache must be exercised");
-        assert_eq!(report_off.cache, RouteCacheStats::default());
-        // Every observable except the counters themselves is identical.
-        report_on.cache = report_off.cache;
-        assert_eq!(report_on, report_off);
     }
 
     #[test]

@@ -21,10 +21,9 @@
 //! * [`channel`] — [`channel::DrConnection`] (primary + backup + level).
 //! * [`link_state`] — per-link accounting with multiplexed backup
 //!   reservations.
-//! * [`routing`] — the bounded-flooding emulation (the one route search)
-//!   and its maximally-disjoint backup fallback.
-//! * [`route_cache`] — the epoch/digest-validated admission route memo
-//!   (toggled by `DRQOS_ROUTE_CACHE`).
+//! * [`routing`] — the bounded-flooding emulation (the one route search,
+//!   run afresh for every admission: nothing is memoized between
+//!   requests) and its maximally-disjoint backup fallback.
 //! * [`network`] — [`network::Network`], the manager, one file per stage
 //!   of the paper's Section 3.1: `network.rs` (commit, termination,
 //!   retreat, invariants) and its private children `network/plan.rs`
@@ -75,7 +74,6 @@ pub mod link_state;
 pub mod measure;
 pub mod network;
 pub mod qos;
-pub mod route_cache;
 pub mod routing;
 pub mod scenario;
 pub mod shard;
@@ -90,7 +88,6 @@ pub use invariant::InvariantViolation;
 pub use measure::{MeasuredParams, ParameterEstimator, RouteCacheStats};
 pub use network::{EstablishPlan, EstablishRequest, FailureReport, Network, NetworkConfig};
 pub use qos::{AdaptationPolicy, Bandwidth, ElasticQos};
-pub use route_cache::RouteCache;
 pub use routing::{BackupDisjointness, RouterKind};
 pub use scenario::{register_seeded_srlgs, run_scenario_churn, Scenario, ScenarioKind};
 pub use snapshot::NetworkSnapshot;

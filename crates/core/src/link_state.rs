@@ -26,7 +26,6 @@ use crate::channel::ConnectionId;
 use crate::conn_table::{ChainPair, Slot};
 use crate::qos::Bandwidth;
 use drqos_topology::LinkId;
-use std::cell::Cell;
 
 /// Bandwidth bookkeeping for one link.
 #[derive(Debug, Clone)]
@@ -59,16 +58,11 @@ pub struct LinkUsage {
     /// per primary hop on every link a backup search reaches.
     conflict: Vec<(LinkId, Bandwidth)>,
     reservation: Bandwidth,
-    /// Memoized [`Self::plan_digest`] (valid when `digest_dirty` is
-    /// false). The route cache revalidates footprints on every lookup and
-    /// hashes them on every insert; without the memo each call walks the
-    /// conflict ledger, which dominated the miss path on loaded networks.
-    digest_memo: Cell<u64>,
-    digest_dirty: Cell<bool>,
 }
 
-/// Equality over the *accounting* state only — the digest memo is a
-/// lazily-filled cache and must never make otherwise-equal links differ.
+/// Equality over the *accounting* state only — the slot column and the
+/// growable list are indexes and must never make otherwise-equal links
+/// differ.
 impl PartialEq for LinkUsage {
     fn eq(&self, other: &Self) -> bool {
         self.capacity == other.capacity
@@ -98,8 +92,6 @@ impl LinkUsage {
             backups: Vec::new(),
             conflict: Vec::new(),
             reservation: Bandwidth::ZERO,
-            digest_memo: Cell::new(0),
-            digest_dirty: Cell::new(true),
         }
     }
 
@@ -115,7 +107,6 @@ impl LinkUsage {
 
     pub(crate) fn set_up(&mut self, up: bool) {
         self.up = up;
-        self.digest_dirty.set(true);
     }
 
     /// Primary channels crossing this link, in id order.
@@ -269,7 +260,6 @@ impl LinkUsage {
         self.primaries.insert(at, id);
         self.primary_slots.insert(at, slot);
         self.primary_min_sum += min;
-        self.digest_dirty.set(true);
     }
 
     /// Unregisters a primary, taking it off the list too when it is
@@ -284,7 +274,6 @@ impl LinkUsage {
             self.unlist(id, counted);
         }
         self.primary_min_sum -= min;
-        self.digest_dirty.set(true);
     }
 
     pub(crate) fn add_extra(&mut self, amount: Bandwidth) {
@@ -319,7 +308,6 @@ impl LinkUsage {
                 self.reservation = *entry;
             }
         }
-        self.digest_dirty.set(true);
     }
 
     pub(crate) fn remove_backup(
@@ -349,37 +337,27 @@ impl LinkUsage {
         if held_max {
             self.reservation = self.recomputed_reservation();
         }
-        self.digest_dirty.set(true);
     }
 
     /// A digest of every field of this link that route *planning* can
     /// observe: liveness, the primary-minimum sum, the cached reservation,
     /// and the full backup-conflict ledger. Extras are deliberately excluded —
     /// they are reclaimable and never consulted by `can_admit_primary` /
-    /// `can_admit_backup` / the planning allowances — so grant/retreat
-    /// churn does not invalidate cached routes.
+    /// `can_admit_backup` / the planning allowances.
     ///
-    /// The route cache stores, per probed link, the digest seen while
-    /// planning; a later lookup revalidates by comparing digests. Equal
-    /// digests ⇒ (modulo a 2⁻⁶⁴ collision) identical answers to every
-    /// planning query, hence an identical search outcome.
-    ///
-    /// Memoized: the digest is recomputed only after a planning-relevant
-    /// mutation, so repeated revalidation of untouched links is O(1)
-    /// regardless of how many backups conflict on them.
+    /// Equal digests ⇒ (modulo a 2⁻⁶⁴ collision) identical answers to
+    /// every planning query. No admission reads it: only
+    /// `Network::plan_establish_traced`'s footprint and
+    /// `Network::footprint_is_current`, both kept for `benchmark/`
+    /// (ROADMAP 4(c)), compute it, when asked.
     pub fn plan_digest(&self) -> u64 {
-        if self.digest_dirty.get() {
-            let mut h: u64 = if self.up { 0x9E37_79B9_7F4A_7C15 } else { 0 };
-            h = mix64(h ^ self.primary_min_sum.as_kbps());
-            h = mix64(h ^ self.reservation.as_kbps());
-            for &(f, bw) in &self.conflict {
-                h = mix64(h ^ (f.index() as u64).wrapping_mul(0x0100_0000_01B3) ^ bw.as_kbps());
-            }
-            self.digest_memo.set(h);
-            self.digest_dirty.set(false);
-            return h;
+        let mut h: u64 = if self.up { 0x9E37_79B9_7F4A_7C15 } else { 0 };
+        h = mix64(h ^ self.primary_min_sum.as_kbps());
+        h = mix64(h ^ self.reservation.as_kbps());
+        for &(f, bw) in &self.conflict {
+            h = mix64(h ^ (f.index() as u64).wrapping_mul(0x0100_0000_01B3) ^ bw.as_kbps());
         }
-        self.digest_memo.get()
+        h
     }
 
     /// The conflict ledger: per failed link, in link order, the minima of
@@ -848,7 +826,7 @@ mod tests {
         assert_ne!(l.plan_digest(), with_backup);
         l.set_up(true);
         // Round-trips restore the exact digest (value-based, not
-        // generation-based: establish→release revalidates cached routes).
+        // generation-based).
         l.remove_backup(cid(2), k(100), &[lid(10)]);
         assert_eq!(l.plan_digest(), with_primary);
         l.remove_primary(cid(1), k(100), Bandwidth::ZERO);
@@ -873,13 +851,12 @@ mod tests {
         let mut a = LinkUsage::new(k(1_000));
         a.add_primary(cid(1), 91, k(100));
         let b = a.clone();
-        // Computing the digest fills `a`'s memo but must not make `a`
-        // observably different from `b` (snapshot / oracle comparisons
-        // rely on accounting-only equality).
+        // Reading the digest must not make `a` observably different from
+        // `b` (snapshot / oracle comparisons rely on accounting-only
+        // equality).
         let d1 = a.plan_digest();
         assert_eq!(a, b);
-        // Memoized reads keep returning the true digest, and a mutation
-        // in between invalidates the memo.
+        // Later reads return the same digest until a mutation moves it.
         assert_eq!(a.plan_digest(), d1);
         a.add_backup(cid(2), k(50), &[lid(10)]);
         assert_ne!(a.plan_digest(), d1);

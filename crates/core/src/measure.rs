@@ -23,37 +23,18 @@ use std::fmt;
 /// A `(before, after)` level transition of one channel at one event.
 pub type LevelTransition = (usize, usize);
 
-/// Observed effectiveness of the admission-path route cache
-/// (see [`crate::route_cache`]).
-///
-/// Lives here with the other measured quantities so experiment reports,
-/// the bench runner's `runtime.json`, and the service's `STATS` reply all
-/// share one definition of the counters.
+/// The counters of a route cache that no longer exists:
+/// [`crate::network::Network::route_cache_stats`] always returns the
+/// default, all zero. Kept only because `benchmark/` still reads the
+/// three fields (ROADMAP 4(c)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCacheStats {
-    /// Lookups answered from a cached, still-valid route pair.
+    /// Lookups answered from a cached route pair: always zero.
     pub hits: u64,
-    /// Lookups that fell through to a full route search (including
-    /// lookups that found a stale entry).
+    /// Lookups that fell through to a search: always zero.
     pub misses: u64,
-    /// Entries evicted because a probed link's planning state changed
-    /// (lazy digest mismatch) or a topology event touched a footprint
-    /// link (eager eviction by footprint scan).
+    /// Entries evicted as stale: always zero.
     pub stale_evictions: u64,
-}
-
-impl RouteCacheStats {
-    /// Total lookups (hits + misses).
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Folds another run's counters into this one (sweep aggregation).
-    pub fn absorb(&mut self, other: &RouteCacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.stale_evictions += other.stale_evictions;
-    }
 }
 
 /// Errors from parameter estimation.

@@ -52,7 +52,6 @@ use crate::invariant::InvariantViolation;
 use crate::link_state::LinkUsage;
 use crate::measure::RouteCacheStats;
 use crate::qos::{AdaptationPolicy, Bandwidth, ElasticQos};
-use crate::route_cache::RouteCache;
 use crate::routing::{BackupDisjointness, RouteScratch, RouterKind};
 use drqos_topology::graph::{Graph, LinkId, NodeId};
 use drqos_topology::paths::Path;
@@ -82,12 +81,9 @@ pub struct NetworkConfig {
     /// backups protect against multi-failures. Backups of one connection
     /// are mutually link-disjoint.
     pub backup_count: usize,
-    /// Whether [`Network::plan_establish`] may answer from the
-    /// epoch-validated route memo (see [`crate::route_cache`]). Defaults
-    /// from the `DRQOS_ROUTE_CACHE` environment variable (on unless set
-    /// to `0`/`false`/`off`); the cache is exact — cached and uncached
-    /// networks produce byte-identical state — so the toggle exists for
-    /// differential testing and benchmarking, not as a safety valve.
+    /// Ignored: admission memoizes nothing, and every plan is a fresh
+    /// search. Kept, like [`Network::route_cache_stats`], only because
+    /// `benchmark/` still sets it (ROADMAP 4(c)).
     pub route_cache: bool,
 }
 
@@ -103,7 +99,7 @@ impl Default for NetworkConfig {
             reestablish_backups: true,
             disjointness: BackupDisjointness::default(),
             backup_count: 1,
-            route_cache: crate::env::route_cache(),
+            route_cache: false,
         }
     }
 }
@@ -175,11 +171,6 @@ pub struct Network {
     /// planning allocates nothing per attempt. Interior mutability because
     /// planning takes `&self`.
     scratch: RefCell<RouteScratch>,
-    /// Memo of successful route plans, consulted by
-    /// [`Network::plan_establish`] when [`NetworkConfig::route_cache`] is
-    /// set. Interior mutability because planning takes `&self` but a
-    /// lookup updates counters and evicts stale entries.
-    cache: RefCell<RouteCache>,
     /// Reusable redistribution buffers (see [`FillScratch`]).
     fill: FillScratch,
     /// Reusable chain-set buffers, scratch like `fill`: the marks of
@@ -190,9 +181,8 @@ pub struct Network {
     spare_set: Vec<ChainPair>,
 }
 
-/// Cloning copies the full accounting state *and* the route cache (so a
-/// cloned oracle replays with identical cache counters); the route-search,
-/// fill and chain scratch are rebuilt fresh, which is semantics-invariant.
+/// Cloning copies the full accounting state; the route-search, fill and
+/// chain scratch are rebuilt fresh, which is semantics-invariant.
 impl Clone for Network {
     fn clone(&self) -> Self {
         Self {
@@ -206,7 +196,6 @@ impl Clone for Network {
             topology_epoch: self.topology_epoch,
             srlgs: self.srlgs.clone(),
             scratch: RefCell::new(RouteScratch::new()),
-            cache: RefCell::new(self.cache.borrow().clone()),
             fill: FillScratch::default(),
             marks: ChainMarks::default(),
             retreat_set: Vec::new(),
@@ -216,8 +205,7 @@ impl Clone for Network {
 }
 
 /// Equality over the accounting state: topology, configuration, link usage,
-/// connection table and counters. Scratch buffers and the route cache
-/// (memoized plans and hit counters) are not state.
+/// connection table and counters. Scratch buffers are not state.
 impl PartialEq for Network {
     fn eq(&self, other: &Self) -> bool {
         self.graph == other.graph
@@ -249,7 +237,6 @@ impl Network {
             topology_epoch: 0,
             srlgs: Vec::new(),
             scratch: RefCell::new(RouteScratch::new()),
-            cache: RefCell::new(RouteCache::new()),
             fill: FillScratch::default(),
             marks: ChainMarks::default(),
             retreat_set: Vec::new(),
@@ -257,10 +244,10 @@ impl Network {
         }
     }
 
-    /// Hit/miss/stale-eviction counters of the admission route cache
-    /// (all zero when [`NetworkConfig::route_cache`] is off).
+    /// Always zero: there is no route cache. Kept only because
+    /// `benchmark/` still reads it (ROADMAP 4(c)).
     pub fn route_cache_stats(&self) -> RouteCacheStats {
-        self.cache.borrow().stats()
+        RouteCacheStats::default()
     }
 
     /// The current topology epoch: incremented by every
@@ -955,7 +942,6 @@ mod support {
                 capacity: Bandwidth::kbps(*classes.get(class).unwrap_or(&1_000)),
                 policy,
                 require_backup: rng.chance(0.7),
-                route_cache: false,
                 ..NetworkConfig::default()
             },
         );
@@ -1193,15 +1179,12 @@ mod tests {
         (Network::new(regular::ring(6).unwrap(), config), reqs)
     }
 
-    /// A network with the route cache explicitly forced on or off
-    /// (ignoring the `DRQOS_ROUTE_CACHE` environment, which other test
-    /// threads must not be able to perturb).
-    fn cached_net(capacity_kbps: u64, route_cache: bool) -> Network {
+    /// A 4×4 torus of `capacity_kbps` links.
+    fn torus_net(capacity_kbps: u64) -> Network {
         Network::new(
             regular::torus(4, 4).unwrap(),
             NetworkConfig {
                 capacity: Bandwidth::kbps(capacity_kbps),
-                route_cache,
                 ..NetworkConfig::default()
             },
         )
@@ -1508,95 +1491,28 @@ mod tests {
         net.validate();
     }
 
+    /// Two networks that differ only in the ignored
+    /// [`NetworkConfig::route_cache`] stay snapshot-equal through seeded
+    /// churn with link faults, and neither counts a cache lookup.
     #[test]
-    fn route_cache_hits_on_repeated_planning() {
-        let net = cached_net(10_000, true);
-        // Miss #1 only marks the key with the doorkeeper; miss #2 records
-        // the footprint and memoizes; #3 onwards replay from the cache.
-        let first = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
-        assert_eq!(net.cache.borrow().len(), 0, "doorkeeper defers the entry");
-        let second = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
-        let third = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
-        assert_eq!(first, second, "identical state: identical plans");
-        assert_eq!(second, third, "cached plan must replay the search");
-        let stats = net.route_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
-        assert_eq!(net.cache.borrow().len(), 1);
-    }
-
-    #[test]
-    fn route_cache_disabled_never_counts() {
-        let net = cached_net(10_000, false);
-        net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
-        net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
-        assert_eq!(net.route_cache_stats(), RouteCacheStats::default());
-        assert_eq!(net.cache.borrow().len(), 0);
-    }
-
-    #[test]
-    fn route_cache_commit_invalidates_lazily() {
-        let mut net = cached_net(800, true);
-        // Plan + commit: the commit changes the planned links' usage, so
-        // the memoized entry must not be replayed for the next arrival.
-        // (The first establish only passes the doorkeeper; the second
-        // inserts an entry; the third finds it stale and evicts it.)
-        let a = net.establish(NodeId(0), NodeId(10), qos()).unwrap();
-        let b = net.establish(NodeId(0), NodeId(10), qos()).unwrap();
-        net.establish(NodeId(0), NodeId(10), qos()).unwrap();
-        net.validate();
-        let stats = net.route_cache_stats();
-        assert_eq!(stats.hits, 0, "usage moved: replay would be unsound");
-        assert!(stats.stale_evictions >= 1);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn route_cache_failure_evicts_touching_entries() {
-        let mut net = cached_net(10_000, true);
-        net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
-        let plan = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
-        assert_eq!(net.cache.borrow().len(), 1);
-        net.fail_link(plan.primary().links()[0]).unwrap();
-        assert_eq!(net.cache.borrow().len(), 0, "eager eviction");
-        assert!(net.route_cache_stats().stale_evictions >= 1);
-        // Planning after the failure finds a fresh (different) primary.
-        let replanned = net.plan_establish(NodeId(0), NodeId(10), qos()).unwrap();
-        assert_ne!(replanned.primary(), plan.primary());
-        net.validate();
-    }
-
-    #[test]
-    fn route_cache_equivalent_to_oracle_under_churn() {
-        // The cheap in-crate version of the testkit's diff-cache mode: an
-        // establish/release/fail/repair interleaving must leave cached and
-        // uncached networks byte-identical at every step.
-        let mut on = cached_net(1_500, true);
-        let mut off = cached_net(1_500, false);
-        let script: &[(usize, usize)] = &[(0, 10), (1, 11), (0, 10), (2, 9), (0, 10), (5, 12)];
-        for (step, &(s, d)) in script.iter().enumerate() {
-            let got_on = on.establish(NodeId(s), NodeId(d), qos());
-            let got_off = off.establish(NodeId(s), NodeId(d), qos());
-            assert_eq!(got_on, got_off, "step {step}");
-            if step == 2 {
-                assert_eq!(on.release(ConnectionId(0)), off.release(ConnectionId(0)));
+    fn the_route_cache_flag_changes_nothing() {
+        for case in 0..60 {
+            let (mut off, mut rng) = random_case(case);
+            let mut on = off.clone();
+            on.config.route_cache = !off.config.route_cache;
+            for step in 0..40 {
+                let want = random_op(&mut off, &mut rng.clone());
+                let got = random_op(&mut on, &mut rng);
+                assert_eq!(got, want, "case {case} step {step}");
+                assert_eq!(
+                    crate::snapshot::NetworkSnapshot::capture(&on),
+                    crate::snapshot::NetworkSnapshot::capture(&off),
+                    "case {case} step {step}"
+                );
             }
-            if step == 3 {
-                let l = LinkId(0);
-                assert_eq!(on.fail_link(l), off.fail_link(l));
-            }
-            if step == 4 {
-                let l = LinkId(0);
-                assert_eq!(on.repair_link(l), off.repair_link(l));
-            }
-            assert_eq!(
-                crate::snapshot::NetworkSnapshot::capture(&on),
-                crate::snapshot::NetworkSnapshot::capture(&off),
-                "step {step}"
-            );
+            assert_eq!(on.route_cache_stats(), RouteCacheStats::default());
+            assert_eq!(off.route_cache_stats(), RouteCacheStats::default());
         }
-        assert!(on.route_cache_stats().lookups() > 0);
-        on.validate();
-        off.validate();
     }
 
     /// Runs `f` with the footprint recorder sabotaged.
@@ -1604,27 +1520,22 @@ mod tests {
         with_mutant(&plan::FORGET_A_PROBED_LINK, f)
     }
 
-    /// Replays `cases` seeded op sequences on a network with the route
-    /// cache and on its twin without: [`random_op`]s mixed with short
-    /// calls and plan-only requests over three hot requests per case, so
-    /// that keys recur. Results, every field of the state and snapshots
-    /// must agree after every op, and the cached side must pass
-    /// [`Network::check_invariants`]: sequences this long fail links
-    /// faster than they repair them, so second failovers onto starved
-    /// links are common. Returns the cache's hits, its stale evictions at
-    /// lookup and its evictions by link event.
-    fn cache_differential(cases: Range<u64>) -> Result<(u64, u64, u64), String> {
-        let (mut hits, mut stale, mut by_link) = (0, 0, 0);
+    /// Replays `cases` seeded op sequences: [`random_op`]s mixed with
+    /// short calls and plan-only requests over three hot requests per
+    /// case. The network must pass [`Network::check_invariants`] after
+    /// every op: sequences this long fail links faster than they repair
+    /// them, so second failovers onto starved links are common. A
+    /// plan-only request must leave every field of the state as it found
+    /// it and plan the same when asked again. Returns how many plan-only
+    /// requests were checked.
+    fn churn_seeded_cases(cases: Range<u64>) -> Result<u64, String> {
+        let mut replanned = 0;
         for case in cases {
-            let (mut off, mut rng) = random_case(case);
-            let mut on = off.clone();
-            on.config.route_cache = true;
-            let nodes = off.graph().node_count();
+            let (mut net, mut rng) = random_case(case);
+            let nodes = net.graph().node_count();
             let hot: Vec<_> = (0..3).map(|_| random_request(&mut rng, nodes)).collect();
             for step in 0..30 + rng.range_usize(20) {
-                let before = on.route_cache_stats();
-                let mut off_rng = rng.clone();
-                let apply = |net: &mut Network, rng: &mut Rng| match rng.range_usize(100) {
+                let got = match rng.range_usize(100) {
                     0..=24 => {
                         let r = hot[rng.range_usize(hot.len())];
                         let set_up = net.establish(r.src, r.dst, r.qos);
@@ -1633,69 +1544,51 @@ mod tests {
                     }
                     25..=39 => {
                         let r = hot[rng.range_usize(hot.len())];
-                        format!("{:?}", net.plan_establish(r.src, r.dst, r.qos))
+                        let before = net.clone();
+                        let planned = net.plan_establish(r.src, r.dst, r.qos);
+                        let again = net.plan_establish(r.src, r.dst, r.qos);
+                        if net != before || again != planned {
+                            return Err(format!(
+                                "case {case} step {step}: {planned:?}, then {again:?}"
+                            ));
+                        }
+                        replanned += 1;
+                        format!("{planned:?}")
                     }
-                    _ => random_op(net, rng),
+                    _ => random_op(&mut net, &mut rng),
                 };
-                let want = apply(&mut off, &mut off_rng);
-                let got = apply(&mut on, &mut rng);
-                let same_state = on.links == off.links
-                    && on.connections == off.connections
-                    && (on.next_id, on.total_bandwidth, on.dropped_total)
-                        == (off.next_id, off.total_bandwidth, off.dropped_total)
-                    && on.topology_epoch == off.topology_epoch
-                    && crate::snapshot::NetworkSnapshot::capture(&on)
-                        == crate::snapshot::NetworkSnapshot::capture(&off);
-                if got != want || !same_state {
-                    return Err(format!("case {case} step {step}: {got} vs uncached {want}"));
-                }
-                let violations = on.check_invariants();
+                let violations = net.check_invariants();
                 if !violations.is_empty() {
                     return Err(format!("case {case} step {step}: {got}; {violations:?}"));
                 }
-                let after = on.route_cache_stats();
-                hits += after.hits - before.hits;
-                let evicted = after.stale_evictions - before.stale_evictions;
-                if after.lookups() == before.lookups() {
-                    by_link += evicted;
-                } else {
-                    stale += evicted;
-                }
             }
-            assert_eq!(off.route_cache_stats(), RouteCacheStats::default());
         }
-        Ok((hits, stale, by_link))
-    }
-
-    /// Hits, stale evictions and link evictions must all have occurred.
-    fn assert_cache_coverage((hits, stale, by_link): (u64, u64, u64), cases: u64) {
-        assert!(
-            hits > cases && stale > cases && by_link > cases / 10,
-            "{hits} hits, {stale} stale at lookup, {by_link} evicted by link event"
-        );
+        Ok(replanned)
     }
 
     #[test]
-    fn cached_planning_matches_uncached_on_600_seeded_cases() {
-        assert_cache_coverage(cache_differential(0..600).unwrap(), 600);
+    fn invariants_and_replanning_hold_on_600_seeded_cases() {
+        let replanned = churn_seeded_cases(0..600).unwrap();
+        assert!(replanned > 600, "{replanned}");
     }
 
     #[test]
     #[ignore = "ten times the cases; CI runs it in release"]
-    fn cached_planning_matches_uncached_on_6000_seeded_cases() {
-        assert_cache_coverage(cache_differential(0..6_000).unwrap(), 6_000);
+    fn invariants_and_replanning_hold_on_6000_seeded_cases() {
+        let replanned = churn_seeded_cases(0..6_000).unwrap();
+        assert!(replanned > 6_000, "{replanned}");
     }
 
-    /// Case 1027 of [`cache_differential`]: at step 25 a second failover
+    /// Case 1027 of [`churn_seeded_cases`]: at step 25 a second failover
     /// moved a connection onto a 300 Kbps link whose multiplexed
     /// reservation the first had already spent, leaving 350 Kbps of
     /// minima on it. Activation now looks for room first; without that
     /// check the case fails exactly there.
     #[test]
     fn a_second_failover_cannot_overbook_a_starved_link() {
-        assert_eq!(cache_differential(1027..1028).map(|_| ()), Ok(()));
+        assert_eq!(churn_seeded_cases(1027..1028).map(|_| ()), Ok(()));
         let unchecked = with_mutant(&fault::SKIP_THE_ACTIVATION_CHECK, || {
-            cache_differential(1027..1028)
+            churn_seeded_cases(1027..1028)
         });
         let err = unchecked.unwrap_err();
         let overbooked = "CapacityExceeded { link: LinkId(";
@@ -1705,14 +1598,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_footprint_that_forgets_a_probed_link_is_caught() {
-        let caught = forgetting_a_probed_link(|| cache_differential(0..600));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
-    }
-
-    /// The property the cache rests on, asked directly: a plan — or a
-    /// rejection — depends on no link outside its footprint. On `cases`
+    /// The footprint property: a plan — or a rejection — depends on no
+    /// link outside its footprint. On `cases`
     /// seeded networks, each link a traced plan did not probe is failed
     /// (or repaired), or loaded to the brim, on a copy, and the copy must
     /// plan the same. Returns how many links were perturbed.
@@ -2614,7 +2501,7 @@ mod tests {
 
     #[test]
     fn a_clone_gathers_the_same_sets_as_its_source() {
-        let mut net = cached_net(10_000, false);
+        let mut net = torus_net(10_000);
         for i in [0, 1, 2, 3, 4, 5, 1, 2] {
             net.establish(NodeId(i), NodeId(15 - i), qos()).unwrap();
             if i == 5 {
@@ -2670,7 +2557,7 @@ mod tests {
 
     #[test]
     fn reserve_then_unreserve_leaves_every_touched_link_as_it_was() {
-        let mut net = cached_net(1_500, false);
+        let mut net = torus_net(1_500);
         for i in 0..6 {
             net.establish(NodeId(i), NodeId(15 - i), qos()).unwrap();
         }

@@ -109,7 +109,6 @@ impl Network {
         for &l in set {
             self.links[l.index()].set_up(false);
             self.topology_epoch += 1;
-            self.cache.get_mut().evict_link(l);
         }
         let failed = || set.iter().map(|l| &self.links[l.index()]);
         let mut victims: Vec<ChainPair> = failed().flat_map(|u| u.primary_pairs()).collect();
@@ -330,7 +329,6 @@ impl Network {
         for &l in set {
             self.links[l.index()].set_up(true);
             self.topology_epoch += 1;
-            self.cache.get_mut().evict_link(l);
         }
         if !self.config.reestablish_backups {
             return Vec::new();
@@ -521,7 +519,6 @@ mod tests {
         let config = NetworkConfig {
             capacity: Bandwidth::kbps([300, 400][rng.range_usize(2)]),
             backup_count: 1 + rng.range_usize(2),
-            route_cache: false,
             ..NetworkConfig::default()
         };
         let net = Network::new(graph.generate(&mut rng).unwrap(), config);

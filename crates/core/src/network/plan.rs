@@ -53,8 +53,7 @@ pub type PrePlanned = (Result<EstablishPlan, AdmissionError>, Vec<(LinkId, u64)>
 #[cfg(test)]
 thread_local! {
     /// While set, a recorded footprint leaves out one of the links the
-    /// search probed: the mutant the cache differential and the footprint
-    /// property must catch.
+    /// search probed: the mutant the footprint property must catch.
     pub(super) static FORGET_A_PROBED_LINK: std::cell::Cell<bool> =
         const { std::cell::Cell::new(false) };
 }
@@ -77,37 +76,8 @@ impl Network {
         qos: ElasticQos,
     ) -> Result<EstablishPlan, AdmissionError> {
         self.check_endpoints(src, dst)?;
-        let min = qos.min();
-        let key = (src, dst, min.as_kbps());
-        let mut record = false;
-        if self.config.route_cache {
-            let mut cache = self.cache.borrow_mut();
-            let hit = cache.lookup(key, |l| self.links[l.index()].plan_digest());
-            if let Some((primary, backups)) = hit {
-                return Ok(EstablishPlan {
-                    qos,
-                    primary,
-                    backups,
-                });
-            }
-            // Doorkeeper: memoize only keys that miss twice. One-shot
-            // pairs (most of a sweep's arrivals) skip footprint recording
-            // and entry maintenance entirely.
-            record = cache.promote(key);
-        }
-        // While the real search runs, record every link it probes: a
-        // successful plan is memoized together with the probed links'
-        // digests, which is exactly the state the search depended on.
-        let footprint: RefCell<Vec<LinkId>> = RefCell::new(Vec::new());
-        let fp = record.then_some(&footprint);
         let (primary, backups) =
-            self.with_scratch(|scratch| self.plan_routes(scratch, src, dst, min, fp))?;
-        if record {
-            let digests = self.footprint_digests(footprint.into_inner());
-            self.cache
-                .borrow_mut()
-                .insert(key, primary.clone(), backups.clone(), digests);
-        }
+            self.with_scratch(|scratch| self.plan_routes(scratch, src, dst, qos.min(), None))?;
         Ok(EstablishPlan {
             qos,
             primary,
@@ -122,11 +92,9 @@ impl Network {
     /// No admission plans this way; it stays only because `benchmark/`
     /// prices the cluster's retired member-side plan with it (ROADMAP
     /// 4(c)), and the footprint property test holds the search to it.
-    /// Unlike [`Network::plan_establish`] it never consults or fills the
-    /// route cache and it records the footprint even when the plan
-    /// **fails** — a rejection is only as valid as the link state it
-    /// observed (more admitted traffic can change *which* error a request
-    /// gets).
+    /// It records the footprint even when the plan **fails** — a
+    /// rejection is only as valid as the link state it observed (more
+    /// admitted traffic can change *which* error a request gets).
     ///
     /// The caller supplies the [`RouteScratch`]; any scratch will do,
     /// whatever it was last used for.
@@ -239,8 +207,7 @@ impl Network {
 
     /// Routes one more backup for the given primary path, link-disjoint
     /// from the already-chosen `existing` backups, or `None`. Probed links
-    /// are recorded into `fp` when the caller is building a cache
-    /// footprint (`None` on the non-cached maintenance paths).
+    /// are recorded into `fp` when the caller records a footprint.
     pub(super) fn plan_backup(
         &self,
         scratch: &mut RouteScratch,

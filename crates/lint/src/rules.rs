@@ -255,7 +255,7 @@ impl FilePragmas {
     /// Declarations that suppressed nothing this run, excluding any on
     /// lines covered by `#[cfg(test)]` items (tests may carry pragmas
     /// for fixture strings without them being live suppressions).
-    pub fn stale(&self, test_lines: &BTreeSet<u32>) -> Vec<(u32, String)> {
+    pub(crate) fn stale(&self, test_lines: &BTreeSet<u32>) -> Vec<(u32, String)> {
         let used = self.used.borrow();
         self.decls
             .iter()

@@ -288,16 +288,13 @@ impl Engine {
     }
 
     /// The `STATS` payload: the one intentionally non-deterministic reply
-    /// (latency and throughput are wall-clock measurements; the route
-    /// cache counters after them are deterministic again — they count
-    /// admission lookups, not time), then the authority's own fields.
+    /// (latency and throughput are wall-clock measurements), then the
+    /// authority's own fields.
     fn stats_payload(&self) -> String {
         let merged = self.metrics.merged_latency();
-        let cache = self.authority.net().route_cache_stats();
         format!(
             "ops={} errors={} admitted={} rejected={} busy={} \
-             p50_us={} p95_us={} p99_us={} ops_per_sec={} \
-             cache_hits={} cache_misses={} cache_stale={}{}",
+             p50_us={} p95_us={} p99_us={} ops_per_sec={}{}",
             self.metrics.total_ops(),
             self.metrics.total_errors(),
             self.metrics.admitted,
@@ -307,9 +304,6 @@ impl Engine {
             merged.quantile_us(0.95),
             merged.quantile_us(0.99),
             self.metrics.ops_per_sec() as u64,
-            cache.hits,
-            cache.misses,
-            cache.stale_evictions,
             self.authority.stats_tail()
         )
     }

@@ -1,8 +1,8 @@
 //! CI entry point for the chaos harness.
 //!
 //! ```text
-//! fuzz [--seqs N] [--ops N] [--seed S] [--diff N] [--diff-cache N]
-//!      [--diff-cluster N] [--tolerance F] [--self-test]
+//! fuzz [--seqs N] [--ops N] [--seed S] [--diff N] [--diff-cluster N]
+//!      [--tolerance F] [--self-test]
 //! ```
 //!
 //! Every seeded run goes through one row of the lockstep subject table
@@ -15,15 +15,15 @@
 //!   checked after every operation against the reference model and every
 //!   invariant oracle;
 //! * `--diff-<row> N` runs a differential row at every parameter in its
-//!   grid: `cache` (route cache on vs. off) and `cluster` (member
-//!   daemons' commit authorities on in-process links to one coordinator,
-//!   with churn between operations, **member counts 2 and 3**);
+//!   grid: `cluster` (member daemons' commit authorities on in-process
+//!   links to one coordinator, with churn between operations, **member
+//!   counts 2 and 3**);
 //! * `--diff N` additionally runs N simulation-vs-Markov differential
 //!   cases within `--tolerance` (default 0.45 relative);
 //! * `--self-test` is the mutation check: it arms every mutant of every
-//!   row (`LoseRelease`, `LoseSrlgRepair`, `StarvedCapacity`,
-//!   `DropRecord`, `UnguardedSkip`) and *fails* unless the loop catches
-//!   each one and shrinks its witness within the row's shrink bound.
+//!   row (`LoseRelease`, `LoseSrlgRepair`, `DropRecord`, `UnguardedSkip`)
+//!   and *fails* unless the loop catches each one and shrinks its witness
+//!   within the row's shrink bound.
 
 use drqos_testkit::diff::check_diff;
 use drqos_testkit::lockstep::{self, Config, Failure, InvariantSubject, Subject, SubjectRow};

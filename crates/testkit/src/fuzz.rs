@@ -175,27 +175,12 @@ impl Scenario {
     /// five scenario fields stay a complete reproducer); registration is
     /// inert until a [`Op::FailSrlg`] fires.
     pub fn network(&self) -> Network {
-        self.network_from(NetworkConfig::default())
-    }
-
-    /// Builds the scenario's network with the route cache explicitly
-    /// forced on or off, ignoring the `DRQOS_ROUTE_CACHE` environment
-    /// (differential runs must control both sides themselves). Registers
-    /// the same seeded shared-risk groups as [`Scenario::network`].
-    pub(crate) fn network_with_cache(&self, route_cache: bool) -> Network {
-        self.network_from(NetworkConfig {
-            route_cache,
-            ..NetworkConfig::default()
-        })
-    }
-
-    fn network_from(&self, base: NetworkConfig) -> Network {
         let mut net = Network::new(
             self.graph(),
             NetworkConfig {
                 capacity: Bandwidth::kbps(self.capacity_kbps),
                 backup_count: self.backup_count,
-                ..base
+                ..NetworkConfig::default()
             },
         );
         drqos_core::register_seeded_srlgs(&mut net, SRLG_GROUPS, SRLG_GROUP_SIZE, self.graph_seed);

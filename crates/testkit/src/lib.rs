@@ -9,9 +9,8 @@
 //!   snapshots of every network view, and shrunk on the first failure to
 //!   a copy-pasteable reproducer. The rows: `invariants`, the network
 //!   checked after every operation against the [`reference`] model and
-//!   the [`oracle`] checks (`fuzz --seqs N`); `cache`, the route cache on
-//!   against off (`fuzz --diff-cache N`); and `cluster`, member daemons on
-//!   in-process links to a churned federation's
+//!   the [`oracle`] checks (`fuzz --seqs N`); and `cluster`, member
+//!   daemons on in-process links to a churned federation's
 //!   [`drqos_service::clusterd::LocalCoordinator`]
 //!   (`fuzz --diff-cluster N`). Each row registers mutants the loop must
 //!   catch (`fuzz --self-test`), which keeps the detector itself honest.

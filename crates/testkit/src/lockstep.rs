@@ -1,14 +1,14 @@
 //! The lockstep harness — the one seeded driver behind `fuzz --seqs`,
-//! `fuzz --diff-cache | --diff-cluster` and `fuzz --self-test`.
+//! `fuzz --diff-cluster` and `fuzz --self-test`.
 //!
 //! The sequential [`Network`] is the admission authority. Each row of the
 //! subject table holds something to it: the invariant-checked network
 //! ([`InvariantSubject`]: every operation cross-checked against the
 //! [`ReferenceModel`] and the standard [`Oracle`]), and every faster path
-//! that claims *exact* equivalence to it (the route cache, the cluster
-//! federation). [`Lockstep`] replays a fuzzed operation sequence against a
-//! [`Subject`] and a sequential oracle side by side. Every operation is
-//! one [`MemberOp`], applied to the subject ([`Subject::apply`]) and to the
+//! that claims *exact* equivalence to it (the cluster federation).
+//! [`Lockstep`] replays a fuzzed operation sequence against a [`Subject`]
+//! and a sequential oracle side by side. Every operation is one
+//! [`MemberOp`], applied to the subject ([`Subject::apply`]) and to the
 //! oracle ([`MemberOp::apply`]), and after each one the two sides are
 //! compared on:
 //!
@@ -147,11 +147,6 @@ pub trait Subject: Sized {
     /// Builds the subject (a mutant when [`Case::mutant`] is set).
     fn build(scenario: &Scenario, case: Case) -> Self;
 
-    /// Builds the sequential oracle the subject is held to.
-    fn oracle(scenario: &Scenario) -> Network {
-        scenario.network()
-    }
-
     /// Applies one operation.
     ///
     /// # Errors
@@ -286,7 +281,7 @@ fn run_pair<S: Subject>(
 ) -> Option<Divergence> {
     Lockstep::new(
         S::build(subject_scenario, case),
-        S::oracle(oracle_scenario),
+        oracle_scenario.network(),
         subject_scenario.qos(),
     )
     .run(ops)
@@ -487,10 +482,9 @@ pub struct Outcome {
 
 /// The subject table: every row `fuzz` can run, in the order it runs
 /// them.
-pub fn subjects() -> [SubjectRow; 3] {
+pub fn subjects() -> [SubjectRow; 2] {
     [
         SubjectRow::of::<InvariantSubject>(),
-        SubjectRow::of::<CacheSubject>(),
         SubjectRow::of::<ClusterSubject>(),
     ]
 }
@@ -581,38 +575,6 @@ impl Subject for InvariantSubject {
 
     fn views(&self, visit: &mut dyn FnMut(&str, &Network)) {
         visit("checked", &self.net);
-    }
-}
-
-/// The admission route cache ([`drqos_core::route_cache`]): a cache-on
-/// network against a cache-off oracle, one establish at a time.
-pub struct CacheSubject(Network);
-
-impl Subject for CacheSubject {
-    const NAME: &'static str = "cache";
-    /// The cache-on side is built with 100 Kbps links whatever the
-    /// scenario says — the first admission already settles differently.
-    const MUTANTS: &'static [&'static str] = &["StarvedCapacity"];
-    const SHRINK_BOUND: usize = 1;
-
-    fn build(scenario: &Scenario, case: Case) -> Self {
-        let mut scenario = scenario.clone();
-        if case.mutant.is_some() {
-            scenario.capacity_kbps = 100;
-        }
-        CacheSubject(scenario.network_with_cache(true))
-    }
-
-    fn oracle(scenario: &Scenario) -> Network {
-        scenario.network_with_cache(false)
-    }
-
-    fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, String> {
-        Ok(op.apply(&mut self.0))
-    }
-
-    fn views(&self, visit: &mut dyn FnMut(&str, &Network)) {
-        visit("cache-on", &self.0);
     }
 }
 
@@ -936,15 +898,6 @@ mod tests {
                 caught_and_shrunk(row.name, mutant);
             }
         }
-    }
-
-    #[test]
-    fn starved_cache_side_is_caught_and_shrinks_to_one_op() {
-        // The minimal witness for "the two sides settle differently" is a
-        // single establish.
-        let failure = caught_and_shrunk("cache", "StarvedCapacity");
-        assert_eq!(failure.shrunk.len(), 1, "{:?}", failure.shrunk);
-        assert!(matches!(failure.shrunk[0], Op::Establish { .. }));
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Link {
             panic!("{n} is not an endpoint of {}", self.id)
         }
     }
-
-    /// Whether `n` is one of this link's endpoints.
-    pub fn touches(&self, n: NodeId) -> bool {
-        n == self.a || n == self.b
-    }
 }
 
 /// An undirected simple graph with optional 2-D node coordinates.
@@ -453,8 +448,6 @@ mod tests {
         let (g, [a, b, _], [ab, ..]) = triangle();
         assert_eq!(g.link(ab).other(a), b);
         assert_eq!(g.link(ab).other(b), a);
-        assert!(g.link(ab).touches(a));
-        assert!(!g.link(ab).touches(NodeId(2)));
     }
 
     #[test]

@@ -270,13 +270,10 @@ fn loadgen_four_clients_zero_protocol_errors() {
     assert!(server_report.metrics_json.contains("\"op\":\"establish\""));
 }
 
-/// A session script with deliberately repeated endpoint pairs and a
-/// fail/repair cycle — the shape that exercises every route-cache code
-/// path: doorkeeper (miss #1), memoization (miss #2), a genuine hit
-/// (the `RELEASE` restores the exact planning state the entry was
-/// recorded under — value-based digests revalidate round-trips), lazy
-/// staleness, and eager link eviction.
-const CACHE_SCRIPT: &[&str] = &[
+/// A session script with deliberately repeated endpoint pairs, a
+/// `RELEASE` that restores an earlier planning state, and a fail/repair
+/// cycle.
+const REPEAT_SCRIPT: &[&str] = &[
     "SNAPSHOT",
     "ESTABLISH 0 3 100 500 100",
     "ESTABLISH 0 3 100 500 100",
@@ -292,22 +289,9 @@ const CACHE_SCRIPT: &[&str] = &[
     "SNAPSHOT",
 ];
 
-/// An engine with the route cache explicitly forced on or off — the
-/// tests must control both sides themselves rather than inherit whatever
-/// `DRQOS_ROUTE_CACHE` happens to be set in the environment.
-fn ring_engine_with_cache(route_cache: bool) -> Engine {
-    Engine::new(Network::new(
-        regular::ring(6).unwrap(),
-        NetworkConfig {
-            route_cache,
-            ..NetworkConfig::default()
-        },
-    ))
-}
-
 /// Replaces the values of `STATS`' wall-clock fields with `_`, keeping
-/// every deterministic field (counters, cache hit/miss/stale) byte-exact
-/// for golden comparison.
+/// every deterministic field (the counters) byte-exact for golden
+/// comparison.
 fn normalize_stats_line(line: &str) -> String {
     line.split(' ')
         .map(|tok| match tok.split_once('=') {
@@ -321,40 +305,18 @@ fn normalize_stats_line(line: &str) -> String {
 }
 
 /// Golden `STATS` transcript: with the wall-clock latency fields masked,
-/// the reply — including the route-cache counters — is a deterministic
-/// function of the session script and stays pinned byte-exact.
+/// the reply is a deterministic function of the session script and stays
+/// pinned byte-exact.
 #[test]
 fn stats_transcript_matches_blessed_transcript() {
-    let mut engine = ring_engine_with_cache(true);
-    let script: Vec<&str> = CACHE_SCRIPT.iter().copied().chain(["STATS"]).collect();
+    let mut engine = ring_engine();
+    let script: Vec<&str> = REPEAT_SCRIPT.iter().copied().chain(["STATS"]).collect();
     let transcript = replay_script("ring6 cache script + stats", &script, |line| {
         normalize_stats_line(&engine.handle_line(line).to_string())
     });
     if let Err(e) = verify_golden(&golden_dir(), "service_session_stats", &transcript) {
         panic!("{e}");
     }
-}
-
-/// The daemon-level equivalence regression: a cache-on and a cache-off
-/// engine (what `drqosd` builds under `DRQOS_ROUTE_CACHE=1` / `=0`) must
-/// produce byte-identical transcripts — every `SNAPSHOT`, admission
-/// response, and failure report — for the same scripted session.
-#[test]
-fn cache_on_and_off_daemons_replay_identically() {
-    let mut on = ring_engine_with_cache(true);
-    let mut off = ring_engine_with_cache(false);
-    let transcript_on = replay_script("ring6 cache equivalence", CACHE_SCRIPT, |line| {
-        on.handle_line(line).to_string()
-    });
-    let transcript_off = replay_script("ring6 cache equivalence", CACHE_SCRIPT, |line| {
-        off.handle_line(line).to_string()
-    });
-    assert_eq!(transcript_on, transcript_off);
-    // The equivalence must be non-vacuous: the cache-on engine really
-    // consulted (and at least once replayed from) its memo.
-    let stats = on.network().route_cache_stats();
-    assert!(stats.lookups() > 0, "cache never consulted: {stats:?}");
-    assert!(stats.hits > 0, "script must produce at least one hit");
 }
 
 /// `STATS` is reachable over TCP and reports integer counters (it is
