@@ -103,7 +103,7 @@ pub fn registry() -> &'static [EnvVar] {
             name: CHECKED,
             consumed_by: "churn harness / testkit",
             default: "`debug_assertions`",
-            doc: "`1` runs the invariant-oracle set after every churn event",
+            doc: "`1` runs `Network::validate` after every churn event",
         },
         EnvVar {
             name: BLESS,

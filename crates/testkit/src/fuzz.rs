@@ -333,6 +333,15 @@ mod tests {
             "reproducer should be tiny, got {} ops",
             failure.shrunk.len()
         );
+        // Each violation carries the tag of the check that found it.
+        assert!(
+            failure
+                .divergence
+                .detail
+                .contains("[reference-model] live set diverged"),
+            "{}",
+            failure.divergence
+        );
         let repro = failure.reproducer();
         assert!(repro.contains("Scenario {"));
         assert!(repro.contains("Op::"));

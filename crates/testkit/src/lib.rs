@@ -9,9 +9,9 @@
 //!   snapshots of every network view, and shrunk on the first failure to
 //!   a copy-pasteable reproducer. The rows: `invariants`, the network
 //!   checked after every operation against the [`reference`] model and
-//!   the [`oracle`] checks (`fuzz --seqs N`); and `cluster`, member
-//!   daemons on in-process links to a churned federation's
-//!   [`drqos_service::clusterd::LocalCoordinator`]
+//!   by its own `Network::check_invariants` (`fuzz --seqs N`); and
+//!   `cluster`, member daemons on in-process links to a churned
+//!   federation's [`drqos_service::clusterd::LocalCoordinator`]
 //!   (`fuzz --diff-cluster N`). Each row registers mutants the loop must
 //!   catch (`fuzz --self-test`), which keeps the detector itself honest.
 //! * [`fuzz`] — the **case model** every row shares: a case seed fixes a
@@ -19,9 +19,9 @@
 //!   whose operands resolve against the state they meet, so any
 //!   subsequence is a case and failures shrink.
 //! * [`reference`] — an independent mirror of the network's observable
-//!   contract, and [`oracle`] — pluggable **invariant checks**: the core
-//!   accounting recomputation plus Δ-grid membership, liveness of
-//!   committed paths, epoch monotonicity, and drop-counter conservation.
+//!   contract: live set, per-link liveness and minima, QoS range and
+//!   Δ-grid, committed primaries and backups on live links, and exact drop
+//!   counter and topology epoch.
 //! * [`golden`] — a **golden-trace harness**: canonical scenarios are
 //!   serialized to a hand-rolled text format and compared byte-exact
 //!   against files blessed into `tests/golden/` (update with
@@ -46,7 +46,6 @@ pub mod diff;
 pub mod fuzz;
 pub mod golden;
 pub mod lockstep;
-pub mod oracle;
 pub mod reference;
 pub mod session;
 
@@ -54,5 +53,4 @@ pub use diff::{run_diff, DiffCase, DiffResult};
 pub use fuzz::{Op, OpMix, Scenario};
 pub use golden::{verify_golden, TraceRecorder};
 pub use lockstep::{Case, Divergence, Lockstep, Subject, SubjectRow};
-pub use oracle::{InvariantCheck, Oracle, Violation};
 pub use reference::ReferenceModel;

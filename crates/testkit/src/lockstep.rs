@@ -4,8 +4,9 @@
 //! The sequential [`Network`] is the admission authority. Each row of the
 //! subject table holds something to it: the invariant-checked network
 //! ([`InvariantSubject`]: every operation cross-checked against the
-//! [`ReferenceModel`] and the standard [`Oracle`]), and every faster path
-//! that claims *exact* equivalence to it (the cluster federation).
+//! [`ReferenceModel`] and by [`Network::check_invariants`]), and every
+//! faster path that claims *exact* equivalence to it (the cluster
+//! federation).
 //! [`Lockstep`] replays a fuzzed operation sequence against a [`Subject`]
 //! and a sequential oracle side by side. Every operation is one
 //! [`MemberOp`], applied to the subject ([`Subject::apply`]) and to the
@@ -39,7 +40,6 @@
 //! TESTING.md's subject table.
 
 use crate::fuzz::{case_ops, case_seed, render_case, Op, Scenario};
-use crate::oracle::{Oracle, Violation};
 use crate::reference::ReferenceModel;
 use drqos_cluster::{ApplyOutcome, MemberOp};
 use drqos_core::network::{EstablishRequest, Network};
@@ -514,13 +514,13 @@ pub(crate) fn caught_and_shrunk(name: &str, mutant: &'static str) -> Failure {
 }
 
 /// The invariant-checked network: after every operation the network is
-/// cross-checked against the [`ReferenceModel`], which is told what came
-/// of it, and every check of [`Oracle::standard`] runs. A violation is the
-/// subject's `Err`, so the loop reports it at the step that caused it.
+/// compared with the [`ReferenceModel`], which is told what came of it,
+/// and runs [`Network::check_invariants`]. Each violation is one
+/// `[tag] message` in the subject's `Err`, so the loop reports it at the
+/// step that caused it.
 pub struct InvariantSubject {
     net: Network,
     reference: ReferenceModel,
-    oracle: Oracle,
     mutant: Option<&'static str>,
 }
 
@@ -539,7 +539,6 @@ impl Subject for InvariantSubject {
         InvariantSubject {
             reference: ReferenceModel::new(&net),
             net,
-            oracle: Oracle::standard(),
             mutant: case.mutant,
         }
     }
@@ -554,22 +553,16 @@ impl Subject for InvariantSubject {
         let mut violations = Vec::new();
         if !lost {
             if let Err(message) = self.reference.observe(&self.net, op, &outcome) {
-                violations.push(Violation {
-                    check: "legal-operand",
-                    message,
-                });
+                violations.push(format!("[legal-operand] {message}"));
             }
         }
         let diffs = self.reference.compare(&self.net);
-        violations.extend(diffs.into_iter().map(|message| Violation {
-            check: "reference-model",
-            message,
-        }));
-        violations.extend(self.oracle.run(&self.net));
+        violations.extend(diffs.iter().map(|d| format!("[reference-model] {d}")));
+        let broken = self.net.check_invariants();
+        violations.extend(broken.iter().map(|v| format!("[core-accounting] {v}")));
         if violations.is_empty() {
             return Ok(outcome);
         }
-        let violations: Vec<String> = violations.iter().map(Violation::to_string).collect();
         Err(violations.join("; "))
     }
 

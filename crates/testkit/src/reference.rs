@@ -215,7 +215,8 @@ impl ReferenceModel {
             }
         }
 
-        // Per-connection route agreement, QoS range, and Δ-grid membership.
+        // Per-connection route agreement, QoS range, Δ-grid membership, and
+        // every committed path on links the mirror holds up.
         for (id, rc) in &self.conns {
             let Some(c) = net.connection(*id) else {
                 continue; // already reported via the live-set diff
@@ -240,6 +241,13 @@ impl ReferenceModel {
             for &l in &rc.primary {
                 if !self.link_up[l.index()] {
                     diffs.push(format!("{id} primary crosses down link {l}"));
+                }
+            }
+            for (i, b) in c.backups().iter().enumerate() {
+                for &l in b.links() {
+                    if !self.link_up[l.index()] {
+                        diffs.push(format!("{id} backup #{i} crosses down link {l}"));
+                    }
                 }
             }
         }
@@ -314,6 +322,14 @@ mod tests {
         step(&mut net, &mut model, MemberOp::Release { id: a });
         assert!(model.compare(&net).is_empty());
 
+        // A fresh network reads as the epoch rolled back.
+        let fresh = Network::new(regular::ring(6).unwrap(), NetworkConfig::default());
+        let diffs = model.compare(&fresh);
+        assert!(
+            diffs.iter().any(|d| d.contains("topology_epoch diverged")),
+            "{diffs:?}"
+        );
+
         // The same link again: an illegal operand is named, not mirrored.
         let op = MemberOp::RepairLink { link };
         let outcome = op.apply(&mut net);
@@ -339,5 +355,21 @@ mod tests {
             diffs.iter().any(|d| d.contains("min sum diverged")),
             "{diffs:?}"
         );
+    }
+
+    #[test]
+    fn a_backup_on_a_link_the_reference_holds_down_is_reported() {
+        let mut net = net();
+        let mut model = ReferenceModel::new(&net);
+        let a = establish(&mut net, &mut model);
+        let link = net.connection(a).unwrap().backups()[0].links()[0];
+        // The failure reaches the reference but not the network, which
+        // still registers the backup across the link the mirror holds down.
+        let op = MemberOp::FailLink { link };
+        let outcome = op.apply(&mut net.clone());
+        model.observe(&net, op, &outcome).unwrap();
+        let diffs = model.compare(&net);
+        let crossing = format!("{a} backup #0 crosses down link {link}");
+        assert!(diffs.contains(&crossing), "{diffs:?}");
     }
 }
