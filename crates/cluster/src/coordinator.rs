@@ -15,9 +15,16 @@
 //! routes.
 //!
 //! Every committed operation — admissions, releases, failures and
-//! repairs — is appended to an **oplog** of [`MemberOp`]s. Replicas pull
-//! records they have not yet applied ([`Coordinator::records_since`]) and
-//! replay them serially through the same [`MemberOp::apply`]; because
+//! repairs — is appended to an **oplog**. The log is packed bytes of
+//! wire-form ops: each record is its verb's tag byte, the one the wire
+//! writes, then the row's [`MemberOp::parts`] operands as unsigned LEB128
+//! — about 6 bytes an operation — and an offset every 16th record is
+//! all the index there is. What goes in comes back as
+//! [`MemberOp::from_parts`] rebuilds it, so an `ESTABLISH` has unit
+//! utility, exactly as it arrived over the wire. Replicas pull records
+//! they have not yet applied ([`Coordinator::records`]), decoded only as
+//! far as they are sent, and replay them serially through the same
+//! [`MemberOp::apply`]; because
 //! replay order equals commit order and every operation is deterministic,
 //! each replica is byte-identical to the authoritative network at the
 //! same sequence number (proven by `fuzz --diff-cluster`).
@@ -26,6 +33,7 @@
 //! else: the replicated network state is untouched and the oplog gains no
 //! record.
 
+use crate::proto::{put_record, unpack_records, Packing};
 use drqos_core::channel::ConnectionId;
 use drqos_core::env::RebalancePolicy;
 use drqos_core::error::{AdmissionError, ClusterError, NetworkError, QosError};
@@ -207,12 +215,51 @@ pub struct Prepared {
     pub fresh: bool,
 }
 
+/// Records per entry of [`Oplog`]'s offset index: a read decodes at most
+/// `INDEX_STRIDE - 1` records before its first.
+const INDEX_STRIDE: u64 = 16;
+
+/// The oplog, packed: each committed operation as its record tag and its
+/// [`MemberOp::parts`] operands in unsigned LEB128
+/// ([`Packing::Log`]), with the byte offset of every
+/// [`INDEX_STRIDE`]-th record.
+#[derive(Debug, Default)]
+struct Oplog {
+    /// The records, back to back.
+    bytes: Vec<u8>,
+    /// Where records `0`, `INDEX_STRIDE`, `2 * INDEX_STRIDE`, … start.
+    index: Vec<usize>,
+    /// Records appended.
+    len: u64,
+}
+
+impl Oplog {
+    fn push(&mut self, op: MemberOp) {
+        if self.len.is_multiple_of(INDEX_STRIDE) {
+            self.index.push(self.bytes.len());
+        }
+        put_record(&mut self.bytes, op, Packing::Log);
+        self.len += 1;
+    }
+
+    /// At most `max` records from sequence `from` on, decoding none past
+    /// them; `None` when `from` is past the end or a record does not
+    /// decode (which a log [`Oplog::push`] wrote never does).
+    fn read(&self, from: u64, max: usize) -> Option<Vec<MemberOp>> {
+        let behind = usize::try_from(self.len.checked_sub(from)?).unwrap_or(usize::MAX);
+        let block = usize::try_from(from / INDEX_STRIDE).ok()?;
+        let at = self.index.get(block).copied().unwrap_or(self.bytes.len());
+        let skip = (from % INDEX_STRIDE) as usize;
+        unpack_records(&self.bytes, at, skip, behind.min(max)).ok()
+    }
+}
+
 /// The commit authority of a federation (see the module docs).
 #[derive(Debug)]
 pub struct Coordinator {
     net: Network,
     alive: Vec<bool>,
-    oplog: Vec<MemberOp>,
+    oplog: Oplog,
     /// The footprints of the tickets [`Coordinator::prepare`] opened and
     /// [`Coordinator::commit_prepared`] has not closed yet.
     prepared: BTreeMap<u64, Vec<(LinkId, u64)>>,
@@ -229,7 +276,7 @@ impl Coordinator {
         Self {
             net,
             alive: vec![true; members.max(1)],
-            oplog: Vec::new(),
+            oplog: Oplog::default(),
             prepared: BTreeMap::new(),
             next_ticket: 0,
             stale_replans: 0,
@@ -244,7 +291,7 @@ impl Coordinator {
 
     /// The current oplog sequence number (= committed operation count).
     pub fn seq(&self) -> u64 {
-        self.oplog.len() as u64
+        self.oplog.len
     }
 
     /// Liveness by member id.
@@ -362,16 +409,31 @@ impl Coordinator {
         outcome
     }
 
-    /// Oplog records from sequence `from` (exclusive of nothing — `from`
-    /// is the count of records the replica has already applied).
+    /// At most `max` oplog records from sequence `from` on (`from` is the
+    /// count of records the replica has already applied), decoded from
+    /// the packed log in their wire form: an `ESTABLISH` comes back with
+    /// unit utility, as [`MemberOp::from_parts`] builds it. Only the
+    /// records returned are decoded, however far behind `from` is.
     ///
     /// # Errors
     ///
     /// [`ClusterError::SequenceGap`] when `from` is past the current
     /// sequence number.
-    pub fn records_since(&self, from: u64) -> Result<&[MemberOp], ClusterError> {
-        let at = usize::try_from(from).map_err(|_| ClusterError::SequenceGap(from))?;
-        self.oplog.get(at..).ok_or(ClusterError::SequenceGap(from))
+    pub fn records(&self, from: u64, max: usize) -> Result<Vec<MemberOp>, ClusterError> {
+        self.oplog
+            .read(from, max)
+            .ok_or(ClusterError::SequenceGap(from))
+    }
+
+    /// Every oplog record from sequence `from` on: [`Coordinator::records`]
+    /// without a cap.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::SequenceGap`] when `from` is past the current
+    /// sequence number.
+    pub fn records_since(&self, from: u64) -> Result<Vec<MemberOp>, ClusterError> {
+        self.records(from, usize::MAX)
     }
 
     /// Adds (or revives) member id `member`.
@@ -429,9 +491,13 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::PACK_LOW_SEVEN_BITS;
     use drqos_core::network::NetworkConfig;
     use drqos_core::qos::ElasticQos;
+    use drqos_core::wire::{Route, VERBS};
+    use drqos_sim::rng::Rng;
     use drqos_topology::regular::ring;
+    use drqos_topology::waxman::paper_waxman;
 
     fn coordinator(members: usize) -> Coordinator {
         let net = Network::new(ring(6).unwrap(), NetworkConfig::default());
@@ -544,6 +610,152 @@ mod tests {
         assert_eq!(c.records_since(0).unwrap().len(), 1);
         assert_eq!(c.records_since(1).unwrap().len(), 0);
         assert_eq!(c.records_since(2), Err(ClusterError::SequenceGap(2)));
+    }
+
+    /// The operation of forwarded row `verb` whose every operand is `v`
+    /// (an admission's QoS is the rigid `v.max(1)`, so `v` still shows in
+    /// its increment).
+    fn edge_op(verb: &str, v: u64) -> MemberOp {
+        let bw = v.max(1);
+        let op = MemberOp::from_parts(verb, [v, v, bw, bw, v]);
+        op.expect(verb).expect(verb)
+    }
+
+    /// Bytes unsigned LEB128 takes for `v`.
+    fn varint_width(v: u64) -> usize {
+        (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+    }
+
+    /// Every forwarded row round-trips through the packed log, with its
+    /// operands at each LEB128 width edge, in the bytes the packing says.
+    #[test]
+    fn every_forwarded_row_round_trips_through_the_packed_log() {
+        let rows: Vec<_> = VERBS.iter().filter(|v| v.route == Route::Forward).collect();
+        assert!(rows.len() >= 7, "one operation per forwarded row");
+        let mut log = Oplog::default();
+        let mut ops = Vec::new();
+        for v in [0, 127, 128, 16_383, 16_384, u64::MAX] {
+            for verb in &rows {
+                let op = edge_op(verb.name, v);
+                let before = log.bytes.len();
+                log.push(op);
+                let width = 1 + verb.operands.len() * varint_width(v);
+                assert_eq!(log.bytes.len() - before, width, "{op:?}");
+                assert_eq!(log.read(log.len - 1, 1), Some(vec![op]), "{op:?}");
+                ops.push(op);
+            }
+        }
+        assert_eq!([0, 127, 128, 16_384].map(varint_width), [1, 1, 2, 3]);
+        assert_eq!(varint_width(u64::MAX), 10);
+        assert_eq!(log.read(0, usize::MAX), Some(ops));
+    }
+
+    /// One operand of a seeded width: a small index, then one per
+    /// LEB128 width class up to the full `u64`.
+    fn operand(rng: &mut Rng) -> u64 {
+        match rng.range_usize(5) {
+            0 => rng.range_u64(6),
+            1 => rng.range_u64(128),
+            2 => rng.range_u64(1 << 14),
+            3 => rng.range_u64(1 << 21),
+            _ => rng.next_u64(),
+        }
+    }
+
+    /// A seeded wire-form operation of any forwarded row, as a daemon
+    /// receives it: built by [`MemberOp::from_parts`].
+    fn mixed_op(rng: &mut Rng, rows: &[&'static str]) -> MemberOp {
+        let verb = rows[rng.range_usize(rows.len())];
+        let mut operands = [0; MAX_OPERANDS].map(|_| operand(rng));
+        if verb == "ESTABLISH" {
+            // Mostly ring nodes, so some requests are admitted; a QoS
+            // range that validates.
+            operands[..2].iter_mut().for_each(|n| *n %= 7);
+            let (bmin, delta) = (operands[2].max(1), operands[4].max(1));
+            let steps = rng.range_u64(4);
+            let bmax = steps.checked_mul(delta).and_then(|r| bmin.checked_add(r));
+            operands[2..].copy_from_slice(&[bmin, bmax.unwrap_or(bmin), delta]);
+        }
+        MemberOp::from_parts(verb, operands)
+            .expect(verb)
+            .expect(verb)
+    }
+
+    /// Commits `n` seeded operations through [`Coordinator::forward`]
+    /// beside a `Vec<MemberOp>` reference log, then reads the packed log
+    /// back from every index: the first disagreement, if any.
+    fn packed_log_disagreement(seed: u64, n: usize) -> Option<String> {
+        let rows = VERBS.iter().filter(|v| v.route == Route::Forward);
+        let rows: Vec<&'static str> = rows.map(|v| v.name).collect();
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut c = coordinator(2);
+        let mut reference = Vec::with_capacity(n);
+        for _ in 0..n {
+            let op = mixed_op(&mut rng, &rows);
+            c.forward(0, op).unwrap();
+            reference.push(op);
+        }
+        if c.seq() != n as u64 {
+            return Some(format!("seq {} after {n} commits", c.seq()));
+        }
+        for from in 0..=n {
+            let got = c.records_since(from as u64);
+            if got.as_deref() != Ok(&reference[from..]) {
+                return Some(format!("records_since({from}): {got:?}"));
+            }
+        }
+        let past = c.seq() + 1;
+        (c.records_since(past) != Err(ClusterError::SequenceGap(past)))
+            .then(|| format!("records_since({past}) is no gap"))
+    }
+
+    /// Seeded differential: the packed log returns exactly what was
+    /// committed, from every index — and the packer that keeps an
+    /// operand's low 7 bits only is caught.
+    #[test]
+    fn the_packed_log_returns_what_was_committed() {
+        assert_eq!(packed_log_disagreement(2001, 10_000), None);
+        PACK_LOW_SEVEN_BITS.set(true);
+        let mutant = packed_log_disagreement(2001, 10_000);
+        PACK_LOW_SEVEN_BITS.set(false);
+        assert!(mutant.is_some(), "a low-7-bit packer went unnoticed");
+    }
+
+    /// `cluster3`-shaped churn — the paper graph, 250 live connections,
+    /// releases of held ids and refills — packs to at most 8 bytes a
+    /// record, index included; a `MemberOp` slot is 56.
+    #[test]
+    fn churn_packs_to_at_most_eight_bytes_a_record() {
+        let graph = paper_waxman(100)
+            .generate(&mut Rng::seed_from_u64(2001))
+            .unwrap();
+        let nodes = graph.node_count() as u64;
+        let mut c = Coordinator::new(
+            Network::new(graph, NetworkConfig::default()),
+            1,
+            0,
+            RebalancePolicy::Bfs,
+        );
+        let mut rng = Rng::seed_from_u64(7);
+        let mut held = Vec::new();
+        while c.seq() < 10_000 {
+            let op = if held.len() >= 250 {
+                let id = held.swap_remove(rng.range_usize(held.len()));
+                MemberOp::from_parts("RELEASE", [id, 0, 0, 0, 0])
+            } else {
+                let src = rng.range_u64(nodes);
+                let dst = (src + 1 + rng.range_u64(nodes - 1)) % nodes;
+                MemberOp::from_parts("ESTABLISH", [src, dst, 100, 500, 50])
+            };
+            let outcome = c.forward(0, op.unwrap().unwrap()).unwrap();
+            if let ApplyOutcome::Establish(Ok(id)) = outcome {
+                held.push(id.0);
+            }
+        }
+        let log = &c.oplog;
+        let bytes = log.bytes.len() + log.index.len() * std::mem::size_of::<usize>();
+        let per_record = bytes as f64 / log.len as f64;
+        assert!(per_record <= 8.0, "{per_record:.2} bytes a record");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! admits every request at one sequential point
 //! ([`MemberOp::apply`], whose admission arm is
 //! [`drqos_core::network::Network::admit`]) and appends it to an oplog of
-//! [`MemberOp`]s; every **member** replays the log through the same
+//! [`MemberOp`]s, held as packed bytes of their wire form; every
+//! **member** replays the log through the same
 //! [`MemberOp::apply`] and is byte-identical to the authority at equal
 //! sequence numbers. A member forwards its clients' admissions like any
 //! other operation, one exchange each, and plans nothing itself.

@@ -16,7 +16,9 @@
 //! ([`MemberOp::parts`]), so an `OP` body is its record's bytes behind the
 //! `OP` opcode, `ESTABLISH` and every other state-changing verb alike.
 //! The tags are private to a federation of one build; SERVICE.md's verb
-//! table lists them beside the opcodes.
+//! table lists them beside the opcodes. The coordinator keeps its oplog
+//! in the same records with the operands packed as unsigned LEB128
+//! (`Packing::Log`); what travels is always the `u64` form.
 //!
 //! The conversation (documented in SERVICE.md):
 //!
@@ -221,9 +223,40 @@ pub enum CoordMsg {
 
 // ------------------------------------------------------------ encoding --
 
+/// How a record lays out its operands behind its tag byte.
+#[derive(Clone, Copy)]
+pub(crate) enum Packing {
+    /// A little-endian `u64` each: every frame on the wire.
+    Wire,
+    /// Unsigned LEB128, one byte per started 7 bits: the coordinator's
+    /// packed oplog.
+    Log,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// While set, the log packing writes only an operand's low 7 bits:
+    /// the mutant the coordinator's oplog differential must catch.
+    pub(crate) static PACK_LOW_SEVEN_BITS: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
+/// Appends `v` as unsigned LEB128.
+fn put_varint(body: &mut Vec<u8>, mut v: u64) {
+    #[cfg(test)]
+    if PACK_LOW_SEVEN_BITS.get() {
+        v &= 0x7f;
+    }
+    while v >= 0x80 {
+        body.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    body.push(v as u8);
+}
+
 /// Appends one verb call: the row's tag, then as many of `operands` as the
 /// row declares.
-fn put_call(body: &mut Vec<u8>, verb: &str, operands: &[u64]) {
+fn put_call(body: &mut Vec<u8>, verb: &str, operands: &[u64], packing: Packing) {
     let Some(verb) = verb_named(verb) else {
         // No such row in this build: a tag no row has, which the peer
         // rejects.
@@ -231,23 +264,60 @@ fn put_call(body: &mut Vec<u8>, verb: &str, operands: &[u64]) {
     };
     body.push(verb.opcode);
     for &v in operands.iter().take(verb.operands.len()) {
-        put_u64(body, v);
+        match packing {
+            Packing::Wire => put_u64(body, v),
+            Packing::Log => put_varint(body, v),
+        }
     }
 }
 
-fn put_record(body: &mut Vec<u8>, record: MemberOp) {
+/// Appends one record — its tag, then its [`MemberOp::parts`] operands.
+pub(crate) fn put_record(body: &mut Vec<u8>, record: MemberOp, packing: Packing) {
     let (verb, operands) = record.parts();
-    put_call(body, verb, &operands);
+    put_call(body, verb, &operands, packing);
+}
+
+/// Decodes `n` records of a [`Packing::Log`] log, the first of them the
+/// one `skip` records after the one at byte `at`.
+///
+/// # Errors
+///
+/// The log ends early, or a record is not one [`put_record`] writes.
+pub(crate) fn unpack_records(
+    log: &[u8],
+    at: usize,
+    skip: usize,
+    n: usize,
+) -> Result<Vec<MemberOp>, ProtoError> {
+    let mut c = Cursor {
+        body: log,
+        at,
+        packing: Packing::Log,
+    };
+    for _ in 0..skip {
+        c.record()?;
+    }
+    let mut records = Vec::with_capacity(n);
+    for _ in 0..n {
+        records.push(c.record()?);
+    }
+    Ok(records)
 }
 
 struct Cursor<'a> {
     body: &'a [u8],
     at: usize,
+    /// How a record's operands are laid out.
+    packing: Packing,
 }
 
 impl<'a> Cursor<'a> {
     fn new(body: &'a [u8]) -> Self {
-        Self { body, at: 0 }
+        Self {
+            body,
+            at: 0,
+            packing: Packing::Wire,
+        }
     }
 
     fn u64(&mut self) -> Result<u64, ProtoError> {
@@ -264,6 +334,27 @@ impl<'a> Cursor<'a> {
 
     fn len(&mut self) -> Result<usize, ProtoError> {
         usize::try_from(self.u64()?).map_err(|_| ProtoError::BadPayload)
+    }
+
+    /// Reads one unsigned LEB128 value of at most ten bytes.
+    fn varint(&mut self) -> Result<u64, ProtoError> {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(ProtoError::BadPayload)
+    }
+
+    /// Reads one record operand in the cursor's packing.
+    fn operand(&mut self) -> Result<u64, ProtoError> {
+        match self.packing {
+            Packing::Wire => self.u64(),
+            Packing::Log => self.varint(),
+        }
     }
 
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
@@ -287,9 +378,10 @@ impl<'a> Cursor<'a> {
         let verb = verb_coded(tag).ok_or(ProtoError::UnknownTag(tag))?;
         let mut operands = [0; MAX_OPERANDS];
         for (slot, kind) in operands.iter_mut().zip(verb.operands) {
+            let v = self.operand()?;
             *slot = match kind {
-                Operand::Index(_) => self.len()? as u64,
-                Operand::Int(_) => self.u64()?,
+                Operand::Index(_) => usize::try_from(v).map_err(|_| ProtoError::BadPayload)? as u64,
+                Operand::Int(_) => v,
             };
         }
         Ok((verb, operands))
@@ -333,7 +425,7 @@ pub fn encode_cluster_msg(msg: &ClusterMsg) -> Vec<u8> {
         }
         ClusterMsg::Op { op } => {
             body.push(C_OP);
-            put_record(&mut body, *op);
+            put_record(&mut body, *op, Packing::Wire);
         }
         ClusterMsg::Sync { applied } => {
             body.push(C_SYNC);
@@ -411,7 +503,7 @@ pub fn encode_coord_msg(msg: &CoordMsg) -> Vec<u8> {
             put_u64(&mut body, *seq);
             put_u64(&mut body, records.len() as u64);
             for &r in records {
-                put_record(&mut body, r);
+                put_record(&mut body, r, Packing::Wire);
             }
         }
         CoordMsg::State { text } => {
@@ -548,7 +640,7 @@ mod tests {
             assert_eq!(ops.iter().position(|&o| o == op), Some(i), "{op:?}");
             let as_op = encode_cluster_msg(&ClusterMsg::Op { op });
             let mut as_record = Vec::new();
-            put_record(&mut as_record, op);
+            put_record(&mut as_record, op, Packing::Wire);
             assert_eq!(as_op.first(), Some(&C_OP), "{op:?}");
             assert_eq!(as_op.get(1..), Some(&as_record[..]), "{op:?}");
             let width = 1 + 8 * verb.operands.len();

@@ -346,18 +346,21 @@ impl CoordShared {
     /// built under the lock acquisition that committed it: `RECORDS` from
     /// the link's cursor through that record, or `DONE` when the cursor
     /// is unknown or more than one frame's worth behind (the member then
-    /// pulls with `SYNC`, which sets the cursor).
+    /// pulls with `SYNC`, which sets the cursor). The choice is made on
+    /// the distance alone, so a `DONE` decodes no record.
     fn committed(&self, cursor: &mut Option<u64>) -> CoordMsg {
         let seq = self.coord.seq();
         let skip = matches!(self.fault, Some(Fault::SkipRecord | Fault::UnguardedSkip));
-        let from = cursor.map(|c| c.saturating_add(u64::from(skip)));
-        match from.and_then(|from| self.coord.records_since(from).ok()) {
-            Some(records) if records.len() <= RECORDS_PER_SYNC => {
+        let from = cursor
+            .map(|c| c.saturating_add(u64::from(skip)))
+            .filter(|&from| seq.saturating_sub(from) <= RECORDS_PER_SYNC as u64);
+        match from.and_then(|from| self.coord.records(from, RECORDS_PER_SYNC).ok()) {
+            Some(records) => {
                 *cursor = Some(seq);
                 let short = u64::from(self.fault == Some(Fault::UnguardedSkip));
                 CoordMsg::Records {
                     seq: seq.saturating_sub(short),
-                    records: records.to_vec(),
+                    records,
                 }
             }
             _ => CoordMsg::Done {
@@ -406,13 +409,12 @@ fn handle_cluster_msg(s: &mut CoordShared, peer: &mut Peer, msg: ClusterMsg) -> 
         ClusterMsg::Op { op } => s.commit(peer, op),
         ClusterMsg::Sync { applied } => {
             s.syncs = s.syncs.saturating_add(1);
-            match s.coord.records_since(applied) {
+            match s.coord.records(applied, RECORDS_PER_SYNC) {
                 Ok(records) => {
-                    let take = records.len().min(RECORDS_PER_SYNC);
-                    peer.cursor = Some(applied.saturating_add(take as u64));
+                    peer.cursor = Some(applied.saturating_add(records.len() as u64));
                     CoordMsg::Records {
                         seq: s.coord.seq(),
-                        records: records.get(..take).unwrap_or_default().to_vec(),
+                        records,
                     }
                 }
                 Err(e) => err_of(e),
@@ -1568,6 +1570,67 @@ mod tests {
             m.sync().unwrap();
             assert_ne!(NetworkSnapshot::capture(m.net()), want, "m{}", m.id());
         }
+    }
+
+    /// A link `3 × RECORDS_PER_SYNC + 5` records behind: its commit is
+    /// answered `DONE`, and four `SYNC`s — three full frames, then the
+    /// rest with its own operation last — bring it level.
+    #[test]
+    fn a_link_three_frames_behind_catches_up_in_four_syncs() {
+        let local = LocalCoordinator::new(ring8(), 2);
+        let joined = || {
+            let mut link = CoordLink::Local(PeerLink {
+                coordinator: local.clone(),
+                peer: Peer::default(),
+            });
+            let welcome = link.roundtrip(&ClusterMsg::Join).unwrap();
+            assert!(matches!(welcome, CoordMsg::Welcome { .. }), "{welcome:?}");
+            link
+        };
+        let (mut busy, mut idle) = (joined(), joined());
+        let level = idle.roundtrip(&ClusterMsg::Sync { applied: 0 }).unwrap();
+        assert_eq!(
+            level,
+            CoordMsg::Records {
+                seq: 0,
+                records: vec![]
+            }
+        );
+        let behind = 3 * RECORDS_PER_SYNC as u64 + 5;
+        let mut ops = establishes(
+            behind as usize + 1,
+            &mut drqos_sim::rng::Rng::seed_from_u64(3),
+        );
+        let own = ops.pop().unwrap();
+        for &op in &ops {
+            busy.roundtrip(&ClusterMsg::Op { op }).unwrap();
+        }
+        let done = idle.roundtrip(&ClusterMsg::Op { op: own }).unwrap();
+        assert_eq!(
+            done,
+            CoordMsg::Done {
+                op_seq: behind,
+                seq: behind + 1
+            }
+        );
+        ops.push(own);
+        let mut applied = 0;
+        for want in [RECORDS_PER_SYNC, RECORDS_PER_SYNC, RECORDS_PER_SYNC, 6] {
+            let reply = idle.roundtrip(&ClusterMsg::Sync { applied }).unwrap();
+            let at = applied as usize;
+            let records = ops.get(at..at + want).unwrap().to_vec();
+            assert_eq!(
+                reply,
+                CoordMsg::Records {
+                    seq: behind + 1,
+                    records
+                }
+            );
+            applied += want as u64;
+        }
+        assert_eq!(applied, behind + 1);
+        // One level-setting pull, then the four.
+        assert_eq!(lock_shrug(&local.shared).syncs, 5);
     }
 
     /// Forwarded failure/repair/release ops flow through the oplog and
