@@ -1150,10 +1150,11 @@ mod support {
 
 #[cfg(test)]
 mod tests {
-    use super::fill::is_slack;
     use super::fill::testing::{
-        with_fill, Fill, BLOCKED_AT_EXACT_ROOM, DROP_THE_NEWCOMER, FORGET_A_RECOUNT, SKIP_A_LISTING,
+        with_fill, Fill, BLOCKED_AT_EXACT_ROOM, DROP_THE_NEWCOMER, FORGET_A_RECOUNT,
+        REFUSED_AT_EXACT_ROOM, SKIP_A_LISTING,
     };
+    use super::fill::{is_slack, FillRow, Load};
     use super::support::*;
     use super::*;
     use drqos_sim::rng::Rng;
@@ -1721,13 +1722,39 @@ mod tests {
         });
     }
 
+    /// How the rows of the fills a differential watched were taken.
+    #[derive(Debug, Default)]
+    struct FillTally {
+        /// Granted to their maximum in one step.
+        bulk: usize,
+        /// Loaded up front, through the turns.
+        turns: usize,
+        /// Deferred and refused at their recorded link, never loaded.
+        refused_unloaded: usize,
+        /// Deferred, then loaded when their recorded link had room.
+        woken: usize,
+    }
+
+    impl FillTally {
+        fn add(&mut self, rows: &[FillRow]) {
+            for row in rows {
+                match row.load {
+                    Load::Bulk => self.bulk += 1,
+                    Load::Turns => self.turns += 1,
+                    Load::Deferred(_) => self.refused_unloaded += 1,
+                    Load::Woken => self.woken += 1,
+                }
+            }
+        }
+    }
+
     /// Replays `cases` seeded op sequences, running every op on a clone
     /// with the reference fill and on the network itself with `subject`
     /// (`None` = the production fill): results, full state and invariants
-    /// must agree after every op. Returns how many rows the subject's
-    /// last fill of each op granted in bulk and sent through the heap.
-    fn fill_differential(cases: u64, subject: Option<Fill>) -> Result<(usize, usize), String> {
-        let (mut bulk, mut heaped) = (0, 0);
+    /// must agree after every op. Tallies how the subject's last fill of
+    /// each op took its rows.
+    fn fill_differential(cases: u64, subject: Option<Fill>) -> Result<FillTally, String> {
+        let mut tally = FillTally::default();
         for case in 0..cases {
             let (mut net, mut rng) = random_case(case);
             for step in 0..10 + rng.range_usize(14) {
@@ -1743,20 +1770,33 @@ mod tests {
                         "case {case} step {step}: {got} vs reference {want}; {violations:?}"
                     ));
                 }
-                bulk += net.fill.rows.iter().filter(|r| r.bulk).count();
-                heaped += net.fill.rows.iter().filter(|r| !r.bulk).count();
+                tally.add(&net.fill.rows);
             }
         }
-        Ok((bulk, heaped))
+        Ok(tally)
+    }
+
+    /// Both sides of the slack choice and both ends of a deferred row's
+    /// first turn must have run, many times over.
+    fn assert_fill_coverage(tally: &FillTally, cases: usize) {
+        assert!(
+            tally.bulk > 5 * cases
+                && tally.turns > 5 * cases
+                && tally.refused_unloaded > 2 * cases
+                && tally.woken > cases,
+            "{tally:?}"
+        );
     }
 
     #[test]
     fn flat_fill_matches_the_reference_fill_on_2000_seeded_cases() {
-        let (bulk, heaped) = fill_differential(2_000, None).unwrap();
-        assert!(
-            bulk > 10_000 && heaped > 10_000,
-            "both sides of the slack choice must run: {bulk} bulk, {heaped} heap rows"
-        );
+        assert_fill_coverage(&fill_differential(2_000, None).unwrap(), 2_000);
+    }
+
+    #[test]
+    #[ignore = "ten times the cases; CI runs it in release"]
+    fn flat_fill_matches_the_reference_fill_on_20000_seeded_cases() {
+        assert_fill_coverage(&fill_differential(20_000, None).unwrap(), 20_000);
     }
 
     #[test]
@@ -1765,8 +1805,68 @@ mod tests {
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
+    #[test]
+    fn a_deferred_turn_that_refuses_at_one_increment_of_room_is_caught() {
+        let caught = with_mutant(&REFUSED_AT_EXACT_ROOM, || fill_differential(2_000, None));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    /// A rigid 1 Kbps channel and two 100–500 Kbps ones on the 1000 Kbps
+    /// link of a two-node line: the last arrival's fill refused the third
+    /// channel 1 Kbps short of its last increment. Returns the network,
+    /// the rigid channel and the refused one.
+    fn refused_one_kbps_short() -> (Network, ConnectionId, ChainPair) {
+        let mut net = two_on_one_link(1_000);
+        let both = live_pairs(&net);
+        for &(_, id) in &both {
+            net.release(id).unwrap();
+        }
+        let rigid = ElasticQos::rigid(Bandwidth::kbps(1)).unwrap();
+        let rigid = net.establish(NodeId(0), NodeId(1), rigid).unwrap();
+        for _ in 0..2 {
+            net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+        }
+        let refused = live_pairs(&net)[2];
+        (net, rigid, refused)
+    }
+
+    fn loads(net: &Network) -> Vec<Load> {
+        net.fill.rows.iter().map(|r| r.load).collect()
+    }
+
+    #[test]
+    fn a_deferred_row_is_loaded_at_exactly_one_increment_of_room() {
+        let (net, rigid, (slot, id)) = refused_one_kbps_short();
+        let levels: Vec<usize> = net.connections().map(|c| c.level()).collect();
+        assert_eq!(levels, [0, 4, 3]);
+        let at = (LinkId(0), Bandwidth::kbps(100));
+        assert_eq!(net.connections.blocked(slot), Some(at));
+        // One Kbps short, or down: refused where it was, never loaded.
+        let mut short = net.clone();
+        short.redistribute(&[(slot, id)]);
+        assert_eq!(loads(&short), [Load::Deferred(at)]);
+        assert!(short == net);
+        let mut down = net.clone();
+        down.links[0].set_up(false);
+        down.redistribute(&[(slot, id)]);
+        assert_eq!(loads(&down), [Load::Deferred(at)]);
+        assert_eq!(down.connection(id).unwrap().level(), 3);
+        // The rigid channel's release frees exactly one increment: loaded
+        // and granted it, up to the maximum and off the list.
+        let mut exact = net.clone();
+        exact.release(rigid).unwrap();
+        assert_eq!(loads(&exact), [Load::Woken]);
+        assert_eq!(exact.connection(id).unwrap().level(), 4);
+        assert_eq!(exact.links[0].growable(), []);
+        exact.validate();
+        // The mutant refuses it there.
+        let mut mutant = net.clone();
+        with_mutant(&REFUSED_AT_EXACT_ROOM, || mutant.release(rigid).unwrap());
+        assert_eq!(loads(&mutant), [Load::Deferred(at)]);
+    }
+
     fn bulk_flags(net: &Network) -> Vec<bool> {
-        net.fill.rows.iter().map(|r| r.bulk).collect()
+        net.fill.rows.iter().map(|r| r.load == Load::Bulk).collect()
     }
 
     #[test]
@@ -1788,7 +1888,7 @@ mod tests {
         for &pair in &live {
             net.retreat(pair);
         }
-        net.reconcile(&live);
+        Network::reconcile(&mut net.links, &mut net.connections, live.iter().copied());
         live
     }
 
