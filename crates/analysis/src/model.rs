@@ -357,7 +357,10 @@ impl ElasticQosModel {
     ///
     /// # Errors
     ///
-    /// See [`ElasticQosModel::transient_levels`].
+    /// * [`ModelError::StateMismatch`] if `initial` has the wrong length.
+    /// * [`ModelError::InvalidRate`] if `t` is negative or non-finite.
+    /// * [`ModelError::Solve`] if the distribution restricted to active
+    ///   states is empty or the solver fails.
     pub fn transient_average_bandwidth(&self, initial: &[f64], t: f64) -> Result<f64, ModelError> {
         let dist = self.transient_levels(initial, t)?;
         Ok(dist

@@ -1,13 +1,12 @@
-//! Birth–death chains and their closed-form stationary distributions.
+//! Birth–death chains.
 //!
 //! The paper's bandwidth-level chain is *not* birth–death (retreats jump
-//! straight to the bottom state), but birth–death chains give us exact
-//! closed forms to validate the numeric solvers against, and they model the
-//! per-link channel-count processes used in tests.
+//! straight to the bottom state), but birth–death chains have exact
+//! product-form stationary distributions (`π_k ∝ Π_{i<k} birth[i] /
+//! death[i]`, Erlang-B for the loss chain) that the tests hold GTH to.
 
 use crate::ctmc::{Ctmc, CtmcBuilder};
 use crate::error::MarkovError;
-use crate::linalg;
 
 /// Builds the CTMC of a birth–death process with `birth[i]` the rate
 /// `i → i+1` and `death[i]` the rate `i+1 → i`.
@@ -40,41 +39,6 @@ pub fn birth_death_ctmc(birth: &[f64], death: &[f64]) -> Result<Ctmc, MarkovErro
     b.build()
 }
 
-/// Closed-form stationary distribution of a birth–death chain:
-/// `π_k ∝ Π_{i<k} birth[i] / death[i]`.
-///
-/// # Errors
-///
-/// * Propagates the construction errors of [`birth_death_ctmc`].
-/// * [`MarkovError::NotIrreducible`] if any interior rate is zero (the
-///   product form requires a strictly positive chain).
-pub fn birth_death_stationary(birth: &[f64], death: &[f64]) -> Result<Vec<f64>, MarkovError> {
-    if birth.is_empty() {
-        return Err(MarkovError::Empty);
-    }
-    if birth.len() != death.len() {
-        return Err(MarkovError::DimensionMismatch {
-            expected: birth.len(),
-            actual: death.len(),
-        });
-    }
-    if birth
-        .iter()
-        .chain(death.iter())
-        .any(|&r| !r.is_finite() || r <= 0.0)
-    {
-        return Err(MarkovError::NotIrreducible);
-    }
-    let mut pi = Vec::with_capacity(birth.len() + 1);
-    pi.push(1.0);
-    for i in 0..birth.len() {
-        let last = *pi.last().expect("non-empty");
-        pi.push(last * birth[i] / death[i]);
-    }
-    linalg::normalize_l1(&mut pi)?;
-    Ok(pi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,29 +60,15 @@ mod tests {
         assert!(birth_death_ctmc(&[], &[]).is_err());
         assert!(birth_death_ctmc(&[1.0], &[]).is_err());
         assert!(birth_death_ctmc(&[-1.0], &[1.0]).is_err());
-        assert!(birth_death_stationary(&[], &[]).is_err());
-        assert!(birth_death_stationary(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(birth_death_stationary(&[0.0], &[1.0]).is_err());
-    }
-
-    #[test]
-    fn closed_form_matches_gth() {
-        let birth = [2.0, 1.5, 1.0, 0.5];
-        let death = [1.0, 1.0, 2.0, 3.0];
-        let exact = birth_death_stationary(&birth, &death).unwrap();
-        let chain = birth_death_ctmc(&birth, &death).unwrap();
-        let gth = steady_state::gth(&chain).unwrap();
-        for (a, b) in exact.iter().zip(gth.probs()) {
-            assert!((a - b).abs() < 1e-12, "{exact:?} vs {:?}", gth.probs());
-        }
     }
 
     #[test]
     fn mm1k_utilization_half() {
         // λ = 1, μ = 2, K = 3: π_k ∝ (1/2)^k.
-        let pi = birth_death_stationary(&[1.0; 3], &[2.0; 3]).unwrap();
+        let chain = birth_death_ctmc(&[1.0; 3], &[2.0; 3]).unwrap();
+        let ss = steady_state::gth(&chain).unwrap();
         let z: f64 = 1.0 + 0.5 + 0.25 + 0.125;
-        for (k, &p) in pi.iter().enumerate() {
+        for (k, &p) in ss.probs().iter().enumerate() {
             assert!((p - 0.5f64.powi(k as i32) / z).abs() < 1e-12);
         }
     }

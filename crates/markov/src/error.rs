@@ -23,13 +23,6 @@ pub enum MarkovError {
     /// multiple closed recurrent classes so the stationary distribution is
     /// not unique.
     NotIrreducible,
-    /// An iterative solver failed to converge within its iteration budget.
-    NoConvergence {
-        /// Iterations performed.
-        iterations: usize,
-        /// Residual when the solver gave up.
-        residual: f64,
-    },
     /// A linear system was (numerically) singular.
     Singular,
     /// Mismatched dimensions between operands.
@@ -50,12 +43,11 @@ impl fmt::Display for MarkovError {
             MarkovError::InvalidState(s) => write!(f, "state index {s} out of range"),
             MarkovError::Empty => write!(f, "chain has no states"),
             MarkovError::NotIrreducible => {
-                write!(f, "chain is not irreducible; stationary distribution is not unique")
+                write!(
+                    f,
+                    "chain is not irreducible; stationary distribution is not unique"
+                )
             }
-            MarkovError::NoConvergence { iterations, residual } => write!(
-                f,
-                "iterative solver did not converge after {iterations} iterations (residual {residual:.3e})"
-            ),
             MarkovError::Singular => write!(f, "linear system is singular"),
             MarkovError::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
@@ -84,12 +76,6 @@ mod tests {
         assert!(MarkovError::NotIrreducible
             .to_string()
             .contains("irreducible"));
-        assert!(MarkovError::NoConvergence {
-            iterations: 5,
-            residual: 0.1
-        }
-        .to_string()
-        .contains("5 iterations"));
         assert!(MarkovError::Singular.to_string().contains("singular"));
         assert!(MarkovError::DimensionMismatch {
             expected: 3,

@@ -6,13 +6,14 @@
 //!
 //! * [`ctmc`] — continuous-time chains ([`ctmc::Ctmc`],
 //!   [`ctmc::CtmcBuilder`]), irreducibility and recurrent-class analysis.
-//! * [`steady_state`] — GTH elimination (default), power iteration, direct
-//!   LU, Gauss–Seidel; [`steady_state::solve`] handles transient states.
+//! * [`steady_state`] — GTH elimination, the one stationary solver;
+//!   [`steady_state::solve`] handles transient states.
 //! * [`transient`] — uniformization for finite-horizon distributions.
 //! * [`hitting`] — mean first-passage times (expected recovery times).
-//! * [`birth_death`] — closed-form product solutions used for
-//!   cross-validation (including Erlang-B).
-//! * [`linalg`] — the dense LU kernel underpinning the direct solver.
+//! * [`birth_death`] — birth–death chains, whose product-form solutions
+//!   (including Erlang-B) the tests hold GTH to.
+//! * [`linalg`] — the dense LU kernel behind [`hitting`] and the tests'
+//!   dense-solve oracle for GTH.
 //!
 //! # Example: the paper's 5-state chain shape
 //!

@@ -6,7 +6,6 @@
 //! row-major `f64`.
 
 use crate::error::MarkovError;
-use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// A dense row-major matrix of `f64`.
@@ -73,16 +72,6 @@ impl Matrix {
             cols,
             data: rows.iter().flatten().copied().collect(),
         }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Row-vector–matrix product `xᵀ·A` (how stationary equations are
@@ -188,21 +177,6 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if j > 0 {
-                    write!(f, "  ")?;
-                }
-                write!(f, "{:>12.6}", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
 /// Maximum absolute difference between two equal-length vectors.
 ///
 /// # Panics
@@ -239,8 +213,8 @@ mod tests {
     #[test]
     fn zeros_and_identity() {
         let z = Matrix::zeros(2, 3);
-        assert_eq!(z.rows(), 2);
-        assert_eq!(z.cols(), 3);
+        assert_eq!(z.rows, 2);
+        assert_eq!(z.cols, 3);
         assert_eq!(z[(1, 2)], 0.0);
         let i = Matrix::identity(3);
         assert_eq!(i[(0, 0)], 1.0);
@@ -369,12 +343,5 @@ mod tests {
     fn index_out_of_range_panics() {
         let m = Matrix::zeros(2, 2);
         let _ = m[(2, 0)];
-    }
-
-    #[test]
-    fn display_renders() {
-        let m = Matrix::identity(2);
-        let s = m.to_string();
-        assert!(s.contains("1.000000"));
     }
 }

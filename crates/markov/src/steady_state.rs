@@ -1,22 +1,23 @@
-//! Steady-state (stationary) solvers for CTMCs.
+//! The steady-state (stationary) solver for CTMCs.
 //!
 //! The paper solves its Markov model with the SHARPE package; this module is
-//! the in-repo replacement. Three independent algorithms are provided and
-//! cross-checked in the tests:
+//! the in-repo replacement. It has one algorithm:
 //!
 //! * [`gth`] — Grassmann–Taksar–Heyman elimination. Subtraction-free, hence
-//!   numerically robust even for stiff chains; the default.
-//! * [`power`] — power iteration on the uniformized chain.
-//! * [`linear`] — direct LU solve of `πQ = 0, Σπ = 1`.
+//!   numerically robust even for stiff chains.
 //!
 //! [`solve`] is the front door: it handles chains with transient states by
 //! restricting to the unique closed recurrent class (a situation that
 //! arises with *measured* transition probabilities — e.g. at light load a
 //! channel is never observed below the top bandwidth level).
+//!
+//! The tests check GTH against exact answers and, in this crate's
+//! `tests/properties.rs`, against one independent oracle: a dense solve of
+//! `πQ = 0, Σπ = 1` through [`Matrix::solve`](crate::linalg::Matrix::solve).
 
 use crate::ctmc::Ctmc;
 use crate::error::MarkovError;
-use crate::linalg::{self, Matrix};
+use crate::linalg;
 
 /// A stationary distribution together with convenience accessors.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,119 +125,6 @@ pub fn gth(ctmc: &Ctmc) -> Result<SteadyState, MarkovError> {
     Ok(SteadyState::new(pi))
 }
 
-/// Power iteration on the uniformized DTMC.
-///
-/// # Errors
-///
-/// * [`MarkovError::NotIrreducible`] if the chain is not irreducible.
-/// * [`MarkovError::NoConvergence`] if the residual stays above `tol`
-///   after `max_iter` sweeps.
-pub fn power(ctmc: &Ctmc, tol: f64, max_iter: usize) -> Result<SteadyState, MarkovError> {
-    if !ctmc.is_irreducible() {
-        return Err(MarkovError::NotIrreducible);
-    }
-    let n = ctmc.n_states();
-    if n == 1 {
-        return Ok(SteadyState::new(vec![1.0]));
-    }
-    let p = ctmc.uniformized();
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut residual = f64::INFINITY;
-    for _ in 0..max_iter {
-        let next = p.vec_mul(&pi)?;
-        residual = linalg::max_abs_diff(&next, &pi);
-        pi = next;
-        if residual < tol {
-            linalg::normalize_l1(&mut pi)?;
-            return Ok(SteadyState::new(pi));
-        }
-    }
-    Err(MarkovError::NoConvergence {
-        iterations: max_iter,
-        residual,
-    })
-}
-
-/// Direct solve of the stationary equations `πQ = 0`, `Σ π = 1` by LU.
-///
-/// # Errors
-///
-/// * [`MarkovError::NotIrreducible`] if the chain is not irreducible.
-/// * [`MarkovError::Singular`] if elimination breaks down numerically.
-pub fn linear(ctmc: &Ctmc) -> Result<SteadyState, MarkovError> {
-    if !ctmc.is_irreducible() {
-        return Err(MarkovError::NotIrreducible);
-    }
-    let n = ctmc.n_states();
-    if n == 1 {
-        return Ok(SteadyState::new(vec![1.0]));
-    }
-    // Solve Qᵀ π = 0 with the last equation replaced by Σ π = 1.
-    let q = ctmc.generator();
-    let mut a = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            a[(i, j)] = q[(j, i)];
-        }
-    }
-    for j in 0..n {
-        a[(n - 1, j)] = 1.0;
-    }
-    let mut b = vec![0.0; n];
-    b[n - 1] = 1.0;
-    let mut pi = a.solve(&b)?;
-    // Numerical noise can leave tiny negatives; clamp and renormalize.
-    for x in pi.iter_mut() {
-        if *x < 0.0 {
-            *x = 0.0;
-        }
-    }
-    linalg::normalize_l1(&mut pi)?;
-    Ok(SteadyState::new(pi))
-}
-
-/// Gauss–Seidel iteration for the stationary equations.
-///
-/// # Errors
-///
-/// * [`MarkovError::NotIrreducible`] if the chain is not irreducible.
-/// * [`MarkovError::NoConvergence`] if `tol` is not reached in `max_iter`
-///   sweeps.
-pub fn gauss_seidel(ctmc: &Ctmc, tol: f64, max_iter: usize) -> Result<SteadyState, MarkovError> {
-    if !ctmc.is_irreducible() {
-        return Err(MarkovError::NotIrreducible);
-    }
-    let n = ctmc.n_states();
-    if n == 1 {
-        return Ok(SteadyState::new(vec![1.0]));
-    }
-    // π_j · q_jj = −Σ_{i≠j} π_i q_ij, swept in place.
-    let q = ctmc.generator();
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut residual = f64::INFINITY;
-    for _ in 0..max_iter {
-        residual = 0.0;
-        for j in 0..n {
-            let denom = q[(j, j)];
-            if denom == 0.0 {
-                return Err(MarkovError::Singular);
-            }
-            let num: f64 = (0..n).filter(|&i| i != j).map(|i| pi[i] * q[(i, j)]).sum();
-            let new = -num / denom;
-            residual = residual.max((new - pi[j]).abs());
-            pi[j] = new;
-        }
-        if residual < tol {
-            linalg::normalize_l1(&mut pi)?;
-            return Ok(SteadyState::new(pi));
-        }
-    }
-    Err(MarkovError::NoConvergence {
-        iterations: max_iter,
-        residual,
-    })
-}
-
 /// The general entry point: solves chains that may contain transient
 /// states by restricting to the unique closed recurrent class (GTH on the
 /// restriction; transient states get probability zero).
@@ -309,43 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn all_solvers_agree() {
-        for chain in [two_state(), cyclic3()] {
-            let g = gth(&chain).unwrap();
-            let p = power(&chain, 1e-12, 100_000).unwrap();
-            let l = linear(&chain).unwrap();
-            let s = gauss_seidel(&chain, 1e-13, 100_000).unwrap();
-            assert_close(g.probs(), p.probs(), 1e-8);
-            assert_close(g.probs(), l.probs(), 1e-10);
-            assert_close(g.probs(), s.probs(), 1e-8);
-        }
-    }
-
-    #[test]
-    fn solvers_agree_on_random_dense_chain() {
-        // Pseudo-random (but deterministic) dense 8-state chain.
-        let n = 8;
-        let mut builder = CtmcBuilder::new(n);
-        let mut x = 123456789u64;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let r = ((x >> 33) as f64) / (u32::MAX as f64) * 3.0 + 0.01;
-                    builder = builder.rate(i, j, r).unwrap();
-                }
-            }
-        }
-        let chain = builder.build().unwrap();
-        let g = gth(&chain).unwrap();
-        let l = linear(&chain).unwrap();
-        let p = power(&chain, 1e-13, 1_000_000).unwrap();
-        assert_close(g.probs(), l.probs(), 1e-9);
-        assert_close(g.probs(), p.probs(), 1e-8);
-        assert!((g.probs().iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn stiff_chain_gth_stays_accurate() {
         // Rates differing by 8 orders of magnitude.
         let chain = CtmcBuilder::new(3)
@@ -359,18 +210,21 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
+        // The matrix-tree answer: π ∝ (3·10⁴, 10⁻⁴, 10⁻⁸).
+        let weights = [3e4, 1e-4, 1e-8];
+        let z: f64 = weights.iter().sum();
         let g = gth(&chain).unwrap();
-        let l = linear(&chain).unwrap();
-        for (a, b) in g.probs().iter().zip(l.probs()) {
-            let rel = (a - b).abs() / b.max(1e-300);
-            assert!(rel < 1e-6, "{:?} vs {:?}", g.probs(), l.probs());
+        for (a, w) in g.probs().iter().zip(weights) {
+            let exact = w / z;
+            let rel = (a - exact).abs() / exact;
+            assert!(rel < 1e-12, "{:?} vs {weights:?} / {z}", g.probs());
         }
     }
 
     #[test]
     fn single_state_chain() {
         let c = CtmcBuilder::new(1).build().unwrap();
-        for solver in [gth(&c), linear(&c), power(&c, 1e-9, 10), solve(&c)] {
+        for solver in [gth(&c), solve(&c)] {
             assert_eq!(solver.unwrap().probs(), &[1.0]);
         }
     }
@@ -383,9 +237,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(gth(&c), Err(MarkovError::NotIrreducible));
-        assert_eq!(linear(&c), Err(MarkovError::NotIrreducible));
-        assert_eq!(power(&c, 1e-9, 10), Err(MarkovError::NotIrreducible));
-        assert_eq!(gauss_seidel(&c, 1e-9, 10), Err(MarkovError::NotIrreducible));
     }
 
     #[test]
@@ -415,15 +266,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(solve(&c), Err(MarkovError::NotIrreducible));
-    }
-
-    #[test]
-    fn power_no_convergence_reported() {
-        let c = two_state();
-        assert!(matches!(
-            power(&c, 1e-30, 3),
-            Err(MarkovError::NoConvergence { iterations: 3, .. })
-        ));
     }
 
     #[test]

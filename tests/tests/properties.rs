@@ -10,9 +10,6 @@
 use drqos_bench::runner::{derive_seed, splitmix64};
 use drqos_core::network::{Network, NetworkConfig};
 use drqos_core::qos::{Bandwidth, ElasticQos};
-use drqos_markov::birth_death;
-use drqos_markov::ctmc::CtmcBuilder;
-use drqos_markov::steady_state;
 use drqos_sim::rng::Rng;
 use drqos_topology::graph::{Graph, NodeId};
 use drqos_topology::paths::{bfs_path, k_shortest_paths, pass_all};
@@ -73,50 +70,6 @@ fn yen_paths_are_distinct_sorted_and_simple() {
         for w in ps.windows(2) {
             assert!(w[0].hop_count() <= w[1].hop_count(), "seed {seed}");
             assert_ne!(&w[0], &w[1], "seed {seed}");
-        }
-    }
-}
-
-#[test]
-fn gth_matches_direct_solve_on_random_chains() {
-    for seed in case_seeds(5, 32) {
-        let n = in_range(seed, 2, 10);
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut builder = CtmcBuilder::new(n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    builder = builder.rate(i, j, rng.range_f64(0.01, 5.0)).expect("valid");
-                }
-            }
-        }
-        let chain = builder.build().expect("non-empty");
-        let a = steady_state::gth(&chain).expect("irreducible");
-        let b = steady_state::linear(&chain).expect("irreducible");
-        for (x, y) in a.probs().iter().zip(b.probs()) {
-            assert!(
-                (x - y).abs() < 1e-8,
-                "seed {seed}: {:?} vs {:?}",
-                a.probs(),
-                b.probs()
-            );
-        }
-        assert!((a.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn birth_death_closed_form_matches_gth() {
-    for seed in case_seeds(6, 32) {
-        let n = in_range(seed, 1, 8);
-        let mut rng = Rng::seed_from_u64(seed);
-        let birth: Vec<f64> = (0..n).map(|_| rng.range_f64(0.1, 3.0)).collect();
-        let death: Vec<f64> = (0..n).map(|_| rng.range_f64(0.1, 3.0)).collect();
-        let exact = birth_death::birth_death_stationary(&birth, &death).expect("positive");
-        let chain = birth_death::birth_death_ctmc(&birth, &death).expect("valid");
-        let gth = steady_state::gth(&chain).expect("irreducible");
-        for (x, y) in exact.iter().zip(gth.probs()) {
-            assert!((x - y).abs() < 1e-9, "seed {seed}");
         }
     }
 }
