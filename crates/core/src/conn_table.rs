@@ -154,6 +154,32 @@ impl ConnTable {
         held.filter(|c| c.id() == id)
     }
 
+    /// Whether the live `pair` is listed — counted on its links — and its
+    /// recorded refusal is not one that `holds`.
+    pub(crate) fn is_loose(
+        &self,
+        (slot, id): ChainPair,
+        holds: impl Fn(Option<Blocked>) -> bool,
+    ) -> bool {
+        self.at(slot, id).is_some()
+            && self.counted(slot) > Bandwidth::ZERO
+            && !holds(self.blocked(slot))
+    }
+
+    /// Every pair [`Self::is_loose`] holds for, in slot order: one pass
+    /// over the dense columns.
+    pub(crate) fn loose<'a>(
+        &'a self,
+        holds: impl Fn(Option<Blocked>) -> bool + 'a,
+    ) -> impl Iterator<Item = ChainPair> + 'a {
+        let pairs = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, conn)| Some((Slot::try_from(slot).ok()?, conn.as_ref()?.id())));
+        pairs.filter(move |&pair| self.is_loose(pair, &holds))
+    }
+
     /// The primary links of the connections among `pairs` that are still
     /// live, with repeats.
     pub(crate) fn primary_links<'a>(
@@ -172,13 +198,14 @@ impl ConnTable {
 }
 
 /// The marks of one chain-set gather: which links it has walked and which
-/// `(slot, id)` pairs it holds. Generation-stamped, so starting the next
-/// gather forgets them all in O(1). Scratch, never state.
+/// `(slot, id)` pairs it holds or has refused. Generation-stamped, so
+/// starting the next gather forgets them all in O(1). Scratch, never state.
 #[derive(Debug, Default)]
 pub(crate) struct ChainMarks {
+    /// Even: a member is stamped `gen`, a refused pair `gen + 1`.
     gen: u64,
     links: Vec<u64>,
-    /// `(gen, id)`: the id tells a set member from a stale pair whose
+    /// `(stamp, id)`: the id tells a set member from a stale pair whose
     /// slot has since been handed to a member.
     slots: Vec<(u64, ConnectionId)>,
 }
@@ -189,12 +216,12 @@ impl ChainMarks {
         if self.links.len() < links {
             self.links.resize(links, 0);
         }
-        self.gen = self.gen.wrapping_add(1);
+        self.gen = self.gen.wrapping_add(2) & !1;
         if self.gen == 0 {
             // Generation wrapped: stale stamps could alias. Reset them all.
             self.links.iter_mut().for_each(|s| *s = 0);
             self.slots.iter_mut().for_each(|s| s.0 = 0);
-            self.gen = 1;
+            self.gen = 2;
         }
     }
 
@@ -209,18 +236,46 @@ impl ChainMarks {
         }
     }
 
-    /// Adds the pair to the set; `true` if its slot was not in it yet.
-    pub(crate) fn add(&mut self, (slot, id): ChainPair) -> bool {
-        if self.slots.len() <= slot as usize {
-            self.slots.resize(slot as usize + 1, (0, id));
-        }
-        match self.slots.get_mut(slot as usize) {
-            Some(mark) if mark.0 != self.gen => {
-                *mark = (self.gen, id);
+    /// Whether `link` has been walked in this set.
+    pub(crate) fn walked(&self, link: usize) -> bool {
+        self.links.get(link) == Some(&self.gen)
+    }
+
+    /// Adds the pair to the set; `true` if its slot was not in it yet,
+    /// a refused pair's included.
+    pub(crate) fn add(&mut self, pair: ChainPair) -> bool {
+        let gen = self.gen;
+        match self.mark(pair) {
+            Some(mark) if mark.0 != gen => {
+                *mark = (gen, pair.1);
                 true
             }
             _ => false,
         }
+    }
+
+    /// Marks the pair refused: met and left out, but free to be added.
+    pub(crate) fn refuse(&mut self, pair: ChainPair) {
+        let refused = self.gen + 1;
+        if let Some(mark) = self.mark(pair) {
+            *mark = (refused, pair.1);
+        }
+    }
+
+    /// Whether the pair's slot has been added or refused in this set.
+    pub(crate) fn met(&self, (slot, _): ChainPair) -> bool {
+        self.slots
+            .get(slot as usize)
+            .is_some_and(|mark| mark.0 | 1 == self.gen + 1)
+    }
+
+    /// The mark of the pair's slot, grown to reach it.
+    fn mark(&mut self, (slot, id): ChainPair) -> Option<&mut (u64, ConnectionId)> {
+        let at = slot as usize;
+        if self.slots.len() <= at {
+            self.slots.resize(at + 1, (0, id));
+        }
+        self.slots.get_mut(at)
     }
 }
 
@@ -353,6 +408,15 @@ mod tests {
         assert!(marks.add((9, ConnectionId(2))) && marks.contains((9, ConnectionId(2))));
         marks.begin(2);
         assert!(!marks.contains(new) && marks.walk(1) && marks.add(old));
+        // A refused pair is met but not held, and joins when added.
+        let refused = (5, ConnectionId(4));
+        assert!(!marks.met(refused) && marks.walked(1) && !marks.walked(0));
+        marks.refuse(refused);
+        assert!(marks.met(refused) && !marks.contains(refused));
+        assert!(marks.add(refused) && marks.contains(refused) && !marks.add(refused));
+        marks.refuse((6, ConnectionId(5)));
+        marks.begin(2);
+        assert!(!marks.met((6, ConnectionId(5))) && !marks.met(refused) && !marks.walked(1));
         // A wrap resets every stamp instead of letting generation 1's
         // marks come back to life.
         let mut wrapped = ChainMarks::default();

@@ -3,7 +3,7 @@
 //! Every environment variable the workspace reads is declared here once —
 //! name, default, consumer, and effect — and read through a typed
 //! accessor. Call sites elsewhere use the exported name constants
-//! ([`THREADS`], [`CHECKED`], ...) instead of string literals, so
+//! ([`THREADS`], `CHECKED`, ...) instead of string literals, so
 //! `drqos-lint`'s `env-registry` rule can mechanically prove that no
 //! crate reads an undeclared variable and that the README's environment
 //! table matches this registry (via [`readme_table`]).
@@ -209,7 +209,7 @@ pub fn bless() -> bool {
     read(BLESS).is_some_and(|v| v == "1")
 }
 
-/// `DRQOS_QUEUE_DEPTH` (minimum 1; default [`DEFAULT_QUEUE_DEPTH`]).
+/// `DRQOS_QUEUE_DEPTH` (minimum 1; default `DEFAULT_QUEUE_DEPTH`).
 pub fn queue_depth() -> usize {
     read(QUEUE_DEPTH).map_or(DEFAULT_QUEUE_DEPTH, |v| {
         parse_positive(&v, DEFAULT_QUEUE_DEPTH)
@@ -248,14 +248,14 @@ fn parse_non_negative(v: &str, default: usize) -> usize {
 }
 
 /// `DRQOS_SRLG_COUNT` (zero allowed = no groups; default
-/// [`DEFAULT_SRLG_COUNT`]).
+/// `DEFAULT_SRLG_COUNT`).
 pub fn srlg_count() -> usize {
     read(SRLG_COUNT).map_or(DEFAULT_SRLG_COUNT, |v| {
         parse_non_negative(&v, DEFAULT_SRLG_COUNT)
     })
 }
 
-/// `DRQOS_SRLG_SIZE` (minimum 1; default [`DEFAULT_SRLG_SIZE`]).
+/// `DRQOS_SRLG_SIZE` (minimum 1; default `DEFAULT_SRLG_SIZE`).
 pub fn srlg_size() -> usize {
     read(SRLG_SIZE).map_or(DEFAULT_SRLG_SIZE, |v| parse_positive(&v, DEFAULT_SRLG_SIZE))
 }

@@ -303,7 +303,7 @@ pub struct MeasuredParams {
     pub t: Vec<Vec<f64>>,
     /// Row-stochastic transition matrix on link failure (channels sharing
     /// links with activated backups; see
-    /// [`ParameterEstimator::record_failure`]).
+    /// `ParameterEstimator::record_failure`).
     pub f: Vec<Vec<f64>>,
     /// Observed fraction of channel-observations at each level (all zeros
     /// when occupancy was never recorded). Used as the model's degenerate

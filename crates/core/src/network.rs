@@ -179,6 +179,12 @@ pub struct Network {
     marks: ChainMarks,
     retreat_set: Vec<ChainPair>,
     spare_set: Vec<ChainPair>,
+    /// The listed rows whose recorded refusal no longer holds (see
+    /// `fill::still_blocked`): the only ones an arrival's fill could grow
+    /// that its retreat did not free room for. Read off the connection
+    /// table's columns like them, so outside equality, but cloned: a clone
+    /// must gather what its source gathers.
+    loose: Vec<ChainPair>,
 }
 
 /// Cloning copies the full accounting state; the route-search, fill and
@@ -200,6 +206,7 @@ impl Clone for Network {
             marks: ChainMarks::default(),
             retreat_set: Vec::new(),
             spare_set: Vec::new(),
+            loose: self.loose.clone(),
         }
     }
 }
@@ -241,6 +248,7 @@ impl Network {
             marks: ChainMarks::default(),
             retreat_set: Vec::new(),
             spare_set: Vec::new(),
+            loose: Vec::new(),
         }
     }
 
@@ -356,21 +364,16 @@ impl Network {
         // 2. Retreat every directly chained primary but those the fill
         //    would grant straight back, decided before anyone retreats.
         let retreating = self.keep_at_maximum(&mut chained, newcomer);
-        for &pair in &chained[..retreating] {
+        let (retreated, kept) = chained.split_at(retreating);
+        for &pair in retreated {
             self.retreat(pair);
         }
-        // 3. Who may grow, the newcomer included — and let them. The kept
-        //    channels' links are walked like the retreated ones'.
+        // 3. Who may grow, the newcomer included — and let them.
         let mut candidates = std::mem::take(&mut self.spare_set);
         candidates.clear();
-        self.fill_candidates(
-            &chained,
-            &chained[..retreating],
-            &[newcomer],
-            &mut candidates,
-        );
+        self.fill_candidates(retreated, kept, &[newcomer], &mut candidates);
         #[cfg(test)]
-        self.log_kept(&chained[retreating..]);
+        self.log_kept(kept);
         self.retreat_set = chained;
         self.settle(candidates);
         newcomer.1
@@ -396,10 +399,12 @@ impl Network {
     }
 
     /// Re-distributes extras over `candidates`, keeping the buffer for the
-    /// next event's candidates.
+    /// next event's candidates, and drops from the loose set the rows the
+    /// event has blocked or granted to their maximum.
     fn settle(&mut self, candidates: Vec<ChainPair>) {
         self.redistribute(&candidates);
         self.spare_set = candidates;
+        self.prune_loose();
         #[cfg(test)]
         self.log_settled();
     }
@@ -425,10 +430,7 @@ impl Network {
     }
 
     /// [`Self::gather`] over the listed primaries of each link
-    /// ([`LinkUsage::growable`]), leaving out — and unmarked, so that a
-    /// caller can still name them — those [`fill::still_blocked`] where
-    /// the fill last refused them: such a row can be granted nothing and
-    /// asks for nothing, so the fill would load it for no effect.
+    /// ([`LinkUsage::growable`]), each [offered](Self::offer) once.
     fn gather_listed(
         links: &[LinkUsage],
         connections: &ConnTable,
@@ -436,35 +438,65 @@ impl Network {
         over: impl IntoIterator<Item = LinkId>,
         out: &mut Vec<ChainPair>,
     ) {
-        let blocked = |slot| {
-            #[cfg(test)]
-            if support::REFERENCE.get() {
-                return false;
-            }
-            fill::still_blocked(links, connections.blocked(slot))
-        };
         marks.begin(links.len());
         for l in over {
             if marks.walk(l.index()) {
-                let listed = links[l.index()].growable().iter();
-                out.extend(listed.filter(|&&pair| !blocked(pair.0) && marks.add(pair)));
+                for &pair in links[l.index()].growable() {
+                    Self::offer(links, connections, marks, pair, out);
+                }
             }
         }
     }
 
+    /// Appends the listed `pair` to `out` unless the gather in `marks` has
+    /// met it already or it is [`fill::still_blocked`] where the fill last
+    /// refused it: such a row can be granted nothing and asks for nothing,
+    /// so the fill would load it for no effect. A blocked pair is marked
+    /// refused, so that meeting it again costs one mark read while a
+    /// caller can still name it.
+    fn offer(
+        links: &[LinkUsage],
+        connections: &ConnTable,
+        marks: &mut ChainMarks,
+        pair: ChainPair,
+        out: &mut Vec<ChainPair>,
+    ) {
+        if marks.met(pair) {
+            return;
+        }
+        let blocked = || {
+            #[cfg(test)]
+            if support::REFERENCE.get() {
+                return false;
+            }
+            fill::still_blocked(links, connections.blocked(pair.0))
+        };
+        if blocked() {
+            marks.refuse(pair);
+        } else {
+            marks.add(pair);
+            out.push(pair);
+        }
+    }
+
     /// Who may grow after an event, appended to `out`: the listed primaries
-    /// of every link a channel of `walked` crosses — the chained set, the
-    /// ones an arrival kept included — but those still blocked, then the
-    /// channels that `retreated` for the event and the `newcomers` it put
-    /// on their routes (an admitted connection, the connections a failure
-    /// moved onto their backups), each once and never left out. Retreat
-    /// leaves the lists alone, so a channel that retreated from its
-    /// maximum is found only by name; everyone else on those links sits at
-    /// their maximum and could be granted nothing.
+    /// of every link a channel that `retreated` for it crosses, but those
+    /// still blocked; the loose rows that cross a link of a channel an
+    /// arrival `kept`, on the same terms; then the retreated channels and
+    /// the `newcomers` the event put on their routes (an admitted
+    /// connection, the connections a failure moved onto their backups),
+    /// each once and never left out. Retreat leaves the lists alone, so a
+    /// channel that retreated from its maximum is found only by name.
+    ///
+    /// Retreat is where an event adds headroom that no fill has been
+    /// offered yet, so only the retreated channels' links are read. A
+    /// listed row elsewhere was refused at its recorded link and that link
+    /// gained nothing since, or it is loose: a fault step frees room where
+    /// its fill walks nothing, and records whom that unblocked.
     fn fill_candidates(
         &mut self,
-        walked: &[ChainPair],
         retreated: &[ChainPair],
+        kept: &[ChainPair],
         newcomers: &[ChainPair],
         out: &mut Vec<ChainPair>,
     ) {
@@ -472,18 +504,34 @@ impl Network {
             links,
             connections,
             marks,
+            loose,
             ..
         } = self;
-        let over = connections.primary_links(walked);
+        let over = connections.primary_links(retreated);
         Self::gather_listed(links, connections, marks, over, out);
+        #[cfg(test)]
+        let from_lists = out.len();
+        if !loose.is_empty() && !kept.is_empty() {
+            for l in connections.primary_links(kept) {
+                marks.walk(l.index());
+            }
+            for &(slot, id) in loose.iter() {
+                let path = connections.at(slot, id).map(|c| c.primary().links());
+                if path.is_some_and(|p| p.iter().any(|l| marks.walked(l.index()))) {
+                    Self::offer(links, connections, marks, (slot, id), out);
+                }
+            }
+        }
+        #[cfg(test)]
+        let through_kept = out.len() - from_lists;
         let named = retreated.iter().chain(newcomers);
         out.extend(named.filter(|&&pair| marks.add(pair)));
         #[cfg(test)]
-        self.log_gather(
-            self.connections.primary_links(walked),
-            retreated.iter().chain(newcomers).copied(),
-            out,
-        );
+        {
+            let chained = [retreated, kept].map(|pairs| self.connections.primary_links(pairs));
+            let named = retreated.iter().chain(newcomers).copied();
+            self.log_gather(chained.into_iter().flatten(), named, out, through_kept);
+        }
     }
 
     /// Whether every link of `footprint` still has the plan digest it was
@@ -614,7 +662,7 @@ impl Network {
         let marks = &mut self.marks;
         Self::gather_listed(links, connections, marks, freed.clone(), &mut candidates);
         #[cfg(test)]
-        self.log_gather(freed, std::iter::empty(), &candidates);
+        self.log_gather(freed, std::iter::empty(), &candidates, 0);
         self.settle(candidates);
         Ok(conn)
     }
@@ -680,7 +728,7 @@ impl Network {
     /// "directly chained" set of the `P_f` measurement — in id order:
     /// gather every link's (sorted) membership, then sort and deduplicate
     /// once. The commit path gathers the same set by stamp, unsorted
-    /// ([`Network::gather`]); this is the reference it is held to.
+    /// (`Network::gather`); this is the reference it is held to.
     pub fn primaries_sharing(&self, links: impl IntoIterator<Item = LinkId>) -> Vec<ConnectionId> {
         let mut links: Vec<LinkId> = links.into_iter().collect();
         sort_dedup(&mut links);
@@ -1009,6 +1057,9 @@ mod support {
         /// The chained channels an arrival kept, with their levels when
         /// the fill started and when it ended.
         pub(super) kept: Vec<(ChainPair, usize, usize)>,
+        /// Loose rows gathered only because they cross a kept channel's
+        /// link.
+        pub(super) through_kept: usize,
     }
 
     impl Network {
@@ -1026,7 +1077,7 @@ mod support {
             }
             let newcomer = self.reserve_newcomer(plan);
             let mut candidates = Vec::new();
-            self.fill_candidates(&retreated, &retreated, &[newcomer], &mut candidates);
+            self.fill_candidates(&retreated, &[], &[newcomer], &mut candidates);
             self.settle(candidates);
             newcomer.1
         }
@@ -1071,12 +1122,14 @@ mod support {
 
         /// Logs the gather that found `got` over `over` and `named`, with
         /// the every-primary gather over the same, while [`GATHER_LOG`] is
-        /// set.
+        /// set. `through_kept` of `got` are loose rows it met only on a
+        /// kept channel's link.
         pub(super) fn log_gather(
             &self,
             over: impl Iterator<Item = LinkId>,
             named: impl Iterator<Item = ChainPair>,
             got: &[ChainPair],
+            through_kept: usize,
         ) {
             GATHER_LOG.with_borrow_mut(|log| {
                 let Some(log) = log else { return };
@@ -1105,6 +1158,7 @@ mod support {
                     skipped,
                     missed,
                     kept: Vec::new(),
+                    through_kept,
                 });
             });
         }
@@ -1151,10 +1205,10 @@ mod support {
 #[cfg(test)]
 mod tests {
     use super::fill::testing::{
-        with_fill, Fill, BLOCKED_AT_EXACT_ROOM, DROP_THE_NEWCOMER, FORGET_A_RECOUNT,
-        REFUSED_AT_EXACT_ROOM, SKIP_A_LISTING,
+        with_fill, Fill, BLOCKED_AT_EXACT_ROOM, DROP_THE_GROUP_ON_A_WAKE, DROP_THE_NEWCOMER,
+        FORGET_A_LOOSE_ROW, FORGET_A_RECOUNT, REFUSED_AT_EXACT_ROOM, SKIP_A_LISTING,
     };
-    use super::fill::{is_slack, FillRow, Load};
+    use super::fill::{is_slack, FillScratch, Load};
     use super::support::*;
     use super::*;
     use drqos_sim::rng::Rng;
@@ -1733,17 +1787,26 @@ mod tests {
         refused_unloaded: usize,
         /// Deferred, then loaded when their recorded link had room.
         woken: usize,
+        /// Deferred behind a lower row with the same record.
+        held: usize,
+        /// Held, then given a first turn when the row ahead of them woke.
+        promoted: usize,
     }
 
     impl FillTally {
-        fn add(&mut self, rows: &[FillRow]) {
-            for row in rows {
+        fn add(&mut self, fill: &FillScratch) {
+            for row in &fill.rows {
                 match row.load {
                     Load::Bulk => self.bulk += 1,
                     Load::Turns => self.turns += 1,
                     Load::Deferred(_) => self.refused_unloaded += 1,
                     Load::Woken => self.woken += 1,
+                    Load::Held(_) => {}
                 }
+            }
+            for promoted in fill.held() {
+                self.held += 1;
+                self.promoted += usize::from(promoted);
             }
         }
     }
@@ -1770,20 +1833,23 @@ mod tests {
                         "case {case} step {step}: {got} vs reference {want}; {violations:?}"
                     ));
                 }
-                tally.add(&net.fill.rows);
+                tally.add(&net.fill);
             }
         }
         Ok(tally)
     }
 
-    /// Both sides of the slack choice and both ends of a deferred row's
-    /// first turn must have run, many times over.
+    /// Both sides of the slack choice, both ends of a deferred row's first
+    /// turn and both ends of a held row's wait must have run, many times
+    /// over.
     fn assert_fill_coverage(tally: &FillTally, cases: usize) {
         assert!(
             tally.bulk > 5 * cases
                 && tally.turns > 5 * cases
                 && tally.refused_unloaded > 2 * cases
-                && tally.woken > cases,
+                && tally.woken > cases
+                && tally.held > cases / 2
+                && tally.promoted > cases / 10,
             "{tally:?}"
         );
     }
@@ -1808,6 +1874,12 @@ mod tests {
     #[test]
     fn a_deferred_turn_that_refuses_at_one_increment_of_room_is_caught() {
         let caught = with_mutant(&REFUSED_AT_EXACT_ROOM, || fill_differential(2_000, None));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    #[test]
+    fn a_woken_head_that_queues_nobody_behind_it_is_caught() {
+        let caught = with_mutant(&DROP_THE_GROUP_ON_A_WAKE, || fill_differential(2_000, None));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2376,6 +2448,10 @@ mod tests {
         /// Listed rows let through that a scan of their whole primary
         /// finds blocked: what the recorded refusals missed.
         missed: usize,
+        /// Loose rows, summed over the ops.
+        loose: usize,
+        /// Loose rows an arrival gathered only through a kept channel.
+        through_kept: usize,
     }
 
     /// Replays `cases` seeded op sequences ([`random_case`],
@@ -2384,10 +2460,12 @@ mod tests {
     /// every fill-candidate gather logged. After every commit, release and
     /// fault: results, full state and invariants must agree with the
     /// reference; each listed gather, with the rows it left out, must have
-    /// the fill load exactly the rows the every-primary gather over the
-    /// same links would; every row it left out must be blocked under a
-    /// scan of its whole primary; and every channel an arrival kept must
-    /// end at the level it had.
+    /// the fill load exactly the rows the every-primary gather over every
+    /// chained channel's links (kept ones included) and the named pairs
+    /// would; every row it left out must be blocked under a
+    /// scan of its whole primary; every channel an arrival kept must end
+    /// at the level it had; and the loose set must hold exactly the live
+    /// listed rows whose recorded refusal no longer holds.
     fn listed_gather_differential(cases: u64) -> Result<GatherTally, String> {
         let mut tally = GatherTally::default();
         for case in 0..cases {
@@ -2403,6 +2481,18 @@ mod tests {
                 if got != want || net != oracle || !violations.is_empty() {
                     return Err(format!("{at} vs reference {want}; {violations:?}"));
                 }
+                let unblocked = |&(slot, _): &ChainPair| {
+                    let listed = net.connections.counted(slot) > Bandwidth::ZERO;
+                    listed && !fill::still_blocked(&net.links, net.connections.blocked(slot))
+                };
+                let mut loose = net.loose.clone();
+                loose.sort_unstable_by_key(|&(_, id)| id);
+                let unblocked: Vec<ChainPair> =
+                    live_pairs(&net).into_iter().filter(unblocked).collect();
+                if loose != unblocked {
+                    return Err(format!("{at}: loose {loose:?}, unblocked {unblocked:?}"));
+                }
+                tally.loose += loose.len();
                 for gather in log {
                     if gather.listed != gather.every {
                         let (listed, every) = (&gather.listed, &gather.every);
@@ -2420,16 +2510,25 @@ mod tests {
                     tally.kept += gather.kept.len();
                     tally.skipped += gather.skipped.len();
                     tally.missed += gather.missed;
+                    tally.through_kept += gather.through_kept;
                 }
             }
         }
         Ok(tally)
     }
 
-    /// Every rule must have fired, many times over.
+    /// Every rule must have fired, many times over. An arrival meets a
+    /// loose row only on a kept channel's link about once in a thousand
+    /// cases, so only the long run must see that;
+    /// [`a_row_a_failure_freed_is_granted_through_a_kept_channel_s_link`]
+    /// pins it at any size.
     fn assert_gather_coverage(tally: &GatherTally, cases: usize) {
         assert!(
-            tally.loaded > 15 * cases && tally.kept > 5 * cases && tally.skipped > cases,
+            tally.loaded > 15 * cases
+                && tally.kept > 5 * cases
+                && tally.skipped > cases
+                && tally.loose > cases / 4
+                && tally.through_kept >= cases / 2_000,
             "{tally:?}"
         );
     }
@@ -2448,6 +2547,70 @@ mod tests {
     #[test]
     fn a_blocked_test_that_skips_a_row_with_one_increment_of_room_is_caught() {
         let caught = with_mutant(&BLOCKED_AT_EXACT_ROOM, || listed_gather_differential(600));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    /// A tree — 0–1 (link 0), 1–2 (link 1, 700 Kbps), 2–3 (link 2), 1–4
+    /// (link 3), the others 2 000 Kbps — where K runs 0–1–4 at its
+    /// maximum, and R (0–1–2) and a channel over 1–2–3 were refused at
+    /// link 1. Failing link 2 drops that channel and frees 400 Kbps on
+    /// link 1, but the fault step's fill walks nothing, so R stays put
+    /// and is recorded loose; the repair that follows frees nothing (its
+    /// top-ups only reserve) and R stays loose. The next arrival crosses
+    /// link 3 alone: K is kept, nobody retreats, and R is met only on K's
+    /// link 0. It must grow as under the retreat-everything commit, and
+    /// does not with the loose set emptied.
+    #[test]
+    fn a_row_a_failure_freed_is_granted_through_a_kept_channel_s_link() {
+        let mut g = Graph::with_nodes(5);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (1, 4)] {
+            g.add_link(NodeId(a), NodeId(b)).unwrap();
+        }
+        let config = NetworkConfig {
+            capacity: Bandwidth::kbps(2_000),
+            require_backup: false,
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::new(g, config);
+        net.links[1] = LinkUsage::new(Bandwidth::kbps(700));
+        let establish =
+            |net: &mut Network, src, dst| net.establish(NodeId(src), NodeId(dst), qos()).unwrap();
+        let k = establish(&mut net, 0, 4);
+        let over_2 = establish(&mut net, 1, 3);
+        let r = establish(&mut net, 0, 2);
+        let level = |net: &Network, id| net.connection(id).map_or(usize::MAX, |c| c.level());
+        assert_eq!([k, over_2, r].map(|id| level(&net, id)), [4, 3, 2]);
+        assert_eq!(net.fail_link(LinkId(2)).unwrap().dropped, [over_2]);
+        net.repair_link(LinkId(2)).unwrap();
+        let [k_pair, r_pair] = live_pairs(&net)[..] else {
+            panic!("two channels");
+        };
+        assert_eq!(
+            (net.loose.as_slice(), level(&net, r)),
+            ([r_pair].as_slice(), 2)
+        );
+        let (mut reference, mut forgot) = (net.clone(), net.clone());
+        forgot.loose.clear();
+        GATHER_LOG.set(Some(Vec::new()));
+        establish(&mut net, 1, 4);
+        let log = GATHER_LOG.take().unwrap_or_default();
+        with_mutant(&REFERENCE, || establish(&mut reference, 1, 4));
+        establish(&mut forgot, 1, 4);
+        let [arrival] = &log[..] else {
+            panic!("one gather: {log:?}");
+        };
+        assert_eq!(
+            (arrival.kept.as_slice(), arrival.through_kept),
+            ([(k_pair, 4, 4)].as_slice(), 1)
+        );
+        assert!(net == reference && net.loose.is_empty());
+        assert_eq!((level(&net, r), level(&forgot, r)), (4, 2));
+        assert!(forgot != reference);
+    }
+
+    #[test]
+    fn a_forgotten_loose_row_is_caught() {
+        let caught = with_mutant(&FORGET_A_LOOSE_ROW, || listed_gather_differential(600));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 

@@ -190,7 +190,7 @@ impl Network {
 
         // Re-distribute whatever is still spare, the activated channels
         // being the newcomers.
-        self.fill_candidates(&retreated, &retreated, &activated, &mut candidates);
+        self.fill_candidates(&retreated, &[], &activated, &mut candidates);
         self.redistribute(&candidates);
 
         // Re-establish backups for survivors that lost theirs.
@@ -200,6 +200,9 @@ impl Network {
                 self.top_up_backups(id);
             }
         }
+        // The victims and the lost backups freed room that the fill did
+        // not walk (ROADMAP item 20).
+        self.record_loose();
 
         // The gather's order is the slots', not the ids'.
         let mut retreated: Vec<ConnectionId> = retreated.into_iter().map(|(_, c)| c).collect();
@@ -323,26 +326,27 @@ impl Network {
 
     /// The one repair step, for `set` — distinct links, all down — coming
     /// back up as one event (one epoch tick per link), then one pass over
-    /// the connections short of the configured backup count. Returns the
-    /// ids that regained a backup, in id order.
+    /// the connections short of the configured backup count, unless
+    /// backups are not re-established. Returns the ids that regained a
+    /// backup, in id order.
     fn repair_links(&mut self, set: &[LinkId]) -> Vec<ConnectionId> {
         for &l in set {
             self.links[l.index()].set_up(true);
             self.topology_epoch += 1;
         }
-        if !self.config.reestablish_backups {
-            return Vec::new();
-        }
         let target = self.config.backup_count;
-        let needy: Vec<ConnectionId> = self
-            .connections()
-            .filter(|c| c.backup_count() < target)
-            .map(|c| c.id())
-            .collect();
-        needy
+        let needy: Vec<ConnectionId> = if self.config.reestablish_backups {
+            let short = self.connections().filter(|c| c.backup_count() < target);
+            short.map(|c| c.id()).collect()
+        } else {
+            Vec::new()
+        };
+        let regained = needy
             .into_iter()
             .filter(|&id| self.top_up_backups(id))
-            .collect()
+            .collect();
+        self.record_loose();
+        regained
     }
 
     /// Attempts to bring `id` up to the configured backup count; returns

@@ -29,6 +29,10 @@ pub(super) enum Load {
     /// Listed and untouched since its last fill, so not loaded: its first
     /// turn tests only the link that last refused it, recorded here.
     Deferred(Blocked),
+    /// Deferred behind a lower `(score, id)` row with the same record, the
+    /// head of their group: given a first turn only once the row ahead of
+    /// it has woken (see [`Deferrals`]).
+    Held(Blocked),
     /// Deferred, then loaded on its first turn, that link having room.
     Woken,
 }
@@ -73,7 +77,7 @@ impl FillRow {
 
 /// A row's turn, ordered so that the lowest `(score, id)` is the greatest:
 /// the top of a [`BinaryHeap`] and the last of a sorted vector.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Scored {
     /// `(score, id)` as one integer: the score's bits mapped to an unsigned
     /// key in [`f64::total_cmp`]'s order, above the id.
@@ -183,6 +187,119 @@ fn refused_again(links: &[LinkUsage], (link, increment): Blocked) -> bool {
     })
 }
 
+/// No group: the end of a chain in [`Deferrals::at_link`].
+const NO_GROUP: u32 = u32::MAX;
+
+/// The deferred rows of one fill that share one recorded refusal.
+#[derive(Debug)]
+struct Group {
+    at: Blocked,
+    /// The next group recorded at the same link, for another increment.
+    next: u32,
+    /// Its lowest first turn so far: the only one queued while the
+    /// classification reads the rows.
+    head: Scored,
+    /// Once a row of the group has woken: its rows still held, as a range
+    /// of [`Deferrals::held`] whose last entry is the next turn.
+    waiting: Range<usize>,
+}
+
+/// The deferred rows of one fill, grouped by the refusal each one's
+/// record names. Headroom only shrinks during a fill, and a refused
+/// deferred row changes nothing, so once a group's lowest row is refused
+/// at that link, every later one would be too: only the lowest takes a
+/// first turn, and the next is queued when it wakes.
+#[derive(Debug, Default)]
+struct Deferrals {
+    groups: Vec<Group>,
+    /// Per link, the last group recorded there; [`NO_GROUP`] between fills.
+    at_link: Vec<u32>,
+    /// The rows held behind their group's head, with the group: sorted by
+    /// group, then from the last turn to the first, when a head first
+    /// wakes.
+    held: Vec<(u32, Scored)>,
+    sorted: bool,
+}
+
+impl Deferrals {
+    /// Starts a fill over `links` links.
+    fn begin(&mut self, links: usize) {
+        self.groups.clear();
+        self.held.clear();
+        self.sorted = false;
+        self.at_link.resize(links, NO_GROUP);
+    }
+
+    /// The group recorded at `at`, if any.
+    fn find(&self, (link, increment): Blocked) -> Option<usize> {
+        let mut g = *self.at_link.get(link.index())?;
+        while let Some(group) = self.groups.get(g as usize) {
+            if group.at.1 == increment {
+                return Some(g as usize);
+            }
+            g = group.next;
+        }
+        None
+    }
+
+    /// Files a deferred row's first turn under its record `at`. Returns
+    /// the turn that is now held: this one, or the head it displaced.
+    fn join(&mut self, at: Blocked, turn: Scored) -> Option<Scored> {
+        let Some(g) = self.find(at) else {
+            let next = self.at_link[at.0.index()];
+            self.at_link[at.0.index()] = self.groups.len() as u32;
+            self.groups.push(Group {
+                at,
+                next,
+                head: turn,
+                waiting: 0..0,
+            });
+            return None;
+        };
+        let head = &mut self.groups[g].head;
+        let held = if turn > *head {
+            std::mem::replace(head, turn)
+        } else {
+            turn
+        };
+        self.held.push((g as u32, held));
+        Some(held)
+    }
+
+    /// Every group's head.
+    fn heads(&self) -> impl Iterator<Item = Scored> + '_ {
+        self.groups.iter().map(|g| g.head)
+    }
+
+    /// The next turn of the group recorded at `at`, whose latest turn has
+    /// just woken.
+    fn promote(&mut self, at: Blocked) -> Option<Scored> {
+        #[cfg(test)]
+        if testing::DROP_THE_GROUP_ON_A_WAKE.get() {
+            return None;
+        }
+        let g = self.find(at)?;
+        if !self.sorted {
+            self.held.sort_unstable();
+            let mut start = 0;
+            for run in self.held.chunk_by(|a, b| a.0 == b.0) {
+                self.groups[run[0].0 as usize].waiting = start..start + run.len();
+                start += run.len();
+            }
+            self.sorted = true;
+        }
+        let next = self.groups[g].waiting.next_back()?;
+        Some(self.held[next].1)
+    }
+
+    /// Ends a fill: clears the per-link index.
+    fn finish(&mut self) {
+        for group in &self.groups {
+            self.at_link[group.at.0.index()] = NO_GROUP;
+        }
+    }
+}
+
 /// Reusable work tables of [`Network::redistribute_with`]: a fill
 /// allocates nothing once these have grown to the working-set size. Not
 /// part of the network's state: every fill rebuilds them from scratch. The
@@ -200,6 +317,7 @@ pub(super) struct FillScratch {
     firsts: Vec<Scored>,
     /// The heap of later turns' backing store between fills (likewise).
     heap: Vec<Scored>,
+    deferrals: Deferrals,
 }
 
 impl Network {
@@ -280,8 +398,38 @@ impl Network {
         let loaded = fill
             .rows
             .iter()
-            .filter(|r| !matches!(r.load, Load::Deferred(_)));
+            .filter(|r| !matches!(r.load, Load::Deferred(_) | Load::Held(_)));
         Self::reconcile(links, connections, loaded.map(|r| (r.slot, r.id)));
+    }
+
+    /// Drops from the loose set every row that has left, been granted its
+    /// maximum or been refused again since it was recorded.
+    pub(super) fn prune_loose(&mut self) {
+        let Self {
+            links,
+            connections,
+            loose,
+            ..
+        } = self;
+        loose.retain(|&pair| connections.is_loose(pair, |at| still_blocked(links, at)));
+    }
+
+    /// Records the loose set afresh from the connection table's count and
+    /// refusal columns: at the end of a fault step, which frees room where
+    /// its fill walks nothing, and of a repair.
+    pub(super) fn record_loose(&mut self) {
+        let Self {
+            links,
+            connections,
+            loose,
+            ..
+        } = self;
+        loose.clear();
+        loose.extend(connections.loose(|at| still_blocked(links, at)));
+        #[cfg(test)]
+        if testing::FORGET_A_LOOSE_ROW.get() {
+            loose.pop();
+        }
     }
 
     /// The one list edit of an event, after its fill, outside it: each live
@@ -340,10 +488,13 @@ impl Network {
     /// to their maximum in one step. The rest take turns in `(score, id)`
     /// order, one increment a turn: every row's first turn from one sorted
     /// vector, a granted row's later turns from a min-heap, the lower of
-    /// the two next. Headroom only shrinks during a fill, so a refused row
-    /// is dropped for good, and the link that refused it is recorded in the
-    /// connection table for the next event's gather ([`still_blocked`]) and
-    /// the next fill's deferral.
+    /// the two next. Deferred rows with one recorded refusal form a group,
+    /// and only its lowest row's first turn is sorted in; when a row of the
+    /// group wakes, the next one's first turn joins the heap. Headroom only
+    /// shrinks during a fill, so a refused row is dropped for good, and the
+    /// link that refused it is recorded in the connection table for the
+    /// next event's gather ([`still_blocked`]) and the next fill's
+    /// deferral.
     ///
     /// The shortcut is exact. A slack link has room for everything the
     /// candidates could still ask of it, so it refuses nobody whatever the
@@ -361,7 +512,13 @@ impl Network {
     /// turn refuses it when its recorded link, on its primary, is down or
     /// lacks its increment — the full-path test would too — and leaves
     /// the record standing, still true; otherwise the row is loaded then
-    /// and takes that turn across its whole primary.
+    /// and takes that turn across its whole primary. A group's rows
+    /// behind a refused one would each be refused at the same link at
+    /// their turns, headroom having only shrunk, and a refusal changes
+    /// nothing, so they are left where they are, their records still
+    /// true. Behind a row that woke, the next one's first turn enters the
+    /// heap then, before its place in the `(score, id)` order comes up:
+    /// every turn taken meanwhile ranked below the woken row.
     ///
     /// Nor does the order of `candidates` matter: every row is classified
     /// before any is granted, the demand sums are integer additions, bulk
@@ -391,10 +548,12 @@ impl Network {
             demand,
             firsts,
             heap,
+            deferrals,
         } = fill;
         rows.clear();
         arena.clear();
         demand.resize(links.len(), Bandwidth::ZERO);
+        deferrals.begin(links.len());
 
         // Read the candidates that are still live — a pair whose slot has
         // since been vacated or handed on is not — and below their maximum
@@ -455,23 +614,32 @@ impl Network {
                 row.load = Load::Bulk;
             }
         }
-        for (i, row) in rows.iter_mut().enumerate() {
+        for i in 0..rows.len() {
+            let row = &mut rows[i];
             if row.load == Load::Bulk {
                 for l in &arena[row.links.clone()] {
                     links[l.index()].add_extra(row.remaining());
                 }
                 row.level = row.max_level;
+                continue;
+            }
+            let turn = Scored::new(fill_score(policy, row.level, row.utility), row.id, i);
+            if let Load::Deferred(at) = row.load {
+                if let Some(held) = deferrals.join(at, turn) {
+                    rows[held.row].load = Load::Held(at);
+                }
             } else {
-                let score = fill_score(policy, row.level, row.utility);
-                firsts.push(Scored::new(score, row.id, i));
+                firsts.push(turn);
             }
         }
+        firsts.extend(deferrals.heads());
         for l in arena.iter() {
             demand[l.index()] = Bandwidth::ZERO;
         }
 
         // The turns, one increment each: the lowest (score, id) of the
-        // first turns left and the later turns queued goes next.
+        // first turns left and the later turns queued goes next. A turn
+        // queued for a deferred row is its first.
         firsts.sort_unstable();
         let mut later = BinaryHeap::from(std::mem::take(heap));
         loop {
@@ -479,30 +647,36 @@ impl Network {
                 (Some(first), Some(next)) => first > next,
                 (first, _) => first.is_some(),
             };
-            if !first {
+            let turn = if first {
+                firsts.pop()
+            } else {
                 let Some(mut top) = later.peek_mut() else {
                     break;
                 };
                 let row = &mut rows[top.row];
-                if let Some(refused) = row.take_turn(&arena[row.links.clone()], links) {
-                    connections.set_blocked(row.slot, Some((refused, row.increment)));
-                    PeekMut::pop(top);
-                } else if row.level == row.max_level {
-                    PeekMut::pop(top);
-                } else {
-                    let score = fill_score(policy, row.level, row.utility);
-                    *top = Scored::new(score, row.id, top.row);
+                if !matches!(row.load, Load::Deferred(_)) {
+                    if let Some(refused) = row.take_turn(&arena[row.links.clone()], links) {
+                        connections.set_blocked(row.slot, Some((refused, row.increment)));
+                        PeekMut::pop(top);
+                    } else if row.level == row.max_level {
+                        PeekMut::pop(top);
+                    } else {
+                        let score = fill_score(policy, row.level, row.utility);
+                        *top = Scored::new(score, row.id, top.row);
+                    }
+                    continue;
                 }
-                continue;
-            }
-            let Some(turn) = firsts.pop() else {
+                Some(PeekMut::pop(top))
+            };
+            let Some(turn) = turn else {
                 break;
             };
-            let row = &mut rows[turn.row];
-            if let Load::Deferred(at) = row.load {
+            if let Load::Deferred(at) = rows[turn.row].load {
+                // Refused, and so is every row held behind it.
                 if refused_again(links, at) {
                     continue;
                 }
+                let row = &mut rows[turn.row];
                 let Some(conn) = connections.at(row.slot, row.id) else {
                     continue;
                 };
@@ -510,7 +684,12 @@ impl Network {
                 arena.extend_from_slice(conn.primary().links());
                 row.links = start..arena.len();
                 row.load = Load::Woken;
+                if let Some(next) = deferrals.promote(at) {
+                    rows[next.row].load = Load::Deferred(at);
+                    later.push(next);
+                }
             }
+            let row = &mut rows[turn.row];
             if let Some(refused) = row.take_turn(&arena[row.links.clone()], links) {
                 connections.set_blocked(row.slot, Some((refused, row.increment)));
             } else if row.level < row.max_level {
@@ -519,6 +698,7 @@ impl Network {
             }
         }
         *heap = later.into_vec();
+        deferrals.finish();
 
         // Write the moved levels back, and the total once.
         for row in rows.iter().filter(|r| r.level != r.loaded_level) {
@@ -567,6 +747,23 @@ pub(super) mod testing {
         /// fill differential must catch.
         pub(in crate::network) static REFUSED_AT_EXACT_ROOM: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
+        /// While set, a deferred row that wakes queues no turn for the next
+        /// row of its group: a mutant the fill differential must catch.
+        pub(in crate::network) static DROP_THE_GROUP_ON_A_WAKE: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+        /// While set, recording the loose set drops its last row: a mutant
+        /// the listed-gather differential must catch.
+        pub(in crate::network) static FORGET_A_LOOSE_ROW: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
+
+    impl FillScratch {
+        /// The rows the last fill held behind their group's head, each with
+        /// whether a wake ahead of it queued its first turn.
+        pub(in crate::network) fn held(&self) -> impl Iterator<Item = bool> + '_ {
+            let held = self.deferrals.held.iter();
+            held.map(|(_, turn)| !matches!(self.rows[turn.row].load, Load::Held(_)))
+        }
     }
 
     /// Runs `f` with every fill on this thread replaced by `fill`.

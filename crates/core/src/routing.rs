@@ -59,7 +59,7 @@ pub enum BackupDisjointness {
     MaximallyDisjoint,
 }
 
-/// Reusable buffers for [`flood_path_with`] and the maximally-disjoint
+/// Reusable buffers for `flood_path_with` and the maximally-disjoint
 /// fallback of [`route_backup_with`].
 ///
 /// A search keeps per-node tables, a per-link probe memo and two frontier

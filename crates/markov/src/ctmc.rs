@@ -113,20 +113,6 @@ impl Ctmc {
         (0..self.n).map(|j| self.rates[state * self.n + j]).sum()
     }
 
-    /// The generator matrix `Q` (off-diagonal rates, diagonal `-Σ`).
-    pub fn generator(&self) -> Matrix {
-        let mut q = Matrix::zeros(self.n, self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j {
-                    q[(i, j)] = self.rate(i, j);
-                }
-            }
-            q[(i, i)] = -self.total_rate(i);
-        }
-        q
-    }
-
     /// A uniformization constant `Λ ≥ max_i Σ_j q(i,j)`, strictly larger so
     /// the uniformized DTMC has self-loops in every state (hence is
     /// aperiodic and power iteration converges).
@@ -329,17 +315,6 @@ mod tests {
             .unwrap();
         assert_eq!(c.rate(0, 1), 0.0);
         assert!(!c.is_irreducible());
-    }
-
-    #[test]
-    fn generator_rows_sum_to_zero() {
-        let q = two_state().generator();
-        for i in 0..2 {
-            let sum: f64 = (0..2).map(|j| q[(i, j)]).sum();
-            assert!(sum.abs() < 1e-12);
-        }
-        assert_eq!(q[(0, 0)], -3.0);
-        assert_eq!(q[(0, 1)], 3.0);
     }
 
     #[test]

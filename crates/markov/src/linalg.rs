@@ -177,19 +177,6 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// Maximum absolute difference between two equal-length vectors.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "vectors must have equal length");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
 /// Normalizes `v` to sum to one in place.
 ///
 /// # Errors
@@ -322,7 +309,7 @@ mod tests {
         let ax: Vec<f64> = (0..4)
             .map(|i| (0..4).map(|j| a[(i, j)] * x[j]).sum())
             .collect();
-        assert!(max_abs_diff(&ax, &b) < 1e-10);
+        assert!(ax.iter().zip(&b).all(|(x, y)| (x - y).abs() < 1e-10));
     }
 
     #[test]

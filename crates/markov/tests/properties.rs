@@ -14,7 +14,7 @@
 
 use drqos_markov::birth_death::birth_death_ctmc;
 use drqos_markov::ctmc::{Ctmc, CtmcBuilder};
-use drqos_markov::linalg::{max_abs_diff, Matrix};
+use drqos_markov::linalg::Matrix;
 use drqos_markov::steady_state::{gth, solve};
 
 /// Minimal split-mix-64 (the markov crate deliberately has no dependency
@@ -77,11 +77,46 @@ fn random_dense(rng: &mut SplitMix) -> Ctmc {
     b.build().unwrap()
 }
 
+/// The generator matrix `Q` of `ctmc`: its rates off the diagonal, and
+/// minus each row's total rate on it.
+fn generator(ctmc: &Ctmc) -> Matrix {
+    let n = ctmc.n_states();
+    let mut q = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in (0..n).filter(|&j| j != i) {
+            q[(i, j)] = ctmc.rate(i, j);
+            q[(i, i)] -= ctmc.rate(i, j);
+        }
+    }
+    q
+}
+
+/// Maximum absolute difference between two equal-length vectors.
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "vectors must have equal length");
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f64::max)
+}
+
+#[test]
+fn generator_rows_sum_to_zero() {
+    let two_state = CtmcBuilder::new(2).rate(0, 1, 3.0).unwrap();
+    let q = generator(&two_state.rate(1, 0, 1.0).unwrap().build().unwrap());
+    for i in 0..2 {
+        let sum: f64 = (0..2).map(|j| q[(i, j)]).sum();
+        assert!(sum.abs() < 1e-12);
+    }
+    assert_eq!(q[(0, 0)], -3.0);
+    assert_eq!(q[(0, 1)], 3.0);
+}
+
 /// The oracle for GTH: `Qᵀπ = 0` with its last equation replaced by
 /// `Σπ = 1`, solved by dense LU with partial pivoting.
 fn dense_solve(ctmc: &Ctmc) -> Vec<f64> {
     let n = ctmc.n_states();
-    let q = ctmc.generator();
+    let q = generator(ctmc);
     let mut a = Matrix::zeros(n, n);
     for i in 0..n {
         for j in 0..n {
@@ -118,7 +153,7 @@ fn assert_stationary(ctmc: &Ctmc, probs: &[f64], solver: &str, seed: u64) {
         (sum - 1.0).abs() < 1e-9,
         "{solver} (seed {seed}): probabilities sum to {sum}"
     );
-    let balance = ctmc.generator().vec_mul(probs).unwrap();
+    let balance = generator(ctmc).vec_mul(probs).unwrap();
     let worst = balance.iter().fold(0.0_f64, |m, &x| m.max(x.abs()));
     assert!(
         worst < 1e-8,
