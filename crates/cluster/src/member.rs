@@ -8,7 +8,7 @@
 //! serial operation sequence the authoritative network executed, a synced
 //! replica is byte-identical to
 //! the authority — `fuzz --diff-cluster` compares full
-//! [`drqos_core::network::NetworkSnapshot`]s to prove it — and a member
+//! [`drqos_core::snapshot::NetworkSnapshot`]s to prove it — and a member
 //! daemon can therefore answer its clients *from its own replay outcome*
 //! of the committed record.
 

@@ -28,7 +28,8 @@
 //! other stages as further `impl Network` blocks — `plan` (route search),
 //! `fill` (re-distribution) and `fault` (failure and repair). They are
 //! children, not siblings, so that every field of [`Network`] stays
-//! private to this module tree.
+//! private to this module tree. A fourth, `seam`, names every test seam
+//! of the stages; outside this crate's tests none can be armed.
 //!
 //! What one stage decides for all the others is decided here, once. Which
 //! primary failures activate a backup on a link is `conflict_set`: the
@@ -41,6 +42,7 @@
 mod fault;
 mod fill;
 mod plan;
+mod seam;
 
 pub use fault::FailureReport;
 pub use plan::{EstablishPlan, PrePlanned};
@@ -56,6 +58,7 @@ use crate::routing::{BackupDisjointness, RouteScratch, RouterKind};
 use drqos_topology::graph::{Graph, LinkId, NodeId};
 use drqos_topology::paths::Path;
 use fill::FillScratch;
+use seam::Seam;
 use std::borrow::Cow;
 use std::cell::RefCell;
 
@@ -71,8 +74,6 @@ pub struct NetworkConfig {
     /// Whether a connection is rejected when no backup can be found
     /// (the paper's dependability QoS requires one backup per connection).
     pub require_backup: bool,
-    /// Whether to re-establish backups after failover / backup loss.
-    pub reestablish_backups: bool,
     /// Whether backups must be fully link-disjoint or may fall back to
     /// maximal disjointness (the paper's footnote 1).
     pub disjointness: BackupDisjointness,
@@ -96,7 +97,6 @@ impl Default for NetworkConfig {
             policy: AdaptationPolicy::Coefficient,
             router: RouterKind::default(),
             require_backup: true,
-            reestablish_backups: true,
             disjointness: BackupDisjointness::default(),
             backup_count: 1,
             route_cache: false,
@@ -115,14 +115,6 @@ pub struct EstablishRequest {
     pub qos: ElasticQos,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// While set, [`conflict_set`] leaves a backup's own link among the
-    /// failures that activate it there: a mutant the ledger oracle of
-    /// [`Network::check_invariants`] must catch.
-    static KEEP_THE_OWN_LINK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
 /// The primary links that can trigger this backup's activation while it is
 /// registered on `on_link`: a failure of `on_link` itself takes the backup
 /// down with it, so it never contributes to that link's reservation.
@@ -132,8 +124,7 @@ thread_local! {
 /// Borrows `primary_links` whole in that common case and allocates only
 /// when `on_link` really lies on the primary.
 fn conflict_set(primary_links: &[LinkId], on_link: LinkId) -> Cow<'_, [LinkId]> {
-    #[cfg(test)]
-    if KEEP_THE_OWN_LINK.get() {
+    if seam::armed(Seam::KeepTheOwnLink) {
         return Cow::Borrowed(primary_links);
     }
     if primary_links.contains(&on_link) {
@@ -349,7 +340,7 @@ impl Network {
     /// mutations void the feasibility checks).
     pub fn commit_establish(&mut self, plan: EstablishPlan) -> ConnectionId {
         #[cfg(test)]
-        if support::REFERENCE.get() {
+        if seam::armed(Seam::ReferenceCommit) {
             return self.commit_establish_reference(plan);
         }
         // The "directly chained" set: every primary sharing a link with
@@ -464,14 +455,8 @@ impl Network {
         if marks.met(pair) {
             return;
         }
-        let blocked = || {
-            #[cfg(test)]
-            if support::REFERENCE.get() {
-                return false;
-            }
-            fill::still_blocked(links, connections.blocked(pair.0))
-        };
-        if blocked() {
+        let blocked = fill::still_blocked(links, connections.blocked(pair.0));
+        if blocked && !seam::armed(Seam::ReferenceCommit) {
             marks.refuse(pair);
         } else {
             marks.add(pair);
@@ -924,8 +909,7 @@ mod support {
     use super::*;
     use drqos_sim::rng::Rng;
     use drqos_topology::{regular, waxman};
-    use std::cell::{Cell, RefCell};
-    use std::thread::LocalKey;
+    use std::cell::RefCell;
 
     pub(super) fn qos() -> ElasticQos {
         ElasticQos::paper_video(100) // 100..500 step 100, 5 levels
@@ -1030,10 +1014,6 @@ mod support {
     }
 
     thread_local! {
-        /// While set, every commit on this thread is the reference one
-        /// ([`Network::commit_establish_reference`]) and no listed gather
-        /// leaves a row out.
-        pub(super) static REFERENCE: Cell<bool> = const { Cell::new(false) };
         /// While set, every fill-candidate gather logs what it left out and
         /// why, next to the every-primary gather over the same links.
         pub(super) static GATHER_LOG: RefCell<Option<Vec<LoggedGather>>> =
@@ -1192,22 +1172,10 @@ mod support {
             });
         }
     }
-
-    /// Runs `f` with the mutant behind `seam` switched on for this thread.
-    pub(super) fn with_mutant<T>(seam: &'static LocalKey<Cell<bool>>, f: impl FnOnce() -> T) -> T {
-        seam.set(true);
-        let out = f();
-        seam.set(false);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::fill::testing::{
-        with_fill, Fill, BLOCKED_AT_EXACT_ROOM, DROP_THE_GROUP_ON_A_WAKE, DROP_THE_NEWCOMER,
-        FORGET_A_LOOSE_ROW, FORGET_A_RECOUNT, REFUSED_AT_EXACT_ROOM, SKIP_A_LISTING,
-    };
     use super::fill::{is_slack, FillScratch, Load};
     use super::support::*;
     use super::*;
@@ -1570,11 +1538,6 @@ mod tests {
         }
     }
 
-    /// Runs `f` with the footprint recorder sabotaged.
-    fn forgetting_a_probed_link<T>(f: impl FnOnce() -> T) -> T {
-        with_mutant(&plan::FORGET_A_PROBED_LINK, f)
-    }
-
     /// Replays `cases` seeded op sequences: [`random_op`]s mixed with
     /// short calls and plan-only requests over three hot requests per
     /// case. The network must pass [`Network::check_invariants`] after
@@ -1642,7 +1605,7 @@ mod tests {
     #[test]
     fn a_second_failover_cannot_overbook_a_starved_link() {
         assert_eq!(churn_seeded_cases(1027..1028).map(|_| ()), Ok(()));
-        let unchecked = with_mutant(&fault::SKIP_THE_ACTIVATION_CHECK, || {
+        let unchecked = seam::with(Seam::SkipTheActivationCheck, || {
             churn_seeded_cases(1027..1028)
         });
         let err = unchecked.unwrap_err();
@@ -1700,7 +1663,7 @@ mod tests {
     fn a_link_outside_the_footprint_cannot_change_the_plan() {
         let perturbed = footprint_property(300).unwrap();
         assert!(perturbed > 5_000, "{perturbed}");
-        let caught = forgetting_a_probed_link(|| footprint_property(300));
+        let caught = seam::with(Seam::ForgetAProbedLink, || footprint_property(300));
         assert!(caught.is_err(), "the property has no teeth: {caught:?}");
     }
 
@@ -1768,14 +1731,6 @@ mod tests {
         net.validate();
     }
 
-    /// The slack predicate weakened by one (smallest) increment: the
-    /// mutant the differential below must catch.
-    fn weak_fill(net: &mut Network, candidates: &[ChainPair]) {
-        net.redistribute_with(candidates, |link, demand| {
-            link.is_up() && link.headroom() + Bandwidth::kbps(50) >= demand
-        });
-    }
-
     /// How the rows of the fills a differential watched were taken.
     #[derive(Debug, Default)]
     struct FillTally {
@@ -1812,21 +1767,21 @@ mod tests {
     }
 
     /// Replays `cases` seeded op sequences, running every op on a clone
-    /// with the reference fill and on the network itself with `subject`
-    /// (`None` = the production fill): results, full state and invariants
-    /// must agree after every op. Tallies how the subject's last fill of
-    /// each op took its rows.
-    fn fill_differential(cases: u64, subject: Option<Fill>) -> Result<FillTally, String> {
+    /// with the reference fill ([`Seam::ReferenceFill`]) and on the
+    /// network itself: results, full state and invariants must agree
+    /// after every op. Tallies how the network's last fill of each op took
+    /// its rows.
+    fn fill_differential(cases: u64) -> Result<FillTally, String> {
         let mut tally = FillTally::default();
         for case in 0..cases {
             let (mut net, mut rng) = random_case(case);
             for step in 0..10 + rng.range_usize(14) {
                 let mut oracle = net.clone();
                 let mut oracle_rng = rng.clone();
-                let want = with_fill(Some(Network::redistribute_reference), || {
+                let want = seam::with(Seam::ReferenceFill, || {
                     random_op(&mut oracle, &mut oracle_rng)
                 });
-                let got = with_fill(subject, || random_op(&mut net, &mut rng));
+                let got = random_op(&mut net, &mut rng);
                 let violations = net.check_invariants();
                 if got != want || net != oracle || !violations.is_empty() {
                     return Err(format!(
@@ -1856,30 +1811,30 @@ mod tests {
 
     #[test]
     fn flat_fill_matches_the_reference_fill_on_2000_seeded_cases() {
-        assert_fill_coverage(&fill_differential(2_000, None).unwrap(), 2_000);
+        assert_fill_coverage(&fill_differential(2_000).unwrap(), 2_000);
     }
 
     #[test]
     #[ignore = "ten times the cases; CI runs it in release"]
     fn flat_fill_matches_the_reference_fill_on_20000_seeded_cases() {
-        assert_fill_coverage(&fill_differential(20_000, None).unwrap(), 20_000);
+        assert_fill_coverage(&fill_differential(20_000).unwrap(), 20_000);
     }
 
     #[test]
     fn a_slack_test_weakened_by_one_increment_is_caught() {
-        let caught = fill_differential(2_000, Some(weak_fill));
+        let caught = seam::with(Seam::WeakFill, || fill_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]
     fn a_deferred_turn_that_refuses_at_one_increment_of_room_is_caught() {
-        let caught = with_mutant(&REFUSED_AT_EXACT_ROOM, || fill_differential(2_000, None));
+        let caught = seam::with(Seam::RefusedAtExactRoom, || fill_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]
     fn a_woken_head_that_queues_nobody_behind_it_is_caught() {
-        let caught = with_mutant(&DROP_THE_GROUP_ON_A_WAKE, || fill_differential(2_000, None));
+        let caught = seam::with(Seam::DropTheGroupOnAWake, || fill_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -1933,7 +1888,7 @@ mod tests {
         exact.validate();
         // The mutant refuses it there.
         let mut mutant = net.clone();
-        with_mutant(&REFUSED_AT_EXACT_ROOM, || mutant.release(rigid).unwrap());
+        seam::with(Seam::RefusedAtExactRoom, || mutant.release(rigid).unwrap());
         assert_eq!(loads(&mutant), [Load::Deferred(at)]);
     }
 
@@ -2276,16 +2231,18 @@ mod tests {
 
     #[test]
     fn multi_backup_survives_two_failures() {
-        let g = regular::complete(6).unwrap();
+        let g = regular::complete(4).unwrap();
         let mut net = Network::new(
             g,
             NetworkConfig {
                 backup_count: 2,
-                reestablish_backups: false, // force reliance on the spares
+                // Nothing to top up from: node 0's three links carry the
+                // primary and its two spares.
+                disjointness: BackupDisjointness::Strict,
                 ..NetworkConfig::default()
             },
         );
-        let id = net.establish(NodeId(0), NodeId(5), qos()).unwrap();
+        let id = net.establish(NodeId(0), NodeId(3), qos()).unwrap();
         for round in 1..=2 {
             let l = net.connection(id).unwrap().primary().links()[0];
             let report = net.fail_link(l).unwrap();
@@ -2456,8 +2413,13 @@ mod tests {
 
     /// Replays `cases` seeded op sequences ([`random_case`],
     /// [`random_op`]), each op on a clone with the reference commit and
-    /// unfiltered gathers ([`REFERENCE`]) and on the network itself with
-    /// every fill-candidate gather logged. After every commit, release and
+    /// unfiltered gathers ([`Seam::ReferenceCommit`]) and on the network
+    /// itself with every fill-candidate gather logged. Every Waxman case
+    /// (one in three) is fault-heavy instead: a capacity drawn per link,
+    /// no backup required and 80 [`fault_heavy_op`]s, so that failures
+    /// drop their victims and free room beside links still too tight to
+    /// grow on, leaving loose rows an arrival meets only on a kept
+    /// channel's link. After every commit, release and
     /// fault: results, full state and invariants must agree with the
     /// reference; each listed gather, with the rows it left out, must have
     /// the fill load exactly the rows the every-primary gather over every
@@ -2470,11 +2432,21 @@ mod tests {
         let mut tally = GatherTally::default();
         for case in 0..cases {
             let (mut net, mut rng) = random_case(case);
-            for step in 0..10 + rng.range_usize(14) {
+            let heavy = case % 3 == 2;
+            let steps = if heavy { 80 } else { 10 + rng.range_usize(14) };
+            let op = if heavy { fault_heavy_op } else { random_op };
+            if heavy {
+                net.config.require_backup = false;
+                for usage in &mut net.links {
+                    let kbps = [300, 600, 1_000, 2_500, 10_000][rng.range_usize(5)];
+                    *usage = LinkUsage::new(Bandwidth::kbps(kbps));
+                }
+            }
+            for step in 0..steps {
                 let (mut oracle, mut oracle_rng) = (net.clone(), rng.clone());
-                let want = with_mutant(&REFERENCE, || random_op(&mut oracle, &mut oracle_rng));
+                let want = seam::with(Seam::ReferenceCommit, || op(&mut oracle, &mut oracle_rng));
                 GATHER_LOG.set(Some(Vec::new()));
-                let got = random_op(&mut net, &mut rng);
+                let got = op(&mut net, &mut rng);
                 let log = GATHER_LOG.take().unwrap_or_default();
                 let violations = net.check_invariants();
                 let at = format!("case {case} step {step}: {got}");
@@ -2517,18 +2489,39 @@ mod tests {
         Ok(tally)
     }
 
-    /// Every rule must have fired, many times over. An arrival meets a
-    /// loose row only on a kept channel's link about once in a thousand
-    /// cases, so only the long run must see that;
+    /// One op of the listed-gather differential's fault-heavy cases: 25 %
+    /// fail a link, 20 % repair a down one, and otherwise a request
+    /// arrives; nobody leaves.
+    fn fault_heavy_op(net: &mut Network, rng: &mut Rng) -> String {
+        let links = net.graph().link_count();
+        let down: Vec<LinkId> = (0..links)
+            .map(LinkId)
+            .filter(|l| !net.links[l.index()].is_up())
+            .collect();
+        match rng.range_usize(100) {
+            0..=24 => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
+            25..=44 if !down.is_empty() => {
+                format!("{:?}", net.repair_link(down[rng.range_usize(down.len())]))
+            }
+            _ => {
+                let r = random_request(rng, net.graph().node_count());
+                format!("{:?}", net.establish(r.src, r.dst, r.qos))
+            }
+        }
+    }
+
+    /// Every rule must have fired, many times over, an arrival meeting a
+    /// loose row only on a kept channel's link included: the fault-heavy
+    /// cases reach that a few times in a hundred, and
     /// [`a_row_a_failure_freed_is_granted_through_a_kept_channel_s_link`]
-    /// pins it at any size.
+    /// pins its outcome.
     fn assert_gather_coverage(tally: &GatherTally, cases: usize) {
         assert!(
             tally.loaded > 15 * cases
                 && tally.kept > 5 * cases
                 && tally.skipped > cases
                 && tally.loose > cases / 4
-                && tally.through_kept >= cases / 2_000,
+                && tally.through_kept > 0,
             "{tally:?}"
         );
     }
@@ -2546,7 +2539,7 @@ mod tests {
 
     #[test]
     fn a_blocked_test_that_skips_a_row_with_one_increment_of_room_is_caught() {
-        let caught = with_mutant(&BLOCKED_AT_EXACT_ROOM, || listed_gather_differential(600));
+        let caught = seam::with(Seam::BlockedAtExactRoom, || listed_gather_differential(600));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2594,7 +2587,7 @@ mod tests {
         GATHER_LOG.set(Some(Vec::new()));
         establish(&mut net, 1, 4);
         let log = GATHER_LOG.take().unwrap_or_default();
-        with_mutant(&REFERENCE, || establish(&mut reference, 1, 4));
+        seam::with(Seam::ReferenceCommit, || establish(&mut reference, 1, 4));
         establish(&mut forgot, 1, 4);
         let [arrival] = &log[..] else {
             panic!("one gather: {log:?}");
@@ -2610,13 +2603,13 @@ mod tests {
 
     #[test]
     fn a_forgotten_loose_row_is_caught() {
-        let caught = with_mutant(&FORGET_A_LOOSE_ROW, || listed_gather_differential(600));
+        let caught = seam::with(Seam::ForgetALooseRow, || listed_gather_differential(600));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]
     fn a_keep_test_without_the_newcomer_s_remaining_is_caught() {
-        let caught = with_mutant(&DROP_THE_NEWCOMER, || listed_gather_differential(600));
+        let caught = seam::with(Seam::DropTheNewcomer, || listed_gather_differential(600));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2645,10 +2638,10 @@ mod tests {
         };
         assert_eq!(net.links[0].growable(), [c1]);
         assert_eq!(net.check_invariants(), []);
-        let unlisted = with_mutant(&SKIP_A_LISTING, one_left_below_its_maximum);
+        let unlisted = seam::with(Seam::SkipAListing, one_left_below_its_maximum);
         let mismatch = InvariantViolation::GrowableSetMismatch { link: LinkId(0) };
         assert_eq!(unlisted.check_invariants(), [mismatch]);
-        let caught = with_mutant(&SKIP_A_LISTING, || listed_gather_differential(600));
+        let caught = seam::with(Seam::SkipAListing, || listed_gather_differential(600));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2697,7 +2690,7 @@ mod tests {
         assert_eq!(net.check_invariants(), []);
         let mismatch = InvariantViolation::GrowableSetMismatch { link: LinkId(0) };
         assert_eq!(
-            with_mutant(&FORGET_A_RECOUNT, three).check_invariants(),
+            seam::with(Seam::ForgetARecount, three).check_invariants(),
             [mismatch]
         );
     }
@@ -2810,8 +2803,8 @@ mod tests {
         // Planner, registration and release all go wrong the same way, so
         // the ledger agrees with its own maximum and with every twin a
         // differential could hold it to; only the connection table differs.
-        let mutant = with_mutant(
-            &KEEP_THE_OWN_LINK,
+        let mutant = seam::with(
+            Seam::KeepTheOwnLink,
             lollipop_with_a_backup_on_its_own_primary,
         );
         let on_the_leaf = InvariantViolation::ConflictLedgerMismatch { link: LinkId(0) };

@@ -5,6 +5,7 @@
 //! beside retreat, the spare is re-distributed and lost backups are
 //! re-established, in that order.
 
+use super::seam::{self, Seam};
 use super::{sort_dedup, Network};
 use crate::channel::{ConnectionId, DrConnection};
 use crate::conn_table::ChainPair;
@@ -31,27 +32,14 @@ pub struct FailureReport {
     pub retreated: Vec<ConnectionId>,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// While set, a failover re-registers the surviving backups against
-    /// the primary that just failed: a mutant the ledger oracle of
-    /// [`Network::check_invariants`] must catch.
-    pub(super) static REKEY_TO_THE_OLD_PRIMARY: std::cell::Cell<bool> =
-        const { std::cell::Cell::new(false) };
-    /// While set, a failover skips [`can_activate`]'s room check: a mutant
-    /// the capacity invariant of [`Network::check_invariants`] must catch.
-    pub(super) static SKIP_THE_ACTIVATION_CHECK: std::cell::Cell<bool> =
-        const { std::cell::Cell::new(false) };
-}
-
 /// Whether a victim needing `min` can move onto `backup` now: every link
 /// up, with room for `min` beside the primary minima already on it.
 /// Multiplexing reserves for one failure at a time, so once a second
 /// fault is outstanding the reservation may already be spent.
 fn can_activate(links: &[LinkUsage], backup: &Path, min: Bandwidth) -> bool {
-    let room = |u: &LinkUsage| u.primary_min_sum() + min <= u.capacity();
-    #[cfg(test)]
-    let room = |u: &LinkUsage| SKIP_THE_ACTIVATION_CHECK.get() || room(u);
+    let room = |u: &LinkUsage| {
+        seam::armed(Seam::SkipTheActivationCheck) || u.primary_min_sum() + min <= u.capacity()
+    };
     backup.links().iter().all(|&l| {
         let u = &links[l.index()];
         u.is_up() && room(u)
@@ -150,21 +138,15 @@ impl Network {
             if let Some(idx) = usable {
                 // Promote the usable backup; survivors with a dead link
                 // are lost, the rest re-register against the new primary.
-                #[cfg(test)]
-                let old_primary = conn.primary().clone();
+                let old_primary =
+                    seam::armed(Seam::RekeyToTheOldPrimary).then(|| conn.primary().clone());
                 conn.activate_backup(idx);
                 for &l in conn.primary().links() {
                     links[l.index()].add_primary(id, slot, min);
                 }
                 for b in conn.clear_backups() {
                     if b.links().iter().all(|&l| links[l.index()].is_up()) {
-                        let keyed_to = conn.primary();
-                        #[cfg(test)]
-                        let keyed_to = if REKEY_TO_THE_OLD_PRIMARY.get() {
-                            &old_primary
-                        } else {
-                            keyed_to
-                        };
+                        let keyed_to = old_primary.as_ref().unwrap_or(conn.primary());
                         Self::reserve_backup(links, id, min, keyed_to, &b);
                         conn.push_backup(b);
                     }
@@ -195,10 +177,8 @@ impl Network {
 
         // Re-establish backups for survivors that lost theirs.
         let activated: Vec<ConnectionId> = activated.into_iter().map(|(_, c)| c).collect();
-        if self.config.reestablish_backups {
-            for &id in activated.iter().chain(&lost_backup) {
-                self.top_up_backups(id);
-            }
+        for &id in activated.iter().chain(&lost_backup) {
+            self.top_up_backups(id);
         }
         // The victims and the lost backups freed room that the fill did
         // not walk (ROADMAP item 20).
@@ -326,21 +306,16 @@ impl Network {
 
     /// The one repair step, for `set` — distinct links, all down — coming
     /// back up as one event (one epoch tick per link), then one pass over
-    /// the connections short of the configured backup count, unless
-    /// backups are not re-established. Returns the ids that regained a
-    /// backup, in id order.
+    /// the connections short of the configured backup count. Returns the
+    /// ids that regained a backup, in id order.
     fn repair_links(&mut self, set: &[LinkId]) -> Vec<ConnectionId> {
         for &l in set {
             self.links[l.index()].set_up(true);
             self.topology_epoch += 1;
         }
         let target = self.config.backup_count;
-        let needy: Vec<ConnectionId> = if self.config.reestablish_backups {
-            let short = self.connections().filter(|c| c.backup_count() < target);
-            short.map(|c| c.id()).collect()
-        } else {
-            Vec::new()
-        };
+        let short = self.connections().filter(|c| c.backup_count() < target);
+        let needy: Vec<ConnectionId> = short.map(|c| c.id()).collect();
         let regained = needy
             .into_iter()
             .filter(|&id| self.top_up_backups(id))
@@ -405,7 +380,7 @@ impl Network {
 
 #[cfg(test)]
 mod tests {
-    use super::super::support::{qos, random_case, random_request, with_mutant};
+    use super::super::support::{qos, random_case, random_request};
     use super::super::NetworkConfig;
     use super::*;
     use crate::invariant::InvariantViolation;
@@ -416,32 +391,39 @@ mod tests {
     use drqos_topology::waxman::WaxmanConfig;
 
     /// One connection with two spares on a complete graph, failed over
-    /// once: the second spare survives and is registered again.
-    fn failed_over_with_a_surviving_spare() -> Network {
+    /// once: the second spare survives, is registered again and stays
+    /// first, and a new spare is topped up behind it. Returns the network
+    /// and the survivor.
+    fn failed_over_with_a_surviving_spare() -> (Network, Path) {
         let config = NetworkConfig {
             backup_count: 2,
-            reestablish_backups: false,
             ..NetworkConfig::default()
         };
         let mut net = Network::new(regular::complete(6).unwrap(), config);
         let id = net.establish(NodeId(0), NodeId(5), qos()).unwrap();
-        let l = net.connection(id).unwrap().primary().links()[0];
+        let conn = net.connection(id).unwrap();
+        let (l, survivor) = (conn.primary().links()[0], conn.backups()[1].clone());
         assert_eq!(net.fail_link(l).unwrap().activated, [id]);
-        assert_eq!(net.connection(id).unwrap().backup_count(), 1);
-        net
+        let conn = net.connection(id).unwrap();
+        assert_eq!(conn.backup_count(), 2);
+        assert_eq!(conn.backups()[0], survivor);
+        (net, survivor)
     }
 
     #[test]
     fn a_failover_that_rekeys_the_survivors_against_the_old_primary_is_caught() {
-        assert_eq!(failed_over_with_a_surviving_spare().check_invariants(), []);
+        assert_eq!(
+            failed_over_with_a_surviving_spare().0.check_invariants(),
+            []
+        );
         // The ledger still sums to its own maximum; only against the
-        // connection table is it keyed to a primary nobody runs on.
-        let mutant = with_mutant(
-            &REKEY_TO_THE_OLD_PRIMARY,
+        // connection table is it keyed to a primary nobody runs on, and
+        // only on the survivor's links: the top-up is keyed right.
+        let (mutant, survivor) = seam::with(
+            Seam::RekeyToTheOldPrimary,
             failed_over_with_a_surviving_spare,
         );
-        let spare = mutant.connections().next().unwrap().backups()[0].clone();
-        let mut miskeyed = spare.links().to_vec();
+        let mut miskeyed = survivor.links().to_vec();
         miskeyed.sort_unstable();
         let want: Vec<_> = miskeyed
             .into_iter()
@@ -575,7 +557,7 @@ mod tests {
             let (_, _, ops) = starved_case(case);
             assert_eq!(broken_at(case, &ops), None, "case {case}");
         }
-        let witness = with_mutant(&SKIP_THE_ACTIVATION_CHECK, || {
+        let witness = seam::with(Seam::SkipTheActivationCheck, || {
             let cases = (0..CASES).map(|case| (case, starved_case(case).2));
             let mut broken = cases.filter(|(case, ops)| broken_at(*case, ops).is_some());
             let (case, ops) = broken.next()?;

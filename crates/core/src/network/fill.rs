@@ -7,6 +7,7 @@
 //! exact, so the next event gathers its candidates from the lists instead
 //! of from every primary.
 
+use super::seam::{self, Seam};
 use super::Network;
 use crate::channel::{ConnectionId, DrConnection};
 use crate::conn_table::{Blocked, ChainPair, ConnTable, Slot};
@@ -126,6 +127,9 @@ fn fill_score(policy: AdaptationPolicy, level: usize, utility: f64) -> f64 {
 /// candidate of one fill could still ask of it — and so can refuse
 /// nobody during that fill.
 pub(super) fn is_slack(link: &LinkUsage, demand: Bandwidth) -> bool {
+    if seam::armed(Seam::WeakFill) {
+        return link.is_up() && link.headroom() + Bandwidth::kbps(50) >= demand;
+    }
     link.is_up() && link.headroom() >= demand
 }
 
@@ -150,8 +154,7 @@ pub(super) fn remaining(conn: &DrConnection) -> Bandwidth {
 /// leaves out included: it refuses nobody, whichever bound the fill's
 /// slack test reads.
 fn keeps_its_extra(link: &LinkUsage, newcomer: Bandwidth) -> bool {
-    #[cfg(test)]
-    let newcomer = if testing::DROP_THE_NEWCOMER.get() {
+    let newcomer = if seam::armed(Seam::DropTheNewcomer) {
         Bandwidth::ZERO
     } else {
         newcomer
@@ -167,8 +170,7 @@ pub(super) fn still_blocked(links: &[LinkUsage], at: Option<Blocked>) -> bool {
         return false;
     };
     links.get(link.index()).is_some_and(|u| {
-        #[cfg(test)]
-        if testing::BLOCKED_AT_EXACT_ROOM.get() {
+        if seam::armed(Seam::BlockedAtExactRoom) {
             return !u.is_up() || u.headroom() <= increment;
         }
         lacks(u, increment)
@@ -179,8 +181,7 @@ pub(super) fn still_blocked(links: &[LinkUsage], at: Option<Blocked>) -> bool {
 /// refused it, at `at`: that link is down or lacks the increment now.
 fn refused_again(links: &[LinkUsage], (link, increment): Blocked) -> bool {
     links.get(link.index()).is_some_and(|u| {
-        #[cfg(test)]
-        if testing::REFUSED_AT_EXACT_ROOM.get() {
+        if seam::armed(Seam::RefusedAtExactRoom) {
             return !u.is_up() || u.headroom() <= increment;
         }
         lacks(u, increment)
@@ -274,8 +275,7 @@ impl Deferrals {
     /// The next turn of the group recorded at `at`, whose latest turn has
     /// just woken.
     fn promote(&mut self, at: Blocked) -> Option<Scored> {
-        #[cfg(test)]
-        if testing::DROP_THE_GROUP_ON_A_WAKE.get() {
+        if seam::armed(Seam::DropTheGroupOnAWake) {
             return None;
         }
         let g = self.find(at)?;
@@ -300,7 +300,7 @@ impl Deferrals {
     }
 }
 
-/// Reusable work tables of [`Network::redistribute_with`]: a fill
+/// Reusable work tables of [`Network::redistribute`]: a fill
 /// allocates nothing once these have grown to the working-set size. Not
 /// part of the network's state: every fill rebuilds them from scratch. The
 /// rows are the candidates the fill read, those live and below their
@@ -372,36 +372,6 @@ impl Network {
         retreating
     }
 
-    /// Water-fills extra increments over the set `candidates`, in whatever
-    /// order it lists them, according to the adaptation policy, then
-    /// [reconciles](Self::reconcile) the lists over the rows it loaded. The
-    /// set must hold every live primary whose level the event moved and
-    /// every one it put on a link; anyone else it names is ignored when at
-    /// their maximum or no longer live.
-    pub(super) fn redistribute(&mut self, candidates: &[ChainPair]) {
-        #[cfg(test)]
-        if let Some(fill) = testing::FILL_OVERRIDE.get() {
-            fill(self, candidates);
-            let pairs = candidates.iter().copied();
-            return Self::reconcile(&mut self.links, &mut self.connections, pairs);
-        }
-        self.redistribute_with(candidates, is_slack);
-        let Self {
-            links,
-            connections,
-            fill,
-            ..
-        } = self;
-        // A row the fill never loaded is a candidate skipped (no longer
-        // live, or at its maximum and so counted at zero) or a deferred
-        // row refused where it last was: its level and count are unchanged.
-        let loaded = fill
-            .rows
-            .iter()
-            .filter(|r| !matches!(r.load, Load::Deferred(_) | Load::Held(_)));
-        Self::reconcile(links, connections, loaded.map(|r| (r.slot, r.id)));
-    }
-
     /// Drops from the loose set every row that has left, been granted its
     /// maximum or been refused again since it was recorded.
     pub(super) fn prune_loose(&mut self) {
@@ -426,8 +396,7 @@ impl Network {
         } = self;
         loose.clear();
         loose.extend(connections.loose(|at| still_blocked(links, at)));
-        #[cfg(test)]
-        if testing::FORGET_A_LOOSE_ROW.get() {
+        if seam::armed(Seam::ForgetALooseRow) {
             loose.pop();
         }
     }
@@ -455,8 +424,7 @@ impl Network {
             if counted == now {
                 continue;
             }
-            #[cfg(test)]
-            if counted == Bandwidth::ZERO && testing::SKIP_A_LISTING.get() {
+            if counted == Bandwidth::ZERO && seam::armed(Seam::SkipAListing) {
                 continue;
             }
             for l in conn.primary().links() {
@@ -466,8 +434,7 @@ impl Network {
                 } else if now == Bandwidth::ZERO {
                     usage.unlist(id, counted);
                 } else {
-                    #[cfg(test)]
-                    if testing::FORGET_A_RECOUNT.get() {
+                    if seam::armed(Seam::ForgetARecount) {
                         continue;
                     }
                     usage.recount(counted, now);
@@ -477,8 +444,12 @@ impl Network {
         }
     }
 
-    /// [`Self::redistribute`] with the slack-link predicate as a
-    /// parameter, so a test can show that a weaker one is caught.
+    /// Water-fills extra increments over the set `candidates`, in whatever
+    /// order it lists them, according to the adaptation policy, then
+    /// [reconciles](Self::reconcile) the lists over the rows it loaded. The
+    /// set must hold every live primary whose level the event moved and
+    /// every one it put on a link; anyone else it names is ignored when at
+    /// their maximum or no longer live.
     ///
     /// Each live candidate that can still grow is read once into a flat
     /// row. A listed row untouched since its last fill — counted on its
@@ -530,11 +501,13 @@ impl Network {
     /// listed rows the gather leaves out are still blocked where a fill
     /// last refused them, so the one-increment fill would refuse each on
     /// its first turn.
-    pub(super) fn redistribute_with(
-        &mut self,
-        candidates: &[ChainPair],
-        slack: impl Fn(&LinkUsage, Bandwidth) -> bool,
-    ) {
+    pub(super) fn redistribute(&mut self, candidates: &[ChainPair]) {
+        #[cfg(test)]
+        if seam::armed(Seam::ReferenceFill) {
+            self.redistribute_reference(candidates);
+            let pairs = candidates.iter().copied();
+            return Self::reconcile(&mut self.links, &mut self.connections, pairs);
+        }
         let policy = self.config.policy;
         let Self {
             links,
@@ -608,7 +581,7 @@ impl Network {
                 } else {
                     Bandwidth::ZERO
                 };
-                slack(usage, demand[l.index()] + listed)
+                is_slack(usage, demand[l.index()] + listed)
             };
             if arena[row.links.clone()].iter().all(bound) {
                 row.load = Load::Bulk;
@@ -707,55 +680,22 @@ impl Network {
                 conn.set_level(row.level);
             }
         }
+
+        // A row the fill never loaded is a candidate skipped (no longer
+        // live, or at its maximum and so counted at zero) or a deferred
+        // row refused where it last was: its level and count are unchanged.
+        let loaded = rows
+            .iter()
+            .filter(|r| !matches!(r.load, Load::Deferred(_) | Load::Held(_)));
+        Self::reconcile(links, connections, loaded.map(|r| (r.slot, r.id)));
     }
 }
 
-/// The fill's test seam and the reference the production fill is held to.
+/// The reference the production fill is held to.
 #[cfg(test)]
-pub(super) mod testing {
+mod testing {
     use super::*;
     use crate::channel::DrConnection;
-
-    /// A fill every `redistribute` call on this thread runs in place of
-    /// the production one.
-    pub(in crate::network) type Fill = fn(&mut Network, &[ChainPair]);
-
-    thread_local! {
-        pub(super) static FILL_OVERRIDE: std::cell::Cell<Option<Fill>> =
-            const { std::cell::Cell::new(None) };
-        /// While set, the reconcile pass leaves unlisted a row that ended
-        /// below its maximum: a mutant the listed-gather differential and
-        /// the oracle of [`Network::check_invariants`] must both catch.
-        pub(in crate::network) static SKIP_A_LISTING: std::cell::Cell<bool> =
-            const { std::cell::Cell::new(false) };
-        /// While set, the reconcile pass moves a listed row's count in the
-        /// connection table but not on its links: a mutant the oracle of
-        /// [`Network::check_invariants`] must catch.
-        pub(in crate::network) static FORGET_A_RECOUNT: std::cell::Cell<bool> =
-            const { std::cell::Cell::new(false) };
-        /// While set, the keep rule leaves the newcomer's remaining out of
-        /// its test: a mutant the listed-gather differential must catch.
-        pub(in crate::network) static DROP_THE_NEWCOMER: std::cell::Cell<bool> =
-            const { std::cell::Cell::new(false) };
-        /// While set, the gather also skips a row whose recorded link has
-        /// exactly one increment of room: a mutant the listed-gather
-        /// differential must catch.
-        pub(in crate::network) static BLOCKED_AT_EXACT_ROOM: std::cell::Cell<bool> =
-            const { std::cell::Cell::new(false) };
-        /// While set, a deferred row's first turn also refuses it when its
-        /// recorded link has exactly one increment of room: a mutant the
-        /// fill differential must catch.
-        pub(in crate::network) static REFUSED_AT_EXACT_ROOM: std::cell::Cell<bool> =
-            const { std::cell::Cell::new(false) };
-        /// While set, a deferred row that wakes queues no turn for the next
-        /// row of its group: a mutant the fill differential must catch.
-        pub(in crate::network) static DROP_THE_GROUP_ON_A_WAKE: std::cell::Cell<bool> =
-            const { std::cell::Cell::new(false) };
-        /// While set, recording the loose set drops its last row: a mutant
-        /// the listed-gather differential must catch.
-        pub(in crate::network) static FORGET_A_LOOSE_ROW: std::cell::Cell<bool> =
-            const { std::cell::Cell::new(false) };
-    }
 
     impl FillScratch {
         /// The rows the last fill held behind their group's head, each with
@@ -764,14 +704,6 @@ pub(super) mod testing {
             let held = self.deferrals.held.iter();
             held.map(|(_, turn)| !matches!(self.rows[turn.row].load, Load::Held(_)))
         }
-    }
-
-    /// Runs `f` with every fill on this thread replaced by `fill`.
-    pub(in crate::network) fn with_fill<T>(fill: Option<Fill>, f: impl FnOnce() -> T) -> T {
-        let before = FILL_OVERRIDE.replace(fill);
-        let out = f();
-        FILL_OVERRIDE.set(before);
-        out
     }
 
     impl Network {

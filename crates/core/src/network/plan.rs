@@ -6,6 +6,7 @@
 //! Planning takes `&self`; [`super::Network::admit`] commits what it
 //! returns at the sequential point.
 
+use super::seam::{self, Seam};
 use super::{conflict_set, Network};
 use crate::error::AdmissionError;
 use crate::qos::{Bandwidth, ElasticQos};
@@ -49,14 +50,6 @@ impl EstablishPlan {
 /// with the footprint it rests on (every link the search probed, with its
 /// plan digest at planning time).
 pub type PrePlanned = (Result<EstablishPlan, AdmissionError>, Vec<(LinkId, u64)>);
-
-#[cfg(test)]
-thread_local! {
-    /// While set, a recorded footprint leaves out one of the links the
-    /// search probed: the mutant the footprint property must catch.
-    pub(super) static FORGET_A_PROBED_LINK: std::cell::Cell<bool> =
-        const { std::cell::Cell::new(false) };
-}
 
 impl Network {
     /// Routes (but does not commit) a new DR-connection.
@@ -144,8 +137,7 @@ impl Network {
     fn footprint_digests(&self, mut probed: Vec<LinkId>) -> Vec<(LinkId, u64)> {
         probed.sort_unstable();
         probed.dedup();
-        #[cfg(test)]
-        if FORGET_A_PROBED_LINK.get() && !probed.is_empty() {
+        if seam::armed(Seam::ForgetAProbedLink) && !probed.is_empty() {
             probed.remove(probed.len() / 2);
         }
         probed

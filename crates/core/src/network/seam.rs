@@ -1,0 +1,88 @@
+//! The stages' test seams, in one place. A [`Seam`] either breaks one of
+//! the paper's mechanisms on purpose — a mutant that a differential or
+//! the oracle of [`Network::check_invariants`](super::Network::check_invariants)
+//! must catch — or swaps a stage for the reference it is held to. At most
+//! one seam is armed at a time, per thread, and only in this crate's
+//! tests: elsewhere [`armed`] is a `const fn` that returns `false`, so a
+//! release build compiles every site away.
+
+/// One way to break or swap a stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Seam {
+    /// `conflict_set` keeps a backup's own link among its activators there.
+    KeepTheOwnLink,
+    /// A recorded footprint leaves out one of the links the search probed.
+    ForgetAProbedLink,
+    /// A failover re-keys the surviving backups to the failed primary.
+    RekeyToTheOldPrimary,
+    /// A failover skips `can_activate`'s room check.
+    SkipTheActivationCheck,
+    /// The reconcile pass leaves a row that ended below its maximum
+    /// unlisted.
+    SkipAListing,
+    /// The reconcile pass recounts a listed row in the table, not on its
+    /// links.
+    ForgetARecount,
+    /// The keep rule leaves the newcomer's remaining out of its test.
+    DropTheNewcomer,
+    /// The gather also skips a row whose recorded link has exactly Δ of
+    /// room.
+    BlockedAtExactRoom,
+    /// A deferred first turn also refuses at exactly Δ of room.
+    RefusedAtExactRoom,
+    /// A woken deferred row queues no turn for the next of its group.
+    DropTheGroupOnAWake,
+    /// Recording the loose set drops its last row.
+    ForgetALooseRow,
+    /// The fill's slack test is weakened by one (smallest) increment.
+    WeakFill,
+    /// Every commit is the reference one, and no listed gather leaves a
+    /// row out.
+    ReferenceCommit,
+    /// Every fill is the reference one (its one site calls test-only code).
+    #[cfg(test)]
+    ReferenceFill,
+}
+
+#[cfg(test)]
+thread_local! {
+    static ARMED: std::cell::Cell<Option<Seam>> = const { std::cell::Cell::new(None) };
+}
+
+/// Whether `seam` is armed on this thread.
+#[cfg(test)]
+pub(super) fn armed(seam: Seam) -> bool {
+    ARMED.get() == Some(seam)
+}
+
+/// Whether `seam` is armed: never, outside this crate's tests.
+#[cfg(not(test))]
+pub(super) const fn armed(_: Seam) -> bool {
+    false
+}
+
+/// Runs `f` with `seam` armed on this thread, then puts back whichever
+/// seam was armed before.
+#[cfg(test)]
+pub(super) fn with<T>(seam: Seam, f: impl FnOnce() -> T) -> T {
+    let before = ARMED.replace(Some(seam));
+    let out = f();
+    ARMED.set(before);
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_inner_seam_gives_the_slot_back_to_the_outer_one() {
+        with(Seam::RefusedAtExactRoom, || {
+            with(Seam::ReferenceFill, || {
+                assert!(armed(Seam::ReferenceFill) && !armed(Seam::RefusedAtExactRoom));
+            });
+            assert!(armed(Seam::RefusedAtExactRoom) && !armed(Seam::ReferenceFill));
+        });
+        assert!(!armed(Seam::RefusedAtExactRoom));
+    }
+}

@@ -3,9 +3,9 @@
 //!
 //! A case seed ([`case_seed`]) fixes a [`Scenario`] — topology, capacity,
 //! backups, QoS template and operation mix — and an operation stream
-//! ([`case_ops`]) of establish / release / fail-link / fail-node /
+//! (`case_ops`) of establish / release / fail-link / fail-node /
 //! fail-srlg / repair-srlg / repair-link [`Op`]s, so a sequence number
-//! addresses the same workload in every row. [`render_case`] prints both
+//! addresses the same workload in every row. `render_case` prints both
 //! as the prelude of a copy-pasteable reproducer.
 //!
 //! Operand encoding makes sequences *shrinkable*: every operation carries
@@ -128,7 +128,7 @@ pub struct Scenario {
 impl Scenario {
     /// Derives scenario parameters from a case seed (split-mix mixed, so
     /// nearby seeds give unrelated scenarios). One case in four is in the
-    /// starved tier ([`STARVED_KBPS`]), and one in three draws the
+    /// starved tier (`STARVED_KBPS`), and one in three draws the
     /// [`OpMix::FailHeavy`] stream, independently; the tier and the mix
     /// are drawn after the other fields, which they leave as they were.
     pub fn from_seed(seed: u64) -> Self {

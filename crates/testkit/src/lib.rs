@@ -8,7 +8,7 @@
 //!   after every step on results, drop counters, epochs and full
 //!   snapshots of every network view, and shrunk on the first failure to
 //!   a copy-pasteable reproducer. The rows: `invariants`, the network
-//!   checked after every operation against the [`reference`] model and
+//!   checked after every operation against the [`reference`](mod@reference) model and
 //!   by its own `Network::check_invariants` (`fuzz --seqs N`); and
 //!   `cluster`, member daemons on in-process links to a churned
 //!   federation's [`drqos_service::clusterd::LocalCoordinator`]
@@ -18,7 +18,7 @@
 //!   scenario and a stream of establish/release/fail/repair operations
 //!   whose operands resolve against the state they meet, so any
 //!   subsequence is a case and failures shrink.
-//! * [`reference`] — an independent mirror of the network's observable
+//! * [`reference`](mod@reference) — an independent mirror of the network's observable
 //!   contract: live set, per-link liveness and minima, QoS range and
 //!   Δ-grid, committed primaries and backups on live links, and exact drop
 //!   counter and topology epoch.

@@ -21,7 +21,7 @@
 //!   each live replica level with it): the cumulative drop counter, the
 //!   topology epoch and a full [`NetworkSnapshot`].
 //!
-//! Raw operands are resolved by [`resolve_op`] against the *oracle's*
+//! Raw operands are resolved by `resolve_op` against the *oracle's*
 //! candidate lists. Until the first divergence both sides have identical
 //! candidate lists, so the choice of resolution side cannot mask a bug:
 //! the first divergent operation is detected at the step where it
