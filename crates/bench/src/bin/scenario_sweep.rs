@@ -7,8 +7,9 @@
 //! holding, and independent link failures; this binary quantifies what
 //! each departure from that regime costs the model. Two sweeps run: the
 //! Figure 2 load sweep and the Figure 3 network-size sweep, each under
-//! every [`ScenarioKind`]. The baseline rows anchor the divergence
-//! column — the adversarial rows show where the model loses its grip.
+//! every [`ScenarioKind`](drqos_core::scenario::ScenarioKind). The
+//! baseline rows anchor the divergence column — the adversarial rows show
+//! where the model loses its grip.
 //!
 //! ```text
 //! scenario_sweep [--quick]

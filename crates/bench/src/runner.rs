@@ -195,7 +195,7 @@ impl<R> Sweep<R> {
     }
 }
 
-/// Runs `point_fn` over every point, fanned across [`thread_count`] scoped
+/// Runs `point_fn` over every point, fanned across `thread_count()` scoped
 /// worker threads, and returns the records in input order.
 ///
 /// Each point's seed is `derive_seed(base_seed, index)`, so results depend
@@ -251,7 +251,7 @@ where
 }
 
 /// Exports a finished sweep: writes `target/experiments/<name>.csv` with
-/// the series columns followed by the [`OBS_HEADER`] observability
+/// the series columns followed by the `OBS_HEADER` observability
 /// columns, and records the sweep's aggregate timing under
 /// `target/experiments/runtime/`.
 ///

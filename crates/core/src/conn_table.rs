@@ -35,16 +35,16 @@ pub(crate) struct ConnTable {
     index: BTreeMap<ConnectionId, Slot>,
     /// Per slot, the amount its connection is counted at in the growable
     /// demand of the links of its primary (see
-    /// [`crate::link_state::LinkUsage::growable`]): its remaining
+    /// [`crate::link_state::LinkUsage::growable_demand`]): its remaining
     /// bandwidth when the reconcile pass last saw it, zero when unlisted.
     /// So telling whether a row is listed, or by how much its count moved,
     /// is one read of a dense column, not a search of a list. An index like
     /// the slots themselves, never state.
     counted: Vec<Bandwidth>,
-    /// Per slot, where the fill's heap last refused its connection: a link
-    /// of its primary and the increment that link lacked. A hint, never
-    /// state: while that link is down or still lacks the increment, no fill
-    /// can grant the connection anything.
+    /// Per slot, the waitlist its connection waits on: a link of its
+    /// primary where a fill refused it, and the increment that link
+    /// lacked (see [`crate::link_state::LinkUsage::buckets`]). `None` for
+    /// a connection that waits nowhere. An index, never state.
     blocked: Vec<Option<Blocked>>,
 }
 
@@ -113,24 +113,29 @@ impl ConnTable {
         counted
     }
 
-    /// Where the fill last refused the connection in `slot`, if anywhere.
+    /// The waitlist the connection in `slot` waits on, if any.
     pub(crate) fn blocked(&self, slot: Slot) -> Option<Blocked> {
         self.blocked.get(slot as usize).copied().flatten()
     }
 
-    /// Records where the fill refused the connection in `slot`.
+    /// Records the waitlist the connection in `slot` waits on.
     pub(crate) fn set_blocked(&mut self, slot: Slot, at: Option<Blocked>) {
         if let Some(mark) = self.blocked.get_mut(slot as usize) {
             *mark = at;
         }
     }
 
-    /// Takes `id` out of the table, with the amount it was counted at.
-    pub(crate) fn remove(&mut self, id: ConnectionId) -> Option<(DrConnection, Bandwidth)> {
+    /// Takes `id` out of the table, with the amount it was counted at and
+    /// the waitlist it waited on.
+    pub(crate) fn remove(
+        &mut self,
+        id: ConnectionId,
+    ) -> Option<(DrConnection, Bandwidth, Option<Blocked>)> {
         let slot = self.index.remove(&id)?;
         self.free.push(slot);
         let conn = self.slots.get_mut(slot as usize)?.take()?;
-        Some((conn, self.unlist(slot)))
+        let waited = self.blocked(slot);
+        Some((conn, self.unlist(slot), waited))
     }
 
     pub(crate) fn get(&self, id: ConnectionId) -> Option<&DrConnection> {
@@ -154,32 +159,6 @@ impl ConnTable {
         held.filter(|c| c.id() == id)
     }
 
-    /// Whether the live `pair` is listed — counted on its links — and its
-    /// recorded refusal is not one that `holds`.
-    pub(crate) fn is_loose(
-        &self,
-        (slot, id): ChainPair,
-        holds: impl Fn(Option<Blocked>) -> bool,
-    ) -> bool {
-        self.at(slot, id).is_some()
-            && self.counted(slot) > Bandwidth::ZERO
-            && !holds(self.blocked(slot))
-    }
-
-    /// Every pair [`Self::is_loose`] holds for, in slot order: one pass
-    /// over the dense columns.
-    pub(crate) fn loose<'a>(
-        &'a self,
-        holds: impl Fn(Option<Blocked>) -> bool + 'a,
-    ) -> impl Iterator<Item = ChainPair> + 'a {
-        let pairs = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, conn)| Some((Slot::try_from(slot).ok()?, conn.as_ref()?.id())));
-        pairs.filter(move |&pair| self.is_loose(pair, &holds))
-    }
-
     /// The primary links of the connections among `pairs` that are still
     /// live, with repeats.
     pub(crate) fn primary_links<'a>(
@@ -198,11 +177,10 @@ impl ConnTable {
 }
 
 /// The marks of one chain-set gather: which links it has walked and which
-/// `(slot, id)` pairs it holds or has refused. Generation-stamped, so
-/// starting the next gather forgets them all in O(1). Scratch, never state.
+/// `(slot, id)` pairs it holds. Generation-stamped, so starting the next
+/// gather forgets them all in O(1). Scratch, never state.
 #[derive(Debug, Default)]
 pub(crate) struct ChainMarks {
-    /// Even: a member is stamped `gen`, a refused pair `gen + 1`.
     gen: u64,
     links: Vec<u64>,
     /// `(stamp, id)`: the id tells a set member from a stale pair whose
@@ -216,12 +194,12 @@ impl ChainMarks {
         if self.links.len() < links {
             self.links.resize(links, 0);
         }
-        self.gen = self.gen.wrapping_add(2) & !1;
+        self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Generation wrapped: stale stamps could alias. Reset them all.
             self.links.iter_mut().for_each(|s| *s = 0);
             self.slots.iter_mut().for_each(|s| s.0 = 0);
-            self.gen = 2;
+            self.gen = 1;
         }
     }
 
@@ -241,41 +219,19 @@ impl ChainMarks {
         self.links.get(link) == Some(&self.gen)
     }
 
-    /// Adds the pair to the set; `true` if its slot was not in it yet,
-    /// a refused pair's included.
-    pub(crate) fn add(&mut self, pair: ChainPair) -> bool {
-        let gen = self.gen;
-        match self.mark(pair) {
-            Some(mark) if mark.0 != gen => {
-                *mark = (gen, pair.1);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Marks the pair refused: met and left out, but free to be added.
-    pub(crate) fn refuse(&mut self, pair: ChainPair) {
-        let refused = self.gen + 1;
-        if let Some(mark) = self.mark(pair) {
-            *mark = (refused, pair.1);
-        }
-    }
-
-    /// Whether the pair's slot has been added or refused in this set.
-    pub(crate) fn met(&self, (slot, _): ChainPair) -> bool {
-        self.slots
-            .get(slot as usize)
-            .is_some_and(|mark| mark.0 | 1 == self.gen + 1)
-    }
-
-    /// The mark of the pair's slot, grown to reach it.
-    fn mark(&mut self, (slot, id): ChainPair) -> Option<&mut (u64, ConnectionId)> {
+    /// Adds the pair to the set; `true` if its slot was not in it yet.
+    pub(crate) fn add(&mut self, (slot, id): ChainPair) -> bool {
         let at = slot as usize;
         if self.slots.len() <= at {
             self.slots.resize(at + 1, (0, id));
         }
-        self.slots.get_mut(at)
+        match self.slots.get_mut(at) {
+            Some(mark) if mark.0 != self.gen => {
+                *mark = (self.gen, id);
+                true
+            }
+            _ => false,
+        }
     }
 }
 
@@ -336,7 +292,7 @@ mod tests {
                     }
                     4..=6 => {
                         let slot = table.index.get(&some_id).copied();
-                        let removed = table.remove(some_id).map(|(c, _)| c);
+                        let removed = table.remove(some_id).map(|(c, ..)| c);
                         assert_eq!(removed, map.remove(&some_id));
                         departed.extend(slot.map(|slot| (slot, some_id)));
                     }
@@ -379,7 +335,7 @@ mod tests {
             for id in order {
                 assert_eq!(
                     table.remove(ConnectionId(id)),
-                    Some((conn(id), Bandwidth::ZERO))
+                    Some((conn(id), Bandwidth::ZERO, None))
                 );
             }
             assert_eq!(table.remove(ConnectionId(9)), None);
@@ -406,17 +362,9 @@ mod tests {
         // No link beyond the network is walked; the slot marks grow.
         assert!(!marks.walk(2) && !marks.contains((9, ConnectionId(2))));
         assert!(marks.add((9, ConnectionId(2))) && marks.contains((9, ConnectionId(2))));
+        assert!(marks.walked(1) && !marks.walked(0));
         marks.begin(2);
-        assert!(!marks.contains(new) && marks.walk(1) && marks.add(old));
-        // A refused pair is met but not held, and joins when added.
-        let refused = (5, ConnectionId(4));
-        assert!(!marks.met(refused) && marks.walked(1) && !marks.walked(0));
-        marks.refuse(refused);
-        assert!(marks.met(refused) && !marks.contains(refused));
-        assert!(marks.add(refused) && marks.contains(refused) && !marks.add(refused));
-        marks.refuse((6, ConnectionId(5)));
-        marks.begin(2);
-        assert!(!marks.met((6, ConnectionId(5))) && !marks.met(refused) && !marks.walked(1));
+        assert!(!marks.contains(new) && !marks.walked(1) && marks.walk(1) && marks.add(old));
         // A wrap resets every stamp instead of letting generation 1's
         // marks come back to life.
         let mut wrapped = ChainMarks::default();

@@ -23,7 +23,7 @@
 //! multiplexing.)
 
 use crate::channel::ConnectionId;
-use crate::conn_table::{ChainPair, Slot};
+use crate::conn_table::Slot;
 use crate::qos::Bandwidth;
 use drqos_topology::LinkId;
 
@@ -39,16 +39,15 @@ pub struct LinkUsage {
     /// from the two columns. An index, not accounting state — equality,
     /// the plan digest and snapshots never see it.
     primary_slots: Vec<Slot>,
-    /// The `(slot, id)` pairs of the primaries below their maximum level,
-    /// in no order: what a fill can still grow here. An index like
-    /// `primary_slots`, kept by the network manager — at rest a primary is
-    /// listed exactly when its level is below its maximum — and outside
-    /// equality, the plan digest and snapshots.
-    growable: Vec<ChainPair>,
-    /// What the listed primaries could still be granted here, each counted
-    /// at the amount the connection table holds for it: at rest, the sum
-    /// of their remaining bandwidth. Part of the same index.
+    /// What the listed primaries — those below their maximum level —
+    /// could still be granted here, each counted at the amount the
+    /// connection table holds for it: at rest, the sum of their remaining
+    /// bandwidth. An index like `primary_slots`, kept by the network
+    /// manager and outside equality, the plan digest and snapshots.
     growable_demand: Bandwidth,
+    /// The waitlist: the listed primaries a fill refused here, one
+    /// [`Bucket`] per increment they lacked. Part of the same index.
+    waiting: Vec<Bucket>,
     primary_min_sum: Bandwidth,
     extra_sum: Bandwidth,
     backups: Vec<ConnectionId>,
@@ -60,9 +59,9 @@ pub struct LinkUsage {
     reservation: Bandwidth,
 }
 
-/// Equality over the *accounting* state only — the slot column and the
-/// growable list are indexes and must never make otherwise-equal links
-/// differ.
+/// Equality over the *accounting* state only — the slot column, the
+/// growable demand and the waitlist are indexes and must never make
+/// otherwise-equal links differ.
 impl PartialEq for LinkUsage {
     fn eq(&self, other: &Self) -> bool {
         self.capacity == other.capacity
@@ -85,8 +84,8 @@ impl LinkUsage {
             up: true,
             primaries: Vec::new(),
             primary_slots: Vec::new(),
-            growable: Vec::new(),
             growable_demand: Bandwidth::ZERO,
+            waiting: Vec::new(),
             primary_min_sum: Bandwidth::ZERO,
             extra_sum: Bandwidth::ZERO,
             backups: Vec::new(),
@@ -125,34 +124,78 @@ impl LinkUsage {
         slots.zip(self.primaries.iter().copied())
     }
 
-    /// The listed primaries: those below their maximum level, in no order.
-    pub(crate) fn growable(&self) -> &[ChainPair] {
-        &self.growable
-    }
-
     /// What the listed primaries could still be granted here.
     pub(crate) fn growable_demand(&self) -> Bandwidth {
         self.growable_demand
     }
 
-    /// Lists a primary of this link that is not listed yet, counted at
-    /// `amount`.
-    pub(crate) fn list(&mut self, pair: ChainPair, amount: Bandwidth) {
-        self.growable.push(pair);
-        self.growable_demand += amount;
+    /// Moves a primary's count from `from` to `to`: from zero lists it,
+    /// to zero takes it off.
+    pub(crate) fn recount(&mut self, from: Bandwidth, to: Bandwidth) {
+        self.growable_demand = self.growable_demand - from + to;
     }
 
-    /// Takes `id`, counted at `amount`, off the list, if it is on it.
-    pub(crate) fn unlist(&mut self, id: ConnectionId, amount: Bandwidth) {
-        if let Some(at) = self.growable.iter().position(|&(_, listed)| listed == id) {
-            self.growable.swap_remove(at);
-            self.growable_demand -= amount;
+    /// The waitlist's buckets, in no order.
+    pub(crate) fn buckets(&self) -> &[Bucket] {
+        &self.waiting
+    }
+
+    /// Puts the primary in `slot`, refused here for want of `increment`,
+    /// on the waitlist at `rank`.
+    pub(crate) fn wait(&mut self, increment: Bandwidth, rank: u128, slot: Slot) {
+        let at = self.waiting.iter().position(|b| b.increment == increment);
+        let at = at.unwrap_or_else(|| {
+            self.waiting.push(Bucket {
+                increment,
+                rows: Vec::new(),
+            });
+            self.waiting.len() - 1
+        });
+        let rows = &mut self.waiting[at].rows;
+        rows.insert(rows.partition_point(|&(r, _)| r > rank), (rank, slot));
+    }
+
+    /// Takes the primary waiting at `rank` for `increment` off the
+    /// waitlist, if it is there.
+    pub(crate) fn unwait(&mut self, increment: Bandwidth, rank: u128) {
+        self.edit(increment, |rows| {
+            if let Ok(i) = rows.binary_search_by(|&(r, _)| rank.cmp(&r)) {
+                rows.remove(i);
+            }
+        });
+    }
+
+    /// The `n`th primary of the bucket for `increment`, head first, as
+    /// `(rank, slot)`.
+    pub(crate) fn waiter(&self, increment: Bandwidth, n: usize) -> Option<(u128, Slot)> {
+        let bucket = self.waiting.iter().find(|b| b.increment == increment)?;
+        let i = bucket.rows.len().checked_sub(n + 1)?;
+        bucket.rows.get(i).copied()
+    }
+
+    /// Takes the first `n` primaries, head first, off the bucket for
+    /// `increment`.
+    pub(crate) fn wake(&mut self, increment: Bandwidth, n: usize) {
+        self.edit(increment, |rows| {
+            rows.truncate(rows.len().saturating_sub(n))
+        });
+    }
+
+    /// Edits the rows of the bucket for `increment`, if there is one, and
+    /// drops the bucket once it is empty.
+    fn edit(&mut self, increment: Bandwidth, f: impl FnOnce(&mut Vec<(u128, Slot)>)) {
+        if let Some(at) = self.waiting.iter().position(|b| b.increment == increment) {
+            f(&mut self.waiting[at].rows);
+            if self.waiting[at].rows.is_empty() {
+                self.waiting.swap_remove(at);
+            }
         }
     }
 
-    /// Moves a listed primary's count from `from` to `to`.
-    pub(crate) fn recount(&mut self, from: Bandwidth, to: Bandwidth) {
-        self.growable_demand = self.growable_demand - from + to;
+    /// Takes the whole bucket at `at` of [`Self::buckets`] off the
+    /// waitlist.
+    pub(crate) fn take_bucket(&mut self, at: usize) -> Bucket {
+        self.waiting.swap_remove(at)
     }
 
     /// Backup channels registered on this link, in id order.
@@ -262,17 +305,15 @@ impl LinkUsage {
         self.primary_min_sum += min;
     }
 
-    /// Unregisters a primary, taking it off the list too when it is
-    /// `counted` there (a primary counted at zero is not listed).
+    /// Unregisters a primary, and its count: `counted`, zero when it is
+    /// not listed.
     pub(crate) fn remove_primary(&mut self, id: ConnectionId, min: Bandwidth, counted: Bandwidth) {
         let at = position(&self.primaries, id);
         let present = self.primaries.get(at) == Some(&id);
         assert!(present, "{id} was not a primary on this link");
         self.primaries.remove(at);
         self.primary_slots.remove(at);
-        if counted > Bandwidth::ZERO {
-            self.unlist(id, counted);
-        }
+        self.growable_demand -= counted;
         self.primary_min_sum -= min;
     }
 
@@ -392,6 +433,17 @@ impl LinkUsage {
             "allocated bandwidth exceeds capacity"
         );
     }
+}
+
+/// The primaries a fill refused at one link for want of one increment:
+/// `(rank, slot)` pairs, the rank being the `(score, id)` of the fill turn
+/// each would take next, highest first, so that the head — the lowest,
+/// next to move — is last. A waiting primary's level cannot move without
+/// taking it off, so neither can its rank.
+#[derive(Debug, Clone)]
+pub(crate) struct Bucket {
+    pub(crate) increment: Bandwidth,
+    pub(crate) rows: Vec<(u128, Slot)>,
 }
 
 /// Where `id` is — or, if absent, belongs — in the sorted, duplicate-free

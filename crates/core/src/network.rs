@@ -48,7 +48,7 @@ pub use fault::FailureReport;
 pub use plan::{EstablishPlan, PrePlanned};
 
 use crate::channel::{ConnectionId, DrConnection};
-use crate::conn_table::{ChainMarks, ChainPair, ConnTable};
+use crate::conn_table::{Blocked, ChainMarks, ChainPair, ConnTable, Slot};
 use crate::error::{AdmissionError, NetworkError};
 use crate::invariant::InvariantViolation;
 use crate::link_state::LinkUsage;
@@ -170,11 +170,12 @@ pub struct Network {
     marks: ChainMarks,
     retreat_set: Vec<ChainPair>,
     spare_set: Vec<ChainPair>,
-    /// The listed rows whose recorded refusal no longer holds (see
-    /// `fill::still_blocked`): the only ones an arrival's fill could grow
-    /// that its retreat did not free room for. Read off the connection
-    /// table's columns like them, so outside equality, but cloned: a clone
-    /// must gather what its source gathers.
+    /// The loose set: the listed rows that wait nowhere, having been taken
+    /// off a waitlist whose link a fault step or a repair gave room (see
+    /// `fill::still_blocked`) — the only ones an event's fill could grow
+    /// that no bucket on the links it walks holds. An index like the
+    /// waitlists, so outside equality, but cloned: a clone must gather
+    /// what its source gathers.
     loose: Vec<ChainPair>,
 }
 
@@ -360,13 +361,13 @@ impl Network {
             self.retreat(pair);
         }
         // 3. Who may grow, the newcomer included — and let them.
-        let mut candidates = std::mem::take(&mut self.spare_set);
+        let (mut candidates, mut handles) = (std::mem::take(&mut self.spare_set), Vec::new());
         candidates.clear();
-        self.fill_candidates(retreated, kept, &[newcomer], &mut candidates);
+        self.fill_candidates(retreated, kept, &[newcomer], &mut candidates, &mut handles);
         #[cfg(test)]
         self.log_kept(kept);
         self.retreat_set = chained;
-        self.settle(candidates);
+        self.settle(candidates, &handles);
         newcomer.1
     }
 
@@ -389,11 +390,12 @@ impl Network {
         (slot, id)
     }
 
-    /// Re-distributes extras over `candidates`, keeping the buffer for the
-    /// next event's candidates, and drops from the loose set the rows the
-    /// event has blocked or granted to their maximum.
-    fn settle(&mut self, candidates: Vec<ChainPair>) {
-        self.redistribute(&candidates);
+    /// Re-distributes extras over `candidates` and the buckets `handles`
+    /// names, keeping the candidate buffer for the next event's, and drops
+    /// from the loose set the rows the event has refused or granted to
+    /// their maximum.
+    fn settle(&mut self, candidates: Vec<ChainPair>, handles: &[Blocked]) {
+        self.redistribute(&candidates, handles);
         self.spare_set = candidates;
         self.prune_loose();
         #[cfg(test)]
@@ -420,70 +422,67 @@ impl Network {
         }
     }
 
-    /// [`Self::gather`] over the listed primaries of each link
-    /// ([`LinkUsage::growable`]), each [offered](Self::offer) once.
-    fn gather_listed(
+    /// What an event offers its fill from the links `over` whose headroom
+    /// it grew: starts a new set in `marks`, walks each link once and
+    /// appends to `handles` each waitlist bucket there whose link has room
+    /// for its increment, then appends to `out` each loose row that
+    /// crosses a walked link. A bucket without that room holds rows still
+    /// refused where they wait, which ask for nothing and can be granted
+    /// nothing; so does any row waiting at a link off `over`, that link
+    /// having gained nothing since.
+    fn gather_waiting(
         links: &[LinkUsage],
         connections: &ConnTable,
         marks: &mut ChainMarks,
+        loose: &[ChainPair],
         over: impl IntoIterator<Item = LinkId>,
         out: &mut Vec<ChainPair>,
+        handles: &mut Vec<Blocked>,
     ) {
+        #[cfg(test)]
+        if seam::armed(Seam::ReferenceCommit) || seam::armed(Seam::ReferenceFill) {
+            return Self::gather(links, marks, over, out);
+        }
         marks.begin(links.len());
         for l in over {
             if marks.walk(l.index()) {
-                for &pair in links[l.index()].growable() {
-                    Self::offer(links, connections, marks, pair, out);
-                }
+                let usage = &links[l.index()];
+                let room = usage
+                    .buckets()
+                    .iter()
+                    .filter(|b| !fill::still_blocked(usage, b.increment, Seam::BlockedAtExactRoom));
+                handles.extend(room.map(|b| (l, b.increment)));
+            }
+        }
+        for &(slot, id) in loose {
+            let path = connections.at(slot, id).map(|c| c.primary().links());
+            let walked = path.is_some_and(|p| p.iter().any(|l| marks.walked(l.index())));
+            if walked && marks.add((slot, id)) {
+                out.push((slot, id));
             }
         }
     }
 
-    /// Appends the listed `pair` to `out` unless the gather in `marks` has
-    /// met it already or it is [`fill::still_blocked`] where the fill last
-    /// refused it: such a row can be granted nothing and asks for nothing,
-    /// so the fill would load it for no effect. A blocked pair is marked
-    /// refused, so that meeting it again costs one mark read while a
-    /// caller can still name it.
-    fn offer(
-        links: &[LinkUsage],
-        connections: &ConnTable,
-        marks: &mut ChainMarks,
-        pair: ChainPair,
-        out: &mut Vec<ChainPair>,
-    ) {
-        if marks.met(pair) {
-            return;
-        }
-        let blocked = fill::still_blocked(links, connections.blocked(pair.0));
-        if blocked && !seam::armed(Seam::ReferenceCommit) {
-            marks.refuse(pair);
-        } else {
-            marks.add(pair);
-            out.push(pair);
-        }
-    }
-
-    /// Who may grow after an event, appended to `out`: the listed primaries
-    /// of every link a channel that `retreated` for it crosses, but those
-    /// still blocked; the loose rows that cross a link of a channel an
-    /// arrival `kept`, on the same terms; then the retreated channels and
-    /// the `newcomers` the event put on their routes (an admitted
-    /// connection, the connections a failure moved onto their backups),
-    /// each once and never left out. Retreat leaves the lists alone, so a
-    /// channel that retreated from its maximum is found only by name.
+    /// Who may grow after an event, appended to `out` and `handles`: what
+    /// [`Self::gather_waiting`] offers from the links of every channel that
+    /// `retreated` for it; the loose rows that cross a link of a channel an
+    /// arrival `kept`; then the retreated channels and the `newcomers` the
+    /// event put on their routes (an admitted connection, the connections a
+    /// failure moved onto their backups), each once and never left out.
+    /// None of them waits: retreat and failover take a channel off its
+    /// waitlist, since its level moves.
     ///
     /// Retreat is where an event adds headroom that no fill has been
-    /// offered yet, so only the retreated channels' links are read. A
-    /// listed row elsewhere was refused at its recorded link and that link
-    /// gained nothing since, or it is loose: a fault step frees room where
-    /// its fill walks nothing, and records whom that unblocked.
+    /// offered yet, so only the retreated channels' links are read. A kept
+    /// channel's links hold no bucket with room: a row waiting there would
+    /// have been counted in the demand the keep rule found room for.
     fn fill_candidates(
         &mut self,
         retreated: &[ChainPair],
         kept: &[ChainPair],
         newcomers: &[ChainPair],
         out: &mut Vec<ChainPair>,
+        handles: &mut Vec<Blocked>,
     ) {
         let Self {
             links,
@@ -493,29 +492,28 @@ impl Network {
             ..
         } = self;
         let over = connections.primary_links(retreated);
-        Self::gather_listed(links, connections, marks, over, out);
+        let kept_links = connections
+            .primary_links(kept)
+            .filter(|_| !loose.is_empty());
+        let over = over.chain(kept_links);
+        Self::gather_waiting(links, connections, marks, loose, over, out, handles);
         #[cfg(test)]
-        let from_lists = out.len();
-        if !loose.is_empty() && !kept.is_empty() {
-            for l in connections.primary_links(kept) {
-                marks.walk(l.index());
-            }
-            for &(slot, id) in loose.iter() {
-                let path = connections.at(slot, id).map(|c| c.primary().links());
-                if path.is_some_and(|p| p.iter().any(|l| marks.walked(l.index()))) {
-                    Self::offer(links, connections, marks, (slot, id), out);
-                }
-            }
-        }
-        #[cfg(test)]
-        let through_kept = out.len() - from_lists;
+        let through_kept = {
+            let retreated: Vec<LinkId> = self.connections.primary_links(retreated).collect();
+            let crosses = |&&(slot, id): &&ChainPair| {
+                let conn = self.connections.at(slot, id);
+                conn.is_some_and(|c| c.primary().links().iter().any(|l| retreated.contains(l)))
+            };
+            out.iter().filter(|pair| !crosses(pair)).count()
+        };
         let named = retreated.iter().chain(newcomers);
-        out.extend(named.filter(|&&pair| marks.add(pair)));
+        out.extend(named.filter(|&&pair| self.marks.add(pair)));
         #[cfg(test)]
         {
             let chained = [retreated, kept].map(|pairs| self.connections.primary_links(pairs));
             let named = retreated.iter().chain(newcomers).copied();
-            self.log_gather(chained.into_iter().flatten(), named, out, through_kept);
+            let over = chained.into_iter().flatten();
+            self.log_gather(over, named, out, handles, through_kept);
         }
     }
 
@@ -624,9 +622,16 @@ impl Network {
     ///
     /// Returns [`NetworkError::UnknownConnection`] for an unknown id.
     pub fn release(&mut self, id: ConnectionId) -> Result<DrConnection, NetworkError> {
-        let Some((mut conn, counted)) = self.connections.remove(id) else {
+        let Some((mut conn, counted, waited)) = self.connections.remove(id) else {
             return Err(NetworkError::UnknownConnection(id.0));
         };
+        if let Some((link, increment)) = waited {
+            #[cfg(test)]
+            {
+                self.fill.unwaited[1] += 1;
+            }
+            self.links[link.index()].unwait(increment, fill::rank(self.config.policy, &conn));
+        }
         Self::retreat_conn(&mut self.links, &mut self.total_bandwidth, &mut conn);
         let min = conn.qos().min();
         for &l in conn.primary().links() {
@@ -636,19 +641,27 @@ impl Network {
             Self::unreserve_backup(&mut self.links, id, min, conn.primary(), b);
         }
         self.total_bandwidth -= conn.bandwidth();
-        // Beneficiaries: the listed primaries on any link the departed
+        // Beneficiaries: the rows waiting on any link the departed
         // connection touched (its backup links free reservation too);
         // nobody retreated for it, so nobody else can grow.
         let backup_links = conn.backups().iter().flat_map(|b| b.links());
         let freed = conn.primary().links().iter().chain(backup_links).copied();
-        let mut candidates = std::mem::take(&mut self.spare_set);
+        let (mut candidates, mut handles) = (std::mem::take(&mut self.spare_set), Vec::new());
         candidates.clear();
-        let (links, connections) = (&self.links, &self.connections);
-        let marks = &mut self.marks;
-        Self::gather_listed(links, connections, marks, freed.clone(), &mut candidates);
+        let (links, connections, loose) = (&self.links, &self.connections, &self.loose);
+        let (out, wake) = (&mut candidates, &mut handles);
+        Self::gather_waiting(
+            links,
+            connections,
+            &mut self.marks,
+            loose,
+            freed.clone(),
+            out,
+            wake,
+        );
         #[cfg(test)]
-        self.log_gather(freed, std::iter::empty(), &candidates, 0);
-        self.settle(candidates);
+        self.log_gather(freed, std::iter::empty(), &candidates, &handles, 0);
+        self.settle(candidates, &handles);
         Ok(conn)
     }
 
@@ -686,8 +699,12 @@ impl Network {
     // ----------------------------------------------- elastic adaptation --
 
     /// Drops the connection of a live `(slot, id)` pair to its minimum
-    /// level, returning extras to its links.
+    /// level, returning extras to its links, and takes it off the waitlist
+    /// it waits on.
     fn retreat(&mut self, (slot, id): ChainPair) {
+        #[cfg(test)]
+        self.tally_unwait(0, slot);
+        self.unwait((slot, id));
         let conn = self
             .connections
             .at_mut(slot, id)
@@ -750,10 +767,12 @@ impl Network {
         // as the per-link membership vectors must be; each primary entry
         // must carry the slot its connection lives in.
         let mut primary_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
-        let mut growable_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
         let mut growable_demands = vec![Bandwidth::ZERO; self.links.len()];
-        // Links where a connection's count disagrees with its remaining.
+        // Links where a connection's count disagrees with its remaining,
+        // and per link the connections that wait there.
         let mut mismarked = vec![false; self.links.len()];
+        let mut waiting = vec![0; self.links.len()];
+        let policy = self.config.policy;
         let mut backup_sets: Vec<Vec<ChainPair>> = vec![Vec::new(); self.links.len()];
         let mut total = Bandwidth::ZERO;
         for (slot, conn) in self.connections.iter() {
@@ -770,12 +789,14 @@ impl Network {
             if let Some(first) = conn.primary().links().first() {
                 mismarked[first.index()] |= self.connections.counted(slot) != remaining;
             }
+            if let Some((link, _)) = self.connections.blocked(slot) {
+                waiting[link.index()] += 1;
+            }
             for &l in conn.primary().links() {
                 min_sums[l.index()] += conn.qos().min();
                 extra_sums[l.index()] += conn.extra();
                 primary_sets[l.index()].push((slot, conn.id()));
                 if below {
-                    growable_sets[l.index()].push((slot, conn.id()));
                     growable_demands[l.index()] += remaining;
                 }
             }
@@ -810,7 +831,6 @@ impl Network {
         // the multiplexing ledger that link must hold, from the connection
         // table alone and not through `conflict_set`. All zero between links.
         let mut activated = vec![Bandwidth::ZERO; self.links.len()];
-        let mut listed = Vec::new();
         for (i, usage) in self.links.iter().enumerate() {
             let link = LinkId(i);
             if usage.primary_min_sum() != min_sums[i] {
@@ -831,14 +851,29 @@ impl Network {
             if !columns || !usage.primary_pairs().eq(primary_sets[i].iter().copied()) {
                 violations.push(InvariantViolation::PrimarySetMismatch { link });
             }
-            // The list is unordered: sorted by id, it must be the growable
-            // set, pair for pair — a duplicate or a wrong slot shows too —
-            // and its demand their remaining bandwidth.
-            listed.clear();
-            listed.extend_from_slice(usage.growable());
-            listed.sort_unstable_by_key(|&(_, id)| id);
+            // Each bucket holds, strictly in rank order, live primaries of
+            // this link below their maximum that wait here for its
+            // increment, at their rank — a duplicate, a wrong slot or a
+            // stale rank shows — and as many as wait here, so none is
+            // missing; the demand is the growable set's remaining bandwidth.
+            let buckets = usage.buckets();
+            let waitlist = buckets.iter().enumerate().all(|(at, b)| {
+                let distinct = buckets[..at].iter().all(|o| o.increment != b.increment);
+                let sorted = b.rows.windows(2).all(|w| w[0].0 > w[1].0);
+                let waits = |&(rank, slot): &(u128, Slot)| {
+                    let conn = self.connections.at(slot, ConnectionId(rank as u64));
+                    conn.is_some_and(|c| {
+                        self.connections.blocked(slot) == Some((link, b.increment))
+                            && c.level() < c.qos().max_level()
+                            && fill::rank(policy, c) == rank
+                    })
+                };
+                distinct && sorted && !b.rows.is_empty() && b.rows.iter().all(waits)
+            });
+            let entries: usize = buckets.iter().map(|b| b.rows.len()).sum();
+            let waitlist = waitlist && entries == waiting[i];
             let demand = usage.growable_demand() == growable_demands[i];
-            if mismarked[i] || listed != growable_sets[i] || !demand {
+            if mismarked[i] || !waitlist || !demand {
                 violations.push(InvariantViolation::GrowableSetMismatch { link });
             }
             let backups = backup_sets[i].iter().map(|&(_, id)| id);
@@ -1031,9 +1066,6 @@ mod support {
         /// Each listed pair the gather left out, with whether a scan of
         /// its whole primary finds it blocked.
         pub(super) skipped: Vec<(ChainPair, bool)>,
-        /// Listed pairs the gather kept that such a scan finds blocked: the
-        /// rows the recorded refusal missed.
-        pub(super) missed: usize,
         /// The chained channels an arrival kept, with their levels when
         /// the fill started and when it ended.
         pub(super) kept: Vec<(ChainPair, usize, usize)>,
@@ -1056,10 +1088,18 @@ mod support {
                 self.retreat(pair);
             }
             let newcomer = self.reserve_newcomer(plan);
-            let mut candidates = Vec::new();
-            self.fill_candidates(&retreated, &[], &[newcomer], &mut candidates);
-            self.settle(candidates);
+            let (mut candidates, mut handles) = (Vec::new(), Vec::new());
+            self.fill_candidates(&retreated, &[], &[newcomer], &mut candidates, &mut handles);
+            self.settle(candidates, &handles);
             newcomer.1
+        }
+
+        /// Counts a removal from a waitlist by `cause` — 0 retreat, 2
+        /// failover; a release counts its own, 1 — if the connection in
+        /// `slot` waits.
+        pub(super) fn tally_unwait(&mut self, cause: usize, slot: Slot) {
+            let waits = self.connections.blocked(slot).is_some();
+            self.fill.unwaited[cause] += usize::from(waits);
         }
 
         /// The every-primary gather the listed one replaced: every primary
@@ -1100,24 +1140,35 @@ mod support {
             })
         }
 
-        /// Logs the gather that found `got` over `over` and `named`, with
-        /// the every-primary gather over the same, while [`GATHER_LOG`] is
-        /// set. `through_kept` of `got` are loose rows it met only on a
-        /// kept channel's link.
+        /// Logs the gather that found `got` and the buckets `handles` over
+        /// `over` and `named`, with the every-primary gather over the same,
+        /// while [`GATHER_LOG`] is set. `through_kept` of `got` are loose
+        /// rows it met only on a kept channel's link.
         pub(super) fn log_gather(
             &self,
             over: impl Iterator<Item = LinkId>,
             named: impl Iterator<Item = ChainPair>,
             got: &[ChainPair],
+            handles: &[Blocked],
             through_kept: usize,
         ) {
             GATHER_LOG.with_borrow_mut(|log| {
                 let Some(log) = log else { return };
                 let over: Vec<LinkId> = over.collect();
                 let named: Vec<ChainPair> = named.collect();
+                let mut got = got.to_vec();
+                for &(link, increment) in handles {
+                    let buckets = self.links[link.index()].buckets();
+                    let bucket = buckets.iter().filter(|b| b.increment == increment);
+                    let rows = bucket.flat_map(|b| &b.rows);
+                    got.extend(rows.map(|&(rank, slot)| (slot, ConnectionId(rank as u64))));
+                }
+                let got = &got;
+                let listed =
+                    |&(slot, _): &ChainPair| self.connections.counted(slot) > Bandwidth::ZERO;
                 let mut all_listed: Vec<ChainPair> = over
                     .iter()
-                    .flat_map(|l| self.links[l.index()].growable().iter().copied())
+                    .flat_map(|l| self.links[l.index()].primary_pairs().filter(listed))
                     .collect();
                 sort_dedup(&mut all_listed);
                 let skipped: Vec<(ChainPair, bool)> = all_listed
@@ -1125,18 +1176,12 @@ mod support {
                     .filter(|pair| !got.contains(pair))
                     .map(|&pair| (pair, self.blocked_on_its_path(pair)))
                     .collect();
-                let missed = all_listed
-                    .iter()
-                    .filter(|pair| got.contains(pair) && !named.contains(pair))
-                    .filter(|&&pair| self.blocked_on_its_path(pair))
-                    .count();
                 let mut loaded: Vec<ChainPair> = got.to_vec();
                 loaded.extend(skipped.iter().map(|&(pair, _)| pair));
                 log.push(LoggedGather {
                     listed: self.loaded_rows(&loaded),
                     every: self.loaded_rows(&self.gather_every_primary(over, &named)),
                     skipped,
-                    missed,
                     kept: Vec::new(),
                     through_kept,
                 });
@@ -1176,7 +1221,7 @@ mod support {
 
 #[cfg(test)]
 mod tests {
-    use super::fill::{is_slack, FillScratch, Load};
+    use super::fill::{is_slack, FillScratch};
     use super::support::*;
     use super::*;
     use drqos_sim::rng::Rng;
@@ -1731,37 +1776,32 @@ mod tests {
         net.validate();
     }
 
-    /// How the rows of the fills a differential watched were taken.
+    /// How the rows and buckets of the fills a differential watched were
+    /// taken, and how their rows left the waitlists.
     #[derive(Debug, Default)]
     struct FillTally {
         /// Granted to their maximum in one step.
         bulk: usize,
-        /// Loaded up front, through the turns.
+        /// Through the turns, woken ones included.
         turns: usize,
-        /// Deferred and refused at their recorded link, never loaded.
-        refused_unloaded: usize,
-        /// Deferred, then loaded when their recorded link had room.
+        /// Woken off a waitlist, their bucket's link having room.
         woken: usize,
-        /// Deferred behind a lower row with the same record.
-        held: usize,
-        /// Held, then given a first turn when the row ahead of them woke.
+        /// Offered buckets whose head was refused where it waits.
+        refused_handles: usize,
+        /// Rows woken behind their bucket's head: a wake queued them.
         promoted: usize,
+        /// Rows taken off a waitlist by retreat, release and failover.
+        unwaited: [usize; 3],
     }
 
     impl FillTally {
         fn add(&mut self, fill: &FillScratch) {
-            for row in &fill.rows {
-                match row.load {
-                    Load::Bulk => self.bulk += 1,
-                    Load::Turns => self.turns += 1,
-                    Load::Deferred(_) => self.refused_unloaded += 1,
-                    Load::Woken => self.woken += 1,
-                    Load::Held(_) => {}
-                }
-            }
-            for promoted in fill.held() {
-                self.held += 1;
-                self.promoted += usize::from(promoted);
+            let bulk = fill.rows.iter().filter(|r| r.bulk).count();
+            (self.bulk, self.turns) = (self.bulk + bulk, self.turns + fill.rows.len() - bulk);
+            for handle in &fill.handles {
+                self.woken += handle.woken;
+                self.refused_handles += usize::from(handle.woken == 0);
+                self.promoted += handle.woken.saturating_sub(1);
             }
         }
     }
@@ -1770,7 +1810,7 @@ mod tests {
     /// with the reference fill ([`Seam::ReferenceFill`]) and on the
     /// network itself: results, full state and invariants must agree
     /// after every op. Tallies how the network's last fill of each op took
-    /// its rows.
+    /// its rows, and how rows left the waitlists.
     fn fill_differential(cases: u64) -> Result<FillTally, String> {
         let mut tally = FillTally::default();
         for case in 0..cases {
@@ -1790,21 +1830,27 @@ mod tests {
                 }
                 tally.add(&net.fill);
             }
+            for (sum, n) in tally.unwaited.iter_mut().zip(net.fill.unwaited) {
+                *sum += n;
+            }
         }
         Ok(tally)
     }
 
-    /// Both sides of the slack choice, both ends of a deferred row's first
-    /// turn and both ends of a held row's wait must have run, many times
-    /// over.
+    /// Both sides of the slack choice, both ends of an offered bucket's
+    /// turn, a wake that queued the next row, and a removal from a
+    /// waitlist by each cause must have run, many times over.
     fn assert_fill_coverage(tally: &FillTally, cases: usize) {
+        let [retreat, release, failover] = tally.unwaited;
         assert!(
             tally.bulk > 5 * cases
                 && tally.turns > 5 * cases
-                && tally.refused_unloaded > 2 * cases
-                && tally.woken > cases
-                && tally.held > cases / 2
-                && tally.promoted > cases / 10,
+                && tally.woken > cases / 2
+                && tally.refused_handles > cases / 4
+                && tally.promoted > cases / 40
+                && retreat > 2 * cases
+                && release > cases / 4
+                && failover > cases / 8,
             "{tally:?}"
         );
     }
@@ -1833,8 +1879,8 @@ mod tests {
     }
 
     #[test]
-    fn a_woken_head_that_queues_nobody_behind_it_is_caught() {
-        let caught = seam::with(Seam::DropTheGroupOnAWake, || fill_differential(2_000));
+    fn a_bucket_that_forgets_its_tail_is_caught() {
+        let caught = seam::with(Seam::ForgetABucketTail, || fill_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -1857,8 +1903,9 @@ mod tests {
         (net, rigid, refused)
     }
 
-    fn loads(net: &Network) -> Vec<Load> {
-        net.fill.rows.iter().map(|r| r.load).collect()
+    /// The rows the last fill woke, one count per offered bucket.
+    fn woken(net: &Network) -> Vec<usize> {
+        net.fill.handles.iter().map(|h| h.woken).collect()
     }
 
     #[test]
@@ -1868,32 +1915,72 @@ mod tests {
         assert_eq!(levels, [0, 4, 3]);
         let at = (LinkId(0), Bandwidth::kbps(100));
         assert_eq!(net.connections.blocked(slot), Some(at));
-        // One Kbps short, or down: refused where it was, never loaded.
+        assert_eq!(net.links[0].waiter(at.1, 0).map(|(_, s)| s), Some(slot));
+        // One Kbps short, or down: its bucket's turn refuses it where it
+        // waits, and it is never loaded.
         let mut short = net.clone();
-        short.redistribute(&[(slot, id)]);
-        assert_eq!(loads(&short), [Load::Deferred(at)]);
-        assert!(short == net);
+        short.redistribute(&[], &[at]);
+        assert_eq!((short.fill.rows.len(), woken(&short)), (0, vec![0]));
+        assert!(short == net && short.connections.blocked(slot) == Some(at));
         let mut down = net.clone();
         down.links[0].set_up(false);
-        down.redistribute(&[(slot, id)]);
-        assert_eq!(loads(&down), [Load::Deferred(at)]);
+        down.redistribute(&[], &[at]);
+        assert_eq!((down.fill.rows.len(), woken(&down)), (0, vec![0]));
         assert_eq!(down.connection(id).unwrap().level(), 3);
         // The rigid channel's release frees exactly one increment: loaded
-        // and granted it, up to the maximum and off the list.
+        // and granted it, up to the maximum and off the waitlist.
         let mut exact = net.clone();
         exact.release(rigid).unwrap();
-        assert_eq!(loads(&exact), [Load::Woken]);
+        assert_eq!((exact.fill.rows.len(), woken(&exact)), (1, vec![1]));
         assert_eq!(exact.connection(id).unwrap().level(), 4);
-        assert_eq!(exact.links[0].growable(), []);
+        assert!(exact.links[0].buckets().is_empty() && exact.connections.blocked(slot).is_none());
         exact.validate();
         // The mutant refuses it there.
         let mut mutant = net.clone();
         seam::with(Seam::RefusedAtExactRoom, || mutant.release(rigid).unwrap());
-        assert_eq!(loads(&mutant), [Load::Deferred(at)]);
+        assert_eq!(woken(&mutant), [0]);
+        assert_eq!(mutant.connection(id).unwrap().level(), 3);
+    }
+
+    /// A 4-ring whose link 2–3 (link 2) has 550 Kbps, the others 1 000: B
+    /// (0→1) runs on link 0 with its backup 0–3–2–1 across link 2, and R
+    /// (2→3) runs on link 2 alone, beside B's 100 Kbps reservation, so its
+    /// fill refused it there at level 3. B's release frees no link of R's
+    /// primary but link 2's reservation: R must wake there and be granted
+    /// as under the reference gather, which reads every listed primary of
+    /// every link B touched.
+    #[test]
+    fn a_row_waiting_where_a_released_backup_ran_is_granted() {
+        let mut g = Graph::with_nodes(4);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            g.add_link(NodeId(a), NodeId(b)).unwrap();
+        }
+        let mut net = Network::new(g, NetworkConfig::default());
+        net.links[2] = LinkUsage::new(Bandwidth::kbps(550));
+        let b = net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+        let r = net.establish(NodeId(2), NodeId(3), qos()).unwrap();
+        let (b_conn, r_conn) = (net.connection(b).unwrap(), net.connection(r).unwrap());
+        assert_eq!(r_conn.primary().links(), [LinkId(2)]);
+        assert!(
+            !b_conn.primary().crosses(LinkId(2)) && b_conn.backup().unwrap().crosses(LinkId(2))
+        );
+        let r_slot = live_pairs(&net)[1].0;
+        assert_eq!(r_conn.level(), 3);
+        assert_eq!(
+            net.connections.blocked(r_slot),
+            Some((LinkId(2), Bandwidth::kbps(100)))
+        );
+        let mut reference = net.clone();
+        seam::with(Seam::ReferenceCommit, || reference.release(b).unwrap());
+        net.release(b).unwrap();
+        assert_eq!(woken(&net), [1]);
+        assert_eq!(net.connection(r).unwrap().level(), 4);
+        assert!(net == reference);
+        net.validate();
     }
 
     fn bulk_flags(net: &Network) -> Vec<bool> {
-        net.fill.rows.iter().map(|r| r.load == Load::Bulk).collect()
+        net.fill.rows.iter().map(|r| r.bulk).collect()
     }
 
     #[test]
@@ -1903,7 +1990,7 @@ mod tests {
         // fill loaded the newcomer alone; a fill over both sees the same.
         assert_eq!(bulk_flags(&net), [true]);
         let both = retreat_all(&mut net);
-        net.redistribute(&both);
+        net.redistribute(&both, &[]);
         assert_eq!(bulk_flags(&net), [true, true]);
         assert_eq!(net.total_primary_bandwidth(), Bandwidth::kbps(1_000));
     }
@@ -1946,7 +2033,7 @@ mod tests {
         let both = retreat_all(&mut net);
         net.links[0].set_up(false);
         let mut reference = net.clone();
-        net.redistribute(&both);
+        net.redistribute(&both, &[]);
         reference.redistribute_reference(&both);
         assert_eq!(bulk_flags(&net), [false, false]);
         assert_eq!(net.total_primary_bandwidth(), Bandwidth::kbps(200));
@@ -1960,12 +2047,12 @@ mod tests {
         let both = live_pairs(&net);
         // Both live channels sit at their maximum; c7 never existed and c1
         // is released before its pair is offered again.
-        net.redistribute(&[both[0], both[1], (7, ConnectionId(7))]);
+        net.redistribute(&[both[0], both[1], (7, ConnectionId(7))], &[]);
         assert!(net.fill.rows.is_empty());
         assert!(net == before);
         net.retreat(both[0]);
         net.connections.remove(ConnectionId(1));
-        net.redistribute(&both);
+        net.redistribute(&both, &[]);
         assert_eq!(net.fill.rows.len(), 1);
         assert_eq!(net.connection(ConnectionId(0)).unwrap().level(), 4);
     }
@@ -1983,8 +2070,8 @@ mod tests {
             let mut shuffled = sorted.clone();
             rng.shuffle(&mut shuffled);
             let mut want = net.clone();
-            want.redistribute(&sorted);
-            net.redistribute(&shuffled);
+            want.redistribute(&sorted, &[]);
+            net.redistribute(&shuffled, &[]);
             assert!(net == want, "case {case}: {shuffled:?}");
             net.validate();
             tight_fills += usize::from(bulk_flags(&net).contains(&false));
@@ -2006,7 +2093,7 @@ mod tests {
         retreat_all(&mut net);
         let filled = |candidates: &[ChainPair]| {
             let mut net = net.clone();
-            net.redistribute(candidates);
+            net.redistribute(candidates, &[]);
             net.validate();
             net
         };
@@ -2402,9 +2489,6 @@ mod tests {
         kept: usize,
         /// Listed rows left out as still blocked.
         skipped: usize,
-        /// Listed rows let through that a scan of their whole primary
-        /// finds blocked: what the recorded refusals missed.
-        missed: usize,
         /// Loose rows, summed over the ops.
         loose: usize,
         /// Loose rows an arrival gathered only through a kept channel.
@@ -2455,7 +2539,12 @@ mod tests {
                 }
                 let unblocked = |&(slot, _): &ChainPair| {
                     let listed = net.connections.counted(slot) > Bandwidth::ZERO;
-                    listed && !fill::still_blocked(&net.links, net.connections.blocked(slot))
+                    let waits = net.connections.blocked(slot);
+                    let exact = Seam::BlockedAtExactRoom;
+                    let held = waits.is_some_and(|(l, inc)| {
+                        fill::still_blocked(&net.links[l.index()], inc, exact)
+                    });
+                    listed && !held
                 };
                 let mut loose = net.loose.clone();
                 loose.sort_unstable_by_key(|&(_, id)| id);
@@ -2481,7 +2570,6 @@ mod tests {
                     tally.loaded += gather.listed.len();
                     tally.kept += gather.kept.len();
                     tally.skipped += gather.skipped.len();
-                    tally.missed += gather.missed;
                     tally.through_kept += gather.through_kept;
                 }
             }
@@ -2636,7 +2724,8 @@ mod tests {
         let [_, c1] = live_pairs(&net)[..] else {
             panic!("two channels");
         };
-        assert_eq!(net.links[0].growable(), [c1]);
+        let waiting = net.links[0].waiter(Bandwidth::kbps(100), 0);
+        assert_eq!(waiting.map(|(_, slot)| slot), Some(c1.0));
         assert_eq!(net.check_invariants(), []);
         let unlisted = seam::with(Seam::SkipAListing, one_left_below_its_maximum);
         let mismatch = InvariantViolation::GrowableSetMismatch { link: LinkId(0) };
@@ -2651,19 +2740,23 @@ mod tests {
         let [c0, (slot, c1)] = live_pairs(&net)[..] else {
             panic!("two channels");
         };
+        let rank = |id| fill::rank(net.config.policy, net.connection(id).unwrap());
         let mismatch = [InvariantViolation::GrowableSetMismatch { link: LinkId(0) }];
-        let edits: [fn(&mut LinkUsage, ChainPair, ChainPair); 4] = [
-            |usage, _, (_, c1)| usage.unlist(c1, Bandwidth::ZERO),
-            |usage, c0, _| usage.list(c0, Bandwidth::ZERO),
-            |usage, _, c1| usage.list(c1, Bandwidth::ZERO),
-            |usage, _, (slot, c1)| {
-                usage.unlist(c1, Bandwidth::ZERO);
-                usage.list((slot + 1, c1), Bandwidth::ZERO);
+        // The waitlist missing c1, holding c0 at its maximum, holding c1
+        // twice, and holding c1 under the wrong slot.
+        type Entry = (u128, Slot);
+        let edits: [fn(&mut LinkUsage, Entry, Entry); 4] = [
+            |usage, _, (r1, _)| usage.unwait(Bandwidth::kbps(100), r1),
+            |usage, (r0, s0), _| usage.wait(Bandwidth::kbps(100), r0, s0),
+            |usage, _, (r1, s1)| usage.wait(Bandwidth::kbps(100), r1, s1),
+            |usage, _, (r1, s1)| {
+                usage.unwait(Bandwidth::kbps(100), r1);
+                usage.wait(Bandwidth::kbps(100), r1, s1 + 1);
             },
         ];
         for edit in edits {
             let mut broken = net.clone();
-            edit(&mut broken.links[0], c0, (slot, c1));
+            edit(&mut broken.links[0], (rank(c0.1), c0.0), (rank(c1), slot));
             assert_eq!(broken.check_invariants(), mismatch);
         }
         // A demand or a count that is not the remaining bandwidth is one too.

@@ -115,11 +115,14 @@ impl Network {
         let mut activated: Vec<ChainPair> = Vec::new();
         let mut dropped = Vec::new();
         for (slot, id) in victims {
+            #[cfg(test)]
+            self.tally_unwait(2, slot);
+            self.unwait((slot, id));
             let Self {
                 connections, links, ..
             } = self;
-            // Off the old primary's lists below; any new one starts
-            // unlisted, and where it was refused is not on it.
+            // Off the old primary's counts below; any new one starts
+            // uncounted.
             let counted = connections.unlist(slot);
             // lint:allow(no-panic-daemon): the pair came from the set's victims
             let conn = connections.at_mut(slot, id).expect("victim exists");
@@ -161,8 +164,12 @@ impl Network {
             }
         }
 
+        // The victims and the lost backups freed room that the fill does
+        // not walk (ROADMAP item 20): whoever waits there is loose now.
+        self.record_loose();
+
         // Channels sharing links with activated backups retreat.
-        let (mut retreated, mut candidates) = (Vec::new(), Vec::new());
+        let (mut retreated, mut candidates, mut handles) = (Vec::new(), Vec::new(), Vec::new());
         let links = self.connections.primary_links(&activated);
         Self::gather(&self.links, &mut self.marks, links, &mut retreated);
         retreated.retain(|&(_, c)| activated.binary_search_by_key(&c, |&(_, a)| a).is_err());
@@ -172,17 +179,15 @@ impl Network {
 
         // Re-distribute whatever is still spare, the activated channels
         // being the newcomers.
-        self.fill_candidates(&retreated, &[], &activated, &mut candidates);
-        self.redistribute(&candidates);
+        self.fill_candidates(&retreated, &[], &activated, &mut candidates, &mut handles);
+        self.redistribute(&candidates, &handles);
 
         // Re-establish backups for survivors that lost theirs.
         let activated: Vec<ConnectionId> = activated.into_iter().map(|(_, c)| c).collect();
         for &id in activated.iter().chain(&lost_backup) {
             self.top_up_backups(id);
         }
-        // The victims and the lost backups freed room that the fill did
-        // not walk (ROADMAP item 20).
-        self.record_loose();
+        self.prune_loose();
 
         // The gather's order is the slots', not the ids'.
         let mut retreated: Vec<ConnectionId> = retreated.into_iter().map(|(_, c)| c).collect();

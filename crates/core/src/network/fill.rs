@@ -2,10 +2,10 @@
 //! primaries an arrival, a termination or a failure left able to grow
 //! (Section 3.1's "retreat and re-distribution", the second half); the
 //! test that spares an arrival's retreat a primary the fill would grant
-//! straight back; and the one pass after the fill that keeps each link's
-//! list of growable primaries ([`LinkUsage::growable`]) and their demand
-//! exact, so the next event gathers its candidates from the lists instead
-//! of from every primary.
+//! straight back; the waitlists — per link, the listed primaries a fill
+//! refused there — that let an event offer the fill only what can move;
+//! and the one pass after the fill that keeps each link's growable demand
+//! ([`LinkUsage::growable_demand`]) exact.
 
 use super::seam::{self, Seam};
 use super::Network;
@@ -19,25 +19,6 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-/// How the fill takes a [`FillRow`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(super) enum Load {
-    /// Loaded up front, every link slack: granted to its maximum in one
-    /// step.
-    Bulk,
-    /// Loaded up front: granted one increment a turn.
-    Turns,
-    /// Listed and untouched since its last fill, so not loaded: its first
-    /// turn tests only the link that last refused it, recorded here.
-    Deferred(Blocked),
-    /// Deferred behind a lower `(score, id)` row with the same record, the
-    /// head of their group: given a first turn only once the row ahead of
-    /// it has woken (see [`Deferrals`]).
-    Held(Blocked),
-    /// Deferred, then loaded on its first turn, that link having room.
-    Woken,
-}
-
 /// One live fill candidate, read once from the connection table.
 #[derive(Debug)]
 pub(super) struct FillRow {
@@ -49,13 +30,37 @@ pub(super) struct FillRow {
     max_level: usize,
     increment: Bandwidth,
     utility: f64,
-    /// This row's primary links, as a range of [`FillScratch::arena`];
-    /// empty while the row is deferred.
+    /// This row's primary links, as a range of [`FillScratch::arena`].
     links: Range<usize>,
-    pub(super) load: Load,
+    /// Every link slack: granted to its maximum in one step, not one
+    /// increment a turn.
+    pub(super) bulk: bool,
 }
 
 impl FillRow {
+    /// Reads the connection in `slot` into a row, its links appended to
+    /// `arena`.
+    fn load(slot: Slot, conn: &DrConnection, arena: &mut Vec<LinkId>) -> Self {
+        let start = arena.len();
+        arena.extend_from_slice(conn.primary().links());
+        Self {
+            slot,
+            id: conn.id(),
+            loaded_level: conn.level(),
+            level: conn.level(),
+            max_level: conn.qos().max_level(),
+            increment: conn.qos().increment(),
+            utility: conn.qos().utility(),
+            links: start..arena.len(),
+            bulk: false,
+        }
+    }
+
+    /// The rank of this row's next turn, at its level.
+    fn rank(&self, policy: AdaptationPolicy) -> u128 {
+        rank_of(fill_score(policy, self.level, self.utility), self.id)
+    }
+
     /// The bandwidth this row could still be granted.
     fn remaining(&self) -> Bandwidth {
         self.increment.times((self.max_level - self.level) as u64)
@@ -76,29 +81,30 @@ impl FillRow {
     }
 }
 
-/// A row's turn, ordered so that the lowest `(score, id)` is the greatest:
-/// the top of a [`BinaryHeap`] and the last of a sorted vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Scored {
-    /// `(score, id)` as one integer: the score's bits mapped to an unsigned
-    /// key in [`f64::total_cmp`]'s order, above the id.
-    rank: u128,
-    row: usize,
+/// A waitlist bucket an event offered the fill: its link and increment,
+/// and how many of its rows, head first, have woken.
+#[derive(Debug)]
+pub(super) struct Handle {
+    pub(super) at: Blocked,
+    pub(super) woken: usize,
 }
 
-impl Scored {
-    fn new(score: f64, id: ConnectionId, row: usize) -> Self {
-        let bits = score.to_bits();
-        let key = if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | 1 << 63
-        };
-        Self {
-            rank: u128::from(key) << 64 | u128::from(id.0),
-            row,
-        }
-    }
+/// Whose turn a [`Scored`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Who {
+    /// A loaded row's, by its index.
+    Row(usize),
+    /// The next waiting row of an offered bucket's, by the handle's index.
+    Handle(usize),
+}
+
+/// A turn, ordered so that the lowest `(score, id)` is the greatest: the
+/// top of a [`BinaryHeap`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Scored {
+    /// `(score, id)` as one integer ([`rank_of`]).
+    rank: u128,
+    who: Who,
 }
 
 impl PartialOrd for Scored {
@@ -113,6 +119,18 @@ impl Ord for Scored {
     }
 }
 
+/// `(score, id)` as one integer: the score's bits mapped to an unsigned
+/// key in [`f64::total_cmp`]'s order, above the id.
+fn rank_of(score: f64, id: ConnectionId) -> u128 {
+    let bits = score.to_bits();
+    let key = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    u128::from(key) << 64 | u128::from(id.0)
+}
+
 /// The fill priority of a channel at `level`: lowest score grows first.
 fn fill_score(policy: AdaptationPolicy, level: usize, utility: f64) -> f64 {
     match policy {
@@ -121,6 +139,13 @@ fn fill_score(policy: AdaptationPolicy, level: usize, utility: f64) -> f64 {
         // Progressive filling: lowest weighted level first.
         AdaptationPolicy::Coefficient => (level as f64 + 1.0) / utility,
     }
+}
+
+/// The rank `conn`'s next fill turn takes, at its level: where it waits in
+/// a bucket.
+pub(super) fn rank(policy: AdaptationPolicy, conn: &DrConnection) -> u128 {
+    let score = fill_score(policy, conn.level(), conn.qos().utility());
+    rank_of(score, conn.id())
 }
 
 /// Whether `link` can grant all of `demand` — the increments every
@@ -162,162 +187,40 @@ fn keeps_its_extra(link: &LinkUsage, newcomer: Bandwidth) -> bool {
     link.is_up() && link.committed() + link.growable_demand() + newcomer <= link.capacity()
 }
 
-/// Whether the heap's refusal recorded in `at` still holds: its link is
-/// down or lacks the increment. Headroom only shrinks during a fill, so a
-/// connection refused there can be granted nothing by a fill starting now.
-pub(super) fn still_blocked(links: &[LinkUsage], at: Option<Blocked>) -> bool {
-    let Some((link, increment)) = at else {
-        return false;
-    };
-    links.get(link.index()).is_some_and(|u| {
-        if seam::armed(Seam::BlockedAtExactRoom) {
-            return !u.is_up() || u.headroom() <= increment;
-        }
-        lacks(u, increment)
-    })
-}
-
-/// Whether a deferred row's first turn refuses it where the fill last
-/// refused it, at `at`: that link is down or lacks the increment now.
-fn refused_again(links: &[LinkUsage], (link, increment): Blocked) -> bool {
-    links.get(link.index()).is_some_and(|u| {
-        if seam::armed(Seam::RefusedAtExactRoom) {
-            return !u.is_up() || u.headroom() <= increment;
-        }
-        lacks(u, increment)
-    })
-}
-
-/// No group: the end of a chain in [`Deferrals::at_link`].
-const NO_GROUP: u32 = u32::MAX;
-
-/// The deferred rows of one fill that share one recorded refusal.
-#[derive(Debug)]
-struct Group {
-    at: Blocked,
-    /// The next group recorded at the same link, for another increment.
-    next: u32,
-    /// Its lowest first turn so far: the only one queued while the
-    /// classification reads the rows.
-    head: Scored,
-    /// Once a row of the group has woken: its rows still held, as a range
-    /// of [`Deferrals::held`] whose last entry is the next turn.
-    waiting: Range<usize>,
-}
-
-/// The deferred rows of one fill, grouped by the refusal each one's
-/// record names. Headroom only shrinks during a fill, and a refused
-/// deferred row changes nothing, so once a group's lowest row is refused
-/// at that link, every later one would be too: only the lowest takes a
-/// first turn, and the next is queued when it wakes.
-#[derive(Debug, Default)]
-struct Deferrals {
-    groups: Vec<Group>,
-    /// Per link, the last group recorded there; [`NO_GROUP`] between fills.
-    at_link: Vec<u32>,
-    /// The rows held behind their group's head, with the group: sorted by
-    /// group, then from the last turn to the first, when a head first
-    /// wakes.
-    held: Vec<(u32, Scored)>,
-    sorted: bool,
-}
-
-impl Deferrals {
-    /// Starts a fill over `links` links.
-    fn begin(&mut self, links: usize) {
-        self.groups.clear();
-        self.held.clear();
-        self.sorted = false;
-        self.at_link.resize(links, NO_GROUP);
+/// Whether the rows waiting at `link` for `increment` still cannot move:
+/// the link is down or lacks the increment. Headroom only shrinks during a
+/// fill, so a row refused there can be granted nothing by a fill starting
+/// now, nor at its turn in a fill under way. `exact` is the seam that also
+/// counts exactly the increment's room as lacking.
+pub(super) fn still_blocked(link: &LinkUsage, increment: Bandwidth, exact: Seam) -> bool {
+    if seam::armed(exact) {
+        return !link.is_up() || link.headroom() <= increment;
     }
-
-    /// The group recorded at `at`, if any.
-    fn find(&self, (link, increment): Blocked) -> Option<usize> {
-        let mut g = *self.at_link.get(link.index())?;
-        while let Some(group) = self.groups.get(g as usize) {
-            if group.at.1 == increment {
-                return Some(g as usize);
-            }
-            g = group.next;
-        }
-        None
-    }
-
-    /// Files a deferred row's first turn under its record `at`. Returns
-    /// the turn that is now held: this one, or the head it displaced.
-    fn join(&mut self, at: Blocked, turn: Scored) -> Option<Scored> {
-        let Some(g) = self.find(at) else {
-            let next = self.at_link[at.0.index()];
-            self.at_link[at.0.index()] = self.groups.len() as u32;
-            self.groups.push(Group {
-                at,
-                next,
-                head: turn,
-                waiting: 0..0,
-            });
-            return None;
-        };
-        let head = &mut self.groups[g].head;
-        let held = if turn > *head {
-            std::mem::replace(head, turn)
-        } else {
-            turn
-        };
-        self.held.push((g as u32, held));
-        Some(held)
-    }
-
-    /// Every group's head.
-    fn heads(&self) -> impl Iterator<Item = Scored> + '_ {
-        self.groups.iter().map(|g| g.head)
-    }
-
-    /// The next turn of the group recorded at `at`, whose latest turn has
-    /// just woken.
-    fn promote(&mut self, at: Blocked) -> Option<Scored> {
-        if seam::armed(Seam::DropTheGroupOnAWake) {
-            return None;
-        }
-        let g = self.find(at)?;
-        if !self.sorted {
-            self.held.sort_unstable();
-            let mut start = 0;
-            for run in self.held.chunk_by(|a, b| a.0 == b.0) {
-                self.groups[run[0].0 as usize].waiting = start..start + run.len();
-                start += run.len();
-            }
-            self.sorted = true;
-        }
-        let next = self.groups[g].waiting.next_back()?;
-        Some(self.held[next].1)
-    }
-
-    /// Ends a fill: clears the per-link index.
-    fn finish(&mut self) {
-        for group in &self.groups {
-            self.at_link[group.at.0.index()] = NO_GROUP;
-        }
-    }
+    lacks(link, increment)
 }
 
 /// Reusable work tables of [`Network::redistribute`]: a fill
 /// allocates nothing once these have grown to the working-set size. Not
 /// part of the network's state: every fill rebuilds them from scratch. The
-/// rows are the candidates the fill read, those live and below their
-/// maximum, loaded or deferred.
+/// rows are the candidates the fill loaded, those live and below their
+/// maximum, up front or woken.
 #[derive(Debug, Default)]
 pub(super) struct FillScratch {
     pub(super) rows: Vec<FillRow>,
+    /// The buckets the last fill was offered.
+    pub(super) handles: Vec<Handle>,
     /// The primary links of every loaded row, back to back.
     arena: Vec<LinkId>,
     /// Per link, the bandwidth the rows loaded up front could still ask of
     /// it; all zero between fills, and between the keep rule's uses of it.
     demand: Vec<Bandwidth>,
-    /// Every row's first turn, sorted (empty between fills, capacity kept).
-    firsts: Vec<Scored>,
-    /// The heap of later turns' backing store between fills (likewise).
+    /// The heap of turns' backing store between fills (empty, capacity
+    /// kept).
     heap: Vec<Scored>,
-    deferrals: Deferrals,
+    /// How many rows left a waitlist by retreat, release and failover,
+    /// for the differentials' coverage floors.
+    #[cfg(test)]
+    pub(super) unwaited: [usize; 3],
 }
 
 impl Network {
@@ -372,45 +275,68 @@ impl Network {
         retreating
     }
 
-    /// Drops from the loose set every row that has left, been granted its
-    /// maximum or been refused again since it was recorded.
-    pub(super) fn prune_loose(&mut self) {
-        let Self {
-            links,
-            connections,
-            loose,
-            ..
-        } = self;
-        loose.retain(|&pair| connections.is_loose(pair, |at| still_blocked(links, at)));
+    /// Takes the live `pair` off the waitlist it waits on, if any, before
+    /// its level moves or it leaves.
+    pub(super) fn unwait(&mut self, (slot, id): ChainPair) {
+        let Some((link, increment)) = self.connections.blocked(slot) else {
+            return;
+        };
+        if let Some(conn) = self.connections.at(slot, id) {
+            let at = rank(self.config.policy, conn);
+            self.links[link.index()].unwait(increment, at);
+        }
+        self.connections.set_blocked(slot, None);
     }
 
-    /// Records the loose set afresh from the connection table's count and
-    /// refusal columns: at the end of a fault step, which frees room where
-    /// its fill walks nothing, and of a repair.
+    /// Drops from the loose set every row that has left, been granted its
+    /// maximum or been refused again — it waits — since it was recorded.
+    pub(super) fn prune_loose(&mut self) {
+        let table = &self.connections;
+        let loose = |slot| table.counted(slot) > Bandwidth::ZERO && table.blocked(slot).is_none();
+        self.loose
+            .retain(|&(slot, id)| table.at(slot, id).is_some() && loose(slot));
+    }
+
+    /// Prunes the loose set, then adds to it every row waiting at a link
+    /// with room for its increment, taken off the waitlist: at a fault
+    /// step, which frees room where its fill walks nothing, and at a
+    /// repair.
     pub(super) fn record_loose(&mut self) {
+        self.prune_loose();
         let Self {
             links,
             connections,
             loose,
             ..
         } = self;
-        loose.clear();
-        loose.extend(connections.loose(|at| still_blocked(links, at)));
+        for usage in links.iter_mut() {
+            let mut b = 0;
+            while let Some(bucket) = usage.buckets().get(b) {
+                if still_blocked(usage, bucket.increment, Seam::BlockedAtExactRoom) {
+                    b += 1;
+                    continue;
+                }
+                for (rank, slot) in usage.take_bucket(b).rows {
+                    connections.set_blocked(slot, None);
+                    loose.push((slot, ConnectionId(rank as u64)));
+                }
+            }
+        }
         if seam::armed(Seam::ForgetALooseRow) {
             loose.pop();
         }
     }
 
-    /// The one list edit of an event, after its fill, outside it: each live
-    /// pair of `pairs` whose count in the connection table disagrees with
-    /// its remaining bandwidth is listed on, taken off, or recounted on
-    /// every link of its primary. Retreat leaves the lists alone, and a
-    /// primary is put on a link unlisted, so this lists a row that was at
-    /// its maximum (or new) and ended below it, unlists a listed row the
-    /// fill granted up to its maximum, and recounts a listed row that moved
-    /// but stayed below it. The common row — retreated from its maximum and
-    /// granted straight back — is none of these: the table's count column
-    /// tells, without reading a list, and nothing is edited.
+    /// The one count edit of an event, after its fill, outside it: each
+    /// live pair of `pairs` whose count in the connection table disagrees
+    /// with its remaining bandwidth is recounted on every link of its
+    /// primary. Retreat leaves the counts alone, and a primary is put on a
+    /// link uncounted, so this lists a row that was at its maximum (or new)
+    /// and ended below it, unlists a listed row the fill granted up to its
+    /// maximum, and recounts a listed row that moved but stayed below it.
+    /// The common row — retreated from its maximum and granted straight
+    /// back — is none of these: the table's count column tells, and nothing
+    /// is edited.
     pub(super) fn reconcile(
         links: &mut [LinkUsage],
         connections: &mut ConnTable,
@@ -427,17 +353,10 @@ impl Network {
             if counted == Bandwidth::ZERO && seam::armed(Seam::SkipAListing) {
                 continue;
             }
-            for l in conn.primary().links() {
-                let usage = &mut links[l.index()];
-                if counted == Bandwidth::ZERO {
-                    usage.list((slot, id), now);
-                } else if now == Bandwidth::ZERO {
-                    usage.unlist(id, counted);
-                } else {
-                    if seam::armed(Seam::ForgetARecount) {
-                        continue;
-                    }
-                    usage.recount(counted, now);
+            let listed_both = counted != Bandwidth::ZERO && now != Bandwidth::ZERO;
+            if !(listed_both && seam::armed(Seam::ForgetARecount)) {
+                for l in conn.primary().links() {
+                    links[l.index()].recount(counted, now);
                 }
             }
             connections.set_counted(slot, now);
@@ -445,68 +364,57 @@ impl Network {
     }
 
     /// Water-fills extra increments over the set `candidates`, in whatever
-    /// order it lists them, according to the adaptation policy, then
-    /// [reconciles](Self::reconcile) the lists over the rows it loaded. The
-    /// set must hold every live primary whose level the event moved and
-    /// every one it put on a link; anyone else it names is ignored when at
-    /// their maximum or no longer live.
+    /// order it lists them, and the rows waiting in the buckets `handles`
+    /// names, according to the adaptation policy; then puts every row it
+    /// left below its maximum on the waitlist of the link that refused it,
+    /// and [reconciles](Self::reconcile) the counts over the rows it
+    /// loaded. `candidates` must hold every live primary whose level the
+    /// event moved and every one it put on a link, none of them waiting;
+    /// anyone else it names is ignored when at their maximum or no longer
+    /// live.
     ///
     /// Each live candidate that can still grow is read once into a flat
-    /// row. A listed row untouched since its last fill — counted on its
-    /// links at its remaining, with the link that last refused it recorded
-    /// in the connection table — is deferred; every other row is loaded
-    /// with its links. Loaded rows whose links are all slack are granted up
-    /// to their maximum in one step. The rest take turns in `(score, id)`
-    /// order, one increment a turn: every row's first turn from one sorted
-    /// vector, a granted row's later turns from a min-heap, the lower of
-    /// the two next. Deferred rows with one recorded refusal form a group,
-    /// and only its lowest row's first turn is sorted in; when a row of the
-    /// group wakes, the next one's first turn joins the heap. Headroom only
-    /// shrinks during a fill, so a refused row is dropped for good, and the
-    /// link that refused it is recorded in the connection table for the
-    /// next event's gather ([`still_blocked`]) and the next fill's
-    /// deferral.
+    /// row, with its links. Rows whose links are all slack are granted up
+    /// to their maximum in one step. The rest take turns from one min-heap
+    /// in `(score, id)` order, one increment a turn. A bucket's head takes
+    /// the bucket's first turn in the same heap; it is read, loaded and
+    /// granted only if the bucket's link has room for the increment then,
+    /// and its waking queues the next row's first turn. Headroom only
+    /// shrinks during a fill, so a refused row is dropped for good.
     ///
     /// The shortcut is exact. A slack link has room for everything the
     /// candidates could still ask of it, so it refuses nobody whatever the
     /// grant order: a row on slack links only ends at its maximum. And
     /// such rows touch no tight link, so the turns of the remaining rows
     /// see the tight links exactly as the one-increment-at-a-time fill
-    /// over all candidates would, and grant in the same order.
+    /// over all candidates would, and grant in the same order. While any
+    /// bucket is offered, the slack test adds the link's listed demand to
+    /// the loaded rows': a bound on what the rows ask, waiting ones
+    /// included, under which a link passes only if it is truly slack.
     ///
-    /// So is the deferral. A deferred row is listed on each of its links at
-    /// its remaining, so while any row is deferred the slack test adds the
-    /// link's listed demand to the loaded rows': a bound on what the rows
-    /// ask, under which a link passes only if it is truly slack. A truly
-    /// slack row that fails the bound takes turns instead, and still ends
-    /// at its maximum without touching a tight link. A deferred row's first
-    /// turn refuses it when its recorded link, on its primary, is down or
-    /// lacks its increment — the full-path test would too — and leaves
-    /// the record standing, still true; otherwise the row is loaded then
-    /// and takes that turn across its whole primary. A group's rows
-    /// behind a refused one would each be refused at the same link at
-    /// their turns, headroom having only shrunk, and a refusal changes
-    /// nothing, so they are left where they are, their records still
-    /// true. Behind a row that woke, the next one's first turn enters the
-    /// heap then, before its place in the `(score, id)` order comes up:
-    /// every turn taken meanwhile ranked below the woken row.
+    /// So are the buckets. A waiting row's level has not moved since it
+    /// was refused, so its rank is its next turn's. Its turn would refuse
+    /// it where it waits whenever that link is down or lacks its increment
+    /// — the full-path test would too — and a refusal changes nothing; so
+    /// once a bucket's row is refused there, every row behind it would be
+    /// refused at the same link at its turn, headroom having only shrunk,
+    /// and they are left where they are. Behind a row that woke, the next
+    /// row's first turn enters the heap then, before its place in the
+    /// `(score, id)` order comes up: every turn taken meanwhile ranked
+    /// below the woken row.
     ///
     /// Nor does the order of `candidates` matter: every row is classified
     /// before any is granted, the demand sums are integer additions, bulk
     /// grants never touch a tight link, and the `(score, id)` order of the
-    /// turns is total. So candidates gathered from the links' lists of
-    /// growable primaries take exactly the turns that every primary of
-    /// those links would, but for two kinds the fill could grant nothing
-    /// anyway: the rows the lists leave out sit at their maximum, and the
-    /// listed rows the gather leaves out are still blocked where a fill
-    /// last refused them, so the one-increment fill would refuse each on
-    /// its first turn.
-    pub(super) fn redistribute(&mut self, candidates: &[ChainPair]) {
+    /// turns is total.
+    pub(super) fn redistribute(&mut self, candidates: &[ChainPair], handles: &[Blocked]) {
         #[cfg(test)]
-        if seam::armed(Seam::ReferenceFill) {
-            self.redistribute_reference(candidates);
-            let pairs = candidates.iter().copied();
-            return Self::reconcile(&mut self.links, &mut self.connections, pairs);
+        if seam::armed(Seam::ReferenceCommit) || seam::armed(Seam::ReferenceFill) {
+            // The reference gather offers waiting rows as plain candidates.
+            candidates.iter().for_each(|&pair| self.unwait(pair));
+            if seam::armed(Seam::ReferenceFill) {
+                return self.redistribute_reference(candidates);
+            }
         }
         let policy = self.config.policy;
         let Self {
@@ -517,177 +425,150 @@ impl Network {
         } = self;
         let FillScratch {
             rows,
+            handles: offered,
             arena,
             demand,
-            firsts,
             heap,
-            deferrals,
+            ..
         } = fill;
         rows.clear();
         arena.clear();
         demand.resize(links.len(), Bandwidth::ZERO);
-        deferrals.begin(links.len());
+        offered.clear();
+        offered.extend(handles.iter().map(|&at| Handle { at, woken: 0 }));
 
-        // Read the candidates that are still live — a pair whose slot has
+        // Load the candidates that are still live — a pair whose slot has
         // since been vacated or handed on is not — and below their maximum
-        // (the others can never be granted anything). Defer the listed
-        // ones untouched since their last fill; load the rest, summing per
-        // link what they could still ask of it.
-        let mut deferring = false;
+        // (the others can never be granted anything), summing per link
+        // what they could still ask of it.
         for &(slot, id) in candidates {
             let Some(conn) = connections.at(slot, id) else {
                 continue;
             };
-            let (level, max_level) = (conn.level(), conn.qos().max_level());
-            if level >= max_level {
+            if conn.level() >= conn.qos().max_level() {
                 continue;
             }
-            let mut row = FillRow {
-                slot,
-                id,
-                loaded_level: level,
-                level,
-                max_level,
-                increment: conn.qos().increment(),
-                utility: conn.qos().utility(),
-                links: 0..0,
-                load: Load::Turns,
-            };
-            let untouched = |_: &Blocked| connections.counted(slot) == row.remaining();
-            match connections.blocked(slot).filter(untouched) {
-                Some(at) => {
-                    row.load = Load::Deferred(at);
-                    deferring = true;
-                }
-                None => {
-                    let start = arena.len();
-                    arena.extend_from_slice(conn.primary().links());
-                    row.links = start..arena.len();
-                    for l in &arena[start..] {
-                        demand[l.index()] += row.remaining();
-                    }
-                }
+            let row = FillRow::load(slot, conn, arena);
+            for l in &arena[row.links.clone()] {
+                demand[l.index()] += row.remaining();
             }
             rows.push(row);
         }
 
         // Classify every loaded row before granting anything: grants eat
-        // the headroom the slack test reads.
-        for row in rows.iter_mut().filter(|r| r.load == Load::Turns) {
+        // the headroom the slack test reads. A bulk row is granted at once;
+        // the others, and the offered buckets' heads, queue a first turn.
+        let waiting = !offered.is_empty();
+        for (i, row) in rows.iter_mut().enumerate() {
             let bound = |l: &LinkId| {
                 let usage = &links[l.index()];
-                let listed = if deferring {
+                let listed = if waiting {
                     usage.growable_demand()
                 } else {
                     Bandwidth::ZERO
                 };
                 is_slack(usage, demand[l.index()] + listed)
             };
-            if arena[row.links.clone()].iter().all(bound) {
-                row.load = Load::Bulk;
+            row.bulk = arena[row.links.clone()].iter().all(bound);
+            if !row.bulk {
+                heap.push(Scored {
+                    rank: row.rank(policy),
+                    who: Who::Row(i),
+                });
             }
         }
-        for i in 0..rows.len() {
-            let row = &mut rows[i];
-            if row.load == Load::Bulk {
-                for l in &arena[row.links.clone()] {
-                    links[l.index()].add_extra(row.remaining());
-                }
-                row.level = row.max_level;
-                continue;
+        for row in rows.iter_mut().filter(|r| r.bulk) {
+            for l in &arena[row.links.clone()] {
+                links[l.index()].add_extra(row.remaining());
             }
-            let turn = Scored::new(fill_score(policy, row.level, row.utility), row.id, i);
-            if let Load::Deferred(at) = row.load {
-                if let Some(held) = deferrals.join(at, turn) {
-                    rows[held.row].load = Load::Held(at);
-                }
-            } else {
-                firsts.push(turn);
+            row.level = row.max_level;
+        }
+        for (h, handle) in offered.iter().enumerate() {
+            let (link, increment) = handle.at;
+            if let Some((rank, _)) = links[link.index()].waiter(increment, 0) {
+                heap.push(Scored {
+                    rank,
+                    who: Who::Handle(h),
+                });
             }
         }
-        firsts.extend(deferrals.heads());
         for l in arena.iter() {
             demand[l.index()] = Bandwidth::ZERO;
         }
 
-        // The turns, one increment each: the lowest (score, id) of the
-        // first turns left and the later turns queued goes next. A turn
-        // queued for a deferred row is its first.
-        firsts.sort_unstable();
-        let mut later = BinaryHeap::from(std::mem::take(heap));
+        // The turns, one increment each, lowest (score, id) first. A
+        // bucket's turn is its next row's first: refused where it waits,
+        // the bucket stays as it is; otherwise the row wakes and takes its
+        // turn in its place, and the bucket's next row queues.
+        let mut turns = BinaryHeap::from(std::mem::take(heap));
         loop {
-            let first = match (firsts.last(), later.peek()) {
-                (Some(first), Some(next)) => first > next,
-                (first, _) => first.is_some(),
+            let Some(mut top) = turns.peek_mut() else {
+                break;
             };
-            let turn = if first {
-                firsts.pop()
-            } else {
-                let Some(mut top) = later.peek_mut() else {
-                    break;
-                };
-                let row = &mut rows[top.row];
-                if !matches!(row.load, Load::Deferred(_)) {
-                    if let Some(refused) = row.take_turn(&arena[row.links.clone()], links) {
-                        connections.set_blocked(row.slot, Some((refused, row.increment)));
+            let i = match top.who {
+                Who::Row(i) => i,
+                Who::Handle(h) => {
+                    let handle = &mut offered[h];
+                    let (link, increment) = handle.at;
+                    let usage = &links[link.index()];
+                    let waker = usage.waiter(increment, handle.woken);
+                    let id = ConnectionId(top.rank as u64);
+                    let conn = waker.and_then(|(_, slot)| Some((slot, connections.at(slot, id)?)));
+                    let refused = still_blocked(usage, increment, Seam::RefusedAtExactRoom);
+                    let Some((slot, conn)) = conn.filter(|_| !refused) else {
                         PeekMut::pop(top);
-                    } else if row.level == row.max_level {
-                        PeekMut::pop(top);
-                    } else {
-                        let score = fill_score(policy, row.level, row.utility);
-                        *top = Scored::new(score, row.id, top.row);
+                        continue;
+                    };
+                    handle.woken += 1;
+                    let next = usage.waiter(increment, handle.woken);
+                    let tail = usage.waiter(increment, handle.woken + 1).is_none();
+                    rows.push(FillRow::load(slot, conn, arena));
+                    connections.set_blocked(slot, None);
+                    top.who = Who::Row(rows.len() - 1);
+                    drop(top);
+                    if let Some((rank, _)) = next {
+                        if !(tail && seam::armed(Seam::ForgetABucketTail)) {
+                            turns.push(Scored {
+                                rank,
+                                who: Who::Handle(h),
+                            });
+                        }
                     }
                     continue;
                 }
-                Some(PeekMut::pop(top))
             };
-            let Some(turn) = turn else {
-                break;
-            };
-            if let Load::Deferred(at) = rows[turn.row].load {
-                // Refused, and so is every row held behind it.
-                if refused_again(links, at) {
-                    continue;
-                }
-                let row = &mut rows[turn.row];
-                let Some(conn) = connections.at(row.slot, row.id) else {
-                    continue;
-                };
-                let start = arena.len();
-                arena.extend_from_slice(conn.primary().links());
-                row.links = start..arena.len();
-                row.load = Load::Woken;
-                if let Some(next) = deferrals.promote(at) {
-                    rows[next.row].load = Load::Deferred(at);
-                    later.push(next);
-                }
-            }
-            let row = &mut rows[turn.row];
+            let row = &mut rows[i];
             if let Some(refused) = row.take_turn(&arena[row.links.clone()], links) {
                 connections.set_blocked(row.slot, Some((refused, row.increment)));
-            } else if row.level < row.max_level {
-                let score = fill_score(policy, row.level, row.utility);
-                later.push(Scored::new(score, row.id, turn.row));
+                PeekMut::pop(top);
+            } else if row.level == row.max_level {
+                PeekMut::pop(top);
+            } else {
+                top.rank = row.rank(policy);
             }
         }
-        *heap = later.into_vec();
-        deferrals.finish();
+        *heap = turns.into_vec();
 
-        // Write the moved levels back, and the total once.
-        for row in rows.iter().filter(|r| r.level != r.loaded_level) {
-            self.total_bandwidth += row.increment.times((row.level - row.loaded_level) as u64);
-            if let Some(conn) = connections.at_mut(row.slot, row.id) {
-                conn.set_level(row.level);
+        // The woken rows leave their buckets. Write the moved levels back,
+        // and the total once; a row left below its maximum was refused, and
+        // waits where.
+        for handle in offered.iter() {
+            links[handle.at.0.index()].wake(handle.at.1, handle.woken);
+        }
+        for row in rows.iter() {
+            if row.level != row.loaded_level {
+                self.total_bandwidth += row.increment.times((row.level - row.loaded_level) as u64);
+                if let Some(conn) = connections.at_mut(row.slot, row.id) {
+                    conn.set_level(row.level);
+                }
+            }
+            if row.level < row.max_level {
+                if let Some((link, increment)) = connections.blocked(row.slot) {
+                    links[link.index()].wait(increment, row.rank(policy), row.slot);
+                }
             }
         }
-
-        // A row the fill never loaded is a candidate skipped (no longer
-        // live, or at its maximum and so counted at zero) or a deferred
-        // row refused where it last was: its level and count are unchanged.
-        let loaded = rows
-            .iter()
-            .filter(|r| !matches!(r.load, Load::Deferred(_) | Load::Held(_)));
-        Self::reconcile(links, connections, loaded.map(|r| (r.slot, r.id)));
+        Self::reconcile(links, connections, rows.iter().map(|r| (r.slot, r.id)));
     }
 }
 
@@ -695,22 +576,15 @@ impl Network {
 #[cfg(test)]
 mod testing {
     use super::*;
-    use crate::channel::DrConnection;
-
-    impl FillScratch {
-        /// The rows the last fill held behind their group's head, each with
-        /// whether a wake ahead of it queued its first turn.
-        pub(in crate::network) fn held(&self) -> impl Iterator<Item = bool> + '_ {
-            let held = self.deferrals.held.iter();
-            held.map(|(_, turn)| !matches!(self.rows[turn.row].load, Load::Held(_)))
-        }
-    }
 
     impl Network {
         /// The fill as it was before the flat one, kept verbatim (but for
         /// reading the ids out of the candidate pairs) as the reference
         /// the production fill is compared against: per granted increment
-        /// two lookups by id, a link-list clone and a heap push.
+        /// two lookups by id, a link-list clone and a heap push. None of
+        /// `candidates` may wait; each row left below its maximum then waits
+        /// at the first link of its primary that is down or lacks its
+        /// increment.
         pub(in crate::network) fn redistribute_reference(&mut self, candidates: &[ChainPair]) {
             #[derive(PartialEq)]
             struct Scored {
@@ -762,6 +636,21 @@ mod testing {
                     id,
                 });
             }
+            for &(slot, id) in candidates {
+                let Some(conn) = self.connections.at(slot, id) else {
+                    continue;
+                };
+                let inc = conn.qos().increment();
+                let short = |l: &&LinkId| lacks(&self.links[l.index()], inc);
+                let below = conn.level() < conn.qos().max_level();
+                if let Some(&link) = conn.primary().links().iter().find(short).filter(|_| below) {
+                    let at = rank(policy, conn);
+                    self.links[link.index()].wait(inc, at, slot);
+                    self.connections.set_blocked(slot, Some((link, inc)));
+                }
+            }
+            let pairs = candidates.iter().copied();
+            Self::reconcile(&mut self.links, &mut self.connections, pairs);
         }
 
         /// Whether `id` can absorb one more increment on every link of its

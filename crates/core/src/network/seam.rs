@@ -25,21 +25,24 @@ pub(super) enum Seam {
     ForgetARecount,
     /// The keep rule leaves the newcomer's remaining out of its test.
     DropTheNewcomer,
-    /// The gather also skips a row whose recorded link has exactly Δ of
-    /// room.
+    /// The gather passes over, and the loose set's recording leaves
+    /// waiting, a bucket whose link has exactly Δ of room.
     BlockedAtExactRoom,
-    /// A deferred first turn also refuses at exactly Δ of room.
+    /// An offered bucket's turn also refuses at exactly Δ of room.
     RefusedAtExactRoom,
-    /// A woken deferred row queues no turn for the next of its group.
-    DropTheGroupOnAWake,
+    /// A wake queues no turn for its bucket's last row.
+    ForgetABucketTail,
     /// Recording the loose set drops its last row.
     ForgetALooseRow,
     /// The fill's slack test is weakened by one (smallest) increment.
     WeakFill,
-    /// Every commit is the reference one, and no listed gather leaves a
-    /// row out.
+    /// Every commit is the reference one, and every gather offers each
+    /// listed primary of its links as a plain candidate, none through a
+    /// waitlist (its sites call test-only code).
+    #[cfg(test)]
     ReferenceCommit,
-    /// Every fill is the reference one (its one site calls test-only code).
+    /// Every fill is the reference one, over what that same gather
+    /// offers (likewise).
     #[cfg(test)]
     ReferenceFill,
 }

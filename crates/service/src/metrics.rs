@@ -159,7 +159,8 @@ impl Metrics {
     }
 
     /// Records one handled request in slot `row`: the request's row
-    /// index in [`VERBS`], or [`INVALID`] (as is anything past the end).
+    /// index in [`VERBS`], or `INVALID`, one past the last (as is anything
+    /// past the end).
     pub fn record(&mut self, row: usize, latency: Duration, errored: bool) {
         let Some(stats) = self.ops.get_mut(row.min(INVALID)) else {
             return;

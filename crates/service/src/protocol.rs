@@ -8,8 +8,8 @@
 //! byte-exact against golden transcripts. The verbs, their operands and
 //! their opcodes are the rows of [`drqos_core::wire::VERBS`] (SERVICE.md
 //! has the documented table and the full grammar): [`parse`] and
-//! [`Request::render`] are loops over a row, and [`Request::parts`] /
-//! [`Request::from_parts`] are the only code that knows which variant a
+//! [`Request::render`] are loops over a row, and `Request::parts` /
+//! `Request::from_parts` are the only code that knows which variant a
 //! row builds.
 
 use crate::error::{ProtocolError, CODE_INTERNAL};
