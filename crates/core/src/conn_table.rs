@@ -41,16 +41,21 @@ pub(crate) struct ConnTable {
     /// is one read of a dense column, not a search of a list. An index like
     /// the slots themselves, never state.
     counted: Vec<Bandwidth>,
-    /// Per slot, the waitlist its connection waits on: a link of its
+    /// Per slot, where its connection waits: the waitlist — a link of its
     /// primary where a fill refused it, and the increment that link
-    /// lacked (see [`crate::link_state::LinkUsage::buckets`]). `None` for
-    /// a connection that waits nowhere. An index, never state.
-    blocked: Vec<Option<Blocked>>,
+    /// lacked (see [`crate::link_state::LinkUsage::buckets`]) — and the
+    /// rank it holds there. `None` for a connection that waits nowhere.
+    /// A retreat moves the level and leaves the place, so the rank is read
+    /// here, not from the level. An index, never state.
+    waiting: Vec<Option<Waiting>>,
 }
 
 /// A link of a connection's primary that lacked its increment, and that
 /// increment.
 pub(crate) type Blocked = (LinkId, Bandwidth);
+
+/// A waitlist place: the waitlist, and the rank held in it.
+pub(crate) type Waiting = (Blocked, u128);
 
 /// Equality over the connections, in id order; never over slot history.
 impl PartialEq for ConnTable {
@@ -76,7 +81,7 @@ impl ConnTable {
             assert!(fresh.is_ok(), "connection table is out of slots");
             self.slots.push(None);
             self.counted.push(Bandwidth::ZERO);
-            self.blocked.push(None);
+            self.waiting.push(None);
             fresh.unwrap_or(Slot::MAX)
         });
         let before = self.index.insert(conn.id(), slot);
@@ -107,7 +112,7 @@ impl ConnTable {
     /// refused, for a connection new to its links; returns the amount it
     /// was counted at.
     pub(crate) fn unlist(&mut self, slot: Slot) -> Bandwidth {
-        self.set_blocked(slot, None);
+        self.set_waiting(slot, None);
         let counted = self.counted(slot);
         self.set_counted(slot, Bandwidth::ZERO);
         counted
@@ -115,26 +120,31 @@ impl ConnTable {
 
     /// The waitlist the connection in `slot` waits on, if any.
     pub(crate) fn blocked(&self, slot: Slot) -> Option<Blocked> {
-        self.blocked.get(slot as usize).copied().flatten()
+        self.waiting(slot).map(|(at, _)| at)
     }
 
-    /// Records the waitlist the connection in `slot` waits on.
-    pub(crate) fn set_blocked(&mut self, slot: Slot, at: Option<Blocked>) {
-        if let Some(mark) = self.blocked.get_mut(slot as usize) {
-            *mark = at;
+    /// Where the connection in `slot` waits, if anywhere.
+    pub(crate) fn waiting(&self, slot: Slot) -> Option<Waiting> {
+        self.waiting.get(slot as usize).copied().flatten()
+    }
+
+    /// Records where the connection in `slot` waits.
+    pub(crate) fn set_waiting(&mut self, slot: Slot, place: Option<Waiting>) {
+        if let Some(mark) = self.waiting.get_mut(slot as usize) {
+            *mark = place;
         }
     }
 
     /// Takes `id` out of the table, with the amount it was counted at and
-    /// the waitlist it waited on.
+    /// where it waited.
     pub(crate) fn remove(
         &mut self,
         id: ConnectionId,
-    ) -> Option<(DrConnection, Bandwidth, Option<Blocked>)> {
+    ) -> Option<(DrConnection, Bandwidth, Option<Waiting>)> {
         let slot = self.index.remove(&id)?;
         self.free.push(slot);
         let conn = self.slots.get_mut(slot as usize)?.take()?;
-        let waited = self.blocked(slot);
+        let waited = self.waiting(slot);
         Some((conn, self.unlist(slot), waited))
     }
 

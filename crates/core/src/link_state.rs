@@ -173,14 +173,6 @@ impl LinkUsage {
         bucket.rows.get(i).copied()
     }
 
-    /// Takes the first `n` primaries, head first, off the bucket for
-    /// `increment`.
-    pub(crate) fn wake(&mut self, increment: Bandwidth, n: usize) {
-        self.edit(increment, |rows| {
-            rows.truncate(rows.len().saturating_sub(n))
-        });
-    }
-
     /// Edits the rows of the bucket for `increment`, if there is one, and
     /// drops the bucket once it is empty.
     fn edit(&mut self, increment: Bandwidth, f: impl FnOnce(&mut Vec<(u128, Slot)>)) {
@@ -437,9 +429,11 @@ impl LinkUsage {
 
 /// The primaries a fill refused at one link for want of one increment:
 /// `(rank, slot)` pairs, the rank being the `(score, id)` of the fill turn
-/// each would take next, highest first, so that the head — the lowest,
-/// next to move — is last. A waiting primary's level cannot move without
-/// taking it off, so neither can its rank.
+/// each would take next at the level it was refused at, highest first, so
+/// that the head — the lowest, next to move — is last. A retreat moves a
+/// waiting primary's level but not its entry: the fill that follows loads
+/// it, and its write-back moves the entry only if the primary ends
+/// refused elsewhere, for another increment or at another rank.
 #[derive(Debug, Clone)]
 pub(crate) struct Bucket {
     pub(crate) increment: Bandwidth,

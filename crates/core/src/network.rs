@@ -355,7 +355,7 @@ impl Network {
         let newcomer = self.reserve_newcomer(plan);
         // 2. Retreat every directly chained primary but those the fill
         //    would grant straight back, decided before anyone retreats.
-        let retreating = self.keep_at_maximum(&mut chained, newcomer);
+        let retreating = self.keep_at_maximum(&mut chained, &[newcomer]);
         let (retreated, kept) = chained.split_at(retreating);
         for &pair in retreated {
             self.retreat(pair);
@@ -469,8 +469,9 @@ impl Network {
     /// arrival `kept`; then the retreated channels and the `newcomers` the
     /// event put on their routes (an admitted connection, the connections a
     /// failure moved onto their backups), each once and never left out.
-    /// None of them waits: retreat and failover take a channel off its
-    /// waitlist, since its level moves.
+    /// A retreated one may still wait where it waited: the fill loads it,
+    /// and its bucket's turns pass over it. A failover takes a channel
+    /// off its waitlist, since its route moves.
     ///
     /// Retreat is where an event adds headroom that no fill has been
     /// offered yet, so only the retreated channels' links are read. A kept
@@ -625,12 +626,12 @@ impl Network {
         let Some((mut conn, counted, waited)) = self.connections.remove(id) else {
             return Err(NetworkError::UnknownConnection(id.0));
         };
-        if let Some((link, increment)) = waited {
+        if let Some(((link, increment), rank)) = waited {
             #[cfg(test)]
             {
                 self.fill.unwaited[1] += 1;
             }
-            self.links[link.index()].unwait(increment, fill::rank(self.config.policy, &conn));
+            self.links[link.index()].unwait(increment, rank);
         }
         Self::retreat_conn(&mut self.links, &mut self.total_bandwidth, &mut conn);
         let min = conn.qos().min();
@@ -699,12 +700,10 @@ impl Network {
     // ----------------------------------------------- elastic adaptation --
 
     /// Drops the connection of a live `(slot, id)` pair to its minimum
-    /// level, returning extras to its links, and takes it off the waitlist
-    /// it waits on.
+    /// level, returning extras to its links. A waiting one keeps its
+    /// waitlist place: the fill that follows loads it, and moves the place
+    /// only if it ends refused elsewhere.
     fn retreat(&mut self, (slot, id): ChainPair) {
-        #[cfg(test)]
-        self.tally_unwait(0, slot);
-        self.unwait((slot, id));
         let conn = self
             .connections
             .at_mut(slot, id)
@@ -853,9 +852,10 @@ impl Network {
             }
             // Each bucket holds, strictly in rank order, live primaries of
             // this link below their maximum that wait here for its
-            // increment, at their rank — a duplicate, a wrong slot or a
-            // stale rank shows — and as many as wait here, so none is
-            // missing; the demand is the growable set's remaining bandwidth.
+            // increment, at their rank, which the table records — a
+            // duplicate, a wrong slot or a stale rank shows — and as many
+            // as wait here, so none is missing; the demand is the growable
+            // set's remaining bandwidth.
             let buckets = usage.buckets();
             let waitlist = buckets.iter().enumerate().all(|(at, b)| {
                 let distinct = buckets[..at].iter().all(|o| o.increment != b.increment);
@@ -863,7 +863,7 @@ impl Network {
                 let waits = |&(rank, slot): &(u128, Slot)| {
                     let conn = self.connections.at(slot, ConnectionId(rank as u64));
                     conn.is_some_and(|c| {
-                        self.connections.blocked(slot) == Some((link, b.increment))
+                        self.connections.waiting(slot) == Some(((link, b.increment), rank))
                             && c.level() < c.qos().max_level()
                             && fill::rank(policy, c) == rank
                     })
@@ -1094,14 +1094,6 @@ mod support {
             newcomer.1
         }
 
-        /// Counts a removal from a waitlist by `cause` — 0 retreat, 2
-        /// failover; a release counts its own, 1 — if the connection in
-        /// `slot` waits.
-        pub(super) fn tally_unwait(&mut self, cause: usize, slot: Slot) {
-            let waits = self.connections.blocked(slot).is_some();
-            self.fill.unwaited[cause] += usize::from(waits);
-        }
-
         /// The every-primary gather the listed one replaced: every primary
         /// on `over`, then whichever of `named` it did not meet.
         pub(super) fn gather_every_primary(
@@ -1163,6 +1155,8 @@ mod support {
                     let rows = bucket.flat_map(|b| &b.rows);
                     got.extend(rows.map(|&(rank, slot)| (slot, ConnectionId(rank as u64))));
                 }
+                // A retreated row still in its bucket is loaded once.
+                sort_dedup(&mut got);
                 let got = &got;
                 let listed =
                     |&(slot, _): &ChainPair| self.connections.counted(slot) > Bandwidth::ZERO;
@@ -1786,12 +1780,19 @@ mod tests {
         turns: usize,
         /// Woken off a waitlist, their bucket's link having room.
         woken: usize,
-        /// Offered buckets whose head was refused where it waits.
+        /// Offered buckets that woke nobody: their head was refused where
+        /// it waits, or the fill had loaded every row.
         refused_handles: usize,
         /// Rows woken behind their bucket's head: a wake queued them.
         promoted: usize,
-        /// Rows taken off a waitlist by retreat, release and failover.
+        /// Bucket rows a handle's walk passed over, the fill having loaded
+        /// them.
+        skipped: usize,
+        /// Rows taken off a waitlist by a write-back that moved them, by
+        /// release and by failover.
         unwaited: [usize; 3],
+        /// Rows a write-back left in the place they held.
+        left_in_place: usize,
     }
 
     impl FillTally {
@@ -1802,6 +1803,7 @@ mod tests {
                 self.woken += handle.woken;
                 self.refused_handles += usize::from(handle.woken == 0);
                 self.promoted += handle.woken.saturating_sub(1);
+                self.skipped += handle.next - handle.woken;
             }
         }
     }
@@ -1833,22 +1835,27 @@ mod tests {
             for (sum, n) in tally.unwaited.iter_mut().zip(net.fill.unwaited) {
                 *sum += n;
             }
+            tally.left_in_place += net.fill.left_in_place;
         }
         Ok(tally)
     }
 
     /// Both sides of the slack choice, both ends of an offered bucket's
-    /// turn, a wake that queued the next row, and a removal from a
-    /// waitlist by each cause must have run, many times over.
+    /// turn, a wake that queued the next row, a handle walking past a row
+    /// the fill loaded, a write-back that moved a row's place and one that
+    /// left it, and a removal from a waitlist by release and by failover
+    /// must have run, many times over.
     fn assert_fill_coverage(tally: &FillTally, cases: usize) {
-        let [retreat, release, failover] = tally.unwaited;
+        let [moved, release, failover] = tally.unwaited;
         assert!(
-            tally.bulk > 5 * cases
+            tally.bulk > 4 * cases
                 && tally.turns > 5 * cases
                 && tally.woken > cases / 2
                 && tally.refused_handles > cases / 4
                 && tally.promoted > cases / 40
-                && retreat > 2 * cases
+                && tally.skipped > 3 * cases
+                && moved > cases
+                && tally.left_in_place > 4 * cases
                 && release > cases / 4
                 && failover > cases / 8,
             "{tally:?}"
@@ -1881,6 +1888,12 @@ mod tests {
     #[test]
     fn a_bucket_that_forgets_its_tail_is_caught() {
         let caught = seam::with(Seam::ForgetABucketTail, || fill_differential(2_000));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    #[test]
+    fn a_handle_that_wakes_a_row_the_fill_loaded_is_caught() {
+        let caught = seam::with(Seam::WakeALoadedRow, || fill_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2485,8 +2498,10 @@ mod tests {
     struct GatherTally {
         /// Rows the fills loaded.
         loaded: usize,
-        /// Chained channels an arrival kept at their maximum.
+        /// Chained channels an arrival or a failure kept at their maximum.
         kept: usize,
+        /// Those a failure kept.
+        kept_at_faults: usize,
         /// Listed rows left out as still blocked.
         skipped: usize,
         /// Loose rows, summed over the ops.
@@ -2509,8 +2524,9 @@ mod tests {
     /// the fill load exactly the rows the every-primary gather over every
     /// chained channel's links (kept ones included) and the named pairs
     /// would; every row it left out must be blocked under a
-    /// scan of its whole primary; every channel an arrival kept must end
-    /// at the level it had; and the loose set must hold exactly the live
+    /// scan of its whole primary; every channel an arrival or a failure
+    /// kept must end at the level it had (the reference keeps nobody); and
+    /// the loose set must hold exactly the live
     /// listed rows whose recorded refusal no longer holds.
     fn listed_gather_differential(cases: u64) -> Result<GatherTally, String> {
         let mut tally = GatherTally::default();
@@ -2569,6 +2585,9 @@ mod tests {
                     }
                     tally.loaded += gather.listed.len();
                     tally.kept += gather.kept.len();
+                    if got.starts_with("Ok(FailureReport") {
+                        tally.kept_at_faults += gather.kept.len();
+                    }
                     tally.skipped += gather.skipped.len();
                     tally.through_kept += gather.through_kept;
                 }
@@ -2598,8 +2617,9 @@ mod tests {
         }
     }
 
-    /// Every rule must have fired, many times over, an arrival meeting a
-    /// loose row only on a kept channel's link included: the fault-heavy
+    /// Every rule must have fired, many times over — a failure keeping a
+    /// chained channel, and an arrival meeting a loose row only on a kept
+    /// channel's link, included: the fault-heavy
     /// cases reach that a few times in a hundred, and
     /// [`a_row_a_failure_freed_is_granted_through_a_kept_channel_s_link`]
     /// pins its outcome.
@@ -2607,6 +2627,7 @@ mod tests {
         assert!(
             tally.loaded > 15 * cases
                 && tally.kept > 5 * cases
+                && tally.kept_at_faults > cases / 4
                 && tally.skipped > cases
                 && tally.loose > cases / 4
                 && tally.through_kept > 0,
@@ -2696,6 +2717,64 @@ mod tests {
     }
 
     #[test]
+    fn a_failure_s_keep_test_without_the_activated_demand_is_caught() {
+        let caught = seam::with(Seam::KeepPastTheActivated, || {
+            listed_gather_differential(600)
+        });
+        let err = caught.expect_err("the differential has no teeth");
+        // Only the fault-heavy cases, every third, fail links often enough.
+        let case = err.strip_prefix("case ").and_then(|e| e.split(' ').next());
+        assert_eq!(
+            case.and_then(|c| c.parse::<u64>().ok()).map(|c| c % 3),
+            Some(2),
+            "{err}"
+        );
+    }
+
+    /// A 4-ring at 2 000 Kbps: A (0→1) runs on link 0 with its backup
+    /// 0–3–2–1, and K (2→3) on link 2 at its maximum. Failing link 0 moves
+    /// A onto its backup, across K's link, which has room for all A could
+    /// still ask: K is kept — reported among the chained, never retreated
+    /// or loaded — and the state equals the retreat-everything reference.
+    #[test]
+    fn a_primary_at_its_maximum_beside_an_activated_backup_is_kept() {
+        let mut g = Graph::with_nodes(4);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            g.add_link(NodeId(a), NodeId(b)).unwrap();
+        }
+        let config = NetworkConfig {
+            capacity: Bandwidth::kbps(2_000),
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::new(g, config);
+        let a = net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+        let k = net.establish(NodeId(2), NodeId(3), qos()).unwrap();
+        let (a_conn, k_conn) = (net.connection(a).unwrap(), net.connection(k).unwrap());
+        assert_eq!(k_conn.primary().links(), [LinkId(2)]);
+        assert!(a_conn.backup().unwrap().crosses(LinkId(2)) && k_conn.level() == 4);
+        let mut reference = net.clone();
+        GATHER_LOG.set(Some(Vec::new()));
+        let report = net.fail_link(LinkId(0)).unwrap();
+        let log = GATHER_LOG.take().unwrap_or_default();
+        let want = seam::with(Seam::ReferenceCommit, || reference.fail_link(LinkId(0)));
+        assert_eq!(
+            (report.activated.as_slice(), report.retreated.as_slice()),
+            ([a].as_slice(), [k].as_slice())
+        );
+        let [fault] = &log[..] else {
+            panic!("one gather: {log:?}");
+        };
+        let k_pair = live_pairs(&net)[1];
+        assert_eq!(fault.kept, [(k_pair, 4, 4)]);
+        // Only A, activated at its minimum, is loaded.
+        assert_eq!(net.fill.rows.len(), 1);
+        assert_eq!(reference.fill.rows.len(), 2);
+        assert_eq!(Ok(report), want);
+        assert!(net == reference);
+        net.validate();
+    }
+
+    #[test]
     fn a_keep_test_without_the_newcomer_s_remaining_is_caught() {
         let caught = seam::with(Seam::DropTheNewcomer, || listed_gather_differential(600));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
@@ -2765,6 +2844,11 @@ mod tests {
         assert_eq!(broken.check_invariants(), mismatch);
         let mut broken = net.clone();
         broken.connections.set_counted(c0.0, Bandwidth::kbps(100));
+        assert_eq!(broken.check_invariants(), mismatch);
+        // So is a table that records another rank than the bucket holds.
+        let mut broken = net.clone();
+        let place = broken.connections.waiting(slot).map(|(at, r)| (at, r + 1));
+        broken.connections.set_waiting(slot, place);
         assert_eq!(broken.check_invariants(), mismatch);
     }
 

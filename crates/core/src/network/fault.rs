@@ -27,8 +27,10 @@ pub struct FailureReport {
     pub dropped: Vec<ConnectionId>,
     /// Connections that lost a backup channel (primary unaffected).
     pub lost_backup: Vec<ConnectionId>,
-    /// Connections forced to retreat because they share links with
-    /// activated backups (excludes the activated connections themselves).
+    /// Connections whose primary shares a link with an activated backup
+    /// (excludes the activated connections themselves): each retreated,
+    /// but those at their maximum that the fill would have granted
+    /// straight back, which were left where they were.
     pub retreated: Vec<ConnectionId>,
 }
 
@@ -91,8 +93,10 @@ impl Network {
     /// link). Every primary crossing it is a victim; in id order, each
     /// moves onto its first backup that [`can_activate`] it, or is
     /// dropped. Everyone else with a backup across the set loses that
-    /// backup. Then one retreat over what was activated, one fill, and the
-    /// top-ups last, with the set still down.
+    /// backup. Then one retreat over what was activated — sparing the
+    /// primaries the keep rule, with every activated connection a
+    /// newcomer, finds the fill would grant straight back — one fill, and
+    /// the top-ups last, with the set still down.
     fn fail_links(&mut self, set: &[LinkId]) -> FailureReport {
         for &l in set {
             self.links[l.index()].set_up(false);
@@ -116,7 +120,9 @@ impl Network {
         let mut dropped = Vec::new();
         for (slot, id) in victims {
             #[cfg(test)]
-            self.tally_unwait(2, slot);
+            {
+                self.fill.unwaited[2] += usize::from(self.connections.blocked(slot).is_some());
+            }
             self.unwait((slot, id));
             let Self {
                 connections, links, ..
@@ -168,30 +174,44 @@ impl Network {
         // not walk (ROADMAP item 20): whoever waits there is loose now.
         self.record_loose();
 
-        // Channels sharing links with activated backups retreat.
-        let (mut retreated, mut candidates, mut handles) = (Vec::new(), Vec::new(), Vec::new());
+        // Channels sharing links with activated backups retreat, but those
+        // the fill would grant straight back, the activated channels being
+        // the newcomers.
+        let mut chained = std::mem::take(&mut self.retreat_set);
+        chained.clear();
         let links = self.connections.primary_links(&activated);
-        Self::gather(&self.links, &mut self.marks, links, &mut retreated);
-        retreated.retain(|&(_, c)| activated.binary_search_by_key(&c, |&(_, a)| a).is_err());
-        for &pair in &retreated {
+        Self::gather(&self.links, &mut self.marks, links, &mut chained);
+        chained.retain(|&(_, c)| activated.binary_search_by_key(&c, |&(_, a)| a).is_err());
+        let newcomers = if seam::armed(Seam::KeepPastTheActivated) {
+            &[]
+        } else {
+            &activated[..]
+        };
+        let retreating = self.keep_at_maximum(&mut chained, newcomers);
+        let (retreated, kept) = chained.split_at(retreating);
+        for &pair in retreated {
             self.retreat(pair);
         }
 
-        // Re-distribute whatever is still spare, the activated channels
-        // being the newcomers.
-        self.fill_candidates(&retreated, &[], &activated, &mut candidates, &mut handles);
-        self.redistribute(&candidates, &handles);
+        // Re-distribute whatever is still spare.
+        let (mut candidates, mut handles) = (std::mem::take(&mut self.spare_set), Vec::new());
+        candidates.clear();
+        self.fill_candidates(retreated, kept, &activated, &mut candidates, &mut handles);
+        #[cfg(test)]
+        self.log_kept(kept);
+        self.settle(candidates, &handles);
 
         // Re-establish backups for survivors that lost theirs.
         let activated: Vec<ConnectionId> = activated.into_iter().map(|(_, c)| c).collect();
         for &id in activated.iter().chain(&lost_backup) {
             self.top_up_backups(id);
         }
-        self.prune_loose();
 
-        // The gather's order is the slots', not the ids'.
-        let mut retreated: Vec<ConnectionId> = retreated.into_iter().map(|(_, c)| c).collect();
+        // Every chained channel, kept or not, in id order: the gather's
+        // order is the slots'.
+        let mut retreated: Vec<ConnectionId> = chained.iter().map(|&(_, c)| c).collect();
         retreated.sort_unstable();
+        self.retreat_set = chained;
         FailureReport {
             links: set.to_vec(),
             activated,

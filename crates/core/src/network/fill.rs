@@ -1,22 +1,21 @@
 //! The fill stage: re-distribution of spare bandwidth among the elastic
 //! primaries an arrival, a termination or a failure left able to grow
 //! (Section 3.1's "retreat and re-distribution", the second half); the
-//! test that spares an arrival's retreat a primary the fill would grant
-//! straight back; the waitlists — per link, the listed primaries a fill
-//! refused there — that let an event offer the fill only what can move;
-//! and the one pass after the fill that keeps each link's growable demand
-//! ([`LinkUsage::growable_demand`]) exact.
+//! test that spares an arrival's or a failure's retreat a primary the fill
+//! would grant straight back; the waitlists — per link, the listed
+//! primaries a fill refused there — that let an event offer the fill only
+//! what can move; and the one pass after the fill that keeps each link's
+//! growable demand ([`LinkUsage::growable_demand`]) exact.
 
 use super::seam::{self, Seam};
 use super::Network;
 use crate::channel::{ConnectionId, DrConnection};
-use crate::conn_table::{Blocked, ChainPair, ConnTable, Slot};
+use crate::conn_table::{Blocked, ChainPair, ConnTable, Slot, Waiting};
 use crate::link_state::LinkUsage;
 use crate::qos::{AdaptationPolicy, Bandwidth};
 use drqos_topology::graph::LinkId;
 use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 
 /// One live fill candidate, read once from the connection table.
@@ -35,12 +34,22 @@ pub(super) struct FillRow {
     /// Every link slack: granted to its maximum in one step, not one
     /// increment a turn.
     pub(super) bulk: bool,
+    /// Where it waited when loaded, its place taken out of the table until
+    /// the write-back.
+    waited: Option<Waiting>,
+    /// Where this fill refused it.
+    refused: Option<Blocked>,
 }
 
 impl FillRow {
-    /// Reads the connection in `slot` into a row, its links appended to
-    /// `arena`.
-    fn load(slot: Slot, conn: &DrConnection, arena: &mut Vec<LinkId>) -> Self {
+    /// Reads the connection in `slot`, which waited at `waited`, into a
+    /// row, its links appended to `arena`.
+    fn load(
+        slot: Slot,
+        conn: &DrConnection,
+        waited: Option<Waiting>,
+        arena: &mut Vec<LinkId>,
+    ) -> Self {
         let start = arena.len();
         arena.extend_from_slice(conn.primary().links());
         Self {
@@ -53,6 +62,8 @@ impl FillRow {
             utility: conn.qos().utility(),
             links: start..arena.len(),
             bulk: false,
+            waited,
+            refused: None,
         }
     }
 
@@ -82,11 +93,29 @@ impl FillRow {
 }
 
 /// A waitlist bucket an event offered the fill: its link and increment,
-/// and how many of its rows, head first, have woken.
+/// how many of its rows have woken, and the place, head first, of the row
+/// whose turn it queues next. The bucket is not edited during the fill.
 #[derive(Debug)]
 pub(super) struct Handle {
     pub(super) at: Blocked,
     pub(super) woken: usize,
+    pub(super) next: usize,
+}
+
+impl Handle {
+    /// The bucket's row at place `next` or behind it that this fill has not
+    /// loaded, as `(rank, slot)`, with `next` moved to it. A loaded row's
+    /// place was taken out of the table when it was loaded, so its entry —
+    /// left in the bucket until the write-back — no longer matches it.
+    fn seek(&mut self, usage: &LinkUsage, table: &ConnTable) -> Option<(u128, Slot)> {
+        loop {
+            let (rank, slot) = usage.waiter(self.at.1, self.next)?;
+            if table.waiting(slot) == Some((self.at, rank)) || seam::armed(Seam::WakeALoadedRow) {
+                return Some((rank, slot));
+            }
+            self.next += 1;
+        }
+    }
 }
 
 /// Whose turn a [`Scored`] is.
@@ -116,6 +145,44 @@ impl PartialOrd for Scored {
 impl Ord for Scored {
     fn cmp(&self, other: &Self) -> Ordering {
         other.rank.cmp(&self.rank)
+    }
+}
+
+/// The turns queued in one fill: a min-heap, and a run — a queue whose
+/// turns are in `(score, id)` order, lowest first. A turn joins the run
+/// unless it ranks below the run's tail, so the lowest turn queued is the
+/// lower of the heap's top and the run's head.
+struct Turns {
+    heap: BinaryHeap<Scored>,
+    run: VecDeque<Scored>,
+}
+
+impl Turns {
+    fn push(&mut self, turn: Scored) {
+        if self.run.back().is_none_or(|tail| tail.rank <= turn.rank) {
+            self.run.push_back(turn);
+        } else {
+            self.heap.push(turn);
+        }
+    }
+
+    /// Whether `turn` ranks below every queued turn.
+    fn lowest(&self, turn: &Scored) -> bool {
+        let below = |queued: Option<&Scored>| queued.is_none_or(|q| turn.rank < q.rank);
+        below(self.heap.peek()) && below(self.run.front())
+    }
+
+    /// Takes the lowest queued turn.
+    fn pop(&mut self) -> Option<Scored> {
+        let from_run = match (self.heap.peek(), self.run.front()) {
+            (Some(top), Some(head)) => head.rank < top.rank,
+            (top, _) => top.is_none(),
+        };
+        if from_run {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        }
     }
 }
 
@@ -170,21 +237,21 @@ pub(super) fn remaining(conn: &DrConnection) -> Bandwidth {
     conn.qos().increment().times(levels as u64)
 }
 
-/// Whether an arrival's fill would find `link` slack for a chained primary
+/// Whether an event's fill would find `link` slack for a chained primary
 /// at its maximum, asked before anyone retreats: everything committed,
-/// plus what the listed primaries and `newcomer` could still ask of it,
-/// fits. Retreating a primary adds its extra to the link's headroom and
-/// to its demand alike, so after the retreat the link has room for all
-/// that the fill's candidates could ask of it, the listed rows the gather
-/// leaves out included: it refuses nobody, whichever bound the fill's
-/// slack test reads.
-fn keeps_its_extra(link: &LinkUsage, newcomer: Bandwidth) -> bool {
-    let newcomer = if seam::armed(Seam::DropTheNewcomer) {
+/// plus what the listed primaries and the event's `newcomers` could still
+/// ask of it, fits. Retreating a primary adds its extra to the link's
+/// headroom and to its demand alike, so after the retreat the link has
+/// room for all that the fill's candidates could ask of it, the listed
+/// rows the gather leaves out included: it refuses nobody, whichever
+/// bound the fill's slack test reads.
+fn keeps_its_extra(link: &LinkUsage, newcomers: Bandwidth) -> bool {
+    let newcomers = if seam::armed(Seam::DropTheNewcomer) {
         Bandwidth::ZERO
     } else {
-        newcomer
+        newcomers
     };
-    link.is_up() && link.committed() + link.growable_demand() + newcomer <= link.capacity()
+    link.is_up() && link.committed() + link.growable_demand() + newcomers <= link.capacity()
 }
 
 /// Whether the rows waiting at `link` for `increment` still cannot move:
@@ -214,29 +281,39 @@ pub(super) struct FillScratch {
     /// Per link, the bandwidth the rows loaded up front could still ask of
     /// it; all zero between fills, and between the keep rule's uses of it.
     demand: Vec<Bandwidth>,
-    /// The heap of turns' backing store between fills (empty, capacity
+    /// The turns' heap and run, stored between fills (empty, capacity
     /// kept).
     heap: Vec<Scored>,
-    /// How many rows left a waitlist by retreat, release and failover,
+    run: VecDeque<Scored>,
+    /// How many rows left a waitlist by a write-back that moved them, by
+    /// release and by failover, and how many a write-back left in place,
     /// for the differentials' coverage floors.
     #[cfg(test)]
     pub(super) unwaited: [usize; 3],
+    #[cfg(test)]
+    pub(super) left_in_place: usize,
 }
 
 impl Network {
-    /// The keep rule of an arrival whose connection `newcomer` is already
-    /// reserved, decided before anyone retreats: moves to the back of
-    /// `chained` every primary at its maximum whose links are all ones
-    /// [`keeps_its_extra`], and returns how many are left in front to
-    /// retreat. The fill would grant a kept primary straight back to where
-    /// it is, and classifies every link alike whether it retreated or not
-    /// (its extra counts on both sides of the slack test), so it is not
-    /// retreated, loaded or granted.
+    /// The keep rule of an event whose `newcomers` — an arrival, or the
+    /// connections a failure moved onto their backups — are already on
+    /// their routes, unlisted, decided before anyone retreats: moves to the
+    /// back of `chained` every primary at its maximum whose links are all
+    /// ones [`keeps_its_extra`], counting on each what every newcomer
+    /// crossing it could still ask, and returns how many are left in front
+    /// to retreat. The fill would grant a kept primary straight back to
+    /// where it is, and classifies every link alike whether it retreated
+    /// or not (its extra counts on both sides of the slack test), so it is
+    /// not retreated, loaded or granted.
     pub(super) fn keep_at_maximum(
         &mut self,
         chained: &mut [ChainPair],
-        newcomer: ChainPair,
+        newcomers: &[ChainPair],
     ) -> usize {
+        #[cfg(test)]
+        if seam::armed(Seam::ReferenceCommit) {
+            return chained.len();
+        }
         let Self {
             links,
             connections,
@@ -245,12 +322,16 @@ impl Network {
         } = self;
         let demand = &mut fill.demand;
         demand.resize(links.len(), Bandwidth::ZERO);
-        let Some(arrival) = connections.at(newcomer.0, newcomer.1) else {
-            return chained.len();
+        let arrivals = || {
+            newcomers
+                .iter()
+                .filter_map(|&(slot, id)| connections.at(slot, id))
         };
-        let (newcomer_links, newcomer_remaining) = (arrival.primary().links(), remaining(arrival));
-        for l in newcomer_links {
-            demand[l.index()] += newcomer_remaining;
+        for arrival in arrivals() {
+            let ask = remaining(arrival);
+            for l in arrival.primary().links() {
+                demand[l.index()] += ask;
+            }
         }
         let kept = |&(slot, id): &ChainPair| {
             connections.at(slot, id).is_some_and(|conn| {
@@ -269,23 +350,22 @@ impl Network {
                 retreating += 1;
             }
         }
-        for l in newcomer_links {
+        for l in arrivals().flat_map(|arrival| arrival.primary().links()) {
             demand[l.index()] = Bandwidth::ZERO;
         }
         retreating
     }
 
-    /// Takes the live `pair` off the waitlist it waits on, if any, before
-    /// its level moves or it leaves.
+    /// Takes the live `pair` off the waitlist it waits on, if any, by the
+    /// rank it holds there.
     pub(super) fn unwait(&mut self, (slot, id): ChainPair) {
-        let Some((link, increment)) = self.connections.blocked(slot) else {
+        if self.connections.at(slot, id).is_none() {
             return;
-        };
-        if let Some(conn) = self.connections.at(slot, id) {
-            let at = rank(self.config.policy, conn);
-            self.links[link.index()].unwait(increment, at);
         }
-        self.connections.set_blocked(slot, None);
+        if let Some(((link, increment), rank)) = self.connections.waiting(slot) {
+            self.links[link.index()].unwait(increment, rank);
+            self.connections.set_waiting(slot, None);
+        }
     }
 
     /// Drops from the loose set every row that has left, been granted its
@@ -317,7 +397,7 @@ impl Network {
                     continue;
                 }
                 for (rank, slot) in usage.take_bucket(b).rows {
-                    connections.set_blocked(slot, None);
+                    connections.set_waiting(slot, None);
                     loose.push((slot, ConnectionId(rank as u64)));
                 }
             }
@@ -365,48 +445,36 @@ impl Network {
 
     /// Water-fills extra increments over the set `candidates`, in whatever
     /// order it lists them, and the rows waiting in the buckets `handles`
-    /// names, according to the adaptation policy; then puts every row it
+    /// names, according to the adaptation policy; then leaves every row it
     /// left below its maximum on the waitlist of the link that refused it,
     /// and [reconciles](Self::reconcile) the counts over the rows it
     /// loaded. `candidates` must hold every live primary whose level the
-    /// event moved and every one it put on a link, none of them waiting;
-    /// anyone else it names is ignored when at their maximum or no longer
-    /// live.
+    /// event moved and every one it put on a link; a retreated one may
+    /// still wait where it waited. Anyone else it names is ignored when at
+    /// their maximum or no longer live.
     ///
     /// Each live candidate that can still grow is read once into a flat
-    /// row, with its links. Rows whose links are all slack are granted up
-    /// to their maximum in one step. The rest take turns from one min-heap
-    /// in `(score, id)` order, one increment a turn. A bucket's head takes
-    /// the bucket's first turn in the same heap; it is read, loaded and
-    /// granted only if the bucket's link has room for the increment then,
-    /// and its waking queues the next row's first turn. Headroom only
-    /// shrinks during a fill, so a refused row is dropped for good.
+    /// row, with its links, and its waitlist place taken out of the table.
+    /// Rows whose links are all slack are granted up to their maximum in
+    /// one step. The rest take turns in `(score, id)` order, one increment
+    /// a turn, from a heap and a run ([`Turns`]). A bucket's head takes
+    /// the bucket's first turn among them, skipping the rows this fill
+    /// loaded; it is read, loaded and granted only if the bucket's link has
+    /// room for the increment then, and its waking queues the next row's
+    /// first turn. Headroom only shrinks during a fill, so a refused row is
+    /// dropped for good. A waitlist entry is edited only for a row whose
+    /// place — link, increment and rank — moved.
     ///
-    /// The shortcut is exact. A slack link has room for everything the
-    /// candidates could still ask of it, so it refuses nobody whatever the
-    /// grant order: a row on slack links only ends at its maximum. And
-    /// such rows touch no tight link, so the turns of the remaining rows
-    /// see the tight links exactly as the one-increment-at-a-time fill
-    /// over all candidates would, and grant in the same order. While any
-    /// bucket is offered, the slack test adds the link's listed demand to
-    /// the loaded rows': a bound on what the rows ask, waiting ones
-    /// included, under which a link passes only if it is truly slack.
-    ///
-    /// So are the buckets. A waiting row's level has not moved since it
-    /// was refused, so its rank is its next turn's. Its turn would refuse
-    /// it where it waits whenever that link is down or lacks its increment
-    /// — the full-path test would too — and a refusal changes nothing; so
-    /// once a bucket's row is refused there, every row behind it would be
-    /// refused at the same link at its turn, headroom having only shrunk,
-    /// and they are left where they are. Behind a row that woke, the next
-    /// row's first turn enters the heap then, before its place in the
-    /// `(score, id)` order comes up: every turn taken meanwhile ranked
-    /// below the woken row.
-    ///
-    /// Nor does the order of `candidates` matter: every row is classified
-    /// before any is granted, the demand sums are integer additions, bulk
-    /// grants never touch a tight link, and the `(score, id)` order of the
-    /// turns is total.
+    /// Every shortcut is exact; DESIGN.md §4 ("The fill") has the
+    /// arguments. A slack link refuses nobody whatever the grant order,
+    /// and rows on slack links only touch no tight link. A waiting row's
+    /// rank is its next turn's, and once a bucket's row is refused where it
+    /// waits, every row behind it would be. A loaded row left in its
+    /// bucket is never woken, so the turns are those of a fill that took
+    /// it off first. The run holds its turns in order, so the lower of its
+    /// head and the heap's top is the lowest turn queued. And the order of
+    /// `candidates` does not matter: every row is classified before any is
+    /// granted, and the `(score, id)` order of the turns is total.
     pub(super) fn redistribute(&mut self, candidates: &[ChainPair], handles: &[Blocked]) {
         #[cfg(test)]
         if seam::armed(Seam::ReferenceCommit) || seam::armed(Seam::ReferenceFill) {
@@ -429,13 +497,18 @@ impl Network {
             arena,
             demand,
             heap,
+            run,
             ..
         } = fill;
         rows.clear();
         arena.clear();
         demand.resize(links.len(), Bandwidth::ZERO);
         offered.clear();
-        offered.extend(handles.iter().map(|&at| Handle { at, woken: 0 }));
+        offered.extend(handles.iter().map(|&at| Handle {
+            at,
+            woken: 0,
+            next: 0,
+        }));
 
         // Load the candidates that are still live — a pair whose slot has
         // since been vacated or handed on is not — and below their maximum
@@ -448,7 +521,8 @@ impl Network {
             if conn.level() >= conn.qos().max_level() {
                 continue;
             }
-            let row = FillRow::load(slot, conn, arena);
+            let row = FillRow::load(slot, conn, connections.waiting(slot), arena);
+            connections.set_waiting(slot, None);
             for l in &arena[row.links.clone()] {
                 demand[l.index()] += row.remaining();
             }
@@ -483,9 +557,8 @@ impl Network {
             }
             row.level = row.max_level;
         }
-        for (h, handle) in offered.iter().enumerate() {
-            let (link, increment) = handle.at;
-            if let Some((rank, _)) = links[link.index()].waiter(increment, 0) {
+        for (h, handle) in offered.iter_mut().enumerate() {
+            if let Some((rank, _)) = handle.seek(&links[handle.at.0.index()], connections) {
                 heap.push(Scored {
                     rank,
                     who: Who::Handle(h),
@@ -499,34 +572,35 @@ impl Network {
         // The turns, one increment each, lowest (score, id) first. A
         // bucket's turn is its next row's first: refused where it waits,
         // the bucket stays as it is; otherwise the row wakes and takes its
-        // turn in its place, and the bucket's next row queues.
-        let mut turns = BinaryHeap::from(std::mem::take(heap));
-        loop {
-            let Some(mut top) = turns.peek_mut() else {
-                break;
-            };
-            let i = match top.who {
+        // turn in its place, and the bucket's next row queues. A row still
+        // ranking lowest after its turn takes the next one at once.
+        let mut turns = Turns {
+            heap: BinaryHeap::from(std::mem::take(heap)),
+            run: std::mem::take(run),
+        };
+        let mut next = turns.pop();
+        while let Some(turn) = next {
+            let i = match turn.who {
                 Who::Row(i) => i,
                 Who::Handle(h) => {
                     let handle = &mut offered[h];
                     let (link, increment) = handle.at;
                     let usage = &links[link.index()];
-                    let waker = usage.waiter(increment, handle.woken);
-                    let id = ConnectionId(top.rank as u64);
-                    let conn = waker.and_then(|(_, slot)| Some((slot, connections.at(slot, id)?)));
+                    let waker = usage.waiter(increment, handle.next);
+                    let conn = waker.and_then(|(rank, slot)| {
+                        Some((slot, connections.at(slot, ConnectionId(rank as u64))?))
+                    });
                     let refused = still_blocked(usage, increment, Seam::RefusedAtExactRoom);
                     let Some((slot, conn)) = conn.filter(|_| !refused) else {
-                        PeekMut::pop(top);
+                        next = turns.pop();
                         continue;
                     };
+                    rows.push(FillRow::load(slot, conn, connections.waiting(slot), arena));
+                    connections.set_waiting(slot, None);
                     handle.woken += 1;
-                    let next = usage.waiter(increment, handle.woken);
-                    let tail = usage.waiter(increment, handle.woken + 1).is_none();
-                    rows.push(FillRow::load(slot, conn, arena));
-                    connections.set_blocked(slot, None);
-                    top.who = Who::Row(rows.len() - 1);
-                    drop(top);
-                    if let Some((rank, _)) = next {
+                    handle.next += 1;
+                    if let Some((rank, _)) = handle.seek(usage, connections) {
+                        let tail = usage.waiter(increment, handle.next + 1).is_none();
                         if !(tail && seam::armed(Seam::ForgetABucketTail)) {
                             turns.push(Scored {
                                 rank,
@@ -534,27 +608,35 @@ impl Network {
                             });
                         }
                     }
-                    continue;
+                    rows.len() - 1
                 }
             };
             let row = &mut rows[i];
-            if let Some(refused) = row.take_turn(&arena[row.links.clone()], links) {
-                connections.set_blocked(row.slot, Some((refused, row.increment)));
-                PeekMut::pop(top);
-            } else if row.level == row.max_level {
-                PeekMut::pop(top);
-            } else {
-                top.rank = row.rank(policy);
-            }
+            next = match row.take_turn(&arena[row.links.clone()], links) {
+                Some(refused) => {
+                    row.refused = Some((refused, row.increment));
+                    turns.pop()
+                }
+                None if row.level == row.max_level => turns.pop(),
+                None => {
+                    let again = Scored {
+                        rank: row.rank(policy),
+                        who: Who::Row(i),
+                    };
+                    if turns.lowest(&again) {
+                        Some(again)
+                    } else {
+                        turns.push(again);
+                        turns.pop()
+                    }
+                }
+            };
         }
-        *heap = turns.into_vec();
+        (*heap, *run) = (turns.heap.into_vec(), turns.run);
 
-        // The woken rows leave their buckets. Write the moved levels back,
-        // and the total once; a row left below its maximum was refused, and
-        // waits where.
-        for handle in offered.iter() {
-            links[handle.at.0.index()].wake(handle.at.1, handle.woken);
-        }
+        // Write the moved levels back, and the total once. A row left below
+        // its maximum was refused, and waits where, at its rank now; its
+        // waitlist entry moves only if that place is not the one it held.
         for row in rows.iter() {
             if row.level != row.loaded_level {
                 self.total_bandwidth += row.increment.times((row.level - row.loaded_level) as u64);
@@ -562,11 +644,25 @@ impl Network {
                     conn.set_level(row.level);
                 }
             }
-            if row.level < row.max_level {
-                if let Some((link, increment)) = connections.blocked(row.slot) {
-                    links[link.index()].wait(increment, row.rank(policy), row.slot);
+            let place = row.refused.map(|at| (at, row.rank(policy)));
+            if place != row.waited {
+                if let Some(((link, increment), rank)) = row.waited {
+                    links[link.index()].unwait(increment, rank);
+                    #[cfg(test)]
+                    {
+                        fill.unwaited[0] += 1;
+                    }
+                }
+                if let Some(((link, increment), rank)) = place {
+                    links[link.index()].wait(increment, rank, row.slot);
+                }
+            } else {
+                #[cfg(test)]
+                {
+                    fill.left_in_place += usize::from(place.is_some());
                 }
             }
+            connections.set_waiting(row.slot, place);
         }
         Self::reconcile(links, connections, rows.iter().map(|r| (r.slot, r.id)));
     }
@@ -646,7 +742,7 @@ mod testing {
                 if let Some(&link) = conn.primary().links().iter().find(short).filter(|_| below) {
                     let at = rank(policy, conn);
                     self.links[link.index()].wait(inc, at, slot);
-                    self.connections.set_blocked(slot, Some((link, inc)));
+                    self.connections.set_waiting(slot, Some(((link, inc), at)));
                 }
             }
             let pairs = candidates.iter().copied();

@@ -32,13 +32,19 @@ pub(super) enum Seam {
     RefusedAtExactRoom,
     /// A wake queues no turn for its bucket's last row.
     ForgetABucketTail,
+    /// A bucket's turns also wake the rows the fill loaded, which wait
+    /// there only until its write-back.
+    WakeALoadedRow,
+    /// A failure's keep rule leaves the activated connections' remaining
+    /// out of its test.
+    KeepPastTheActivated,
     /// Recording the loose set drops its last row.
     ForgetALooseRow,
     /// The fill's slack test is weakened by one (smallest) increment.
     WeakFill,
-    /// Every commit is the reference one, and every gather offers each
-    /// listed primary of its links as a plain candidate, none through a
-    /// waitlist (its sites call test-only code).
+    /// Every commit is the reference one, a failure keeps nobody, and
+    /// every gather offers each listed primary of its links as a plain
+    /// candidate, none through a waitlist (its sites call test-only code).
     #[cfg(test)]
     ReferenceCommit,
     /// Every fill is the reference one, over what that same gather

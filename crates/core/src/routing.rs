@@ -337,6 +337,10 @@ impl FloodScratch {
     /// flood's filter was `filter`), so only the primary's own links and
     /// the links the bounded flood never reached are asked now. Only the
     /// verdict is asked for: no flood reads this search's memo again.
+    ///
+    /// A destination of one link is entered only from its one neighbour,
+    /// whose label is final when it is popped; so the label and parent it
+    /// gets then are final too, and the search returns at once.
     fn least_shared_path(
         &mut self,
         graph: &Graph,
@@ -372,6 +376,9 @@ impl FloodScratch {
                 if !self.discovered(v) || via < self.label(v) {
                     self.discover(v, via.1, Bandwidth::ZERO, u);
                     self.shared[v.0] = via.0;
+                    if v == dst && graph.degree(dst) == 1 {
+                        return self.trace(graph, src, dst);
+                    }
                     self.heap.push(Reverse((via.0, via.1, v)));
                 }
             }
@@ -469,6 +476,10 @@ pub fn route_primary_with(
 /// `filter` must already encode backup-specific feasibility (multiplexed
 /// reservation headroom); this function additionally excludes the primary's
 /// links and enforces the flooding bound.
+///
+/// When every link at an endpoint is the primary's, the strict flood could
+/// not leave or reach it, so it is not run: the answer is `None`, and the
+/// maximally-disjoint fallback starts a fresh probe memo.
 pub fn route_backup_with(
     scratch: &mut RouteScratch,
     kind: RouterKind,
@@ -484,7 +495,16 @@ pub fn route_backup_with(
     let (src, dst) = (primary.source(), primary.destination());
     let RouterKind::BoundedFlooding { hop_slack } = kind;
     let bound = primary.hop_count().saturating_add(hop_slack);
-    let strict = flood_path_with(scratch, graph, src, dst, bound, &disjoint_filter, allowance);
+    let cut_off = |v: NodeId| {
+        let at = graph.neighbors(v);
+        !at.is_empty() && at.iter().all(|&(_, l)| primary.crosses(l))
+    };
+    let strict = if src != dst && (cut_off(src) || cut_off(dst)) {
+        scratch.begin(graph);
+        None
+    } else {
+        flood_path_with(scratch, graph, src, dst, bound, &disjoint_filter, allowance)
+    };
     if strict.is_some() || disjointness == BackupDisjointness::Strict {
         return strict;
     }
@@ -1251,10 +1271,10 @@ mod tests {
     }
 
     #[test]
-    fn a_degree_1_source_ends_the_backup_search_after_one_round() {
+    fn a_degree_1_source_skips_the_strict_backup_search() {
         // The lollipop again: the leaf's only link is the primary's, so
-        // the strict search is refused at its first step with nobody held
-        // back — nothing a longer target could add.
+        // the strict search could not leave it. It is not run: no round,
+        // no node walked, no link asked.
         let mut g = Graph::with_nodes(5);
         for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)] {
             g.add_link(NodeId(a), NodeId(b)).unwrap();
@@ -1271,17 +1291,22 @@ mod tests {
             &no_allowance_bias,
         )
         .unwrap();
+        let asked = RefCell::new(0);
+        let counted = |_: LinkId| {
+            *asked.borrow_mut() += 1;
+            true
+        };
         let strict = route_backup_with(
             &mut scratch,
             kind,
             &g,
             &p,
             BackupDisjointness::Strict,
-            &pass_all,
+            &counted,
             &no_allowance_bias,
         );
         assert_eq!(strict, None);
-        assert_eq!(scratch.tally, (1, 1));
+        assert_eq!((scratch.tally, asked.into_inner()), ((0, 0), 0));
     }
 
     #[test]
@@ -1396,24 +1421,68 @@ mod tests {
         })
     }
 
+    /// What [`fallback_differential`] counted over its cases.
+    #[derive(Debug, Default)]
+    struct FallbackCounts {
+        /// Backup searches run: the primary was found.
+        searched: usize,
+        /// Fallbacks that found a backup sharing links with the primary.
+        shared: usize,
+        /// Searches that found no backup.
+        none: usize,
+        /// Searches with an endpoint of one link, the primary's: the
+        /// strict flood is skipped.
+        degree_1: usize,
+        /// Searches with an endpoint whose every other link the backup
+        /// filter refuses: the strict flood runs and finds nothing.
+        cut_off: usize,
+    }
+
+    /// [`flood_graphs`], each with three leaves: nodes of one link.
+    fn fallback_graphs() -> Vec<(Graph, Vec<NodeId>)> {
+        let with_leaves = |mut g: Graph| {
+            let leaves: Vec<NodeId> = [0, 3, 7]
+                .map(|at| {
+                    let leaf = g.add_node();
+                    g.add_link(NodeId(at), leaf).unwrap();
+                    leaf
+                })
+                .to_vec();
+            (g, leaves)
+        };
+        flood_graphs().into_iter().map(with_leaves).collect()
+    }
+
     /// Runs `cases` seeded primary-then-backup searches — the backup under
     /// its own refusals, flooding with slack 0–3 — through `subject` and
-    /// the reference, one scratch each for the whole run. Both must return
-    /// the same backup, and the subject may offer no link to `filter`
-    /// twice across strict search and fallback.
-    /// Returns how many fallbacks found a backup, and how many found none.
+    /// the reference, one scratch each for the whole run. A quarter of the
+    /// cases put an endpoint on a leaf, and an eighth refuse the backup
+    /// every link at one endpoint but the primary's.
+    /// Both must return the same backup, the subject may offer no link to
+    /// `filter` twice across strict search and fallback, and the strict
+    /// search alone must return the reference flood's path.
     fn fallback_differential(
         cases: usize,
         subject: BackupRouter,
-    ) -> Result<(usize, usize), String> {
-        let graphs = flood_graphs();
+    ) -> Result<FallbackCounts, String> {
+        let graphs = fallback_graphs();
         let mut rng = Rng::seed_from_u64(0x21_FA11);
         let (mut scratch, mut ref_scratch) = (RouteScratch::new(), RouteScratch::new());
-        let (mut shared, mut none) = (0, 0);
+        let mut counts = FallbackCounts::default();
         for i in 0..cases {
-            let graph = &graphs[(i / 4) % graphs.len()];
-            let case = FloodCase::draw(&mut rng, graph);
-            let backup_refused: Vec<bool> = {
+            let (graph, leaves) = &graphs[(i / 4) % graphs.len()];
+            let mut case = FloodCase::draw(&mut rng, graph);
+            let (leaf, cut) = match rng.range_usize(8) {
+                0 | 1 => (true, false),
+                2 => (false, true),
+                _ => (false, false),
+            };
+            if leaf {
+                let at = leaves[rng.range_usize(leaves.len())];
+                *[&mut case.src, &mut case.dst][rng.range_usize(2)] = at;
+            }
+            let cut_at = rng.range_usize(2);
+            let mut backup_refused: Vec<bool> = {
                 let refuse = [0.0, 0.2, 0.5][rng.range_usize(3)];
                 graph.links().map(|_| rng.chance(refuse)).collect()
             };
@@ -1434,6 +1503,23 @@ mod tests {
             let Some(primary) = found.filter(|p| p.hop_count() > 0) else {
                 continue;
             };
+            let ends = [primary.source(), primary.destination()];
+            let others = |v: NodeId| {
+                let at = graph.neighbors(v).iter().map(|&(_, l)| l);
+                at.filter(|&l| !primary.crosses(l)).collect::<Vec<LinkId>>()
+            };
+            if cut {
+                others(ends[cut_at])
+                    .into_iter()
+                    .for_each(|l| backup_refused[l.index()] = true);
+            }
+            counts.searched += 1;
+            let refused_all = |v: NodeId| {
+                let others = others(v);
+                !others.is_empty() && others.iter().all(|l| backup_refused[l.index()])
+            };
+            counts.degree_1 += usize::from(ends.iter().any(|&v| others(v).is_empty()));
+            counts.cut_off += usize::from(ends.iter().any(|&v| refused_all(v)));
             let asked = RefCell::new(Vec::new());
             let counted = |l: LinkId| {
                 asked.borrow_mut().push(l);
@@ -1458,19 +1544,58 @@ mod tests {
             if asked.len() != calls {
                 return Err(format!("case {i}: a link was offered to the filter twice"));
             }
+            // The strict search alone, run or skipped, is the reference
+            // flood's: the fallback's answer hides most of its choices.
+            let passes = |l: LinkId| !backup_refused[l.index()];
+            let strict = BackupDisjointness::Strict;
+            let got_strict = route_backup_with(
+                &mut scratch,
+                kind,
+                graph,
+                &primary,
+                strict,
+                &passes,
+                &allowance,
+            );
+            let RouterKind::BoundedFlooding { hop_slack } = kind;
+            let (src, dst, bound) = (ends[0], ends[1], primary.hop_count() + hop_slack);
+            let disjoint = |l: LinkId| !primary.crosses(l) && passes(l);
+            let want_strict = flood_path_reference(
+                &mut ref_scratch,
+                graph,
+                src,
+                dst,
+                bound,
+                &disjoint,
+                &allowance,
+            );
+            if got_strict != want_strict {
+                return Err(format!(
+                    "case {i}: strict {got_strict:?}, reference {want_strict:?}"
+                ));
+            }
             match got {
-                Some(b) if !b.is_link_disjoint(&primary) => shared += 1,
-                None => none += 1,
+                Some(b) if !b.is_link_disjoint(&primary) => counts.shared += 1,
+                None => counts.none += 1,
                 Some(_) => {}
             }
         }
-        Ok((shared, none))
+        Ok(counts)
     }
 
     #[test]
     fn the_fallback_matches_the_allocating_dijkstra_on_2400_seeded_cases() {
-        let (shared, none) = fallback_differential(2400, &route_backup_maximally).unwrap();
-        assert!(shared > 100 && none > 100, "{shared} shared, {none} none");
+        let counts = fallback_differential(2400, &route_backup_maximally).unwrap();
+        // At least a quarter of the searches skip the strict flood at a
+        // degree-1 endpoint, and an eighth run it into a cut-off one.
+        let searched = counts.searched;
+        assert!(
+            counts.shared > 100
+                && counts.none > 100
+                && counts.degree_1 * 4 > searched
+                && counts.cut_off * 8 > searched,
+            "{counts:?}"
+        );
     }
 
     #[test]

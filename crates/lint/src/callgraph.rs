@@ -21,7 +21,7 @@
 //! price of this tolerance is that a resolver regression could silently
 //! empty the graph and turn every reachability rule vacuously green —
 //! which is why [`CallGraph::resolved_edges`] is gated by
-//! [`MIN_RESOLVED_EDGES`] in [`crate::interproc::non_vacuity`].
+//! [`MIN_RESOLVED_EDGES`] in `crate::interproc::non_vacuity`.
 
 use crate::parser::{Callee, FnDef, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet};

@@ -1,19 +1,19 @@
 //! The two interprocedural rules, built on [`crate::callgraph`]:
 //!
-//! * [`panic_reachability`] — from the daemon-zone entry points
-//!   ([`crate::rules::NO_PANIC_FILES`]), walk the call graph and report
+//! * `panic_reachability` — from the daemon-zone entry points
+//!   (`crate::rules::NO_PANIC_FILES`), walk the call graph and report
 //!   any path reaching a panic site (`unwrap`/`expect`/`panic!`-family/
 //!   indexing) *outside* the zone, printing the full call chain. Sites
 //!   inside zone files stay `no-panic-daemon`'s job (same line, same
 //!   contract) — and a site its pragma allows is allowed on every path,
 //!   which is how the old file-scoped allowlist becomes path-level.
-//! * [`determinism_taint`] — taint sources (`Instant::now`, `SystemTime`,
+//! * `determinism_taint` — taint sources (`Instant::now`, `SystemTime`,
 //!   `available_parallelism`, unseeded `HashMap`/`HashSet` state) reached
-//!   from the byte-pinned emitter files ([`crate::rules::DETERMINISTIC_FILES`]
-//!   ∪ [`crate::rules::FLOAT_FILES`]) are reported with the flow chain —
+//!   from the byte-pinned emitter files (`crate::rules::DETERMINISTIC_FILES`
+//!   ∪ `crate::rules::FLOAT_FILES`) are reported with the flow chain —
 //!   the function-level refinement of the file-scoped `raw-clock` rule.
 //!
-//! Plus [`non_vacuity`]: both rules are reachability rules over a
+//! Plus `non_vacuity`: both rules are reachability rules over a
 //! best-effort graph, so an empty graph would make them vacuously green.
 //! The resolved-edge floor turns that failure mode into a finding.
 

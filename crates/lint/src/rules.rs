@@ -12,14 +12,14 @@
 //!
 //! * **daemon zone** — `drqosd`'s connection readers, the locked engine
 //!   call each makes, and the admission path it drives
-//!   ([`NO_PANIC_FILES`]): must not panic.
+//!   (`NO_PANIC_FILES`): must not panic.
 //! * **byte-stable zone** — snapshot/series/golden/wire emitters whose
-//!   byte-equality CI proves ([`DETERMINISTIC_FILES`], [`FLOAT_FILES`]):
+//!   byte-equality CI proves (`DETERMINISTIC_FILES`, `FLOAT_FILES`):
 //!   no unordered iteration, no unpinned float formatting.
 //! * **sim zone** — everything the deterministic experiments run through
-//!   ([`CLOCK_DENY_PREFIXES`]): no wall-clock reads, and no waits on the
+//!   (`CLOCK_DENY_PREFIXES`): no wall-clock reads, and no waits on the
 //!   clock (`thread::sleep`), outside the explicitly-exempt measurement
-//!   modules ([`CLOCK_EXEMPT_FILES`]).
+//!   modules (`CLOCK_EXEMPT_FILES`).
 
 use crate::lexer::{Lexed, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
