@@ -707,7 +707,7 @@ impl Network {
         let conn = self
             .connections
             .at_mut(slot, id)
-            .expect("retreat of unknown id"); // lint:allow(no-panic-daemon): private helper, callers hold the id
+            .expect("retreat of unknown id"); // lint:allow(panic-reachability): private helper, callers hold the id
         Self::retreat_conn(&mut self.links, &mut self.total_bandwidth, conn);
     }
 

@@ -130,7 +130,7 @@ impl Network {
             // Off the old primary's counts below; any new one starts
             // uncounted.
             let counted = connections.unlist(slot);
-            // lint:allow(no-panic-daemon): the pair came from the set's victims
+            // lint:allow(panic-reachability): the pair came from the set's victims
             let conn = connections.at_mut(slot, id).expect("victim exists");
             Self::retreat_conn(links, &mut self.total_bandwidth, conn);
             // Tear down the old primary's reservations, and every
@@ -365,7 +365,7 @@ impl Network {
             let Self {
                 connections, links, ..
             } = self;
-            // lint:allow(no-panic-daemon): private helper, callers hold the id
+            // lint:allow(panic-reachability): private helper, callers hold the id
             let conn = connections.get_mut(id).expect("caller checked existence");
             Self::reserve_backup(links, id, conn.qos().min(), conn.primary(), &backup);
             conn.push_backup(backup);
@@ -380,7 +380,7 @@ impl Network {
         let Self {
             connections, links, ..
         } = self;
-        // lint:allow(no-panic-daemon): private helper, callers hold the id
+        // lint:allow(panic-reachability): private helper, callers hold the id
         let conn = connections.get_mut(id).expect("caller checked existence");
         let min = conn.qos().min();
         while let Some(idx) = conn

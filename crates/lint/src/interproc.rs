@@ -1,26 +1,34 @@
-//! The two interprocedural rules, built on [`crate::callgraph`]:
+//! The rules that read the parse ([`crate::parser`]), the first two
+//! built on [`crate::callgraph`]:
 //!
 //! * `panic_reachability` — from the daemon-zone entry points
 //!   (`crate::rules::NO_PANIC_FILES`), walk the call graph and report
-//!   any path reaching a panic site (`unwrap`/`expect`/`panic!`-family/
-//!   indexing) *outside* the zone, printing the full call chain. Sites
-//!   inside zone files stay `no-panic-daemon`'s job (same line, same
-//!   contract) — and a site its pragma allows is allowed on every path,
-//!   which is how the old file-scoped allowlist becomes path-level.
+//!   every panic site (`unwrap`/`expect`/`panic!`-family/indexing) it
+//!   reaches, printing the full call chain. The zone's own sites are the
+//!   chains of length one. A site its pragma allows is allowed on every
+//!   path.
 //! * `determinism_taint` — taint sources (`Instant::now`, `SystemTime`,
 //!   `available_parallelism`, unseeded `HashMap`/`HashSet` state) reached
 //!   from the byte-pinned emitter files (`crate::rules::DETERMINISTIC_FILES`
-//!   ∪ `crate::rules::FLOAT_FILES`) are reported with the flow chain —
-//!   the function-level refinement of the file-scoped `raw-clock` rule.
+//!   ∪ `crate::rules::FLOAT_FILES`) are reported with the flow chain, and
+//!   every `HashMap`/`HashSet` a `DETERMINISTIC_FILES` file names, used or
+//!   not, is reported where it is named.
+//! * `raw_clock` — per file, no call site reading the wall clock
+//!   (`Instant::now`, `SystemTime`) or waiting on it (`thread::sleep`)
+//!   in the sim zone (`crate::rules::CLOCK_DENY_PREFIXES`) outside the
+//!   exempt measurement modules (`crate::rules::CLOCK_EXEMPT_FILES`).
 //!
-//! Plus `non_vacuity`: both rules are reachability rules over a
+//! Plus `non_vacuity`: both graph rules are reachability rules over a
 //! best-effort graph, so an empty graph would make them vacuously green.
 //! The resolved-edge floor turns that failure mode into a finding.
 
 use crate::callgraph::{CallGraph, FnId};
 use crate::parser::{Callee, PanicKind, ParsedFile};
-use crate::rules::{FilePragmas, Finding, DETERMINISTIC_FILES, FLOAT_FILES, NO_PANIC_FILES};
-use std::collections::BTreeSet;
+use crate::rules::{
+    FilePragmas, Finding, CLOCK_DENY_PREFIXES, CLOCK_EXEMPT_FILES, DETERMINISTIC_FILES,
+    FLOAT_FILES, NO_PANIC_FILES,
+};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One workspace file with everything the interprocedural pass needs.
 pub struct WsFile {
@@ -28,7 +36,7 @@ pub struct WsFile {
     pub path: String,
     /// Item-level parse.
     pub parsed: ParsedFile,
-    /// Pragma table, shared with the intra-file rules' usage tracking.
+    /// Pragma table, shared with the token rules' usage tracking.
     pub pragmas: FilePragmas,
     /// Lines covered by `#[cfg(test)]` items (stale-pragma exclusion).
     pub test_lines: BTreeSet<u32>,
@@ -36,10 +44,11 @@ pub struct WsFile {
     pub surface: crate::surface::Surface,
 }
 
-/// Path prefixes where *reachable* slice indexing is not reported: dense
-/// arena indexing over construction-validated ids is the idiom across
-/// the model crates (the same judgment as `network.rs`/`shard.rs`'s
-/// per-file `false` in [`NO_PANIC_FILES`]). `unwrap`/`expect`/`panic!`
+/// Path prefixes where *reachable* slice indexing outside the daemon zone
+/// is not reported: dense arena indexing over construction-validated ids
+/// is the idiom across the model crates (the same judgment as
+/// `network.rs`/`shard.rs`'s per-file `false` in [`NO_PANIC_FILES`],
+/// which decides for the zone's own files). `unwrap`/`expect`/`panic!`
 /// are still reported everywhere.
 pub(crate) const INDEX_EXEMPT_PREFIXES: &[&str] = &[
     "crates/topology/src",
@@ -50,62 +59,71 @@ pub(crate) const INDEX_EXEMPT_PREFIXES: &[&str] = &[
     "crates/analysis/src",
 ];
 
-fn pragma_of<'a>(files: &'a [WsFile], path: &str) -> Option<&'a FilePragmas> {
-    files.iter().find(|f| f.path == path).map(|f| &f.pragmas)
+/// Pushes a finding at `(path, line)` unless a pragma there allows
+/// `rule`. A site's pragma covers every chain that ends there.
+fn report(
+    files: &[WsFile],
+    out: &mut Vec<Finding>,
+    rule: &'static str,
+    path: &str,
+    line: u32,
+    message: String,
+) {
+    let file = files.iter().find(|f| f.path == path);
+    if !file.is_some_and(|f| f.pragmas.allowed(rule, line)) {
+        out.push(Finding {
+            file: path.to_string(),
+            line,
+            rule,
+            message,
+        });
+    }
 }
 
-/// Is the panic site at `(path, line)` suppressed for reachability? A
-/// `no-panic-daemon` allow also counts: it asserts the site cannot fire,
-/// which covers every chain that ends there.
-fn site_allowed(files: &[WsFile], path: &str, line: u32) -> bool {
-    let Some(p) = pragma_of(files, path) else {
-        return false;
-    };
-    p.allowed("panic-reachability", line) || p.allowed("no-panic-daemon", line)
+/// Reachability from every non-test fn in `paths`.
+fn reach<'a>(
+    graph: &CallGraph,
+    paths: impl Iterator<Item = &'a str>,
+) -> BTreeMap<FnId, Option<FnId>> {
+    let entries: Vec<FnId> = paths.flat_map(|p| graph.fns_in_file(p)).collect();
+    graph.bfs_parents(&entries)
 }
 
-/// Rule 7, `panic-reachability`.
+/// Rule 5, `panic-reachability`.
 pub(crate) fn panic_reachability(graph: &CallGraph, files: &[WsFile], out: &mut Vec<Finding>) {
     const RULE: &str = "panic-reachability";
-    let zone: BTreeSet<&str> = NO_PANIC_FILES.iter().map(|(p, _)| *p).collect();
-    let mut entries: Vec<FnId> = Vec::new();
-    for &(path, _) in NO_PANIC_FILES {
-        entries.extend(graph.fns_in_file(path));
-    }
-    let parents = graph.bfs_parents(&entries);
-
+    let parents = reach(graph, NO_PANIC_FILES.iter().map(|(p, _)| *p));
     let mut seen: BTreeSet<(String, u32, PanicKind)> = BTreeSet::new();
     for &id in parents.keys() {
         let node = &graph.fns[id];
-        if zone.contains(node.file.as_str()) {
-            continue; // no-panic-daemon's jurisdiction
-        }
+        let index_exempt = match NO_PANIC_FILES.iter().find(|(p, _)| *p == node.file) {
+            Some(&(_, check_index)) => !check_index,
+            None => INDEX_EXEMPT_PREFIXES
+                .iter()
+                .any(|p| node.file.starts_with(p)),
+        };
         for site in &node.def.panics {
-            if site.kind == PanicKind::Index
-                && INDEX_EXEMPT_PREFIXES
-                    .iter()
-                    .any(|p| node.file.starts_with(p))
+            if (site.kind == PanicKind::Index && index_exempt)
+                || !seen.insert((node.file.clone(), site.line, site.kind))
             {
                 continue;
             }
-            if !seen.insert((node.file.clone(), site.line, site.kind)) {
-                continue;
-            }
-            if site_allowed(files, &node.file, site.line) {
-                continue;
-            }
-            let chain = graph.chain_to(&parents, id);
-            out.push(Finding {
-                file: node.file.clone(),
-                line: site.line,
-                rule: RULE,
-                message: format!(
-                    "{} reachable from the daemon zone; call chain: {}",
-                    site.kind.describe(),
-                    chain.join(" -> ")
-                ),
-            });
+            let message = format!(
+                "{} reachable from the daemon zone; call chain: {}",
+                site.kind.describe(),
+                graph.chain_to(&parents, id).join(" -> ")
+            );
+            report(files, out, RULE, &node.file, site.line, message);
         }
+    }
+}
+
+/// The taint an unseeded `HashMap` / `HashSet` carries.
+fn hash_state(ty: &str) -> Option<&'static str> {
+    match ty {
+        "HashMap" => Some("unseeded HashMap state"),
+        "HashSet" => Some("unseeded HashSet state"),
+        _ => None,
     }
 }
 
@@ -119,12 +137,7 @@ fn taint_source(callee: &Callee) -> Option<&'static str> {
                 (Some("Instant"), Some("now")) => Some("Instant::now"),
                 (Some("SystemTime"), _) => Some("SystemTime"),
                 (_, Some("available_parallelism")) => Some("std::thread::available_parallelism"),
-                (Some("HashMap"), Some("new" | "with_capacity" | "from")) => {
-                    Some("unseeded HashMap state")
-                }
-                (Some("HashSet"), Some("new" | "with_capacity" | "from")) => {
-                    Some("unseeded HashSet state")
-                }
+                (Some(ty), Some("new" | "with_capacity" | "from")) => hash_state(ty),
                 _ => None,
             }
         }
@@ -132,49 +145,77 @@ fn taint_source(callee: &Callee) -> Option<&'static str> {
     }
 }
 
-/// Rule 8, `determinism-taint`.
+/// Rule 6, `determinism-taint`.
 pub(crate) fn determinism_taint(graph: &CallGraph, files: &[WsFile], out: &mut Vec<Finding>) {
     const RULE: &str = "determinism-taint";
-    let emitters: BTreeSet<&str> = DETERMINISTIC_FILES
-        .iter()
-        .chain(FLOAT_FILES.iter())
-        .copied()
-        .collect();
-    let mut entries: Vec<FnId> = Vec::new();
-    for &path in &emitters {
-        entries.extend(graph.fns_in_file(path));
-    }
-    let parents = graph.bfs_parents(&entries);
-
     let mut seen: BTreeSet<(String, u32, &'static str)> = BTreeSet::new();
+    // A pinned file's hash state is reported where it is named, each name
+    // once: a `use` line or a field's type too, not only a constructor.
+    for f in files
+        .iter()
+        .filter(|f| DETERMINISTIC_FILES.contains(&f.path.as_str()))
+    {
+        for &(line, name) in &f.parsed.hash_names {
+            let src = hash_state(name).unwrap_or(name);
+            if seen.insert((f.path.clone(), line, src)) {
+                let message = format!(
+                    "{src} in a byte-pinned file: its iteration order is randomized per \
+                     process; use BTreeMap/BTreeSet"
+                );
+                report(files, out, RULE, &f.path, line, message);
+            }
+        }
+    }
+
+    let parents = reach(
+        graph,
+        DETERMINISTIC_FILES.iter().chain(FLOAT_FILES).copied(),
+    );
     for &id in parents.keys() {
         let node = &graph.fns[id];
         for call in &node.def.calls {
             let Some(src) = taint_source(&call.callee) else {
                 continue;
             };
-            if !seen.insert((node.file.clone(), call.line, src)) {
-                continue;
-            }
-            let allowed = pragma_of(files, &node.file).is_some_and(|p| p.allowed(RULE, call.line));
-            if allowed {
-                continue;
-            }
-            let chain = graph.chain_to(&parents, id);
-            out.push(Finding {
-                file: node.file.clone(),
-                line: call.line,
-                rule: RULE,
-                message: format!(
+            if seen.insert((node.file.clone(), call.line, src)) {
+                let message = format!(
                     "{src} taints byte-pinned emitter output; flow: {}",
-                    chain.join(" -> ")
-                ),
-            });
+                    graph.chain_to(&parents, id).join(" -> ")
+                );
+                report(files, out, RULE, &node.file, call.line, message);
+            }
         }
     }
 }
 
-/// Rule 10, `call-graph`: the non-vacuity gate. The reachability rules
+/// Rule 2, `raw-clock`.
+pub(crate) fn raw_clock(files: &[WsFile], out: &mut Vec<Finding>) {
+    for f in files {
+        let denied = CLOCK_DENY_PREFIXES.iter().any(|p| f.path.starts_with(p))
+            && !CLOCK_EXEMPT_FILES.contains(&f.path.as_str());
+        if !denied {
+            continue;
+        }
+        let live = f.parsed.fns.iter().filter(|d| !d.is_test);
+        for call in live.flat_map(|d| &d.calls) {
+            let sleeps = matches!(&call.callee, Callee::Path(segs)
+                if segs.len() >= 2 && segs[segs.len() - 2..] == ["thread", "sleep"]);
+            let message = match taint_source(&call.callee) {
+                Some(src @ ("Instant::now" | "SystemTime")) => format!(
+                    "{src} in deterministic code; time through measure.rs or the service \
+                     metrics layer (metrics::OpTimer)"
+                ),
+                _ if sleeps => "thread::sleep waits on the clock; block on the event itself \
+                                (a socket, a Condvar, a join)"
+                    .to_string(),
+                _ => continue,
+            };
+            report(files, out, "raw-clock", &f.path, call.line, message);
+        }
+    }
+}
+
+/// Rule 8, `call-graph`: the non-vacuity gate. The reachability rules
 /// are only as strong as the resolver feeding them; a resolved-edge
 /// count below the floor is itself a finding so a parser/resolver
 /// regression cannot silently turn the rules green.
@@ -194,7 +235,7 @@ pub(crate) fn non_vacuity(graph: &CallGraph, floor: usize, out: &mut Vec<Finding
     }
 }
 
-/// Rule 9, `stale-pragma`: a `lint:allow` declaration that suppressed
+/// Rule 7, `stale-pragma`: a `lint:allow` declaration that suppressed
 /// nothing this run is dead weight — either the violation it covered is
 /// gone (delete it) or it never matched (it is masking nothing and would
 /// silently swallow a future, different finding).

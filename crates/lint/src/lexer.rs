@@ -39,6 +39,17 @@ pub struct Token {
     pub line: u32,
 }
 
+impl Token {
+    /// The text of a punctuation token, `""` for any other: a bracket in
+    /// a string or char literal (`"{"`, `'['`) never opens or closes one.
+    pub(crate) fn punct(&self) -> &str {
+        match self.kind {
+            TokenKind::Punct => &self.text,
+            _ => "",
+        }
+    }
+}
+
 /// A comment (the rules scan these for `lint:allow` pragmas).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Comment {

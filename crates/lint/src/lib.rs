@@ -6,12 +6,13 @@
 //! panic-free daemon, and single-source-of-truth registries for env vars
 //! and wire codes.
 //!
-//! The token-level rules and their zones live in [`rules`]; the
-//! interprocedural rules (`panic-reachability`, `determinism-taint`)
-//! live in [`interproc`] on top of the item-level
-//! [`parser`] and the workspace [`callgraph`]; `dead-surface` (a `pub`
-//! item no file outside its crate names) lives in [`surface`] and needs
-//! neither. Pragma syntax is
+//! Ten rules, and one rule per hazard. The token rules (`env-registry`'s
+//! literal ban, `float-format`) and the zone tables live in [`rules`];
+//! the rules that read the item-level [`parser`] — `panic-reachability`
+//! and `determinism-taint` over the workspace [`callgraph`], `raw-clock`
+//! per file — live in [`interproc`]; `dead-surface` (a `pub` item no
+//! file outside its crate names) lives in [`surface`] and needs neither.
+//! Pragma syntax is
 //! `// lint:allow(<rule>)[: justification]` on the offending line or
 //! alone on the line above; a pragma that suppresses nothing is itself a
 //! `stale-pragma` finding. TESTING.md documents the full rule table.
@@ -70,17 +71,15 @@ pub(crate) fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Lints one file's source text. `rel_path` must be repo-relative with
-/// forward slashes — it selects which zone rules apply.
+/// forward slashes — it selects which zone rules apply. Every rule runs
+/// with the file as the whole workspace, except the ones only the whole
+/// workspace can judge: the call-graph floor, `dead-surface` and
+/// `stale-pragma` (see [`lint_sources`]).
 pub fn lint_file(rel_path: &str, source: &str) -> Vec<Finding> {
-    let lexed = lexer::lex(source);
-    let view = FileView::new(rel_path, &lexed);
-    let mut out = Vec::new();
-    rules::no_panic_daemon(&view, &mut out);
-    rules::nondeterministic_iteration(&view, &mut out);
-    rules::env_registry(&view, &mut out);
-    rules::raw_clock(&view, &mut out);
-    rules::float_format(&view, &mut out);
-    out
+    let mut findings = Vec::new();
+    lint_parsed(&[(rel_path.to_string(), source.to_string())], &mut findings);
+    findings.sort();
+    findings
 }
 
 /// The docs half of `env-registry`: every registered variable must appear
@@ -132,7 +131,7 @@ pub fn check_env_docs(readme: &str) -> Vec<Finding> {
     out
 }
 
-/// Rule 6, `wire-doc-sync`: every `(code, description)` in `wire.rs`'s
+/// Rule 4, `wire-doc-sync`: every `(code, description)` in `wire.rs`'s
 /// `WIRE_CODES` table must appear in SERVICE.md as a `| code | description |`
 /// row.
 pub fn check_wire_docs(wire_src: &str, service_md: &str) -> Vec<Finding> {
@@ -187,19 +186,19 @@ fn load_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// Lexes and parses `(path, source)` pairs into the per-file context the
-/// interprocedural pass works on. The token rules run inside, so pragma
-/// usage is already recorded on the returned files.
-fn analyze_sources(sources: &[(String, String)], findings: &mut Vec<Finding>) -> Vec<WsFile> {
+/// Lexes and parses `(path, source)` pairs, runs the token rules and the
+/// rules that read the parse, and returns the files (with their pragma
+/// usage recorded) and their call graph for the workspace checks.
+fn lint_parsed(
+    sources: &[(String, String)],
+    findings: &mut Vec<Finding>,
+) -> (Vec<WsFile>, CallGraph) {
     let mut files = Vec::new();
     for (rel, source) in sources {
         let lexed = lexer::lex(source);
         let parsed = parser::parse_file(&lexed);
         let view = FileView::new(rel, &lexed);
-        rules::no_panic_daemon(&view, findings);
-        rules::nondeterministic_iteration(&view, findings);
         rules::env_registry(&view, findings);
-        rules::raw_clock(&view, findings);
         rules::float_format(&view, findings);
         let test_lines = view.test_lines();
         let surface = surface::scan(&view, &lexed);
@@ -212,21 +211,21 @@ fn analyze_sources(sources: &[(String, String)], findings: &mut Vec<Finding>) ->
             surface,
         });
     }
-    files
+    let graph = CallGraph::build(files.iter().map(|f| (f.path.as_str(), &f.parsed)));
+    interproc::panic_reachability(&graph, &files, findings);
+    interproc::determinism_taint(&graph, &files, findings);
+    interproc::raw_clock(&files, findings);
+    (files, graph)
 }
 
-/// Full pipeline over in-memory sources: token rules, call-graph
-/// construction, the interprocedural rules, `dead-surface`, and
-/// stale-pragma detection.
+/// Full pipeline over in-memory sources: every [`lint_file`] rule, then
+/// the call-graph floor, `dead-surface`, and stale-pragma detection.
 /// `edge_floor` is the non-vacuity gate ([`callgraph::MIN_RESOLVED_EDGES`]
 /// for the real workspace, `0` for fixture-sized inputs). Findings come
 /// back sorted by (file, line, rule).
 pub fn lint_sources(sources: &[(String, String)], edge_floor: usize) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let files = analyze_sources(sources, &mut findings);
-    let graph = CallGraph::build(files.iter().map(|f| (f.path.as_str(), &f.parsed)));
-    interproc::panic_reachability(&graph, &files, &mut findings);
-    interproc::determinism_taint(&graph, &files, &mut findings);
+    let (files, graph) = lint_parsed(sources, &mut findings);
     interproc::non_vacuity(&graph, edge_floor, &mut findings);
     surface::dead_surface(&files, &mut findings);
     interproc::stale_pragmas(&files, &mut findings);
@@ -366,12 +365,12 @@ mod tests {
         let findings = vec![Finding {
             file: "a/b.rs".to_string(),
             line: 3,
-            rule: "no-panic-daemon",
+            rule: "panic-reachability",
             message: "said \"no\"".to_string(),
         }];
         assert_eq!(
             render_json(&findings),
-            "{\"version\":1,\"findings\":[{\"rule\":\"no-panic-daemon\",\
+            "{\"version\":1,\"findings\":[{\"rule\":\"panic-reachability\",\
              \"file\":\"a/b.rs\",\"line\":3,\"message\":\"said \\\"no\\\"\"}]}"
         );
         assert_eq!(render_json(&[]), "{\"version\":1,\"findings\":[]}");

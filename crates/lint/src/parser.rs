@@ -13,7 +13,10 @@
 //!   plain identifier), or a macro invocation (`name!(..)`);
 //! * every *panic site* — `.unwrap()` / `.expect()` / the `panic!` macro
 //!   family / slice-index expressions — so reachability analysis can use
-//!   functions containing them as sinks.
+//!   functions containing them as sinks;
+//! * every non-test `HashMap` / `HashSet` name in the file, inside a body
+//!   or not (`use` lines and types too), for `determinism-taint`'s
+//!   byte-pinned files.
 //!
 //! The parser is loss-tolerant by design: anything it cannot classify is
 //! simply not an item or a call, never an error. The non-vacuity gate in
@@ -120,6 +123,8 @@ impl FnDef {
 pub struct ParsedFile {
     /// Functions in source order.
     pub fns: Vec<FnDef>,
+    /// Every non-test `HashMap` / `HashSet` token, as `(line, name)`.
+    pub hash_names: Vec<(u32, &'static str)>,
 }
 
 /// Keywords that can directly precede `(` without being a call.
@@ -132,6 +137,16 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 /// Panic-family macro names.
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
 
+/// Idents that legitimately precede `[` without it being an index
+/// expression (`impl [T]`, `dyn [..]` are contrived, but `mut`, `in`,
+/// `return`, `else`, `match` arms binding arrays are real).
+const NON_INDEX_KEYWORDS: &[&str] = &[
+    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "fn",
+    "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
+    "return", "static", "struct", "trait", "type", "unsafe", "use", "where", "while", "async",
+    "await", "true", "false", "vec",
+];
+
 use crate::rules::mark_test_tokens;
 
 /// Finds the token index of the `{` opening the body of the item whose
@@ -142,7 +157,7 @@ fn find_body_open(toks: &[Token], kw: usize) -> Option<usize> {
     let mut j = kw + 1;
     let mut angle = 0i32;
     while j < toks.len() {
-        match toks[j].text.as_str() {
+        match toks[j].punct() {
             "<" => angle += 1,
             ">"
                 // `->` is not a closing angle.
@@ -163,7 +178,7 @@ fn find_body_end(toks: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     let mut j = open;
     while j < toks.len() {
-        match toks[j].text.as_str() {
+        match toks[j].punct() {
             "{" => depth += 1,
             "}" => {
                 depth -= 1;
@@ -264,10 +279,12 @@ fn path_segments_ending_at(toks: &[Token], i: usize) -> (usize, Vec<String>) {
     (first, segs)
 }
 
-/// Scans a body token range for call expressions and panic sites.
+/// Scans a body token range for call expressions and panic sites,
+/// skipping the tokens `gated` marks (`#[cfg(test)]` blocks).
 fn scan_body(
     toks: &[Token],
     range: (usize, usize),
+    gated: &[bool],
     calls: &mut Vec<CallSite>,
     panics: &mut Vec<PanicSite>,
 ) {
@@ -275,14 +292,16 @@ fn scan_body(
     let mut i = start;
     while i < end {
         let t = &toks[i];
+        if gated.get(i) == Some(&true) {
+            i += 1;
+            continue;
+        }
         if t.kind != TokenKind::Ident {
             // Index expression: `[` whose previous token ends a value.
-            if t.text == "[" && i > start {
+            if t.punct() == "[" && i > start {
                 let prev = &toks[i - 1];
                 let indexes_value = match prev.kind {
-                    TokenKind::Ident => {
-                        !crate::rules::NON_INDEX_KEYWORDS.contains(&prev.text.as_str())
-                    }
+                    TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
                     TokenKind::Punct => prev.text == ")" || prev.text == "]",
                     _ => false,
                 };
@@ -367,11 +386,22 @@ fn scan_body(
     }
 }
 
-/// Parses one lexed file into its functions and lock families.
+/// Parses one lexed file into its functions and hash names.
 pub(crate) fn parse_file(lexed: &Lexed) -> ParsedFile {
     let toks = &lexed.tokens;
     let in_test = mark_test_tokens(toks);
     let mut out = ParsedFile::default();
+    let live = toks
+        .iter()
+        .zip(&in_test)
+        .filter(|(t, test)| !**test && t.kind == TokenKind::Ident);
+    for (t, _) in live {
+        match t.text.as_str() {
+            "HashMap" => out.hash_names.push((t.line, "HashMap")),
+            "HashSet" => out.hash_names.push((t.line, "HashSet")),
+            _ => {}
+        }
+    }
 
     // Impl context: a stack of (self_type, body_end_token).
     let mut impl_stack: Vec<(Option<String>, usize)> = Vec::new();
@@ -410,11 +440,16 @@ pub(crate) fn parse_file(lexed: &Lexed) -> ParsedFile {
                     continue;
                 };
                 let end = find_body_end(toks, open);
+                let is_test = in_test.get(i).copied().unwrap_or(false);
+                // A live fn skips its `#[cfg(test)]` blocks; a test fn is
+                // all test.
+                let gated: &[bool] = if is_test { &[] } else { &in_test };
                 let mut calls = Vec::new();
                 let mut panics = Vec::new();
                 scan_body(
                     toks,
                     (open + 1, end.saturating_sub(1)),
+                    gated,
                     &mut calls,
                     &mut panics,
                 );
@@ -422,7 +457,7 @@ pub(crate) fn parse_file(lexed: &Lexed) -> ParsedFile {
                     name: name_tok.text.clone(),
                     self_type: impl_stack.last().and_then(|(t, _)| t.clone()),
                     line: t.line,
-                    is_test: in_test.get(i).copied().unwrap_or(false),
+                    is_test,
                     calls,
                     panics,
                 });
@@ -560,6 +595,17 @@ mod tests {
             kinds,
             vec![PanicKind::Unwrap, PanicKind::Expect, PanicKind::Index]
         );
+    }
+
+    #[test]
+    fn literal_brackets_and_test_blocks_are_not_code() {
+        let p = parse(
+            "fn open() { let s = \"{\"; if x == Some(b'[') {} }\n\
+             fn live() { a.unwrap(); #[cfg(test)] { b.unwrap(); } }",
+        );
+        assert_eq!(p.fns.len(), 2);
+        assert!(p.fns[0].panics.is_empty());
+        assert_eq!(p.fns[1].panics.len(), 1);
     }
 
     #[test]

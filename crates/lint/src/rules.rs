@@ -1,4 +1,8 @@
-//! The six drqos rules, the per-file pragma machinery, and the zone map.
+//! The rule ids, the two token rules (`env-registry`'s literal ban and
+//! `float-format`), the per-file pragma machinery, and the zone tables
+//! with their `zone-map` check. The rules that read the parse — the
+//! daemon zone's panics, the byte-stable zone's hash state, the sim
+//! zone's clock calls — live in [`crate::interproc`].
 //!
 //! Every rule works on the token stream from [`crate::lexer`] — never on
 //! raw text — so commented-out code, string contents, and raw strings can
@@ -39,8 +43,6 @@ pub struct Finding {
 
 /// Stable rule ids, in documentation order.
 pub const RULES: &[&str] = &[
-    "no-panic-daemon",
-    "nondeterministic-iteration",
     "env-registry",
     "raw-clock",
     "float-format",
@@ -152,7 +154,7 @@ pub fn zone_tables() -> Vec<(&'static str, Vec<&'static str>)> {
     ]
 }
 
-/// Rule 11, `zone-map`: a zone-table row that matches none of the
+/// Rule 9, `zone-map`: a zone-table row that matches none of the
 /// workspace's `files` puts nothing in its zone — a rename or a typo has
 /// silently dropped a file out of it, and every rule keyed on the row is
 /// vacuous there. A row is held to what the rules reading its table do
@@ -186,8 +188,8 @@ pub fn zone_map(tables: &[(&str, Vec<&str>)], files: &[&str], out: &mut Vec<Find
 /// `stale-pragma` rule — prose that merely mentions the syntax (e.g.
 /// rule documentation) is neither a declaration nor expected to be used.
 ///
-/// Usage is recorded behind a `RefCell` so the intra-file rules and the
-/// interprocedural pass can share one immutable view per file and still
+/// Usage is recorded behind a `RefCell` so the token rules and the
+/// parsed rules can share one immutable view per file and still
 /// account for which declarations earned their keep.
 pub struct FilePragmas {
     /// (code line, rule) → pragma comment line that covers it.
@@ -339,12 +341,12 @@ pub(crate) fn mark_test_tokens(tokens: &[Token]) -> Vec<bool> {
     let mut in_test = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {
-        if !(tokens[i].kind == TokenKind::Punct && tokens[i].text == "#") {
+        if tokens[i].punct() != "#" {
             i += 1;
             continue;
         }
         // `#[ ... ]`: find the attribute's bracket span.
-        let Some(open) = tokens.get(i + 1).filter(|t| t.text == "[") else {
+        let Some(open) = tokens.get(i + 1).filter(|t| t.punct() == "[") else {
             i += 1;
             continue;
         };
@@ -353,7 +355,7 @@ pub(crate) fn mark_test_tokens(tokens: &[Token]) -> Vec<bool> {
         let mut j = i + 1;
         let mut close = None;
         while j < tokens.len() {
-            match tokens[j].text.as_str() {
+            match tokens[j].punct() {
                 "[" => depth += 1,
                 "]" => {
                     depth -= 1;
@@ -384,7 +386,7 @@ pub(crate) fn mark_test_tokens(tokens: &[Token]) -> Vec<bool> {
         let mut brace_depth = 0usize;
         let mut entered = false;
         while k < tokens.len() {
-            match tokens[k].text.as_str() {
+            match tokens[k].punct() {
                 "{" => {
                     brace_depth += 1;
                     entered = true;
@@ -409,106 +411,7 @@ pub(crate) fn mark_test_tokens(tokens: &[Token]) -> Vec<bool> {
     in_test
 }
 
-/// Idents that legitimately precede `[` without it being an index
-/// expression (`impl [T]`, `dyn [..]` are contrived, but `mut`, `in`,
-/// `return`, `else`, `match` arms binding arrays are real).
-pub(crate) const NON_INDEX_KEYWORDS: &[&str] = &[
-    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "fn",
-    "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
-    "return", "static", "struct", "trait", "type", "unsafe", "use", "where", "while", "async",
-    "await", "true", "false", "vec",
-];
-
-/// Rule 1, `no-panic-daemon`: no `.unwrap()` / `.expect()` /
-/// `panic!`-family macros (and, where configured, no slice indexing) in
-/// the daemon zone.
-pub(crate) fn no_panic_daemon(view: &FileView<'_>, out: &mut Vec<Finding>) {
-    const RULE: &str = "no-panic-daemon";
-    let Some(&(_, check_index)) = NO_PANIC_FILES.iter().find(|(p, _)| *p == view.path) else {
-        return;
-    };
-    let toks = view.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if view.is_test(i) {
-            continue;
-        }
-        match t.kind {
-            TokenKind::Ident if t.text == "unwrap" || t.text == "expect" => {
-                let after_dot = i > 0 && toks[i - 1].text == ".";
-                let called = toks.get(i + 1).is_some_and(|n| n.text == "(");
-                if after_dot && called {
-                    out.extend(view.finding(
-                        RULE,
-                        t.line,
-                        format!(
-                            ".{}() can panic the daemon; map the failure onto a wire error \
-                             code instead",
-                            t.text
-                        ),
-                    ));
-                }
-            }
-            TokenKind::Ident
-                if matches!(
-                    t.text.as_str(),
-                    "panic" | "todo" | "unimplemented" | "unreachable"
-                ) && toks.get(i + 1).is_some_and(|n| n.text == "!") =>
-            {
-                out.extend(view.finding(
-                    RULE,
-                    t.line,
-                    format!(
-                        "{}! kills a reader mid-request; return an error response instead",
-                        t.text
-                    ),
-                ));
-            }
-            TokenKind::Punct if check_index && t.text == "[" && i > 0 => {
-                let prev = &toks[i - 1];
-                let indexes_value = match prev.kind {
-                    TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-                    TokenKind::Punct => prev.text == ")" || prev.text == "]",
-                    _ => false,
-                };
-                if indexes_value {
-                    out.extend(view.finding(
-                        RULE,
-                        t.line,
-                        "slice indexing can panic the daemon; use .get()/.first()".to_string(),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Rule 2, `nondeterministic-iteration`: no `HashMap`/`HashSet` in files
-/// whose output bytes CI pins — iteration order would leak into them.
-pub(crate) fn nondeterministic_iteration(view: &FileView<'_>, out: &mut Vec<Finding>) {
-    const RULE: &str = "nondeterministic-iteration";
-    if !DETERMINISTIC_FILES.contains(&view.path) {
-        return;
-    }
-    for (i, t) in view.tokens.iter().enumerate() {
-        if view.is_test(i) {
-            continue;
-        }
-        if t.kind == TokenKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
-            out.extend(view.finding(
-                RULE,
-                t.line,
-                format!(
-                    "{} iteration order is randomized per process; use BTreeMap/BTreeSet \
-                     in byte-stable code",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
-/// Rule 3, `env-registry` (token half): any `"DRQOS_..."` string literal
+/// Rule 1, `env-registry` (token half): any `"DRQOS_..."` string literal
 /// outside `crates/core/src/env.rs` means an env read (or name) bypassing
 /// the registry. The docs half lives in [`crate::check_env_docs`].
 pub(crate) fn env_registry(view: &FileView<'_>, out: &mut Vec<Finding>) {
@@ -534,67 +437,7 @@ pub(crate) fn env_registry(view: &FileView<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Rule 4, `raw-clock`: no `Instant::now` / `SystemTime` in the sim zone
-/// outside the exempt measurement modules, and no `thread::sleep` there
-/// either — a daemon that waits out a clock instead of blocking on the
-/// event (a socket, a `Condvar`, a join) is slow when it is idle and
-/// racy when it is not.
-pub(crate) fn raw_clock(view: &FileView<'_>, out: &mut Vec<Finding>) {
-    const RULE: &str = "raw-clock";
-    let denied = CLOCK_DENY_PREFIXES.iter().any(|p| view.path.starts_with(p))
-        && !CLOCK_EXEMPT_FILES.contains(&view.path);
-    if !denied {
-        return;
-    }
-    let toks = view.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if view.is_test(i) || t.kind != TokenKind::Ident {
-            continue;
-        }
-        if t.text == "SystemTime" {
-            out.extend(
-                view.finding(
-                    RULE,
-                    t.line,
-                    "SystemTime in deterministic code; route timing through measure.rs or \
-                 the service metrics layer"
-                        .to_string(),
-                ),
-            );
-        }
-        if t.text == "Instant"
-            && toks.get(i + 1).is_some_and(|a| a.text == ":")
-            && toks.get(i + 2).is_some_and(|b| b.text == ":")
-            && toks.get(i + 3).is_some_and(|c| c.text == "now")
-        {
-            out.extend(
-                view.finding(
-                    RULE,
-                    t.line,
-                    "Instant::now in deterministic code; use metrics::OpTimer or measure.rs"
-                        .to_string(),
-                ),
-            );
-        }
-        if t.text == "thread"
-            && toks.get(i + 1).is_some_and(|a| a.text == ":")
-            && toks.get(i + 2).is_some_and(|b| b.text == ":")
-            && toks.get(i + 3).is_some_and(|c| c.text == "sleep")
-        {
-            out.extend(
-                view.finding(
-                    RULE,
-                    t.line,
-                    "thread::sleep waits on the clock; block on the event itself (a socket, a \
-                 Condvar, a join)"
-                        .to_string(),
-                ),
-            );
-        }
-    }
-}
-
-/// Rule 5, `float-format`: in emitter files, every float reaching a
+/// Rule 3, `float-format`: in emitter files, every float reaching a
 /// formatting macro must use an explicit precision (`{:.3}`); default
 /// float `Display` is not a stable byte contract.
 pub(crate) fn float_format(view: &FileView<'_>, out: &mut Vec<Finding>) {
@@ -818,14 +661,7 @@ pub(crate) fn wire_code_table(lexed: &Lexed) -> Vec<(u16, String)> {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-
-    fn run_rule(path: &str, src: &str, rule: fn(&FileView<'_>, &mut Vec<Finding>)) -> Vec<Finding> {
-        let lexed = lex(src);
-        let view = FileView::new(path, &lexed);
-        let mut out = Vec::new();
-        rule(&view, &mut out);
-        out
-    }
+    use crate::lint_file;
 
     #[test]
     fn cfg_test_modules_are_invisible() {
@@ -837,16 +673,16 @@ mod tests {
                 fn t() { x.unwrap(); panic!("fine in tests"); }
             }
         "#;
-        assert!(run_rule("crates/service/src/engine.rs", src, no_panic_daemon).is_empty());
+        assert!(lint_file("crates/service/src/engine.rs", src).is_empty());
     }
 
     #[test]
     fn pragma_suppresses_same_line_and_next_line() {
-        let src = "let a = m.get(&k).expect(\"x\"); // lint:allow(no-panic-daemon)\n\
-                   // lint:allow(no-panic-daemon): justified here\n\
+        let src = "fn f() { let a = m.get(&k).expect(\"x\"); // lint:allow(panic-reachability)\n\
+                   // lint:allow(panic-reachability): justified here\n\
                    let b = m.get(&k).expect(\"y\");\n\
-                   let c = m.get(&k).expect(\"z\");\n";
-        let f = run_rule("crates/core/src/network.rs", src, no_panic_daemon);
+                   let c = m.get(&k).expect(\"z\"); }\n";
+        let f = lint_file("crates/core/src/network.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 4);
     }
@@ -854,15 +690,12 @@ mod tests {
     #[test]
     fn index_rule_applies_only_where_configured() {
         let src = "fn f() { let x = items[0]; }";
-        assert_eq!(
-            run_rule("crates/service/src/engine.rs", src, no_panic_daemon).len(),
-            1
-        );
+        assert_eq!(lint_file("crates/service/src/engine.rs", src).len(), 1);
         // network.rs: arena indexing is the idiom, not checked.
-        assert!(run_rule("crates/core/src/network.rs", src, no_panic_daemon).is_empty());
+        assert!(lint_file("crates/core/src/network.rs", src).is_empty());
         // Attributes and array literals are not index expressions.
         let src = "#[derive(Debug)] fn g() { let a = [1, 2]; let v = vec![3]; }";
-        assert!(run_rule("crates/service/src/engine.rs", src, no_panic_daemon).is_empty());
+        assert!(lint_file("crates/service/src/engine.rs", src).is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Rule 12, `dead-surface`: a `pub` item nobody outside its crate names.
+//! Rule 10, `dead-surface`: a `pub` item nobody outside its crate names.
 //!
 //! Deadness *within* a crate is something rustc already decides — exactly,
 //! transitively, and `#[cfg(test)]`-aware — for everything that is not
@@ -121,7 +121,7 @@ pub(crate) fn scan(view: &FileView<'_>, lexed: &Lexed) -> Surface {
     }
 }
 
-/// Rule 12, `dead-surface`, over the whole workspace.
+/// Rule 10, `dead-surface`, over the whole workspace.
 pub(crate) fn dead_surface(files: &[WsFile], out: &mut Vec<Finding>) {
     const RULE: &str = "dead-surface";
     for f in files {

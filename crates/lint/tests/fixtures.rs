@@ -18,84 +18,6 @@ fn rules_fired(findings: &[Finding]) -> Vec<&'static str> {
     rules
 }
 
-// ------------------------------------------------------ no-panic-daemon --
-
-#[test]
-fn no_panic_daemon_fires() {
-    let src = r#"
-        fn handle(&mut self) {
-            let x = self.map.get(&k).unwrap();
-            let y = self.map.get(&k).expect("present");
-            panic!("boom");
-            todo!();
-            let z = items[0];
-        }
-    "#;
-    let f = lint_as("crates/service/src/engine.rs", src);
-    assert_eq!(f.len(), 5, "{f:?}");
-    assert!(f.iter().all(|f| f.rule == "no-panic-daemon"));
-}
-
-#[test]
-fn no_panic_daemon_suppressed() {
-    let src = r#"
-        fn handle(&mut self) {
-            // lint:allow(no-panic-daemon): checked two lines up
-            let x = self.map.get(&k).unwrap();
-            let y = self.map.get(&k).expect("present"); // lint:allow(no-panic-daemon): ditto
-        }
-    "#;
-    assert!(lint_as("crates/service/src/engine.rs", src).is_empty());
-}
-
-#[test]
-fn no_panic_daemon_clean() {
-    let src = r#"
-        fn handle(&mut self) -> Response {
-            match self.map.get(&k) {
-                Some(v) => ok(v),
-                None => err(),
-            }
-        }
-        /* a block comment mentioning x.unwrap() is not code */
-        const DOC: &str = "and x.unwrap() in a string is not code either";
-    "#;
-    assert!(lint_as("crates/service/src/engine.rs", src).is_empty());
-}
-
-#[test]
-fn no_panic_daemon_only_applies_to_the_daemon_zone() {
-    let src = "fn f() { x.unwrap(); }";
-    assert!(lint_as("crates/markov/src/solver.rs", src).is_empty());
-    assert!(!lint_as("crates/service/src/server.rs", src).is_empty());
-}
-
-// ------------------------------------------- nondeterministic-iteration --
-
-#[test]
-fn nondeterministic_iteration_fires() {
-    let src = "use std::collections::HashMap;\nfn f(m: &HashMap<u32, u32>) {}";
-    let f = lint_as("crates/core/src/snapshot.rs", src);
-    assert_eq!(rules_fired(&f), vec!["nondeterministic-iteration"]);
-    assert_eq!(f.len(), 2);
-}
-
-#[test]
-fn nondeterministic_iteration_suppressed() {
-    let src = "// lint:allow(nondeterministic-iteration): keyed lookups only, never iterated\n\
-               use std::collections::HashSet;";
-    assert!(lint_as("crates/core/src/snapshot.rs", src).is_empty());
-}
-
-#[test]
-fn nondeterministic_iteration_clean() {
-    let src = "use std::collections::{BTreeMap, BTreeSet};\nfn f(m: &BTreeMap<u32, u32>) {}";
-    assert!(lint_as("crates/core/src/snapshot.rs", src).is_empty());
-    // HashMap is fine outside the byte-stable zone (e.g. routing scratch).
-    let scratch = "use std::collections::HashMap;";
-    assert!(lint_as("crates/core/src/routing.rs", scratch).is_empty());
-}
-
 // ----------------------------------------------------------- env-registry --
 
 #[test]
@@ -160,8 +82,10 @@ fn raw_clock_clean() {
     let src = "fn f() { let t0 = Instant::now(); }";
     assert!(lint_as("crates/core/src/measure.rs", src).is_empty());
     assert!(lint_as("crates/service/src/metrics.rs", src).is_empty());
-    // ...and bench code is outside the sim zone entirely.
-    assert!(lint_as("crates/bench/src/runner.rs", src).is_empty());
+    // ...and bench code is outside the sim zone entirely: a clock read in
+    // its byte-pinned runner is `determinism-taint`'s, not this rule's.
+    let bench = lint_as("crates/bench/src/runner.rs", src);
+    assert_eq!(rules_fired(&bench), vec!["determinism-taint"], "{bench:?}");
     // `Instant` without `::now` (type position, Duration math) is fine.
     let ty = "fn g(t: Instant) -> Duration { t.elapsed() }";
     assert!(lint_as("crates/core/src/experiment.rs", ty).is_empty());
@@ -281,7 +205,7 @@ fn slashes_inside_string_literals_do_not_start_comments() {
 
 #[test]
 fn pragma_inside_string_literal_is_inert() {
-    let src = "fn f() { let s = \"lint:allow(no-panic-daemon)\"; x.unwrap(); }";
+    let src = "fn f() { let s = \"lint:allow(panic-reachability)\"; x.unwrap(); }";
     assert_eq!(lint_as("crates/service/src/engine.rs", src).len(), 1);
 }
 
@@ -294,10 +218,10 @@ fn json_output_matches_schema_snapshot() {
     let json = render_json(&findings);
     assert_eq!(
         json,
-        "{\"version\":1,\"findings\":[{\"rule\":\"no-panic-daemon\",\
+        "{\"version\":1,\"findings\":[{\"rule\":\"panic-reachability\",\
          \"file\":\"crates/service/src/engine.rs\",\"line\":1,\
-         \"message\":\".unwrap() can panic the daemon; map the failure onto \
-         a wire error code instead\"}]}"
+         \"message\":\".unwrap() reachable from the daemon zone; call chain: \
+         f (crates/service/src/engine.rs:1)\"}]}"
     );
     assert_eq!(render_json(&[]), "{\"version\":1,\"findings\":[]}");
 }
@@ -309,8 +233,6 @@ fn every_shipped_rule_has_a_stable_id() {
     assert_eq!(
         rules::RULES,
         &[
-            "no-panic-daemon",
-            "nondeterministic-iteration",
             "env-registry",
             "raw-clock",
             "float-format",
@@ -420,6 +342,62 @@ fn panic_reachability_clean_when_unreachable() {
     assert!(f.is_empty(), "{f:?}");
 }
 
+// ------------------------------- panic-reachability: the zone's own sites --
+//
+// A daemon-zone file's own panic sites are the chains of length one. These
+// fixtures keep the names and inputs they had under the retired
+// `no-panic-daemon` rule.
+
+#[test]
+fn no_panic_daemon_fires() {
+    let src = r#"
+        fn handle(&mut self) {
+            let x = self.map.get(&k).unwrap();
+            let y = self.map.get(&k).expect("present");
+            panic!("boom");
+            todo!();
+            let z = items[0];
+        }
+    "#;
+    let f = lint_as("crates/service/src/engine.rs", src);
+    assert_eq!(f.len(), 5, "{f:?}");
+    assert!(f.iter().all(|f| f.rule == "panic-reachability"));
+}
+
+#[test]
+fn no_panic_daemon_suppressed() {
+    let src = r#"
+        fn handle(&mut self) {
+            // lint:allow(panic-reachability): checked two lines up
+            let x = self.map.get(&k).unwrap();
+            let y = self.map.get(&k).expect("present"); // lint:allow(panic-reachability): ditto
+        }
+    "#;
+    assert!(lint_as("crates/service/src/engine.rs", src).is_empty());
+}
+
+#[test]
+fn no_panic_daemon_clean() {
+    let src = r#"
+        fn handle(&mut self) -> Response {
+            match self.map.get(&k) {
+                Some(v) => ok(v),
+                None => err(),
+            }
+        }
+        /* a block comment mentioning x.unwrap() is not code */
+        const DOC: &str = "and x.unwrap() in a string is not code either";
+    "#;
+    assert!(lint_as("crates/service/src/engine.rs", src).is_empty());
+}
+
+#[test]
+fn no_panic_daemon_only_applies_to_the_daemon_zone() {
+    let src = "fn f() { x.unwrap(); }";
+    assert!(lint_as("crates/markov/src/solver.rs", src).is_empty());
+    assert!(!lint_as("crates/service/src/server.rs", src).is_empty());
+}
+
 // --------------------------------------------------- determinism-taint --
 
 #[test]
@@ -471,6 +449,36 @@ fn determinism_taint_clean_when_no_emitter_reaches_the_clock() {
     assert!(f.is_empty(), "{f:?}");
 }
 
+// -------------------------------- determinism-taint: a pinned file's hashes --
+//
+// Every `HashMap` / `HashSet` a byte-pinned file names is reported where it
+// is named, `use` lines and types too. These fixtures keep the names and
+// inputs they had under the retired `nondeterministic-iteration` rule.
+
+#[test]
+fn nondeterministic_iteration_fires() {
+    let src = "use std::collections::HashMap;\nfn f(m: &HashMap<u32, u32>) {}";
+    let f = lint_as("crates/core/src/snapshot.rs", src);
+    assert_eq!(rules_fired(&f), vec!["determinism-taint"]);
+    assert_eq!(f.len(), 2);
+}
+
+#[test]
+fn nondeterministic_iteration_suppressed() {
+    let src = "// lint:allow(determinism-taint): keyed lookups only, never iterated\n\
+               use std::collections::HashSet;";
+    assert!(lint_as("crates/core/src/snapshot.rs", src).is_empty());
+}
+
+#[test]
+fn nondeterministic_iteration_clean() {
+    let src = "use std::collections::{BTreeMap, BTreeSet};\nfn f(m: &BTreeMap<u32, u32>) {}";
+    assert!(lint_as("crates/core/src/snapshot.rs", src).is_empty());
+    // HashMap is fine outside the byte-stable zone (e.g. routing scratch).
+    let scratch = "use std::collections::HashMap;";
+    assert!(lint_as("crates/core/src/routing.rs", scratch).is_empty());
+}
+
 // --------------------------------------------------------- stale-pragma --
 
 #[test]
@@ -499,6 +507,43 @@ fn stale_pragma_fires_on_an_unknown_rule_name() {
     )]);
     assert_eq!(rules_fired(&f), vec!["stale-pragma"], "{f:?}");
     assert!(f[0].message.contains("unknown"), "{}", f[0].message);
+}
+
+#[test]
+fn stale_pragma_names_a_retired_rule_unknown() {
+    // The two ids folded into `panic-reachability` and `determinism-taint`
+    // suppress nothing now: the site they covered is reported, and so is
+    // the pragma.
+    let f = lint_ws(&[(
+        "crates/core/src/snapshot.rs",
+        "// lint:allow(nondeterministic-iteration): keyed lookups only\n\
+         use std::collections::HashSet;\n",
+    )]);
+    assert_eq!(
+        rules_fired(&f),
+        vec!["stale-pragma", "determinism-taint"],
+        "{f:?}"
+    );
+    assert!(
+        f[0].message.contains("names an unknown rule"),
+        "{}",
+        f[0].message
+    );
+    let f = lint_ws(&[(
+        "crates/core/src/network.rs",
+        "fn f(&self) {\n\
+         // lint:allow(no-panic-daemon): callers hold the id\n\
+         self.x().expect(\"held\");\n}\n",
+    )]);
+    assert_eq!(
+        rules_fired(&f),
+        vec!["stale-pragma", "panic-reachability"],
+        "{f:?}"
+    );
+    assert_eq!(
+        f[0].message,
+        "lint:allow(no-panic-daemon) names an unknown rule; remove the dead pragma"
+    );
 }
 
 // ----------------------------------------------------------- call-graph --
@@ -557,10 +602,14 @@ fn the_daemon_zone_covers_every_stage_file_of_the_network_manager() {
     let src = "impl Network { fn stage(&self) { self.thing().unwrap(); } }";
     for stage in ["plan", "fill", "fault"] {
         let f = lint_as(&format!("crates/core/src/network/{stage}.rs"), src);
-        assert_eq!(rules_fired(&f), vec!["no-panic-daemon"], "{stage}: {f:?}");
+        assert_eq!(
+            rules_fired(&f),
+            vec!["panic-reachability"],
+            "{stage}: {f:?}"
+        );
     }
     let f = lint_as("crates/service/src/genesis.rs", src);
-    assert_eq!(rules_fired(&f), vec!["no-panic-daemon"], "{f:?}");
+    assert_eq!(rules_fired(&f), vec!["panic-reachability"], "{f:?}");
     // As in `network.rs`, arena indexing is the idiom there.
     let indexing = "fn f(&self) { let u = &self.links[l.index()]; }";
     assert!(lint_as("crates/core/src/network/fault.rs", indexing).is_empty());

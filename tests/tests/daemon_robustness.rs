@@ -1,7 +1,7 @@
 //! Robustness regression for `drqosd`: a client bursting malformed,
 //! overflowing, and truncated input must get error *replies*, never kill
 //! a reader thread or poison the engine's lock. This is the dynamic
-//! counterpart of the `no-panic-daemon` lint rule — the lint proves the
+//! counterpart of the `panic-reachability` lint rule — the lint proves the
 //! panic sites are gone from the source, this test proves the daemon
 //! survives the inputs those sites used to be reachable from.
 

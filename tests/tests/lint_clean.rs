@@ -60,6 +60,29 @@ fn every_documented_rule_id_exists() {
 }
 
 #[test]
+fn every_rule_in_the_testing_table_exists() {
+    // The reverse: a retired rule's row must leave the table with it, or
+    // the docs promise a check nothing runs.
+    let testing = std::fs::read_to_string(workspace_root().join("TESTING.md")).expect("TESTING.md");
+    let table = testing
+        .split("### The rules")
+        .nth(1)
+        .and_then(|rest| rest.split("\n###").next())
+        .expect("TESTING.md has a `### The rules` section");
+    let ids: Vec<&str> = table
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+        .collect();
+    assert!(!ids.is_empty(), "no rule rows under `### The rules`");
+    for id in ids {
+        assert!(
+            drqos_lint::rules::RULES.contains(&id),
+            "TESTING.md documents rule `{id}`, which RULES does not ship"
+        );
+    }
+}
+
+#[test]
 fn call_graph_resolves_enough_edges_to_be_meaningful() {
     // The interprocedural rules are only as strong as the resolver
     // feeding them. If a parser or resolver regression drops the edge
