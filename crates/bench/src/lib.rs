@@ -15,6 +15,7 @@
 
 pub mod csv;
 pub mod experiments;
+pub mod pairs;
 pub mod runner;
 
 pub use experiments::{

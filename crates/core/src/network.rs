@@ -29,7 +29,8 @@
 //! `fill` (re-distribution) and `fault` (failure and repair). They are
 //! children, not siblings, so that every field of [`Network`] stays
 //! private to this module tree. A fourth, `seam`, names every test seam
-//! of the stages; outside this crate's tests none can be armed.
+//! of the stages and of the route search; outside this crate's tests none
+//! can be armed.
 //!
 //! What one stage decides for all the others is decided here, once. Which
 //! primary failures activate a backup on a link is `conflict_set`: the
@@ -42,7 +43,7 @@
 mod fault;
 mod fill;
 mod plan;
-mod seam;
+pub(crate) mod seam;
 
 pub use fault::FailureReport;
 pub use plan::{EstablishPlan, PrePlanned};
@@ -61,6 +62,7 @@ use fill::FillScratch;
 use seam::Seam;
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 
 /// Configuration of a [`Network`].
 #[derive(Debug, Clone, PartialEq)]
@@ -177,6 +179,12 @@ pub struct Network {
     /// waitlists, so outside equality, but cloned: a clone must gather
     /// what its source gathers.
     loose: Vec<ChainPair>,
+    /// The needy set: the live connections below the configured backup
+    /// count, in id order — whom a repair's top-ups look at. An index like
+    /// the loose set, right at every event's end: a commit and a top-up
+    /// review their connection, a release and a drop take theirs out, and
+    /// a fault step tops up every survivor that lost a backup.
+    needy: BTreeSet<ConnectionId>,
 }
 
 /// Cloning copies the full accounting state; the route-search, fill and
@@ -199,6 +207,7 @@ impl Clone for Network {
             retreat_set: Vec::new(),
             spare_set: Vec::new(),
             loose: self.loose.clone(),
+            needy: self.needy.clone(),
         }
     }
 }
@@ -241,6 +250,7 @@ impl Network {
             retreat_set: Vec::new(),
             spare_set: Vec::new(),
             loose: Vec::new(),
+            needy: BTreeSet::new(),
         }
     }
 
@@ -387,7 +397,23 @@ impl Network {
         for l in self.connections.primary_links(&[(slot, id)]) {
             self.links[l.index()].add_primary(id, slot, min);
         }
+        self.review_backups(id);
         (slot, id)
+    }
+
+    /// Puts `id` in the needy set if it lives below the configured backup
+    /// count, and takes it out otherwise.
+    fn review_backups(&mut self, id: ConnectionId) {
+        let target = self.config.backup_count;
+        if self
+            .connections
+            .get(id)
+            .is_some_and(|c| c.backup_count() < target)
+        {
+            self.needy.insert(id);
+        } else {
+            self.needy.remove(&id);
+        }
     }
 
     /// Re-distributes extras over `candidates` and the buckets `handles`
@@ -626,6 +652,7 @@ impl Network {
         let Some((mut conn, counted, waited)) = self.connections.remove(id) else {
             return Err(NetworkError::UnknownConnection(id.0));
         };
+        self.needy.remove(&id);
         if let Some(((link, increment), rank)) = waited {
             #[cfg(test)]
             {

@@ -1,4 +1,4 @@
-//! The stages' test seams, in one place. A [`Seam`] either breaks one of
+//! The stages' test seams, and the route search's, in one place. A [`Seam`] either breaks one of
 //! the paper's mechanisms on purpose — a mutant that a differential or
 //! the oracle of [`Network::check_invariants`](super::Network::check_invariants)
 //! must catch — or swaps a stage for the reference it is held to. At most
@@ -8,7 +8,7 @@
 
 /// One way to break or swap a stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Seam {
+pub(crate) enum Seam {
     /// `conflict_set` keeps a backup's own link among its activators there.
     KeepTheOwnLink,
     /// A recorded footprint leaves out one of the links the search probed.
@@ -42,6 +42,9 @@ pub(super) enum Seam {
     ForgetALooseRow,
     /// The fill's slack test is weakened by one (smallest) increment.
     WeakFill,
+    /// A fallback segment's round scans its layers in discovery order,
+    /// not node-id order.
+    UnsortedLayer,
     /// Every commit is the reference one, a failure keeps nobody, and
     /// every gather offers each listed primary of its links as a plain
     /// candidate, none through a waitlist (its sites call test-only code).
@@ -51,6 +54,10 @@ pub(super) enum Seam {
     /// offers (likewise).
     #[cfg(test)]
     ReferenceFill,
+    /// A repair tops up whom the scan over every connection finds short
+    /// of backups, not the needy set (likewise).
+    #[cfg(test)]
+    ReferenceNeedy,
 }
 
 #[cfg(test)]
@@ -60,20 +67,20 @@ thread_local! {
 
 /// Whether `seam` is armed on this thread.
 #[cfg(test)]
-pub(super) fn armed(seam: Seam) -> bool {
+pub(crate) fn armed(seam: Seam) -> bool {
     ARMED.get() == Some(seam)
 }
 
 /// Whether `seam` is armed: never, outside this crate's tests.
 #[cfg(not(test))]
-pub(super) const fn armed(_: Seam) -> bool {
+pub(crate) const fn armed(_: Seam) -> bool {
     false
 }
 
 /// Runs `f` with `seam` armed on this thread, then puts back whichever
 /// seam was armed before.
 #[cfg(test)]
-pub(super) fn with<T>(seam: Seam, f: impl FnOnce() -> T) -> T {
+pub(crate) fn with<T>(seam: Seam, f: impl FnOnce() -> T) -> T {
     let before = ARMED.replace(Some(seam));
     let out = f();
     ARMED.set(before);

@@ -16,6 +16,7 @@
 //! the graph's own hop-distance row toward it
 //! ([`Graph::hops_toward`]).
 
+use crate::network::seam::{self, Seam};
 use crate::qos::Bandwidth;
 use drqos_topology::graph::{Graph, LinkId, NodeId, UNREACHABLE};
 use drqos_topology::paths::{LinkFilter, Path};
@@ -96,20 +97,30 @@ pub struct FloodScratch {
     link_allowance: Vec<Option<Bandwidth>>,
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
+    /// Every node the last round of a fallback segment reached, layer by
+    /// layer, each layer in node-id order: the Dijkstra's seeds when the
+    /// rounds did not reach the segment's exit.
+    reached: Vec<NodeId>,
     /// The fallback's queue, ordered by `(shared, hops, node)`.
     heap: BinaryHeap<Reverse<(usize, usize, NodeId)>>,
     /// What the last search cost, in rounds and in nodes whose adjacency a
     /// round walked: the worst-case guard's count.
     #[cfg(test)]
     tally: (usize, usize),
+    /// Fallback segments that fell through to the Dijkstra, over the
+    /// scratch's life.
+    #[cfg(test)]
+    fall_throughs: usize,
 }
 
 /// A search's destination and the graph's distance row toward it
-/// ([`Graph::hops_toward`]).
+/// ([`Graph::hops_toward`]); for a fallback segment, also the block row
+/// ([`Graph::blocks`]) and the block the segment lies in.
 #[derive(Clone, Copy)]
 struct Goal<'g> {
     dst: NodeId,
     row: &'g [u32],
+    within: Option<(&'g [u32], u32)>,
 }
 
 impl Goal<'_> {
@@ -123,6 +134,13 @@ impl Goal<'_> {
             UNREACHABLE => usize::MAX,
             h => h as usize,
         }
+    }
+
+    /// Whether the search may enter `v` at all: outside a segment's
+    /// block lies no route to its exit.
+    fn admits(self, v: NodeId) -> bool {
+        self.within
+            .is_none_or(|(blocks, block)| blocks[v.0] == block)
     }
 }
 
@@ -219,7 +237,12 @@ impl FloodScratch {
     /// A link is left unasked when its answer cannot matter: its far end
     /// is held back, or was reached at an earlier level, or already has a
     /// bottleneck the near end cannot improve on.
-    fn round(
+    ///
+    /// A fallback segment's round (`SEGMENT`) also keeps out of other
+    /// blocks than `goal`'s, keeps each node's first parent, scans each
+    /// layer in node-id order and lists every node it reaches in
+    /// `reached`. The flood's rounds are compiled without any of it.
+    fn round<const SEGMENT: bool>(
         &mut self,
         graph: &Graph,
         goal: Goal<'_>,
@@ -234,6 +257,10 @@ impl FloodScratch {
         let mut next = std::mem::take(&mut self.next);
         frontier.clear();
         frontier.push(src);
+        if SEGMENT {
+            self.reached.clear();
+            self.reached.push(src);
+        }
         let mut held_back = false;
         for level in 0..target {
             if frontier.is_empty() {
@@ -249,11 +276,16 @@ impl FloodScratch {
                 for &(v, l) in graph.neighbors(u) {
                     let reached = self.discovered(v);
                     if reached {
+                        // A segment keeps the first parent: its labels
+                        // know no bottleneck.
                         if self.hops[v.0] != level + 1
+                            || SEGMENT
                             || self.bottleneck[u.0] <= self.bottleneck[v.0]
                         {
                             continue;
                         }
+                    } else if SEGMENT && !goal.admits(v) {
+                        continue;
                     } else if goal.toward(v) > left {
                         held_back = true;
                         continue;
@@ -277,6 +309,12 @@ impl FloodScratch {
                 // The layer is complete (done above): reconstruct.
                 break;
             }
+            if SEGMENT {
+                if !seam::armed(Seam::UnsortedLayer) {
+                    next.sort_unstable();
+                }
+                self.reached.extend_from_slice(&next);
+            }
             std::mem::swap(&mut frontier, &mut next);
         }
         // Hand the frontier buffers back for the next round.
@@ -292,7 +330,9 @@ impl FloodScratch {
     /// hop bound allows — at most three rounds, fewer when a round found
     /// the destination or held nothing back. The probe memo lives across
     /// them, so a later round re-walks nodes but asks no link again.
-    fn deepen(
+    /// Returns whether the destination was reached; if not, and a round
+    /// ran, the last one reached every node it could have, bound aside.
+    fn deepen<const SEGMENT: bool>(
         &mut self,
         graph: &Graph,
         goal: Goal<'_>,
@@ -300,19 +340,19 @@ impl FloodScratch {
         hop_bound: usize,
         filter: &LinkFilter,
         allowance: &dyn Fn(LinkId) -> Bandwidth,
-    ) -> Option<Path> {
+    ) -> bool {
         let nearest = goal.toward(src);
         if nearest > hop_bound {
-            return None;
+            return false;
         }
         let mut target = nearest;
         loop {
-            let held_back = self.round(graph, goal, src, target, filter, allowance);
+            let held_back = self.round::<SEGMENT>(graph, goal, src, target, filter, allowance);
             if self.discovered(goal.dst) {
-                return self.trace(graph, src, goal.dst);
+                return true;
             }
             if !held_back || target == hop_bound {
-                return None;
+                return false;
             }
             target = if target == nearest {
                 nearest + 1
@@ -322,51 +362,145 @@ impl FloodScratch {
         }
     }
 
-    /// A node's `(shared, hops)` label in the fallback.
-    fn label(&self, v: NodeId) -> (usize, usize) {
-        (self.shared[v.0], self.hops[v.0])
-    }
-
     /// The maximally-disjoint fallback: among the paths between
     /// `primary`'s endpoints over links `filter` passes, one sharing the
     /// fewest links with `primary` and, among those, of the fewest hops —
-    /// Dijkstra on the label `(shared, hops)`, ties popped by node id.
+    /// what Dijkstra on the label `(shared, hops)` returns, ties popped by
+    /// node id — settled one segment at a time.
+    ///
+    /// Every route crosses the bridges the primary crosses, in the same
+    /// order ([`Graph::blocks`]), so the route is the primary's bridges
+    /// joined by one best route per segment between them: from `src`, or
+    /// a bridge's far end, to the next bridge's near end, or `dst`. A
+    /// refused bridge refuses the whole route. A segment lies in one
+    /// block, and its labels are the whole search's shifted by the
+    /// segment's entry label, so the `(label, id)` parent rule picks the
+    /// same parents in it (see [`Self::segment`]).
     ///
     /// It continues the search the strict flood began: every link off
     /// the primary that the flood asked about keeps its answer (there the
     /// flood's filter was `filter`), so only the primary's own links and
     /// the links the bounded flood never reached are asked now. Only the
     /// verdict is asked for: no flood reads this search's memo again.
-    ///
-    /// A destination of one link is entered only from its one neighbour,
-    /// whose label is final when it is popped; so the label and parent it
-    /// gets then are final too, and the search returns at once.
     fn least_shared_path(
         &mut self,
         graph: &Graph,
         primary: &Path,
         filter: &LinkFilter,
     ) -> Option<Path> {
-        let (src, dst) = (primary.source(), primary.destination());
         // The flood refused these for being the primary's, unasked.
         for &l in primary.links() {
             self.link_stamp[l.index()] = 0;
         }
-        self.begin_round();
-        self.discover(src, 0, Bandwidth::ZERO, src);
-        self.shared[src.0] = 0;
-        self.heap.clear();
-        self.heap.push(Reverse((0, 0, src)));
+        let blocks = graph.blocks();
+        let steps = primary.nodes().windows(2).zip(primary.links());
+        let mut route = Vec::with_capacity(primary.nodes().len());
+        let mut entry = primary.source();
+        for (ends, &l) in steps {
+            let (near, far) = (ends[0], ends[1]);
+            if blocks[near.0] != blocks[far.0] {
+                self.probe(l, filter, &|_| Bandwidth::ZERO)?;
+                self.segment(graph, primary, entry, near, filter, &mut route)?;
+                entry = far;
+            }
+        }
+        self.segment(
+            graph,
+            primary,
+            entry,
+            primary.destination(),
+            filter,
+            &mut route,
+        )?;
+        Path::from_nodes(graph, route).ok()
+    }
+
+    /// One segment of [`Self::least_shared_path`]: appends to `route` the
+    /// best route from `entry` to `exit`, two nodes of one block, or
+    /// returns `None` when there is none.
+    ///
+    /// Its nodes sharing nothing with the primary are labelled `(0, k)`,
+    /// `k` their hops over the links off it, and their parent is the
+    /// lowest-id neighbour labelled `(0, k - 1)`: a breadth-first pass
+    /// whose layers are scanned in node-id order says the same. So the
+    /// flood's deepening rounds run first, over the links off the
+    /// primary, steered by `hops_toward(exit)`: pruning keeps a round
+    /// closed under predecessors, and sorting makes each layer's order the
+    /// unpruned layer's. Only when they do not reach `exit` does the
+    /// Dijkstra run, seeded with every node the last, unpruned round
+    /// reached, in the order it would have popped them.
+    fn segment(
+        &mut self,
+        graph: &Graph,
+        primary: &Path,
+        entry: NodeId,
+        exit: NodeId,
+        filter: &LinkFilter,
+        route: &mut Vec<NodeId>,
+    ) -> Option<()> {
+        if entry == exit {
+            route.push(entry);
+            return Some(());
+        }
+        let (blocks, block) = (graph.blocks(), graph.blocks()[entry.0]);
+        let goal = Goal {
+            dst: exit,
+            row: graph.hops_toward(exit),
+            within: Some((blocks, block)),
+        };
+        let off_primary = |l: LinkId| !primary.crosses(l) && filter(l);
+        let unbounded = usize::MAX;
+        let zero = &|_| Bandwidth::ZERO;
+        if !self.deepen::<true>(graph, goal, entry, unbounded, &off_primary, zero) {
+            #[cfg(test)]
+            {
+                self.fall_throughs += 1;
+            }
+            // The rounds refused the primary's links here, unasked.
+            let steps = primary.nodes().windows(2).zip(primary.links());
+            for (ends, &l) in steps {
+                if blocks[ends[0].0] == block && blocks[ends[1].0] == block {
+                    self.link_stamp[l.index()] = 0;
+                }
+            }
+            self.heap.clear();
+            for &v in &self.reached {
+                self.shared[v.0] = 0;
+                self.heap.push(Reverse((0, self.hops[v.0], v)));
+            }
+            if !self.least_shared_within(graph, goal, primary, filter) {
+                return None;
+            }
+        }
+        self.trace_into(entry, exit, route);
+        Some(())
+    }
+
+    /// A node's `(shared, hops)` label in the fallback.
+    fn label(&self, v: NodeId) -> (usize, usize) {
+        (self.shared[v.0], self.hops[v.0])
+    }
+
+    /// The Dijkstra on `(shared, hops)` from the queue as seeded, inside
+    /// `goal`'s block, ties popped by node id; returns whether it settled
+    /// `goal`'s destination.
+    fn least_shared_within(
+        &mut self,
+        graph: &Graph,
+        goal: Goal<'_>,
+        primary: &Path,
+        filter: &LinkFilter,
+    ) -> bool {
         while let Some(Reverse((shared, hops, u))) = self.heap.pop() {
             if (shared, hops) > self.label(u) {
                 continue;
             }
-            if u == dst {
-                return self.trace(graph, src, dst);
+            if u == goal.dst {
+                return true;
             }
             for &(v, l) in graph.neighbors(u) {
                 // A label the link cannot improve on, whatever it answers.
-                if self.discovered(v) && self.label(v) <= (shared, hops + 1) {
+                if !goal.admits(v) || self.discovered(v) && self.label(v) <= (shared, hops + 1) {
                     continue;
                 }
                 if self.probe(l, filter, &|_| Bandwidth::ZERO).is_none() {
@@ -376,26 +510,31 @@ impl FloodScratch {
                 if !self.discovered(v) || via < self.label(v) {
                     self.discover(v, via.1, Bandwidth::ZERO, u);
                     self.shared[v.0] = via.0;
-                    if v == dst && graph.degree(dst) == 1 {
-                        return self.trace(graph, src, dst);
-                    }
                     self.heap.push(Reverse((via.0, via.1, v)));
                 }
             }
         }
-        None
+        false
     }
 
     /// The path the parent table holds from `src` to a discovered `dst`.
     fn trace(&self, graph: &Graph, src: NodeId, dst: NodeId) -> Option<Path> {
-        let mut nodes = vec![dst];
+        let mut nodes = Vec::new();
+        self.trace_into(src, dst, &mut nodes);
+        Path::from_nodes(graph, nodes).ok()
+    }
+
+    /// Appends to `nodes` the parent table's nodes from `src` to a
+    /// discovered `dst`.
+    fn trace_into(&self, src: NodeId, dst: NodeId, nodes: &mut Vec<NodeId>) {
+        let from = nodes.len();
         let mut cur = dst;
+        nodes.push(cur);
         while cur != src {
             cur = self.parent[cur.0];
             nodes.push(cur);
         }
-        nodes.reverse();
-        Path::from_nodes(graph, nodes).ok()
+        nodes[from..].reverse();
     }
 }
 
@@ -441,8 +580,10 @@ pub(crate) fn flood_path_with(
     let goal = Goal {
         dst,
         row: graph.hops_toward(dst),
+        within: None,
     };
-    scratch.deepen(graph, goal, src, hop_bound, filter, allowance)
+    let found = scratch.deepen::<false>(graph, goal, src, hop_bound, filter, allowance);
+    found.then(|| scratch.trace(graph, src, dst)).flatten()
 }
 
 /// The route-search scratch a planner hands to [`route_primary_with`] and
@@ -477,9 +618,11 @@ pub fn route_primary_with(
 /// reservation headroom); this function additionally excludes the primary's
 /// links and enforces the flooding bound.
 ///
-/// When every link at an endpoint is the primary's, the strict flood could
-/// not leave or reach it, so it is not run: the answer is `None`, and the
-/// maximally-disjoint fallback starts a fresh probe memo.
+/// When the endpoints lie in different blocks ([`Graph::blocks`]), every
+/// route between them crosses the bridges between those blocks, the
+/// primary's among them, so the strict flood is not run: the answer is
+/// `None`, and the maximally-disjoint fallback starts a fresh probe memo.
+/// (An endpoint of one link is one case: that link is a bridge.)
 pub fn route_backup_with(
     scratch: &mut RouteScratch,
     kind: RouterKind,
@@ -495,11 +638,8 @@ pub fn route_backup_with(
     let (src, dst) = (primary.source(), primary.destination());
     let RouterKind::BoundedFlooding { hop_slack } = kind;
     let bound = primary.hop_count().saturating_add(hop_slack);
-    let cut_off = |v: NodeId| {
-        let at = graph.neighbors(v);
-        !at.is_empty() && at.iter().all(|&(_, l)| primary.crosses(l))
-    };
-    let strict = if src != dst && (cut_off(src) || cut_off(dst)) {
+    let blocks = graph.blocks();
+    let strict = if blocks[src.0] != blocks[dst.0] {
         scratch.begin(graph);
         None
     } else {
@@ -951,8 +1091,13 @@ mod tests {
                     return Path::from_nodes(graph, vec![src]).ok();
                 }
                 let row = row(graph, dst);
-                let goal = Goal { dst, row: &row };
-                scratch.deepen(graph, goal, src, hop_bound, filter, allowance)
+                let goal = Goal {
+                    dst,
+                    row: &row,
+                    within: None,
+                };
+                let found = scratch.deepen::<false>(graph, goal, src, hop_bound, filter, allowance);
+                found.then(|| scratch.trace(graph, src, dst)).flatten()
             },
         )
     }
@@ -1436,9 +1581,51 @@ mod tests {
         /// Searches with an endpoint whose every other link the backup
         /// filter refuses: the strict flood runs and finds nothing.
         cut_off: usize,
+        /// Searches whose primary crosses a bridge, and two or more: the
+        /// fallback is staged.
+        staged: usize,
+        multi_bridge: usize,
+        /// Fallback segments the rounds did not settle: the Dijkstra ran.
+        fall_throughs: usize,
+        /// Fallbacks that found a disjoint backup the bound kept from the
+        /// strict flood.
+        bound_only: usize,
     }
 
-    /// [`flood_graphs`], each with three leaves: nodes of one link.
+    /// Graphs rich in bridges: two rings joined by a chain of two
+    /// bridges, a dumbbell (two complete graphs of four joined by a path
+    /// of three links), and three rings in a row, each joined to the next
+    /// by one bridge.
+    fn bridged_graphs() -> Vec<Graph> {
+        let build = |nodes: usize, links: &[(usize, usize)]| {
+            let mut g = Graph::with_nodes(nodes);
+            for &(a, b) in links {
+                g.add_link(NodeId(a), NodeId(b)).unwrap();
+            }
+            g
+        };
+        let ring =
+            |from: usize, size: usize| (0..size).map(move |i| (from + i, from + (i + 1) % size));
+        let clique =
+            |from: usize| (0..4).flat_map(move |i| (i + 1..4).map(move |j| (from + i, from + j)));
+        let rings: Vec<_> = ring(0, 6)
+            .chain(ring(6, 5))
+            .chain([(2, 11), (11, 8)])
+            .collect();
+        let dumbbell: Vec<_> = clique(0)
+            .chain(clique(4))
+            .chain([(3, 8), (8, 9), (9, 4)])
+            .collect();
+        let chain: Vec<_> = ring(0, 5)
+            .chain(ring(5, 4))
+            .chain(ring(9, 6))
+            .chain([(2, 5), (7, 9)])
+            .collect();
+        vec![build(12, &rings), build(10, &dumbbell), build(15, &chain)]
+    }
+
+    /// [`flood_graphs`] and [`bridged_graphs`], each with three leaves:
+    /// nodes of one link.
     fn fallback_graphs() -> Vec<(Graph, Vec<NodeId>)> {
         let with_leaves = |mut g: Graph| {
             let leaves: Vec<NodeId> = [0, 3, 7]
@@ -1450,7 +1637,8 @@ mod tests {
                 .to_vec();
             (g, leaves)
         };
-        flood_graphs().into_iter().map(with_leaves).collect()
+        let graphs = flood_graphs().into_iter().chain(bridged_graphs());
+        graphs.map(with_leaves).collect()
     }
 
     /// Runs `cases` seeded primary-then-backup searches — the backup under
@@ -1520,12 +1708,19 @@ mod tests {
             };
             counts.degree_1 += usize::from(ends.iter().any(|&v| others(v).is_empty()));
             counts.cut_off += usize::from(ends.iter().any(|&v| refused_all(v)));
+            let blocks = graph.blocks();
+            let steps = primary.nodes().windows(2);
+            let bridges = steps.filter(|e| blocks[e[0].0] != blocks[e[1].0]).count();
+            counts.staged += usize::from(bridges > 0);
+            counts.multi_bridge += usize::from(bridges > 1);
+            let fell_before = scratch.fall_throughs;
             let asked = RefCell::new(Vec::new());
             let counted = |l: LinkId| {
                 asked.borrow_mut().push(l);
                 !backup_refused[l.index()]
             };
             let got = subject(&mut scratch, kind, graph, &primary, &counted, &allowance);
+            counts.fall_throughs += scratch.fall_throughs - fell_before;
             let mut asked = asked.into_inner();
             let want = route_backup_reference(
                 &mut ref_scratch,
@@ -1577,25 +1772,53 @@ mod tests {
             match got {
                 Some(b) if !b.is_link_disjoint(&primary) => counts.shared += 1,
                 None => counts.none += 1,
-                Some(_) => {}
+                Some(_) => counts.bound_only += usize::from(got_strict.is_none()),
             }
         }
         Ok(counts)
     }
 
-    #[test]
-    fn the_fallback_matches_the_allocating_dijkstra_on_2400_seeded_cases() {
-        let counts = fallback_differential(2400, &route_backup_maximally).unwrap();
-        // At least a quarter of the searches skip the strict flood at a
-        // degree-1 endpoint, and an eighth run it into a cut-off one.
-        let searched = counts.searched;
+    /// Every way the fallback can go was taken, many times over: at least
+    /// a quarter of the searches skip the strict flood at a degree-1
+    /// endpoint, an eighth run it into a cut-off one, and the staged,
+    /// multi-bridge, fall-through and bound-only fallbacks all occur.
+    fn assert_fallback_coverage(counts: &FallbackCounts, cases: usize) {
+        let (searched, floor) = (counts.searched, cases / 24);
         assert!(
-            counts.shared > 100
-                && counts.none > 100
+            counts.shared > floor
+                && counts.none > floor
                 && counts.degree_1 * 4 > searched
                 && counts.cut_off * 8 > searched,
             "{counts:?}"
         );
+        assert!(
+            counts.staged > 4 * floor
+                && counts.multi_bridge > floor
+                && counts.fall_throughs > floor
+                && counts.bound_only > floor / 4,
+            "{counts:?}"
+        );
+    }
+
+    #[test]
+    fn the_fallback_matches_the_allocating_dijkstra_on_2400_seeded_cases() {
+        let counts = fallback_differential(2400, &route_backup_maximally).unwrap();
+        assert_fallback_coverage(&counts, 2400);
+    }
+
+    #[test]
+    #[ignore = "ten times the cases; CI runs it in release"]
+    fn the_fallback_matches_the_allocating_dijkstra_on_24000_seeded_cases() {
+        let counts = fallback_differential(24_000, &route_backup_maximally).unwrap();
+        assert_fallback_coverage(&counts, 24_000);
+    }
+
+    #[test]
+    fn a_fallback_layer_left_unsorted_is_caught() {
+        let caught = seam::with(Seam::UnsortedLayer, || {
+            fallback_differential(2400, &route_backup_maximally)
+        });
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]

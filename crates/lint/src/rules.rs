@@ -335,8 +335,53 @@ impl<'a> FileView<'a> {
     }
 }
 
+/// Whether an attribute's tokens (between `#[` and `]`) are a `cfg` whose
+/// predicate cannot hold without `test`: `cfg(test)`, `cfg(all(test, …))`,
+/// but not `cfg(not(test))` or `cfg(any(test, …))`.
+fn gates_to_tests(attr: &[Token]) -> bool {
+    let is = |t: Option<&Token>, text: &str| t.is_some_and(|t| t.text == text);
+    if !is(attr.first(), "cfg") || attr.get(1).map(Token::punct) != Some("(") {
+        return false;
+    }
+    cfg_without_test(attr, &mut 2) == Some(false)
+}
+
+/// The value of the `cfg` predicate starting at `at` in a build without
+/// `test`, `None` where it turns on some other option; leaves `at` past
+/// the predicate.
+fn cfg_without_test(attr: &[Token], at: &mut usize) -> Option<bool> {
+    let head = attr.get(*at)?;
+    *at += 1;
+    match attr.get(*at).map(Token::punct) {
+        Some("=") => {
+            // `key = "value"`: some other option.
+            *at += 2;
+            return None;
+        }
+        Some("(") => *at += 1,
+        _ => return (head.text == "test").then_some(false),
+    }
+    let mut args = Vec::new();
+    while attr.get(*at).is_some_and(|t| t.punct() != ")") {
+        args.push(cfg_without_test(attr, at));
+        if attr.get(*at).map(Token::punct) == Some(",") {
+            *at += 1;
+        }
+    }
+    *at += 1;
+    let decided = |v: bool| args.contains(&Some(v));
+    match head.text.as_str() {
+        "not" => args.first().copied().flatten().map(|v| !v),
+        "all" if decided(false) => Some(false),
+        "any" if decided(true) => Some(true),
+        "all" | "any" if args.iter().all(Option::is_some) => Some(head.text == "all"),
+        _ => None,
+    }
+}
+
 /// Marks every token belonging to a `#[cfg(test)]`-gated item (attribute
-/// through closing brace, or through `;` for braceless items like `use`).
+/// through closing brace, or through `;` for braceless items like `use`):
+/// any item whose `cfg` cannot hold without `test` ([`gates_to_tests`]).
 pub(crate) fn mark_test_tokens(tokens: &[Token]) -> Vec<bool> {
     let mut in_test = vec![false; tokens.len()];
     let mut i = 0usize;
@@ -369,13 +414,7 @@ pub(crate) fn mark_test_tokens(tokens: &[Token]) -> Vec<bool> {
             j += 1;
         }
         let Some(close) = close else { break };
-        let attr_mentions_test = tokens[i..=close]
-            .iter()
-            .any(|t| t.kind == TokenKind::Ident && t.text == "cfg")
-            && tokens[i..=close]
-                .iter()
-                .any(|t| t.kind == TokenKind::Ident && t.text == "test");
-        if !attr_mentions_test {
+        if !gates_to_tests(&tokens[i + 2..close]) {
             i = close + 1;
             continue;
         }

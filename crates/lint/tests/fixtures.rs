@@ -269,6 +269,45 @@ fn file_view_exposes_test_exclusion() {
     assert!(!view.is_test(live_idx));
 }
 
+#[test]
+fn a_cfg_predicate_that_needs_no_test_is_live_code() {
+    let gated = |cfg: &str| {
+        let src = format!("#[cfg({cfg})]\nfn f() {{ x.unwrap(); }}");
+        let lexed = lexer::lex(&src);
+        let view = FileView::new("crates/service/src/engine.rs", &lexed);
+        let at = lexed
+            .tokens
+            .iter()
+            .position(|t| t.text == "unwrap")
+            .unwrap();
+        view.is_test(at)
+    };
+    for cfg in [
+        "test",
+        "all(test, unix)",
+        "all(unix, not(not(test)))",
+        "any(test, any())",
+    ] {
+        assert!(gated(cfg), "{cfg}");
+    }
+    for cfg in [
+        "not(test)",
+        "any(test, unix)",
+        "unix",
+        "feature = \"test\"",
+        "any(test, all())",
+    ] {
+        assert!(!gated(cfg), "{cfg}");
+    }
+}
+
+#[test]
+fn a_daemon_zone_item_compiled_without_test_is_linted() {
+    let src = "#[cfg(not(test))]\nfn live() { x.unwrap(); }";
+    let f = lint_as("crates/service/src/engine.rs", src);
+    assert_eq!(rules_fired(&f), vec!["panic-reachability"], "{f:?}");
+}
+
 // ------------------------------------------- interprocedural (workspace) --
 
 /// Lints a synthetic multi-file workspace through the same entry point

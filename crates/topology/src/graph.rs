@@ -122,15 +122,23 @@ pub struct Graph {
     /// state, kept by `add_link`).
     pair_index: HashMap<(NodeId, NodeId), LinkId>,
     /// Derived state, left out of equality and `Debug`: see
-    /// [`Graph::hops_toward`].
+    /// [`Graph::hops_toward`] and [`Graph::blocks`].
     hops: HopTable,
 }
 
-/// The hop-distance rows of one topology, one per destination, each
-/// filled on first use. Clones of a graph share it until one of them
-/// changes; a change gives the changed graph a fresh, empty table.
+/// The hop-distance rows of one topology, one per destination, and its
+/// block row, each filled on first use. Clones of a graph share it until
+/// one of them changes; a change gives the changed graph a fresh, empty
+/// table.
 #[derive(Clone, Default)]
-struct HopTable(Arc<OnceLock<Box<[HopRow]>>>);
+struct HopTable(Arc<Rows>);
+
+/// What a [`HopTable`] holds.
+#[derive(Default)]
+struct Rows {
+    hops: OnceLock<Box<[HopRow]>>,
+    blocks: OnceLock<Box<[u32]>>,
+}
 
 /// One destination's row of a [`HopTable`], empty until first asked for.
 type HopRow = OnceLock<Box<[u32]>>;
@@ -265,8 +273,80 @@ impl Graph {
         let rows = self
             .hops
             .0
+            .hops
             .get_or_init(|| (0..self.node_count()).map(|_| OnceLock::new()).collect());
         rows[dst.0].get_or_init(|| self.breadth_first_from(dst))
+    }
+
+    /// Each node's 2-edge-connected block: `row[u] == row[v]` exactly
+    /// when `u` and `v` stay connected whatever single link is removed.
+    /// So a link is a bridge — its removal disconnects its ends — exactly
+    /// when its ends lie in different blocks, and every path between
+    /// nodes of different blocks crosses the same bridges, in the same
+    /// order. Block ids are dense from 0, in the order the blocks close.
+    ///
+    /// The row is one Tarjan pass, run the first time any caller asks for
+    /// it and kept, beside the hop rows, until `add_node` or `add_link`
+    /// changes the graph.
+    pub fn blocks(&self) -> &[u32] {
+        self.hops.0.blocks.get_or_init(|| self.two_edge_blocks())
+    }
+
+    /// The block row by one depth-first pass: a node whose subtree has no
+    /// link back above it (`low == disc`) closes its block, which is what
+    /// is left of the node stack down to it.
+    fn two_edge_blocks(&self) -> Box<[u32]> {
+        const UNSEEN: u32 = u32::MAX;
+        let n = self.node_count();
+        let (mut block, mut disc, mut low) = (vec![UNSEEN; n], vec![UNSEEN; n], vec![0; n]);
+        let (mut open, mut calls) = (Vec::new(), Vec::new());
+        let (mut time, mut closed) = (0, 0);
+        for root in self.nodes() {
+            if disc[root.0] != UNSEEN {
+                continue;
+            }
+            // `calls` is the pass's call stack: `(node, the tree link it
+            // was entered by, its next adjacency entry)`.
+            let mut entering = Some((root, None));
+            loop {
+                if let Some((v, via)) = entering.take() {
+                    (disc[v.0], low[v.0]) = (time, time);
+                    time += 1;
+                    open.push(v);
+                    calls.push((v, via, 0));
+                }
+                let Some((u, via, next)) = calls.last_mut() else {
+                    break;
+                };
+                let u = *u;
+                if let Some(&(v, l)) = self.adjacency[u.0].get(*next) {
+                    *next += 1;
+                    if Some(l) == *via {
+                        continue;
+                    }
+                    if disc[v.0] == UNSEEN {
+                        entering = Some((v, Some(l)));
+                    } else {
+                        low[u.0] = low[u.0].min(disc[v.0]);
+                    }
+                    continue;
+                }
+                calls.pop();
+                if let Some(&(parent, _, _)) = calls.last() {
+                    low[parent.0] = low[parent.0].min(low[u.0]);
+                }
+                if low[u.0] == disc[u.0] {
+                    while let Some(w) = open.pop() {
+                        block[w.0] = closed;
+                        if w == u {
+                            break;
+                        }
+                    }
+                    closed += 1;
+                }
+            }
+        }
+        block.into_boxed_slice()
     }
 
     /// Hop distances from `dst` to every node, by one breadth-first pass.
@@ -646,11 +726,179 @@ mod tests {
         assert!(caught.is_err(), "rows of the smaller graph went unnoticed");
     }
 
+    // ------------------------------- the block row vs brute-force bridges --
+
+    /// Whether `a` and `b` are joined over the links `keep` passes.
+    fn joined(graph: &Graph, a: NodeId, b: NodeId, keep: &dyn Fn(LinkId) -> bool) -> bool {
+        let mut seen = vec![false; graph.node_count()];
+        let mut queue = vec![a];
+        seen[a.0] = true;
+        while let Some(u) = queue.pop() {
+            for &(v, l) in graph.neighbors(u) {
+                if keep(l) && !seen[v.0] {
+                    seen[v.0] = true;
+                    queue.push(v);
+                }
+            }
+        }
+        seen[b.0]
+    }
+
+    /// Two rings joined by a chain of bridges, with leaves hung on them,
+    /// or a dumbbell: two complete graphs joined by one path.
+    fn draw_bridged(rng: &mut drqos_sim::rng::Rng) -> Graph {
+        let mut g = Graph::new();
+        let clique = rng.chance(0.3);
+        let mut ring_or_clique = |g: &mut Graph| {
+            let size = 3 + rng.range_usize(4);
+            let nodes: Vec<NodeId> = (0..size).map(|_| g.add_node()).collect();
+            for (i, &a) in nodes.iter().enumerate() {
+                let ahead: Vec<NodeId> = if clique {
+                    nodes[i + 1..].to_vec()
+                } else {
+                    vec![nodes[(i + 1) % size]]
+                };
+                for b in ahead {
+                    if g.link_between(a, b).is_none() {
+                        g.add_link(a, b).unwrap();
+                    }
+                }
+            }
+            nodes
+        };
+        let left = ring_or_clique(&mut g);
+        let right = ring_or_clique(&mut g);
+        let mut at = left[rng.range_usize(left.len())];
+        for _ in 0..rng.range_usize(3) {
+            let next = g.add_node();
+            g.add_link(at, next).unwrap();
+            at = next;
+        }
+        g.add_link(at, right[rng.range_usize(right.len())]).unwrap();
+        for _ in 0..rng.range_usize(4) {
+            let (on, leaf) = (NodeId(rng.range_usize(g.node_count())), g.add_node());
+            g.add_link(on, leaf).unwrap();
+        }
+        g
+    }
+
+    /// `graph`'s block row against the brute force: a link joins two
+    /// blocks exactly when removing it disconnects its ends, two nodes
+    /// share a block exactly when the links that do not are enough to join
+    /// them, and the ids are dense from 0. Returns how many bridges it saw.
+    fn check_blocks(graph: &Graph) -> Result<usize, String> {
+        let row = graph.blocks();
+        let bridge: Vec<bool> = graph
+            .links()
+            .map(|link| !joined(graph, link.a(), link.b(), &|l| l != link.id()))
+            .collect();
+        for link in graph.links() {
+            let (a, b) = link.endpoints();
+            if (row[a.0] != row[b.0]) != bridge[link.id().0] {
+                return Err(format!("{}: blocks {row:?}", link.id()));
+            }
+        }
+        for a in graph.nodes() {
+            for b in graph.nodes() {
+                let same = joined(graph, a, b, &|l| !bridge[l.0]);
+                if (row[a.0] == row[b.0]) != same {
+                    return Err(format!("{a} and {b}: blocks {row:?}"));
+                }
+            }
+        }
+        let ids = row.iter().max().map_or(0, |&m| m as usize + 1);
+        if (0..ids).any(|id| !row.contains(&(id as u32))) {
+            return Err(format!("ids not dense: {row:?}"));
+        }
+        Ok(bridge.iter().filter(|&&b| b).count())
+    }
+
+    /// What [`block_differential`] saw, beyond agreement.
+    #[derive(Debug, Default)]
+    struct BlockCounts {
+        bridges: usize,
+        /// Graphs with one block and with more than one.
+        one_block: usize,
+        split: usize,
+        /// Growth steps that changed the row.
+        changed_by_growth: usize,
+    }
+
+    /// Runs `cases` seeded graphs — [`draw_graph`]'s four kinds and the
+    /// bridge-rich [`draw_bridged`] — through [`check_blocks`], then grows
+    /// each by a link or two, while a clone may still share its table, and
+    /// checks the grown graph and the clone again.
+    fn block_differential(cases: usize) -> Result<BlockCounts, String> {
+        let mut rng = drqos_sim::rng::Rng::seed_from_u64(0xB10C_2026);
+        let mut counts = BlockCounts::default();
+        for i in 0..cases {
+            let mut graph = match i % 6 {
+                kind @ 0..=3 => draw_graph(&mut rng, kind),
+                _ => draw_bridged(&mut rng),
+            };
+            let twin = graph.clone();
+            let bridges = check_blocks(&graph).map_err(|e| format!("case {i}: {e}"))?;
+            counts.bridges += bridges;
+            let first = graph.blocks().first().copied();
+            if graph.blocks().iter().all(|&b| Some(b) == first) {
+                counts.one_block += 1;
+            } else {
+                counts.split += 1;
+            }
+            let before = graph.blocks().to_vec();
+            let n = graph.node_count();
+            for _ in 0..1 + rng.range_usize(2) {
+                let (a, b) = (NodeId(rng.range_usize(n)), NodeId(rng.range_usize(n)));
+                if a != b && graph.link_between(a, b).is_none() {
+                    graph.add_link(a, b).unwrap();
+                }
+            }
+            counts.changed_by_growth += usize::from(graph.blocks() != &before[..]);
+            check_blocks(&graph).map_err(|e| format!("case {i}, grown: {e}"))?;
+            check_blocks(&twin).map_err(|e| format!("case {i}, clone: {e}"))?;
+        }
+        Ok(counts)
+    }
+
+    fn assert_block_coverage(counts: &BlockCounts, cases: usize) {
+        assert!(counts.bridges > cases, "{counts:?}");
+        assert!(
+            counts.one_block > cases / 10 && counts.split > cases / 2,
+            "{counts:?}"
+        );
+        assert!(counts.changed_by_growth > cases / 4, "{counts:?}");
+    }
+
+    #[test]
+    fn block_rows_match_the_brute_force_bridges_on_300_seeded_cases() {
+        let counts = block_differential(300).unwrap();
+        assert_block_coverage(&counts, 300);
+    }
+
+    #[test]
+    #[ignore = "ten times the cases; CI runs it in release"]
+    fn block_rows_match_the_brute_force_bridges_on_3000_seeded_cases() {
+        let counts = block_differential(3000).unwrap();
+        assert_block_coverage(&counts, 3000);
+    }
+
+    #[test]
+    fn a_block_row_kept_across_add_link_is_caught() {
+        KEEP_HOPS_ACROSS_ADD_LINK.set(true);
+        let caught = block_differential(300);
+        KEEP_HOPS_ACROSS_ADD_LINK.set(false);
+        assert!(
+            caught.is_err(),
+            "blocks of the smaller graph went unnoticed"
+        );
+    }
+
     #[test]
     fn a_searched_graph_equals_an_unsearched_one() {
         let (searched, fresh) = (triangle().0, triangle().0);
         let clone = searched.clone();
         assert_eq!(searched.hops_toward(NodeId(0)), [0, 1, 1]);
+        assert_eq!(searched.blocks(), [0, 0, 0]);
         assert_eq!(searched, fresh);
         assert_eq!(clone, fresh);
         // A clone hashes its link index as the original does, so `Debug`
