@@ -7,7 +7,8 @@
 //! log-ratio `ln(B / A)`. For every workload and every end-to-end row
 //! `BENCHMARK.json` bounds, [`reduce`] reports over the pairs the
 //! log-ratio's median and mean, the exact sign-test 95 % interval on its
-//! median, and how many pairs side B won.
+//! median, how many pairs side B won, and side A's spread across its runs
+//! as `bench --compare` computes it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -44,7 +45,7 @@ impl Json {
             bytes: text.as_bytes(),
             at: 0,
         };
-        let value = p.parse_value()?;
+        let value = p.value()?;
         p.space();
         match p.at == p.bytes.len() {
             true => Ok(value),
@@ -108,7 +109,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, String> {
         self.space();
         let rest = self.bytes.get(self.at..).unwrap_or_default();
         for (word, value) in [
@@ -127,7 +128,7 @@ impl Parser<'_> {
                 self.at += 1;
                 let mut items = Vec::new();
                 while !self.closes(b']', items.is_empty())? {
-                    items.push(self.parse_value()?);
+                    items.push(self.value()?);
                 }
                 Ok(Json::Arr(items))
             }
@@ -138,7 +139,7 @@ impl Parser<'_> {
                     self.space();
                     let key = self.string()?;
                     self.eat(b':')?;
-                    members.push((key, self.parse_value()?));
+                    members.push((key, self.value()?));
                 }
                 Ok(Json::Obj(members))
             }
@@ -368,9 +369,40 @@ pub(crate) fn pair_up(pairs: &[(f64, f64)], higher: bool) -> Option<Paired> {
     })
 }
 
+/// First quartile, median and third quartile by the exclusive method of
+/// Python's `statistics.quantiles(values, n=4)`, as `bench --compare` takes
+/// them; `None` with fewer than two values.
+pub(crate) fn quartiles(values: &[f64]) -> Option<[f64; 3]> {
+    let mut x = values.to_vec();
+    x.sort_by(f64::total_cmp);
+    let n = x.len();
+    if n < 2 {
+        return None;
+    }
+    let mut out = [0.0; 3];
+    for (slot, i) in out.iter_mut().zip(1..=3usize) {
+        let j = (i * (n + 1) / 4).clamp(1, n - 1);
+        let delta = (i * (n + 1)) as f64 - (j * 4) as f64;
+        *slot = (x.get(j - 1)? * (4.0 - delta) + x.get(j)? * delta) / 4.0;
+    }
+    Some(out)
+}
+
+/// The spread `bench --compare` holds a median gap against: the quartile
+/// spread of `values` as a share of their median (0 at a zero median).
+pub(crate) fn spread(values: &[f64]) -> Option<f64> {
+    let [q1, median, q3] = quartiles(values)?;
+    Some(if median == 0.0 {
+        0.0
+    } else {
+        (q3 - q1) / median.abs()
+    })
+}
+
 /// The table `pairs A B` prints: one line per workload and bounded row,
-/// log-ratios in percent (`100 ln(B / A)`), and whether the interval
-/// leaves zero out on B's better or worse side.
+/// log-ratios in percent (`100 ln(B / A)`), A's spread over all its runs
+/// in percent, and whether the interval leaves zero out on B's better or
+/// worse side.
 pub fn reduce(a: &Runs, b: &Runs, rows: &[Row]) -> String {
     let seeds: Vec<u64> = a.keys().filter(|s| b.contains_key(s)).copied().collect();
     let mut out = String::new();
@@ -381,8 +413,8 @@ pub fn reduce(a: &Runs, b: &Runs, rows: &[Row]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<12}{:<22}{:>4}{:>9}{:>9}{:>20}{:>7}  B",
-        "workload", "metric", "n", "median", "mean", "sign-test 95 %", "won"
+        "{:<12}{:<22}{:>4}{:>9}{:>9}{:>20}{:>7}{:>10}  B",
+        "workload", "metric", "n", "median", "mean", "sign-test 95 %", "won", "A spread"
     );
     let workloads: BTreeSet<&String> = seeds.iter().flat_map(|s| a[s].keys()).collect();
     for w in workloads {
@@ -395,6 +427,11 @@ pub fn reduce(a: &Runs, b: &Runs, rows: &[Row]) -> String {
             let Some(p) = pair_up(&pairs, row.higher) else {
                 continue;
             };
+            let parent: Vec<f64> = a
+                .values()
+                .filter_map(|run| run.get(w)?.get(&row.name).copied())
+                .collect();
+            let spread = spread(&parent).map_or("-".to_string(), |s| format!("{:.2}", 100.0 * s));
             let pct = |x: f64| format!("{:+.2}", 100.0 * x);
             let (interval, verdict) = match p.interval {
                 Some((lo, hi)) => {
@@ -411,7 +448,7 @@ pub fn reduce(a: &Runs, b: &Runs, rows: &[Row]) -> String {
             };
             let _ = writeln!(
                 out,
-                "{w:<12}{:<22}{:>4}{:>9}{:>9}{:>20}{:>4}/{:<2} {verdict}",
+                "{w:<12}{:<22}{:>4}{:>9}{:>9}{:>20}{:>4}/{:<2}{spread:>10} {verdict}",
                 row.name,
                 p.n,
                 pct(p.median),
@@ -496,6 +533,21 @@ mod tests {
     }
 
     #[test]
+    fn quartiles_and_spread_match_python_s_exclusive_method() {
+        // statistics.quantiles(range(1, 11), n=4) == [2.75, 5.5, 8.25];
+        // of [4, 1, 3, 2]: [1.25, 2.5, 3.75]; of [7, 7]: [7, 7, 7].
+        let ten: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(quartiles(&ten), Some([2.75, 5.5, 8.25]));
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0]), Some([1.25, 2.5, 3.75]));
+        assert_eq!(quartiles(&[7.0, 7.0]), Some([7.0, 7.0, 7.0]));
+        assert_eq!(quartiles(&[7.0]), None);
+        assert_eq!(spread(&ten), Some(1.0));
+        assert_eq!(spread(&[4.0, 1.0, 3.0, 2.0]), Some(1.0));
+        assert_eq!(spread(&[0.0, 0.0, 1.0]), Some(0.0));
+        assert_eq!(spread(&[5.0]), None);
+    }
+
+    #[test]
     fn runs_pair_by_seed_and_an_unmatched_seed_is_left_out() {
         let side = |seeds: &[(u64, f64)]| {
             seeds
@@ -532,5 +584,8 @@ mod tests {
             line.contains("-10.54") && line.contains("6/6") && line.ends_with("better"),
             "{line}"
         );
+        // A's spread over all seven of its runs, the unmatched one too:
+        // quartiles 10 / 10 / 10 of a median 10.
+        assert!(line.contains(" 0.00 better"), "{line}");
     }
 }

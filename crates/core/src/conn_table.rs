@@ -5,8 +5,8 @@
 //! every link it crosses as a primary carries the slot beside its id (see
 //! [`crate::link_state::LinkUsage`]), so commit, retreat, fill and release
 //! reach a connection with one vector access and never search for it. An
-//! ordered `id → slot` index serves what remains: insert, remove, lookup by
-//! id, and iteration in id order.
+//! ordered `id → slot` index (`IdIndex`) serves what remains: insert,
+//! remove, lookup by id, and iteration in id order.
 //!
 //! Which slot a connection got depends on the order of earlier releases.
 //! That history is not state: a slot is only ever used to reach the
@@ -15,9 +15,9 @@
 //! to nothing even after the slot was handed to someone else.
 
 use crate::channel::{ConnectionId, DrConnection};
+use crate::network::seam::{self, Seam};
 use crate::qos::Bandwidth;
 use drqos_topology::LinkId;
-use std::collections::BTreeMap;
 
 /// The position of a connection in its [`ConnTable`].
 pub(crate) type Slot = u32;
@@ -32,7 +32,7 @@ pub(crate) struct ConnTable {
     slots: Vec<Option<DrConnection>>,
     /// Vacant slots; the last one freed is the next one used.
     free: Vec<Slot>,
-    index: BTreeMap<ConnectionId, Slot>,
+    index: IdIndex,
     /// Per slot, the amount its connection is counted at in the growable
     /// demand of the links of its primary (see
     /// [`crate::link_state::LinkUsage::growable_demand`]): its remaining
@@ -48,6 +48,71 @@ pub(crate) struct ConnTable {
     /// A retreat moves the level and leaves the place, so the rank is read
     /// here, not from the level. An index, never state.
     waiting: Vec<Option<Waiting>>,
+}
+
+/// The `id → slot` index: `(id, slot)` entries in one vector sorted by
+/// id, a removed one left behind as a tombstone (`None`) until the
+/// tombstones outnumber the live entries and one pass drops them all. So
+/// the vector never holds more than twice the live entries, and a
+/// compaction's pass is paid for by the removals since the last one.
+///
+/// The network hands ids out in increasing order, so its inserts are
+/// pushes; an id at or below the last entry's, which the table's contract
+/// allows, takes the sorted insert, reviving its own tombstone if it left
+/// one.
+/// Lookup and removal are binary searches. Iteration is in id order.
+#[derive(Debug, Clone, Default)]
+struct IdIndex {
+    entries: Vec<(ConnectionId, Option<Slot>)>,
+    live: usize,
+}
+
+impl IdIndex {
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn find(&self, id: ConnectionId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&id, |&(at, _)| at)
+    }
+
+    /// Maps `id` to `slot`; `false`, changing nothing, if `id` is mapped.
+    fn insert(&mut self, id: ConnectionId, slot: Slot) -> bool {
+        let ascending = self.entries.last().is_none_or(|&(last, _)| last < id);
+        if ascending || seam::armed(Seam::PushOutOfOrder) {
+            self.entries.push((id, Some(slot)));
+        } else {
+            match self.find(id) {
+                Ok(at) => match self.entries.get_mut(at) {
+                    Some((_, held @ None)) => *held = Some(slot),
+                    _ => return false,
+                },
+                Err(at) => self.entries.insert(at, (id, Some(slot))),
+            }
+        }
+        self.live += 1;
+        true
+    }
+
+    fn get(&self, id: ConnectionId) -> Option<Slot> {
+        self.entries.get(self.find(id).ok()?)?.1
+    }
+
+    /// Unmaps `id`, returning its slot.
+    fn remove(&mut self, id: ConnectionId) -> Option<Slot> {
+        let at = self.find(id).ok()?;
+        let slot = self.entries.get_mut(at)?.1.take()?;
+        self.live -= 1;
+        if self.entries.len() - self.live > self.live {
+            self.entries.retain(|&(_, held)| held.is_some());
+        }
+        Some(slot)
+    }
+
+    /// The live slots, in id order.
+    fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.entries.iter().filter_map(|&(_, held)| held)
+    }
 }
 
 /// A link of a connection's primary that lacked its increment, and that
@@ -70,7 +135,7 @@ impl ConnTable {
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.len() == 0
     }
 
     /// Stores `conn`, whose id must not be in the table, and returns the
@@ -84,8 +149,8 @@ impl ConnTable {
             self.waiting.push(None);
             fresh.unwrap_or(Slot::MAX)
         });
-        let before = self.index.insert(conn.id(), slot);
-        assert!(before.is_none(), "{} is already in the table", conn.id());
+        let fresh = self.index.insert(conn.id(), slot);
+        assert!(fresh, "{} is already in the table", conn.id());
         if let Some(place) = self.slots.get_mut(slot as usize) {
             *place = Some(conn);
         }
@@ -141,7 +206,7 @@ impl ConnTable {
         &mut self,
         id: ConnectionId,
     ) -> Option<(DrConnection, Bandwidth, Option<Waiting>)> {
-        let slot = self.index.remove(&id)?;
+        let slot = self.index.remove(id)?;
         self.free.push(slot);
         let conn = self.slots.get_mut(slot as usize)?.take()?;
         let waited = self.waiting(slot);
@@ -149,11 +214,11 @@ impl ConnTable {
     }
 
     pub(crate) fn get(&self, id: ConnectionId) -> Option<&DrConnection> {
-        self.at(*self.index.get(&id)?, id)
+        self.at(self.index.get(id)?, id)
     }
 
     pub(crate) fn get_mut(&mut self, id: ConnectionId) -> Option<&mut DrConnection> {
-        self.at_mut(*self.index.get(&id)?, id)
+        self.at_mut(self.index.get(id)?, id)
     }
 
     /// The connection `id` if `slot` still holds it: `None` once it has
@@ -181,8 +246,8 @@ impl ConnTable {
 
     /// Every connection with its slot, in id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Slot, &DrConnection)> {
-        let held = |&slot: &Slot| Some((slot, self.slots.get(slot as usize)?.as_ref()?));
-        self.index.values().filter_map(held)
+        let held = |slot: Slot| Some((slot, self.slots.get(slot as usize)?.as_ref()?));
+        self.index.slots().filter_map(held)
     }
 }
 
@@ -251,6 +316,7 @@ mod tests {
     use crate::qos::ElasticQos;
     use drqos_sim::rng::Rng;
     use drqos_topology::{regular, NodeId, Path};
+    use std::collections::BTreeMap;
 
     impl ChainMarks {
         /// The generation counter, for tests (here and in `network`) that
@@ -301,7 +367,7 @@ mod tests {
                         next += 1;
                     }
                     4..=6 => {
-                        let slot = table.index.get(&some_id).copied();
+                        let slot = table.index.get(some_id);
                         let removed = table.remove(some_id).map(|(c, ..)| c);
                         assert_eq!(removed, map.remove(&some_id));
                         departed.extend(slot.map(|slot| (slot, some_id)));
@@ -330,6 +396,153 @@ mod tests {
         }
         assert!(recycled > 1_000, "{recycled}");
         assert!(stale_on_a_taken_slot > 10_000, "{stale_on_a_taken_slot}");
+    }
+
+    /// What the index differential reached, summed over its cases.
+    #[derive(Debug, Default)]
+    struct IndexTally {
+        pushes: usize,
+        sorted_inserts: usize,
+        revived: usize,
+        refused: usize,
+        compactions: usize,
+        /// Removals that left exactly as many tombstones as live entries:
+        /// one more and the pass would have run.
+        at_the_boundary: usize,
+    }
+
+    /// One seeded case: an [`IdIndex`] and the ordered map it replaces,
+    /// driven through the same inserts (ascending, out of order, again
+    /// after a removal, of a live id), removals (of live and absent ids)
+    /// and lookups, compared after every step — lookups, length, the
+    /// slots in id order — with the entries held to twice the live count.
+    fn index_case(seed: u64, tally: &mut IndexTally) -> Result<(), String> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let (mut index, mut map) = (IdIndex::default(), BTreeMap::new());
+        let mut next = 0u64;
+        // Phases lean toward inserts or toward removals, so the live count
+        // swings and tombstones pile up to the compaction boundary.
+        let mut lean = 5;
+        for step in 0..400 {
+            if step % 50 == 0 {
+                lean = 1 + rng.range_usize(9);
+            }
+            let slot = rng.range_u64(1 << 20) as Slot;
+            let some_id = ConnectionId(rng.range_u64(next + 2));
+            let live: Vec<ConnectionId> = map.keys().copied().collect();
+            match rng.range_usize(12) {
+                k if k < lean => {
+                    // Ids ascend with gaps, which out-of-order inserts fill.
+                    next += 1 + rng.range_u64(3);
+                    let id = ConnectionId(next);
+                    let before = index.entries.len();
+                    let fresh = index.insert(id, slot);
+                    tally.pushes += usize::from(index.entries.len() == before + 1);
+                    if !fresh || map.insert(id, slot).is_some() {
+                        return Err(format!("step {step}: ascending insert of {id}"));
+                    }
+                }
+                10 => {
+                    // At or below the last ascending id, so never a fresh one.
+                    let some_id = ConnectionId(rng.range_u64(next + 1));
+                    let tombstones = index.entries.len() - index.len();
+                    let got = index.insert(some_id, slot);
+                    let want = !map.contains_key(&some_id);
+                    if want {
+                        map.insert(some_id, slot);
+                        let revived = index.entries.len() - index.len() < tombstones;
+                        tally.revived += usize::from(revived);
+                        tally.sorted_inserts += usize::from(!revived);
+                    } else {
+                        tally.refused += 1;
+                    }
+                    if got != want {
+                        return Err(format!("step {step}: insert of {some_id} said {got}"));
+                    }
+                }
+                11 => {
+                    let (got, want) = (index.get(some_id), map.get(&some_id).copied());
+                    if got != want {
+                        return Err(format!(
+                            "step {step}: get {some_id}: {got:?}, want {want:?}"
+                        ));
+                    }
+                }
+                k => {
+                    let id = match rng.choose(&live) {
+                        Some(&id) if k % 2 == 0 => id,
+                        _ => some_id,
+                    };
+                    let before = index.entries.len();
+                    let (got, want) = (index.remove(id), map.remove(&id));
+                    if index.entries.len() < before {
+                        tally.compactions += 1;
+                    }
+                    let tombstones = index.entries.len() - index.len();
+                    tally.at_the_boundary +=
+                        usize::from(got.is_some() && tombstones == index.len());
+                    if got != want {
+                        return Err(format!("step {step}: remove {id}: {got:?}, want {want:?}"));
+                    }
+                }
+            }
+            if index.len() != map.len() || !index.slots().eq(map.values().copied()) {
+                return Err(format!("step {step}: slots out of id order or count"));
+            }
+            if let Some(&id) = rng.choose(&live) {
+                if index.get(id) != map.get(&id).copied() {
+                    return Err(format!("step {step}: get {id} after the step"));
+                }
+            }
+            if index.entries.len() > 2 * index.len() {
+                let (held, live) = (index.entries.len(), index.len());
+                return Err(format!("step {step}: {held} entries for {live} live"));
+            }
+        }
+        Ok(())
+    }
+
+    fn index_matches_the_map(cases: u64) {
+        let mut tally = IndexTally::default();
+        for case in 0..cases {
+            if let Err(e) = index_case(0x1D_1DE7 + case, &mut tally) {
+                panic!("case {case}: {e}");
+            }
+        }
+        let floor = cases as usize;
+        // One run of 200: 33 237 pushes, 4 053 sorted inserts, 707
+        // revivals, 1 848 refusals, 1 251 compactions, 1 293 at the boundary.
+        assert!(tally.pushes > 100 * floor, "{tally:?}");
+        assert!(tally.sorted_inserts > 10 * floor, "{tally:?}");
+        assert!(tally.revived > 2 * floor, "{tally:?}");
+        assert!(tally.refused > 5 * floor, "{tally:?}");
+        assert!(tally.compactions > 4 * floor, "{tally:?}");
+        assert!(tally.at_the_boundary > 4 * floor, "{tally:?}");
+    }
+
+    /// The id index against the ordered map it replaces (see
+    /// [`index_case`]).
+    #[test]
+    fn the_id_index_matches_the_ordered_map_on_200_seeded_cases() {
+        index_matches_the_map(200);
+    }
+
+    /// [`the_id_index_matches_the_ordered_map_on_200_seeded_cases`] at ten
+    /// times the cases, for CI's release run.
+    #[test]
+    #[ignore]
+    fn the_id_index_matches_the_ordered_map_on_2000_seeded_cases() {
+        index_matches_the_map(2_000);
+    }
+
+    /// An index that pushes an out-of-order insert at its end, as if every
+    /// id were fresh, must fail the differential.
+    #[test]
+    fn an_id_index_pushing_out_of_order_is_caught() {
+        let caught = seam::with(Seam::PushOutOfOrder, || {
+            (0..20).find(|&case| index_case(0x1D_1DE7 + case, &mut IndexTally::default()).is_err())
+        });
+        assert!(caught.is_some());
     }
 
     #[test]

@@ -168,10 +168,11 @@ pub struct Network {
     fill: FillScratch,
     /// Reusable chain-set buffers, scratch like `fill`: the marks of
     /// [`Network::gather`], the retreat set of the last commit and the
-    /// last fill's candidates (both kept for their capacity).
+    /// last fill's candidates and handles (all kept for their capacity).
     marks: ChainMarks,
     retreat_set: Vec<ChainPair>,
     spare_set: Vec<ChainPair>,
+    spare_handles: Vec<Blocked>,
     /// The loose set: the listed rows that wait nowhere, having been taken
     /// off a waitlist whose link a fault step or a repair gave room (see
     /// `fill::still_blocked`) — the only ones an event's fill could grow
@@ -206,6 +207,7 @@ impl Clone for Network {
             marks: ChainMarks::default(),
             retreat_set: Vec::new(),
             spare_set: Vec::new(),
+            spare_handles: Vec::new(),
             loose: self.loose.clone(),
             needy: self.needy.clone(),
         }
@@ -249,6 +251,7 @@ impl Network {
             marks: ChainMarks::default(),
             retreat_set: Vec::new(),
             spare_set: Vec::new(),
+            spare_handles: Vec::new(),
             loose: Vec::new(),
             needy: BTreeSet::new(),
         }
@@ -371,13 +374,12 @@ impl Network {
             self.retreat(pair);
         }
         // 3. Who may grow, the newcomer included — and let them.
-        let (mut candidates, mut handles) = (std::mem::take(&mut self.spare_set), Vec::new());
-        candidates.clear();
+        let (mut candidates, mut handles) = self.spare_buffers();
         self.fill_candidates(retreated, kept, &[newcomer], &mut candidates, &mut handles);
         #[cfg(test)]
         self.log_kept(kept);
         self.retreat_set = chained;
-        self.settle(candidates, &handles);
+        self.settle(candidates, handles);
         newcomer.1
     }
 
@@ -416,13 +418,24 @@ impl Network {
         }
     }
 
+    /// The candidate and handle buffers the last fill left, emptied for
+    /// the next event's gather.
+    fn spare_buffers(&mut self) -> (Vec<ChainPair>, Vec<Blocked>) {
+        let mut candidates = std::mem::take(&mut self.spare_set);
+        let mut handles = std::mem::take(&mut self.spare_handles);
+        candidates.clear();
+        handles.clear();
+        (candidates, handles)
+    }
+
     /// Re-distributes extras over `candidates` and the buckets `handles`
-    /// names, keeping the candidate buffer for the next event's, and drops
-    /// from the loose set the rows the event has refused or granted to
-    /// their maximum.
-    fn settle(&mut self, candidates: Vec<ChainPair>, handles: &[Blocked]) {
-        self.redistribute(&candidates, handles);
+    /// names, keeping both buffers for the next event's, and drops from
+    /// the loose set the rows the event has refused or granted to their
+    /// maximum.
+    fn settle(&mut self, candidates: Vec<ChainPair>, handles: Vec<Blocked>) {
+        self.redistribute(&candidates, &handles);
         self.spare_set = candidates;
+        self.spare_handles = handles;
         self.prune_loose();
         #[cfg(test)]
         self.log_settled();
@@ -674,8 +687,7 @@ impl Network {
         // nobody retreated for it, so nobody else can grow.
         let backup_links = conn.backups().iter().flat_map(|b| b.links());
         let freed = conn.primary().links().iter().chain(backup_links).copied();
-        let (mut candidates, mut handles) = (std::mem::take(&mut self.spare_set), Vec::new());
-        candidates.clear();
+        let (mut candidates, mut handles) = self.spare_buffers();
         let (links, connections, loose) = (&self.links, &self.connections, &self.loose);
         let (out, wake) = (&mut candidates, &mut handles);
         Self::gather_waiting(
@@ -689,7 +701,7 @@ impl Network {
         );
         #[cfg(test)]
         self.log_gather(freed, std::iter::empty(), &candidates, &handles, 0);
-        self.settle(candidates, &handles);
+        self.settle(candidates, handles);
         Ok(conn)
     }
 
@@ -1117,7 +1129,7 @@ mod support {
             let newcomer = self.reserve_newcomer(plan);
             let (mut candidates, mut handles) = (Vec::new(), Vec::new());
             self.fill_candidates(&retreated, &[], &[newcomer], &mut candidates, &mut handles);
-            self.settle(candidates, &handles);
+            self.settle(candidates, handles);
             newcomer.1
         }
 

@@ -195,12 +195,11 @@ impl Network {
         }
 
         // Re-distribute whatever is still spare.
-        let (mut candidates, mut handles) = (std::mem::take(&mut self.spare_set), Vec::new());
-        candidates.clear();
+        let (mut candidates, mut handles) = self.spare_buffers();
         self.fill_candidates(retreated, kept, &activated, &mut candidates, &mut handles);
         #[cfg(test)]
         self.log_kept(kept);
-        self.settle(candidates, &handles);
+        self.settle(candidates, handles);
 
         // Re-establish backups for survivors that lost theirs; the top-up
         // puts each in the needy set, or takes it out.

@@ -186,7 +186,7 @@ impl Network {
         } else {
             self.config.backup_count
         };
-        let mut backups: Vec<Path> = Vec::new();
+        let mut backups: Vec<Path> = Vec::with_capacity(want);
         while backups.len() < want {
             let Some(b) = self.plan_backup(scratch, &primary, min, &backups, fp) else {
                 break;

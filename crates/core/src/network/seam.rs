@@ -45,6 +45,9 @@ pub(crate) enum Seam {
     /// A fallback segment's round scans its layers in discovery order,
     /// not node-id order.
     UnsortedLayer,
+    /// The connection table's id index pushes every insert at its end,
+    /// in order or not.
+    PushOutOfOrder,
     /// Every commit is the reference one, a failure keeps nobody, and
     /// every gather offers each listed primary of its links as a plain
     /// candidate, none through a waitlist (its sites call test-only code).

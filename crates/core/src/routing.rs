@@ -517,9 +517,10 @@ impl FloodScratch {
         false
     }
 
-    /// The path the parent table holds from `src` to a discovered `dst`.
+    /// The path the parent table holds from `src` to a discovered `dst`,
+    /// its node list sized once from the hops `dst` was found at.
     fn trace(&self, graph: &Graph, src: NodeId, dst: NodeId) -> Option<Path> {
-        let mut nodes = Vec::new();
+        let mut nodes = Vec::with_capacity(self.hops.get(dst.0).map_or(0, |&h| h + 1));
         self.trace_into(src, dst, &mut nodes);
         Path::from_nodes(graph, nodes).ok()
     }

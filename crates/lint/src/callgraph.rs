@@ -192,9 +192,12 @@ impl CallGraph {
         }
 
         // Symbol tables. Only non-test functions are resolution targets:
-        // live code cannot call into `#[cfg(test)]` items.
+        // live code cannot call into `#[cfg(test)]` items. A path call
+        // without a type qualifier names no method, so the `free_` tables
+        // hold free functions only.
         let mut by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
-        let mut by_crate_name: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new();
+        let mut free_by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
+        let mut free_by_crate_name: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new();
         let mut by_crate_type_name: BTreeMap<(&str, &str, &str), Vec<FnId>> = BTreeMap::new();
         let mut by_type_name: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new();
         for (id, node) in fns.iter().enumerate() {
@@ -203,10 +206,6 @@ impl CallGraph {
             }
             let name = node.def.name.as_str();
             by_name.entry(name).or_default().push(id);
-            by_crate_name
-                .entry((node.krate.as_str(), name))
-                .or_default()
-                .push(id);
             if let Some(ty) = &node.def.self_type {
                 by_crate_type_name
                     .entry((node.krate.as_str(), ty.as_str(), name))
@@ -214,6 +213,12 @@ impl CallGraph {
                     .push(id);
                 by_type_name
                     .entry((ty.as_str(), name))
+                    .or_default()
+                    .push(id);
+            } else {
+                free_by_name.entry(name).or_default().push(id);
+                free_by_crate_name
+                    .entry((node.krate.as_str(), name))
                     .or_default()
                     .push(id);
             }
@@ -253,8 +258,8 @@ impl CallGraph {
                         segs,
                         krate,
                         &unique,
-                        &by_name,
-                        &by_crate_name,
+                        &free_by_name,
+                        &free_by_crate_name,
                         &by_crate_type_name,
                         &by_type_name,
                     ),
@@ -374,8 +379,8 @@ fn resolve_path(
     segs: &[String],
     krate: &str,
     unique: &dyn Fn(Option<&Vec<FnId>>) -> Option<FnId>,
-    by_name: &BTreeMap<&str, Vec<FnId>>,
-    by_crate_name: &BTreeMap<(&str, &str), Vec<FnId>>,
+    free_by_name: &BTreeMap<&str, Vec<FnId>>,
+    free_by_crate_name: &BTreeMap<(&str, &str), Vec<FnId>>,
     by_crate_type_name: &BTreeMap<(&str, &str, &str), Vec<FnId>>,
     by_type_name: &BTreeMap<(&str, &str), Vec<FnId>>,
 ) -> Option<FnId> {
@@ -402,9 +407,10 @@ fn resolve_path(
                 .or_else(|| unique(by_type_name.get(&(q, name))));
         }
     }
-    // Free function: in the target crate (module segments are not
-    // tracked, so `module::foo` uses crate-level uniqueness)...
-    if let Some(id) = unique(by_crate_name.get(&(target_crate.as_str(), name))) {
+    // Free function, never a method (a path without a type names none):
+    // in the target crate (module segments are not tracked, so
+    // `module::foo` uses crate-level uniqueness)...
+    if let Some(id) = unique(free_by_crate_name.get(&(target_crate.as_str(), name))) {
         return Some(id);
     }
     // ...or workspace-unique as a fallback for bare single-segment calls
@@ -412,7 +418,7 @@ fn resolve_path(
     // cross-crate paths that failed crate-local lookup — those are more
     // likely resolver blind spots than true matches.
     if !cross_crate && segs.len() == 1 {
-        return unique(by_name.get(&name));
+        return unique(free_by_name.get(&name));
     }
     None
 }

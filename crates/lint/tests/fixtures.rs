@@ -381,6 +381,24 @@ fn panic_reachability_clean_when_unreachable() {
     assert!(f.is_empty(), "{f:?}");
 }
 
+#[test]
+fn panic_reachability_links_a_bare_call_to_no_method() {
+    // A daemon binary's local closure `value(…)` beside the workspace's
+    // only `value`, a method that indexes a slice in a crate the binary
+    // does not use: a bare call names no method, so no chain links them.
+    let f = lint_ws(&[
+        (
+            "crates/service/src/bin/drqos-clusterd.rs",
+            "fn parse_args(args: &[String]) { let value = |i: usize| args.get(i); value(1); }",
+        ),
+        (
+            "crates/bench/src/pairs.rs",
+            "impl Parser<'_> { fn value(&mut self) -> u8 { self.bytes[self.at] } }",
+        ),
+    ]);
+    assert!(f.is_empty(), "{f:?}");
+}
+
 // ------------------------------- panic-reachability: the zone's own sites --
 //
 // A daemon-zone file's own panic sites are the chains of length one. These

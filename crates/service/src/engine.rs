@@ -131,14 +131,13 @@ impl Engine {
         }
     }
 
-    /// Handles one line for the server: [`Engine::handle_server_batch`]
-    /// of one, without building the batch.
+    /// Handles one line for the server: parse, commit, render, record —
+    /// what [`Engine::handle_server_batch`] does with a line outside an
+    /// establish run, and with a run of one.
     pub(crate) fn handle_one(&mut self, line: &str) -> Handled {
-        self.handle_lines(std::iter::once(line))
-            .pop()
-            .unwrap_or_else(|| {
-                Handled::Reply(ProtocolError::internal("batch reply slot unfilled").into())
-            })
+        let t0 = OpTimer::start();
+        let (row, parsed, op) = read(line);
+        self.serve(t0, row, parsed, op)
     }
 
     /// Handles a batch of lines. `SHUTDOWN` is deferred so the caller can
@@ -154,19 +153,12 @@ impl Engine {
     /// whole run commits*, exactly as if the requests had been admitted
     /// back-to-back with no reader between them.
     pub fn handle_server_batch(&mut self, lines: &[String]) -> Vec<Handled> {
-        self.handle_lines(lines.iter().map(String::as_str))
-    }
-
-    /// The one parse → dispatch → record body: one reply per line.
-    fn handle_lines<'a>(&mut self, lines: impl Iterator<Item = &'a str>) -> Vec<Handled> {
-        let mut out: Vec<Option<Handled>> = Vec::new();
+        let mut out: Vec<Option<Handled>> = Vec::with_capacity(lines.len());
         let mut run: Vec<PendingEstablish> = Vec::new();
-        for (slot, line) in lines.enumerate() {
+        for (slot, line) in lines.iter().enumerate() {
             out.push(None);
             let t0 = OpTimer::start();
-            let parsed = protocol::parse(line);
-            let row = parsed.as_ref().map_or(INVALID, Request::row);
-            let op = parsed.as_ref().ok().and_then(member_op);
+            let (row, parsed, op) = read(line);
             if let Some(Ok(MemberOp::Establish { req })) = op {
                 run.push(PendingEstablish { slot, row, t0, req });
                 continue;
@@ -177,18 +169,7 @@ impl Engine {
             if !matches!(op, Some(Err(_))) {
                 self.flush_pending(&mut run, &mut out);
             }
-            let handled = match (parsed, op) {
-                (_, Some(Ok(op))) => {
-                    let committed = self.authority.commit(op);
-                    Handled::Reply(self.render(committed))
-                }
-                (_, Some(Err(refused))) => Handled::Reply(refused),
-                (Ok(Request::Shutdown), None) => Handled::ShutdownRequested,
-                (Ok(req), None) => Handled::Reply(self.dispatch(&req)),
-                (Err(e), None) => Handled::Reply(e.into()),
-            };
-            let failed = matches!(&handled, Handled::Reply(r) if r.is_err());
-            self.metrics.record(row, t0.elapsed(), failed);
+            let handled = self.serve(t0, row, parsed, op);
             set_slot(&mut out, slot, handled);
         }
         self.flush_pending(&mut run, &mut out);
@@ -199,6 +180,24 @@ impl Engine {
                 })
             })
             .collect()
+    }
+
+    /// The one commit → render → record body, for a line [`read`] has
+    /// read and `t0` started timing.
+    fn serve(&mut self, t0: OpTimer, row: usize, parsed: Parsed, op: Option<Op>) -> Handled {
+        let handled = match (parsed, op) {
+            (_, Some(Ok(op))) => {
+                let committed = self.authority.commit(op);
+                Handled::Reply(self.render(committed))
+            }
+            (_, Some(Err(refused))) => Handled::Reply(refused),
+            (Ok(Request::Shutdown), None) => Handled::ShutdownRequested,
+            (Ok(req), None) => Handled::Reply(self.dispatch(&req)),
+            (Err(e), None) => Handled::Reply(e.into()),
+        };
+        let failed = matches!(&handled, Handled::Reply(r) if r.is_err());
+        self.metrics.record(row, t0.elapsed(), failed);
+        handled
     }
 
     /// Applies one buffered establish run in contention order — a run of
@@ -281,7 +280,7 @@ impl Engine {
             Request::Snapshot => self.snapshot(),
             Request::Stats => Response::Ok(self.stats_payload()),
             Request::Shutdown => self.finish_shutdown(),
-            // handle_lines applies every operation; answering one here
+            // `serve` commits every operation; answering one here
             // anyway (instead of unreachable!) keeps dispatch total.
             _ => ProtocolError::internal("operation bypassed its commit").into(),
         }
@@ -309,11 +308,26 @@ impl Engine {
     }
 }
 
+/// A parsed line.
+type Parsed = Result<Request, ProtocolError>;
+
+/// What [`member_op`] makes of a request.
+type Op = Result<MemberOp, Response>;
+
+/// Parses `line`: its metrics row, the request, and the operation it asks
+/// the [`Authority`] for.
+fn read(line: &str) -> (usize, Parsed, Option<Op>) {
+    let parsed = protocol::parse(line);
+    let row = parsed.as_ref().map_or(INVALID, Request::row);
+    let op = parsed.as_ref().ok().and_then(member_op);
+    (row, parsed, op)
+}
+
 /// The operation a request asks the [`Authority`] for: `None` for a
 /// local verb. A refused QoS range ([`MemberOp::from_parts`]) is already
 /// the wire-coded reply, and never reaches a network or a coordinator.
 /// The one `Request → MemberOp` conversion.
-fn member_op(req: &Request) -> Option<Result<MemberOp, Response>> {
+fn member_op(req: &Request) -> Option<Op> {
     let (verb, operands) = req.parts();
     MemberOp::from_parts(verb, operands).map(|op| op.map_err(|e| wire_err(e.wire_code(), e)))
 }
