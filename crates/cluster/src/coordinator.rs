@@ -42,7 +42,7 @@ use drqos_core::network::{EstablishPlan, EstablishRequest, FailureReport, Networ
 use drqos_core::qos::{Bandwidth, ElasticQos};
 use drqos_core::wire::MAX_OPERANDS;
 use drqos_topology::{LinkId, NodeId};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// One state-changing operation: one variant per
 /// [`Route::Forward`](drqos_core::wire::Route) row of
@@ -203,15 +203,14 @@ pub enum ApplyOutcome {
     RepairSrlg(Result<Vec<ConnectionId>, NetworkError>),
 }
 
-/// A ticket [`Coordinator::prepare`] opened, and whether every footprint
-/// digest was current when it did. Only `benchmark/`'s layer replica still
-/// opens one (ROADMAP 4(c)); no daemon sends a `PREPARE`.
+/// A ticket [`Coordinator::prepare`] opened. Only `benchmark/`'s layer
+/// replica still opens one (ROADMAP 4(c)); no daemon sends a `PREPARE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Prepared {
     /// The ticket [`Coordinator::commit_prepared`] closes.
     pub ticket: u64,
-    /// The prepare-time verdict: `true` when all probed digests were
-    /// unchanged.
+    /// Always `true`: nothing is validated, since every admission plans
+    /// at its sequential point.
     pub fresh: bool,
 }
 
@@ -260,11 +259,10 @@ pub struct Coordinator {
     net: Network,
     alive: Vec<bool>,
     oplog: Oplog,
-    /// The footprints of the tickets [`Coordinator::prepare`] opened and
+    /// The tickets [`Coordinator::prepare`] opened and
     /// [`Coordinator::commit_prepared`] has not closed yet.
-    prepared: BTreeMap<u64, Vec<(LinkId, u64)>>,
+    prepared: BTreeSet<u64>,
     next_ticket: u64,
-    stale_replans: u64,
     drop_record: bool,
 }
 
@@ -277,9 +275,8 @@ impl Coordinator {
             net,
             alive: vec![true; members.max(1)],
             oplog: Oplog::default(),
-            prepared: BTreeMap::new(),
+            prepared: BTreeSet::new(),
             next_ticket: 0,
-            stale_replans: 0,
             drop_record: false,
         }
     }
@@ -319,8 +316,8 @@ impl Coordinator {
         self.drop_record = drop;
     }
 
-    /// Opens a ticket holding `footprint` and answers whether every digest
-    /// in it is current. No daemon calls this; it stays, with
+    /// Opens a ticket; `_footprint` is not validated. No daemon calls
+    /// this; it stays, with
     /// [`Coordinator::commit_prepared`], [`Coordinator::flush`],
     /// [`Coordinator::stale_replans`] and [`Prepared`], only because
     /// `benchmark/`'s layer replica times it (ROADMAP 4(c)).
@@ -331,21 +328,22 @@ impl Coordinator {
     pub fn prepare(
         &mut self,
         member: u64,
-        footprint: &[(LinkId, u64)],
+        _footprint: &[(LinkId, u64)],
     ) -> Result<Prepared, ClusterError> {
         if !self.is_alive(member) {
             return Err(ClusterError::UnknownMember(member));
         }
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        let fresh = self.net.footprint_is_current(footprint);
-        self.prepared.insert(ticket, footprint.to_vec());
-        Ok(Prepared { ticket, fresh })
+        self.prepared.insert(ticket);
+        Ok(Prepared {
+            ticket,
+            fresh: true,
+        })
     }
 
     /// Closes a [`Coordinator::prepare`] ticket and commits the request's
-    /// [`MemberOp::Establish`] like [`Coordinator::forward`], counting a
-    /// footprint that went stale in [`Coordinator::stale_replans`].
+    /// [`MemberOp::Establish`] like [`Coordinator::forward`].
     /// `_planned` and `_fill` are ignored — every admission plans and
     /// settles at its sequential point — and stay only because
     /// `benchmark/` passes them (ROADMAP 4(c)).
@@ -360,12 +358,8 @@ impl Coordinator {
         req: &EstablishRequest,
         _fill: &mut Option<()>,
     ) -> Result<Result<ConnectionId, AdmissionError>, ClusterError> {
-        let footprint = self
-            .prepared
-            .remove(&ticket)
-            .ok_or(ClusterError::StalePrepare(ticket))?;
-        if !self.net.footprint_is_current(&footprint) {
-            self.stale_replans += 1;
+        if !self.prepared.remove(&ticket) {
+            return Err(ClusterError::StalePrepare(ticket));
         }
         match self.commit(MemberOp::Establish { req: *req }) {
             ApplyOutcome::Establish(result) => Ok(result),
@@ -373,10 +367,10 @@ impl Coordinator {
         }
     }
 
-    /// Commits whose prepare-time footprint had gone stale (see
-    /// [`Coordinator::prepare`] for why it stays).
+    /// Always 0: no prepare is validated (see [`Coordinator::prepare`]
+    /// for why it stays).
     pub fn stale_replans(&self) -> u64 {
-        self.stale_replans
+        0
     }
 
     /// Does nothing: every commit has already settled (see
@@ -558,13 +552,7 @@ mod tests {
     fn two_phase_commit_appends_to_the_oplog_and_clears_ledgers() {
         let mut c = coordinator(2);
         let req = request(0, 3);
-        let footprint: Vec<(LinkId, u64)> = c
-            .net()
-            .up_links()
-            .map(|l| (l, c.net().link_usage(l).plan_digest()))
-            .collect();
-        let p = c.prepare(0, &footprint).unwrap();
-        assert!(p.fresh, "untouched digests must validate");
+        let p = c.prepare(0, &[]).unwrap();
         let got = c.commit_prepared(p.ticket, None, &req, &mut None).unwrap();
         assert!(got.is_ok());
         assert_eq!((c.seq(), c.stale_replans()), (1, 0));
@@ -573,13 +561,11 @@ mod tests {
             Err(ClusterError::StalePrepare(p.ticket)),
             "double commit must be rejected"
         );
-        // The first commit moved the footprint's digests.
-        let p = c.prepare(1, &footprint).unwrap();
-        assert!(!p.fresh);
-        c.commit_prepared(p.ticket, None, &request(1, 4), &mut None)
-            .unwrap()
-            .unwrap();
-        assert_eq!((c.seq(), c.stale_replans()), (2, 1));
+        assert_eq!(
+            c.commit_prepared(p.ticket + 1, None, &req, &mut None),
+            Err(ClusterError::StalePrepare(p.ticket + 1)),
+            "a ticket never opened must be rejected"
+        );
     }
 
     #[test]

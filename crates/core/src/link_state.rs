@@ -380,10 +380,9 @@ impl LinkUsage {
     ///
     /// Equal digests ⇒ (modulo a 2⁻⁶⁴ collision) identical answers to
     /// every planning query. No admission reads it: only
-    /// `Network::plan_establish_traced`'s footprint and
-    /// `Network::footprint_is_current`, both kept for `benchmark/`
-    /// (ROADMAP 4(c)), compute it, when asked.
-    pub fn plan_digest(&self) -> u64 {
+    /// `Network::plan_establish_traced`'s footprint, kept for `benchmark/`
+    /// (ROADMAP 4(c)), computes it, when asked.
+    pub(crate) fn plan_digest(&self) -> u64 {
         let mut h: u64 = if self.up { 0x9E37_79B9_7F4A_7C15 } else { 0 };
         h = mix64(h ^ self.primary_min_sum.as_kbps());
         h = mix64(h ^ self.reservation.as_kbps());

@@ -28,9 +28,7 @@ pub struct FailureReport {
     /// Connections that lost a backup channel (primary unaffected).
     pub lost_backup: Vec<ConnectionId>,
     /// Connections whose primary shares a link with an activated backup
-    /// (excludes the activated connections themselves): each retreated,
-    /// but those at their maximum that the fill would have granted
-    /// straight back, which were left where they were.
+    /// (excludes the activated connections themselves): each retreated.
     pub retreated: Vec<ConnectionId>,
 }
 
@@ -93,10 +91,8 @@ impl Network {
     /// link). Every primary crossing it is a victim; in id order, each
     /// moves onto its first backup that [`can_activate`] it, or is
     /// dropped. Everyone else with a backup across the set loses that
-    /// backup. Then one retreat over what was activated — sparing the
-    /// primaries the keep rule, with every activated connection a
-    /// newcomer, finds the fill would grant straight back — one fill, and
-    /// the top-ups last, with the set still down.
+    /// backup. Then one retreat over what was activated, one fill, and the
+    /// top-ups last, with the set still down.
     fn fail_links(&mut self, set: &[LinkId]) -> FailureReport {
         for &l in set {
             self.links[l.index()].set_up(false);
@@ -175,30 +171,19 @@ impl Network {
         // not walk (ROADMAP item 20): whoever waits there is loose now.
         self.record_loose();
 
-        // Channels sharing links with activated backups retreat, but those
-        // the fill would grant straight back, the activated channels being
-        // the newcomers.
+        // Channels sharing links with activated backups retreat.
         let mut chained = std::mem::take(&mut self.retreat_set);
         chained.clear();
         let links = self.connections.primary_links(&activated);
         Self::gather(&self.links, &mut self.marks, links, &mut chained);
         chained.retain(|&(_, c)| activated.binary_search_by_key(&c, |&(_, a)| a).is_err());
-        let newcomers = if seam::armed(Seam::KeepPastTheActivated) {
-            &[]
-        } else {
-            &activated[..]
-        };
-        let retreating = self.keep_at_maximum(&mut chained, newcomers);
-        let (retreated, kept) = chained.split_at(retreating);
-        for &pair in retreated {
+        for &pair in &chained {
             self.retreat(pair);
         }
 
         // Re-distribute whatever is still spare.
         let (mut candidates, mut handles) = self.spare_buffers();
-        self.fill_candidates(retreated, kept, &activated, &mut candidates, &mut handles);
-        #[cfg(test)]
-        self.log_kept(kept);
+        self.fill_candidates(&chained, &[], &activated, &mut candidates, &mut handles);
         self.settle(candidates, handles);
 
         // Re-establish backups for survivors that lost theirs; the top-up
@@ -208,8 +193,8 @@ impl Network {
             self.top_up_backups(id);
         }
 
-        // Every chained channel, kept or not, in id order: the gather's
-        // order is the slots'.
+        // Every chained channel in id order: the gather's order is the
+        // slots'.
         let mut retreated: Vec<ConnectionId> = chained.iter().map(|&(_, c)| c).collect();
         retreated.sort_unstable();
         self.retreat_set = chained;

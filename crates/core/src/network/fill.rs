@@ -1,11 +1,11 @@
 //! The fill stage: re-distribution of spare bandwidth among the elastic
 //! primaries an arrival, a termination or a failure left able to grow
 //! (Section 3.1's "retreat and re-distribution", the second half); the
-//! test that spares an arrival's or a failure's retreat a primary the fill
-//! would grant straight back; the waitlists — per link, the listed
-//! primaries a fill refused there — that let an event offer the fill only
-//! what can move; and the one pass after the fill that keeps each link's
-//! growable demand ([`LinkUsage::growable_demand`]) exact.
+//! test that spares an arrival's retreat a primary the fill would grant
+//! straight back; the waitlists — per link, the listed primaries a fill
+//! refused there — that let an event offer the fill only what can move;
+//! and the one pass after the fill that keeps each link's growable demand
+//! ([`LinkUsage::growable_demand`]) exact.
 
 use super::seam::{self, Seam};
 use super::Network;
@@ -237,14 +237,14 @@ pub(super) fn remaining(conn: &DrConnection) -> Bandwidth {
     conn.qos().increment().times(levels as u64)
 }
 
-/// Whether an event's fill would find `link` slack for a chained primary
-/// at its maximum, asked before anyone retreats: everything committed,
-/// plus what the listed primaries and the event's `newcomers` could still
-/// ask of it, fits. Retreating a primary adds its extra to the link's
-/// headroom and to its demand alike, so after the retreat the link has
-/// room for all that the fill's candidates could ask of it, the listed
-/// rows the gather leaves out included: it refuses nobody, whichever
-/// bound the fill's slack test reads.
+/// Whether an arrival's fill would find `link` slack for a chained
+/// primary at its maximum, asked before anyone retreats: everything
+/// committed, plus what the listed primaries and the `newcomers` could
+/// still ask of it, fits. Retreating a primary adds its extra to the
+/// link's headroom and to its demand alike, so after the retreat the link
+/// has room for all that the fill's candidates could ask of it, the
+/// listed rows the gather leaves out included: it refuses nobody,
+/// whichever bound the fill's slack test reads.
 fn keeps_its_extra(link: &LinkUsage, newcomers: Bandwidth) -> bool {
     let newcomers = if seam::armed(Seam::DropTheNewcomer) {
         Bandwidth::ZERO
@@ -295,13 +295,12 @@ pub(super) struct FillScratch {
 }
 
 impl Network {
-    /// The keep rule of an event whose `newcomers` — an arrival, or the
-    /// connections a failure moved onto their backups — are already on
-    /// their routes, unlisted, decided before anyone retreats: moves to the
-    /// back of `chained` every primary at its maximum whose links are all
-    /// ones [`keeps_its_extra`], counting on each what every newcomer
-    /// crossing it could still ask, and returns how many are left in front
-    /// to retreat. The fill would grant a kept primary straight back to
+    /// The keep rule of an arrival whose `newcomers` (the admitted
+    /// connection) are already on their routes, unlisted, decided before
+    /// anyone retreats: moves to the back of `chained` every primary at
+    /// its maximum whose links are all ones [`keeps_its_extra`], counting
+    /// on each what every newcomer crossing it could still ask, and
+    /// returns how many are left in front to retreat. The fill would grant a kept primary straight back to
     /// where it is, and classifies every link alike whether it retreated
     /// or not (its extra counts on both sides of the slack test), so it is
     /// not retreated, loaded or granted.

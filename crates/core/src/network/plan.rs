@@ -80,9 +80,8 @@ impl Network {
 
     /// Routes (but does not commit) a new DR-connection against a frozen
     /// network, recording the full admission **footprint**: every link the
-    /// search probed, with its
-    /// [`LinkUsage::plan_digest`](crate::link_state::LinkUsage::plan_digest)
-    /// at planning time.
+    /// search probed, with its plan digest (`LinkUsage::plan_digest`) at
+    /// planning time.
     ///
     /// No admission plans this way; it stays only because `benchmark/`
     /// prices the cluster's retired member-side plan with it (ROADMAP

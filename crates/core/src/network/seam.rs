@@ -35,9 +35,6 @@ pub(crate) enum Seam {
     /// A bucket's turns also wake the rows the fill loaded, which wait
     /// there only until its write-back.
     WakeALoadedRow,
-    /// A failure's keep rule leaves the activated connections' remaining
-    /// out of its test.
-    KeepPastTheActivated,
     /// Recording the loose set drops its last row.
     ForgetALooseRow,
     /// The fill's slack test is weakened by one (smallest) increment.
@@ -48,9 +45,9 @@ pub(crate) enum Seam {
     /// The connection table's id index pushes every insert at its end,
     /// in order or not.
     PushOutOfOrder,
-    /// Every commit is the reference one, a failure keeps nobody, and
-    /// every gather offers each listed primary of its links as a plain
-    /// candidate, none through a waitlist (its sites call test-only code).
+    /// Every commit is the reference one, and every gather offers each
+    /// listed primary of its links as a plain candidate, none through a
+    /// waitlist (its sites call test-only code).
     #[cfg(test)]
     ReferenceCommit,
     /// Every fill is the reference one, over what that same gather

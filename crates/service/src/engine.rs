@@ -152,6 +152,11 @@ impl Engine {
     /// field of a batched establish reply reflects the network *after the
     /// whole run commits*, exactly as if the requests had been admitted
     /// back-to-back with no reader between them.
+    ///
+    /// No daemon passes more than one line (the server serves each line
+    /// alone); the batch path stays because `benchmark/`'s `burst16`
+    /// drives it, and its `layers` replica (`exec_batch`) checks its order
+    /// and its `bw=` against this one (ROADMAP 4(c)).
     pub fn handle_server_batch(&mut self, lines: &[String]) -> Vec<Handled> {
         let mut out: Vec<Option<Handled>> = Vec::with_capacity(lines.len());
         let mut run: Vec<PendingEstablish> = Vec::new();
@@ -615,6 +620,65 @@ mod tests {
         }
         assert_eq!(ids.len(), 2);
         assert_ne!(ids[0], ids[1]);
+    }
+
+    /// A six-node line whose link 0–1 alone carries load: a run of three
+    /// establishes, the cold one first, is admitted hot-first, and each
+    /// reply must still answer its own line.
+    #[test]
+    fn a_permuted_run_answers_each_line_in_its_place() {
+        use drqos_core::channel::ConnectionId;
+        use drqos_topology::graph::NodeId;
+        let config = NetworkConfig {
+            capacity: drqos_core::qos::Bandwidth::kbps(1_000),
+            require_backup: false,
+            ..NetworkConfig::default()
+        };
+        let mut e = Engine::new(Network::new(regular::grid(1, 6).unwrap(), config));
+        for _ in 0..5 {
+            assert!(matches!(
+                e.handle_line("ESTABLISH 0 1 100 500 100"),
+                Response::Ok(_)
+            ));
+        }
+        let ends = [(3, 4), (0, 1), (1, 2)];
+        let lines: Vec<String> = ends
+            .iter()
+            .map(|(s, d)| format!("ESTABLISH {s} {d} 100 500 100"))
+            .collect();
+        let reqs: Vec<EstablishRequest> = ends
+            .iter()
+            .map(|&(s, d)| EstablishRequest {
+                src: NodeId(s),
+                dst: NodeId(d),
+                qos: drqos_core::qos::ElasticQos::paper_video(100),
+            })
+            .collect();
+        let order = e.network().contention_order(&reqs);
+        assert_eq!(order, [1, 2, 0], "the run must be permuted");
+        let mut sorted_run = e.network().clone();
+        let sorted: Vec<EstablishRequest> = order.iter().map(|&i| reqs[i]).collect();
+        let want = sorted_run.establish_batch(&sorted);
+
+        let handled = e.handle_server_batch(&lines);
+        assert_eq!(*e.network(), sorted_run);
+        let mut ids = [0; 3];
+        for (k, h) in handled.iter().enumerate() {
+            let Handled::Reply(Response::Ok(payload)) = h else {
+                panic!("line {k} must be admitted: {h:?}");
+            };
+            let id = protocol::payload_field(payload, "id").unwrap();
+            let conn = e.network().connection(ConnectionId(id)).unwrap();
+            let (src, dst) = (conn.primary().source(), conn.primary().destination());
+            assert_eq!((src, dst), (reqs[k].src, reqs[k].dst), "line {k}");
+            let bw = protocol::payload_field(payload, "bw").unwrap();
+            assert_eq!(bw, conn.bandwidth().as_kbps(), "line {k}");
+            ids[k] = id;
+        }
+        for (j, &k) in order.iter().enumerate() {
+            assert_eq!(ids[k], 5 + j as u64, "ids follow the contention order");
+            assert_eq!(want[j], Ok(ConnectionId(ids[k])));
+        }
     }
 
     #[test]
