@@ -353,10 +353,6 @@ impl Network {
     /// from (plan → observe → commit is the supported sequence; interleaved
     /// mutations void the feasibility checks).
     pub fn commit_establish(&mut self, plan: EstablishPlan) -> ConnectionId {
-        #[cfg(test)]
-        if seam::armed(Seam::ReferenceCommit) {
-            return self.commit_establish_reference(plan);
-        }
         // The "directly chained" set: every primary sharing a link with
         // the plan's channels.
         let mut chained = std::mem::take(&mut self.retreat_set);
@@ -376,8 +372,6 @@ impl Network {
         // 3. Who may grow, the newcomer included — and let them.
         let (mut candidates, mut handles) = self.spare_buffers();
         self.fill_candidates(retreated, kept, &[newcomer], &mut candidates, &mut handles);
-        #[cfg(test)]
-        self.log_kept(kept);
         self.retreat_set = chained;
         self.settle(candidates, handles);
         newcomer.1
@@ -437,8 +431,6 @@ impl Network {
         self.spare_set = candidates;
         self.spare_handles = handles;
         self.prune_loose();
-        #[cfg(test)]
-        self.log_settled();
     }
 
     /// The chain-set gather: starts a new set in `marks` and appends to
@@ -479,7 +471,7 @@ impl Network {
         handles: &mut Vec<Blocked>,
     ) {
         #[cfg(test)]
-        if seam::armed(Seam::ReferenceCommit) || seam::armed(Seam::ReferenceFill) {
+        if seam::armed(Seam::Reference) {
             return Self::gather(links, marks, over, out);
         }
         marks.begin(links.len());
@@ -537,24 +529,8 @@ impl Network {
             .filter(|_| !loose.is_empty());
         let over = over.chain(kept_links);
         Self::gather_waiting(links, connections, marks, loose, over, out, handles);
-        #[cfg(test)]
-        let through_kept = {
-            let retreated: Vec<LinkId> = self.connections.primary_links(retreated).collect();
-            let crosses = |&&(slot, id): &&ChainPair| {
-                let conn = self.connections.at(slot, id);
-                conn.is_some_and(|c| c.primary().links().iter().any(|l| retreated.contains(l)))
-            };
-            out.iter().filter(|pair| !crosses(pair)).count()
-        };
         let named = retreated.iter().chain(newcomers);
         out.extend(named.filter(|&&pair| self.marks.add(pair)));
-        #[cfg(test)]
-        {
-            let chained = [retreated, kept].map(|pairs| self.connections.primary_links(pairs));
-            let named = retreated.iter().chain(newcomers).copied();
-            let over = chained.into_iter().flatten();
-            self.log_gather(over, named, out, handles, through_kept);
-        }
     }
 
     /// The admission step: plan → commit → settle, for one request at its
@@ -680,17 +656,7 @@ impl Network {
         let (mut candidates, mut handles) = self.spare_buffers();
         let (links, connections, loose) = (&self.links, &self.connections, &self.loose);
         let (out, wake) = (&mut candidates, &mut handles);
-        Self::gather_waiting(
-            links,
-            connections,
-            &mut self.marks,
-            loose,
-            freed.clone(),
-            out,
-            wake,
-        );
-        #[cfg(test)]
-        self.log_gather(freed, std::iter::empty(), &candidates, &handles, 0);
+        Self::gather_waiting(links, connections, &mut self.marks, loose, freed, out, wake);
         self.settle(candidates, handles);
         Ok(conn)
     }
@@ -973,7 +939,6 @@ mod support {
     use super::*;
     use drqos_sim::rng::Rng;
     use drqos_topology::{regular, waxman};
-    use std::cell::RefCell;
 
     pub(super) fn qos() -> ElasticQos {
         ElasticQos::paper_video(100) // 100..500 step 100, 5 levels
@@ -1075,170 +1040,6 @@ mod support {
     pub(super) fn live_pairs(net: &Network) -> Vec<ChainPair> {
         let pairs = net.connections.iter();
         pairs.map(|(slot, c)| (slot, c.id())).collect()
-    }
-
-    thread_local! {
-        /// While set, every fill-candidate gather logs what it left out and
-        /// why, next to the every-primary gather over the same links.
-        pub(super) static GATHER_LOG: RefCell<Option<Vec<LoggedGather>>> =
-            const { RefCell::new(None) };
-    }
-
-    /// One logged fill-candidate gather.
-    #[derive(Debug)]
-    pub(super) struct LoggedGather {
-        /// The rows the gathered pairs, with the listed ones it left out,
-        /// have the fill load, sorted by id.
-        pub(super) listed: Vec<ChainPair>,
-        /// The rows the every-primary gather has it load, sorted by id.
-        pub(super) every: Vec<ChainPair>,
-        /// Each listed pair the gather left out, with whether a scan of
-        /// its whole primary finds it blocked.
-        pub(super) skipped: Vec<(ChainPair, bool)>,
-        /// The chained channels an arrival kept, with their levels when
-        /// the fill started and when it ended.
-        pub(super) kept: Vec<(ChainPair, usize, usize)>,
-        /// Loose rows gathered only because they cross a kept channel's
-        /// link.
-        pub(super) through_kept: usize,
-    }
-
-    impl Network {
-        /// The commit as it was before the keep rule, kept as the
-        /// reference: retreat every directly chained primary, reserve the
-        /// newcomer, and fill over the listed primaries of the retreated
-        /// channels' links — none left out — and the named channels.
-        pub(super) fn commit_establish_reference(&mut self, plan: EstablishPlan) -> ConnectionId {
-            let mut retreated = Vec::new();
-            let backup_links = plan.backups.iter().flat_map(|b| b.links());
-            let plan_links = plan.primary.links().iter().chain(backup_links).copied();
-            Self::gather(&self.links, &mut self.marks, plan_links, &mut retreated);
-            for &pair in &retreated {
-                self.retreat(pair);
-            }
-            let newcomer = self.reserve_newcomer(plan);
-            let (mut candidates, mut handles) = (Vec::new(), Vec::new());
-            self.fill_candidates(&retreated, &[], &[newcomer], &mut candidates, &mut handles);
-            self.settle(candidates, handles);
-            newcomer.1
-        }
-
-        /// The every-primary gather the listed one replaced: every primary
-        /// on `over`, then whichever of `named` it did not meet.
-        pub(super) fn gather_every_primary(
-            &self,
-            over: Vec<LinkId>,
-            named: &[ChainPair],
-        ) -> Vec<ChainPair> {
-            let (mut every, mut marks) = (Vec::new(), ChainMarks::default());
-            Self::gather(&self.links, &mut marks, over, &mut every);
-            every.extend(named.iter().filter(|&&pair| marks.add(pair)));
-            every
-        }
-
-        /// The rows a fill over `candidates` loads, as things stand: the
-        /// live ones below their maximum, sorted by id.
-        pub(super) fn loaded_rows(&self, candidates: &[ChainPair]) -> Vec<ChainPair> {
-            let below = |&(slot, id): &ChainPair| {
-                let conn = self.connections.at(slot, id);
-                conn.is_some_and(|c| c.level() < c.qos().max_level())
-            };
-            let mut rows: Vec<ChainPair> = candidates.iter().copied().filter(below).collect();
-            rows.sort_unstable_by_key(|&(_, id)| id);
-            rows
-        }
-
-        /// Whether a scan of the whole primary of the live `pair` finds a
-        /// link down or short of its increment.
-        pub(super) fn blocked_on_its_path(&self, (slot, id): ChainPair) -> bool {
-            self.connections.at(slot, id).is_some_and(|c| {
-                let inc = c.qos().increment();
-                let short = |l: &LinkId| {
-                    let u = &self.links[l.index()];
-                    !u.is_up() || u.headroom() < inc
-                };
-                c.primary().links().iter().any(short)
-            })
-        }
-
-        /// Logs the gather that found `got` and the buckets `handles` over
-        /// `over` and `named`, with the every-primary gather over the same,
-        /// while [`GATHER_LOG`] is set. `through_kept` of `got` are loose
-        /// rows it met only on a kept channel's link.
-        pub(super) fn log_gather(
-            &self,
-            over: impl Iterator<Item = LinkId>,
-            named: impl Iterator<Item = ChainPair>,
-            got: &[ChainPair],
-            handles: &[Blocked],
-            through_kept: usize,
-        ) {
-            GATHER_LOG.with_borrow_mut(|log| {
-                let Some(log) = log else { return };
-                let over: Vec<LinkId> = over.collect();
-                let named: Vec<ChainPair> = named.collect();
-                let mut got = got.to_vec();
-                for &(link, increment) in handles {
-                    let buckets = self.links[link.index()].buckets();
-                    let bucket = buckets.iter().filter(|b| b.increment == increment);
-                    let rows = bucket.flat_map(|b| &b.rows);
-                    got.extend(rows.map(|&(rank, slot)| (slot, ConnectionId(rank as u64))));
-                }
-                // A retreated row still in its bucket is loaded once.
-                sort_dedup(&mut got);
-                let got = &got;
-                let listed =
-                    |&(slot, _): &ChainPair| self.connections.counted(slot) > Bandwidth::ZERO;
-                let mut all_listed: Vec<ChainPair> = over
-                    .iter()
-                    .flat_map(|l| self.links[l.index()].primary_pairs().filter(listed))
-                    .collect();
-                sort_dedup(&mut all_listed);
-                let skipped: Vec<(ChainPair, bool)> = all_listed
-                    .iter()
-                    .filter(|pair| !got.contains(pair))
-                    .map(|&pair| (pair, self.blocked_on_its_path(pair)))
-                    .collect();
-                let mut loaded: Vec<ChainPair> = got.to_vec();
-                loaded.extend(skipped.iter().map(|&(pair, _)| pair));
-                log.push(LoggedGather {
-                    listed: self.loaded_rows(&loaded),
-                    every: self.loaded_rows(&self.gather_every_primary(over, &named)),
-                    skipped,
-                    kept: Vec::new(),
-                    through_kept,
-                });
-            });
-        }
-
-        /// Adds the channels an arrival `kept` to the gather it just
-        /// logged, at their levels now.
-        pub(super) fn log_kept(&self, kept: &[ChainPair]) {
-            GATHER_LOG.with_borrow_mut(|log| {
-                if let Some(last) = log.as_mut().and_then(|log| log.last_mut()) {
-                    let level = |&pair: &ChainPair| (pair, self.level_of(pair), 0);
-                    last.kept = kept.iter().map(level).collect();
-                }
-            });
-        }
-
-        /// The level of the live `pair`; `usize::MAX` once it has left.
-        fn level_of(&self, (slot, id): ChainPair) -> usize {
-            let conn = self.connections.at(slot, id);
-            conn.map_or(usize::MAX, |c| c.level())
-        }
-
-        /// Completes the last logged gather with its kept channels' levels
-        /// once the fill has ended.
-        pub(super) fn log_settled(&self) {
-            GATHER_LOG.with_borrow_mut(|log| {
-                if let Some(last) = log.as_mut().and_then(|log| log.last_mut()) {
-                    for (pair, _, after) in &mut last.kept {
-                        *after = self.level_of(*pair);
-                    }
-                }
-            });
-        }
     }
 }
 
@@ -1799,8 +1600,9 @@ mod tests {
         net.validate();
     }
 
-    /// How the rows and buckets of the fills a differential watched were
-    /// taken, and how their rows left the waitlists.
+    /// How the rows and buckets of the fills the admission differential
+    /// watched were taken, how their rows left the waitlists, and how many
+    /// rows were loose.
     #[derive(Debug, Default)]
     struct FillTally {
         /// Granted to their maximum in one step.
@@ -1822,6 +1624,8 @@ mod tests {
         unwaited: [usize; 3],
         /// Rows a write-back left in the place they held.
         left_in_place: usize,
+        /// Loose rows, summed over the ops.
+        loose: usize,
     }
 
     impl FillTally {
@@ -1837,28 +1641,60 @@ mod tests {
         }
     }
 
-    /// Replays `cases` seeded op sequences, running every op on a clone
-    /// with the reference fill ([`Seam::ReferenceFill`]) and on the
-    /// network itself: results, full state and invariants must agree
-    /// after every op. Tallies how the network's last fill of each op took
-    /// its rows, and how rows left the waitlists.
-    fn fill_differential(cases: u64) -> Result<FillTally, String> {
+    /// Replays `cases` seeded op sequences ([`random_case`],
+    /// [`random_op`]), each op on a clone whose whole admission path is the
+    /// retreat-everything reference ([`Seam::Reference`]) and on the network
+    /// itself. Every Waxman case (one in three) is fault-heavy instead: a
+    /// capacity drawn per link, no backup required, three groups of three
+    /// links registered and 80 [`fault_heavy_op`]s, so that failures drop
+    /// their victims and free room beside links still too tight to grow on,
+    /// leaving loose rows an arrival meets only on a kept channel's link.
+    /// After every op: results, full state and invariants must agree with
+    /// the reference, and the loose set must hold exactly the live listed
+    /// rows whose recorded refusal no longer holds. Tallies how the
+    /// network's last fill of each op took its rows, how rows left the
+    /// waitlists, and the loose rows.
+    fn admission_differential(cases: u64) -> Result<FillTally, String> {
         let mut tally = FillTally::default();
         for case in 0..cases {
             let (mut net, mut rng) = random_case(case);
-            for step in 0..10 + rng.range_usize(14) {
-                let mut oracle = net.clone();
-                let mut oracle_rng = rng.clone();
-                let want = seam::with(Seam::ReferenceFill, || {
-                    random_op(&mut oracle, &mut oracle_rng)
-                });
-                let got = random_op(&mut net, &mut rng);
-                let violations = net.check_invariants();
-                if got != want || net != oracle || !violations.is_empty() {
-                    return Err(format!(
-                        "case {case} step {step}: {got} vs reference {want}; {violations:?}"
-                    ));
+            let heavy = case % 3 == 2;
+            let steps = if heavy { 80 } else { 10 + rng.range_usize(14) };
+            let op = if heavy { fault_heavy_op } else { random_op };
+            if heavy {
+                net.config.require_backup = false;
+                for usage in &mut net.links {
+                    let kbps = [300, 600, 1_000, 2_500, 10_000][rng.range_usize(5)];
+                    *usage = LinkUsage::new(Bandwidth::kbps(kbps));
                 }
+                crate::scenario::register_seeded_srlgs(&mut net, 3, 3, case);
+            }
+            for step in 0..steps {
+                let (mut oracle, mut oracle_rng) = (net.clone(), rng.clone());
+                let want = seam::with(Seam::Reference, || op(&mut oracle, &mut oracle_rng));
+                let got = op(&mut net, &mut rng);
+                let violations = net.check_invariants();
+                let at = format!("case {case} step {step}: {got}");
+                if got != want || net != oracle || !violations.is_empty() {
+                    return Err(format!("{at} vs reference {want}; {violations:?}"));
+                }
+                let unblocked = |&(slot, _): &ChainPair| {
+                    let listed = net.connections.counted(slot) > Bandwidth::ZERO;
+                    let waits = net.connections.blocked(slot);
+                    let exact = Seam::BlockedAtExactRoom;
+                    let held = waits.is_some_and(|(l, inc)| {
+                        fill::still_blocked(&net.links[l.index()], inc, exact)
+                    });
+                    listed && !held
+                };
+                let mut loose = net.loose.clone();
+                loose.sort_unstable_by_key(|&(_, id)| id);
+                let unblocked: Vec<ChainPair> =
+                    live_pairs(&net).into_iter().filter(unblocked).collect();
+                if loose != unblocked {
+                    return Err(format!("{at}: loose {loose:?}, unblocked {unblocked:?}"));
+                }
+                tally.loose += loose.len();
                 tally.add(&net.fill);
             }
             for (sum, n) in tally.unwaited.iter_mut().zip(net.fill.unwaited) {
@@ -1869,12 +1705,46 @@ mod tests {
         Ok(tally)
     }
 
+    /// One op of the admission differential's fault-heavy cases: 25 % fail
+    /// a link, 20 % repair a down one, 5 % fail a node, 5 % fail or repair
+    /// one of the three groups, and otherwise a request arrives; nobody
+    /// leaves.
+    fn fault_heavy_op(net: &mut Network, rng: &mut Rng) -> String {
+        let links = net.graph().link_count();
+        let down: Vec<LinkId> = (0..links)
+            .map(LinkId)
+            .filter(|l| !net.links[l.index()].is_up())
+            .collect();
+        match rng.range_usize(100) {
+            0..=24 => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
+            25..=44 if !down.is_empty() => {
+                format!("{:?}", net.repair_link(down[rng.range_usize(down.len())]))
+            }
+            45..=49 => {
+                let node = NodeId(rng.range_usize(net.graph().node_count()));
+                format!("{:?}", net.fail_node(node))
+            }
+            50..=54 => {
+                let group = rng.range_usize(3);
+                if rng.chance(0.5) {
+                    format!("{:?}", net.fail_srlg(group))
+                } else {
+                    format!("{:?}", net.repair_srlg(group))
+                }
+            }
+            _ => {
+                let r = random_request(rng, net.graph().node_count());
+                format!("{:?}", net.establish(r.src, r.dst, r.qos))
+            }
+        }
+    }
+
     /// Both sides of the slack choice, both ends of an offered bucket's
     /// turn, a wake that queued the next row, a handle walking past a row
     /// the fill loaded, a write-back that moved a row's place and one that
-    /// left it, and a removal from a waitlist by release and by failover
-    /// must have run, many times over.
-    fn assert_fill_coverage(tally: &FillTally, cases: usize) {
+    /// left it, a removal from a waitlist by release and by failover, and
+    /// a loose row must have run, many times over.
+    fn assert_admission_coverage(tally: &FillTally, cases: usize) {
         let [moved, release, failover] = tally.unwaited;
         assert!(
             tally.bulk > 4 * cases
@@ -1886,43 +1756,44 @@ mod tests {
                 && moved > cases
                 && tally.left_in_place > 4 * cases
                 && release > cases / 4
-                && failover > cases / 8,
+                && failover > cases / 8
+                && tally.loose > cases / 4,
             "{tally:?}"
         );
     }
 
     #[test]
-    fn flat_fill_matches_the_reference_fill_on_2000_seeded_cases() {
-        assert_fill_coverage(&fill_differential(2_000).unwrap(), 2_000);
+    fn the_admission_path_matches_its_reference_on_2000_seeded_cases() {
+        assert_admission_coverage(&admission_differential(2_000).unwrap(), 2_000);
     }
 
     #[test]
     #[ignore = "ten times the cases; CI runs it in release"]
-    fn flat_fill_matches_the_reference_fill_on_20000_seeded_cases() {
-        assert_fill_coverage(&fill_differential(20_000).unwrap(), 20_000);
+    fn the_admission_path_matches_its_reference_on_20000_seeded_cases() {
+        assert_admission_coverage(&admission_differential(20_000).unwrap(), 20_000);
     }
 
     #[test]
     fn a_slack_test_weakened_by_one_increment_is_caught() {
-        let caught = seam::with(Seam::WeakFill, || fill_differential(2_000));
+        let caught = seam::with(Seam::WeakFill, || admission_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]
     fn a_deferred_turn_that_refuses_at_one_increment_of_room_is_caught() {
-        let caught = seam::with(Seam::RefusedAtExactRoom, || fill_differential(2_000));
+        let caught = seam::with(Seam::RefusedAtExactRoom, || admission_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]
     fn a_bucket_that_forgets_its_tail_is_caught() {
-        let caught = seam::with(Seam::ForgetABucketTail, || fill_differential(2_000));
+        let caught = seam::with(Seam::ForgetABucketTail, || admission_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]
     fn a_handle_that_wakes_a_row_the_fill_loaded_is_caught() {
-        let caught = seam::with(Seam::WakeALoadedRow, || fill_differential(2_000));
+        let caught = seam::with(Seam::WakeALoadedRow, || admission_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2013,7 +1884,7 @@ mod tests {
             Some((LinkId(2), Bandwidth::kbps(100)))
         );
         let mut reference = net.clone();
-        seam::with(Seam::ReferenceCommit, || reference.release(b).unwrap());
+        seam::with(Seam::Reference, || reference.release(b).unwrap());
         net.release(b).unwrap();
         assert_eq!(woken(&net), [1]);
         assert_eq!(net.connection(r).unwrap().level(), 4);
@@ -2522,155 +2393,9 @@ mod tests {
         Ok((links_skipped, members_skipped))
     }
 
-    /// What [`listed_gather_differential`] counted over its gathers.
-    #[derive(Debug, Default)]
-    struct GatherTally {
-        /// Rows the fills loaded.
-        loaded: usize,
-        /// Chained channels an arrival kept at their maximum.
-        kept: usize,
-        /// Listed rows left out as still blocked.
-        skipped: usize,
-        /// Loose rows, summed over the ops.
-        loose: usize,
-        /// Loose rows an arrival gathered only through a kept channel.
-        through_kept: usize,
-    }
-
-    /// Replays `cases` seeded op sequences ([`random_case`],
-    /// [`random_op`]), each op on a clone with the reference commit and
-    /// unfiltered gathers ([`Seam::ReferenceCommit`]) and on the network
-    /// itself with every fill-candidate gather logged. Every Waxman case
-    /// (one in three) is fault-heavy instead: a capacity drawn per link,
-    /// no backup required and 80 [`fault_heavy_op`]s, so that failures
-    /// drop their victims and free room beside links still too tight to
-    /// grow on, leaving loose rows an arrival meets only on a kept
-    /// channel's link. After every commit, release and
-    /// fault: results, full state and invariants must agree with the
-    /// reference; each listed gather, with the rows it left out, must have
-    /// the fill load exactly the rows the every-primary gather over every
-    /// chained channel's links (kept ones included) and the named pairs
-    /// would; every row it left out must be blocked under a
-    /// scan of its whole primary; every channel an arrival kept must end
-    /// at the level it had (the reference keeps nobody); and
-    /// the loose set must hold exactly the live
-    /// listed rows whose recorded refusal no longer holds.
-    fn listed_gather_differential(cases: u64) -> Result<GatherTally, String> {
-        let mut tally = GatherTally::default();
-        for case in 0..cases {
-            let (mut net, mut rng) = random_case(case);
-            let heavy = case % 3 == 2;
-            let steps = if heavy { 80 } else { 10 + rng.range_usize(14) };
-            let op = if heavy { fault_heavy_op } else { random_op };
-            if heavy {
-                net.config.require_backup = false;
-                for usage in &mut net.links {
-                    let kbps = [300, 600, 1_000, 2_500, 10_000][rng.range_usize(5)];
-                    *usage = LinkUsage::new(Bandwidth::kbps(kbps));
-                }
-            }
-            for step in 0..steps {
-                let (mut oracle, mut oracle_rng) = (net.clone(), rng.clone());
-                let want = seam::with(Seam::ReferenceCommit, || op(&mut oracle, &mut oracle_rng));
-                GATHER_LOG.set(Some(Vec::new()));
-                let got = op(&mut net, &mut rng);
-                let log = GATHER_LOG.take().unwrap_or_default();
-                let violations = net.check_invariants();
-                let at = format!("case {case} step {step}: {got}");
-                if got != want || net != oracle || !violations.is_empty() {
-                    return Err(format!("{at} vs reference {want}; {violations:?}"));
-                }
-                let unblocked = |&(slot, _): &ChainPair| {
-                    let listed = net.connections.counted(slot) > Bandwidth::ZERO;
-                    let waits = net.connections.blocked(slot);
-                    let exact = Seam::BlockedAtExactRoom;
-                    let held = waits.is_some_and(|(l, inc)| {
-                        fill::still_blocked(&net.links[l.index()], inc, exact)
-                    });
-                    listed && !held
-                };
-                let mut loose = net.loose.clone();
-                loose.sort_unstable_by_key(|&(_, id)| id);
-                let unblocked: Vec<ChainPair> =
-                    live_pairs(&net).into_iter().filter(unblocked).collect();
-                if loose != unblocked {
-                    return Err(format!("{at}: loose {loose:?}, unblocked {unblocked:?}"));
-                }
-                tally.loose += loose.len();
-                for gather in log {
-                    if gather.listed != gather.every {
-                        let (listed, every) = (&gather.listed, &gather.every);
-                        return Err(format!(
-                            "{at}: the lists load {listed:?}, every primary {every:?}"
-                        ));
-                    }
-                    if let Some((pair, _)) = gather.skipped.iter().find(|(_, blocked)| !blocked) {
-                        return Err(format!("{at}: {pair:?} was left out but can grow"));
-                    }
-                    if let Some(moved) = gather.kept.iter().find(|(_, from, to)| from != to) {
-                        return Err(format!("{at}: kept {moved:?} moved"));
-                    }
-                    tally.loaded += gather.listed.len();
-                    tally.kept += gather.kept.len();
-                    tally.skipped += gather.skipped.len();
-                    tally.through_kept += gather.through_kept;
-                }
-            }
-        }
-        Ok(tally)
-    }
-
-    /// One op of the listed-gather differential's fault-heavy cases: 25 %
-    /// fail a link, 20 % repair a down one, and otherwise a request
-    /// arrives; nobody leaves.
-    fn fault_heavy_op(net: &mut Network, rng: &mut Rng) -> String {
-        let links = net.graph().link_count();
-        let down: Vec<LinkId> = (0..links)
-            .map(LinkId)
-            .filter(|l| !net.links[l.index()].is_up())
-            .collect();
-        match rng.range_usize(100) {
-            0..=24 => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
-            25..=44 if !down.is_empty() => {
-                format!("{:?}", net.repair_link(down[rng.range_usize(down.len())]))
-            }
-            _ => {
-                let r = random_request(rng, net.graph().node_count());
-                format!("{:?}", net.establish(r.src, r.dst, r.qos))
-            }
-        }
-    }
-
-    /// Every rule must have fired, many times over — an arrival meeting a
-    /// loose row only on a kept channel's link included: the fault-heavy
-    /// cases reach that a few times in a hundred, and
-    /// [`a_row_a_failure_freed_is_granted_through_a_kept_channel_s_link`]
-    /// pins its outcome.
-    fn assert_gather_coverage(tally: &GatherTally, cases: usize) {
-        assert!(
-            tally.loaded > 15 * cases
-                && tally.kept > 5 * cases
-                && tally.skipped > cases
-                && tally.loose > cases / 4
-                && tally.through_kept > 0,
-            "{tally:?}"
-        );
-    }
-
-    #[test]
-    fn listed_gather_loads_what_the_full_gather_loads_on_600_seeded_cases() {
-        assert_gather_coverage(&listed_gather_differential(600).unwrap(), 600);
-    }
-
-    #[test]
-    #[ignore = "ten times the cases; CI runs it in release"]
-    fn listed_gather_loads_what_the_full_gather_loads_on_6000_seeded_cases() {
-        assert_gather_coverage(&listed_gather_differential(6_000).unwrap(), 6_000);
-    }
-
     #[test]
     fn a_blocked_test_that_skips_a_row_with_one_increment_of_room_is_caught() {
-        let caught = seam::with(Seam::BlockedAtExactRoom, || listed_gather_differential(600));
+        let caught = seam::with(Seam::BlockedAtExactRoom, || admission_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2715,18 +2440,13 @@ mod tests {
         );
         let (mut reference, mut forgot) = (net.clone(), net.clone());
         forgot.loose.clear();
-        GATHER_LOG.set(Some(Vec::new()));
         establish(&mut net, 1, 4);
-        let log = GATHER_LOG.take().unwrap_or_default();
-        seam::with(Seam::ReferenceCommit, || establish(&mut reference, 1, 4));
+        seam::with(Seam::Reference, || establish(&mut reference, 1, 4));
         establish(&mut forgot, 1, 4);
-        let [arrival] = &log[..] else {
-            panic!("one gather: {log:?}");
-        };
-        assert_eq!(
-            (arrival.kept.as_slice(), arrival.through_kept),
-            ([(k_pair, 4, 4)].as_slice(), 1)
-        );
+        // The arrival's fill loaded R, met on K's link, and not K.
+        let loaded: Vec<Slot> = net.fill.rows.iter().map(|row| row.slot).collect();
+        assert!(loaded.contains(&r_pair.0) && !loaded.contains(&k_pair.0));
+        assert_eq!(level(&net, k), 4);
         assert!(net == reference && net.loose.is_empty());
         assert_eq!((level(&net, r), level(&forgot, r)), (4, 2));
         assert!(forgot != reference);
@@ -2734,13 +2454,13 @@ mod tests {
 
     #[test]
     fn a_forgotten_loose_row_is_caught() {
-        let caught = seam::with(Seam::ForgetALooseRow, || listed_gather_differential(600));
+        let caught = seam::with(Seam::ForgetALooseRow, || admission_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]
     fn a_keep_test_without_the_newcomer_s_remaining_is_caught() {
-        let caught = seam::with(Seam::DropTheNewcomer, || listed_gather_differential(600));
+        let caught = seam::with(Seam::DropTheNewcomer, || admission_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2773,7 +2493,7 @@ mod tests {
         let unlisted = seam::with(Seam::SkipAListing, one_left_below_its_maximum);
         let mismatch = InvariantViolation::GrowableSetMismatch { link: LinkId(0) };
         assert_eq!(unlisted.check_invariants(), [mismatch]);
-        let caught = seam::with(Seam::SkipAListing, || listed_gather_differential(600));
+        let caught = seam::with(Seam::SkipAListing, || admission_differential(2_000));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2834,6 +2554,8 @@ mod tests {
             seam::with(Seam::ForgetARecount, three).check_invariants(),
             [mismatch]
         );
+        let caught = seam::with(Seam::ForgetARecount, || admission_differential(2_000));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::ops::Range;
 /// One live fill candidate, read once from the connection table.
 #[derive(Debug)]
 pub(super) struct FillRow {
-    slot: Slot,
+    pub(super) slot: Slot,
     id: ConnectionId,
     /// The level at load time; only rows that moved are written back.
     loaded_level: usize,
@@ -310,7 +310,7 @@ impl Network {
         newcomers: &[ChainPair],
     ) -> usize {
         #[cfg(test)]
-        if seam::armed(Seam::ReferenceCommit) {
+        if seam::armed(Seam::Reference) {
             return chained.len();
         }
         let Self {
@@ -476,12 +476,10 @@ impl Network {
     /// granted, and the `(score, id)` order of the turns is total.
     pub(super) fn redistribute(&mut self, candidates: &[ChainPair], handles: &[Blocked]) {
         #[cfg(test)]
-        if seam::armed(Seam::ReferenceCommit) || seam::armed(Seam::ReferenceFill) {
+        if seam::armed(Seam::Reference) {
             // The reference gather offers waiting rows as plain candidates.
             candidates.iter().for_each(|&pair| self.unwait(pair));
-            if seam::armed(Seam::ReferenceFill) {
-                return self.redistribute_reference(candidates);
-            }
+            return self.redistribute_reference(candidates);
         }
         let policy = self.config.policy;
         let Self {

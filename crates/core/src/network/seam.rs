@@ -1,7 +1,9 @@
 //! The stages' test seams, and the route search's, in one place. A [`Seam`] either breaks one of
 //! the paper's mechanisms on purpose — a mutant that a differential or
 //! the oracle of [`Network::check_invariants`](super::Network::check_invariants)
-//! must catch — or swaps a stage for the reference it is held to. At most
+//! must catch — or swaps a stage for the reference it is held to:
+//! `Seam::Reference` for the admission path's retreat, gather and fill,
+//! `Seam::ReferenceNeedy` for a repair's top-ups. At most
 //! one seam is armed at a time, per thread, and only in this crate's
 //! tests: elsewhere [`armed`] is a `const fn` that returns `false`, so a
 //! release build compiles every site away.
@@ -45,15 +47,13 @@ pub(crate) enum Seam {
     /// The connection table's id index pushes every insert at its end,
     /// in order or not.
     PushOutOfOrder,
-    /// Every commit is the reference one, and every gather offers each
-    /// listed primary of its links as a plain candidate, none through a
-    /// waitlist (its sites call test-only code).
+    /// The whole admission path is the retreat-everything reference: the
+    /// keep rule retreats every chained row, every gather offers each
+    /// primary of its links as a plain candidate, none through a waitlist,
+    /// and every fill is the one-increment reference over them (its sites
+    /// call test-only code).
     #[cfg(test)]
-    ReferenceCommit,
-    /// Every fill is the reference one, over what that same gather
-    /// offers (likewise).
-    #[cfg(test)]
-    ReferenceFill,
+    Reference,
     /// A repair tops up whom the scan over every connection finds short
     /// of backups, not the needy set (likewise).
     #[cfg(test)]
@@ -94,10 +94,10 @@ mod tests {
     #[test]
     fn an_inner_seam_gives_the_slot_back_to_the_outer_one() {
         with(Seam::RefusedAtExactRoom, || {
-            with(Seam::ReferenceFill, || {
-                assert!(armed(Seam::ReferenceFill) && !armed(Seam::RefusedAtExactRoom));
+            with(Seam::Reference, || {
+                assert!(armed(Seam::Reference) && !armed(Seam::RefusedAtExactRoom));
             });
-            assert!(armed(Seam::RefusedAtExactRoom) && !armed(Seam::ReferenceFill));
+            assert!(armed(Seam::RefusedAtExactRoom) && !armed(Seam::Reference));
         });
         assert!(!armed(Seam::RefusedAtExactRoom));
     }
