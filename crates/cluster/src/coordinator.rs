@@ -41,6 +41,7 @@ use drqos_core::invariant::InvariantViolation;
 use drqos_core::network::{EstablishPlan, EstablishRequest, FailureReport, Network};
 use drqos_core::qos::{Bandwidth, ElasticQos};
 use drqos_core::wire::MAX_OPERANDS;
+use drqos_sim::seam::{self, Seam};
 use drqos_topology::{LinkId, NodeId};
 use std::collections::BTreeSet;
 
@@ -263,7 +264,6 @@ pub struct Coordinator {
     /// [`Coordinator::commit_prepared`] has not closed yet.
     prepared: BTreeSet<u64>,
     next_ticket: u64,
-    drop_record: bool,
 }
 
 impl Coordinator {
@@ -277,7 +277,6 @@ impl Coordinator {
             oplog: Oplog::default(),
             prepared: BTreeSet::new(),
             next_ticket: 0,
-            drop_record: false,
         }
     }
 
@@ -307,13 +306,6 @@ impl Coordinator {
     /// Count of live members.
     pub fn alive_count(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// Arms (or clears) the dropped-record fault for the mutation checks
-    /// of `drqos-service`'s in-process coordinator: the next establish
-    /// admitted appends no oplog record, so no replica ever replays it.
-    pub fn set_drop_record(&mut self, drop: bool) {
-        self.drop_record = drop;
     }
 
     /// Opens a ticket; `_footprint` is not validated. No daemon calls
@@ -391,13 +383,11 @@ impl Coordinator {
         Ok(self.commit(op))
     }
 
-    /// [`MemberOp::apply`] + oplog, less the record the armed
-    /// dropped-record fault swallows.
+    /// [`MemberOp::apply`] + oplog, less every admission's record while
+    /// `Seam::DropRecord` is armed.
     fn commit(&mut self, op: MemberOp) -> ApplyOutcome {
         let outcome = op.apply(&mut self.net);
-        if self.drop_record && matches!(outcome, ApplyOutcome::Establish(Ok(_))) {
-            self.drop_record = false;
-        } else {
+        if !(seam::armed(Seam::DropRecord) && matches!(outcome, ApplyOutcome::Establish(Ok(_)))) {
             self.oplog.push(op);
         }
         outcome
@@ -485,7 +475,6 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::PACK_LOW_SEVEN_BITS;
     use drqos_core::network::NetworkConfig;
     use drqos_core::qos::ElasticQos;
     use drqos_core::wire::{Route, VERBS};
@@ -701,9 +690,9 @@ mod tests {
     #[test]
     fn the_packed_log_returns_what_was_committed() {
         assert_eq!(packed_log_disagreement(2001, 10_000), None);
-        PACK_LOW_SEVEN_BITS.set(true);
-        let mutant = packed_log_disagreement(2001, 10_000);
-        PACK_LOW_SEVEN_BITS.set(false);
+        let mutant = seam::with(Seam::PackLowSevenBits, || {
+            packed_log_disagreement(2001, 10_000)
+        });
         assert!(mutant.is_some(), "a low-7-bit packer went unnoticed");
     }
 
@@ -747,11 +736,12 @@ mod tests {
     #[test]
     fn the_dropped_record_fault_loses_the_first_admission() {
         let mut c = coordinator(2);
-        c.set_drop_record(true);
-        assert!(!admitted(c.forward(0, establish(2, 2)).unwrap()));
-        assert_eq!(c.seq(), 1, "a rejection does not fire the fault");
-        assert!(admitted(c.forward(0, establish(0, 2)).unwrap()));
-        assert_eq!(c.seq(), 1, "the first admission leaves no record");
+        seam::with(Seam::DropRecord, || {
+            assert!(!admitted(c.forward(0, establish(2, 2)).unwrap()));
+            assert_eq!(c.seq(), 1, "a rejection does not fire the fault");
+            assert!(admitted(c.forward(0, establish(0, 2)).unwrap()));
+            assert_eq!(c.seq(), 1, "the first admission leaves no record");
+        });
         assert_eq!(c.net().connections().count(), 1);
         assert!(admitted(c.forward(1, establish(1, 4)).unwrap()));
         assert_eq!(c.seq(), 2, "the fault fires once");

@@ -16,9 +16,9 @@
 //! sequence numbers. A member forwards its clients' admissions like any
 //! other operation, one exchange each, and plans nothing itself.
 //! `fuzz --diff-cluster` proves a whole fuzzed cluster run of the member
-//! daemons' code equals the monolithic oracle, and the mutation
-//! self-tests prove the harness would catch a lost or skipped oplog
-//! record.
+//! daemons' code equals the monolithic oracle, and the testkit's
+//! mutation check proves the harness would catch a lost, skipped or
+//! mis-packed oplog record.
 //!
 //! Modules:
 //!

@@ -46,6 +46,7 @@ use crate::coordinator::MemberOp;
 use drqos_core::framing::{get_u64, put_u64};
 use drqos_core::network::EstablishRequest;
 use drqos_core::wire::{verb_coded, verb_named, Operand, Verb, MAX_OPERANDS};
+use drqos_sim::seam::{self, Seam};
 use std::fmt;
 
 // Member → coordinator opcodes (the `0x10` family).
@@ -233,18 +234,9 @@ pub(crate) enum Packing {
     Log,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// While set, the log packing writes only an operand's low 7 bits:
-    /// the mutant the coordinator's oplog differential must catch.
-    pub(crate) static PACK_LOW_SEVEN_BITS: std::cell::Cell<bool> =
-        const { std::cell::Cell::new(false) };
-}
-
 /// Appends `v` as unsigned LEB128.
 fn put_varint(body: &mut Vec<u8>, mut v: u64) {
-    #[cfg(test)]
-    if PACK_LOW_SEVEN_BITS.get() {
+    if seam::armed(Seam::PackLowSevenBits) {
         v &= 0x7f;
     }
     while v >= 0x80 {

@@ -15,8 +15,8 @@
 //! to nothing even after the slot was handed to someone else.
 
 use crate::channel::{ConnectionId, DrConnection};
-use crate::network::seam::{self, Seam};
 use crate::qos::Bandwidth;
+use drqos_sim::seam::{self, Seam};
 use drqos_topology::LinkId;
 
 /// The position of a connection in its [`ConnTable`].

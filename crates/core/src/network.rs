@@ -28,9 +28,8 @@
 //! other stages as further `impl Network` blocks — `plan` (route search),
 //! `fill` (re-distribution) and `fault` (failure and repair). They are
 //! children, not siblings, so that every field of [`Network`] stays
-//! private to this module tree. A fourth, `seam`, names every test seam
-//! of the stages and of the route search; outside this crate's tests none
-//! can be armed.
+//! private to this module tree. The stages' test seams are
+//! `drqos_sim::seam`'s; no build that ships can arm one.
 //!
 //! What one stage decides for all the others is decided here, once. Which
 //! primary failures activate a backup on a link is `conflict_set`: the
@@ -43,7 +42,6 @@
 mod fault;
 mod fill;
 mod plan;
-pub(crate) mod seam;
 
 pub use fault::FailureReport;
 pub use plan::{EstablishPlan, PrePlanned};
@@ -56,10 +54,10 @@ use crate::link_state::LinkUsage;
 use crate::measure::RouteCacheStats;
 use crate::qos::{AdaptationPolicy, Bandwidth, ElasticQos};
 use crate::routing::{BackupDisjointness, RouteScratch, RouterKind};
+use drqos_sim::seam::{self, Seam};
 use drqos_topology::graph::{Graph, LinkId, NodeId};
 use drqos_topology::paths::Path;
 use fill::FillScratch;
-use seam::Seam;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeSet;

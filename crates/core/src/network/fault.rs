@@ -5,13 +5,13 @@
 //! beside retreat, the spare is re-distributed and lost backups are
 //! re-established, in that order.
 
-use super::seam::{self, Seam};
 use super::{sort_dedup, Network};
 use crate::channel::{ConnectionId, DrConnection};
 use crate::conn_table::ChainPair;
 use crate::error::NetworkError;
 use crate::link_state::LinkUsage;
 use crate::qos::Bandwidth;
+use drqos_sim::seam::{self, Seam};
 use drqos_topology::graph::{LinkId, NodeId};
 use drqos_topology::paths::Path;
 

@@ -7,12 +7,12 @@
 //! and the one pass after the fill that keeps each link's growable demand
 //! ([`LinkUsage::growable_demand`]) exact.
 
-use super::seam::{self, Seam};
 use super::Network;
 use crate::channel::{ConnectionId, DrConnection};
 use crate::conn_table::{Blocked, ChainPair, ConnTable, Slot, Waiting};
 use crate::link_state::LinkUsage;
 use crate::qos::{AdaptationPolicy, Bandwidth};
+use drqos_sim::seam::{self, Seam};
 use drqos_topology::graph::LinkId;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};

@@ -6,11 +6,11 @@
 //! Planning takes `&self`; [`super::Network::admit`] commits what it
 //! returns at the sequential point.
 
-use super::seam::{self, Seam};
 use super::{conflict_set, Network};
 use crate::error::AdmissionError;
 use crate::qos::{Bandwidth, ElasticQos};
 use crate::routing::{self, RouteScratch};
+use drqos_sim::seam::{self, Seam};
 use drqos_topology::graph::{LinkId, NodeId};
 use drqos_topology::paths::Path;
 use std::cell::RefCell;

@@ -16,8 +16,8 @@
 //! the graph's own hop-distance row toward it
 //! ([`Graph::hops_toward`]).
 
-use crate::network::seam::{self, Seam};
 use crate::qos::Bandwidth;
+use drqos_sim::seam::{self, Seam};
 use drqos_topology::graph::{Graph, LinkId, NodeId, UNREACHABLE};
 use drqos_topology::paths::{LinkFilter, Path};
 use std::cmp::Reverse;

@@ -59,6 +59,7 @@ use drqos_core::env::{RebalancePolicy, WireMode};
 use drqos_core::error::ClusterError;
 use drqos_core::framing;
 use drqos_core::network::Network;
+use drqos_sim::seam::{self, Seam};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,20 +96,6 @@ fn err_of(e: ClusterError) -> CoordMsg {
 // Coordinator daemon
 // ---------------------------------------------------------------------------
 
-/// A coordinator fault for the mutation checks; only a
-/// [`LocalCoordinator`] can be armed with one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// The first establish admitted appends no oplog record.
-    DropRecord,
-    /// Every commit's `RECORDS` starts one record late, which the
-    /// member's contiguity guard refuses.
-    SkipRecord,
-    /// [`Fault::SkipRecord`] with the reply's `seq` one short, so the
-    /// guard passes it: members replay past the gap as if they had none.
-    UnguardedSkip,
-}
-
 /// Shared coordinator state: the authority plus which roster ids are
 /// currently claimed by a *connected* daemon (alive-but-unclaimed ids are
 /// genesis or vacated slots a joiner takes before the roster grows).
@@ -117,8 +104,9 @@ struct CoordShared {
     claimed: Vec<bool>,
     /// `SYNC` frames answered since boot.
     syncs: u64,
-    /// The armed fault ([`LocalCoordinator::set_fault`]).
-    fault: Option<Fault>,
+    /// Whether every commit's `RECORDS` starts one record late
+    /// ([`LocalCoordinator::skip_records`]).
+    skip_records: bool,
 }
 
 /// What the coordinator keeps per inter-daemon connection.
@@ -163,20 +151,17 @@ impl LocalCoordinator {
                 coord: Coordinator::new(genesis, roster, 0, RebalancePolicy::Bfs),
                 claimed: vec![false; roster],
                 syncs: 0,
-                fault: None,
+                skip_records: false,
             })),
             stop: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    /// Arms `fault` (`None` disarms the skips; [`Fault::DropRecord`]
-    /// fires once whatever follows).
-    pub fn set_fault(&self, fault: Option<Fault>) {
-        let mut s = lock_shrug(&self.shared);
-        if fault == Some(Fault::DropRecord) {
-            s.coord.set_drop_record(true);
-        }
-        s.fault = fault;
+    /// Arms (or clears) the one fault a coordinator can carry at run
+    /// time: every commit's `RECORDS` starts one record late, which the
+    /// member's contiguity guard refuses.
+    pub fn skip_records(&self, skip: bool) {
+        lock_shrug(&self.shared).skip_records = skip;
     }
 
     /// A member daemon's [`Authority`] on an in-process link: it joins
@@ -350,14 +335,15 @@ impl CoordShared {
     /// the distance alone, so a `DONE` decodes no record.
     fn committed(&self, cursor: &mut Option<u64>) -> CoordMsg {
         let seq = self.coord.seq();
-        let skip = matches!(self.fault, Some(Fault::SkipRecord | Fault::UnguardedSkip));
+        let unguarded = seam::armed(Seam::UnguardedSkip);
+        let skip = self.skip_records || unguarded;
         let from = cursor
             .map(|c| c.saturating_add(u64::from(skip)))
             .filter(|&from| seq.saturating_sub(from) <= RECORDS_PER_SYNC as u64);
         match from.and_then(|from| self.coord.records(from, RECORDS_PER_SYNC).ok()) {
             Some(records) => {
                 *cursor = Some(seq);
-                let short = u64::from(self.fault == Some(Fault::UnguardedSkip));
+                let short = u64::from(unguarded);
                 CoordMsg::Records {
                     seq: seq.saturating_sub(short),
                     records,
@@ -1132,11 +1118,11 @@ mod tests {
         }
 
         // A is one record (B's last) behind; its next reply skips it.
-        local.set_fault(Some(Fault::SkipRecord));
+        local.skip_records(true);
         let skipped = "RELEASE 0";
         let got = handle_line(a, skipped);
         assert!(got.starts_with("ERR 504 "), "got {got}");
-        local.set_fault(None);
+        local.skip_records(false);
         // The coordinator had committed it all the same.
         oracle.handle_line(skipped);
 
@@ -1551,7 +1537,6 @@ mod tests {
     fn a_dropped_record_leaves_every_replica_behind() {
         let local = LocalCoordinator::new(ring8(), 2);
         let mut members = joined_members(&local, 2);
-        local.set_fault(Some(Fault::DropRecord));
         let mut oracle = ring8();
         let ops = establishes(6, &mut drqos_sim::rng::Rng::seed_from_u64(5));
         let carried: Vec<_> = ops
@@ -1559,7 +1544,12 @@ mod tests {
             .enumerate()
             .map(|(i, &op)| {
                 let want = op.apply(&mut oracle);
-                (members[i % 2].commit(op), want)
+                let mut commit = || members[i % 2].commit(op);
+                let got = match i {
+                    0 => seam::with(Seam::DropRecord, commit),
+                    _ => commit(),
+                };
+                (got, want)
             })
             .collect();
         assert_eq!(carried[0].0, Ok(None), "the first admission left no record");

@@ -11,6 +11,8 @@
 //! * [`engine`] — the event queue ([`engine::Simulator`]).
 //! * [`srlg`] — seeded correlated-failure (shared-risk link group) churn.
 //! * [`shrink`] — delta debugging of failing operation sequences.
+//! * [`seam`] — the workspace's test seams: deliberate faults, armed one
+//!   at a time per thread, and only in test builds.
 //! * [`stats`] — time-weighted averages.
 //!
 //! # Example: an M/M/∞ arrival process
@@ -56,6 +58,7 @@
 pub mod dist;
 pub mod engine;
 pub mod rng;
+pub mod seam;
 pub mod shrink;
 pub mod srlg;
 pub mod stats;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fuzz [--seqs N] [--ops N] [--seed S] [--diff N] [--diff-cluster N]
-//!      [--tolerance F] [--self-test]
+//!      [--tolerance F]
 //! ```
 //!
 //! Every seeded run goes through one row of the lockstep subject table
@@ -19,14 +19,14 @@
 //!   links to one coordinator, with churn between operations, **member
 //!   counts 2 and 3**);
 //! * `--diff N` additionally runs N simulation-vs-Markov differential
-//!   cases within `--tolerance` (default 0.45 relative);
-//! * `--self-test` is the mutation check: it arms every mutant of every
-//!   row (`LoseRelease`, `LoseSrlgRepair`, `DropRecord`, `UnguardedSkip`)
-//!   and *fails* unless the loop catches each one and shrinks its witness
-//!   within the row's shrink bound.
+//!   cases within `--tolerance` (default 0.45 relative).
+//!
+//! The mutation check over every row's mutants is a test, not a flag: the
+//! seams it arms exist only in test builds
+//! (`lockstep::tests::every_mutant_of_every_row_is_caught_shrunk_and_replayed`).
 
 use drqos_testkit::diff::check_diff;
-use drqos_testkit::lockstep::{self, Config, Failure, InvariantSubject, Subject, SubjectRow};
+use drqos_testkit::lockstep::{self, Config, InvariantSubject, Subject, SubjectRow};
 use std::process::ExitCode;
 
 struct Args {
@@ -36,7 +36,6 @@ struct Args {
     /// Sequence budget per row of the subject table, in table order.
     sequences: Vec<usize>,
     tolerance: f64,
-    self_test: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -50,7 +49,6 @@ fn parse_args() -> Result<Args, String> {
             .map(|row| if is_invariants(row) { 200 } else { 0 })
             .collect(),
         tolerance: 0.45,
-        self_test: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -60,7 +58,6 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.seed = parse(&value()?)?,
             "--diff" => args.diff = parse(&value()?)?,
             "--tolerance" => args.tolerance = parse(&value()?)?,
-            "--self-test" => args.self_test = true,
             other => {
                 let row = subjects
                     .iter()
@@ -100,10 +97,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if args.self_test {
-        return mutation_check(args.seed);
-    }
 
     for (row, &sequences) in lockstep::subjects().iter().zip(&args.sequences) {
         if sequences == 0 {
@@ -155,47 +148,4 @@ fn main() -> ExitCode {
     }
 
     ExitCode::SUCCESS
-}
-
-/// The mutation check: every mutant of every row MUST be caught and MUST
-/// shrink within the row's bound, or the detector itself is broken.
-fn mutation_check(seed: u64) -> ExitCode {
-    let mut clean = true;
-    for row in lockstep::subjects() {
-        for &mutant in row.mutants {
-            let what = format!("{mutant} fault ({} row)", row.name);
-            clean &= report(&what, row.shrink_bound, row.mutation_witness(mutant, seed));
-        }
-    }
-    if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Prints one mutation-check verdict; `true` when the fault was caught
-/// and its shrunk witness is within `bound`.
-fn report(what: &str, bound: usize, witness: Option<Failure>) -> bool {
-    match witness {
-        Some(failure) if failure.shrunk.len() <= bound => {
-            println!(
-                "ok: injected {what} caught and shrunk to {} op(s):\n\n{}",
-                failure.shrunk.len(),
-                failure.reproducer()
-            );
-            true
-        }
-        Some(failure) => {
-            eprintln!(
-                "FAIL: {what} caught but reproducer has {} ops (> {bound}) — shrinker regressed",
-                failure.shrunk.len()
-            );
-            false
-        }
-        None => {
-            eprintln!("FAIL: injected {what} was NOT detected — detector regressed");
-            false
-        }
-    }
 }

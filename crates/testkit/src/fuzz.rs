@@ -281,6 +281,7 @@ pub fn case_seed(base: u64, case: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::lockstep::{caught_and_shrunk, subject, Case, Config, SubjectRow};
+    use drqos_sim::seam::Seam;
     use drqos_sim::shrink::shrink_by;
 
     fn invariants() -> SubjectRow {
@@ -327,7 +328,7 @@ mod tests {
 
     #[test]
     fn injected_fault_is_caught_and_shrunk_small() {
-        let failure = caught_and_shrunk("invariants", "LoseRelease");
+        let failure = caught_and_shrunk("invariants", Seam::LoseRelease);
         assert!(
             failure.shrunk.len() <= 10,
             "reproducer should be tiny, got {} ops",
@@ -349,7 +350,7 @@ mod tests {
 
     #[test]
     fn lost_srlg_repair_is_caught_and_shrunk_small() {
-        let failure = caught_and_shrunk("invariants", "LoseSrlgRepair");
+        let failure = caught_and_shrunk("invariants", Seam::LoseSrlgRepair);
         assert!(
             failure.shrunk.len() <= 10,
             "reproducer should be tiny, got {} ops",

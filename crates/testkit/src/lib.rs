@@ -12,8 +12,9 @@
 //!   by its own `Network::check_invariants` (`fuzz --seqs N`); and
 //!   `cluster`, member daemons on in-process links to a churned
 //!   federation's [`drqos_service::clusterd::LocalCoordinator`]
-//!   (`fuzz --diff-cluster N`). Each row registers mutants the loop must
-//!   catch (`fuzz --self-test`), which keeps the detector itself honest.
+//!   (`fuzz --diff-cluster N`). Each row registers mutants, seams of
+//!   `drqos_sim::seam` that the loop must catch in the tests'
+//!   mutation check, which keeps the detector itself honest.
 //! * [`fuzz`] — the **case model** every row shares: a case seed fixes a
 //!   scenario and a stream of establish/release/fail/repair operations
 //!   whose operands resolve against the state they meet, so any

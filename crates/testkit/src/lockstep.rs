@@ -1,5 +1,5 @@
 //! The lockstep harness — the one seeded driver behind `fuzz --seqs`,
-//! `fuzz --diff-cluster` and `fuzz --self-test`.
+//! `fuzz --diff-cluster` and the mutation check.
 //!
 //! The sequential [`Network`] is the admission authority. Each row of the
 //! subject table holds something to it: the invariant-checked network
@@ -29,11 +29,11 @@
 //!
 //! A subject supplies only what differs — how it is built, how it applies
 //! an operation, its views, an optional before-each-op hook (cluster
-//! churn) and its **mutants**: deliberately broken builds
-//! ([`Case::mutant`]) that `fuzz --self-test` requires the loop to catch
-//! and shrink within [`Subject::SHRINK_BOUND`] operations. Everything else
-//! — the loop, the comparison, [`Divergence`] / [`Failure`] / [`Outcome`],
-//! the seeded driver with delta-debugging
+//! churn) and its **mutants**: the [`Seam`]s ([`Case::mutant`]) the
+//! mutation check arms around a whole replay, and requires the loop to
+//! catch and shrink within [`Subject::SHRINK_BOUND`] operations.
+//! Everything else — the loop, the comparison, [`Divergence`] /
+//! [`Failure`] / [`Outcome`], the seeded driver with delta-debugging
 //! ([`drqos_sim::shrink::shrink_by`]), the reproducer — exists once, here.
 //! [`subjects`] is the table `fuzz` and the table-driven tests iterate;
 //! adding a row is one `impl Subject` plus one entry there and one line in
@@ -45,9 +45,10 @@ use drqos_cluster::{ApplyOutcome, MemberOp};
 use drqos_core::network::{EstablishRequest, Network};
 use drqos_core::qos::ElasticQos;
 use drqos_core::snapshot::NetworkSnapshot;
-use drqos_service::clusterd::{Fault, LocalCoordinator, MemberState};
+use drqos_service::clusterd::{LocalCoordinator, MemberState};
 use drqos_service::engine::Authority;
 use drqos_sim::rng::Rng;
+use drqos_sim::seam::{self, Seam};
 use drqos_sim::shrink::shrink_by;
 use drqos_topology::{LinkId, NodeId};
 
@@ -122,9 +123,9 @@ pub struct Case {
     pub param: usize,
     /// The case seed: the churn stream derives from it.
     pub seed: u64,
-    /// The mutant to build (one of [`Subject::MUTANTS`]) instead of the
-    /// faithful subject.
-    pub mutant: Option<&'static str>,
+    /// The seam armed through the whole replay (one of
+    /// [`Subject::MUTANTS`]), or none for the faithful subject.
+    pub mutant: Option<Seam>,
 }
 
 /// One side of a lockstep differential: a faster path that claims exact
@@ -137,14 +138,15 @@ pub trait Subject: Sized {
     const UNIT: &'static str = "";
     /// The parameter values `fuzz --diff-<NAME>` runs at.
     const GRID: &'static [usize] = &[0];
-    /// The injected faults [`Case::mutant`] arms, one per mutant.
-    const MUTANTS: &'static [&'static str];
+    /// The seams the mutation check arms ([`Case::mutant`]), one per
+    /// mutant.
+    const MUTANTS: &'static [Seam];
     /// The parameter the mutation checks run at.
     const MUTANT_PARAM: usize = 0;
     /// Largest acceptable shrunk witness of the mutant.
     const SHRINK_BOUND: usize;
 
-    /// Builds the subject (a mutant when [`Case::mutant`] is set).
+    /// Builds the subject.
     fn build(scenario: &Scenario, case: Case) -> Self;
 
     /// Applies one operation.
@@ -272,19 +274,28 @@ fn first_snapshot_mismatch(label: &str, got: &NetworkSnapshot, want: &NetworkSna
     )
 }
 
-/// The monomorphic body behind [`SubjectRow::run_pair`].
+/// The monomorphic body behind [`SubjectRow::run_pair`]: the case's
+/// mutant is armed from the subject's build to the last operation, for
+/// the oracle's network too, so a seam in the product code both sides
+/// share is caught only by a subject's independent check.
 fn run_pair<S: Subject>(
     subject_scenario: &Scenario,
     oracle_scenario: &Scenario,
     ops: &[Op],
     case: Case,
 ) -> Option<Divergence> {
-    Lockstep::new(
-        S::build(subject_scenario, case),
-        oracle_scenario.network(),
-        subject_scenario.qos(),
-    )
-    .run(ops)
+    let replay = || {
+        Lockstep::new(
+            S::build(subject_scenario, case),
+            oracle_scenario.network(),
+            subject_scenario.qos(),
+        )
+        .run(ops)
+    };
+    match case.mutant {
+        Some(mutant) => seam::with(mutant, replay),
+        None => replay(),
+    }
 }
 
 /// One row of the subject table: a [`Subject`]'s constants plus its
@@ -299,7 +310,7 @@ pub struct SubjectRow {
     /// [`Subject::GRID`].
     pub grid: &'static [usize],
     /// [`Subject::MUTANTS`].
-    pub mutants: &'static [&'static str],
+    pub mutants: &'static [Seam],
     /// [`Subject::MUTANT_PARAM`].
     pub mutant_param: usize,
     /// [`Subject::SHRINK_BOUND`].
@@ -371,9 +382,9 @@ impl SubjectRow {
     /// The mutation check: arms `mutant` (one of the row's
     /// [`SubjectRow::mutants`]) and returns the first caught-and-shrunk
     /// failure within 20 cases of 30 ops, or `None` if the loop failed to
-    /// catch it — the detector itself has regressed. Used by
-    /// `fuzz --self-test`.
-    pub fn mutation_witness(&self, mutant: &'static str, seed: u64) -> Option<Failure> {
+    /// catch it — the detector itself has regressed. A build without
+    /// `drqos-sim`'s `seams` feature arms nothing and catches nothing.
+    pub fn mutation_witness(&self, mutant: Seam, seed: u64) -> Option<Failure> {
         let config = Config {
             sequences: 20,
             ops_per_sequence: 30,
@@ -383,7 +394,7 @@ impl SubjectRow {
     }
 
     /// The one seeded driver.
-    fn drive(&self, config: &Config, param: usize, mutant: Option<&'static str>) -> Outcome {
+    fn drive(&self, config: &Config, param: usize, mutant: Option<Seam>) -> Outcome {
         for index in 0..config.sequences {
             let seed = case_seed(config.seed, index as u64);
             let scenario = Scenario::from_seed(seed);
@@ -449,11 +460,15 @@ impl Failure {
 
     /// Renders the shrunk case as a copy-pasteable Rust snippet.
     pub fn reproducer(&self) -> String {
+        let (import, mutant) = match self.case.mutant {
+            Some(m) => ("use drqos_sim::seam::Seam;\n", format!("Some(Seam::{m:?})")),
+            None => ("", "None".to_string()),
+        };
         format!(
             "// drqos-testkit {name}-diff reproducer{at} (case seed {seed:#x}, {n} op(s) after \
              shrinking)\n\
-             {prelude}\
-             let case = Case {{ param: {param}, seed: {seed:#x}, mutant: {mutant:?} }};\n\
+             {import}{prelude}\
+             let case = Case {{ param: {param}, seed: {seed:#x}, mutant: {mutant} }};\n\
              let divergence = lockstep::subject(\"{name}\")\n    \
              .expect(\"a registered subject\")\n    \
              .run_sequence(&scenario, &ops, case)\n    \
@@ -465,7 +480,6 @@ impl Failure {
             n = self.shrunk.len(),
             prelude = render_case(&self.scenario, &self.shrunk),
             param = self.case.param,
-            mutant = self.case.mutant,
             divergence = self.divergence,
         )
     }
@@ -498,14 +512,14 @@ pub fn subject(name: &str) -> Option<SubjectRow> {
 /// within the row's budget, shrunk within its bound, tagged with the
 /// mutant and replayed from the failure's own fields.
 #[cfg(test)]
-pub(crate) fn caught_and_shrunk(name: &str, mutant: &'static str) -> Failure {
+pub(crate) fn caught_and_shrunk(name: &str, mutant: Seam) -> Failure {
     let row = subject(name).unwrap_or_else(|| panic!("no row {name}"));
     let failure = row
         .mutation_witness(mutant, 2001)
-        .unwrap_or_else(|| panic!("{name}: {mutant} went unnoticed"));
+        .unwrap_or_else(|| panic!("{name}: {mutant:?} went unnoticed"));
     assert!(
         failure.shrunk.len() <= row.shrink_bound,
-        "{name}: {mutant} shrank to {:?}",
+        "{name}: {mutant:?} shrank to {:?}",
         failure.shrunk
     );
     assert_eq!(failure.case.mutant, Some(mutant));
@@ -521,7 +535,6 @@ pub(crate) fn caught_and_shrunk(name: &str, mutant: &'static str) -> Failure {
 pub struct InvariantSubject {
     net: Network,
     reference: ReferenceModel,
-    mutant: Option<&'static str>,
 }
 
 impl Subject for InvariantSubject {
@@ -531,25 +544,35 @@ impl Subject for InvariantSubject {
     /// forgotten `remove_primary` would cause. `LoseSrlgRepair`: group
     /// repairs reach the network but not the reference, whose mirrored
     /// links stay down — a repair that forgot to fan out over the group.
-    const MUTANTS: &'static [&'static str] = &["LoseRelease", "LoseSrlgRepair"];
+    /// The other four break `drqos-core` itself, on both sides of the
+    /// loop, so only [`Network::check_invariants`] can tell: a backup's
+    /// own link among its activators, survivors re-keyed to the failed
+    /// primary, a row left off its waitlist, a loaded row woken early.
+    const MUTANTS: &'static [Seam] = &[
+        Seam::LoseRelease,
+        Seam::LoseSrlgRepair,
+        Seam::KeepTheOwnLink,
+        Seam::RekeyToTheOldPrimary,
+        Seam::SkipAListing,
+        Seam::WakeALoadedRow,
+    ];
     const SHRINK_BOUND: usize = 10;
 
-    fn build(scenario: &Scenario, case: Case) -> Self {
+    fn build(scenario: &Scenario, _case: Case) -> Self {
         let net = scenario.network();
         InvariantSubject {
             reference: ReferenceModel::new(&net),
             net,
-            mutant: case.mutant,
         }
     }
 
     fn apply(&mut self, op: MemberOp) -> Result<ApplyOutcome, String> {
         let outcome = op.apply(&mut self.net);
-        let lost = matches!(
-            (self.mutant, &outcome),
-            (Some("LoseRelease"), ApplyOutcome::Release(_))
-                | (Some("LoseSrlgRepair"), ApplyOutcome::RepairSrlg(_))
-        );
+        let lost = match outcome {
+            ApplyOutcome::Release(_) => seam::armed(Seam::LoseRelease),
+            ApplyOutcome::RepairSrlg(_) => seam::armed(Seam::LoseSrlgRepair),
+            _ => false,
+        };
         let mut violations = Vec::new();
         if !lost {
             if let Err(message) = self.reference.observe(&self.net, op, &outcome) {
@@ -608,9 +631,9 @@ impl ClusterSubject {
     /// survivor's pull replays it.
     fn carry_skipped(&mut self, turn: usize, op: MemberOp) -> Result<ApplyOutcome, String> {
         let mut carrier = self.members.remove(turn);
-        self.coordinator.set_fault(Some(Fault::SkipRecord));
+        self.coordinator.skip_records(true);
         let refused = carrier.commit(op).is_err();
-        self.coordinator.set_fault(None);
+        self.coordinator.skip_records(false);
         if !refused {
             let id = carrier.id();
             return Err(format!(
@@ -631,22 +654,22 @@ impl Subject for ClusterSubject {
     const NAME: &'static str = "cluster";
     const UNIT: &'static str = "member(s)";
     const GRID: &'static [usize] = &[2, 3];
-    /// [`Fault::DropRecord`]: the coordinator admits the first establish
-    /// it can but appends no record, so the carrier's replay never reaches
-    /// it. [`Fault::UnguardedSkip`]: every commit reply starts one record
-    /// late and the members replay past the gap.
-    const MUTANTS: &'static [&'static str] = &["DropRecord", "UnguardedSkip"];
+    /// `DropRecord`: the coordinator admits establishes but appends no
+    /// record, so the carrier's replay never reaches them.
+    /// `UnguardedSkip`: every commit reply starts one record late and the
+    /// members replay past the gap. `PackLowSevenBits`: the oplog keeps
+    /// an operand's low 7 bits, so replicas replay another request.
+    const MUTANTS: &'static [Seam] = &[
+        Seam::DropRecord,
+        Seam::UnguardedSkip,
+        Seam::PackLowSevenBits,
+    ];
     const MUTANT_PARAM: usize = 3;
     const SHRINK_BOUND: usize = 3;
 
     fn build(scenario: &Scenario, case: Case) -> Self {
         let genesis = scenario.network();
         let coordinator = LocalCoordinator::new(genesis.clone(), case.param);
-        coordinator.set_fault(match case.mutant {
-            Some("DropRecord") => Some(Fault::DropRecord),
-            Some("UnguardedSkip") => Some(Fault::UnguardedSkip),
-            _ => None,
-        });
         let members: Vec<MemberState> = (0..case.param.max(1))
             .map(|_| coordinator.join(genesis.clone()).expect("a local join"))
             .collect();
@@ -881,9 +904,9 @@ mod tests {
         assert_eq!(lockstep.compare_state(), None);
     }
 
-    /// The mutation check `fuzz --self-test` runs: every mutant of every
-    /// row is caught within the row's budget, shrunk within its bound,
-    /// and replayed from the failure's own fields.
+    /// The mutation check: every mutant of every row is caught within the
+    /// row's budget, shrunk within its bound, and replayed from the
+    /// failure's own fields.
     #[test]
     fn every_mutant_of_every_row_is_caught_shrunk_and_replayed() {
         for row in subjects() {
@@ -897,7 +920,7 @@ mod tests {
     fn dropped_record_is_caught_and_shrinks_small() {
         // A coordinator that admits a request but logs no record must be
         // caught, with a tiny shrunk witness.
-        let failure = caught_and_shrunk("cluster", "DropRecord");
+        let failure = caught_and_shrunk("cluster", Seam::DropRecord);
         let shrunk = &failure.shrunk;
         assert!(
             (1..=3).contains(&shrunk.len()),
@@ -923,7 +946,7 @@ mod tests {
     fn an_unguarded_skip_is_caught_and_shrinks_small() {
         // Commit replies that start one record late, replayed by members
         // whose contiguity guard is off.
-        let failure = caught_and_shrunk("cluster", "UnguardedSkip");
+        let failure = caught_and_shrunk("cluster", Seam::UnguardedSkip);
         assert!(
             failure.shrunk.len() <= 3,
             "witness should be tiny: {:?}",
@@ -945,8 +968,8 @@ mod tests {
                 .unwrap_or_else(|| panic!("TESTING.md has no subject-table line for {head}"));
             for mutant in row.mutants {
                 assert!(
-                    line.contains(&format!("`{mutant}`")),
-                    "TESTING.md's {head} line does not name the mutant `{mutant}`"
+                    line.contains(&format!("`{mutant:?}`")),
+                    "TESTING.md's {head} line does not name the mutant `{mutant:?}`"
                 );
             }
             let bound = format!("| {} |", row.shrink_bound);
@@ -967,7 +990,7 @@ mod tests {
 
     impl Subject for ForgetfulSubject {
         const NAME: &'static str = "forgetful";
-        const MUTANTS: &'static [&'static str] = &[];
+        const MUTANTS: &'static [Seam] = &[];
         const SHRINK_BOUND: usize = 3;
 
         fn build(scenario: &Scenario, _case: Case) -> Self {

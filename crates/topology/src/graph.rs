@@ -7,6 +7,7 @@
 //! the right substrate.)
 
 use crate::error::TopologyError;
+use drqos_sim::seam::{self, Seam};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -143,14 +144,6 @@ struct Rows {
 /// One destination's row of a [`HopTable`], empty until first asked for.
 type HopRow = OnceLock<Box<[u32]>>;
 
-#[cfg(test)]
-thread_local! {
-    /// While set, `add_link` keeps the hop rows of the graph it grew: the
-    /// mutant the hop-row differential must catch.
-    static KEEP_HOPS_ACROSS_ADD_LINK: std::cell::Cell<bool> =
-        const { std::cell::Cell::new(false) };
-}
-
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.positions == other.positions
@@ -250,8 +243,7 @@ impl Graph {
         self.adjacency[a.0].push((b, id));
         self.adjacency[b.0].push((a, id));
         self.pair_index.insert((lo, hi), id);
-        #[cfg(test)]
-        if KEEP_HOPS_ACROSS_ADD_LINK.get() {
+        if seam::armed(Seam::KeepHopsAcrossAddLink) {
             return Ok(id);
         }
         self.hops = HopTable::default();
@@ -720,9 +712,7 @@ mod tests {
 
     #[test]
     fn a_hop_table_kept_across_add_link_is_caught() {
-        KEEP_HOPS_ACROSS_ADD_LINK.set(true);
-        let caught = hop_row_differential(400);
-        KEEP_HOPS_ACROSS_ADD_LINK.set(false);
+        let caught = seam::with(Seam::KeepHopsAcrossAddLink, || hop_row_differential(400));
         assert!(caught.is_err(), "rows of the smaller graph went unnoticed");
     }
 
@@ -884,9 +874,7 @@ mod tests {
 
     #[test]
     fn a_block_row_kept_across_add_link_is_caught() {
-        KEEP_HOPS_ACROSS_ADD_LINK.set(true);
-        let caught = block_differential(300);
-        KEEP_HOPS_ACROSS_ADD_LINK.set(false);
+        let caught = seam::with(Seam::KeepHopsAcrossAddLink, || block_differential(300));
         assert!(
             caught.is_err(),
             "blocks of the smaller graph went unnoticed"

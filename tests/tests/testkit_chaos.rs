@@ -5,6 +5,7 @@
 //! injected accounting bug MUST be caught and MUST shrink small) in
 //! `cargo test`.
 
+use drqos_sim::seam::Seam;
 use drqos_testkit::lockstep::{subject, Config};
 use drqos_testkit::SubjectRow;
 
@@ -32,7 +33,7 @@ fn injected_accounting_bug_is_caught_and_shrunk() {
     // live-set / min-sum divergence must be detected, then shrunk to a
     // tiny reproducer (the fault needs only establish + release).
     let failure = invariants()
-        .mutation_witness("LoseRelease", 2001)
+        .mutation_witness(Seam::LoseRelease, 2001)
         .expect("injected fault must be detected");
     assert!(
         failure.shrunk.len() <= 10,
@@ -46,7 +47,7 @@ fn injected_accounting_bug_is_caught_and_shrunk() {
     // And the printed reproducer is self-contained, copy-pasteable code.
     let repro = failure.reproducer();
     assert!(repro.contains("Scenario {"), "{repro}");
-    assert!(repro.contains("mutant: Some(\"LoseRelease\")"), "{repro}");
+    assert!(repro.contains("mutant: Some(Seam::LoseRelease)"), "{repro}");
     assert!(
         repro.contains("lockstep::subject(\"invariants\")"),
         "{repro}"
@@ -56,8 +57,8 @@ fn injected_accounting_bug_is_caught_and_shrunk() {
 
 #[test]
 fn fuzz_runs_are_reproducible_from_the_seed() {
-    let a = invariants().mutation_witness("LoseRelease", 77);
-    let b = invariants().mutation_witness("LoseRelease", 77);
+    let a = invariants().mutation_witness(Seam::LoseRelease, 77);
+    let b = invariants().mutation_witness(Seam::LoseRelease, 77);
     let (fa, fb) = (a.expect("fault detected"), b.expect("fault detected"));
     assert_eq!(fa.case.seed, fb.case.seed);
     assert_eq!(fa.shrunk, fb.shrunk);
