@@ -107,7 +107,7 @@ impl DrConnection {
     }
 
     /// Extra bandwidth above the minimum (`level·Δ`).
-    pub fn extra(&self) -> Bandwidth {
+    pub(crate) fn extra(&self) -> Bandwidth {
         self.bandwidth() - self.qos.min()
     }
 

@@ -27,12 +27,13 @@ pub(crate) const CHECKED: &str = "DRQOS_CHECKED";
 /// `DRQOS_BLESS` — golden-trace re-bless switch (see [`bless`]).
 pub(crate) const BLESS: &str = "DRQOS_BLESS";
 /// `DRQOS_BATCH` — read by nothing and not in [`registry`]: `drqosd` has
-/// no batch left to size. The name stays only because `benchmark/` uses
-/// it as an exported knob the benchmark must refuse (ROADMAP 4(c)).
+/// no batch left to size. The name stays only because
+/// `benchmark/tests/smoke.rs` sets it as an exported knob the benchmark
+/// must refuse (ROADMAP 4(c)).
 pub const BATCH: &str = "DRQOS_BATCH";
 /// `DRQOS_QUEUE_DEPTH` — requests `drqosd` or a member lets wait for its
 /// engine (see [`queue_depth`]).
-pub const QUEUE_DEPTH: &str = "DRQOS_QUEUE_DEPTH";
+pub(crate) const QUEUE_DEPTH: &str = "DRQOS_QUEUE_DEPTH";
 /// `DRQOS_WIRE` — daemon wire framing, text or binary (see [`wire`]).
 pub(crate) const WIRE: &str = "DRQOS_WIRE";
 /// `DRQOS_SCENARIO` — adversarial workload scenario (see [`scenario`]).

@@ -362,7 +362,7 @@ impl Network {
         let newcomer = self.reserve_newcomer(plan);
         // 2. Retreat every directly chained primary but those the fill
         //    would grant straight back, decided before anyone retreats.
-        let retreating = self.keep_at_maximum(&mut chained, &[newcomer]);
+        let retreating = self.keep_at_maximum(&mut chained, newcomer);
         let (retreated, kept) = chained.split_at(retreating);
         for &pair in retreated {
             self.retreat(pair);

@@ -295,11 +295,11 @@ pub(super) struct FillScratch {
 }
 
 impl Network {
-    /// The keep rule of an arrival whose `newcomers` (the admitted
-    /// connection) are already on their routes, unlisted, decided before
+    /// The keep rule of an arrival whose `newcomer` (the admitted
+    /// connection) is already on its routes, unlisted, decided before
     /// anyone retreats: moves to the back of `chained` every primary at
     /// its maximum whose links are all ones [`keeps_its_extra`], counting
-    /// on each what every newcomer crossing it could still ask, and
+    /// on each what the newcomer could still ask if it crosses it, and
     /// returns how many are left in front to retreat. The fill would grant a kept primary straight back to
     /// where it is, and classifies every link alike whether it retreated
     /// or not (its extra counts on both sides of the slack test), so it is
@@ -307,7 +307,7 @@ impl Network {
     pub(super) fn keep_at_maximum(
         &mut self,
         chained: &mut [ChainPair],
-        newcomers: &[ChainPair],
+        (slot, id): ChainPair,
     ) -> usize {
         #[cfg(test)]
         if seam::armed(Seam::Reference) {
@@ -321,16 +321,13 @@ impl Network {
         } = self;
         let demand = &mut fill.demand;
         demand.resize(links.len(), Bandwidth::ZERO);
-        let arrivals = || {
-            newcomers
-                .iter()
-                .filter_map(|&(slot, id)| connections.at(slot, id))
-        };
-        for arrival in arrivals() {
-            let ask = remaining(arrival);
-            for l in arrival.primary().links() {
-                demand[l.index()] += ask;
-            }
+        let (path, ask) = connections
+            .at(slot, id)
+            .map_or((&[][..], Bandwidth::ZERO), |c| {
+                (c.primary().links(), remaining(c))
+            });
+        for l in path {
+            demand[l.index()] = ask;
         }
         let kept = |&(slot, id): &ChainPair| {
             connections.at(slot, id).is_some_and(|conn| {
@@ -349,7 +346,7 @@ impl Network {
                 retreating += 1;
             }
         }
-        for l in arrivals().flat_map(|arrival| arrival.primary().links()) {
+        for l in path {
             demand[l.index()] = Bandwidth::ZERO;
         }
         retreating

@@ -4,14 +4,19 @@
 //! Resolution is deliberately *under*-approximate — an edge exists only
 //! when the target is unambiguous — because the interprocedural rules
 //! report reachability findings, and a spurious edge would manufacture a
-//! false violation. Three resolution strategies, in order:
+//! false violation. A target is one function: one definition, or the
+//! `cfg` alternatives of one (same file, same `Type::name`), which get an
+//! edge each. Three resolution strategies, in order:
 //!
 //! 1. **Same-impl methods**: `self.method(..)` resolves inside the
 //!    enclosing `impl` type (same crate).
 //! 2. **Paths**: `foo(..)` and `module::foo(..)` resolve within the
 //!    calling crate; `drqos_xxx::path::foo(..)` resolves into the named
-//!    crate; `Type::assoc(..)` resolves by `(Type, name)` in the calling
-//!    crate first, then workspace-wide when unique.
+//!    crate, and so does a path whose first segment the file imports
+//!    from it (`seam::armed(..)` after `use drqos_sim::seam`, or an
+//!    imported function called by its bare name); `Type::assoc(..)`
+//!    resolves by `(Type, name)` in that crate first, then workspace-wide
+//!    when unique.
 //! 3. **Unique methods**: `recv.method(..)` resolves when exactly one
 //!    workspace function has that name and the name is not on the
 //!    std-collision denylist (`push`, `get`, `len`, ... would otherwise
@@ -27,7 +32,7 @@ use crate::parser::{Callee, FnDef, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Resolved-edge floor for the non-vacuity gate. The workspace resolves
-/// ~3.3k edges today; a drop below this floor means the resolver (or the
+/// ~3.2k edges today; a drop below this floor means the resolver (or the
 /// parser feeding it) has regressed badly enough that the reachability
 /// rules can no longer be trusted, and is itself a finding.
 pub const MIN_RESOLVED_EDGES: usize = 2000;
@@ -178,6 +183,8 @@ impl CallGraph {
     /// site it can.
     pub fn build<'x>(files: impl IntoIterator<Item = (&'x str, &'x ParsedFile)>) -> Self {
         let mut fns = Vec::new();
+        // The caller file's imports, by [`FnId`].
+        let mut uses = Vec::new();
         for (path, parsed) in files {
             let Some(krate) = crate_of_path(path) else {
                 continue;
@@ -188,56 +195,19 @@ impl CallGraph {
                     krate: krate.clone(),
                     def: def.clone(),
                 });
+                uses.push(&parsed.uses);
             }
         }
-
-        // Symbol tables. Only non-test functions are resolution targets:
-        // live code cannot call into `#[cfg(test)]` items. A path call
-        // without a type qualifier names no method, so the `free_` tables
-        // hold free functions only.
-        let mut by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
-        let mut free_by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
-        let mut free_by_crate_name: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new();
-        let mut by_crate_type_name: BTreeMap<(&str, &str, &str), Vec<FnId>> = BTreeMap::new();
-        let mut by_type_name: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new();
-        for (id, node) in fns.iter().enumerate() {
-            if node.def.is_test {
-                continue;
-            }
-            let name = node.def.name.as_str();
-            by_name.entry(name).or_default().push(id);
-            if let Some(ty) = &node.def.self_type {
-                by_crate_type_name
-                    .entry((node.krate.as_str(), ty.as_str(), name))
-                    .or_default()
-                    .push(id);
-                by_type_name
-                    .entry((ty.as_str(), name))
-                    .or_default()
-                    .push(id);
-            } else {
-                free_by_name.entry(name).or_default().push(id);
-                free_by_crate_name
-                    .entry((node.krate.as_str(), name))
-                    .or_default()
-                    .push(id);
-            }
-        }
-        let unique = |v: Option<&Vec<FnId>>| -> Option<FnId> {
-            match v {
-                Some(ids) if ids.len() == 1 => Some(ids[0]),
-                _ => None,
-            }
-        };
 
         let mut edges: Vec<Vec<FnId>> = vec![Vec::new(); fns.len()];
         let mut resolved_edge_count = 0usize;
+        let symbols = Symbols::new(&fns);
         for (id, node) in fns.iter().enumerate() {
             let krate = node.krate.as_str();
             let self_ty = node.def.self_type.as_deref();
             let mut targets: BTreeSet<FnId> = BTreeSet::new();
             for call in &node.def.calls {
-                let target: Option<FnId> = match &call.callee {
+                let target: Vec<FnId> = match &call.callee {
                     Callee::Method { name, receiver } => {
                         let name = name.as_str();
                         // Strategy 1: `self.method()` in an impl block.
@@ -245,34 +215,28 @@ impl CallGraph {
                             .as_deref()
                             .filter(|r| *r == "self")
                             .and(self_ty)
-                            .and_then(|ty| unique(by_crate_type_name.get(&(krate, ty, name))));
-                        via_self.or_else(|| {
-                            // Strategy 3: workspace-unique method name.
-                            if STD_METHOD_DENYLIST.contains(&name) {
-                                return None;
-                            }
-                            unique(by_name.get(&name))
-                        })
+                            .and_then(|ty| {
+                                symbols.one(symbols.by_crate_type_name.get(&(krate, ty, name)))
+                            });
+                        via_self
+                            .or_else(|| {
+                                // Strategy 3: workspace-unique method name.
+                                if STD_METHOD_DENYLIST.contains(&name) {
+                                    return None;
+                                }
+                                symbols.one(symbols.by_name.get(&name))
+                            })
+                            .unwrap_or_default()
                     }
-                    Callee::Path(segs) => resolve_path(
-                        segs,
-                        krate,
-                        &unique,
-                        &free_by_name,
-                        &free_by_crate_name,
-                        &by_crate_type_name,
-                        &by_type_name,
-                    ),
+                    Callee::Path(segs) => symbols
+                        .resolve_path(segs, krate, uses[id])
+                        .unwrap_or_default(),
                     // Macros other than the panic family carry no edge of
                     // their own (their argument calls are separate sites).
-                    Callee::Macro(_) => None,
+                    Callee::Macro(_) => Vec::new(),
                 };
-                if let Some(t) = target {
-                    // Self-loops carry no reachability information.
-                    if t != id {
-                        targets.insert(t);
-                    }
-                }
+                // Self-loops carry no reachability information.
+                targets.extend(target.into_iter().filter(|&t| t != id));
             }
             resolved_edge_count += targets.len();
             edges[id] = targets.into_iter().collect();
@@ -373,54 +337,114 @@ impl CallGraph {
     }
 }
 
-/// Path-call resolution (strategy 2). `segs` is the written path.
-#[allow(clippy::too_many_arguments)]
-fn resolve_path(
-    segs: &[String],
-    krate: &str,
-    unique: &dyn Fn(Option<&Vec<FnId>>) -> Option<FnId>,
-    free_by_name: &BTreeMap<&str, Vec<FnId>>,
-    free_by_crate_name: &BTreeMap<(&str, &str), Vec<FnId>>,
-    by_crate_type_name: &BTreeMap<(&str, &str, &str), Vec<FnId>>,
-    by_type_name: &BTreeMap<(&str, &str), Vec<FnId>>,
-) -> Option<FnId> {
-    let name = segs.last()?.as_str();
-    let qualifier = (segs.len() >= 2).then(|| segs[segs.len() - 2].as_str());
-    // Tuple-struct constructors and enum variants (`NodeId(..)`,
-    // `ScenarioKind::FlashCrowd` has no parens so never gets here as a
-    // call; `Some(..)`/`Ok(..)` resolve to nothing) fall out naturally:
-    // there is no function of that name, so no edge.
-    let target_crate = match segs.first().map(String::as_str) {
-        Some(first) if first.starts_with("drqos_") => first.to_string(),
-        Some("crate") | Some("self") | Some("super") => krate.to_string(),
-        _ => krate.to_string(),
-    };
-    let cross_crate = segs
-        .first()
-        .is_some_and(|f| f.starts_with("drqos_") && f != krate);
+/// The symbol tables over a graph's functions. Only non-test functions
+/// are resolution targets: live code cannot call into `#[cfg(test)]`
+/// items. A path call without a type qualifier names no method, so the
+/// `free_` tables hold free functions only.
+struct Symbols<'a> {
+    fns: &'a [FnNode],
+    by_name: BTreeMap<&'a str, Vec<FnId>>,
+    free_by_name: BTreeMap<&'a str, Vec<FnId>>,
+    free_by_crate_name: BTreeMap<(&'a str, &'a str), Vec<FnId>>,
+    by_crate_type_name: BTreeMap<(&'a str, &'a str, &'a str), Vec<FnId>>,
+    by_type_name: BTreeMap<(&'a str, &'a str), Vec<FnId>>,
+}
 
-    // `Type::assoc(..)`: qualifier capitalized → associated-function
-    // lookup, crate-local first, then workspace-unique.
-    if let Some(q) = qualifier {
-        if q.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-            return unique(by_crate_type_name.get(&(target_crate.as_str(), q, name)))
-                .or_else(|| unique(by_type_name.get(&(q, name))));
+impl<'a> Symbols<'a> {
+    fn new(fns: &'a [FnNode]) -> Self {
+        let mut t = Symbols {
+            fns,
+            by_name: BTreeMap::new(),
+            free_by_name: BTreeMap::new(),
+            free_by_crate_name: BTreeMap::new(),
+            by_crate_type_name: BTreeMap::new(),
+            by_type_name: BTreeMap::new(),
+        };
+        for (id, node) in fns.iter().enumerate() {
+            if node.def.is_test {
+                continue;
+            }
+            let name = node.def.name.as_str();
+            t.by_name.entry(name).or_default().push(id);
+            if let Some(ty) = &node.def.self_type {
+                t.by_crate_type_name
+                    .entry((node.krate.as_str(), ty.as_str(), name))
+                    .or_default()
+                    .push(id);
+                t.by_type_name
+                    .entry((ty.as_str(), name))
+                    .or_default()
+                    .push(id);
+            } else {
+                t.free_by_name.entry(name).or_default().push(id);
+                t.free_by_crate_name
+                    .entry((node.krate.as_str(), name))
+                    .or_default()
+                    .push(id);
+            }
         }
+        t
     }
-    // Free function, never a method (a path without a type names none):
-    // in the target crate (module segments are not tracked, so
-    // `module::foo` uses crate-level uniqueness)...
-    if let Some(id) = unique(free_by_crate_name.get(&(target_crate.as_str(), name))) {
-        return Some(id);
+
+    /// `ids` when they are one function: a single definition, or the
+    /// `cfg` alternatives of one, which share a file and a `Type::name`.
+    fn one(&self, ids: Option<&Vec<FnId>>) -> Option<Vec<FnId>> {
+        let ids = ids?;
+        let first = &self.fns[*ids.first()?];
+        ids.iter()
+            .all(|&id| {
+                let n = &self.fns[id];
+                n.file == first.file && n.def.self_type == first.def.self_type
+            })
+            .then(|| ids.clone())
     }
-    // ...or workspace-unique as a fallback for bare single-segment calls
-    // (helpers re-exported across crates), but never for explicit
-    // cross-crate paths that failed crate-local lookup — those are more
-    // likely resolver blind spots than true matches.
-    if !cross_crate && segs.len() == 1 {
-        return unique(free_by_name.get(&name));
+
+    /// Path-call resolution (strategy 2). `segs` is the written path and
+    /// `uses` the calling file's [`crate::parser::ParsedFile::uses`].
+    fn resolve_path(
+        &self,
+        segs: &[String],
+        krate: &str,
+        uses: &BTreeMap<String, String>,
+    ) -> Option<Vec<FnId>> {
+        let name = segs.last()?.as_str();
+        let qualifier = (segs.len() >= 2).then(|| segs[segs.len() - 2].as_str());
+        // Tuple-struct constructors and enum variants (`NodeId(..)`,
+        // `ScenarioKind::FlashCrowd` has no parens so never gets here as a
+        // call; `Some(..)`/`Ok(..)` resolve to nothing) fall out naturally:
+        // there is no function of that name, so no edge.
+        let first = segs.first()?.as_str();
+        let target_crate = match uses.get(first) {
+            _ if first.starts_with("drqos_") => first,
+            Some(imported) => imported.as_str(),
+            None => krate,
+        };
+        let cross_crate = target_crate != krate;
+
+        // `Type::assoc(..)`: qualifier capitalized → associated-function
+        // lookup, target crate first, then workspace-unique.
+        if let Some(q) = qualifier {
+            if q.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
+                return self
+                    .one(self.by_crate_type_name.get(&(target_crate, q, name)))
+                    .or_else(|| self.one(self.by_type_name.get(&(q, name))));
+            }
+        }
+        // Free function, never a method (a path without a type names none):
+        // in the target crate (module segments are not tracked, so
+        // `module::foo` uses crate-level uniqueness)...
+        if let Some(ids) = self.one(self.free_by_crate_name.get(&(target_crate, name))) {
+            return Some(ids);
+        }
+        // ...or workspace-unique as a fallback for bare single-segment calls
+        // (helpers re-exported across crates), but never for cross-crate
+        // paths or imports that failed the target-crate lookup — those are
+        // more likely resolver blind spots than true matches.
+        if !cross_crate && segs.len() == 1 {
+            return self.one(self.free_by_name.get(&name));
+        }
+        None
     }
-    None
 }
 
 #[cfg(test)]
@@ -487,6 +511,80 @@ mod tests {
             edge_labels(&g),
             vec![("serve".to_string(), "warm_up".to_string())]
         );
+    }
+
+    #[test]
+    fn paths_through_an_imported_module_resolve_into_its_crate() {
+        let sim = (
+            "crates/sim/src/seam.rs",
+            "pub fn armed(s: Seam) -> bool { false }",
+        );
+        let g = graph(&[
+            (
+                "crates/core/src/network.rs",
+                "use drqos_sim::seam::{self, Seam};\n\
+                 fn commit() { if seam::armed(Seam::A) {} }",
+            ),
+            sim,
+        ]);
+        let armed = g.fns.iter().position(|n| n.def.name == "armed").unwrap();
+        assert_eq!(g.fns[armed].file, "crates/sim/src/seam.rs");
+        assert_eq!(
+            edge_labels(&g),
+            vec![("commit".to_string(), "armed".to_string())]
+        );
+        // A renamed module, and a function imported by name, resolve too.
+        let g = graph(&[
+            (
+                "crates/service/src/conn.rs",
+                "use drqos_core::framing as wire;\nuse drqos_core::framing::finish;\n\
+                 fn reply() { wire::finish(); }\nfn send() { finish(); }",
+            ),
+            ("crates/core/src/framing.rs", "pub fn finish() {}"),
+            ("crates/service/src/other.rs", "fn finish() {}"),
+        ]);
+        let dump = g.render_dump();
+        for caller in [
+            "reply (crates/service/src/conn.rs:3)",
+            "send (crates/service/src/conn.rs:4)",
+        ] {
+            assert!(
+                dump.contains(&format!(
+                    "{caller} -> finish (crates/core/src/framing.rs:1)"
+                )),
+                "{dump}"
+            );
+        }
+        assert!(dump.contains(", 2 resolved edges"), "{dump}");
+        // Only the file's live imports count, and a name bound to two
+        // crates resolves to nothing.
+        for importer in [
+            "#[cfg(test)]\nuse drqos_sim::seam;\nfn commit() { seam::armed(); }",
+            "use drqos_sim::seam;\nmod m { use crate::seam; }\nfn commit() { seam::armed(); }",
+        ] {
+            let g = graph(&[("crates/core/src/network.rs", importer), sim]);
+            assert!(edge_labels(&g).is_empty(), "{importer}");
+        }
+    }
+
+    #[test]
+    fn cfg_alternatives_of_one_function_get_an_edge_each() {
+        let g = graph(&[
+            (
+                "crates/sim/src/seam.rs",
+                "#[cfg(feature = \"seams\")]\npub fn armed() -> bool { true }\n\
+                 #[cfg(not(feature = \"seams\"))]\npub const fn armed() -> bool { false }",
+            ),
+            ("crates/sim/src/user.rs", "fn check() { armed(); }"),
+        ]);
+        assert_eq!(g.edges.iter().map(Vec::len).sum::<usize>(), 2);
+        // The same name in two files of the crate is still ambiguous.
+        let g = graph(&[
+            ("crates/sim/src/a.rs", "pub fn armed() -> bool { true }"),
+            ("crates/sim/src/b.rs", "pub fn armed() -> bool { false }"),
+            ("crates/sim/src/user.rs", "fn check() { armed(); }"),
+        ]);
+        assert!(edge_labels(&g).is_empty());
     }
 
     #[test]

@@ -221,13 +221,19 @@ fn lint_parsed(
 /// Full pipeline over in-memory sources: every [`lint_file`] rule, then
 /// the call-graph floor, `dead-surface`, and stale-pragma detection.
 /// `edge_floor` is the non-vacuity gate ([`callgraph::MIN_RESOLVED_EDGES`]
-/// for the real workspace, `0` for fixture-sized inputs). Findings come
-/// back sorted by (file, line, rule).
-pub fn lint_sources(sources: &[(String, String)], edge_floor: usize) -> Vec<Finding> {
+/// for the real workspace, `0` for fixture-sized inputs), and `pins` is
+/// `dead-surface`'s benchmark-only table (the real one for the workspace,
+/// a fixture's own otherwise). Findings come back sorted by (file, line,
+/// rule).
+pub fn lint_sources(
+    sources: &[(String, String)],
+    edge_floor: usize,
+    pins: &[(&str, &str)],
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     let (files, graph) = lint_parsed(sources, &mut findings);
     interproc::non_vacuity(&graph, edge_floor, &mut findings);
-    surface::dead_surface(&files, &mut findings);
+    surface::dead_surface(&files, pins, &mut findings);
     interproc::stale_pragmas(&files, &mut findings);
     findings.sort();
     findings.dedup();
@@ -252,7 +258,11 @@ pub fn build_workspace_graph(root: &Path) -> std::io::Result<CallGraph> {
 /// cross-checks. Findings are sorted by (file, line, rule).
 pub fn run_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let sources = load_sources(root)?;
-    let mut findings = lint_sources(&sources, callgraph::MIN_RESOLVED_EDGES);
+    let mut findings = lint_sources(
+        &sources,
+        callgraph::MIN_RESOLVED_EDGES,
+        surface::BENCHMARK_PINS,
+    );
     let paths: Vec<&str> = sources.iter().map(|(rel, _)| rel.as_str()).collect();
     rules::zone_map(&rules::zone_tables(), &paths, &mut findings);
     match std::fs::read_to_string(root.join("README.md")) {

@@ -16,7 +16,10 @@
 //!   functions containing them as sinks;
 //! * every non-test `HashMap` / `HashSet` name in the file, inside a body
 //!   or not (`use` lines and types too), for `determinism-taint`'s
-//!   byte-pinned files.
+//!   byte-pinned files;
+//! * the names its live `use` declarations import from another workspace
+//!   crate, so `seam::armed(..)` after `use drqos_sim::seam` resolves into
+//!   `drqos_sim`.
 //!
 //! The parser is loss-tolerant by design: anything it cannot classify is
 //! simply not an item or a call, never an error. The non-vacuity gate in
@@ -24,6 +27,7 @@
 //! the whole workspace.
 
 use crate::lexer::{Lexed, Token, TokenKind};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How a call names its callee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,6 +129,12 @@ pub struct ParsedFile {
     pub fns: Vec<FnDef>,
     /// Every non-test `HashMap` / `HashSet` token, as `(line, name)`.
     pub hash_names: Vec<(u32, &'static str)>,
+    /// Names the file's live `use` declarations import from another
+    /// workspace crate, each with that crate: `seam` → `drqos_sim` for
+    /// `use drqos_sim::seam::{self, Seam}`. `use` is scoped but this map
+    /// is file-wide, so a name some `use` in the file binds elsewhere
+    /// (another crate, `crate::`, std) is left out.
+    pub uses: BTreeMap<String, String>,
 }
 
 /// Keywords that can directly precede `(` without being a call.
@@ -386,7 +396,84 @@ fn scan_body(
     }
 }
 
-/// Parses one lexed file into its functions and hash names.
+/// Walks the `use` tree that starts at token `i` under the path `prefix`,
+/// pushing `(bound name, full path)` for each leaf (`self` binds the
+/// prefix's last segment, `as` renames, a glob binds nothing). Returns
+/// the index past the tree.
+fn use_tree(
+    toks: &[Token],
+    mut i: usize,
+    prefix: &[String],
+    out: &mut Vec<(String, Vec<String>)>,
+) -> usize {
+    let mut path = prefix.to_vec();
+    loop {
+        let Some(t) = toks.get(i) else {
+            return i;
+        };
+        if t.punct() == "{" {
+            i += 1;
+            while toks.get(i).is_some_and(|t| t.punct() != "}") {
+                let next = use_tree(toks, i, &path, out);
+                if next == i || toks.get(next).map(Token::punct) != Some(",") {
+                    i = next;
+                    break;
+                }
+                i = next + 1;
+            }
+            return i + 1;
+        }
+        if t.kind != TokenKind::Ident {
+            return i;
+        }
+        i += 1;
+        if toks.get(i).map(Token::punct) == Some(":")
+            && toks.get(i + 1).map(Token::punct) == Some(":")
+        {
+            path.push(t.text.clone());
+            i += 2;
+            continue;
+        }
+        let mut bound = if t.text == "self" {
+            path.last().cloned()
+        } else {
+            path.push(t.text.clone());
+            Some(t.text.clone())
+        };
+        if toks.get(i).is_some_and(|t| t.text == "as") {
+            bound = toks.get(i + 1).map(|t| t.text.clone());
+            i += 2;
+        }
+        if let Some(name) = bound.filter(|b| b != "_") {
+            out.push((name, path));
+        }
+        return i;
+    }
+}
+
+/// [`ParsedFile::uses`] from the live `use` declarations of `toks`.
+fn workspace_uses(toks: &[Token], in_test: &[bool]) -> BTreeMap<String, String> {
+    let mut bound = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind == TokenKind::Ident && t.text == "use" && !in_test[i] {
+            use_tree(toks, i + 1, &[], &mut bound);
+        }
+    }
+    let mut roots: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for (name, path) in bound {
+        roots.entry(name).or_default().insert(path[0].clone());
+    }
+    roots
+        .into_iter()
+        .filter_map(|(name, roots)| {
+            let mut roots = roots.into_iter();
+            let root = roots.next()?;
+            (roots.next().is_none() && root.starts_with("drqos_")).then_some((name, root))
+        })
+        .collect()
+}
+
+/// Parses one lexed file into its functions, hash names and imports.
 pub(crate) fn parse_file(lexed: &Lexed) -> ParsedFile {
     let toks = &lexed.tokens;
     let in_test = mark_test_tokens(toks);
@@ -402,6 +489,7 @@ pub(crate) fn parse_file(lexed: &Lexed) -> ParsedFile {
             _ => {}
         }
     }
+    out.uses = workspace_uses(toks, &in_test);
 
     // Impl context: a stack of (self_type, body_end_token).
     let mut impl_stack: Vec<(Option<String>, usize)> = Vec::new();
@@ -635,6 +723,30 @@ mod tests {
             .calls
             .iter()
             .any(|c| c.callee == Callee::Path(vec!["other".into()])));
+    }
+
+    #[test]
+    fn use_trees_bind_names_to_workspace_crates() {
+        let p = parse(
+            "use drqos_sim::{seam::{self, Seam}, shrink::shrink_by as shrink, dist::*};\n\
+             pub use drqos_core::framing;\nuse std::fmt;\nuse crate::local::helper;\n\
+             fn f() {}",
+        );
+        let uses: Vec<(&str, &str)> = p
+            .uses
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(
+            uses,
+            vec![
+                ("Seam", "drqos_sim"),
+                ("framing", "drqos_core"),
+                ("seam", "drqos_sim"),
+                ("shrink", "drqos_sim"),
+            ]
+        );
+        assert_eq!(p.fns.len(), 1);
     }
 
     #[test]

@@ -14,10 +14,17 @@
 //!
 //! "Outside" is everything the workspace walk reads that is not part of
 //! the defining lib target: other crates, the crate's own `src/bin/**`,
-//! `src/main.rs`, `tests/`, `benches/` and `examples/`, the root `tests/`
-//! and `examples/` packages, and `benchmark/`. A doctest is compiled as a
-//! crate of its own, so Rust-fenced code in doc comments counts as an
-//! outside mention too; other comments and string literals never do.
+//! `src/main.rs`, `tests/`, `benches/` and `examples/`, and the root
+//! `tests/` and `examples/` packages. A doctest is compiled as a crate of
+//! its own, so Rust-fenced code in doc comments counts as an outside
+//! mention too; other comments and string literals never do.
+//!
+//! `benchmark/` is outside too, but it is a frozen client, so a mention
+//! there is not a caller by itself: an item that only `benchmark/` names
+//! is a finding unless `BENCHMARK_PINS` lists it. The table is the
+//! benchmark-only surface, named once. An entry is itself a finding when
+//! it goes stale: its item is gone, `benchmark/` no longer names it, or a
+//! file outside `benchmark/` now does.
 //!
 //! Mentions are matched by bare name, so a collision (`new`, `len`) makes
 //! the rule *miss*, never lie. Types, fields, variants and trait items
@@ -121,30 +128,107 @@ pub(crate) fn scan(view: &FileView<'_>, lexed: &Lexed) -> Surface {
     }
 }
 
-/// Rule 10, `dead-surface`, over the whole workspace.
-pub(crate) fn dead_surface(files: &[WsFile], out: &mut Vec<Finding>) {
+/// The pins: `(crate, name)` for each `pub` item of `crates/<crate>`'s
+/// lib target that only `benchmark/` calls. `benchmark/` is frozen, so
+/// each pin keeps its path and signature until a change to `benchmark/`
+/// drops the call and deletes the item (ROADMAP 4(c)); that change
+/// deletes the entry too, or it is reported stale. The workspace run
+/// checks this table; fixtures pass their own.
+pub(crate) const BENCHMARK_PINS: &[(&str, &str)] = &[
+    ("bench", "paper_graph"),
+    ("cluster", "commit_prepared"),
+    ("core", "BATCH"),
+    ("core", "hard_committed"),
+    ("core", "can_admit_primary"),
+    ("core", "reservation_if_backup_added"),
+    ("core", "can_admit_backup"),
+    ("core", "route_cache_stats"),
+    ("core", "commit_establish"),
+    ("core", "primaries_sharing"),
+    ("core", "invalidate"),
+    ("core", "route_primary_with"),
+    ("core", "route_backup_with"),
+    ("core", "inner_mut"),
+    ("core", "establish_wave"),
+    ("service", "with_shards"),
+    ("service", "parse_response"),
+    ("service", "with_batch"),
+    ("service", "with_queue_depth"),
+];
+
+/// Rule 10, `dead-surface`, over the whole workspace, with `pins` as the
+/// [`BENCHMARK_PINS`] table.
+pub(crate) fn dead_surface(files: &[WsFile], pins: &[(&str, &str)], out: &mut Vec<Finding>) {
     const RULE: &str = "dead-surface";
+    // Whether a file outside `benchmark/`, and whether one inside it,
+    // names `name` from outside crates/<krate>'s lib target.
+    let named_outside = |krate: &str, name: &str| {
+        let (mut product, mut benchmark) = (false, false);
+        for g in files {
+            let s = &g.surface;
+            if s.doctest_mentions.contains(name)
+                || (lib_crate(&g.path) != Some(krate) && s.mentions.contains(name))
+            {
+                if g.path.starts_with("benchmark/") {
+                    benchmark = true;
+                } else {
+                    product = true;
+                }
+            }
+        }
+        (product, benchmark)
+    };
     for f in files {
         let Some(krate) = lib_crate(&f.path) else {
             continue;
         };
         for (name, line) in &f.surface.items {
-            let named_outside = files.iter().any(|g| {
-                g.surface.doctest_mentions.contains(name)
-                    || (lib_crate(&g.path) != Some(krate) && g.surface.mentions.contains(name))
-            });
-            if named_outside || f.pragmas.allowed(RULE, *line) {
+            if pins.contains(&(krate, name.as_str())) {
+                continue; // its entry is checked below
+            }
+            let (product, benchmark) = named_outside(krate, name);
+            if product || f.pragmas.allowed(RULE, *line) {
                 continue;
             }
+            let message = if benchmark {
+                format!(
+                    "pub item `{name}` is named outside crates/{krate}'s lib target only by \
+                     benchmark/; list it in surface::BENCHMARK_PINS if the benchmark calls it, \
+                     else make it pub(crate)"
+                )
+            } else {
+                format!(
+                    "pub item `{name}` is named by no file outside crates/{krate}'s lib target; \
+                     make it pub(crate) and let rustc's dead-code pass decide the rest"
+                )
+            };
             out.push(Finding {
                 file: f.path.clone(),
                 line: *line,
                 rule: RULE,
-                message: format!(
-                    "pub item `{name}` is named by no file outside crates/{krate}'s lib target; \
-                     make it pub(crate) and let rustc's dead-code pass decide the rest"
-                ),
+                message,
             });
         }
+    }
+    for &(krate, name) in pins {
+        let defined = files.iter().any(|f| {
+            lib_crate(&f.path) == Some(krate) && f.surface.items.iter().any(|(n, _)| n == name)
+        });
+        let (product, benchmark) = named_outside(krate, name);
+        let why = if !defined {
+            format!("crates/{krate}'s lib target has no pub item `{name}`")
+        } else if !benchmark {
+            "benchmark/ no longer names it".to_string()
+        } else if product {
+            "a file outside benchmark/ names it now".to_string()
+        } else {
+            continue;
+        };
+        out.push(Finding {
+            file: "crates/lint/src/surface.rs".to_string(),
+            line: 1,
+            rule: RULE,
+            message: format!("BENCHMARK_PINS entry ({krate}, {name}) is stale: {why}; delete it"),
+        });
     }
 }

@@ -312,13 +312,18 @@ fn a_daemon_zone_item_compiled_without_test_is_linted() {
 
 /// Lints a synthetic multi-file workspace through the same entry point
 /// `run_workspace` uses, with the non-vacuity floor disabled (these
-/// fixtures are tiny by construction).
+/// fixtures are tiny by construction) and no benchmark pins.
 fn lint_ws(files: &[(&str, &str)]) -> Vec<Finding> {
+    lint_pinned(files, &[])
+}
+
+/// [`lint_ws`] with `pins` as `dead-surface`'s benchmark-only table.
+fn lint_pinned(files: &[(&str, &str)], pins: &[(&str, &str)]) -> Vec<Finding> {
     let sources: Vec<(String, String)> = files
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect();
-    drqos_lint::lint_sources(&sources, 0)
+    drqos_lint::lint_sources(&sources, 0, pins)
 }
 
 // -------------------------------------------------- panic-reachability --
@@ -611,7 +616,7 @@ fn non_vacuity_floor_fires_when_the_resolver_goes_dark() {
         "crates/core/src/a.rs".to_string(),
         "fn lonely() {}".to_string(),
     )];
-    let f = drqos_lint::lint_sources(&sources, 1_000_000);
+    let f = drqos_lint::lint_sources(&sources, 1_000_000, &[]);
     assert_eq!(rules_fired(&f), vec!["call-graph"], "{f:?}");
 }
 
@@ -714,7 +719,6 @@ fn dead_surface_clean_when_anything_outside_the_lib_target_names_it() {
     let caller = "fn main() { orphan(); let _ = (LIMIT, TABLE); }";
     for outside in [
         "crates/service/src/engine.rs", // another crate
-        "benchmark/src/layers.rs",      // the benchmark package
         "crates/core/src/bin/tool.rs",  // the crate's own binary
         "crates/core/tests/it.rs",      // the crate's own integration tests
         "tests/tests/end_to_end.rs",    // the workspace test package
@@ -729,6 +733,81 @@ fn dead_surface_clean_when_anything_outside_the_lib_target_names_it() {
     assert!(lint_ws(&[("crates/core/src/a.rs", doctest)]).is_empty());
     let prose = "/// ```text\n/// orphan()\n/// ```\npub fn orphan() {}\n";
     assert_eq!(lint_ws(&[("crates/core/src/a.rs", prose)]).len(), 1);
+}
+
+#[test]
+fn dead_surface_fires_on_an_item_only_the_benchmark_names_unless_it_is_pinned() {
+    let files = [
+        ("crates/core/src/a.rs", SURFACE_LIB),
+        (
+            "benchmark/src/layers.rs",
+            "fn main() { orphan(); let _ = (LIMIT, TABLE); }",
+        ),
+    ];
+    let f = lint_ws(&files);
+    assert_eq!(rules_fired(&f), vec!["dead-surface"], "{f:?}");
+    assert_eq!(f.len(), 3, "fn, const and static: {f:?}");
+    assert!(
+        f.iter()
+            .all(|x| x.message.contains("only by benchmark/")
+                && x.message.contains("BENCHMARK_PINS")),
+        "{f:?}"
+    );
+    // Listed, each is clean; an unlisted one is still reported.
+    let pins = [("core", "orphan"), ("core", "LIMIT"), ("core", "TABLE")];
+    let f = lint_pinned(&files, &pins);
+    assert!(f.is_empty(), "{f:?}");
+    let f = lint_pinned(&files, &pins[..2]);
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert!(f[0].message.contains("`TABLE`"), "{}", f[0].message);
+}
+
+#[test]
+fn dead_surface_reports_a_stale_pin_in_each_form() {
+    let bench = ("benchmark/src/layers.rs", "fn main() { orphan(); }");
+    let stale = |files: &[(&str, &str)], pins: &[(&str, &str)]| {
+        let f = lint_pinned(files, pins);
+        assert_eq!(rules_fired(&f), vec!["dead-surface"], "{f:?}");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].file, "crates/lint/src/surface.rs");
+        assert!(
+            f[0].message.contains("BENCHMARK_PINS entry"),
+            "{}",
+            f[0].message
+        );
+        f[0].message.clone()
+    };
+    let lib = ("crates/core/src/a.rs", "pub fn orphan() {}\n");
+    // The item is gone: deleted or narrowed.
+    let narrowed = ("crates/core/src/a.rs", "pub(crate) fn orphan() {}\n");
+    for files in [vec![bench], vec![narrowed, bench]] {
+        let m = stale(&files, &[("core", "orphan")]);
+        assert!(m.contains("has no pub item `orphan`"), "{m}");
+    }
+    // Listed under the wrong crate: the entry is stale and the item unpinned.
+    let f = lint_pinned(&[lib, bench], &[("service", "orphan")]);
+    let files: Vec<&str> = f.iter().map(|x| x.file.as_str()).collect();
+    assert_eq!(
+        files,
+        vec!["crates/core/src/a.rs", "crates/lint/src/surface.rs"],
+        "{f:?}"
+    );
+    assert!(f[1]
+        .message
+        .contains("crates/service's lib target has no pub item"));
+    // `benchmark/` no longer names it.
+    let m = stale(&[lib], &[("core", "orphan")]);
+    assert!(m.contains("benchmark/ no longer names it"), "{m}");
+    // A product file names it now, or a doctest does.
+    let engine = ("crates/service/src/engine.rs", "fn f() { orphan(); }");
+    let doctest = (
+        "crates/core/src/a.rs",
+        "/// ```\n/// drqos_core::orphan();\n/// ```\npub fn orphan() {}\n",
+    );
+    for files in [vec![lib, bench, engine], vec![doctest, bench]] {
+        let m = stale(&files, &[("core", "orphan")]);
+        assert!(m.contains("outside benchmark/ names it now"), "{m}");
+    }
 }
 
 #[test]

@@ -166,11 +166,6 @@ impl Pareto {
         self.scale
     }
 
-    /// Shape parameter `α` (tail index).
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
     /// The analytic mean `α·x_m / (α - 1)`, or `+∞` when `α ≤ 1`.
     pub fn mean(&self) -> f64 {
         if self.shape <= 1.0 {

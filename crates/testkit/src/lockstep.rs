@@ -332,7 +332,7 @@ pub struct Config {
 
 impl SubjectRow {
     /// The table row of subject `S`.
-    pub fn of<S: Subject>() -> Self {
+    pub(crate) fn of<S: Subject>() -> Self {
         SubjectRow {
             name: S::NAME,
             unit: S::UNIT,

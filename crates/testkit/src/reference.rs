@@ -166,7 +166,7 @@ impl ReferenceModel {
 
     /// Compares the mirrored books against the network, returning one
     /// message per divergence (empty = consistent).
-    pub fn compare(&self, net: &Network) -> Vec<String> {
+    pub(crate) fn compare(&self, net: &Network) -> Vec<String> {
         let mut diffs = Vec::new();
 
         // Live-connection sets must agree.
