@@ -23,17 +23,19 @@ use std::fmt;
 /// A `(before, after)` level transition of one channel at one event.
 pub type LevelTransition = (usize, usize);
 
-/// The counters of a route cache that no longer exists:
-/// [`crate::network::Network::route_cache_stats`] always returns the
-/// default, all zero. Kept only because `benchmark/` still reads the
-/// three fields (ROADMAP 4(c)).
+/// The plan memo's counters
+/// ([`crate::network::Network::route_cache_stats`]). The memo is
+/// consulted only by a plan made at a state that a release undoing the
+/// last commit gave back; every other plan is a fresh search and counts
+/// nowhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCacheStats {
-    /// Lookups answered from a cached route pair: always zero.
+    /// Plans the memo answered.
     pub hits: u64,
-    /// Lookups that fell through to a search: always zero.
+    /// Plans the memo was consulted for and could not answer: each was a
+    /// fresh search, which the memo then kept.
     pub misses: u64,
-    /// Entries evicted as stale: always zero.
+    /// Entries dropped because the state they were planned at was left.
     pub stale_evictions: u64,
 }
 

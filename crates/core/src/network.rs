@@ -45,6 +45,7 @@ mod plan;
 
 pub use fault::FailureReport;
 pub use plan::{EstablishPlan, PrePlanned};
+use plan::{PlanMemo, PlanVersion};
 
 use crate::channel::{ConnectionId, DrConnection};
 use crate::conn_table::{Blocked, ChainMarks, ChainPair, ConnTable, Slot};
@@ -82,9 +83,9 @@ pub struct NetworkConfig {
     /// backups protect against multi-failures. Backups of one connection
     /// are mutually link-disjoint.
     pub backup_count: usize,
-    /// Ignored: admission memoizes nothing, and every plan is a fresh
-    /// search. Kept, like [`Network::route_cache_stats`], only because
-    /// `benchmark/` still sets it (ROADMAP 4(c)).
+    /// Ignored: the plan memo is unconditional and exact, so there is
+    /// nothing to switch (see [`Network::route_cache_stats`]). Kept only
+    /// because `benchmark/` still sets it (ROADMAP 4(c)).
     pub route_cache: bool,
 }
 
@@ -162,6 +163,12 @@ pub struct Network {
     /// planning allocates nothing per attempt. Interior mutability because
     /// planning takes `&self`.
     scratch: RefCell<RouteScratch>,
+    /// The version of what planning reads, and the plans made at the
+    /// version an undo gave back (`plan::PlanVersion`, `plan::PlanMemo`):
+    /// not state, like `scratch`; the memo sits in a `RefCell` beside it
+    /// for the same reason.
+    plan_version: PlanVersion,
+    memo: RefCell<PlanMemo>,
     /// Reusable redistribution buffers (see [`FillScratch`]).
     fill: FillScratch,
     /// Reusable chain-set buffers, scratch like `fill`: the marks of
@@ -187,7 +194,8 @@ pub struct Network {
 }
 
 /// Cloning copies the full accounting state; the route-search, fill and
-/// chain scratch are rebuilt fresh, which is semantics-invariant.
+/// chain scratch, the plan version and the plan memo are rebuilt fresh,
+/// which is semantics-invariant.
 impl Clone for Network {
     fn clone(&self) -> Self {
         Self {
@@ -201,6 +209,8 @@ impl Clone for Network {
             topology_epoch: self.topology_epoch,
             srlgs: self.srlgs.clone(),
             scratch: RefCell::new(RouteScratch::new()),
+            plan_version: PlanVersion::default(),
+            memo: RefCell::default(),
             fill: FillScratch::default(),
             marks: ChainMarks::default(),
             retreat_set: Vec::new(),
@@ -245,6 +255,8 @@ impl Network {
             topology_epoch: 0,
             srlgs: Vec::new(),
             scratch: RefCell::new(RouteScratch::new()),
+            plan_version: PlanVersion::default(),
+            memo: RefCell::default(),
             fill: FillScratch::default(),
             marks: ChainMarks::default(),
             retreat_set: Vec::new(),
@@ -255,10 +267,12 @@ impl Network {
         }
     }
 
-    /// Always zero: there is no route cache. Kept only because
-    /// `benchmark/` still reads it (ROADMAP 4(c)).
+    /// The plan memo's counters since creation (a clone starts at zero):
+    /// the plans it answered, the plans at a version an undo gave back that
+    /// it could not, and the entries it dropped when the version moved. A
+    /// plan at any other version consults nothing and counts nowhere.
     pub fn route_cache_stats(&self) -> RouteCacheStats {
-        RouteCacheStats::default()
+        self.memo.borrow().stats()
     }
 
     /// The current topology epoch: incremented by every
@@ -360,6 +374,7 @@ impl Network {
         Self::gather(&self.links, &mut self.marks, plan_links, &mut chained);
         // 1. Reserve the new connection's resources.
         let newcomer = self.reserve_newcomer(plan);
+        self.plan_version.commit(newcomer.1);
         // 2. Retreat every directly chained primary but those the fill
         //    would grant straight back, decided before anyone retreats.
         let retreating = self.keep_at_maximum(&mut chained, newcomer);
@@ -630,6 +645,7 @@ impl Network {
             return Err(NetworkError::UnknownConnection(id.0));
         };
         self.needy.remove(&id);
+        self.plan_version.release(id);
         if let Some(((link, increment), rank)) = waited {
             #[cfg(test)]
             {
@@ -1383,7 +1399,7 @@ mod tests {
 
     /// Two networks that differ only in the ignored
     /// [`NetworkConfig::route_cache`] stay snapshot-equal through seeded
-    /// churn with link faults, and neither counts a cache lookup.
+    /// churn with link faults, and their plan memos count alike.
     #[test]
     fn the_route_cache_flag_changes_nothing() {
         for case in 0..60 {
@@ -1400,8 +1416,7 @@ mod tests {
                     "case {case} step {step}"
                 );
             }
-            assert_eq!(on.route_cache_stats(), RouteCacheStats::default());
-            assert_eq!(off.route_cache_stats(), RouteCacheStats::default());
+            assert_eq!(on.route_cache_stats(), off.route_cache_stats());
         }
     }
 
@@ -1624,6 +1639,8 @@ mod tests {
         left_in_place: usize,
         /// Loose rows, summed over the ops.
         loose: usize,
+        /// Plans the memo answered, summed over the cases.
+        memo_hits: u64,
     }
 
     impl FillTally {
@@ -1636,6 +1653,15 @@ mod tests {
                 self.promoted += handle.woken.saturating_sub(1);
                 self.skipped += handle.next - handle.woken;
             }
+        }
+
+        /// Adds what `net` counted over a whole case.
+        fn end_case(&mut self, net: &Network) {
+            for (sum, n) in self.unwaited.iter_mut().zip(net.fill.unwaited) {
+                *sum += n;
+            }
+            self.left_in_place += net.fill.left_in_place;
+            self.memo_hits += net.route_cache_stats().hits;
         }
     }
 
@@ -1665,42 +1691,112 @@ mod tests {
                     let kbps = [300, 600, 1_000, 2_500, 10_000][rng.range_usize(5)];
                     *usage = LinkUsage::new(Bandwidth::kbps(kbps));
                 }
+                // What planning reads changed behind the network's back.
+                net.plan_version.mint();
                 crate::scenario::register_seeded_srlgs(&mut net, 3, 3, case);
             }
             for step in 0..steps {
-                let (mut oracle, mut oracle_rng) = (net.clone(), rng.clone());
-                let want = seam::with(Seam::Reference, || op(&mut oracle, &mut oracle_rng));
-                let got = op(&mut net, &mut rng);
-                let violations = net.check_invariants();
-                let at = format!("case {case} step {step}: {got}");
-                if got != want || net != oracle || !violations.is_empty() {
-                    return Err(format!("{at} vs reference {want}; {violations:?}"));
-                }
-                let unblocked = |&(slot, _): &ChainPair| {
-                    let listed = net.connections.counted(slot) > Bandwidth::ZERO;
-                    let waits = net.connections.blocked(slot);
-                    let exact = Seam::BlockedAtExactRoom;
-                    let held = waits.is_some_and(|(l, inc)| {
-                        fill::still_blocked(&net.links[l.index()], inc, exact)
-                    });
-                    listed && !held
-                };
-                let mut loose = net.loose.clone();
-                loose.sort_unstable_by_key(|&(_, id)| id);
-                let unblocked: Vec<ChainPair> =
-                    live_pairs(&net).into_iter().filter(unblocked).collect();
-                if loose != unblocked {
-                    return Err(format!("{at}: loose {loose:?}, unblocked {unblocked:?}"));
-                }
-                tally.loose += loose.len();
-                tally.add(&net.fill);
+                let at = format!("case {case} step {step}");
+                op_against_the_reference(&mut net, &mut rng, op, &at, &mut tally)?;
             }
-            for (sum, n) in tally.unwaited.iter_mut().zip(net.fill.unwaited) {
-                *sum += n;
-            }
-            tally.left_in_place += net.fill.left_in_place;
+            tally.end_case(&net);
         }
         Ok(tally)
+    }
+
+    /// One op of a differential case, on a clone under [`Seam::Reference`]
+    /// — which plans every request afresh, the memo bypassed — and on
+    /// `net` itself: results, full state and invariants must agree with
+    /// the reference, and the loose set must hold exactly the live listed
+    /// rows whose recorded refusal no longer holds. Tallies the op's last
+    /// fill and its loose rows.
+    fn op_against_the_reference(
+        net: &mut Network,
+        rng: &mut Rng,
+        op: impl Fn(&mut Network, &mut Rng) -> String,
+        at: &str,
+        tally: &mut FillTally,
+    ) -> Result<(), String> {
+        let (mut oracle, mut oracle_rng) = (net.clone(), rng.clone());
+        let want = seam::with(Seam::Reference, || op(&mut oracle, &mut oracle_rng));
+        let got = op(net, rng);
+        let violations = net.check_invariants();
+        let at = format!("{at}: {got}");
+        if got != want || *net != oracle || !violations.is_empty() {
+            return Err(format!("{at} vs reference {want}; {violations:?}"));
+        }
+        let unblocked = |&(slot, _): &ChainPair| {
+            let listed = net.connections.counted(slot) > Bandwidth::ZERO;
+            let waits = net.connections.blocked(slot);
+            let exact = Seam::BlockedAtExactRoom;
+            let held = waits
+                .is_some_and(|(l, inc)| fill::still_blocked(&net.links[l.index()], inc, exact));
+            listed && !held
+        };
+        let mut loose = net.loose.clone();
+        loose.sort_unstable_by_key(|&(_, id)| id);
+        let unblocked: Vec<ChainPair> = live_pairs(net).into_iter().filter(unblocked).collect();
+        if loose != unblocked {
+            return Err(format!("{at}: loose {loose:?}, unblocked {unblocked:?}"));
+        }
+        tally.loose += loose.len();
+        tally.add(&net.fill);
+        Ok(())
+    }
+
+    /// The admission differential's short-call tier: on each of `cases`
+    /// seeded networks ([`random_case`], three groups of three links
+    /// registered), 60 [`short_call_op`]s over four hot requests drawn
+    /// once, each op checked against the reference as
+    /// [`admission_differential`]'s are. The network under test plans
+    /// through the memo, the reference afresh.
+    fn short_call_differential(cases: u64) -> Result<FillTally, String> {
+        let mut tally = FillTally::default();
+        for case in 0..cases {
+            let (mut net, mut rng) = random_case(case);
+            crate::scenario::register_seeded_srlgs(&mut net, 3, 3, case);
+            let nodes = net.graph().node_count();
+            let hot: Vec<_> = (0..4).map(|_| random_request(&mut rng, nodes)).collect();
+            let op = |net: &mut Network, rng: &mut Rng| short_call_op(net, rng, &hot);
+            for step in 0..60 {
+                let at = format!("case {case} step {step}");
+                op_against_the_reference(&mut net, &mut rng, op, &at, &mut tally)?;
+            }
+            tally.end_case(&net);
+        }
+        Ok(tally)
+    }
+
+    /// One op of the short-call tier: 70 % a hot request set up and torn
+    /// down at once, 8 % fail a link, 7 % repair a down one, 5 % fail or
+    /// repair one of the three groups, and otherwise a [`random_op`].
+    fn short_call_op(net: &mut Network, rng: &mut Rng, hot: &[EstablishRequest]) -> String {
+        let links = net.graph().link_count();
+        let down: Vec<LinkId> = (0..links)
+            .map(LinkId)
+            .filter(|l| !net.links[l.index()].is_up())
+            .collect();
+        match rng.range_usize(100) {
+            0..=69 => {
+                let r = hot[rng.range_usize(hot.len())];
+                let set_up = net.establish(r.src, r.dst, r.qos);
+                let torn_down = set_up.clone().map(|id| net.release(id));
+                format!("{set_up:?} {torn_down:?}")
+            }
+            70..=77 => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
+            78..=84 if !down.is_empty() => {
+                format!("{:?}", net.repair_link(down[rng.range_usize(down.len())]))
+            }
+            85..=89 => {
+                let group = rng.range_usize(3);
+                if rng.chance(0.5) {
+                    format!("{:?}", net.fail_srlg(group))
+                } else {
+                    format!("{:?}", net.repair_srlg(group))
+                }
+            }
+            _ => random_op(net, rng),
+        }
     }
 
     /// One op of the admission differential's fault-heavy cases: 25 % fail
@@ -1769,6 +1865,31 @@ mod tests {
     #[ignore = "ten times the cases; CI runs it in release"]
     fn the_admission_path_matches_its_reference_on_20000_seeded_cases() {
         assert_admission_coverage(&admission_differential(20_000).unwrap(), 20_000);
+    }
+
+    /// Short calls interleaved with faults and group events must plan
+    /// through the memo, many times a case.
+    fn assert_short_call_coverage(tally: &FillTally, cases: u64) {
+        assert!(tally.memo_hits > 4 * cases, "{tally:?}");
+    }
+
+    #[test]
+    fn short_calls_match_their_reference_on_600_seeded_cases() {
+        assert_short_call_coverage(&short_call_differential(600).unwrap(), 600);
+    }
+
+    #[test]
+    #[ignore = "ten times the cases; CI runs it in release"]
+    fn short_calls_match_their_reference_on_6000_seeded_cases() {
+        assert_short_call_coverage(&short_call_differential(6_000).unwrap(), 6_000);
+    }
+
+    #[test]
+    fn a_memo_kept_across_a_fault_is_caught() {
+        let caught = seam::with(Seam::KeepTheMemoAcrossAFault, || {
+            short_call_differential(600)
+        });
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]

@@ -94,6 +94,9 @@ impl Network {
     /// backup. Then one retreat over what was activated, one fill, and the
     /// top-ups last, with the set still down.
     fn fail_links(&mut self, set: &[LinkId]) -> FailureReport {
+        if !seam::armed(Seam::KeepTheMemoAcrossAFault) {
+            self.plan_version.mint();
+        }
         for &l in set {
             self.links[l.index()].set_up(false);
             self.topology_epoch += 1;
@@ -320,6 +323,7 @@ impl Network {
     /// the connections short of the configured backup count. Returns the
     /// ids that regained a backup, in id order.
     fn repair_links(&mut self, set: &[LinkId]) -> Vec<ConnectionId> {
+        self.plan_version.mint();
         for &l in set {
             self.links[l.index()].set_up(true);
             self.topology_epoch += 1;

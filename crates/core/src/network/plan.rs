@@ -5,15 +5,104 @@
 //! reservation fits on every link (Section 3.1's first two operations).
 //! Planning takes `&self`; [`super::Network::admit`] commits what it
 //! returns at the sequential point.
+//!
+//! A plan reads per link only liveness, the primary minima, the backup
+//! reservation and the conflict ledger — never the extras the fill lends
+//! out. [`PlanVersion`] names that state, and an exact undo gives a
+//! version back, so [`PlanMemo`] can answer a request planned at a version
+//! an undo restored (DESIGN.md §4, "The plan memo").
 
 use super::{conflict_set, Network};
+use crate::channel::ConnectionId;
 use crate::error::AdmissionError;
+use crate::measure::RouteCacheStats;
 use crate::qos::{Bandwidth, ElasticQos};
 use crate::routing::{self, RouteScratch};
 use drqos_sim::seam::{self, Seam};
 use drqos_topology::graph::{LinkId, NodeId};
 use drqos_topology::paths::Path;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
+
+/// What planning returns before the QoS is attached: the primary and its
+/// backups, or the rejection.
+type Routes = Result<(Path, Vec<Path>), AdmissionError>;
+
+/// The most requests [`PlanMemo`] holds at one version; a request past it
+/// is planned afresh every time.
+const MEMO_ENTRIES: usize = 1_024;
+
+/// The version of the state planning reads. Each change to that state
+/// takes a number never used before, except the exact undo: the release of
+/// the connection the last commit admitted, with nothing between them,
+/// gives back the number the commit found. Not state: outside equality and
+/// snapshots, and a clone starts afresh.
+#[derive(Debug)]
+pub(super) struct PlanVersion {
+    now: u64,
+    /// The highest number taken so far.
+    taken: u64,
+    /// The last commit's connection, and the versions it found and left.
+    last_commit: Option<(ConnectionId, u64, u64)>,
+    /// The version the last undo gave back (`u64::MAX` before the first):
+    /// the only one the memo is filled at.
+    restored: u64,
+}
+
+impl Default for PlanVersion {
+    fn default() -> Self {
+        Self {
+            now: 0,
+            taken: 0,
+            last_commit: None,
+            restored: u64::MAX,
+        }
+    }
+}
+
+impl PlanVersion {
+    /// A change to what planning reads: a number never used before.
+    pub(super) fn mint(&mut self) {
+        self.taken += 1;
+        self.now = self.taken;
+    }
+
+    /// `id` was committed: a new number, remembered with the one it left.
+    pub(super) fn commit(&mut self, id: ConnectionId) {
+        let before = self.now;
+        self.mint();
+        self.last_commit = Some((id, before, self.now));
+    }
+
+    /// `id` was released: the undo of the last commit if `id` is its
+    /// connection and nothing moved the version since, a new number
+    /// otherwise.
+    pub(super) fn release(&mut self, id: ConnectionId) {
+        match self.last_commit.take() {
+            Some((last, before, after)) if last == id && self.now == after => {
+                self.now = before;
+                self.restored = before;
+            }
+            _ => self.mint(),
+        }
+    }
+}
+
+/// Plans made at one version that an undo gave back, by request
+/// `(src, dst, min)`. Filled only at such a version, so a workload that
+/// never undoes pays one comparison and allocates nothing.
+#[derive(Debug, Default)]
+pub(super) struct PlanMemo {
+    version: u64,
+    entries: BTreeMap<(NodeId, NodeId, Bandwidth), Routes>,
+    stats: RouteCacheStats,
+}
+
+impl PlanMemo {
+    pub(super) fn stats(&self) -> RouteCacheStats {
+        self.stats
+    }
+}
 
 /// A routed-but-not-committed DR-connection (the confirmation message of
 /// the flooding protocol, as it were).
@@ -69,13 +158,47 @@ impl Network {
         qos: ElasticQos,
     ) -> Result<EstablishPlan, AdmissionError> {
         self.check_endpoints(src, dst)?;
-        let (primary, backups) =
-            self.with_scratch(|scratch| self.plan_routes(scratch, src, dst, qos.min(), None))?;
+        let min = qos.min();
+        let version = &self.plan_version;
+        let (primary, backups) = if version.restored == version.now && !seam::armed(Seam::Reference)
+        {
+            self.plan_memoized(src, dst, min)
+        } else {
+            self.with_scratch(|scratch| self.plan_routes(scratch, src, dst, min, None))
+        }?;
         Ok(EstablishPlan {
             qos,
             primary,
             backups,
         })
+    }
+
+    /// [`Self::plan_establish`]'s routes at a version an undo gave back:
+    /// the memo's, or a fresh search that the memo keeps. Out of line, so
+    /// that a plan at any other version pays only the comparison.
+    #[inline(never)]
+    fn plan_memoized(&self, src: NodeId, dst: NodeId, min: Bandwidth) -> Routes {
+        let key = (src, dst, min);
+        {
+            let mut memo = self.memo.borrow_mut();
+            let memo = &mut *memo;
+            if memo.version != self.plan_version.now {
+                memo.stats.stale_evictions += memo.entries.len() as u64;
+                memo.entries.clear();
+                memo.version = self.plan_version.now;
+            }
+            if let Some(routes) = memo.entries.get(&key) {
+                memo.stats.hits += 1;
+                return routes.clone();
+            }
+            memo.stats.misses += 1;
+        }
+        let routes = self.with_scratch(|scratch| self.plan_routes(scratch, src, dst, min, None));
+        let mut memo = self.memo.borrow_mut();
+        if memo.entries.len() < MEMO_ENTRIES {
+            memo.entries.insert(key, routes.clone());
+        }
+        routes
     }
 
     /// Routes (but does not commit) a new DR-connection against a frozen

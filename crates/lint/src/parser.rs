@@ -106,6 +106,9 @@ pub struct FnDef {
     pub line: u32,
     /// Inside a `#[cfg(test)]` item (tests may panic at will).
     pub is_test: bool,
+    /// Callable from another crate: declared plain `pub`, or a method of
+    /// a trait impl, which is as visible as its trait.
+    pub exported: bool,
     /// Call expressions in the body, in source order.
     pub calls: Vec<CallSite>,
     /// Direct panic sites in the body, in source order.
@@ -205,8 +208,9 @@ fn find_body_end(toks: &[Token], open: usize) -> usize {
 
 /// Extracts the self type from the tokens of an `impl` header
 /// (`impl<T> Foo<T>`, `impl Display for ScenarioKind`): the last path
-/// segment of the implementing type.
-fn impl_self_type(toks: &[Token], start: usize, open: usize) -> Option<String> {
+/// segment of the implementing type, and whether the header implements a
+/// trait.
+fn impl_self_type(toks: &[Token], start: usize, open: usize) -> (Option<String>, bool) {
     // If a `for` appears at angle-depth 0 (not `for<'a>`), the self type
     // follows the last such `for`; otherwise it follows the generics.
     let mut angle = 0i32;
@@ -239,7 +243,24 @@ fn impl_self_type(toks: &[Token], start: usize, open: usize) -> Option<String> {
         }
         j += 1;
     }
-    last
+    (last, type_start > start + 1)
+}
+
+/// Whether the `fn` keyword at `kw` is declared plain `pub` (not
+/// `pub(crate)` or `pub(super)`), past its `const` / `async` / `unsafe` /
+/// `extern "ABI"` qualifiers.
+fn declared_pub(toks: &[Token], kw: usize) -> bool {
+    let mut j = kw;
+    while j > 0 {
+        let prev = &toks[j - 1];
+        let qualifier = matches!(prev.text.as_str(), "const" | "async" | "unsafe" | "extern")
+            || prev.kind == TokenKind::Str;
+        if !qualifier {
+            break;
+        }
+        j -= 1;
+    }
+    j > 0 && toks[j - 1].text == "pub"
 }
 
 /// After an ident at `i`, skips an optional turbofish (`::<..>`); returns
@@ -491,12 +512,12 @@ pub(crate) fn parse_file(lexed: &Lexed) -> ParsedFile {
     }
     out.uses = workspace_uses(toks, &in_test);
 
-    // Impl context: a stack of (self_type, body_end_token).
-    let mut impl_stack: Vec<(Option<String>, usize)> = Vec::new();
+    // Impl context: a stack of (self_type, trait impl, body_end_token).
+    let mut impl_stack: Vec<(Option<String>, bool, usize)> = Vec::new();
 
     let mut i = 0usize;
     while i < toks.len() {
-        while let Some(&(_, end)) = impl_stack.last() {
+        while let Some(&(_, _, end)) = impl_stack.last() {
             if i >= end {
                 impl_stack.pop();
             } else {
@@ -512,8 +533,8 @@ pub(crate) fn parse_file(lexed: &Lexed) -> ParsedFile {
             "impl" => {
                 if let Some(open) = find_body_open(toks, i) {
                     let end = find_body_end(toks, open);
-                    let self_ty = impl_self_type(toks, i, open);
-                    impl_stack.push((self_ty, end));
+                    let (self_ty, trait_impl) = impl_self_type(toks, i, open);
+                    impl_stack.push((self_ty, trait_impl, end));
                     i = open + 1;
                     continue;
                 }
@@ -541,11 +562,13 @@ pub(crate) fn parse_file(lexed: &Lexed) -> ParsedFile {
                     &mut calls,
                     &mut panics,
                 );
+                let in_trait_impl = impl_stack.last().is_some_and(|&(_, tr, _)| tr);
                 out.fns.push(FnDef {
                     name: name_tok.text.clone(),
-                    self_type: impl_stack.last().and_then(|(t, _)| t.clone()),
+                    self_type: impl_stack.last().and_then(|(t, _, _)| t.clone()),
                     line: t.line,
                     is_test,
+                    exported: in_trait_impl || declared_pub(toks, i),
                     calls,
                     panics,
                 });
@@ -583,6 +606,38 @@ mod tests {
         );
         let names: Vec<String> = p.fns.iter().map(|f| f.qualified_name()).collect();
         assert_eq!(names, vec!["free", "Engine::handle", "Kind::fmt"]);
+    }
+
+    #[test]
+    fn exported_functions_are_plain_pub_or_trait_impl_methods() {
+        let p = parse(
+            r#"
+            pub fn open() {}
+            pub const unsafe extern "C" fn qualified() {}
+            pub(crate) fn narrowed() {}
+            fn private() {}
+            impl Engine { pub fn handle(&self) {} fn dispatch(&self) {} }
+            impl<T> Display for Kind<T> { fn fmt(&self) {} }
+            impl<F> Engine where F: for<'a> Fn(&'a u8) { fn bound(&self) {} }
+            "#,
+        );
+        let exported: Vec<(String, bool)> = p
+            .fns
+            .iter()
+            .map(|f| (f.qualified_name(), f.exported))
+            .collect();
+        let want = [
+            ("open", true),
+            ("qualified", true),
+            ("narrowed", false),
+            ("private", false),
+            ("Engine::handle", true),
+            ("Engine::dispatch", false),
+            ("Kind::fmt", true),
+            ("Engine::bound", false),
+        ];
+        let want: Vec<(String, bool)> = want.iter().map(|&(n, e)| (n.to_string(), e)).collect();
+        assert_eq!(exported, want);
     }
 
     #[test]

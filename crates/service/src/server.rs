@@ -34,6 +34,7 @@ use crate::error::ProtocolError;
 use crate::protocol::Response;
 use drqos_core::env::{self, WireMode};
 use drqos_core::network::Network;
+use drqos_sim::seam::{self, Seam};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -61,9 +62,6 @@ struct State {
     /// The `SHUTDOWN` reader has written that reply; [`Server::run`] may
     /// report.
     replied: bool,
-    /// Mutation seam: the final check runs before the drain waits.
-    #[cfg(test)]
-    check_before_drain: bool,
 }
 
 /// What every reader thread and [`Server::run`] share.
@@ -96,8 +94,6 @@ impl Shared {
                 engine,
                 closed: None,
                 replied: false,
-                #[cfg(test)]
-                check_before_drain: false,
             }),
             settled: Condvar::new(),
             pending: AtomicUsize::new(0),
@@ -146,16 +142,11 @@ impl Shared {
 
     /// Raises the flag, lets every request counted so far be served, then
     /// runs the final check — all before the lock is given up for good.
-    fn drain(&self, state: MutexGuard<'_, State>) -> Response {
+    fn drain(&self, mut state: MutexGuard<'_, State>) -> Response {
         self.shutdown.store(true, Ordering::Release);
-        #[cfg(test)]
-        let state = {
-            let mut state = state;
-            if state.check_before_drain {
-                close(&mut state);
-            }
-            state
-        };
+        if seam::armed(Seam::CheckBeforeDrain) {
+            close(&mut state);
+        }
         let mut state = self
             .settled
             .wait_while(state, |s| {
@@ -432,7 +423,6 @@ mod tests {
     /// reply and the engine's op count.
     fn race_the_drain(check_before_drain: bool) -> (String, String, u64) {
         let shared = Shared::new(Engine::new(ring()));
-        lock_shrug(&shared.state).check_before_drain = check_before_drain;
         let render = |served: Served| match served {
             Served::Reply(resp) | Served::Final(resp) => resp.to_string(),
             Served::Late => "late".to_string(),
@@ -443,7 +433,13 @@ mod tests {
                 !shared.shutdown.load(Ordering::Acquire),
                 "race precondition"
             );
-            let stop = scope.spawn(|| render(shared.serve("SHUTDOWN", 2)));
+            let stop = scope.spawn(|| {
+                let stop = || render(shared.serve("SHUTDOWN", 2));
+                match check_before_drain {
+                    true => seam::with(Seam::CheckBeforeDrain, stop),
+                    false => stop(),
+                }
+            });
             await_until("the flag", || shared.shutdown.load(Ordering::Acquire));
             let raced = render(shared.serve_admitted("ESTABLISH 0 3 100 500 100"));
             let stop = stop.join().unwrap();

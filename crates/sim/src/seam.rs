@@ -28,6 +28,9 @@ pub enum Seam {
     RekeyToTheOldPrimary,
     /// A failover skips `can_activate`'s room check.
     SkipTheActivationCheck,
+    /// A failure step leaves the plan version where it was, so the plan
+    /// memo keeps answering with routes planned before the links failed.
+    KeepTheMemoAcrossAFault,
     /// The reconcile pass leaves a row that ended below its maximum
     /// unlisted.
     SkipAListing,
@@ -78,6 +81,9 @@ pub enum Seam {
     /// short, so the members' contiguity guard passes it and they replay
     /// past the gap.
     UnguardedSkip,
+    /// `SHUTDOWN`'s drain runs the final check before it waits for the
+    /// requests already counted in, stranding one that raced the flag.
+    CheckBeforeDrain,
 
     // drqos-testkit
     /// The `invariants` row's reference model is not told of releases.
