@@ -8,7 +8,11 @@
 //! `BENCHMARK.json` bounds, [`reduce`] reports over the pairs the
 //! log-ratio's median and mean, the exact sign-test 95 % interval on its
 //! median, how many pairs side B won, and side A's spread across its runs
-//! as `bench --compare` computes it.
+//! as `bench --compare` computes it. Below a workload's bounded rows it
+//! reduces, marked as not counted, what a claim on them needs beside
+//! them: the raw twin of each normalised row, the run's window and the
+//! host factor the normalisation divided by; and it says in how many
+//! pairs the counts and the digest were equal.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -244,14 +248,43 @@ pub fn bounded_rows() -> Vec<Row> {
         .collect()
 }
 
-/// Per workload, the value of each metric of one run.
-pub type Workloads = BTreeMap<String, BTreeMap<String, f64>>;
+/// The raw rows reduced beside the bounded ones and not counted: the
+/// raw twin (`observed.*`) of each normalised (`norm.*`) row of `rows`,
+/// then the run's window and the host factor, lower better.
+pub(crate) fn raw_rows(rows: &[Row]) -> Vec<Row> {
+    let twins = rows.iter().filter_map(|r| {
+        let name = format!("observed.{}", r.name.strip_prefix("norm.")?);
+        Some(Row { name, ..r.clone() })
+    });
+    let host = ["window_s", "host_speed_factor"].map(|name| Row {
+        name: name.to_string(),
+        higher: false,
+    });
+    twins.chain(host).collect()
+}
+
+/// One workload's record in one run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Record {
+    /// Each metric's value: the `metrics`, the `observed` ones as
+    /// `observed.<name>`, and the numbers `window_s` and
+    /// `host_speed_factor`.
+    values: BTreeMap<String, f64>,
+    /// What must be equal at equal seeds, the `counts` and the `digest`,
+    /// as one string; empty where the record has neither.
+    identity: String,
+}
+
+/// Per workload, its record of one run.
+pub type Workloads = BTreeMap<String, Record>;
 
 /// One side's runs, by seed.
 pub type Runs = BTreeMap<u64, Workloads>;
 
 /// Reads one `run-NN.json`: `{"seed": …, "workloads": [{"workload": …,
-/// "metrics": {name: {"value": …}}}]}`.
+/// "metrics": {name: {"value": …}}, "observed": {…}, "window_s": …,
+/// "host_speed_factor": …, "counts": {…}, "digest": …}]}`, where all but
+/// the name may be missing.
 ///
 /// # Errors
 ///
@@ -269,15 +302,31 @@ pub(crate) fn parse_run(text: &str) -> Result<(u64, Workloads), String> {
             .get("workload")
             .and_then(Json::as_str)
             .ok_or("no workload name")?;
-        let mut metrics = BTreeMap::new();
-        if let Some(Json::Obj(members)) = w.get("metrics") {
-            for (metric, m) in members {
-                if let Some(v) = m.get("value").and_then(Json::as_f64) {
-                    metrics.insert(metric.clone(), v);
+        let mut record = Record::default();
+        for (group, prefix) in [("metrics", ""), ("observed", "observed.")] {
+            if let Some(Json::Obj(members)) = w.get(group) {
+                for (metric, m) in members {
+                    if let Some(v) = m.get("value").and_then(Json::as_f64) {
+                        record.values.insert(format!("{prefix}{metric}"), v);
+                    }
                 }
             }
         }
-        by_workload.insert(name.to_string(), metrics);
+        for key in ["window_s", "host_speed_factor"] {
+            if let Some(v) = w.get(key).and_then(Json::as_f64) {
+                record.values.insert(key.to_string(), v);
+            }
+        }
+        if let Some(Json::Obj(counts)) = w.get("counts") {
+            for (key, n) in counts {
+                let n = n.as_f64().map_or("?".to_string(), |n| n.to_string());
+                let _ = write!(record.identity, "{key}={n} ");
+            }
+        }
+        if let Some(digest) = w.get("digest").and_then(Json::as_str) {
+            let _ = write!(record.identity, "digest={digest}");
+        }
+        by_workload.insert(name.to_string(), record);
     }
     Ok((seed, by_workload))
 }
@@ -399,10 +448,19 @@ pub(crate) fn spread(values: &[f64]) -> Option<f64> {
     })
 }
 
+/// Workload `w`'s record in the run of `seed` on `side`.
+fn record<'a>(side: &'a Runs, seed: &u64, w: &str) -> Option<&'a Record> {
+    side.get(seed)?.get(w)
+}
+
 /// The table `pairs A B` prints: one line per workload and bounded row,
 /// log-ratios in percent (`100 ln(B / A)`), A's spread over all its runs
 /// in percent, and whether the interval leaves zero out on B's better or
-/// worse side.
+/// worse side; then, per workload, the same for each raw row (`raw_rows`),
+/// marked `(not counted)`, and a line saying in how many of the pairs
+/// whose records hold them the counts and the digest were equal. (A
+/// workload whose clients interleave, `wire_small`'s two, draws a
+/// different digest run by run.)
 pub fn reduce(a: &Runs, b: &Runs, rows: &[Row]) -> String {
     let seeds: Vec<u64> = a.keys().filter(|s| b.contains_key(s)).copied().collect();
     let mut out = String::new();
@@ -413,13 +471,18 @@ pub fn reduce(a: &Runs, b: &Runs, rows: &[Row]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<12}{:<22}{:>4}{:>9}{:>9}{:>20}{:>7}{:>10}  B",
+        "{:<12}{:<26}{:>4}{:>9}{:>9}{:>20}{:>7}{:>10}  B",
         "workload", "metric", "n", "median", "mean", "sign-test 95 %", "won", "A spread"
     );
     let workloads: BTreeSet<&String> = seeds.iter().flat_map(|s| a[s].keys()).collect();
+    let raw = raw_rows(rows);
+    let marked = rows
+        .iter()
+        .map(|r| (r, ""))
+        .chain(raw.iter().map(|r| (r, " (not counted)")));
     for w in workloads {
-        for row in rows {
-            let value = |side: &Runs, s| side.get(s)?.get(w)?.get(&row.name).copied();
+        for (row, mark) in marked.clone() {
+            let value = |side: &Runs, s| record(side, s, w)?.values.get(&row.name).copied();
             let pairs: Vec<(f64, f64)> = seeds
                 .iter()
                 .filter_map(|s| Some((value(a, s)?, value(b, s)?)))
@@ -429,7 +492,7 @@ pub fn reduce(a: &Runs, b: &Runs, rows: &[Row]) -> String {
             };
             let parent: Vec<f64> = a
                 .values()
-                .filter_map(|run| run.get(w)?.get(&row.name).copied())
+                .filter_map(|run| run.get(w)?.values.get(&row.name).copied())
                 .collect();
             let spread = spread(&parent).map_or("-".to_string(), |s| format!("{:.2}", 100.0 * s));
             let pct = |x: f64| format!("{:+.2}", 100.0 * x);
@@ -448,7 +511,7 @@ pub fn reduce(a: &Runs, b: &Runs, rows: &[Row]) -> String {
             };
             let _ = writeln!(
                 out,
-                "{w:<12}{:<22}{:>4}{:>9}{:>9}{:>20}{:>4}/{:<2}{spread:>10} {verdict}",
+                "{w:<12}{:<26}{:>4}{:>9}{:>9}{:>20}{:>4}/{:<2}{spread:>10} {verdict}{mark}",
                 row.name,
                 p.n,
                 pct(p.median),
@@ -458,6 +521,15 @@ pub fn reduce(a: &Runs, b: &Runs, rows: &[Row]) -> String {
                 p.n
             );
         }
+        let identities = seeds.iter().filter_map(|s| {
+            let (a, b) = (&record(a, s, w)?.identity, &record(b, s, w)?.identity);
+            (!a.is_empty() && !b.is_empty()).then_some(a == b)
+        });
+        let (equal, n) = identities.fold((0, 0), |(k, n), eq| (k + usize::from(eq), n + 1));
+        let _ = writeln!(
+            out,
+            "{w:<12}counts and digest equal in {equal} of {n} pairs"
+        );
     }
     out
 }
@@ -482,8 +554,8 @@ mod tests {
     fn a_run_file_parses_to_its_seed_and_values() {
         let (seed, by) = parse_run(&run(9, &[("a", 1.5), ("b", -2e-3)])).unwrap();
         assert_eq!(seed, 9);
-        assert_eq!(by["w"]["a"], 1.5);
-        assert_eq!(by["w"]["b"], -0.002);
+        assert_eq!(by["w"].values["a"], 1.5);
+        assert_eq!(by["w"].values["b"], -0.002);
         assert!(parse_run("{\"seed\":1}").is_err());
         assert!(Json::parse("[1, 2,]").is_err());
         assert_eq!(Json::parse(" [ ] ").unwrap(), Json::Arr(Vec::new()),);
@@ -587,5 +659,79 @@ mod tests {
         // A's spread over all seven of its runs, the unmatched one too:
         // quartiles 10 / 10 / 10 of a median 10.
         assert!(line.contains(" 0.00 better"), "{line}");
+    }
+
+    /// A `bench` record of workload `w` as a single-workload run file
+    /// wraps it: bounded, raw and host numbers, counts and a digest.
+    fn record(seed: u64, w: &str, norm: f64, raw: f64, host: f64, digest: &str) -> String {
+        format!(
+            "{{\"seed\":{seed},\"workloads\":[{{\"workload\":\"{w}\",\"correct\":true,\
+             \"counts\":{{\"requests\":40,\"admitted\":20}},\"window_s\":{raw},\
+             \"digest\":\"{digest}\",\"host_speed_factor\":{host},\
+             \"metrics\":{{\"norm.establish_p50_us\":{{\"value\":{norm},\"unit\":\"us\"}}}},\
+             \"observed\":{{\"establish_p50_us\":{{\"value\":{raw},\"unit\":\"us\"}}}}}}]}}"
+        )
+    }
+
+    #[test]
+    fn raw_twins_and_the_host_factor_are_reduced_apart_and_not_counted() {
+        let rows = [Row {
+            name: "norm.establish_p50_us".into(),
+            higher: false,
+        }];
+        let raw: Vec<String> = raw_rows(&rows).into_iter().map(|r| r.name).collect();
+        assert_eq!(
+            raw,
+            ["observed.establish_p50_us", "window_s", "host_speed_factor"]
+        );
+        // B's normalised row is 10 % lower in every pair, its raw twin
+        // and window 5 % higher, on a host factor 15 % higher.
+        let side = |norm: f64, raw: f64, host: f64| {
+            (7..13)
+                .map(|s| parse_run(&record(s, "w", norm, raw, host, "d")).unwrap())
+                .collect::<Runs>()
+        };
+        let (a, b) = (side(10.0, 20.0, 2.0), side(9.0, 21.0, 2.3));
+        let table = reduce(&a, &b, &rows);
+        let line = |metric: &str| {
+            let found = table
+                .lines()
+                .find(|l| l.starts_with(&format!("w{:<11}{metric} ", "")));
+            found.unwrap_or_else(|| panic!("no {metric} line in\n{table}"))
+        };
+        assert!(
+            line("norm.establish_p50_us").ends_with("6/6       0.00 better"),
+            "{table}"
+        );
+        for metric in ["observed.establish_p50_us", "window_s", "host_speed_factor"] {
+            assert!(
+                line(metric).ends_with("0/6       0.00 worse (not counted)"),
+                "{table}"
+            );
+        }
+        assert!(
+            line("observed.establish_p50_us").contains("+4.88"),
+            "{table}"
+        );
+        assert!(line("host_speed_factor").contains("+13.98"), "{table}");
+    }
+
+    #[test]
+    fn counts_and_digest_are_compared_pair_by_pair() {
+        let rows = bounded_rows();
+        let run = |s: u64, w: &str, digest: &str| parse_run(&record(s, w, 1.0, 1.0, 1.0, digest));
+        let a: Runs = (7..11).map(|s| run(s, "w", "d").unwrap()).collect();
+        let mut b: Runs = (7..11).map(|s| run(s, "w", "d").unwrap()).collect();
+        assert!(reduce(&a, &b, &rows)
+            .ends_with("w           counts and digest equal in 4 of 4 pairs\n"));
+        // One digest differs; one run holds neither counts nor digest.
+        b.insert(8, run(8, "w", "e").unwrap().1);
+        let bare = "{\"seed\":9,\"workloads\":[{\"workload\":\"w\",\"metrics\":{}}]}";
+        b.insert(9, parse_run(bare).unwrap().1);
+        let table = reduce(&a, &b, &rows);
+        assert!(
+            table.ends_with("w           counts and digest equal in 2 of 3 pairs\n"),
+            "{table}"
+        );
     }
 }

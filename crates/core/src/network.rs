@@ -376,9 +376,15 @@ impl Network {
         let newcomer = self.reserve_newcomer(plan);
         self.plan_version.commit(newcomer.1);
         // 2. Retreat every directly chained primary but those the fill
-        //    would grant straight back, decided before anyone retreats.
+        //    would grant straight back, decided before anyone retreats —
+        //    unless the fill's result is the state where nobody does and
+        //    the newcomer takes all it has room for.
         let retreating = self.keep_at_maximum(&mut chained, newcomer);
         let (retreated, kept) = chained.split_at(retreating);
+        if self.answer_in_place(retreated, newcomer) {
+            self.retreat_set = chained;
+            return newcomer.1;
+        }
         for &pair in retreated {
             self.retreat(pair);
         }
@@ -1059,7 +1065,7 @@ mod support {
 
 #[cfg(test)]
 mod tests {
-    use super::fill::{is_slack, FillScratch};
+    use super::fill::{is_slack, Answer, FillScratch};
     use super::support::*;
     use super::*;
     use drqos_sim::rng::Rng;
@@ -1641,6 +1647,9 @@ mod tests {
         loose: usize,
         /// Plans the memo answered, summed over the cases.
         memo_hits: u64,
+        /// Commits answered in place and not, by [`Answer`], summed over
+        /// the cases.
+        answers: [u64; 6],
     }
 
     impl FillTally {
@@ -1662,6 +1671,9 @@ mod tests {
             }
             self.left_in_place += net.fill.left_in_place;
             self.memo_hits += net.route_cache_stats().hits;
+            for (sum, n) in self.answers.iter_mut().zip(net.fill.answers) {
+                *sum += n;
+            }
         }
     }
 
@@ -1836,8 +1848,9 @@ mod tests {
     /// Both sides of the slack choice, both ends of an offered bucket's
     /// turn, a wake that queued the next row, a handle walking past a row
     /// the fill loaded, a write-back that moved a row's place and one that
-    /// left it, a removal from a waitlist by release and by failover, and
-    /// a loose row must have run, many times over.
+    /// left it, a removal from a waitlist by release and by failover, a
+    /// loose row, and a commit answered in place and each reason not to
+    /// must have run, many times over.
     fn assert_admission_coverage(tally: &FillTally, cases: usize) {
         let [moved, release, failover] = tally.unwaited;
         assert!(
@@ -1854,6 +1867,18 @@ mod tests {
                 && tally.loose > cases / 4,
             "{tally:?}"
         );
+        assert_answers(tally, cases as u64, [200, 25, 200, 50, 10, 4]);
+    }
+
+    /// Every answer of a commit must have run, in place and each reason
+    /// not to, more than `per_100[a]` times per hundred cases for the
+    /// [`Answer`] `a`.
+    fn assert_answers(tally: &FillTally, cases: u64, per_100: [u64; 6]) {
+        let floors = tally.answers.iter().zip(per_100);
+        assert!(
+            floors.into_iter().all(|(&n, f)| n * 100 > f * cases),
+            "{tally:?}"
+        );
     }
 
     #[test]
@@ -1868,9 +1893,11 @@ mod tests {
     }
 
     /// Short calls interleaved with faults and group events must plan
-    /// through the memo, many times a case.
+    /// through the memo, many times a case, and their commits must be
+    /// answered in place and not.
     fn assert_short_call_coverage(tally: &FillTally, cases: u64) {
         assert!(tally.memo_hits > 4 * cases, "{tally:?}");
+        assert_answers(tally, cases, [500, 10, 500, 50, 16, 5]);
     }
 
     #[test]
@@ -1907,6 +1934,12 @@ mod tests {
     #[test]
     fn a_bucket_that_forgets_its_tail_is_caught() {
         let caught = seam::with(Seam::ForgetABucketTail, || admission_differential(2_000));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    #[test]
+    fn a_commit_that_ignores_the_waitlists_is_caught() {
+        let caught = seam::with(Seam::IgnoreTheWaitlists, || short_call_differential(600));
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2018,9 +2051,8 @@ mod tests {
     #[test]
     fn headroom_equal_to_demand_is_granted_in_bulk() {
         let mut net = two_on_one_link(200 + 800);
-        // The second arrival kept the first channel at its maximum, so its
-        // fill loaded the newcomer alone; a fill over both sees the same.
-        assert_eq!(bulk_flags(&net), [true]);
+        // A fill over both channels from their minimum finds headroom
+        // exactly their demand.
         let both = retreat_all(&mut net);
         net.redistribute(&both, &[]);
         assert_eq!(bulk_flags(&net), [true, true]);
@@ -2041,16 +2073,18 @@ mod tests {
     #[test]
     fn headroom_one_short_of_demand_goes_through_the_heap() {
         let net = two_on_one_link(200 + 800 - 1);
-        assert_eq!(bulk_flags(&net), [false, false]);
         // 799 Kbps spare is seven increments, dealt alternately.
         let levels: Vec<usize> = net.connections().map(|c| c.level()).collect();
         assert_eq!(levels, [4, 3]);
-        // Retreating both and refilling one increment at a time lands on
-        // the same state.
-        let mut reference = net.clone();
-        let both = retreat_all(&mut reference);
+        // Retreating both and refilling, through the heap or one increment
+        // at a time, lands on the same state.
+        let mut refilled = net.clone();
+        let both = retreat_all(&mut refilled);
+        let mut reference = refilled.clone();
+        refilled.redistribute(&both, &[]);
+        assert_eq!(bulk_flags(&refilled), [false, false]);
         reference.redistribute_reference(&both);
-        assert!(reference == net);
+        assert!(refilled == net && reference == net);
     }
 
     #[test]
@@ -2140,6 +2174,121 @@ mod tests {
         assert_eq!(alone.connection(c3).unwrap().level(), 0);
         assert!(filled(&[c1, c0]) == alone);
         assert!(alone != live);
+    }
+
+    // ----------------------------------------- the fill answered in place --
+
+    /// Establishes `src → dst` on `net` and on a clone under
+    /// [`Seam::Reference`], requires the two to agree in result and state
+    /// and `net` to hold its invariants, and returns how `net`'s commit
+    /// was answered, as an index of [`Answer`].
+    fn establish_against_the_reference(
+        net: &mut Network,
+        src: usize,
+        dst: usize,
+        qos: ElasticQos,
+    ) -> usize {
+        let before = net.fill.answers;
+        let mut reference = net.clone();
+        let want = seam::with(Seam::Reference, || {
+            reference.establish(NodeId(src), NodeId(dst), qos)
+        });
+        let got = net.establish(NodeId(src), NodeId(dst), qos);
+        assert!(got.is_ok() && got == want, "{got:?} vs {want:?}");
+        assert!(*net == reference);
+        net.validate();
+        let moved = (0..before.len()).filter(|&i| net.fill.answers[i] != before[i]);
+        let moved: Vec<usize> = moved.collect();
+        assert_eq!(moved.len(), 1, "one commit, one answer: {moved:?}");
+        moved[0]
+    }
+
+    /// The levels of the live connections, in id order.
+    fn levels(net: &Network) -> Vec<usize> {
+        net.connections().map(|c| c.level()).collect()
+    }
+
+    /// A lone channel at its maximum on a 999 Kbps link, then a newcomer
+    /// of utility 2 on the same link: in place it takes the three
+    /// increments there is room for, but its fourth turn ranks below the
+    /// first channel's held fourth one, so the fill gives it that turn
+    /// instead. The newcomer test alone refuses the in-place answer.
+    #[test]
+    fn a_newcomer_granted_past_a_retreated_row_s_held_turn_falls_back() {
+        let mut net = two_on_one_link(999);
+        for &(_, id) in &live_pairs(&net) {
+            net.release(id).unwrap();
+        }
+        let first = establish_against_the_reference(&mut net, 0, 1, qos());
+        assert_eq!(first, Answer::InPlace as usize);
+        let keen = qos().with_utility(2.0).unwrap();
+        let answer = establish_against_the_reference(&mut net, 0, 1, keen);
+        assert_eq!(answer, Answer::Newcomer as usize);
+        assert_eq!(levels(&net), [3, 4]);
+    }
+
+    /// Node 1 is a hub: link 0 (0–1, 800 Kbps), link 1 (1–2, 600 Kbps),
+    /// link 2 (1–3, 10 Mbps). C (1→2) and B (0→2) fill link 1; R (0→3)
+    /// arrives and takes its maximum on link 0 while B waits at link 1;
+    /// C's release lets B climb until link 0 refuses it, at a rank below
+    /// R's held fourth turn there. A newcomer on link 2 chains R alone:
+    /// in place the state would stand, but the fill, R retreated, gives
+    /// B's waiting turn before R's fourth. The waitlist test alone refuses
+    /// the in-place answer, and the mutant that skips it is wrong.
+    #[test]
+    fn a_bucket_head_below_a_retreated_row_s_last_turn_falls_back() {
+        let mut g = Graph::with_nodes(4);
+        for (a, b) in [(0, 1), (1, 2), (1, 3)] {
+            g.add_link(NodeId(a), NodeId(b)).unwrap();
+        }
+        let config = NetworkConfig {
+            require_backup: false,
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::new(g, config);
+        net.links[0] = LinkUsage::new(Bandwidth::kbps(800));
+        net.links[1] = LinkUsage::new(Bandwidth::kbps(600));
+        let c = net.establish(NodeId(1), NodeId(2), qos()).unwrap();
+        net.establish(NodeId(0), NodeId(2), qos()).unwrap();
+        net.establish(NodeId(0), NodeId(3), qos()).unwrap();
+        net.release(c).unwrap();
+        let b_slot = live_pairs(&net)[0].0;
+        assert_eq!(levels(&net), [2, 4]);
+        let at_link_0 = (LinkId(0), Bandwidth::kbps(100));
+        assert_eq!(net.connections.blocked(b_slot), Some(at_link_0));
+        let mut mutant = net.clone();
+        let answer = establish_against_the_reference(&mut net, 1, 3, qos());
+        assert_eq!(answer, Answer::Waitlists as usize);
+        assert_eq!(levels(&net), [3, 3, 4]);
+        seam::with(Seam::IgnoreTheWaitlists, || {
+            mutant.establish(NodeId(1), NodeId(3), qos()).unwrap()
+        });
+        // A clone's scratch starts empty: one commit, answered in place.
+        assert_eq!(mutant.fill.answers[Answer::InPlace as usize], 1);
+        assert_eq!(levels(&mutant), [2, 4, 4]);
+    }
+
+    /// A 4-ring of 10 Mbps links but link 0 (0–1, 550 Kbps): A (0→1) sits
+    /// at its maximum on link 0. A newcomer 2→3 on link 2 takes its
+    /// maximum there, but its backup 2–1–0–3 reserves its minimum on link
+    /// 0, which overbooks A's extra: the fits test alone refuses the
+    /// in-place answer, and the fill takes A back to what link 0 holds.
+    #[test]
+    fn a_newcomer_s_minimum_that_overbooks_a_chained_extra_falls_back() {
+        let mut g = Graph::with_nodes(4);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            g.add_link(NodeId(a), NodeId(b)).unwrap();
+        }
+        let mut net = Network::new(g, NetworkConfig::default());
+        net.links[0] = LinkUsage::new(Bandwidth::kbps(550));
+        let first = establish_against_the_reference(&mut net, 0, 1, qos());
+        assert_eq!(first, Answer::InPlace as usize);
+        assert_eq!(levels(&net), [4]);
+        let answer = establish_against_the_reference(&mut net, 2, 3, qos());
+        assert_eq!(answer, Answer::Fits as usize);
+        let newcomer = net.connection(ConnectionId(1)).unwrap();
+        assert!(newcomer.backup().unwrap().crosses(LinkId(0)));
+        assert_eq!(levels(&net), [3, 4]);
     }
 
     // --------------------------------------- the fault stage (`fault.rs`) --

@@ -2,10 +2,11 @@
 //! primaries an arrival, a termination or a failure left able to grow
 //! (Section 3.1's "retreat and re-distribution", the second half); the
 //! test that spares an arrival's retreat a primary the fill would grant
-//! straight back; the waitlists — per link, the listed primaries a fill
-//! refused there — that let an event offer the fill only what can move;
-//! and the one pass after the fill that keeps each link's growable demand
-//! ([`LinkUsage::growable_demand`]) exact.
+//! straight back; the test that answers an arrival's fill in place, with
+//! nobody retreated; the waitlists — per link, the listed primaries a
+//! fill refused there — that let an event offer the fill only what can
+//! move; and the one pass after the fill that keeps each link's growable
+//! demand ([`LinkUsage::growable_demand`]) exact.
 
 use super::Network;
 use crate::channel::{ConnectionId, DrConnection};
@@ -266,6 +267,26 @@ pub(super) fn still_blocked(link: &LinkUsage, increment: Bandwidth, exact: Seam)
     lacks(link, increment)
 }
 
+/// How an arrival's fill was answered: in place, or why not — the test
+/// was not tried, or the part of it that failed, in the order they are
+/// asked ([`Network::answer_in_place`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Answer {
+    /// The newcomer took what its route had room for; nobody retreated.
+    InPlace,
+    /// Not tried: the loose set holds rows that wait nowhere.
+    Loose,
+    /// Not tried: under `MaxUtility` all turns of a row share one rank.
+    Policy,
+    /// A link a retreated row's extra crosses is down or over capacity.
+    Fits,
+    /// No link that refuses the newcomer carries only lower-ranked turns.
+    Newcomer,
+    /// A bucket on a retreated row's link has room for its increment, or
+    /// a turn there ranks above its head.
+    Waitlists,
+}
+
 /// Reusable work tables of [`Network::redistribute`]: a fill
 /// allocates nothing once these have grown to the working-set size. Not
 /// part of the network's state: every fill rebuilds them from scratch. The
@@ -285,6 +306,11 @@ pub(super) struct FillScratch {
     /// kept).
     heap: Vec<Scored>,
     run: VecDeque<Scored>,
+    /// Per link, the highest rank of a turn the in-place answer counts
+    /// there; all zero between commits.
+    turns: Vec<u128>,
+    /// How the commits since creation were answered, by [`Answer`].
+    pub(super) answers: [u64; 6],
     /// How many rows left a waitlist by a write-back that moved them, by
     /// release and by failover, and how many a write-back left in place,
     /// for the differentials' coverage floors.
@@ -350,6 +376,149 @@ impl Network {
             demand[l.index()] = Bandwidth::ZERO;
         }
         retreating
+    }
+
+    /// An arrival's fill answered in place, tried after the keep rule and
+    /// before anyone retreats: every row stays where it is and the
+    /// `newcomer` — on its routes at its minimum, unlisted — takes every
+    /// increment its primary has room for. If that state is the one the
+    /// retreat of `retreated` and the fill would reach, the newcomer is
+    /// listed, waits where it lacks its increment if below its maximum,
+    /// and this returns `true`; otherwise its grant is taken back and
+    /// nothing has moved. Counts the answer in the fill scratch.
+    ///
+    /// The fill's result is the one state in which every link a turn
+    /// crosses fits, and every row below its maximum is refused at some
+    /// link by the load of the turns ranked below its next one; at a link
+    /// whose turns all rank below that one, that load is the final load.
+    /// So the test asks, with one highest turn rank per link: every link
+    /// a retreated row's extra crosses is up and within capacity (the
+    /// newcomer's grant fits by construction); the newcomer is at its
+    /// maximum or some link of its primary lacks its increment and carries
+    /// only lower turns; and every bucket on a retreated row's link lacks
+    /// room for its increment there and ranks its head above every turn
+    /// there — which covers the retreated rows below their maximum too,
+    /// each waiting in one of those buckets while the loose set is empty.
+    /// DESIGN.md §4 ("The fill answered in place") has the argument.
+    pub(super) fn answer_in_place(&mut self, retreated: &[ChainPair], newcomer: ChainPair) -> bool {
+        #[cfg(test)]
+        if seam::armed(Seam::Reference) {
+            return false;
+        }
+        let answer = if !self.loose.is_empty() {
+            Answer::Loose
+        } else if self.config.policy == AdaptationPolicy::MaxUtility {
+            Answer::Policy
+        } else {
+            self.try_in_place(retreated, newcomer)
+        };
+        self.fill.answers[answer as usize] += 1;
+        answer == Answer::InPlace
+    }
+
+    /// [`Self::answer_in_place`] under the `Coefficient` policy with the
+    /// loose set empty, where a row's turns rank higher level by level.
+    fn try_in_place(&mut self, retreated: &[ChainPair], (slot, id): ChainPair) -> Answer {
+        let policy = self.config.policy;
+        let Self {
+            links,
+            connections,
+            fill,
+            marks,
+            total_bandwidth,
+            ..
+        } = self;
+        let Some(conn) = connections.at(slot, id) else {
+            return Answer::Newcomer;
+        };
+        let (path, increment) = (conn.primary().links(), conn.qos().increment());
+        let (max_level, utility) = (conn.qos().max_level(), conn.qos().utility());
+        let room = |l: &LinkId| {
+            let usage = &links[l.index()];
+            match usage.is_up() {
+                true => usage.headroom().as_kbps() / increment.as_kbps().max(1),
+                false => 0,
+            }
+        };
+        let level = path.iter().map(room).min().unwrap_or(0);
+        let level = level.min(max_level as u64) as usize;
+        let grant = increment.times(level as u64);
+        for l in path {
+            links[l.index()].add_extra(grant);
+        }
+        let rows = retreated.iter().filter_map(|&(s, i)| connections.at(s, i));
+        let extras = rows.clone().filter(|c| c.level() > 0);
+        let next = rank_of(fill_score(policy, level, utility), id);
+
+        // Fits: a retreated row's turns land where they were.
+        let fits = |l: &LinkId| {
+            let usage = &links[l.index()];
+            usage.is_up() && usage.committed() <= usage.capacity()
+        };
+        let answer = if !extras.clone().all(|c| c.primary().links().iter().all(fits)) {
+            Answer::Fits
+        } else {
+            // The highest turn rank on every link, the newcomer's included.
+            let turns = &mut fill.turns;
+            turns.resize(links.len(), 0);
+            let tops = extras.clone().map(|c| {
+                let top = rank_of(fill_score(policy, c.level() - 1, c.qos().utility()), c.id());
+                (c.primary().links(), top)
+            });
+            let own =
+                (level > 0).then(|| (path, rank_of(fill_score(policy, level - 1, utility), id)));
+            for (route, top) in tops.chain(own) {
+                for l in route {
+                    let at = &mut turns[l.index()];
+                    *at = (*at).max(top);
+                }
+            }
+            // The newcomer, then the waitlists on the retreated rows'
+            // links: each refused where it lacks, by lower turns alone.
+            let refused = |l: &LinkId, increment, rank| {
+                lacks(&links[l.index()], increment) && turns[l.index()] < rank
+            };
+            let holds = |l: &LinkId| {
+                links[l.index()].buckets().iter().all(|b| {
+                    let head = b.rows.last().map_or(u128::MAX, |&(rank, _)| rank);
+                    refused(l, b.increment, head)
+                })
+            };
+            marks.begin(links.len());
+            let mut walked = rows.flat_map(|c| c.primary().links());
+            let answer = if level < max_level && !path.iter().any(|l| refused(l, increment, next)) {
+                Answer::Newcomer
+            } else if seam::armed(Seam::IgnoreTheWaitlists) {
+                Answer::InPlace
+            } else if !walked.all(|l| !marks.walk(l.index()) || holds(l)) {
+                Answer::Waitlists
+            } else {
+                Answer::InPlace
+            };
+            for l in extras.flat_map(|c| c.primary().links()).chain(path) {
+                turns[l.index()] = 0;
+            }
+            answer
+        };
+
+        if answer != Answer::InPlace {
+            for l in path {
+                links[l.index()].remove_extra(grant);
+            }
+            return answer;
+        }
+        let lacking = path.iter().find(|l| lacks(&links[l.index()], increment));
+        let place = lacking.copied().filter(|_| level < max_level);
+        *total_bandwidth += grant;
+        if let Some(conn) = connections.at_mut(slot, id) {
+            conn.set_level(level);
+        }
+        if let Some(link) = place {
+            links[link.index()].wait(increment, next, slot);
+            connections.set_waiting(slot, Some(((link, increment), next)));
+        }
+        Self::reconcile(links, connections, [(slot, id)]);
+        answer
     }
 
     /// Takes the live `pair` off the waitlist it waits on, if any, by the

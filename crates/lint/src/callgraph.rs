@@ -28,8 +28,9 @@
 //! which is why [`CallGraph::resolved_edges`] is gated by
 //! [`MIN_RESOLVED_EDGES`] in `crate::interproc::non_vacuity`. The dump
 //! prints the edges out of live functions and out of tests apart: the
-//! rules walk live code only, but the live count (~1.4k) does not clear
-//! the floor on its own, so the gate still counts both.
+//! rules walk live code only, so the gate also holds the live count to
+//! its own floor, [`MIN_LIVE_EDGES`]; a resolver regression confined to
+//! live code cannot hide behind the test edges.
 //!
 //! Every strategy resolves only to what the caller's crate can see: a
 //! function of its own crate, or one exported from another (declared
@@ -44,6 +45,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// parser feeding it) has regressed badly enough that the reachability
 /// rules can no longer be trusted, and is itself a finding.
 pub const MIN_RESOLVED_EDGES: usize = 2000;
+
+/// Floor on the edges out of live functions, the ones the reachability
+/// rules walk: ~1.4k today.
+pub const MIN_LIVE_EDGES: usize = 1200;
 
 /// Method names that collide with ubiquitous std APIs: never resolved by
 /// bare-name uniqueness (strategy 3). A workspace method with one of
@@ -269,6 +274,12 @@ impl CallGraph {
         self.live_edge_count + self.test_edge_count
     }
 
+    /// The resolved edges out of live functions — the non-vacuity
+    /// metric of what the rules walk.
+    pub fn live_edges(&self) -> usize {
+        self.live_edge_count
+    }
+
     /// Ids of non-test functions defined in `file`.
     pub(crate) fn fns_in_file<'a>(&'a self, file: &'a str) -> impl Iterator<Item = FnId> + 'a {
         self.fns
@@ -343,12 +354,13 @@ impl CallGraph {
             out.push_str(l);
         }
         out.push_str(&format!(
-            "call-graph: {} functions, {} resolved edges ({} live, {} test; floor {})\n",
+            "call-graph: {} functions, {} resolved edges ({} live, {} test; floor {}), live floor {}\n",
             self.fns.len(),
             self.resolved_edges(),
             self.live_edge_count,
             self.test_edge_count,
-            MIN_RESOLVED_EDGES
+            MIN_RESOLVED_EDGES,
+            MIN_LIVE_EDGES
         ));
         out
     }
@@ -741,5 +753,6 @@ mod tests {
         let dump = g.render_dump();
         assert!(dump.contains("caller (crates/core/src/a.rs:1) -> helper (crates/core/src/a.rs:1)"));
         assert!(dump.contains("2 functions, 1 resolved edges (1 live, 0 test; floor 2000)"));
+        assert!(dump.ends_with("), live floor 1200\n"));
     }
 }

@@ -220,7 +220,8 @@ fn lint_parsed(
 
 /// Full pipeline over in-memory sources: every [`lint_file`] rule, then
 /// the call-graph floor, `dead-surface`, and stale-pragma detection.
-/// `edge_floor` is the non-vacuity gate ([`callgraph::MIN_RESOLVED_EDGES`]
+/// `edge_floor` and `live_floor` are the non-vacuity gate's
+/// ([`callgraph::MIN_RESOLVED_EDGES`] and [`callgraph::MIN_LIVE_EDGES`]
 /// for the real workspace, `0` for fixture-sized inputs), and `pins` is
 /// `dead-surface`'s benchmark-only table (the real one for the workspace,
 /// a fixture's own otherwise). Findings come back sorted by (file, line,
@@ -228,11 +229,12 @@ fn lint_parsed(
 pub fn lint_sources(
     sources: &[(String, String)],
     edge_floor: usize,
+    live_floor: usize,
     pins: &[(&str, &str)],
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let (files, graph) = lint_parsed(sources, &mut findings);
-    interproc::non_vacuity(&graph, edge_floor, &mut findings);
+    interproc::non_vacuity(&graph, edge_floor, live_floor, &mut findings);
     surface::dead_surface(&files, pins, &mut findings);
     interproc::stale_pragmas(&files, &mut findings);
     findings.sort();
@@ -261,6 +263,7 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = lint_sources(
         &sources,
         callgraph::MIN_RESOLVED_EDGES,
+        callgraph::MIN_LIVE_EDGES,
         surface::BENCHMARK_PINS,
     );
     let paths: Vec<&str> = sources.iter().map(|(rel, _)| rel.as_str()).collect();

@@ -58,7 +58,8 @@ fn main() -> ExitCode {
         return match drqos_lint::build_workspace_graph(&root) {
             Ok(g) => {
                 print!("{}", g.render_dump());
-                if g.resolved_edges() >= drqos_lint::callgraph::MIN_RESOLVED_EDGES {
+                use drqos_lint::callgraph::{MIN_LIVE_EDGES, MIN_RESOLVED_EDGES};
+                if g.resolved_edges() >= MIN_RESOLVED_EDGES && g.live_edges() >= MIN_LIVE_EDGES {
                     ExitCode::SUCCESS
                 } else {
                     ExitCode::FAILURE

@@ -53,6 +53,9 @@ pub enum Seam {
     ForgetALooseRow,
     /// The fill's slack test is weakened by one (smallest) increment.
     WeakFill,
+    /// An arrival's fill is answered in place without asking the
+    /// waitlists on the retreated rows' links.
+    IgnoreTheWaitlists,
     /// A fallback segment's round scans its layers in discovery order,
     /// not node-id order.
     UnsortedLayer,

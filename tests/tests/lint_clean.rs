@@ -95,4 +95,10 @@ fn call_graph_resolves_enough_edges_to_be_meaningful() {
         graph.resolved_edges(),
         drqos_lint::callgraph::MIN_RESOLVED_EDGES
     );
+    assert!(
+        graph.live_edges() >= drqos_lint::callgraph::MIN_LIVE_EDGES,
+        "call graph resolved only {} edges out of live functions (floor {})",
+        graph.live_edges(),
+        drqos_lint::callgraph::MIN_LIVE_EDGES
+    );
 }
