@@ -17,6 +17,7 @@
 //!   sum into `target/experiments/runtime/<name>-<threads>t.json`.
 
 use drqos_core::experiment::{ExperimentConfig, ExperimentReport};
+use drqos_sim::rng::splitmix64;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
@@ -25,18 +26,6 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 // ------------------------------------------------------ seed derivation --
-
-/// The split-mix-64 finalizer: a bijective avalanche mix of the input.
-///
-/// Every bit of the input affects every bit of the output, unlike the XOR
-/// folding it replaces (where `seed ^ 0` returned the seed verbatim and
-/// nearby counts produced correlated streams).
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Derives an independent stream seed from a base seed and a salt
 /// (point index, increment size, variant tag, ...).

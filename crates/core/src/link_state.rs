@@ -25,6 +25,7 @@
 use crate::channel::ConnectionId;
 use crate::conn_table::Slot;
 use crate::qos::Bandwidth;
+use drqos_sim::rng::splitmix64;
 use drqos_topology::LinkId;
 
 /// Bandwidth bookkeeping for one link.
@@ -384,10 +385,10 @@ impl LinkUsage {
     /// (ROADMAP 4(c)), computes it, when asked.
     pub(crate) fn plan_digest(&self) -> u64 {
         let mut h: u64 = if self.up { 0x9E37_79B9_7F4A_7C15 } else { 0 };
-        h = mix64(h ^ self.primary_min_sum.as_kbps());
-        h = mix64(h ^ self.reservation.as_kbps());
+        h = splitmix64(h ^ self.primary_min_sum.as_kbps());
+        h = splitmix64(h ^ self.reservation.as_kbps());
         for &(f, bw) in &self.conflict {
-            h = mix64(h ^ (f.index() as u64).wrapping_mul(0x0100_0000_01B3) ^ bw.as_kbps());
+            h = splitmix64(h ^ (f.index() as u64).wrapping_mul(0x0100_0000_01B3) ^ bw.as_kbps());
         }
         h
     }
@@ -448,14 +449,6 @@ fn position(set: &[ConnectionId], id: ConnectionId) -> usize {
         return set.len();
     }
     set.partition_point(|&member| member < id)
-}
-
-/// The split-mix-64 finalizer: full-avalanche mixing for the plan digest.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -640,10 +633,12 @@ mod tests {
 
         fn plan_digest(&self) -> u64 {
             let mut h: u64 = if self.up { 0x9E37_79B9_7F4A_7C15 } else { 0 };
-            h = mix64(h ^ self.primary_min_sum.as_kbps());
-            h = mix64(h ^ self.reservation.as_kbps());
+            h = splitmix64(h ^ self.primary_min_sum.as_kbps());
+            h = splitmix64(h ^ self.reservation.as_kbps());
             for (&f, &bw) in &self.conflict {
-                h = mix64(h ^ (f.index() as u64).wrapping_mul(0x0100_0000_01B3) ^ bw.as_kbps());
+                h = splitmix64(
+                    h ^ (f.index() as u64).wrapping_mul(0x0100_0000_01B3) ^ bw.as_kbps(),
+                );
             }
             h
         }

@@ -37,7 +37,9 @@
 //! multiplexing ledgers for every stage, the planner's one closure asks it
 //! of them, and [`Network::check_invariants`] recomputes those ledgers
 //! without it. Who may grow after an event is `fill_candidates`; who need
-//! not retreat for an arrival is `keep_at_maximum`.
+//! not retreat for an arrival is `keep_at_maximum`; whether nobody need
+//! retreat and nothing be refilled, the newcomer's own grant being the
+//! fill's result, is `answer_in_place`.
 
 mod fault;
 mod fill;
@@ -61,7 +63,6 @@ use drqos_topology::paths::Path;
 use fill::FillScratch;
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 
 /// Configuration of a [`Network`].
 #[derive(Debug, Clone, PartialEq)]
@@ -185,12 +186,6 @@ pub struct Network {
     /// waitlists, so outside equality, but cloned: a clone must gather
     /// what its source gathers.
     loose: Vec<ChainPair>,
-    /// The needy set: the live connections below the configured backup
-    /// count, in id order — whom a repair's top-ups look at. An index like
-    /// the loose set, right at every event's end: a commit and a top-up
-    /// review their connection, a release and a drop take theirs out, and
-    /// a fault step tops up every survivor that lost a backup.
-    needy: BTreeSet<ConnectionId>,
 }
 
 /// Cloning copies the full accounting state; the route-search, fill and
@@ -217,7 +212,6 @@ impl Clone for Network {
             spare_set: Vec::new(),
             spare_handles: Vec::new(),
             loose: self.loose.clone(),
-            needy: self.needy.clone(),
         }
     }
 }
@@ -263,7 +257,6 @@ impl Network {
             spare_set: Vec::new(),
             spare_handles: Vec::new(),
             loose: Vec::new(),
-            needy: BTreeSet::new(),
         }
     }
 
@@ -412,23 +405,7 @@ impl Network {
         for l in self.connections.primary_links(&[(slot, id)]) {
             self.links[l.index()].add_primary(id, slot, min);
         }
-        self.review_backups(id);
         (slot, id)
-    }
-
-    /// Puts `id` in the needy set if it lives below the configured backup
-    /// count, and takes it out otherwise.
-    fn review_backups(&mut self, id: ConnectionId) {
-        let target = self.config.backup_count;
-        if self
-            .connections
-            .get(id)
-            .is_some_and(|c| c.backup_count() < target)
-        {
-            self.needy.insert(id);
-        } else {
-            self.needy.remove(&id);
-        }
     }
 
     /// The candidate and handle buffers the last fill left, emptied for
@@ -650,7 +627,6 @@ impl Network {
         let Some((mut conn, counted, waited)) = self.connections.remove(id) else {
             return Err(NetworkError::UnknownConnection(id.0));
         };
-        self.needy.remove(&id);
         self.plan_version.release(id);
         if let Some(((link, increment), rank)) = waited {
             #[cfg(test)]
@@ -2445,6 +2421,36 @@ mod tests {
         let regained = net.repair_link(backup_link).unwrap();
         assert_eq!(regained, vec![id]);
         assert!(net.connection(id).unwrap().has_backup());
+        net.validate();
+    }
+
+    /// Three routes join 0 and 1: link 0 alone, 0–2–1 over links 1 and 2,
+    /// and 0–3–1 over links 3 and 4. With link 3 down, B (3→1, on link 4)
+    /// is admitted without a backup, since each of its other routes
+    /// crosses link 3; A (0→1) is admitted after it with its backup on
+    /// 0–2–1 and loses it when link 1 fails, with 0–3–1 down too. One
+    /// repair of link 3 tops up both, in id order.
+    #[test]
+    fn one_repair_tops_up_every_connection_short_of_a_backup() {
+        let mut g = Graph::with_nodes(4);
+        for (a, b) in [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)] {
+            g.add_link(NodeId(a), NodeId(b)).unwrap();
+        }
+        let config = NetworkConfig {
+            require_backup: false,
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::new(g, config);
+        net.fail_link(LinkId(3)).unwrap();
+        let b = net.establish(NodeId(3), NodeId(1), qos()).unwrap();
+        assert!(!net.connection(b).unwrap().has_backup());
+        let a = net.establish(NodeId(0), NodeId(1), qos()).unwrap();
+        let backup = net.connection(a).unwrap().backup().unwrap();
+        assert!(backup.crosses(LinkId(1)));
+        assert_eq!(net.fail_link(LinkId(1)).unwrap().lost_backup, [a]);
+        assert!(!net.connection(a).unwrap().has_backup());
+        assert_eq!(net.repair_link(LinkId(3)).unwrap(), [b, a]);
+        assert!(net.connections().all(|c| c.has_backup()));
         net.validate();
     }
 

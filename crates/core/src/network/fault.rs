@@ -165,7 +165,6 @@ impl Network {
                 self.total_bandwidth -= conn.bandwidth();
                 self.dropped_total += 1;
                 connections.remove(id);
-                self.needy.remove(&id);
                 dropped.push(id);
             }
         }
@@ -189,8 +188,7 @@ impl Network {
         self.fill_candidates(&chained, &[], &activated, &mut candidates, &mut handles);
         self.settle(candidates, handles);
 
-        // Re-establish backups for survivors that lost theirs; the top-up
-        // puts each in the needy set, or takes it out.
+        // Re-establish backups for survivors that lost theirs.
         let activated: Vec<ConnectionId> = activated.into_iter().map(|(_, c)| c).collect();
         for &id in activated.iter().chain(&lost_backup) {
             self.top_up_backups(id);
@@ -328,13 +326,8 @@ impl Network {
             self.links[l.index()].set_up(true);
             self.topology_epoch += 1;
         }
-        let needy: Vec<ConnectionId> = self.needy.iter().copied().collect();
-        #[cfg(test)]
-        let needy = match seam::armed(Seam::ReferenceNeedy) {
-            true => self.short_of_backups(),
-            false => needy,
-        };
-        let regained = needy
+        let regained = self
+            .short_of_backups()
             .into_iter()
             .filter(|&id| self.top_up_backups(id))
             .collect();
@@ -342,9 +335,8 @@ impl Network {
         regained
     }
 
-    /// The needy set as the scan over every connection finds it: the
-    /// reference a repair is held to.
-    #[cfg(test)]
+    /// The live connections below the configured backup count, in id
+    /// order: one pass over the connection table.
     fn short_of_backups(&self) -> Vec<ConnectionId> {
         let target = self.config.backup_count;
         let short = self.connections().filter(|c| c.backup_count() < target);
@@ -373,7 +365,6 @@ impl Network {
             conn.push_backup(backup);
             added = true;
         }
-        self.review_backups(id);
         added
     }
 
@@ -608,71 +599,6 @@ mod tests {
         );
         // With the check, the witness is clean.
         assert_eq!(broken_at(case, &shrunk), None, "case {case}");
-    }
-
-    /// What [`needy_differential`] saw, beyond agreement.
-    #[derive(Debug, Default)]
-    struct NeedyCounts {
-        /// Repairs run, those that found someone short of a backup, and
-        /// those that topped someone up.
-        repairs: usize,
-        with_needy: usize,
-        regained: usize,
-    }
-
-    /// Runs `cases` of the starved tier ([`starved_case`]): after every op
-    /// the needy set is the scan's, and every repair, run again on a clone
-    /// over the scan ([`Seam::ReferenceNeedy`]), regains the same
-    /// connections and leaves the same network.
-    fn needy_differential(cases: u64) -> Result<NeedyCounts, String> {
-        let mut counts = NeedyCounts::default();
-        for case in 0..cases {
-            let (mut net, qos, ops) = starved_case(case);
-            for (step, &op) in ops.iter().enumerate() {
-                let at = format!("case {case} step {step}");
-                let down = (0..net.graph().link_count()).map(LinkId);
-                let down: Vec<LinkId> = down.filter(|&l| !net.link_usage(l).is_up()).collect();
-                if Rng::seed_from_u64(op).chance(0.2) && !down.is_empty() {
-                    let link = down[op as usize % down.len()];
-                    let mut reference = net.clone();
-                    counts.repairs += 1;
-                    counts.with_needy += usize::from(!net.needy.is_empty());
-                    let regained = net.repair_link(link).unwrap();
-                    let want = seam::with(Seam::ReferenceNeedy, || reference.repair_link(link));
-                    if Ok(&regained) != want.as_ref() || net != reference {
-                        return Err(format!("{at}: regained {regained:?}, reference {want:?}"));
-                    }
-                    counts.regained += usize::from(!regained.is_empty());
-                } else {
-                    starved_op(&mut net, qos, op);
-                }
-                let needy: Vec<ConnectionId> = net.needy.iter().copied().collect();
-                if needy != net.short_of_backups() {
-                    return Err(format!("{at}: needy {needy:?}"));
-                }
-            }
-        }
-        Ok(counts)
-    }
-
-    fn assert_needy_coverage(counts: &NeedyCounts, cases: u64) {
-        let cases = cases as usize;
-        assert!(counts.repairs > 10 * cases, "{counts:?}");
-        assert!(counts.with_needy > cases, "{counts:?}");
-        assert!(counts.regained > cases / 4, "{counts:?}");
-    }
-
-    #[test]
-    fn the_needy_set_matches_the_scan_on_200_seeded_cases() {
-        let counts = needy_differential(200).unwrap();
-        assert_needy_coverage(&counts, 200);
-    }
-
-    #[test]
-    #[ignore = "ten times the cases; CI runs it in release"]
-    fn the_needy_set_matches_the_scan_on_2000_seeded_cases() {
-        let counts = needy_differential(2000).unwrap();
-        assert_needy_coverage(&counts, 2000);
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl Bandwidth {
         Bandwidth(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked subtraction.
-    pub fn checked_sub(self, rhs: Bandwidth) -> Option<Bandwidth> {
-        self.0.checked_sub(rhs.0).map(Bandwidth)
-    }
-
     /// Multiplies by an integer count (e.g. `increment × level`).
     pub fn times(self, n: u64) -> Bandwidth {
         Bandwidth(self.0 * n)
@@ -324,8 +319,6 @@ mod tests {
         assert_eq!(a + b, Bandwidth::kbps(130));
         assert_eq!(a - b, Bandwidth::kbps(70));
         assert_eq!(b.saturating_sub(a), Bandwidth::ZERO);
-        assert_eq!(a.checked_sub(b), Some(Bandwidth::kbps(70)));
-        assert_eq!(b.checked_sub(a), None);
         assert_eq!(b.times(3), Bandwidth::kbps(90));
         let mut c = a;
         c += b;

@@ -25,12 +25,11 @@
 //! Unresolved calls produce no edge (std, closures, trait objects). The
 //! price of this tolerance is that a resolver regression could silently
 //! empty the graph and turn every reachability rule vacuously green —
-//! which is why [`CallGraph::resolved_edges`] is gated by
-//! [`MIN_RESOLVED_EDGES`] in `crate::interproc::non_vacuity`. The dump
-//! prints the edges out of live functions and out of tests apart: the
-//! rules walk live code only, so the gate also holds the live count to
-//! its own floor, [`MIN_LIVE_EDGES`]; a resolver regression confined to
-//! live code cannot hide behind the test edges.
+//! which is why [`CallGraph::live_edges`] is gated by [`MIN_LIVE_EDGES`]
+//! in `crate::interproc::non_vacuity`. The rules walk live code only, so
+//! the gate counts only the edges out of live functions: a resolver
+//! regression confined to live code cannot hide behind the test edges,
+//! which the dump prints apart.
 //!
 //! Every strategy resolves only to what the caller's crate can see: a
 //! function of its own crate, or one exported from another (declared
@@ -40,14 +39,11 @@
 use crate::parser::{Callee, FnDef, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Resolved-edge floor for the non-vacuity gate. The workspace resolves
-/// ~3.2k edges today, ~1.4k of them out of live functions; a drop below this floor means the resolver (or the
+/// Floor for the non-vacuity gate on the edges out of live functions,
+/// the ones the reachability rules walk. The workspace resolves ~1.4k
+/// of them today; a drop below this floor means the resolver (or the
 /// parser feeding it) has regressed badly enough that the reachability
 /// rules can no longer be trusted, and is itself a finding.
-pub const MIN_RESOLVED_EDGES: usize = 2000;
-
-/// Floor on the edges out of live functions, the ones the reachability
-/// rules walk: ~1.4k today.
 pub const MIN_LIVE_EDGES: usize = 1200;
 
 /// Method names that collide with ubiquitous std APIs: never resolved by
@@ -269,8 +265,8 @@ impl CallGraph {
         }
     }
 
-    /// Total resolved (deduped) edges — the non-vacuity metric.
-    pub fn resolved_edges(&self) -> usize {
+    /// Total resolved (deduped) edges, out of live and test functions.
+    pub(crate) fn resolved_edges(&self) -> usize {
         self.live_edge_count + self.test_edge_count
     }
 
@@ -354,12 +350,11 @@ impl CallGraph {
             out.push_str(l);
         }
         out.push_str(&format!(
-            "call-graph: {} functions, {} resolved edges ({} live, {} test; floor {}), live floor {}\n",
+            "call-graph: {} functions, {} resolved edges ({} live, {} test), live floor {}\n",
             self.fns.len(),
             self.resolved_edges(),
             self.live_edge_count,
             self.test_edge_count,
-            MIN_RESOLVED_EDGES,
             MIN_LIVE_EDGES
         ));
         out
@@ -752,7 +747,6 @@ mod tests {
         )]);
         let dump = g.render_dump();
         assert!(dump.contains("caller (crates/core/src/a.rs:1) -> helper (crates/core/src/a.rs:1)"));
-        assert!(dump.contains("2 functions, 1 resolved edges (1 live, 0 test; floor 2000)"));
-        assert!(dump.ends_with("), live floor 1200\n"));
+        assert!(dump.ends_with("2 functions, 1 resolved edges (1 live, 0 test), live floor 1200\n"));
     }
 }

@@ -20,7 +20,8 @@
 //!
 //! Plus `non_vacuity`: both graph rules are reachability rules over a
 //! best-effort graph, so an empty graph would make them vacuously green.
-//! The resolved-edge floor turns that failure mode into a finding.
+//! The floor on the edges they walk turns that failure mode into a
+//! finding.
 
 use crate::callgraph::{CallGraph, FnId};
 use crate::parser::{Callee, PanicKind, ParsedFile};
@@ -216,35 +217,23 @@ pub(crate) fn raw_clock(files: &[WsFile], out: &mut Vec<Finding>) {
 }
 
 /// Rule 8, `call-graph`: the non-vacuity gate. The reachability rules
-/// are only as strong as the resolver feeding them; a resolved-edge
-/// count below `floor`, or a count of edges out of live functions — the
-/// ones the rules walk — below `live_floor`, is itself a finding so a
-/// parser/resolver regression cannot silently turn the rules green.
-pub(crate) fn non_vacuity(
-    graph: &CallGraph,
-    floor: usize,
-    live_floor: usize,
-    out: &mut Vec<Finding>,
-) {
-    for (count, floor, what) in [
-        (graph.resolved_edges(), floor, "edges"),
-        (
-            graph.live_edges(),
-            live_floor,
-            "edges out of live functions",
-        ),
-    ] {
-        if count < floor {
-            out.push(Finding {
-                file: "crates/lint/src/callgraph.rs".to_string(),
-                line: 1,
-                rule: "call-graph",
-                message: format!(
-                    "call graph resolved only {count} {what} (floor {floor}): the resolver has \
-                     regressed and the interprocedural rules can no longer be trusted"
-                ),
-            });
-        }
+/// are only as strong as the resolver feeding them; a count of edges out
+/// of live functions — the ones the rules walk — below `floor` is itself
+/// a finding, so a parser/resolver regression cannot silently turn the
+/// rules green. Edges out of tests do not count.
+pub(crate) fn non_vacuity(graph: &CallGraph, floor: usize, out: &mut Vec<Finding>) {
+    let count = graph.live_edges();
+    if count < floor {
+        out.push(Finding {
+            file: "crates/lint/src/callgraph.rs".to_string(),
+            line: 1,
+            rule: "call-graph",
+            message: format!(
+                "call graph resolved only {count} edges out of live functions (floor {floor}): \
+                 the resolver has regressed and the interprocedural rules can no longer be \
+                 trusted"
+            ),
+        });
     }
 }
 
@@ -275,7 +264,7 @@ pub(crate) fn stale_pragmas(files: &[WsFile], out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::{MIN_LIVE_EDGES, MIN_RESOLVED_EDGES};
+    use crate::callgraph::MIN_LIVE_EDGES;
     use crate::lexer::lex;
     use crate::parser::parse_file;
 
@@ -384,9 +373,9 @@ mod tests {
     fn non_vacuity_fires_on_an_empty_graph() {
         let (_, graph) = ws(&[("crates/core/src/a.rs", "fn lonely() {}")]);
         let mut out = Vec::new();
-        non_vacuity(&graph, MIN_RESOLVED_EDGES, MIN_LIVE_EDGES, &mut out);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|f| f.rule == "call-graph"));
+        non_vacuity(&graph, MIN_LIVE_EDGES, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, "call-graph");
     }
 
     #[test]
@@ -398,9 +387,9 @@ mod tests {
         )]);
         assert_eq!((graph.resolved_edges(), graph.live_edges()), (4, 1));
         let mut out = Vec::new();
-        non_vacuity(&graph, 4, 1, &mut out);
+        non_vacuity(&graph, 1, &mut out);
         assert!(out.is_empty(), "{out:?}");
-        non_vacuity(&graph, 4, 2, &mut out);
+        non_vacuity(&graph, 2, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0]
             .message

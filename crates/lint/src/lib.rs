@@ -23,7 +23,7 @@
 //! cargo run -p drqos-lint            # human output, exit 1 on findings
 //! cargo run -p drqos-lint -- --json  # machine output (CI)
 //! cargo run -p drqos-lint -- --fix-allowlist  # ready-to-paste pragmas
-//! cargo run -p drqos-lint -- --call-graph     # resolved-edge dump
+//! cargo run -p drqos-lint -- --call-graph     # call-graph dump
 //! ```
 
 #![forbid(unsafe_code)]
@@ -220,21 +220,19 @@ fn lint_parsed(
 
 /// Full pipeline over in-memory sources: every [`lint_file`] rule, then
 /// the call-graph floor, `dead-surface`, and stale-pragma detection.
-/// `edge_floor` and `live_floor` are the non-vacuity gate's
-/// ([`callgraph::MIN_RESOLVED_EDGES`] and [`callgraph::MIN_LIVE_EDGES`]
+/// `live_floor` is the non-vacuity gate's ([`callgraph::MIN_LIVE_EDGES`]
 /// for the real workspace, `0` for fixture-sized inputs), and `pins` is
 /// `dead-surface`'s benchmark-only table (the real one for the workspace,
 /// a fixture's own otherwise). Findings come back sorted by (file, line,
 /// rule).
 pub fn lint_sources(
     sources: &[(String, String)],
-    edge_floor: usize,
     live_floor: usize,
     pins: &[(&str, &str)],
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let (files, graph) = lint_parsed(sources, &mut findings);
-    interproc::non_vacuity(&graph, edge_floor, live_floor, &mut findings);
+    interproc::non_vacuity(&graph, live_floor, &mut findings);
     surface::dead_surface(&files, pins, &mut findings);
     interproc::stale_pragmas(&files, &mut findings);
     findings.sort();
@@ -260,12 +258,7 @@ pub fn build_workspace_graph(root: &Path) -> std::io::Result<CallGraph> {
 /// cross-checks. Findings are sorted by (file, line, rule).
 pub fn run_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let sources = load_sources(root)?;
-    let mut findings = lint_sources(
-        &sources,
-        callgraph::MIN_RESOLVED_EDGES,
-        callgraph::MIN_LIVE_EDGES,
-        surface::BENCHMARK_PINS,
-    );
+    let mut findings = lint_sources(&sources, callgraph::MIN_LIVE_EDGES, surface::BENCHMARK_PINS);
     let paths: Vec<&str> = sources.iter().map(|(rel, _)| rel.as_str()).collect();
     rules::zone_map(&rules::zone_tables(), &paths, &mut findings);
     match std::fs::read_to_string(root.join("README.md")) {

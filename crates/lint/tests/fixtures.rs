@@ -323,7 +323,7 @@ fn lint_pinned(files: &[(&str, &str)], pins: &[(&str, &str)]) -> Vec<Finding> {
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect();
-    drqos_lint::lint_sources(&sources, 0, 0, pins)
+    drqos_lint::lint_sources(&sources, 0, pins)
 }
 
 // -------------------------------------------------- panic-reachability --
@@ -616,7 +616,7 @@ fn non_vacuity_floor_fires_when_the_resolver_goes_dark() {
         "crates/core/src/a.rs".to_string(),
         "fn lonely() {}".to_string(),
     )];
-    let f = drqos_lint::lint_sources(&sources, 1_000_000, 0, &[]);
+    let f = drqos_lint::lint_sources(&sources, 1_000_000, &[]);
     assert_eq!(rules_fired(&f), vec!["call-graph"], "{f:?}");
 }
 
@@ -627,10 +627,10 @@ fn live_floor_fires_when_only_test_edges_resolve() {
         "fn lonely() {}\n#[cfg(test)]\nmod tests { fn t() { lonely(); } fn u() { lonely(); } }"
             .to_string(),
     )];
-    // Two edges resolve, both out of tests: enough for a floor of two,
-    // none for a live floor of one.
-    assert!(drqos_lint::lint_sources(&sources, 2, 0, &[]).is_empty());
-    let f = drqos_lint::lint_sources(&sources, 2, 1, &[]);
+    // Two edges resolve, both out of tests: none counts for a live floor
+    // of one.
+    assert!(drqos_lint::lint_sources(&sources, 0, &[]).is_empty());
+    let f = drqos_lint::lint_sources(&sources, 1, &[]);
     assert_eq!(rules_fired(&f), vec!["call-graph"], "{f:?}");
 }
 

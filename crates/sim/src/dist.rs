@@ -161,11 +161,6 @@ impl Pareto {
         Self::new(mean * (shape - 1.0) / shape, shape)
     }
 
-    /// Scale parameter `x_m` (the distribution's minimum).
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
     /// The analytic mean `α·x_m / (α - 1)`, or `+∞` when `α ≤ 1`.
     pub fn mean(&self) -> f64 {
         if self.shape <= 1.0 {

@@ -45,12 +45,24 @@ impl SplitMix64 {
 
     /// Returns the next 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        out
     }
+}
+
+/// SplitMix64's increment, `2^64 / φ`.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The split-mix-64 step as a pure function: [`SplitMix64`]'s output for
+/// state `z`, a bijective mix in which every input bit affects every
+/// output bit. The workspace's one copy: the generator, the plan digest
+/// and the experiment runners' seed derivation all call it.
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// The workspace's standard generator: xoshiro256++.

@@ -68,10 +68,6 @@ pub enum Seam {
     /// and every fill is the one-increment reference over them. Its sites
     /// call reference code that only `drqos-core`'s own tests compile.
     Reference,
-    /// A repair tops up whom the scan over every connection finds short
-    /// of backups, not the needy set (read in `drqos-core`'s tests only,
-    /// likewise).
-    ReferenceNeedy,
 
     // drqos-cluster
     /// The oplog's packing writes only an operand's low 7 bits.

@@ -13,7 +13,7 @@
 //!   "Tier" model).
 //! * [`regular`] — rings, grids, tori, complete graphs for tests and
 //!   examples.
-//! * [`paths`] — validated [`paths::Path`], BFS / Dijkstra / Yen searches
+//! * [`paths`] — validated [`paths::Path`], BFS / Dijkstra searches
 //!   with per-link feasibility filters.
 //! * [`metrics`] — degree / diameter / average-hop statistics.
 //!

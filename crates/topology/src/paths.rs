@@ -7,7 +7,7 @@
 use crate::error::TopologyError;
 use crate::graph::{Graph, LinkId, NodeId};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A simple path through a graph: a node sequence plus the links between
 /// consecutive nodes.
@@ -246,75 +246,6 @@ pub fn dijkstra_path(
     Path::from_nodes(graph, nodes).ok()
 }
 
-/// Yen's algorithm: the `k` shortest loop-free paths by hop count.
-///
-/// Paths are returned in non-decreasing hop order; fewer than `k` paths are
-/// returned if the graph does not contain that many. Useful for modelling
-/// the "destination waits for more request copies over different routes"
-/// step of the bounded-flooding protocol.
-pub fn k_shortest_paths(
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    filter: &LinkFilter,
-) -> Vec<Path> {
-    let mut found: Vec<Path> = Vec::new();
-    let Some(first) = bfs_path(graph, src, dst, filter) else {
-        return found;
-    };
-    found.push(first);
-    let mut candidates: Vec<Path> = Vec::new();
-    while found.len() < k {
-        let last = found.last().expect("found is non-empty").clone();
-        for i in 0..last.hop_count() {
-            let spur_node = last.nodes()[i];
-            let root_nodes = &last.nodes()[..=i];
-            let root_links: HashSet<LinkId> = last.links()[..i].iter().copied().collect();
-            // Links removed: any link that a previously found path with the
-            // same root takes out of the spur node.
-            let mut banned_links: HashSet<LinkId> = HashSet::new();
-            for p in &found {
-                if p.nodes().len() > i && p.nodes()[..=i] == *root_nodes {
-                    if let Some(&l) = p.links().get(i) {
-                        banned_links.insert(l);
-                    }
-                }
-            }
-            // Nodes in the root (except the spur node) must not be revisited.
-            let banned_nodes: HashSet<NodeId> = root_nodes[..i].iter().copied().collect();
-            let spur_filter = |l: LinkId| {
-                if banned_links.contains(&l) || root_links.contains(&l) || !filter(l) {
-                    return false;
-                }
-                let link = graph.link(l);
-                !banned_nodes.contains(&link.a()) && !banned_nodes.contains(&link.b())
-            };
-            if let Some(spur) = bfs_path(graph, spur_node, dst, &spur_filter) {
-                let mut nodes: Vec<NodeId> = root_nodes.to_vec();
-                nodes.extend_from_slice(&spur.nodes()[1..]);
-                if let Ok(total) = Path::from_nodes(graph, nodes) {
-                    if !found.contains(&total) && !candidates.contains(&total) {
-                        candidates.push(total);
-                    }
-                }
-            }
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        // Take the shortest candidate (stable for determinism).
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, p)| p.hop_count())
-            .map(|(i, _)| i)
-            .expect("candidates is non-empty");
-        found.push(candidates.swap_remove(best));
-    }
-    found
-}
-
 /// Accept-everything link filter.
 pub fn pass_all(_: LinkId) -> bool {
     true
@@ -442,37 +373,5 @@ mod tests {
         let l12 = g.link_between(NodeId(1), NodeId(2)).unwrap();
         assert!(p.crosses(l01));
         assert!(!p.crosses(l12));
-    }
-
-    #[test]
-    fn k_shortest_finds_both_diamond_routes() {
-        let g = diamond();
-        let ps = k_shortest_paths(&g, NodeId(0), NodeId(3), 5, &pass_all);
-        assert_eq!(ps.len(), 2);
-        assert_eq!(ps[0].hop_count(), 2);
-        assert_eq!(ps[1].hop_count(), 3);
-    }
-
-    #[test]
-    fn k_shortest_orders_by_hops() {
-        let g = regular::grid(3, 3).unwrap();
-        let ps = k_shortest_paths(&g, NodeId(0), NodeId(8), 6, &pass_all);
-        assert!(!ps.is_empty());
-        for w in ps.windows(2) {
-            assert!(w[0].hop_count() <= w[1].hop_count());
-        }
-        // All distinct.
-        for i in 0..ps.len() {
-            for j in i + 1..ps.len() {
-                assert_ne!(ps[i], ps[j]);
-            }
-        }
-    }
-
-    #[test]
-    fn k_shortest_unreachable_empty() {
-        let mut g = diamond();
-        let iso = g.add_node();
-        assert!(k_shortest_paths(&g, NodeId(0), iso, 3, &pass_all).is_empty());
     }
 }
