@@ -38,8 +38,10 @@
 //! of them, and [`Network::check_invariants`] recomputes those ledgers
 //! without it. Who may grow after an event is `fill_candidates`; who need
 //! not retreat for an arrival is `keep_at_maximum`; whether nobody need
-//! retreat and nothing be refilled, the newcomer's own grant being the
-//! fill's result, is `answer_in_place`.
+//! retreat and nothing be refilled — the newcomer's own grant, after the
+//! retreated rows give back the increments it overbooks or outranks, being
+//! the fill's result — and so which rows give increments back without a
+//! retreat, is `answer_in_place`.
 
 mod fault;
 mod fill;
@@ -1624,8 +1626,10 @@ mod tests {
         /// Plans the memo answered, summed over the cases.
         memo_hits: u64,
         /// Commits answered in place and not, by [`Answer`], summed over
-        /// the cases.
+        /// the cases: the verdict on the state as it stands.
         answers: [u64; 6],
+        /// The take-back's verdicts, by [`Answer`], summed over the cases.
+        taken_back: [u64; 7],
     }
 
     impl FillTally {
@@ -1648,6 +1652,9 @@ mod tests {
             self.left_in_place += net.fill.left_in_place;
             self.memo_hits += net.route_cache_stats().hits;
             for (sum, n) in self.answers.iter_mut().zip(net.fill.answers) {
+                *sum += n;
+            }
+            for (sum, n) in self.taken_back.iter_mut().zip(net.fill.taken_back) {
                 *sum += n;
             }
         }
@@ -1825,8 +1832,8 @@ mod tests {
     /// turn, a wake that queued the next row, a handle walking past a row
     /// the fill loaded, a write-back that moved a row's place and one that
     /// left it, a removal from a waitlist by release and by failover, a
-    /// loose row, and a commit answered in place and each reason not to
-    /// must have run, many times over.
+    /// loose row, a commit answered in place and each reason not to, and
+    /// each verdict of the take-back must have run, many times over.
     fn assert_admission_coverage(tally: &FillTally, cases: usize) {
         let [moved, release, failover] = tally.unwaited;
         assert!(
@@ -1843,16 +1850,35 @@ mod tests {
                 && tally.loose > cases / 4,
             "{tally:?}"
         );
-        assert_answers(tally, cases as u64, [200, 25, 200, 50, 10, 4]);
+        assert_answers(
+            tally,
+            cases as u64,
+            [200, 25, 200, 50, 10, 4],
+            [40, 1, 8, 10],
+        );
     }
 
     /// Every answer of a commit must have run, in place and each reason
     /// not to, more than `per_100[a]` times per hundred cases for the
-    /// [`Answer`] `a`.
-    fn assert_answers(tally: &FillTally, cases: u64, per_100: [u64; 6]) {
+    /// [`Answer`] `a`. So must each verdict of the take-back, tried where
+    /// the state as it stands failed on fits or the newcomer — in place,
+    /// fits, the waitlists and a lowered row, more than `taken_back` times
+    /// in that order — but the newcomer's part: the take-back stops the
+    /// newcomer only where a link that lacks its increment carries lower
+    /// turns alone, so that part never fails.
+    fn assert_answers(tally: &FillTally, cases: u64, per_100: [u64; 6], taken_back: [u64; 4]) {
         let floors = tally.answers.iter().zip(per_100);
+        let verdicts = [
+            Answer::InPlace,
+            Answer::Fits,
+            Answer::Waitlists,
+            Answer::Lowered,
+        ];
+        let verdicts = verdicts.map(|a| tally.taken_back[a as usize]);
+        let floors = floors.chain(verdicts.iter().zip(taken_back));
         assert!(
-            floors.into_iter().all(|(&n, f)| n * 100 > f * cases),
+            floors.into_iter().all(|(&n, f)| n * 100 > f * cases)
+                && tally.taken_back[Answer::Newcomer as usize] == 0,
             "{tally:?}"
         );
     }
@@ -1873,7 +1899,7 @@ mod tests {
     /// answered in place and not.
     fn assert_short_call_coverage(tally: &FillTally, cases: u64) {
         assert!(tally.memo_hits > 4 * cases, "{tally:?}");
-        assert_answers(tally, cases, [500, 10, 500, 50, 16, 5]);
+        assert_answers(tally, cases, [500, 10, 500, 50, 16, 5], [50, 1, 12, 12]);
     }
 
     #[test]
@@ -1916,6 +1942,14 @@ mod tests {
     #[test]
     fn a_commit_that_ignores_the_waitlists_is_caught() {
         let caught = seam::with(Seam::IgnoreTheWaitlists, || short_call_differential(600));
+        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+    }
+
+    #[test]
+    fn a_take_back_that_skips_the_lowered_row_test_is_caught() {
+        let caught = seam::with(Seam::SkipTheLoweredRowTest, || {
+            admission_differential(2_000)
+        });
         assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
@@ -2157,14 +2191,15 @@ mod tests {
     /// Establishes `src → dst` on `net` and on a clone under
     /// [`Seam::Reference`], requires the two to agree in result and state
     /// and `net` to hold its invariants, and returns how `net`'s commit
-    /// was answered, as an index of [`Answer`].
+    /// was answered: the verdict on the state as it stands and the
+    /// take-back's, if it was tried.
     fn establish_against_the_reference(
         net: &mut Network,
         src: usize,
         dst: usize,
         qos: ElasticQos,
-    ) -> usize {
-        let before = net.fill.answers;
+    ) -> (Answer, Option<Answer>) {
+        let (answers, taken_back) = (net.fill.answers, net.fill.taken_back);
         let mut reference = net.clone();
         let want = seam::with(Seam::Reference, || {
             reference.establish(NodeId(src), NodeId(dst), qos)
@@ -2173,10 +2208,28 @@ mod tests {
         assert!(got.is_ok() && got == want, "{got:?} vs {want:?}");
         assert!(*net == reference);
         net.validate();
-        let moved = (0..before.len()).filter(|&i| net.fill.answers[i] != before[i]);
-        let moved: Vec<usize> = moved.collect();
-        assert_eq!(moved.len(), 1, "one commit, one answer: {moved:?}");
-        moved[0]
+        let all = [
+            Answer::InPlace,
+            Answer::Loose,
+            Answer::Policy,
+            Answer::Fits,
+            Answer::Newcomer,
+            Answer::Waitlists,
+            Answer::Lowered,
+        ];
+        let moved = |before: &[u64], after: &[u64]| {
+            let moved = all
+                .into_iter()
+                .filter(|&a| before.get(a as usize) != after.get(a as usize));
+            moved.collect::<Vec<Answer>>()
+        };
+        let stands = moved(&answers, &net.fill.answers);
+        let taken_back = moved(&taken_back, &net.fill.taken_back);
+        assert!(
+            stands.len() == 1 && taken_back.len() <= 1,
+            "one commit, one answer"
+        );
+        (stands[0], taken_back.first().copied())
     }
 
     /// The levels of the live connections, in id order.
@@ -2184,22 +2237,40 @@ mod tests {
         net.connections().map(|c| c.level()).collect()
     }
 
+    /// A two-node line whose one link has `capacity_kbps`, no backups.
+    fn one_link(capacity_kbps: u64) -> Network {
+        let mut g = Graph::with_nodes(2);
+        g.add_link(NodeId(0), NodeId(1)).unwrap();
+        let config = NetworkConfig {
+            capacity: Bandwidth::kbps(capacity_kbps),
+            require_backup: false,
+            ..NetworkConfig::default()
+        };
+        Network::new(g, config)
+    }
+
+    /// An elastic QoS from `min` to `max` Kbps in steps of `step`.
+    fn elastic(min: u64, max: u64, step: u64, utility: f64) -> ElasticQos {
+        let kbps = Bandwidth::kbps;
+        ElasticQos::new(kbps(min), kbps(max), kbps(step), utility).unwrap()
+    }
+
     /// A lone channel at its maximum on a 999 Kbps link, then a newcomer
-    /// of utility 2 on the same link: in place it takes the three
+    /// of utility 2 on the same link: as things stand it takes the three
     /// increments there is room for, but its fourth turn ranks below the
-    /// first channel's held fourth one, so the fill gives it that turn
-    /// instead. The newcomer test alone refuses the in-place answer.
+    /// first channel's held fourth one. The take-back gives it that turn,
+    /// the fill's result.
     #[test]
-    fn a_newcomer_granted_past_a_retreated_row_s_held_turn_falls_back() {
+    fn a_newcomer_granted_past_a_retreated_row_s_held_turn_takes_it_back() {
         let mut net = two_on_one_link(999);
         for &(_, id) in &live_pairs(&net) {
             net.release(id).unwrap();
         }
         let first = establish_against_the_reference(&mut net, 0, 1, qos());
-        assert_eq!(first, Answer::InPlace as usize);
+        assert_eq!(first, (Answer::InPlace, None));
         let keen = qos().with_utility(2.0).unwrap();
         let answer = establish_against_the_reference(&mut net, 0, 1, keen);
-        assert_eq!(answer, Answer::Newcomer as usize);
+        assert_eq!(answer, (Answer::Newcomer, Some(Answer::InPlace)));
         assert_eq!(levels(&net), [3, 4]);
     }
 
@@ -2234,7 +2305,7 @@ mod tests {
         assert_eq!(net.connections.blocked(b_slot), Some(at_link_0));
         let mut mutant = net.clone();
         let answer = establish_against_the_reference(&mut net, 1, 3, qos());
-        assert_eq!(answer, Answer::Waitlists as usize);
+        assert_eq!(answer, (Answer::Waitlists, None));
         assert_eq!(levels(&net), [3, 3, 4]);
         seam::with(Seam::IgnoreTheWaitlists, || {
             mutant.establish(NodeId(1), NodeId(3), qos()).unwrap()
@@ -2247,10 +2318,10 @@ mod tests {
     /// A 4-ring of 10 Mbps links but link 0 (0–1, 550 Kbps): A (0→1) sits
     /// at its maximum on link 0. A newcomer 2→3 on link 2 takes its
     /// maximum there, but its backup 2–1–0–3 reserves its minimum on link
-    /// 0, which overbooks A's extra: the fits test alone refuses the
-    /// in-place answer, and the fill takes A back to what link 0 holds.
+    /// 0, which overbooks A's extra: as things stand the fits test fails,
+    /// and the take-back lowers A to what link 0 holds, the fill's result.
     #[test]
-    fn a_newcomer_s_minimum_that_overbooks_a_chained_extra_falls_back() {
+    fn a_newcomer_s_minimum_that_overbooks_a_chained_extra_takes_it_back() {
         let mut g = Graph::with_nodes(4);
         for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
             g.add_link(NodeId(a), NodeId(b)).unwrap();
@@ -2258,13 +2329,89 @@ mod tests {
         let mut net = Network::new(g, NetworkConfig::default());
         net.links[0] = LinkUsage::new(Bandwidth::kbps(550));
         let first = establish_against_the_reference(&mut net, 0, 1, qos());
-        assert_eq!(first, Answer::InPlace as usize);
+        assert_eq!(first, (Answer::InPlace, None));
         assert_eq!(levels(&net), [4]);
         let answer = establish_against_the_reference(&mut net, 2, 3, qos());
-        assert_eq!(answer, Answer::Fits as usize);
+        assert_eq!(answer, (Answer::Fits, Some(Answer::InPlace)));
         let newcomer = net.connection(ConnectionId(1)).unwrap();
         assert!(newcomer.backup().unwrap().crosses(LinkId(0)));
         assert_eq!(levels(&net), [3, 4]);
+    }
+
+    /// One 500 Kbps link holds J (100–200 Kbps in steps of 100, utility 1)
+    /// and K (100–300 in one step of 200, utility 2), both at their
+    /// maximum. A rigid 150 Kbps newcomer overbooks it by 150: the
+    /// take-back lowers J, whose held turn ranks highest, then K, whose
+    /// 200 Kbps leaves 150 free — room for J's increment, so J is refused
+    /// nowhere. The fill, both retreated, refuses K's turn first and grants
+    /// J's: the lowered-row test alone refuses the candidate, and the
+    /// mutant that skips it is wrong.
+    #[test]
+    fn a_lowered_row_with_room_left_falls_back() {
+        let mut net = one_link(500);
+        net.establish(NodeId(0), NodeId(1), elastic(100, 200, 100, 1.0))
+            .unwrap();
+        net.establish(NodeId(0), NodeId(1), elastic(100, 300, 200, 2.0))
+            .unwrap();
+        assert_eq!(levels(&net), [1, 1]);
+        let rigid = ElasticQos::rigid(Bandwidth::kbps(150)).unwrap();
+        let mut mutant = net.clone();
+        let answer = establish_against_the_reference(&mut net, 0, 1, rigid);
+        assert_eq!(answer, (Answer::Fits, Some(Answer::Lowered)));
+        assert_eq!(levels(&net), [1, 0, 0]);
+        seam::with(Seam::SkipTheLoweredRowTest, || {
+            mutant.establish(NodeId(0), NodeId(1), rigid).unwrap()
+        });
+        assert_eq!(mutant.fill.taken_back[Answer::InPlace as usize], 1);
+        assert_eq!(levels(&mutant), [0, 0, 0]);
+    }
+
+    /// A line 0–1–2 whose link 0 has 450 Kbps and link 1 700: J (0→2)
+    /// climbs to 400 Kbps, then W (1→2) to 300, refused at link 1 at its
+    /// third turn. A newcomer 0→1 overbooks J's extra on link 0: the
+    /// take-back lowers J until the newcomer's own turns rank above its
+    /// held ones, which frees room on link 1 where W waits. The fill, J
+    /// retreated, wakes W there: the waitlist test refuses the candidate.
+    #[test]
+    fn a_take_back_that_frees_a_waiting_row_s_room_falls_back() {
+        let mut g = Graph::with_nodes(3);
+        for (a, b) in [(0, 1), (1, 2)] {
+            g.add_link(NodeId(a), NodeId(b)).unwrap();
+        }
+        let config = NetworkConfig {
+            require_backup: false,
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::new(g, config);
+        net.links[0] = LinkUsage::new(Bandwidth::kbps(450));
+        net.links[1] = LinkUsage::new(Bandwidth::kbps(700));
+        net.establish(NodeId(0), NodeId(2), qos()).unwrap();
+        net.establish(NodeId(1), NodeId(2), qos()).unwrap();
+        assert_eq!(levels(&net), [3, 2]);
+        let w_slot = live_pairs(&net)[1].0;
+        let at_link_1 = (LinkId(1), Bandwidth::kbps(100));
+        assert_eq!(net.connections.blocked(w_slot), Some(at_link_1));
+        let answer = establish_against_the_reference(&mut net, 0, 1, qos());
+        assert_eq!(answer, (Answer::Fits, Some(Answer::Waitlists)));
+    }
+
+    /// One 350 Kbps link holds J (100–200 Kbps in steps of 100) at its
+    /// maximum. A newcomer of utility 2 asks 200 Kbps increments: its first
+    /// turn ranks below J's held one, so it takes J's increment back, but
+    /// 150 Kbps is still short of its own and nothing else is held there.
+    /// It is refused, and J's increment, taken back for nothing, would be
+    /// granted straight back by the fill: the candidate fails on the
+    /// lowered row and the fill leaves the state as it stood.
+    #[test]
+    fn a_newcomer_short_after_taking_back_a_smaller_increment_falls_back() {
+        let mut net = one_link(350);
+        net.establish(NodeId(0), NodeId(1), elastic(100, 200, 100, 1.0))
+            .unwrap();
+        assert_eq!(levels(&net), [1]);
+        let keen = elastic(100, 500, 200, 2.0);
+        let answer = establish_against_the_reference(&mut net, 0, 1, keen);
+        assert_eq!(answer, (Answer::Newcomer, Some(Answer::Lowered)));
+        assert_eq!(levels(&net), [1, 0]);
     }
 
     // --------------------------------------- the fault stage (`fault.rs`) --

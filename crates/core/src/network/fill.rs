@@ -73,6 +73,40 @@ impl FillRow {
         rank_of(fill_score(policy, self.level, self.utility), self.id)
     }
 
+    /// The rank of the highest turn this row holds, its last one; zero
+    /// for none.
+    fn top(&self, policy: AdaptationPolicy) -> u128 {
+        self.level.checked_sub(1).map_or(0, |last| {
+            rank_of(fill_score(policy, last, self.utility), self.id)
+        })
+    }
+
+    /// Whether the in-place answer took increments back from this row.
+    fn lowered(&self) -> bool {
+        self.level < self.loaded_level
+    }
+
+    /// The bandwidth this row's level moved by since it was loaded.
+    fn moved(&self) -> Bandwidth {
+        self.increment
+            .times(self.level.abs_diff(self.loaded_level) as u64)
+    }
+
+    /// Puts this row's extra back where it was loaded, on `path`, its
+    /// primary.
+    fn restore(&mut self, path: &[LinkId], links: &mut [LinkUsage]) {
+        if self.level == self.loaded_level {
+            return;
+        }
+        for l in path {
+            match self.lowered() {
+                true => links[l.index()].add_extra(self.moved()),
+                false => links[l.index()].remove_extra(self.moved()),
+            }
+        }
+        self.level = self.loaded_level;
+    }
+
     /// The bandwidth this row could still be granted.
     fn remaining(&self) -> Bandwidth {
         self.increment.times((self.max_level - self.level) as u64)
@@ -285,6 +319,148 @@ pub(super) enum Answer {
     /// A bucket on a retreated row's link has room for its increment, or
     /// a turn there ranks above its head.
     Waitlists,
+    /// A row the take-back lowered is refused, at its new level, by no
+    /// link that carries only lower-ranked turns.
+    Lowered,
+}
+
+/// No place in the arena: the end of a [`Candidate`]'s crossing lists.
+const NOWHERE: u32 = u32::MAX;
+
+/// The candidate state of an in-place answer, under construction: the
+/// retreated rows, their links and the newcomer's back to back in
+/// `arena`, and per link the highest rank of a turn the rows hold there.
+/// Its first take-back indexes, per link, the rows that cross it.
+struct Candidate<'a> {
+    policy: AdaptationPolicy,
+    rows: &'a mut [FillRow],
+    arena: &'a [LinkId],
+    links: &'a mut [LinkUsage],
+    turns: &'a mut [u128],
+    /// Per link, the last place in `arena` where a row crosses it.
+    crossed: &'a mut Vec<u32>,
+    /// Per place in `arena`, the row whose link it is and the previous
+    /// place where a row crosses that link.
+    crossing: &'a mut Vec<(u32, u32)>,
+    /// Per row, the rank of the highest turn it holds, zero for none.
+    tops: &'a mut Vec<u128>,
+}
+
+impl Candidate<'_> {
+    /// The row with the highest-ranked turn held on `l`, as `(rank, index)`.
+    fn highest_held(&mut self, l: LinkId) -> Option<(u128, usize)> {
+        if self.crossing.is_empty() {
+            self.crossed.resize(self.links.len(), NOWHERE);
+            self.crossing.resize(self.arena.len(), (NOWHERE, NOWHERE));
+            self.tops.clear();
+            for (i, row) in self.rows.iter().enumerate() {
+                self.tops.push(row.top(self.policy));
+                for at in row.links.clone() {
+                    let last = &mut self.crossed[self.arena[at].index()];
+                    self.crossing[at] = (i as u32, *last);
+                    *last = at as u32;
+                }
+            }
+        }
+        let (mut at, mut highest) = (self.crossed[l.index()], (0, 0));
+        while at != NOWHERE {
+            let (i, previous) = self.crossing[at as usize];
+            highest = highest.max((self.tops[i as usize], i as usize));
+            at = previous;
+        }
+        Some(highest).filter(|&(top, _)| top > 0)
+    }
+
+    /// Takes row `i`'s highest-ranked increment back, on every link of its
+    /// primary: where that was the highest turn held, the next one is.
+    fn take_back(&mut self, i: usize) {
+        let row = &mut self.rows[i];
+        row.level -= 1;
+        let held = std::mem::replace(&mut self.tops[i], row.top(self.policy));
+        let (increment, path) = (row.increment, &self.arena[row.links.clone()]);
+        for &l in path {
+            self.links[l.index()].remove_extra(increment);
+            if self.turns[l.index()] == held {
+                let top = self.highest_held(l).map_or(0, |(rank, _)| rank);
+                self.turns[l.index()] = top;
+            }
+        }
+    }
+
+    /// Fits the retreated rows' extras: on every link one crosses, taking
+    /// back the highest-ranked increments held there until the link is
+    /// within capacity. Returns whether it took any back, or `None` when a
+    /// link is down or holds no extra left to take.
+    fn fit(&mut self) -> Option<bool> {
+        let (arena, mut taken) = (self.arena, false);
+        let over = |usage: &LinkUsage| usage.committed() > usage.capacity();
+        for i in 0..self.rows.len() {
+            if self.rows[i].loaded_level == 0 {
+                continue;
+            }
+            for &l in &arena[self.rows[i].links.clone()] {
+                if !self.links[l.index()].is_up() {
+                    return None;
+                }
+                while over(&self.links[l.index()]) {
+                    let (_, i) = self.highest_held(l)?;
+                    self.take_back(i);
+                    taken = true;
+                }
+            }
+        }
+        Some(taken)
+    }
+
+    /// Grows `newcomer` turn by turn: where a link lacks its increment it
+    /// takes back the highest-ranked increment held there while that ranks
+    /// above its turn, and it stops at its maximum or where it is refused —
+    /// at once where a link that lacks carries only lower-ranked turns.
+    /// Returns whether it took any back.
+    fn grow(&mut self, newcomer: &mut FillRow) -> bool {
+        let arena = self.arena;
+        let (path, increment) = (&arena[newcomer.links.clone()], newcomer.increment);
+        let room = |usage: &LinkUsage| match usage.is_up() {
+            true => usage.headroom().as_kbps() / increment.as_kbps().max(1),
+            false => 0,
+        };
+        let free = path.iter().map(|l| room(&self.links[l.index()])).min();
+        let free = free
+            .unwrap_or(0)
+            .min((newcomer.max_level - newcomer.level) as u64);
+        for l in path {
+            self.links[l.index()].add_extra(increment.times(free));
+        }
+        newcomer.level += free as usize;
+        let short = |links: &[LinkUsage], l: &LinkId| lacks(&links[l.index()], increment);
+        let mut taken = false;
+        while newcomer.level < newcomer.max_level {
+            let next = newcomer.rank(self.policy);
+            if path
+                .iter()
+                .any(|l| short(self.links, l) && self.turns[l.index()] < next)
+            {
+                break;
+            }
+            for l in path {
+                while short(self.links, l) {
+                    match self.highest_held(*l) {
+                        Some((top, i)) if top > next => self.take_back(i),
+                        _ => break,
+                    }
+                    taken = true;
+                }
+            }
+            if path.iter().any(|l| short(self.links, l)) {
+                break;
+            }
+            for l in path {
+                self.links[l.index()].add_extra(increment);
+            }
+            newcomer.level += 1;
+        }
+        taken
+    }
 }
 
 /// Reusable work tables of [`Network::redistribute`]: a fill
@@ -309,8 +485,20 @@ pub(super) struct FillScratch {
     /// Per link, the highest rank of a turn the in-place answer counts
     /// there; all zero between commits.
     turns: Vec<u128>,
-    /// How the commits since creation were answered, by [`Answer`].
+    /// A take-back's per-link lists of the rows crossing each link
+    /// ([`Candidate`]): all [`NOWHERE`] and empty between commits.
+    crossed: Vec<u32>,
+    crossing: Vec<(u32, u32)>,
+    tops: Vec<u128>,
+    /// The retreated rows the in-place answer loaded, their links in
+    /// `arena`, which is free between fills.
+    held: Vec<FillRow>,
+    /// How the commits since creation were answered, by [`Answer`]: the
+    /// verdict on the state as it stands.
     pub(super) answers: [u64; 6],
+    /// The take-back's verdicts, by [`Answer`], on the commits whose state
+    /// as it stands failed on fits or the newcomer.
+    pub(super) taken_back: [u64; 7],
     /// How many rows left a waitlist by a write-back that moved them, by
     /// release and by failover, and how many a write-back left in place,
     /// for the differentials' coverage floors.
@@ -379,46 +567,64 @@ impl Network {
     }
 
     /// An arrival's fill answered in place, tried after the keep rule and
-    /// before anyone retreats: every row stays where it is and the
-    /// `newcomer` — on its routes at its minimum, unlisted — takes every
-    /// increment its primary has room for. If that state is the one the
-    /// retreat of `retreated` and the fill would reach, the newcomer is
-    /// listed, waits where it lacks its increment if below its maximum,
-    /// and this returns `true`; otherwise its grant is taken back and
-    /// nothing has moved. Counts the answer in the fill scratch.
+    /// before anyone retreats: every row stays where it is, or gives back
+    /// increments, and the `newcomer` — on its routes at its minimum,
+    /// unlisted — grows as far as the rows' turns let it. If that state is
+    /// the one the retreat of `retreated` and the fill would reach, the
+    /// newcomer is listed, the lowered rows are recounted, each below its
+    /// maximum waits where it is refused, and this returns `true`;
+    /// otherwise every increment is put back and nothing has moved. Counts
+    /// the answer in the fill scratch: the verdict on the state as it
+    /// stands, and the take-back's when that one failed on fits or the
+    /// newcomer.
     ///
     /// The fill's result is the one state in which every link a turn
     /// crosses fits, and every row below its maximum is refused at some
     /// link by the load of the turns ranked below its next one; at a link
     /// whose turns all rank below that one, that load is the final load.
-    /// So the test asks, with one highest turn rank per link: every link
-    /// a retreated row's extra crosses is up and within capacity (the
-    /// newcomer's grant fits by construction); the newcomer is at its
-    /// maximum or some link of its primary lacks its increment and carries
-    /// only lower turns; and every bucket on a retreated row's link lacks
-    /// room for its increment there and ranks its head above every turn
-    /// there — which covers the retreated rows below their maximum too,
-    /// each waiting in one of those buckets while the loose set is empty.
+    /// So the candidate is built, and tested with one highest turn rank per
+    /// link. Fits: every link a retreated row's extra crosses is up and
+    /// within capacity — where the newcomer's minimum or backup overbooks
+    /// it, the highest-ranked increments held there are taken back until it
+    /// is. The newcomer: it grows turn by turn, taking back a held
+    /// increment ranked above its turn where a link lacks its own, and is
+    /// at its maximum or lacks its increment at a link that carries only
+    /// lower turns. Each lowered row lacks its increment, at its new level,
+    /// at such a link. The waitlists: every bucket on a retreated row's
+    /// link lacks room for its increment there and ranks its head above
+    /// every turn there — which covers the retreated rows left as they
+    /// were below their maximum too, each waiting in one of those buckets
+    /// while the loose set is empty; a lowered row's entry there holds its
+    /// old, higher rank, so the bucket no longer speaks for it. A state as
+    /// it stands that passes takes nothing back: no extra pass is made.
     /// DESIGN.md §4 ("The fill answered in place") has the argument.
     pub(super) fn answer_in_place(&mut self, retreated: &[ChainPair], newcomer: ChainPair) -> bool {
         #[cfg(test)]
         if seam::armed(Seam::Reference) {
             return false;
         }
-        let answer = if !self.loose.is_empty() {
-            Answer::Loose
+        let (answer, taken_back) = if !self.loose.is_empty() {
+            (Answer::Loose, None)
         } else if self.config.policy == AdaptationPolicy::MaxUtility {
-            Answer::Policy
+            (Answer::Policy, None)
         } else {
             self.try_in_place(retreated, newcomer)
         };
         self.fill.answers[answer as usize] += 1;
-        answer == Answer::InPlace
+        if let Some(verdict) = taken_back {
+            self.fill.taken_back[verdict as usize] += 1;
+        }
+        taken_back.unwrap_or(answer) == Answer::InPlace
     }
 
     /// [`Self::answer_in_place`] under the `Coefficient` policy with the
-    /// loose set empty, where a row's turns rank higher level by level.
-    fn try_in_place(&mut self, retreated: &[ChainPair], (slot, id): ChainPair) -> Answer {
+    /// loose set empty, where a row's turns rank higher level by level:
+    /// the verdict on the state as it stands, and the take-back's if tried.
+    fn try_in_place(
+        &mut self,
+        retreated: &[ChainPair],
+        (slot, id): ChainPair,
+    ) -> (Answer, Option<Answer>) {
         let policy = self.config.policy;
         let Self {
             links,
@@ -428,97 +634,146 @@ impl Network {
             total_bandwidth,
             ..
         } = self;
+        let FillScratch {
+            arena,
+            turns,
+            held,
+            crossed,
+            crossing,
+            tops,
+            ..
+        } = fill;
         let Some(conn) = connections.at(slot, id) else {
-            return Answer::Newcomer;
+            return (Answer::Newcomer, None);
         };
-        let (path, increment) = (conn.primary().links(), conn.qos().increment());
-        let (max_level, utility) = (conn.qos().max_level(), conn.qos().utility());
-        let room = |l: &LinkId| {
-            let usage = &links[l.index()];
-            match usage.is_up() {
-                true => usage.headroom().as_kbps() / increment.as_kbps().max(1),
-                false => 0,
+        arena.clear();
+        let mut newcomer = FillRow::load(slot, conn, None, arena);
+        held.clear();
+        for &(s, i) in retreated {
+            if let Some(conn) = connections.at(s, i) {
+                held.push(FillRow::load(s, conn, connections.waiting(s), arena));
+            }
+        }
+        // The highest turn rank the retreated rows hold on every link.
+        turns.resize(links.len(), 0);
+        let raise = |turns: &mut [u128], row: &FillRow, arena: &[LinkId]| {
+            let top = row.top(policy);
+            for l in &arena[row.links.clone()] {
+                let at = &mut turns[l.index()];
+                *at = (*at).max(top);
             }
         };
-        let level = path.iter().map(room).min().unwrap_or(0);
-        let level = level.min(max_level as u64) as usize;
-        let grant = increment.times(level as u64);
-        for l in path {
-            links[l.index()].add_extra(grant);
+        for row in held.iter() {
+            raise(turns, row, arena);
         }
-        let rows = retreated.iter().filter_map(|&(s, i)| connections.at(s, i));
-        let extras = rows.clone().filter(|c| c.level() > 0);
-        let next = rank_of(fill_score(policy, level, utility), id);
-
-        // Fits: a retreated row's turns land where they were.
-        let fits = |l: &LinkId| {
-            let usage = &links[l.index()];
-            usage.is_up() && usage.committed() <= usage.capacity()
+        let arena: &[LinkId] = arena;
+        let mut candidate = Candidate {
+            policy,
+            rows: held,
+            arena,
+            links,
+            turns,
+            crossed,
+            crossing,
+            tops,
         };
-        let answer = if !extras.clone().all(|c| c.primary().links().iter().all(fits)) {
+        let fitted = candidate.fit();
+        let grown = fitted.is_some() && candidate.grow(&mut newcomer);
+        raise(turns, &newcomer, arena);
+        let (path, increment) = (&arena[newcomer.links.clone()], newcomer.increment);
+
+        // The newcomer, the lowered rows, then the waitlists on the
+        // retreated rows' links: each refused where it lacks, by lower
+        // turns alone.
+        let refused = |l: &LinkId, increment, rank| {
+            lacks(&links[l.index()], increment) && turns[l.index()] < rank
+        };
+        let holds = |l: &LinkId| {
+            links[l.index()].buckets().iter().all(|b| {
+                let head = b.rows.last().map_or(u128::MAX, |&(rank, _)| rank);
+                refused(l, b.increment, head)
+            })
+        };
+        let taken = fitted == Some(true) || grown;
+        let mut placed = |row: &mut FillRow| {
+            let path = &arena[row.links.clone()];
+            let rank = row.rank(policy);
+            let at = path.iter().find(|l| refused(l, row.increment, rank));
+            row.refused = at.map(|&l| (l, row.increment));
+            row.refused.is_some()
+        };
+        marks.begin(links.len());
+        let next = newcomer.rank(policy);
+        let verdict = if fitted.is_none() {
             Answer::Fits
+        } else if newcomer.level < newcomer.max_level
+            && !path.iter().any(|l| refused(l, increment, next))
+        {
+            Answer::Newcomer
+        } else if taken
+            && !held.iter_mut().filter(|r| r.lowered()).all(&mut placed)
+            && !seam::armed(Seam::SkipTheLoweredRowTest)
+        {
+            Answer::Lowered
+        } else if seam::armed(Seam::IgnoreTheWaitlists) {
+            Answer::InPlace
+        } else if !held
+            .iter()
+            .flat_map(|row| &arena[row.links.clone()])
+            .all(|l| !marks.walk(l.index()) || holds(l))
+        {
+            Answer::Waitlists
         } else {
-            // The highest turn rank on every link, the newcomer's included.
-            let turns = &mut fill.turns;
-            turns.resize(links.len(), 0);
-            let tops = extras.clone().map(|c| {
-                let top = rank_of(fill_score(policy, c.level() - 1, c.qos().utility()), c.id());
-                (c.primary().links(), top)
-            });
-            let own =
-                (level > 0).then(|| (path, rank_of(fill_score(policy, level - 1, utility), id)));
-            for (route, top) in tops.chain(own) {
-                for l in route {
-                    let at = &mut turns[l.index()];
-                    *at = (*at).max(top);
-                }
-            }
-            // The newcomer, then the waitlists on the retreated rows'
-            // links: each refused where it lacks, by lower turns alone.
-            let refused = |l: &LinkId, increment, rank| {
-                lacks(&links[l.index()], increment) && turns[l.index()] < rank
-            };
-            let holds = |l: &LinkId| {
-                links[l.index()].buckets().iter().all(|b| {
-                    let head = b.rows.last().map_or(u128::MAX, |&(rank, _)| rank);
-                    refused(l, b.increment, head)
-                })
-            };
-            marks.begin(links.len());
-            let mut walked = rows.flat_map(|c| c.primary().links());
-            let answer = if level < max_level && !path.iter().any(|l| refused(l, increment, next)) {
-                Answer::Newcomer
-            } else if seam::armed(Seam::IgnoreTheWaitlists) {
-                Answer::InPlace
-            } else if !walked.all(|l| !marks.walk(l.index()) || holds(l)) {
-                Answer::Waitlists
-            } else {
-                Answer::InPlace
-            };
-            for l in extras.flat_map(|c| c.primary().links()).chain(path) {
-                turns[l.index()] = 0;
-            }
-            answer
+            Answer::InPlace
         };
-
-        if answer != Answer::InPlace {
-            for l in path {
-                links[l.index()].remove_extra(grant);
+        let stands = match (fitted, grown) {
+            (None | Some(true), _) => Answer::Fits,
+            (Some(false), true) => Answer::Newcomer,
+            (Some(false), false) => verdict,
+        };
+        let taken_back = matches!(stands, Answer::Fits | Answer::Newcomer).then_some(verdict);
+        let indexed = !crossing.is_empty();
+        for l in arena {
+            turns[l.index()] = 0;
+            if indexed {
+                crossed[l.index()] = NOWHERE;
             }
-            return answer;
         }
+        crossing.clear();
+
+        if verdict != Answer::InPlace {
+            for row in held.iter_mut().chain([&mut newcomer]) {
+                row.restore(&arena[row.links.clone()], links);
+            }
+            return (stands, taken_back);
+        }
+        // Write the newcomer and the lowered rows: each below its maximum
+        // waits at a link that refuses it, at its rank now.
         let lacking = path.iter().find(|l| lacks(&links[l.index()], increment));
-        let place = lacking.copied().filter(|_| level < max_level);
-        *total_bandwidth += grant;
-        if let Some(conn) = connections.at_mut(slot, id) {
-            conn.set_level(level);
+        let place = lacking
+            .copied()
+            .filter(|_| newcomer.level < newcomer.max_level);
+        newcomer.refused = place.map(|l| (l, increment));
+        for row in held.iter().filter(|r| r.lowered()).chain([&newcomer]) {
+            match row.lowered() {
+                true => *total_bandwidth -= row.moved(),
+                false => *total_bandwidth += row.moved(),
+            }
+            if let Some(conn) = connections.at_mut(row.slot, row.id) {
+                conn.set_level(row.level);
+            }
+            if let Some(((link, increment), rank)) = row.waited {
+                links[link.index()].unwait(increment, rank);
+            }
+            let place = row.refused.map(|at| (at, row.rank(policy)));
+            if let Some(((link, increment), rank)) = place {
+                links[link.index()].wait(increment, rank, row.slot);
+            }
+            connections.set_waiting(row.slot, place);
         }
-        if let Some(link) = place {
-            links[link.index()].wait(increment, next, slot);
-            connections.set_waiting(slot, Some(((link, increment), next)));
-        }
-        Self::reconcile(links, connections, [(slot, id)]);
-        answer
+        let lowered = held.iter().filter(|r| r.lowered()).map(|r| (r.slot, r.id));
+        Self::reconcile(links, connections, lowered.chain([(slot, id)]));
+        (stands, taken_back)
     }
 
     /// Takes the live `pair` off the waitlist it waits on, if any, by the

@@ -264,7 +264,6 @@ pub(crate) fn stale_pragmas(files: &[WsFile], out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::MIN_LIVE_EDGES;
     use crate::lexer::lex;
     use crate::parser::parse_file;
 
@@ -367,15 +366,6 @@ mod tests {
         assert_eq!(out[0].rule, "determinism-taint");
         assert_eq!(out[0].file, "crates/core/src/measure.rs");
         assert!(out[0].message.contains("render") && out[0].message.contains("stamp"));
-    }
-
-    #[test]
-    fn non_vacuity_fires_on_an_empty_graph() {
-        let (_, graph) = ws(&[("crates/core/src/a.rs", "fn lonely() {}")]);
-        let mut out = Vec::new();
-        non_vacuity(&graph, MIN_LIVE_EDGES, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "call-graph");
     }
 
     #[test]

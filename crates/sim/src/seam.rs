@@ -56,6 +56,9 @@ pub enum Seam {
     /// An arrival's fill is answered in place without asking the
     /// waitlists on the retreated rows' links.
     IgnoreTheWaitlists,
+    /// An arrival's fill is answered in place after a take-back without
+    /// asking whether each lowered row is refused by lower turns alone.
+    SkipTheLoweredRowTest,
     /// A fallback segment's round scans its layers in discovery order,
     /// not node-id order.
     UnsortedLayer,

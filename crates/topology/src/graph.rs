@@ -123,7 +123,7 @@ pub struct Graph {
     /// state, kept by `add_link`).
     pair_index: HashMap<(NodeId, NodeId), LinkId>,
     /// Derived state, left out of equality and `Debug`: see
-    /// [`Graph::hops_toward`] and [`Graph::blocks`].
+    /// [`Graph::hops_toward`], [`Graph::blocks`] and [`Graph::cut_nodes`].
     hops: HopTable,
 }
 
@@ -138,8 +138,11 @@ struct HopTable(Arc<Rows>);
 #[derive(Default)]
 struct Rows {
     hops: OnceLock<Box<[HopRow]>>,
-    blocks: OnceLock<Box<[u32]>>,
+    blocks: OnceLock<Blocks>,
 }
+
+/// The block row and the cut flags, from one pass.
+type Blocks = (Box<[u32]>, Box<[bool]>);
 
 /// One destination's row of a [`HopTable`], empty until first asked for.
 type HopRow = OnceLock<Box<[u32]>>;
@@ -281,22 +284,39 @@ impl Graph {
     /// it and kept, beside the hop rows, until `add_node` or `add_link`
     /// changes the graph.
     pub fn blocks(&self) -> &[u32] {
+        &self.tarjan().0
+    }
+
+    /// Each node's cut flag: whether removing the node, with its links,
+    /// disconnects two nodes it leaves (an articulation point). Every path
+    /// between the nodes it separates crosses it, so no route that avoids
+    /// it joins them. From the same pass as [`Graph::blocks`], and kept
+    /// beside it.
+    pub fn cut_nodes(&self) -> &[bool] {
+        &self.tarjan().1
+    }
+
+    fn tarjan(&self) -> &Blocks {
         self.hops.0.blocks.get_or_init(|| self.two_edge_blocks())
     }
 
-    /// The block row by one depth-first pass: a node whose subtree has no
-    /// link back above it (`low == disc`) closes its block, which is what
-    /// is left of the node stack down to it.
-    fn two_edge_blocks(&self) -> Box<[u32]> {
+    /// The block row and the cut flags by one depth-first pass: a node
+    /// whose subtree has no link back above it (`low == disc`) closes its
+    /// block, which is what is left of the node stack down to it; a node
+    /// with a child whose subtree has no link back above the node
+    /// (`low >= disc`) is a cut node — the root when it has two children.
+    fn two_edge_blocks(&self) -> Blocks {
         const UNSEEN: u32 = u32::MAX;
         let n = self.node_count();
         let (mut block, mut disc, mut low) = (vec![UNSEEN; n], vec![UNSEEN; n], vec![0; n]);
+        let mut cut = vec![false; n];
         let (mut open, mut calls) = (Vec::new(), Vec::new());
         let (mut time, mut closed) = (0, 0);
         for root in self.nodes() {
             if disc[root.0] != UNSEEN {
                 continue;
             }
+            let mut children = 0;
             // `calls` is the pass's call stack: `(node, the tree link it
             // was entered by, its next adjacency entry)`.
             let mut entering = Some((root, None));
@@ -326,6 +346,11 @@ impl Graph {
                 calls.pop();
                 if let Some(&(parent, _, _)) = calls.last() {
                     low[parent.0] = low[parent.0].min(low[u.0]);
+                    if parent == root {
+                        children += 1;
+                    } else if low[u.0] >= disc[parent.0] {
+                        cut[parent.0] = true;
+                    }
                 }
                 if low[u.0] == disc[u.0] {
                     while let Some(w) = open.pop() {
@@ -337,8 +362,9 @@ impl Graph {
                     closed += 1;
                 }
             }
+            cut[root.0] = children > 1;
         }
-        block.into_boxed_slice()
+        (block.into_boxed_slice(), cut.into_boxed_slice())
     }
 
     /// Hop distances from `dst` to every node, by one breadth-first pass.
@@ -803,10 +829,32 @@ mod tests {
         Ok(bridge.iter().filter(|&&b| b).count())
     }
 
+    /// `graph`'s cut flags against the brute force: a node is a cut node
+    /// exactly when two of its neighbours are no longer joined once its
+    /// links are gone. Returns how many cut nodes it saw.
+    fn check_cut_nodes(graph: &Graph) -> Result<usize, String> {
+        let flags = graph.cut_nodes();
+        for v in graph.nodes() {
+            let around: Vec<NodeId> = graph.neighbors(v).iter().map(|&(u, _)| u).collect();
+            let avoiding = |l: LinkId| {
+                let (a, b) = graph.link(l).endpoints();
+                a != v && b != v
+            };
+            let apart = around
+                .iter()
+                .any(|&a| !joined(graph, around[0], a, &avoiding));
+            if flags[v.0] != apart {
+                return Err(format!("{v}: cut flags {flags:?}"));
+            }
+        }
+        Ok(flags.iter().filter(|&&cut| cut).count())
+    }
+
     /// What [`block_differential`] saw, beyond agreement.
     #[derive(Debug, Default)]
     struct BlockCounts {
         bridges: usize,
+        cut_nodes: usize,
         /// Graphs with one block and with more than one.
         one_block: usize,
         split: usize,
@@ -815,9 +863,10 @@ mod tests {
     }
 
     /// Runs `cases` seeded graphs — [`draw_graph`]'s four kinds and the
-    /// bridge-rich [`draw_bridged`] — through [`check_blocks`], then grows
-    /// each by a link or two, while a clone may still share its table, and
-    /// checks the grown graph and the clone again.
+    /// bridge-rich [`draw_bridged`] — through [`check_blocks`] and
+    /// [`check_cut_nodes`], then grows each by a link or two, while a clone
+    /// may still share its table, and checks the grown graph and the clone
+    /// again.
     fn block_differential(cases: usize) -> Result<BlockCounts, String> {
         let mut rng = drqos_sim::rng::Rng::seed_from_u64(0xB10C_2026);
         let mut counts = BlockCounts::default();
@@ -829,6 +878,7 @@ mod tests {
             let twin = graph.clone();
             let bridges = check_blocks(&graph).map_err(|e| format!("case {i}: {e}"))?;
             counts.bridges += bridges;
+            counts.cut_nodes += check_cut_nodes(&graph).map_err(|e| format!("case {i}: {e}"))?;
             let first = graph.blocks().first().copied();
             if graph.blocks().iter().all(|&b| Some(b) == first) {
                 counts.one_block += 1;
@@ -846,12 +896,17 @@ mod tests {
             counts.changed_by_growth += usize::from(graph.blocks() != &before[..]);
             check_blocks(&graph).map_err(|e| format!("case {i}, grown: {e}"))?;
             check_blocks(&twin).map_err(|e| format!("case {i}, clone: {e}"))?;
+            check_cut_nodes(&graph).map_err(|e| format!("case {i}, grown: {e}"))?;
+            check_cut_nodes(&twin).map_err(|e| format!("case {i}, clone: {e}"))?;
         }
         Ok(counts)
     }
 
     fn assert_block_coverage(counts: &BlockCounts, cases: usize) {
-        assert!(counts.bridges > cases, "{counts:?}");
+        assert!(
+            counts.bridges > cases && counts.cut_nodes > cases,
+            "{counts:?}"
+        );
         assert!(
             counts.one_block > cases / 10 && counts.split > cases / 2,
             "{counts:?}"
