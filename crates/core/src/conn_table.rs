@@ -523,16 +523,8 @@ mod tests {
     /// The id index against the ordered map it replaces (see
     /// [`index_case`]).
     #[test]
-    fn the_id_index_matches_the_ordered_map_on_200_seeded_cases() {
-        index_matches_the_map(200);
-    }
-
-    /// [`the_id_index_matches_the_ordered_map_on_200_seeded_cases`] at ten
-    /// times the cases, for CI's release run.
-    #[test]
-    #[ignore]
-    fn the_id_index_matches_the_ordered_map_on_2000_seeded_cases() {
-        index_matches_the_map(2_000);
+    fn the_id_index_matches_the_ordered_map_on_seeded_cases() {
+        index_matches_the_map(crate::cases::scaled(200));
     }
 
     /// An index that pushes an out-of-order insert at its end, as if every

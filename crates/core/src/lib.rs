@@ -63,6 +63,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod cases;
 pub mod channel;
 mod conn_table;
 pub mod env;

@@ -937,6 +937,7 @@ mod support {
     use super::*;
     use drqos_sim::rng::Rng;
     use drqos_topology::{regular, waxman};
+    use Act::*;
 
     pub(super) fn qos() -> ElasticQos {
         ElasticQos::paper_video(100) // 100..500 step 100, 5 levels
@@ -1012,23 +1013,74 @@ mod support {
         (net, rng)
     }
 
-    /// Applies one random op to `net`, rendering its result.
-    pub(super) fn random_op(net: &mut Network, rng: &mut Rng) -> String {
-        let nodes = net.graph().node_count();
-        let links = net.graph().link_count();
+    /// What an op of a [`Mix`] does: release a live connection, fail or
+    /// repair any link, repair a link that is down, fail a node, fail or
+    /// repair one of the first three groups, establish three requests as
+    /// one batch, or set a hot request up and tear it down at once.
+    #[derive(Clone, Copy)]
+    pub(super) enum Act {
+        Release,
+        Fail,
+        Repair,
+        RepairDown,
+        FailNode,
+        Group,
+        Batch,
+        ShortCall,
+    }
+
+    /// An op mix: each act with its share in per cent. The rest, and an
+    /// act with nothing to act on, establishes one request.
+    pub(super) type Mix = &'static [(Act, usize)];
+
+    /// Releases, link faults and repairs, and batches.
+    pub(super) const CHURN: Mix = &[(Release, 15), (Fail, 8), (Repair, 4), (Batch, 6)];
+
+    /// Applies the op `seed` draws from `mix` to `net`, rendering its
+    /// result; a short call sets up one of `hot`.
+    pub(super) fn random_op(
+        net: &mut Network,
+        seed: u64,
+        mix: Mix,
+        hot: &[EstablishRequest],
+    ) -> String {
+        let mut rng = Rng::seed_from_u64(seed);
+        let (nodes, links) = (net.graph().node_count(), net.graph().link_count());
         let live: Vec<ConnectionId> = net.connections().map(|c| c.id()).collect();
-        match rng.range_usize(100) {
-            0..=14 if !live.is_empty() => {
+        let down: Vec<LinkId> = (0..links)
+            .map(LinkId)
+            .filter(|l| !net.links[l.index()].is_up())
+            .collect();
+        let mut roll = rng.range_usize(100);
+        let act = mix.iter().find_map(|&(act, share)| {
+            let drawn = roll < share;
+            roll = roll.saturating_sub(share);
+            drawn.then_some(act)
+        });
+        match act {
+            Some(Release) if !live.is_empty() => {
                 format!("{:?}", net.release(live[rng.range_usize(live.len())]))
             }
-            15..=22 => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
-            23..=26 => format!("{:?}", net.repair_link(LinkId(rng.range_usize(links)))),
-            27..=32 => {
-                let reqs: Vec<_> = (0..3).map(|_| random_request(rng, nodes)).collect();
+            Some(Fail) => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
+            Some(Repair) => format!("{:?}", net.repair_link(LinkId(rng.range_usize(links)))),
+            Some(RepairDown) if !down.is_empty() => {
+                format!("{:?}", net.repair_link(down[rng.range_usize(down.len())]))
+            }
+            Some(FailNode) => format!("{:?}", net.fail_node(NodeId(rng.range_usize(nodes)))),
+            Some(Group) if rng.chance(0.5) => format!("{:?}", net.fail_srlg(rng.range_usize(3))),
+            Some(Group) => format!("{:?}", net.repair_srlg(rng.range_usize(3))),
+            Some(Batch) => {
+                let reqs: Vec<_> = (0..3).map(|_| random_request(&mut rng, nodes)).collect();
                 format!("{:?}", net.establish_batch(&reqs))
             }
+            Some(ShortCall) if !hot.is_empty() => {
+                let r = hot[rng.range_usize(hot.len())];
+                let set_up = net.establish(r.src, r.dst, r.qos);
+                let torn_down = set_up.clone().map(|id| net.release(id));
+                format!("{set_up:?} {torn_down:?}")
+            }
             _ => {
-                let r = random_request(rng, nodes);
+                let r = random_request(&mut rng, nodes);
                 format!("{:?}", net.establish(r.src, r.dst, r.qos))
             }
         }
@@ -1044,11 +1096,11 @@ mod support {
 #[cfg(test)]
 mod tests {
     use super::fill::{is_slack, Answer, FillScratch};
-    use super::support::*;
+    use super::support::{Act::*, *};
     use super::*;
+    use crate::cases;
     use drqos_sim::rng::Rng;
     use drqos_topology::regular;
-    use std::ops::Range;
 
     // ----------------------------------------------------------- fixtures --
 
@@ -1391,8 +1443,9 @@ mod tests {
             let mut on = off.clone();
             on.config.route_cache = !off.config.route_cache;
             for step in 0..40 {
-                let want = random_op(&mut off, &mut rng.clone());
-                let got = random_op(&mut on, &mut rng);
+                let seed = rng.next_u64();
+                let want = random_op(&mut off, seed, CHURN, &[]);
+                let got = random_op(&mut on, seed, CHURN, &[]);
                 assert_eq!(got, want, "case {case} step {step}");
                 assert_eq!(
                     crate::snapshot::NetworkSnapshot::capture(&on),
@@ -1404,82 +1457,77 @@ mod tests {
         }
     }
 
-    /// Replays `cases` seeded op sequences: [`random_op`]s mixed with
-    /// short calls and plan-only requests over three hot requests per
-    /// case. The network must pass [`Network::check_invariants`] after
-    /// every op: sequences this long fail links faster than they repair
-    /// them, so second failovers onto starved links are common. A
-    /// plan-only request must leave every field of the state as it found
-    /// it and plan the same when asked again. Returns how many plan-only
-    /// requests were checked.
-    fn churn_seeded_cases(cases: Range<u64>) -> Result<u64, String> {
-        let mut replanned = 0;
-        for case in cases {
-            let (mut net, mut rng) = random_case(case);
-            let nodes = net.graph().node_count();
-            let hot: Vec<_> = (0..3).map(|_| random_request(&mut rng, nodes)).collect();
-            for step in 0..30 + rng.range_usize(20) {
-                let got = match rng.range_usize(100) {
-                    0..=24 => {
-                        let r = hot[rng.range_usize(hot.len())];
-                        let set_up = net.establish(r.src, r.dst, r.qos);
-                        let torn_down = set_up.clone().map(|id| net.release(id));
-                        format!("{set_up:?} {torn_down:?}")
-                    }
-                    25..=39 => {
-                        let r = hot[rng.range_usize(hot.len())];
-                        let before = net.clone();
-                        let planned = net.plan_establish(r.src, r.dst, r.qos);
-                        let again = net.plan_establish(r.src, r.dst, r.qos);
-                        if net != before || again != planned {
-                            return Err(format!(
-                                "case {case} step {step}: {planned:?}, then {again:?}"
-                            ));
-                        }
-                        replanned += 1;
-                        format!("{planned:?}")
-                    }
-                    _ => random_op(&mut net, &mut rng),
-                };
-                let violations = net.check_invariants();
-                if !violations.is_empty() {
-                    return Err(format!("case {case} step {step}: {got}; {violations:?}"));
-                }
+    /// A case of the churn tier: [`random_case`]'s network, three hot
+    /// requests and 30–49 ops.
+    fn churn_case(case: u64) -> (Case, Vec<u64>) {
+        let (net, mut rng) = random_case(case);
+        let nodes = net.graph().node_count();
+        let hot = (0..3).map(|_| random_request(&mut rng, nodes)).collect();
+        let ops = (0..30 + rng.range_usize(20)).map(|_| rng.next_u64());
+        ((net, HOT_CHURN, hot), ops.collect())
+    }
+
+    /// Churn with short calls over the hot requests.
+    const HOT_CHURN: Mix = &[
+        (ShortCall, 30),
+        (Release, 11),
+        (Fail, 6),
+        (Repair, 3),
+        (Batch, 4),
+    ];
+
+    /// One op of the churn tier: 15 % a plan-only request for a hot one,
+    /// which must leave every field of the state as it found it and plan
+    /// the same when asked again (counted in `replanned`), and otherwise
+    /// a [`HOT_CHURN`] op. The network must pass
+    /// [`Network::check_invariants`] after it: sequences this long fail
+    /// links faster than they repair them, so second failovers onto
+    /// starved links are common.
+    fn churn_op((net, mix, hot): &mut Case, seed: u64, replanned: &mut u64) -> Result<(), String> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let got = if rng.chance(0.15) {
+            let r = hot[rng.range_usize(hot.len())];
+            let before = net.clone();
+            let planned = net.plan_establish(r.src, r.dst, r.qos);
+            let again = net.plan_establish(r.src, r.dst, r.qos);
+            if *net != before || again != planned {
+                return Err(format!("{planned:?}, then {again:?}"));
             }
+            *replanned += 1;
+            format!("{planned:?}")
+        } else {
+            random_op(net, rng.next_u64(), mix, hot)
+        };
+        let violations = net.check_invariants();
+        if !violations.is_empty() {
+            return Err(format!("{got}; {violations:?}"));
         }
-        Ok(replanned)
+        Ok(())
     }
 
     #[test]
-    fn invariants_and_replanning_hold_on_600_seeded_cases() {
-        let replanned = churn_seeded_cases(0..600).unwrap();
-        assert!(replanned > 600, "{replanned}");
+    fn invariants_and_replanning_hold_on_seeded_cases() {
+        let n = cases::scaled(600);
+        let replanned = cases::run(n, churn_case, churn_op, |_, _| {}).unwrap();
+        assert!(replanned > n, "{replanned}");
     }
 
-    #[test]
-    #[ignore = "ten times the cases; CI runs it in release"]
-    fn invariants_and_replanning_hold_on_6000_seeded_cases() {
-        let replanned = churn_seeded_cases(0..6_000).unwrap();
-        assert!(replanned > 6_000, "{replanned}");
-    }
-
-    /// Case 1027 of [`churn_seeded_cases`]: at step 25 a second failover
-    /// moved a connection onto a 300 Kbps link whose multiplexed
-    /// reservation the first had already spent, leaving 350 Kbps of
-    /// minima on it. Activation now looks for room first; without that
-    /// check the case fails exactly there.
+    /// Case 736 of the churn tier without the activation check, shrunk
+    /// to five of its 31 ops on a 300 Kbps network: three ops admit c0–c3
+    /// (one a batch), then link 17 fails and c0 fails over onto link 11,
+    /// and link 9 fails and c2's backup over link 11 is activated too, whose
+    /// multiplexed reservation c0 had already spent: 400 Kbps of minima
+    /// on it. Activation now looks for room first; without that check
+    /// the witness fails at its last op.
     #[test]
     fn a_second_failover_cannot_overbook_a_starved_link() {
-        assert_eq!(churn_seeded_cases(1027..1028).map(|_| ()), Ok(()));
-        let unchecked = seam::with(Seam::SkipTheActivationCheck, || {
-            churn_seeded_cases(1027..1028)
-        });
-        let err = unchecked.unwrap_err();
+        let ops = [0, 1, 10, 11, 27].map(|i| churn_case(736).1[i]);
+        let replayed = || cases::replay(churn_case, churn_op, 736, &ops);
+        assert_eq!(replayed(), Ok(()));
+        let unchecked = seam::with(Seam::SkipTheActivationCheck, replayed);
+        let (at, err) = unchecked.unwrap_err();
         let overbooked = "CapacityExceeded { link: LinkId(";
-        assert!(
-            err.starts_with("case 1027 step 25: ") && err.contains(overbooked),
-            "{err}"
-        );
+        assert!(at == 4 && err.contains(overbooked), "{err}");
     }
 
     /// The footprint property: a plan — or a rejection — depends on no
@@ -1493,7 +1541,7 @@ mod tests {
         for case in 0..cases {
             let (mut net, mut rng) = random_case(case);
             for _ in 0..12 {
-                random_op(&mut net, &mut rng);
+                random_op(&mut net, rng.next_u64(), CHURN, &[]);
             }
             let nodes = net.graph().node_count();
             for _ in 0..3 {
@@ -1644,8 +1692,8 @@ mod tests {
             }
         }
 
-        /// Adds what `net` counted over a whole case.
-        fn end_case(&mut self, net: &Network) {
+        /// Adds what the case's network counted over the whole case.
+        fn end_case(&mut self, (net, ..): &Case) {
             for (sum, n) in self.unwaited.iter_mut().zip(net.fill.unwaited) {
                 *sum += n;
             }
@@ -1660,65 +1708,64 @@ mod tests {
         }
     }
 
-    /// Replays `cases` seeded op sequences ([`random_case`],
-    /// [`random_op`]), each op on a clone whose whole admission path is the
-    /// retreat-everything reference ([`Seam::Reference`]) and on the network
-    /// itself. Every Waxman case (one in three) is fault-heavy instead: a
-    /// capacity drawn per link, no backup required, three groups of three
-    /// links registered and 80 [`fault_heavy_op`]s, so that failures drop
-    /// their victims and free room beside links still too tight to grow on,
-    /// leaving loose rows an arrival meets only on a kept channel's link.
-    /// After every op: results, full state and invariants must agree with
-    /// the reference, and the loose set must hold exactly the live listed
-    /// rows whose recorded refusal no longer holds. Tallies how the
-    /// network's last fill of each op took its rows, how rows left the
-    /// waitlists, and the loose rows.
-    fn admission_differential(cases: u64) -> Result<FillTally, String> {
-        let mut tally = FillTally::default();
-        for case in 0..cases {
-            let (mut net, mut rng) = random_case(case);
-            let heavy = case % 3 == 2;
-            let steps = if heavy { 80 } else { 10 + rng.range_usize(14) };
-            let op = if heavy { fault_heavy_op } else { random_op };
-            if heavy {
-                net.config.require_backup = false;
-                for usage in &mut net.links {
-                    let kbps = [300, 600, 1_000, 2_500, 10_000][rng.range_usize(5)];
-                    *usage = LinkUsage::new(Bandwidth::kbps(kbps));
-                }
-                // What planning reads changed behind the network's back.
-                net.plan_version.mint();
-                crate::scenario::register_seeded_srlgs(&mut net, 3, 3, case);
+    /// A network tier's case: the network, the mix its ops draw from and
+    /// its hot requests.
+    type Case = (Network, Mix, Vec<EstablishRequest>);
+
+    /// A tier's case maker: the case and its op seeds.
+    type Make = fn(u64) -> (Case, Vec<u64>);
+
+    /// A case of the admission differential: [`random_case`]'s network
+    /// under 10–23 [`CHURN`] ops. Every Waxman case (one in three) is
+    /// fault-heavy instead: a capacity drawn per link, no backup required,
+    /// three groups of three links registered and 80 [`FAULT_HEAVY`] ops,
+    /// so that failures drop their victims and free room beside links
+    /// still too tight to grow on, leaving loose rows an arrival meets
+    /// only on a kept channel's link.
+    fn admission_case(case: u64) -> (Case, Vec<u64>) {
+        let (mut net, mut rng) = random_case(case);
+        let heavy = case % 3 == 2;
+        if heavy {
+            net.config.require_backup = false;
+            for usage in &mut net.links {
+                let kbps = [300, 600, 1_000, 2_500, 10_000][rng.range_usize(5)];
+                *usage = LinkUsage::new(Bandwidth::kbps(kbps));
             }
-            for step in 0..steps {
-                let at = format!("case {case} step {step}");
-                op_against_the_reference(&mut net, &mut rng, op, &at, &mut tally)?;
-            }
-            tally.end_case(&net);
+            // What planning reads changed behind the network's back.
+            net.plan_version.mint();
+            crate::scenario::register_seeded_srlgs(&mut net, 3, 3, case);
         }
-        Ok(tally)
+        let (mix, steps) = if heavy {
+            (FAULT_HEAVY, 80)
+        } else {
+            (CHURN, 10 + rng.range_usize(14))
+        };
+        let ops = (0..steps).map(|_| rng.next_u64()).collect();
+        ((net, mix, Vec::new()), ops)
     }
+
+    /// Link and node failures, repairs of down links and group events;
+    /// nobody leaves.
+    const FAULT_HEAVY: Mix = &[(Fail, 25), (RepairDown, 20), (FailNode, 5), (Group, 5)];
 
     /// One op of a differential case, on a clone under [`Seam::Reference`]
     /// — which plans every request afresh, the memo bypassed — and on
-    /// `net` itself: results, full state and invariants must agree with
-    /// the reference, and the loose set must hold exactly the live listed
-    /// rows whose recorded refusal no longer holds. Tallies the op's last
-    /// fill and its loose rows.
+    /// the network itself, both applying the same seed: results, full
+    /// state and invariants must agree with the reference, and the loose
+    /// set must hold exactly the live listed rows whose recorded refusal
+    /// no longer holds. Tallies the op's last fill and its loose rows.
     fn op_against_the_reference(
-        net: &mut Network,
-        rng: &mut Rng,
-        op: impl Fn(&mut Network, &mut Rng) -> String,
-        at: &str,
+        (net, mix, hot): &mut Case,
+        seed: u64,
         tally: &mut FillTally,
     ) -> Result<(), String> {
-        let (mut oracle, mut oracle_rng) = (net.clone(), rng.clone());
-        let want = seam::with(Seam::Reference, || op(&mut oracle, &mut oracle_rng));
-        let got = op(net, rng);
+        let op = |net: &mut Network| random_op(net, seed, mix, hot);
+        let mut oracle = net.clone();
+        let want = seam::with(Seam::Reference, || op(&mut oracle));
+        let got = op(net);
         let violations = net.check_invariants();
-        let at = format!("{at}: {got}");
         if got != want || *net != oracle || !violations.is_empty() {
-            return Err(format!("{at} vs reference {want}; {violations:?}"));
+            return Err(format!("{got} vs reference {want}; {violations:?}"));
         }
         let unblocked = |&(slot, _): &ChainPair| {
             let listed = net.connections.counted(slot) > Bandwidth::ZERO;
@@ -1732,101 +1779,38 @@ mod tests {
         loose.sort_unstable_by_key(|&(_, id)| id);
         let unblocked: Vec<ChainPair> = live_pairs(net).into_iter().filter(unblocked).collect();
         if loose != unblocked {
-            return Err(format!("{at}: loose {loose:?}, unblocked {unblocked:?}"));
+            return Err(format!("{got}: loose {loose:?}, unblocked {unblocked:?}"));
         }
         tally.loose += loose.len();
         tally.add(&net.fill);
         Ok(())
     }
 
-    /// The admission differential's short-call tier: on each of `cases`
-    /// seeded networks ([`random_case`], three groups of three links
-    /// registered), 60 [`short_call_op`]s over four hot requests drawn
-    /// once, each op checked against the reference as
-    /// [`admission_differential`]'s are. The network under test plans
-    /// through the memo, the reference afresh.
-    fn short_call_differential(cases: u64) -> Result<FillTally, String> {
-        let mut tally = FillTally::default();
-        for case in 0..cases {
-            let (mut net, mut rng) = random_case(case);
-            crate::scenario::register_seeded_srlgs(&mut net, 3, 3, case);
-            let nodes = net.graph().node_count();
-            let hot: Vec<_> = (0..4).map(|_| random_request(&mut rng, nodes)).collect();
-            let op = |net: &mut Network, rng: &mut Rng| short_call_op(net, rng, &hot);
-            for step in 0..60 {
-                let at = format!("case {case} step {step}");
-                op_against_the_reference(&mut net, &mut rng, op, &at, &mut tally)?;
-            }
-            tally.end_case(&net);
-        }
-        Ok(tally)
+    /// Runs cases `0..cases` of `make`'s tier, each op checked by
+    /// [`op_against_the_reference`]. Tallies how the network's last fill
+    /// of each op took its rows, how rows left the waitlists, and the
+    /// loose rows.
+    fn differential(make: Make, cases: u64) -> Result<FillTally, cases::Witness<String>> {
+        cases::run(cases, make, op_against_the_reference, FillTally::end_case)
     }
 
-    /// One op of the short-call tier: 70 % a hot request set up and torn
-    /// down at once, 8 % fail a link, 7 % repair a down one, 5 % fail or
-    /// repair one of the three groups, and otherwise a [`random_op`].
-    fn short_call_op(net: &mut Network, rng: &mut Rng, hot: &[EstablishRequest]) -> String {
-        let links = net.graph().link_count();
-        let down: Vec<LinkId> = (0..links)
-            .map(LinkId)
-            .filter(|l| !net.links[l.index()].is_up())
-            .collect();
-        match rng.range_usize(100) {
-            0..=69 => {
-                let r = hot[rng.range_usize(hot.len())];
-                let set_up = net.establish(r.src, r.dst, r.qos);
-                let torn_down = set_up.clone().map(|id| net.release(id));
-                format!("{set_up:?} {torn_down:?}")
-            }
-            70..=77 => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
-            78..=84 if !down.is_empty() => {
-                format!("{:?}", net.repair_link(down[rng.range_usize(down.len())]))
-            }
-            85..=89 => {
-                let group = rng.range_usize(3);
-                if rng.chance(0.5) {
-                    format!("{:?}", net.fail_srlg(group))
-                } else {
-                    format!("{:?}", net.repair_srlg(group))
-                }
-            }
-            _ => random_op(net, rng),
-        }
+    /// A case of the admission differential's short-call tier:
+    /// [`random_case`]'s network with three groups of three links
+    /// registered, four hot requests drawn once, and 60 [`SHORT_CALLS`]
+    /// ops. The network under test plans through the memo, the reference
+    /// afresh.
+    fn short_call_case(case: u64) -> (Case, Vec<u64>) {
+        let (mut net, mut rng) = random_case(case);
+        crate::scenario::register_seeded_srlgs(&mut net, 3, 3, case);
+        let nodes = net.graph().node_count();
+        let hot = (0..4).map(|_| random_request(&mut rng, nodes)).collect();
+        let ops = (0..60).map(|_| rng.next_u64()).collect();
+        ((net, SHORT_CALLS, hot), ops)
     }
 
-    /// One op of the admission differential's fault-heavy cases: 25 % fail
-    /// a link, 20 % repair a down one, 5 % fail a node, 5 % fail or repair
-    /// one of the three groups, and otherwise a request arrives; nobody
-    /// leaves.
-    fn fault_heavy_op(net: &mut Network, rng: &mut Rng) -> String {
-        let links = net.graph().link_count();
-        let down: Vec<LinkId> = (0..links)
-            .map(LinkId)
-            .filter(|l| !net.links[l.index()].is_up())
-            .collect();
-        match rng.range_usize(100) {
-            0..=24 => format!("{:?}", net.fail_link(LinkId(rng.range_usize(links)))),
-            25..=44 if !down.is_empty() => {
-                format!("{:?}", net.repair_link(down[rng.range_usize(down.len())]))
-            }
-            45..=49 => {
-                let node = NodeId(rng.range_usize(net.graph().node_count()));
-                format!("{:?}", net.fail_node(node))
-            }
-            50..=54 => {
-                let group = rng.range_usize(3);
-                if rng.chance(0.5) {
-                    format!("{:?}", net.fail_srlg(group))
-                } else {
-                    format!("{:?}", net.repair_srlg(group))
-                }
-            }
-            _ => {
-                let r = random_request(rng, net.graph().node_count());
-                format!("{:?}", net.establish(r.src, r.dst, r.qos))
-            }
-        }
-    }
+    /// Hot requests set up and torn down at once between link faults,
+    /// repairs of down links and group events.
+    const SHORT_CALLS: Mix = &[(ShortCall, 70), (Fail, 8), (RepairDown, 7), (Group, 5)];
 
     /// Both sides of the slack choice, both ends of an offered bucket's
     /// turn, a wake that queued the next row, a handle walking past a row
@@ -1884,14 +1868,9 @@ mod tests {
     }
 
     #[test]
-    fn the_admission_path_matches_its_reference_on_2000_seeded_cases() {
-        assert_admission_coverage(&admission_differential(2_000).unwrap(), 2_000);
-    }
-
-    #[test]
-    #[ignore = "ten times the cases; CI runs it in release"]
-    fn the_admission_path_matches_its_reference_on_20000_seeded_cases() {
-        assert_admission_coverage(&admission_differential(20_000).unwrap(), 20_000);
+    fn the_admission_path_matches_its_reference_on_seeded_cases() {
+        let n = cases::scaled(2_000);
+        assert_admission_coverage(&differential(admission_case, n).unwrap(), n as usize);
     }
 
     /// Short calls interleaved with faults and group events must plan
@@ -1903,60 +1882,94 @@ mod tests {
     }
 
     #[test]
-    fn short_calls_match_their_reference_on_600_seeded_cases() {
-        assert_short_call_coverage(&short_call_differential(600).unwrap(), 600);
+    fn short_calls_match_their_reference_on_seeded_cases() {
+        let n = cases::scaled(600);
+        assert_short_call_coverage(&differential(short_call_case, n).unwrap(), n);
+    }
+
+    /// Each admission-path seam, with the tier that must catch it: the
+    /// admission tier at 2 000 cases or the short-call tier at 600.
+    const ADMISSION_SEAMS: [(Seam, Make, u64); 12] = [
+        (Seam::WeakFill, admission_case, 2_000),
+        (Seam::RefusedAtExactRoom, admission_case, 2_000),
+        (Seam::ForgetABucketTail, admission_case, 2_000),
+        (Seam::SkipTheLoweredRowTest, admission_case, 2_000),
+        (Seam::WakeALoadedRow, admission_case, 2_000),
+        (Seam::BlockedAtExactRoom, admission_case, 2_000),
+        (Seam::ForgetALooseRow, admission_case, 2_000),
+        (Seam::DropTheNewcomer, admission_case, 2_000),
+        (Seam::SkipAListing, admission_case, 2_000),
+        (Seam::ForgetARecount, admission_case, 2_000),
+        (Seam::KeepTheMemoAcrossAFault, short_call_case, 600),
+        (Seam::IgnoreTheWaitlists, short_call_case, 600),
+    ];
+
+    /// `armed`, armed around its tier in [`ADMISSION_SEAMS`], must fail
+    /// it within the tier's cases and shrink to a witness of at most 12
+    /// ops.
+    fn assert_caught_and_shrunk(armed: Seam) {
+        let row = ADMISSION_SEAMS.iter().find(|&&(seam, ..)| seam == armed);
+        let &(_, make, n) = row.expect("a row of the seam table");
+        let caught = seam::with(armed, || differential(make, n));
+        let witness = caught.expect_err("the differential has no teeth");
+        assert!(witness.ops.len() <= 12, "{armed:?}: {witness:?}");
     }
 
     #[test]
-    #[ignore = "ten times the cases; CI runs it in release"]
-    fn short_calls_match_their_reference_on_6000_seeded_cases() {
-        assert_short_call_coverage(&short_call_differential(6_000).unwrap(), 6_000);
+    fn every_admission_seam_is_caught_and_shrunk() {
+        for (armed, ..) in ADMISSION_SEAMS {
+            assert_caught_and_shrunk(armed);
+        }
     }
 
     #[test]
     fn a_memo_kept_across_a_fault_is_caught() {
-        let caught = seam::with(Seam::KeepTheMemoAcrossAFault, || {
-            short_call_differential(600)
-        });
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+        assert_caught_and_shrunk(Seam::KeepTheMemoAcrossAFault);
     }
 
     #[test]
     fn a_slack_test_weakened_by_one_increment_is_caught() {
-        let caught = seam::with(Seam::WeakFill, || admission_differential(2_000));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+        assert_caught_and_shrunk(Seam::WeakFill);
     }
 
     #[test]
     fn a_deferred_turn_that_refuses_at_one_increment_of_room_is_caught() {
-        let caught = seam::with(Seam::RefusedAtExactRoom, || admission_differential(2_000));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+        assert_caught_and_shrunk(Seam::RefusedAtExactRoom);
     }
 
     #[test]
     fn a_bucket_that_forgets_its_tail_is_caught() {
-        let caught = seam::with(Seam::ForgetABucketTail, || admission_differential(2_000));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+        assert_caught_and_shrunk(Seam::ForgetABucketTail);
     }
 
     #[test]
     fn a_commit_that_ignores_the_waitlists_is_caught() {
-        let caught = seam::with(Seam::IgnoreTheWaitlists, || short_call_differential(600));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+        assert_caught_and_shrunk(Seam::IgnoreTheWaitlists);
     }
 
     #[test]
     fn a_take_back_that_skips_the_lowered_row_test_is_caught() {
-        let caught = seam::with(Seam::SkipTheLoweredRowTest, || {
-            admission_differential(2_000)
-        });
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+        assert_caught_and_shrunk(Seam::SkipTheLoweredRowTest);
     }
 
     #[test]
     fn a_handle_that_wakes_a_row_the_fill_loaded_is_caught() {
-        let caught = seam::with(Seam::WakeALoadedRow, || admission_differential(2_000));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
+        assert_caught_and_shrunk(Seam::WakeALoadedRow);
+    }
+
+    #[test]
+    fn a_blocked_test_that_skips_a_row_with_one_increment_of_room_is_caught() {
+        assert_caught_and_shrunk(Seam::BlockedAtExactRoom);
+    }
+
+    #[test]
+    fn a_forgotten_loose_row_is_caught() {
+        assert_caught_and_shrunk(Seam::ForgetALooseRow);
+    }
+
+    #[test]
+    fn a_keep_test_without_the_newcomer_s_remaining_is_caught() {
+        assert_caught_and_shrunk(Seam::DropTheNewcomer);
     }
 
     /// A rigid 1 Kbps channel and two 100–500 Kbps ones on the 1000 Kbps
@@ -2140,7 +2153,7 @@ mod tests {
         for case in 0..200 {
             let (mut net, mut case_rng) = random_case(case);
             for _ in 0..16 {
-                random_op(&mut net, &mut case_rng);
+                random_op(&mut net, case_rng.next_u64(), CHURN, &[]);
             }
             let sorted = retreat_all(&mut net);
             let mut shuffled = sorted.clone();
@@ -2777,7 +2790,7 @@ mod tests {
             let (mut net, mut rng) = random_case(case);
             let link_count = net.graph().link_count();
             for step in 0..10 + rng.range_usize(14) {
-                random_op(&mut net, &mut rng);
+                random_op(&mut net, rng.next_u64(), CHURN, &[]);
                 if step == 6 {
                     // The gathers so far stamped generations 1, 2, …; the
                     // next one wraps back to 1 and must not see them.
@@ -2812,12 +2825,6 @@ mod tests {
             }
         }
         Ok((links_skipped, members_skipped))
-    }
-
-    #[test]
-    fn a_blocked_test_that_skips_a_row_with_one_increment_of_room_is_caught() {
-        let caught = seam::with(Seam::BlockedAtExactRoom, || admission_differential(2_000));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     /// A tree — 0–1 (link 0), 1–2 (link 1, 700 Kbps), 2–3 (link 2), 1–4
@@ -2873,18 +2880,6 @@ mod tests {
         assert!(forgot != reference);
     }
 
-    #[test]
-    fn a_forgotten_loose_row_is_caught() {
-        let caught = seam::with(Seam::ForgetALooseRow, || admission_differential(2_000));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
-    }
-
-    #[test]
-    fn a_keep_test_without_the_newcomer_s_remaining_is_caught() {
-        let caught = seam::with(Seam::DropTheNewcomer, || admission_differential(2_000));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
-    }
-
     /// Two channels on a 999 Kbps link: the fill leaves the second one
     /// increment short of its maximum, so it must be listed.
     fn one_left_below_its_maximum() -> Network {
@@ -2914,8 +2909,6 @@ mod tests {
         let unlisted = seam::with(Seam::SkipAListing, one_left_below_its_maximum);
         let mismatch = InvariantViolation::GrowableSetMismatch { link: LinkId(0) };
         assert_eq!(unlisted.check_invariants(), [mismatch]);
-        let caught = seam::with(Seam::SkipAListing, || admission_differential(2_000));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]
@@ -2975,12 +2968,10 @@ mod tests {
             seam::with(Seam::ForgetARecount, three).check_invariants(),
             [mismatch]
         );
-        let caught = seam::with(Seam::ForgetARecount, || admission_differential(2_000));
-        assert!(caught.is_err(), "the differential has no teeth: {caught:?}");
     }
 
     #[test]
-    fn stamp_gather_matches_the_sorted_gather_on_600_seeded_cases() {
+    fn stamp_gather_matches_the_sorted_gather_on_600_cases() {
         let (links_skipped, members_skipped) = gather_differential(600, false).unwrap();
         assert!(
             links_skipped > 10_000 && members_skipped > 10_000,

@@ -1341,16 +1341,9 @@ mod tests {
     }
 
     #[test]
-    fn memoized_flood_matches_the_reference_on_2400_seeded_cases() {
-        let counts = flood_differential(2400, None).unwrap();
-        assert_flood_coverage(&counts, 2400);
-    }
-
-    #[test]
-    #[ignore = "ten times the cases; CI runs it in release"]
-    fn memoized_flood_matches_the_reference_on_24000_seeded_cases() {
-        let counts = flood_differential(24_000, None).unwrap();
-        assert_flood_coverage(&counts, 24_000);
+    fn memoized_flood_matches_the_reference_on_seeded_cases() {
+        let n = crate::cases::scaled(2400) as usize;
+        assert_flood_coverage(&flood_differential(n, None).unwrap(), n);
     }
 
     #[test]
@@ -1802,16 +1795,10 @@ mod tests {
     }
 
     #[test]
-    fn the_fallback_matches_the_allocating_dijkstra_on_2400_seeded_cases() {
-        let counts = fallback_differential(2400, &route_backup_maximally).unwrap();
-        assert_fallback_coverage(&counts, 2400);
-    }
-
-    #[test]
-    #[ignore = "ten times the cases; CI runs it in release"]
-    fn the_fallback_matches_the_allocating_dijkstra_on_24000_seeded_cases() {
-        let counts = fallback_differential(24_000, &route_backup_maximally).unwrap();
-        assert_fallback_coverage(&counts, 24_000);
+    fn the_fallback_matches_the_allocating_dijkstra_on_seeded_cases() {
+        let n = crate::cases::scaled(2400) as usize;
+        let counts = fallback_differential(n, &route_backup_maximally).unwrap();
+        assert_fallback_coverage(&counts, n);
     }
 
     #[test]

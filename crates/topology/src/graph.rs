@@ -723,17 +723,11 @@ mod tests {
         assert!(counts.grown_while_shared > cases / 3, "{counts:?}");
     }
 
+    /// Ten times the cases in a release build (CI's run).
     #[test]
-    fn hop_rows_match_the_per_search_bfs_on_400_seeded_cases() {
-        let counts = hop_row_differential(400).unwrap();
-        assert_hop_coverage(&counts, 400);
-    }
-
-    #[test]
-    #[ignore = "ten times the cases; CI runs it in release"]
-    fn hop_rows_match_the_per_search_bfs_on_4000_seeded_cases() {
-        let counts = hop_row_differential(4000).unwrap();
-        assert_hop_coverage(&counts, 4000);
+    fn hop_rows_match_the_per_search_bfs_on_seeded_cases() {
+        let n = if cfg!(debug_assertions) { 400 } else { 4_000 };
+        assert_hop_coverage(&hop_row_differential(n).unwrap(), n);
     }
 
     #[test]
@@ -914,17 +908,11 @@ mod tests {
         assert!(counts.changed_by_growth > cases / 4, "{counts:?}");
     }
 
+    /// Ten times the cases in a release build (CI's run).
     #[test]
-    fn block_rows_match_the_brute_force_bridges_on_300_seeded_cases() {
-        let counts = block_differential(300).unwrap();
-        assert_block_coverage(&counts, 300);
-    }
-
-    #[test]
-    #[ignore = "ten times the cases; CI runs it in release"]
-    fn block_rows_match_the_brute_force_bridges_on_3000_seeded_cases() {
-        let counts = block_differential(3000).unwrap();
-        assert_block_coverage(&counts, 3000);
+    fn block_rows_match_the_brute_force_bridges_on_seeded_cases() {
+        let n = if cfg!(debug_assertions) { 300 } else { 3_000 };
+        assert_block_coverage(&block_differential(n).unwrap(), n);
     }
 
     #[test]
