@@ -152,15 +152,6 @@ impl DrConnection {
         std::mem::take(&mut self.backups)
     }
 
-    /// Whether every backup shares no link with the primary (always true
-    /// under [`crate::routing::BackupDisjointness::Strict`], and vacuously
-    /// true without backups).
-    pub fn backup_fully_disjoint(&self) -> bool {
-        self.backups
-            .iter()
-            .all(|b| self.primary.is_link_disjoint(b))
-    }
-
     /// Promotes the backup at `index` to primary (failover). The
     /// connection drops to the minimum level; the remaining backups are
     /// returned alongside being kept (they now protect the new primary,
@@ -244,7 +235,7 @@ mod tests {
         let p = Path::from_nodes(&g, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]).unwrap();
         let b = Path::from_nodes(&g, vec![NodeId(0), NodeId(1), NodeId(2)]).unwrap();
         let c = DrConnection::new(ConnectionId(1), qos(), b, vec![p]);
-        assert!(!c.backup_fully_disjoint());
+        assert!(c.has_backup());
     }
 
     #[test]

@@ -267,21 +267,6 @@ impl ElasticQos {
         assert!(level < self.num_levels(), "level {level} out of range");
         self.min + self.increment.times(level as u64)
     }
-
-    /// The level whose bandwidth equals `bw`, if `bw` is on the grid.
-    pub fn level_of(&self, bw: Bandwidth) -> Option<usize> {
-        if bw < self.min || bw > self.max {
-            return None;
-        }
-        let offset = bw.as_kbps() - self.min.as_kbps();
-        if self.max == self.min {
-            return Some(0);
-        }
-        if !offset.is_multiple_of(self.increment.as_kbps()) {
-            return None;
-        }
-        Some((offset / self.increment.as_kbps()) as usize)
-    }
 }
 
 /// How extra resources are divided among elastic channels (Section 2.2).
@@ -390,17 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn level_of_round_trips() {
-        let q = ElasticQos::paper_video(50);
-        for level in 0..q.num_levels() {
-            assert_eq!(q.level_of(q.level_bandwidth(level)), Some(level));
-        }
-        assert_eq!(q.level_of(Bandwidth::kbps(99)), None);
-        assert_eq!(q.level_of(Bandwidth::kbps(501)), None);
-        assert_eq!(q.level_of(Bandwidth::kbps(125)), None);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn level_bandwidth_bounds_checked() {
         ElasticQos::paper_video(50).level_bandwidth(9);
@@ -416,8 +390,6 @@ mod tests {
             assert_eq!(q.num_levels(), 1, "inc {inc}");
             assert_eq!(q.max_level(), 0, "inc {inc}");
             assert_eq!(q.level_bandwidth(0), k(300), "inc {inc}");
-            assert_eq!(q.level_of(k(300)), Some(0), "inc {inc}");
-            assert_eq!(q.level_of(k(299)), None, "inc {inc}");
         }
     }
 
@@ -437,7 +409,6 @@ mod tests {
         let q = ElasticQos::new(k(100), k(500), k(400), 1.0).unwrap();
         assert_eq!(q.num_levels(), 2);
         assert_eq!(q.level_bandwidth(1), k(500));
-        assert_eq!(q.level_of(k(300)), None, "off-grid value has no level");
     }
 
     #[test]

@@ -152,6 +152,7 @@ pub(crate) const BENCHMARK_PINS: &[(&str, &str)] = &[
     ("core", "establish_wave"),
     ("service", "with_shards"),
     ("service", "parse_response"),
+    ("service", "decode_response"),
     ("service", "with_batch"),
     ("service", "with_queue_depth"),
 ];

@@ -786,13 +786,14 @@ pub fn request_stop(coordinator: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{frame, protocol};
+    use crate::client::Client;
+    use crate::protocol;
     use drqos_core::env::WireMode;
     use drqos_core::network::{EstablishRequest, NetworkConfig};
     use drqos_core::NetworkSnapshot;
     use drqos_topology::regular::ring;
     use drqos_topology::LinkId;
-    use std::io::{BufRead, BufReader, Read};
+    use std::io::Read;
     use std::thread::{self, JoinHandle};
     use std::time::Instant;
 
@@ -804,53 +805,18 @@ mod tests {
         net
     }
 
-    /// One text connection to a member's client port.
-    struct Client {
-        writer: TcpStream,
-        reader: BufReader<TcpStream>,
+    /// A text connection to a member's client port.
+    fn text(addr: SocketAddr) -> Client {
+        Client::connect(addr, WireMode::Text).unwrap()
     }
 
-    impl Client {
-        fn connect(addr: SocketAddr) -> Self {
-            let stream = TcpStream::connect(addr).unwrap();
-            stream.set_nodelay(true).unwrap();
-            Self {
-                writer: stream.try_clone().unwrap(),
-                reader: BufReader::new(stream),
-            }
-        }
-
-        fn ask(&mut self, line: &str) -> String {
-            writeln!(self.writer, "{line}").unwrap();
-            self.writer.flush().unwrap();
-            let mut reply = String::new();
-            self.reader.read_line(&mut reply).unwrap();
-            reply.trim_end().to_string()
-        }
-    }
-
-    /// Drives one text session against `addr`, one reply per line.
-    fn session(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
-        session_in(WireMode::Text, addr, lines)
-    }
-
-    /// [`session`] in either framing; replies come back as text lines.
-    fn session_in(wire: WireMode, addr: SocketAddr, lines: &[&str]) -> Vec<String> {
-        if wire == WireMode::Text {
-            let mut client = Client::connect(addr);
-            return lines.iter().map(|l| client.ask(l)).collect();
-        }
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        lines
-            .iter()
-            .map(|line| {
-                let req = protocol::parse(line).unwrap();
-                stream.write_all(&frame::encode_request(&req)).unwrap();
-                let body = frame::read_frame(&mut stream).unwrap();
-                frame::decode_response(&body).unwrap().to_string()
-            })
-            .collect()
+    /// One command on its own connection in `wire` framing; the reply
+    /// comes back as a text line.
+    fn ask_in(wire: WireMode, addr: SocketAddr, line: &str) -> String {
+        Client::connect(addr, wire)
+            .unwrap()
+            .roundtrip(line)
+            .unwrap()
     }
 
     struct Booted {
@@ -934,15 +900,14 @@ mod tests {
         ];
         let mut oracle = Engine::new(genesis());
         for &(addr, line) in script {
-            let got = session_in(wire, addr, &[line]).remove(0);
+            let got = ask_in(wire, addr, line);
             let want = oracle.handle_line(line).to_string();
             assert_eq!(got, want, "divergence on {line:?} ({wire:?})");
         }
         // Both members shut down cleanly; the second is the last live
         // member (LEAVE refused) but its local invariants still hold.
         for &addr in &[a, b] {
-            let replies = session_in(wire, addr, &["SHUTDOWN"]);
-            assert_eq!(replies, vec!["OK violations=0".to_string()]);
+            assert_eq!(ask_in(wire, addr, "SHUTDOWN"), "OK violations=0");
         }
         request_stop(&booted.coordinator).unwrap();
         let report = booted.coord_handle.join().unwrap().unwrap();
@@ -977,7 +942,7 @@ mod tests {
 
     fn shut_down(booted: Booted) -> CoordinatorReport {
         for &addr in &booted.members {
-            assert_eq!(session(addr, &["SHUTDOWN"]), ["OK violations=0"]);
+            assert_eq!(ask_in(WireMode::Text, addr, "SHUTDOWN"), "OK violations=0");
         }
         for h in booted.member_handles {
             assert_eq!(h.join().unwrap().unwrap().violations, 0);
@@ -994,16 +959,17 @@ mod tests {
     #[test]
     fn an_alternating_session_is_served_without_a_sync() {
         let booted = boot(2);
-        let mut clients: Vec<Client> = booted.members.iter().map(|&a| Client::connect(a)).collect();
+        let mut clients: Vec<Client> = booted.members.iter().map(|&a| text(a)).collect();
         let mut oracle = Engine::new(genesis());
         for i in 0..240u64 {
             let line = mixed_op(i);
             let client = &mut clients[(i % 2) as usize];
             let want = oracle.handle_line(&line).to_string();
-            assert_eq!(client.ask(&line), want, "divergence on op {i}: {line:?}");
+            let got = client.roundtrip(&line).unwrap();
+            assert_eq!(got, want, "divergence on op {i}: {line:?}");
             // The serving member is level with the coordinator the moment
             // it answers: its own operation was the reply's last record.
-            assert_eq!(field(&client.ask("STATS"), "applied"), i + 1);
+            assert_eq!(field(&client.roundtrip("STATS").unwrap(), "applied"), i + 1);
         }
         let status = fetch_status(&booted.coordinator).unwrap();
         assert_eq!((field(&status, "seq"), field(&status, "syncs")), (240, 2));
@@ -1022,20 +988,23 @@ mod tests {
             panic!("expected two members");
         };
         let mut oracle = Engine::new(genesis());
-        let mut busy = Client::connect(b);
+        let mut busy = text(b);
         let sat_out = RECORDS_PER_SYNC as u64 + 8;
         for i in 0..sat_out {
             let line = mixed_op(i);
             let want = oracle.handle_line(&line).to_string();
-            assert_eq!(busy.ask(&line), want, "divergence on op {i}: {line:?}");
+            let got = busy.roundtrip(&line).unwrap();
+            assert_eq!(got, want, "divergence on op {i}: {line:?}");
         }
-        let mut idle = Client::connect(a);
-        assert_eq!(field(&idle.ask("STATS"), "applied"), 0);
+        let mut idle = text(a);
+        assert_eq!(field(&idle.roundtrip("STATS").unwrap(), "applied"), 0);
         for line in ["ESTABLISH 0 3 64 256 64", "RELEASE 0", "RELEASE 7"] {
             let want = oracle.handle_line(line).to_string();
-            assert_eq!(idle.ask(line), want, "divergence on {line:?}");
+            let got = idle.roundtrip(line).unwrap();
+            assert_eq!(got, want, "divergence on {line:?}");
         }
-        assert_eq!(field(&idle.ask("STATS"), "applied"), sat_out + 3);
+        let applied = field(&idle.roundtrip("STATS").unwrap(), "applied");
+        assert_eq!(applied, sat_out + 3);
         // Two joins, then the establish's DONE took two pulls (a full
         // frame and the rest); the releases rode on their replies.
         let status = fetch_status(&booted.coordinator).unwrap();
@@ -1158,35 +1127,25 @@ mod tests {
         let Some(&addr) = booted.members.first() else {
             panic!("expected one member");
         };
-        let mut hostile = TcpStream::connect(addr).unwrap();
-        hostile
-            .write_all(&vec![b'x'; framing::MAX_FRAME_BYTES + 1])
-            .unwrap();
-        let mut reply = String::new();
-        hostile.read_to_string(&mut reply).unwrap();
-        assert!(
-            reply.starts_with("ERR 4 "),
-            "answered, then closed: {reply:?}"
-        );
-        assert_eq!(reply.matches('\n').count(), 1, "{reply:?}");
+        let mut hostile = text(addr);
+        let flood = vec![b'x'; framing::MAX_FRAME_BYTES + 1];
+        hostile.stream().write_all(&flood).unwrap();
+        let reply = hostile.recv().unwrap();
+        assert!(reply.starts_with("ERR 4 "), "answered: {reply:?}");
+        let closed = hostile.recv().map_err(|e| e.kind());
+        assert_eq!(closed, Err(io::ErrorKind::UnexpectedEof), "then closed");
 
         // One whole request first, so the connection has its reader; when
         // the half line lands relative to the flag then does not matter.
-        let mut parked = TcpStream::connect(addr).unwrap();
-        parked.write_all(b"STATS\nES").unwrap();
-        let mut stats = Vec::new();
-        while stats.last() != Some(&b'\n') {
-            let mut byte = [0u8];
-            parked.read_exact(&mut byte).unwrap();
-            stats.extend(byte);
-        }
-        assert!(stats.starts_with(b"OK ops="), "{stats:?}");
-        assert_eq!(session(addr, &["SHUTDOWN"]), ["OK violations=0"]);
-        parked
-            .set_read_timeout(Some(Duration::from_secs(1)))
-            .unwrap();
-        let dropped = parked.read(&mut [0u8; 8]);
-        assert!(matches!(dropped, Ok(0)), "parked client: {dropped:?}");
+        let mut parked = text(addr);
+        parked.stream().write_all(b"STATS\nES").unwrap();
+        let stats = parked.recv().unwrap();
+        assert!(stats.starts_with("OK ops="), "{stats:?}");
+        assert_eq!(ask_in(WireMode::Text, addr, "SHUTDOWN"), "OK violations=0");
+        let timeout = Some(Duration::from_secs(1));
+        parked.stream().set_read_timeout(timeout).unwrap();
+        let dropped = parked.recv().map_err(|e| e.kind());
+        assert_eq!(dropped, Err(io::ErrorKind::UnexpectedEof), "parked client");
         for h in booted.member_handles {
             assert_eq!(h.join().unwrap().unwrap().violations, 0);
         }
@@ -1346,10 +1305,9 @@ mod tests {
         booted.coord_handle.join().unwrap().unwrap();
 
         for &addr in &booted.members {
-            let replies = session(addr, &["ESTABLISH 0 3 64 256 64", "STATS", "SHUTDOWN"]);
-            let [est, stats, bye] = &replies[..] else {
-                panic!("expected three replies, got {replies:?}");
-            };
+            let mut client = text(addr);
+            let mut ask = |line| client.roundtrip(line).unwrap();
+            let [est, stats, bye] = ["ESTABLISH 0 3 64 256 64", "STATS", "SHUTDOWN"].map(&mut ask);
             assert!(
                 est.starts_with("ERR 504 "),
                 "{addr}: expected a link-down error, got {est:?}"

@@ -28,8 +28,11 @@
 //! * [`server`] — the client front of `drqosd` and of every federation
 //!   member: TCP accept and reader plumbing, the `BUSY` count, and
 //!   graceful, invariant-checked shutdown.
+//! * [`client`] — the one protocol client, in either framing: connect,
+//!   send a command line, read its reply as a text line.
 //! * [`loadgen`] — the closed-loop multi-client load generator used by
-//!   `drqos-loadgen` and the smoke tests.
+//!   `drqos-loadgen` and the smoke tests, on [`client`] plus its `BUSY`
+//!   backoff.
 //! * [`clusterd`] — the federation daemons (`drqos-clusterd`): a
 //!   coordinator owning the authoritative network and its oplog, and
 //!   members — a [`server`] whose engine commits at the coordinator —
@@ -39,6 +42,7 @@
 //! See `SERVICE.md` at the repo root for the wire grammar and an example
 //! session.
 
+pub mod client;
 pub mod clusterd;
 mod conn;
 pub mod engine;

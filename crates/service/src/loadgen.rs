@@ -22,17 +22,16 @@
 //! failing the run, and **availability** — completed establish attempts
 //! over planned — becomes the headline churn metric.
 
-use crate::frame;
+use crate::client::Client;
 use crate::metrics::Histogram;
-use crate::protocol::{self, payload_field};
+use crate::protocol::payload_field;
 use drqos_bench::runner::derive_seed;
 use drqos_core::env::WireMode;
 use drqos_core::qos::{Bandwidth, ElasticQos};
 use drqos_core::scenario::{Scenario, ScenarioKind};
 use drqos_core::workload::Workload;
 use drqos_sim::rng::Rng;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -281,79 +280,34 @@ impl Backoff {
     }
 }
 
-/// A protocol client over one TCP stream, speaking either wire mode;
-/// commands and replies cross this boundary as canonical text either
-/// way, so the workload logic above is framing-agnostic.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    backoff: Backoff,
-    wire: WireMode,
-}
-
-impl Client {
-    fn connect(addr: &str, backoff_seed: u64, wire: WireMode) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok(Self {
-            writer,
-            reader: BufReader::new(stream),
-            backoff: Backoff::new(backoff_seed),
-            wire,
-        })
-    }
-
-    /// Sends one command and reads its one response, rendered as the
-    /// canonical response line regardless of wire mode.
-    fn roundtrip(&mut self, command: &str) -> io::Result<String> {
-        match self.wire {
-            WireMode::Text => {
-                writeln!(self.writer, "{command}")?;
-                self.writer.flush()?;
-                let mut resp = String::new();
-                if self.reader.read_line(&mut resp)? == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ));
-                }
-                Ok(resp.trim_end().to_string())
-            }
-            WireMode::Binary => {
-                let req = protocol::parse(command)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.message))?;
-                self.writer.write_all(&frame::encode_request(&req))?;
-                self.writer.flush()?;
-                let body = frame::read_frame(&mut self.reader)?;
-                Ok(frame::decode_response(&body)?.to_string())
-            }
+/// Round-trips `command` on `client` with bounded `BUSY` retry; counts
+/// retries into `stats` and errors out once the backoff's cap is
+/// exhausted (a queue that never drains is a server bug, not a reason to
+/// spin).
+fn roundtrip_retrying(
+    client: &mut Client,
+    backoff: &mut Backoff,
+    command: &str,
+    stats: &mut WorkerStats,
+) -> io::Result<String> {
+    let mut attempt = 0usize;
+    loop {
+        let resp = client.roundtrip(command)?;
+        if resp != "BUSY" {
+            return Ok(resp);
         }
-    }
-
-    /// Round-trips with bounded `BUSY` retry; counts retries into `stats`
-    /// and errors out once the [`BUSY_RETRIES`] cap is exhausted (a
-    /// queue that never drains is a server bug, not a reason to spin).
-    fn roundtrip_retrying(&mut self, command: &str, stats: &mut WorkerStats) -> io::Result<String> {
-        let mut attempt = 0usize;
-        loop {
-            let resp = self.roundtrip(command)?;
-            if resp != "BUSY" {
-                return Ok(resp);
-            }
-            if attempt >= self.backoff.max_retries {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!(
-                        "server still BUSY after {} retries of {command:?}",
-                        self.backoff.max_retries
-                    ),
-                ));
-            }
-            stats.busy_retries += 1;
-            std::thread::sleep(self.backoff.delay(attempt));
-            attempt += 1;
+        if attempt >= backoff.max_retries {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!(
+                    "server still BUSY after {} retries of {command:?}",
+                    backoff.max_retries
+                ),
+            ));
         }
+        stats.busy_retries += 1;
+        std::thread::sleep(backoff.delay(attempt));
+        attempt += 1;
     }
 }
 
@@ -411,7 +365,8 @@ fn worker_script(
     nodes: usize,
     stats: &mut WorkerStats,
 ) -> io::Result<()> {
-    let mut client = Client::connect(endpoint, worker_seed, config.wire)?;
+    let mut client = Client::connect(endpoint, config.wire)?;
+    let mut backoff = Backoff::new(worker_seed);
     let mut rng = Rng::seed_from_u64(worker_seed);
     let qos = ElasticQos::new(
         Bandwidth::kbps(config.bmin),
@@ -424,20 +379,17 @@ fn worker_script(
     let scenario = Scenario::new(config.scenario);
     let peak = scenario.peak_rate(1.0);
     let mut held: Vec<u64> = Vec::new();
-    let send_timed = |client: &mut Client,
-                      command: &str,
-                      establishing: bool,
-                      stats: &mut WorkerStats|
-     -> io::Result<Option<u64>> {
-        let t0 = Instant::now();
-        let resp = client.roundtrip_retrying(command, stats)?;
-        stats.latency.record(t0.elapsed());
-        stats.ops += 1;
-        if establishing {
-            stats.establishes += 1;
-        }
-        Ok(tally(&resp, establishing, stats))
-    };
+    let mut send_timed =
+        |command: &str, establishing: bool, stats: &mut WorkerStats| -> io::Result<Option<u64>> {
+            let t0 = Instant::now();
+            let resp = roundtrip_retrying(&mut client, &mut backoff, command, stats)?;
+            stats.latency.record(t0.elapsed());
+            stats.ops += 1;
+            if establishing {
+                stats.establishes += 1;
+            }
+            Ok(tally(&resp, establishing, stats))
+        };
     for slot in 0..config.requests_per_client {
         // Virtual time advances one mean inter-arrival per slot; thinning
         // against the scenario's rate curve shapes the arrival stream. A
@@ -459,18 +411,18 @@ fn worker_script(
             config.bmax,
             config.delta
         );
-        if let Some(id) = send_timed(&mut client, &command, true, stats)? {
+        if let Some(id) = send_timed(&command, true, stats)? {
             held.push(id);
         }
         if !held.is_empty() && rng.chance(config.release_prob) {
             let idx = rng.range_usize(held.len());
             let id = held.swap_remove(idx);
-            send_timed(&mut client, &format!("RELEASE {id}"), false, stats)?;
+            send_timed(&format!("RELEASE {id}"), false, stats)?;
         }
     }
     // Drain: release everything this worker still owns.
     for id in held.drain(..) {
-        send_timed(&mut client, &format!("RELEASE {id}"), false, stats)?;
+        send_timed(&format!("RELEASE {id}"), false, stats)?;
     }
     Ok(())
 }
@@ -491,7 +443,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let multi = endpoints.len() > 1;
     // Discover the topology size from the first endpoint (every cluster
     // member serves the same replicated topology).
-    let mut probe = Client::connect(&endpoints[0], config.seed, config.wire)?;
+    let mut probe = Client::connect(&endpoints[0], config.wire)?;
     let snapshot = probe.roundtrip("SNAPSHOT")?;
     let nodes = snapshot
         .strip_prefix("OK ")
@@ -591,8 +543,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
             let resp = if idx == 0 {
                 probe.roundtrip("SHUTDOWN")
             } else {
-                Client::connect(addr, config.seed, config.wire)
-                    .and_then(|mut c| c.roundtrip("SHUTDOWN"))
+                Client::connect(addr, config.wire).and_then(|mut c| c.roundtrip("SHUTDOWN"))
             };
             match resp {
                 Ok(r) => {
@@ -629,6 +580,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
     use std::net::TcpListener;
 
     /// A server whose queue never drains: every command line is answered
@@ -649,12 +601,17 @@ mod tests {
                 let _ = writer.flush();
             }
         });
-        let mut client = Client::connect(&addr, 7, WireMode::Text).expect("connect to stub");
-        client.backoff.max_retries = 3;
+        let mut client = Client::connect(&addr, WireMode::Text).expect("connect to stub");
+        let mut backoff = Backoff::new(7);
+        backoff.max_retries = 3;
         let mut stats = WorkerStats::default();
-        let err = client
-            .roundtrip_retrying("ESTABLISH 0 1 100 500 100", &mut stats)
-            .expect_err("a never-draining server must exhaust the retry cap");
+        let err = roundtrip_retrying(
+            &mut client,
+            &mut backoff,
+            "ESTABLISH 0 1 100 500 100",
+            &mut stats,
+        )
+        .expect_err("a never-draining server must exhaust the retry cap");
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         assert!(err.to_string().contains("after 3 retries"), "{err}");
         assert_eq!(stats.busy_retries, 3, "every attempt before the cap counts");

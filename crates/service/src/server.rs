@@ -314,12 +314,13 @@ fn reader_loop(stream: TcpStream, wire: WireMode, depth: usize, shared: &Shared)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
     use crate::clusterd::{request_stop, ClusterCoordinator, ClusterMember};
-    use crate::{frame, protocol};
+    use crate::protocol;
     use drqos_core::env::RebalancePolicy;
     use drqos_core::network::NetworkConfig;
     use drqos_topology::regular;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::Write;
     use std::time::{Duration, Instant};
 
     fn ring() -> Network {
@@ -327,18 +328,8 @@ mod tests {
     }
 
     fn client_session(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        let mut replies = Vec::new();
-        for line in lines {
-            writeln!(writer, "{line}").unwrap();
-            let mut resp = String::new();
-            reader.read_line(&mut resp).unwrap();
-            replies.push(resp.trim_end().to_string());
-        }
-        replies
+        let mut client = Client::connect(addr, WireMode::Text).unwrap();
+        lines.iter().map(|l| client.roundtrip(l).unwrap()).collect()
     }
 
     fn test_server() -> (SocketAddr, thread::JoinHandle<io::Result<ServiceReport>>) {
@@ -498,45 +489,30 @@ mod tests {
         thread::scope(|scope| {
             for c in 0..4usize {
                 scope.spawn(move || {
-                    let stream = TcpStream::connect(addr).expect("connect");
-                    stream.set_nodelay(true).unwrap();
-                    let mut writer = stream.try_clone().unwrap();
-                    let mut reader = BufReader::new(stream);
+                    let mut client = Client::connect(addr, WireMode::Text).unwrap();
                     for _ in 0..100 {
-                        if writeln!(writer, "ESTABLISH {} {} 100 500 100", c, (c + 3) % 6).is_err()
-                        {
-                            break; // server closed mid-burst: allowed
-                        }
-                        let mut resp = String::new();
-                        match reader.read_line(&mut resp) {
-                            Ok(0) | Err(_) => break,
-                            Ok(_) => {
-                                let r = resp.trim_end();
-                                assert!(
-                                    r.starts_with("OK ") || r.starts_with("ERR ") || r == "BUSY",
-                                    "malformed reply mid-shutdown: {r:?}"
-                                );
-                                assert!(
-                                    !r.starts_with("ERR 504 "),
-                                    "{subject:?} served a request after its final check"
-                                );
-                                if r.starts_with("ERR 11 ") {
-                                    break; // shutting down; reader closes next
-                                }
-                            }
+                        // The server closing mid-burst is allowed.
+                        let line = format!("ESTABLISH {} {} 100 500 100", c, (c + 3) % 6);
+                        let Ok(r) = client.roundtrip(&line) else {
+                            break;
+                        };
+                        assert!(
+                            r.starts_with("OK ") || r.starts_with("ERR ") || r == "BUSY",
+                            "malformed reply mid-shutdown: {r:?}"
+                        );
+                        assert!(
+                            !r.starts_with("ERR 504 "),
+                            "{subject:?} served a request after its final check"
+                        );
+                        if r.starts_with("ERR 11 ") {
+                            break; // shutting down; reader closes next
                         }
                     }
                 });
             }
             scope.spawn(move || {
                 thread::sleep(Duration::from_millis(5));
-                let stream = TcpStream::connect(addr).expect("connect");
-                let mut writer = stream.try_clone().unwrap();
-                let mut reader = BufReader::new(stream);
-                writeln!(writer, "SHUTDOWN").unwrap();
-                let mut resp = String::new();
-                reader.read_line(&mut resp).unwrap();
-                assert_eq!(resp.trim_end(), "OK violations=0");
+                assert_eq!(client_session(addr, &["SHUTDOWN"]), ["OK violations=0"]);
             });
         });
         let report = handle.join().unwrap().unwrap();
@@ -546,8 +522,9 @@ mod tests {
 
     /// One closed-loop binary session: encode requests, decode response
     /// frames, and confirm the replies equal the text protocol's — plus a
-    /// malformed frame answered with a text-protocol code and a clean
-    /// binary shutdown.
+    /// malformed frame answered with a text-protocol code, a line no
+    /// frame encodes refused before the wire, and a clean binary
+    /// shutdown.
     #[test]
     fn binary_wire_serves_a_session_and_shuts_down_clean() {
         let server = Server::bind("127.0.0.1:0", ring())
@@ -555,31 +532,21 @@ mod tests {
             .with_wire(WireMode::Binary);
         let addr = server.local_addr().unwrap();
         let handle = thread::spawn(move || server.run());
-        fn roundtrip(stream: &mut TcpStream, cmd: &str) -> String {
-            let req = protocol::parse(cmd).unwrap();
-            stream.write_all(&frame::encode_request(&req)).unwrap();
-            stream.flush().unwrap();
-            let body = frame::read_frame(stream).unwrap();
-            frame::decode_response(&body).unwrap().to_string()
-        }
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        assert!(roundtrip(&mut stream, "ESTABLISH 0 3 100 500 100").starts_with("OK id=0"));
-        assert!(roundtrip(&mut stream, "SNAPSHOT").starts_with("OK conns=1"));
-        assert_eq!(roundtrip(&mut stream, "RELEASE 0"), "OK freed=500");
+        let mut client = Client::connect(addr, WireMode::Binary).unwrap();
+        let mut roundtrip = |cmd: &str| client.roundtrip(cmd).unwrap();
+        assert!(roundtrip("ESTABLISH 0 3 100 500 100").starts_with("OK id=0"));
+        assert!(roundtrip("SNAPSHOT").starts_with("OK conns=1"));
+        assert_eq!(roundtrip("RELEASE 0"), "OK freed=500");
         // A malformed frame (unknown opcode) answers with the text
         // protocol's code 2 and does not desynchronize the stream.
-        stream
-            .write_all(&[1u8, 0, 0, 0, 99]) // len=1, opcode 99
-            .unwrap();
-        stream.flush().unwrap();
-        let body = frame::read_frame(&mut stream).unwrap();
-        let resp = frame::decode_response(&body).unwrap();
-        assert!(
-            matches!(resp, Response::Err { code: 2, .. }),
-            "unknown opcode: {resp}"
-        );
-        assert_eq!(roundtrip(&mut stream, "SHUTDOWN"), "OK violations=0");
+        client.stream().write_all(&[1u8, 0, 0, 0, 99]).unwrap(); // len=1, opcode 99
+        let resp = client.recv().unwrap();
+        assert!(resp.starts_with("ERR 2 "), "unknown opcode: {resp}");
+        // An unparseable line has no frame: refused, and nothing is
+        // written, so the next reply read is the next command's.
+        let refused = client.send("BOGUS").map_err(|e| e.kind());
+        assert_eq!(refused, Err(io::ErrorKind::InvalidInput));
+        assert_eq!(client.roundtrip("SHUTDOWN").unwrap(), "OK violations=0");
         let report = handle.join().unwrap().unwrap();
         assert_eq!(report.violations, 0);
         assert_eq!(report.ops, 4, "decode errors never reach the engine");
@@ -596,7 +563,7 @@ mod tests {
             let handle = thread::spawn(move || server.run());
             assert_eq!(client_session(addr, &["SHUTDOWN"]), ["OK violations=0"]);
             assert_eq!(handle.join().unwrap().unwrap().violations, 0);
-            let late = TcpStream::connect(addr).map_err(|e| e.kind());
+            let late = Client::connect(addr, WireMode::Text).map_err(|e| e.kind());
             assert_eq!(
                 late.err(),
                 Some(io::ErrorKind::ConnectionRefused),
@@ -628,19 +595,16 @@ mod tests {
         let (addr, shared) = (server.local_addr().unwrap(), Arc::clone(&server.shared));
         let handle = thread::spawn(move || server.run());
         let held = lock_shrug(&shared.state);
-        let waiting = TcpStream::connect(addr).unwrap();
-        let mut writer = waiting.try_clone().unwrap();
-        let mut reader = BufReader::new(waiting);
-        writeln!(writer, "SNAPSHOT").unwrap();
+        let mut waiting = Client::connect(addr, WireMode::Text).unwrap();
+        waiting.send("SNAPSHOT").unwrap();
         await_until("the first request to be counted", || {
             shared.pending.load(Ordering::Acquire) == 1
         });
         assert_eq!(client_session(addr, &["SNAPSHOT"]), ["BUSY"]);
         drop(held);
-        let mut first = String::new();
-        reader.read_line(&mut first).unwrap();
+        let first = waiting.recv().unwrap();
         assert!(first.starts_with("OK conns=0"), "{first}");
-        drop((writer, reader));
+        drop(waiting);
         let replies = client_session(addr, &["STATS", "SHUTDOWN"]);
         let stats = replies[0].strip_prefix("OK ").expect("STATS succeeds");
         assert_eq!(protocol::payload_field(stats, "busy"), Some(1));

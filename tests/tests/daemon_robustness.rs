@@ -8,41 +8,14 @@
 use drqos_core::env::WireMode;
 use drqos_core::framing::MAX_FRAME_BYTES;
 use drqos_core::network::{Network, NetworkConfig};
+use drqos_service::client::Client;
 use drqos_service::server::{Server, ServiceReport};
 use drqos_service::{frame, protocol};
 use drqos_topology::regular;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// One TCP client: send `line`, read one reply.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let tcp = TcpStream::connect(addr).expect("connect");
-        tcp.set_nodelay(true).unwrap();
-        Self {
-            writer: tcp.try_clone().unwrap(),
-            reader: BufReader::new(tcp),
-        }
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        let mut resp = String::new();
-        self.reader.read_line(&mut resp).unwrap();
-        assert!(
-            !resp.is_empty(),
-            "daemon closed the connection instead of replying to {line:?}"
-        );
-        resp.trim_end().to_string()
-    }
-}
 
 /// Every line in the burst is designed to hit a failure path that was, or
 /// could plausibly become, a panic: parse failures, integer overflow,
@@ -76,9 +49,9 @@ fn malformed_burst_cannot_kill_the_daemon() {
     let addr = server.local_addr().unwrap();
     let server_handle = thread::spawn(move || server.run());
 
-    let mut hostile = Client::connect(addr);
+    let mut hostile = connect(addr, WireMode::Text);
     for &(line, want_prefix) in MALFORMED_BURST {
-        let resp = hostile.roundtrip(line);
+        let resp = hostile.roundtrip(line).unwrap();
         assert!(
             resp.starts_with("ERR "),
             "{line:?} must be rejected, got {resp:?}"
@@ -93,24 +66,20 @@ fn malformed_burst_cannot_kill_the_daemon() {
 
     // A partial line followed by an abrupt disconnect must not wedge the
     // reader or the loop.
-    {
-        let tcp = TcpStream::connect(addr).expect("connect");
-        let mut w = tcp.try_clone().unwrap();
-        w.write_all(b"ESTABLISH 0 3 1").unwrap(); // no newline
-        drop(w);
-        drop(tcp);
-    }
+    let mut tcp = TcpStream::connect(addr).expect("connect");
+    tcp.write_all(b"ESTABLISH 0 3 1").unwrap(); // no newline
+    drop(tcp);
 
     // The daemon is still fully functional for a well-behaved client.
-    let mut good = Client::connect(addr);
-    let resp = good.roundtrip("ESTABLISH 0 3 100 500 100");
+    let mut good = connect(addr, WireMode::Text);
+    let resp = good.roundtrip("ESTABLISH 0 3 100 500 100").unwrap();
     assert!(resp.starts_with("OK id="), "daemon degraded: {resp:?}");
-    let resp = good.roundtrip("SNAPSHOT");
+    let resp = good.roundtrip("SNAPSHOT").unwrap();
     assert!(resp.starts_with("OK conns=1"), "state corrupted: {resp:?}");
 
     // And it shuts down invariant-clean: nothing in the burst leaked
     // bandwidth or half-registered a connection.
-    assert_eq!(good.roundtrip("SHUTDOWN"), "OK violations=0");
+    assert_eq!(good.roundtrip("SHUTDOWN").unwrap(), "OK violations=0");
     let report = server_handle.join().unwrap().unwrap();
     assert_eq!(report.violations, 0);
 }
@@ -131,66 +100,25 @@ fn boot(wire: WireMode) -> (SocketAddr, JoinHandle<io::Result<ServiceReport>>) {
     (addr, thread::spawn(move || server.run()))
 }
 
-/// A raw client in one framing: it sends bytes as told — whole, or one
-/// byte per write — and decodes replies to their text form.
-struct RawClient {
-    stream: TcpStream,
-    wire: WireMode,
+/// A client whose reads give up after 10 s, so a missing reply fails
+/// the test instead of hanging it.
+fn connect(addr: SocketAddr, wire: WireMode) -> Client {
+    let client = Client::connect(addr, wire).expect("connect");
+    let timeout = Some(Duration::from_secs(10));
+    client.stream().set_read_timeout(timeout).unwrap();
+    client
 }
 
-impl RawClient {
-    fn connect(addr: SocketAddr, wire: WireMode) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        Self { stream, wire }
-    }
-
-    /// The request unit for a parseable command line.
-    fn unit(&self, line: &str) -> Vec<u8> {
-        match self.wire {
-            WireMode::Text => format!("{line}\n").into_bytes(),
-            WireMode::Binary => frame::encode_request(&protocol::parse(line).expect(line)),
+/// Sends raw bytes on `client`'s socket, whole or one byte per write;
+/// the replies are read with `recv`.
+fn send_raw(client: &Client, bytes: &[u8], drip: bool) {
+    let mut raw = client.stream();
+    if drip {
+        for b in bytes {
+            raw.write_all(&[*b]).unwrap();
         }
-    }
-
-    fn send(&mut self, bytes: &[u8], drip: bool) {
-        if drip {
-            for b in bytes {
-                self.stream.write_all(&[*b]).unwrap();
-            }
-        } else {
-            self.stream.write_all(bytes).unwrap();
-        }
-    }
-
-    /// One reply as text, or `None` once the daemon has closed.
-    fn recv(&mut self) -> Option<String> {
-        match self.wire {
-            WireMode::Text => {
-                let mut line = Vec::new();
-                let mut byte = [0u8];
-                while self.stream.read(&mut byte).expect("reply, not a timeout") == 1 {
-                    if byte[0] == b'\n' {
-                        return Some(String::from_utf8(line).unwrap());
-                    }
-                    line.push(byte[0]);
-                }
-                None
-            }
-            WireMode::Binary => {
-                let body = frame::read_frame(&mut self.stream).ok()?;
-                Some(frame::decode_response(&body).unwrap().to_string())
-            }
-        }
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        let unit = self.unit(line);
-        self.send(&unit, false);
-        self.recv().expect("a reply")
+    } else {
+        raw.write_all(bytes).unwrap();
     }
 }
 
@@ -201,25 +129,25 @@ impl RawClient {
 fn a_request_over_the_byte_cap_is_answered_and_closed() {
     for wire in WIRES {
         let (addr, server) = boot(wire);
-        let mut good = RawClient::connect(addr, wire);
-        assert!(good
-            .roundtrip("ESTABLISH 0 3 100 500 100")
-            .starts_with("OK id=0"));
+        let mut good = connect(addr, wire);
+        let mut ask = |line| good.roundtrip(line).unwrap();
+        assert!(ask("ESTABLISH 0 3 100 500 100").starts_with("OK id=0"));
 
-        let mut hostile = RawClient::connect(addr, wire);
+        let mut hostile = connect(addr, wire);
         let flood = match wire {
             WireMode::Text => vec![b'x'; MAX_FRAME_BYTES + 1],
             WireMode::Binary => ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes().to_vec(),
         };
-        hostile.send(&flood, false);
+        send_raw(&hostile, &flood, false);
         let reply = hostile.recv().expect("one error reply before the close");
         assert!(reply.starts_with("ERR 4 "), "{wire:?}: {reply}");
         assert!(reply.contains("exceeds the 65536-byte cap"), "{reply}");
-        assert_eq!(hostile.recv(), None, "{wire:?}: then the daemon hangs up");
+        let hung_up = hostile.recv().map_err(|e| e.kind());
+        assert_eq!(hung_up, Err(io::ErrorKind::UnexpectedEof), "{wire:?}");
 
         // Exactly at the cap is still a request like any other: an
         // unknown verb of 65 536 bytes, a frame body of as many.
-        let mut edge = RawClient::connect(addr, wire);
+        let mut edge = connect(addr, wire);
         let at_cap = match wire {
             WireMode::Text => {
                 let mut line = vec![b'x'; MAX_FRAME_BYTES];
@@ -232,13 +160,16 @@ fn a_request_over_the_byte_cap_is_answered_and_closed() {
                 frame
             }
         };
-        edge.send(&at_cap, false);
+        send_raw(&edge, &at_cap, false);
         let reply = edge.recv().expect("a reply at the cap");
         assert!(reply.starts_with("ERR 2 "), "{wire:?}: {reply}");
-        assert!(edge.roundtrip("SNAPSHOT").starts_with("OK conns=1"));
+        assert!(edge
+            .roundtrip("SNAPSHOT")
+            .unwrap()
+            .starts_with("OK conns=1"));
 
-        assert!(good.roundtrip("SNAPSHOT").starts_with("OK conns=1"));
-        assert_eq!(good.roundtrip("SHUTDOWN"), "OK violations=0");
+        assert!(ask("SNAPSHOT").starts_with("OK conns=1"));
+        assert_eq!(ask("SHUTDOWN"), "OK violations=0");
         assert_eq!(server.join().unwrap().unwrap().violations, 0);
     }
 }
@@ -250,16 +181,21 @@ fn a_request_over_the_byte_cap_is_answered_and_closed() {
 fn a_half_received_request_does_not_hold_the_shutdown_drain() {
     for wire in WIRES {
         let (addr, server) = boot(wire);
-        let mut parked = RawClient::connect(addr, wire);
+        let mut parked = connect(addr, wire);
         // One whole request first, so the connection has its reader; when
         // the two bytes land relative to the flag then does not matter.
-        assert!(parked.roundtrip("SNAPSHOT").starts_with("OK conns=0"));
-        let unit = parked.unit("ESTABLISH 0 3 100 500 100");
-        parked.send(&unit[..2], false);
+        let snapshot = parked.roundtrip("SNAPSHOT").unwrap();
+        assert!(snapshot.starts_with("OK conns=0"));
+        let establish = "ESTABLISH 0 3 100 500 100";
+        let unit = match wire {
+            WireMode::Text => establish.as_bytes().to_vec(),
+            WireMode::Binary => frame::encode_request(&protocol::parse(establish).unwrap()),
+        };
+        send_raw(&parked, &unit[..2], false);
 
-        let mut closer = RawClient::connect(addr, wire);
+        let mut closer = connect(addr, wire);
         let asked = Instant::now();
-        assert_eq!(closer.roundtrip("SHUTDOWN"), "OK violations=0");
+        assert_eq!(closer.roundtrip("SHUTDOWN").unwrap(), "OK violations=0");
         let report = server.join().unwrap().unwrap();
         let took = asked.elapsed();
         assert_eq!(report.violations, 0);
@@ -268,9 +204,10 @@ fn a_half_received_request_does_not_hold_the_shutdown_drain() {
             took < Duration::from_millis(900),
             "{wire:?}: the drain waited {took:?} on a parked half request"
         );
+        let dropped = parked.recv().map_err(|e| e.kind());
         assert_eq!(
-            parked.recv(),
-            None,
+            dropped,
+            Err(io::ErrorKind::UnexpectedEof),
             "{wire:?}: the parked client is dropped"
         );
     }
@@ -284,7 +221,7 @@ fn a_half_received_request_does_not_hold_the_shutdown_drain() {
 fn byte_at_a_time_delivery_draws_the_same_replies() {
     for wire in WIRES {
         let (addr, server) = boot(wire);
-        let mut client = RawClient::connect(addr, wire);
+        let mut client = connect(addr, wire);
         let burst: Vec<Vec<u8>> = match wire {
             WireMode::Text => MALFORMED_BURST
                 .iter()
@@ -309,7 +246,7 @@ fn byte_at_a_time_delivery_draws_the_same_replies() {
         let mut replies = [Vec::new(), Vec::new()];
         for (drip, got) in [false, true].into_iter().zip(&mut replies) {
             for unit in &burst {
-                client.send(unit, drip);
+                send_raw(&client, unit, drip);
                 got.push(client.recv().expect("every unit is answered"));
             }
         }
@@ -321,7 +258,7 @@ fn byte_at_a_time_delivery_draws_the_same_replies() {
                 assert!(reply.starts_with(prefix), "{line:?}: {reply}");
             }
         }
-        assert_eq!(client.roundtrip("SHUTDOWN"), "OK violations=0");
+        assert_eq!(client.roundtrip("SHUTDOWN").unwrap(), "OK violations=0");
         assert_eq!(server.join().unwrap().unwrap().violations, 0);
     }
 }

@@ -14,7 +14,10 @@ fn single_failure_never_strands_backed_up_connections() {
     net.validate();
     let with_backup: BTreeSet<ConnectionId> = net
         .connections()
-        .filter(|c| c.has_backup() && c.backup_fully_disjoint())
+        .filter(|c| {
+            let disjoint = |b| c.primary().is_link_disjoint(b);
+            c.has_backup() && c.backups().iter().all(disjoint)
+        })
         .map(|c| c.id())
         .collect();
     // Fail one link; every fully-backed-up connection must survive.

@@ -77,7 +77,7 @@ fn elastic_qos_levels_are_exact() {
         assert_eq!(qos.num_levels(), steps as usize + 1, "seed {seed}");
         for level in 0..qos.num_levels() {
             let bw = qos.level_bandwidth(level);
-            assert_eq!(qos.level_of(bw), Some(level), "seed {seed}");
+            assert_eq!(bw.as_kbps(), min + level as u64 * inc, "seed {seed}");
             assert!(bw >= qos.min() && bw <= qos.max());
         }
     }

@@ -9,7 +9,9 @@
 //! DRQOS_BLESS=1 cargo test -p drqos-tests --test service_session
 //! ```
 
+use drqos_core::env::WireMode;
 use drqos_core::network::{Network, NetworkConfig};
+use drqos_service::client::Client;
 use drqos_service::engine::Engine;
 use drqos_service::loadgen::{self, LoadgenConfig};
 use drqos_service::protocol::payload_field;
@@ -17,8 +19,6 @@ use drqos_service::server::Server;
 use drqos_testkit::golden::verify_golden;
 use drqos_testkit::session::replay_script;
 use drqos_topology::regular;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::thread;
 
@@ -194,15 +194,9 @@ fn concurrent_disjoint_clients_match_serial_replay() {
     thread::scope(|scope| {
         for stream in &streams {
             scope.spawn(move || {
-                let tcp = TcpStream::connect(addr).expect("connect");
-                tcp.set_nodelay(true).unwrap();
-                let mut writer = tcp.try_clone().unwrap();
-                let mut reader = BufReader::new(tcp);
+                let mut client = Client::connect(addr, WireMode::Text).expect("connect");
                 for line in stream {
-                    writeln!(writer, "{line}").unwrap();
-                    let mut resp = String::new();
-                    reader.read_line(&mut resp).unwrap();
-                    let resp = resp.trim_end();
+                    let resp = client.roundtrip(line).unwrap();
                     assert!(
                         resp.starts_with("OK "),
                         "disjoint streams must not fail: {line} -> {resp}"
@@ -212,21 +206,10 @@ fn concurrent_disjoint_clients_match_serial_replay() {
         }
     });
     // All clients done; the final state must match the serial reference.
-    let tcp = TcpStream::connect(addr).expect("connect");
-    let mut writer = tcp.try_clone().unwrap();
-    let mut reader = BufReader::new(tcp);
-    writeln!(writer, "SNAPSHOT").unwrap();
-    let mut snap = String::new();
-    reader.read_line(&mut snap).unwrap();
-    assert_eq!(
-        snap.trim_end(),
-        expected,
-        "concurrent != serial final state"
-    );
-    writeln!(writer, "SHUTDOWN").unwrap();
-    let mut bye = String::new();
-    reader.read_line(&mut bye).unwrap();
-    assert_eq!(bye.trim_end(), "OK violations=0");
+    let mut client = Client::connect(addr, WireMode::Text).expect("connect");
+    let snap = client.roundtrip("SNAPSHOT").unwrap();
+    assert_eq!(snap, expected, "concurrent != serial final state");
+    assert_eq!(client.roundtrip("SHUTDOWN").unwrap(), "OK violations=0");
     let report = server_handle.join().unwrap().unwrap();
     assert_eq!(report.violations, 0);
 }
@@ -328,15 +311,8 @@ fn stats_reports_counters_over_tcp() {
     let server = Server::bind("127.0.0.1:0", net).expect("bind ephemeral");
     let addr = server.local_addr().unwrap();
     let server_handle = thread::spawn(move || server.run());
-    let tcp = TcpStream::connect(addr).expect("connect");
-    let mut writer = tcp.try_clone().unwrap();
-    let mut reader = BufReader::new(tcp);
-    let mut roundtrip = |line: &str| -> String {
-        writeln!(writer, "{line}").unwrap();
-        let mut resp = String::new();
-        reader.read_line(&mut resp).unwrap();
-        resp.trim_end().to_string()
-    };
+    let mut client = Client::connect(addr, WireMode::Text).expect("connect");
+    let mut roundtrip = |line: &str| client.roundtrip(line).unwrap();
     roundtrip("ESTABLISH 0 3 100 500 100");
     let stats = roundtrip("STATS");
     let payload = stats

@@ -14,6 +14,7 @@
 use drqos_core::env::WireMode;
 use drqos_core::network::{Network, NetworkConfig};
 use drqos_core::qos::Bandwidth;
+use drqos_service::client::Client;
 use drqos_service::engine::Engine;
 use drqos_service::frame;
 use drqos_service::loadgen::{self, LoadgenConfig};
@@ -23,8 +24,6 @@ use drqos_sim::rng::Rng;
 use drqos_testkit::golden::verify_golden;
 use drqos_testkit::session::replay_script;
 use drqos_topology::regular;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::thread;
 
@@ -86,31 +85,10 @@ fn session_transcript(wire: WireMode) -> (String, u64, usize) {
     let addr = server.local_addr().unwrap();
     let handle = thread::spawn(move || server.run());
 
-    let tcp = TcpStream::connect(addr).expect("connect");
-    tcp.set_nodelay(true).unwrap();
-    let mut writer = tcp.try_clone().unwrap();
-    let transcript = match wire {
-        WireMode::Text => {
-            let mut reader = BufReader::new(tcp);
-            replay_script("ring6 wire equivalence", WIRE_SCRIPT, |line| {
-                writeln!(writer, "{line}").unwrap();
-                let mut resp = String::new();
-                reader.read_line(&mut resp).unwrap();
-                normalize_stats_line(resp.trim_end())
-            })
-        }
-        WireMode::Binary => {
-            let mut reader = tcp;
-            replay_script("ring6 wire equivalence", WIRE_SCRIPT, |line| {
-                let req = protocol::parse(line).expect("script lines parse");
-                writer.write_all(&frame::encode_request(&req)).unwrap();
-                writer.flush().unwrap();
-                let body = frame::read_frame(&mut reader).expect("response frame");
-                let resp = frame::decode_response(&body).expect("well-formed response");
-                normalize_stats_line(&resp.to_string())
-            })
-        }
-    };
+    let mut client = Client::connect(addr, wire).expect("connect");
+    let transcript = replay_script("ring6 wire equivalence", WIRE_SCRIPT, |line| {
+        normalize_stats_line(&client.roundtrip(line).unwrap())
+    });
     let report = handle.join().unwrap().unwrap();
     (transcript, report.ops, report.violations)
 }
@@ -369,24 +347,8 @@ fn seeded_streams_over_tcp_match_the_engine_transcript() {
                 .with_wire(wire);
             let addr = server.local_addr().unwrap();
             let handle = thread::spawn(move || server.run());
-            let tcp = TcpStream::connect(addr).expect("connect");
-            tcp.set_nodelay(true).unwrap();
-            let mut writer = tcp.try_clone().unwrap();
-            let mut reader = BufReader::new(tcp);
-            let got = replay_script(name, &script, |line| match wire {
-                WireMode::Text => {
-                    writeln!(writer, "{line}").unwrap();
-                    let mut resp = String::new();
-                    reader.read_line(&mut resp).unwrap();
-                    resp.trim_end().to_string()
-                }
-                WireMode::Binary => {
-                    let req = protocol::parse(line).expect("stream lines parse");
-                    writer.write_all(&frame::encode_request(&req)).unwrap();
-                    let body = frame::read_frame(&mut reader).expect("response frame");
-                    frame::decode_response(&body).unwrap().to_string()
-                }
-            });
+            let mut client = Client::connect(addr, wire).expect("connect");
+            let got = replay_script(name, &script, |line| client.roundtrip(line).unwrap());
             assert!(
                 got == want,
                 "{name} {wire:?}: the daemon's transcript drifted"
